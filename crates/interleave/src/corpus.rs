@@ -24,7 +24,7 @@
 use crate::explorer::{ReplayEnd, Verdict};
 use crate::program::Program;
 use kernels::locks::LockKernel;
-use kernels::{Region, SyncCtx, Word};
+use kernels::{Addr, Region, SyncCtx, Word};
 use std::sync::Arc;
 
 /// The class of a [`Verdict`] or [`ReplayEnd`], without the run-specific
@@ -249,6 +249,97 @@ impl LockKernel for BlockingGrantLock {
     }
 }
 
+/// The contended path of `service::LockService::lock`: the three-state
+/// futex mutex (0 free, 1 held, 2 held with waiters) whose waiter spins,
+/// announces itself, parks — and, once woken, **spins again** before it
+/// pays for a second park, because release stores FREE before it wakes
+/// and a barger may hold the word again by the time the wakee runs.
+///
+/// A spin is modelled as one CAS `FREE -> locked`: the checker explores
+/// every placement of that attempt against the other threads' steps, and
+/// the further probes of a real spin (and the plain loads it watches the
+/// word with) only repeat one of those placements. For the same reason
+/// the fast-path CAS and the first spin are one step, and the slow loop's
+/// load-then-CAS is a CAS whose failure value stands in for the load. That
+/// keeps three threads exhaustively checkable.
+///
+/// The seeded bug is the tempting one: let the post-wake spin acquire as
+/// HELD, like the first spin does. The woken waiter cannot know whether
+/// others are still parked behind it, and only a CONTENDED release wakes
+/// them — a second parked waiter is stranded.
+#[derive(Debug)]
+pub struct SpinThenParkLock {
+    /// Post-wake spin acquires as CONTENDED (correct) or HELD (seeded bug).
+    pub fixed: bool,
+}
+
+impl SpinThenParkLock {
+    const FREE: Word = 0;
+    const HELD: Word = 1;
+    const CONTENDED: Word = 2;
+
+    /// `LockService::lock` past the attach, on the lock word `word`.
+    pub fn acquire(&self, ctx: &mut dyn SyncCtx, word: Addr) {
+        // Fast path and first spin: acquire as HELD.
+        if ctx.cas(word, Self::FREE, Self::HELD).is_ok() {
+            return;
+        }
+        let respin_as = if self.fixed {
+            Self::CONTENDED
+        } else {
+            Self::HELD
+        };
+        loop {
+            match ctx.cas(word, Self::FREE, Self::CONTENDED) {
+                Ok(_) => return,
+                // Announce; if the word moved under us, look again.
+                Err(Self::HELD) => {
+                    if ctx.cas(word, Self::HELD, Self::CONTENDED).is_err() {
+                        continue;
+                    }
+                }
+                Err(_) => {}
+            }
+            ctx.futex_wait(word, Self::CONTENDED);
+            // Woken: spin again before re-announcing.
+            if ctx.cas(word, Self::FREE, respin_as).is_ok() {
+                return;
+            }
+        }
+    }
+
+    /// `KeyGuard::drop`: store FREE, wake one iff waiters were announced.
+    pub fn release(&self, ctx: &mut dyn SyncCtx, word: Addr) {
+        if ctx.swap(word, Self::FREE) == Self::CONTENDED {
+            ctx.futex_wake(word, 1);
+        }
+    }
+}
+
+/// The mutual-exclusion workload over [`SpinThenParkLock`] (lock word 0,
+/// critical-section counter word 1): one critical section per thread, with
+/// thread 0 **starting as the holder**. That is a symmetry reduction, not
+/// a restriction: every thread's first step is the fast-path CAS on the
+/// one lock word, and the first CAS to execute on a free word always
+/// succeeds, so every execution begins with some thread holding HELD
+/// before any other has taken a step. Naming that thread 0 divides the
+/// search by `nthreads` and drops its acquire steps.
+pub fn spin_then_park_program(nthreads: usize, fixed: bool) -> Program {
+    assert!(nthreads >= 2, "need the holder and at least one contender");
+    const WORD: Addr = 0;
+    const COUNTER: Addr = 1;
+    let lock = SpinThenParkLock { fixed };
+    Program::new(nthreads, 2, move |ctx| {
+        if ctx.pid() != 0 {
+            lock.acquire(ctx, WORD);
+        }
+        let c = ctx.data_load(COUNTER);
+        ctx.data_store(COUNTER, c + 1);
+        lock.release(ctx, WORD);
+    })
+    .with_init(vec![(WORD, SpinThenParkLock::HELD)])
+}
+
 /// An eventcount advance across the `u64` wrap (count starts at
 /// `u64::MAX`): awaiters compare by **signed distance**, so the wrapped
 /// target `0` still reads as "reached". The broken variant advances
@@ -341,6 +432,9 @@ pub fn corpus_program(name: &str) -> Option<(Program, fn(&[Word]) -> Result<(), 
         // Blocking QSM-style lock whose release wakes before advancing.
         "blocking-grant-wake-first-3" => Some((blocking_grant_program(3, 1, false), pass)),
         "blocking-grant-wake-first-4" => Some((blocking_grant_program(4, 1, false), pass)),
+        // Service mutex whose post-wake spin acquires as HELD.
+        "spin-then-park-respin-held-3" => Some((spin_then_park_program(3, false), pass)),
+        "spin-then-park-respin-held-4" => Some((spin_then_park_program(4, false), pass)),
         // Eventcount wraparound advance that forgets its wake.
         "eventcount-wrap-missed-wake-3" => Some((eventcount_wrap_program(3, false), pass)),
         "eventcount-wrap-missed-wake-4" => Some((eventcount_wrap_program(4, false), pass)),
@@ -356,6 +450,8 @@ pub fn corpus_program_names() -> &'static [&'static str] {
         "wake-before-publish",
         "blocking-grant-wake-first-3",
         "blocking-grant-wake-first-4",
+        "spin-then-park-respin-held-3",
+        "spin-then-park-respin-held-4",
         "eventcount-wrap-missed-wake-3",
         "eventcount-wrap-missed-wake-4",
     ]

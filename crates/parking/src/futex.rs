@@ -53,6 +53,18 @@
 //! supports equality assertions — and timestamps every park so the
 //! service telemetry's stall watchdog can ask for the longest-parked
 //! waiter ([`ParkingLot::oldest_parked_age`]).
+//!
+//! A lot also **measures what a park costs**. When a wake dequeues a
+//! blocking thread it stamps the waiter; the thread, once running again,
+//! folds `resume - wake` — the unpark call plus the scheduler's wake-up
+//! latency, the part of a park nobody can overlap with useful work — into
+//! a per-lot moving average, [`ParkingLot::park_cost`]. Callers that can
+//! choose between spinning and parking (the `service` mutex) spin for that
+//! long first: the classic competitive rule, with the cost measured on the
+//! running host instead of configured. Only real thread parks feed it —
+//! not waits that never blocked, not waker entries, not cancellations —
+//! and the clock is read only when a thread is actually dequeued, so the
+//! no-waiter paths stay clock-free.
 
 use qsm::CachePadded;
 use std::collections::VecDeque;
@@ -68,6 +80,32 @@ use std::time::{Duration, Instant};
 /// thread population; embedders with unusual waiter populations build
 /// their own [`ParkingLot`].
 const GLOBAL_BUCKETS: usize = 64;
+
+/// Lower clamp and seed of [`ParkingLot::park_cost`]: the fixed spin budget
+/// the service mutex had before the cost was measured (`qsm::Backoff`'s
+/// 127 pause hints, ~8 µs on the reference host). A lot that has never
+/// parked anybody spins exactly as long as the old code did.
+pub const PARK_COST_FLOOR: Duration = Duration::from_micros(8);
+
+/// Upper clamp of [`ParkingLot::park_cost`]. On an oversubscribed host a
+/// woken thread queues behind whoever holds its core, and `resume - wake`
+/// reads in milliseconds; spinning that long would burn the very cores the
+/// lock holder needs, so the estimate saturates at a few uncontended
+/// park/unpark round trips.
+pub const PARK_COST_CEIL: Duration = Duration::from_micros(64);
+
+/// Weight of one sample in the park-cost average, as a shift: 1/8.
+const PARK_COST_SHIFT: u32 = 3;
+
+/// Every clock read of the park, wake and cancel paths goes through here,
+/// so the unit tests can assert which of them read the clock (a
+/// thread-local count, compiled only into the tests).
+#[inline]
+fn clock() -> Instant {
+    #[cfg(test)]
+    tests::CLOCK_READS.with(|c| c.set(c.get() + 1));
+    Instant::now()
+}
 
 /// Finalizing 64-bit mix (the SplitMix64 / Stafford "variant 13"
 /// finalizer): full avalanche, so every input bit flips each output bit
@@ -179,15 +217,32 @@ enum WaitMode {
 /// One parked waiter: the word it parked on, how to wake it, the flag
 /// that distinguishes a real wake from a spurious `park` return (or, for
 /// tasks, from a poll that raced the wake), when it parked (feeds the
-/// stall watchdog's oldest-parked-age scan), and the counter block of the
-/// lot that parked it (so wake/resume accounting stays lot-local even
-/// when only the waiter is in hand).
+/// stall watchdog's oldest-parked-age scan), when a wake dequeued it (as
+/// nanoseconds after `since`, threads only — the park-cost sample's start),
+/// and the counter block of the lot that parked it (so wake/resume
+/// accounting stays lot-local even when only the waiter is in hand).
 struct Waiter {
     addr: usize,
     how: WaitMode,
     woken: AtomicBool,
     since: Instant,
+    /// Written by the waker before its `Release` store of `woken`, read by
+    /// the wakee after its `Acquire` load of it; `Relaxed` rides on that.
+    wake_ns: AtomicU64,
     counters: Arc<LotCounters>,
+}
+
+impl Waiter {
+    fn new(addr: usize, how: WaitMode, counters: &Arc<LotCounters>) -> Arc<Self> {
+        Arc::new(Waiter {
+            addr,
+            how,
+            woken: AtomicBool::new(false),
+            since: clock(),
+            wake_ns: AtomicU64::new(0),
+            counters: Arc::clone(counters),
+        })
+    }
 }
 
 struct Bucket {
@@ -211,6 +266,9 @@ pub struct ParkingLot {
     buckets: Box<[CachePadded<Bucket>]>,
     mask: u64,
     counters: Arc<LotCounters>,
+    /// Moving average behind [`ParkingLot::park_cost`], in nanoseconds. A
+    /// statistic: racing updates may drop a sample, never corrupt one.
+    park_cost_ns: AtomicU64,
 }
 
 impl ParkingLot {
@@ -227,7 +285,27 @@ impl ParkingLot {
             buckets: (0..n).map(|_| CachePadded::new(Bucket::new())).collect(),
             mask: n as u64 - 1,
             counters: Arc::new(LotCounters::default()),
+            park_cost_ns: AtomicU64::new(PARK_COST_FLOOR.as_nanos() as u64),
         }
+    }
+
+    /// What one thread park costs on this host right now: a moving average
+    /// of the time from a wake dequeuing a parked thread to that thread
+    /// running again, always within [`PARK_COST_FLOOR`]..=[`PARK_COST_CEIL`]
+    /// (each sample is clamped before it is folded in, and the average
+    /// starts at the floor). The competitive spin budget: a waiter that
+    /// spins this long before parking never pays more than twice the
+    /// better choice.
+    pub fn park_cost(&self) -> Duration {
+        Duration::from_nanos(self.park_cost_ns.load(Ordering::Relaxed))
+    }
+
+    /// Folds one `resume - wake` sample into the average.
+    fn fold_park_cost(&self, sample: Duration) {
+        let sample = sample.clamp(PARK_COST_FLOOR, PARK_COST_CEIL).as_nanos() as i64;
+        let old = self.park_cost_ns.load(Ordering::Relaxed) as i64;
+        let new = old + ((sample - old) >> PARK_COST_SHIFT);
+        self.park_cost_ns.store(new as u64, Ordering::Relaxed);
     }
 
     /// Number of buckets (always a power of two).
@@ -304,13 +382,7 @@ impl ParkingLot {
             if word.load(Ordering::SeqCst) != expected {
                 return false;
             }
-            let waiter = Arc::new(Waiter {
-                addr,
-                how: WaitMode::Thread(thread::current()),
-                woken: AtomicBool::new(false),
-                since: Instant::now(),
-                counters: Arc::clone(&self.counters),
-            });
+            let waiter = Waiter::new(addr, WaitMode::Thread(thread::current()), &self.counters);
             queue.push_back(Arc::clone(&waiter));
             waiter
         };
@@ -320,6 +392,8 @@ impl ParkingLot {
         while !waiter.woken.load(Ordering::Acquire) {
             thread::park();
         }
+        let wake = Duration::from_nanos(waiter.wake_ns.load(Ordering::Relaxed));
+        self.fold_park_cost(clock().saturating_duration_since(waiter.since + wake));
         TOTAL_RESUMES.fetch_add(1, Ordering::SeqCst);
         self.counters.resumes.fetch_add(1, Ordering::SeqCst);
         crate::trace_hooks::record(trace::EventKind::FutexResume {
@@ -409,7 +483,14 @@ impl ParkingLot {
     /// instantly-rescheduled wakee that immediately parks again must not
     /// find the lock still held.
     fn unpark_all(&self, woken: &[Arc<Waiter>]) {
+        // One clock read covers the batch, and only if it holds a thread.
+        let mut now = None;
         for waiter in woken {
+            if let WaitMode::Thread(_) = waiter.how {
+                let at = *now.get_or_insert_with(clock);
+                let ns = at.saturating_duration_since(waiter.since).as_nanos() as u64;
+                waiter.wake_ns.store(ns, Ordering::Relaxed);
+            }
             TOTAL_WAKES.fetch_add(1, Ordering::SeqCst);
             waiter.counters.wakes.fetch_add(1, Ordering::SeqCst);
             crate::trace_hooks::record(trace::EventKind::FutexWake {
@@ -451,13 +532,8 @@ impl ParkingLot {
             if word.load(Ordering::SeqCst) != expected {
                 return None;
             }
-            let waiter = Arc::new(Waiter {
-                addr,
-                how: WaitMode::Task(Mutex::new(Some(waker.clone()))),
-                woken: AtomicBool::new(false),
-                since: Instant::now(),
-                counters: Arc::clone(&self.counters),
-            });
+            let how = WaitMode::Task(Mutex::new(Some(waker.clone())));
+            let waiter = Waiter::new(addr, how, &self.counters);
             queue.push_back(Arc::clone(&waiter));
             waiter
         };
@@ -624,8 +700,125 @@ pub fn parked_count(word: &AtomicU64) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::Cell;
     use std::sync::atomic::AtomicUsize;
     use std::time::Duration;
+
+    thread_local! {
+        /// Clock reads `futex::clock` made on this thread.
+        pub(super) static CLOCK_READS: Cell<u32> = const { Cell::new(0) };
+    }
+
+    /// Clock reads `f` makes on the calling thread.
+    fn clock_reads_of(f: impl FnOnce()) -> u32 {
+        let before = CLOCK_READS.with(Cell::get);
+        f();
+        CLOCK_READS.with(Cell::get) - before
+    }
+
+    /// Parks one thread on a fresh word of `lot`, wakes it, joins it;
+    /// returns the clock reads the wake made.
+    fn park_and_wake_one(lot: &Arc<ParkingLot>) -> u32 {
+        let word = Arc::new(AtomicU64::new(0));
+        let handle = {
+            let (lot, word) = (Arc::clone(lot), Arc::clone(&word));
+            thread::spawn(move || {
+                while word.load(Ordering::SeqCst) == 0 {
+                    lot.wait(&word, 0);
+                }
+            })
+        };
+        while lot.parked_count(&word) == 0 {
+            thread::yield_now();
+        }
+        word.store(1, Ordering::SeqCst);
+        let reads = clock_reads_of(|| assert_eq!(lot.wake_addr(addr_of(&word), 1), 1));
+        handle.join().unwrap();
+        reads
+    }
+
+    #[test]
+    fn park_cost_average_follows_samples_inside_its_clamp() {
+        let lot = ParkingLot::with_buckets(1);
+        assert_eq!(lot.park_cost(), PARK_COST_FLOOR, "seeded at the floor");
+        // Toward a sample inside the clamp: monotonically, one eighth of
+        // the gap at a time, stopping within the rounding of the shift.
+        let target = Duration::from_micros(40);
+        let mut last = lot.park_cost();
+        for _ in 0..100 {
+            lot.fold_park_cost(target);
+            assert!(lot.park_cost() >= last && lot.park_cost() <= target);
+            last = lot.park_cost();
+        }
+        assert!(
+            target - last < Duration::from_nanos(1 << PARK_COST_SHIFT),
+            "{last:?}"
+        );
+        // A descheduled wakee reads in milliseconds: clamped to the ceiling.
+        for _ in 0..100 {
+            lot.fold_park_cost(Duration::from_millis(10));
+            assert!(lot.park_cost() <= PARK_COST_CEIL);
+        }
+        assert!(PARK_COST_CEIL - lot.park_cost() < Duration::from_nanos(1 << PARK_COST_SHIFT));
+        // And back down to the floor, never through it.
+        for _ in 0..200 {
+            lot.fold_park_cost(Duration::ZERO);
+            assert!(lot.park_cost() >= PARK_COST_FLOOR);
+        }
+        assert_eq!(lot.park_cost(), PARK_COST_FLOOR);
+    }
+
+    /// Only a thread that really parked and was woken feeds the average,
+    /// and only dequeuing a thread reads the clock on the wake side.
+    #[test]
+    fn park_cost_is_fed_by_thread_parks_only() {
+        let lot = Arc::new(ParkingLot::with_buckets(4));
+        let word = AtomicU64::new(7);
+        // A wait that never blocked and a wake that found nobody: no
+        // sample, no clock.
+        assert_eq!(clock_reads_of(|| assert!(!lot.wait(&word, 3))), 0);
+        assert_eq!(
+            clock_reads_of(|| assert_eq!(lot.wake_addr(addr_of(&word), 1), 0)),
+            0
+        );
+        assert_eq!(
+            clock_reads_of(|| assert_eq!(lot.wake_batch(&[addr_of(&word)]), 0)),
+            0
+        );
+        // Waker entries, cancelled or woken: the park stamp only.
+        let (_, waker) = flag_waker();
+        let entry = lot.register(&word, 7, &waker).expect("word unchanged");
+        assert_eq!(clock_reads_of(|| assert!(lot.cancel(entry))), 0);
+        let entry = lot.register(&word, 7, &waker).expect("word unchanged");
+        assert_eq!(
+            clock_reads_of(|| assert_eq!(lot.wake_addr(addr_of(&word), 1), 1)),
+            0
+        );
+        entry.resume();
+        assert_eq!(
+            lot.park_cost(),
+            PARK_COST_FLOOR,
+            "a non-park moved the average"
+        );
+
+        // A real park: one clock read to stamp the dequeue, and the
+        // average moves — from the floor unless this host resumes a thread
+        // in under 8 us, from the ceiling unless it needs over 64 us; no
+        // host does both.
+        assert_eq!(park_and_wake_one(&lot), 1);
+        let from_floor = lot.park_cost();
+        assert!((PARK_COST_FLOOR..=PARK_COST_CEIL).contains(&from_floor));
+        lot.park_cost_ns
+            .store(PARK_COST_CEIL.as_nanos() as u64, Ordering::Relaxed);
+        assert_eq!(park_and_wake_one(&lot), 1);
+        let from_ceil = lot.park_cost();
+        assert!((PARK_COST_FLOOR..=PARK_COST_CEIL).contains(&from_ceil));
+        assert!(
+            from_floor > PARK_COST_FLOOR || from_ceil < PARK_COST_CEIL,
+            "two real parks left the average where it was"
+        );
+        assert!(lot.totals().balanced());
+    }
 
     #[test]
     fn wait_on_changed_word_returns_without_parking() {

@@ -9,11 +9,15 @@
 //! enough to leave on in production:
 //!
 //! - **Counters** ([`ServiceMetrics`]) — cache-line-padded stripes of
-//!   relaxed atomics (acquires, fast-path vs parked acquisitions,
-//!   contended CAS retries, semaphore grants/abandons, cancellations,
-//!   slot recycles), indexed by shard so writers on different shards
-//!   never share a counter line. [`ServiceMetrics::snapshot`] aggregates
-//!   them lock-free into a [`MetricsSnapshot`].
+//!   relaxed atomics (acquires, fast-path vs parked acquisitions, post-wake
+//!   spin wins, contended CAS retries, semaphore grants/abandons,
+//!   cancellations, slot recycles). A writer picks its stripe by masking
+//!   its shard index, so the default 256 shards fold four to a stripe:
+//!   writers on different shards *usually* hit different lines, and two
+//!   that collide still only share relaxed increments.
+//!   [`ServiceMetrics::snapshot`] aggregates them lock-free into a
+//!   [`MetricsSnapshot`], beside which the service handle reports the spin
+//!   budget its lot has calibrated (`park_cost_ns`).
 //! - **Sampled latency** — in `sampled:<N>` mode, one in `N` operations
 //!   per stripe timestamps its wait (and mutex holds) and records
 //!   nanoseconds into the log2-bucketed [`trace::Histogram`], one
@@ -225,6 +229,10 @@ struct CounterBlock {
     slot_recycles: AtomicU64,
     /// Sampling tick (one per candidate operation in `sampled` mode).
     tick: AtomicU64,
+    /// Parked acquisitions won in the spin that follows a wake. Last, so
+    /// the counters every uncontended round trip bumps (`acquires`,
+    /// `slot_recycles`) stay within the block's first 64 bytes.
+    respin_wins: AtomicU64,
 }
 
 /// One flight-recorder event kind.
@@ -396,6 +404,16 @@ impl ServiceMetrics {
         }
     }
 
+    /// Counts one acquisition (already counted as parked) that a woken
+    /// waiter won while spinning, instead of parking a second time.
+    #[inline]
+    pub(crate) fn count_respin_win(&self, stripe: usize) {
+        if self.off() {
+            return;
+        }
+        self.block(stripe).respin_wins.fetch_add(1, Ordering::Relaxed);
+    }
+
     /// Counts one failed CAS in a contended acquire loop.
     #[inline]
     pub(crate) fn count_cas_retry(&self, stripe: usize) {
@@ -517,6 +535,7 @@ impl ServiceMetrics {
             acquires: 0,
             fast_path: 0,
             parked: 0,
+            respin_wins: 0,
             cas_retries: 0,
             sem_grants: 0,
             sem_abandons: 0,
@@ -527,6 +546,7 @@ impl ServiceMetrics {
             hot_keys: Vec::new(),
             table: None,
             futex: None,
+            park_cost_ns: None,
         };
         let mut slow = 0u64;
         for stripe in self.stripes.iter() {
@@ -537,6 +557,7 @@ impl ServiceMetrics {
             slow += stripe.slow.load(Ordering::Relaxed);
             snap.acquires += stripe.acquires.load(Ordering::Relaxed);
             snap.parked += stripe.parked.load(Ordering::Relaxed);
+            snap.respin_wins += stripe.respin_wins.load(Ordering::Relaxed);
             snap.cas_retries += stripe.cas_retries.load(Ordering::Relaxed);
             snap.sem_grants += stripe.sem_grants.load(Ordering::Relaxed);
             snap.sem_abandons += stripe.sem_abandons.load(Ordering::Relaxed);
@@ -556,7 +577,7 @@ impl ServiceMetrics {
 
 /// A point-in-time aggregation of a [`ServiceMetrics`]; exact at
 /// quiescent points, monotone under concurrent writers (each counter only
-/// grows). `table` and `futex` are filled by
+/// grows). `table`, `futex` and `park_cost_ns` are filled by
 /// [`crate::LockService::metrics_snapshot`], which can see the table.
 #[derive(Debug, Clone)]
 pub struct MetricsSnapshot {
@@ -572,6 +593,10 @@ pub struct MetricsSnapshot {
     pub fast_path: u64,
     /// Acquisitions that parked at least once first.
     pub parked: u64,
+    /// Parked acquisitions won in the spin after a wake (a subset of
+    /// `parked`): the waiter found the word re-taken by a barger and
+    /// outlasted that hold instead of parking again.
+    pub respin_wins: u64,
     /// Failed CAS attempts in contended acquire loops.
     pub cas_retries: u64,
     /// Semaphore grants that reached waiters.
@@ -593,6 +618,10 @@ pub struct MetricsSnapshot {
     /// The service's lot-local futex ledger, when snapshotted through a
     /// service handle.
     pub futex: Option<FutexTotals>,
+    /// The spin budget the service's lot has calibrated
+    /// ([`parking::futex::ParkingLot::park_cost`], ns) — a gauge, not a
+    /// counter — when snapshotted through a service handle.
+    pub park_cost_ns: Option<u64>,
 }
 
 impl MetricsSnapshot {
@@ -614,6 +643,7 @@ impl MetricsSnapshot {
     pub fn monotone_since(&self, earlier: &MetricsSnapshot) -> bool {
         self.acquires >= earlier.acquires
             && self.parked >= earlier.parked
+            && self.respin_wins >= earlier.respin_wins
             && self.cas_retries >= earlier.cas_retries
             && self.sem_grants >= earlier.sem_grants
             && self.sem_abandons >= earlier.sem_abandons
@@ -641,6 +671,7 @@ pub fn prometheus(snap: &MetricsSnapshot) -> String {
         ("acquires", snap.acquires),
         ("fast_path", snap.fast_path),
         ("parked", snap.parked),
+        ("respin_wins", snap.respin_wins),
         ("cas_retries", snap.cas_retries),
         ("sem_grants", snap.sem_grants),
         ("sem_abandons", snap.sem_abandons),
@@ -718,6 +749,10 @@ pub fn prometheus(snap: &MetricsSnapshot) -> String {
         ] {
             let _ = writeln!(out, "syncmech_service_futex_total{{event=\"{field}\"}} {value}");
         }
+    }
+    if let Some(ns) = snap.park_cost_ns {
+        let _ = writeln!(out, "# TYPE syncmech_service_park_cost_ns gauge");
+        let _ = writeln!(out, "syncmech_service_park_cost_ns {ns}");
     }
     out
 }
@@ -834,6 +869,7 @@ pub fn json(snap: &MetricsSnapshot) -> String {
         format!("\"acquires\": {}", snap.acquires),
         format!("\"fast_path\": {}", snap.fast_path),
         format!("\"parked\": {}", snap.parked),
+        format!("\"respin_wins\": {}", snap.respin_wins),
         format!("\"cas_retries\": {}", snap.cas_retries),
         format!("\"sem_grants\": {}", snap.sem_grants),
         format!("\"sem_abandons\": {}", snap.sem_abandons),
@@ -866,6 +902,9 @@ pub fn json(snap: &MetricsSnapshot) -> String {
             f.parks, f.wakes, f.resumes
         ));
     }
+    if let Some(ns) = snap.park_cost_ns {
+        fields.push(format!("\"park_cost_ns\": {ns}"));
+    }
     let mut out = String::from("{\n");
     for (i, field) in fields.iter().enumerate() {
         out.push_str("  ");
@@ -893,6 +932,7 @@ const JSON_REQUIRED: &[&str] = &[
     "acquires",
     "fast_path",
     "parked",
+    "respin_wins",
     "cas_retries",
     "sem_grants",
     "sem_abandons",
@@ -1035,8 +1075,8 @@ impl StallWatchdog {
     }
 
     /// The dump [`StallWatchdog::check`] prints: oldest park age, table
-    /// occupancy, the lot-local futex ledger, the parked-waiter roster,
-    /// and the most recent flight-recorder events. Public so tests can
+    /// occupancy, the lot-local futex ledger, the calibrated spin budget,
+    /// the parked-waiter roster, and the most recent flight-recorder events. Public so tests can
     /// assert on its content without capturing stderr.
     pub fn report(&self, svc: &crate::LockService, age: Duration) -> String {
         let mut out = String::new();
@@ -1056,6 +1096,12 @@ impl StallWatchdog {
             out,
             "  futex(lot): parks={} wakes={} resumes={}",
             totals.parks, totals.wakes, totals.resumes
+        );
+        let _ = writeln!(
+            out,
+            "  spin: park_cost={:?} respin_wins={}",
+            svc.table().lot().park_cost(),
+            svc.metrics().snapshot().respin_wins
         );
         let parked = svc.table().lot().parked_waiters();
         for w in parked.iter().take(16) {
@@ -1153,6 +1199,7 @@ mod tests {
         let m = ServiceMetrics::new(MetricsMode::Off);
         m.count_acquire(0, true, false);
         m.count_cas_retry(1);
+        m.count_respin_win(1);
         m.count_sem_grants(2, 5);
         m.count_cancellation(3);
         m.count_slot_recycle(4);
@@ -1161,6 +1208,7 @@ mod tests {
         let snap = m.snapshot();
         assert_eq!(snap.acquires, 0);
         assert_eq!(snap.cas_retries, 0);
+        assert_eq!(snap.respin_wins, 0);
         assert_eq!(snap.sem_grants, 0);
         assert_eq!(snap.cancellations, 0);
         assert_eq!(snap.slot_recycles, 0);
@@ -1235,6 +1283,7 @@ mod tests {
         let m = ServiceMetrics::new(MetricsMode::Sampled(1));
         m.count_acquire(0, true, false);
         m.count_acquire(1, false, true);
+        m.count_respin_win(1);
         m.count_cas_retry(0);
         m.count_sem_grants(0, 2);
         m.count_slot_recycle(0);
@@ -1255,6 +1304,7 @@ mod tests {
             wakes: 5,
             resumes: 5,
         });
+        snap.park_cost_ns = Some(17_250);
         snap
     }
 
@@ -1268,6 +1318,8 @@ mod tests {
         assert!(text.contains("syncmech_service_acquires_total 2"));
         assert!(text.contains("hot_key{rank=\"1\",key=\"7\"} 2"));
         assert!(text.contains("futex_total{event=\"parks\"} 5"));
+        assert!(text.contains("syncmech_service_respin_wins_total 1"));
+        assert!(text.contains("syncmech_service_park_cost_ns 17250"));
     }
 
     #[test]
@@ -1292,8 +1344,10 @@ mod tests {
         let snap = sample_snapshot();
         let text = json(&snap);
         let stats = validate_json(&text).expect("snapshot validates");
-        assert_eq!(stats.fields, JSON_REQUIRED.len() + 2); // + table + futex
+        assert_eq!(stats.fields, JSON_REQUIRED.len() + 3); // + table + futex + park_cost_ns
         assert!(text.contains("\"acquires\": 2"));
+        assert!(text.contains("\"respin_wins\": 1"));
+        assert!(text.contains("\"park_cost_ns\": 17250"));
         assert!(text.contains("\"hot_keys\": [{\"key\": 7, \"count\": 2}"));
         // Also a snapshot without the optional sections.
         let bare = ServiceMetrics::new(MetricsMode::Off).snapshot();

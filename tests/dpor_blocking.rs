@@ -2,14 +2,22 @@
 //! before optimal DPOR (ROADMAP item: "3-4-thread blocking QSM and
 //! eventcount programs").
 //!
-//! Two program families, each in a fixed and a seeded-bug variant:
+//! Three program families, each in a fixed and a seeded-bug variant:
 //!
 //! * **blocking QSM handoff** — the grant/eventcount lock
 //!   ([`interleave::corpus::BlockingGrantLock`], the two-word reduction of
 //!   the paper's queueing mechanism) plus the registry's full
 //!   `qsm-block-park`; the bug is the classic wake-before-advance release;
 //! * **eventcount wraparound** — advance across `u64::MAX` with
-//!   signed-distance compare; the bug forgets the wake.
+//!   signed-distance compare; the bug forgets the wake;
+//! * **service mutex slow path** — `service::LockService::lock`'s spin →
+//!   announce → park → woken → spin again → re-announce
+//!   ([`interleave::corpus::SpinThenParkLock`]); the bug lets the post-wake
+//!   spin acquire as HELD, which strands a second parked waiter. The fixed
+//!   variant is the largest search here (51 334 runs under source sets or
+//!   wakeup trees, about a minute per mode; 77 494 under sleep sets), so
+//!   the exhaustive searches are `#[ignore]`d for CI to run by name and
+//!   tier-1 runs the preemption-bounded one.
 //!
 //! Every fixed variant must pass exhaustively and every seeded bug must
 //! yield its exact verdict class under all three reduction modes — the
@@ -20,7 +28,9 @@
 //! search that exhausts sleep-set DFS's budget completes exhaustively
 //! under source sets (numbers in EXPERIMENTS.md).
 
-use interleave::corpus::{blocking_grant_program, corpus_program, eventcount_wrap_program};
+use interleave::corpus::{
+    blocking_grant_program, corpus_program, eventcount_wrap_program, spin_then_park_program,
+};
 use interleave::{DporMode, Explorer, Verdict, VerdictClass};
 
 const MODES: [DporMode; 3] = [DporMode::Sleep, DporMode::Source, DporMode::Tree];
@@ -99,6 +109,72 @@ fn broken_eventcount_wrap_loses_a_wakeup_under_every_mode_for_3_and_4_threads() 
                 VerdictClass::of(&v),
                 VerdictClass::LostWakeup,
                 "{nthreads}t {mode}: missed wake must strand the awaiters, got {v:?}"
+            );
+        }
+    }
+}
+
+fn fixed_spin_then_park_three_threads_passes(mode: DporMode) {
+    let v = Explorer::exhaustive()
+        .with_dpor(mode)
+        .with_max_runs(200_000)
+        .check(&spin_then_park_program(3, true), |mem| {
+            // Every thread ran its critical section, none overlapping.
+            match mem[mem.len() - 1] {
+                3 => Ok(()),
+                c => Err(format!("critical sections lost: counter {c} != 3")),
+            }
+        });
+    v.expect_pass("spin-then-park 3 threads");
+    assert!(v.stats().complete, "{mode}: search must be exhaustive");
+}
+
+// The two exhaustive searches are a minute each (51 334 executions) and
+// the model only changes when `corpus.rs` does, so tier-1 runs the
+// preemption-bounded search below and CI's `interleave-dpor` job runs
+// these two by name (`-- --ignored spin_then_park`).
+#[test]
+#[ignore = "minute-long exhaustive search; run in CI by name"]
+fn fixed_spin_then_park_three_threads_passes_under_source_sets() {
+    fixed_spin_then_park_three_threads_passes(DporMode::Source);
+}
+
+#[test]
+#[ignore = "minute-long exhaustive search; run in CI by name"]
+fn fixed_spin_then_park_three_threads_passes_under_wakeup_trees() {
+    fixed_spin_then_park_three_threads_passes(DporMode::Tree);
+}
+
+/// Every schedule with at most three preemptions (438 executions): enough
+/// to reach the seeded bug below at any bound from one up, so a protocol
+/// slip of that kind cannot hide from tier-1.
+#[test]
+fn fixed_spin_then_park_three_threads_passes_up_to_three_preemptions() {
+    let v = Explorer::bounded(3).check(&spin_then_park_program(3, true), pass);
+    v.expect_pass("spin-then-park 3 threads, 3 preemptions");
+    assert!(v.stats().complete, "bounded search must finish");
+    for bound in 1..=3 {
+        let v = Explorer::bounded(bound).check(&spin_then_park_program(3, false), pass);
+        assert_eq!(
+            VerdictClass::of(&v),
+            VerdictClass::LostWakeup,
+            "bounded({bound}) must still strand the second waiter, got {v:?}"
+        );
+    }
+}
+
+#[test]
+fn respin_as_held_strands_a_parked_waiter_under_every_mode_for_3_and_4_threads() {
+    for nthreads in [3, 4] {
+        for mode in MODES {
+            let v = Explorer::exhaustive()
+                .with_dpor(mode)
+                .with_max_runs(200_000)
+                .check(&spin_then_park_program(nthreads, false), pass);
+            assert_eq!(
+                VerdictClass::of(&v),
+                VerdictClass::LostWakeup,
+                "{nthreads}t {mode}: a HELD release wakes nobody, got {v:?}"
             );
         }
     }
@@ -221,6 +297,8 @@ fn measure() {
         ("eventcount-wrap-4-fixed", Box::new(|| eventcount_wrap_program(4, true))),
         ("eventcount-wrap-3-bug", Box::new(|| eventcount_wrap_program(3, false))),
         ("eventcount-wrap-4-bug", Box::new(|| eventcount_wrap_program(4, false))),
+        ("spin-then-park-3-fixed", Box::new(|| spin_then_park_program(3, true))),
+        ("spin-then-park-3-bug", Box::new(|| spin_then_park_program(3, false))),
         (
             "check-then-set",
             Box::new(|| corpus_program("check-then-set").unwrap().0),

@@ -10,6 +10,7 @@
 //! the seed. Everything here is deterministic: a failure is a real
 //! regression, never flake.
 
+use interleave::corpus::spin_then_park_program;
 use interleave::{Explorer, Fuzzer, Program, ReplayEnd, Strategy, Verdict};
 use kernels::SyncCtx;
 use workloads::differential::{differential_lock, DiffConfig};
@@ -119,6 +120,23 @@ fn pct_finds_the_forgotten_eventcount_wake() {
             assert!(parked.iter().all(|&(_, addr)| addr == 0));
         }
         other => panic!("forgotten wake must strand the waiters, got {other:?}"),
+    }
+}
+
+/// The service mutex's slow path at four threads — one more than the
+/// exhaustive search in `tests/dpor_blocking.rs` reaches. The fixed lock
+/// survives its PCT budget; the seeded bug (post-wake spin acquiring as
+/// HELD) strands a parked waiter within it.
+#[test]
+fn pct_checks_the_service_mutex_slow_path_at_four_threads() {
+    let fuzzer = Fuzzer::new(1991, 2_000, Strategy::Pct { change_points: 3 });
+    fuzzer
+        .run(&spin_then_park_program(4, true), |_| Ok(()))
+        .expect_pass("spin-then-park, 4 threads, under PCT");
+    let report = fuzzer.run(&spin_then_park_program(4, false), |_| Ok(()));
+    match &report.verdict {
+        Verdict::LostWakeup { parked, .. } => assert!(!parked.is_empty()),
+        other => panic!("respin-as-HELD must strand a waiter, got {other:?}"),
     }
 }
 
