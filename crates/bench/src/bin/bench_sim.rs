@@ -10,8 +10,10 @@
 //! Since schema v2 every deterministic figure is rendered **twice** — once
 //! serially (one sweep thread, no fragment replay) and once with both
 //! parallelism axes enabled (cross-cell sweep threads × intra-run fragment
-//! replay) — and the two outputs are compared byte for byte before the
-//! speedup is reported. A mismatch is a determinism bug and fails the run.
+//! replay) — from two `Opts` values that differ only in their `run`
+//! configuration, and the two outputs are compared byte for byte before
+//! the speedup is reported. A mismatch is a determinism bug and fails the
+//! run.
 //!
 //! Schema v3 adds the resolved `service_metrics` mode to the report
 //! header: the table7 rows prove telemetry never perturbs the virtual
@@ -24,8 +26,10 @@
 
 use bench::figures::FIGURES;
 use bench::Opts;
+use simcore::knob;
 use std::fmt::Write as _;
 use std::time::Instant;
+use workloads::sweeps::RunConfig;
 
 const USAGE: &str = "\
 usage: bench_sim [--quick | --full] [--only IDS] [--out PATH] [--fragments K]
@@ -33,7 +37,7 @@ usage: bench_sim [--quick | --full] [--only IDS] [--out PATH] [--fragments K]
 
   --fragments K          fragment length in simulated cycles for the
                          fragment-parallel pass (positive; overrides
-                         SYNCMECH_REPLAY_FRAGMENT; default 25000)
+                         SYNCMECH_REPLAY_FRAGMENT; default 100000)
   --trace-out PATH       also export a Chrome trace-event JSON timeline of
                          one traced workload (validated before writing);
                          the export runs fragment-parallel and stitches the
@@ -47,10 +51,12 @@ usage: bench_sim [--quick | --full] [--only IDS] [--out PATH] [--fragments K]
   --out PATH  where to write the JSON report (default BENCH_sim.json)
   --help      show this help
 
-environment:
+environment (a malformed value is an error):
   SYNCMECH_SWEEP_THREADS=N    host threads for the cross-cell sweep fan-out
   SYNCMECH_REPLAY_FRAGMENT=K  fragment length in simulated cycles
-  SYNCMECH_REPLAY_WORKERS=N   host threads for the fragment replay fan-out";
+  SYNCMECH_REPLAY_WORKERS=N   host threads for the fragment replay fan-out
+  SYNCMECH_SERVICE_METRICS=off|counters|sampled:<N>
+                              telemetry mode of the service figures";
 
 struct Args {
     quick: bool,
@@ -93,8 +99,8 @@ fn parse_args() -> Args {
                     std::process::exit(2);
                 }
             },
-            "--fragments" => match it.next().map(|v| v.parse::<u64>()) {
-                Some(Ok(k)) if k > 0 => args.fragments = Some(k),
+            "--fragments" => match it.next().map(|v| knob::positive::<u64>(&v)) {
+                Some(Ok(k)) => args.fragments = Some(k),
                 _ => {
                     eprintln!("error: --fragments needs a positive cycle count");
                     eprintln!("{USAGE}");
@@ -140,45 +146,38 @@ const DEFAULT_FRAGMENT: u64 = 100_000;
 
 fn main() {
     let args = parse_args();
-    let opts = Opts {
-        csv: false,
-        quick: args.quick,
-    };
+    // Resolve (and strictly validate) every knob up front: a bad value
+    // must abort before an hour of rendering, not when the first figure
+    // that uses it starts.
+    let knobs = Opts::knobs().unwrap_or_else(|msg| {
+        eprintln!("error: {msg}");
+        std::process::exit(2);
+    });
     let mode = if args.quick { "quick" } else { "full" };
-    let host_cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let threads = workloads::sweeps::sweep_threads();
-    let replay_workers = memsim::replay::replay_workers_env();
-    // Resolve (and strictly validate) the telemetry knob up front: a bad
-    // SYNCMECH_SERVICE_METRICS must abort before an hour of rendering,
-    // not when the first service figure constructs a table.
-    let service_metrics = {
-        let var = std::env::var("SYNCMECH_SERVICE_METRICS").ok();
-        match service::service_metrics_from(var.as_deref()) {
-            Ok(mode) => mode.label(),
-            Err(msg) => {
-                eprintln!("error: {msg}");
-                std::process::exit(2);
-            }
-        }
-    };
+    let host_cores = simcore::host_parallelism();
+    let threads = knobs.run.threads;
+    let replay_workers = knobs.run.replay_workers;
+    // Fragment length: CLI flag, then the environment knob, then the
+    // default.
+    let fragment = args
+        .fragments
+        .or(knobs.run.fragment)
+        .unwrap_or(DEFAULT_FRAGMENT);
+    let service_metrics = knobs.metrics.label();
 
-    // Fragment length: CLI flag, then the environment knob (validated
-    // strictly — a bad value must abort, not silently disable replay),
-    // then the default.
-    let env_fragment = {
-        let var = std::env::var("SYNCMECH_REPLAY_FRAGMENT").ok();
-        match memsim::replay::fragment_cycles_from(var.as_deref()) {
-            Ok(v) => v,
-            Err(msg) => {
-                eprintln!("error: {msg}");
-                std::process::exit(2);
-            }
-        }
+    // The two passes: identical but for how they use the host.
+    let serial = Opts {
+        quick: args.quick,
+        run: RunConfig::SERIAL,
+        ..knobs
     };
-    let fragment = args.fragments.or(env_fragment).unwrap_or(DEFAULT_FRAGMENT);
-    let sweep_threads_env = std::env::var("SYNCMECH_SWEEP_THREADS").ok();
+    let parallel = Opts {
+        run: RunConfig {
+            fragment: Some(fragment),
+            ..knobs.run
+        },
+        ..serial
+    };
 
     let selected: Vec<_> = FIGURES
         .iter()
@@ -189,21 +188,6 @@ fn main() {
         std::process::exit(2);
     }
 
-    // Environment presets for the two passes. Renders read the knobs
-    // freshly per run, and nothing else runs concurrently with a render's
-    // setup, so toggling the process environment between passes is safe.
-    let set_serial_env = || {
-        std::env::set_var("SYNCMECH_SWEEP_THREADS", "1");
-        std::env::remove_var("SYNCMECH_REPLAY_FRAGMENT");
-    };
-    let set_parallel_env = || {
-        match &sweep_threads_env {
-            Some(v) => std::env::set_var("SYNCMECH_SWEEP_THREADS", v),
-            None => std::env::remove_var("SYNCMECH_SWEEP_THREADS"),
-        }
-        std::env::set_var("SYNCMECH_REPLAY_FRAGMENT", fragment.to_string());
-    };
-
     let mut figure_entries = String::new();
     let mut serial_ms = 0.0f64;
     let mut fragment_ms = 0.0f64;
@@ -211,17 +195,15 @@ fn main() {
     for (i, figure) in selected.iter().enumerate() {
         let sep = if i == 0 { "" } else { ",\n" };
         if figure.deterministic {
-            set_serial_env();
             let start = Instant::now();
-            let serial = (figure.render)(&opts);
+            let serial_out = (figure.render)(&serial);
             let serial_wall = start.elapsed().as_secs_f64() * 1e3;
 
-            set_parallel_env();
             let start = Instant::now();
-            let parallel = (figure.render)(&opts);
+            let parallel_out = (figure.render)(&parallel);
             let fragment_wall = start.elapsed().as_secs_f64() * 1e3;
 
-            if serial != parallel {
+            if serial_out != parallel_out {
                 eprintln!(
                     "error: {} diverged between the serial and fragment-parallel \
                      renders — fragment replay is not byte-identical",
@@ -246,9 +228,8 @@ fn main() {
         } else {
             // Real-hardware figures are not a pure function of Opts; they
             // get one plain render and a single wall-clock number.
-            set_serial_env();
             let start = Instant::now();
-            let rendered = (figure.render)(&opts);
+            let rendered = (figure.render)(&serial);
             let wall_ms = start.elapsed().as_secs_f64() * 1e3;
             std::hint::black_box(rendered.len());
             eprintln!("{:<8} {:>9.1} ms (nondeterministic)", figure.id, wall_ms);
@@ -288,8 +269,7 @@ fn main() {
         // once, replays fragments concurrently, and stitches the
         // per-fragment rings — byte-identical to a sequential traced run
         // (pinned by the golden-trace tests).
-        set_parallel_env();
-        let trace_json = bench::trace_export::export_trace(&args.trace_workload, args.quick);
+        let trace_json = bench::trace_export::export_trace(&args.trace_workload, &parallel);
         let stats = trace::chrome::validate(&trace_json)
             .unwrap_or_else(|e| panic!("exported trace failed validation: {e}"));
         if let Err(e) = std::fs::write(trace_out, &trace_json) {

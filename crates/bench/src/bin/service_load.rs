@@ -20,9 +20,12 @@
 //! `fig11_service_throughput`, `table6_service_tail`, and
 //! `table7_metrics_overhead`.
 
+use service::{LockService, MetricsMode, ServiceThreads};
+use simcore::knob;
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use trace::{EventClass, TraceMode, Tracer};
 use workloads::service_load::{run_real, RealServiceConfig};
 
 const USAGE: &str = "\
@@ -40,16 +43,54 @@ usage: service_load [--quick] [--trace-out PATH] [--metrics-out PATH]
   --overhead-budget PCT  allowed counters overhead percent (default: 3)
   --help             show this help
 
-environment:
-  SYNCMECH_SERVICE_THREADS=N  worker threads (default: host parallelism)
+environment (a malformed value is an error):
+  SYNCMECH_SERVICE_THREADS=N  worker threads (default: host parallelism;
+                              clamped to 8x that, with a warning)
   SYNCMECH_SERVICE_SHARDS=N   lock-table shards (default: 256)
   SYNCMECH_SERVICE_METRICS=off|counters|sampled:<N>  telemetry mode
-                              (default: counters)";
+                              (default: counters)
+  SYNCMECH_TRACE=off|counters|full  record the parking runtime's
+                              park/wake/resume events and print their
+                              totals (default: off; --trace-out implies full)";
+
+/// The environment knobs this binary offers, read once at start-up.
+struct Knobs {
+    shards: usize,
+    threads: usize,
+    metrics: MetricsMode,
+    trace: TraceMode,
+}
+
+impl Knobs {
+    fn read() -> Result<Knobs, String> {
+        let host = simcore::host_parallelism();
+        let threads = ServiceThreads::resolve(knob::SERVICE_THREADS.read(knob::positive)?, host);
+        if let Some(requested) = threads.clamped_from {
+            eprintln!(
+                "warning: {}={requested} exceeds {}x the host parallelism of {host}; \
+                 clamped to {} workers",
+                knob::SERVICE_THREADS.name,
+                service::MAX_THREAD_OVERSUB,
+                threads.threads
+            );
+        }
+        Ok(Knobs {
+            shards: knob::SERVICE_SHARDS
+                .read(knob::positive)?
+                .unwrap_or(service::DEFAULT_SHARDS),
+            threads: threads.threads,
+            metrics: knob::SERVICE_METRICS
+                .read(MetricsMode::parse)?
+                .unwrap_or_default(),
+            trace: knob::TRACE.read(TraceMode::parse)?.unwrap_or_default(),
+        })
+    }
+}
 
 /// Times one `run_real` of `cfg` on a fresh service at the given
 /// telemetry mode and returns (elapsed ns, completed requests).
-fn timed_run(cfg: &RealServiceConfig, mode: service::MetricsMode) -> (u64, u64) {
-    let svc = service::LockService::with_metrics_mode(service::service_shards(), mode);
+fn timed_run(cfg: &RealServiceConfig, shards: usize, mode: MetricsMode) -> (u64, u64) {
+    let svc = LockService::with_metrics_mode(shards, mode);
     let r = run_real(&svc, cfg);
     (r.elapsed_ns, r.completed)
 }
@@ -58,12 +99,12 @@ fn timed_run(cfg: &RealServiceConfig, mode: service::MetricsMode) -> (u64, u64) 
 /// (interleaved, off first each round so neither mode owns the warm
 /// caches; best-of damps scheduler noise), then the relative slowdown of
 /// `counters` over `off` against the budget.
-fn overhead_check(cfg: &RealServiceConfig, budget_pct: f64) -> ExitCode {
+fn overhead_check(cfg: &RealServiceConfig, shards: usize, budget_pct: f64) -> ExitCode {
     let mut off_ns = u64::MAX;
     let mut on_ns = u64::MAX;
     for _ in 0..3 {
-        off_ns = off_ns.min(timed_run(cfg, service::MetricsMode::Off).0);
-        on_ns = on_ns.min(timed_run(cfg, service::MetricsMode::Counters).0);
+        off_ns = off_ns.min(timed_run(cfg, shards, MetricsMode::Off).0);
+        on_ns = on_ns.min(timed_run(cfg, shards, MetricsMode::Counters).0);
     }
     let pct = (on_ns as f64 / off_ns.max(1) as f64 - 1.0) * 100.0;
     println!(
@@ -121,25 +162,39 @@ fn main() -> ExitCode {
             }
         }
     }
-    if quick || std::env::var("SYNCMECH_QUICK").map(|v| v == "1").unwrap_or(false) {
-        quick = true;
-    }
+    let knobs = match Knobs::read() {
+        Ok(knobs) => knobs,
+        Err(msg) => {
+            eprintln!("error: {msg}");
+            return ExitCode::FAILURE;
+        }
+    };
 
-    let threads = service::service_threads();
+    let threads = knobs.threads;
     let requests_per_thread = if quick { 2_000 } else { 20_000 };
     let cfg = RealServiceConfig::smoke(threads, requests_per_thread);
 
     if check_overhead {
-        return overhead_check(&cfg, budget_pct);
+        return overhead_check(&cfg, knobs.shards, budget_pct);
     }
 
-    let tracer = trace_out.as_ref().map(|_| {
-        let tracer = trace::Tracer::full(parking::trace_hooks::TRACE_SLOTS);
+    // `--trace-out` needs the full rings whatever the knob says.
+    let trace_mode = if trace_out.is_some() {
+        TraceMode::Full
+    } else {
+        knobs.trace
+    };
+    let tracer = (trace_mode != TraceMode::Off).then(|| {
+        let tracer = Arc::new(Tracer::new(
+            trace_mode,
+            parking::trace_hooks::TRACE_SLOTS,
+            Tracer::DEFAULT_CAPACITY,
+        ));
         parking::trace_hooks::install(Arc::clone(&tracer));
         tracer
     });
 
-    let svc = service::LockService::new();
+    let svc = LockService::with_metrics_mode(knobs.shards, knobs.metrics);
 
     // Run the load; when harvesting, a sidecar thread snapshots the live
     // metrics every few milliseconds and asserts each snapshot is
@@ -230,6 +285,15 @@ fn main() -> ExitCode {
         );
     }
 
+    if let Some(tracer) = &tracer {
+        println!(
+            "  trace ({}): parks {} wakes {} resumes {}",
+            tracer.mode().name(),
+            tracer.class_total(EventClass::FutexPark),
+            tracer.class_total(EventClass::FutexWake),
+            tracer.class_total(EventClass::FutexResume)
+        );
+    }
     if let (Some(path), Some(tracer)) = (&trace_out, &tracer) {
         let json = trace::chrome::export_tracer(tracer, "syncmech service_load smoke");
         if let Err(e) = std::fs::write(path, json) {

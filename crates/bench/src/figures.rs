@@ -169,7 +169,7 @@ pub fn run_main(id: &str) {
 
 /// fig1 — lock passing time vs processor count on the bus machine.
 pub fn fig1(opts: &Opts) -> String {
-    let series = lock_scaling(MachineKind::Bus, &opts.procs(), opts.iters());
+    let series = lock_scaling(opts.run, MachineKind::Bus, &opts.procs(), opts.iters());
     let mut out = series_block(opts, "Fig 1: lock passing time vs P (bus machine)", &series);
     if !opts.csv {
         out.push_str(&final_ratio_block(&series, "tas", "qsm"));
@@ -180,7 +180,7 @@ pub fn fig1(opts: &Opts) -> String {
 
 /// fig2 — lock passing time vs processor count on the NUMA machine.
 pub fn fig2(opts: &Opts) -> String {
-    let series = lock_scaling(MachineKind::Numa, &opts.procs(), opts.iters());
+    let series = lock_scaling(opts.run, MachineKind::Numa, &opts.procs(), opts.iters());
     let mut out = series_block(opts, "Fig 2: lock passing time vs P (NUMA machine)", &series);
     if !opts.csv {
         out.push_str(&final_ratio_block(&series, "tas", "qsm"));
@@ -190,7 +190,7 @@ pub fn fig2(opts: &Opts) -> String {
 
 /// fig3 — interconnect transactions per critical section vs P (bus).
 pub fn fig3(opts: &Opts) -> String {
-    let series = lock_traffic(MachineKind::Bus, &opts.procs(), opts.iters());
+    let series = lock_traffic(opts.run, MachineKind::Bus, &opts.procs(), opts.iters());
     let mut out = series_block(
         opts,
         "Fig 3: interconnect transactions per critical section vs P (bus)",
@@ -211,7 +211,7 @@ pub fn fig4(opts: &Opts) -> String {
     };
     let nprocs = if opts.quick { 4 } else { 16 };
     let iters = if opts.quick { 4 } else { 10 };
-    let series = contention_sweep(MachineKind::Bus, nprocs, &holds, iters);
+    let series = contention_sweep(opts.run, MachineKind::Bus, nprocs, &holds, iters);
     series_block(
         opts,
         &format!("Fig 4: throughput vs critical-section hold time (bus, P = {nprocs})"),
@@ -221,7 +221,7 @@ pub fn fig4(opts: &Opts) -> String {
 
 /// fig5 — barrier episode time vs P on the bus machine.
 pub fn fig5(opts: &Opts) -> String {
-    let series = barrier_scaling(MachineKind::Bus, &opts.procs(), opts.episodes());
+    let series = barrier_scaling(opts.run, MachineKind::Bus, &opts.procs(), opts.episodes());
     let mut out = series_block(opts, "Fig 5: barrier episode time vs P (bus machine)", &series);
     if !opts.csv {
         out.push_str(&final_ratio_block(&series, "central", "qsm-tree"));
@@ -231,7 +231,7 @@ pub fn fig5(opts: &Opts) -> String {
 
 /// fig6 — barrier episode time vs P on the NUMA machine.
 pub fn fig6(opts: &Opts) -> String {
-    let series = barrier_scaling(MachineKind::Numa, &opts.procs(), opts.episodes());
+    let series = barrier_scaling(opts.run, MachineKind::Numa, &opts.procs(), opts.episodes());
     let mut out = series_block(opts, "Fig 6: barrier episode time vs P (NUMA machine)", &series);
     if !opts.csv {
         out.push_str(&final_ratio_block(&series, "central", "qsm-tree"));
@@ -275,7 +275,7 @@ pub fn fig7(opts: &Opts) -> String {
     let nprocs = if opts.quick { 4 } else { 16 };
     let iters = if opts.quick { 4 } else { 10 };
 
-    let series = backoff_ablation(MachineKind::Bus, nprocs, iters);
+    let series = backoff_ablation(opts.run, MachineKind::Bus, nprocs, iters);
     let mut out = series_block(
         opts,
         &format!("Fig 7a/7b: backoff parameter sensitivity (bus, P = {nprocs})"),
@@ -285,7 +285,7 @@ pub fn fig7(opts: &Opts) -> String {
     // Panel 3: fast-path ablation, contended and uncontended.
     let mut fp = Series::new("P", "cycles per critical section");
     for &p in &[1usize, nprocs] {
-        let machine = MachineKind::Bus.machine(p);
+        let machine = opts.run.machine(MachineKind::Bus.machine(p));
         let cfg = CsConfig {
             think: 0,
             jitter: false,
@@ -349,7 +349,7 @@ pub fn fig9(opts: &Opts) -> String {
     } else {
         vec![1, 2, 4, 8]
     };
-    let series = oversubscription_sweep(OVERSUB_CORES, &ratios, opts.iters());
+    let series = oversubscription_sweep(opts.run, OVERSUB_CORES, &ratios, opts.iters());
     let mut out = series_block(
         opts,
         &format!(
@@ -367,8 +367,8 @@ pub fn fig9(opts: &Opts) -> String {
 pub fn table1(opts: &Opts) -> String {
     let mut table = Table::new(&["primitive", "bus cycles", "numa cycles"])
         .with_title("Table 1: uncontended latency per operation (P = 1)");
-    let bus = uncontended_table(MachineKind::Bus);
-    let numa = uncontended_table(MachineKind::Numa);
+    let bus = uncontended_table(opts.run, MachineKind::Bus);
+    let numa = uncontended_table(opts.run, MachineKind::Numa);
     for ((name, b), (name2, n)) in bus.into_iter().zip(numa) {
         assert_eq!(name, name2);
         table.row_owned(vec![name, fmt_cell(b), fmt_cell(n)]);
@@ -390,7 +390,7 @@ pub fn table1(opts: &Opts) -> String {
 pub fn table2(opts: &Opts) -> String {
     use kernels::locks::all_locks;
     use workloads::fairness::{run, FairnessConfig};
-    use workloads::sweeps::{parallel_cells, sweep_threads};
+    use workloads::sweeps::parallel_cells;
 
     let nprocs = if opts.quick { 4 } else { 32 };
     let cfg = FairnessConfig {
@@ -410,8 +410,8 @@ pub fn table2(opts: &Opts) -> String {
         cfg.total_cs
     ));
     let locks = all_locks();
-    let results = parallel_cells(locks.len(), sweep_threads(), |i| {
-        let machine = MachineKind::Bus.machine(nprocs);
+    let results = parallel_cells(locks.len(), opts.run.threads, |i| {
+        let machine = opts.run.machine(MachineKind::Bus.machine(nprocs));
         run(&machine, locks[i].as_ref(), &cfg)
             .unwrap_or_else(|e| panic!("{}: {e}", locks[i].name()))
     });
@@ -435,7 +435,7 @@ pub fn table2(opts: &Opts) -> String {
 
 /// table3 (extension experiment) — reader/writer mix sweep.
 pub fn table3(opts: &Opts) -> String {
-    use workloads::sweeps::{parallel_cells, sweep_threads};
+    use workloads::sweeps::parallel_cells;
 
     let nprocs = if opts.quick { 4 } else { 16 };
     let iters = if opts.quick { 8 } else { 16 };
@@ -453,7 +453,7 @@ pub fn table3(opts: &Opts) -> String {
     .with_title(format!(
         "Table 3 (extension): reader/writer mix, bus machine, P = {nprocs}"
     ));
-    let results = parallel_cells(fractions.len(), sweep_threads(), |i| {
+    let results = parallel_cells(fractions.len(), opts.run.threads, |i| {
         let cfg = RwConfig {
             nprocs,
             iters,
@@ -462,7 +462,7 @@ pub fn table3(opts: &Opts) -> String {
             write_hold: 60,
             seed: 0x7777,
         };
-        let machine = MachineKind::Bus.machine(nprocs);
+        let machine = opts.run.machine(MachineKind::Bus.machine(nprocs));
         let rw = run_rwlock(&machine, &cfg).expect("rwlock trial");
         let mx = run_mutex(&machine, &cfg).expect("mutex trial");
         (rw, mx)
@@ -486,7 +486,7 @@ pub fn table3(opts: &Opts) -> String {
 /// (uncontended) and what it buys when oversubscribed, per wait policy.
 pub fn table4(opts: &Opts) -> String {
     let ratio = if opts.quick { 2 } else { 4 };
-    let rows = blocking_latency_table(OVERSUB_CORES, ratio, opts.iters());
+    let rows = blocking_latency_table(opts.run, OVERSUB_CORES, ratio, opts.iters());
     let passing_col = format!("passing @{ratio}x threads/core");
     let mut table = Table::new(&[
         "lock",
@@ -523,7 +523,7 @@ pub fn table4(opts: &Opts) -> String {
 /// sweep shape per mode.
 fn waitdist_sweep(opts: &Opts) -> (usize, Vec<workloads::waitdist::WaitDistResult>) {
     let nprocs = if opts.quick { 4 } else { 16 };
-    (nprocs, distribution_sweep(nprocs, opts.iters()))
+    (nprocs, distribution_sweep(opts.run, nprocs, opts.iters()))
 }
 
 /// fig10 — the lock wait-time CDF: for each lock, the wait-time quantile
@@ -601,7 +601,7 @@ pub fn fig11(opts: &Opts) -> String {
         vec![4, 16, 64, 256]
     };
     let requests = if opts.quick { 2_000 } else { 12_000 };
-    let results = service_load::service_sweep(&threads, requests);
+    let results = service_load::service_sweep(opts.run, &threads, requests);
     let mut series = Series::new("workers", "requests per kcycle");
     for r in &results {
         series.push(r.policy.name(), r.threads as u64, r.throughput());
@@ -625,7 +625,7 @@ pub fn fig11(opts: &Opts) -> String {
 /// The mean barely moves across policies; the tail is where the grant
 /// discipline shows.
 pub fn table6(opts: &Opts) -> String {
-    use workloads::sweeps::{parallel_cells, sweep_threads};
+    use workloads::sweeps::parallel_cells;
 
     let threads = if opts.quick { 32 } else { 64 };
     let requests = if opts.quick { 4_000 } else { 16_000 };
@@ -640,7 +640,7 @@ pub fn table6(opts: &Opts) -> String {
     .with_title(format!(
         "Table 6: service wait-latency tail (workers = {threads}, {requests} requests, Zipf 1.1, cycles)"
     ));
-    let results = parallel_cells(LockPolicy::ALL.len(), sweep_threads(), |i| {
+    let results = parallel_cells(LockPolicy::ALL.len(), opts.run.threads, |i| {
         // Moderate load, unlike fig11's saturating one: near saturation
         // every wait is backlog and all policies pin the top histogram
         // buckets; at ~50% hot-key utilization the p50 stays small and
@@ -686,7 +686,7 @@ pub fn table6(opts: &Opts) -> String {
 /// agreeing says the model's constant-handoff assumption survives
 /// contact with the actual sharded-table code path.
 pub fn fig12(opts: &Opts) -> String {
-    use workloads::sweeps::{parallel_cells, sweep_threads};
+    use workloads::sweeps::parallel_cells;
 
     let threads: Vec<usize> = if opts.quick {
         vec![4, 16, 64]
@@ -697,10 +697,10 @@ pub fn fig12(opts: &Opts) -> String {
     // The executor's wake cost = the model's QSM handoff cost, so the
     // only degrees of freedom left are the protocols themselves.
     let wake_cost = 40;
-    let cells = parallel_cells(threads.len(), sweep_threads(), |i| {
+    let cells = parallel_cells(threads.len(), opts.run.threads, |i| {
         let cfg = ServiceLoadConfig::new(threads[i], requests);
         let sim = service_load::sim_load(LockPolicy::Qsm, &cfg);
-        let real = service_load::async_load(&cfg, wake_cost);
+        let real = service_load::async_load_with_metrics(&cfg, wake_cost, opts.metrics).result;
         (sim, real)
     });
     let mut table = Table::new(&[
@@ -755,7 +755,7 @@ pub fn fig12(opts: &Opts) -> String {
 /// wall-clock <3% throughput cost is checked separately by
 /// `service_load --overhead-check`, which times the real-thread driver.
 pub fn table7(opts: &Opts) -> String {
-    use workloads::sweeps::{parallel_cells, sweep_threads};
+    use workloads::sweeps::parallel_cells;
 
     let threads = if opts.quick { 64 } else { 256 };
     let requests = if opts.quick { 2_000 } else { 12_000 };
@@ -765,7 +765,7 @@ pub fn table7(opts: &Opts) -> String {
         service::MetricsMode::Counters,
         service::MetricsMode::Sampled(64),
     ];
-    let reports = parallel_cells(modes.len(), sweep_threads(), |i| {
+    let reports = parallel_cells(modes.len(), opts.run.threads, |i| {
         let cfg = ServiceLoadConfig::new(threads, requests);
         service_load::async_load_with_metrics(&cfg, wake_cost, modes[i])
     });
@@ -827,8 +827,8 @@ mod tests {
     #[test]
     fn deterministic_figures_render_identically_twice() {
         let opts = Opts {
-            csv: false,
             quick: true,
+            ..Opts::default()
         };
         // table1 exercises the P=1 inline engine path end to end; fig4
         // exercises jittered critical sections. Both must be pure

@@ -8,17 +8,22 @@
 //! measure regeneration wall-clock. All binaries honour:
 //!
 //! * `--csv` — emit CSV instead of the aligned text table;
-//! * `--quick` (or `SYNCMECH_QUICK=1`) — run a reduced sweep (fewer
-//!   processors and iterations) so integration tests can smoke-run every
-//!   figure quickly.
+//! * `--quick` — run a reduced sweep (fewer processors and iterations) so
+//!   integration tests can smoke-run every figure quickly.
 //!
 //! Unrecognized arguments are an error: the binary prints usage and exits
 //! nonzero rather than silently measuring something other than what the
 //! misspelled flag asked for.
+//!
+//! The environment knobs are read here too, once, by [`Opts::knobs`]: the
+//! resolved values ride in [`Opts`] down to the sweeps, the machines and
+//! the services, none of which consults the environment itself.
 
+use service::MetricsMode;
 use simcore::stats::LinearFit;
-use simcore::Series;
+use simcore::{knob, Series};
 use std::fmt::Write as _;
+use workloads::sweeps::RunConfig;
 
 pub mod figures;
 
@@ -40,16 +45,17 @@ pub mod trace_export {
     /// 2 threads per core, always-park QSM), whose timeline shows parks,
     /// wake flow arrows and context switches. Both are deterministic: the
     /// tracer is attached explicitly and the simulator's cycle stream is
-    /// independent of it.
+    /// independent of it — and of `opts.run`, whose fragment setting only
+    /// decides whether the rings are stitched from replayed fragments.
     ///
     /// # Panics
     ///
     /// On an unknown workload name or a simulator error.
-    pub fn export_trace(workload: &str, quick: bool) -> String {
-        let iters = if quick { 4 } else { 8 };
+    pub fn export_trace(workload: &str, opts: &crate::Opts) -> String {
+        let iters = if opts.quick { 4 } else { 8 };
         let (machine, lock_name, nprocs) = match workload {
             "bus" => {
-                let nprocs = if quick { 4 } else { 8 };
+                let nprocs = if opts.quick { 4 } else { 8 };
                 let machine = memsim::Machine::new(memsim::MachineParams::bus_1991(nprocs));
                 (machine, "qsm", nprocs)
             }
@@ -65,7 +71,7 @@ pub mod trace_export {
             other => panic!("unknown trace workload {other:?} (expected one of {WORKLOADS:?})"),
         };
         let tracer = trace::Tracer::full(nprocs);
-        let machine = machine.with_tracer(Arc::clone(&tracer));
+        let machine = opts.run.machine(machine).with_tracer(Arc::clone(&tracer));
         let lock: Arc<dyn LockKernel + Send + Sync> =
             Arc::from(lock_by_name(lock_name).expect("registry lock"));
         let instrumented = InstrumentedLock::new(lock, 0);
@@ -83,6 +89,11 @@ pub struct Opts {
     pub csv: bool,
     /// Reduced sweep for smoke tests.
     pub quick: bool,
+    /// How the sweeps use the host: fan-out threads and fragment replay.
+    /// Never changes a figure's bytes.
+    pub run: RunConfig,
+    /// Telemetry mode of the services the service figures build.
+    pub metrics: MetricsMode,
 }
 
 /// Outcome of parsing that is not an `Opts`: the caller decides how to
@@ -93,6 +104,8 @@ pub enum ArgError {
     Help,
     /// An argument no figure binary understands.
     Unknown(String),
+    /// A malformed environment knob (the message names it).
+    Knob(String),
 }
 
 impl Opts {
@@ -101,15 +114,39 @@ impl Opts {
 usage: <figure binary> [--csv] [--quick] [--help]
 
   --csv     emit CSV instead of the aligned text table
-  --quick   reduced sweep (same as SYNCMECH_QUICK=1); used by smoke tests
+  --quick   reduced sweep; used by smoke tests
   --help    show this help
 
-environment:
-  SYNCMECH_QUICK=1            same as --quick
+environment (a malformed value is an error; none changes the output):
   SYNCMECH_SWEEP_THREADS=N    host threads for the sweep fan-out
   SYNCMECH_REPLAY_FRAGMENT=K  record each run and replay K-cycle fragments
-                              concurrently (byte-identical output)
-  SYNCMECH_REPLAY_WORKERS=N   host threads for the fragment replay fan-out";
+                              concurrently
+  SYNCMECH_REPLAY_WORKERS=N   host threads for the fragment replay fan-out
+  SYNCMECH_SERVICE_METRICS=off|counters|sampled:<N>
+                              telemetry mode of the service figures";
+
+    /// The options the environment knobs select, before any flag: the
+    /// one place `SYNCMECH_SWEEP_THREADS`, `SYNCMECH_REPLAY_FRAGMENT`,
+    /// `SYNCMECH_REPLAY_WORKERS` and `SYNCMECH_SERVICE_METRICS` are read.
+    ///
+    /// # Errors
+    ///
+    /// The rejection message of the first malformed knob.
+    pub fn knobs() -> Result<Opts, String> {
+        let host = simcore::host_parallelism();
+        Ok(Opts {
+            csv: false,
+            quick: false,
+            run: RunConfig {
+                threads: knob::SWEEP_THREADS.read(knob::positive)?.unwrap_or(host),
+                fragment: knob::REPLAY_FRAGMENT.read(knob::positive)?,
+                replay_workers: knob::REPLAY_WORKERS.read(knob::positive)?.unwrap_or(host),
+            },
+            metrics: knob::SERVICE_METRICS
+                .read(MetricsMode::parse)?
+                .unwrap_or_default(),
+        })
+    }
 
     /// Parses command-line flags on top of `base` (the environment-derived
     /// defaults). Stops at the first argument it does not recognize.
@@ -125,16 +162,19 @@ environment:
         Ok(base)
     }
 
-    /// Parses the process arguments and `SYNCMECH_QUICK`; on `--help`
-    /// prints usage and exits 0, on an unknown argument prints usage to
-    /// stderr and exits 2.
+    /// Resolves the environment knobs ([`Opts::knobs`]) and the process
+    /// arguments; on `--help` prints usage and exits 0, on a malformed knob
+    /// or an unknown argument prints the reason to stderr and exits 2.
     pub fn from_env() -> Self {
-        let base = Opts {
-            csv: false,
-            quick: std::env::var("SYNCMECH_QUICK").map(|v| v == "1").unwrap_or(false),
-        };
-        match Self::parse(std::env::args().skip(1), base) {
+        let parsed = Self::knobs()
+            .map_err(ArgError::Knob)
+            .and_then(|base| Self::parse(std::env::args().skip(1), base));
+        match parsed {
             Ok(opts) => opts,
+            Err(ArgError::Knob(msg)) => {
+                eprintln!("error: {msg}");
+                std::process::exit(2);
+            }
             Err(ArgError::Help) => {
                 println!("{}", Self::USAGE);
                 std::process::exit(0);
@@ -225,6 +265,7 @@ pub fn emit_final_ratio(series: &Series, loser: &str, winner: &str) {
 /// "best observed" estimator, robust to scheduler noise in one direction)
 /// and the median batch (robust in both).
 pub mod timing {
+    use simcore::knob;
     use std::time::{Duration, Instant};
 
     /// One benchmark's results, in nanoseconds per iteration.
@@ -299,9 +340,17 @@ pub mod timing {
 
     /// Runs and prints one named measurement in a `cargo bench`-like
     /// format; set `SYNCMECH_BENCH_JSON=1` to emit a JSON line instead.
+    ///
+    /// # Panics
+    ///
+    /// On a malformed `SYNCMECH_BENCH_JSON`.
     pub fn report(name: &str, f: impl FnMut()) {
+        let json = knob::BENCH_JSON
+            .read(knob::flag)
+            .unwrap_or_else(|msg| panic!("{msg}"))
+            .unwrap_or(false);
         let m = bench_stats(f);
-        if std::env::var("SYNCMECH_BENCH_JSON").map(|v| v == "1").unwrap_or(false) {
+        if json {
             println!("{}", m.json(name));
         } else {
             println!(
@@ -319,8 +368,8 @@ mod tests {
     #[test]
     fn quick_mode_shrinks_sweeps() {
         let quick = Opts {
-            csv: false,
             quick: true,
+            ..Opts::default()
         };
         let full = Opts::default();
         assert!(quick.procs().len() < full.procs().len());
@@ -338,7 +387,7 @@ mod tests {
         emit_series(
             &Opts {
                 csv: true,
-                quick: false,
+                ..Opts::default()
             },
             "test",
             &s,
@@ -367,11 +416,17 @@ mod tests {
     #[test]
     fn parse_keeps_environment_base() {
         let base = Opts {
-            csv: false,
-            quick: true,
+            run: RunConfig {
+                threads: 3,
+                fragment: Some(2_000),
+                replay_workers: 2,
+            },
+            metrics: MetricsMode::Off,
+            ..Opts::default()
         };
-        let opts = Opts::parse(std::iter::empty(), base).unwrap();
+        let opts = Opts::parse(["--quick".to_string()].into_iter(), base).unwrap();
         assert!(opts.quick && !opts.csv);
+        assert_eq!((opts.run, opts.metrics), (base.run, base.metrics));
     }
 
     #[test]

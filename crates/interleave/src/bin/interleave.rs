@@ -25,11 +25,12 @@ use interleave::fuzz::{self, Fuzzer, Strategy};
 use interleave::harness::{barrier_program, check_barrier, check_lock, check_lock_bypass};
 use interleave::harness::{check_barrier_parallel, check_lock_parallel};
 use interleave::harness::{fuzz_barrier, fuzz_lock, lock_program};
-use interleave::{dpor_workers_from, DporMode, Explorer, OpKind, Program, Replay, ReplayEnd};
+use interleave::{DporMode, Explorer, OpKind, Program, Replay, ReplayEnd};
 use interleave::{Stats, Verdict};
 use kernels::barriers::{all_barriers, barrier_by_name};
 use kernels::lockdep::InstrumentedLock;
 use kernels::locks::{all_locks, lock_by_name, LockKernel};
+use simcore::knob;
 use std::process::ExitCode;
 use std::sync::Arc;
 
@@ -50,22 +51,23 @@ otherwise it goes to stdout.
 options:
   --threads N       thread count (default 2)
   --iters N         check/replay: critical sections per thread (default 1)
-                    fuzz: schedules to sample (default: SYNCMECH_FUZZ_ITERS or 1000)
+                    fuzz: schedules to sample (default 1000)
   --episodes N      barrier episodes per thread (default 1)
   --preemptions K   preemption bound (default: exhaustive)
   --max-steps N     per-run step limit
   --max-runs N      run budget
   --bypass-bound K  fail schedules that bypass a waiter more than K times
-  --dpor MODE       partial-order reduction: none | sleep | source | tree
+  --dpor MODE       partial-order reduction: none | sleep | source
                     (default: source when exhaustive, sleep when bounded)
-  --workers N       parallel exploration workers for check (default:
-                    SYNCMECH_DPOR_WORKERS or 1); the verdict and stats are
-                    worker-count independent. Starvation checks
-                    (--bypass-bound) always explore serially.
+  --workers N       explore check's schedules through the parallel fan-out
+                    on N worker threads (default: the serial search); the
+                    fan-out's verdict and stats are the same for every N.
+                    Starvation checks (--bypass-bound) always explore
+                    serially.
   --no-reduction    disable partial-order reduction entirely
 
 fuzz options:
-  --seed N          campaign seed (default: SYNCMECH_FUZZ_SEED or 1991)
+  --seed N          campaign seed (positive; default 1991)
   --strategy S      uniform | pct | pct:<d> (default pct:3)
   --shrink          minimize the failing schedule before reporting
   --cs N            critical sections per thread in the fuzzed workload (default 1)"
@@ -85,7 +87,7 @@ struct Args {
     threads: usize,
     iters: usize,
     /// Whether `--iters` was given explicitly (fuzz reads it as the
-    /// sampling budget, whose default comes from the environment).
+    /// sampling budget, whose default differs from check's).
     iters_flag: Option<usize>,
     episodes: u64,
     preemptions: Option<usize>,
@@ -139,15 +141,27 @@ fn parse_args() -> Args {
             std::process::exit(2);
         })
     }
+    /// A flag whose value must be a positive integer, by the same parser
+    /// as the environment knobs.
+    fn positive<T: std::str::FromStr + Default + PartialEq>(
+        it: &mut impl Iterator<Item = String>,
+        flag: &str,
+    ) -> T {
+        let v: String = num(it, flag);
+        knob::positive(&v).unwrap_or_else(|why| {
+            eprintln!("{flag} {v:?}: {why}");
+            std::process::exit(2);
+        })
+    }
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--threads" => args.threads = num(&mut it, "--threads"),
             "--iters" => {
-                args.iters = num(&mut it, "--iters");
+                args.iters = positive(&mut it, "--iters");
                 args.iters_flag = Some(args.iters);
             }
             "--episodes" => args.episodes = num(&mut it, "--episodes"),
-            "--seed" => args.seed = Some(num(&mut it, "--seed")),
+            "--seed" => args.seed = Some(positive(&mut it, "--seed")),
             "--strategy" => {
                 let spec: String = num(&mut it, "--strategy");
                 match Strategy::parse(&spec) {
@@ -175,14 +189,7 @@ fn parse_args() -> Args {
                     }
                 }
             }
-            "--workers" => {
-                let n: usize = num(&mut it, "--workers");
-                if n == 0 {
-                    eprintln!("--workers: parallel exploration needs at least one worker");
-                    std::process::exit(2);
-                }
-                args.workers = Some(n);
-            }
+            "--workers" => args.workers = Some(positive(&mut it, "--workers")),
             "--no-reduction" => args.no_reduction = true,
             "--schedule" => {
                 let spec: String = num(&mut it, "--schedule");
@@ -241,13 +248,12 @@ fn explorer_from(args: &Args) -> Explorer {
 
 fn render_stats(s: Stats) {
     println!(
-        "runs {} (step-limit pruned {}, sleep-set pruned {}, dpor pruned {}, \
-         wakeup-tree nodes {}), max depth {}, {}",
+        "runs {} (step-limit pruned {}, sleep-set pruned {}, dpor pruned {}), \
+         max depth {}, {}",
         s.runs,
         s.pruned,
         s.sleep_pruned,
         s.dpor_pruned,
-        s.wakeup_tree_nodes,
         s.max_depth,
         if s.complete {
             "search complete"
@@ -291,18 +297,7 @@ fn run_check(args: &Args) -> ExitCode {
     // parallel algorithm, whose stats are byte-identical for every
     // worker count (but differ from the plain serial DFS, which only
     // runs when no count was requested at all).
-    let env_workers = std::env::var("SYNCMECH_DPOR_WORKERS").ok();
-    let workers = match (args.workers, env_workers) {
-        (Some(n), _) => Some(n),
-        (None, var @ Some(_)) => {
-            let n = dpor_workers_from(var.as_deref()).unwrap_or_else(|msg| {
-                eprintln!("{msg}");
-                std::process::exit(2);
-            });
-            Some(n)
-        }
-        (None, None) => None,
-    };
+    let workers = args.workers;
     let (verdict, target_spec) = match args.target.as_ref().unwrap_or_else(|| usage()) {
         Target::Lock(name) => {
             let lock: Arc<_> = lock_by_name(name)
@@ -559,8 +554,8 @@ fn run_trace(args: &Args) -> ExitCode {
 }
 
 fn run_fuzz(args: &Args) -> ExitCode {
-    let seed = args.seed.unwrap_or_else(fuzz::fuzz_seed);
-    let iters = args.iters_flag.unwrap_or_else(fuzz::fuzz_iters);
+    let seed = args.seed.unwrap_or(fuzz::DEFAULT_FUZZ_SEED);
+    let iters = args.iters_flag.unwrap_or(fuzz::DEFAULT_FUZZ_ITERS);
     let strategy = args.strategy.unwrap_or_default();
     let mut fuzzer = Fuzzer::new(seed, iters, strategy);
     if !args.shrink {

@@ -40,9 +40,10 @@ use crate::program::Program;
 use memsim::Word;
 use simcore::Rng;
 
-/// Default seed when `SYNCMECH_FUZZ_SEED` is unset: the paper's year.
+/// Default campaign seed (`interleave fuzz` without `--seed`): the paper's
+/// year.
 pub const DEFAULT_FUZZ_SEED: u64 = 1991;
-/// Default iteration budget when `SYNCMECH_FUZZ_ITERS` is unset.
+/// Default iteration budget (`interleave fuzz` without `--iters`).
 pub const DEFAULT_FUZZ_ITERS: usize = 1000;
 
 /// How the fuzzer picks the next thread at each schedule point.
@@ -524,78 +525,6 @@ fn rle(schedule: &[usize]) -> Vec<(usize, usize)> {
     runs
 }
 
-/// Campaign seed: `SYNCMECH_FUZZ_SEED` if set, else
-/// [`DEFAULT_FUZZ_SEED`].
-///
-/// # Panics
-///
-/// If the variable is set to zero or to anything non-numeric — a user who
-/// sets it meant to pin the campaign; a silent fallback would make a typo
-/// look like an unreproducible run.
-pub fn fuzz_seed() -> u64 {
-    let var = std::env::var("SYNCMECH_FUZZ_SEED").ok();
-    match fuzz_seed_from(var.as_deref()) {
-        Ok(n) => n,
-        Err(msg) => panic!("{msg}"),
-    }
-}
-
-/// The policy behind [`fuzz_seed`], environment lookup factored out for
-/// testability: `None` means the variable is unset.
-pub fn fuzz_seed_from(var: Option<&str>) -> Result<u64, String> {
-    let Some(raw) = var else {
-        return Ok(DEFAULT_FUZZ_SEED);
-    };
-    match raw.trim().parse::<u64>() {
-        Ok(0) => Err(
-            "SYNCMECH_FUZZ_SEED=0: seed 0 is reserved so an unset-looking value can never \
-             masquerade as a pinned campaign; set a positive seed, or unset the variable \
-             for the default"
-                .to_string(),
-        ),
-        Ok(n) => Ok(n),
-        Err(_) => Err(format!(
-            "SYNCMECH_FUZZ_SEED={raw:?} is not a positive integer; set a seed like 1991, \
-             or unset the variable for the default"
-        )),
-    }
-}
-
-/// Campaign iteration budget: `SYNCMECH_FUZZ_ITERS` if set, else
-/// [`DEFAULT_FUZZ_ITERS`].
-///
-/// # Panics
-///
-/// If the variable is set to zero or to anything non-numeric, for the same
-/// reason as [`fuzz_seed`].
-pub fn fuzz_iters() -> usize {
-    let var = std::env::var("SYNCMECH_FUZZ_ITERS").ok();
-    match fuzz_iters_from(var.as_deref()) {
-        Ok(n) => n,
-        Err(msg) => panic!("{msg}"),
-    }
-}
-
-/// The policy behind [`fuzz_iters`], environment lookup factored out for
-/// testability: `None` means the variable is unset.
-pub fn fuzz_iters_from(var: Option<&str>) -> Result<usize, String> {
-    let Some(raw) = var else {
-        return Ok(DEFAULT_FUZZ_ITERS);
-    };
-    match raw.trim().parse::<usize>() {
-        Ok(0) => Err(
-            "SYNCMECH_FUZZ_ITERS=0: a zero-iteration campaign can never find anything; \
-             set a positive budget, or unset the variable for the default"
-                .to_string(),
-        ),
-        Ok(n) => Ok(n),
-        Err(_) => Err(format!(
-            "SYNCMECH_FUZZ_ITERS={raw:?} is not a positive integer; set a budget like \
-             1000, or unset the variable for the default"
-        )),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -769,31 +698,6 @@ mod tests {
         assert!(Strategy::parse("dfs").unwrap_err().contains("unknown strategy"));
         for s in [Strategy::Uniform, Strategy::Pct { change_points: 4 }] {
             assert_eq!(Strategy::parse(&s.to_string()).unwrap(), s);
-        }
-    }
-
-    #[test]
-    fn fuzz_seed_env_is_validated_strictly() {
-        assert_eq!(fuzz_seed_from(None).unwrap(), DEFAULT_FUZZ_SEED);
-        assert_eq!(fuzz_seed_from(Some("7")).unwrap(), 7);
-        assert_eq!(fuzz_seed_from(Some(" 1991 ")).unwrap(), 1991);
-        let zero = fuzz_seed_from(Some("0")).unwrap_err();
-        assert!(zero.contains("seed 0 is reserved"), "got: {zero}");
-        for bad in ["", "seed", "-2", "3.5"] {
-            let err = fuzz_seed_from(Some(bad)).unwrap_err();
-            assert!(err.contains("not a positive integer"), "{bad:?} got: {err}");
-        }
-    }
-
-    #[test]
-    fn fuzz_iters_env_is_validated_strictly() {
-        assert_eq!(fuzz_iters_from(None).unwrap(), DEFAULT_FUZZ_ITERS);
-        assert_eq!(fuzz_iters_from(Some("250")).unwrap(), 250);
-        let zero = fuzz_iters_from(Some("0")).unwrap_err();
-        assert!(zero.contains("zero-iteration"), "got: {zero}");
-        for bad in ["", "many", "-1", "1e3"] {
-            let err = fuzz_iters_from(Some(bad)).unwrap_err();
-            assert!(err.contains("not a positive integer"), "{bad:?} got: {err}");
         }
     }
 

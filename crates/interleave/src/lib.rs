@@ -24,9 +24,9 @@
 //! lock in the suite tractable. **Dynamic partial-order reduction**
 //! ([`DporMode`]) prunes schedules that merely reorder independent steps
 //! of one already explored: sleep sets (Godefroid) cut the obvious
-//! repeats, and the default source-set mode plus the wakeup-tree mode
-//! (Abdulla et al.) invert the search — branching only where a run's
-//! vector clocks prove a reversible race — for order-of-magnitude run
+//! repeats, and the default source-set mode (Abdulla et al.) inverts the
+//! search — branching only where a run's vector clocks prove a
+//! reversible race — for order-of-magnitude run
 //! reductions at identical coverage ([`Stats::sleep_pruned`] and
 //! [`Stats::dpor_pruned`] count the cuts). The search itself can fan out
 //! across host threads ([`Explorer::check_parallel`]) with a verdict
@@ -87,10 +87,7 @@ pub mod program;
 pub mod race;
 
 pub use corpus::{CorpusEntry, VerdictClass};
-pub use explorer::{
-    dpor_workers, dpor_workers_from, DporMode, Explorer, Replay, ReplayEnd, Stats, Verdict,
-    DEFAULT_DPOR_WORKERS, DPOR_SPLIT_DEPTH,
-};
+pub use explorer::{DporMode, Explorer, Replay, ReplayEnd, Stats, Verdict, DPOR_SPLIT_DEPTH};
 pub use fuzz::{FuzzReport, Fuzzer, Shrunk, Strategy};
 pub use program::{ChkCtx, OpKind, OpRecord, Program, StarvationReport};
 pub use race::{AccessSite, Epoch, RaceReport, VectorClock};

@@ -257,7 +257,7 @@ impl RaceDetector {
 
 /// Happens-before clocks over the **Mazurkiewicz dependence** relation,
 /// one clock per executed scheduling step — the engine behind the
-/// explorer's source-set / wakeup-tree DPOR (see [`crate::explorer`]).
+/// explorer's source-set DPOR (see [`crate::explorer`]).
 ///
 /// This is deliberately a *different* happens-before than
 /// [`RaceDetector`]'s: the race detector's sync clocks only order a read

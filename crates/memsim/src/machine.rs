@@ -68,6 +68,9 @@ impl Latch {
 pub struct Machine {
     params: MachineParams,
     tracer: Option<Arc<trace::Tracer>>,
+    /// `(fragment cycles, replay workers)` when runs go through
+    /// record-then-replay; see [`Machine::with_fragments`].
+    fragments: Option<(u64, usize)>,
 }
 
 impl Machine {
@@ -76,7 +79,31 @@ impl Machine {
         Machine {
             params,
             tracer: None,
+            fragments: None,
         }
+    }
+
+    /// Makes every [`Machine::run`] execute in fragment-replay mode: a
+    /// recording pass with a snapshot every `cycles` simulated cycles,
+    /// then concurrent fragment replay on `workers` host threads (see
+    /// [`crate::replay`]). The result — metrics, memory, and any attached
+    /// tracer's contents — is byte-identical to the plain sequential run.
+    ///
+    /// # Panics
+    ///
+    /// If `cycles` or `workers` is zero.
+    #[must_use]
+    pub fn with_fragments(mut self, cycles: u64, workers: usize) -> Self {
+        assert!(
+            cycles > 0,
+            "a fragment must cover at least one simulated cycle"
+        );
+        assert!(
+            workers > 0,
+            "fragment replay needs at least one host worker"
+        );
+        self.fragments = Some((cycles, workers));
+        self
     }
 
     /// Attaches an event tracer: every run records sync events (spin waits,
@@ -129,12 +156,6 @@ impl Machine {
     }
 
     /// Like [`Machine::run`] but with explicit initial memory contents.
-    ///
-    /// When `SYNCMECH_REPLAY_FRAGMENT` is set the run is executed in
-    /// fragment-replay mode: a recording pass followed by concurrent
-    /// fragment replay on the worker pool (see [`crate::replay`]). The
-    /// result — metrics, memory, and any attached tracer's contents — is
-    /// byte-identical to the plain sequential run.
     pub fn run_with_init<F>(
         &self,
         nprocs: usize,
@@ -144,14 +165,8 @@ impl Machine {
     where
         F: Fn(&mut Proc) + Send + Sync,
     {
-        if let Some(fragment) = crate::replay::fragment_cycles_env() {
-            return self.run_fragmented(
-                nprocs,
-                init_memory,
-                fragment,
-                crate::replay::replay_workers_env(),
-                body,
-            );
+        if let Some((cycles, workers)) = self.fragments {
+            return self.run_fragmented(nprocs, init_memory, cycles, workers, body);
         }
         self.run_on_pool(Pool::global(), nprocs, init_memory, body)
     }

@@ -22,16 +22,9 @@
 //! single core (the recording pass already runs the whole workload); the
 //! payoff is on multi-core hosts, where long single runs — previously a
 //! serial bottleneck — decompose into pool-sized work, composing with the
-//! existing cross-cell sweep axis (`SYNCMECH_SWEEP_THREADS`).
-//!
-//! The environment knobs, parsed strictly like every other `SYNCMECH_*`
-//! knob (garbage aborts; it never silently falls back):
-//!
-//! * `SYNCMECH_REPLAY_FRAGMENT` — fragment length in simulated cycles;
-//!   setting it routes every [`crate::Machine::run`] through
-//!   record-then-replay ([`fragment_cycles_env`]).
-//! * `SYNCMECH_REPLAY_WORKERS` — host threads for the replay fan-out,
-//!   defaulting to the host's parallelism ([`replay_workers_env`]).
+//! existing cross-cell sweep axis (`workloads::sweeps::parallel_cells`).
+//! [`crate::Machine::with_fragments`] routes a machine's every run through
+//! the pair.
 
 use crate::engine::{EngineCore, LogEntry, Recorder, SnapshotState};
 use crate::machine::{Latch, RunReport};
@@ -294,116 +287,5 @@ impl<'a> FragmentReplayer<'a> {
             "stitched memory diverged from the recording pass"
         );
         RunReport { metrics, memory }
-    }
-}
-
-/// The policy behind [`fragment_cycles_env`], with the environment lookup
-/// factored out for testability: `None` means the variable is unset (no
-/// fragment replay), `Some(k)` a fragment length of `k` simulated cycles.
-///
-/// # Errors
-///
-/// Zero and non-numeric values are rejected with an actionable message —
-/// a user who sets the variable meant to control replay, and a typo must
-/// not silently disable it.
-pub fn fragment_cycles_from(var: Option<&str>) -> Result<Option<u64>, String> {
-    let Some(raw) = var else {
-        return Ok(None);
-    };
-    match raw.trim().parse::<u64>() {
-        Ok(0) => Err(
-            "SYNCMECH_REPLAY_FRAGMENT=0: a fragment must cover at least one simulated cycle; \
-             set a positive cycle count, or unset the variable to run without fragment replay"
-                .to_string(),
-        ),
-        Ok(k) => Ok(Some(k)),
-        Err(_) => Err(format!(
-            "SYNCMECH_REPLAY_FRAGMENT={raw:?} is not a positive integer; set a fragment length \
-             in simulated cycles like 25000, or unset the variable to run without fragment replay"
-        )),
-    }
-}
-
-/// Fragment length from `SYNCMECH_REPLAY_FRAGMENT`, read fresh on every
-/// call (runs inside one process may toggle it); `None` when unset.
-///
-/// # Panics
-///
-/// On a zero or non-numeric value (see [`fragment_cycles_from`]).
-pub fn fragment_cycles_env() -> Option<u64> {
-    let var = std::env::var("SYNCMECH_REPLAY_FRAGMENT").ok();
-    match fragment_cycles_from(var.as_deref()) {
-        Ok(v) => v,
-        Err(msg) => panic!("{msg}"),
-    }
-}
-
-/// The policy behind [`replay_workers_env`]: `None` (unset) means the
-/// host's available parallelism.
-///
-/// # Errors
-///
-/// Zero and non-numeric values are rejected with an actionable message.
-pub fn replay_workers_from(var: Option<&str>) -> Result<usize, String> {
-    let Some(raw) = var else {
-        return Ok(std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1));
-    };
-    match raw.trim().parse::<usize>() {
-        Ok(0) => Err(
-            "SYNCMECH_REPLAY_WORKERS=0: fragment replay needs at least one host worker; \
-             set a positive count, or unset the variable to use the host's parallelism"
-                .to_string(),
-        ),
-        Ok(n) => Ok(n),
-        Err(_) => Err(format!(
-            "SYNCMECH_REPLAY_WORKERS={raw:?} is not a positive integer; set a worker count \
-             like 4, or unset the variable to use the host's parallelism"
-        )),
-    }
-}
-
-/// Host threads for the replay fan-out: `SYNCMECH_REPLAY_WORKERS` if set,
-/// otherwise the host's available parallelism.
-///
-/// # Panics
-///
-/// On a zero or non-numeric value (see [`replay_workers_from`]).
-pub fn replay_workers_env() -> usize {
-    let var = std::env::var("SYNCMECH_REPLAY_WORKERS").ok();
-    match replay_workers_from(var.as_deref()) {
-        Ok(n) => n,
-        Err(msg) => panic!("{msg}"),
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn fragment_env_is_validated_strictly() {
-        assert_eq!(fragment_cycles_from(None).unwrap(), None);
-        assert_eq!(fragment_cycles_from(Some("25000")).unwrap(), Some(25_000));
-        assert_eq!(fragment_cycles_from(Some(" 7 ")).unwrap(), Some(7));
-        let zero = fragment_cycles_from(Some("0")).unwrap_err();
-        assert!(zero.contains("at least one simulated cycle"), "got: {zero}");
-        for bad in ["", "many", "-5", "2.5"] {
-            let err = fragment_cycles_from(Some(bad)).unwrap_err();
-            assert!(err.contains("not a positive integer"), "{bad:?} got: {err}");
-        }
-    }
-
-    #[test]
-    fn replay_workers_env_is_validated_strictly() {
-        assert!(replay_workers_from(None).unwrap() >= 1);
-        assert_eq!(replay_workers_from(Some("4")).unwrap(), 4);
-        let zero = replay_workers_from(Some("0")).unwrap_err();
-        assert!(zero.contains("at least one host worker"), "got: {zero}");
-        for bad in ["", "two", "-1"] {
-            let err = replay_workers_from(Some(bad)).unwrap_err();
-            assert!(err.contains("not a positive integer"), "{bad:?} got: {err}");
-        }
     }
 }

@@ -2,10 +2,10 @@
 //!
 //! The simulator's tracer rides on the `memsim::Machine` it is attached
 //! to; real threads have no machine, so the parking runtime records into
-//! one process-global [`trace::Tracer`]. It is env-gated: nothing is
-//! recorded until [`init_from_env`] (honouring `SYNCMECH_TRACE`) or
-//! [`install`] (explicit, for tests and embedders) has provided a tracer,
-//! and the per-event cost with tracing off is a single atomic load.
+//! one process-global [`trace::Tracer`]. Nothing is recorded until
+//! [`install`] has provided a tracer — the binaries that offer a trace
+//! knob or flag call it; no library does — and the per-event cost with
+//! tracing off is a single atomic load.
 //!
 //! Real hardware cannot name the thread a `futex_wake` will reach the way
 //! the simulator can, so wake/resume events carry [`trace::NO_PID`] for
@@ -26,34 +26,18 @@ use trace::{EventKind, Tracer};
 /// which are already nondeterministic).
 pub const TRACE_SLOTS: usize = 64;
 
-static TRACER: OnceLock<Option<Arc<Tracer>>> = OnceLock::new();
+static TRACER: OnceLock<Arc<Tracer>> = OnceLock::new();
 static EPOCH: OnceLock<Instant> = OnceLock::new();
 
-/// Initializes the global tracer from `SYNCMECH_TRACE` (no-op if a tracer
-/// was already installed). Returns whether tracing is active afterwards.
-///
-/// # Panics
-///
-/// On an unrecognized `SYNCMECH_TRACE` value (strict, like every
-/// `SYNCMECH_*` knob).
-pub fn init_from_env() -> bool {
-    TRACER.get_or_init(|| Tracer::from_env(TRACE_SLOTS)).is_some()
-}
-
 /// Installs an explicit tracer (sized for at least [`TRACE_SLOTS`]
-/// processors). Returns `false` if one was already installed or env-initialized.
+/// processors). Returns `false` if one was already installed.
 pub fn install(tracer: Arc<Tracer>) -> bool {
-    let mut fresh = false;
-    TRACER.get_or_init(|| {
-        fresh = true;
-        Some(tracer)
-    });
-    fresh
+    TRACER.set(tracer).is_ok()
 }
 
-/// The active global tracer, if tracing has been initialized and is on.
+/// The installed global tracer, if any.
 pub fn tracer() -> Option<&'static Arc<Tracer>> {
-    TRACER.get().and_then(|t| t.as_ref())
+    TRACER.get()
 }
 
 /// This thread's recording slot in `0..TRACE_SLOTS`.
@@ -85,8 +69,8 @@ mod tests {
 
     #[test]
     fn futex_park_and_wake_are_recorded() {
-        // First-come-first-served with any env init; in this test binary
-        // nothing else initializes the global, so install succeeds.
+        // First come, first served; in this test binary nothing else
+        // installs a tracer, so install succeeds.
         let tracer = Arc::new(Tracer::new(TraceMode::Full, TRACE_SLOTS, 1024));
         assert!(install(Arc::clone(&tracer)), "global tracer already taken");
 

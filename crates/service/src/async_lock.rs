@@ -47,7 +47,7 @@
 //! (shrinking phase). Any two tasks acquire their common keys in the same
 //! global order, so the wait-for graph cannot cycle.
 
-use crate::lock::{CONTENDED, FREE, HELD};
+use crate::lock::{barrier_arrive, CONTENDED, FREE, HELD};
 use crate::table::{SlotKind, SlotRef, TableStats};
 use crate::telemetry::{MetricsMode, MetricsSnapshot, Primitive, ServiceMetrics};
 use crate::{EventKey, KeyGuard, LockService};
@@ -73,7 +73,7 @@ impl Default for AsyncLockService {
 }
 
 impl AsyncLockService {
-    /// A service with `SYNCMECH_SERVICE_SHARDS` shards (default 256).
+    /// A service with [`crate::DEFAULT_SHARDS`] shards.
     pub fn new() -> Self {
         Self::from_sync(LockService::new())
     }
@@ -482,34 +482,16 @@ impl Future for BarrierFuture<'_> {
         let word = slot.word();
         loop {
             match this.phase {
-                BarrierPhase::Arriving => {
-                    assert!(this.parties > 0, "a barrier needs at least one party");
-                    let cur = word.load(Ordering::SeqCst);
-                    let arrivals = (cur & u32::MAX as u64) as u32;
-                    assert!(
-                        arrivals < this.parties,
-                        "barrier key {:#x}: more than {} parties arrived in one round",
-                        slot.key(),
-                        this.parties
-                    );
-                    if arrivals + 1 == this.parties {
-                        let next = (cur >> 32).wrapping_add(1) << 32;
-                        if word
-                            .compare_exchange(cur, next, Ordering::SeqCst, Ordering::SeqCst)
-                            .is_ok()
-                        {
-                            slot.wake(usize::MAX);
-                            this.phase = BarrierPhase::Done;
-                            return Poll::Ready(true);
-                        }
-                    } else if word
-                        .compare_exchange(cur, cur + 1, Ordering::SeqCst, Ordering::SeqCst)
-                        .is_ok()
-                    {
-                        this.started = slot.metrics().wait_timer(slot.shard());
-                        this.phase = BarrierPhase::Waiting { round: cur >> 32 };
+                BarrierPhase::Arriving => match barrier_arrive(slot, this.parties) {
+                    None => {
+                        this.phase = BarrierPhase::Done;
+                        return Poll::Ready(true);
                     }
-                }
+                    Some(round) => {
+                        this.started = slot.metrics().wait_timer(slot.shard());
+                        this.phase = BarrierPhase::Waiting { round };
+                    }
+                },
                 BarrierPhase::Waiting { round } => {
                     let now = word.load(Ordering::SeqCst);
                     if now >> 32 != round {

@@ -44,18 +44,14 @@
 //! per-shard counters, sampled latency histograms, a hot-key sketch, a
 //! flight recorder, and the stall watchdog — lives in [`telemetry`].
 //!
-//! ## Environment knobs
+//! ## Configuration
 //!
-//! | Variable | Meaning |
-//! |---|---|
-//! | `SYNCMECH_SERVICE_SHARDS` | shard count for [`lock::LockService::new`] (default 256, rounded up to a power of two) |
-//! | `SYNCMECH_SERVICE_THREADS` | worker threads for the real-thread service load generator (default: host parallelism; clamped to [`MAX_THREAD_OVERSUB`]× the host parallelism, with a warning) |
-//! | `SYNCMECH_SERVICE_METRICS` | telemetry mode: `off`, `counters` (default), or `sampled:<N>` (counters + 1-in-N latency sampling; see [`telemetry`]) |
-//!
-//! All of them reject malformed values loudly (see [`service_shards_from`],
-//! [`service_threads_from`] and [`telemetry::service_metrics_from`]): a
-//! user who sets a knob meant to control it, and a silent fallback would
-//! make a typo look like a performance mystery.
+//! Nothing in this crate reads the environment. [`LockService::new`] and
+//! [`LockService::with_shards`] mean [`DEFAULT_SHARDS`] and
+//! [`MetricsMode::Counters`]; a binary that offers knobs for the shard
+//! count or the telemetry mode (`service_load` does) parses them at its
+//! edge — [`MetricsMode::parse`] is the telemetry grammar — and passes
+//! [`LockService::with_metrics_mode`] the values.
 
 pub mod async_lock;
 pub mod lock;
@@ -70,14 +66,11 @@ pub use async_lock::{
 pub use lock::{EventKey, KeyGuard, LockService};
 pub use semaphore::{AcquireFuture, WaitingArraySemaphore};
 pub use table::{ShardedTable, SlotKind, SlotRef, TableStats};
-pub use telemetry::{
-    service_metrics, service_metrics_from, MetricsMode, MetricsSnapshot, ServiceMetrics,
-    StallWatchdog,
-};
+pub use telemetry::{MetricsMode, MetricsSnapshot, ServiceMetrics, StallWatchdog};
 
-/// Default shard count for a [`LockService`] when
-/// `SYNCMECH_SERVICE_SHARDS` is unset: enough that 64 threads hashing
-/// random keys rarely contend a shard mutex, small enough to be cheap.
+/// Default shard count for a [`LockService`]: enough that 64 threads
+/// hashing random keys rarely contend a shard mutex, small enough to be
+/// cheap.
 pub const DEFAULT_SHARDS: usize = 256;
 
 /// Wraparound-safe sequence comparison: `a >= b` on the circle of `u64`
@@ -89,49 +82,13 @@ pub(crate) fn seq_ge(a: u64, b: u64) -> bool {
     a.wrapping_sub(b) as i64 >= 0
 }
 
-/// Shard count for the service: `SYNCMECH_SERVICE_SHARDS` if set, else
-/// [`DEFAULT_SHARDS`].
-///
-/// # Panics
-///
-/// If the variable is set to anything other than a positive integer.
-pub fn service_shards() -> usize {
-    let var = std::env::var("SYNCMECH_SERVICE_SHARDS").ok();
-    match service_shards_from(var.as_deref()) {
-        Ok(n) => n,
-        Err(msg) => panic!("{msg}"),
-    }
-}
-
-/// The policy behind [`service_shards`], with the environment lookup
-/// factored out for testability: `None` means the variable is unset.
-pub fn service_shards_from(var: Option<&str>) -> Result<usize, String> {
-    let Some(raw) = var else {
-        return Ok(DEFAULT_SHARDS);
-    };
-    match raw.trim().parse::<usize>() {
-        Ok(0) => Err(
-            "SYNCMECH_SERVICE_SHARDS=0: the lock service needs at least one shard; \
-             set a positive count, or unset the variable to use the default of 256"
-                .to_string(),
-        ),
-        Ok(n) => Ok(n),
-        Err(_) => Err(format!(
-            "SYNCMECH_SERVICE_SHARDS={raw:?} is not a positive integer; set a shard \
-             count like 256, or unset the variable to use the default of 256"
-        )),
-    }
-}
-
 /// Hard ceiling on worker-thread oversubscription in the real-thread
 /// load driver, as a multiple of the host's available parallelism.
 /// Closed-loop workers spend most of their time blocked, so some
 /// oversubscription is legitimate; a value orders of magnitude past the
-/// core count is a typo (`SYNCMECH_SERVICE_THREADS=1000` for `100`) that
-/// previously sailed through validation and spawned a thread army the
-/// driver could not actually schedule — the knob was effectively ignored
-/// as a *worker* count and became an OOM lever. Such values are now
-/// clamped, with a warning.
+/// core count is a typo (`1000` for `100`) that would spawn a thread army
+/// the driver cannot schedule — an OOM lever, not a worker count. Such
+/// requests are clamped, and the caller warns.
 pub const MAX_THREAD_OVERSUB: usize = 8;
 
 /// The resolved worker-thread policy: the count to use, plus the
@@ -146,63 +103,18 @@ pub struct ServiceThreads {
     pub clamped_from: Option<usize>,
 }
 
-/// Worker threads for the real-thread service load generator:
-/// `SYNCMECH_SERVICE_THREADS` if set, else the host's available
-/// parallelism. Values beyond [`MAX_THREAD_OVERSUB`]× the host
-/// parallelism are clamped, with a warning on stderr.
-///
-/// # Panics
-///
-/// If the variable is set to anything other than a positive integer.
-pub fn service_threads() -> usize {
-    let var = std::env::var("SYNCMECH_SERVICE_THREADS").ok();
-    let host = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    match service_threads_from(var.as_deref(), host) {
-        Ok(resolved) => {
-            if let Some(requested) = resolved.clamped_from {
-                eprintln!(
-                    "warning: SYNCMECH_SERVICE_THREADS={requested} exceeds {MAX_THREAD_OVERSUB}x \
-                     the host parallelism of {host}; clamped to {} workers",
-                    resolved.threads
-                );
-            }
-            resolved.threads
+impl ServiceThreads {
+    /// Resolves a worker-thread request against a host of `host` cores:
+    /// `None` means the host's parallelism; a request beyond
+    /// [`MAX_THREAD_OVERSUB`]× that is clamped to the ceiling.
+    pub fn resolve(requested: Option<usize>, host: usize) -> ServiceThreads {
+        let host = host.max(1);
+        let cap = host.saturating_mul(MAX_THREAD_OVERSUB);
+        let n = requested.unwrap_or(host);
+        ServiceThreads {
+            threads: n.min(cap),
+            clamped_from: (n > cap).then_some(n),
         }
-        Err(msg) => panic!("{msg}"),
-    }
-}
-
-/// The policy behind [`service_threads`], with the environment lookup and
-/// host-parallelism probe factored out for testability: `None` means the
-/// variable is unset, `host` is the available parallelism.
-pub fn service_threads_from(var: Option<&str>, host: usize) -> Result<ServiceThreads, String> {
-    let host = host.max(1);
-    let Some(raw) = var else {
-        return Ok(ServiceThreads {
-            threads: host,
-            clamped_from: None,
-        });
-    };
-    match raw.trim().parse::<usize>() {
-        Ok(0) => Err(
-            "SYNCMECH_SERVICE_THREADS=0: the service load generator needs at least one \
-             worker thread; set a positive count, or unset the variable to use the \
-             host's parallelism"
-                .to_string(),
-        ),
-        Ok(n) => {
-            let cap = host.saturating_mul(MAX_THREAD_OVERSUB);
-            Ok(ServiceThreads {
-                threads: n.min(cap),
-                clamped_from: (n > cap).then_some(n),
-            })
-        }
-        Err(_) => Err(format!(
-            "SYNCMECH_SERVICE_THREADS={raw:?} is not a positive integer; set a thread \
-             count like 4, or unset the variable to use the host's parallelism"
-        )),
     }
 }
 
@@ -211,86 +123,28 @@ mod tests {
     use super::*;
 
     #[test]
-    fn shards_default_when_unset() {
-        assert_eq!(service_shards_from(None), Ok(DEFAULT_SHARDS));
-    }
-
-    #[test]
-    fn shards_accept_positive_values() {
-        assert_eq!(service_shards_from(Some("8")), Ok(8));
-        assert_eq!(service_shards_from(Some(" 1024 ")), Ok(1024));
-    }
-
-    #[test]
-    fn shards_reject_zero_loudly() {
-        let err = service_shards_from(Some("0")).unwrap_err();
-        assert!(err.contains("SYNCMECH_SERVICE_SHARDS=0"), "{err}");
-        assert!(err.contains("at least one shard"), "{err}");
-    }
-
-    #[test]
-    fn shards_reject_garbage_loudly() {
-        for raw in ["lots", "-4", "3.5", ""] {
-            let err = service_shards_from(Some(raw)).unwrap_err();
-            assert!(err.contains("is not a positive integer"), "{raw:?}: {err}");
-            assert!(err.contains(&format!("{raw:?}")), "{raw:?}: {err}");
-        }
-    }
-
-    #[test]
-    fn threads_default_when_unset() {
-        let resolved = service_threads_from(None, 4).unwrap();
-        assert_eq!(resolved.threads, 4);
-        assert_eq!(resolved.clamped_from, None);
-    }
-
-    #[test]
-    fn threads_accept_positive_values() {
-        let resolved = service_threads_from(Some("4"), 8).unwrap();
-        assert_eq!(resolved.threads, 4);
-        assert_eq!(resolved.clamped_from, None);
-    }
-
-    #[test]
-    fn threads_accept_moderate_oversubscription() {
+    fn threads_default_to_the_host_and_pass_moderate_oversubscription() {
+        assert_eq!(ServiceThreads::resolve(None, 4).threads, 4);
         // Closed-loop workers block most of the time; up to the ceiling
         // the request passes through untouched.
-        let resolved = service_threads_from(Some("32"), 4).unwrap();
-        assert_eq!(resolved.threads, 32);
-        assert_eq!(resolved.clamped_from, None);
+        for (requested, host) in [(4, 8), (32, 4)] {
+            let resolved = ServiceThreads::resolve(Some(requested), host);
+            assert_eq!(resolved.threads, requested);
+            assert_eq!(resolved.clamped_from, None);
+        }
     }
 
     /// Regression: a request far beyond the worker count used to pass
-    /// validation untouched (the knob's *intent* — that many schedulable
-    /// workers — was silently ignored). It now clamps to the
-    /// oversubscription ceiling and reports the original so callers warn.
+    /// untouched. It now clamps to the oversubscription ceiling and
+    /// reports the original so callers warn.
     #[test]
     fn threads_clamp_absurd_oversubscription() {
-        let resolved = service_threads_from(Some("100000"), 4).unwrap();
+        let resolved = ServiceThreads::resolve(Some(100_000), 4);
         assert_eq!(resolved.threads, 4 * MAX_THREAD_OVERSUB);
         assert_eq!(resolved.clamped_from, Some(100_000));
-        // Exactly at the ceiling is still accepted unclamped.
-        let at_cap = service_threads_from(Some("32"), 4).unwrap();
-        assert_eq!(at_cap.clamped_from, None);
         // A degenerate host probe of 0 behaves as a one-core host rather
         // than clamping everything to zero.
-        let tiny = service_threads_from(Some("4"), 0).unwrap();
-        assert_eq!(tiny.threads, 4);
-    }
-
-    #[test]
-    fn threads_reject_zero_loudly() {
-        let err = service_threads_from(Some("0"), 4).unwrap_err();
-        assert!(err.contains("SYNCMECH_SERVICE_THREADS=0"), "{err}");
-        assert!(err.contains("at least one worker thread"), "{err}");
-    }
-
-    #[test]
-    fn threads_reject_garbage_loudly() {
-        for raw in ["many", "-1", "2x"] {
-            let err = service_threads_from(Some(raw), 4).unwrap_err();
-            assert!(err.contains("is not a positive integer"), "{raw:?}: {err}");
-        }
+        assert_eq!(ServiceThreads::resolve(Some(4), 0).threads, 4);
     }
 
     #[test]

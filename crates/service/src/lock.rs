@@ -43,7 +43,7 @@
 
 use crate::table::{ShardedTable, SlotKind, SlotRef, TableStats};
 use crate::telemetry::{MetricsMode, MetricsSnapshot, Primitive, ServiceMetrics};
-use crate::{seq_ge, service_shards};
+use crate::{seq_ge, DEFAULT_SHARDS};
 use parking::futex::FutexTotals;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -72,34 +72,25 @@ impl Default for LockService {
 }
 
 impl LockService {
-    /// A service with `SYNCMECH_SERVICE_SHARDS` shards (default 256).
+    /// A service with [`DEFAULT_SHARDS`] shards.
     pub fn new() -> Self {
-        Self::with_shards(service_shards())
+        Self::with_shards(DEFAULT_SHARDS)
     }
 
     /// A service with an explicit shard count (rounded up to a power of
-    /// two) and the environment-selected telemetry mode.
-    ///
-    /// Constructing a service also installs the global futex tracer if
-    /// `SYNCMECH_TRACE` asks for one (`parking::trace_hooks::init_from_env`),
-    /// so one knob traces the simulator and the service stack alike.
+    /// two) and the default `counters` telemetry mode.
     ///
     /// # Panics
     ///
-    /// If `shards` is zero, or if `SYNCMECH_SERVICE_METRICS` /
-    /// `SYNCMECH_TRACE` are set to invalid values.
+    /// If `shards` is zero.
     pub fn with_shards(shards: usize) -> Self {
-        parking::trace_hooks::init_from_env();
         LockService {
             table: ShardedTable::new(shards),
         }
     }
 
-    /// [`LockService::with_shards`] with an explicit telemetry mode,
-    /// ignoring `SYNCMECH_SERVICE_METRICS` — the overhead figure uses this
-    /// to compare modes within one process.
+    /// [`LockService::with_shards`] with an explicit telemetry mode.
     pub fn with_metrics_mode(shards: usize, mode: MetricsMode) -> Self {
-        parking::trace_hooks::init_from_env();
         LockService {
             table: ShardedTable::with_metrics(shards, Arc::new(ServiceMetrics::new(mode))),
         }
@@ -277,34 +268,11 @@ impl LockService {
     /// If `parties` is zero, or more than `parties` threads arrive in one
     /// round (callers disagreeing on `parties`).
     pub fn barrier_wait(&self, key: u64, parties: u32) -> bool {
-        assert!(parties > 0, "a barrier needs at least one party");
         let slot = self.table.attach(key, SlotKind::Barrier);
-        let word = slot.word();
-        let round = loop {
-            let cur = word.load(Ordering::SeqCst);
-            let arrivals = (cur & u32::MAX as u64) as u32;
-            assert!(
-                arrivals < parties,
-                "barrier key {key:#x}: more than {parties} parties arrived in one round"
-            );
-            if arrivals + 1 == parties {
-                // Last arrival: reset arrivals and open the next round in
-                // one store, then release everyone parked on this round.
-                let next = (cur >> 32).wrapping_add(1) << 32;
-                if word
-                    .compare_exchange(cur, next, Ordering::SeqCst, Ordering::SeqCst)
-                    .is_ok()
-                {
-                    slot.wake(usize::MAX);
-                    return true;
-                }
-            } else if word
-                .compare_exchange(cur, cur + 1, Ordering::SeqCst, Ordering::SeqCst)
-                .is_ok()
-            {
-                break cur >> 32;
-            }
+        let Some(round) = barrier_arrive(&slot, parties) else {
+            return true;
         };
+        let word = slot.word();
         let started = slot.metrics().wait_timer(slot.shard());
         loop {
             let now = word.load(Ordering::SeqCst);
@@ -313,6 +281,45 @@ impl LockService {
                 return false;
             }
             slot.wait(now);
+        }
+    }
+}
+
+/// One arrival at the barrier on `slot`'s word, shared by the blocking
+/// and the async front end: `None` when this arrival completed the round
+/// (arrivals reset and the round bumped in one store, every waiter woken),
+/// otherwise `Some(round)` — the round the caller now waits to see end.
+///
+/// # Panics
+///
+/// If `parties` is zero, or `parties` arrivals are already recorded in
+/// this round (callers disagreeing on `parties`).
+pub(crate) fn barrier_arrive(slot: &SlotRef<'_>, parties: u32) -> Option<u64> {
+    assert!(parties > 0, "a barrier needs at least one party");
+    let word = slot.word();
+    loop {
+        let cur = word.load(Ordering::SeqCst);
+        let arrivals = (cur & u32::MAX as u64) as u32;
+        assert!(
+            arrivals < parties,
+            "barrier key {:#x}: more than {parties} parties arrived in one round",
+            slot.key()
+        );
+        let last = arrivals + 1 == parties;
+        let next = if last {
+            (cur >> 32).wrapping_add(1) << 32
+        } else {
+            cur + 1
+        };
+        if word
+            .compare_exchange(cur, next, Ordering::SeqCst, Ordering::SeqCst)
+            .is_ok()
+        {
+            if last {
+                slot.wake(usize::MAX);
+                return None;
+            }
+            return Some(cur >> 32);
         }
     }
 }

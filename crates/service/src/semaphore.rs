@@ -94,9 +94,7 @@ impl WaitingArraySemaphore {
     ///
     /// # Panics
     ///
-    /// If `slots` is zero, or `permits` exceeds `i64::MAX` — or (on the
-    /// first semaphore in the process) if `SYNCMECH_SERVICE_METRICS` is
-    /// set to an invalid value.
+    /// If `slots` is zero, or `permits` exceeds `i64::MAX`.
     pub fn new(permits: usize, slots: usize) -> Self {
         Self::with_ticket_origin(permits, slots, 0)
     }

@@ -21,7 +21,7 @@
 //! million-key churn recycles a bounded slab population instead of growing
 //! one slot per key.
 
-use crate::telemetry::{FlightKind, ServiceMetrics};
+use crate::telemetry::{FlightKind, MetricsMode, ServiceMetrics};
 use parking::futex::{mix64, ParkingLot};
 use qsm::CachePadded;
 use std::collections::HashMap;
@@ -145,17 +145,15 @@ pub struct ShardedTable {
 impl ShardedTable {
     /// A table with at least `shards` shards (rounded up to a power of
     /// two), an embedded parking lot sized to the shard count, and a fresh
-    /// telemetry instance in the environment-selected mode
-    /// ([`crate::telemetry::service_metrics`]).
+    /// telemetry instance in the default `counters` mode.
     ///
     /// # Panics
     ///
-    /// If `shards` is zero, or if `SYNCMECH_SERVICE_METRICS` is set to an
-    /// invalid value.
+    /// If `shards` is zero.
     pub fn new(shards: usize) -> Self {
         Self::with_metrics(
             shards,
-            Arc::new(ServiceMetrics::new(crate::telemetry::service_metrics())),
+            Arc::new(ServiceMetrics::new(MetricsMode::default())),
         )
     }
 

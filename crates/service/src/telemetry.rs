@@ -39,8 +39,8 @@
 //!   workloads whose waiters turn over reset the age every park, so the
 //!   threshold is a bound on *individual* wait time, not throughput.
 //!
-//! The mode knob is `SYNCMECH_SERVICE_METRICS=off|counters|sampled:<N>`
-//! (strict, like every `SYNCMECH_*` knob; default `counters`). `off`
+//! The mode is `off`, `counters` (the default) or `sampled:<N>`
+//! ([`MetricsMode::parse`]), always passed in by the caller. `off`
 //! compiles every instrumentation call down to one predictable branch on
 //! an immutable field — no atomics, no timestamps — which is what lets
 //! `table7_metrics_overhead` demand byte-identical behaviour with the
@@ -76,11 +76,12 @@ const FLIGHT_RING: usize = 64;
 const HOT_KEYS: usize = 16;
 
 /// What the telemetry layer records; see the module docs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum MetricsMode {
     /// No recording at all: every instrumentation call is one branch.
     Off,
     /// Striped counters and the flight recorder; no timestamps.
+    #[default]
     Counters,
     /// Counters plus 1-in-`N` sampled wait/hold histograms and the
     /// hot-key sketch.
@@ -96,71 +97,32 @@ impl MetricsMode {
             MetricsMode::Sampled(n) => format!("sampled:{n}"),
         }
     }
-}
 
-/// Metrics mode for the service: `SYNCMECH_SERVICE_METRICS` if set, else
-/// [`MetricsMode::Counters`].
-///
-/// # Panics
-///
-/// If the variable is set to anything other than `off`, `counters`, or
-/// `sampled:<N>` with `N >= 1`.
-pub fn service_metrics() -> MetricsMode {
-    let var = std::env::var("SYNCMECH_SERVICE_METRICS").ok();
-    match service_metrics_from(var.as_deref()) {
-        Ok(mode) => mode,
-        Err(msg) => panic!("{msg}"),
-    }
-}
-
-/// The policy behind [`service_metrics`], with the environment lookup
-/// factored out for testability: `None` means the variable is unset.
-pub fn service_metrics_from(var: Option<&str>) -> Result<MetricsMode, String> {
-    let Some(raw) = var else {
-        return Ok(MetricsMode::Counters);
-    };
-    match raw.trim() {
-        "off" => Ok(MetricsMode::Off),
-        "counters" => Ok(MetricsMode::Counters),
-        trimmed => {
-            if let Some(period) = trimmed.strip_prefix("sampled:") {
-                match period.parse::<u64>() {
-                    Ok(0) => Err(format!(
-                        "SYNCMECH_SERVICE_METRICS={raw:?}: the sample period must be at \
-                         least 1 (sampled:1 records every operation); use a period like \
-                         sampled:{DEFAULT_SAMPLE_PERIOD}, or unset the variable to use \
-                         the default of counters"
-                    )),
-                    Ok(n) => Ok(MetricsMode::Sampled(n)),
-                    Err(_) => Err(format!(
-                        "SYNCMECH_SERVICE_METRICS={raw:?} has a non-numeric sample \
-                         period; use a period like sampled:{DEFAULT_SAMPLE_PERIOD}, or \
-                         unset the variable to use the default of counters"
-                    )),
-                }
-            } else {
-                Err(format!(
-                    "SYNCMECH_SERVICE_METRICS={raw:?} is not a recognized mode; set \
-                     off, counters, or sampled:<N> (e.g. sampled:{DEFAULT_SAMPLE_PERIOD}), \
-                     or unset the variable to use the default of counters"
-                ))
-            }
+    /// Parses a mode spelling, the inverse of [`MetricsMode::label`]:
+    /// `off`, `counters`, or `sampled:<N>` with `N >= 1` (`sampled:1`
+    /// records every operation). Anything else is an error.
+    pub fn parse(raw: &str) -> Result<MetricsMode, String> {
+        match raw.trim() {
+            "off" => Ok(MetricsMode::Off),
+            "counters" => Ok(MetricsMode::Counters),
+            other => match other.strip_prefix("sampled:").map(str::parse::<u64>) {
+                Some(Ok(0)) => Err("the sample period must be at least 1".to_string()),
+                Some(Ok(n)) => Ok(MetricsMode::Sampled(n)),
+                Some(Err(_)) => Err("the sample period is not a number".to_string()),
+                None => Err(String::new()),
+            },
         }
     }
 }
 
-/// The process-global metrics instance, initialized from the environment
-/// on first use. Semaphores (which have no table to reach a per-service
-/// instance through) default to this; tables built through
+/// The process-global metrics instance, in the default `counters` mode.
+/// Semaphores (which have no table to reach a per-service instance
+/// through) default to this; tables built through
 /// [`crate::LockService::with_shards`] get their own instance so tests
 /// and figures stay isolated.
-///
-/// # Panics
-///
-/// On first use, if `SYNCMECH_SERVICE_METRICS` is set to an invalid value.
 pub fn global() -> Arc<ServiceMetrics> {
     static GLOBAL: OnceLock<Arc<ServiceMetrics>> = OnceLock::new();
-    Arc::clone(GLOBAL.get_or_init(|| Arc::new(ServiceMetrics::new(service_metrics()))))
+    Arc::clone(GLOBAL.get_or_init(|| Arc::new(ServiceMetrics::new(MetricsMode::default()))))
 }
 
 /// Which wait distribution a sample belongs to.
@@ -1146,51 +1108,21 @@ mod tests {
     use super::*;
 
     #[test]
-    fn metrics_default_when_unset() {
-        assert_eq!(service_metrics_from(None), Ok(MetricsMode::Counters));
-    }
-
-    #[test]
-    fn metrics_accept_all_modes() {
-        assert_eq!(service_metrics_from(Some("off")), Ok(MetricsMode::Off));
-        assert_eq!(
-            service_metrics_from(Some(" counters ")),
-            Ok(MetricsMode::Counters)
-        );
-        assert_eq!(
-            service_metrics_from(Some("sampled:64")),
-            Ok(MetricsMode::Sampled(64))
-        );
-        assert_eq!(
-            service_metrics_from(Some("sampled:1")),
-            Ok(MetricsMode::Sampled(1))
-        );
-    }
-
-    #[test]
-    fn metrics_reject_zero_period_loudly() {
-        let err = service_metrics_from(Some("sampled:0")).unwrap_err();
-        assert!(err.contains("SYNCMECH_SERVICE_METRICS"), "{err}");
-        assert!(err.contains("at least 1"), "{err}");
-    }
-
-    #[test]
-    fn metrics_reject_garbage_loudly() {
-        for raw in ["on", "1", "sampled", "sampled:", "sampled:x", ""] {
-            let err = service_metrics_from(Some(raw)).unwrap_err();
-            assert!(err.contains("SYNCMECH_SERVICE_METRICS"), "{raw:?}: {err}");
-            assert!(err.contains(&format!("{raw:?}")), "{raw:?}: {err}");
-        }
-    }
-
-    #[test]
-    fn mode_labels_round_trip() {
+    fn mode_labels_round_trip_and_garbage_is_rejected() {
         for mode in [
             MetricsMode::Off,
             MetricsMode::Counters,
-            MetricsMode::Sampled(7),
+            MetricsMode::Sampled(1),
+            MetricsMode::Sampled(64),
         ] {
-            assert_eq!(service_metrics_from(Some(&mode.label())), Ok(mode));
+            assert_eq!(MetricsMode::parse(&mode.label()), Ok(mode));
+        }
+        assert_eq!(MetricsMode::parse(" counters "), Ok(MetricsMode::Counters));
+        assert!(MetricsMode::parse("sampled:0")
+            .unwrap_err()
+            .contains("at least 1"));
+        for raw in ["on", "1", "sampled", "sampled:", "sampled:x", ""] {
+            assert!(MetricsMode::parse(raw).is_err(), "{raw:?}");
         }
     }
 

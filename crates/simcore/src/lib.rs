@@ -6,14 +6,17 @@
 //! * [`rng`] — a small, fully deterministic xoshiro256\*\* PRNG. Experiments must
 //!   be reproducible bit-for-bit from a seed, so we own the generator rather than
 //!   depending on an external crate whose stream might change between versions.
-//! * [`stats`] — running statistics (Welford), confidence intervals, histograms,
-//!   percentiles, and least-squares regression used to summarize simulator output.
+//! * [`stats`] — running statistics (Welford) and least-squares regression used
+//!   to summarize simulator output.
 //! * [`table`] — plain-text table and CSV rendering for the figure/table binaries,
 //!   so every `figN`/`tableN` binary prints rows in the same format the paper's
 //!   evaluation section would.
 //! * [`series`] — labeled (x, y…) data series: the in-memory representation of a
 //!   "figure" before it is rendered.
+//! * [`knob`] — the `SYNCMECH_*` environment knobs: the one table of names and
+//!   the one strict reader, called only at the binaries' edge.
 
+pub mod knob;
 pub mod rng;
 pub mod series;
 pub mod stats;
@@ -21,5 +24,13 @@ pub mod table;
 
 pub use rng::Rng;
 pub use series::Series;
-pub use stats::{Histogram, LinearFit, RunningStats};
+pub use stats::{LinearFit, RunningStats};
 pub use table::Table;
+
+/// The host's available parallelism (1 when it cannot be probed) — what
+/// an unset thread-count knob means.
+pub fn host_parallelism() -> usize {
+    std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1)
+}

@@ -1,9 +1,8 @@
 //! Statistics used to summarize simulator output.
 //!
 //! Everything here is deliberately dependency-free and numerically boring:
-//! Welford's running moments, normal-approximation confidence intervals,
-//! power-of-two histograms for latency distributions, exact percentiles over
-//! retained samples, and ordinary least squares for the scaling-figure slopes.
+//! Welford's running moments and ordinary least squares for the
+//! scaling-figure slopes.
 
 /// Running mean/variance accumulator (Welford's algorithm).
 ///
@@ -18,27 +17,19 @@
 ///     s.push(x);
 /// }
 /// assert_eq!(s.mean(), 5.0);
-/// assert!((s.population_variance() - 4.0).abs() < 1e-12);
+/// assert!((s.sample_variance() - 32.0 / 7.0).abs() < 1e-12);
 /// ```
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct RunningStats {
     n: u64,
     mean: f64,
     m2: f64,
-    min: f64,
-    max: f64,
 }
 
 impl RunningStats {
     /// Creates an empty accumulator.
     pub fn new() -> Self {
-        RunningStats {
-            n: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
+        RunningStats::default()
     }
 
     /// Adds one observation.
@@ -47,33 +38,6 @@ impl RunningStats {
         let delta = x - self.mean;
         self.mean += delta / self.n as f64;
         self.m2 += delta * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Merges another accumulator into this one (Chan's parallel update).
-    pub fn merge(&mut self, other: &RunningStats) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = other.clone();
-            return;
-        }
-        let n1 = self.n as f64;
-        let n2 = other.n as f64;
-        let delta = other.mean - self.mean;
-        let n = n1 + n2;
-        self.mean += delta * n2 / n;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / n;
-        self.n += other.n;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.n
     }
 
     /// Arithmetic mean; zero when empty.
@@ -82,25 +46,6 @@ impl RunningStats {
             0.0
         } else {
             self.mean
-        }
-    }
-
-    /// Smallest observation; `+inf` when empty.
-    pub fn min(&self) -> f64 {
-        self.min
-    }
-
-    /// Largest observation; `-inf` when empty.
-    pub fn max(&self) -> f64 {
-        self.max
-    }
-
-    /// Population variance (divides by n); zero when empty.
-    pub fn population_variance(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.m2 / self.n as f64
         }
     }
 
@@ -130,108 +75,6 @@ impl RunningStats {
             self.stddev() / m
         }
     }
-
-    /// Half-width of the ~95% confidence interval for the mean
-    /// (normal approximation, z = 1.96). Zero with fewer than two samples.
-    pub fn ci95_half_width(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            1.96 * self.stddev() / (self.n as f64).sqrt()
-        }
-    }
-}
-
-/// Power-of-two bucketed histogram for latency distributions.
-///
-/// Bucket `k` holds values in `[2^k, 2^(k+1))`; bucket 0 also holds 0.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct Histogram {
-    buckets: Vec<u64>,
-    total: u64,
-}
-
-impl Histogram {
-    /// Creates an empty histogram.
-    pub fn new() -> Self {
-        Histogram::default()
-    }
-
-    /// Records one value.
-    pub fn record(&mut self, value: u64) {
-        let idx = if value == 0 {
-            0
-        } else {
-            63 - value.leading_zeros() as usize
-        };
-        if self.buckets.len() <= idx {
-            self.buckets.resize(idx + 1, 0);
-        }
-        self.buckets[idx] += 1;
-        self.total += 1;
-    }
-
-    /// Total number of recorded values.
-    pub fn count(&self) -> u64 {
-        self.total
-    }
-
-    /// Iterates `(bucket_floor, count)` pairs for nonempty buckets.
-    pub fn iter(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(k, &c)| (if k == 0 { 0 } else { 1u64 << k }, c))
-    }
-
-    /// Upper bound of the bucket containing the q-quantile (0 ≤ q ≤ 1).
-    ///
-    /// Returns 0 for an empty histogram. This is a coarse quantile — use
-    /// [`percentile`] on retained samples when exactness matters.
-    pub fn quantile_bound(&self, q: f64) -> u64 {
-        if self.total == 0 {
-            return 0;
-        }
-        let target = (q.clamp(0.0, 1.0) * self.total as f64).ceil().max(1.0) as u64;
-        let mut seen = 0;
-        for (k, &c) in self.buckets.iter().enumerate() {
-            seen += c;
-            if seen >= target {
-                return if k == 63 { u64::MAX } else { (1u64 << (k + 1)) - 1 };
-            }
-        }
-        u64::MAX
-    }
-
-    /// Merges another histogram into this one.
-    pub fn merge(&mut self, other: &Histogram) {
-        if self.buckets.len() < other.buckets.len() {
-            self.buckets.resize(other.buckets.len(), 0);
-        }
-        for (dst, src) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *dst += src;
-        }
-        self.total += other.total;
-    }
-}
-
-/// Exact percentile over a set of samples, using linear interpolation
-/// between closest ranks (the "type 7" estimator used by most tools).
-///
-/// Returns `None` for an empty slice. The input need not be sorted.
-pub fn percentile(samples: &[f64], p: f64) -> Option<f64> {
-    if samples.is_empty() {
-        return None;
-    }
-    let mut xs: Vec<f64> = samples.to_vec();
-    xs.sort_by(|a, b| a.partial_cmp(b).expect("NaN in percentile input"));
-    let p = p.clamp(0.0, 100.0) / 100.0;
-    let rank = p * (xs.len() - 1) as f64;
-    let lo = rank.floor() as usize;
-    let hi = rank.ceil() as usize;
-    let frac = rank - lo as f64;
-    Some(xs[lo] + (xs[hi] - xs[lo]) * frac)
 }
 
 /// Result of an ordinary-least-squares fit `y ≈ slope·x + intercept`.
@@ -298,10 +141,9 @@ mod tests {
     #[test]
     fn empty_stats_are_sane() {
         let s = RunningStats::new();
-        assert_eq!(s.count(), 0);
         assert_eq!(s.mean(), 0.0);
         assert_eq!(s.sample_variance(), 0.0);
-        assert_eq!(s.ci95_half_width(), 0.0);
+        assert_eq!(s.cv(), 0.0);
     }
 
     #[test]
@@ -309,8 +151,6 @@ mod tests {
         let mut s = RunningStats::new();
         s.push(42.0);
         assert_eq!(s.mean(), 42.0);
-        assert_eq!(s.min(), 42.0);
-        assert_eq!(s.max(), 42.0);
         assert_eq!(s.sample_variance(), 0.0);
     }
 
@@ -329,115 +169,12 @@ mod tests {
     }
 
     #[test]
-    fn merge_matches_sequential() {
-        let xs: Vec<f64> = (0..100).map(|i| (i as f64).sin() * 10.0).collect();
-        let mut whole = RunningStats::new();
-        for &x in &xs {
-            whole.push(x);
-        }
-        let mut left = RunningStats::new();
-        let mut right = RunningStats::new();
-        for &x in &xs[..37] {
-            left.push(x);
-        }
-        for &x in &xs[37..] {
-            right.push(x);
-        }
-        left.merge(&right);
-        assert_eq!(left.count(), whole.count());
-        assert!((left.mean() - whole.mean()).abs() < 1e-12);
-        assert!((left.sample_variance() - whole.sample_variance()).abs() < 1e-10);
-        assert_eq!(left.min(), whole.min());
-        assert_eq!(left.max(), whole.max());
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity() {
-        let mut s = RunningStats::new();
-        s.push(1.0);
-        s.push(2.0);
-        let before = s.clone();
-        s.merge(&RunningStats::new());
-        assert_eq!(s, before);
-        let mut empty = RunningStats::new();
-        empty.merge(&before);
-        assert_eq!(empty, before);
-    }
-
-    #[test]
     fn cv_of_constant_is_zero() {
         let mut s = RunningStats::new();
         for _ in 0..10 {
             s.push(5.0);
         }
         assert_eq!(s.cv(), 0.0);
-    }
-
-    #[test]
-    fn ci_shrinks_with_samples() {
-        let mut small = RunningStats::new();
-        let mut large = RunningStats::new();
-        for i in 0..10 {
-            small.push((i % 3) as f64);
-        }
-        for i in 0..1000 {
-            large.push((i % 3) as f64);
-        }
-        assert!(large.ci95_half_width() < small.ci95_half_width());
-    }
-
-    #[test]
-    fn histogram_buckets() {
-        let mut h = Histogram::new();
-        for v in [0, 1, 2, 3, 4, 7, 8, 1024] {
-            h.record(v);
-        }
-        assert_eq!(h.count(), 8);
-        let pairs: Vec<_> = h.iter().collect();
-        // floor(0)=0 holds {0,1}; 2 holds {2,3}; 4 holds {4,7}; 8 holds {8}; 1024 holds {1024}.
-        assert_eq!(pairs, vec![(0, 2), (2, 2), (4, 2), (8, 1), (1024, 1)]);
-    }
-
-    #[test]
-    fn histogram_quantile_bounds() {
-        let mut h = Histogram::new();
-        for _ in 0..99 {
-            h.record(1);
-        }
-        h.record(1 << 20);
-        assert!(h.quantile_bound(0.5) <= 1);
-        assert!(h.quantile_bound(1.0) >= (1 << 20));
-        assert_eq!(Histogram::new().quantile_bound(0.5), 0);
-    }
-
-    #[test]
-    fn histogram_merge() {
-        let mut a = Histogram::new();
-        let mut b = Histogram::new();
-        a.record(1);
-        a.record(100);
-        b.record(1);
-        b.record(1_000_000);
-        a.merge(&b);
-        assert_eq!(a.count(), 4);
-        assert!(a.quantile_bound(1.0) >= 1_000_000);
-    }
-
-    #[test]
-    fn percentile_basics() {
-        let xs = [1.0, 2.0, 3.0, 4.0, 5.0];
-        assert_eq!(percentile(&xs, 0.0), Some(1.0));
-        assert_eq!(percentile(&xs, 50.0), Some(3.0));
-        assert_eq!(percentile(&xs, 100.0), Some(5.0));
-        assert_eq!(percentile(&xs, 25.0), Some(2.0));
-        assert_eq!(percentile(&[], 50.0), None);
-    }
-
-    #[test]
-    fn percentile_interpolates() {
-        let xs = [0.0, 10.0];
-        assert_eq!(percentile(&xs, 50.0), Some(5.0));
-        assert_eq!(percentile(&xs, 75.0), Some(7.5));
     }
 
     #[test]

@@ -19,10 +19,9 @@
 //! Tracing is opt-in and additive: a `memsim` run with no tracer attached
 //! (or mode `off`) executes the identical simulated schedule — recording
 //! never costs a simulated cycle, only host time, so every golden figure is
-//! byte-identical with tracing on or off. The environment knob is
-//! `SYNCMECH_TRACE=off|counters|full`, parsed strictly like the repo's
-//! other `SYNCMECH_*` knobs (garbage aborts with an actionable message
-//! rather than silently falling back).
+//! byte-identical with tracing on or off. A tracer's mode is always passed
+//! in; the binaries that offer a knob for it parse the value with
+//! [`TraceMode::parse`].
 
 pub mod chrome;
 pub mod event;
@@ -49,7 +48,7 @@ pub enum TraceMode {
 }
 
 impl TraceMode {
-    /// Stable display name (the same spelling the env knob accepts).
+    /// Stable display name (the spelling [`TraceMode::parse`] accepts).
     pub fn name(self) -> &'static str {
         match self {
             TraceMode::Off => "off",
@@ -57,37 +56,16 @@ impl TraceMode {
             TraceMode::Full => "full",
         }
     }
-}
 
-/// Parses a `SYNCMECH_TRACE` value. `None` (unset) means [`TraceMode::Off`].
-///
-/// # Errors
-///
-/// Anything other than `off`, `counters` or `full` is rejected with a
-/// message naming the knob and the accepted values — misspelling a mode
-/// must not silently disable tracing.
-pub fn mode_from(var: Option<&str>) -> Result<TraceMode, String> {
-    match var {
-        None => Ok(TraceMode::Off),
-        Some("off") => Ok(TraceMode::Off),
-        Some("counters") => Ok(TraceMode::Counters),
-        Some("full") => Ok(TraceMode::Full),
-        Some(other) => Err(format!(
-            "SYNCMECH_TRACE must be one of off|counters|full, got {other:?}"
-        )),
-    }
-}
-
-/// Reads `SYNCMECH_TRACE` from the environment, strictly.
-///
-/// # Panics
-///
-/// On an unrecognized value (see [`mode_from`]).
-pub fn mode_from_env() -> TraceMode {
-    let var = std::env::var("SYNCMECH_TRACE").ok();
-    match mode_from(var.as_deref()) {
-        Ok(mode) => mode,
-        Err(msg) => panic!("{msg}"),
+    /// Parses `off`, `counters` or `full`; anything else is an error, so a
+    /// misspelt mode cannot silently disable tracing.
+    pub fn parse(raw: &str) -> Result<TraceMode, String> {
+        match raw {
+            "off" => Ok(TraceMode::Off),
+            "counters" => Ok(TraceMode::Counters),
+            "full" => Ok(TraceMode::Full),
+            _ => Err(String::new()),
+        }
     }
 }
 
@@ -135,19 +113,6 @@ impl Tracer {
     /// A full-mode tracer with the default capacity, ready to share.
     pub fn full(nprocs: usize) -> Arc<Self> {
         Arc::new(Tracer::new(TraceMode::Full, nprocs, Self::DEFAULT_CAPACITY))
-    }
-
-    /// Builds a tracer from the `SYNCMECH_TRACE` environment knob; `None`
-    /// when tracing is off (so callers skip attaching entirely).
-    ///
-    /// # Panics
-    ///
-    /// On an unrecognized `SYNCMECH_TRACE` value.
-    pub fn from_env(nprocs: usize) -> Option<Arc<Self>> {
-        match mode_from_env() {
-            TraceMode::Off => None,
-            mode => Some(Arc::new(Tracer::new(mode, nprocs, Self::DEFAULT_CAPACITY))),
-        }
     }
 
     /// The recording mode.
@@ -262,13 +227,11 @@ mod tests {
 
     #[test]
     fn mode_parsing_is_strict() {
-        assert_eq!(mode_from(None), Ok(TraceMode::Off));
-        assert_eq!(mode_from(Some("off")), Ok(TraceMode::Off));
-        assert_eq!(mode_from(Some("counters")), Ok(TraceMode::Counters));
-        assert_eq!(mode_from(Some("full")), Ok(TraceMode::Full));
+        for mode in [TraceMode::Off, TraceMode::Counters, TraceMode::Full] {
+            assert_eq!(TraceMode::parse(mode.name()), Ok(mode));
+        }
         for bad in ["", "Full", "on", "1", "trace"] {
-            let err = mode_from(Some(bad)).unwrap_err();
-            assert!(err.contains("off|counters|full"), "{err}");
+            assert!(TraceMode::parse(bad).is_err(), "{bad:?}");
         }
     }
 

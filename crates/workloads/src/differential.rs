@@ -410,9 +410,6 @@ fn real_threads_backend(
     lock: &Arc<dyn LockKernel + Send + Sync>,
     cfg: &DiffConfig,
 ) -> BackendOutcome {
-    // Honour SYNCMECH_TRACE for the real-thread park/wake path (no-op when
-    // the knob is off or a tracer is already installed).
-    parking::trace_hooks::init_from_env();
     let (fix, init) = fixture(&**lock, cfg.nthreads, 8, 1);
     let counter = fix.scratch.slot(0);
     let mem: Arc<Vec<AtomicU64>> = Arc::new(init.into_iter().map(AtomicU64::new).collect());

@@ -20,7 +20,7 @@
 //! nothing and must cost little) and parks per critical section.
 
 use crate::csbench::{self, CsConfig};
-use crate::sweeps::{parallel_cells, sweep_threads};
+use crate::sweeps::{parallel_cells, RunConfig};
 use kernels::locks::{qsm::QsmLock, qsm_blocking::QsmBlockingLock, LockKernel};
 use memsim::{Machine, MachineParams, SchedParams};
 use simcore::Series;
@@ -49,15 +49,20 @@ pub fn oversub_machine(nprocs: usize, cores: usize) -> Machine {
 /// fig9 — lock passing time vs threads-per-core ratio at a fixed core
 /// count, for the three wait policies. `ratios` are multipliers over
 /// `cores` (ratio 1 = a dedicated machine's load on a scheduled machine).
-pub fn oversubscription_sweep(cores: usize, ratios: &[usize], iters: usize) -> Series {
+pub fn oversubscription_sweep(
+    run: RunConfig,
+    cores: usize,
+    ratios: &[usize],
+    iters: usize,
+) -> Series {
     let locks = wait_policies();
     let cells: Vec<(usize, usize)> = (0..locks.len())
         .flat_map(|li| ratios.iter().map(move |&r| (li, r)))
         .collect();
-    let results = parallel_cells(cells.len(), sweep_threads(), |i| {
+    let results = parallel_cells(cells.len(), run.threads, |i| {
         let (li, ratio) = cells[i];
         let nprocs = ratio * cores;
-        let machine = oversub_machine(nprocs, cores);
+        let machine = run.machine(oversub_machine(nprocs, cores));
         let cfg = CsConfig {
             think: 0,
             jitter: false,
@@ -90,14 +95,19 @@ pub struct BlockingLatencyRow {
 
 /// table4 — blocking-lock latency: uncontended cost next to oversubscribed
 /// passing time and park rate, one row per wait policy.
-pub fn blocking_latency_table(cores: usize, ratio: usize, iters: usize) -> Vec<BlockingLatencyRow> {
+pub fn blocking_latency_table(
+    run: RunConfig,
+    cores: usize,
+    ratio: usize,
+    iters: usize,
+) -> Vec<BlockingLatencyRow> {
     let locks = wait_policies();
-    let rows = parallel_cells(locks.len(), sweep_threads(), |i| {
+    let rows = parallel_cells(locks.len(), run.threads, |i| {
         let lock = locks[i].as_ref();
-        let dedicated = Machine::new(MachineParams::bus_1991(1));
+        let dedicated = run.machine(Machine::new(MachineParams::bus_1991(1)));
         let uncontended = csbench::uncontended_latency(&dedicated, lock, 500);
         let nprocs = ratio * cores;
-        let machine = oversub_machine(nprocs, cores);
+        let machine = run.machine(oversub_machine(nprocs, cores));
         let cfg = CsConfig {
             think: 0,
             jitter: false,
@@ -128,7 +138,7 @@ mod tests {
 
     #[test]
     fn sweep_produces_all_curves_and_ratios() {
-        let s = oversubscription_sweep(2, &[1, 2], 3);
+        let s = oversubscription_sweep(RunConfig::default(), 2, &[1, 2], 3);
         assert_eq!(s.curve_names().len(), 3);
         assert_eq!(s.xs(), vec![1, 2]);
     }
@@ -140,7 +150,7 @@ mod tests {
         // cores is the smallest machine where a descheduled lock holder
         // reliably strands a full spinner cohort; at two cores the convoy
         // is too short to measure.
-        let s = oversubscription_sweep(4, &[1, 4], 5);
+        let s = oversubscription_sweep(RunConfig::default(), 4, &[1, 4], 5);
         let at = |curve: &str, x: u64| {
             s.get(curve, x)
                 .unwrap_or_else(|| panic!("missing point {curve}@{x}"))
@@ -165,7 +175,7 @@ mod tests {
 
     #[test]
     fn latency_table_rows_are_coherent() {
-        let rows = blocking_latency_table(2, 2, 4);
+        let rows = blocking_latency_table(RunConfig::default(), 2, 2, 4);
         assert_eq!(rows.len(), 3);
         for row in &rows {
             assert!(row.uncontended > 0.0, "{} free uncontended", row.name);
@@ -183,8 +193,8 @@ mod tests {
 
     #[test]
     fn sweep_is_deterministic() {
-        let a = oversubscription_sweep(2, &[1, 2], 3);
-        let b = oversubscription_sweep(2, &[1, 2], 3);
+        let a = oversubscription_sweep(RunConfig::default(), 2, &[1, 2], 3);
+        let b = oversubscription_sweep(RunConfig::default(), 2, &[1, 2], 3);
         assert_eq!(a.to_table("fig9").render_csv(), b.to_table("fig9").render_csv());
     }
 }

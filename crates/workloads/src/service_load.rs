@@ -33,7 +33,7 @@
 //! decomposition the `waitdist` module uses for fig10.
 
 use crate::executor::{Executor, Outcome};
-use crate::sweeps::{parallel_cells, sweep_threads};
+use crate::sweeps::{parallel_cells, RunConfig};
 use std::cell::RefCell;
 use simcore::Rng;
 use std::cmp::Reverse;
@@ -366,12 +366,12 @@ pub fn sim_load(policy: LockPolicy, cfg: &ServiceLoadConfig) -> ServiceLoadResul
 /// The fig11/table6 sweep: every policy at every worker-pool size, fanned
 /// out across host threads like the other figure sweeps. Results come
 /// back in `(policy, threads)` grid order regardless of the fan-out.
-pub fn service_sweep(threads: &[usize], requests: usize) -> Vec<ServiceLoadResult> {
+pub fn service_sweep(run: RunConfig, threads: &[usize], requests: usize) -> Vec<ServiceLoadResult> {
     let cells: Vec<(LockPolicy, usize)> = LockPolicy::ALL
         .iter()
         .flat_map(|&p| threads.iter().map(move |&t| (p, t)))
         .collect();
-    parallel_cells(cells.len(), sweep_threads(), |i| {
+    parallel_cells(cells.len(), run.threads, |i| {
         let (policy, t) = cells[i];
         sim_load(policy, &ServiceLoadConfig::new(t, requests))
     })
@@ -435,9 +435,10 @@ pub struct AsyncMetricsReport {
 /// single-threaded with a virtual clock, every wake targets a single
 /// address whose waiters resume in FIFO order, and batch wakes fire in
 /// publication order — no heap address or ASLR artifact can reorder
-/// anything observable.
+/// anything observable. Telemetry runs in the service's default
+/// `counters` mode; [`async_load_with_metrics`] picks another.
 pub fn async_load(cfg: &ServiceLoadConfig, wake_cost: u64) -> AsyncServiceResult {
-    async_load_with_metrics(cfg, wake_cost, service::service_metrics()).result
+    async_load_with_metrics(cfg, wake_cost, service::MetricsMode::Counters).result
 }
 
 /// [`async_load`] with an explicit metrics mode, returning the service's

@@ -10,16 +10,18 @@
 //!
 //! Sweeps have **two independent parallelism axes** that compose:
 //!
-//! * **across cells** — [`parallel_cells`] under `SYNCMECH_SWEEP_THREADS`
-//!   ([`sweep_threads`]), the coarse axis; and
-//! * **within a run** — fragment replay under `SYNCMECH_REPLAY_FRAGMENT`
-//!   ([`replay_fragment`]), which records each cell's simulation once and
-//!   re-executes its timeline fragments concurrently on the same worker
-//!   pool (`memsim::replay`), the fine axis that keeps cores busy when a
-//!   sweep tail is a few long cells (high P) or a figure is one big run.
+//! * **across cells** — [`parallel_cells`] on [`RunConfig::threads`] host
+//!   threads, the coarse axis; and
+//! * **within a run** — fragment replay under [`RunConfig::fragment`],
+//!   which records each cell's simulation once and re-executes its
+//!   timeline fragments concurrently on the same worker pool
+//!   (`memsim::replay`), the fine axis that keeps cores busy when a sweep
+//!   tail is a few long cells (high P) or a figure is one big run.
 //!
 //! Both produce bit-identical output at any thread/fragment setting, so
-//! enabling either (or both) never changes a figure.
+//! enabling either (or both) never changes a figure. The caller picks the
+//! setting and every sweep takes it as its first argument; nothing here
+//! reads the environment.
 
 use crate::barrierbench::{self, BarrierConfig};
 use crate::csbench::{self, CsConfig};
@@ -57,59 +59,47 @@ impl MachineKind {
     }
 }
 
-/// Host threads used by the sweep fan-out: `SYNCMECH_SWEEP_THREADS` if set,
-/// otherwise the host's available parallelism. On a single core this is 1
-/// and [`parallel_cells`] degenerates to a plain loop.
-///
-/// # Panics
-///
-/// If `SYNCMECH_SWEEP_THREADS` is set to anything other than a positive
-/// integer. A user who sets the variable meant to control the fan-out;
-/// silently falling back to host parallelism would make a typo look like a
-/// performance mystery.
-pub fn sweep_threads() -> usize {
-    let var = std::env::var("SYNCMECH_SWEEP_THREADS").ok();
-    match sweep_threads_from(var.as_deref()) {
-        Ok(n) => n,
-        Err(msg) => panic!("{msg}"),
-    }
+/// How a sweep uses the host: the two parallelism axes of the module docs.
+/// No setting changes a figure's bytes, only how long it takes to render.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RunConfig {
+    /// Host threads for the cross-cell fan-out ([`parallel_cells`]).
+    pub threads: usize,
+    /// Fragment length in simulated cycles: when set, every cell's
+    /// simulation goes through record-then-replay
+    /// ([`Machine::with_fragments`]).
+    pub fragment: Option<u64>,
+    /// Host threads for the fragment-replay fan-out.
+    pub replay_workers: usize,
 }
 
-/// The policy behind [`sweep_threads`], with the environment lookup
-/// factored out for testability: `None` means the variable is unset.
-pub fn sweep_threads_from(var: Option<&str>) -> Result<usize, String> {
-    let Some(raw) = var else {
-        return Ok(std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1));
+impl RunConfig {
+    /// One cell at a time, plain runs.
+    pub const SERIAL: RunConfig = RunConfig {
+        threads: 1,
+        fragment: None,
+        replay_workers: 1,
     };
-    match raw.trim().parse::<usize>() {
-        Ok(0) => Err(
-            "SYNCMECH_SWEEP_THREADS=0: the sweep fan-out needs at least one host thread; \
-             set a positive count, or unset the variable to use the host's parallelism"
-            .to_string(),
-        ),
-        Ok(n) => Ok(n),
-        Err(_) => Err(format!(
-            "SYNCMECH_SWEEP_THREADS={raw:?} is not a positive integer; set a thread count \
-             like 4, or unset the variable to use the host's parallelism"
-        )),
+
+    /// `machine` with this configuration's fragment setting applied.
+    pub fn machine(&self, machine: Machine) -> Machine {
+        match self.fragment {
+            Some(cycles) => machine.with_fragments(cycles, self.replay_workers),
+            None => machine,
+        }
     }
 }
 
-/// Fragment length (simulated cycles) for intra-run replay parallelism:
-/// `SYNCMECH_REPLAY_FRAGMENT` if set, `None` otherwise (plain runs). The
-/// knob is consumed inside `memsim` — every `Machine::run` a sweep cell
-/// performs routes through record-then-replay when it is set — so this
-/// delegation exists for callers that want to *report* the effective
-/// setting (`bench_sim` records it in BENCH_sim.json).
-///
-/// # Panics
-///
-/// If `SYNCMECH_REPLAY_FRAGMENT` is set to zero or a non-numeric value
-/// (see `memsim::replay::fragment_cycles_from`).
-pub fn replay_fragment() -> Option<u64> {
-    memsim::replay::fragment_cycles_env()
+/// The host's parallelism on both axes, plain runs.
+impl Default for RunConfig {
+    fn default() -> Self {
+        let host = simcore::host_parallelism();
+        RunConfig {
+            threads: host,
+            fragment: None,
+            replay_workers: host,
+        }
+    }
 }
 
 /// Runs `cell(0..n)` across up to `threads` host threads and returns the
@@ -174,6 +164,7 @@ fn saturated_cfg(nprocs: usize, iters: usize) -> CsConfig {
 /// workload, differing only in which [`csbench::CsResult`] metric a figure
 /// plots.
 fn cs_over_procs(
+    run: RunConfig,
     kind: MachineKind,
     procs: &[usize],
     iters: usize,
@@ -184,9 +175,9 @@ fn cs_over_procs(
     let cells: Vec<(usize, usize)> = (0..locks.len())
         .flat_map(|li| procs.iter().map(move |&p| (li, p)))
         .collect();
-    let results = parallel_cells(cells.len(), sweep_threads(), |i| {
+    let results = parallel_cells(cells.len(), run.threads, |i| {
         let (li, p) = cells[i];
-        let machine = kind.machine(p);
+        let machine = run.machine(kind.machine(p));
         csbench::run(&machine, locks[li].as_ref(), &saturated_cfg(p, iters))
             .unwrap_or_else(|e| panic!("{} P={p}: {e}", locks[li].name()))
     });
@@ -201,15 +192,21 @@ fn cs_over_procs(
 ///
 /// `iters` critical sections per processor, saturated workload (no think
 /// time): the configuration under which the 1991 curves were produced.
-pub fn lock_scaling(kind: MachineKind, procs: &[usize], iters: usize) -> Series {
-    cs_over_procs(kind, procs, iters, "cycles per critical section", |r| {
-        r.passing_time
-    })
+pub fn lock_scaling(run: RunConfig, kind: MachineKind, procs: &[usize], iters: usize) -> Series {
+    cs_over_procs(
+        run,
+        kind,
+        procs,
+        iters,
+        "cycles per critical section",
+        |r| r.passing_time,
+    )
 }
 
 /// fig3 — interconnect transactions per critical section vs P (bus).
-pub fn lock_traffic(kind: MachineKind, procs: &[usize], iters: usize) -> Series {
+pub fn lock_traffic(run: RunConfig, kind: MachineKind, procs: &[usize], iters: usize) -> Series {
     cs_over_procs(
+        run,
         kind,
         procs,
         iters,
@@ -220,14 +217,20 @@ pub fn lock_traffic(kind: MachineKind, procs: &[usize], iters: usize) -> Series 
 
 /// fig4 — throughput (critical sections per kilocycle) vs critical-section
 /// hold time at fixed P: the contention crossover figure.
-pub fn contention_sweep(kind: MachineKind, nprocs: usize, holds: &[u64], iters: usize) -> Series {
+pub fn contention_sweep(
+    run: RunConfig,
+    kind: MachineKind,
+    nprocs: usize,
+    holds: &[u64],
+    iters: usize,
+) -> Series {
     let locks = all_locks();
     let cells: Vec<(usize, u64)> = (0..locks.len())
         .flat_map(|li| holds.iter().map(move |&h| (li, h)))
         .collect();
-    let results = parallel_cells(cells.len(), sweep_threads(), |i| {
+    let results = parallel_cells(cells.len(), run.threads, |i| {
         let (li, hold) = cells[i];
-        let machine = kind.machine(nprocs);
+        let machine = run.machine(kind.machine(nprocs));
         let cfg = CsConfig {
             hold,
             think: 100,
@@ -245,14 +248,19 @@ pub fn contention_sweep(kind: MachineKind, nprocs: usize, holds: &[u64], iters: 
 }
 
 /// fig5/fig6 — barrier episode time vs P, every barrier.
-pub fn barrier_scaling(kind: MachineKind, procs: &[usize], episodes: u64) -> Series {
+pub fn barrier_scaling(
+    run: RunConfig,
+    kind: MachineKind,
+    procs: &[usize],
+    episodes: u64,
+) -> Series {
     let barriers = all_barriers();
     let cells: Vec<(usize, usize)> = (0..barriers.len())
         .flat_map(|bi| procs.iter().map(move |&p| (bi, p)))
         .collect();
-    let results = parallel_cells(cells.len(), sweep_threads(), |i| {
+    let results = parallel_cells(cells.len(), run.threads, |i| {
         let (bi, p) = cells[i];
-        let machine = kind.machine(p);
+        let machine = run.machine(kind.machine(p));
         let cfg = BarrierConfig {
             nprocs: p,
             episodes,
@@ -270,11 +278,11 @@ pub fn barrier_scaling(kind: MachineKind, procs: &[usize], episodes: u64) -> Ser
 
 /// fig7 — backoff ablation: lock passing time at fixed P as the backoff
 /// parameters sweep, for the two parameterized algorithms.
-pub fn backoff_ablation(kind: MachineKind, nprocs: usize, iters: usize) -> Series {
+pub fn backoff_ablation(run: RunConfig, kind: MachineKind, nprocs: usize, iters: usize) -> Series {
     let caps = [0u64, 64, 256, 1024, 4096, 16384];
     let factors = [1u64, 10, 30, 60, 120, 300, 1000];
-    let results = parallel_cells(caps.len() + factors.len(), sweep_threads(), |i| {
-        let machine = kind.machine(nprocs);
+    let results = parallel_cells(caps.len() + factors.len(), run.threads, |i| {
+        let machine = run.machine(kind.machine(nprocs));
         let cfg = saturated_cfg(nprocs, iters);
         if i < caps.len() {
             // TAS backoff: sweep the cap with a fixed base.
@@ -306,11 +314,11 @@ pub fn backoff_ablation(kind: MachineKind, nprocs: usize, iters: usize) -> Serie
 }
 
 /// table1 — uncontended latency of every lock and every barrier (P = 1).
-pub fn uncontended_table(kind: MachineKind) -> Vec<(String, f64)> {
+pub fn uncontended_table(run: RunConfig, kind: MachineKind) -> Vec<(String, f64)> {
     let locks = all_locks();
     let barriers = all_barriers();
-    let results = parallel_cells(locks.len() + barriers.len(), sweep_threads(), |i| {
-        let machine = kind.machine(1);
+    let results = parallel_cells(locks.len() + barriers.len(), run.threads, |i| {
+        let machine = run.machine(kind.machine(1));
         if i < locks.len() {
             (
                 format!("lock/{}", locks[i].name()),
@@ -348,20 +356,20 @@ mod tests {
 
     #[test]
     fn small_lock_scaling_has_all_curves() {
-        let s = lock_scaling(MachineKind::Bus, &[1, 4], 4);
+        let s = lock_scaling(RunConfig::default(), MachineKind::Bus, &[1, 4], 4);
         assert_eq!(s.curve_names().len(), 10);
         assert_eq!(s.xs(), vec![1, 4]);
     }
 
     #[test]
     fn small_barrier_scaling_has_all_curves() {
-        let s = barrier_scaling(MachineKind::Bus, &[2, 4], 4);
+        let s = barrier_scaling(RunConfig::default(), MachineKind::Bus, &[2, 4], 4);
         assert_eq!(s.curve_names().len(), 6);
     }
 
     #[test]
     fn uncontended_table_covers_registry() {
-        let rows = uncontended_table(MachineKind::Bus);
+        let rows = uncontended_table(RunConfig::default(), MachineKind::Bus);
         assert_eq!(rows.len(), 16);
         // Locks always cost something; a P=1 episode of the log-round
         // barriers (dissemination, tournament) is legitimately free.
@@ -376,28 +384,8 @@ mod tests {
 
     #[test]
     fn backoff_ablation_produces_two_curves() {
-        let s = backoff_ablation(MachineKind::Bus, 4, 4);
+        let s = backoff_ablation(RunConfig::default(), MachineKind::Bus, 4, 4);
         assert_eq!(s.curve_names().len(), 2);
-    }
-
-    #[test]
-    fn sweep_threads_env_is_validated_strictly() {
-        // Unset: host parallelism, always at least one thread.
-        assert!(sweep_threads_from(None).unwrap() >= 1);
-        // Valid values parse, with surrounding whitespace tolerated.
-        assert_eq!(sweep_threads_from(Some("4")).unwrap(), 4);
-        assert_eq!(sweep_threads_from(Some(" 8 ")).unwrap(), 8);
-        // Zero and garbage are rejected with actionable messages, never
-        // silently replaced by a fallback.
-        let zero = sweep_threads_from(Some("0")).unwrap_err();
-        assert!(zero.contains("at least one host thread"), "got: {zero}");
-        for bad in ["", "four", "-2", "3.5"] {
-            let err = sweep_threads_from(Some(bad)).unwrap_err();
-            assert!(
-                err.contains("not a positive integer"),
-                "{bad:?} got: {err}"
-            );
-        }
     }
 
     #[test]

@@ -3,45 +3,29 @@
 //! reports, rendered figures, and exported Perfetto timelines — at every
 //! worker count.
 //!
-//! Tests that toggle the `SYNCMECH_REPLAY_*` environment knobs serialize
-//! on a process-local lock: the knobs are read freshly per run, and other
-//! test binaries run in their own processes, so the lock is the only
-//! coordination needed.
+//! Fragment settings are plain arguments here (`Machine::with_fragments`,
+//! `RunConfig` inside `Opts`), so the tests share no process state.
 
 use bench::figures;
 use bench::trace_export::{export_trace, WORKLOADS};
 use bench::Opts;
 use memsim::{FragmentReplayer, Machine, MachineParams, Proc};
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::Arc;
 use trace::{EventClass, EventKind, Tracer};
+use workloads::sweeps::RunConfig;
 
-/// Guards all `SYNCMECH_REPLAY_*` mutation in this test binary.
-static ENV_LOCK: Mutex<()> = Mutex::new(());
-
-struct EnvGuard<'a> {
-    _lock: MutexGuard<'a, ()>,
-}
-
-impl EnvGuard<'_> {
-    fn set(fragment: Option<&str>, workers: Option<&str>) -> Self {
-        let lock = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        match fragment {
-            Some(v) => std::env::set_var("SYNCMECH_REPLAY_FRAGMENT", v),
-            None => std::env::remove_var("SYNCMECH_REPLAY_FRAGMENT"),
-        }
-        match workers {
-            Some(v) => std::env::set_var("SYNCMECH_REPLAY_WORKERS", v),
-            None => std::env::remove_var("SYNCMECH_REPLAY_WORKERS"),
-        }
-        EnvGuard { _lock: lock }
-    }
-}
-
-impl Drop for EnvGuard<'_> {
-    fn drop(&mut self) {
-        std::env::remove_var("SYNCMECH_REPLAY_FRAGMENT");
-        std::env::remove_var("SYNCMECH_REPLAY_WORKERS");
+/// Quick-mode options that replay `fragment`-cycle fragments on `workers`
+/// host threads.
+fn fragmented(fragment: u64, workers: usize) -> Opts {
+    Opts {
+        quick: true,
+        run: RunConfig {
+            fragment: Some(fragment),
+            replay_workers: workers,
+            ..RunConfig::default()
+        },
+        ..Opts::default()
     }
 }
 
@@ -67,7 +51,6 @@ fn mixed_body(p: &mut Proc) {
 
 #[test]
 fn machine_reports_are_identical_for_golden_worker_counts() {
-    let _env = EnvGuard::set(None, None);
     let machine = Machine::new(MachineParams::bus_1991(6));
     let plain = machine.run(6, 3, mixed_body).unwrap();
     let rec = machine.run_recorded(6, vec![0; 3], 250, mixed_body).unwrap();
@@ -85,7 +68,6 @@ fn machine_reports_are_identical_for_golden_worker_counts() {
 fn snapshot_restore_round_trips_mid_run() {
     // Snapshot → restore → continue must equal the uninterrupted run from
     // every captured boundary, on both machine topologies.
-    let _env = EnvGuard::set(None, None);
     for machine in [
         Machine::new(MachineParams::bus_1991(4)),
         Machine::new(MachineParams::numa_1991(4)),
@@ -102,7 +84,6 @@ fn snapshot_restore_round_trips_mid_run() {
 
 #[test]
 fn stitched_traces_match_a_sequential_traced_run() {
-    let _env = EnvGuard::set(None, None);
     let nprocs = 6;
     let seq_tracer = Tracer::full(nprocs);
     let plain = Machine::new(MachineParams::bus_1991(nprocs))
@@ -144,36 +125,33 @@ fn stitched_traces_match_a_sequential_traced_run() {
 }
 
 #[test]
-fn env_routed_runs_match_plain_runs() {
+fn fragment_routed_runs_match_plain_runs() {
     let machine = Machine::new(MachineParams::bus_1991(4));
-    let plain = {
-        let _env = EnvGuard::set(None, None);
-        machine.run(4, 3, mixed_body).unwrap()
-    };
-    for workers in ["1", "2", "8"] {
-        let _env = EnvGuard::set(Some("200"), Some(workers));
-        let routed = machine.run(4, 3, mixed_body).unwrap();
+    let plain = machine.run(4, 3, mixed_body).unwrap();
+    for workers in [1, 2, 8] {
+        let routed = machine
+            .clone()
+            .with_fragments(200, workers)
+            .run(4, 3, mixed_body)
+            .unwrap();
         assert_eq!(routed.metrics, plain.metrics, "{workers} workers");
         assert_eq!(routed.memory, plain.memory, "{workers} workers");
     }
 }
 
 #[test]
-fn env_routed_traced_runs_populate_the_tracer_identically() {
+fn fragment_routed_traced_runs_populate_the_tracer_identically() {
     let nprocs = 4;
     let seq_tracer = Tracer::full(nprocs);
-    let plain = {
-        let _env = EnvGuard::set(None, None);
-        Machine::new(MachineParams::bus_1991(nprocs))
-            .with_tracer(Arc::clone(&seq_tracer))
-            .run(nprocs, 3, mixed_body)
-            .unwrap()
-    };
+    let plain = Machine::new(MachineParams::bus_1991(nprocs))
+        .with_tracer(Arc::clone(&seq_tracer))
+        .run(nprocs, 3, mixed_body)
+        .unwrap();
 
-    let _env = EnvGuard::set(Some("300"), Some("2"));
     let frag_tracer = Tracer::full(nprocs);
     let routed = Machine::new(MachineParams::bus_1991(nprocs))
         .with_tracer(Arc::clone(&frag_tracer))
+        .with_fragments(300, 2)
         .run(nprocs, 3, mixed_body)
         .unwrap();
     assert_eq!(routed.metrics, plain.metrics);
@@ -189,18 +167,14 @@ fn figures_are_byte_identical_with_fragment_replay() {
     // worker count (the golden-figures test pins the plain render to the
     // committed goldens, so these renders are pinned transitively).
     let opts = Opts {
-        csv: false,
         quick: true,
+        ..Opts::default()
     };
     for id in ["fig1", "fig3", "table2"] {
         let figure = figures::by_id(id).unwrap();
-        let plain = {
-            let _env = EnvGuard::set(None, None);
-            (figure.render)(&opts)
-        };
-        for workers in ["1", "2", "8"] {
-            let _env = EnvGuard::set(Some("2000"), Some(workers));
-            let frag = (figure.render)(&opts);
+        let plain = (figure.render)(&opts);
+        for workers in [1, 2, 8] {
+            let frag = (figure.render)(&fragmented(2_000, workers));
             assert_eq!(frag, plain, "{id} diverged with {workers} replay workers");
         }
     }
@@ -214,23 +188,12 @@ fn golden_traces_are_unchanged_under_fragment_replay() {
     for workload in WORKLOADS {
         let golden = std::fs::read_to_string(golden_dir.join(format!("{workload}.json")))
             .expect("golden trace file");
-        for workers in ["1", "2", "8"] {
-            let _env = EnvGuard::set(Some("1500"), Some(workers));
-            let exported = export_trace(workload, true);
+        for workers in [1, 2, 8] {
+            let exported = export_trace(workload, &fragmented(1_500, workers));
             assert_eq!(
                 exported, golden,
                 "{workload} trace diverged with {workers} replay workers"
             );
         }
     }
-}
-
-#[test]
-fn sweeps_delegation_reports_the_effective_fragment() {
-    {
-        let _env = EnvGuard::set(Some("12345"), None);
-        assert_eq!(workloads::sweeps::replay_fragment(), Some(12_345));
-    }
-    let _env = EnvGuard::set(None, None);
-    assert_eq!(workloads::sweeps::replay_fragment(), None);
 }

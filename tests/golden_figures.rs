@@ -19,6 +19,7 @@
 
 use bench::figures::FIGURES;
 use bench::Opts;
+use simcore::knob;
 use std::path::PathBuf;
 
 fn golden_path(binary: &str) -> PathBuf {
@@ -137,10 +138,13 @@ fn unified_diff(old: &str, new: &str) -> String {
 #[test]
 fn quick_mode_figures_match_golden_files() {
     let opts = Opts {
-        csv: false,
         quick: true,
+        ..Opts::default()
     };
-    let bless = std::env::var("SYNCMECH_BLESS").map(|v| v == "1").unwrap_or(false);
+    let bless = knob::BLESS
+        .read(knob::flag)
+        .unwrap_or_else(|msg| panic!("{msg}"))
+        .unwrap_or(false);
     let mut failures = Vec::new();
     for figure in FIGURES.iter().filter(|f| f.deterministic) {
         let rendered = (figure.render)(&opts);

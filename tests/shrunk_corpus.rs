@@ -9,8 +9,8 @@
 //! 1. **replay** — the schedule must still reproduce exactly that verdict
 //!    class (a stale schedule maps to `Pass` and fails loudly);
 //! 2. **exhaustive re-check** — the bug must still be reachable by search
-//!    alone under both race-analysis reduction modes, so a regression in
-//!    the source-set/wakeup-tree machinery cannot hide behind a replay.
+//!    alone under source-set reduction, so a regression in the race
+//!    analysis cannot hide behind a replay.
 //!
 //! Regenerate the directory with:
 //!
@@ -71,17 +71,15 @@ fn every_corpus_bug_is_rediscovered_exhaustively() {
     for (path, entry) in load_entries() {
         let (program, check) = corpus_program(&entry.program)
             .unwrap_or_else(|| panic!("{}: unknown program {:?}", path.display(), entry.program));
-        for mode in [DporMode::Source, DporMode::Tree] {
-            let v = Explorer::exhaustive()
-                .with_dpor(mode)
-                .check(&program, check);
-            assert_eq!(
-                VerdictClass::of(&v),
-                entry.verdict,
-                "{}: {mode} search must rediscover the bug, got {v:?}",
-                path.display()
-            );
-        }
+        let v = Explorer::exhaustive()
+            .with_dpor(DporMode::Source)
+            .check(&program, check);
+        assert_eq!(
+            VerdictClass::of(&v),
+            entry.verdict,
+            "{}: source-set search must rediscover the bug, got {v:?}",
+            path.display()
+        );
     }
 }
 

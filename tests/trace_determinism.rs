@@ -13,8 +13,17 @@
 //! orphan check admits only figure-binary names).
 
 use bench::trace_export::{export_trace, WORKLOADS};
+use bench::Opts;
+use simcore::knob;
 use std::path::PathBuf;
 use std::sync::Arc;
+
+fn quick() -> Opts {
+    Opts {
+        quick: true,
+        ..Opts::default()
+    }
+}
 
 fn golden_path(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -25,17 +34,20 @@ fn golden_path(name: &str) -> PathBuf {
 #[test]
 fn exported_traces_are_byte_identical_across_runs() {
     for workload in WORKLOADS {
-        let a = export_trace(workload, true);
-        let b = export_trace(workload, true);
+        let a = export_trace(workload, &quick());
+        let b = export_trace(workload, &quick());
         assert_eq!(a, b, "{workload}: trace export is not deterministic");
     }
 }
 
 #[test]
 fn exported_traces_match_golden_files() {
-    let bless = std::env::var("SYNCMECH_BLESS").map(|v| v == "1").unwrap_or(false);
+    let bless = knob::BLESS
+        .read(knob::flag)
+        .unwrap_or_else(|msg| panic!("{msg}"))
+        .unwrap_or(false);
     for workload in WORKLOADS {
-        let rendered = export_trace(workload, true);
+        let rendered = export_trace(workload, &quick());
         let path = golden_path(workload);
         if bless {
             std::fs::create_dir_all(path.parent().unwrap()).unwrap();
@@ -61,7 +73,7 @@ fn exported_traces_match_golden_files() {
 #[test]
 fn exported_traces_validate_with_one_track_per_processor() {
     // The fig9 oversubscription workload: 8 simulated processors.
-    let json = export_trace("oversub", true);
+    let json = export_trace("oversub", &quick());
     let stats = trace::chrome::validate(&json).expect("oversub trace validates");
     assert_eq!(stats.tracks, 8, "one Perfetto track per simulated processor");
     assert!(stats.spans > 0, "lock wait/hold spans must be present");
@@ -70,7 +82,7 @@ fn exported_traces_validate_with_one_track_per_processor() {
     assert!(json.contains("\"ph\":\"s\""), "missing flow-start events");
     assert!(json.contains("\"ph\":\"f\""), "missing flow-end events");
 
-    let bus = export_trace("bus", true);
+    let bus = export_trace("bus", &quick());
     let stats = trace::chrome::validate(&bus).expect("bus trace validates");
     assert_eq!(stats.tracks, 4);
 }
@@ -80,7 +92,7 @@ fn tracing_is_timing_invisible() {
     // Same oversubscribed workload with and without a tracer attached:
     // every metric — total cycles included — must be bit-identical. This is
     // the integration-level half of the zero-overhead guarantee; the other
-    // half is the golden-figures test running with SYNCMECH_TRACE unset.
+    // half is the golden-figures test, whose figures attach no tracer.
     use workloads::csbench::{self, CsConfig};
 
     let cores = 4;
