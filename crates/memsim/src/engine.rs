@@ -1,32 +1,31 @@
 //! The serialized discrete-event executor.
 //!
-//! Every simulated processor runs on an OS thread, but only as a convenience
-//! for writing straight-line kernel code: the engine admits exactly one
-//! memory operation at a time, chosen as the pending request with the
-//! smallest `(issue time, pid)`. Because a processor blocks on every
-//! operation and computes deterministically between them, the whole
-//! simulation is a pure function of (machine parameters, program) — host
-//! scheduling cannot influence results.
+//! Every simulated processor is a stackful coroutine ([`crate::coro`]), but
+//! only as a convenience for writing straight-line kernel code: the engine
+//! admits exactly one memory operation at a time, chosen as the pending
+//! request with the smallest `(issue time, pid)`. Because a processor
+//! suspends on every operation and computes deterministically between
+//! them, the whole simulation is a pure function of (machine parameters,
+//! program).
 //!
-//! ## Handoff protocol (the host-performance core)
+//! ## The engine loop (the host-performance core)
 //!
-//! There is **no engine thread**. The engine state (`EngineCore`) lives
-//! under a mutex in `EngineShared`; every processor thread submits its
-//! request under that lock, and whichever submission makes the count of
-//! still-running processors reach zero *drives* the engine inline: it
-//! executes globally-minimal pending requests until some processor is
-//! runnable again. Replies travel through per-processor SPSC slots
-//! (`Slot`) — an atomic state word plus an adaptive spin-then-park wait —
-//! so a handoff between two processors costs one unpark/park pair instead
-//! of the two mpsc rendezvous (four context switches) of the previous
-//! design, and a processor whose own request is executed inline (always the
-//! case at P = 1) pays **zero** context switches.
+//! One host thread — the one that called [`crate::Machine::run`] — owns the
+//! `EngineCore` and runs everything. `EngineCore::run_live` alternates
+//! two steps until every processor is done:
 //!
-//! Determinism is unaffected: which thread happens to drive is
-//! host-dependent, but the driver only ever executes the deterministically
-//! chosen minimal request against state fully owned by the mutex, so the
-//! sequence of simulated events — and every cycle count — is identical to
-//! the single-threaded engine loop it replaced.
+//! 1. resume each processor that holds a reply; it runs its body up to the
+//!    next [`crate::Proc`] operation, leaves the `Request` in its
+//!    `Mailbox` and suspends, and the loop files the request as pending;
+//! 2. with no reply undelivered, `drive` executes globally-minimal pending
+//!    requests until one produces a reply.
+//!
+//! A handoff is a coroutine switch out and one back in — no host scheduler,
+//! no lock, no atomic. Determinism needs no argument about arrival order:
+//! one thread executes the deterministic choice, and the order in which
+//! replied processors are resumed cannot matter because between two
+//! operations a body touches only its own state, its mailbox and its own
+//! trace ring. What that asks of a body is on [`crate::Proc`].
 //!
 //! ## Timing model
 //!
@@ -45,17 +44,19 @@
 //! an invalidation burst monopolizes a real bus and keeps the engine simple.
 
 use crate::cache::{Cache, LineState};
+use crate::coro::{Coroutine, Step};
 use crate::directory::Directory;
 use crate::interconnect::Interconnect;
 use crate::metrics::Metrics;
 use crate::params::{MachineParams, SchedParams};
+use crate::proc::SimAbort;
 use crate::{Addr, SimError, Word};
-use std::cell::UnsafeCell;
+use std::any::Any;
+use std::cell::{Cell, RefCell};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
-use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
-use std::thread::Thread;
+use std::rc::Rc;
+use std::sync::Arc;
 use trace::EventKind;
 
 /// Predicate a sleeping processor is waiting on.
@@ -92,8 +93,6 @@ pub(crate) enum Op {
     FutexWake(Addr, u64),
     Delay(u64),
     Done,
-    /// The processor's closure panicked; the payload is kept thread-side.
-    Panicked,
 }
 
 /// A submitted request.
@@ -112,83 +111,20 @@ pub(crate) struct Reply {
     pub value: Word,
     /// The processor's new local clock.
     pub now: u64,
-    /// When set, the simulation is being torn down; the processor must unwind.
-    pub abort: bool,
 }
 
-const SLOT_EMPTY: u32 = 0;
-const SLOT_READY: u32 = 1;
-
-/// Single-producer single-consumer reply slot.
-///
-/// The producer is whichever thread drives the engine (always under the
-/// `EngineShared` mutex, so producers are serialized); the consumer is the
-/// owning processor thread. `state` carries the publication: the producer
-/// writes the reply, stores `SLOT_READY` with release ordering, and unparks
-/// the consumer; the consumer observes `SLOT_READY` with acquire ordering,
-/// reads the reply, and resets the slot. The consumer's *next* submission
-/// happens-after the reset via the engine mutex, so a slot is never written
-/// while it may still be read.
-pub(crate) struct Slot {
-    state: AtomicU32,
-    reply: UnsafeCell<Reply>,
-    /// The consumer thread, registered before its first submission.
-    thread: OnceLock<Thread>,
-}
-
-// SAFETY: `reply` is only written by the mutex-serialized producer while
-// `state == SLOT_EMPTY` and the consumer is blocked in submission (see
-// type-level comment), and only read by the consumer after an acquire load
-// of `SLOT_READY`.
-unsafe impl Sync for Slot {}
-
-impl Slot {
-    fn new() -> Self {
-        Slot {
-            state: AtomicU32::new(SLOT_EMPTY),
-            reply: UnsafeCell::new(Reply {
-                value: 0,
-                now: 0,
-                abort: false,
-            }),
-            thread: OnceLock::new(),
-        }
-    }
-
-    /// Registers the calling thread as the slot's consumer.
-    pub(crate) fn register_consumer(&self) {
-        let _ = self.thread.set(std::thread::current());
-    }
-
-    /// Producer side: publish a reply; wake the consumer unless it is the
-    /// thread currently driving the engine (which polls its slot itself).
-    fn deliver(&self, reply: Reply, wake: bool) {
-        unsafe { *self.reply.get() = reply };
-        self.state.store(SLOT_READY, Ordering::Release);
-        if wake {
-            if let Some(t) = self.thread.get() {
-                t.unpark();
-            }
-        }
-    }
-
-    /// Whether a published reply is waiting to be consumed. Producer-side
-    /// use only (under the engine mutex), to avoid clobbering an
-    /// undelivered abort.
-    fn has_reply(&self) -> bool {
-        self.state.load(Ordering::Acquire) == SLOT_READY
-    }
-
-    /// Consumer side: take the reply if one has been published.
-    pub(crate) fn try_take(&self) -> Option<Reply> {
-        if self.state.load(Ordering::Acquire) == SLOT_READY {
-            let reply = unsafe { *self.reply.get() };
-            self.state.store(SLOT_EMPTY, Ordering::Relaxed);
-            Some(reply)
-        } else {
-            None
-        }
-    }
+/// What a processor's body and the engine loop exchange across a coroutine
+/// switch. The body fills `request` (and `events`) and suspends; the loop
+/// fills `reply` and resumes it — or resumes it with no reply, which tells
+/// the body to unwind. One host thread runs both, in turn.
+#[derive(Default)]
+pub(crate) struct Mailbox {
+    pub(crate) request: Cell<Option<Request>>,
+    pub(crate) reply: Cell<Option<Reply>>,
+    /// Recording runs only: trace events the body raised since its last
+    /// request, which the loop moves into the processor's log ahead of the
+    /// next one so replay re-emits them at the same point in the stream.
+    pub(crate) events: RefCell<Vec<(u64, EventKind)>>,
 }
 
 /// Waiter list with inline storage for the common case (a handful of
@@ -339,10 +275,10 @@ pub(crate) struct Recorder {
 }
 
 /// Complete machine state at one fragment boundary — everything `drive`
-/// reads or writes, captured at a loop top where `outstanding == 0` (every
-/// unfinished processor is accounted for in `pending`, `watchers`,
-/// `futexq`, or the scheduler's ready queue, so no in-flight reply needs
-/// representing). Restoring it and feeding the logs reproduces the exact
+/// reads or writes, captured at a loop top, where no reply is undelivered
+/// (every unfinished processor is accounted for in `pending`, `watchers`,
+/// `futexq`, or the scheduler's ready queue, so `ready` is empty and needs
+/// no representing). Restoring it and feeding the logs reproduces the exact
 /// continuation of the run, cycle for cycle.
 #[derive(Debug, Clone)]
 pub(crate) struct SnapshotState {
@@ -378,7 +314,7 @@ struct ReplaySource {
 }
 
 /// The engine state proper: coherence machinery, request bookkeeping, and
-/// the outcome of the run. Only ever touched under `EngineShared`'s mutex.
+/// the outcome of the run. Owned by the one thread that runs the loop.
 pub(crate) struct EngineCore {
     params: MachineParams,
     memory: Vec<Word>,
@@ -396,15 +332,16 @@ pub(crate) struct EngineCore {
     /// Pending requests as `(issue, pid)`, min first. Exact — a processor
     /// is pushed when it submits and popped exactly once when executed.
     pending: BinaryHeap<Reverse<(u64, usize)>>,
-    /// Number of processors currently owing a request.
-    outstanding: usize,
-    /// Set once the run is torn down (error or peer panic); any submission
-    /// arriving afterwards receives an immediate abort reply.
+    /// Replies produced and not yet delivered, in production order; their
+    /// processors are [`ProcState::Running`] and owe the engine a request.
+    /// `drive` executes only while this is empty. Always empty in replay.
+    ready: Vec<(usize, Reply)>,
+    /// Set once the run is torn down (error or peer panic); requests
+    /// arriving afterwards are dropped and [`EngineCore::run_live`] unwinds
+    /// every unfinished processor.
     aborted: bool,
     /// Why the run ended early, if it did.
     pub(crate) error: Option<SimError>,
-    /// Set when a processor thread reported a panic; the machine re-raises.
-    pub(crate) user_panicked: bool,
     /// Event recorder, when the machine has one attached. Recording is
     /// strictly additive: no branch on `tracer` may influence simulated
     /// timing or scheduling.
@@ -419,13 +356,13 @@ pub(crate) struct EngineCore {
     /// simulated timing — it only observes.
     recorder: Option<Recorder>,
     /// Replay-mode state: present when this core re-executes a recorded
-    /// fragment. Replies are redirected into the logs instead of slots
-    /// (no processor threads exist), so replay is single-threaded.
+    /// fragment. Replies are redirected into the logs instead of `ready`
+    /// (no processor bodies exist).
     replay: Option<ReplaySource>,
 }
 
 impl EngineCore {
-    fn new(
+    pub(crate) fn new(
         params: MachineParams,
         init_memory: Vec<Word>,
         nprocs: usize,
@@ -452,11 +389,10 @@ impl EngineCore {
             futexq: WatchTable::new(init_memory.len()),
             sched,
             pending: BinaryHeap::with_capacity(nprocs),
-            outstanding: nprocs,
+            ready: Vec::new(),
             aborted: false,
             error: None,
             memory: init_memory,
-            user_panicked: false,
             params,
             tracer,
             spin_since: vec![None; nprocs],
@@ -482,8 +418,8 @@ impl EngineCore {
 
     /// Rebuilds a core from a boundary snapshot, in replay mode: restored
     /// state plus the recorded logs starting at the snapshot's cursors.
-    /// `outstanding` is zero — replay has no processor threads, so `drive`
-    /// runs uninterrupted until `stop_at`, completion, or an error.
+    /// Replay produces no replies, so `drive` runs uninterrupted until
+    /// `stop_at`, completion, or an error.
     pub(crate) fn from_snapshot(
         params: MachineParams,
         snap: &SnapshotState,
@@ -503,10 +439,9 @@ impl EngineCore {
             futexq: snap.futexq.clone(),
             sched: snap.sched.clone(),
             pending: snap.pending.clone(),
-            outstanding: 0,
+            ready: Vec::new(),
             aborted: false,
             error: None,
-            user_panicked: false,
             tracer,
             spin_since: snap.spin_since.clone(),
             recorder: None,
@@ -532,7 +467,7 @@ impl EngineCore {
     /// the recording, or an error (impossible on a clean recording).
     pub(crate) fn replay_drive(&mut self) -> Result<(), SimError> {
         debug_assert!(self.replay.is_some(), "replay_drive outside replay mode");
-        self.drive(&[], usize::MAX);
+        self.drive();
         match &self.error {
             Some(e) => Err(e.clone()),
             None => Ok(()),
@@ -586,6 +521,23 @@ impl EngineCore {
         rec.next_boundary = (issue / rec.fragment + 1) * rec.fragment;
     }
 
+    /// Takes a processor's next request, from its body or from its log: a
+    /// finished processor leaves the machine, anything else becomes pending.
+    fn file(&mut self, req: Request) {
+        match req.op {
+            Op::Done => {
+                self.metrics.per_proc[req.pid].finish_time = req.issue;
+                self.metrics.total_cycles = self.metrics.total_cycles.max(req.issue);
+                self.states[req.pid] = ProcState::Done;
+                self.release_core(req.pid, req.issue);
+            }
+            _ => {
+                self.states[req.pid] = ProcState::Pending(req);
+                self.pending.push(Reverse((req.issue, req.pid)));
+            }
+        }
+    }
+
     /// Replay-mode stand-in for delivering a reply: the processor's closure
     /// is not running, so its recorded reaction — the next entry in its log
     /// — is fed straight back into the engine. Leading `Event` entries are
@@ -607,23 +559,7 @@ impl EngineCore {
                         tr.record(pid, t, kind);
                     }
                 }
-                LogEntry::Op(issue, op) => {
-                    match op {
-                        // Mirrors the Done arm of `EngineShared::submit`.
-                        Op::Done => {
-                            self.metrics.per_proc[pid].finish_time = issue;
-                            self.metrics.total_cycles = self.metrics.total_cycles.max(issue);
-                            self.states[pid] = ProcState::Done;
-                            self.release_core(pid, issue);
-                        }
-                        Op::Panicked => unreachable!("panicked runs are never recorded"),
-                        _ => {
-                            self.states[pid] = ProcState::Pending(Request { pid, issue, op });
-                            self.pending.push(Reverse((issue, pid)));
-                        }
-                    }
-                    return;
-                }
+                LogEntry::Op(issue, op) => return self.file(Request { pid, issue, op }),
             }
         }
     }
@@ -633,13 +569,13 @@ impl EngineCore {
         (self.metrics, self.memory)
     }
 
-    /// Executes minimal pending requests while no processor is runnable.
-    /// Called with the lock held by the thread whose submission made
-    /// `outstanding` reach zero (`driver` is its pid).
-    fn drive(&mut self, slots: &[Slot], driver: usize) {
-        while self.outstanding == 0 && !self.aborted {
+    /// Executes minimal pending requests until one produces a reply (or
+    /// the run ends). Called only when every unfinished processor has
+    /// reported, i.e. `ready` is empty.
+    fn drive(&mut self) {
+        while self.ready.is_empty() && !self.aborted {
             // Fragment bookkeeping happens here, at the loop top, where the
-            // heap is *complete*: `outstanding == 0` means every unfinished
+            // heap is *complete*: `ready` being empty means every unfinished
             // processor has exactly one representation in the queues and no
             // reply is in flight. Recording captures boundary snapshots at
             // this point, and replay stops fragments at the identical
@@ -685,13 +621,13 @@ impl EngineCore {
                 }
                 if waiting.is_empty() && !parked.is_empty() {
                     self.error = Some(SimError::LostWakeup { parked });
-                    self.abort_all(slots);
+                    self.aborted = true;
                 } else if !waiting.is_empty() {
                     // Mixed spin/park blockage is still a deadlock; list
                     // every blocked processor.
                     waiting.extend(parked);
                     self.error = Some(SimError::Deadlock { waiting });
-                    self.abort_all(slots);
+                    self.aborted = true;
                 }
                 return;
             };
@@ -703,9 +639,9 @@ impl EngineCore {
             // The scheduler may defer the request (no core, or preempted at
             // a quantum boundary) instead of letting it execute now.
             let Some(req) = self.admit(req) else { continue };
-            if let Err(e) = self.execute(req, slots, driver) {
+            if let Err(e) = self.execute(req) {
                 self.error = Some(e);
-                self.abort_all(slots);
+                self.aborted = true;
                 return;
             }
         }
@@ -789,7 +725,7 @@ impl EngineCore {
         self.dispatch_ready();
     }
 
-    fn execute(&mut self, req: Request, slots: &[Slot], driver: usize) -> Result<(), SimError> {
+    fn execute(&mut self, req: Request) -> Result<(), SimError> {
         let pid = req.pid;
         // Validate addresses up front so a stray kernel bug surfaces as a
         // structured fault instead of an engine panic.
@@ -802,7 +738,7 @@ impl EngineCore {
             | Op::Spin(a, _)
             | Op::FutexWait(a, _)
             | Op::FutexWake(a, _) => Some(a),
-            Op::Delay(_) | Op::Done | Op::Panicked => None,
+            Op::Delay(_) | Op::Done => None,
         };
         if let Some(addr) = touched {
             if addr >= self.memory.len() {
@@ -818,14 +754,14 @@ impl EngineCore {
             Op::Store(addr, val) => {
                 self.metrics.per_proc[pid].stores += 1;
                 let t = self.access(pid, addr, AccessKind::Write, req.issue);
-                let t = self.commit_write(pid, addr, val, t, slots, driver);
+                let t = self.commit_write(addr, val, t);
                 (0, t)
             }
             Op::Swap(addr, val) => {
                 self.metrics.per_proc[pid].rmws += 1;
                 let t = self.access(pid, addr, AccessKind::Rmw, req.issue);
                 let old = self.memory[addr];
-                let t = self.commit_write(pid, addr, val, t, slots, driver);
+                let t = self.commit_write(addr, val, t);
                 (old, t)
             }
             Op::Cas(addr, expected, new) => {
@@ -835,7 +771,7 @@ impl EngineCore {
                 let t = self.access(pid, addr, AccessKind::Rmw, req.issue);
                 let old = self.memory[addr];
                 let t = if old == expected {
-                    self.commit_write(pid, addr, new, t, slots, driver)
+                    self.commit_write(addr, new, t)
                 } else {
                     t
                 };
@@ -845,7 +781,7 @@ impl EngineCore {
                 self.metrics.per_proc[pid].rmws += 1;
                 let t = self.access(pid, addr, AccessKind::Rmw, req.issue);
                 let old = self.memory[addr];
-                let t = self.commit_write(pid, addr, old.wrapping_add(delta), t, slots, driver);
+                let t = self.commit_write(addr, old.wrapping_add(delta), t);
                 (old, t)
             }
             Op::Spin(addr, pred) => {
@@ -901,8 +837,9 @@ impl EngineCore {
             }
             Op::FutexWait(addr, expected) => {
                 // The probe is charged like a load; the value check happens
-                // against engine memory under the engine lock, which is the
-                // atomic compare-and-block the futex contract requires.
+                // against engine memory with no other operation in between,
+                // which is the atomic compare-and-block the futex contract
+                // requires.
                 self.metrics.per_proc[pid].loads += 1;
                 let t = self.access(pid, addr, AccessKind::Read, req.issue);
                 let cur = self.memory[addr];
@@ -951,7 +888,7 @@ impl EngineCore {
                         }
                         // The wakee resumes off-core; its next submission
                         // re-enters through the scheduler's ready queue.
-                        self.reply(slots, driver, wpid, self.memory[addr], t);
+                        self.reply(wpid, self.memory[addr], t);
                     } else {
                         rest.push(wpid);
                     }
@@ -962,9 +899,9 @@ impl EngineCore {
                 (woken, t)
             }
             Op::Delay(cycles) => (0, req.issue.saturating_add(cycles)),
-            Op::Done | Op::Panicked => unreachable!("handled at submission"),
+            Op::Done => unreachable!("handled at submission"),
         };
-        self.reply(slots, driver, pid, value, done);
+        self.reply(pid, value, done);
         self.check_time(done)
     }
 
@@ -978,48 +915,15 @@ impl EngineCore {
         }
     }
 
-    fn reply(&mut self, slots: &[Slot], driver: usize, pid: usize, value: Word, now: u64) {
+    fn reply(&mut self, pid: usize, value: Word, now: u64) {
         if self.replay.is_some() {
-            // No thread to notify: the logged next action stands in for the
+            // No body to resume: the logged next action stands in for the
             // processor's deterministic reaction to (value, now).
             self.feed_replay(pid);
             return;
         }
         self.states[pid] = ProcState::Running;
-        self.outstanding += 1;
-        slots[pid].deliver(
-            Reply {
-                value,
-                now,
-                abort: false,
-            },
-            pid != driver,
-        );
-    }
-
-    /// Tears the run down: every unfinished processor gets an abort reply.
-    /// Processors blocked on a reply (pending, parked on a watchpoint, or
-    /// the one whose request just faulted) consume it immediately; ones
-    /// still running user code find it at their next submission (which,
-    /// seeing `aborted`, delivers nothing further).
-    fn abort_all(&mut self, slots: &[Slot]) {
-        self.aborted = true;
-        for (state, slot) in self.states.iter().zip(slots) {
-            // A slot holding an unconsumed *normal* reply is left alone:
-            // its owner may be reading it right now, and will pick the
-            // abort up at its next submission (exactly the order the old
-            // channel transport delivered them in).
-            if !matches!(state, ProcState::Done) && !slot.has_reply() {
-                slot.deliver(
-                    Reply {
-                        value: 0,
-                        now: 0,
-                        abort: true,
-                    },
-                    true,
-                );
-            }
-        }
+        self.ready.push((pid, Reply { value, now }));
     }
 
     /// Performs the coherence side of an access; returns its completion time.
@@ -1103,19 +1007,11 @@ impl EngineCore {
 
     /// Writes the value, then wakes watchers whose predicate now holds.
     /// Returns the (unchanged) completion time of the triggering write.
-    fn commit_write(
-        &mut self,
-        _pid: usize,
-        addr: Addr,
-        val: Word,
-        done_at: u64,
-        slots: &[Slot],
-        driver: usize,
-    ) -> u64 {
+    fn commit_write(&mut self, addr: Addr, val: Word, done_at: u64) -> u64 {
         let changed = self.memory[addr] != val;
         self.memory[addr] = val;
         if changed {
-            self.wake_watchers(addr, done_at, slots, driver);
+            self.wake_watchers(addr, done_at);
         }
         done_at
     }
@@ -1123,7 +1019,7 @@ impl EngineCore {
     /// Re-probes every processor parked on `addr`, in park order. Watchers
     /// whose predicate holds are released; the rest pay the probe and park
     /// again (their line was invalidated by the triggering write).
-    fn wake_watchers(&mut self, addr: Addr, write_done: u64, slots: &[Slot], driver: usize) {
+    fn wake_watchers(&mut self, addr: Addr, write_done: u64) {
         let pids = self.watchers.take(addr);
         if pids.is_empty() {
             return;
@@ -1151,7 +1047,7 @@ impl EngineCore {
                 if let Some(tr) = &self.tracer {
                     tr.record(pid, t, EventKind::SpinEnd { addr });
                 }
-                self.reply(slots, driver, pid, cur, t);
+                self.reply(pid, cur, t);
             } else {
                 self.states[pid] = ProcState::Waiting {
                     addr,
@@ -1168,93 +1064,82 @@ impl EngineCore {
     }
 }
 
-/// The engine as shared between processor threads: the mutex-guarded core
-/// plus the per-processor reply slots. Constructed per run by
-/// [`crate::Machine`].
-pub(crate) struct EngineShared {
-    core: Mutex<EngineCore>,
-    slots: Vec<Slot>,
-}
-
-impl EngineShared {
-    pub(crate) fn new(
-        params: MachineParams,
-        init_memory: Vec<Word>,
-        nprocs: usize,
-        tracer: Option<Arc<trace::Tracer>>,
-        fragment: Option<u64>,
-    ) -> Self {
-        EngineShared {
-            core: Mutex::new(EngineCore::new(params, init_memory, nprocs, tracer, fragment)),
-            slots: (0..nprocs).map(|_| Slot::new()).collect(),
+/// The live run: processor bodies as coroutines around the core.
+impl EngineCore {
+    /// Resumes processor `pid` until its next request (a body that returns
+    /// leaves [`Op::Done`]), which is logged, when recording, and filed —
+    /// or dropped, once the run is being torn down. A body that panics
+    /// tears the run down; the first payload that is not the engine's own
+    /// [`SimAbort`] is kept in `panic`.
+    fn step(
+        &mut self,
+        pid: usize,
+        procs: &mut [Coroutine<'_>],
+        mail: &[Rc<Mailbox>],
+        panic: &mut Option<Box<dyn Any + Send>>,
+    ) {
+        match procs[pid].resume() {
+            Step::Suspended | Step::Done(Ok(())) => {
+                let req = mail[pid].request.take();
+                let req = req.expect("a processor suspended without a request");
+                if self.aborted {
+                    return;
+                }
+                if let Some(rec) = self.recorder.as_mut() {
+                    let log = &mut rec.logs[pid];
+                    let mut raised = mail[pid].events.borrow_mut();
+                    log.extend(raised.drain(..).map(|(t, kind)| LogEntry::Event(t, kind)));
+                    log.push(LogEntry::Op(req.issue, req.op));
+                }
+                self.file(req);
+            }
+            Step::Done(Err(payload)) => {
+                self.aborted = true;
+                if panic.is_none() && !payload.is::<SimAbort>() {
+                    *panic = Some(payload);
+                }
+            }
         }
     }
 
-    pub(crate) fn slot(&self, pid: usize) -> &Slot {
-        &self.slots[pid]
-    }
-
-    /// Recording mode only: appends a closure-side trace event to `pid`'s
-    /// log so replay re-emits it at the same point in the stream. No-op
-    /// (after the lock) when the run is not recording.
-    pub(crate) fn log_user_event(&self, pid: usize, t: u64, kind: EventKind) {
-        let mut core = self.core.lock().expect("engine mutex poisoned");
-        if let Some(rec) = core.recorder.as_mut() {
-            rec.logs[pid].push(LogEntry::Event(t, kind));
+    /// Runs every processor to completion on the calling thread (module
+    /// docs). On an error or a body's panic, every processor still suspended
+    /// in an operation is resumed without a reply until it has unwound, so
+    /// no frame of a body outlives the run. Returns a body's panic
+    /// payload, if one panicked, for the machine to re-raise.
+    pub(crate) fn run_live(
+        &mut self,
+        procs: &mut [Coroutine<'_>],
+        mail: &[Rc<Mailbox>],
+    ) -> Option<Box<dyn Any + Send>> {
+        let mut panic = None;
+        // Every body runs to its first request before anything executes —
+        // and so, should the run abort, is suspended inside an operation.
+        for pid in 0..procs.len() {
+            self.step(pid, procs, mail, &mut panic);
         }
-    }
-
-    /// Submits a request and drives the engine if this submission was the
-    /// last one outstanding. The reply (if the operation produces one)
-    /// arrives through the submitter's slot — possibly before this returns.
-    pub(crate) fn submit(&self, req: Request) {
-        let mut core = self.core.lock().expect("engine mutex poisoned");
-        if core.aborted {
-            // The submitter either already has an undelivered abort in its
-            // slot (from `abort_all`) or gets one now; either way it is not
-            // woken — it polls its slot right after this returns.
-            if !matches!(req.op, Op::Done | Op::Panicked) && !self.slots[req.pid].has_reply() {
-                self.slots[req.pid].deliver(
-                    Reply {
-                        value: 0,
-                        now: 0,
-                        abort: true,
-                    },
-                    false,
-                );
+        let mut batch = Vec::new();
+        while !self.aborted {
+            self.drive();
+            if self.ready.is_empty() {
+                break;
             }
-            return;
-        }
-        core.outstanding -= 1;
-        if let Some(rec) = core.recorder.as_mut() {
-            rec.logs[req.pid].push(LogEntry::Op(req.issue, req.op));
-        }
-        match req.op {
-            Op::Done => {
-                core.metrics.per_proc[req.pid].finish_time = req.issue;
-                core.metrics.total_cycles = core.metrics.total_cycles.max(req.issue);
-                core.states[req.pid] = ProcState::Done;
-                core.release_core(req.pid, req.issue);
-            }
-            Op::Panicked => {
-                core.user_panicked = true;
-                core.abort_all(&self.slots);
-                // Not a SimError: the machine re-raises the payload.
-                return;
-            }
-            _ => {
-                core.states[req.pid] = ProcState::Pending(req);
-                core.pending.push(Reverse((req.issue, req.pid)));
+            std::mem::swap(&mut batch, &mut self.ready);
+            for (pid, reply) in batch.drain(..) {
+                mail[pid].reply.set(Some(reply));
+                self.step(pid, procs, mail, &mut panic);
             }
         }
-        if core.outstanding == 0 {
-            core.drive(&self.slots, req.pid);
+        if self.aborted {
+            for pid in 0..procs.len() {
+                // A body may catch the unwind and carry on: every further
+                // operation is answered the same way.
+                while !procs[pid].is_done() {
+                    self.step(pid, procs, mail, &mut panic);
+                }
+            }
         }
-    }
-
-    /// Consumes the shared engine after every processor has finished.
-    pub(crate) fn into_core(self) -> EngineCore {
-        self.core.into_inner().expect("engine mutex poisoned")
+        panic
     }
 }
 
@@ -1280,23 +1165,5 @@ mod tests {
         assert_eq!(collected, (0..10).collect::<Vec<_>>());
         assert!(!list.is_empty());
         assert!(PidList::default().is_empty());
-    }
-
-    #[test]
-    fn slot_roundtrip() {
-        let slot = Slot::new();
-        slot.register_consumer();
-        assert!(slot.try_take().is_none());
-        slot.deliver(
-            Reply {
-                value: 7,
-                now: 42,
-                abort: false,
-            },
-            true,
-        );
-        let r = slot.try_take().expect("reply published");
-        assert_eq!((r.value, r.now, r.abort), (7, 42, false));
-        assert!(slot.try_take().is_none(), "take consumes the reply");
     }
 }

@@ -21,12 +21,12 @@
 //! A *processor program* is an ordinary Rust closure receiving a [`Proc`]
 //! handle with `load` / `store` / `swap` / `cas` / `fetch_add` /
 //! `test_and_set` / `spin_while` / `delay` operations on a word-addressed
-//! shared memory. Each simulated processor runs on its own OS thread
-//! (processor 0 on the caller's thread, the rest leased from a persistent
-//! [`pool`]), but the engine fully serializes execution — at most one
-//! processor advances between memory events, ties broken by
-//! `(issue time, pid)` — so every run is **bit-for-bit deterministic**
-//! regardless of host scheduling.
+//! shared memory. Each simulated processor's closure runs as a stackful
+//! coroutine ([`coro`]) on the host thread that called [`Machine::run`],
+//! and the engine fully serializes execution — at most one processor
+//! advances between memory events, ties broken by `(issue time, pid)` — so
+//! every run is **bit-for-bit deterministic**. A run spawns no thread; the
+//! [`Proc`] docs state the three things a closure may not do in exchange.
 //!
 //! ```
 //! use memsim::{Machine, MachineParams};
@@ -66,6 +66,7 @@
 //! with no waker left terminates with [`SimError::LostWakeup`].
 
 pub mod cache;
+pub mod coro;
 pub mod directory;
 pub mod engine;
 pub mod interconnect;

@@ -1,20 +1,21 @@
-//! The machine: thread orchestration around the engine.
+//! The machine: one run's set-up around the engine.
 //!
-//! [`Machine::run`] no longer spawns threads: processor `0` executes on the
-//! calling thread (a P = 1 simulation involves no second thread at all),
-//! and processors `1..P` run as jobs on the persistent worker pool
-//! ([`crate::pool`]), so a sweep reuses one set of parked workers across
-//! every point instead of paying `P` spawns and joins per run.
+//! [`Machine::run`] builds the engine core, one mailbox and one coroutine
+//! per simulated processor, and hands them to the engine loop
+//! ([`crate::engine`]) on the calling thread. A run spawns no thread and
+//! takes no lock; coroutine stacks come from the calling thread's cache
+//! ([`crate::coro`]), so a sweep maps them once.
 
-use crate::engine::{EngineCore, EngineShared};
+use crate::coro::Coroutine;
+use crate::engine::{EngineCore, Mailbox};
 use crate::metrics::Metrics;
 use crate::params::MachineParams;
-use crate::pool::Pool;
-use crate::proc::{Proc, SimAbort};
+use crate::proc::Proc;
 use crate::replay::{FragmentReplayer, Recording};
 use crate::{SimError, Word};
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Condvar, Mutex};
+use std::panic::resume_unwind;
+use std::rc::Rc;
+use std::sync::Arc;
 
 /// Result of a completed simulation.
 #[derive(Debug, Clone)]
@@ -25,45 +26,11 @@ pub struct RunReport {
     pub memory: Vec<Word>,
 }
 
-/// Counts outstanding worker jobs; the run completes when it hits zero.
-///
-/// `count_down` notifies while still holding the lock and touches nothing
-/// afterwards, so the waiter cannot observe zero — and free the latch —
-/// before the last worker is done with it.
-pub(crate) struct Latch {
-    remaining: Mutex<usize>,
-    done: Condvar,
-}
-
-impl Latch {
-    pub(crate) fn new(n: usize) -> Self {
-        Latch {
-            remaining: Mutex::new(n),
-            done: Condvar::new(),
-        }
-    }
-
-    pub(crate) fn count_down(&self) {
-        let mut left = self.remaining.lock().expect("latch mutex poisoned");
-        *left -= 1;
-        if *left == 0 {
-            self.done.notify_all();
-        }
-    }
-
-    pub(crate) fn wait(&self) {
-        let mut left = self.remaining.lock().expect("latch mutex poisoned");
-        while *left > 0 {
-            left = self.done.wait(left).expect("latch mutex poisoned");
-        }
-    }
-}
-
 /// A configured simulated multiprocessor.
 ///
 /// `Machine` is cheap to construct and immutable; every [`Machine::run`]
 /// creates fresh caches, directory, interconnect and memory, so runs never
-/// contaminate each other (only the OS threads are recycled).
+/// contaminate each other (only coroutine stacks are recycled).
 #[derive(Debug, Clone)]
 pub struct Machine {
     params: MachineParams,
@@ -134,9 +101,11 @@ impl Machine {
     /// Runs `body` once per processor over a zero-initialized shared memory
     /// of `shared_words` words.
     ///
-    /// `body` receives the processor handle; it is invoked concurrently from
-    /// `nprocs` threads (processor 0 on the caller's own thread) but the
-    /// engine serializes all memory operations deterministically.
+    /// `body` receives the processor handle; it is invoked once per
+    /// processor, each invocation a coroutine on the calling thread that
+    /// advances from one [`Proc`] operation to the next in the order the
+    /// engine's deterministic serialization of memory operations dictates
+    /// (the [`Proc`] docs state what a body may not do).
     ///
     /// # Errors
     ///
@@ -168,32 +137,8 @@ impl Machine {
         if let Some((cycles, workers)) = self.fragments {
             return self.run_fragmented(nprocs, init_memory, cycles, workers, body);
         }
-        self.run_on_pool(Pool::global(), nprocs, init_memory, body)
-    }
-
-    /// The full run path, parameterized over the worker pool (tests use a
-    /// private pool to make reuse assertions deterministic).
-    pub(crate) fn run_on_pool<F>(
-        &self,
-        pool: &Pool,
-        nprocs: usize,
-        init_memory: Vec<Word>,
-        body: F,
-    ) -> Result<RunReport, SimError>
-    where
-        F: Fn(&mut Proc) + Send + Sync,
-    {
-        let core = self.run_engine(pool, nprocs, init_memory, None, body)?;
+        let core = self.run_engine(nprocs, init_memory, None, body)?;
         let (metrics, memory) = core.into_memory();
-        // A completed run must have woken every processor it ever parked:
-        // `futex_parks` counts park-side entries, `futex_woken` counts the
-        // waker-side dequeues, and an imbalance means a waiter finished the
-        // run while still in the futex queue (engine bookkeeping bug).
-        debug_assert_eq!(
-            metrics.futex_parks(),
-            metrics.futex_woken(),
-            "futex park/wake balance violated on a completed run"
-        );
         Ok(RunReport { metrics, memory })
     }
 
@@ -220,14 +165,9 @@ impl Machine {
     where
         F: Fn(&mut Proc) + Send + Sync,
     {
-        let mut core = self.run_engine(Pool::global(), nprocs, init_memory, Some(fragment), body)?;
+        let mut core = self.run_engine(nprocs, init_memory, Some(fragment), body)?;
         let recorder = core.take_recorder().expect("recording run has a recorder");
         let (metrics, memory) = core.into_memory();
-        debug_assert_eq!(
-            metrics.futex_parks(),
-            metrics.futex_woken(),
-            "futex park/wake balance violated on a completed run"
-        );
         Ok(Recording::new(
             self.params.clone(),
             nprocs,
@@ -256,13 +196,12 @@ impl Machine {
         Ok(FragmentReplayer::new(&recording, workers).run_traced(self.tracer.as_ref()))
     }
 
-    /// The shared live-execution path: runs the workload's processor threads
-    /// to completion and returns the finished engine core. `fragment` turns
+    /// The shared live-execution path: runs the workload's processors to
+    /// completion and returns the finished engine core. `fragment` turns
     /// on recording mode (snapshots every `fragment` cycles, per-processor
     /// op logs, no live tracing).
     fn run_engine<F>(
         &self,
-        pool: &Pool,
         nprocs: usize,
         init_memory: Vec<Word>,
         fragment: Option<u64>,
@@ -271,112 +210,66 @@ impl Machine {
     where
         F: Fn(&mut Proc) + Send + Sync,
     {
-        // The abort path unwinds processor threads with a sentinel payload;
-        // filter it out of panic reporting once, process-wide.
-        install_simabort_hook();
-
         let recording = fragment.is_some();
         // A recording pass never traces live — the stitched replay is the
         // single producer of trace events, so they are neither duplicated
         // nor subject to ring-drop differences between the two passes.
         let run_tracer = if recording { None } else { self.tracer.clone() };
 
-        // Validates params and processor count before any worker is leased.
-        let engine = Arc::new(EngineShared::new(
+        // Validates params and processor count before any stack is taken.
+        let mut core = EngineCore::new(
             self.params.clone(),
             init_memory,
             nprocs,
             run_tracer.clone(),
             fragment,
-        ));
-        let first_panic: Mutex<Option<Box<dyn std::any::Any + Send>>> = Mutex::new(None);
+        );
+        let mail: Vec<Rc<Mailbox>> = (0..nprocs).map(|_| Rc::default()).collect();
+        let mut procs: Vec<Coroutine<'_>> = mail
+            .iter()
+            .enumerate()
+            .map(|(pid, mail)| {
+                let mut proc = Proc {
+                    pid,
+                    nprocs,
+                    now: 0,
+                    max_cycles: self.params.max_cycles,
+                    mail: Rc::clone(mail),
+                    tracer: run_tracer.clone(),
+                    recording,
+                };
+                let body = &body;
+                Coroutine::new(move || {
+                    body(&mut proc);
+                    proc.done();
+                })
+            })
+            .collect();
 
-        // One processor's whole life: run the body, then tell the engine how
-        // it ended. Never unwinds — the pool and the latch depend on that.
-        let proc_main = |pid: usize| {
-            let mut proc = Proc::new(
-                pid,
-                nprocs,
-                self.params.max_cycles,
-                Arc::clone(&engine),
-                run_tracer.clone(),
-                recording,
-            );
-            match catch_unwind(AssertUnwindSafe(|| body(&mut proc))) {
-                Ok(()) => proc.send_done(),
-                Err(payload) => {
-                    if payload.downcast_ref::<SimAbort>().is_none() {
-                        // A genuine user panic: tell the engine so it can
-                        // release the other processors, and keep the payload
-                        // for the machine to re-raise.
-                        proc.send_panicked();
-                        let mut slot = first_panic.lock().expect("panic slot poisoned");
-                        if slot.is_none() {
-                            *slot = Some(payload);
-                        }
-                    }
-                    // SimAbort: unwound deliberately; exit quietly.
-                }
-            }
-        };
-
-        {
-            let workers_done = Latch::new(nprocs - 1);
-            let lease = pool.lease(nprocs - 1);
-            for pid in 1..nprocs {
-                let proc_main = &proc_main;
-                let workers_done = &workers_done;
-                // SAFETY: `workers_done.wait()` below does not return until
-                // every job has executed `count_down` as its final action,
-                // so all borrows (body, engine, first_panic, the latch) stay
-                // alive for the jobs' whole lifetime, and the lease is only
-                // dropped after the workers are idle again.
-                unsafe {
-                    lease.dispatch(
-                        pid - 1,
-                        Box::new(move || {
-                            proc_main(pid);
-                            workers_done.count_down();
-                        }),
-                    );
-                }
-            }
-            proc_main(0);
-            workers_done.wait();
-        }
-
-        if let Some(payload) = first_panic.into_inner().expect("panic slot poisoned") {
+        if let Some(payload) = core.run_live(&mut procs, &mail) {
             resume_unwind(payload);
         }
-        let core = Arc::try_unwrap(engine)
-            .unwrap_or_else(|_| unreachable!("all processors have dropped their engine handles"))
-            .into_core();
-        if let Some(err) = core.error.clone() {
+        if let Some(err) = core.error.take() {
             return Err(err);
         }
+        // A completed run must have woken every processor it ever parked:
+        // `futex_parks` counts park-side entries, `futex_woken` counts the
+        // waker-side dequeues, and an imbalance means a waiter finished the
+        // run while still in the futex queue (engine bookkeeping bug).
+        debug_assert_eq!(
+            core.metrics.futex_parks(),
+            core.metrics.futex_woken(),
+            "futex park/wake balance violated on a completed run"
+        );
         Ok(core)
     }
-}
-
-/// Installs (once) a panic hook that suppresses the internal [`SimAbort`]
-/// sentinel while delegating every real panic to the previous hook.
-fn install_simabort_hook() {
-    use std::sync::Once;
-    static HOOK: Once = Once::new();
-    HOOK.call_once(|| {
-        let previous = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            if info.payload().downcast_ref::<SimAbort>().is_none() {
-                previous(info);
-            }
-        }));
-    });
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::params::Topology;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
 
     fn bus(n: usize) -> Machine {
         Machine::new(MachineParams::bus_1991(n))
@@ -586,9 +479,9 @@ mod tests {
     }
 
     #[test]
-    fn panic_on_the_caller_thread_propagates() {
-        // pid 0 runs on the calling thread now; its panics must still be
-        // caught, the peers released, and the payload re-raised.
+    fn panic_before_any_peer_started_propagates() {
+        // The first processor resumed panics before any peer has started:
+        // the peers must still run to an operation and be unwound from it.
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             let _ = bus(2).run(2, 1, |p| {
                 if p.pid() == 0 {
@@ -971,29 +864,5 @@ mod tests {
             SimError::Deadlock { waiting } => assert_eq!(waiting.len(), 2),
             other => panic!("expected deadlock, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn private_pool_reuses_workers_across_runs() {
-        let pool = Pool::new();
-        let machine = bus(4);
-        let go = |pool: &Pool| {
-            machine
-                .run_on_pool(pool, 4, vec![0], |p| {
-                    for _ in 0..10 {
-                        p.fetch_add(0, 1);
-                    }
-                })
-                .unwrap()
-        };
-        let first = go(&pool);
-        // pid 0 rides the caller thread: only nprocs - 1 workers leased.
-        assert_eq!(pool.stats().spawned, 3);
-        for i in 1..=5 {
-            let again = go(&pool);
-            assert_eq!(again.metrics, first.metrics, "pooled run {i} diverged");
-            assert_eq!(pool.stats().spawned, 3, "run {i} spawned fresh threads");
-        }
-        assert_eq!(pool.stats().reused, 15);
     }
 }

@@ -1,19 +1,19 @@
-//! Persistent processor-thread pool.
+//! Persistent worker-thread pool for fragment replay.
 //!
-//! [`crate::Machine::run`] used to spawn and join `nprocs` fresh OS threads
-//! per run; a 20-point sweep at P = 64 paid for over a thousand spawns.
-//! This module keeps workers alive between runs: a run *leases* the workers
+//! [`crate::FragmentReplayer`] fans a recording's fragments out over host
+//! threads, and a figure sweep replays hundreds of recordings. This module
+//! keeps the workers alive between replays: a replay *leases* the workers
 //! it needs (spawning only when the idle set runs short), dispatches one
-//! job per simulated processor, and returns the workers once every job has
-//! signalled completion. Workers park in a condvar wait between jobs, so an
-//! idle pool costs nothing but address space.
+//! job per worker, and returns the workers once every job has signalled
+//! completion. Workers park in a condvar wait between jobs, so an idle
+//! pool costs nothing but address space. (Live runs use no thread but the
+//! caller's: simulated processors are coroutines, see [`crate::coro`].)
 //!
-//! Jobs borrow the caller's stack (the simulated program closure and the
-//! engine live in `Machine::run`'s frame), which is why `Lease::dispatch`
-//! is `unsafe`: the caller must not drop anything a job borrows — nor
-//! return the lease — until the job has signalled completion through its
-//! own channel (the machine uses a latch counted down as each job's last
-//! action).
+//! Jobs borrow the caller's stack (the recording and the outcome cells live
+//! in the replayer's frame), which is why `Lease::dispatch` is `unsafe`:
+//! the caller must not drop anything a job borrows — nor return the lease —
+//! until the job has signalled completion through its own channel (the
+//! replayer uses a `Latch` counted down as each job's last action).
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -49,6 +49,40 @@ fn worker_loop(shared: Arc<WorkerShared>) {
     }
 }
 
+/// Counts outstanding worker jobs; the lease may end when it hits zero.
+///
+/// `count_down` notifies while still holding the lock and touches nothing
+/// afterwards, so the waiter cannot observe zero — and free the latch —
+/// before the last worker is done with it.
+pub(crate) struct Latch {
+    remaining: Mutex<usize>,
+    done: Condvar,
+}
+
+impl Latch {
+    pub(crate) fn new(n: usize) -> Self {
+        Latch {
+            remaining: Mutex::new(n),
+            done: Condvar::new(),
+        }
+    }
+
+    pub(crate) fn count_down(&self) {
+        let mut left = self.remaining.lock().expect("latch mutex poisoned");
+        *left -= 1;
+        if *left == 0 {
+            self.done.notify_all();
+        }
+    }
+
+    pub(crate) fn wait(&self) {
+        let mut left = self.remaining.lock().expect("latch mutex poisoned");
+        while *left > 0 {
+            left = self.done.wait(left).expect("latch mutex poisoned");
+        }
+    }
+}
+
 /// Counters exposed for diagnostics and the pool-reuse regression tests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PoolStats {
@@ -74,7 +108,7 @@ impl Pool {
         }
     }
 
-    /// The process-wide pool every [`crate::Machine`] run leases from.
+    /// The process-wide pool every fragment replay leases from.
     pub(crate) fn global() -> &'static Pool {
         static GLOBAL: Pool = Pool::new();
         &GLOBAL
@@ -117,8 +151,8 @@ pub fn pool_stats() -> PoolStats {
     Pool::global().stats()
 }
 
-/// Workers checked out for one simulation run. Dropping the lease returns
-/// them to the pool.
+/// Workers checked out for one replay. Dropping the lease returns them to
+/// the pool.
 pub(crate) struct Lease<'a> {
     pool: &'a Pool,
     workers: Vec<Arc<WorkerShared>>,
@@ -132,8 +166,8 @@ impl Lease<'_> {
     /// The job's borrows are erased to `'static`. The caller must keep
     /// everything the job borrows alive — and must not drop this lease —
     /// until the job has observably finished (e.g. counted down a latch as
-    /// its final statement). Dropping the lease early would let another run
-    /// dispatch to a worker that is still executing this job.
+    /// its final statement). Dropping the lease early would let another
+    /// replay dispatch to a worker that is still executing this job.
     pub(crate) unsafe fn dispatch<'env>(&self, idx: usize, job: Box<dyn FnOnce() + Send + 'env>) {
         let job: Job = unsafe {
             std::mem::transmute::<Box<dyn FnOnce() + Send + 'env>, Job>(job)
@@ -157,27 +191,6 @@ impl Drop for Lease<'_> {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicBool;
-
-    /// A latch mirroring the machine's completion protocol.
-    struct Latch(Mutex<usize>, Condvar);
-    impl Latch {
-        fn new(n: usize) -> Self {
-            Latch(Mutex::new(n), Condvar::new())
-        }
-        fn count_down(&self) {
-            let mut left = self.0.lock().unwrap();
-            *left -= 1;
-            if *left == 0 {
-                self.1.notify_all();
-            }
-        }
-        fn wait(&self) {
-            let mut left = self.0.lock().unwrap();
-            while *left > 0 {
-                left = self.1.wait(left).unwrap();
-            }
-        }
-    }
 
     #[test]
     fn lease_runs_jobs_and_reuses_workers() {

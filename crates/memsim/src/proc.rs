@@ -3,128 +3,74 @@
 //! [`Proc`] is the entire instruction set a kernel may use: word loads and
 //! stores, the atomic read-modify-writes 1991 hardware offered (swap,
 //! compare-and-swap, fetch-and-add, test-and-set), watchpoint-based local
-//! spinning, and a local `delay`. Every method blocks the calling OS thread
+//! spinning, and a local `delay`. Every method suspends the calling body
 //! until the engine has scheduled the operation, so kernel code reads like
 //! ordinary sequential Rust.
 //!
-//! Blocking is an adaptive spin-then-park on the processor's reply slot:
-//! when the engine replies promptly (it often replies *inline*, before
-//! `Proc::roundtrip` even begins waiting) no scheduler interaction
-//! happens at all; otherwise the processor spins briefly — with a budget
-//! that grows when spinning succeeds and shrinks when it parks — and then
-//! parks until the driving thread unparks it. On a single-core host the
-//! spin budget is pinned to zero: spinning (or even yielding) there
-//! measures slower than parking immediately and letting the producing
-//! thread run.
+//! A body runs as a coroutine on the host thread that called
+//! [`crate::Machine::run`] ([`crate::coro`]): an operation leaves its
+//! request in the processor's mailbox, switches to the engine loop, and
+//! picks the reply up when the loop switches back.
 
-use crate::engine::{EngineShared, Op, Reply, Request, WaitPred};
+use crate::coro;
+use crate::engine::{Mailbox, Op, Request, WaitPred};
 use crate::{Addr, Word};
+use std::rc::Rc;
 use std::sync::Arc;
 
-/// Sentinel panic payload used to unwind processor threads when the engine
-/// aborts a simulation (deadlock, time limit, or a peer's panic). The machine
-/// layer swallows it; user panics propagate normally.
+/// Sentinel panic payload that unwinds a processor's body when the engine
+/// aborts a simulation (deadlock, time limit, fault, or a peer's panic).
+/// Raised with `resume_unwind`, so no panic hook sees it; the engine loop
+/// swallows it, user panics propagate normally.
 pub(crate) struct SimAbort;
 
-/// Upper bound on the adaptive spin budget, in spin-loop iterations.
-const MAX_SPIN: u32 = 128;
-
-/// Spin budget cap for this host: zero on a single core, where every spin
-/// iteration steals time from the thread we are waiting on (yield loops
-/// were also tried there and measure slower than parking immediately).
-fn host_spin_cap() -> u32 {
-    use std::sync::OnceLock;
-    static CAP: OnceLock<u32> = OnceLock::new();
-    *CAP.get_or_init(|| {
-        match std::thread::available_parallelism() {
-            Ok(n) if n.get() > 1 => MAX_SPIN,
-            _ => 0,
-        }
-    })
-}
-
 /// Handle through which a simulated processor issues operations.
+///
+/// The body holding it is a coroutine on the thread that called
+/// [`crate::Machine::run`], which asks three things of it:
+///
+/// * the handle stays on that thread (it is not `Send`);
+/// * the body has [`crate::coro::STACK_BYTES`] (256 KiB) of stack, and
+///   running past it stops the process on the guard page;
+/// * the body must not wait on a host primitive (a mutex, a channel) for
+///   something another processor's body does: that body cannot run until
+///   this one reaches its next operation. Nor may a destructor issue an
+///   operation while the body unwinds from an aborted run — the reply is
+///   another abort, a panic inside a panic.
 pub struct Proc {
-    pid: usize,
-    nprocs: usize,
-    now: u64,
+    pub(crate) pid: usize,
+    pub(crate) nprocs: usize,
+    pub(crate) now: u64,
     /// The machine's simulated-time limit, mirrored here so locally
     /// executed delays still trigger [`crate::SimError::TimeLimit`].
-    max_cycles: u64,
-    engine: Arc<EngineShared>,
-    /// Current spin budget before parking (adaptive, `0..=MAX_SPIN`).
-    spin_budget: u32,
+    pub(crate) max_cycles: u64,
+    pub(crate) mail: Rc<Mailbox>,
     /// The machine's event recorder, when one is attached.
-    tracer: Option<Arc<trace::Tracer>>,
+    pub(crate) tracer: Option<Arc<trace::Tracer>>,
     /// Whether the engine is recording this run for fragment replay; when
-    /// set, semantic events reported via [`Proc::trace_event`] are appended
-    /// to the engine's per-processor log so replay can re-emit them.
-    recording: bool,
+    /// set, semantic events reported via [`Proc::trace_event`] also go to
+    /// the mailbox, for the engine to log so that replay can re-emit them.
+    pub(crate) recording: bool,
 }
 
 impl Proc {
-    /// Creates the handle on the thread that will run the processor's body
-    /// (the slot's consumer registration captures the current thread).
-    pub(crate) fn new(
-        pid: usize,
-        nprocs: usize,
-        max_cycles: u64,
-        engine: Arc<EngineShared>,
-        tracer: Option<Arc<trace::Tracer>>,
-        recording: bool,
-    ) -> Self {
-        engine.slot(pid).register_consumer();
-        Proc {
-            pid,
-            nprocs,
-            now: 0,
-            max_cycles,
-            engine,
-            spin_budget: host_spin_cap(),
-            tracer,
-            recording,
-        }
-    }
-
-    fn wait_reply(&mut self) -> Reply {
-        let slot = self.engine.slot(self.pid);
-        // Inline path: the engine replied while we still held its lock
-        // (our own request was the minimal one). No waiting at all.
-        if let Some(reply) = slot.try_take() {
-            return reply;
-        }
-        for _ in 0..self.spin_budget {
-            std::hint::spin_loop();
-            if let Some(reply) = slot.try_take() {
-                // Spinning paid off; allow a little more of it next time.
-                self.spin_budget = (self.spin_budget.saturating_mul(2)).clamp(1, host_spin_cap());
-                return reply;
-            }
-        }
-        // Spinning failed (or is disabled); park until the driver unparks
-        // us, and spend less time spinning on the next wait.
-        self.spin_budget /= 2;
-        loop {
-            if let Some(reply) = slot.try_take() {
-                return reply;
-            }
-            std::thread::park();
-        }
-    }
-
-    fn roundtrip(&mut self, op: Op) -> Word {
-        self.engine.submit(Request {
+    fn request(&self, op: Op) {
+        self.mail.request.set(Some(Request {
             pid: self.pid,
             issue: self.now,
             op,
-        });
-        match self.wait_reply() {
-            Reply { abort: true, .. } => std::panic::panic_any(SimAbort),
-            Reply { value, now, .. } => {
-                self.now = now;
-                value
-            }
-        }
+        }));
+    }
+
+    fn roundtrip(&mut self, op: Op) -> Word {
+        self.request(op);
+        coro::suspend();
+        let Some(reply) = self.mail.reply.take() else {
+            // Resumed with nothing: the run is being torn down.
+            std::panic::resume_unwind(Box::new(SimAbort));
+        };
+        self.now = reply.now;
+        reply.value
     }
 
     /// This processor's id in `0..nprocs`.
@@ -152,7 +98,7 @@ impl Proc {
             tr.record(self.pid, self.now, kind);
         }
         if self.recording {
-            self.engine.log_user_event(self.pid, self.now, kind);
+            self.mail.events.borrow_mut().push((self.now, kind));
         }
     }
 
@@ -242,19 +188,8 @@ impl Proc {
         }
     }
 
-    pub(crate) fn send_done(&mut self) {
-        self.engine.submit(Request {
-            pid: self.pid,
-            issue: self.now,
-            op: Op::Done,
-        });
-    }
-
-    pub(crate) fn send_panicked(&mut self) {
-        self.engine.submit(Request {
-            pid: self.pid,
-            issue: self.now,
-            op: Op::Panicked,
-        });
+    /// Leaves the body's last word for the engine; the coroutine then ends.
+    pub(crate) fn done(&self) {
+        self.request(Op::Done);
     }
 }

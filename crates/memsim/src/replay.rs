@@ -11,7 +11,7 @@
 //!    K simulated cycles ([`Recording`]).
 //! 2. **Replay** ([`FragmentReplayer`]): re-execute the fragments
 //!    *concurrently*, each from its snapshot, feeding the logged operations
-//!    back into the engine instead of running processor threads. Replay of
+//!    back into the engine instead of running processor bodies. Replay of
 //!    fragment `i` stops exactly where snapshot `i + 1` was captured, so
 //!    per-fragment [`Metrics`] deltas and trace events stitch back together
 //!    — in fragment order — into a result byte-identical to the live run.
@@ -27,10 +27,10 @@
 //! the pair.
 
 use crate::engine::{EngineCore, LogEntry, Recorder, SnapshotState};
-use crate::machine::{Latch, RunReport};
+use crate::machine::RunReport;
 use crate::metrics::Metrics;
 use crate::params::MachineParams;
-use crate::pool::Pool;
+use crate::pool::{Latch, Pool};
 use crate::Word;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};

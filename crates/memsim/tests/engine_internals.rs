@@ -1,17 +1,11 @@
-//! Integration tests for the engine's handoff machinery: watchpoint wake
-//! ordering, persistent-pool reuse across runs, and abort/panic unwinding
-//! through parked workers.
-//!
-//! These tests observe the *global* worker pool, whose counters are shared
-//! by every test in this binary, so the ones that assert on pool deltas
-//! serialize on [`POOL_GATE`].
+//! Integration tests for the engine's machinery as seen from outside:
+//! watchpoint wake ordering, what a run costs the host (no thread, and no
+//! stack once the calling thread's cache is warm), and unwinding every
+//! suspended processor on a panic or an engine error.
 
-use memsim::{pool_stats, Machine, MachineParams, SimError};
+use memsim::coro::stacks_mapped;
+use memsim::{Machine, MachineParams, SimError};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Mutex;
-
-/// Serializes tests that assert on global pool counter deltas.
-static POOL_GATE: Mutex<()> = Mutex::new(());
 
 /// Memory layout used by the wake-ordering tests.
 const FLAG: usize = 0;
@@ -22,7 +16,7 @@ const RANK_BASE: usize = 8;
 /// store to the watched word in the same gather round, and every woken
 /// spinner records the order it got through the post-wake fetch_add.
 /// The recorded ranks are pure simulator outputs: five repetitions must
-/// agree bit-for-bit no matter how the host schedules the threads.
+/// agree bit-for-bit.
 #[test]
 fn wake_order_under_simultaneous_writers_is_deterministic() {
     let nprocs = 6;
@@ -61,15 +55,62 @@ fn wake_order_under_simultaneous_writers_is_deterministic() {
     sorted.sort_unstable();
     assert_eq!(sorted, vec![1, 2, 3, 4]);
     for _ in 0..4 {
-        assert_eq!(run_once(), first, "wake order depends on host scheduling");
+        assert_eq!(run_once(), first, "wake order differs between runs");
     }
 }
 
-/// Back-to-back runs must reuse the pooled workers instead of spawning
-/// fresh threads — the tentpole's "persistent processor pool" claim.
+/// The `Threads:` line of `/proc/self/status`.
+fn host_threads() -> usize {
+    let status = std::fs::read_to_string("/proc/self/status").expect("procfs");
+    let line = status
+        .lines()
+        .find_map(|l| l.strip_prefix("Threads:"))
+        .expect("Threads: line");
+    line.trim().parse().expect("thread count")
+}
+
+/// A run is coroutines on the calling thread: the process has as many
+/// threads before a P = 64 run, while all 64 bodies are in flight, and
+/// after it. The test harness starts and stops threads of its own as other
+/// tests come and go, so the count is taken in a child process that runs
+/// this test alone.
 #[test]
-fn global_pool_reuses_workers_across_runs() {
-    let _gate = POOL_GATE.lock().unwrap();
+fn a_run_spawns_no_thread() {
+    const ALONE: &str = "MEMSIM_TEST_ALONE";
+    if std::env::var_os(ALONE).is_none() {
+        let child = std::process::Command::new(std::env::current_exe().expect("test binary"))
+            .args(["--exact", "a_run_spawns_no_thread", "--test-threads=1"])
+            .env(ALONE, "1")
+            .output()
+            .expect("rerun this test alone");
+        assert!(
+            child.status.success(),
+            "{}{}",
+            String::from_utf8_lossy(&child.stdout),
+            String::from_utf8_lossy(&child.stderr)
+        );
+        return;
+    }
+    let nprocs = 64;
+    let before = host_threads();
+    let report = Machine::new(MachineParams::bus_1991(nprocs))
+        .run(nprocs, 2, |p| {
+            // Every body reaches its first operation before any executes,
+            // so whoever is admitted here has 63 suspended peers.
+            p.fetch_add(0, 1);
+            assert_eq!(host_threads(), before, "p{} sees a new thread", p.pid());
+            p.fetch_add(1, 1);
+        })
+        .expect("P = 64 run");
+    assert_eq!(report.memory, vec![nprocs as u64; 2]);
+    assert_eq!(host_threads(), before);
+}
+
+/// Stacks are mapped once per host thread: after a warm-up run, five more
+/// runs of the same width obtain none — also after runs that unwound every
+/// processor, which must hand their stacks back like any other.
+#[test]
+fn a_warm_thread_maps_no_stack() {
     let nprocs = 8;
     let machine = Machine::new(MachineParams::bus_1991(nprocs));
     let body = |p: &mut memsim::Proc| {
@@ -78,38 +119,17 @@ fn global_pool_reuses_workers_across_runs() {
         }
     };
 
-    // Warm the pool so the measured runs need no new spawns.
-    machine.run(nprocs, 4, body).expect("warm-up run");
-    let warm = pool_stats();
-    let mut last = machine.run(nprocs, 4, body).expect("first measured run");
-    for _ in 0..4 {
+    let first = machine.run(nprocs, 4, body).expect("warm-up run");
+    let warm = stacks_mapped();
+    assert!(warm >= nprocs, "one stack per processor, {warm} mapped");
+    for _ in 0..5 {
         let report = machine.run(nprocs, 4, body).expect("repeat run");
-        assert_eq!(report.metrics, last.metrics, "pooled runs must be identical");
-        last = report;
+        assert_eq!(report.metrics, first.metrics, "runs must be identical");
     }
-    let after = pool_stats();
-    assert_eq!(
-        after.spawned, warm.spawned,
-        "a warm pool must not spawn new workers"
-    );
-    assert!(
-        after.reused >= warm.reused + 5 * (nprocs - 1),
-        "expected ≥{} reuses, saw {} → {}",
-        5 * (nprocs - 1),
-        warm.reused,
-        after.reused
-    );
-}
+    assert_eq!(stacks_mapped(), warm, "a warm thread must not map stacks");
 
-/// A user panic on one processor while its peers are parked in
-/// watchpoints must unwind everyone, propagate the payload, and leave the
-/// pooled workers healthy enough to run the next simulation.
-#[test]
-fn panic_unwinds_through_parked_workers_and_pool_survives() {
-    let _gate = POOL_GATE.lock().unwrap();
-    let nprocs = 4;
-    let machine = Machine::new(MachineParams::bus_1991(nprocs));
-
+    // A user panic on one processor while its peers are parked in
+    // watchpoints unwinds everyone and propagates the payload.
     let result = catch_unwind(AssertUnwindSafe(|| {
         machine.run(nprocs, 8, |p| {
             if p.pid() == 3 {
@@ -121,14 +141,10 @@ fn panic_unwinds_through_parked_workers_and_pool_survives() {
         })
     }));
     let payload = result.expect_err("user panic must propagate");
-    let msg = payload
-        .downcast_ref::<&str>()
-        .copied()
-        .unwrap_or_default();
+    let msg = payload.downcast_ref::<&str>().copied().unwrap_or_default();
     assert_eq!(msg, "deliberate test panic");
 
-    // The same goes for the engine-raised error paths: a deadlock unwinds
-    // parked procs without panicking the caller.
+    // So does an engine-raised error, without panicking the caller.
     let deadlock = machine.run(nprocs, 8, |p| {
         p.spin_until(FLAG, 7 + p.pid() as u64);
     });
@@ -137,17 +153,8 @@ fn panic_unwinds_through_parked_workers_and_pool_survives() {
         other => panic!("expected deadlock, got {other:?}"),
     }
 
-    // And the pool is still fully functional afterwards.
-    let spawned_before = pool_stats().spawned;
-    let report = machine
-        .run(nprocs, 4, |p| {
-            p.fetch_add(0, 1);
-        })
-        .expect("pool must survive unwinding");
-    assert_eq!(report.memory[0], nprocs as u64);
-    assert_eq!(
-        pool_stats().spawned,
-        spawned_before,
-        "recovery run must reuse the unwound workers"
-    );
+    // Both left the thread's stacks reusable, and the thread usable.
+    let report = machine.run(nprocs, 4, body).expect("run after unwinding");
+    assert_eq!(report.metrics, first.metrics);
+    assert_eq!(stacks_mapped(), warm, "an unwound stack was not reused");
 }
