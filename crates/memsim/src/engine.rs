@@ -43,9 +43,8 @@
 //! processor had an earlier-issued operation still pending. This mirrors how
 //! an invalidation burst monopolizes a real bus and keeps the engine simple.
 
-use crate::cache::{Cache, LineState};
+use crate::coherence::{Coherence, LineState};
 use crate::coro::{Coroutine, Step};
-use crate::directory::Directory;
 use crate::interconnect::Interconnect;
 use crate::metrics::Metrics;
 use crate::params::{MachineParams, SchedParams};
@@ -164,8 +163,8 @@ impl PidList {
 
 /// Watchpoint table keyed directly by word address — the watched span is
 /// the simulated shared memory, which is small and dense, so a flat table
-/// with inline waiter vectors replaces the previous `HashMap<Addr, Vec>`
-/// (no hashing, no per-entry allocation on the hot wake path).
+/// with inline waiter vectors needs no hashing and no per-entry allocation
+/// on the hot wake path.
 #[derive(Debug, Clone)]
 struct WatchTable {
     lists: Vec<PidList>,
@@ -287,8 +286,7 @@ pub(crate) struct SnapshotState {
     /// pending issue first reaches it.
     pub(crate) boundary: u64,
     memory: Vec<Word>,
-    caches: Vec<Cache>,
-    dir: Directory,
+    coherence: Coherence,
     net: Interconnect,
     pub(crate) metrics: Metrics,
     states: Vec<ProcState>,
@@ -318,8 +316,7 @@ struct ReplaySource {
 pub(crate) struct EngineCore {
     params: MachineParams,
     memory: Vec<Word>,
-    caches: Vec<Cache>,
-    dir: Directory,
+    coherence: Coherence,
     net: Interconnect,
     pub(crate) metrics: Metrics,
     states: Vec<ProcState>,
@@ -380,8 +377,11 @@ impl EngineCore {
             p,
         });
         let mut core = EngineCore {
-            caches: (0..nprocs).map(|_| Cache::new(params.cache_lines)).collect(),
-            dir: Directory::new(),
+            coherence: Coherence::new(
+                nprocs,
+                init_memory.len().div_ceil(params.line_words),
+                params.cache_lines,
+            ),
             net,
             metrics: Metrics::new(nprocs),
             states: (0..nprocs).map(|_| ProcState::Running).collect(),
@@ -430,8 +430,7 @@ impl EngineCore {
         let mut core = EngineCore {
             params,
             memory: snap.memory.clone(),
-            caches: snap.caches.clone(),
-            dir: snap.dir.clone(),
+            coherence: snap.coherence.clone(),
             net: snap.net.clone(),
             metrics: snap.metrics.clone(),
             states: snap.states.clone(),
@@ -487,8 +486,7 @@ impl EngineCore {
         SnapshotState {
             boundary,
             memory: self.memory.clone(),
-            caches: self.caches.clone(),
-            dir: self.dir.clone(),
+            coherence: self.coherence.clone(),
             net: self.net.clone(),
             metrics: self.metrics.clone(),
             states: self.states.clone(),
@@ -930,79 +928,46 @@ impl EngineCore {
     fn access(&mut self, pid: usize, addr: Addr, kind: AccessKind, issue: u64) -> u64 {
         debug_assert!(addr < self.memory.len(), "execute() validates addresses");
         let line = self.params.line_of(addr);
-        let state = self.caches[pid].state(line);
+        let state = self.coherence.state(pid, line);
         let m = &mut self.metrics.per_proc[pid];
-        match kind {
-            AccessKind::Read => {
-                if state.is_some() {
-                    m.hits += 1;
-                    self.caches[pid].touch(line);
-                    return issue + self.params.hit_cycles;
-                }
+        let rmw_extra = match kind {
+            AccessKind::Rmw => self.params.rmw_extra_cycles,
+            AccessKind::Read | AccessKind::Write => 0,
+        };
+        let done = if state == Some(LineState::Modified)
+            || (state.is_some() && kind == AccessKind::Read)
+        {
+            m.hits += 1;
+            self.coherence.touch(pid, line);
+            issue + self.params.hit_cycles + rmw_extra
+        } else {
+            let (invalidated, wrote_back) = if kind == AccessKind::Read {
                 m.misses += 1;
-                self.metrics.interconnect_transactions += 1;
-                let entry = self.dir.entry(line);
                 // A dirty remote copy is downgraded (its data is written back
                 // as part of this same transaction).
-                if let Some(owner) = entry.owner {
-                    self.caches[owner].downgrade(line);
-                }
-                let done = self.net.transaction(
-                    issue,
-                    self.params.node_of_proc(pid),
-                    self.params.home_node(line),
-                    0,
-                );
-                self.dir.acquire(line, pid, LineState::Shared);
-                self.install(pid, line, LineState::Shared);
-                done
-            }
-            AccessKind::Write | AccessKind::Rmw => {
-                let rmw_extra = if kind == AccessKind::Rmw {
-                    self.params.rmw_extra_cycles
-                } else {
-                    0
-                };
-                if state == Some(LineState::Modified) {
-                    m.hits += 1;
-                    self.caches[pid].touch(line);
-                    return issue + self.params.hit_cycles + rmw_extra;
-                }
-                let entry = self.dir.entry(line);
-                let victims = entry.others(pid);
-                let nvictims = victims.count_ones() as u64;
-                if state == Some(LineState::Shared) {
+                (0, self.coherence.share(pid, line))
+            } else {
+                if state.is_some() {
                     m.upgrades += 1;
                 } else {
                     m.misses += 1;
                 }
-                self.metrics.interconnect_transactions += 1;
-                self.metrics.invalidations += nvictims;
-                for v in Directory::iter_mask(victims) {
-                    self.caches[v].invalidate(line);
-                }
-                let done = self.net.transaction(
-                    issue,
-                    self.params.node_of_proc(pid),
-                    self.params.home_node(line),
-                    self.params.inv_cycles * nvictims + rmw_extra,
-                );
-                self.dir.acquire(line, pid, LineState::Modified);
-                self.install(pid, line, LineState::Modified);
-                done
-            }
+                self.coherence.own(pid, line)
+            };
+            self.metrics.interconnect_transactions += 1;
+            self.metrics.invalidations += invalidated;
+            self.metrics.writebacks += u64::from(wrote_back);
+            self.net.transaction(
+                issue,
+                self.params.node_of_proc(pid),
+                self.params.home_node(line),
+                self.params.inv_cycles * invalidated + rmw_extra,
+            )
+        };
+        if cfg!(debug_assertions) {
+            self.coherence.check_invariants();
         }
-    }
-
-    /// Inserts a line into a private cache, accounting for evictions.
-    fn install(&mut self, pid: usize, line: usize, state: LineState) {
-        let ins = self.caches[pid].insert(line, state);
-        if let Some((victim, dirty)) = ins.evicted {
-            self.dir.release(victim, pid);
-            if dirty {
-                self.metrics.writebacks += 1;
-            }
-        }
+        done
     }
 
     /// Writes the value, then wakes watchers whose predicate now holds.

@@ -80,12 +80,6 @@ impl Interconnect {
             }
         }
     }
-
-    /// Completion time of a hypothetical transaction without scheduling it;
-    /// used for diagnostics only.
-    pub fn peek(&self, issue: u64, src_node: usize, home_node: usize, extra: u64) -> u64 {
-        self.clone().transaction(issue, src_node, home_node, extra)
-    }
 }
 
 #[cfg(test)]
@@ -166,15 +160,5 @@ mod tests {
         assert_eq!(a, 12);
         // Remote arrives at 10, waits until 12, served to 24, reply +10.
         assert_eq!(b, 34);
-    }
-
-    #[test]
-    fn peek_does_not_commit() {
-        let mut b = bus();
-        let peeked = b.peek(0, 0, 0, 0);
-        let real = b.transaction(0, 0, 0, 0);
-        assert_eq!(peeked, real);
-        // The peek must not have occupied the bus.
-        assert_eq!(b.transaction(0, 0, 0, 0), 40);
     }
 }

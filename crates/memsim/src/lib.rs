@@ -8,7 +8,7 @@
 //! exactly the quantities those papers measured:
 //!
 //! * **per-processor caches** with a write-invalidate MSI protocol
-//!   ([`cache`], [`directory`]),
+//!   ([`coherence`]),
 //! * a **shared bus** with FIFO arbitration, or a **NUMA interconnect** with
 //!   per-node memory modules and hop latency ([`interconnect`]),
 //! * **atomic read-modify-write** operations that obey the same ownership
@@ -65,9 +65,8 @@
 //! yields its core immediately. A run in which every live processor is parked
 //! with no waker left terminates with [`SimError::LostWakeup`].
 
-pub mod cache;
+pub mod coherence;
 pub mod coro;
-pub mod directory;
 pub mod engine;
 pub mod interconnect;
 pub mod machine;
