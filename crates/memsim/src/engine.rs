@@ -20,12 +20,25 @@
 //! 2. with no reply undelivered, `drive` executes globally-minimal pending
 //!    requests until one produces a reply.
 //!
-//! A handoff is a coroutine switch out and one back in — no host scheduler,
-//! no lock, no atomic. Determinism needs no argument about arrival order:
-//! one thread executes the deterministic choice, and the order in which
-//! replied processors are resumed cannot matter because between two
-//! operations a body touches only its own state, its mailbox and its own
-//! trace ring. What that asks of a body is on [`crate::Proc`].
+//! A handoff is a coroutine switch out and one back in: a jump each way,
+//! inlined into this loop and into [`crate::Proc`]'s operations — no host
+//! scheduler, no lock, no atomic, and no `ret` the CPU's return predictor
+//! did not see the `call` for ([`crate::coro`] has the measurements). The
+//! loop side of that is a rule to keep: a resume must sit in `run_live`'s
+//! own frame, never in a helper that returns to it, or every handoff pays
+//! mispredicted returns on both stacks. Determinism needs no argument about
+//! arrival order: one thread executes the deterministic choice, and the
+//! order in which replied processors are resumed cannot matter because
+//! between two operations a body touches only its own state, its mailbox
+//! and its own trace ring. What that asks of a body is on [`crate::Proc`].
+//!
+//! Running `drive` on the submitting body's stack instead, so that a reply
+//! to the processor that just submitted (a quarter of all steps on the
+//! benchmark's sweep) needs no switch at all, was built and measured with
+//! this switch in place: it was slower on the sweep, most on the cells
+//! where replies rarely go back to the submitter (EXPERIMENTS.md,
+//! "sim_sweep — a switch for the price of a jump"). A switch that is
+//! predicted costs too little for that to pay.
 //!
 //! ## Timing model
 //!
@@ -126,69 +139,58 @@ pub(crate) struct Mailbox {
     pub(crate) events: RefCell<Vec<(u64, EventKind)>>,
 }
 
-/// Waiter list with inline storage for the common case (a handful of
-/// processors parked on one word; e.g. every queue lock parks at most one).
-/// Order is preserved — wake order is part of the deterministic timing.
-#[derive(Debug, Default, Clone)]
-pub(crate) struct PidList {
-    inline: [u32; PidList::INLINE],
-    len: u8,
-    spill: Vec<u32>,
-}
+/// A processor in a waiter list, stored as `pid + 1`; zero is no processor,
+/// so that a table of links allocates zeroed.
+type Link = u32;
 
-impl PidList {
-    const INLINE: usize = 4;
-
-    pub(crate) fn push(&mut self, pid: usize) {
-        if (self.len as usize) < Self::INLINE {
-            self.inline[self.len as usize] = pid as u32;
-            self.len += 1;
-        } else {
-            self.spill.push(pid as u32);
-        }
-    }
-
-    pub(crate) fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// All pids in insertion order.
-    pub(crate) fn iter(&self) -> impl Iterator<Item = usize> + '_ {
-        self.inline[..self.len as usize]
-            .iter()
-            .chain(self.spill.iter())
-            .map(|&p| p as usize)
-    }
-}
-
-/// Watchpoint table keyed directly by word address — the watched span is
-/// the simulated shared memory, which is small and dense, so a flat table
-/// with inline waiter vectors needs no hashing and no per-entry allocation
-/// on the hot wake path.
+/// Per-word FIFO waiter lists, keyed directly by word address — the watched
+/// span is the simulated shared memory, which is small and dense. A
+/// processor waits on at most one word at a time, so the lists are threaded
+/// through one `next` link per processor and a word holds only its list's
+/// two ends: a run's table is `words` × 8 zero bytes, whatever is parked.
+/// Order is park order — wake order is part of the deterministic timing.
 #[derive(Debug, Clone)]
 struct WatchTable {
-    lists: Vec<PidList>,
+    /// Per word: its longest- and its shortest-waiting processor.
+    ends: Vec<[Link; 2]>,
+    /// Per processor: the waiter behind it in its list.
+    next: Vec<Link>,
 }
 
 impl WatchTable {
-    fn new(words: usize) -> Self {
+    fn new(words: usize, nprocs: usize) -> Self {
         WatchTable {
-            lists: (0..words).map(|_| PidList::default()).collect(),
+            ends: vec![[0; 2]; words],
+            next: vec![0; nprocs],
         }
     }
 
+    /// Appends `pid` to the waiters of `addr`.
     fn push(&mut self, addr: Addr, pid: usize) {
-        self.lists[addr].push(pid);
+        let link = pid as Link + 1;
+        self.next[pid] = 0;
+        let [first, last] = &mut self.ends[addr];
+        match *last {
+            0 => *first = link,
+            tail => self.next[tail as usize - 1] = link,
+        }
+        *last = link;
     }
 
-    /// Removes and returns the whole waiter list for `addr`.
-    fn take(&mut self, addr: Addr) -> PidList {
-        std::mem::take(&mut self.lists[addr])
+    /// Removes and returns the longest-waiting processor of `addr`.
+    fn pop(&mut self, addr: Addr) -> Option<usize> {
+        let [first, last] = &mut self.ends[addr];
+        let pid = first.checked_sub(1)? as usize;
+        *first = self.next[pid];
+        if *first == 0 {
+            *last = 0;
+        }
+        Some(pid)
     }
 
-    fn restore(&mut self, addr: Addr, list: PidList) {
-        debug_assert!(self.lists[addr].is_empty());
-        self.lists[addr] = list;
+    /// The processor that has waited on `addr` for the shortest time.
+    fn last(&self, addr: Addr) -> Option<usize> {
+        Some(self.ends[addr][1].checked_sub(1)? as usize)
     }
 }
 
@@ -385,8 +387,8 @@ impl EngineCore {
             net,
             metrics: Metrics::new(nprocs),
             states: (0..nprocs).map(|_| ProcState::Running).collect(),
-            watchers: WatchTable::new(init_memory.len()),
-            futexq: WatchTable::new(init_memory.len()),
+            watchers: WatchTable::new(init_memory.len(), nprocs),
+            futexq: WatchTable::new(init_memory.len(), nprocs),
             sched,
             pending: BinaryHeap::with_capacity(nprocs),
             ready: Vec::new(),
@@ -860,39 +862,31 @@ impl EngineCore {
                 }
             }
             Op::FutexWake(addr, n) => {
-                let pids = self.futexq.take(addr);
-                let mut rest = PidList::default();
                 let mut woken = 0u64;
                 let mut t = req.issue;
                 let wake_cost = self.params.wake_cycles();
-                for wpid in pids.iter() {
-                    if woken < n {
-                        woken += 1;
-                        self.metrics.per_proc[pid].futex_woken += 1;
-                        // The waker pays a modeled remote write into each
-                        // wakee's parker state, serialized per wakee.
-                        t += wake_cost;
-                        self.metrics.interconnect_transactions += 1;
-                        let ProcState::ParkedFutex { sleep_start, .. } = self.states[wpid]
-                        else {
-                            unreachable!("futex queue out of sync for p{wpid}");
-                        };
-                        self.metrics.per_proc[wpid].wakeups += 1;
-                        self.metrics.per_proc[wpid].spin_wait_cycles +=
-                            t.saturating_sub(sleep_start);
-                        if let Some(tr) = &self.tracer {
-                            tr.record(pid, t, EventKind::FutexWake { addr, wakee: wpid });
-                            tr.record(wpid, t, EventKind::FutexResume { addr, waker: pid });
-                        }
-                        // The wakee resumes off-core; its next submission
-                        // re-enters through the scheduler's ready queue.
-                        self.reply(wpid, self.memory[addr], t);
-                    } else {
-                        rest.push(wpid);
+                while woken < n {
+                    let Some(wpid) = self.futexq.pop(addr) else {
+                        break;
+                    };
+                    woken += 1;
+                    self.metrics.per_proc[pid].futex_woken += 1;
+                    // The waker pays a modeled remote write into each
+                    // wakee's parker state, serialized per wakee.
+                    t += wake_cost;
+                    self.metrics.interconnect_transactions += 1;
+                    let ProcState::ParkedFutex { sleep_start, .. } = self.states[wpid] else {
+                        unreachable!("futex queue out of sync for p{wpid}");
+                    };
+                    self.metrics.per_proc[wpid].wakeups += 1;
+                    self.metrics.per_proc[wpid].spin_wait_cycles += t.saturating_sub(sleep_start);
+                    if let Some(tr) = &self.tracer {
+                        tr.record(pid, t, EventKind::FutexWake { addr, wakee: wpid });
+                        tr.record(wpid, t, EventKind::FutexResume { addr, waker: pid });
                     }
-                }
-                if !rest.is_empty() {
-                    self.futexq.restore(addr, rest);
+                    // The wakee resumes off-core; its next submission
+                    // re-enters through the scheduler's ready queue.
+                    self.reply(wpid, self.memory[addr], t);
                 }
                 (woken, t)
             }
@@ -983,14 +977,14 @@ impl EngineCore {
 
     /// Re-probes every processor parked on `addr`, in park order. Watchers
     /// whose predicate holds are released; the rest pay the probe and park
-    /// again (their line was invalidated by the triggering write).
+    /// again, behind one another as before (their line was invalidated by
+    /// the triggering write).
     fn wake_watchers(&mut self, addr: Addr, write_done: u64) {
-        let pids = self.watchers.take(addr);
-        if pids.is_empty() {
+        let Some(last) = self.watchers.last(addr) else {
             return;
-        }
-        let mut still_waiting = PidList::default();
-        for pid in pids.iter() {
+        };
+        loop {
+            let pid = self.watchers.pop(addr).expect("waiters up to `last`");
             let ProcState::Waiting {
                 pred,
                 clock,
@@ -1020,11 +1014,11 @@ impl EngineCore {
                     clock: t,
                     sleep_start,
                 };
-                still_waiting.push(pid);
+                self.watchers.push(addr, pid);
             }
-        }
-        if !still_waiting.is_empty() {
-            self.watchers.restore(addr, still_waiting);
+            if pid == last {
+                return;
+            }
         }
     }
 }
@@ -1036,6 +1030,11 @@ impl EngineCore {
     /// or dropped, once the run is being torn down. A body that panics
     /// tears the run down; the first payload that is not the engine's own
     /// [`SimAbort`] is kept in `panic`.
+    // Inlined, so that the switch sits in `run_live` itself: the loop must
+    // not return through a frame it did not enter since the last switch, or
+    // every handoff costs mispredicted returns on both stacks
+    // (`crate::coro`).
+    #[inline(always)]
     fn step(
         &mut self,
         pid: usize,
@@ -1121,14 +1120,32 @@ mod tests {
     }
 
     #[test]
-    fn pid_list_preserves_order_across_spill() {
-        let mut list = PidList::default();
+    fn watch_lists_are_fifo_per_word_and_survive_requeueing() {
+        let mut table = WatchTable::new(3, 10);
         for pid in 0..10 {
-            list.push(pid);
+            table.push(pid % 2, pid);
         }
-        let collected: Vec<usize> = list.iter().collect();
-        assert_eq!(collected, (0..10).collect::<Vec<_>>());
-        assert!(!list.is_empty());
-        assert!(PidList::default().is_empty());
+        assert_eq!(table.last(0), Some(8));
+        assert_eq!(table.last(2), None);
+        assert_eq!(table.pop(2), None);
+        // What `wake_watchers` does: pop everyone up to the last, re-park
+        // some. Those keep their relative order, behind nobody new.
+        for expect in [1, 3, 5, 7, 9] {
+            let pid = table.pop(1).unwrap();
+            assert_eq!(pid, expect);
+            if pid != 5 {
+                table.push(1, pid);
+            }
+        }
+        let snapshot = table.clone();
+        let drain =
+            |mut t: WatchTable, addr| std::iter::from_fn(move || t.pop(addr)).collect::<Vec<_>>();
+        assert_eq!(drain(table.clone(), 1), vec![1, 3, 7, 9]);
+        assert_eq!(drain(table, 0), vec![0, 2, 4, 6, 8]);
+        assert_eq!(
+            drain(snapshot, 1),
+            vec![1, 3, 7, 9],
+            "a clone is a snapshot"
+        );
     }
 }

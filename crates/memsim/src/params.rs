@@ -143,9 +143,11 @@ impl MachineParams {
         }
     }
 
-    /// Index of the cache line containing a word address.
+    /// Index of the cache line containing a word address. `line_words` is
+    /// a power of two ([`MachineParams::validate`]), so this is a shift, not
+    /// a division by a run-time value on every simulated access.
     pub fn line_of(&self, addr: usize) -> usize {
-        addr / self.line_words
+        addr >> self.line_words.trailing_zeros()
     }
 
     /// Home node of a line under the NUMA interleaving (always 0 on a bus).

@@ -10,7 +10,9 @@
 //! A body runs as a coroutine on the host thread that called
 //! [`crate::Machine::run`] ([`crate::coro`]): an operation leaves its
 //! request in the processor's mailbox, switches to the engine loop, and
-//! picks the reply up when the loop switches back.
+//! picks the reply up when the loop switches back. The switch is inlined
+//! into `Proc::roundtrip`, the one function every operation goes through,
+//! so the loop's jump back always lands at the same address.
 
 use crate::coro;
 use crate::engine::{Mailbox, Op, Request, WaitPred};

@@ -1,9 +1,10 @@
 //! Integration tests for the engine's machinery as seen from outside:
-//! watchpoint wake ordering, what a run costs the host (no thread, and no
-//! stack once the calling thread's cache is warm), and unwinding every
-//! suspended processor on a panic or an engine error.
+//! watchpoint wake ordering, what a run costs the host (no thread, no
+//! stack once the calling thread's cache is warm, one coroutine switch in
+//! per engine step), and unwinding every suspended processor on a panic or
+//! an engine error.
 
-use memsim::coro::stacks_mapped;
+use memsim::coro::{stacks_mapped, switches};
 use memsim::{Machine, MachineParams, SimError};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -104,6 +105,30 @@ fn a_run_spawns_no_thread() {
         .expect("P = 64 run");
     assert_eq!(report.memory, vec![nprocs as u64; 2]);
     assert_eq!(host_threads(), before);
+}
+
+/// The engine loop resumes a body once to start it and once per reply, so
+/// `coro::switches()` counts engine steps: operations plus processors.
+/// (`delay` is local to the body and is no step.)
+#[test]
+fn a_run_switches_once_per_operation_and_once_per_body() {
+    for (nprocs, ops) in [(1, 1000), (2, 300), (16, 20)] {
+        let before = switches();
+        let report = Machine::new(MachineParams::bus_1991(nprocs))
+            .run(nprocs, 1, |p| {
+                for _ in 0..ops {
+                    p.fetch_add(0, 1);
+                    p.delay(7);
+                }
+            })
+            .expect("counter run");
+        assert_eq!(report.memory[0], (nprocs * ops) as u64);
+        assert_eq!(
+            switches() - before,
+            (nprocs * ops + nprocs) as u64,
+            "P = {nprocs}"
+        );
+    }
 }
 
 /// Stacks are mapped once per host thread: after a warm-up run, five more

@@ -101,6 +101,27 @@ fn every_early_end_unwinds_every_body_exactly_once() {
     assert_eq!(payload.downcast_ref::<&str>(), Some(&"peer bug"));
 }
 
+/// Tearing a run down unwinds each body from the operation it is suspended
+/// in. A body may catch that unwind; the next operation it issues is then
+/// answered the same way, and so on until it ends.
+#[test]
+fn a_body_that_catches_the_abort_is_answered_with_it_again() {
+    let caught = AtomicUsize::new(0);
+    let carried_on = AtomicUsize::new(0);
+    let deadlock = run_guarded(&bus(1_000_000), |p| {
+        let first = catch_unwind(AssertUnwindSafe(|| p.spin_until(0, 1))); // nobody stores 1
+        assert!(first.is_err(), "the spin can only end by the abort");
+        let second = catch_unwind(AssertUnwindSafe(|| p.fetch_add(1, 1)));
+        assert!(second.is_err(), "an aborted run executes nothing more");
+        caught.fetch_add(1, Ordering::Relaxed);
+        p.load(1);
+        carried_on.fetch_add(1, Ordering::Relaxed);
+    });
+    assert!(matches!(deadlock, Ok(Err(SimError::Deadlock { ref waiting })) if waiting.len() == P));
+    assert_eq!(caught.load(Ordering::Relaxed), P);
+    assert_eq!(carried_on.load(Ordering::Relaxed), 0);
+}
+
 #[test]
 fn user_panic_payload_propagates() {
     let outcome = catch_unwind(|| {
