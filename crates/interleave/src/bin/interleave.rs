@@ -20,6 +20,10 @@
 //! `fuzz` samples random schedules instead of searching: same exit
 //! convention, and every failure prints the seed, strategy and a
 //! ready-to-paste `replay` line (shrunk when `--shrink` is given).
+//!
+//! A `check` or `fuzz` still running after five seconds says so on stderr,
+//! and every five seconds from then on: runs so far, what was pruned, the
+//! deepest schedule, runs per second. Stdout is the same either way.
 
 use interleave::fuzz::{self, Fuzzer, Strategy};
 use interleave::harness::{barrier_program, check_barrier, check_lock, check_lock_bypass};
@@ -32,7 +36,9 @@ use kernels::lockdep::InstrumentedLock;
 use kernels::locks::{all_locks, lock_by_name, LockKernel};
 use simcore::knob;
 use std::process::ExitCode;
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 fn usage() -> ! {
     eprintln!(
@@ -246,21 +252,43 @@ fn explorer_from(args: &Args) -> Explorer {
     e
 }
 
+/// The counts of a finished search's stats line and of a progress line.
+fn counts(s: Stats) -> String {
+    format!(
+        "runs {} (step-limit pruned {}, sleep-set pruned {}, dpor pruned {}), max depth {}",
+        s.runs, s.pruned, s.sleep_pruned, s.dpor_pruned, s.max_depth
+    )
+}
+
 fn render_stats(s: Stats) {
-    println!(
-        "runs {} (step-limit pruned {}, sleep-set pruned {}, dpor pruned {}), \
-         max depth {}, {}",
-        s.runs,
-        s.pruned,
-        s.sleep_pruned,
-        s.dpor_pruned,
-        s.max_depth,
-        if s.complete {
-            "search complete"
-        } else {
-            "run budget exhausted"
+    let how = if s.complete {
+        "search complete"
+    } else {
+        "run budget exhausted"
+    };
+    println!("{}, {how}", counts(s));
+}
+
+/// Runs `command` with a ticker thread beside it that reports on stderr,
+/// every five seconds for as long as the command is still going, what
+/// [`Stats::live`] says its search has done so far and the rate since the
+/// last report.
+fn with_progress<T>(command: impl FnOnce() -> T) -> T {
+    const EVERY: Duration = Duration::from_secs(5);
+    let (finished, still_going) = mpsc::channel::<()>();
+    let ticker = std::thread::spawn(move || {
+        let (mut last_runs, mut last_at) = (0, Instant::now());
+        while still_going.recv_timeout(EVERY) == Err(RecvTimeoutError::Timeout) {
+            let (s, now) = (Stats::live(), Instant::now());
+            let rate = (s.runs - last_runs) as f64 / (now - last_at).as_secs_f64();
+            eprintln!("... {}, {rate:.0} runs/s", counts(s));
+            (last_runs, last_at) = (s.runs, now);
         }
-    );
+    });
+    let exit = command();
+    drop(finished);
+    ticker.join().expect("the progress ticker does not panic");
+    exit
 }
 
 /// Builds the program a target names, mirroring exactly what `check` runs
@@ -669,10 +697,10 @@ fn main() -> ExitCode {
     let args = parse_args();
     match args.cmd.as_str() {
         "list" => run_list(),
-        "check" => run_check(&args),
+        "check" => with_progress(|| run_check(&args)),
         "replay" => run_replay(&args),
         "trace" => run_trace(&args),
-        "fuzz" => run_fuzz(&args),
+        "fuzz" => with_progress(|| run_fuzz(&args)),
         _ => usage(),
     }
 }

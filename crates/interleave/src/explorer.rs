@@ -42,6 +42,15 @@
 //! bounded-bypass starvation checking forces it off automatically, because
 //! bypass counts are *not* invariant under reordering independent steps.
 //!
+//! **Execution model.** A search runs on the host thread that called it:
+//! each explored schedule executes the program's threads as coroutines on
+//! that thread ([`simcore::coro`], the transport `memsim` runs simulated
+//! processors on), resumed one at a time by the scheduler loop in
+//! `Explorer::execute_with`. [`Explorer::check_parallel`] is the only place
+//! host threads appear — one per worker, each owning the coroutines of the
+//! schedules it explores. What that asks of a program's body is on
+//! [`Program::new`].
+//!
 //! [`Explorer::check_parallel`] fans the search out over a worker pool
 //! deterministically: the top [`DPOR_SPLIT_DEPTH`] levels are expanded
 //! into an explicit task list under sleep-set semantics (so cross-task
@@ -49,9 +58,14 @@
 //! number of workers, and verdict/stats merge in task order — the result
 //! is byte-identical for 1, 2 or N workers.
 
-use crate::program::{OpMeta, OpRecord, Program, RunCfg, RunState, StarvationReport, TState};
+use crate::program::{
+    OpMeta, OpRecord, Program, RunCfg, RunState, Shared, StarvationReport, TState,
+};
 use crate::race::{DporAnalysis, RaceReport};
 use memsim::{Addr, Word};
+use simcore::coro::Coroutine;
+use std::cell::RefCell;
+use std::rc::Rc;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -115,7 +129,40 @@ pub struct Stats {
     pub max_depth: usize,
 }
 
+/// What every search of this process has counted so far, whichever thread
+/// runs it: the totals behind [`Stats::live`].
+static LIVE: Mutex<Stats> = Mutex::new(Stats {
+    runs: 0,
+    pruned: 0,
+    sleep_pruned: 0,
+    dpor_pruned: 0,
+    complete: false,
+    max_depth: 0,
+});
+
 impl Stats {
+    /// The running totals of every search this process has executed,
+    /// finished or still in flight on any thread — what a front end polls
+    /// to say what a long search is doing (`complete` is always false).
+    /// `runs` and `max_depth` are exact; the pruning counts lag a search by
+    /// at most its current run.
+    pub fn live() -> Stats {
+        *LIVE.lock().expect("only additions run under this lock")
+    }
+
+    /// Adds to the process-wide totals what this search has counted since
+    /// `published`, its own record of what it added before. Called once per
+    /// execution.
+    pub(crate) fn publish(&self, published: &mut Stats) {
+        let mut live = LIVE.lock().expect("only additions run under this lock");
+        live.runs += self.runs - published.runs;
+        live.pruned += self.pruned - published.pruned;
+        live.sleep_pruned += self.sleep_pruned - published.sleep_pruned;
+        live.dpor_pruned += self.dpor_pruned - published.dpor_pruned;
+        live.max_depth = live.max_depth.max(self.max_depth);
+        *published = *self;
+    }
+
     /// Order-insensitive merge for parallel exploration: counters add,
     /// depth maxes, completeness ands.
     fn absorb(&mut self, other: Stats) {
@@ -578,6 +625,7 @@ impl Explorer {
         F: Fn(&[Word]) -> Result<(), String>,
     {
         let base_len = stack.len();
+        let mut published = Stats::default();
         loop {
             if stats.runs >= self.max_runs {
                 stats.complete = false;
@@ -588,6 +636,7 @@ impl Explorer {
             let outcome = self.execute(program, &prefix, false);
             stats.runs += 1;
             stats.max_depth = stats.max_depth.max(outcome.trace.len());
+            stats.publish(&mut published);
 
             // Adopt the decisions taken beyond the replayed prefix, and
             // refresh the prefix frames' observed operations: a backtrack
@@ -867,11 +916,13 @@ impl Explorer {
             ..Stats::default()
         };
         let mut stack: Vec<Frame> = Vec::new();
+        let mut published = Stats::default();
         loop {
             let prefix: Vec<(usize, u64)> =
                 stack.iter().map(|f| (f.chosen, f.done_mask())).collect();
             let outcome = generator.execute(program, &prefix, false);
             stats.runs += 1;
+            stats.publish(&mut published);
             // Same prefix-op refresh as in `explore`: the task frames'
             // recorded ops feed phase two's race analysis.
             let replayed = stack.len();
@@ -956,6 +1007,11 @@ impl Explorer {
     /// with [`Policy::External`] — so park/unpark semantics, the race
     /// detector, lockdep, and bypass accounting behave identically under
     /// exhaustive search and random sampling.
+    ///
+    /// The program's threads are coroutines on the calling thread
+    /// ([`crate::program`]): the loop decides, resumes the chosen one until
+    /// its next operation, and decides again. Nothing else runs meanwhile,
+    /// so a run spawns no thread and takes no lock.
     pub(crate) fn execute_with(
         &self,
         program: &Program,
@@ -967,7 +1023,17 @@ impl Explorer {
             lockdep: program.lockdep.clone(),
             record_ops,
         };
-        let rs = RunState::new(program.initial_memory(), program.nthreads, cfg);
+        let rs: RunState = Rc::new(RefCell::new(Shared::new(
+            program.initial_memory(),
+            program.nthreads,
+            cfg,
+        )));
+        let mut threads: Vec<Coroutine<'_>> = (0..program.nthreads)
+            .map(|pid| {
+                let rs = Rc::clone(&rs);
+                Coroutine::new(move || program.run_thread(pid, rs))
+            })
+            .collect();
         let mut trace: Vec<Frame> = Vec::new();
         // Threads enabled-but-asleep at the current state: scheduling them
         // here is covered by an already-explored sibling branch. Replayed
@@ -975,195 +1041,187 @@ impl Explorer {
         let mut sleep: u64 = 0;
         let reduction = self.dpor != DporMode::None && matches!(policy, Policy::Dfs { .. });
 
-        let end = std::thread::scope(|scope| {
+        // Every body runs to its first operation before any decision is
+        // taken — and so, should the run be torn down, is suspended in one.
+        for thread in &mut threads {
+            thread.resume();
+        }
+        let end = loop {
+            // Nobody is mid-step here: every thread is suspended at a
+            // schedule point or finished. The borrow ends before the resume
+            // at the bottom of the loop.
+            let mut g = rs.borrow_mut();
+            if let Some(report) = g.race_report.take() {
+                break RunEnd::Race(report);
+            }
+            if let Some(msg) = g.panic_msg.take() {
+                break RunEnd::Panic(msg);
+            }
+            if let Some(report) = g.starvation.take() {
+                break RunEnd::Starvation(report);
+            }
+            // Unblock spinners whose predicate now holds. Futex-parked
+            // threads are NOT touched here: only an explicit wake
+            // re-readies them — that asymmetry is what lets the
+            // explorer see lost wakeups as hangs.
             for pid in 0..program.nthreads {
-                let rs = std::sync::Arc::clone(&rs);
-                let program = &*program;
-                scope.spawn(move || program.run_thread(pid, rs));
+                if let TState::Blocked(addr, pred) = g.states[pid] {
+                    if pred.satisfied(g.memory[addr]) {
+                        g.states[pid] = TState::Ready;
+                    }
+                }
+            }
+            let enabled: Vec<usize> = (0..program.nthreads)
+                .filter(|&p| g.states[p] == TState::Ready)
+                .collect();
+            if enabled.is_empty() {
+                let blocked: Vec<(usize, Addr)> = (0..program.nthreads)
+                    .filter_map(|p| match g.states[p] {
+                        TState::Blocked(a, _) => Some((p, a)),
+                        _ => None,
+                    })
+                    .collect();
+                let parked: Vec<(usize, Addr)> = (0..program.nthreads)
+                    .filter_map(|p| match g.states[p] {
+                        TState::Parked(a) => Some((p, a)),
+                        _ => None,
+                    })
+                    .collect();
+                // Pure futex hang → lost wakeup; any spinner in the
+                // mix → deadlock, listing every stuck thread (the
+                // spinners are what a waker would have to get past).
+                break if blocked.is_empty() && parked.is_empty() {
+                    RunEnd::Complete(g.memory.clone())
+                } else if blocked.is_empty() {
+                    RunEnd::LostWakeup(parked)
+                } else {
+                    let mut all = blocked;
+                    all.extend(parked);
+                    RunEnd::Deadlock(all)
+                };
+            }
+            if trace.len() >= self.max_steps {
+                break RunEnd::Pruned;
             }
 
-            let mut g = rs.mu.lock().unwrap();
-            loop {
-                // Wait for quiescence: nobody mid-step, grant consumed.
-                while g.grant.is_some()
-                    || g.states.iter().any(|s| matches!(s, TState::Running))
-                {
-                    g = rs.cv.wait(g).unwrap();
-                }
-                if let Some(report) = g.race_report.take() {
-                    g.aborted = true;
-                    rs.cv.notify_all();
-                    break RunEnd::Race(report);
-                }
-                if let Some(msg) = g.panic_msg.take() {
-                    g.aborted = true;
-                    rs.cv.notify_all();
-                    break RunEnd::Panic(msg);
-                }
-                if let Some(report) = g.starvation.take() {
-                    g.aborted = true;
-                    rs.cv.notify_all();
-                    break RunEnd::Starvation(report);
-                }
-                // Unblock spinners whose predicate now holds. Futex-parked
-                // threads are NOT touched here: only an explicit wake
-                // re-readies them — that asymmetry is what lets the
-                // explorer see lost wakeups as hangs.
-                for pid in 0..program.nthreads {
-                    if let TState::Blocked(addr, pred) = g.states[pid] {
-                        if pred.satisfied(g.memory[addr]) {
-                            g.states[pid] = TState::Ready;
-                        }
-                    }
-                }
-                let enabled: Vec<usize> = (0..program.nthreads)
-                    .filter(|&p| g.states[p] == TState::Ready)
-                    .collect();
-                if enabled.is_empty() {
-                    let blocked: Vec<(usize, Addr)> = (0..program.nthreads)
-                        .filter_map(|p| match g.states[p] {
-                            TState::Blocked(a, _) => Some((p, a)),
-                            _ => None,
-                        })
-                        .collect();
-                    let parked: Vec<(usize, Addr)> = (0..program.nthreads)
-                        .filter_map(|p| match g.states[p] {
-                            TState::Parked(a) => Some((p, a)),
-                            _ => None,
-                        })
-                        .collect();
-                    g.aborted = true;
-                    rs.cv.notify_all();
-                    // Pure futex hang → lost wakeup; any spinner in the
-                    // mix → deadlock, listing every stuck thread (the
-                    // spinners are what a waker would have to get past).
-                    break if blocked.is_empty() && parked.is_empty() {
-                        RunEnd::Complete(g.memory.clone())
-                    } else if blocked.is_empty() {
-                        RunEnd::LostWakeup(parked)
-                    } else {
-                        let mut all = blocked;
-                        all.extend(parked);
-                        RunEnd::Deadlock(all)
-                    };
-                }
-                if trace.len() >= self.max_steps {
-                    g.aborted = true;
-                    rs.cv.notify_all();
-                    break RunEnd::Pruned;
-                }
+            let enabled_mask = enabled.iter().fold(0u64, |m, &t| m | (1u64 << t));
+            let eligible: Vec<usize> = if reduction {
+                enabled
+                    .iter()
+                    .copied()
+                    .filter(|&p| sleep & (1 << p) == 0)
+                    .collect()
+            } else {
+                enabled
+            };
+            if eligible.is_empty() {
+                // All enabled threads are asleep: every continuation
+                // reorders independent steps of schedules explored in
+                // sibling branches.
+                break RunEnd::SleepBlocked;
+            }
 
-                let enabled_mask = enabled.iter().fold(0u64, |m, &t| m | (1u64 << t));
-                let eligible: Vec<usize> = if reduction {
-                    enabled
-                        .iter()
-                        .copied()
-                        .filter(|&p| sleep & (1 << p) == 0)
-                        .collect()
-                } else {
-                    enabled
-                };
-                if eligible.is_empty() {
-                    // All enabled threads are asleep: every continuation
-                    // reorders independent steps of schedules explored in
-                    // sibling branches.
-                    g.aborted = true;
-                    rs.cv.notify_all();
-                    break RunEnd::SleepBlocked;
-                }
-
-                let step = trace.len();
-                let prev = trace.last().map(|f: &Frame| f.chosen);
-                let preempts_before = trace.last().map(|f| f.preempts_after()).unwrap_or(0);
-                let (chosen, done) = match &mut policy {
-                    Policy::Dfs { prefix } => {
-                        let chosen = if step < prefix.len() {
-                            let choice = prefix[step].0;
-                            if !eligible.contains(&choice) {
-                                // Granting an ineligible thread would wedge
-                                // the run: nobody consumes the grant, the
-                                // scheduler waits forever. Only caller-
-                                // supplied replay schedules can get here.
-                                g.aborted = true;
-                                rs.cv.notify_all();
-                                break RunEnd::Diverged { step, choice };
-                            }
-                            choice
-                        } else {
-                            // Default: stay on the same thread (zero
-                            // preemptions).
-                            match prev {
-                                Some(p) if eligible.contains(&p) => p,
-                                _ => eligible[0],
-                            }
-                        };
-                        let done = if step < prefix.len() { prefix[step].1 } else { 0 };
-                        (chosen, done)
-                    }
-                    Policy::External(choose) => {
-                        let choice = choose(step, &eligible, prev);
+            let step = trace.len();
+            let prev = trace.last().map(|f: &Frame| f.chosen);
+            let preempts_before = trace.last().map(|f| f.preempts_after()).unwrap_or(0);
+            let (chosen, done) = match &mut policy {
+                Policy::Dfs { prefix } => {
+                    let chosen = if step < prefix.len() {
+                        let choice = prefix[step].0;
                         if !eligible.contains(&choice) {
-                            // A chooser bug must not wedge the run; surface
-                            // it the same way a bad replay schedule would.
-                            g.aborted = true;
-                            rs.cv.notify_all();
+                            // Not a thread that can step here (finished,
+                            // blocked, or no such thread). Only caller-
+                            // supplied replay schedules can get here.
                             break RunEnd::Diverged { step, choice };
                         }
-                        (choice, 0)
+                        choice
+                    } else {
+                        // Default: stay on the same thread (zero
+                        // preemptions).
+                        match prev {
+                            Some(p) if eligible.contains(&p) => p,
+                            _ => eligible[0],
+                        }
+                    };
+                    let done = if step < prefix.len() { prefix[step].1 } else { 0 };
+                    (chosen, done)
+                }
+                Policy::External(choose) => {
+                    let choice = choose(step, &eligible, prev);
+                    if !eligible.contains(&choice) {
+                        // A chooser bug surfaces the same way a bad replay
+                        // schedule would.
+                        break RunEnd::Diverged { step, choice };
                     }
-                };
+                    (choice, 0)
+                }
+            };
 
-                if reduction {
-                    // Sleep-set transition: siblings fully explored at
-                    // this decision go to sleep; anything whose pending op
-                    // is dependent on the chosen op wakes up.
-                    let mut next = (sleep | done) & !(1u64 << chosen);
-                    match g.pending[chosen] {
-                        Some(chosen_op) => {
-                            let mut bits = next;
-                            while bits != 0 {
-                                let u = bits.trailing_zeros() as usize;
-                                bits &= bits - 1;
-                                let wake = match g.pending[u] {
-                                    Some(m) => m.dependent(chosen_op),
-                                    // Unknown pending op: wake it (no
-                                    // pruning — always safe).
-                                    None => true,
-                                };
-                                if wake {
-                                    next &= !(1u64 << u);
-                                }
+            if reduction {
+                // Sleep-set transition: siblings fully explored at
+                // this decision go to sleep; anything whose pending op
+                // is dependent on the chosen op wakes up.
+                let mut next = (sleep | done) & !(1u64 << chosen);
+                match g.pending[chosen] {
+                    Some(chosen_op) => {
+                        let mut bits = next;
+                        while bits != 0 {
+                            let u = bits.trailing_zeros() as usize;
+                            bits &= bits - 1;
+                            let wake = match g.pending[u] {
+                                Some(m) => m.dependent(chosen_op),
+                                // Unknown pending op: wake it (no
+                                // pruning — always safe).
+                                None => true,
+                            };
+                            if wake {
+                                next &= !(1u64 << u);
                             }
                         }
-                        None => next = 0,
                     }
-                    sleep = next;
+                    None => next = 0,
                 }
-
-                // Source mode seeds the backtrack set with just the
-                // chosen thread; race analysis grows it on demand. Sleep
-                // and no-reduction modes explore every eligible sibling.
-                let eligible_bits = eligible.iter().fold(0u64, |m, &t| m | (1u64 << t));
-                trace.push(Frame {
-                    eligible,
-                    enabled: enabled_mask,
-                    chosen,
-                    op: g.pending[chosen],
-                    tried: 1 << chosen,
-                    backtrack: if self.dpor == DporMode::Source {
-                        1 << chosen
-                    } else {
-                        eligible_bits
-                    },
-                    prev,
-                    preempts_before,
-                });
-                g.grant = Some(chosen);
-                rs.cv.notify_all();
+                sleep = next;
             }
-        });
 
-        let ops = std::mem::take(&mut rs.mu.lock().unwrap().oplog);
+            // Source mode seeds the backtrack set with just the
+            // chosen thread; race analysis grows it on demand. Sleep
+            // and no-reduction modes explore every eligible sibling.
+            let eligible_bits = eligible.iter().fold(0u64, |m, &t| m | (1u64 << t));
+            trace.push(Frame {
+                eligible,
+                enabled: enabled_mask,
+                chosen,
+                op: g.pending[chosen],
+                tried: 1 << chosen,
+                backtrack: if self.dpor == DporMode::Source {
+                    1 << chosen
+                } else {
+                    eligible_bits
+                },
+                prev,
+                preempts_before,
+            });
+            drop(g);
+            // The grant: the chosen thread executes its pending operation
+            // and runs on to its next one. Resumed from this frame, the one
+            // that loops, so a handoff returns through no frame entered
+            // before the switch (`simcore::coro`).
+            threads[chosen].resume();
+        };
+
+        // Tear-down: every body still suspended in an operation is resumed
+        // with `aborted` set until it has unwound, so no frame of a body
+        // outlives the run. A body may catch the unwind and carry on: every
+        // further operation is answered the same way.
+        rs.borrow_mut().aborted = true;
+        for thread in &mut threads {
+            while !thread.is_done() {
+                thread.resume();
+            }
+        }
+
+        let ops = std::mem::take(&mut rs.borrow_mut().oplog);
         RunOutcome { trace, end, ops }
     }
 }
@@ -1302,6 +1360,24 @@ mod tests {
         let stats = verdict.stats();
         assert_eq!(stats.runs, 10);
         assert!(!stats.complete);
+    }
+
+    #[test]
+    fn live_totals_count_every_run_as_it_ends() {
+        // Other tests' searches add to the same totals: lower bounds only.
+        let before = Stats::live();
+        let program = Program::new(3, 1, |ctx| {
+            ctx.fetch_add(0, 1);
+        });
+        let stats = Explorer::exhaustive()
+            .without_reduction()
+            .check(&program, |_| Ok(()))
+            .stats();
+        let after = Stats::live();
+        assert!(stats.runs > 1);
+        assert!(after.runs - before.runs >= stats.runs);
+        assert!(after.max_depth >= stats.max_depth);
+        assert!(!after.complete, "the totals are never a finished search");
     }
 
     #[test]

@@ -319,6 +319,7 @@ impl Fuzzer {
         // guess before the first run). Deterministic — it depends only on
         // earlier runs of the same seeded campaign.
         let mut observed_max = 0usize;
+        let mut published = Stats::default();
 
         for iter in 0..self.iters {
             let horizon = if observed_max == 0 { 16 } else { observed_max.max(4) };
@@ -331,6 +332,7 @@ impl Fuzzer {
             );
             stats.runs += 1;
             stats.max_depth = stats.max_depth.max(outcome.trace.len());
+            stats.publish(&mut published);
             observed_max = observed_max.max(outcome.trace.len());
             let schedule = outcome.schedule();
 

@@ -9,6 +9,14 @@
 //!
 //! * Every shared-memory operation is a *schedule point*; between points a
 //!   thread runs uninstrumented local code.
+//! * A program's threads are not host threads. Each is a stackful coroutine
+//!   ([`simcore::coro`]) on the host thread running the search — one host
+//!   thread per search, or per worker of [`Explorer::check_parallel`] — and
+//!   a schedule point is a switch to the scheduler loop and back. In
+//!   exchange a body must not block the host thread on another body's
+//!   progress, hold a `RefCell` borrow across an operation, or use more
+//!   than 256 KiB of stack ([`Program::new`] has the details). `coro` is
+//!   x86_64-Linux-only, and so is this crate.
 //! * `spin_while` / `spin_until` **block**: a blocked thread is not
 //!   schedulable until a write makes its predicate true, and when scheduled
 //!   it re-checks (wake-up then re-check, as on real hardware).

@@ -1,29 +1,27 @@
 //! Programs under test and the schedule-controlled execution context.
+//!
+//! Each thread of a [`Program`] runs as a stackful coroutine
+//! ([`simcore::coro`]) on the host thread that explores it. A shared-memory
+//! operation on [`ChkCtx`] publishes what it is about to do in the run's
+//! `Shared` state and suspends to the scheduler loop
+//! ([`crate::Explorer`]); the loop resumes the thread it chose, which
+//! executes the operation and runs on to its next one. The state sits in an
+//! `Rc<RefCell<_>>` that both sides borrow only between switches: a borrow
+//! held across `suspend` would meet the scheduler's own `borrow_mut`.
 
 use crate::race::{AccessSite, RaceDetector, RaceReport};
 use kernels::{LockEvent, LockOrderGraph, SyncCtx};
 use memsim::{Addr, Word};
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Condvar, Mutex};
+use simcore::coro;
+use std::cell::RefCell;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::rc::Rc;
+use std::sync::Arc;
 
-/// Sentinel payload used to unwind worker threads when a run is torn down
-/// (verdict already decided elsewhere). Never reported as a failure.
+/// Sentinel payload that unwinds a thread's body when its run is torn down
+/// (verdict already decided elsewhere). Raised with `resume_unwind`, so no
+/// panic hook sees it; never reported as a failure.
 struct ChkAbort;
-
-/// Keeps the default panic hook from printing a message + backtrace for
-/// every [`ChkAbort`] unwind — run teardown is routine, not a crash. All
-/// other payloads still reach the previously installed hook.
-fn silence_abort_panics() {
-    static ONCE: std::sync::Once = std::sync::Once::new();
-    ONCE.call_once(|| {
-        let previous = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            if info.payload().downcast_ref::<ChkAbort>().is_none() {
-                previous(info);
-            }
-        }));
-    });
-}
 
 /// Wait predicate mirroring the kernels' spin semantics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -213,7 +211,7 @@ pub(crate) struct RunCfg {
 pub(crate) enum TState {
     /// Executing local code (or not yet at its first operation).
     Running,
-    /// Parked at a schedule point, waiting to be granted a step.
+    /// Suspended at a schedule point, waiting to be granted a step.
     Ready,
     /// Parked in a spin whose predicate is false.
     Blocked(Addr, Pred),
@@ -231,13 +229,12 @@ pub(crate) enum TState {
 pub(crate) struct Shared {
     pub memory: Vec<Word>,
     pub states: Vec<TState>,
-    /// Thread currently allowed to take its step.
-    pub grant: Option<usize>,
     /// First assertion/panic message raised by the program.
     pub panic_msg: Option<String>,
-    /// Tear-down flag: parked threads unwind when they observe it.
+    /// Tear-down flag: a thread resumed while it is set unwinds instead of
+    /// taking its step.
     pub aborted: bool,
-    /// Each parked thread's next operation (valid while Ready/Blocked).
+    /// Each suspended thread's next operation (valid while Ready/Blocked).
     pub pending: Vec<Option<OpMeta>>,
     /// FIFO futex wait queue: `(word, thread)` in park order, across all
     /// words (wakes drain the oldest entries matching their word).
@@ -260,9 +257,29 @@ pub(crate) struct Shared {
 }
 
 impl Shared {
+    pub(crate) fn new(memory: Vec<Word>, nthreads: usize, cfg: RunCfg) -> Self {
+        let words = memory.len();
+        Shared {
+            memory,
+            states: vec![TState::Running; nthreads],
+            panic_msg: None,
+            aborted: false,
+            pending: vec![None; nthreads],
+            futexq: Vec::new(),
+            race: RaceDetector::new(nthreads, words),
+            race_report: None,
+            starvation: None,
+            held: vec![Vec::new(); nthreads],
+            waiting: vec![None; nthreads],
+            oplog: Vec::new(),
+            steps_taken: 0,
+            cfg,
+        }
+    }
+
     /// Applies the lock events a thread buffered since its last granted
-    /// step. Called under the run mutex at deterministic points only: when
-    /// the thread is granted a step, or when it finishes.
+    /// step, at the schedule's own points only: when the thread is granted
+    /// a step, or when it finishes.
     fn apply_lock_events(&mut self, pid: usize, events: &mut Vec<LockEvent>) {
         for ev in events.drain(..) {
             match ev {
@@ -374,79 +391,56 @@ impl Shared {
     }
 }
 
-pub(crate) struct RunState {
-    pub mu: Mutex<Shared>,
-    pub cv: Condvar,
-}
-
-impl RunState {
-    pub(crate) fn new(memory: Vec<Word>, nthreads: usize, cfg: RunCfg) -> Arc<Self> {
-        let words = memory.len();
-        Arc::new(RunState {
-            mu: Mutex::new(Shared {
-                memory,
-                states: vec![TState::Running; nthreads],
-                grant: None,
-                panic_msg: None,
-                aborted: false,
-                pending: vec![None; nthreads],
-                futexq: Vec::new(),
-                race: RaceDetector::new(nthreads, words),
-                race_report: None,
-                starvation: None,
-                held: vec![Vec::new(); nthreads],
-                waiting: vec![None; nthreads],
-                oplog: Vec::new(),
-                steps_taken: 0,
-                cfg,
-            }),
-            cv: Condvar::new(),
-        })
-    }
-}
+/// One execution's state, shared by the scheduler loop and the threads'
+/// coroutines on its host thread.
+pub(crate) type RunState = Rc<RefCell<Shared>>;
 
 /// The execution context handed to each thread of a [`Program`]. Implements
 /// [`kernels::SyncCtx`], so lock/barrier kernels run on it unmodified.
 pub struct ChkCtx {
     pid: usize,
     nthreads: usize,
-    rs: Arc<RunState>,
+    rs: RunState,
     /// Lock events emitted since the last granted step. Kernel wrappers
-    /// emit during unscheduled local code; applying them immediately would
-    /// make analysis state depend on OS-thread timing, so they are buffered
-    /// and applied under the run mutex at the next granted step (or at
-    /// thread finish) — both deterministic points of the schedule.
+    /// emit during unscheduled local code, which the analysis state must
+    /// not depend on, so they are buffered and applied at the next granted
+    /// step (or at thread finish) — both points of the schedule.
     events: Vec<LockEvent>,
     /// Shared-memory ops this thread has issued (site coordinates).
     ops_done: usize,
 }
 
 impl ChkCtx {
-    fn step<R>(&mut self, meta: OpMeta, f: impl FnOnce(&mut Vec<Word>) -> R) -> R {
-        let mut g = self.rs.mu.lock().unwrap();
-        g.pending[self.pid] = Some(meta);
-        g.states[self.pid] = TState::Ready;
-        self.rs.cv.notify_all();
-        loop {
-            if g.aborted {
-                drop(g);
-                std::panic::panic_any(ChkAbort);
-            }
-            if g.grant == Some(self.pid) {
-                break;
-            }
-            g = self.rs.cv.wait(g).unwrap();
+    /// The one schedule point. Publishes `meta` as this thread's next
+    /// operation, suspends in state `wait_as` until the scheduler grants the
+    /// step (or tears the run down, which unwinds the body from here), then
+    /// executes `f` on the run's state with the step's bookkeeping around it.
+    fn step<R>(&mut self, meta: OpMeta, wait_as: TState, f: impl FnOnce(&mut Shared) -> R) -> R {
+        {
+            let mut g = self.rs.borrow_mut();
+            g.pending[self.pid] = Some(meta);
+            g.states[self.pid] = wait_as;
         }
-        g.grant = None;
+        coro::suspend();
+        let mut g = self.rs.borrow_mut();
+        if g.aborted {
+            drop(g);
+            resume_unwind(Box::new(ChkAbort));
+        }
         g.states[self.pid] = TState::Running;
         g.apply_lock_events(self.pid, &mut self.events);
         g.note_wait_op(self.pid, meta);
         g.track_access(self.pid, meta, self.ops_done);
-        let r = f(&mut g.memory);
+        let r = f(&mut g);
         g.finish_op(self.pid, meta);
         self.ops_done += 1;
-        self.rs.cv.notify_all();
         r
+    }
+
+    /// An operation any ready thread may take: one step, waiting as
+    /// [`TState::Ready`].
+    fn op<R>(&mut self, addr: Addr, kind: OpKind, f: impl FnOnce(&mut Shared) -> R) -> R {
+        self.step(OpMeta { addr, kind }, TState::Ready, f)
     }
 
     fn spin(&mut self, addr: Addr, pred: Pred) -> Word {
@@ -454,127 +448,65 @@ impl ChkCtx {
             addr,
             kind: OpKind::SpinRead,
         };
-        let mut g = self.rs.mu.lock().unwrap();
-        g.pending[self.pid] = Some(meta);
-        g.states[self.pid] = TState::Ready;
-        self.rs.cv.notify_all();
+        let mut wait_as = TState::Ready;
         loop {
-            if g.aborted {
-                drop(g);
-                std::panic::panic_any(ChkAbort);
+            let cur = self.step(meta, wait_as, |g| g.memory[addr]);
+            if pred.satisfied(cur) {
+                return cur;
             }
-            if g.grant == Some(self.pid) {
-                g.grant = None;
-                g.apply_lock_events(self.pid, &mut self.events);
-                g.note_wait_op(self.pid, meta);
-                g.track_access(self.pid, meta, self.ops_done);
-                let cur = g.memory[addr];
-                g.finish_op(self.pid, meta);
-                self.ops_done += 1;
-                if pred.satisfied(cur) {
-                    g.states[self.pid] = TState::Running;
-                    self.rs.cv.notify_all();
-                    return cur;
-                }
-                // Wake-up raced a conflicting write (or this is the first
-                // probe): park until the scheduler re-readies us.
-                g.states[self.pid] = TState::Blocked(addr, pred);
-                self.rs.cv.notify_all();
-            } else {
-                g = self.rs.cv.wait(g).unwrap();
-            }
+            // Wake-up raced a conflicting write (or this is the first
+            // probe): block until the scheduler re-readies us.
+            wait_as = TState::Blocked(addr, pred);
         }
     }
 
     /// The futex wait. The first granted step is the atomic
     /// compare-and-block: the word is read and, if it still equals
     /// `expected`, the thread enqueues on the futex queue and becomes
-    /// [`TState::Parked`] in the same step — no window for a wake to slip
-    /// through. A parked thread is unschedulable until some wake re-readies
-    /// it, after which one more granted step re-reads and returns the word.
+    /// [`TState::Parked`] before anyone else steps — no window for a wake to
+    /// slip through. A parked thread is unschedulable until some wake
+    /// re-readies it, after which one more granted step re-reads and
+    /// returns the word.
     fn futex_wait_op(&mut self, addr: Addr, expected: Word) -> Word {
         let meta = OpMeta {
             addr,
             kind: OpKind::FutexWait,
         };
-        let mut g = self.rs.mu.lock().unwrap();
-        g.pending[self.pid] = Some(meta);
-        g.states[self.pid] = TState::Ready;
-        self.rs.cv.notify_all();
-        let mut compared = false;
-        loop {
-            if g.aborted {
-                drop(g);
-                std::panic::panic_any(ChkAbort);
+        let pid = self.pid;
+        let cur = self.step(meta, TState::Ready, |g| {
+            let cur = g.memory[addr];
+            if cur == expected {
+                g.futexq.push((addr, pid));
             }
-            if g.grant == Some(self.pid) {
-                g.grant = None;
-                g.apply_lock_events(self.pid, &mut self.events);
-                g.note_wait_op(self.pid, meta);
-                g.track_access(self.pid, meta, self.ops_done);
-                let cur = g.memory[addr];
-                g.finish_op(self.pid, meta);
-                self.ops_done += 1;
-                if !compared && cur == expected {
-                    compared = true;
-                    g.futexq.push((addr, self.pid));
-                    g.states[self.pid] = TState::Parked(addr);
-                    self.rs.cv.notify_all();
-                    continue;
-                }
-                g.states[self.pid] = TState::Running;
-                self.rs.cv.notify_all();
-                return cur;
-            }
-            g = self.rs.cv.wait(g).unwrap();
+            cur
+        });
+        if cur != expected {
+            return cur;
         }
+        self.step(meta, TState::Parked(addr), |g| g.memory[addr])
     }
 
     /// The futex wake: one granted step that drains up to `n` of the
     /// oldest futex-queue entries for `addr` and re-readies their threads.
     fn futex_wake_op(&mut self, addr: Addr, n: usize) -> usize {
-        let meta = OpMeta {
-            addr,
-            kind: OpKind::FutexWake,
-        };
-        let mut g = self.rs.mu.lock().unwrap();
-        g.pending[self.pid] = Some(meta);
-        g.states[self.pid] = TState::Ready;
-        self.rs.cv.notify_all();
-        loop {
-            if g.aborted {
-                drop(g);
-                std::panic::panic_any(ChkAbort);
+        self.op(addr, OpKind::FutexWake, |g| {
+            let mut woken = 0;
+            let mut i = 0;
+            while i < g.futexq.len() && woken < n {
+                if g.futexq[i].0 == addr {
+                    let (_, thread) = g.futexq.remove(i);
+                    debug_assert!(
+                        matches!(g.states[thread], TState::Parked(_)),
+                        "futex queue entry for a non-parked thread"
+                    );
+                    g.states[thread] = TState::Ready;
+                    woken += 1;
+                } else {
+                    i += 1;
+                }
             }
-            if g.grant == Some(self.pid) {
-                break;
-            }
-            g = self.rs.cv.wait(g).unwrap();
-        }
-        g.grant = None;
-        g.states[self.pid] = TState::Running;
-        g.apply_lock_events(self.pid, &mut self.events);
-        g.note_wait_op(self.pid, meta);
-        g.track_access(self.pid, meta, self.ops_done);
-        let mut woken = 0;
-        let mut i = 0;
-        while i < g.futexq.len() && woken < n {
-            if g.futexq[i].0 == addr {
-                let (_, thread) = g.futexq.remove(i);
-                debug_assert!(
-                    matches!(g.states[thread], TState::Parked(_)),
-                    "futex queue entry for a non-parked thread"
-                );
-                g.states[thread] = TState::Ready;
-                woken += 1;
-            } else {
-                i += 1;
-            }
-        }
-        g.finish_op(self.pid, meta);
-        self.ops_done += 1;
-        self.rs.cv.notify_all();
-        woken
+            woken
+        })
     }
 }
 
@@ -586,35 +518,21 @@ impl SyncCtx for ChkCtx {
         self.nthreads
     }
     fn load(&mut self, addr: Addr) -> Word {
-        let meta = OpMeta {
-            addr,
-            kind: OpKind::SyncLoad,
-        };
-        self.step(meta, |m| m[addr])
+        self.op(addr, OpKind::SyncLoad, |g| g.memory[addr])
     }
     fn store(&mut self, addr: Addr, val: Word) {
-        let meta = OpMeta {
-            addr,
-            kind: OpKind::SyncStore,
-        };
-        self.step(meta, |m| m[addr] = val);
+        self.op(addr, OpKind::SyncStore, |g| g.memory[addr] = val);
     }
     fn swap(&mut self, addr: Addr, val: Word) -> Word {
-        let meta = OpMeta {
-            addr,
-            kind: OpKind::Rmw,
-        };
-        self.step(meta, |m| std::mem::replace(&mut m[addr], val))
+        self.op(addr, OpKind::Rmw, |g| {
+            std::mem::replace(&mut g.memory[addr], val)
+        })
     }
     fn cas(&mut self, addr: Addr, expected: Word, new: Word) -> Result<Word, Word> {
-        let meta = OpMeta {
-            addr,
-            kind: OpKind::Rmw,
-        };
-        self.step(meta, |m| {
-            let old = m[addr];
+        self.op(addr, OpKind::Rmw, |g| {
+            let old = g.memory[addr];
             if old == expected {
-                m[addr] = new;
+                g.memory[addr] = new;
                 Ok(old)
             } else {
                 Err(old)
@@ -622,13 +540,9 @@ impl SyncCtx for ChkCtx {
         })
     }
     fn fetch_add(&mut self, addr: Addr, delta: Word) -> Word {
-        let meta = OpMeta {
-            addr,
-            kind: OpKind::Rmw,
-        };
-        self.step(meta, |m| {
-            let old = m[addr];
-            m[addr] = old.wrapping_add(delta);
+        self.op(addr, OpKind::Rmw, |g| {
+            let old = g.memory[addr];
+            g.memory[addr] = old.wrapping_add(delta);
             old
         })
     }
@@ -643,18 +557,10 @@ impl SyncCtx for ChkCtx {
     fn delay(&mut self, _cycles: u64) {}
 
     fn data_load(&mut self, addr: Addr) -> Word {
-        let meta = OpMeta {
-            addr,
-            kind: OpKind::DataLoad,
-        };
-        self.step(meta, |m| m[addr])
+        self.op(addr, OpKind::DataLoad, |g| g.memory[addr])
     }
     fn data_store(&mut self, addr: Addr, val: Word) {
-        let meta = OpMeta {
-            addr,
-            kind: OpKind::DataStore,
-        };
-        self.step(meta, |m| m[addr] = val);
+        self.op(addr, OpKind::DataStore, |g| g.memory[addr] = val);
     }
     fn lock_event(&mut self, event: LockEvent) {
         self.events.push(event);
@@ -682,6 +588,21 @@ pub struct Program {
 impl Program {
     /// Creates a program: `body` runs once per thread (distinguish roles
     /// with [`ChkCtx::pid`] via the `SyncCtx` trait).
+    ///
+    /// Each invocation is a coroutine on the host thread exploring the
+    /// program, which asks three things of `body`:
+    ///
+    /// * it has [`simcore::coro::STACK_BYTES`] (256 KiB) of stack where a
+    ///   spawned thread had 2 MiB; running past it stops the process on the
+    ///   guard page;
+    /// * it must not block the host thread on something another thread's
+    ///   body does (a mutex, a channel): that body cannot run until this one
+    ///   reaches its next operation;
+    /// * it must not hold a `RefCell` borrow (or anything else another body
+    ///   needs) across an operation, nor issue an operation from a
+    ///   destructor: a torn-down run unwinds every body from the operation
+    ///   it is suspended in, and an operation issued while unwinding is
+    ///   answered by a second unwind — a panic inside a panic.
     pub fn new<F>(nthreads: usize, memory_words: usize, body: F) -> Self
     where
         F: Fn(&mut ChkCtx) + Send + Sync + 'static,
@@ -728,22 +649,20 @@ impl Program {
     }
 
     /// Runs the thread body for `pid` over `rs`, translating panics into
-    /// the shared state. Called from a dedicated OS thread per run.
-    pub(crate) fn run_thread(&self, pid: usize, rs: Arc<RunState>) {
-        silence_abort_panics();
+    /// the shared state. The body of one coroutine per run.
+    pub(crate) fn run_thread(&self, pid: usize, rs: RunState) {
         let mut ctx = ChkCtx {
             pid,
             nthreads: self.nthreads,
-            rs: Arc::clone(&rs),
+            rs: Rc::clone(&rs),
             events: Vec::new(),
             ops_done: 0,
         };
         let outcome = catch_unwind(AssertUnwindSafe(|| (self.body)(&mut ctx)));
-        let mut g = rs.mu.lock().unwrap();
+        let mut g = rs.borrow_mut();
         // Trailing events (e.g. the Released after a kernel's final store)
-        // are applied here: the thread finishing is itself a deterministic
-        // schedule point — the scheduler does not take decisions while any
-        // thread is still Running.
+        // are applied here: the thread finishing is itself a point of the
+        // schedule — the scheduler takes no decision while a thread runs.
         g.apply_lock_events(pid, &mut ctx.events);
         if let Err(payload) = outcome {
             if payload.downcast_ref::<ChkAbort>().is_none() {
@@ -758,7 +677,6 @@ impl Program {
             }
         }
         g.states[pid] = TState::Finished;
-        rs.cv.notify_all();
     }
 }
 
@@ -818,8 +736,7 @@ mod tests {
             bypass_bound: Some(1),
             ..RunCfg::default()
         };
-        let rs = RunState::new(vec![0; 4], 2, cfg);
-        let mut g = rs.mu.lock().unwrap();
+        let mut g = Shared::new(vec![0; 4], 2, cfg);
         let mut waiter = vec![LockEvent::AcquireStart(7)];
         g.apply_lock_events(0, &mut waiter);
         // The wait arms at AcquireStart and activates at the waiter's
@@ -844,8 +761,7 @@ mod tests {
 
     #[test]
     fn held_set_tracks_nested_acquisitions() {
-        let rs = RunState::new(vec![0; 1], 1, RunCfg::default());
-        let mut g = rs.mu.lock().unwrap();
+        let mut g = Shared::new(vec![0; 1], 1, RunCfg::default());
         let mut evs = vec![
             LockEvent::Acquired(1),
             LockEvent::Acquired(2),

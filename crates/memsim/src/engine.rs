@@ -1,6 +1,6 @@
 //! The serialized discrete-event executor.
 //!
-//! Every simulated processor is a stackful coroutine ([`crate::coro`]), but
+//! Every simulated processor is a stackful coroutine ([`simcore::coro`]), but
 //! only as a convenience for writing straight-line kernel code: the engine
 //! admits exactly one memory operation at a time, chosen as the pending
 //! request with the smallest `(issue time, pid)`. Because a processor
@@ -23,7 +23,7 @@
 //! A handoff is a coroutine switch out and one back in: a jump each way,
 //! inlined into this loop and into [`crate::Proc`]'s operations — no host
 //! scheduler, no lock, no atomic, and no `ret` the CPU's return predictor
-//! did not see the `call` for ([`crate::coro`] has the measurements). The
+//! did not see the `call` for ([`simcore::coro`] has the measurements). The
 //! loop side of that is a rule to keep: a resume must sit in `run_live`'s
 //! own frame, never in a helper that returns to it, or every handoff pays
 //! mispredicted returns on both stacks. Determinism needs no argument about
@@ -57,12 +57,12 @@
 //! an invalidation burst monopolizes a real bus and keeps the engine simple.
 
 use crate::coherence::{Coherence, LineState};
-use crate::coro::{Coroutine, Step};
 use crate::interconnect::Interconnect;
 use crate::metrics::Metrics;
 use crate::params::{MachineParams, SchedParams};
 use crate::proc::SimAbort;
 use crate::{Addr, SimError, Word};
+use simcore::coro::{Coroutine, Step};
 use std::any::Any;
 use std::cell::{Cell, RefCell};
 use std::cmp::Reverse;
@@ -1033,7 +1033,7 @@ impl EngineCore {
     // Inlined, so that the switch sits in `run_live` itself: the loop must
     // not return through a frame it did not enter since the last switch, or
     // every handoff costs mispredicted returns on both stacks
-    // (`crate::coro`).
+    // (`simcore::coro`).
     #[inline(always)]
     fn step(
         &mut self,

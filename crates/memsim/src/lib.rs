@@ -22,10 +22,10 @@
 //! handle with `load` / `store` / `swap` / `cas` / `fetch_add` /
 //! `test_and_set` / `spin_while` / `delay` operations on a word-addressed
 //! shared memory. Each simulated processor's closure runs as a stackful
-//! coroutine ([`coro`]) on the host thread that called [`Machine::run`],
-//! and the engine fully serializes execution — at most one processor
-//! advances between memory events, ties broken by `(issue time, pid)` — so
-//! every run is **bit-for-bit deterministic**. A run spawns no thread; the
+//! coroutine ([`simcore::coro`]) on the host thread that called
+//! [`Machine::run`], and the engine fully serializes execution — at most one
+//! processor advances between memory events, ties broken by
+//! `(issue time, pid)` — so every run is **bit-for-bit deterministic**. A run spawns no thread; the
 //! [`Proc`] docs state the three things a closure may not do in exchange.
 //!
 //! ```
@@ -66,7 +66,6 @@
 //! with no waker left terminates with [`SimError::LostWakeup`].
 
 pub mod coherence;
-pub mod coro;
 pub mod engine;
 pub mod interconnect;
 pub mod machine;

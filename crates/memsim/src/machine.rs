@@ -4,15 +4,15 @@
 //! per simulated processor, and hands them to the engine loop
 //! ([`crate::engine`]) on the calling thread. A run spawns no thread and
 //! takes no lock; coroutine stacks come from the calling thread's cache
-//! ([`crate::coro`]), so a sweep maps them once.
+//! ([`simcore::coro`]), so a sweep maps them once.
 
-use crate::coro::Coroutine;
 use crate::engine::{EngineCore, Mailbox};
 use crate::metrics::Metrics;
 use crate::params::MachineParams;
 use crate::proc::Proc;
 use crate::replay::{FragmentReplayer, Recording};
 use crate::{SimError, Word};
+use simcore::coro::Coroutine;
 use std::panic::resume_unwind;
 use std::rc::Rc;
 use std::sync::Arc;

@@ -7,7 +7,7 @@
 //! job per worker, and returns the workers once every job has signalled
 //! completion. Workers park in a condvar wait between jobs, so an idle
 //! pool costs nothing but address space. (Live runs use no thread but the
-//! caller's: simulated processors are coroutines, see [`crate::coro`].)
+//! caller's: simulated processors are coroutines, see [`simcore::coro`].)
 //!
 //! Jobs borrow the caller's stack (the recording and the outcome cells live
 //! in the replayer's frame), which is why `Lease::dispatch` is `unsafe`:

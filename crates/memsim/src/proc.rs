@@ -8,15 +8,15 @@
 //! ordinary sequential Rust.
 //!
 //! A body runs as a coroutine on the host thread that called
-//! [`crate::Machine::run`] ([`crate::coro`]): an operation leaves its
+//! [`crate::Machine::run`] ([`simcore::coro`]): an operation leaves its
 //! request in the processor's mailbox, switches to the engine loop, and
 //! picks the reply up when the loop switches back. The switch is inlined
 //! into `Proc::roundtrip`, the one function every operation goes through,
 //! so the loop's jump back always lands at the same address.
 
-use crate::coro;
 use crate::engine::{Mailbox, Op, Request, WaitPred};
 use crate::{Addr, Word};
+use simcore::coro;
 use std::rc::Rc;
 use std::sync::Arc;
 
@@ -32,7 +32,7 @@ pub(crate) struct SimAbort;
 /// [`crate::Machine::run`], which asks three things of it:
 ///
 /// * the handle stays on that thread (it is not `Send`);
-/// * the body has [`crate::coro::STACK_BYTES`] (256 KiB) of stack, and
+/// * the body has [`simcore::coro::STACK_BYTES`] (256 KiB) of stack, and
 ///   running past it stops the process on the guard page;
 /// * the body must not wait on a host primitive (a mutex, a channel) for
 ///   something another processor's body does: that body cannot run until

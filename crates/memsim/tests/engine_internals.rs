@@ -4,8 +4,8 @@
 //! per engine step), and unwinding every suspended processor on a panic or
 //! an engine error.
 
-use memsim::coro::{stacks_mapped, switches};
 use memsim::{Machine, MachineParams, SimError};
+use simcore::coro::{stacks_mapped, switches};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Memory layout used by the wake-ordering tests.

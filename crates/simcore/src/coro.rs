@@ -1,5 +1,8 @@
-//! Stackful coroutines: the transport between a simulated processor's body
-//! and the engine loop.
+//! Stackful coroutines: the transport between a body of straight-line code
+//! and the loop that decides when it advances. Two clients: `memsim` runs
+//! each simulated processor's body as one under its engine loop, and
+//! `interleave` runs each thread of a checked program as one under its
+//! scheduler loop.
 //!
 //! A `Coroutine` runs a closure on a stack of its own. `Coroutine::resume`
 //! switches the calling thread onto that stack until the closure calls
@@ -23,11 +26,13 @@
 //! That only holds while the *resuming* side does not return through a
 //! frame it entered before the switch: if it also sits three calls below
 //! its loop, the round trip is 75–90 ns with this switch or the old one.
-//! So `resume` and `suspend` are `#[inline(always)]`, and the engine
-//! inlines its step into the loop that takes them ([`crate::engine`]).
+//! So `resume` and `suspend` are `#[inline(always)]`, and each client
+//! resumes from the frame that loops: `memsim`'s engine inlines its step
+//! into `run_live`, and `interleave`'s `Explorer::execute_with` resumes the
+//! chosen thread from its decision loop.
 //!
-//! All of the crate's `unsafe` for this lives here, behind a safe API. What
-//! a reader must not break:
+//! All of the workspace's `unsafe` for this lives here, behind a safe API.
+//! What a reader must not break:
 //!
 //! * **A coroutine lives and dies on one host thread.** `Coroutine` is
 //!   neither `Send` nor `Sync`; the "currently running coroutine" is a
@@ -54,9 +59,10 @@
 
 #[cfg(not(all(target_arch = "x86_64", target_os = "linux")))]
 compile_error!(
-    "crates/memsim/src/coro.rs switches stacks with x86_64 System V assembly and maps them with \
-     Linux mmap flags; port `switch`, the initial frame in `Coroutine::new` and the `Stack` \
-     constants to this target, with a CI job that runs the tests there"
+    "crates/simcore/src/coro.rs switches stacks with x86_64 System V assembly and maps them with \
+     Linux mmap flags, and both `memsim` and `interleave` run on it; port `switch`, the initial \
+     frame in `Coroutine::new` and the `Stack` constants to this target, with a CI job that \
+     runs the tests there"
 );
 
 use std::cell::{Cell, RefCell};
@@ -179,7 +185,7 @@ struct Inner<'a> {
 }
 
 /// What a [`Coroutine::resume`] ended with.
-pub(crate) enum Step {
+pub enum Step {
     /// The body called [`suspend`].
     Suspended,
     /// The body returned, or panicked with the payload.
@@ -187,14 +193,16 @@ pub(crate) enum Step {
 }
 
 /// A closure running on its own stack, advanced by [`Coroutine::resume`].
-pub(crate) struct Coroutine<'a> {
+pub struct Coroutine<'a> {
     /// From `Box::into_raw`; accessed through this pointer only, by the
     /// resumer and (via `CURRENT`) by the coroutine itself, never at once.
     inner: *mut Inner<'a>,
 }
 
 impl<'a> Coroutine<'a> {
-    pub(crate) fn new(body: impl FnOnce() + 'a) -> Self {
+    /// A coroutine that will run `body` on a stack from this thread's
+    /// cache; nothing runs until the first [`Coroutine::resume`].
+    pub fn new(body: impl FnOnce() + 'a) -> Self {
         let stack = Stack::obtain();
         // SAFETY: the four words below the top of the mapping (which is
         // 16-byte aligned) lie in its writable part, which no other code
@@ -223,7 +231,7 @@ impl<'a> Coroutine<'a> {
     }
 
     /// Whether the body has returned or panicked.
-    pub(crate) fn is_done(&self) -> bool {
+    pub fn is_done(&self) -> bool {
         // SAFETY: `inner` is live until drop, and the coroutine is not
         // running (it would hold the thread), so nothing else accesses it.
         unsafe { (*self.inner).state == State::Finished }
@@ -237,7 +245,7 @@ impl<'a> Coroutine<'a> {
     // Inlined with its `switch`, so that the resumer's side of a handoff
     // executes no `ret` (module docs).
     #[inline(always)]
-    pub(crate) fn resume(&mut self) -> Step {
+    pub fn resume(&mut self) -> Step {
         let inner = self.inner;
         // SAFETY: `inner` is live until drop. Between here and `switch`
         // coming back, only the coroutine's side touches it, through the
@@ -286,7 +294,7 @@ impl Drop for Coroutine<'_> {
 /// If no coroutine is running on this thread.
 // Inlined with its `switch`, like `Coroutine::resume`.
 #[inline(always)]
-pub(crate) fn suspend() {
+pub fn suspend() {
     let inner = CURRENT.get();
     assert!(!inner.is_null(), "suspend() outside a coroutine");
     // SAFETY: `CURRENT` is non-null only while `resume` is switched into

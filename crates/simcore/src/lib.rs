@@ -15,7 +15,11 @@
 //!   "figure" before it is rendered.
 //! * [`knob`] — the `SYNCMECH_*` environment knobs: the one table of names and
 //!   the one strict reader, called only at the binaries' edge.
+//! * [`coro`] — stackful coroutines on x86_64 Linux: how `memsim` runs a
+//!   simulated processor's body and `interleave` a checked thread's, many to
+//!   one host thread. The workspace's only stack-switching `unsafe`.
 
+pub mod coro;
 pub mod knob;
 pub mod rng;
 pub mod series;

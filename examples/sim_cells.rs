@@ -21,7 +21,8 @@
 
 use kernels::barriers::{barrier_by_name, timing_trial};
 use kernels::locks::{counter_trial, lock_by_name};
-use memsim::{coro, Machine, MachineParams, Metrics};
+use memsim::{Machine, MachineParams, Metrics};
+use simcore::coro;
 use std::time::Instant;
 use workloads::csbench::{self, CsConfig};
 use workloads::oversub::oversub_machine;

@@ -1,12 +1,21 @@
-//! The edges of running simulated processors as coroutines on one host
-//! thread (`memsim::coro`): every way a run ends early unwinds every body,
-//! a body's panic crosses the coroutine root intact, the widest machine
+//! The edges of running bodies as coroutines on one host thread
+//! (`simcore::coro`), under both of its clients. `memsim`'s simulated
+//! processors first: every way a run ends early unwinds every body, a
+//! body's panic crosses the coroutine root intact, the widest machine
 //! fits, host threads do not share anything, and the stack budget and its
-//! guard page are what the docs say.
+//! guard page are what the docs say. Then `interleave`'s checked threads,
+//! which got the same from `std::thread` until they became coroutines:
+//! every ending of an execution unwinds every body once and leaks no
+//! stack, an abort caught is an abort repeated, a body's panic is a verdict
+//! and a torn-down run prints nothing, and the widest program is one host
+//! thread.
 
+use interleave::{ChkCtx, Explorer, Program, ReplayEnd, Verdict};
 use kernels::locks::{counter_trial, lock_by_name};
+use kernels::{LockEvent, SyncCtx};
 use memsim::{Machine, MachineParams, Proc, SimError};
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use simcore::coro::stacks_mapped;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 const P: usize = 4;
@@ -252,7 +261,7 @@ fn a_body_has_its_stack_budget_above_a_guard_page() {
         .find(|&&(start, end, _)| (start..end).contains(&at))
         .expect("the body's stack is mapped");
     assert_eq!(perms, "rw-p");
-    let top = start + memsim::coro::STACK_BYTES;
+    let top = start + simcore::coro::STACK_BYTES;
     assert!(
         top <= end && at < top,
         "frame at {at:#x} outside {start:#x}..{top:#x}"
@@ -269,4 +278,314 @@ fn a_body_has_its_stack_budget_above_a_guard_page() {
         matches!(guard, Some(&(guard_start, _, "---p")) if start - guard_start >= 4096),
         "no PROT_NONE page below the stack at {start:#x}: {guard:?}"
     );
+}
+
+/// A checked program whose every thread holds a [`Guard`] across `body`.
+fn guarded(
+    nthreads: usize,
+    words: usize,
+    drops: &'static AtomicUsize,
+    body: impl Fn(&mut ChkCtx) + Send + Sync + 'static,
+) -> Program {
+    Program::new(nthreads, words, move |ctx| {
+        let _held = Guard(drops);
+        body(ctx);
+    })
+}
+
+/// Calls `batch` — some executions of a program of `guarded` threads,
+/// returning how many bodies they started — once to warm the thread's stack
+/// cache and then until 1 000 executions are through, and checks that the
+/// thread mapped no stack meanwhile and every body's guard dropped once.
+fn leaks_nothing(
+    what: &str,
+    nthreads: usize,
+    drops: &AtomicUsize,
+    mut batch: impl FnMut() -> usize,
+) {
+    batch();
+    let (mapped, dropped) = (stacks_mapped(), drops.load(Ordering::Relaxed));
+    let mut bodies = 0;
+    while bodies < 1_000 * nthreads {
+        bodies += batch();
+    }
+    assert_eq!(stacks_mapped(), mapped, "{what}: a body kept its stack");
+    assert_eq!(
+        drops.load(Ordering::Relaxed) - dropped,
+        bodies,
+        "{what}: one drop per body"
+    );
+}
+
+/// Every way an execution of a checked program ends tears the run down
+/// with some body suspended in an operation. Each such body must unwind —
+/// its destructors run, once, and its stack goes back to the thread's
+/// cache: a body left suspended would leak its stack (`simcore::coro`
+/// never frees a suspended coroutine), and the search would map a fresh
+/// one for every execution.
+#[test]
+fn every_ending_of_a_checked_run_unwinds_every_body_and_leaks_no_stack() {
+    static DROPS: AtomicUsize = AtomicUsize::new(0);
+    const N: usize = 3;
+    let explorer = Explorer::exhaustive();
+    // One execution under the default schedule, which must end as `end`
+    // says; `N` bodies started.
+    let replays = |what: &'static str,
+                   explorer: Explorer,
+                   program: Program,
+                   schedule: Vec<usize>,
+                   end: fn(&ReplayEnd) -> bool| {
+        leaks_nothing(what, N, &DROPS, || {
+            let replay = explorer.replay(&program, &schedule);
+            assert!(end(&replay.end), "{what}: ended in {:?}", replay.end);
+            N
+        });
+    };
+
+    replays(
+        "deadlock",
+        explorer,
+        guarded(N, 1, &DROPS, |ctx| ctx.spin_until(0, 1)), // nobody stores 1
+        vec![],
+        |end| matches!(end, ReplayEnd::Deadlock(blocked) if blocked.len() == N),
+    );
+    replays(
+        "lost wakeup",
+        explorer,
+        guarded(N, 1, &DROPS, |ctx| {
+            ctx.futex_wait(0, 0); // nobody wakes
+        }),
+        vec![],
+        |end| matches!(end, ReplayEnd::LostWakeup(parked) if parked.len() == N),
+    );
+    replays(
+        "race",
+        explorer,
+        guarded(N, 2, &DROPS, |ctx| {
+            ctx.data_store(0, 1);
+            ctx.spin_until(1, 1);
+        }),
+        vec![],
+        |end| matches!(end, ReplayEnd::Race(_)),
+    );
+    replays(
+        "body panic",
+        explorer,
+        guarded(N, 1, &DROPS, |ctx| {
+            if ctx.fetch_add(0, 1) == 1 {
+                // What `panic!` raises, without a thousand hook messages.
+                resume_unwind(Box::new("second in"));
+            }
+            ctx.spin_until(0, 0);
+        }),
+        vec![],
+        |end| matches!(end, ReplayEnd::Panic(msg) if msg == "second in"),
+    );
+    replays(
+        "diverged replay",
+        explorer,
+        guarded(N, 1, &DROPS, |ctx| {
+            ctx.fetch_add(0, 1);
+            ctx.spin_until(0, 0);
+        }),
+        vec![0, 1, 7], // there is no thread 7
+        |end| matches!(end, ReplayEnd::Diverged { step: 2, choice: 7 }),
+    );
+
+    // A test-and-set lock taken twice by each thread: under this schedule
+    // thread 1 retries while thread 0 takes the lock a second time.
+    let tas = guarded(N, 1, &DROPS, |ctx| {
+        for _ in 0..2 {
+            ctx.lock_event(LockEvent::AcquireStart(0));
+            while ctx.swap(0, 1) != 0 {}
+            ctx.lock_event(LockEvent::Acquired(0));
+            ctx.store(0, 0);
+            ctx.lock_event(LockEvent::Released(0));
+        }
+    });
+    let bypassed = explorer.with_bypass_bound(0).check(&tas, |_| Ok(()));
+    let Verdict::Starvation { schedule, .. } = bypassed else {
+        panic!("a retry lock bypasses its waiters: {bypassed:?}");
+    };
+    replays(
+        "starvation",
+        explorer.with_bypass_bound(0),
+        tas,
+        schedule,
+        |end| matches!(end, ReplayEnd::Starvation(_)),
+    );
+
+    // The two endings only a search has, a thousand and more to a search.
+    let spinner = guarded(N, 1, &DROPS, |ctx| loop {
+        ctx.load(0);
+    });
+    leaks_nothing("step limit", N, &DROPS, || {
+        let v = explorer
+            .without_reduction()
+            .with_max_steps(12)
+            .with_max_runs(500)
+            .check(&spinner, |_| Ok(()));
+        assert_eq!(v.stats().pruned, 500, "every execution hits the limit");
+        v.stats().runs * N
+    });
+    let independent = guarded(N, N, &DROPS, |ctx| {
+        let mine = ctx.pid();
+        ctx.store(mine, 1);
+        ctx.store(mine, 2);
+    });
+    leaks_nothing("sleep-blocked", N, &DROPS, || {
+        let v = explorer
+            .with_dpor(interleave::DporMode::Sleep)
+            .check(&independent, |_| Ok(()));
+        assert!(v.stats().sleep_pruned > 0, "{:?}", v.stats());
+        v.stats().runs * N
+    });
+}
+
+/// The checker's turn at `a_body_that_catches_the_abort_is_answered_with_it_again`.
+#[test]
+fn a_checked_body_that_catches_the_abort_is_aborted_again() {
+    static CAUGHT: AtomicUsize = AtomicUsize::new(0);
+    static CARRIED_ON: AtomicUsize = AtomicUsize::new(0);
+    let program = Program::new(P, 2, |ctx| {
+        let first = catch_unwind(AssertUnwindSafe(|| ctx.spin_until(0, 1))); // nobody stores 1
+        assert!(first.is_err(), "the spin can only end by the abort");
+        let second = catch_unwind(AssertUnwindSafe(|| ctx.fetch_add(1, 1)));
+        assert!(second.is_err(), "a torn-down run executes nothing more");
+        CAUGHT.fetch_add(1, Ordering::Relaxed);
+        ctx.load(1);
+        CARRIED_ON.fetch_add(1, Ordering::Relaxed);
+    });
+    let replay = Explorer::exhaustive().replay(&program, &[]);
+    assert!(
+        matches!(replay.end, ReplayEnd::Deadlock(ref blocked) if blocked.len() == P),
+        "{:?}",
+        replay.end
+    );
+    assert_eq!(
+        replay.ops.len(),
+        P,
+        "one probe each, and nothing after the abort"
+    );
+    assert_eq!(CAUGHT.load(Ordering::Relaxed), P);
+    assert_eq!(CARRIED_ON.load(Ordering::Relaxed), 0);
+}
+
+/// Reruns the test `name` of this binary alone in a child process, with
+/// `CORO_EDGES_ALONE` set for it to tell, and returns the child's stderr;
+/// `None` in that child.
+fn rerun_alone(name: &str) -> Option<String> {
+    const ALONE: &str = "CORO_EDGES_ALONE";
+    if std::env::var_os(ALONE).is_some() {
+        return None;
+    }
+    let child = std::process::Command::new(std::env::current_exe().expect("test binary"))
+        .args(["--exact", name, "--nocapture", "--test-threads=1"])
+        .env(ALONE, "1")
+        .output()
+        .expect("rerun the test alone");
+    let stderr = String::from_utf8_lossy(&child.stderr).into_owned();
+    assert!(
+        child.status.success(),
+        "{}{stderr}",
+        String::from_utf8_lossy(&child.stdout)
+    );
+    Some(stderr)
+}
+
+/// A body's `panic!` is a verdict with its message and schedule, like any
+/// other finding. Tearing a run down is not a panic anyone hears of: the
+/// unwind is raised past the panic hook, so a search that tears down
+/// thousands of runs prints nothing, and the checker needs no hook of its
+/// own to keep it quiet — there used to be a process-wide one.
+#[test]
+fn a_checked_body_panic_is_a_verdict_and_a_torn_down_run_prints_nothing() {
+    let program = Program::new(2, 1, |ctx| {
+        if ctx.fetch_add(0, 1) == 1 {
+            panic!("second in");
+        }
+    });
+    let verdict = Explorer::exhaustive().check(&program, |_| Ok(()));
+    let Verdict::Violation {
+        message, schedule, ..
+    } = verdict
+    else {
+        panic!("the body's panic is the finding: {verdict:?}");
+    };
+    assert_eq!(message, "second in");
+    assert_eq!(schedule, [0, 1]);
+
+    let Some(stderr) = rerun_alone("a_torn_down_run_prints_nothing") else {
+        return;
+    };
+    assert!(!stderr.contains("panicked at"), "{stderr}");
+    let src = concat!(env!("CARGO_MANIFEST_DIR"), "/crates/interleave/src");
+    let mut files = vec![std::path::PathBuf::from(src)];
+    while let Some(path) = files.pop() {
+        if path.is_dir() {
+            files.extend(std::fs::read_dir(&path).unwrap().map(|e| e.unwrap().path()));
+        } else {
+            let text = std::fs::read_to_string(&path).unwrap();
+            assert!(
+                !text.contains("take_hook") && !text.contains("set_hook"),
+                "{} touches the process's panic hook",
+                path.display()
+            );
+        }
+    }
+}
+
+/// The child half of the test above: 2 000 executions cut off at the step
+/// limit and torn down, by a search whose verdict is a pass. (Alone in the
+/// suite it is the same search with nobody reading its stderr.)
+#[test]
+fn a_torn_down_run_prints_nothing() {
+    let spinner = Program::new(2, 1, |ctx| loop {
+        ctx.load(0);
+    });
+    let v = Explorer::exhaustive()
+        .without_reduction()
+        .with_max_steps(12)
+        .with_max_runs(2_000)
+        .check(&spinner, |_| Ok(()));
+    assert_eq!(v.stats().pruned, 2_000);
+}
+
+/// The `Threads:` line of `/proc/self/status`.
+fn host_threads() -> usize {
+    let status = std::fs::read_to_string("/proc/self/status").expect("procfs");
+    let line = status
+        .lines()
+        .find_map(|l| l.strip_prefix("Threads:"))
+        .expect("Threads: line");
+    line.trim().parse().expect("thread count")
+}
+
+/// A checked program's threads are coroutines on the thread that explores
+/// it: the process has as many host threads before an execution of the
+/// widest program there is (`Program::new` takes 64), while all 64 bodies
+/// are in flight, and after it. The test harness starts and stops threads
+/// of its own as other tests come and go, so the count is taken in a child
+/// process that runs this test alone.
+#[test]
+fn the_widest_checked_program_runs_on_one_host_thread() {
+    if rerun_alone("the_widest_checked_program_runs_on_one_host_thread").is_some() {
+        return;
+    }
+    static BEFORE: AtomicUsize = AtomicUsize::new(0);
+    BEFORE.store(host_threads(), Ordering::Relaxed);
+    let program = Program::new(64, 2, |ctx| {
+        // Every body reaches its first operation before any executes, so
+        // whoever is granted this one has 63 suspended peers.
+        ctx.fetch_add(0, 1);
+        assert_eq!(host_threads(), BEFORE.load(Ordering::Relaxed));
+        ctx.fetch_add(1, 1);
+    });
+    let replay = Explorer::exhaustive().replay(&program, &[]);
+    assert!(
+        matches!(replay.end, ReplayEnd::Complete(ref mem) if mem == &[64, 64]),
+        "{:?}",
+        replay.end
+    );
+    assert_eq!(host_threads(), BEFORE.load(Ordering::Relaxed));
 }

@@ -15,9 +15,8 @@
 //!   ([`interleave::corpus::SpinThenParkLock`]); the bug lets the post-wake
 //!   spin acquire as HELD, which strands a second parked waiter. The fixed
 //!   variant is the largest search here (51 334 runs under source sets,
-//!   about a minute; 77 494 under sleep sets), so the exhaustive search is
-//!   `#[ignore]`d for CI to run by name and tier-1 runs the
-//!   preemption-bounded one.
+//!   77 494 under sleep sets): it runs exhaustively under source sets, and
+//!   once more preemption-bounded.
 //!
 //! Every fixed variant must pass exhaustively and every seeded bug must
 //! yield its exact verdict class under both reduction modes — the
@@ -30,8 +29,8 @@
 //!
 //! Each (program, mode) pair is explored exactly once: the pass/fail
 //! helpers return the two run counts, and the tests that compare modes
-//! assert on those — the searches are the cost of this suite, most of it
-//! thread hand-off in the kernel.
+//! assert on those — the searches are the cost of this suite, every
+//! execution a few dozen coroutine switches on the test's own thread.
 
 use interleave::corpus::{
     blocking_grant_program, corpus_program, eventcount_wrap_program, spin_then_park_program,
@@ -135,9 +134,9 @@ fn fixed_eventcount_wrap_three_threads_passes_and_source_beats_sleep() {
 /// not finish within the budget" is exactly "needs more runs than the
 /// budget". The same inversion holds on the real blocking QSM lock at
 /// sizes no test budget reaches: 3-thread `qsm-block-park` is 47 738 vs
-/// 3 098 runs (15×), and the 4-thread lock exceeds a 4-minute wall-clock
-/// timeout under sleep sets before source mode even becomes the
-/// bottleneck.
+/// 12 720 runs (3.8×), and the 4-thread lock completes under source sets
+/// in 11 735 273 runs where sleep sets exhaust a 40-million-run budget
+/// (CI's `interleave-dpor` job runs the former).
 #[test]
 fn fixed_eventcount_wrap_four_threads_completes_under_source_but_not_sleep() {
     const BUDGET: usize = 8_000;
@@ -191,12 +190,7 @@ fn corpus_programs_never_cost_source_more_runs_than_sleep() {
     assert_source_reaches_the_bug_no_later("wake-before-publish", wake_before_publish);
 }
 
-// The exhaustive search is a minute (51 334 executions) and the model only
-// changes when `corpus.rs` does, so tier-1 runs the preemption-bounded
-// search below and CI's `interleave-dpor` job runs this one by name
-// (`-- --ignored spin_then_park`).
 #[test]
-#[ignore = "minute-long exhaustive search; run in CI by name"]
 fn fixed_spin_then_park_three_threads_passes_under_source_sets() {
     let v = Explorer::exhaustive()
         .with_dpor(DporMode::Source)
@@ -210,11 +204,11 @@ fn fixed_spin_then_park_three_threads_passes_under_source_sets() {
         });
     v.expect_pass("spin-then-park 3 threads");
     assert!(v.stats().complete, "search must be exhaustive");
+    assert_eq!(v.stats().runs, 51_334);
 }
 
 /// Every schedule with at most three preemptions (438 executions): enough
-/// to reach the seeded bug below at any bound from one up, so a protocol
-/// slip of that kind cannot hide from tier-1.
+/// to reach the seeded bug below at any bound from one up.
 #[test]
 fn fixed_spin_then_park_three_threads_passes_up_to_three_preemptions() {
     let v = Explorer::bounded(3).check(&spin_then_park_program(3, true), pass);
