@@ -333,11 +333,6 @@ pub mod timing {
         }
     }
 
-    /// Measures `f`, returning the best observed nanoseconds per iteration.
-    pub fn bench_ns(f: impl FnMut()) -> f64 {
-        bench_stats(f).best_ns
-    }
-
     /// Runs and prints one named measurement in a `cargo bench`-like
     /// format; set `SYNCMECH_BENCH_JSON=1` to emit a JSON line instead.
     ///

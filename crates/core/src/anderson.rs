@@ -59,7 +59,7 @@ impl RawLock for AndersonLock {
     }
 }
 
-#[cfg(all(test, not(loom)))]
+#[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::Arc;

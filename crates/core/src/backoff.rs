@@ -47,7 +47,7 @@ impl Default for Backoff {
     }
 }
 
-#[cfg(all(test, not(loom)))]
+#[cfg(test)]
 mod tests {
     use super::*;
 

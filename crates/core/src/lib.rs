@@ -26,14 +26,13 @@
 //!
 //! ## Verification
 //!
-//! These are busy-wait primitives with hand-picked orderings, so the crate
-//! is written to be model-checked with [loom]: build the test suite with
-//! `RUSTFLAGS="--cfg loom" cargo test -p qsm --release --test loom` and
-//! every lock/barrier/eventcount test is re-run under loom's C11 memory
-//! model exploration. (The sequentially consistent interleaving checks live
-//! in the `interleave` crate and cover the simulator-facing kernels.)
-//!
-//! [loom]: https://docs.rs/loom
+//! These are busy-wait primitives with hand-picked orderings. The
+//! algorithms themselves are checked exhaustively, under sequential
+//! consistency, on their `kernels` twins by the `interleave` crate
+//! (`tests/lock_correctness_sweep.rs`); this crate's code is stressed on
+//! real threads by its unit tests and `tests/realhw_stress.rs`, which CI's
+//! nightly ThreadSanitizer job re-runs to check the orderings as written.
+//! Nothing explores the C11 weak-memory behaviours of these orderings.
 //!
 //! ## Quick start
 //!
@@ -88,36 +87,12 @@ pub use tas::{TasBackoffLock, TasLock};
 pub use ticket::TicketLock;
 pub use ttas::TtasLock;
 
-/// Synchronization shim: `loom` types under `--cfg loom`, `std` otherwise.
-///
-/// Everything in the crate funnels its atomics and spin hints through here
-/// so that one `RUSTFLAGS="--cfg loom"` rebuild puts the whole crate under
-/// the model checker.
+/// The atomics and spin hints every primitive in the crate goes through:
+/// one place to read which `std` operations the algorithms are built on.
 pub(crate) mod sync {
-    #[cfg(loom)]
-    pub(crate) use loom::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
-
-    #[cfg(not(loom))]
+    pub(crate) use std::hint::spin_loop as spin_hint;
     pub(crate) use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
-
-    /// One spin-wait beat: a pause hint natively; a schedule point under loom
-    /// (which cannot otherwise preempt a spin loop).
-    #[inline]
-    pub(crate) fn spin_hint() {
-        #[cfg(loom)]
-        loom::thread::yield_now();
-        #[cfg(not(loom))]
-        std::hint::spin_loop();
-    }
-
-    /// Yield the OS thread; identical to a spin beat under loom.
-    #[inline]
-    pub(crate) fn yield_now() {
-        #[cfg(loom)]
-        loom::thread::yield_now();
-        #[cfg(not(loom))]
-        std::thread::yield_now();
-    }
+    pub(crate) use std::thread::yield_now;
 }
 
 /// A value padded and aligned to its own cache line (two lines' worth of

@@ -107,7 +107,7 @@ impl RawLock for McsLock {
     }
 }
 
-#[cfg(all(test, not(loom)))]
+#[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::Arc;

@@ -165,7 +165,7 @@ impl RawLock for Qsm {
     }
 }
 
-#[cfg(all(test, not(loom)))]
+#[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::Arc;
@@ -222,12 +222,15 @@ mod tests {
 
     #[test]
     fn heavy_mixed_try_and_lock() {
+        use std::sync::atomic::Ordering::AcqRel;
         let l = Arc::new(Qsm::new());
         let sum = Arc::new(std::sync::atomic::AtomicU64::new(0));
+        let holders = Arc::new(std::sync::atomic::AtomicU64::new(0));
         let threads: Vec<_> = (0..4)
             .map(|i| {
                 let l = Arc::clone(&l);
                 let sum = Arc::clone(&sum);
+                let holders = Arc::clone(&holders);
                 std::thread::spawn(move || {
                     for _ in 0..200 {
                         let token = if i % 2 == 0 {
@@ -238,7 +241,10 @@ mod tests {
                                 None => l.lock(),
                             }
                         };
+                        // However the token was won, nobody else holds one.
+                        assert_eq!(holders.fetch_add(1, AcqRel), 0, "two holders");
                         sum.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                        holders.fetch_sub(1, AcqRel);
                         unsafe { l.unlock(token) };
                     }
                 })

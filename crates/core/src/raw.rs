@@ -41,7 +41,7 @@ pub fn all_locks(max_threads: usize) -> Vec<Box<dyn RawLock>> {
     ]
 }
 
-#[cfg(all(test, not(loom)))]
+#[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::Arc;

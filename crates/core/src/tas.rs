@@ -90,7 +90,7 @@ impl RawLock for TasBackoffLock {
     }
 }
 
-#[cfg(all(test, not(loom)))]
+#[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::Arc;

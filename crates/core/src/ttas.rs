@@ -48,7 +48,7 @@ impl RawLock for TtasLock {
     }
 }
 
-#[cfg(all(test, not(loom)))]
+#[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::Arc;

@@ -366,6 +366,331 @@ pub fn eventcount_wrap_program(nthreads: usize, fixed: bool) -> Program {
     .with_init(vec![(0, u64::MAX)])
 }
 
+/// `service::WaitingArraySemaphore` — the counting semaphore whose waiters
+/// index themselves into a **waiting array** (Dice & Kogan) — step for
+/// step on `SyncCtx` words: a permits word (negative: waiters owed a
+/// grant), `enq`/`deq` ticket counters, `slots` slot words that start at
+/// their previous-generation tenant's grant, publication by sequence-max
+/// CAS, a wait that parks iff the slot still shows what the waiter read,
+/// wakes strictly after every publication of the batch, and the
+/// abandoned-ticket set as a bitmask word under a CAS lock word (the
+/// service's `Mutex<HashSet<u64>>`).
+///
+/// What the model leaves out: the fixed `Backoff` spin before the park
+/// (further loads of the slot, each a placement the checker already tries
+/// for the one load kept), and the async front end's waker registration —
+/// a cancelling waiter is a thread that polls its slot once and then runs
+/// `cancel_ticket`; withdrawing a parked registration needs a
+/// `futex_register` / `futex_cancel` pair `SyncCtx` does not have.
+///
+/// Two seeded bugs, one per flag. `wake_all: false` wakes one waiter per
+/// grant, the PR 8 bug: tickets `t` and `t + slots` park on one word, the
+/// wake dequeues the sharer whose grant is still pending, it parks again,
+/// and the granted waiter sleeps for good. `check_after_publish: false`
+/// looks the ticket up in the abandoned set *before* publishing its grant:
+/// a canceller that inserts in between is granted as a ghost and the
+/// permit is gone.
+#[derive(Debug, Clone, Copy)]
+pub struct WaitingArraySem {
+    /// Waiting-array slots, a power of two.
+    pub slots: usize,
+    /// First ticket (`with_ticket_origin`).
+    pub origin: Word,
+    /// Wake every waiter parked on a granted slot (correct) or one per
+    /// grant (seeded bug).
+    pub wake_all: bool,
+    /// Check the abandoned set after publishing the grant (correct) or
+    /// before (seeded bug).
+    pub check_after_publish: bool,
+}
+
+/// Wraparound-safe `a >= b` on sequence numbers (`service::seq_ge`).
+fn seq_ge(a: Word, b: Word) -> bool {
+    a.wrapping_sub(b) as i64 >= 0
+}
+
+impl WaitingArraySem {
+    const PERMITS: Addr = 0;
+    const ENQ: Addr = 1;
+    const DEQ: Addr = 2;
+    const ABANDONED_LOCK: Addr = 3;
+    const ABANDONED: Addr = 4;
+    const SLOT0: Addr = 5;
+
+    /// The correct semaphore over `slots` slots, tickets from `origin`.
+    pub fn new(slots: usize, origin: Word) -> Self {
+        assert!(slots.is_power_of_two(), "the array is indexed by a mask");
+        WaitingArraySem {
+            slots,
+            origin,
+            wake_all: true,
+            check_after_publish: true,
+        }
+    }
+
+    /// Memory words the semaphore occupies, from address 0.
+    pub fn words(&self) -> usize {
+        Self::SLOT0 + self.slots
+    }
+
+    /// The memory image of `WaitingArraySemaphore::build`, as if `waiting`
+    /// acquirers had already found no permit and taken tickets `origin ..
+    /// origin + waiting` (0: a fresh semaphore with `permits` permits).
+    pub fn init(&self, permits: i64, waiting: u64) -> Vec<(Addr, Word)> {
+        assert!(waiting == 0 || permits == 0, "waiters queue only at zero");
+        let w = self.slots as Word;
+        let mut image = vec![
+            (Self::PERMITS, (permits - waiting as i64) as Word),
+            (Self::ENQ, self.origin.wrapping_add(waiting)),
+            (Self::DEQ, self.origin),
+        ];
+        for i in 0..w {
+            // "No grant yet" is the grant of the slot's previous-generation
+            // tenant, strictly behind its first real waiter's.
+            let t0 = self
+                .origin
+                .wrapping_add(i.wrapping_sub(self.origin) & (w - 1));
+            image.push((self.slot(t0), t0.wrapping_add(1).wrapping_sub(w)));
+        }
+        image
+    }
+
+    fn slot(&self, ticket: Word) -> Addr {
+        Self::SLOT0 + (ticket & (self.slots as Word - 1)) as usize
+    }
+
+    /// `permits()`.
+    pub fn permits(&self, ctx: &mut dyn SyncCtx) -> i64 {
+        ctx.load(Self::PERMITS) as i64
+    }
+
+    /// The head of `acquire` / the first poll of `acquire_async`: take a
+    /// permit, or a ticket to wait on when there is none.
+    pub fn take_ticket(&self, ctx: &mut dyn SyncCtx) -> Option<Word> {
+        let prev = ctx.fetch_add(Self::PERMITS, Word::MAX) as i64;
+        (prev <= 0).then(|| ctx.fetch_add(Self::ENQ, 1))
+    }
+
+    /// Whether `ticket`'s grant is published: one poll of a waiting
+    /// `AcquireFuture`.
+    pub fn granted(&self, ctx: &mut dyn SyncCtx, ticket: Word) -> bool {
+        seq_ge(ctx.load(self.slot(ticket)), ticket.wrapping_add(1))
+    }
+
+    /// The wait loop of `acquire`: load, compare, park iff unchanged.
+    pub fn wait(&self, ctx: &mut dyn SyncCtx, ticket: Word) {
+        let slot = self.slot(ticket);
+        loop {
+            let cur = ctx.load(slot);
+            if seq_ge(cur, ticket.wrapping_add(1)) {
+                return;
+            }
+            ctx.futex_wait(slot, cur);
+        }
+    }
+
+    /// `acquire`.
+    pub fn acquire(&self, ctx: &mut dyn SyncCtx) {
+        if let Some(ticket) = self.take_ticket(ctx) {
+            self.wait(ctx, ticket);
+        }
+    }
+
+    /// `try_acquire`.
+    pub fn try_acquire(&self, ctx: &mut dyn SyncCtx) -> bool {
+        let mut cur = ctx.load(Self::PERMITS);
+        while cur as i64 > 0 {
+            match ctx.cas(Self::PERMITS, cur, cur - 1) {
+                Ok(_) => return true,
+                Err(now) => cur = now,
+            }
+        }
+        false
+    }
+
+    /// Runs `f` on the abandoned-set word under its lock.
+    fn with_abandoned<R>(
+        &self,
+        ctx: &mut dyn SyncCtx,
+        f: impl FnOnce(&mut dyn SyncCtx, Word) -> R,
+    ) -> R {
+        while ctx.cas(Self::ABANDONED_LOCK, 0, 1).is_err() {
+            ctx.spin_while(Self::ABANDONED_LOCK, 1);
+        }
+        let set = ctx.load(Self::ABANDONED);
+        let r = f(ctx, set);
+        ctx.store(Self::ABANDONED_LOCK, 0);
+        r
+    }
+
+    fn abandoned_bit(&self, ticket: Word) -> Word {
+        let nth = ticket.wrapping_sub(self.origin);
+        assert!(nth < 64, "the model's abandoned set holds 64 tickets");
+        1 << nth
+    }
+
+    /// `abandoned.lock().remove(&ticket)`.
+    fn take_abandoned(&self, ctx: &mut dyn SyncCtx, ticket: Word) -> bool {
+        let bit = self.abandoned_bit(ticket);
+        self.with_abandoned(ctx, |ctx, set| {
+            if set & bit != 0 {
+                ctx.store(Self::ABANDONED, set & !bit);
+            }
+            set & bit != 0
+        })
+    }
+
+    /// `release_n`: how many grants went to waiters.
+    pub fn release_n(&self, ctx: &mut dyn SyncCtx, n: usize) -> usize {
+        let mut granted_slots = Vec::new();
+        let mut remaining = n;
+        while remaining > 0 {
+            remaining -= 1;
+            let prev = ctx.fetch_add(Self::PERMITS, 1) as i64;
+            if prev >= 0 {
+                continue;
+            }
+            let ticket = ctx.fetch_add(Self::DEQ, 1);
+            if !self.check_after_publish && self.take_abandoned(ctx, ticket) {
+                remaining += 1;
+                continue;
+            }
+            let (slot, grant) = (self.slot(ticket), ticket.wrapping_add(1));
+            // Sequence-max publication: never regress a slot that the
+            // releaser of `ticket + slots` already advanced past us.
+            let mut cur = ctx.load(slot);
+            while !seq_ge(cur, grant) {
+                match ctx.cas(slot, cur, grant) {
+                    Ok(_) => break,
+                    Err(now) => cur = now,
+                }
+            }
+            if self.check_after_publish && self.take_abandoned(ctx, ticket) {
+                remaining += 1;
+                continue;
+            }
+            granted_slots.push(slot);
+        }
+        let granted = granted_slots.len();
+        if self.wake_all {
+            // `futex_wake_batch`: every waiter on each distinct address.
+            granted_slots.sort_unstable();
+            granted_slots.dedup();
+        }
+        for slot in granted_slots {
+            ctx.futex_wake(slot, if self.wake_all { usize::MAX } else { 1 });
+        }
+        granted
+    }
+
+    /// `cancel_ticket`: the waiter holding `ticket` goes away unadmitted.
+    pub fn cancel_ticket(&self, ctx: &mut dyn SyncCtx, ticket: Word) {
+        if !self.granted(ctx, ticket) {
+            let bit = self.abandoned_bit(ticket);
+            let slot = self.slot(ticket);
+            // Re-check under the lock: the releaser publishes first and
+            // looks the ticket up second, so an insert made while the
+            // grant is still unpublished is seen.
+            let inserted = self.with_abandoned(ctx, |ctx, set| {
+                let unpublished = !seq_ge(ctx.load(slot), ticket.wrapping_add(1));
+                if unpublished {
+                    ctx.store(Self::ABANDONED, set | bit);
+                }
+                unpublished
+            });
+            if inserted {
+                return;
+            }
+        }
+        // The grant is published and addressed to this ticket alone: hand
+        // the permit onward.
+        self.release_n(ctx, 1);
+    }
+}
+
+/// `waiters` threads acquire a semaphore of no permits and `slots` slots;
+/// the last thread releases one permit at a time, `waiters` times — the
+/// worst case for a shared slot (`shared_slot_releases_reach_their_waiters`
+/// in `service`): a batch release would wake once per grant and hide the
+/// wake-one bug. Every waiter must get through and no permit may be left.
+///
+/// `ticketed` starts from the state the bug needs — every waiter has found
+/// no permit and holds ticket `pid` — and drops the waiters' two counter
+/// steps, as [`spin_then_park_program`] drops its holder's acquire. It
+/// leaves out the executions in which a release overtakes an acquirer; with
+/// `ticketed` off the waiters take their own tickets and those are
+/// explored too.
+pub fn waiting_array_shared_slot_program(
+    waiters: usize,
+    slots: usize,
+    ticketed: bool,
+    wake_all: bool,
+) -> Program {
+    let sem = WaitingArraySem {
+        wake_all,
+        ..WaitingArraySem::new(slots, 0)
+    };
+    let init = sem.init(0, if ticketed { waiters as u64 } else { 0 });
+    Program::new(waiters + 1, sem.words(), move |ctx| {
+        if ctx.pid() == waiters {
+            for _ in 0..waiters {
+                sem.release_n(ctx, 1);
+            }
+        } else if ticketed {
+            let ticket = ctx.pid() as Word;
+            sem.wait(ctx, ticket);
+        } else {
+            sem.acquire(ctx);
+        }
+    })
+    .with_init(init)
+}
+
+/// The abandoned-ticket protocol against a batch release (two slots, no
+/// sharing): thread 0 acquires and stays, thread 1 takes a ticket, polls
+/// once and cancels — or, admitted by that poll, returns its permit —
+/// while thread 2 runs `release_n(2)`. Whichever side recycles the
+/// cancelled ticket, the survivor is admitted and exactly one permit is
+/// left ([`waiting_array_one_permit_left`]).
+pub fn waiting_array_cancel_program(check_after_publish: bool) -> Program {
+    let sem = WaitingArraySem {
+        check_after_publish,
+        ..WaitingArraySem::new(2, 0)
+    };
+    Program::new(3, sem.words(), move |ctx| match ctx.pid() {
+        0 => sem.acquire(ctx),
+        1 => match sem.take_ticket(ctx) {
+            Some(ticket) if !sem.granted(ctx, ticket) => sem.cancel_ticket(ctx, ticket),
+            _ => {
+                sem.release_n(ctx, 1);
+            }
+        },
+        _ => {
+            sem.release_n(ctx, 2);
+        }
+    })
+    .with_init(sem.init(0, 0))
+}
+
+fn permits_are(want: i64, mem: &[Word]) -> Result<(), String> {
+    match mem[WaitingArraySem::PERMITS] as i64 {
+        got if got == want => Ok(()),
+        got => Err(format!("permits {got} != {want}: a permit leaked")),
+    }
+}
+
+/// Final-state check of [`waiting_array_shared_slot_program`]: as many
+/// acquires as releases, so no permit is left and none is owed.
+pub fn waiting_array_drained(mem: &[Word]) -> Result<(), String> {
+    permits_are(0, mem)
+}
+
+/// Final-state check of [`waiting_array_cancel_program`]: two permits
+/// released, one held by the survivor, the cancelled one back on the count.
+pub fn waiting_array_one_permit_left(mem: &[Word]) -> Result<(), String> {
+    permits_are(1, mem)
+}
+
 /// The mutual-exclusion workload over [`BlockingGrantLock`], exactly as
 /// [`crate::harness::lock_program`] builds it.
 pub fn blocking_grant_program(nthreads: usize, iters: usize, fixed: bool) -> Program {
@@ -438,6 +763,18 @@ pub fn corpus_program(name: &str) -> Option<(Program, fn(&[Word]) -> Result<(), 
         // Eventcount wraparound advance that forgets its wake.
         "eventcount-wrap-missed-wake-3" => Some((eventcount_wrap_program(3, false), pass)),
         "eventcount-wrap-missed-wake-4" => Some((eventcount_wrap_program(4, false), pass)),
+        // Waiting-array semaphore waking one waiter per grant on a slot two
+        // tickets share.
+        "waiting-array-wake-one-shared-slot" => Some((
+            waiting_array_shared_slot_program(2, 1, true, false),
+            waiting_array_drained,
+        )),
+        // The same semaphore consulting the abandoned set before it
+        // publishes the grant.
+        "waiting-array-check-before-publish" => Some((
+            waiting_array_cancel_program(false),
+            waiting_array_one_permit_left,
+        )),
         _ => None,
     }
 }
@@ -454,6 +791,8 @@ pub fn corpus_program_names() -> &'static [&'static str] {
         "spin-then-park-respin-held-4",
         "eventcount-wrap-missed-wake-3",
         "eventcount-wrap-missed-wake-4",
+        "waiting-array-wake-one-shared-slot",
+        "waiting-array-check-before-publish",
     ]
 }
 

@@ -66,10 +66,12 @@
 //!   `interleave` binary): re-executes a recorded schedule with a
 //!   per-operation narration for debugging a reported violation.
 //!
-//! The sibling check for the *real-hardware* primitives (C11 memory model,
-//! weak orderings) is done with `loom` in the `qsm` crate; this crate
-//! deliberately models sequential consistency, which is what the simulated
-//! 1991 machines provide.
+//! This crate deliberately models sequential consistency, which is what
+//! the simulated 1991 machines provide. The weak orderings of the
+//! *real-hardware* primitives (`qsm`, `parking`, `service`) are outside it:
+//! those crates are stressed on real threads and under ThreadSanitizer, and
+//! their protocols are checked here on models written against `SyncCtx`
+//! ([`corpus`]).
 //!
 //! ```
 //! use interleave::{Explorer, Program};

@@ -99,17 +99,32 @@ mod tests {
         assert_eq!(ec.await_at_least(1), 2);
     }
 
+    /// The eventcount as a publication barrier: what the advancer wrote
+    /// to a plain cell before the third `advance` is what the waiter reads
+    /// after `await_at_least(3)`, whether it parked or caught the count
+    /// mid-probe.
     #[test]
     fn waiter_parks_until_advanced() {
+        struct Plain(std::cell::UnsafeCell<u64>);
+        // SAFETY: written before the last advance, read after the await
+        // that advance satisfies — the ordering under test.
+        unsafe impl Sync for Plain {}
         let ec = Arc::new(EventcountBlocking::new());
+        let cell = Arc::new(Plain(std::cell::UnsafeCell::new(0)));
         let handle = {
-            let ec = Arc::clone(&ec);
-            thread::spawn(move || ec.await_at_least(3))
+            let (ec, cell) = (Arc::clone(&ec), Arc::clone(&cell));
+            thread::spawn(move || {
+                let seen = ec.await_at_least(3);
+                (seen, unsafe { *cell.0.get() })
+            })
         };
-        for _ in 0..3 {
-            ec.advance();
-        }
-        assert!(handle.join().unwrap() >= 3);
+        ec.advance();
+        ec.advance();
+        unsafe { *cell.0.get() = 42 };
+        ec.advance();
+        let (seen, published) = handle.join().unwrap();
+        assert!(seen >= 3);
+        assert_eq!(published, 42, "await returned before the publication");
     }
 
     #[test]

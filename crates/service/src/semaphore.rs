@@ -517,38 +517,54 @@ mod tests {
     /// dequeue the un-granted sharer (which re-parks, swallowing the
     /// wake) while the granted waiter slept forever. One-at-a-time
     /// releases into a single shared slot are the worst case; each must
-    /// admit a waiter.
+    /// admit a waiter — and publish to it: what the releaser wrote to a
+    /// plain cell before `release()` is what the admitted waiter reads
+    /// after `acquire()`, with the waiters given time to park first and
+    /// with the grant landing wherever it lands, mid-spin included.
     #[test]
     fn shared_slot_releases_reach_their_waiters() {
-        let sem = Arc::new(WaitingArraySemaphore::new(0, 1));
-        let through = Arc::new(AtomicUsize::new(0));
-        let handles: Vec<_> = (0..8)
-            .map(|_| {
-                let sem = Arc::clone(&sem);
-                let through = Arc::clone(&through);
-                thread::spawn(move || {
-                    sem.acquire();
-                    through.fetch_add(1, Ordering::SeqCst);
+        struct Plain(std::cell::UnsafeCell<usize>);
+        // SAFETY: written before a release, read by the one waiter that
+        // release admits, and not written again until that waiter has
+        // counted itself through — the ordering under test.
+        unsafe impl Sync for Plain {}
+        for settle in [Duration::from_millis(1), Duration::ZERO] {
+            let sem = Arc::new(WaitingArraySemaphore::new(0, 1));
+            let through = Arc::new(AtomicUsize::new(0));
+            let cell = Arc::new(Plain(std::cell::UnsafeCell::new(0)));
+            let handles: Vec<_> = (0..8)
+                .map(|_| {
+                    let sem = Arc::clone(&sem);
+                    let through = Arc::clone(&through);
+                    let cell = Arc::clone(&cell);
+                    thread::spawn(move || {
+                        sem.acquire();
+                        let seen = unsafe { *cell.0.get() };
+                        let nth = through.fetch_add(1, Ordering::SeqCst);
+                        assert_eq!(seen, nth + 1, "acquire returned before the publication");
+                    })
                 })
-            })
-            .collect();
-        while sem.permits() != -8 {
-            thread::yield_now();
-        }
-        for i in 0..8 {
-            // Let the waiters exhaust their spin budgets and actually
-            // park, so the wake path (not the spin path) admits them.
-            thread::sleep(Duration::from_millis(1));
-            sem.release();
-            while through.load(Ordering::SeqCst) <= i {
+                .collect();
+            while sem.permits() != -8 {
                 thread::yield_now();
             }
+            for i in 0..8 {
+                // With `settle`, the waiters exhaust their spin budgets and
+                // actually park, so the wake path (not the spin path)
+                // admits them.
+                thread::sleep(settle);
+                unsafe { *cell.0.get() = i + 1 };
+                sem.release();
+                while through.load(Ordering::SeqCst) <= i {
+                    thread::yield_now();
+                }
+            }
+            for h in handles {
+                h.join().unwrap();
+            }
+            assert_eq!(through.load(Ordering::SeqCst), 8);
+            assert_eq!(sem.permits(), 0);
         }
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(through.load(Ordering::SeqCst), 8);
-        assert_eq!(sem.permits(), 0);
     }
 
     #[test]

@@ -983,7 +983,6 @@ pub fn validate_json(text: &str) -> Result<JsonStats, String> {
 pub struct StallWatchdog {
     threshold: Duration,
     fired: AtomicBool,
-    trace_out: Option<std::path::PathBuf>,
 }
 
 impl StallWatchdog {
@@ -993,16 +992,7 @@ impl StallWatchdog {
         StallWatchdog {
             threshold,
             fired: AtomicBool::new(false),
-            trace_out: None,
         }
-    }
-
-    /// Additionally writes a Perfetto trace (via the `chrome` exporter)
-    /// of the global trace-hooks tracer to `path` when the watchdog
-    /// fires — if a tracer is installed.
-    pub fn with_trace_out(mut self, path: std::path::PathBuf) -> Self {
-        self.trace_out = Some(path);
-        self
     }
 
     /// Whether the watchdog has fired.
@@ -1026,13 +1016,6 @@ impl StallWatchdog {
             return false;
         }
         eprintln!("{}", self.report(svc, age));
-        if let (Some(path), Some(tracer)) = (&self.trace_out, parking::trace_hooks::tracer()) {
-            let trace_json = trace::chrome::export_tracer(tracer, "service-stall");
-            match std::fs::write(path, trace_json) {
-                Ok(()) => eprintln!("stall watchdog: wrote Perfetto trace to {}", path.display()),
-                Err(e) => eprintln!("stall watchdog: trace write failed: {e}"),
-            }
-        }
         true
     }
 

@@ -125,11 +125,6 @@ impl Tracer {
         self.rings.len()
     }
 
-    /// True when per-event records are being kept.
-    pub fn is_full(&self) -> bool {
-        self.mode == TraceMode::Full
-    }
-
     /// Records one event for `pid` at time `t`. No-op in [`TraceMode::Off`];
     /// counter-only in [`TraceMode::Counters`].
     pub fn record(&self, pid: usize, t: u64, kind: EventKind) {

@@ -8,14 +8,15 @@
 //!
 //! # Writer discipline
 //!
-//! Each ring has **one logical writer at a time**, with writer handoffs
-//! synchronized externally. In the simulator that discipline is structural:
-//! the engine appends to processor `p`'s ring only while `p` is blocked
-//! awaiting a reply (engine threads are serialized by the engine mutex),
-//! and `p` itself appends only between roundtrips; the reply slot's
-//! release/acquire pair orders each handoff. Readers call
-//! [`EventRing::snapshot`] only after the run has quiesced (threads
-//! joined), so they never race a writer.
+//! Each ring has **one writing thread at a time**, and a change of writer
+//! is ordered by whoever arranges it. In the simulator that is structural:
+//! a simulation's processors are coroutines on the one host thread that
+//! runs the machine, so every ring of its tracer is written by that thread
+//! alone. On real hardware `parking::trace_hooks` leases each ring to one
+//! live thread and passes it on only after that thread has exited, through
+//! a release/acquire pair on its lease word. Readers call
+//! [`EventRing::snapshot`] only after the run has quiesced (simulation
+//! finished, threads joined), so they never race a writer.
 
 use crate::event::Event;
 use std::cell::UnsafeCell;
@@ -28,9 +29,10 @@ pub struct EventRing {
     pushed: AtomicUsize,
 }
 
-// SAFETY: see the module-level writer discipline. Slot cells are written by
-// exactly one thread at a time with handoffs ordered by external
-// synchronization, and read only after all writers have quiesced.
+// SAFETY: see the module-level writer discipline. `slots` cells are written
+// by exactly one thread at a time, a change of writer is ordered by the
+// release/acquire hand-off of whoever leases the ring out, and they are read
+// only after all writers have quiesced; `pushed` is atomic.
 unsafe impl Sync for EventRing {}
 unsafe impl Send for EventRing {}
 

@@ -2,7 +2,7 @@
 //! before optimal DPOR (ROADMAP item: "3-4-thread blocking QSM and
 //! eventcount programs").
 //!
-//! Three program families, each in a fixed and a seeded-bug variant:
+//! Four program families, each in a fixed and a seeded-bug variant:
 //!
 //! * **blocking QSM handoff** — the grant/eventcount lock
 //!   ([`interleave::corpus::BlockingGrantLock`], the two-word reduction of
@@ -16,7 +16,16 @@
 //!   spin acquire as HELD, which strands a second parked waiter. The fixed
 //!   variant is the largest search here (51 334 runs under source sets,
 //!   77 494 under sleep sets): it runs exhaustively under source sets, and
-//!   once more preemption-bounded.
+//!   once more preemption-bounded;
+//! * **waiting-array semaphore** — `service::WaitingArraySemaphore` word for
+//!   word ([`interleave::corpus::WaitingArraySem`]): waiters sharing a slot
+//!   against one-at-a-time releases, where waking one waiter per grant (the
+//!   PR 8 bug) strands the granted one, and the abandoned-ticket protocol
+//!   against `release_n(2)`, where looking the ticket up before publishing
+//!   its grant loses a permit. The model is pinned to the semaphore it
+//!   mirrors by one script run through both. Its searches that take
+//!   seconds in a debug build are ignored there: CI's release run of this
+//!   suite executes them.
 //!
 //! Every fixed variant must pass exhaustively and every seeded bug must
 //! yield its exact verdict class under both reduction modes — the
@@ -34,48 +43,71 @@
 
 use interleave::corpus::{
     blocking_grant_program, corpus_program, eventcount_wrap_program, spin_then_park_program,
+    waiting_array_cancel_program, waiting_array_drained, waiting_array_one_permit_left,
+    waiting_array_shared_slot_program, WaitingArraySem,
 };
 use interleave::{DporMode, Explorer, Program, Verdict, VerdictClass};
+use kernels::Word;
+use service::WaitingArraySemaphore;
+use std::future::Future;
+use std::pin::Pin;
+use std::task::{Context, Waker};
 
 const MODES: [DporMode; 2] = [DporMode::Sleep, DporMode::Source];
 
-fn pass(_mem: &[kernels::Word]) -> Result<(), String> {
+/// A final-state check, as the corpus registry types it.
+type Check = fn(&[Word]) -> Result<(), String>;
+
+fn pass(_mem: &[Word]) -> Result<(), String> {
     Ok(())
 }
 
-fn explore(program: &Program, mode: DporMode) -> Verdict {
+/// The budget is above the largest search here (497 208 runs: three
+/// waiters on two slots under sleep sets), so every pass is a finished one.
+fn explore(program: &Program, mode: DporMode, check: Check) -> Verdict {
     Explorer::exhaustive()
         .with_dpor(mode)
-        .with_max_runs(200_000)
-        .check(program, pass)
+        .with_max_runs(600_000)
+        .check(program, check)
 }
 
-/// Explores a correct program once per mode: it must pass, exhaustively.
-/// Returns the `[sleep, source]` run counts.
+/// Explores a program under one mode: it must end in `want`, and a pass
+/// must be an exhaustive one. Returns the run count (of the whole search,
+/// or up to the bug).
+fn ends_in(
+    what: &str,
+    want: VerdictClass,
+    check: Check,
+    mode: DporMode,
+    build: impl Fn() -> Program,
+) -> usize {
+    let v = explore(&build(), mode, check);
+    assert_eq!(VerdictClass::of(&v), want, "{what} {mode}: got {v:?}");
+    assert!(
+        want != VerdictClass::Pass || v.stats().complete,
+        "{what} {mode}: search must be exhaustive"
+    );
+    v.stats().runs
+}
+
+/// [`ends_in`] once per mode; returns the `[sleep, source]` run counts.
+fn ends_in_under_every_mode(
+    what: &str,
+    want: VerdictClass,
+    check: Check,
+    build: impl Fn() -> Program,
+) -> [usize; 2] {
+    MODES.map(|mode| ends_in(what, want, check, mode, &build))
+}
+
+/// A correct program: it must pass, exhaustively, under every mode.
 fn passes_under_every_mode(what: &str, build: impl Fn() -> Program) -> [usize; 2] {
-    MODES.map(|mode| {
-        let v = explore(&build(), mode);
-        v.expect_pass(what);
-        assert!(
-            v.stats().complete,
-            "{what} {mode}: search must be exhaustive"
-        );
-        v.stats().runs
-    })
+    ends_in_under_every_mode(what, VerdictClass::Pass, pass, build)
 }
 
-/// Explores a seeded bug once per mode: every mode must end in a lost
-/// wakeup. Returns the `[sleep, source]` runs to the bug.
+/// A seeded bug that strands a parked waiter under every mode.
 fn loses_a_wakeup_under_every_mode(what: &str, build: impl Fn() -> Program) -> [usize; 2] {
-    MODES.map(|mode| {
-        let v = explore(&build(), mode);
-        assert_eq!(
-            VerdictClass::of(&v),
-            VerdictClass::LostWakeup,
-            "{what} {mode}: the seeded bug must strand a waiter, got {v:?}"
-        );
-        v.stats().runs
-    })
+    ends_in_under_every_mode(what, VerdictClass::LostWakeup, pass, build)
 }
 
 /// On a search that runs to completion, source sets must explore strictly
@@ -174,7 +206,7 @@ fn broken_eventcount_wrap_loses_a_wakeup_under_every_mode_for_3_and_4_threads() 
 #[test]
 fn corpus_programs_never_cost_source_more_runs_than_sleep() {
     let check_then_set = MODES.map(|mode| {
-        let v = explore(&corpus_program("check-then-set").unwrap().0, mode);
+        let v = explore(&corpus_program("check-then-set").unwrap().0, mode, pass);
         assert!(
             v.stats().complete,
             "check-then-set {mode}: search must finish"
@@ -183,9 +215,8 @@ fn corpus_programs_never_cost_source_more_runs_than_sleep() {
     });
     assert_source_beats_sleep("check-then-set", check_then_set);
     let wake_before_publish = MODES.map(|mode| {
-        explore(&corpus_program("wake-before-publish").unwrap().0, mode)
-            .stats()
-            .runs
+        let program = corpus_program("wake-before-publish").unwrap().0;
+        explore(&program, mode, pass).stats().runs
     });
     assert_source_reaches_the_bug_no_later("wake-before-publish", wake_before_publish);
 }
@@ -234,6 +265,216 @@ fn respin_as_held_strands_a_parked_waiter_under_every_mode_for_3_and_4_threads()
     }
 }
 
+/// One search of the waiting-array semaphore: what it is, the program, its
+/// final-state check, the verdict it must end in and the `[sleep, source]`
+/// run counts it takes (EXPERIMENTS.md quotes them).
+type SemSearch = (
+    &'static str,
+    fn() -> Program,
+    Check,
+    VerdictClass,
+    [usize; 2],
+);
+
+/// Two waiters holding tickets 0 and 1, released one at a time. On one
+/// slot, waking one waiter per grant dequeues the sharer whose grant is
+/// still pending and strands the granted waiter (the PR 8 bug); on two
+/// slots nobody shares and the same release passes — the bug *is* slot
+/// sharing. And a waiter cancelling against `release_n(2)`: a releaser that
+/// consults the abandoned set *before* it publishes grants a ghost, a
+/// final-state violation rather than a hang.
+const SEM_SEEDED_BUGS_AND_CONTROL: [SemSearch; 3] = [
+    (
+        "waiting array 2 waiters / 1 slot, wake-one",
+        || waiting_array_shared_slot_program(2, 1, true, false),
+        waiting_array_drained,
+        VerdictClass::LostWakeup,
+        [1_932, 904],
+    ),
+    (
+        "waiting array 2 waiters / 2 slots, wake-one",
+        || waiting_array_shared_slot_program(2, 2, true, false),
+        waiting_array_drained,
+        VerdictClass::Pass,
+        [288, 54],
+    ),
+    (
+        "waiting array cancel vs release_n(2), check before publish",
+        || waiting_array_cancel_program(false),
+        waiting_array_one_permit_left,
+        VerdictClass::Violation,
+        [20, 8],
+    ),
+];
+
+/// The semaphore as the service ships it, on the two programs above: every
+/// waiter gets through a shared slot, and whichever side recycles a
+/// cancelled ticket, exactly one permit is left.
+const SEM_FIXED: [SemSearch; 2] = [
+    (
+        "waiting array 2 waiters / 1 slot",
+        || waiting_array_shared_slot_program(2, 1, true, true),
+        waiting_array_drained,
+        VerdictClass::Pass,
+        [31_697, 14_640],
+    ),
+    (
+        "waiting array cancel vs release_n(2)",
+        || waiting_array_cancel_program(true),
+        waiting_array_one_permit_left,
+        VerdictClass::Pass,
+        [16_860, 4_820],
+    ),
+];
+
+/// The shared slot with the waiters taking their own tickets, so that a
+/// release may overtake an acquirer; and three ticketed waiters on two
+/// slots, where tickets 0 and 2 share and ticket 1 does not.
+const SEM_LARGER: [SemSearch; 4] = [
+    (
+        "waiting array 2 acquirers / 1 slot",
+        || waiting_array_shared_slot_program(2, 1, false, true),
+        waiting_array_drained,
+        VerdictClass::Pass,
+        [254_333, 117_156],
+    ),
+    (
+        "waiting array 2 acquirers / 1 slot, wake-one",
+        || waiting_array_shared_slot_program(2, 1, false, false),
+        waiting_array_drained,
+        VerdictClass::LostWakeup,
+        [3_882, 1_801],
+    ),
+    (
+        "waiting array 3 waiters / 2 slots",
+        || waiting_array_shared_slot_program(3, 2, true, true),
+        waiting_array_drained,
+        VerdictClass::Pass,
+        [497_208, 108_687],
+    ),
+    (
+        "waiting array 3 waiters / 2 slots, wake-one",
+        || waiting_array_shared_slot_program(3, 2, true, false),
+        waiting_array_drained,
+        VerdictClass::LostWakeup,
+        [30_294, 6_795],
+    ),
+];
+
+/// Runs a search under both modes and holds it to its pinned counts, which
+/// carry the claim for source sets: strictly fewer runs than sleep sets on
+/// a finished search, never more to a bug.
+fn sem_search_ends_as_pinned((what, build, check, want, runs): SemSearch) {
+    let got = ends_in_under_every_mode(what, want, check, build);
+    assert_eq!(got, runs, "{what}: the EXPERIMENTS.md counts moved");
+    if want == VerdictClass::Pass {
+        assert_source_beats_sleep(what, got);
+    } else {
+        assert_source_reaches_the_bug_no_later(what, got);
+    }
+}
+
+/// Tier-1's share: the seeded bugs and the control under both modes, the
+/// shipped protocol under source sets.
+#[test]
+fn waiting_array_protocols_pass_and_their_seeded_bugs_are_found() {
+    SEM_SEEDED_BUGS_AND_CONTROL
+        .into_iter()
+        .for_each(sem_search_ends_as_pinned);
+    for (what, build, check, want, [_, source]) in SEM_FIXED {
+        let runs = ends_in(what, want, check, DporMode::Source, build);
+        assert_eq!(runs, source, "{what}: the EXPERIMENTS.md count moved");
+    }
+}
+
+/// The shipped protocol under sleep sets too (two to three times the runs),
+/// and the larger programs.
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "10 s in release, minutes in debug: CI's interleave-dpor job runs it"
+)]
+fn waiting_array_larger_searches_pass_under_every_mode() {
+    SEM_FIXED
+        .into_iter()
+        .chain(SEM_LARGER)
+        .for_each(sem_search_ends_as_pinned);
+}
+
+/// One step of the drift script below; each compares what it returns.
+#[derive(Debug, Clone, Copy)]
+enum SemStep {
+    /// `try_acquire`.
+    Try,
+    /// First poll of a new acquirer, which joins the pending list unless
+    /// admitted at once.
+    Acquire,
+    /// Polls every pending acquirer.
+    Poll,
+    /// `release_n`.
+    Release(usize),
+    /// Drops the nth pending acquirer unadmitted.
+    Cancel(usize),
+}
+
+/// One poll with a waker nobody listens to; true once admitted.
+fn poll<F: Future>(fut: &mut Pin<Box<F>>) -> bool {
+    let mut cx = Context::from_waker(Waker::noop());
+    fut.as_mut().poll(&mut cx).is_ready()
+}
+
+/// Model drift pin: one single-threaded script through the service's
+/// semaphore and through its model, `permits()` compared after every step
+/// along with whatever the step returns. It walks the fast path, slot
+/// sharing (three tickets on two slots), an abandoned ticket recycled
+/// mid-batch and a cancel that finds its grant already published, at
+/// ticket origin 0 and across the `u64` wrap.
+#[test]
+fn waiting_array_model_tracks_the_service_semaphore_step_by_step() {
+    use SemStep::*;
+    #[rustfmt::skip]
+    const SCRIPT: [SemStep; 17] = [
+        Try, Try, Acquire, Acquire, Acquire, Release(1), Poll, Cancel(0), Release(2), Poll,
+        Acquire, Acquire, Release(1), Cancel(0), Try, Release(3), Try,
+    ];
+    for origin in [0, u64::MAX - 3] {
+        let model = WaitingArraySem::new(2, origin);
+        let program = Program::new(1, model.words(), move |ctx| {
+            let real = WaitingArraySemaphore::with_ticket_origin(1, 2, origin);
+            // Acquirers not yet admitted: the future, and the model's ticket.
+            let mut pending = Vec::new();
+            for (n, step) in SCRIPT.into_iter().enumerate() {
+                let at = format!("origin {origin:#x}, step {n} ({step:?})");
+                match step {
+                    Try => assert_eq!(model.try_acquire(ctx), real.try_acquire(), "{at}"),
+                    Acquire => {
+                        let mut fut = Box::pin(real.acquire_async());
+                        let ticket = model.take_ticket(ctx);
+                        assert_eq!(ticket.is_none(), poll(&mut fut), "{at}");
+                        pending.extend(ticket.map(|ticket| (fut, ticket)));
+                    }
+                    Poll => pending.retain_mut(|(fut, ticket)| {
+                        let granted = model.granted(ctx, *ticket);
+                        assert_eq!(granted, poll(fut), "{at}");
+                        !granted
+                    }),
+                    Release(k) => assert_eq!(model.release_n(ctx, k), real.release_n(k), "{at}"),
+                    Cancel(nth) => {
+                        let (fut, ticket) = pending.remove(nth);
+                        drop(fut);
+                        model.cancel_ticket(ctx, ticket);
+                    }
+                }
+                assert_eq!(model.permits(ctx), real.permits(), "{at}");
+            }
+            assert!(pending.is_empty());
+            assert_eq!(real.permits(), 2, "the script's own arithmetic");
+        })
+        .with_init(model.init(1, 0));
+        explore(&program, DporMode::Source, pass).expect_pass("model drift script");
+    }
+}
+
 /// Prints the run-count table for DESIGN.md / EXPERIMENTS.md. Ignored:
 /// run with `-- --ignored --nocapture measure` to refresh the numbers.
 #[test]
@@ -264,12 +505,22 @@ fn measure() {
             Box::new(|| corpus_program("lost-update").unwrap().0),
         ),
     ];
-    println!("program | sleep | source");
-    for (name, build) in suite {
+    let row = |name: &str, build: &dyn Fn() -> Program, check: Check| {
         let [sleep, source] = MODES.map(|mode| {
-            let s = explore(&build(), mode).stats();
+            let s = explore(&build(), mode, check).stats();
             format!("{}{}", s.runs, if s.complete { "" } else { "+" })
         });
         println!("{name} | {sleep} | {source}");
+    };
+    println!("program | sleep | source");
+    for (name, build) in suite {
+        row(name, &build, pass);
+    }
+    let sem_searches = SEM_SEEDED_BUGS_AND_CONTROL
+        .into_iter()
+        .chain(SEM_FIXED)
+        .chain(SEM_LARGER);
+    for (what, build, check, ..) in sem_searches {
+        row(what, &build, check);
     }
 }

@@ -10,7 +10,9 @@
 //! the seed. Everything here is deterministic: a failure is a real
 //! regression, never flake.
 
-use interleave::corpus::spin_then_park_program;
+use interleave::corpus::{
+    spin_then_park_program, waiting_array_drained, waiting_array_shared_slot_program,
+};
 use interleave::{Explorer, Fuzzer, Program, ReplayEnd, Strategy, Verdict};
 use kernels::SyncCtx;
 use workloads::differential::{differential_lock, DiffConfig};
@@ -137,6 +139,37 @@ fn pct_checks_the_service_mutex_slow_path_at_four_threads() {
     match &report.verdict {
         Verdict::LostWakeup { parked, .. } => assert!(!parked.is_empty()),
         other => panic!("respin-as-HELD must strand a waiter, got {other:?}"),
+    }
+}
+
+/// The waiting-array semaphore with three acquirers and a releaser — four
+/// threads, where the one-slot exhaustive search is still going after five
+/// million runs (`tests/dpor_blocking.rs` stops at three threads). On one
+/// slot and on two, the fixed
+/// semaphore survives its PCT budget; waking one waiter per grant strands
+/// a granted waiter within it, and the shrunk schedule still does.
+#[test]
+fn pct_checks_the_waiting_array_semaphore_at_four_threads() {
+    let fuzzer = Fuzzer::new(1991, 2_000, Strategy::Pct { change_points: 3 });
+    for slots in [1, 2] {
+        let program = |wake_all| waiting_array_shared_slot_program(3, slots, false, wake_all);
+        fuzzer
+            .run(&program(true), waiting_array_drained)
+            .expect_pass("waiting array, 4 threads, under PCT");
+        let report = fuzzer.run(&program(false), waiting_array_drained);
+        assert!(
+            matches!(report.verdict, Verdict::LostWakeup { .. }),
+            "{slots} slot(s): wake-one must strand a waiter, got {:?}",
+            report.verdict
+        );
+        let shrunk = report.shrunk.expect("shrinking is on by default");
+        let replay = fuzzer.explorer().replay(&program(false), &shrunk.schedule);
+        assert!(
+            matches!(replay.end, ReplayEnd::LostWakeup(_)),
+            "{slots} slot(s): shrunk schedule {:?} must still strand a waiter, got {:?}",
+            shrunk.schedule,
+            replay.end
+        );
     }
 }
 

@@ -202,6 +202,13 @@ fn async_churn_and_cancellation_storms_balance() {
                 });
             }
         });
+        // Every admitted acquirer released and every cancelled ticket was
+        // recycled by one side or the other: both permits are back.
+        assert_eq!(
+            sem.permits(),
+            2,
+            "round {round}: a cancelled semaphore ticket was not restored"
+        );
         let stats = svc.stats();
         assert_eq!(
             stats.live, 0,
