@@ -371,22 +371,24 @@ pub fn eventcount_wrap_program(nthreads: usize, fixed: bool) -> Program {
 /// step on `SyncCtx` words: a permits word (negative: waiters owed a
 /// grant), `enq`/`deq` ticket counters, `slots` slot words that start at
 /// their previous-generation tenant's grant, publication by sequence-max
-/// CAS, a wait that parks iff the slot still shows what the waiter read,
-/// wakes strictly after every publication of the batch, and the
+/// CAS, a wait that parks — under its ticket — iff the slot still shows
+/// what the waiter read, one wake per granted ticket strictly after every
+/// publication of the batch, and the
 /// abandoned-ticket set as a bitmask word under a CAS lock word (the
 /// service's `Mutex<HashSet<u64>>`).
 ///
-/// What the model leaves out: the fixed `Backoff` spin before the park
+/// What the model leaves out: the `park_cost()` spin before the park
 /// (further loads of the slot, each a placement the checker already tries
 /// for the one load kept), and the async front end's waker registration —
 /// a cancelling waiter is a thread that polls its slot once and then runs
 /// `cancel_ticket`; withdrawing a parked registration needs a
 /// `futex_register` / `futex_cancel` pair `SyncCtx` does not have.
 ///
-/// Two seeded bugs, one per flag. `wake_all: false` wakes one waiter per
-/// grant, the PR 8 bug: tickets `t` and `t + slots` park on one word, the
-/// wake dequeues the sharer whose grant is still pending, it parks again,
-/// and the granted waiter sleeps for good. `check_after_publish: false`
+/// Two seeded bugs, one per flag. `per_ticket_wake: false` wakes the
+/// slot's oldest waiter whatever its ticket, the PR 8 bug: tickets `t` and
+/// `t + slots` park on one word, the wake dequeues the sharer whose grant
+/// is still pending, it parks again, and the granted waiter sleeps for
+/// good. `check_after_publish: false`
 /// looks the ticket up in the abandoned set *before* publishing its grant:
 /// a canceller that inserts in between is granted as a ghost and the
 /// permit is gone.
@@ -396,9 +398,9 @@ pub struct WaitingArraySem {
     pub slots: usize,
     /// First ticket (`with_ticket_origin`).
     pub origin: Word,
-    /// Wake every waiter parked on a granted slot (correct) or one per
-    /// grant (seeded bug).
-    pub wake_all: bool,
+    /// A grant wakes the waiter that parked with the granted ticket
+    /// (correct) or the oldest waiter of the ticket's slot (seeded bug).
+    pub per_ticket_wake: bool,
     /// Check the abandoned set after publishing the grant (correct) or
     /// before (seeded bug).
     pub check_after_publish: bool,
@@ -423,7 +425,7 @@ impl WaitingArraySem {
         WaitingArraySem {
             slots,
             origin,
-            wake_all: true,
+            per_ticket_wake: true,
             check_after_publish: true,
         }
     }
@@ -477,7 +479,8 @@ impl WaitingArraySem {
         seq_ge(ctx.load(self.slot(ticket)), ticket.wrapping_add(1))
     }
 
-    /// The wait loop of `acquire`: load, compare, park iff unchanged.
+    /// The wait loop of `acquire`: load, compare, park under the ticket
+    /// iff unchanged.
     pub fn wait(&self, ctx: &mut dyn SyncCtx, ticket: Word) {
         let slot = self.slot(ticket);
         loop {
@@ -485,7 +488,7 @@ impl WaitingArraySem {
             if seq_ge(cur, ticket.wrapping_add(1)) {
                 return;
             }
-            ctx.futex_wait(slot, cur);
+            ctx.futex_wait_tagged(slot, cur, ticket);
         }
     }
 
@@ -542,7 +545,7 @@ impl WaitingArraySem {
 
     /// `release_n`: how many grants went to waiters.
     pub fn release_n(&self, ctx: &mut dyn SyncCtx, n: usize) -> usize {
-        let mut granted_slots = Vec::new();
+        let mut granted = Vec::new();
         let mut remaining = n;
         while remaining > 0 {
             remaining -= 1;
@@ -569,18 +572,18 @@ impl WaitingArraySem {
                 remaining += 1;
                 continue;
             }
-            granted_slots.push(slot);
+            granted.push((slot, ticket));
         }
-        let granted = granted_slots.len();
-        if self.wake_all {
-            // `futex_wake_batch`: every waiter on each distinct address.
-            granted_slots.sort_unstable();
-            granted_slots.dedup();
+        // `ParkingLot::wake_tagged`: one wake per grant, after the whole batch
+        // is published.
+        for &(slot, ticket) in &granted {
+            if self.per_ticket_wake {
+                ctx.futex_wake_tagged(slot, ticket);
+            } else {
+                ctx.futex_wake(slot, 1);
+            }
         }
-        for slot in granted_slots {
-            ctx.futex_wake(slot, if self.wake_all { usize::MAX } else { 1 });
-        }
-        granted
+        granted.len()
     }
 
     /// `cancel_ticket`: the waiter holding `ticket` goes away unadmitted.
@@ -624,10 +627,10 @@ pub fn waiting_array_shared_slot_program(
     waiters: usize,
     slots: usize,
     ticketed: bool,
-    wake_all: bool,
+    per_ticket_wake: bool,
 ) -> Program {
     let sem = WaitingArraySem {
-        wake_all,
+        per_ticket_wake,
         ..WaitingArraySem::new(slots, 0)
     };
     let init = sem.init(0, if ticketed { waiters as u64 } else { 0 });

@@ -1665,6 +1665,29 @@ mod tests {
     }
 
     #[test]
+    fn replayed_tagged_wake_takes_its_tag_and_leaves_the_older_sharer() {
+        // Threads 0 and 1 park on one word under tags 10 and 11, in id
+        // order. A wake of a tag nobody parked with finds nobody; the wake
+        // of tag 11 resumes thread 1 past the *older* thread 0, which stays
+        // parked — the replay ends as its lost wakeup.
+        let program = Program::new(3, 2, |ctx| {
+            if ctx.pid() < 2 {
+                ctx.futex_wait_tagged(0, 0, 10 + ctx.pid() as Word);
+                ctx.fetch_add(1, 1);
+            } else {
+                assert_eq!(ctx.futex_wake_tagged(0, 12), 0, "nobody parked with 12");
+                assert_eq!(ctx.futex_wake_tagged(0, 11), 1, "tag 11 is one waiter");
+            }
+        });
+        // park 0, park 1, wake 12, wake 11, resume 1, add 1.
+        let replay = Explorer::exhaustive().replay(&program, &[0, 1, 2, 2, 1, 1]);
+        match replay.end {
+            ReplayEnd::LostWakeup(ref parked) => assert_eq!(parked, &vec![(0usize, 0usize)]),
+            ref other => panic!("expected thread 0 left parked, got {other:?}"),
+        }
+    }
+
+    #[test]
     fn parked_thread_at_preemption_bound_zero_is_lost_wakeup() {
         // Bound 0 forbids preempting a *runnable* thread, but switching
         // away from a thread that just parked is not a preemption (it is

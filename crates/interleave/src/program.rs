@@ -236,9 +236,11 @@ pub(crate) struct Shared {
     pub aborted: bool,
     /// Each suspended thread's next operation (valid while Ready/Blocked).
     pub pending: Vec<Option<OpMeta>>,
-    /// FIFO futex wait queue: `(word, thread)` in park order, across all
-    /// words (wakes drain the oldest entries matching their word).
-    pub futexq: Vec<(Addr, usize)>,
+    /// FIFO futex wait queue: `(word, thread, tag)` in park order, across
+    /// all words. A wake drains the oldest entries matching its word — and
+    /// its tag, when it names one (`futex_wake_tagged`); `None` is a
+    /// waiter that parked untagged.
+    pub futexq: Vec<(Addr, usize, Option<Word>)>,
     /// Happens-before engine for this run.
     pub race: RaceDetector,
     /// First race detected this run.
@@ -467,7 +469,7 @@ impl ChkCtx {
     /// slip through. A parked thread is unschedulable until some wake
     /// re-readies it, after which one more granted step re-reads and
     /// returns the word.
-    fn futex_wait_op(&mut self, addr: Addr, expected: Word) -> Word {
+    fn futex_wait_op(&mut self, addr: Addr, expected: Word, tag: Option<Word>) -> Word {
         let meta = OpMeta {
             addr,
             kind: OpKind::FutexWait,
@@ -476,7 +478,7 @@ impl ChkCtx {
         let cur = self.step(meta, TState::Ready, |g| {
             let cur = g.memory[addr];
             if cur == expected {
-                g.futexq.push((addr, pid));
+                g.futexq.push((addr, pid, tag));
             }
             cur
         });
@@ -487,14 +489,15 @@ impl ChkCtx {
     }
 
     /// The futex wake: one granted step that drains up to `n` of the
-    /// oldest futex-queue entries for `addr` and re-readies their threads.
-    fn futex_wake_op(&mut self, addr: Addr, n: usize) -> usize {
+    /// oldest futex-queue entries for `addr` — those that parked with
+    /// `tag`, when it is given — and re-readies their threads.
+    fn futex_wake_op(&mut self, addr: Addr, tag: Option<Word>, n: usize) -> usize {
         self.op(addr, OpKind::FutexWake, |g| {
             let mut woken = 0;
             let mut i = 0;
             while i < g.futexq.len() && woken < n {
-                if g.futexq[i].0 == addr {
-                    let (_, thread) = g.futexq.remove(i);
+                if g.futexq[i].0 == addr && (tag.is_none() || g.futexq[i].2 == tag) {
+                    let (_, thread, _) = g.futexq.remove(i);
                     debug_assert!(
                         matches!(g.states[thread], TState::Parked(_)),
                         "futex queue entry for a non-parked thread"
@@ -566,10 +569,16 @@ impl SyncCtx for ChkCtx {
         self.events.push(event);
     }
     fn futex_wait(&mut self, addr: Addr, expected: Word) -> Word {
-        self.futex_wait_op(addr, expected)
+        self.futex_wait_op(addr, expected, None)
     }
     fn futex_wake(&mut self, addr: Addr, n: usize) -> usize {
-        self.futex_wake_op(addr, n)
+        self.futex_wake_op(addr, None, n)
+    }
+    fn futex_wait_tagged(&mut self, addr: Addr, expected: Word, tag: Word) -> Word {
+        self.futex_wait_op(addr, expected, Some(tag))
+    }
+    fn futex_wake_tagged(&mut self, addr: Addr, tag: Word) -> usize {
+        self.futex_wake_op(addr, Some(tag), usize::MAX)
     }
 }
 

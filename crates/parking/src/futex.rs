@@ -29,6 +29,14 @@
 //! [`futex_wait`] consumes parks in a loop gated on its own wake flag, and
 //! callers loop on their real condition as futex discipline requires.
 //!
+//! A waiter may carry a **tag** ([`ParkingLot::wait_tagged`],
+//! [`ParkingLot::register_tagged`]) for the case where one word stands for
+//! several logical waiters — the `service` semaphore's tickets `t` and
+//! `t + W` on one waiting-array slot. [`ParkingLot::wake_tagged`] dequeues
+//! the entries whose address *and* tag match, under the same bucket lock,
+//! so the argument above is untouched and a wake meant for one sharer can
+//! neither be swallowed by another nor wake it for nothing.
+//!
 //! Waiters come in two kinds sharing the same bucket queues: blocking
 //! *threads* ([`ParkingLot::wait`]) and async *wakers*
 //! ([`ParkingLot::register`] → [`WaitEntry`]), so one futex word can hold
@@ -188,13 +196,17 @@ impl LotCounters {
 }
 
 /// A snapshot of one currently parked waiter, for watchdog dumps: the word
-/// it is parked on, how long it has been parked, and whether it is a
-/// blocking thread or an async waker entry. Racy by nature — the waiter
-/// may resume the instant after the scan.
+/// it is parked on, the tag it parked with (which of the word's sharers it
+/// is), how long it has been parked, and whether it is a blocking thread or
+/// an async waker entry. Racy by nature — the waiter may resume the instant
+/// after the scan.
 #[derive(Debug, Clone, Copy)]
 pub struct ParkedWaiter {
     /// Address of the futex word the waiter is parked on.
     pub addr: usize,
+    /// The tag of a [`ParkingLot::wait_tagged`] / [`ParkingLot::register_tagged`]
+    /// waiter — for the `service` semaphore, its ticket — else `None`.
+    pub tag: Option<u64>,
     /// Time since the waiter enqueued (its park began).
     pub age: Duration,
     /// True for an async waker entry, false for a blocking thread.
@@ -214,7 +226,8 @@ enum WaitMode {
     Task(Mutex<Option<Waker>>),
 }
 
-/// One parked waiter: the word it parked on, how to wake it, the flag
+/// One parked waiter: the word it parked on, the tag an addressed wake must
+/// also match (`None`: reachable by address alone), how to wake it, the flag
 /// that distinguishes a real wake from a spurious `park` return (or, for
 /// tasks, from a poll that raced the wake), when it parked (feeds the
 /// stall watchdog's oldest-parked-age scan), when a wake dequeued it (as
@@ -223,6 +236,7 @@ enum WaitMode {
 /// accounting stays lot-local even when only the waiter is in hand).
 struct Waiter {
     addr: usize,
+    tag: Option<u64>,
     how: WaitMode,
     woken: AtomicBool,
     since: Instant,
@@ -233,9 +247,10 @@ struct Waiter {
 }
 
 impl Waiter {
-    fn new(addr: usize, how: WaitMode, counters: &Arc<LotCounters>) -> Arc<Self> {
+    fn new(addr: usize, tag: Option<u64>, how: WaitMode, counters: &Arc<LotCounters>) -> Arc<Self> {
         Arc::new(Waiter {
             addr,
+            tag,
             how,
             woken: AtomicBool::new(false),
             since: clock(),
@@ -352,6 +367,7 @@ impl ParkingLot {
             for waiter in queue.iter() {
                 out.push(ParkedWaiter {
                     addr: waiter.addr,
+                    tag: waiter.tag,
                     age: now.duration_since(waiter.since),
                     is_task: matches!(waiter.how, WaitMode::Task(_)),
                 });
@@ -373,24 +389,59 @@ impl ParkingLot {
     /// A `true` return means *some* wake covered this thread — not that
     /// the word changed. Callers must re-check their condition in a loop.
     pub fn wait(&self, word: &AtomicU64, expected: u64) -> bool {
+        self.park_thread(word, expected, None)
+    }
+
+    /// [`ParkingLot::wait`] for one of several logical waiters that share
+    /// `word` (the `service` semaphore's tickets `t` and `t + W` on one
+    /// waiting-array slot): the waiter parks carrying `tag`, and
+    /// [`ParkingLot::wake_tagged`] of `(word, tag)` dequeues it and none of
+    /// the word's other sharers. The re-check-then-enqueue argument is
+    /// [`ParkingLot::wait`]'s, unchanged — the tag only narrows which
+    /// queued entries a wake may take. A wake by address alone
+    /// ([`ParkingLot::wake_addr`], [`ParkingLot::wake_batch`]) still
+    /// reaches a tagged waiter.
+    pub fn wait_tagged(&self, word: &AtomicU64, expected: u64, tag: u64) -> bool {
+        self.park_thread(word, expected, Some(tag))
+    }
+
+    /// Enqueues a waiter on `word` iff it still holds `expected`, the
+    /// comparison and the enqueue under the bucket lock, and accounts the
+    /// park; `None` when the word had already changed.
+    fn enqueue(
+        &self,
+        word: &AtomicU64,
+        expected: u64,
+        tag: Option<u64>,
+        how: impl FnOnce() -> WaitMode,
+    ) -> Option<Arc<Waiter>> {
         let addr = addr_of(word);
-        let bucket = self.bucket_for(addr);
         let waiter = {
-            let mut queue = bucket.queue.lock().unwrap();
+            let mut queue = self.bucket_for(addr).queue.lock().unwrap();
             // The decisive re-check: under the bucket lock, a waker that
             // changed the word has either not yet locked this bucket (we
             // see the new value here) or already drained it (we see the
             // new value here too — the change precedes the wake).
             if word.load(Ordering::SeqCst) != expected {
-                return false;
+                return None;
             }
-            let waiter = Waiter::new(addr, WaitMode::Thread(thread::current()), &self.counters);
+            let waiter = Waiter::new(addr, tag, how(), &self.counters);
             queue.push_back(Arc::clone(&waiter));
             waiter
         };
         TOTAL_PARKS.fetch_add(1, Ordering::SeqCst);
         self.counters.parks.fetch_add(1, Ordering::SeqCst);
         crate::trace_hooks::record(trace::EventKind::FutexPark { addr });
+        Some(waiter)
+    }
+
+    fn park_thread(&self, word: &AtomicU64, expected: u64, tag: Option<u64>) -> bool {
+        let Some(waiter) =
+            self.enqueue(word, expected, tag, || WaitMode::Thread(thread::current()))
+        else {
+            return false;
+        };
+        let addr = waiter.addr;
         while !waiter.woken.load(Ordering::Acquire) {
             thread::park();
         }
@@ -415,34 +466,48 @@ impl ParkingLot {
         let mut woken = Vec::new();
         {
             let mut queue = bucket.queue.lock().unwrap();
-            Self::dequeue_for(&mut queue, addr, n, &mut woken);
+            Self::dequeue_for(&mut queue, addr, None, n, &mut woken);
         }
         self.unpark_all(&woken);
         woken.len()
     }
 
-    /// [`ParkingLot::wake_addr`] over a batch of addresses: wakes **every**
-    /// waiter parked on each distinct address, with each bucket's lock
-    /// taken **once** even when several addresses collide into it. This is
-    /// the release path of the `service` semaphore, which publishes a
-    /// batch of grants and then issues all the wakes in one sweep; returns
-    /// the total woken.
+    /// The addressed wake: for each `(address, tag)` pair, dequeues the
+    /// waiters that parked on that address **with that tag**
+    /// ([`ParkingLot::wait_tagged`], [`ParkingLot::register_tagged`]) and
+    /// nobody else — not the address's other sharers, not its untagged
+    /// waiters — taking each bucket's lock **once** even when several pairs
+    /// collide into it; returns the total woken. This is the release path
+    /// of the `service` semaphore, which publishes a batch of grants and
+    /// then wakes `(slot, ticket)` per grant in one sweep.
     ///
-    /// Waking *all* waiters per address — rather than one per occurrence —
-    /// is what makes the batch safe for words that several logical waiters
-    /// share (the semaphore's waiting-array slots): a wake-one could
-    /// dequeue a sharer whose own condition is still unmet, which re-parks
-    /// and swallows the wake while the waiter it was meant for sleeps
-    /// forever. Over-woken sharers re-check their condition and park
-    /// again, so the cost of sharing is a spurious wake, never a lost one.
+    /// A wake-one by address is wrong for a word several logical waiters
+    /// share: it can dequeue a sharer whose own condition is still unmet,
+    /// which parks again and has swallowed the wake, while the waiter it
+    /// was meant for sleeps forever. Matching the tag under the bucket lock
+    /// means the un-granted sharer is never dequeued in the first place, so
+    /// a grant costs one wake however many waiters share the word.
+    pub fn wake_tagged(&self, pairs: &[(usize, u64)]) -> usize {
+        self.sweep(pairs.iter().map(|&(addr, tag)| (addr, Some(tag))))
+    }
+
+    /// Wakes **every** waiter parked on each distinct address, tagged or
+    /// not, each bucket's lock taken once: the same sweep as
+    /// [`ParkingLot::wake_tagged`] with no tag to match. Its one caller is
+    /// the repo benchmark's `futex.wake_batch_ns_per_addr` probe.
     pub fn wake_batch(&self, addrs: &[usize]) -> usize {
-        // Group addresses by bucket index without allocating a map: sort a
-        // small index vector by bucket, then drain runs. Sorting makes
-        // duplicate addresses adjacent, so dedup leaves one drain per
-        // distinct address.
-        let mut order: Vec<(u64, usize)> = addrs
-            .iter()
-            .map(|&a| (mix64(a as u64) & self.mask, a))
+        self.sweep(addrs.iter().map(|&addr| (addr, None)))
+    }
+
+    /// Dequeues every waiter matching each distinct target — an address,
+    /// and a tag when one is given — and unparks them once no bucket lock
+    /// is held.
+    fn sweep(&self, targets: impl Iterator<Item = (usize, Option<u64>)>) -> usize {
+        // Group targets by bucket index without allocating a map: sort a
+        // small vector by bucket, then drain runs. Sorting makes duplicate
+        // targets adjacent, so dedup leaves one drain per distinct target.
+        let mut order: Vec<(u64, usize, Option<u64>)> = targets
+            .map(|(addr, tag)| (mix64(addr as u64) & self.mask, addr, tag))
             .collect();
         order.sort_unstable();
         order.dedup();
@@ -453,7 +518,8 @@ impl ParkingLot {
             let bucket = &self.buckets[bucket_idx as usize];
             let mut queue = bucket.queue.lock().unwrap();
             while i < order.len() && order[i].0 == bucket_idx {
-                Self::dequeue_for(&mut queue, order[i].1, usize::MAX, &mut woken);
+                let (_, addr, tag) = order[i];
+                Self::dequeue_for(&mut queue, addr, tag, usize::MAX, &mut woken);
                 i += 1;
             }
         }
@@ -462,17 +528,19 @@ impl ParkingLot {
     }
 
     /// Dequeues up to `n` waiters of `addr` (oldest first) into `woken`,
-    /// under the caller-held bucket lock.
+    /// under the caller-held bucket lock: any of them when `tag` is `None`,
+    /// else only those that parked with that tag.
     fn dequeue_for(
         queue: &mut VecDeque<Arc<Waiter>>,
         addr: usize,
+        tag: Option<u64>,
         n: usize,
         woken: &mut Vec<Arc<Waiter>>,
     ) {
         let mut taken = 0;
         let mut i = 0;
         while i < queue.len() && taken < n {
-            if queue[i].addr == addr {
+            if queue[i].addr == addr && (tag.is_none() || queue[i].tag == tag) {
                 woken.push(queue.remove(i).expect("index in bounds"));
                 taken += 1;
             } else {
@@ -527,21 +595,33 @@ impl ParkingLot {
     /// (the future was dropped) — that is what keeps the machine-wide
     /// `parks == wakes == resumes` invariant intact across cancellation.
     pub fn register(&self, word: &AtomicU64, expected: u64, waker: &Waker) -> Option<WaitEntry> {
-        let addr = addr_of(word);
-        let bucket = self.bucket_for(addr);
-        let waiter = {
-            let mut queue = bucket.queue.lock().unwrap();
-            if word.load(Ordering::SeqCst) != expected {
-                return None;
-            }
-            let how = WaitMode::Task(Mutex::new(Some(waker.clone())));
-            let waiter = Waiter::new(addr, how, &self.counters);
-            queue.push_back(Arc::clone(&waiter));
-            waiter
-        };
-        TOTAL_PARKS.fetch_add(1, Ordering::SeqCst);
-        self.counters.parks.fetch_add(1, Ordering::SeqCst);
-        crate::trace_hooks::record(trace::EventKind::FutexPark { addr });
+        self.park_waker(word, expected, None, waker)
+    }
+
+    /// [`ParkingLot::register`] carrying `tag`, as
+    /// [`ParkingLot::wait_tagged`] is to [`ParkingLot::wait`]: the entry is
+    /// dequeued by [`ParkingLot::wake_tagged`] of `(word, tag)` and by no
+    /// other pair. For the owner that makes [`ParkingLot::cancel`]'s
+    /// `false` precise — the wake it lost to was addressed to this entry.
+    pub fn register_tagged(
+        &self,
+        word: &AtomicU64,
+        expected: u64,
+        tag: u64,
+        waker: &Waker,
+    ) -> Option<WaitEntry> {
+        self.park_waker(word, expected, Some(tag), waker)
+    }
+
+    fn park_waker(
+        &self,
+        word: &AtomicU64,
+        expected: u64,
+        tag: Option<u64>,
+        waker: &Waker,
+    ) -> Option<WaitEntry> {
+        let how = || WaitMode::Task(Mutex::new(Some(waker.clone())));
+        let waiter = self.enqueue(word, expected, tag, how)?;
         Some(WaitEntry { waiter })
     }
 
@@ -641,7 +721,13 @@ impl WaitEntry {
     }
 }
 
-fn lot() -> &'static ParkingLot {
+/// The process-global lot behind the module-level functions, for what they
+/// do not wrap: the tagged waits and the addressed wake
+/// ([`ParkingLot::wait_tagged`], [`ParkingLot::register_tagged`],
+/// [`ParkingLot::wake_tagged`]), its measured [`ParkingLot::park_cost`]
+/// (the spin budget of a waiter about to park in it), its exact ledger
+/// ([`ParkingLot::totals`]) and its [`ParkingLot::parked_waiters`].
+pub fn global_lot() -> &'static ParkingLot {
     static LOT: OnceLock<ParkingLot> = OnceLock::new();
     LOT.get_or_init(|| ParkingLot::with_buckets(GLOBAL_BUCKETS))
 }
@@ -657,7 +743,7 @@ pub fn addr_of(word: &AtomicU64) -> usize {
 /// Blocks the calling thread iff `word` still holds `expected`, via the
 /// process-global lot; see [`ParkingLot::wait`].
 pub fn futex_wait(word: &AtomicU64, expected: u64) -> bool {
-    lot().wait(word, expected)
+    global_lot().wait(word, expected)
 }
 
 /// Wakes up to `n` threads parked on `word` through the process-global
@@ -665,38 +751,31 @@ pub fn futex_wait(word: &AtomicU64, expected: u64) -> bool {
 /// the death of the word itself should capture [`addr_of`] early and use
 /// [`futex_wake_addr`].
 pub fn futex_wake(word: &AtomicU64, n: usize) -> usize {
-    lot().wake_addr(addr_of(word), n)
+    global_lot().wake_addr(addr_of(word), n)
 }
 
 /// [`futex_wake`] by pre-captured address; see [`ParkingLot::wake_addr`].
 pub fn futex_wake_addr(addr: usize, n: usize) -> usize {
-    lot().wake_addr(addr, n)
-}
-
-/// Batched wake through the process-global lot — every waiter parked on
-/// each distinct address, each bucket lock taken once; see
-/// [`ParkingLot::wake_batch`].
-pub fn futex_wake_batch(addrs: &[usize]) -> usize {
-    lot().wake_batch(addrs)
+    global_lot().wake_addr(addr, n)
 }
 
 /// Registers an async waker entry on `word` in the process-global lot;
 /// see [`ParkingLot::register`].
 pub fn futex_register(word: &AtomicU64, expected: u64, waker: &Waker) -> Option<WaitEntry> {
-    lot().register(word, expected, waker)
+    global_lot().register(word, expected, waker)
 }
 
 /// Withdraws a waker entry registered through [`futex_register`]; see
 /// [`ParkingLot::cancel`] for the grant-ownership contract of the return
 /// value.
 pub fn futex_cancel(entry: WaitEntry) -> bool {
-    lot().cancel(entry)
+    global_lot().cancel(entry)
 }
 
 /// How many threads are currently parked on `word` in the process-global
 /// lot — a test observability hook, racy by nature.
 pub fn parked_count(word: &AtomicU64) -> usize {
-    lot().parked_count(word)
+    global_lot().parked_count(word)
 }
 
 #[cfg(test)]
@@ -788,6 +867,10 @@ mod tests {
         );
         assert_eq!(
             clock_reads_of(|| assert_eq!(lot.wake_batch(&[addr_of(&word)]), 0)),
+            0
+        );
+        assert_eq!(
+            clock_reads_of(|| assert_eq!(lot.wake_tagged(&[(addr_of(&word), 0)]), 0)),
             0
         );
         // Waker entries, cancelled or woken: the park stamp only.
@@ -1108,11 +1191,56 @@ mod tests {
         entry.resume();
     }
 
+    /// The addressed wake takes the entries that parked on the address with
+    /// the tag it names — a thread or a waker — and leaves the word's other
+    /// sharers, tagged or not, queued: duplicates collapse, a tag nobody
+    /// parked with wakes nobody, and a wake by address still reaches a
+    /// tagged waiter.
+    #[test]
+    fn wake_tagged_takes_its_own_tag_and_nobody_else() {
+        // One bucket: every pair of the sweep collides into it.
+        let lot = Arc::new(ParkingLot::with_buckets(1));
+        let word = Arc::new(AtomicU64::new(0));
+        let addr = addr_of(&word);
+        let wakers: Vec<_> = (0..3).map(|_| flag_waker()).collect();
+        let fired = |i: usize| wakers[i].0 .0.load(Ordering::SeqCst);
+        let t0 = lot.register_tagged(&word, 0, 0, &wakers[0].1).unwrap();
+        let t1 = lot.register_tagged(&word, 0, 1, &wakers[1].1).unwrap();
+        let untagged = lot.register(&word, 0, &wakers[2].1).unwrap();
+        let thread = {
+            let (lot, word) = (Arc::clone(&lot), Arc::clone(&word));
+            thread::spawn(move || {
+                while word.load(Ordering::SeqCst) == 0 {
+                    lot.wait_tagged(&word, 0, 2);
+                }
+            })
+        };
+        while lot.parked_count(&word) < 4 {
+            thread::yield_now();
+        }
+        assert_eq!(lot.wake_tagged(&[(addr, 7)]), 0, "nobody parked with 7");
+        assert_eq!(lot.wake_tagged(&[(addr, 1)]), 1);
+        assert!(t1.woken() && fired(1));
+        assert!(!t0.woken() && !untagged.woken() && !fired(0) && !fired(2));
+        assert_eq!(lot.parked_count(&word), 3);
+        // Oldest first among the matches, a duplicate pair woken once.
+        word.store(1, Ordering::SeqCst);
+        assert_eq!(lot.wake_tagged(&[(addr, 2), (addr, 0), (addr, 2)]), 2);
+        thread.join().unwrap();
+        assert!(t0.woken() && !untagged.woken());
+        // By address, the tag does not matter.
+        let late = lot.register_tagged(&word, 1, 9, &wakers[0].1).unwrap();
+        assert_eq!(lot.wake_addr(addr, usize::MAX), 2);
+        for entry in [t0, t1, untagged, late] {
+            entry.resume();
+        }
+        let totals = lot.totals();
+        assert_eq!((totals.parks, totals.balanced()), (5, true), "{totals:?}");
+    }
+
     /// Batched wake releases every waiter parked on each distinct
-    /// address — including two waiters sharing one word, the case whose
-    /// swallowed wake-one motivated the wake-all semantics — with
-    /// duplicate addresses collapsed and colliding addresses drained
-    /// under one bucket lock.
+    /// address, with duplicate addresses collapsed and colliding addresses
+    /// drained under one bucket lock.
     #[test]
     fn wake_batch_wakes_all_waiters_per_address() {
         let lot = Arc::new(ParkingLot::with_buckets(2));
@@ -1223,10 +1351,15 @@ mod tests {
         thread::sleep(Duration::from_millis(5));
         let age = lot.oldest_parked_age().expect("one waiter is parked");
         assert!(age >= Duration::from_millis(5), "{age:?}");
+        // A sharer of the word that parked with a tag names it in the scan.
+        let (_, waker) = flag_waker();
+        let tagged = lot.register_tagged(&word, 0, 41, &waker).unwrap();
         let parked = lot.parked_waiters();
-        assert_eq!(parked.len(), 1);
-        assert_eq!(parked[0].addr, addr_of(&word));
-        assert!(!parked[0].is_task);
+        assert_eq!(parked.len(), 2);
+        assert!(parked.iter().all(|w| w.addr == addr_of(&word)));
+        assert_eq!((parked[0].is_task, parked[0].tag), (false, None));
+        assert_eq!((parked[1].is_task, parked[1].tag), (true, Some(41)));
+        assert!(lot.cancel(tagged));
         word.store(1, Ordering::SeqCst);
         lot.wake_addr(addr_of(&word), 1);
         handle.join().unwrap();

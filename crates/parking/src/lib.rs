@@ -13,8 +13,9 @@
 //!   lock, so a waker that changes the word *before* waking can never lose
 //!   a wakeup. The lot is a first-class type ([`futex::ParkingLot`]):
 //!   cache-line-padded power-of-two buckets indexed by the full-avalanche
-//!   [`futex::mix64`] hash, batched wake ([`futex::ParkingLot::wake_batch`])
-//!   and machine-wide park/wake/resume accounting ([`futex::totals`]). The
+//!   [`futex::mix64`] hash, waits that carry a tag and a batched wake
+//!   addressed to `(word, tag)` pairs ([`futex::ParkingLot::wake_tagged`])
+//!   for words several logical waiters share, and machine-wide park/wake/resume accounting ([`futex::totals`]). The
 //!   `service` crate embeds its own lot under its sharded per-key lock
 //!   table; the module-level functions serve the primitives below from one
 //!   process-global instance.

@@ -26,8 +26,9 @@
 //!   Kogan's *Semaphores Augmented with a Waiting Array*: a permits counter
 //!   plus enqueue/dequeue tickets indexing a small slot array where each
 //!   grant is *published* as a sequence number, so releasers never scan
-//!   waiter lists and a batch release issues all its wakes in one sweep
-//!   ([`parking::futex::futex_wake_batch`]).
+//!   waiter lists, and a release wakes the granted ticket and none of the
+//!   tickets that share its slot
+//!   ([`parking::futex::ParkingLot::wake_tagged`], a batch in one sweep).
 //! - [`async_lock::AsyncLockService`] — the async-native front end:
 //!   poll-based futures (`lock`, `lock_many`, eventcount waits, barrier
 //!   waits, and the semaphore's `acquire_async`) over the *same* table
@@ -68,6 +69,8 @@ pub use semaphore::{AcquireFuture, WaitingArraySemaphore};
 pub use table::{ShardedTable, SlotKind, SlotRef, TableStats};
 pub use telemetry::{MetricsMode, MetricsSnapshot, ServiceMetrics, StallWatchdog};
 
+use std::time::{Duration, Instant};
+
 /// Default shard count for a [`LockService`]: enough that 64 threads
 /// hashing random keys rarely contend a shard mutex, small enough to be
 /// cheap.
@@ -80,6 +83,35 @@ pub const DEFAULT_SHARDS: usize = 256;
 #[inline]
 pub(crate) fn seq_ge(a: u64, b: u64) -> bool {
     a.wrapping_sub(b) as i64 >= 0
+}
+
+/// Probes (a load and a pause hint, ~60 ns on the reference host) between
+/// clock reads of a spinning waiter: the clock costs about one probe, so
+/// reading it every time would halve how often the word is watched, and
+/// the spin overshoots its budget by at most this many probes.
+const PROBES_PER_CLOCK_READ: u32 = 16;
+
+/// The one pre-park wait of this crate — the competitive rule *spin for as
+/// long as blocking would cost*: runs `probe` (one look at the awaited
+/// word, plus whatever claims it) with a pause hint between looks until it
+/// returns true, giving up — `false` — once `budget` has passed. Callers
+/// pass the [`parking::futex::ParkingLot::park_cost`] of the lot they are
+/// about to park in. Inlined into each caller, so the probe is compiled
+/// into the loop rather than called from it.
+#[inline(always)]
+pub(crate) fn spin_for(budget: Duration, mut probe: impl FnMut() -> bool) -> bool {
+    let start = Instant::now();
+    loop {
+        for _ in 0..PROBES_PER_CLOCK_READ {
+            if probe() {
+                return true;
+            }
+            std::hint::spin_loop();
+        }
+        if start.elapsed() >= budget {
+            return false;
+        }
+    }
 }
 
 /// Hard ceiling on worker-thread oversubscription in the real-thread

@@ -54,12 +54,6 @@ pub(crate) const FREE: u64 = 0;
 pub(crate) const HELD: u64 = 1;
 pub(crate) const CONTENDED: u64 = 2;
 
-/// Probes (a load and a pause hint, ~60 ns on the reference host) between
-/// clock reads of a spinning waiter: the clock costs about one probe, so
-/// reading it every time would halve how often the word is watched, and
-/// the spin overshoots its budget by at most this many probes.
-const PROBES_PER_CLOCK_READ: u32 = 16;
-
 /// The sharded per-key lock service. See the crate docs for the design.
 pub struct LockService {
     table: ShardedTable,
@@ -213,24 +207,18 @@ impl LockService {
     /// spinners share the line instead of bouncing it with failing CASes.
     fn spin_acquire(slot: &SlotRef<'_>, locked: u64, budget: Duration) -> bool {
         let word = slot.word();
-        let start = Instant::now();
-        loop {
-            for _ in 0..PROBES_PER_CLOCK_READ {
-                if word.load(Ordering::SeqCst) == FREE {
-                    if word
-                        .compare_exchange(FREE, locked, Ordering::SeqCst, Ordering::SeqCst)
-                        .is_ok()
-                    {
-                        return true;
-                    }
-                    slot.metrics().count_cas_retry(slot.shard());
-                }
-                std::hint::spin_loop();
-            }
-            if start.elapsed() >= budget {
+        crate::spin_for(budget, || {
+            if word.load(Ordering::SeqCst) != FREE {
                 return false;
             }
-        }
+            let won = word
+                .compare_exchange(FREE, locked, Ordering::SeqCst, Ordering::SeqCst)
+                .is_ok();
+            if !won {
+                slot.metrics().count_cas_retry(slot.shard());
+            }
+            won
+        })
     }
 
     /// Acquires the mutex for `key` iff it is free right now.

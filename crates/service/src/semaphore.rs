@@ -17,16 +17,30 @@
 //! The publication CAS loop only ever moves a slot's sequence forward, so
 //! racing releasers cannot regress a grant.
 //!
-//! A batch [`WaitingArraySemaphore::release_n`] publishes every grant
-//! first and then issues all wakes in one
-//! [`parking::futex::futex_wake_batch`] sweep — one bucket lock per
-//! parking-lot bucket, not per waiter. The sweep wakes **every** waiter
-//! parked on a granted slot, not just one: with more waiters than slots,
-//! tickets `t` and `t + W` park on the same word, and a wake-one for
-//! `t`'s grant could dequeue the `t + W` waiter, which re-parks
-//! (its own grant is still pending) and swallows the wake — stranding
-//! the granted waiter forever. Waking the whole slot turns that lost
-//! wakeup into a spurious wake the sharer's re-check loop absorbs.
+//! **A grant wakes its own ticket and nobody else.** With more waiters
+//! than slots, tickets `t` and `t + W` park on the same word, so a wake
+//! addressed to the word alone cannot tell them apart: a wake-one for
+//! `t`'s grant could dequeue the `t + W` waiter, which re-parks (its own
+//! grant is still pending) and has swallowed the wake — stranding the
+//! granted waiter forever — and a wake-all costs every release one
+//! spurious wake per sharer, quadratic in a backlog. So a waiter parks
+//! carrying its ticket as a tag
+//! ([`parking::futex::ParkingLot::wait_tagged`],
+//! [`parking::futex::ParkingLot::register_tagged`]) and the releaser wakes
+//! `(slot, ticket)`: the parking lot matches both under its bucket lock
+//! and an un-granted sharer is never dequeued. A batch
+//! [`WaitingArraySemaphore::release_n`] publishes every grant first and
+//! then issues all its wakes in one
+//! [`parking::futex::ParkingLot::wake_tagged`] sweep — one bucket lock per
+//! parking-lot bucket, not per waiter.
+//!
+//! **A waiter spins for what a park costs** before it parks — the rule,
+//! and the loop, of the service mutex (`crate::spin_for`): the budget is
+//! the [`parking::futex::ParkingLot::park_cost`] that the process-global
+//! lot ([`parking::futex::global_lot`], where every waiter of every
+//! semaphore parks) measures on its own parks, so a grant that arrives
+//! sooner than a park/wake round trip would have taken is picked up on
+//! the CPU.
 
 //! ## Cancellation: the abandoned-ticket protocol
 //!
@@ -50,8 +64,8 @@
 
 use crate::seq_ge;
 use crate::telemetry::{Primitive, ServiceMetrics};
-use parking::futex::WaitEntry;
-use qsm::{Backoff, CachePadded};
+use parking::futex::{global_lot, WaitEntry};
+use qsm::CachePadded;
 use std::collections::HashSet;
 use std::future::Future;
 use std::pin::Pin;
@@ -87,10 +101,9 @@ impl WaitingArraySemaphore {
     /// A semaphore with `permits` initial permits and a waiting array of
     /// at least `slots` slots (rounded up to a power of two). The array
     /// bounds *slot sharing*, not waiter count: more waiters than slots
-    /// simply share slots. A grant on a shared slot wakes every thread
-    /// parked there (see the module docs for why waking one could strand
-    /// the granted waiter), so sharing costs spurious wakes — never lost
-    /// ones.
+    /// simply share slots, and since a grant wakes the waiter that parked
+    /// with its ticket (see the module docs), sharing costs the sharers
+    /// nothing — no lost wake and no spurious one.
     ///
     /// # Panics
     ///
@@ -150,8 +163,9 @@ impl WaitingArraySemaphore {
         self.slots.len()
     }
 
-    /// Acquires one permit, taking a ticket and waiting (spin-then-park)
-    /// on its waiting-array slot if none is available.
+    /// Acquires one permit, taking a ticket and waiting on its
+    /// waiting-array slot if none is available: spinning for as long as a
+    /// park would cost, then parked under the ticket.
     pub fn acquire(&self) {
         let prev = self.permits.fetch_sub(1, Ordering::SeqCst);
         if prev > 0 {
@@ -161,21 +175,20 @@ impl WaitingArraySemaphore {
         let started = self.metrics.wait_timer(ticket as usize);
         let slot = &self.slots[(ticket & self.mask) as usize];
         let target = ticket.wrapping_add(1);
-        let mut backoff = Backoff::new();
-        loop {
-            let cur = slot.load(Ordering::SeqCst);
-            if seq_ge(cur, target) {
-                self.metrics.record_wait(Primitive::Semaphore, started);
-                return;
-            }
-            if backoff.is_completed() {
+        let budget = global_lot().park_cost();
+        if !crate::spin_for(budget, || seq_ge(slot.load(Ordering::SeqCst), target)) {
+            loop {
+                let cur = slot.load(Ordering::SeqCst);
+                if seq_ge(cur, target) {
+                    break;
+                }
                 // Parks iff the slot still shows `cur`; a published grant
-                // changes the slot first, so the park cannot miss it.
-                parking::futex::futex_wait(slot, cur);
-            } else {
-                backoff.snooze();
+                // changes the slot first, so the park cannot miss it, and
+                // the grant's wake names this ticket, so it ends the park.
+                global_lot().wait_tagged(slot, cur, ticket);
             }
         }
+        self.metrics.record_wait(Primitive::Semaphore, started);
     }
 
     /// Acquires one permit iff one is available right now.
@@ -203,14 +216,14 @@ impl WaitingArraySemaphore {
     }
 
     /// Releases `n` permits. Grants owed to waiters are all published
-    /// first, then woken in one batched sweep; returns how many grants
-    /// went to waiters (the rest raised the permit count). A grant whose
+    /// first, then each granted ticket — and no other sharer of its slot —
+    /// is woken, in one batched sweep; returns how many grants went to
+    /// waiters (the rest raised the permit count). A grant whose
     /// ticket was abandoned by a cancelled future is *recycled*: the loop
     /// runs one extra round so the permit reaches the next real waiter
     /// (or the permit count) instead of a ghost.
     pub fn release_n(&self, n: usize) -> usize {
-        let mut addrs = Vec::new();
-        let mut granted = 0;
+        let mut granted = Vec::new();
         let mut remaining = n;
         while remaining > 0 {
             remaining -= 1;
@@ -239,21 +252,18 @@ impl WaitingArraySemaphore {
                 remaining += 1;
                 continue;
             }
-            granted += 1;
             self.metrics.count_sem_grants(ticket as usize, 1);
-            addrs.push(parking::futex::addr_of(slot));
+            granted.push((parking::futex::addr_of(slot), ticket));
         }
-        if !addrs.is_empty() {
-            // Wakes every waiter parked on each granted slot. Waking only
-            // one per grant would lose wakeups under slot sharing: the
-            // dequeued waiter may be a sharer whose grant is still
-            // pending, which re-parks and swallows the wake. Over-woken
-            // sharers re-check their sequence and park again; waiters
-            // whose grant landed mid-spin (never parked) make the wake a
-            // no-op.
-            parking::futex::futex_wake_batch(&addrs);
+        if !granted.is_empty() {
+            // One wake per grant, addressed to the waiter that parked with
+            // the granted ticket: a sharer of the slot whose grant is still
+            // pending is not dequeued, so it can neither swallow this wake
+            // nor be woken for nothing. A waiter whose grant landed
+            // mid-spin (never parked) makes its wake a no-op.
+            global_lot().wake_tagged(&granted);
         }
-        granted
+        granted.len()
     }
 
     /// Acquires one permit asynchronously. The returned future takes no
@@ -366,7 +376,7 @@ impl Future for AcquireFuture<'_> {
                         // blocking path's futex_wait: a grant that lands
                         // first changes the slot and the registration
                         // refuses, so the park cannot miss it.
-                        match parking::futex::futex_register(slot, cur, cx.waker()) {
+                        match global_lot().register_tagged(slot, cur, ticket, cx.waker()) {
                             Some(e) => {
                                 *entry = Some(e);
                                 return Poll::Pending;
@@ -388,11 +398,14 @@ impl Drop for AcquireFuture<'_> {
         {
             self.sem.metrics.count_cancellation(ticket as usize);
             if let Some(e) = entry {
-                // Withdraw the parked waker. If a wake had already
-                // dequeued it, that wake was a slot-wide wake-all (every
-                // semaphore wake is), so no *other* waiter's wake was
-                // consumed — the grant hand-off below is all that's owed.
-                let _ = parking::futex::futex_cancel(e);
+                // Withdraw the parked waker. The entry parked under this
+                // ticket, so a wake that had already dequeued it was
+                // addressed to it: this ticket's grant is published, no
+                // other waiter's wake was consumed, and `cancel_ticket`
+                // takes its published branch and hands the permit onward.
+                // That is why the return value needs no branch here —
+                // `cancel_ticket` reads the slot, which says the same thing.
+                let _ = global_lot().cancel(e);
             }
             self.sem.cancel_ticket(ticket);
         }

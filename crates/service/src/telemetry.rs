@@ -1052,8 +1052,9 @@ impl StallWatchdog {
         for w in parked.iter().take(16) {
             let _ = writeln!(
                 out,
-                "  parked: addr={:#x} age={:?} kind={}",
+                "  parked: addr={:#x} tag={} age={:?} kind={}",
                 w.addr,
+                w.tag.map_or_else(|| "-".to_string(), |tag| tag.to_string()),
                 w.age,
                 if w.is_task { "task" } else { "thread" }
             );

@@ -19,7 +19,8 @@
 //!   once more preemption-bounded;
 //! * **waiting-array semaphore** — `service::WaitingArraySemaphore` word for
 //!   word ([`interleave::corpus::WaitingArraySem`]): waiters sharing a slot
-//!   against one-at-a-time releases, where waking one waiter per grant (the
+//!   against one-at-a-time releases, where a grant wakes the waiter that
+//!   parked with its ticket and waking the slot's oldest waiter instead (the
 //!   PR 8 bug) strands the granted one, and the abandoned-ticket protocol
 //!   against `release_n(2)`, where looking the ticket up before publishing
 //!   its grant loses a permit. The model is pinned to the semaphore it
@@ -62,7 +63,7 @@ fn pass(_mem: &[Word]) -> Result<(), String> {
     Ok(())
 }
 
-/// The budget is above the largest search here (497 208 runs: three
+/// The budget is above the largest search here (163 347 runs: three
 /// waiters on two slots under sleep sets), so every pass is a finished one.
 fn explore(program: &Program, mode: DporMode, check: Check) -> Verdict {
     Explorer::exhaustive()
@@ -277,7 +278,8 @@ type SemSearch = (
 );
 
 /// Two waiters holding tickets 0 and 1, released one at a time. On one
-/// slot, waking one waiter per grant dequeues the sharer whose grant is
+/// slot, waking the slot's oldest waiter per grant ("wake-one": by address,
+/// whatever its ticket) dequeues the sharer whose grant is
 /// still pending and strands the granted waiter (the PR 8 bug); on two
 /// slots nobody shares and the same release passes — the bug *is* slot
 /// sharing. And a waiter cancelling against `release_n(2)`: a releaser that
@@ -307,16 +309,20 @@ const SEM_SEEDED_BUGS_AND_CONTROL: [SemSearch; 3] = [
     ),
 ];
 
-/// The semaphore as the service ships it, on the two programs above: every
-/// waiter gets through a shared slot, and whichever side recycles a
-/// cancelled ticket, exactly one permit is left.
+/// The semaphore as the service ships it — a grant wakes the waiter parked
+/// under its ticket — on the two programs above: every waiter gets through
+/// a shared slot, and whichever side recycles a cancelled ticket, exactly
+/// one permit is left. The shared-slot counts here and below are a third of
+/// what they were while a grant woke every sharer of its slot (31 697 /
+/// 14 640 here): no sharer is woken to find its grant pending and park
+/// again. The cancel program shares no slot and did not move.
 const SEM_FIXED: [SemSearch; 2] = [
     (
         "waiting array 2 waiters / 1 slot",
         || waiting_array_shared_slot_program(2, 1, true, true),
         waiting_array_drained,
         VerdictClass::Pass,
-        [31_697, 14_640],
+        [10_232, 4_728],
     ),
     (
         "waiting array cancel vs release_n(2)",
@@ -336,7 +342,7 @@ const SEM_LARGER: [SemSearch; 4] = [
         || waiting_array_shared_slot_program(2, 1, false, true),
         waiting_array_drained,
         VerdictClass::Pass,
-        [254_333, 117_156],
+        [82_613, 37_860],
     ),
     (
         "waiting array 2 acquirers / 1 slot, wake-one",
@@ -350,7 +356,7 @@ const SEM_LARGER: [SemSearch; 4] = [
         || waiting_array_shared_slot_program(3, 2, true, true),
         waiting_array_drained,
         VerdictClass::Pass,
-        [497_208, 108_687],
+        [163_347, 36_081],
     ),
     (
         "waiting array 3 waiters / 2 slots, wake-one",
@@ -506,13 +512,17 @@ fn measure() {
         ),
     ];
     let row = |name: &str, build: &dyn Fn() -> Program, check: Check| {
+        let mut source_search = (0, std::time::Duration::ZERO);
         let [sleep, source] = MODES.map(|mode| {
+            let started = std::time::Instant::now();
             let s = explore(&build(), mode, check).stats();
+            source_search = (s.max_depth, started.elapsed());
             format!("{}{}", s.runs, if s.complete { "" } else { "+" })
         });
-        println!("{name} | {sleep} | {source}");
+        let (depth, wall) = source_search;
+        println!("{name} | {sleep} | {source} | {depth} | {wall:.1?}");
     };
-    println!("program | sleep | source");
+    println!("program | sleep | source | max depth (source) | wall (source)");
     for (name, build) in suite {
         row(name, &build, pass);
     }

@@ -146,13 +146,13 @@ fn pct_checks_the_service_mutex_slow_path_at_four_threads() {
 /// threads, where the one-slot exhaustive search is still going after five
 /// million runs (`tests/dpor_blocking.rs` stops at three threads). On one
 /// slot and on two, the fixed
-/// semaphore survives its PCT budget; waking one waiter per grant strands
+/// semaphore survives its PCT budget; waking a slot's oldest waiter per grant, whatever its ticket, strands
 /// a granted waiter within it, and the shrunk schedule still does.
 #[test]
 fn pct_checks_the_waiting_array_semaphore_at_four_threads() {
     let fuzzer = Fuzzer::new(1991, 2_000, Strategy::Pct { change_points: 3 });
     for slots in [1, 2] {
-        let program = |wake_all| waiting_array_shared_slot_program(3, slots, false, wake_all);
+        let program = |per_ticket| waiting_array_shared_slot_program(3, slots, false, per_ticket);
         fuzzer
             .run(&program(true), waiting_array_drained)
             .expect_pass("waiting array, 4 threads, under PCT");

@@ -204,7 +204,11 @@ fn watchdog_fires_once_on_a_genuine_stall() {
 
         let report = dog.report(&svc, threshold * 4);
         assert!(report.contains("stall"), "no stall line:\n{report}");
-        assert!(report.contains("parked"), "no roster:\n{report}");
+        assert!(report.contains("parked: addr="), "no roster:\n{report}");
+        assert!(
+            report.contains(" tag=- "),
+            "a mutex waiter parks untagged:\n{report}"
+        );
         assert!(report.contains("futex"), "no lot ledger:\n{report}");
 
         assert!(!released.load(Ordering::Relaxed), "victim resumed early");
