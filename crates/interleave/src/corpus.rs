@@ -340,6 +340,21 @@ pub fn spin_then_park_program(nthreads: usize, fixed: bool) -> Program {
     .with_init(vec![(WORD, SpinThenParkLock::HELD)])
 }
 
+/// `service::EventKey::await_at_least` past its fast check, on the count
+/// word `count`: read, compare by signed distance, park iff the count still
+/// reads what was compared. What the model leaves out: the `park_cost()`
+/// spin before the first park (further loads of the word, each a placement
+/// the checker already tries for the one load kept).
+fn eventcount_await(ctx: &mut dyn SyncCtx, count: Addr, target: Word) {
+    loop {
+        let cur = ctx.load(count);
+        if seq_ge(cur, target) {
+            return;
+        }
+        ctx.futex_wait(count, cur);
+    }
+}
+
 /// An eventcount advance across the `u64` wrap (count starts at
 /// `u64::MAX`): awaiters compare by **signed distance**, so the wrapped
 /// target `0` still reads as "reached". The broken variant advances
@@ -349,13 +364,7 @@ pub fn eventcount_wrap_program(nthreads: usize, fixed: bool) -> Program {
     Program::new(nthreads, 1, move |ctx| {
         if ctx.pid() < ctx.nprocs() - 1 {
             // await_at_least(0), i.e. MAX + 1 with wraparound.
-            loop {
-                let cur = ctx.load(0);
-                if cur.wrapping_sub(0) as i64 >= 0 {
-                    break;
-                }
-                ctx.futex_wait(0, cur);
-            }
+            eventcount_await(ctx, 0, 0);
         } else {
             ctx.fetch_add(0, 1); // MAX -> 0: the wrap itself is fine...
             if fixed {
@@ -364,6 +373,29 @@ pub fn eventcount_wrap_program(nthreads: usize, fixed: bool) -> Program {
         }
     })
     .with_init(vec![(0, u64::MAX)])
+}
+
+/// One eventcount whose awaiters want **different counts**: awaiter `k`
+/// runs `await_at_least(k + 1)` and the last thread advances once per
+/// awaiter. This is why `EventKey::advance` wakes every waiter of the word
+/// and not one: the queue is ordered by arrival, not by target. The seeded
+/// bug wakes the oldest waiter only — when that is an awaiter whose target
+/// is still ahead it swallows the wake meant for the one the advance
+/// satisfied and parks again, and one of the two sleeps on a count that has
+/// passed its target.
+pub fn eventcount_staggered_targets_program(nthreads: usize, wake_all: bool) -> Program {
+    assert!(nthreads >= 3, "need two targets and the advancer");
+    Program::new(nthreads, 1, move |ctx| {
+        let (me, awaiters) = (ctx.pid(), ctx.nprocs() - 1);
+        if me < awaiters {
+            eventcount_await(ctx, 0, me as Word + 1);
+        } else {
+            for _ in 0..awaiters {
+                ctx.fetch_add(0, 1);
+                ctx.futex_wake(0, if wake_all { usize::MAX } else { 1 });
+            }
+        }
+    })
 }
 
 /// `service::WaitingArraySemaphore` — the counting semaphore whose waiters
@@ -766,6 +798,11 @@ pub fn corpus_program(name: &str) -> Option<(Program, fn(&[Word]) -> Result<(), 
         // Eventcount wraparound advance that forgets its wake.
         "eventcount-wrap-missed-wake-3" => Some((eventcount_wrap_program(3, false), pass)),
         "eventcount-wrap-missed-wake-4" => Some((eventcount_wrap_program(4, false), pass)),
+        // Eventcount advance waking one waiter where two targets share the
+        // word.
+        "eventcount-wake-one-two-targets" => {
+            Some((eventcount_staggered_targets_program(3, false), pass))
+        }
         // Waiting-array semaphore waking one waiter per grant on a slot two
         // tickets share.
         "waiting-array-wake-one-shared-slot" => Some((
@@ -794,6 +831,7 @@ pub fn corpus_program_names() -> &'static [&'static str] {
         "spin-then-park-respin-held-4",
         "eventcount-wrap-missed-wake-3",
         "eventcount-wrap-missed-wake-4",
+        "eventcount-wake-one-two-targets",
         "waiting-array-wake-one-shared-slot",
         "waiting-array-check-before-publish",
     ]

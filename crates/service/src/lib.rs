@@ -21,7 +21,10 @@
 //!   ([`lock::LockService::lock`]), per-key eventcount
 //!   (`advance`/`await_at_least` with wraparound-safe sequencing), and a
 //!   per-key sense-free barrier (round counter + arrival count packed in
-//!   one word, immune to the classic two-round sense ABA).
+//!   one word, immune to the classic two-round sense ABA). A thread waiting
+//!   for the mutex or the eventcount stays on the CPU for what a park in
+//!   the table's lot is measured to cost and sleeps only past that; the
+//!   barrier's waiters still park at once.
 //! - [`semaphore::WaitingArraySemaphore`] — a counting semaphore per Dice &
 //!   Kogan's *Semaphores Augmented with a Waiting Array*: a permits counter
 //!   plus enqueue/dequeue tickets indexing a small slot array where each
@@ -94,10 +97,13 @@ const PROBES_PER_CLOCK_READ: u32 = 16;
 /// The one pre-park wait of this crate — the competitive rule *spin for as
 /// long as blocking would cost*: runs `probe` (one look at the awaited
 /// word, plus whatever claims it) with a pause hint between looks until it
-/// returns true, giving up — `false` — once `budget` has passed. Callers
-/// pass the [`parking::futex::ParkingLot::park_cost`] of the lot they are
-/// about to park in. Inlined into each caller, so the probe is compiled
-/// into the loop rather than called from it.
+/// returns true, giving up — `false` — once `budget` has passed. Its three
+/// callers — the mutex's slow path, [`EventKey::await_at_least`] and
+/// [`WaitingArraySemaphore::acquire`] — pass the
+/// [`parking::futex::ParkingLot::park_cost`] of the lot they are about to
+/// park in: the table's for the first two ([`SlotRef::park_cost`]), the
+/// process-global one for the semaphore. Inlined into each caller, so the
+/// probe is compiled into the loop rather than called from it.
 #[inline(always)]
 pub(crate) fn spin_for(budget: Duration, mut probe: impl FnMut() -> bool) -> bool {
     let start = Instant::now();

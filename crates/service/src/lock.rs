@@ -29,9 +29,17 @@
 //!   else. `interleave::corpus::SpinThenParkLock` is this path as a
 //!   checker model (exhaustive at 3 threads, seeded bug in the corpus).
 //! - **Eventcount** — the word is a monotone sequence number;
-//!   [`EventKey::advance`] bumps it and wakes every waiter,
-//!   [`EventKey::await_at_least`] parks until the count passes a target,
-//!   with wraparound-safe comparison. Counts are *ephemeral*: they live
+//!   [`EventKey::advance`] bumps it and wakes every waiter (the waiters of
+//!   one count want different targets, and the queue is ordered by
+//!   arrival); [`EventKey::await_at_least`] waits until the count passes a
+//!   target, with wraparound-safe comparison, by the mutex's rule: it
+//!   watches the word for the same lot's `park_cost()` and parks only past
+//!   that, so an advance a cache miss away never costs a scheduler round
+//!   trip. It spins once — a waiter that a wake-all resumes with its target
+//!   still ahead is several advances away and goes back to sleep — and the
+//!   async `EventWaitFuture` never does, for the `LockFuture`'s reason.
+//!   `interleave::corpus::eventcount_staggered_targets_program` is the
+//!   wake-all as a checker model. Counts are *ephemeral*: they live
 //!   only while some [`EventKey`] handle keeps the slot attached, which is
 //!   why the API hands out a handle instead of taking bare keys.
 //! - **Barrier** — arrivals in the low 32 bits, a round counter in the
@@ -39,7 +47,9 @@
 //!   store, then wakes all; waiters wait for the *round* to change, which
 //!   dodges the classic sense-reversal ABA (a waiter sleeping through an
 //!   entire round still sees a different round number, not a flipped-back
-//!   sense bit).
+//!   sense bit). A barrier waiter still parks at once: the same spin is
+//!   measured and waiting for the benchmark harness to admit it (ROADMAP
+//!   item 4).
 
 use crate::table::{ShardedTable, SlotKind, SlotRef, TableStats};
 use crate::telemetry::{MetricsMode, MetricsSnapshot, Primitive, ServiceMetrics};
@@ -154,7 +164,7 @@ impl LockService {
         // Spin for as long as parking would cost: a holder that releases
         // within that time hands over without a park/wake round trip, and
         // one that does not costs us at most twice the better choice.
-        let budget = self.table.lot().park_cost();
+        let budget = slot.park_cost();
         if Self::spin_acquire(&slot, HELD, budget) {
             slot.metrics().count_acquire(slot.shard(), false, false);
             return KeyGuard::acquired(slot, started);
@@ -386,14 +396,22 @@ impl<'a> EventKey<'a> {
         new
     }
 
-    /// Parks until the count reaches at least `target` (wraparound-safe),
-    /// returning the count observed.
+    /// Waits until the count reaches at least `target` (wraparound-safe),
+    /// returning the count observed: on the CPU for as long as a park in
+    /// the table's lot costs ([`SlotRef::park_cost`]), parked from then on.
+    /// An `advance` a cache miss away is thus taken without leaving the
+    /// processor, and one that is not costs at most twice what parking at
+    /// once would have.
     pub fn await_at_least(&self, target: u64) -> u64 {
         let cur = self.read();
         if seq_ge(cur, target) {
             return cur;
         }
         let started = self.slot.metrics().wait_timer(self.slot.shard());
+        // One spin, before the first park only: a waiter that `advance`'s
+        // wake-all resumes with its target still ahead is several advances
+        // away, which is what parking is for.
+        crate::spin_for(self.slot.park_cost(), || seq_ge(self.read(), target));
         loop {
             let cur = self.read();
             if seq_ge(cur, target) {

@@ -27,6 +27,7 @@ use qsm::CachePadded;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
+use std::time::Duration;
 
 /// Shard locking that shrugs off poisoning: every critical section here
 /// leaves the shard consistent at every await-free step (the one panic —
@@ -328,6 +329,12 @@ impl SlotRef<'_> {
     /// The telemetry instance of the owning table.
     pub fn metrics(&self) -> &ServiceMetrics {
         &self.table.metrics
+    }
+
+    /// What a park in this slot's lot costs right now — the budget of the
+    /// spin that precedes [`SlotRef::wait`]; see [`ParkingLot::park_cost`].
+    pub fn park_cost(&self) -> Duration {
+        self.table.lot.park_cost()
     }
 
     /// Parks iff the word still holds `expected`; see

@@ -9,7 +9,9 @@
 //!   the paper's queueing mechanism) plus the registry's full
 //!   `qsm-block-park`; the bug is the classic wake-before-advance release;
 //! * **eventcount wraparound** — advance across `u64::MAX` with
-//!   signed-distance compare; the bug forgets the wake;
+//!   signed-distance compare; the bug forgets the wake — and **two targets
+//!   on one count**, where `advance` wakes everybody because the oldest
+//!   waiter need not be the satisfied one; the bug wakes one;
 //! * **service mutex slow path** — `service::LockService::lock`'s spin →
 //!   announce → park → woken → spin again → re-announce
 //!   ([`interleave::corpus::SpinThenParkLock`]); the bug lets the post-wake
@@ -43,7 +45,8 @@
 //! execution a few dozen coroutine switches on the test's own thread.
 
 use interleave::corpus::{
-    blocking_grant_program, corpus_program, eventcount_wrap_program, spin_then_park_program,
+    blocking_grant_program, corpus_program, eventcount_staggered_targets_program,
+    eventcount_wrap_program, spin_then_park_program,
     waiting_array_cancel_program, waiting_array_drained, waiting_array_one_permit_left,
     waiting_array_shared_slot_program, WaitingArraySem,
 };
@@ -198,6 +201,25 @@ fn broken_eventcount_wrap_loses_a_wakeup_under_every_mode_for_3_and_4_threads() 
     loses_a_wakeup_under_every_mode("eventcount wrap 4t, missed wake", || {
         eventcount_wrap_program(4, false)
     });
+}
+
+/// One advancer advancing twice, awaiters of 1 and of 2 on the one count —
+/// the program `EventKey::advance`'s wake-all exists for. A wake-one
+/// advance hands the first wake to whichever awaiter parked first; when
+/// that is the awaiter of 2 it parks again on count 1, and the second wake
+/// goes to only one of the two sleepers.
+#[test]
+fn eventcount_two_targets_pass_with_wake_all_and_lose_a_wakeup_with_wake_one() {
+    let runs = passes_under_every_mode("eventcount, targets 1 and 2, wake-all", || {
+        eventcount_staggered_targets_program(3, true)
+    });
+    assert_source_beats_sleep("eventcount-two-targets-fixed", runs);
+    assert_eq!(runs, [4_502, 3_783], "the EXPERIMENTS.md counts moved");
+    let runs = loses_a_wakeup_under_every_mode("eventcount, targets 1 and 2, wake-one", || {
+        eventcount_staggered_targets_program(3, false)
+    });
+    assert_source_reaches_the_bug_no_later("eventcount-two-targets-bug", runs);
+    assert_eq!(runs, [560, 450], "the EXPERIMENTS.md counts moved");
 }
 
 /// The two corpus programs of the mode comparison, both explored under
@@ -496,6 +518,14 @@ fn measure() {
         ("eventcount-wrap-4-fixed", Box::new(|| eventcount_wrap_program(4, true))),
         ("eventcount-wrap-3-bug", Box::new(|| eventcount_wrap_program(3, false))),
         ("eventcount-wrap-4-bug", Box::new(|| eventcount_wrap_program(4, false))),
+        (
+            "eventcount-two-targets-fixed",
+            Box::new(|| eventcount_staggered_targets_program(3, true)),
+        ),
+        (
+            "eventcount-two-targets-bug",
+            Box::new(|| eventcount_staggered_targets_program(3, false)),
+        ),
         ("spin-then-park-3-fixed", Box::new(|| spin_then_park_program(3, true))),
         ("spin-then-park-3-bug", Box::new(|| spin_then_park_program(3, false))),
         (

@@ -11,7 +11,8 @@
 //! regression, never flake.
 
 use interleave::corpus::{
-    spin_then_park_program, waiting_array_drained, waiting_array_shared_slot_program,
+    eventcount_staggered_targets_program, spin_then_park_program, waiting_array_drained,
+    waiting_array_shared_slot_program,
 };
 use interleave::{Explorer, Fuzzer, Program, ReplayEnd, Strategy, Verdict};
 use kernels::SyncCtx;
@@ -139,6 +140,23 @@ fn pct_checks_the_service_mutex_slow_path_at_four_threads() {
     match &report.verdict {
         Verdict::LostWakeup { parked, .. } => assert!(!parked.is_empty()),
         other => panic!("respin-as-HELD must strand a waiter, got {other:?}"),
+    }
+}
+
+/// The eventcount with three awaiters, of counts 1, 2 and 3, and an
+/// advancer — four threads, one more than `tests/dpor_blocking.rs` searches
+/// exhaustively. `advance`'s wake-all survives its PCT budget; waking only
+/// the oldest waiter strands an awaiter whose count has come within it.
+#[test]
+fn pct_checks_the_eventcounts_staggered_targets_at_four_threads() {
+    let fuzzer = Fuzzer::new(1991, 2_000, Strategy::Pct { change_points: 3 });
+    fuzzer
+        .run(&eventcount_staggered_targets_program(4, true), |_| Ok(()))
+        .expect_pass("eventcount, targets 1 to 3, under PCT");
+    let report = fuzzer.run(&eventcount_staggered_targets_program(4, false), |_| Ok(()));
+    match &report.verdict {
+        Verdict::LostWakeup { parked, .. } => assert!(!parked.is_empty()),
+        other => panic!("a wake-one advance must strand an awaiter, got {other:?}"),
     }
 }
 

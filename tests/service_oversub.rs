@@ -11,12 +11,30 @@
 //! lot-local futex ledger, a calibrated budget inside its clamp) and that
 //! waiters really parked; run it with `--nocapture` for the throughput
 //! line EXPERIMENTS.md quotes.
+//!
+//! The eventcount follows the same rule, so it gets the same regime: a ring
+//! of eight threads per core, each waiting for a neighbour that is most
+//! likely not running. It must finish, in order, with an exact ledger — and
+//! with parks on it: `await_at_least` spins for what a park costs *and then
+//! still blocks*.
+//!
+//! Each test is eight threads per core on its own, so the two take turns.
+
+mod common;
 
 use parking::futex::{mix64, PARK_COST_CEIL, PARK_COST_FLOOR};
 use std::hint::black_box;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Barrier;
+use std::sync::{Barrier, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
+
+/// Eight threads per core, once this test has the host to itself.
+fn oversubscribed() -> (MutexGuard<'static, ()>, usize, usize) {
+    static HOST: Mutex<()> = Mutex::new(());
+    let alone = HOST.lock().unwrap_or_else(|e| e.into_inner());
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    (alone, cores, 8 * cores)
+}
 
 /// Links of the dependent `mix64` chain run under the lock: ~10 µs on the
 /// reference host (4.5 ns a link). Work, not wall time, so a preempted
@@ -27,8 +45,7 @@ const RUN: Duration = Duration::from_millis(1500);
 
 #[test]
 fn oversubscribed_convoy_stays_exclusive_and_still_parks() {
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let threads = 8 * cores;
+    let (_alone, cores, threads) = oversubscribed();
     let svc = service::LockService::with_metrics_mode(64, service::MetricsMode::Counters);
     // One plain counter per key, bumped by a load and a later store under
     // that key's lock: two holders at once lose an update.
@@ -101,5 +118,38 @@ fn oversubscribed_convoy_stays_exclusive_and_still_parks() {
         snap.parked as f64 / ops as f64,
         snap.respin_wins as f64 / snap.parked.max(1) as f64,
         futex.parks as f64 / ops as f64,
+    );
+}
+
+#[test]
+fn oversubscribed_eventcount_ring_finishes_and_still_parks() {
+    const STEPS: u64 = 2_000;
+    let (_alone, cores, threads) = oversubscribed();
+    let svc = service::LockService::with_shards(64);
+    let t0 = Instant::now();
+    common::eventcount_ring(&svc, threads, STEPS);
+    let elapsed = t0.elapsed();
+
+    assert_eq!(
+        svc.stats().live,
+        0,
+        "every handle dropped, table must drain"
+    );
+    let futex = svc.futex_totals();
+    assert!(futex.balanced(), "lot-local ledger unbalanced: {futex:?}");
+    assert!(
+        futex.parks > 0,
+        "{threads} threads on {cores} cores never blocked: spinning cannot win here"
+    );
+    let park_cost = svc
+        .metrics_snapshot()
+        .park_cost_ns
+        .expect("service snapshot");
+    let park_cost = Duration::from_nanos(park_cost);
+    println!(
+        "service_oversub: eventcount ring, {threads} threads / {cores} cores, {STEPS} steps each: \
+         {:.0} steps/s, {:.2} parks/step, park_cost {park_cost:?}",
+        (threads as u64 * STEPS) as f64 / elapsed.as_secs_f64(),
+        futex.parks as f64 / (threads as u64 * STEPS) as f64,
     );
 }

@@ -13,13 +13,64 @@
 //!     table's own lot, so the counts are this run's and nothing else's),
 //!   - the telemetry counters account for every single acquisition.
 //!
+//! The service's eventcount gets the same treatment on a service of its
+//! own: a ring of threads each waiting for its neighbour's count, then one
+//! advancer against awaiters with staggered targets. `await_at_least`
+//! spins for what a park costs before it blocks, so both the spin and the
+//! park path run here; whichever took a given wait, the count returned
+//! reaches its target, the table drains and the ledger balances.
+//!
 //! The semaphore phase still parks through the process-global lot, so
 //! it keeps the delta-based balance check and shares this ONE `#[test]`
 //! fn — a second concurrently-running test that parks would make its
 //! `since()` delta meaningless.
 
+mod common;
+
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+
+/// One advancer, `awaiters` awaiters of one count: awaiter `k` waits for
+/// `k + 1`, then every `awaiters`-th count after it, so at any moment the
+/// awaiters want different counts and most of `advance`'s wake-alls find
+/// some target still ahead. The advancer stops for longer than any spin
+/// budget now and then, so awaiters park as well as spin.
+fn eventcount_broadcast(svc: &service::LockService, awaiters: u64, advances: u64) {
+    const KEY: u64 = 0xb0ad << 32;
+    let count = svc.eventcount(KEY);
+    std::thread::scope(|s| {
+        for k in 0..awaiters {
+            let count = &count;
+            s.spawn(move || {
+                for target in (k + 1..=advances).step_by(awaiters as usize) {
+                    let seen = count.await_at_least(target);
+                    assert!(
+                        (target..=advances).contains(&seen),
+                        "awaiter {k} asked for {target} and was handed {seen}"
+                    );
+                }
+            });
+        }
+        for n in 1..=advances {
+            assert_eq!(count.advance(), n);
+            if n % 256 == 0 {
+                std::thread::sleep(2 * parking::futex::PARK_COST_CEIL);
+            }
+        }
+    });
+}
+
+/// The eventcount phase: ring, then broadcast, on a service of their own so
+/// that its lot-local ledger is theirs alone.
+fn eventcount_ring_and_broadcast_drain_and_balance(threads: usize) {
+    let svc = service::LockService::with_shards(64);
+    common::eventcount_ring(&svc, threads, 20_000);
+    eventcount_broadcast(&svc, threads as u64, 20_000);
+    let stats = svc.stats();
+    assert_eq!(stats.live, 0, "every handle dropped: {stats:?}");
+    let futex = svc.futex_totals();
+    assert!(futex.balanced(), "eventcount ledger unbalanced: {futex:?}");
+}
 
 #[test]
 fn million_key_churn_drains_and_balances() {
@@ -115,6 +166,8 @@ fn million_key_churn_drains_and_balances() {
         snap.slot_recycles,
         total
     );
+
+    eventcount_ring_and_broadcast_drain_and_balance(threads);
 
     // The waiting-array semaphore shares the accounting: overflowing a
     // small array with more waiters than slots must still balance.
