@@ -1,14 +1,19 @@
 //! CI smoke driver for the sharded lock service: runs the *real-thread*
 //! load generator (`workloads::service_load::run_real`) against a live
 //! `service::LockService`, prints a wall-clock summary, and verifies the
-//! teardown invariants (no keys left attached, machine-wide futex
-//! accounting balanced).
+//! teardown invariants (no keys left attached, the service lot's futex
+//! ledger balanced).
 //!
 //! With `--metrics-out PATH` it also harvests the service's telemetry
 //! snapshot periodically while the load runs (asserting every harvest is
 //! monotone over the previous one), then writes the final snapshot as
 //! Prometheus text to `PATH` and as JSON to `PATH.json`, validating both
 //! through the exporters' own line-based checkers before reporting OK.
+//!
+//! With `--trace-out PATH` or `SYNCMECH_TRACE` the service's lot records
+//! into a tracer of the run's own, and the run fails unless that tracer's
+//! park/wake/resume totals equal the lot's ledger; the export is validated
+//! (`trace::chrome::validate`) before it is written.
 //!
 //! With `--overhead-check` it instead times the identical workload with
 //! telemetry `off` and with `counters` and fails if the counters run
@@ -20,6 +25,7 @@
 //! `fig11_service_throughput`, `table6_service_tail`, and
 //! `table7_metrics_overhead`.
 
+use parking::futex::FutexTotals;
 use service::{LockService, MetricsMode, ServiceThreads};
 use simcore::knob;
 use std::process::ExitCode;
@@ -49,8 +55,8 @@ environment (a malformed value is an error):
   SYNCMECH_SERVICE_SHARDS=N   lock-table shards (default: 256)
   SYNCMECH_SERVICE_METRICS=off|counters|sampled:<N>  telemetry mode
                               (default: counters)
-  SYNCMECH_TRACE=off|counters|full  record the parking runtime's
-                              park/wake/resume events and print their
+  SYNCMECH_TRACE=off|counters|full  record the service lot's
+                              park/wake/resume events and check their
                               totals (default: off; --trace-out implies full)";
 
 /// The environment knobs this binary offers, read once at start-up.
@@ -185,16 +191,16 @@ fn main() -> ExitCode {
         knobs.trace
     };
     let tracer = (trace_mode != TraceMode::Off).then(|| {
-        let tracer = Arc::new(Tracer::new(
+        Arc::new(Tracer::new(
             trace_mode,
-            parking::trace_hooks::TRACE_SLOTS,
+            trace::THREAD_SLOTS,
             Tracer::DEFAULT_CAPACITY,
-        ));
-        parking::trace_hooks::install(Arc::clone(&tracer));
-        tracer
+        ))
     });
-
-    let svc = LockService::with_metrics_mode(knobs.shards, knobs.metrics);
+    let svc = match &tracer {
+        Some(tracer) => LockService::with_tracer(knobs.shards, knobs.metrics, Arc::clone(tracer)),
+        None => LockService::with_metrics_mode(knobs.shards, knobs.metrics),
+    };
 
     // Run the load; when harvesting, a sidecar thread snapshots the live
     // metrics every few milliseconds and asserts each snapshot is
@@ -286,21 +292,10 @@ fn main() -> ExitCode {
     }
 
     if let Some(tracer) = &tracer {
-        println!(
-            "  trace ({}): parks {} wakes {} resumes {}",
-            tracer.mode().name(),
-            tracer.class_total(EventClass::FutexPark),
-            tracer.class_total(EventClass::FutexWake),
-            tracer.class_total(EventClass::FutexResume)
-        );
-    }
-    if let (Some(path), Some(tracer)) = (&trace_out, &tracer) {
-        let json = trace::chrome::export_tracer(tracer, "syncmech service_load smoke");
-        if let Err(e) = std::fs::write(path, json) {
-            eprintln!("writing {path}: {e}");
+        if let Err(e) = check_trace(tracer, svc.futex_totals(), trace_out.as_deref()) {
+            eprintln!("FAIL: {e}");
             return ExitCode::FAILURE;
         }
-        println!("  trace written to {path}");
     }
 
     if r.stats.live != 0 {
@@ -316,4 +311,37 @@ fn main() -> ExitCode {
     }
     println!("  OK: table drained, parks == wakes == resumes");
     ExitCode::SUCCESS
+}
+
+/// Holds the run's tracer to the lot it recorded: its park/wake/resume
+/// totals must be the lot's ledger, and with `out` its export must
+/// validate before it is written there.
+fn check_trace(tracer: &Tracer, lot: FutexTotals, out: Option<&str>) -> Result<(), String> {
+    let traced = FutexTotals {
+        parks: tracer.class_total(EventClass::FutexPark),
+        wakes: tracer.class_total(EventClass::FutexWake),
+        resumes: tracer.class_total(EventClass::FutexResume),
+    };
+    if traced != lot {
+        return Err(format!(
+            "trace totals {traced:?} are not the lot's {lot:?} \
+             ({} events of threads past the tracer's rings went unrecorded)",
+            tracer.unleased()
+        ));
+    }
+    let mut spans = String::new();
+    if let Some(path) = out {
+        let json = trace::chrome::export_tracer(tracer, "syncmech service_load smoke");
+        let stats = trace::chrome::validate(&json).map_err(|e| format!("trace export: {e}"))?;
+        std::fs::write(path, json).map_err(|e| format!("writing {path}: {e}"))?;
+        spans = format!(", {} spans -> {path}", stats.spans);
+    }
+    println!(
+        "  trace OK ({}): parks {} wakes {} resumes {} == lot ledger{spans}",
+        tracer.mode().name(),
+        traced.parks,
+        traced.wakes,
+        traced.resumes
+    );
+    Ok(())
 }

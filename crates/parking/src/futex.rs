@@ -62,6 +62,17 @@
 //! service telemetry's stall watchdog can ask for the longest-parked
 //! waiter ([`ParkingLot::oldest_parked_age`]).
 //!
+//! A lot built with a [`trace::Tracer`] ([`ParkingLot::with_tracer`])
+//! also **records** what its ledger counts: a `FutexPark`, `FutexWake` or
+//! `FutexResume` event per park, wake dequeue and resume, stamped in
+//! microseconds since the lot was built, each into the ring the recording
+//! thread leases ([`trace::Tracer::record_thread`]) — so a thread's park
+//! and its resume are one span on one track. The tracer is the lot's own:
+//! its class totals equal [`ParkingLot::totals`] whenever no recording
+//! thread went without a ring. The process-global lot has none. Real
+//! hardware cannot name the thread a wake reaches, so wake and resume
+//! events carry [`trace::NO_PID`] for their counterpart.
+//!
 //! A lot also **measures what a park costs**. When a wake dequeues a
 //! blocking thread it stamps the waiter; the thread, once running again,
 //! folds `resume - wake` — the unpark call plus the scheduler's wake-up
@@ -81,6 +92,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::task::Waker;
 use std::thread::{self, Thread};
 use std::time::{Duration, Instant};
+use trace::{EventKind, Tracer};
 
 /// Number of buckets in the process-global parking lot. Collisions are
 /// correctness-neutral (the queue entries carry the full address) and only
@@ -171,26 +183,62 @@ pub fn totals() -> FutexTotals {
     }
 }
 
-/// Per-lot park/wake/resume counters. Each [`Waiter`] captures an `Arc` to
-/// its lot's block at enqueue time, so the wake and resume sides — which
-/// only hold the waiter, not the lot — can still account against the lot
-/// that parked them. The machine-wide statics above remain the union of
-/// every lot; these give each lot an *exact* local ledger, which is what
-/// lets tests assert `parks == wakes == resumes` without `>=` slack from
-/// unrelated lots in the same process.
-#[derive(Default)]
-struct LotCounters {
+/// A lot's park/wake/resume ledger, and its tracer if it has one. Each
+/// [`Waiter`] captures an `Arc` to its lot's ledger at enqueue time, so the
+/// wake and resume sides — which only hold the waiter, not the lot — can
+/// still account against the lot that parked them. The machine-wide
+/// statics above remain the union of every lot; these give each lot an
+/// *exact* local ledger, which is what lets tests assert
+/// `parks == wakes == resumes` without `>=` slack from unrelated lots in
+/// the same process.
+struct Ledger {
     parks: AtomicU64,
     wakes: AtomicU64,
     resumes: AtomicU64,
+    /// The lot's tracer and the instant its timestamps count from.
+    tracer: Option<(Arc<Tracer>, Instant)>,
 }
 
-impl LotCounters {
+impl Ledger {
     fn read(&self) -> FutexTotals {
         FutexTotals {
             parks: self.parks.load(Ordering::SeqCst),
             wakes: self.wakes.load(Ordering::SeqCst),
             resumes: self.resumes.load(Ordering::SeqCst),
+        }
+    }
+
+    // Each event is recorded before its counters move, so a reader that
+    // sees a count also finds its event. `at` is the event's time, asked
+    // for only when there is a tracer to stamp: a clock read the caller
+    // already made where it has one, else `clock`.
+
+    fn park(&self, addr: usize, at: impl FnOnce() -> Instant) {
+        self.record(at, EventKind::FutexPark { addr });
+        TOTAL_PARKS.fetch_add(1, Ordering::SeqCst);
+        self.parks.fetch_add(1, Ordering::SeqCst);
+    }
+
+    fn wake(&self, addr: usize, at: impl FnOnce() -> Instant) {
+        let wakee = trace::NO_PID;
+        self.record(at, EventKind::FutexWake { addr, wakee });
+        TOTAL_WAKES.fetch_add(1, Ordering::SeqCst);
+        self.wakes.fetch_add(1, Ordering::SeqCst);
+    }
+
+    fn resume(&self, addr: usize, at: impl FnOnce() -> Instant) {
+        let waker = trace::NO_PID;
+        self.record(at, EventKind::FutexResume { addr, waker });
+        TOTAL_RESUMES.fetch_add(1, Ordering::SeqCst);
+        self.resumes.fetch_add(1, Ordering::SeqCst);
+    }
+
+    /// Records `kind` for the calling thread at `at()`, in microseconds
+    /// since the lot was built.
+    fn record(&self, at: impl FnOnce() -> Instant, kind: EventKind) {
+        if let Some((tracer, epoch)) = &self.tracer {
+            let t = at().saturating_duration_since(*epoch).as_micros() as u64;
+            tracer.record_thread(t, kind);
         }
     }
 }
@@ -232,7 +280,7 @@ enum WaitMode {
 /// tasks, from a poll that raced the wake), when it parked (feeds the
 /// stall watchdog's oldest-parked-age scan), when a wake dequeued it (as
 /// nanoseconds after `since`, threads only — the park-cost sample's start),
-/// and the counter block of the lot that parked it (so wake/resume
+/// and the ledger of the lot that parked it (so wake/resume
 /// accounting stays lot-local even when only the waiter is in hand).
 struct Waiter {
     addr: usize,
@@ -243,11 +291,11 @@ struct Waiter {
     /// Written by the waker before its `Release` store of `woken`, read by
     /// the wakee after its `Acquire` load of it; `Relaxed` rides on that.
     wake_ns: AtomicU64,
-    counters: Arc<LotCounters>,
+    ledger: Arc<Ledger>,
 }
 
 impl Waiter {
-    fn new(addr: usize, tag: Option<u64>, how: WaitMode, counters: &Arc<LotCounters>) -> Arc<Self> {
+    fn new(addr: usize, tag: Option<u64>, how: WaitMode, ledger: &Arc<Ledger>) -> Arc<Self> {
         Arc::new(Waiter {
             addr,
             tag,
@@ -255,7 +303,7 @@ impl Waiter {
             woken: AtomicBool::new(false),
             since: clock(),
             wake_ns: AtomicU64::new(0),
-            counters: Arc::clone(counters),
+            ledger: Arc::clone(ledger),
         })
     }
 }
@@ -280,7 +328,7 @@ impl Bucket {
 pub struct ParkingLot {
     buckets: Box<[CachePadded<Bucket>]>,
     mask: u64,
-    counters: Arc<LotCounters>,
+    ledger: Arc<Ledger>,
     /// Moving average behind [`ParkingLot::park_cost`], in nanoseconds. A
     /// statistic: racing updates may drop a sample, never corrupt one.
     park_cost_ns: AtomicU64,
@@ -288,20 +336,37 @@ pub struct ParkingLot {
 
 impl ParkingLot {
     /// A lot with at least `buckets` buckets, rounded up to the next power
-    /// of two so indexing is a mask of the mixed hash.
+    /// of two so indexing is a mask of the mixed hash, and no tracer.
     ///
     /// # Panics
     ///
     /// If `buckets` is zero.
     pub fn with_buckets(buckets: usize) -> Self {
+        Self::with_tracer(buckets, None)
+    }
+
+    /// [`ParkingLot::with_buckets`] recording every park, wake dequeue and
+    /// resume into `tracer` (see the module docs). The tracer is fixed for
+    /// the lot's life; `None` records nothing and reads no clock for it.
+    pub fn with_tracer(buckets: usize, tracer: Option<Arc<Tracer>>) -> Self {
         assert!(buckets > 0, "a parking lot needs at least one bucket");
         let n = buckets.next_power_of_two();
         ParkingLot {
             buckets: (0..n).map(|_| CachePadded::new(Bucket::new())).collect(),
             mask: n as u64 - 1,
-            counters: Arc::new(LotCounters::default()),
+            ledger: Arc::new(Ledger {
+                parks: AtomicU64::new(0),
+                wakes: AtomicU64::new(0),
+                resumes: AtomicU64::new(0),
+                tracer: tracer.map(|tracer| (tracer, Instant::now())),
+            }),
             park_cost_ns: AtomicU64::new(PARK_COST_FLOOR.as_nanos() as u64),
         }
+    }
+
+    /// The tracer this lot records into, if it was built with one.
+    pub fn tracer(&self) -> Option<&Arc<Tracer>> {
+        self.ledger.tracer.as_ref().map(|(tracer, _)| tracer)
     }
 
     /// What one thread park costs on this host right now: a moving average
@@ -335,7 +400,7 @@ impl ParkingLot {
     /// Pair with [`FutexTotals::since`] for delta accounting around a
     /// test phase, and [`FutexTotals::balanced`] at quiescent points.
     pub fn totals(&self) -> FutexTotals {
-        self.counters.read()
+        self.ledger.read()
     }
 
     /// Age of the longest-parked waiter currently in the lot, or `None`
@@ -425,13 +490,11 @@ impl ParkingLot {
             if word.load(Ordering::SeqCst) != expected {
                 return None;
             }
-            let waiter = Waiter::new(addr, tag, how(), &self.counters);
+            let waiter = Waiter::new(addr, tag, how(), &self.ledger);
             queue.push_back(Arc::clone(&waiter));
             waiter
         };
-        TOTAL_PARKS.fetch_add(1, Ordering::SeqCst);
-        self.counters.parks.fetch_add(1, Ordering::SeqCst);
-        crate::trace_hooks::record(trace::EventKind::FutexPark { addr });
+        self.ledger.park(addr, || waiter.since);
         Some(waiter)
     }
 
@@ -441,18 +504,13 @@ impl ParkingLot {
         else {
             return false;
         };
-        let addr = waiter.addr;
         while !waiter.woken.load(Ordering::Acquire) {
             thread::park();
         }
         let wake = Duration::from_nanos(waiter.wake_ns.load(Ordering::Relaxed));
-        self.fold_park_cost(clock().saturating_duration_since(waiter.since + wake));
-        TOTAL_RESUMES.fetch_add(1, Ordering::SeqCst);
-        self.counters.resumes.fetch_add(1, Ordering::SeqCst);
-        crate::trace_hooks::record(trace::EventKind::FutexResume {
-            addr,
-            waker: trace::NO_PID,
-        });
+        let resumed = clock();
+        self.fold_park_cost(resumed.saturating_duration_since(waiter.since + wake));
+        self.ledger.resume(waiter.addr, || resumed);
         true
     }
 
@@ -553,7 +611,8 @@ impl ParkingLot {
     /// instantly-rescheduled wakee that immediately parks again must not
     /// find the lock still held.
     fn unpark_all(&self, woken: &[Arc<Waiter>]) {
-        // One clock read covers the batch, and only if it holds a thread.
+        // One clock read covers the batch, and only if it holds a thread or
+        // the lot has a tracer to stamp its wakes.
         let mut now = None;
         for waiter in woken {
             if let WaitMode::Thread(_) = waiter.how {
@@ -561,12 +620,8 @@ impl ParkingLot {
                 let ns = at.saturating_duration_since(waiter.since).as_nanos() as u64;
                 waiter.wake_ns.store(ns, Ordering::Relaxed);
             }
-            TOTAL_WAKES.fetch_add(1, Ordering::SeqCst);
-            waiter.counters.wakes.fetch_add(1, Ordering::SeqCst);
-            crate::trace_hooks::record(trace::EventKind::FutexWake {
-                addr: waiter.addr,
-                wakee: trace::NO_PID,
-            });
+            let ledger = &waiter.ledger;
+            ledger.wake(waiter.addr, || *now.get_or_insert_with(clock));
             waiter.woken.store(true, Ordering::Release);
             match &waiter.how {
                 WaitMode::Thread(thread) => thread.unpark(),
@@ -641,20 +696,11 @@ impl ParkingLot {
             queue.retain(|w| !Arc::ptr_eq(w, &entry.waiter));
             queue.len() < before
         };
+        let (ledger, mut now) = (&entry.waiter.ledger, None);
         if removed {
-            TOTAL_WAKES.fetch_add(1, Ordering::SeqCst);
-            entry.waiter.counters.wakes.fetch_add(1, Ordering::SeqCst);
-            crate::trace_hooks::record(trace::EventKind::FutexWake {
-                addr,
-                wakee: trace::NO_PID,
-            });
+            ledger.wake(addr, || *now.get_or_insert_with(clock));
         }
-        TOTAL_RESUMES.fetch_add(1, Ordering::SeqCst);
-        entry.waiter.counters.resumes.fetch_add(1, Ordering::SeqCst);
-        crate::trace_hooks::record(trace::EventKind::FutexResume {
-            addr,
-            waker: trace::NO_PID,
-        });
+        ledger.resume(addr, || *now.get_or_insert_with(clock));
         removed
     }
 
@@ -712,12 +758,7 @@ impl WaitEntry {
     /// [`ParkingLot::wait`]. Call only after [`WaitEntry::woken`] is true.
     pub fn resume(self) {
         debug_assert!(self.woken(), "resume() before the entry was woken");
-        TOTAL_RESUMES.fetch_add(1, Ordering::SeqCst);
-        self.waiter.counters.resumes.fetch_add(1, Ordering::SeqCst);
-        crate::trace_hooks::record(trace::EventKind::FutexResume {
-            addr: self.waiter.addr,
-            waker: trace::NO_PID,
-        });
+        self.waiter.ledger.resume(self.waiter.addr, clock);
     }
 }
 
@@ -1328,6 +1369,86 @@ mod tests {
         // tests may add more concurrently, so lower-bound the global side).
         let global = totals().since(&global_before);
         assert!(global.parks >= 1 && global.wakes >= 1 && global.resumes >= 1);
+    }
+
+    /// A traced lot records exactly what its ledger counts — the parks,
+    /// wake dequeues and resumes of blocking threads and of waker entries,
+    /// woken or cancelled — each thread's park a span on its own track that
+    /// ends at its own resume; a second traced lot beside it, idle, records
+    /// nothing.
+    #[test]
+    fn a_traced_lot_records_its_own_ledger_exactly() {
+        use trace::{EventClass, TraceMode};
+        const THREADS: usize = 8;
+        const ROUNDS: u64 = 200;
+        let tracer = Arc::new(Tracer::new(TraceMode::Full, trace::THREAD_SLOTS, 4096));
+        let idle_tracer = Arc::new(Tracer::new(TraceMode::Full, trace::THREAD_SLOTS, 16));
+        let lot = ParkingLot::with_tracer(4, Some(Arc::clone(&tracer)));
+        let idle = ParkingLot::with_tracer(4, Some(Arc::clone(&idle_tracer)));
+        let words: Vec<AtomicU64> = (0..THREADS / 2).map(|_| AtomicU64::new(0)).collect();
+        thread::scope(|s| {
+            for i in 0..THREADS {
+                let (lot, word) = (&lot, &words[i / 2]);
+                s.spawn(move || {
+                    let (_, waker) = flag_waker();
+                    let mine = (i % 2) as u64;
+                    for _ in 0..ROUNDS {
+                        // Two threads take turns on a word: wait for my
+                        // parity, pass the turn, wake my partner.
+                        loop {
+                            let v = word.load(Ordering::SeqCst);
+                            if v % 2 == mine {
+                                break;
+                            }
+                            lot.wait(word, v);
+                        }
+                        // A waker entry withdrawn unwoken, then one woken.
+                        let own = AtomicU64::new(0);
+                        assert!(lot.cancel(lot.register(&own, 0, &waker).unwrap()));
+                        let entry = lot.register(&own, 0, &waker).unwrap();
+                        assert_eq!(lot.wake_addr(addr_of(&own), 1), 1);
+                        entry.resume();
+                        word.fetch_add(1, Ordering::SeqCst);
+                        lot.wake_addr(addr_of(word), 1);
+                    }
+                });
+            }
+        });
+        let totals = lot.totals();
+        assert!(totals.balanced(), "{totals:?}");
+        let entries = 2 * (THREADS as u64) * ROUNDS;
+        assert!(totals.parks > entries, "no thread ever parked: {totals:?}");
+        let traced = |class| tracer.class_total(class);
+        assert_eq!(
+            (
+                traced(EventClass::FutexPark),
+                traced(EventClass::FutexWake),
+                traced(EventClass::FutexResume)
+            ),
+            (totals.parks, totals.wakes, totals.resumes)
+        );
+        assert_eq!(tracer.unleased(), 0);
+        for pid in 0..tracer.nprocs() {
+            // Every park on a track is closed by the next park-or-resume
+            // event there, a resume of the same word.
+            let mut open = None;
+            for event in tracer.events(pid) {
+                match event.kind {
+                    EventKind::FutexPark { addr } => assert_eq!(open.replace(addr), None),
+                    EventKind::FutexResume { addr, .. } => assert_eq!(open.take(), Some(addr)),
+                    _ => {}
+                }
+            }
+            assert_eq!(open, None, "track {pid} ends parked");
+        }
+        let json = trace::chrome::export_tracer(&tracer, "parking");
+        let stats = trace::chrome::validate(&json).expect("real-thread trace validates");
+        assert_eq!(stats.spans as u64, totals.parks);
+        assert_eq!(idle.totals(), FutexTotals::default());
+        assert!((0..idle_tracer.nprocs()).all(|pid| idle_tracer.events(pid).is_empty()));
+        assert!(EventClass::ALL
+            .iter()
+            .all(|&class| idle_tracer.class_total(class) == 0));
     }
 
     /// `oldest_parked_age` reports the longest-parked waiter while one is

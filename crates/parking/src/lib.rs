@@ -15,10 +15,12 @@
 //!   cache-line-padded power-of-two buckets indexed by the full-avalanche
 //!   [`futex::mix64`] hash, waits that carry a tag and a batched wake
 //!   addressed to `(word, tag)` pairs ([`futex::ParkingLot::wake_tagged`])
-//!   for words several logical waiters share, and machine-wide park/wake/resume accounting ([`futex::totals`]). The
+//!   for words several logical waiters share, and machine-wide park/wake/resume accounting ([`futex::totals`]). A lot
+//!   built with a `trace::Tracer` ([`futex::ParkingLot::with_tracer`])
+//!   records its parks, wakes and resumes into it. The
 //!   `service` crate embeds its own lot under its sharded per-key lock
 //!   table; the module-level functions serve the primitives below from one
-//!   process-global instance.
+//!   process-global, untraced instance.
 //! - [`mutex::QsmMutexBlocking`] — the QSM queue lock with a spin-then-park
 //!   wait, usable anywhere a [`qsm::RawLock`] fits (including
 //!   [`qsm::Mutex`]).
@@ -46,7 +48,6 @@ pub mod barrier;
 pub mod event;
 pub mod futex;
 pub mod mutex;
-pub mod trace_hooks;
 
 pub use barrier::BlockingBarrier;
 pub use event::EventcountBlocking;

@@ -45,8 +45,9 @@
 //! The load generator that drives this crate lives in
 //! `workloads::service_load`; the figures it feeds (`fig11`, `table6`,
 //! `fig12`, `table7`) are registered in `bench::figures`. Live telemetry —
-//! per-shard counters, sampled latency histograms, a hot-key sketch, a
-//! flight recorder, and the stall watchdog — lives in [`telemetry`].
+//! per-shard counters, sampled latency histograms, a hot-key sketch, and
+//! the stall watchdog — lives in [`telemetry`]; the flight recorder the
+//! watchdog prints is the table lot's own `trace::Tracer` ([`table`]).
 //!
 //! ## Configuration
 //!

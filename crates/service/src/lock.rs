@@ -58,6 +58,7 @@ use parking::futex::FutexTotals;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+use trace::Tracer;
 
 /// Mutex word states (shared with the async front end in `async_lock`).
 pub(crate) const FREE: u64 = 0;
@@ -97,6 +98,18 @@ impl LockService {
     pub fn with_metrics_mode(shards: usize, mode: MetricsMode) -> Self {
         LockService {
             table: ShardedTable::with_metrics(shards, Arc::new(ServiceMetrics::new(mode))),
+        }
+    }
+
+    /// [`LockService::with_metrics_mode`] whose table's lot records its
+    /// parks, wakes and resumes into `tracer` — in place of the flight
+    /// recorder, which the stall watchdog then reads from `tracer` — and
+    /// into no other lot's. `service_load --trace-out` builds its service
+    /// this way.
+    pub fn with_tracer(shards: usize, mode: MetricsMode, tracer: Arc<Tracer>) -> Self {
+        let metrics = Arc::new(ServiceMetrics::new(mode));
+        LockService {
+            table: ShardedTable::with_tracer(shards, metrics, Some(tracer)),
         }
     }
 

@@ -20,14 +20,20 @@
 //! epoch feeds [`TableStats`], where the stress suite checks that a
 //! million-key churn recycles a bounded slab population instead of growing
 //! one slot per key.
+//!
+//! The table's lot is its **flight recorder**: unless telemetry is `off`,
+//! the lot records every park, wake dequeue and resume into a small
+//! [`trace::Tracer`] of its own — one ring of 64 events for each of up to
+//! 64 live threads — whose newest events the stall watchdog prints.
 
-use crate::telemetry::{FlightKind, MetricsMode, ServiceMetrics};
+use crate::telemetry::{MetricsMode, ServiceMetrics};
 use parking::futex::{mix64, ParkingLot};
 use qsm::CachePadded;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
+use trace::{TraceMode, Tracer};
 
 /// Shard locking that shrugs off poisoning: every critical section here
 /// leaves the shard consistent at every await-free step (the one panic —
@@ -41,6 +47,9 @@ fn lock_shard(shard: &Mutex<ShardInner>) -> MutexGuard<'_, ShardInner> {
 /// Slots per slab allocation: one shard allocates this many words at a
 /// time, at stable addresses (`Box<[Slot; SLAB_SLOTS]>` never moves).
 pub const SLAB_SLOTS: usize = 64;
+
+/// Events the flight recorder keeps per thread.
+const FLIGHT_EVENTS: usize = 64;
 
 /// What a key's slot is being used as. A key is bound to one kind for the
 /// lifetime of its slot; mixing primitives on one key is a caller bug the
@@ -160,8 +169,26 @@ impl ShardedTable {
 
     /// [`ShardedTable::new`] with an explicit telemetry instance — the
     /// figure harness uses this to compare modes within one process, and
-    /// callers can share one instance across tables.
+    /// callers can share one instance across tables. Unless the mode is
+    /// `off`, the lot gets a flight recorder (see the module docs).
     pub fn with_metrics(shards: usize, metrics: Arc<ServiceMetrics>) -> Self {
+        let recorder = (metrics.mode() != MetricsMode::Off).then(|| {
+            Arc::new(Tracer::new(
+                TraceMode::Full,
+                trace::THREAD_SLOTS,
+                FLIGHT_EVENTS,
+            ))
+        });
+        Self::with_tracer(shards, metrics, recorder)
+    }
+
+    /// [`ShardedTable::with_metrics`] with the lot recording into `tracer`
+    /// instead of a flight recorder of its own.
+    pub(crate) fn with_tracer(
+        shards: usize,
+        metrics: Arc<ServiceMetrics>,
+        tracer: Option<Arc<Tracer>>,
+    ) -> Self {
         assert!(shards > 0, "a sharded table needs at least one shard");
         let n = shards.next_power_of_two();
         ShardedTable {
@@ -169,7 +196,7 @@ impl ShardedTable {
                 .map(|_| CachePadded::new(Mutex::new(ShardInner::default())))
                 .collect(),
             mask: n as u64 - 1,
-            lot: ParkingLot::with_buckets(n.clamp(64, 4096)),
+            lot: ParkingLot::with_tracer(n.clamp(64, 4096), tracer),
             metrics,
         }
     }
@@ -340,27 +367,14 @@ impl SlotRef<'_> {
     /// Parks iff the word still holds `expected`; see
     /// [`ParkingLot::wait`]. Returns `true` if the thread parked.
     pub fn wait(&self, expected: u64) -> bool {
-        let parked = self.table.lot.wait(self.word(), expected);
-        if parked {
-            self.table
-                .metrics
-                .flight(self.shard, FlightKind::Park, self.key);
-        }
-        parked
+        self.table.lot.wait(self.word(), expected)
     }
 
     /// Wakes up to `n` waiters of this slot, oldest first.
     pub fn wake(&self, n: usize) -> usize {
-        let woken = self
-            .table
+        self.table
             .lot
-            .wake_addr(parking::futex::addr_of(self.word()), n);
-        if woken > 0 {
-            self.table
-                .metrics
-                .flight(self.shard, FlightKind::Wake, self.key);
-        }
-        woken
+            .wake_addr(parking::futex::addr_of(self.word()), n)
     }
 
     /// Registers an async waker entry on this slot iff the word still
@@ -373,22 +387,13 @@ impl SlotRef<'_> {
         expected: u64,
         waker: &std::task::Waker,
     ) -> Option<parking::futex::WaitEntry> {
-        let entry = self.table.lot.register(self.word(), expected, waker);
-        if entry.is_some() {
-            self.table
-                .metrics
-                .flight(self.shard, FlightKind::Park, self.key);
-        }
-        entry
+        self.table.lot.register(self.word(), expected, waker)
     }
 
     /// Withdraws a waker entry registered through
     /// [`SlotRef::register_waker`]; see [`ParkingLot::cancel`] for the
     /// grant-ownership contract of the return value.
     pub fn cancel_waiter(&self, entry: parking::futex::WaitEntry) -> bool {
-        self.table
-            .metrics
-            .flight(self.shard, FlightKind::Cancel, self.key);
         self.table.lot.cancel(entry)
     }
 }
@@ -476,6 +481,20 @@ mod tests {
     #[should_panic(expected = "at least one shard")]
     fn zero_shards_rejected() {
         ShardedTable::new(0);
+    }
+
+    /// Every mode but `off` gives the lot a flight recorder of 64 rings of
+    /// 64 events, the 4 096 the telemetry's own ring stripes held.
+    #[test]
+    fn the_lot_records_unless_metrics_are_off() {
+        let table = |mode| ShardedTable::with_metrics(4, Arc::new(ServiceMetrics::new(mode)));
+        assert!(table(MetricsMode::Off).lot().tracer().is_none());
+        for mode in [MetricsMode::Counters, MetricsMode::Sampled(8)] {
+            let table = table(mode);
+            let tracer = table.lot().tracer().expect("a flight recorder");
+            assert_eq!(tracer.mode(), TraceMode::Full);
+            assert_eq!(tracer.nprocs() * tracer.capacity(), 4096);
+        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Live telemetry for the lock service: always-available counters,
-//! sampled latency histograms, a hot-key estimator, a flight recorder,
-//! and a stall watchdog.
+//! sampled latency histograms, a hot-key estimator, and a stall watchdog
+//! that prints the table's flight recorder.
 //!
 //! The service (PRs 8–9) was a black box at runtime: `TableStats` and the
 //! futex totals are only inspectable post-mortem from tests. This module
@@ -27,22 +27,26 @@
 //!   *contended* acquisitions: under a Zipf workload the head keys
 //!   surface after a handful of samples, and the sketch is O(capacity)
 //!   memory regardless of key population.
-//! - **Flight recorder** — a bounded per-stripe ring of recent
-//!   park/wake/cancel events (microsecond timestamps, keys). Recording
-//!   happens only on paths that already park or take a bucket lock, so
-//!   the hot path never touches a ring.
+//! - **Flight recorder** — not this module's: unless the mode is `off`,
+//!   the table's parking lot records its parks, wake dequeues and resumes
+//!   (microsecond timestamps, word addresses) into a small
+//!   [`trace::Tracer`] of its own ([`crate::table`]). Recording happens
+//!   only on paths that already park or take a bucket lock, so the hot
+//!   path never touches a ring.
 //! - **Stall watchdog** ([`StallWatchdog`]) — flags a waiter parked
 //!   beyond a threshold (via [`parking::futex::ParkingLot::oldest_parked_age`])
-//!   and dumps the flight rings + table state to stderr **once** instead
-//!   of hanging silently. A false positive requires a single waiter to
-//!   stay continuously parked past the threshold — slow-but-live
+//!   and dumps the table state and the lot's newest recorded events to
+//!   stderr **once** instead of hanging silently. A false positive
+//!   requires a single waiter to stay continuously parked past the
+//!   threshold — slow-but-live
 //!   workloads whose waiters turn over reset the age every park, so the
 //!   threshold is a bound on *individual* wait time, not throughput.
 //!
 //! The mode is `off`, `counters` (the default) or `sampled:<N>`
 //! ([`MetricsMode::parse`]), always passed in by the caller. `off`
 //! compiles every instrumentation call down to one predictable branch on
-//! an immutable field — no atomics, no timestamps — which is what lets
+//! an immutable field — no atomics, no timestamps — and builds the table
+//! no flight recorder, which is what lets
 //! `table7_metrics_overhead` demand byte-identical behaviour with the
 //! layer disabled.
 //!
@@ -58,7 +62,7 @@ use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
-use trace::Histogram;
+use trace::{EventKind, Histogram};
 
 /// Default sample period for `sampled:<N>` when callers want a
 /// reasonable starting point: 1 in 64 operations.
@@ -69,9 +73,6 @@ pub const DEFAULT_SAMPLE_PERIOD: u64 = 64;
 /// cache lines while costing ~8 KiB per service instance.
 const STRIPES: usize = 64;
 
-/// Flight-recorder ring capacity per stripe.
-const FLIGHT_RING: usize = 64;
-
 /// Hot-key sketch capacity (space-saving summary size).
 const HOT_KEYS: usize = 16;
 
@@ -80,7 +81,8 @@ const HOT_KEYS: usize = 16;
 pub enum MetricsMode {
     /// No recording at all: every instrumentation call is one branch.
     Off,
-    /// Striped counters and the flight recorder; no timestamps.
+    /// Striped counters and the table's flight recorder; no sampled
+    /// timestamps.
     #[default]
     Counters,
     /// Counters plus 1-in-`N` sampled wait/hold histograms and the
@@ -197,70 +199,6 @@ struct CounterBlock {
     respin_wins: AtomicU64,
 }
 
-/// One flight-recorder event kind.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FlightKind {
-    /// A waiter parked (thread blocked or waker registered).
-    Park,
-    /// A wake dequeued at least one waiter.
-    Wake,
-    /// A future withdrew its registration.
-    Cancel,
-}
-
-impl FlightKind {
-    /// Stable dump label.
-    pub fn label(self) -> &'static str {
-        match self {
-            FlightKind::Park => "park",
-            FlightKind::Wake => "wake",
-            FlightKind::Cancel => "cancel",
-        }
-    }
-}
-
-/// One flight-recorder entry: when (µs since the metrics instance was
-/// created), what, and which key.
-#[derive(Debug, Clone, Copy)]
-pub struct FlightEvent {
-    /// Microseconds since the owning [`ServiceMetrics`] was created.
-    pub t_us: u64,
-    /// What happened.
-    pub kind: FlightKind,
-    /// The key whose slot the event concerns.
-    pub key: u64,
-}
-
-/// Bounded ring of recent flight events, oldest overwritten first.
-#[derive(Default)]
-struct FlightRing {
-    events: Vec<FlightEvent>,
-    next: usize,
-}
-
-impl FlightRing {
-    fn push(&mut self, ev: FlightEvent) {
-        if self.events.len() < FLIGHT_RING {
-            self.events.push(ev);
-        } else {
-            self.events[self.next] = ev;
-        }
-        self.next = (self.next + 1) % FLIGHT_RING;
-    }
-
-    /// Events oldest-first.
-    fn ordered(&self) -> Vec<FlightEvent> {
-        if self.events.len() < FLIGHT_RING {
-            self.events.clone()
-        } else {
-            let mut out = Vec::with_capacity(FLIGHT_RING);
-            out.extend_from_slice(&self.events[self.next..]);
-            out.extend_from_slice(&self.events[..self.next]);
-            out
-        }
-    }
-}
-
 /// Space-saving top-K sketch: at most `HOT_KEYS` tracked keys; an
 /// untracked key evicts the current minimum and inherits its count + 1
 /// (the classic overcount bound: a reported count exceeds the true count
@@ -309,12 +247,10 @@ struct LatencyHists {
 /// to.
 pub struct ServiceMetrics {
     mode: MetricsMode,
-    epoch: Instant,
     stripes: Box<[CachePadded<CounterBlock>]>,
     mask: usize,
     hists: Mutex<LatencyHists>,
     hot: Mutex<SpaceSaving>,
-    rings: Box<[CachePadded<Mutex<FlightRing>>]>,
 }
 
 impl ServiceMetrics {
@@ -322,14 +258,10 @@ impl ServiceMetrics {
     pub fn new(mode: MetricsMode) -> Self {
         ServiceMetrics {
             mode,
-            epoch: Instant::now(),
             stripes: (0..STRIPES).map(|_| CachePadded::new(CounterBlock::default())).collect(),
             mask: STRIPES - 1,
             hists: Mutex::new(LatencyHists::default()),
             hot: Mutex::new(SpaceSaving::default()),
-            rings: (0..STRIPES)
-                .map(|_| CachePadded::new(Mutex::new(FlightRing::default())))
-                .collect(),
         }
     }
 
@@ -460,32 +392,6 @@ impl ServiceMetrics {
     #[inline]
     pub(crate) fn note_hot_key(&self, key: u64) {
         self.hot.lock().unwrap().touch(key);
-    }
-
-    /// Records a flight-recorder event on `stripe`'s ring. Callers are
-    /// slow paths only (park/wake/cancel), which already pay a parking-lot
-    /// bucket lock, so the ring mutex is noise there.
-    #[inline]
-    pub(crate) fn flight(&self, stripe: usize, kind: FlightKind, key: u64) {
-        if self.off() {
-            return;
-        }
-        let ev = FlightEvent {
-            t_us: self.epoch.elapsed().as_micros() as u64,
-            kind,
-            key,
-        };
-        self.rings[stripe & self.mask].lock().unwrap().push(ev);
-    }
-
-    /// Recent flight events of one stripe, oldest first.
-    pub fn flight_events(&self, stripe: usize) -> Vec<FlightEvent> {
-        self.rings[stripe & self.mask].lock().unwrap().ordered()
-    }
-
-    /// Number of flight-recorder stripes.
-    pub fn flight_stripes(&self) -> usize {
-        self.rings.len()
     }
 
     /// Aggregates every stripe lock-free into a [`MetricsSnapshot`]. The
@@ -976,6 +882,9 @@ pub fn validate_json(text: &str) -> Result<JsonStats, String> {
 // Stall watchdog
 // ---------------------------------------------------------------------------
 
+/// Events of the lot's flight recorder a [`StallWatchdog::report`] prints.
+const TAIL_EVENTS: usize = 32;
+
 /// Flags waiters parked beyond a threshold and dumps diagnostic state to
 /// stderr **once** — the "why is my request hung" answer a production
 /// service owes its operator. See the module docs for the false-positive
@@ -1021,7 +930,8 @@ impl StallWatchdog {
 
     /// The dump [`StallWatchdog::check`] prints: oldest park age, table
     /// occupancy, the lot-local futex ledger, the calibrated spin budget,
-    /// the parked-waiter roster, and the most recent flight-recorder events. Public so tests can
+    /// the parked-waiter roster, and the newest 32 events the lot recorded,
+    /// across all of its rings in timestamp order. Public so tests can
     /// assert on its content without capturing stderr.
     pub fn report(&self, svc: &crate::LockService, age: Duration) -> String {
         let mut out = String::new();
@@ -1062,25 +972,29 @@ impl StallWatchdog {
         if parked.len() > 16 {
             let _ = writeln!(out, "  parked: ... and {} more", parked.len() - 16);
         }
-        let metrics = svc.metrics();
-        let mut dumped = 0;
-        for stripe in 0..metrics.flight_stripes() {
-            let events = metrics.flight_events(stripe);
-            if events.is_empty() {
-                continue;
-            }
-            for ev in events.iter().rev().take(8).rev() {
+        if let Some(tracer) = svc.table().lot().tracer() {
+            let mut events: Vec<_> = (0..tracer.nprocs())
+                .flat_map(|pid| {
+                    tracer
+                        .events(pid)
+                        .into_iter()
+                        .map(move |ev| (ev.t, pid, ev.kind))
+                })
+                .collect();
+            // Stable: a ring's events that share a microsecond keep their order.
+            events.sort_by_key(|&(t, _, _)| t);
+            for &(t, pid, kind) in &events[events.len().saturating_sub(TAIL_EVENTS)..] {
+                let (EventKind::FutexPark { addr }
+                | EventKind::FutexWake { addr, .. }
+                | EventKind::FutexResume { addr, .. }) = kind
+                else {
+                    continue;
+                };
                 let _ = writeln!(
                     out,
-                    "  flight[{stripe}]: t={}us {} key={:#x}",
-                    ev.t_us,
-                    ev.kind.label(),
-                    ev.key
+                    "  recent[p{pid}]: t={t}us {} addr={addr:#x}",
+                    kind.class().name()
                 );
-            }
-            dumped += 1;
-            if dumped >= 8 {
-                break;
             }
         }
         out
@@ -1119,7 +1033,6 @@ mod tests {
         m.count_sem_grants(2, 5);
         m.count_cancellation(3);
         m.count_slot_recycle(4);
-        m.flight(0, FlightKind::Park, 42);
         assert!(m.wait_timer(0).is_none());
         let snap = m.snapshot();
         assert_eq!(snap.acquires, 0);
@@ -1128,7 +1041,6 @@ mod tests {
         assert_eq!(snap.sem_grants, 0);
         assert_eq!(snap.cancellations, 0);
         assert_eq!(snap.slot_recycles, 0);
-        assert!(m.flight_events(0).is_empty());
     }
 
     #[test]
@@ -1180,19 +1092,6 @@ mod tests {
         assert_eq!(top[0].0, 1, "hottest key lost: {top:?}");
         assert!(top[0].1 >= 500);
         assert!(top.len() <= HOT_KEYS);
-    }
-
-    #[test]
-    fn flight_ring_keeps_the_most_recent_events() {
-        let m = ServiceMetrics::new(MetricsMode::Counters);
-        for i in 0..(FLIGHT_RING as u64 + 10) {
-            m.flight(3, FlightKind::Park, i);
-        }
-        let events = m.flight_events(3);
-        assert_eq!(events.len(), FLIGHT_RING);
-        // Oldest-first ordering, with the first 10 overwritten.
-        assert_eq!(events[0].key, 10);
-        assert_eq!(events.last().unwrap().key, FLIGHT_RING as u64 + 9);
     }
 
     fn sample_snapshot() -> MetricsSnapshot {

@@ -114,6 +114,46 @@ impl EventClass {
     }
 }
 
+impl Event {
+    /// The event as the four words a ring slot stores: time, class, and up
+    /// to two operands.
+    pub(crate) fn to_words(self) -> [u64; 4] {
+        use EventKind::*;
+        let (a, b) = match self.kind {
+            LockAcquireStart { lock: a } | LockAcquired { lock: a } | LockReleased { lock: a } => {
+                (a as u64, 0)
+            }
+            SpinBegin { addr } | SpinEnd { addr } | FutexPark { addr } => (addr as u64, 0),
+            FutexWake { addr, wakee: pid } | FutexResume { addr, waker: pid } => {
+                (addr as u64, pid as u64)
+            }
+            CtxSwitchIn => (0, 0),
+            EpisodeBegin { id } | EpisodeEnd { id } => (id, 0),
+        };
+        [self.t, self.kind.class() as u64, a, b]
+    }
+
+    /// The inverse of [`Event::to_words`].
+    pub(crate) fn from_words([t, class, id, b]: [u64; 4]) -> Event {
+        use EventKind::*;
+        let (a, b) = (id as usize, b as usize);
+        let kind = match EventClass::ALL[class as usize] {
+            EventClass::LockAcquireStart => LockAcquireStart { lock: a },
+            EventClass::LockAcquired => LockAcquired { lock: a },
+            EventClass::LockReleased => LockReleased { lock: a },
+            EventClass::SpinBegin => SpinBegin { addr: a },
+            EventClass::SpinEnd => SpinEnd { addr: a },
+            EventClass::FutexPark => FutexPark { addr: a },
+            EventClass::FutexWake => FutexWake { addr: a, wakee: b },
+            EventClass::FutexResume => FutexResume { addr: a, waker: b },
+            EventClass::CtxSwitchIn => CtxSwitchIn,
+            EventClass::EpisodeBegin => EpisodeBegin { id },
+            EventClass::EpisodeEnd => EpisodeEnd { id },
+        };
+        Event { t, kind }
+    }
+}
+
 impl EventKind {
     /// The counter class this event belongs to.
     pub fn class(&self) -> EventClass {
@@ -155,5 +195,29 @@ mod tests {
             EventClass::FutexWake
         );
         assert_eq!(EventKind::CtxSwitchIn.class(), EventClass::CtxSwitchIn);
+    }
+
+    #[test]
+    fn every_kind_survives_its_words() {
+        use EventKind::*;
+        for kind in [
+            LockAcquireStart { lock: 1 },
+            LockAcquired { lock: 2 },
+            LockReleased { lock: 3 },
+            SpinBegin { addr: 4 },
+            SpinEnd { addr: 5 },
+            FutexPark { addr: usize::MAX },
+            FutexWake {
+                addr: 6,
+                wakee: NO_PID,
+            },
+            FutexResume { addr: 7, waker: 8 },
+            CtxSwitchIn,
+            EpisodeBegin { id: u64::MAX },
+            EpisodeEnd { id: 9 },
+        ] {
+            let ev = Event { t: 42, kind };
+            assert_eq!(Event::from_words(ev.to_words()), ev);
+        }
     }
 }

@@ -7,6 +7,13 @@
 //! with the recording substrate's clock (simulated cycles on `memsim`,
 //! monotonic microseconds on real hardware).
 //!
+//! A [`Tracer`] belongs to what it observes: a `memsim::Machine` is handed
+//! one, and so is a `parking::futex::ParkingLot` (a `service` table gives
+//! its lot a small one, its flight recorder). Nothing records into a
+//! process-wide tracer. Real threads have no processor number, so
+//! [`Tracer::record_thread`] leases each live thread one of the tracer's
+//! rings for as long as the thread lives.
+//!
 //! Three consumers sit on top:
 //!
 //! * [`histo`] — log-scaled wait/hold-time histograms per lock word
@@ -26,10 +33,12 @@
 pub mod chrome;
 pub mod event;
 pub mod histo;
+mod lease;
 pub mod ring;
 
 pub use event::{Event, EventClass, EventKind, NO_PID};
 pub use histo::Histogram;
+pub use lease::THREAD_SLOTS;
 pub use ring::EventRing;
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -79,8 +88,9 @@ impl CountSet {
     }
 }
 
-/// The recorder handed to a machine, runtime, or workload: one event ring
-/// and one counter set per processor.
+/// The recorder handed to a machine, parking lot, or workload: one event
+/// ring and one counter set per processor — or, on real threads, per
+/// leased thread.
 ///
 /// Cloning the `Arc` shares the recorder; all methods take `&self` (see
 /// [`ring::EventRing`] for the single-writer-per-ring discipline).
@@ -88,6 +98,7 @@ pub struct Tracer {
     mode: TraceMode,
     rings: Vec<EventRing>,
     counts: Vec<CountSet>,
+    leases: Arc<lease::Leases>,
 }
 
 impl Tracer {
@@ -107,6 +118,7 @@ impl Tracer {
             mode,
             rings: (0..nprocs).map(|_| EventRing::new(ring_cap)).collect(),
             counts: (0..nprocs).map(|_| CountSet::new()).collect(),
+            leases: lease::Leases::new(nprocs),
         }
     }
 
@@ -136,8 +148,30 @@ impl Tracer {
         self.counts[pid].0[kind.class().index()].fetch_add(1, Ordering::Relaxed);
     }
 
+    /// Records one event for the calling thread, into the ring leased to it
+    /// from its first event until it exits; a thread that finds all
+    /// [`THREAD_SLOTS`] rings (or, for a smaller tracer, all
+    /// [`Tracer::nprocs`]) leased to other live threads is counted in
+    /// [`Tracer::unleased`] instead. No-op in [`TraceMode::Off`].
+    pub fn record_thread(&self, t: u64, kind: EventKind) {
+        if self.mode == TraceMode::Off {
+            return;
+        }
+        match lease::thread_slot(&self.leases) {
+            Some(pid) => self.record(pid, t, kind),
+            None => _ = self.leases.unleased.fetch_add(1, Ordering::Relaxed),
+        }
+    }
+
+    /// Events [`Tracer::record_thread`] could not record: their thread
+    /// found every ring leased.
+    pub fn unleased(&self) -> u64 {
+        self.leases.unleased.load(Ordering::Relaxed)
+    }
+
     /// Retained events for `pid`, oldest first (empty unless full mode).
-    /// Call after the traced run has quiesced.
+    /// Exact once the traced run has quiesced; a live read may miss the
+    /// oldest event ([`EventRing::snapshot`]).
     pub fn events(&self, pid: usize) -> Vec<Event> {
         self.rings[pid].snapshot()
     }

@@ -1,40 +1,40 @@
 //! A fixed-capacity, single-writer event ring.
 //!
-//! The recorder must never perturb what it observes: a push is two plain
-//! slot writes and one atomic store, with no allocation, locking, or
-//! branching on occupancy — when the ring is full the oldest event is
+//! The recorder must never perturb what it observes: a push is five
+//! relaxed word stores and one release store, with no allocation, locking,
+//! or branching on occupancy — when the ring is full the oldest event is
 //! overwritten and a drop counter (derivable from the monotonic push count)
 //! says how many were lost.
 //!
 //! # Writer discipline
 //!
-//! Each ring has **one writing thread at a time**, and a change of writer
-//! is ordered by whoever arranges it. In the simulator that is structural:
-//! a simulation's processors are coroutines on the one host thread that
-//! runs the machine, so every ring of its tracer is written by that thread
-//! alone. On real hardware `parking::trace_hooks` leases each ring to one
-//! live thread and passes it on only after that thread has exited, through
-//! a release/acquire pair on its lease word. Readers call
-//! [`EventRing::snapshot`] only after the run has quiesced (simulation
-//! finished, threads joined), so they never race a writer.
+//! Each ring has **one writing thread at a time** — two racing pushes
+//! would claim the same slot and lose an event — and a change of writer is
+//! ordered by whoever arranges it. In the simulator that is structural: a
+//! simulation's processors are coroutines on the one host thread that runs
+//! the machine, so every ring of its tracer is written by that thread
+//! alone. On real threads the [`crate::Tracer`] leases each ring to one
+//! live thread ([`crate::Tracer::record_thread`]) and passes it on only
+//! after that thread has exited, through a release/acquire pair on the
+//! tracer's lease word.
+//!
+//! Readers need no discipline: the slots are atomic words, and
+//! [`EventRing::snapshot`] may run while the writer pushes (the stall
+//! watchdog reads a live service's rings). It leaves out the one slot a
+//! push in flight may be overwriting, so every event it returns is one the
+//! writer pushed, whole.
 
 use crate::event::Event;
-use std::cell::UnsafeCell;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{fence, AtomicU64, AtomicUsize, Ordering};
 
 /// Fixed-capacity overwrite-oldest ring of [`Event`]s.
 pub struct EventRing {
-    slots: Box<[UnsafeCell<Event>]>,
-    /// Monotonic number of pushes ever performed (not clamped to capacity).
-    pushed: AtomicUsize,
+    /// Each event as [`Event::to_words`] spells it.
+    slots: Box<[[AtomicU64; 4]]>,
+    /// Twice the pushes ever completed (not clamped to capacity), plus one
+    /// while a push is in flight.
+    seq: AtomicUsize,
 }
-
-// SAFETY: see the module-level writer discipline. `slots` cells are written
-// by exactly one thread at a time, a change of writer is ordered by the
-// release/acquire hand-off of whoever leases the ring out, and they are read
-// only after all writers have quiesced; `pushed` is atomic.
-unsafe impl Sync for EventRing {}
-unsafe impl Send for EventRing {}
 
 impl EventRing {
     /// Creates a ring holding up to `capacity` events.
@@ -45,21 +45,22 @@ impl EventRing {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "EventRing capacity must be nonzero");
         EventRing {
-            slots: (0..capacity)
-                .map(|_| UnsafeCell::new(Event::default()))
-                .collect(),
-            pushed: AtomicUsize::new(0),
+            slots: (0..capacity).map(|_| Default::default()).collect(),
+            seq: AtomicUsize::new(0),
         }
     }
 
     /// Appends an event, overwriting the oldest once full. Wait-free.
     pub fn push(&self, ev: Event) {
-        let n = self.pushed.load(Ordering::Relaxed);
-        let slot = &self.slots[n % self.slots.len()];
-        // SAFETY: single writer (module discipline); no reader is active
-        // while a writer exists.
-        unsafe { *slot.get() = ev };
-        self.pushed.store(n + 1, Ordering::Release);
+        let n = self.seq.load(Ordering::Relaxed) / 2;
+        self.seq.store(2 * n + 1, Ordering::Relaxed);
+        // Orders the in-flight mark before the slot writes: a reader that
+        // sees any of them also sees the mark (the fence pair in `snapshot`).
+        fence(Ordering::Release);
+        for (slot, word) in self.slots[n % self.slots.len()].iter().zip(ev.to_words()) {
+            slot.store(word, Ordering::Relaxed);
+        }
+        self.seq.store(2 * n + 2, Ordering::Release);
     }
 
     /// Maximum number of retained events.
@@ -69,7 +70,7 @@ impl EventRing {
 
     /// Total events ever pushed (including overwritten ones).
     pub fn pushed(&self) -> usize {
-        self.pushed.load(Ordering::Acquire)
+        self.seq.load(Ordering::Acquire) / 2
     }
 
     /// Events currently retained.
@@ -87,15 +88,29 @@ impl EventRing {
         self.pushed().saturating_sub(self.capacity())
     }
 
-    /// The retained events, oldest first. Call only after writers quiesce.
+    /// The retained events, oldest first. Exact once the writer has
+    /// quiesced; while it pushes, the oldest retained event may be missing.
     pub fn snapshot(&self) -> Vec<Event> {
-        let n = self.pushed();
         let cap = self.capacity();
-        let start = n.saturating_sub(cap);
-        (start..n)
-            // SAFETY: all writers have quiesced (module discipline), so the
-            // cells are stable.
-            .map(|i| unsafe { *self.slots[i % cap].get() })
+        let end = self.pushed();
+        let words: Vec<[u64; 4]> = (end.saturating_sub(cap)..end)
+            .map(|i| {
+                self.slots[i % cap]
+                    .each_ref()
+                    .map(|w| w.load(Ordering::Relaxed))
+            })
+            .collect();
+        fence(Ordering::Acquire);
+        // Push `k` rewrites the slot of event `k - cap`, and any word read
+        // above that a push wrote shows up here as that push begun. Keep
+        // the events no begun push could have reached.
+        let begun = self.seq.load(Ordering::Relaxed).div_ceil(2);
+        let first_whole = begun.saturating_sub(cap);
+        let start = end.saturating_sub(cap);
+        words
+            .into_iter()
+            .skip(first_whole.saturating_sub(start))
+            .map(Event::from_words)
             .collect()
     }
 }
@@ -151,5 +166,27 @@ mod tests {
     #[should_panic(expected = "nonzero")]
     fn zero_capacity_rejected() {
         let _ = EventRing::new(0);
+    }
+
+    /// A reader snapshotting while the writer laps the ring sees only whole
+    /// events (each `ev(t)` carries its time twice), consecutive and in
+    /// order, never more than the capacity.
+    #[test]
+    fn live_snapshots_hold_only_whole_events() {
+        const CAP: usize = 8;
+        const PUSHES: u64 = 200_000;
+        let ring = EventRing::new(CAP);
+        std::thread::scope(|s| {
+            s.spawn(|| (0..PUSHES).for_each(|t| ring.push(ev(t))));
+            while ring.pushed() < PUSHES as usize {
+                let events = ring.snapshot();
+                assert!(events.len() <= CAP);
+                for (i, e) in events.iter().enumerate() {
+                    assert_eq!(e.kind, EventKind::SpinBegin { addr: e.t as usize }, "torn");
+                    assert_eq!(e.t, events[0].t + i as u64, "{events:?}");
+                }
+            }
+        });
+        assert_eq!(ring.snapshot().len(), CAP);
     }
 }

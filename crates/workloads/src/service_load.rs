@@ -562,7 +562,7 @@ pub struct RealServiceResult {
     pub hold_ns: Histogram,
     /// Table occupancy after teardown (`live` must be 0).
     pub stats: service::TableStats,
-    /// Machine-wide futex accounting delta across the run.
+    /// The service lot's futex ledger, delta across the run.
     pub futex: parking::futex::FutexTotals,
 }
 
@@ -572,7 +572,7 @@ pub struct RealServiceResult {
 pub fn run_real(svc: &service::LockService, cfg: &RealServiceConfig) -> RealServiceResult {
     assert!(cfg.threads > 0, "the service load needs at least one worker");
     let zipf = Zipf::new(cfg.keys, cfg.zipf_s);
-    let before = parking::futex::totals();
+    let before = svc.futex_totals();
     let start = std::time::Instant::now();
     let mut per_thread: Vec<(Histogram, Histogram)> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..cfg.threads)
@@ -615,7 +615,7 @@ pub fn run_real(svc: &service::LockService, cfg: &RealServiceConfig) -> RealServ
         wait_ns,
         hold_ns,
         stats: svc.stats(),
-        futex: parking::futex::totals().since(&before),
+        futex: svc.futex_totals().since(&before),
     }
 }
 

@@ -163,7 +163,7 @@ fn exporters_validate_after_a_real_run() {
 
 /// A waiter deliberately parked past the threshold must trip the
 /// watchdog exactly once, and the report must carry the stall roster and
-/// the flight-recorder tail.
+/// the flight-recorder tail with the victim's park in it.
 #[test]
 fn watchdog_fires_once_on_a_genuine_stall() {
     let svc = Arc::new(service::LockService::with_metrics_mode(
@@ -210,6 +210,20 @@ fn watchdog_fires_once_on_a_genuine_stall() {
             "a mutex waiter parks untagged:\n{report}"
         );
         assert!(report.contains("futex"), "no lot ledger:\n{report}");
+        // The tail is the lot's newest events, and the newest park is the
+        // victim's, on the word the roster names.
+        let addr = report
+            .lines()
+            .find_map(|l| l.trim().strip_prefix("parked: addr="))
+            .and_then(|rest| rest.split(' ').next())
+            .expect("roster line carries the address");
+        let park = format!("futex-park addr={addr}");
+        assert!(
+            report
+                .lines()
+                .any(|l| l.contains("recent[") && l.ends_with(&park)),
+            "the tail lacks the victim's park ({park}):\n{report}"
+        );
 
         assert!(!released.load(Ordering::Relaxed), "victim resumed early");
         drop(guard);
