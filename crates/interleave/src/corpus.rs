@@ -22,9 +22,10 @@
 //! ```
 
 use crate::explorer::{ReplayEnd, Verdict};
-use crate::program::Program;
+use crate::program::{ChkCtx, Program};
 use kernels::locks::LockKernel;
 use kernels::{Addr, Region, SyncCtx, Word};
+use service::protocol::{self, WaitingArray, Words, CONTENDED, FREE, HELD};
 use std::sync::Arc;
 
 /// The class of a [`Verdict`] or [`ReplayEnd`], without the run-specific
@@ -249,127 +250,156 @@ impl LockKernel for BlockingGrantLock {
     }
 }
 
-/// The contended path of `service::LockService::lock`: the three-state
-/// futex mutex (0 free, 1 held, 2 held with waiters) whose waiter spins,
-/// announces itself, parks — and, once woken, **spins again** before it
-/// pays for a second park, because release stores FREE before it wakes
-/// and a barger may hold the word again by the time the wakee runs.
-///
-/// A spin is modelled as one CAS `FREE -> locked`: the checker explores
-/// every placement of that attempt against the other threads' steps, and
-/// the further probes of a real spin (and the plain loads it watches the
-/// word with) only repeat one of those placements. For the same reason
-/// the fast-path CAS and the first spin are one step, and the slow loop's
-/// load-then-CAS is a CAS whose failure value stands in for the load. That
-/// keeps three threads exhaustively checkable.
-///
-/// The seeded bug is the tempting one: let the post-wake spin acquire as
-/// HELD, like the first spin does. The woken waiter cannot know whether
-/// others are still parked behind it, and only a CONTENDED release wakes
-/// them — a second parked waiter is stranded.
-#[derive(Debug)]
-pub struct SpinThenParkLock {
-    /// Post-wake spin acquires as CONTENDED (correct) or HELD (seeded bug).
-    pub fixed: bool,
+/// A seeded bug in a shipped protocol: one operation of [`Chk`] rewritten.
+/// The service's code is the same in the fixed and the buggy program —
+/// only the context it runs on lies.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Mutant {
+    /// A tagged wake wakes the word's oldest waiter, whatever its tag: the
+    /// PR 8 semaphore bug (`waiting-array-wake-one-shared-slot`).
+    TaggedWakeOne,
+    /// A wake-all wakes one waiter (`eventcount-wake-one-two-targets`,
+    /// `barrier-round-wake-one`).
+    WakeOne,
+    /// A wake wakes nobody, and takes no step
+    /// (`eventcount-wrap-missed-wake-*`).
+    NoWake,
+    /// The first CAS after a park, if it takes the word FREE → CONTENDED,
+    /// stores HELD (`spin-then-park-respin-held-*`).
+    RespinHeld,
+    /// The canceller's re-check under the abandoned set's lock reads the
+    /// slot but keeps the "unpublished" of its check before the lock
+    /// (`waiting-array-stale-cancel-recheck`).
+    StaleRecheck,
 }
 
-impl SpinThenParkLock {
-    const FREE: Word = 0;
-    const HELD: Word = 1;
-    const CONTENDED: Word = 2;
+/// The checker's instantiation of [`Words`]: a word is an address of the
+/// program's memory, every operation one schedule step of the thread's
+/// [`ChkCtx`], and a spin one probe — its further probes, more loads of the
+/// word, each repeat a placement the explorer already tries for the one
+/// kept. `mutant`, when set, rewrites one operation.
+pub struct Chk<'c> {
+    ctx: &'c mut ChkCtx,
+    mutant: Option<Mutant>,
+    /// The last wait parked: [`Mutant::RespinHeld`]'s trigger.
+    woken: bool,
+}
 
-    /// `LockService::lock` past the attach, on the lock word `word`.
-    pub fn acquire(&self, ctx: &mut dyn SyncCtx, word: Addr) {
-        // Fast path and first spin: acquire as HELD.
-        if ctx.cas(word, Self::FREE, Self::HELD).is_ok() {
-            return;
-        }
-        let respin_as = if self.fixed {
-            Self::CONTENDED
-        } else {
-            Self::HELD
-        };
-        loop {
-            match ctx.cas(word, Self::FREE, Self::CONTENDED) {
-                Ok(_) => return,
-                // Announce; if the word moved under us, look again.
-                Err(Self::HELD) => {
-                    if ctx.cas(word, Self::HELD, Self::CONTENDED).is_err() {
-                        continue;
-                    }
-                }
-                Err(_) => {}
-            }
-            ctx.futex_wait(word, Self::CONTENDED);
-            // Woken: spin again before re-announcing.
-            if ctx.cas(word, Self::FREE, respin_as).is_ok() {
-                return;
-            }
-        }
-    }
-
-    /// `KeyGuard::drop`: store FREE, wake one iff waiters were announced.
-    pub fn release(&self, ctx: &mut dyn SyncCtx, word: Addr) {
-        if ctx.swap(word, Self::FREE) == Self::CONTENDED {
-            ctx.futex_wake(word, 1);
+impl<'c> Chk<'c> {
+    /// `ctx` as protocol words, rewritten by `mutant`.
+    pub fn new(ctx: &'c mut ChkCtx, mutant: Option<Mutant>) -> Self {
+        Chk {
+            ctx,
+            mutant,
+            woken: false,
         }
     }
 }
 
-/// The mutual-exclusion workload over [`SpinThenParkLock`] (lock word 0,
+impl Words for Chk<'_> {
+    type Word = Addr;
+    fn load(&mut self, w: Addr) -> Word {
+        self.ctx.load(w)
+    }
+    fn store(&mut self, w: Addr, v: Word) {
+        self.ctx.store(w, v);
+    }
+    fn swap(&mut self, w: Addr, v: Word) -> Word {
+        self.ctx.swap(w, v)
+    }
+    fn cas(&mut self, w: Addr, expected: Word, mut new: Word) -> Result<Word, Word> {
+        let after_park = std::mem::take(&mut self.woken);
+        if after_park
+            && self.mutant == Some(Mutant::RespinHeld)
+            && (expected, new) == (FREE, CONTENDED)
+        {
+            new = HELD;
+        }
+        self.ctx.cas(w, expected, new)
+    }
+    fn fetch_add(&mut self, w: Addr, delta: Word) -> Word {
+        self.ctx.fetch_add(w, delta)
+    }
+    fn wait(&mut self, w: Addr, expected: Word) -> bool {
+        self.woken = self.ctx.futex_wait_op(w, expected, None).0;
+        self.woken
+    }
+    fn wait_tagged(&mut self, w: Addr, expected: Word, tag: Word) -> bool {
+        self.woken = self.ctx.futex_wait_op(w, expected, Some(tag)).0;
+        self.woken
+    }
+    fn wake(&mut self, w: Addr, n: usize) -> usize {
+        match self.mutant {
+            Some(Mutant::NoWake) => 0,
+            Some(Mutant::WakeOne) => self.ctx.futex_wake(w, n.min(1)),
+            _ => self.ctx.futex_wake(w, n),
+        }
+    }
+    /// One wake per pair, in order, where the lot sweeps them all at once:
+    /// this explores every interleaving the sweep allows and some it
+    /// does not.
+    fn wake_tagged(&mut self, pairs: &[(Addr, Word)]) -> usize {
+        let mut woken = 0;
+        for &(w, tag) in pairs {
+            woken += match self.mutant {
+                Some(Mutant::TaggedWakeOne) => self.ctx.futex_wake(w, 1),
+                _ => self.ctx.futex_wake_op(w, Some(tag), usize::MAX),
+            };
+        }
+        woken
+    }
+    fn spin(&mut self, mut probe: impl FnMut(&mut Self) -> bool) -> bool {
+        probe(self)
+    }
+}
+
+/// The service mutex's slow path — `protocol::lock_contended` and
+/// `protocol::unlock` — as a mutual-exclusion workload (lock word 0,
 /// critical-section counter word 1): one critical section per thread, with
 /// thread 0 **starting as the holder**. That is a symmetry reduction, not
-/// a restriction: every thread's first step is the fast-path CAS on the
-/// one lock word, and the first CAS to execute on a free word always
+/// a restriction: the first CAS to execute on a free word always
 /// succeeds, so every execution begins with some thread holding HELD
 /// before any other has taken a step. Naming that thread 0 divides the
-/// search by `nthreads` and drops its acquire steps.
+/// search by `nthreads` and drops its acquire steps. The contenders start
+/// in `lock_contended`: `lock`'s one fast-path CAS would repeat the first
+/// probe of its spin.
+///
+/// The seeded bug ([`Mutant::RespinHeld`]) is the tempting one: let the
+/// post-wake spin acquire as HELD, like the first spin does. The woken
+/// waiter cannot know whether others are still parked behind it, and only
+/// a CONTENDED release wakes them — a second parked waiter is stranded.
 pub fn spin_then_park_program(nthreads: usize, fixed: bool) -> Program {
     assert!(nthreads >= 2, "need the holder and at least one contender");
     const WORD: Addr = 0;
     const COUNTER: Addr = 1;
-    let lock = SpinThenParkLock { fixed };
+    let mutant = (!fixed).then_some(Mutant::RespinHeld);
     Program::new(nthreads, 2, move |ctx| {
         if ctx.pid() != 0 {
-            lock.acquire(ctx, WORD);
+            protocol::lock_contended(&mut Chk::new(ctx, mutant), WORD);
         }
         let c = ctx.data_load(COUNTER);
         ctx.data_store(COUNTER, c + 1);
-        lock.release(ctx, WORD);
+        protocol::unlock(&mut Chk::new(ctx, mutant), WORD);
     })
-    .with_init(vec![(WORD, SpinThenParkLock::HELD)])
+    .with_init(vec![(WORD, HELD)])
 }
 
-/// `service::EventKey::await_at_least` past its fast check, on the count
-/// word `count`: read, compare by signed distance, park iff the count still
-/// reads what was compared. What the model leaves out: the `park_cost()`
-/// spin before the first park (further loads of the word, each a placement
-/// the checker already tries for the one load kept).
-fn eventcount_await(ctx: &mut dyn SyncCtx, count: Addr, target: Word) {
-    loop {
-        let cur = ctx.load(count);
-        if seq_ge(cur, target) {
-            return;
-        }
-        ctx.futex_wait(count, cur);
-    }
-}
-
-/// An eventcount advance across the `u64` wrap (count starts at
-/// `u64::MAX`): awaiters compare by **signed distance**, so the wrapped
-/// target `0` still reads as "reached". The broken variant advances
-/// without waking — the missed-advance bug at the worst possible count.
+/// `protocol::advance` across the `u64` wrap (the count starts at
+/// `u64::MAX`) against awaiters of `protocol::await_at_least(0)`, i.e.
+/// MAX + 1: they compare by **signed distance**, so the wrapped target
+/// still reads as reached. The broken variant's advance wakes nobody
+/// ([`Mutant::NoWake`]) — the missed-advance bug at the worst possible
+/// count.
 pub fn eventcount_wrap_program(nthreads: usize, fixed: bool) -> Program {
     assert!(nthreads >= 2, "need at least one awaiter and the advancer");
+    let mutant = (!fixed).then_some(Mutant::NoWake);
     Program::new(nthreads, 1, move |ctx| {
-        if ctx.pid() < ctx.nprocs() - 1 {
-            // await_at_least(0), i.e. MAX + 1 with wraparound.
-            eventcount_await(ctx, 0, 0);
+        let advancer = ctx.pid() == ctx.nprocs() - 1;
+        let c = &mut Chk::new(ctx, mutant);
+        if advancer {
+            protocol::advance(c, 0);
         } else {
-            ctx.fetch_add(0, 1); // MAX -> 0: the wrap itself is fine...
-            if fixed {
-                ctx.futex_wake(0, usize::MAX); // ...forgetting this is not.
-            }
+            protocol::await_at_least(c, 0, 0);
         }
     })
     .with_init(vec![(0, u64::MAX)])
@@ -377,89 +407,92 @@ pub fn eventcount_wrap_program(nthreads: usize, fixed: bool) -> Program {
 
 /// One eventcount whose awaiters want **different counts**: awaiter `k`
 /// runs `await_at_least(k + 1)` and the last thread advances once per
-/// awaiter. This is why `EventKey::advance` wakes every waiter of the word
+/// awaiter. This is why `protocol::advance` wakes every waiter of the word
 /// and not one: the queue is ordered by arrival, not by target. The seeded
-/// bug wakes the oldest waiter only — when that is an awaiter whose target
-/// is still ahead it swallows the wake meant for the one the advance
-/// satisfied and parks again, and one of the two sleeps on a count that has
-/// passed its target.
+/// bug ([`Mutant::WakeOne`]) wakes the oldest waiter only — when that is an
+/// awaiter whose target is still ahead it swallows the wake meant for the
+/// one the advance satisfied and parks again, and one of the two sleeps on
+/// a count that has passed its target.
 pub fn eventcount_staggered_targets_program(nthreads: usize, wake_all: bool) -> Program {
     assert!(nthreads >= 3, "need two targets and the advancer");
+    let mutant = (!wake_all).then_some(Mutant::WakeOne);
     Program::new(nthreads, 1, move |ctx| {
         let (me, awaiters) = (ctx.pid(), ctx.nprocs() - 1);
+        let c = &mut Chk::new(ctx, mutant);
         if me < awaiters {
-            eventcount_await(ctx, 0, me as Word + 1);
+            protocol::await_at_least(c, 0, me as Word + 1);
         } else {
             for _ in 0..awaiters {
-                ctx.fetch_add(0, 1);
-                ctx.futex_wake(0, if wake_all { usize::MAX } else { 1 });
+                protocol::advance(c, 0);
             }
         }
     })
 }
 
-/// `service::WaitingArraySemaphore` — the counting semaphore whose waiters
-/// index themselves into a **waiting array** (Dice & Kogan) — step for
-/// step on `SyncCtx` words: a permits word (negative: waiters owed a
-/// grant), `enq`/`deq` ticket counters, `slots` slot words that start at
-/// their previous-generation tenant's grant, publication by sequence-max
-/// CAS, a wait that parks — under its ticket — iff the slot still shows
-/// what the waiter read, one wake per granted ticket strictly after every
-/// publication of the batch, and the
-/// abandoned-ticket set as a bitmask word under a CAS lock word (the
-/// service's `Mutex<HashSet<u64>>`).
+/// `parties` threads meet once at the barrier on word 0:
+/// `protocol::barrier_arrive`, then `protocol::barrier_wait` for all but
+/// the last arrival — with thread 0 **already arrived**, the symmetry
+/// reduction of [`spin_then_park_program`]: some arrival's CAS is the
+/// first to land, and every other thread's steps before it are loads that
+/// its CAS turns stale. The seeded bug ([`Mutant::WakeOne`]) completes the
+/// round with a wake-one, and one of the parties that parked sleeps
+/// through it.
+pub fn barrier_program(parties: usize, fixed: bool) -> Program {
+    assert!(parties >= 2, "a barrier nobody waits at checks nothing");
+    let mutant = (!fixed).then_some(Mutant::WakeOne);
+    Program::new(parties, 1, move |ctx| {
+        let first = ctx.pid() == 0;
+        let c = &mut Chk::new(ctx, mutant);
+        if first {
+            protocol::barrier_wait(c, 0, 0);
+        } else if let Some(round) = protocol::barrier_arrive(c, 0, parties as u32) {
+            protocol::barrier_wait(c, 0, round);
+        }
+    })
+    .with_init(vec![(0, 1)])
+}
+
+/// Final-state check of [`barrier_program`]: the round moved on once and
+/// no arrival is left over.
+pub fn barrier_round_completed(mem: &[Word]) -> Result<(), String> {
+    match mem[0] {
+        w if w == 1 << 32 => Ok(()),
+        w => Err(format!("barrier word {w:#x}: not one completed round")),
+    }
+}
+
+/// A waiting-array semaphore's memory in a checked program, for
+/// `protocol`'s semaphore functions to run on [`Chk`]: the permits word
+/// (negative: waiters owed a grant), the `enq`/`deq` ticket counters, the
+/// abandoned set as a bitmask word under a CAS lock word (the service's
+/// `Mutex<HashSet<u64>>`), then `slots` slot words that start at their
+/// previous-generation tenant's grant.
 ///
-/// What the model leaves out: the `park_cost()` spin before the park
-/// (further loads of the slot, each a placement the checker already tries
-/// for the one load kept), and the async front end's waker registration —
-/// a cancelling waiter is a thread that polls its slot once and then runs
-/// `cancel_ticket`; withdrawing a parked registration needs a
-/// `futex_register` / `futex_cancel` pair `SyncCtx` does not have.
-///
-/// Two seeded bugs, one per flag. `per_ticket_wake: false` wakes the
-/// slot's oldest waiter whatever its ticket, the PR 8 bug: tickets `t` and
-/// `t + slots` park on one word, the wake dequeues the sharer whose grant
-/// is still pending, it parks again, and the granted waiter sleeps for
-/// good. `check_after_publish: false`
-/// looks the ticket up in the abandoned set *before* publishing its grant:
-/// a canceller that inserts in between is granted as a ghost and the
-/// permit is gone.
+/// What the checker leaves out: the async front end's waker registration
+/// — a cancelling waiter is a thread that polls its slot once and then
+/// runs `cancel_ticket`; withdrawing a parked registration needs a
+/// `futex_register` / `futex_cancel` pair [`Words`] does not have.
 #[derive(Debug, Clone, Copy)]
-pub struct WaitingArraySem {
+pub struct WaitingArrayWords {
     /// Waiting-array slots, a power of two.
     pub slots: usize,
     /// First ticket (`with_ticket_origin`).
     pub origin: Word,
-    /// A grant wakes the waiter that parked with the granted ticket
-    /// (correct) or the oldest waiter of the ticket's slot (seeded bug).
-    pub per_ticket_wake: bool,
-    /// Check the abandoned set after publishing the grant (correct) or
-    /// before (seeded bug).
-    pub check_after_publish: bool,
 }
 
-/// Wraparound-safe `a >= b` on sequence numbers (`service::seq_ge`).
-fn seq_ge(a: Word, b: Word) -> bool {
-    a.wrapping_sub(b) as i64 >= 0
-}
-
-impl WaitingArraySem {
-    const PERMITS: Addr = 0;
+impl WaitingArrayWords {
+    /// The permits word, an `i64`.
+    pub const PERMITS: Addr = 0;
     const ENQ: Addr = 1;
     const DEQ: Addr = 2;
     const ABANDONED_LOCK: Addr = 3;
     const ABANDONED: Addr = 4;
     const SLOT0: Addr = 5;
 
-    /// The correct semaphore over `slots` slots, tickets from `origin`.
+    /// A semaphore over `slots` slots, tickets from `origin`.
     pub fn new(slots: usize, origin: Word) -> Self {
         assert!(slots.is_power_of_two(), "the array is indexed by a mask");
-        WaitingArraySem {
-            slots,
-            origin,
-            per_ticket_wake: true,
-            check_after_publish: true,
-        }
+        WaitingArrayWords { slots, origin }
     }
 
     /// Memory words the semaphore occupies, from address 0.
@@ -479,167 +512,73 @@ impl WaitingArraySem {
             (Self::DEQ, self.origin),
         ];
         for i in 0..w {
-            // "No grant yet" is the grant of the slot's previous-generation
-            // tenant, strictly behind its first real waiter's.
-            let t0 = self
-                .origin
-                .wrapping_add(i.wrapping_sub(self.origin) & (w - 1));
-            image.push((self.slot(t0), t0.wrapping_add(1).wrapping_sub(w)));
+            let empty = protocol::empty_slot(self.origin, w, i);
+            image.push((Self::SLOT0 + i as usize, empty));
         }
         image
     }
 
-    fn slot(&self, ticket: Word) -> Addr {
-        Self::SLOT0 + (ticket & (self.slots as Word - 1)) as usize
-    }
-
-    /// `permits()`.
-    pub fn permits(&self, ctx: &mut dyn SyncCtx) -> i64 {
-        ctx.load(Self::PERMITS) as i64
-    }
-
-    /// The head of `acquire` / the first poll of `acquire_async`: take a
-    /// permit, or a ticket to wait on when there is none.
-    pub fn take_ticket(&self, ctx: &mut dyn SyncCtx) -> Option<Word> {
-        let prev = ctx.fetch_add(Self::PERMITS, Word::MAX) as i64;
-        (prev <= 0).then(|| ctx.fetch_add(Self::ENQ, 1))
-    }
-
-    /// Whether `ticket`'s grant is published: one poll of a waiting
-    /// `AcquireFuture`.
-    pub fn granted(&self, ctx: &mut dyn SyncCtx, ticket: Word) -> bool {
-        seq_ge(ctx.load(self.slot(ticket)), ticket.wrapping_add(1))
-    }
-
-    /// The wait loop of `acquire`: load, compare, park under the ticket
-    /// iff unchanged.
-    pub fn wait(&self, ctx: &mut dyn SyncCtx, ticket: Word) {
-        let slot = self.slot(ticket);
-        loop {
-            let cur = ctx.load(slot);
-            if seq_ge(cur, ticket.wrapping_add(1)) {
-                return;
-            }
-            ctx.futex_wait_tagged(slot, cur, ticket);
-        }
-    }
-
-    /// `acquire`.
-    pub fn acquire(&self, ctx: &mut dyn SyncCtx) {
-        if let Some(ticket) = self.take_ticket(ctx) {
-            self.wait(ctx, ticket);
-        }
-    }
-
-    /// `try_acquire`.
-    pub fn try_acquire(&self, ctx: &mut dyn SyncCtx) -> bool {
-        let mut cur = ctx.load(Self::PERMITS);
-        while cur as i64 > 0 {
-            match ctx.cas(Self::PERMITS, cur, cur - 1) {
-                Ok(_) => return true,
-                Err(now) => cur = now,
-            }
-        }
-        false
-    }
-
     /// Runs `f` on the abandoned-set word under its lock.
-    fn with_abandoned<R>(
-        &self,
-        ctx: &mut dyn SyncCtx,
-        f: impl FnOnce(&mut dyn SyncCtx, Word) -> R,
-    ) -> R {
-        while ctx.cas(Self::ABANDONED_LOCK, 0, 1).is_err() {
-            ctx.spin_while(Self::ABANDONED_LOCK, 1);
+    fn with_abandoned<'c, R>(&self, c: &mut Chk<'c>, f: impl FnOnce(&mut Chk<'c>, Word) -> R) -> R {
+        while c.cas(Self::ABANDONED_LOCK, 0, 1).is_err() {
+            c.ctx.spin_while(Self::ABANDONED_LOCK, 1);
         }
-        let set = ctx.load(Self::ABANDONED);
-        let r = f(ctx, set);
-        ctx.store(Self::ABANDONED_LOCK, 0);
+        let set = c.load(Self::ABANDONED);
+        let r = f(c, set);
+        c.store(Self::ABANDONED_LOCK, 0);
         r
     }
 
     fn abandoned_bit(&self, ticket: Word) -> Word {
         let nth = ticket.wrapping_sub(self.origin);
-        assert!(nth < 64, "the model's abandoned set holds 64 tickets");
+        assert!(nth < 64, "the checked abandoned set holds 64 tickets");
         1 << nth
     }
+}
 
-    /// `abandoned.lock().remove(&ticket)`.
-    fn take_abandoned(&self, ctx: &mut dyn SyncCtx, ticket: Word) -> bool {
+impl<'c> WaitingArray<Chk<'c>> for WaitingArrayWords {
+    fn permits(&self) -> Addr {
+        Self::PERMITS
+    }
+    fn enq(&self) -> Addr {
+        Self::ENQ
+    }
+    fn deq(&self) -> Addr {
+        Self::DEQ
+    }
+    fn slot(&self, ticket: Word) -> Addr {
+        Self::SLOT0 + (ticket & (self.slots as Word - 1)) as usize
+    }
+    fn take_abandoned(&self, c: &mut Chk<'c>, ticket: Word) -> bool {
         let bit = self.abandoned_bit(ticket);
-        self.with_abandoned(ctx, |ctx, set| {
+        self.with_abandoned(c, |c, set| {
             if set & bit != 0 {
-                ctx.store(Self::ABANDONED, set & !bit);
+                c.store(Self::ABANDONED, set & !bit);
             }
             set & bit != 0
         })
     }
-
-    /// `release_n`: how many grants went to waiters.
-    pub fn release_n(&self, ctx: &mut dyn SyncCtx, n: usize) -> usize {
-        let mut granted = Vec::new();
-        let mut remaining = n;
-        while remaining > 0 {
-            remaining -= 1;
-            let prev = ctx.fetch_add(Self::PERMITS, 1) as i64;
-            if prev >= 0 {
-                continue;
+    fn abandon_if(
+        &self,
+        c: &mut Chk<'c>,
+        ticket: Word,
+        unpublished: impl FnOnce(&mut Chk<'c>) -> bool,
+    ) -> bool {
+        let bit = self.abandoned_bit(ticket);
+        self.with_abandoned(c, |c, set| {
+            let insert = unpublished(c) || c.mutant == Some(Mutant::StaleRecheck);
+            if insert {
+                c.store(Self::ABANDONED, set | bit);
             }
-            let ticket = ctx.fetch_add(Self::DEQ, 1);
-            if !self.check_after_publish && self.take_abandoned(ctx, ticket) {
-                remaining += 1;
-                continue;
-            }
-            let (slot, grant) = (self.slot(ticket), ticket.wrapping_add(1));
-            // Sequence-max publication: never regress a slot that the
-            // releaser of `ticket + slots` already advanced past us.
-            let mut cur = ctx.load(slot);
-            while !seq_ge(cur, grant) {
-                match ctx.cas(slot, cur, grant) {
-                    Ok(_) => break,
-                    Err(now) => cur = now,
-                }
-            }
-            if self.check_after_publish && self.take_abandoned(ctx, ticket) {
-                remaining += 1;
-                continue;
-            }
-            granted.push((slot, ticket));
-        }
-        // `ParkingLot::wake_tagged`: one wake per grant, after the whole batch
-        // is published.
-        for &(slot, ticket) in &granted {
-            if self.per_ticket_wake {
-                ctx.futex_wake_tagged(slot, ticket);
-            } else {
-                ctx.futex_wake(slot, 1);
-            }
-        }
-        granted.len()
+            insert
+        })
     }
+}
 
-    /// `cancel_ticket`: the waiter holding `ticket` goes away unadmitted.
-    pub fn cancel_ticket(&self, ctx: &mut dyn SyncCtx, ticket: Word) {
-        if !self.granted(ctx, ticket) {
-            let bit = self.abandoned_bit(ticket);
-            let slot = self.slot(ticket);
-            // Re-check under the lock: the releaser publishes first and
-            // looks the ticket up second, so an insert made while the
-            // grant is still unpublished is seen.
-            let inserted = self.with_abandoned(ctx, |ctx, set| {
-                let unpublished = !seq_ge(ctx.load(slot), ticket.wrapping_add(1));
-                if unpublished {
-                    ctx.store(Self::ABANDONED, set | bit);
-                }
-                unpublished
-            });
-            if inserted {
-                return;
-            }
-        }
-        // The grant is published and addressed to this ticket alone: hand
-        // the permit onward.
-        self.release_n(ctx, 1);
+/// `WaitingArraySemaphore::acquire` without its telemetry.
+fn acquire(c: &mut Chk, sem: &WaitingArrayWords) {
+    if let Some(ticket) = protocol::take_ticket(c, sem) {
+        protocol::wait_for_grant(c, sem, ticket);
     }
 }
 
@@ -647,7 +586,10 @@ impl WaitingArraySem {
 /// the last thread releases one permit at a time, `waiters` times — the
 /// worst case for a shared slot (`shared_slot_releases_reach_their_waiters`
 /// in `service`): a batch release would wake once per grant and hide the
-/// wake-one bug. Every waiter must get through and no permit may be left.
+/// wake-one bug ([`Mutant::TaggedWakeOne`]: tickets `t` and `t + slots`
+/// park on one word, the wake dequeues the sharer whose grant is still
+/// pending, it parks again, and the granted waiter sleeps for good). Every
+/// waiter must get through and no permit may be left.
 ///
 /// `ticketed` starts from the state the bug needs — every waiter has found
 /// no permit and holds ticket `pid` — and drops the waiters' two counter
@@ -661,21 +603,20 @@ pub fn waiting_array_shared_slot_program(
     ticketed: bool,
     per_ticket_wake: bool,
 ) -> Program {
-    let sem = WaitingArraySem {
-        per_ticket_wake,
-        ..WaitingArraySem::new(slots, 0)
-    };
+    let sem = WaitingArrayWords::new(slots, 0);
+    let mutant = (!per_ticket_wake).then_some(Mutant::TaggedWakeOne);
     let init = sem.init(0, if ticketed { waiters as u64 } else { 0 });
     Program::new(waiters + 1, sem.words(), move |ctx| {
-        if ctx.pid() == waiters {
+        let me = ctx.pid();
+        let c = &mut Chk::new(ctx, mutant);
+        if me == waiters {
             for _ in 0..waiters {
-                sem.release_n(ctx, 1);
+                protocol::release_n(c, &sem, 1);
             }
         } else if ticketed {
-            let ticket = ctx.pid() as Word;
-            sem.wait(ctx, ticket);
+            protocol::wait_for_grant(c, &sem, me as Word);
         } else {
-            sem.acquire(ctx);
+            acquire(c, &sem);
         }
     })
     .with_init(init)
@@ -686,29 +627,35 @@ pub fn waiting_array_shared_slot_program(
 /// once and cancels — or, admitted by that poll, returns its permit —
 /// while thread 2 runs `release_n(2)`. Whichever side recycles the
 /// cancelled ticket, the survivor is admitted and exactly one permit is
-/// left ([`waiting_array_one_permit_left`]).
-pub fn waiting_array_cancel_program(check_after_publish: bool) -> Program {
-    let sem = WaitingArraySem {
-        check_after_publish,
-        ..WaitingArraySem::new(2, 0)
-    };
-    Program::new(3, sem.words(), move |ctx| match ctx.pid() {
-        0 => sem.acquire(ctx),
-        1 => match sem.take_ticket(ctx) {
-            Some(ticket) if !sem.granted(ctx, ticket) => sem.cancel_ticket(ctx, ticket),
+/// left ([`waiting_array_one_permit_left`]). The seeded bug
+/// ([`Mutant::StaleRecheck`]) trusts the check before the lock: a grant
+/// published in between goes to a ghost and the permit is gone.
+pub fn waiting_array_cancel_program(fixed: bool) -> Program {
+    let sem = WaitingArrayWords::new(2, 0);
+    let mutant = (!fixed).then_some(Mutant::StaleRecheck);
+    Program::new(3, sem.words(), move |ctx| {
+        let me = ctx.pid();
+        let c = &mut Chk::new(ctx, mutant);
+        match me {
+            0 => acquire(c, &sem),
+            1 => match protocol::take_ticket(c, &sem) {
+                Some(ticket) if !protocol::granted(c, &sem, ticket) => {
+                    protocol::cancel_ticket(c, &sem, ticket)
+                }
+                _ => {
+                    protocol::release_n(c, &sem, 1);
+                }
+            },
             _ => {
-                sem.release_n(ctx, 1);
+                protocol::release_n(c, &sem, 2);
             }
-        },
-        _ => {
-            sem.release_n(ctx, 2);
         }
     })
     .with_init(sem.init(0, 0))
 }
 
 fn permits_are(want: i64, mem: &[Word]) -> Result<(), String> {
-    match mem[WaitingArraySem::PERMITS] as i64 {
+    match mem[WaitingArrayWords::PERMITS] as i64 {
         got if got == want => Ok(()),
         got => Err(format!("permits {got} != {want}: a permit leaked")),
     }
@@ -724,6 +671,28 @@ pub fn waiting_array_drained(mem: &[Word]) -> Result<(), String> {
 /// released, one held by the survivor, the cancelled one back on the count.
 pub fn waiting_array_one_permit_left(mem: &[Word]) -> Result<(), String> {
     permits_are(1, mem)
+}
+
+/// A flag handshake: thread 0 waits for word 0 to leave 0, thread 1
+/// publishes 1 and wakes. The seeded bug wakes *before* it publishes: the
+/// waiter can read the stale flag, the wake fires into an empty queue, and
+/// the waiter parks on a compare that still succeeds — asleep forever with
+/// the flag set. Publishing first is what the compare-and-block needs.
+pub fn flag_handshake_program(fixed: bool) -> Program {
+    Program::new(2, 1, move |ctx| {
+        if ctx.pid() == 0 {
+            let mut cur = ctx.load(0);
+            while cur == 0 {
+                cur = ctx.futex_wait(0, cur);
+            }
+        } else if fixed {
+            ctx.store(0, 1);
+            ctx.futex_wake(0, usize::MAX);
+        } else {
+            ctx.futex_wake(0, usize::MAX); // bug: wake into an empty queue...
+            ctx.store(0, 1); // ...then publish, too late for a parked waiter.
+        }
+    })
 }
 
 /// The mutual-exclusion workload over [`BlockingGrantLock`], exactly as
@@ -775,20 +744,7 @@ pub fn corpus_program(name: &str) -> Option<(Program, fn(&[Word]) -> Result<(), 
             counter_is_2,
         )),
         // Futex wake fired before the flag is published.
-        "wake-before-publish" => Some((
-            Program::new(2, 1, |ctx| {
-                if ctx.pid() == 0 {
-                    let mut cur = ctx.load(0);
-                    while cur == 0 {
-                        cur = ctx.futex_wait(0, cur);
-                    }
-                } else {
-                    ctx.futex_wake(0, usize::MAX);
-                    ctx.store(0, 1);
-                }
-            }),
-            pass,
-        )),
+        "wake-before-publish" => Some((flag_handshake_program(false), pass)),
         // Blocking QSM-style lock whose release wakes before advancing.
         "blocking-grant-wake-first-3" => Some((blocking_grant_program(3, 1, false), pass)),
         "blocking-grant-wake-first-4" => Some((blocking_grant_program(4, 1, false), pass)),
@@ -809,12 +765,14 @@ pub fn corpus_program(name: &str) -> Option<(Program, fn(&[Word]) -> Result<(), 
             waiting_array_shared_slot_program(2, 1, true, false),
             waiting_array_drained,
         )),
-        // The same semaphore consulting the abandoned set before it
-        // publishes the grant.
-        "waiting-array-check-before-publish" => Some((
+        // The same semaphore whose canceller trusts its check before the
+        // abandoned set's lock.
+        "waiting-array-stale-cancel-recheck" => Some((
             waiting_array_cancel_program(false),
             waiting_array_one_permit_left,
         )),
+        // Barrier whose round-completing arrival wakes one waiter.
+        "barrier-round-wake-one" => Some((barrier_program(3, false), barrier_round_completed)),
         _ => None,
     }
 }
@@ -833,14 +791,16 @@ pub fn corpus_program_names() -> &'static [&'static str] {
         "eventcount-wrap-missed-wake-4",
         "eventcount-wake-one-two-targets",
         "waiting-array-wake-one-shared-slot",
-        "waiting-array-check-before-publish",
+        "waiting-array-stale-cancel-recheck",
+        "barrier-round-wake-one",
     ]
 }
 
-/// Observe-then-claim lock (the classic missing-atomicity bug), kept here
-/// so corpus files can name it.
+/// Observe-then-claim lock: acquire observes the word free, *then* claims
+/// it with a separate store, and the window between the two admits two
+/// owners — the bug you get by "optimizing away" the atomic RMW.
 #[derive(Debug)]
-struct CheckThenSetLock;
+pub struct CheckThenSetLock;
 
 impl LockKernel for CheckThenSetLock {
     fn name(&self) -> &'static str {
@@ -851,8 +811,8 @@ impl LockKernel for CheckThenSetLock {
     }
     fn acquire(&self, ctx: &mut dyn SyncCtx, region: &Region, _ps: &mut u64) -> u64 {
         let word = region.slot(0);
-        ctx.spin_until(word, 0);
-        ctx.store(word, 1);
+        ctx.spin_until(word, 0); // observe free...
+        ctx.store(word, 1); // ...then claim: not atomic.
         0
     }
     fn release(&self, ctx: &mut dyn SyncCtx, region: &Region, _ps: &mut u64, _token: u64) {

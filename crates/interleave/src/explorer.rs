@@ -1672,11 +1672,11 @@ mod tests {
         // parked — the replay ends as its lost wakeup.
         let program = Program::new(3, 2, |ctx| {
             if ctx.pid() < 2 {
-                ctx.futex_wait_tagged(0, 0, 10 + ctx.pid() as Word);
+                ctx.futex_wait_op(0, 0, Some(10 + ctx.pid() as Word));
                 ctx.fetch_add(1, 1);
             } else {
-                assert_eq!(ctx.futex_wake_tagged(0, 12), 0, "nobody parked with 12");
-                assert_eq!(ctx.futex_wake_tagged(0, 11), 1, "tag 11 is one waiter");
+                assert_eq!(ctx.futex_wake_op(0, Some(12), usize::MAX), 0, "no tag 12");
+                assert_eq!(ctx.futex_wake_op(0, Some(11), usize::MAX), 1, "one has 11");
             }
         });
         // park 0, park 1, wake 12, wake 11, resume 1, add 1.

@@ -70,8 +70,9 @@
 //! the simulated 1991 machines provide. The weak orderings of the
 //! *real-hardware* primitives (`qsm`, `parking`, `service`) are outside it:
 //! those crates are stressed on real threads and under ThreadSanitizer, and
-//! their protocols are checked here on models written against `SyncCtx`
-//! ([`corpus`]).
+//! `service`'s protocols are checked here as shipped: its slow paths are
+//! generic over `service::protocol::Words`, which [`corpus::Chk`] implements
+//! on this crate's memory.
 //!
 //! ```
 //! use interleave::{Explorer, Program};

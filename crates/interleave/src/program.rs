@@ -238,8 +238,8 @@ pub(crate) struct Shared {
     pub pending: Vec<Option<OpMeta>>,
     /// FIFO futex wait queue: `(word, thread, tag)` in park order, across
     /// all words. A wake drains the oldest entries matching its word — and
-    /// its tag, when it names one (`futex_wake_tagged`); `None` is a
-    /// waiter that parked untagged.
+    /// its tag, when it names one (a tagged wake of `service::protocol`);
+    /// `None` is a waiter that parked untagged.
     pub futexq: Vec<(Addr, usize, Option<Word>)>,
     /// Happens-before engine for this run.
     pub race: RaceDetector,
@@ -469,7 +469,14 @@ impl ChkCtx {
     /// slip through. A parked thread is unschedulable until some wake
     /// re-readies it, after which one more granted step re-reads and
     /// returns the word.
-    fn futex_wait_op(&mut self, addr: Addr, expected: Word, tag: Option<Word>) -> Word {
+    /// Tagged (`service::protocol::Words::wait_tagged`) when `tag` is given;
+    /// the answer is whether the thread parked, and the word it read last.
+    pub(crate) fn futex_wait_op(
+        &mut self,
+        addr: Addr,
+        expected: Word,
+        tag: Option<Word>,
+    ) -> (bool, Word) {
         let meta = OpMeta {
             addr,
             kind: OpKind::FutexWait,
@@ -483,15 +490,16 @@ impl ChkCtx {
             cur
         });
         if cur != expected {
-            return cur;
+            return (false, cur);
         }
-        self.step(meta, TState::Parked(addr), |g| g.memory[addr])
+        let resumed = self.step(meta, TState::Parked(addr), |g| g.memory[addr]);
+        (true, resumed)
     }
 
     /// The futex wake: one granted step that drains up to `n` of the
     /// oldest futex-queue entries for `addr` — those that parked with
     /// `tag`, when it is given — and re-readies their threads.
-    fn futex_wake_op(&mut self, addr: Addr, tag: Option<Word>, n: usize) -> usize {
+    pub(crate) fn futex_wake_op(&mut self, addr: Addr, tag: Option<Word>, n: usize) -> usize {
         self.op(addr, OpKind::FutexWake, |g| {
             let mut woken = 0;
             let mut i = 0;
@@ -569,16 +577,10 @@ impl SyncCtx for ChkCtx {
         self.events.push(event);
     }
     fn futex_wait(&mut self, addr: Addr, expected: Word) -> Word {
-        self.futex_wait_op(addr, expected, None)
+        self.futex_wait_op(addr, expected, None).1
     }
     fn futex_wake(&mut self, addr: Addr, n: usize) -> usize {
         self.futex_wake_op(addr, None, n)
-    }
-    fn futex_wait_tagged(&mut self, addr: Addr, expected: Word, tag: Word) -> Word {
-        self.futex_wait_op(addr, expected, Some(tag))
-    }
-    fn futex_wake_tagged(&mut self, addr: Addr, tag: Word) -> usize {
-        self.futex_wake_op(addr, Some(tag), usize::MAX)
     }
 }
 

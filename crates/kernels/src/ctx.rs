@@ -102,28 +102,6 @@ pub trait SyncCtx {
         let _ = (addr, n);
         0
     }
-
-    /// [`SyncCtx::futex_wait`] for one of several logical waiters sharing
-    /// the word: the waiter parks carrying `tag`, and
-    /// [`SyncCtx::futex_wake_tagged`] of the same word and tag ends its
-    /// park and no other sharer's (`parking::futex::ParkingLot::wait_tagged`).
-    ///
-    /// The default forgets the tag. With the default wake below that is
-    /// sound on every substrate: the price is a spurious wake of the word's
-    /// other waiters, which futex discipline already absorbs.
-    fn futex_wait_tagged(&mut self, addr: Addr, expected: Word, tag: Word) -> Word {
-        let _ = tag;
-        self.futex_wait(addr, expected)
-    }
-
-    /// Wakes the waiters blocked in [`SyncCtx::futex_wait_tagged`] on
-    /// `addr` with `tag`, and no other waiter of the word; returns how many
-    /// were woken. The default wakes every waiter of the word, the only
-    /// wake that cannot miss the tagged one when tags are not kept.
-    fn futex_wake_tagged(&mut self, addr: Addr, tag: Word) -> usize {
-        let _ = tag;
-        self.futex_wake(addr, usize::MAX)
-    }
 }
 
 impl SyncCtx for memsim::Proc {
@@ -250,32 +228,6 @@ pub(crate) mod testutil {
         fn delay(&mut self, cycles: u64) {
             self.delays += cycles;
         }
-    }
-
-    /// A substrate that keeps no tags (the simulator) runs the tagged pair
-    /// through its defaults: the wait is the plain futex wait and the wake
-    /// reaches every waiter of the word, so the tagged waiter cannot be
-    /// missed — its sharers just wake for nothing.
-    #[test]
-    fn default_tagged_wake_reaches_every_waiter_of_the_word() {
-        let machine = memsim::Machine::new(memsim::MachineParams::bus_1991(3));
-        let report = machine
-            .run(3, 2, |p| {
-                let ctx: &mut dyn SyncCtx = p;
-                if ctx.pid() == 2 {
-                    ctx.delay(5_000);
-                    ctx.store(0, 1);
-                    assert_eq!(ctx.futex_wake_tagged(0, 11), 2, "both sharers wake");
-                } else {
-                    let tag = 10 + ctx.pid() as Word;
-                    while ctx.load(0) == 0 {
-                        ctx.futex_wait_tagged(0, 0, tag);
-                    }
-                    ctx.fetch_add(1, 1);
-                }
-            })
-            .unwrap();
-        assert_eq!(report.memory[1], 2);
     }
 
     #[test]

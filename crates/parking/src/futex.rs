@@ -545,8 +545,8 @@ impl ParkingLot {
     /// was meant for sleeps forever. Matching the tag under the bucket lock
     /// means the un-granted sharer is never dequeued in the first place, so
     /// a grant costs one wake however many waiters share the word.
-    pub fn wake_tagged(&self, pairs: &[(usize, u64)]) -> usize {
-        self.sweep(pairs.iter().map(|&(addr, tag)| (addr, Some(tag))))
+    pub fn wake_tagged(&self, pairs: impl IntoIterator<Item = (usize, u64)>) -> usize {
+        self.sweep(pairs.into_iter().map(|(addr, tag)| (addr, Some(tag))))
     }
 
     /// Wakes **every** waiter parked on each distinct address, tagged or
@@ -911,7 +911,7 @@ mod tests {
             0
         );
         assert_eq!(
-            clock_reads_of(|| assert_eq!(lot.wake_tagged(&[(addr_of(&word), 0)]), 0)),
+            clock_reads_of(|| assert_eq!(lot.wake_tagged([(addr_of(&word), 0)]), 0)),
             0
         );
         // Waker entries, cancelled or woken: the park stamp only.
@@ -1259,14 +1259,14 @@ mod tests {
         while lot.parked_count(&word) < 4 {
             thread::yield_now();
         }
-        assert_eq!(lot.wake_tagged(&[(addr, 7)]), 0, "nobody parked with 7");
-        assert_eq!(lot.wake_tagged(&[(addr, 1)]), 1);
+        assert_eq!(lot.wake_tagged([(addr, 7)]), 0, "nobody parked with 7");
+        assert_eq!(lot.wake_tagged([(addr, 1)]), 1);
         assert!(t1.woken() && fired(1));
         assert!(!t0.woken() && !untagged.woken() && !fired(0) && !fired(2));
         assert_eq!(lot.parked_count(&word), 3);
         // Oldest first among the matches, a duplicate pair woken once.
         word.store(1, Ordering::SeqCst);
-        assert_eq!(lot.wake_tagged(&[(addr, 2), (addr, 0), (addr, 2)]), 2);
+        assert_eq!(lot.wake_tagged([(addr, 2), (addr, 0), (addr, 2)]), 2);
         thread.join().unwrap();
         assert!(t0.woken() && !untagged.woken());
         // By address, the tag does not matter.

@@ -47,7 +47,7 @@
 //! (shrinking phase). Any two tasks acquire their common keys in the same
 //! global order, so the wait-for graph cannot cycle.
 
-use crate::lock::{barrier_arrive, CONTENDED, FREE, HELD};
+use crate::protocol::{self, seq_ge, Words, CONTENDED, FREE, HELD};
 use crate::table::{SlotKind, SlotRef, TableStats};
 use crate::telemetry::{MetricsMode, MetricsSnapshot, Primitive, ServiceMetrics};
 use crate::{EventKey, KeyGuard, LockService};
@@ -200,7 +200,7 @@ impl AsyncLockService {
 /// entry is still parked (waker refreshed — return `Pending`), `false`
 /// means the caller should re-check its condition (no entry, or the
 /// entry was woken and has been resumed).
-fn entry_still_parked(entry: &mut Option<WaitEntry>, waker: &Waker) -> bool {
+pub(crate) fn entry_still_parked(entry: &mut Option<WaitEntry>, waker: &Waker) -> bool {
     let Some(e) = entry.take() else {
         return false;
     };
@@ -271,7 +271,7 @@ impl<'a> Future for LockFuture<'a> {
                         return Poll::Ready(KeyGuard::from_acquired(slot));
                     }
                     this.contended = true;
-                    slot.metrics().count_cas_retry(slot.shard());
+                    slot.metrics().count_cas_retries(slot.shard(), 1);
                 }
                 HELD => {
                     // Announce waiters; whoever holds it will wake us.
@@ -281,8 +281,8 @@ impl<'a> Future for LockFuture<'a> {
                 _ => {
                     // Registered-iff-still-CONTENDED, the same
                     // re-check-under-the-bucket-lock discipline as the
-                    // blocking path's slot.wait(CONTENDED).
-                    match slot.register_waker(CONTENDED, cx.waker()) {
+                    // blocking path's wait(CONTENDED).
+                    match slot.lot().register(word, CONTENDED, cx.waker()) {
                         Some(e) => {
                             this.parked = true;
                             this.entry = Some(e);
@@ -303,12 +303,12 @@ impl Drop for LockFuture<'_> {
         };
         let slot = self.slot.as_ref().expect("entry implies slot");
         slot.metrics().count_cancellation(slot.shard());
-        if !slot.cancel_waiter(entry) {
+        if !slot.lot().cancel(entry) {
             // A release already chose us: it swapped the word to FREE and
             // woke exactly one waiter — this future. Nobody else will be
             // woken for that release, so pass the baton or the remaining
             // queue sleeps over a free lock.
-            slot.wake(1);
+            Words::wake(&mut slot.lot(), slot.word(), 1);
         }
     }
 }
@@ -412,19 +412,18 @@ impl Future for EventWaitFuture<'_, '_> {
         if entry_still_parked(&mut this.entry, cx.waker()) {
             return Poll::Pending;
         }
+        let slot = this.key.slot();
         loop {
             let cur = this.key.read();
-            if crate::seq_ge(cur, this.target) {
-                let slot = this.key.slot();
+            if seq_ge(cur, this.target) {
                 slot.metrics()
                     .record_wait(Primitive::EventCount, this.started.take());
                 this.done = true;
                 return Poll::Ready(cur);
             }
-            match this.key.slot().register_waker(cur, cx.waker()) {
+            match slot.lot().register(slot.word(), cur, cx.waker()) {
                 Some(e) => {
                     if this.started.is_none() {
-                        let slot = this.key.slot();
                         this.started = slot.metrics().wait_timer(slot.shard());
                     }
                     this.entry = Some(e);
@@ -443,7 +442,7 @@ impl Drop for EventWaitFuture<'_, '_> {
             slot.metrics().count_cancellation(slot.shard());
             // advance() wakes every waiter, so a consumed wake deprived
             // nobody; no baton to pass.
-            let _ = slot.cancel_waiter(entry);
+            let _ = slot.lot().cancel(entry);
         }
     }
 }
@@ -479,10 +478,10 @@ impl Future for BarrierFuture<'_> {
             return Poll::Pending;
         }
         let slot = this.slot.as_ref().expect("BarrierFuture polled after completion");
-        let word = slot.word();
+        let (word, mut lot, parties) = (slot.word(), slot.lot(), this.parties);
         loop {
             match this.phase {
-                BarrierPhase::Arriving => match barrier_arrive(slot, this.parties) {
+                BarrierPhase::Arriving => match protocol::barrier_arrive(&mut lot, word, parties) {
                     None => {
                         this.phase = BarrierPhase::Done;
                         return Poll::Ready(true);
@@ -500,7 +499,7 @@ impl Future for BarrierFuture<'_> {
                         this.phase = BarrierPhase::Done;
                         return Poll::Ready(false);
                     }
-                    match slot.register_waker(now, cx.waker()) {
+                    match lot.register(word, now, cx.waker()) {
                         Some(e) => {
                             this.entry = Some(e);
                             return Poll::Pending;
@@ -520,7 +519,7 @@ impl Drop for BarrierFuture<'_> {
             let slot = self.slot.as_ref().expect("entry implies slot");
             slot.metrics().count_cancellation(slot.shard());
             // Round completion wakes every waiter; no baton owed.
-            let _ = slot.cancel_waiter(entry);
+            let _ = slot.lot().cancel(entry);
         }
         if let BarrierPhase::Waiting { round } = self.phase {
             // Un-arrive: withdraw our arrival unless the round already

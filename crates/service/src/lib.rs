@@ -25,6 +25,10 @@
 //!   for the mutex or the eventcount stays on the CPU for what a park in
 //!   the table's lot is measured to cost and sleeps only past that; the
 //!   barrier's waiters still park at once.
+//! - [`protocol`] — every slow path above and the semaphore's, written once
+//!   over a small word-operations trait. The service runs it on atomics and
+//!   its parking lot; the `interleave` checker runs the same functions on
+//!   its own memory, so the protocols are checked as shipped.
 //! - [`semaphore::WaitingArraySemaphore`] — a counting semaphore per Dice &
 //!   Kogan's *Semaphores Augmented with a Waiting Array*: a permits counter
 //!   plus enqueue/dequeue tickets indexing a small slot array where each
@@ -60,6 +64,7 @@
 
 pub mod async_lock;
 pub mod lock;
+pub mod protocol;
 pub mod semaphore;
 pub mod table;
 pub mod telemetry;
@@ -80,15 +85,6 @@ use std::time::{Duration, Instant};
 /// cheap.
 pub const DEFAULT_SHARDS: usize = 256;
 
-/// Wraparound-safe sequence comparison: `a >= b` on the circle of `u64`
-/// sequence numbers, correct as long as the two are within `2^63` of each
-/// other. Shared by the eventcount wait loop and the semaphore's grant
-/// publication.
-#[inline]
-pub(crate) fn seq_ge(a: u64, b: u64) -> bool {
-    a.wrapping_sub(b) as i64 >= 0
-}
-
 /// Probes (a load and a pause hint, ~60 ns on the reference host) between
 /// clock reads of a spinning waiter: the clock costs about one probe, so
 /// reading it every time would halve how often the word is watched, and
@@ -98,11 +94,10 @@ const PROBES_PER_CLOCK_READ: u32 = 16;
 /// The one pre-park wait of this crate — the competitive rule *spin for as
 /// long as blocking would cost*: runs `probe` (one look at the awaited
 /// word, plus whatever claims it) with a pause hint between looks until it
-/// returns true, giving up — `false` — once `budget` has passed. Its three
-/// callers — the mutex's slow path, [`EventKey::await_at_least`] and
-/// [`WaitingArraySemaphore::acquire`] — pass the
-/// [`parking::futex::ParkingLot::park_cost`] of the lot they are about to
-/// park in: the table's for the first two ([`SlotRef::park_cost`]), the
+/// returns true, giving up — `false` — once `budget` has passed. It is
+/// [`protocol::Words::spin`] on real threads, where the budget is the
+/// [`parking::futex::ParkingLot::park_cost`] of the lot the waiter is about
+/// to park in: the table's for the mutex and the eventcount, the
 /// process-global one for the semaphore. Inlined into each caller, so the
 /// probe is compiled into the loop rather than called from it.
 #[inline(always)]
@@ -184,14 +179,5 @@ mod tests {
         // A degenerate host probe of 0 behaves as a one-core host rather
         // than clamping everything to zero.
         assert_eq!(ServiceThreads::resolve(Some(4), 0).threads, 4);
-    }
-
-    #[test]
-    fn seq_ge_survives_wraparound() {
-        assert!(seq_ge(5, 5));
-        assert!(seq_ge(6, 5));
-        assert!(!seq_ge(5, 6));
-        assert!(seq_ge(2, u64::MAX - 2)); // wrapped past zero
-        assert!(!seq_ge(u64::MAX - 2, 2));
     }
 }

@@ -1,69 +1,45 @@
 //! The service front end: per-key mutex, eventcount and barrier over a
 //! [`ShardedTable`].
 //!
-//! Each primitive is a protocol over a single slot word:
+//! Each primitive is a protocol over its slot word, written once in
+//! [`crate::protocol`] and run here on the word itself with the table's
+//! lot — the same code `interleave::corpus` checks exhaustively:
 //!
 //! - **Mutex** — the three-state futex lock (0 free, 1 held, 2 held with
 //!   waiters). The uncontended path is one CAS. A contender follows the
-//!   competitive rule *spin for as long as blocking would cost*: it
-//!   watches the word test-and-test-and-set (plain loads, a CAS only on
-//!   FREE) for [`parking::futex::ParkingLot::park_cost`] — the
-//!   wake-to-running latency the table's lot **measures** on every real
-//!   park, a moving average clamped to 8–64 µs, not a constant and not a
-//!   knob — and only then announces itself by driving the word to 2 and
-//!   parks. A hold shorter than a park/wake round trip is thus waited out
-//!   on the CPU; a longer one costs the waiter at most twice what parking
-//!   at once would have. Release stores FREE and wakes the *oldest* parked
-//!   waiter (the lot's FIFO dequeue), so grants are FIFO **among parked
-//!   waiters** — but there is no hand-off, so a fresh arrival's fast-path
-//!   CAS can barge ahead of the woken waiter. That is the usual futex-mutex throughput/fairness
-//!   trade, not the paper's strict QSM queue discipline (the QSM-faithful
-//!   handoff lock lives in `parking::QsmMutexBlocking`), and it only pays
-//!   if the loser of a barge does not go straight back to sleep: a woken
-//!   waiter that finds the word re-taken **spins one more budget**,
-//!   acquiring as 2 — others may still be parked behind it, and only a
-//!   release from 2 wakes them — before it pays for a second park. The
-//!   async `LockFuture` shares the word and the queue but never spins: a
-//!   future that spun would stall every other task on its executor thread,
-//!   so it registers its waker at once and the executor runs something
-//!   else. `interleave::corpus::SpinThenParkLock` is this path as a
-//!   checker model (exhaustive at 3 threads, seeded bug in the corpus).
+//!   competitive rule *spin for as long as blocking would cost*: it spins
+//!   for [`parking::futex::ParkingLot::park_cost`] — the wake-to-running
+//!   latency the table's lot **measures** on every real park, not a
+//!   constant and not a knob — before it parks, and once more after a
+//!   wake. Release wakes the *oldest* parked waiter with no hand-off, so a
+//!   fresh arrival can barge ahead of the wakee: the usual futex-mutex
+//!   throughput/fairness trade, not the paper's strict QSM queue (the
+//!   QSM-faithful handoff lock lives in `parking::QsmMutexBlocking`).
 //! - **Eventcount** — the word is a monotone sequence number;
-//!   [`EventKey::advance`] bumps it and wakes every waiter (the waiters of
-//!   one count want different targets, and the queue is ordered by
-//!   arrival); [`EventKey::await_at_least`] waits until the count passes a
-//!   target, with wraparound-safe comparison, by the mutex's rule: it
-//!   watches the word for the same lot's `park_cost()` and parks only past
-//!   that, so an advance a cache miss away never costs a scheduler round
-//!   trip. It spins once — a waiter that a wake-all resumes with its target
-//!   still ahead is several advances away and goes back to sleep — and the
-//!   async `EventWaitFuture` never does, for the `LockFuture`'s reason.
-//!   `interleave::corpus::eventcount_staggered_targets_program` is the
-//!   wake-all as a checker model. Counts are *ephemeral*: they live
-//!   only while some [`EventKey`] handle keeps the slot attached, which is
-//!   why the API hands out a handle instead of taking bare keys.
+//!   [`EventKey::advance`] bumps it and wakes every waiter, and
+//!   [`EventKey::await_at_least`] spins once for the same budget and then
+//!   parks until the count passes its target (wraparound-safe). Counts are
+//!   *ephemeral*: they live only while some [`EventKey`] handle keeps the
+//!   slot attached, which is why the API hands out a handle instead of
+//!   taking bare keys.
 //! - **Barrier** — arrivals in the low 32 bits, a round counter in the
-//!   high 32. The last arrival resets arrivals and bumps the round in one
-//!   store, then wakes all; waiters wait for the *round* to change, which
-//!   dodges the classic sense-reversal ABA (a waiter sleeping through an
-//!   entire round still sees a different round number, not a flipped-back
-//!   sense bit). A barrier waiter still parks at once: the same spin is
-//!   measured and waiting for the benchmark harness to admit it (ROADMAP
-//!   item 4).
+//!   high 32; waiters wait for the *round* to change, which dodges the
+//!   classic sense-reversal ABA. A barrier waiter still parks at once: the
+//!   same spin is measured and waiting for the benchmark harness to admit
+//!   it (ROADMAP item 4).
+//!
+//! The async futures share the words and the queues but never spin: a
+//! future that spun would stall every other task on its executor thread.
 
+use crate::protocol::{self, seq_ge, FREE, HELD};
 use crate::table::{ShardedTable, SlotKind, SlotRef, TableStats};
 use crate::telemetry::{MetricsMode, MetricsSnapshot, Primitive, ServiceMetrics};
-use crate::{seq_ge, DEFAULT_SHARDS};
+use crate::DEFAULT_SHARDS;
 use parking::futex::FutexTotals;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 use trace::Tracer;
-
-/// Mutex word states (shared with the async front end in `async_lock`).
-pub(crate) const FREE: u64 = 0;
-pub(crate) const HELD: u64 = 1;
-pub(crate) const CONTENDED: u64 = 2;
 
 /// The sharded per-key lock service. See the crate docs for the design.
 pub struct LockService {
@@ -167,81 +143,20 @@ impl LockService {
     /// slower with this inlined).
     #[inline(never)]
     fn lock_contended<'a>(&'a self, slot: SlotRef<'a>) -> KeyGuard<'a> {
-        let word = slot.word();
         // Maybe start a sampled wait measurement, and feed the hot-key
         // sketch at the sampling rate.
-        let started = slot.metrics().wait_timer(slot.shard());
+        let metrics = slot.metrics();
+        let started = metrics.wait_timer(slot.shard());
         if started.is_some() {
-            slot.metrics().note_hot_key(slot.key());
+            metrics.note_hot_key(slot.key());
         }
-        // Spin for as long as parking would cost: a holder that releases
-        // within that time hands over without a park/wake round trip, and
-        // one that does not costs us at most twice the better choice.
-        let budget = slot.park_cost();
-        if Self::spin_acquire(&slot, HELD, budget) {
-            slot.metrics().count_acquire(slot.shard(), false, false);
-            return KeyGuard::acquired(slot, started);
+        let how = protocol::lock_contended(&mut slot.lot(), slot.word());
+        metrics.count_cas_retries(slot.shard(), how.cas_retries);
+        metrics.count_acquire(slot.shard(), false, how.parked);
+        if how.respun {
+            metrics.count_respin_win(slot.shard());
         }
-        // Slow path: hold the word at CONTENDED while waiting so the
-        // releaser knows to wake, and acquire *as* CONTENDED — we cannot
-        // know whether other waiters remain, so the release after our
-        // critical section must wake too.
-        let mut parked = false;
-        loop {
-            match word.load(Ordering::SeqCst) {
-                FREE => {
-                    if word
-                        .compare_exchange(FREE, CONTENDED, Ordering::SeqCst, Ordering::SeqCst)
-                        .is_ok()
-                    {
-                        slot.metrics().count_acquire(slot.shard(), false, parked);
-                        return KeyGuard::acquired(slot, started);
-                    }
-                    slot.metrics().count_cas_retry(slot.shard());
-                }
-                HELD => {
-                    // Announce waiters; whoever holds it will wake us.
-                    let _ =
-                        word.compare_exchange(HELD, CONTENDED, Ordering::SeqCst, Ordering::SeqCst);
-                }
-                _ => {
-                    if !slot.wait(CONTENDED) {
-                        continue;
-                    }
-                    parked = true;
-                    // Woken, but release stored FREE before waking, so a
-                    // barger may hold the word again by now. Going straight
-                    // back to sleep would pay a second park for a hold we
-                    // can outlast: spin one more budget first. Still as
-                    // CONTENDED — others may be parked behind us, and only
-                    // a CONTENDED release wakes them.
-                    if Self::spin_acquire(&slot, CONTENDED, budget) {
-                        slot.metrics().count_acquire(slot.shard(), false, true);
-                        slot.metrics().count_respin_win(slot.shard());
-                        return KeyGuard::acquired(slot, started);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Test-and-test-and-set for up to `budget`: watches the word with
-    /// plain loads and tries `FREE -> locked` only when it reads FREE, so
-    /// spinners share the line instead of bouncing it with failing CASes.
-    fn spin_acquire(slot: &SlotRef<'_>, locked: u64, budget: Duration) -> bool {
-        let word = slot.word();
-        crate::spin_for(budget, || {
-            if word.load(Ordering::SeqCst) != FREE {
-                return false;
-            }
-            let won = word
-                .compare_exchange(FREE, locked, Ordering::SeqCst, Ordering::SeqCst)
-                .is_ok();
-            if !won {
-                slot.metrics().count_cas_retry(slot.shard());
-            }
-            won
-        })
+        KeyGuard::acquired(slot, started)
     }
 
     /// Acquires the mutex for `key` iff it is free right now.
@@ -280,58 +195,13 @@ impl LockService {
     /// round (callers disagreeing on `parties`).
     pub fn barrier_wait(&self, key: u64, parties: u32) -> bool {
         let slot = self.table.attach(key, SlotKind::Barrier);
-        let Some(round) = barrier_arrive(&slot, parties) else {
+        let Some(round) = protocol::barrier_arrive(&mut slot.lot(), slot.word(), parties) else {
             return true;
         };
-        let word = slot.word();
         let started = slot.metrics().wait_timer(slot.shard());
-        loop {
-            let now = word.load(Ordering::SeqCst);
-            if now >> 32 != round {
-                slot.metrics().record_wait(Primitive::Barrier, started);
-                return false;
-            }
-            slot.wait(now);
-        }
-    }
-}
-
-/// One arrival at the barrier on `slot`'s word, shared by the blocking
-/// and the async front end: `None` when this arrival completed the round
-/// (arrivals reset and the round bumped in one store, every waiter woken),
-/// otherwise `Some(round)` — the round the caller now waits to see end.
-///
-/// # Panics
-///
-/// If `parties` is zero, or `parties` arrivals are already recorded in
-/// this round (callers disagreeing on `parties`).
-pub(crate) fn barrier_arrive(slot: &SlotRef<'_>, parties: u32) -> Option<u64> {
-    assert!(parties > 0, "a barrier needs at least one party");
-    let word = slot.word();
-    loop {
-        let cur = word.load(Ordering::SeqCst);
-        let arrivals = (cur & u32::MAX as u64) as u32;
-        assert!(
-            arrivals < parties,
-            "barrier key {:#x}: more than {parties} parties arrived in one round",
-            slot.key()
-        );
-        let last = arrivals + 1 == parties;
-        let next = if last {
-            (cur >> 32).wrapping_add(1) << 32
-        } else {
-            cur + 1
-        };
-        if word
-            .compare_exchange(cur, next, Ordering::SeqCst, Ordering::SeqCst)
-            .is_ok()
-        {
-            if last {
-                slot.wake(usize::MAX);
-                return None;
-            }
-            return Some(cur >> 32);
-        }
+        protocol::barrier_wait(&mut slot.lot(), slot.word(), round);
+        slot.metrics().record_wait(Primitive::Barrier, started);
+        false
     }
 }
 
@@ -369,16 +239,8 @@ impl<'a> KeyGuard<'a> {
 
 impl Drop for KeyGuard<'_> {
     fn drop(&mut self) {
-        let prev = self.slot.word().swap(FREE, Ordering::SeqCst);
-        debug_assert!(prev == HELD || prev == CONTENDED, "unlock of a free lock");
         self.slot.metrics().record_hold(self.hold.take());
-        if prev == CONTENDED {
-            // Wake the oldest parked waiter (no direct handoff: the word
-            // is already FREE, so a newcomer may beat the wakee to it).
-            // Waking exactly one is enough: the wakee re-acquires as
-            // CONTENDED, so its own release wakes the next in line.
-            self.slot.wake(1);
-        }
+        protocol::unlock(&mut self.slot.lot(), self.slot.word());
     }
 }
 
@@ -400,18 +262,13 @@ impl<'a> EventKey<'a> {
 
     /// Bumps the count and wakes every waiter; returns the new count.
     pub fn advance(&self) -> u64 {
-        let new = self
-            .slot
-            .word()
-            .fetch_add(1, Ordering::SeqCst)
-            .wrapping_add(1);
-        self.slot.wake(usize::MAX);
-        new
+        protocol::advance(&mut self.slot.lot(), self.slot.word())
     }
 
     /// Waits until the count reaches at least `target` (wraparound-safe),
     /// returning the count observed: on the CPU for as long as a park in
-    /// the table's lot costs ([`SlotRef::park_cost`]), parked from then on.
+    /// the table's lot costs ([`parking::futex::ParkingLot::park_cost`]),
+    /// parked from then on ([`protocol::await_at_least`]).
     /// An `advance` a cache miss away is thus taken without leaving the
     /// processor, and one that is not costs at most twice what parking at
     /// once would have.
@@ -421,18 +278,9 @@ impl<'a> EventKey<'a> {
             return cur;
         }
         let started = self.slot.metrics().wait_timer(self.slot.shard());
-        // One spin, before the first park only: a waiter that `advance`'s
-        // wake-all resumes with its target still ahead is several advances
-        // away, which is what parking is for.
-        crate::spin_for(self.slot.park_cost(), || seq_ge(self.read(), target));
-        loop {
-            let cur = self.read();
-            if seq_ge(cur, target) {
-                self.slot.metrics().record_wait(Primitive::EventCount, started);
-                return cur;
-            }
-            self.slot.wait(cur);
-        }
+        let cur = protocol::await_at_least(&mut self.slot.lot(), self.slot.word(), target);
+        self.slot.metrics().record_wait(Primitive::EventCount, started);
+        cur
     }
 }
 

@@ -1,0 +1,391 @@
+//! The service's slow paths, written once over the word operations they
+//! need: [`Words`] — loads, stores, read-modify-writes, a futex wait that
+//! parks iff the word still shows what was read, wakes, and a spin that
+//! lasts what a park would cost, i.e. what `kernels::SyncCtx` offers.
+//!
+//! Two instantiations run the same code:
+//!
+//! - **real threads** — `impl Words for &ParkingLot`: a word is an
+//!   `&AtomicU64` (every access `SeqCst`), waits and wakes go to the lot,
+//!   and a spin probes for the lot's [`ParkingLot::park_cost`]
+//!   (`crate::spin_for`); monomorphized into each caller, with no `dyn`.
+//! - **the checker** — `interleave::corpus::Chk`: a word is an address of
+//!   a checked program's memory, every operation one schedule step, and a
+//!   spin one probe. Each seeded bug is that context with one operation
+//!   rewritten; nothing here selects a bug.
+//!
+//! Fast paths, sampled timers and the async futures' waker registration
+//! stay with the callers. So does counting: the mutex returns a
+//! [`Contention`], a semaphore counts through [`WaitingArray::count`].
+
+use parking::futex::{addr_of, ParkingLot};
+use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
+
+/// Wraparound-safe sequence comparison: `a >= b` on the circle of `u64`
+/// sequence numbers, correct as long as the two are within `2^63` of each
+/// other. The eventcount's wait and the semaphore's grants compare with it.
+#[inline]
+pub fn seq_ge(a: u64, b: u64) -> bool {
+    a.wrapping_sub(b) as i64 >= 0
+}
+
+/// What a slow path may do to shared words.
+pub trait Words {
+    /// A handle to one shared word.
+    type Word: Copy;
+    /// Reads the word.
+    fn load(&mut self, w: Self::Word) -> u64;
+    /// Writes the word.
+    fn store(&mut self, w: Self::Word, v: u64);
+    /// Writes `v`, returning the previous value.
+    fn swap(&mut self, w: Self::Word, v: u64) -> u64;
+    /// Compare-and-swap: `Ok(expected)` iff the word held `expected` and
+    /// now holds `new`, else `Err` of what it holds.
+    fn cas(&mut self, w: Self::Word, expected: u64, new: u64) -> Result<u64, u64>;
+    /// Wrapping fetch-and-add, returning the previous value.
+    fn fetch_add(&mut self, w: Self::Word, delta: u64) -> u64;
+    /// Parks iff the word still holds `expected`, the compare and the
+    /// enqueue one atomic step; `true` if it parked (and was woken). A wake
+    /// says nothing about the word: callers re-check.
+    fn wait(&mut self, w: Self::Word, expected: u64) -> bool;
+    /// [`Words::wait`] carrying `tag`, for one of several waiters sharing
+    /// the word: [`Words::wake_tagged`] of the word and this tag ends the
+    /// park, and no other sharer's.
+    fn wait_tagged(&mut self, w: Self::Word, expected: u64, tag: u64) -> bool;
+    /// Wakes up to `n` waiters of the word, oldest first; returns how many.
+    fn wake(&mut self, w: Self::Word, n: usize) -> usize;
+    /// For each `(word, tag)`, wakes the waiters parked on the word with
+    /// that tag and nobody else; returns how many.
+    fn wake_tagged(&mut self, pairs: &[(Self::Word, u64)]) -> usize;
+    /// Runs `probe` until it returns `true` or a park's worth of time has
+    /// passed; returns its last answer.
+    fn spin(&mut self, probe: impl FnMut(&mut Self) -> bool) -> bool;
+}
+
+impl<'a> Words for &'a ParkingLot {
+    type Word = &'a AtomicU64;
+    fn load(&mut self, w: Self::Word) -> u64 {
+        w.load(SeqCst)
+    }
+    fn store(&mut self, w: Self::Word, v: u64) {
+        w.store(v, SeqCst);
+    }
+    fn swap(&mut self, w: Self::Word, v: u64) -> u64 {
+        w.swap(v, SeqCst)
+    }
+    fn cas(&mut self, w: Self::Word, expected: u64, new: u64) -> Result<u64, u64> {
+        w.compare_exchange(expected, new, SeqCst, SeqCst)
+    }
+    fn fetch_add(&mut self, w: Self::Word, delta: u64) -> u64 {
+        w.fetch_add(delta, SeqCst)
+    }
+    fn wait(&mut self, w: Self::Word, expected: u64) -> bool {
+        ParkingLot::wait(self, w, expected)
+    }
+    fn wait_tagged(&mut self, w: Self::Word, expected: u64, tag: u64) -> bool {
+        ParkingLot::wait_tagged(self, w, expected, tag)
+    }
+    fn wake(&mut self, w: Self::Word, n: usize) -> usize {
+        self.wake_addr(addr_of(w), n)
+    }
+    fn wake_tagged(&mut self, pairs: &[(Self::Word, u64)]) -> usize {
+        ParkingLot::wake_tagged(self, pairs.iter().map(|&(w, tag)| (addr_of(w), tag)))
+    }
+    #[inline(always)]
+    fn spin(&mut self, mut probe: impl FnMut(&mut Self) -> bool) -> bool {
+        crate::spin_for(self.park_cost(), || probe(self))
+    }
+}
+
+/// Mutex word: free.
+pub const FREE: u64 = 0;
+/// Mutex word: held, no waiter announced.
+pub const HELD: u64 = 1;
+/// Mutex word: held, waiters may be parked.
+pub const CONTENDED: u64 = 2;
+
+/// How a contended mutex acquisition went, for the caller's telemetry.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Contention {
+    /// The acquirer parked at least once.
+    pub parked: bool,
+    /// It took the word in the spin that follows a wake.
+    pub respun: bool,
+    /// CASes that found the word FREE and lost it.
+    pub cas_retries: u64,
+}
+
+/// The mutex acquire past its one-CAS fast path. Spin for a park's worth
+/// (test-and-test-and-set, acquiring as HELD); then hold the word at
+/// CONTENDED so the releaser knows to wake, and park. Woken, spin once
+/// more before parking again — release stores FREE before it wakes, so a
+/// barger may hold the word by now — acquiring as CONTENDED from here on:
+/// others may be parked behind us, and only a CONTENDED release wakes them.
+#[inline]
+pub fn lock_contended<C: Words>(c: &mut C, w: C::Word) -> Contention {
+    let mut how = Contention::default();
+    if spin_acquire(c, w, HELD, &mut how.cas_retries) {
+        return how;
+    }
+    loop {
+        match c.load(w) {
+            FREE => {
+                if c.cas(w, FREE, CONTENDED).is_ok() {
+                    return how;
+                }
+                how.cas_retries += 1;
+            }
+            // Announce waiters; whoever holds it will wake us.
+            HELD => {
+                let _ = c.cas(w, HELD, CONTENDED);
+            }
+            _ => {
+                if !c.wait(w, CONTENDED) {
+                    continue;
+                }
+                how.parked = true;
+                if spin_acquire(c, w, CONTENDED, &mut how.cas_retries) {
+                    how.respun = true;
+                    return how;
+                }
+            }
+        }
+    }
+}
+
+/// Watches the word with plain loads and tries `FREE -> locked` only when
+/// it reads FREE, so spinners share the line instead of bouncing it.
+#[inline(always)]
+fn spin_acquire<C: Words>(c: &mut C, w: C::Word, locked: u64, retries: &mut u64) -> bool {
+    c.spin(|c| {
+        if c.load(w) != FREE {
+            return false;
+        }
+        let won = c.cas(w, FREE, locked).is_ok();
+        *retries += u64::from(!won);
+        won
+    })
+}
+
+/// The mutex release: store FREE, and wake the oldest parked waiter iff
+/// waiters were announced. One is enough — it re-acquires as CONTENDED, so
+/// its own release wakes the next — and there is no hand-off: a newcomer
+/// may take the word before the wakee runs.
+#[inline]
+pub fn unlock<C: Words>(c: &mut C, w: C::Word) {
+    let prev = c.swap(w, FREE);
+    debug_assert!(prev == HELD || prev == CONTENDED, "unlock of a free lock");
+    if prev == CONTENDED {
+        c.wake(w, 1);
+    }
+}
+
+/// Bumps the eventcount and wakes **every** waiter: the waiters of one
+/// count want different targets, and the queue is ordered by arrival, not
+/// by target. Returns the new count.
+pub fn advance<C: Words>(c: &mut C, w: C::Word) -> u64 {
+    let new = c.fetch_add(w, 1).wrapping_add(1);
+    c.wake(w, usize::MAX);
+    new
+}
+
+/// Waits, past its caller's first read, until the count reaches `target`
+/// (signed distance); returns the count seen. One spin, before the first
+/// park only — a waiter the wake-all resumes with its target still ahead
+/// is several advances away, which is what parking is for — then read,
+/// compare, park iff unchanged.
+pub fn await_at_least<C: Words>(c: &mut C, w: C::Word, target: u64) -> u64 {
+    c.spin(|c| seq_ge(c.load(w), target));
+    loop {
+        let cur = c.load(w);
+        if seq_ge(cur, target) {
+            return cur;
+        }
+        c.wait(w, cur);
+    }
+}
+
+/// One arrival at the barrier word (round in the high 32 bits, arrivals in
+/// the low 32): `None` when it completed the round — arrivals reset and
+/// the round bumped in one CAS, every waiter woken — otherwise
+/// `Some(round)`, the round to wait out.
+///
+/// # Panics
+///
+/// If `parties` is zero, or `parties` arrivals are already recorded in
+/// this round (callers disagreeing on `parties`).
+pub fn barrier_arrive<C: Words>(c: &mut C, w: C::Word, parties: u32) -> Option<u64> {
+    assert!(parties > 0, "a barrier needs at least one party");
+    loop {
+        let cur = c.load(w);
+        let arrivals = cur as u32;
+        assert!(
+            arrivals < parties,
+            "more than {parties} parties arrived in one barrier round"
+        );
+        let last = arrivals + 1 == parties;
+        let next = if last {
+            (cur >> 32).wrapping_add(1) << 32
+        } else {
+            cur + 1
+        };
+        if c.cas(w, cur, next).is_ok() {
+            if last {
+                c.wake(w, usize::MAX);
+                return None;
+            }
+            return Some(cur >> 32);
+        }
+    }
+}
+
+/// Waits until the barrier's round is no longer `round`. Waiting for the
+/// round to change, not for a sense bit to flip, means a waiter that
+/// sleeps through a whole round still sees a different number.
+pub fn barrier_wait<C: Words>(c: &mut C, w: C::Word, round: u64) {
+    loop {
+        let now = c.load(w);
+        if now >> 32 != round {
+            return;
+        }
+        c.wait(w, now);
+    }
+}
+
+/// One waiting-array semaphore as an instantiation of [`Words`] lays it
+/// out: a permit count (negative: grants owed to waiters), enqueue and
+/// dequeue ticket counters, the slot words, and the set of tickets whose
+/// waiters went away before their grant was published.
+pub trait WaitingArray<C: Words> {
+    /// The permit count, a two's-complement `i64`.
+    fn permits(&self) -> C::Word;
+    /// The next acquire ticket.
+    fn enq(&self) -> C::Word;
+    /// The next grant ticket.
+    fn deq(&self) -> C::Word;
+    /// The slot `ticket` waits on.
+    fn slot(&self, ticket: u64) -> C::Word;
+    /// Removes `ticket` from the abandoned set; whether it was there.
+    fn take_abandoned(&self, c: &mut C, ticket: u64) -> bool;
+    /// Under the abandoned set's lock: inserts `ticket` iff `unpublished`
+    /// still holds; whether it did.
+    fn abandon_if(&self, c: &mut C, ticket: u64, unpublished: impl FnOnce(&mut C) -> bool) -> bool;
+    /// Telemetry: a grant owed went to `ticket`'s waiter (`true`), or the
+    /// ticket was abandoned and its permit went round again (`false`).
+    fn count(&self, _ticket: u64, _granted: bool) {}
+}
+
+/// What slot `i` of a `w`-slot array holds before its first grant, tickets
+/// starting at `origin`: the grant of its previous-generation tenant, so
+/// the slot's first real waiter sees a sequence strictly behind its own.
+pub fn empty_slot(origin: u64, w: u64, i: u64) -> u64 {
+    let first = origin.wrapping_add(i.wrapping_sub(origin) & (w - 1));
+    first.wrapping_add(1).wrapping_sub(w)
+}
+
+/// A permit iff one is available right now.
+pub fn try_acquire<C: Words, S: WaitingArray<C>>(c: &mut C, s: &S) -> bool {
+    let mut cur = c.load(s.permits());
+    while cur as i64 > 0 {
+        match c.cas(s.permits(), cur, cur - 1) {
+            Ok(_) => return true,
+            Err(now) => cur = now,
+        }
+    }
+    false
+}
+
+/// The head of an acquire: take a permit (`None`), or the ticket to wait on
+/// when there is none.
+pub fn take_ticket<C: Words, S: WaitingArray<C>>(c: &mut C, s: &S) -> Option<u64> {
+    let prev = c.fetch_add(s.permits(), u64::MAX) as i64;
+    (prev <= 0).then(|| c.fetch_add(s.enq(), 1))
+}
+
+/// Whether `ticket`'s grant is published: its slot shows `ticket + 1` or
+/// later (a racing releaser of `ticket + W` may already have moved it on).
+pub fn granted<C: Words, S: WaitingArray<C>>(c: &mut C, s: &S, ticket: u64) -> bool {
+    seq_ge(c.load(s.slot(ticket)), ticket.wrapping_add(1))
+}
+
+/// The wait of an acquire holding `ticket`: spin for a park's worth, then
+/// park under the ticket iff the slot still shows what was read. A grant
+/// changes the slot before it wakes, so the park cannot miss it, and the
+/// wake names this ticket, so it ends this park and no sharer's.
+pub fn wait_for_grant<C: Words, S: WaitingArray<C>>(c: &mut C, s: &S, ticket: u64) {
+    if c.spin(|c| granted(c, s, ticket)) {
+        return;
+    }
+    let (slot, target) = (s.slot(ticket), ticket.wrapping_add(1));
+    loop {
+        let cur = c.load(slot);
+        if seq_ge(cur, target) {
+            return;
+        }
+        c.wait_tagged(slot, cur, ticket);
+    }
+}
+
+/// Releases `n` permits; returns how many went to waiters. A grant owed is
+/// published by sequence-max CAS into the ticket's slot, the abandoned set
+/// is consulted strictly after, and once the batch is published every
+/// granted ticket — no other sharer of its slot — is woken in one
+/// [`Words::wake_tagged`]. An abandoned ticket's permit goes round the loop
+/// again, to the next waiter or the count.
+pub fn release_n<C: Words, S: WaitingArray<C>>(c: &mut C, s: &S, n: usize) -> usize {
+    let mut granted = Vec::new();
+    let mut remaining = n;
+    while remaining > 0 {
+        remaining -= 1;
+        if c.fetch_add(s.permits(), 1) as i64 >= 0 {
+            continue;
+        }
+        let ticket = c.fetch_add(s.deq(), 1);
+        let (slot, grant) = (s.slot(ticket), ticket.wrapping_add(1));
+        // Never regress a slot the releaser of `ticket + W` moved past us.
+        let mut cur = c.load(slot);
+        while !seq_ge(cur, grant) {
+            match c.cas(slot, cur, grant) {
+                Ok(_) => break,
+                Err(now) => cur = now,
+            }
+        }
+        let abandoned = s.take_abandoned(c, ticket);
+        s.count(ticket, !abandoned);
+        if abandoned {
+            remaining += 1;
+        } else {
+            granted.push((slot, ticket));
+        }
+    }
+    if !granted.is_empty() {
+        c.wake_tagged(&granted);
+    }
+    granted.len()
+}
+
+/// The waiter holding `ticket` goes away unadmitted. An unpublished grant
+/// is recorded in the abandoned set — re-checked under its lock: the
+/// releaser publishes first and looks the ticket up second, so exactly one
+/// side recycles — and a published one, addressed to this ticket alone, is
+/// handed onward as a release.
+pub fn cancel_ticket<C: Words, S: WaitingArray<C>>(c: &mut C, s: &S, ticket: u64) {
+    if !granted(c, s, ticket) && s.abandon_if(c, ticket, |c| !granted(c, s, ticket)) {
+        return;
+    }
+    release_n(c, s, 1);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn seq_ge_survives_wraparound() {
+        assert!(seq_ge(5, 5));
+        assert!(seq_ge(6, 5));
+        assert!(!seq_ge(5, 6));
+        assert!(seq_ge(2, u64::MAX - 2)); // wrapped past zero
+        assert!(!seq_ge(u64::MAX - 2, 2));
+    }
+}

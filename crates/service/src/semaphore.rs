@@ -5,79 +5,50 @@
 //! lock and scan. Here the waiters index themselves: an acquirer that
 //! finds no permit takes a ticket from an *enqueue* counter and waits on
 //! `slots[ticket mod W]`; a releaser that owes a grant takes a ticket from
-//! a *dequeue* counter and **publishes** the grant by storing
-//! `ticket + 1` into the same slot. Acquirers and releasers pair up
-//! through the ticket sequence alone — no list, no scan, and the release
-//! path is wait-free up to the futex wake.
+//! a *dequeue* counter and **publishes** the grant as `ticket + 1` in the
+//! same slot (a sequence-max CAS, wraparound-safe). Acquirers and
+//! releasers pair up through the ticket sequence alone — no list, no scan.
 //!
-//! Sequence arithmetic is wraparound-safe throughout (`seq_ge`): tickets
-//! may wrap `u64`, and a slot serving ticket `t` may already show the
-//! grant for `t + W` published by a racing releaser — that value satisfies
-//! the earlier waiter too, since grants are monotone in sequence order.
-//! The publication CAS loop only ever moves a slot's sequence forward, so
-//! racing releasers cannot regress a grant.
+//! **A grant wakes its own ticket and nobody else.** Tickets `t` and
+//! `t + W` park on the same word, so a wake-one addressed to the word could
+//! dequeue the sharer whose grant is still pending — which re-parks,
+//! having swallowed the wake — and a wake-all costs every release one
+//! spurious wake per sharer. So a waiter parks carrying its ticket as a tag
+//! ([`parking::futex::ParkingLot::wait_tagged`]) and a release publishes
+//! its whole batch, then wakes `(slot, ticket)` per grant in one
+//! [`parking::futex::ParkingLot::wake_tagged`] sweep. Before it parks, a
+//! waiter spins for the `park_cost()` of the process-global lot
+//! ([`parking::futex::global_lot`]), where every semaphore's waiters park.
 //!
-//! **A grant wakes its own ticket and nobody else.** With more waiters
-//! than slots, tickets `t` and `t + W` park on the same word, so a wake
-//! addressed to the word alone cannot tell them apart: a wake-one for
-//! `t`'s grant could dequeue the `t + W` waiter, which re-parks (its own
-//! grant is still pending) and has swallowed the wake — stranding the
-//! granted waiter forever — and a wake-all costs every release one
-//! spurious wake per sharer, quadratic in a backlog. So a waiter parks
-//! carrying its ticket as a tag
-//! ([`parking::futex::ParkingLot::wait_tagged`],
-//! [`parking::futex::ParkingLot::register_tagged`]) and the releaser wakes
-//! `(slot, ticket)`: the parking lot matches both under its bucket lock
-//! and an un-granted sharer is never dequeued. A batch
-//! [`WaitingArraySemaphore::release_n`] publishes every grant first and
-//! then issues all its wakes in one
-//! [`parking::futex::ParkingLot::wake_tagged`] sweep — one bucket lock per
-//! parking-lot bucket, not per waiter.
+//! **Cancellation.** A dropped [`WaitingArraySemaphore::acquire_async`]
+//! future already holds a ticket. If its grant is published, the grant is
+//! addressed to it alone and is handed onward as a release; if not, the
+//! ticket goes into the *abandoned set*, and the releaser that reaches it
+//! recycles the permit instead of waking a ghost. The releaser checks the
+//! set *after* publishing, the canceller re-checks publication *inside* the
+//! set's lock, so exactly one side recycles.
 //!
-//! **A waiter spins for what a park costs** before it parks — the rule,
-//! and the loop, of the service mutex (`crate::spin_for`): the budget is
-//! the [`parking::futex::ParkingLot::park_cost`] that the process-global
-//! lot ([`parking::futex::global_lot`], where every waiter of every
-//! semaphore parks) measures on its own parks, so a grant that arrives
-//! sooner than a park/wake round trip would have taken is picked up on
-//! the CPU.
+//! The protocol is [`crate::protocol`]'s, run here on this struct's atomics
+//! and the global lot; `interleave::corpus` checks the same code.
 
-//! ## Cancellation: the abandoned-ticket protocol
-//!
-//! The async front end ([`WaitingArraySemaphore::acquire_async`]) makes a
-//! waiter that can *disappear mid-wait* — its future is dropped. The
-//! waiter has already decremented `permits` and taken an enqueue ticket,
-//! so simply vanishing would strand one permit forever. The cancel path
-//! splits on whether the waiter's grant is already published:
-//!
-//! - **published** — the grant is ours and nobody else will ever consume
-//!   it (grants are addressed by ticket); hand it onward with a
-//!   [`WaitingArraySemaphore::release`].
-//! - **not published** — record the ticket in the *abandoned set*; when
-//!   the release stream reaches it, the releaser recycles the permit to
-//!   the next waiter instead of waking a ghost.
-//!
-//! The race between "canceller checks publication" and "releaser
-//! publishes" is closed by a mutex over the abandoned set: the releaser
-//! checks the set *after* publishing, the canceller re-checks publication
-//! *inside* the lock before inserting, so exactly one side recycles.
-
-use crate::seq_ge;
+use crate::async_lock::entry_still_parked;
+use crate::protocol::{self, seq_ge, WaitingArray};
 use crate::telemetry::{Primitive, ServiceMetrics};
-use parking::futex::{global_lot, WaitEntry};
+use parking::futex::{global_lot, ParkingLot, WaitEntry};
 use qsm::CachePadded;
 use std::collections::HashSet;
 use std::future::Future;
 use std::pin::Pin;
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::task::{Context, Poll};
 use std::time::Instant;
 
 /// The waiting-array semaphore. See the module docs for the protocol.
 pub struct WaitingArraySemaphore {
-    /// Available permits; negative values count waiters owed a grant.
-    permits: CachePadded<AtomicI64>,
+    /// Available permits, an `i64`; negative values count waiters owed a
+    /// grant.
+    permits: CachePadded<AtomicU64>,
     /// Next acquire ticket.
     enq: CachePadded<AtomicU64>,
     /// Next grant ticket.
@@ -132,17 +103,10 @@ impl WaitingArraySemaphore {
         let permits = i64::try_from(permits).expect("permit count fits in i64");
         let w = slots.next_power_of_two() as u64;
         let slots: Box<[CachePadded<AtomicU64>]> = (0..w)
-            .map(|i| {
-                // The slot's "no grant yet" value is the grant its
-                // previous-generation tenant (ticket `t0 - W`) would have
-                // published, so the first real waiter (`t0`) observes a
-                // sequence strictly behind its own and parks.
-                let t0 = origin.wrapping_add(i.wrapping_sub(origin) & (w - 1));
-                CachePadded::new(AtomicU64::new(t0.wrapping_add(1).wrapping_sub(w)))
-            })
+            .map(|i| CachePadded::new(AtomicU64::new(protocol::empty_slot(origin, w, i))))
             .collect();
         WaitingArraySemaphore {
-            permits: CachePadded::new(AtomicI64::new(permits)),
+            permits: CachePadded::new(AtomicU64::new(permits as u64)),
             enq: CachePadded::new(AtomicU64::new(origin)),
             deq: CachePadded::new(AtomicU64::new(origin)),
             slots,
@@ -155,7 +119,7 @@ impl WaitingArraySemaphore {
     /// Currently available permits (negative: waiters owed a grant). A
     /// racy observability hook, like the futex totals.
     pub fn permits(&self) -> i64 {
-        self.permits.load(Ordering::SeqCst)
+        self.permits.load(Ordering::SeqCst) as i64
     }
 
     /// Number of waiting-array slots (a power of two).
@@ -167,47 +131,16 @@ impl WaitingArraySemaphore {
     /// waiting-array slot if none is available: spinning for as long as a
     /// park would cost, then parked under the ticket.
     pub fn acquire(&self) {
-        let prev = self.permits.fetch_sub(1, Ordering::SeqCst);
-        if prev > 0 {
-            return;
+        if let Some(ticket) = protocol::take_ticket(&mut self.lot(), &self) {
+            let started = self.metrics.wait_timer(ticket as usize);
+            protocol::wait_for_grant(&mut self.lot(), &self, ticket);
+            self.metrics.record_wait(Primitive::Semaphore, started);
         }
-        let ticket = self.enq.fetch_add(1, Ordering::SeqCst);
-        let started = self.metrics.wait_timer(ticket as usize);
-        let slot = &self.slots[(ticket & self.mask) as usize];
-        let target = ticket.wrapping_add(1);
-        let budget = global_lot().park_cost();
-        if !crate::spin_for(budget, || seq_ge(slot.load(Ordering::SeqCst), target)) {
-            loop {
-                let cur = slot.load(Ordering::SeqCst);
-                if seq_ge(cur, target) {
-                    break;
-                }
-                // Parks iff the slot still shows `cur`; a published grant
-                // changes the slot first, so the park cannot miss it, and
-                // the grant's wake names this ticket, so it ends the park.
-                global_lot().wait_tagged(slot, cur, ticket);
-            }
-        }
-        self.metrics.record_wait(Primitive::Semaphore, started);
     }
 
     /// Acquires one permit iff one is available right now.
     pub fn try_acquire(&self) -> bool {
-        let mut cur = self.permits.load(Ordering::SeqCst);
-        loop {
-            if cur <= 0 {
-                return false;
-            }
-            match self.permits.compare_exchange_weak(
-                cur,
-                cur - 1,
-                Ordering::SeqCst,
-                Ordering::SeqCst,
-            ) {
-                Ok(_) => return true,
-                Err(now) => cur = now,
-            }
-        }
+        protocol::try_acquire(&mut self.lot(), &self)
     }
 
     /// Releases one permit; equivalent to `release_n(1)`.
@@ -223,47 +156,7 @@ impl WaitingArraySemaphore {
     /// runs one extra round so the permit reaches the next real waiter
     /// (or the permit count) instead of a ghost.
     pub fn release_n(&self, n: usize) -> usize {
-        let mut granted = Vec::new();
-        let mut remaining = n;
-        while remaining > 0 {
-            remaining -= 1;
-            let prev = self.permits.fetch_add(1, Ordering::SeqCst);
-            if prev >= 0 {
-                continue;
-            }
-            let ticket = self.deq.fetch_add(1, Ordering::SeqCst);
-            let slot = &self.slots[(ticket & self.mask) as usize];
-            let grant = ticket.wrapping_add(1);
-            // Publish by sequence-max CAS: never regress a slot that a
-            // racing releaser (ticket + W) already advanced past us.
-            let mut cur = slot.load(Ordering::SeqCst);
-            while !seq_ge(cur, grant) {
-                match slot.compare_exchange_weak(cur, grant, Ordering::SeqCst, Ordering::SeqCst) {
-                    Ok(_) => break,
-                    Err(now) => cur = now,
-                }
-            }
-            // Abandonment check strictly *after* publication: a canceller
-            // that saw the grant unpublished has inserted (or will insert
-            // under this same lock and then observe the publication) — see
-            // the module docs. Exactly one side recycles.
-            if self.abandoned.lock().unwrap().remove(&ticket) {
-                self.metrics.count_sem_abandon(ticket as usize);
-                remaining += 1;
-                continue;
-            }
-            self.metrics.count_sem_grants(ticket as usize, 1);
-            granted.push((parking::futex::addr_of(slot), ticket));
-        }
-        if !granted.is_empty() {
-            // One wake per grant, addressed to the waiter that parked with
-            // the granted ticket: a sharer of the slot whose grant is still
-            // pending is not dequeued, so it can neither swallow this wake
-            // nor be woken for nothing. A waiter whose grant landed
-            // mid-spin (never parked) makes its wake a no-op.
-            global_lot().wake_tagged(&granted);
-        }
-        granted.len()
+        protocol::release_n(&mut self.lot(), &self, n)
     }
 
     /// Acquires one permit asynchronously. The returned future takes no
@@ -279,24 +172,51 @@ impl WaitingArraySemaphore {
         }
     }
 
-    /// The cancel half of the abandoned-ticket protocol: called when a
-    /// future that holds `ticket` is dropped before being admitted.
-    fn cancel_ticket(&self, ticket: u64) {
-        let slot = &self.slots[(ticket & self.mask) as usize];
-        let target = ticket.wrapping_add(1);
-        if !seq_ge(slot.load(Ordering::SeqCst), target) {
-            let mut abandoned = self.abandoned.lock().unwrap();
-            // Re-check under the lock: the releaser publishes first and
-            // checks the set second, so if the grant is still unpublished
-            // here, our insert is guaranteed to be seen.
-            if !seq_ge(slot.load(Ordering::SeqCst), target) {
-                abandoned.insert(ticket);
-                return;
-            }
+    /// The lot every semaphore's waiters park in: the [`protocol::Words`]
+    /// its protocol runs on.
+    fn lot(&self) -> &ParkingLot {
+        global_lot()
+    }
+}
+
+/// The semaphore's words for [`protocol`], and its abandoned set: a
+/// `HashSet` under a mutex, cold — touched on cancellation and, briefly,
+/// once per grant.
+impl<'s> WaitingArray<&'s ParkingLot> for &'s WaitingArraySemaphore {
+    fn permits(&self) -> &'s AtomicU64 {
+        &self.permits
+    }
+    fn enq(&self) -> &'s AtomicU64 {
+        &self.enq
+    }
+    fn deq(&self) -> &'s AtomicU64 {
+        &self.deq
+    }
+    fn slot(&self, ticket: u64) -> &'s AtomicU64 {
+        &self.slots[(ticket & self.mask) as usize]
+    }
+    fn take_abandoned(&self, _: &mut &'s ParkingLot, ticket: u64) -> bool {
+        self.abandoned.lock().unwrap().remove(&ticket)
+    }
+    fn abandon_if(
+        &self,
+        lot: &mut &'s ParkingLot,
+        ticket: u64,
+        unpublished: impl FnOnce(&mut &'s ParkingLot) -> bool,
+    ) -> bool {
+        let mut abandoned = self.abandoned.lock().unwrap();
+        let unpublished = unpublished(lot);
+        if unpublished {
+            abandoned.insert(ticket);
         }
-        // Our grant was already published: it is addressed to this ticket
-        // and no other waiter can consume it, so hand the permit onward.
-        self.release();
+        unpublished
+    }
+    fn count(&self, ticket: u64, granted: bool) {
+        if granted {
+            self.metrics.count_sem_grants(ticket as usize, 1);
+        } else {
+            self.metrics.count_sem_abandon(ticket as usize);
+        }
     }
 }
 
@@ -334,12 +254,10 @@ impl Future for AcquireFuture<'_> {
         loop {
             match this.state {
                 AcquireState::Init => {
-                    let prev = this.sem.permits.fetch_sub(1, Ordering::SeqCst);
-                    if prev > 0 {
+                    let Some(ticket) = protocol::take_ticket(&mut this.sem.lot(), &this.sem) else {
                         this.state = AcquireState::Done;
                         return Poll::Ready(());
-                    }
-                    let ticket = this.sem.enq.fetch_add(1, Ordering::SeqCst);
+                    };
                     this.started = this.sem.metrics.wait_timer(ticket as usize);
                     this.state = AcquireState::Waiting {
                         ticket,
@@ -350,18 +268,10 @@ impl Future for AcquireFuture<'_> {
                     ticket,
                     ref mut entry,
                 } => {
-                    if let Some(e) = entry.take() {
-                        if e.woken() {
-                            e.resume();
-                        } else {
-                            // Still parked: refresh the waker (it may have
-                            // changed since registration) and stay pending.
-                            e.update_waker(cx.waker());
-                            *entry = Some(e);
-                            return Poll::Pending;
-                        }
+                    if entry_still_parked(entry, cx.waker()) {
+                        return Poll::Pending;
                     }
-                    let slot = &this.sem.slots[(ticket & this.sem.mask) as usize];
+                    let slot = this.sem.slot(ticket);
                     let target = ticket.wrapping_add(1);
                     loop {
                         let cur = slot.load(Ordering::SeqCst);
@@ -407,7 +317,7 @@ impl Drop for AcquireFuture<'_> {
                 // `cancel_ticket` reads the slot, which says the same thing.
                 let _ = global_lot().cancel(e);
             }
-            self.sem.cancel_ticket(ticket);
+            protocol::cancel_ticket(&mut self.sem.lot(), &self.sem, ticket);
         }
     }
 }

@@ -32,7 +32,6 @@ use qsm::CachePadded;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
-use std::time::Duration;
 use trace::{TraceMode, Tracer};
 
 /// Shard locking that shrugs off poisoning: every critical section here
@@ -319,9 +318,9 @@ impl ShardedTable {
     }
 }
 
-/// A counted reference to a key's slot: the word to synchronize on plus
-/// the wait/wake plumbing through the table's embedded lot. Dropping the
-/// last reference recycles the slot.
+/// A counted reference to a key's slot: the word to synchronize on and the
+/// table's embedded lot to wait in. Dropping the last reference recycles
+/// the slot.
 pub struct SlotRef<'a> {
     table: &'a ShardedTable,
     shard: usize,
@@ -358,43 +357,14 @@ impl SlotRef<'_> {
         &self.table.metrics
     }
 
-    /// What a park in this slot's lot costs right now — the budget of the
-    /// spin that precedes [`SlotRef::wait`]; see [`ParkingLot::park_cost`].
-    pub fn park_cost(&self) -> Duration {
-        self.table.lot.park_cost()
-    }
-
-    /// Parks iff the word still holds `expected`; see
-    /// [`ParkingLot::wait`]. Returns `true` if the thread parked.
-    pub fn wait(&self, expected: u64) -> bool {
-        self.table.lot.wait(self.word(), expected)
-    }
-
-    /// Wakes up to `n` waiters of this slot, oldest first.
-    pub fn wake(&self, n: usize) -> usize {
-        self.table
-            .lot
-            .wake_addr(parking::futex::addr_of(self.word()), n)
-    }
-
-    /// Registers an async waker entry on this slot iff the word still
-    /// holds `expected`; see [`ParkingLot::register`]. The returned entry
-    /// does not pin the slot — the owning future keeps its `SlotRef` alive
-    /// for as long as the entry exists, which is the same "every parked
-    /// waiter holds a reference" rule threads follow.
-    pub fn register_waker(
-        &self,
-        expected: u64,
-        waker: &std::task::Waker,
-    ) -> Option<parking::futex::WaitEntry> {
-        self.table.lot.register(self.word(), expected, waker)
-    }
-
-    /// Withdraws a waker entry registered through
-    /// [`SlotRef::register_waker`]; see [`ParkingLot::cancel`] for the
-    /// grant-ownership contract of the return value.
-    pub fn cancel_waiter(&self, entry: parking::futex::WaitEntry) -> bool {
-        self.table.lot.cancel(entry)
+    /// The parking lot this slot's waiters park in — the
+    /// [`crate::protocol::Words`] the slow paths run on. A waker entry
+    /// registered here ([`ParkingLot::register`]) does not pin the slot:
+    /// the owning future keeps its `SlotRef` alive for as long as the entry
+    /// exists, the same "every parked waiter holds a reference" rule
+    /// threads follow.
+    pub fn lot(&self) -> &ParkingLot {
+        &self.table.lot
     }
 }
 

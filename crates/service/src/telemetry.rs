@@ -308,13 +308,13 @@ impl ServiceMetrics {
         self.block(stripe).respin_wins.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Counts one failed CAS in a contended acquire loop.
+    /// Counts failed CASes of a contended acquire loop.
     #[inline]
-    pub(crate) fn count_cas_retry(&self, stripe: usize) {
-        if self.off() {
+    pub(crate) fn count_cas_retries(&self, stripe: usize, n: u64) {
+        if self.off() || n == 0 {
             return;
         }
-        self.block(stripe).cas_retries.fetch_add(1, Ordering::Relaxed);
+        self.block(stripe).cas_retries.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Counts semaphore grants that reached waiters.
@@ -1028,7 +1028,7 @@ mod tests {
     fn off_mode_records_nothing() {
         let m = ServiceMetrics::new(MetricsMode::Off);
         m.count_acquire(0, true, false);
-        m.count_cas_retry(1);
+        m.count_cas_retries(1, 1);
         m.count_respin_win(1);
         m.count_sem_grants(2, 5);
         m.count_cancellation(3);
@@ -1099,7 +1099,7 @@ mod tests {
         m.count_acquire(0, true, false);
         m.count_acquire(1, false, true);
         m.count_respin_win(1);
-        m.count_cas_retry(0);
+        m.count_cas_retries(0, 1);
         m.count_sem_grants(0, 2);
         m.count_slot_recycle(0);
         m.record_wait(Primitive::Mutex, Some(Instant::now()));

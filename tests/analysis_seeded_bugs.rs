@@ -19,10 +19,14 @@
 //! * **sleep-set reduction** — must cut run counts at least 2× on the lock
 //!   suite while reaching the same (complete, passing) verdict;
 //! * **lost-wakeup detector** — a flag handshake that wakes *before*
-//!   publishing, and an eventcount whose advance forgets its wake, must
-//!   both surface as [`Verdict::LostWakeup`]; the corrected versions of
-//!   the same programs must pass exhaustively.
+//!   publishing, and the service eventcount's advance with its wake
+//!   rewritten away, must both surface as [`Verdict::LostWakeup`]; the
+//!   corrected versions of the same programs must pass exhaustively.
 
+// Seeded bugs #1, #3 and #4 are the corpus's: `CheckThenSetLock`, the flag
+// handshake that wakes before it publishes, and the eventcount's advance
+// with its wake rewritten away.
+use interleave::corpus::{eventcount_wrap_program, flag_handshake_program, CheckThenSetLock};
 use interleave::harness::{check_barrier, check_lock, check_lock_bypass};
 use interleave::{Explorer, Program, Verdict};
 use kernels::barriers::{BarrierKernel, BarrierState};
@@ -31,30 +35,6 @@ use kernels::locks::ticket::TicketLock;
 use kernels::locks::{lock_by_name, LockKernel};
 use kernels::{LockOrderGraph, Region, SyncCtx};
 use std::sync::Arc;
-
-/// Seeded bug #1: acquire observes the lock word free, *then* claims it
-/// with a separate store — the window between the two admits two owners.
-/// On hardware this is the bug you get by "optimizing away" the atomic RMW.
-#[derive(Debug)]
-struct CheckThenSetLock;
-
-impl LockKernel for CheckThenSetLock {
-    fn name(&self) -> &'static str {
-        "check-then-set"
-    }
-    fn lines_needed(&self, _nprocs: usize) -> usize {
-        1
-    }
-    fn acquire(&self, ctx: &mut dyn SyncCtx, region: &Region, _ps: &mut u64) -> u64 {
-        let word = region.slot(0);
-        ctx.spin_until(word, 0); // observe free...
-        ctx.store(word, 1); // ...then claim: not atomic.
-        0
-    }
-    fn release(&self, ctx: &mut dyn SyncCtx, region: &Region, _ps: &mut u64, _token: u64) {
-        ctx.store(region.slot(0), 0);
-    }
-}
 
 /// Seeded bug #2: central sense-reversing barrier whose gate condition is
 /// off by one — it waits for `nprocs` *prior* arrivals, but the last
@@ -83,53 +63,6 @@ impl BarrierKernel for OffByOneBarrier {
         }
         st.round = next_epoch;
     }
-}
-
-/// Seeded bug #3: a flag handshake whose waker issues the futex wake
-/// *before* publishing the flag. The waiter can read the stale flag, the
-/// waker can fire its wake into an empty queue and then publish, and the
-/// waiter then parks on a compare that still succeeds — asleep forever
-/// with the flag already set. The `fixed` variant publishes first, which
-/// the waiter's compare-and-block makes airtight.
-fn flag_handshake_program(fixed: bool) -> Program {
-    Program::new(2, 1, move |ctx| {
-        if ctx.pid() == 0 {
-            let mut cur = ctx.load(0);
-            while cur == 0 {
-                cur = ctx.futex_wait(0, cur);
-            }
-        } else if fixed {
-            ctx.store(0, 1);
-            ctx.futex_wake(0, usize::MAX);
-        } else {
-            ctx.futex_wake(0, usize::MAX); // bug: wake into an empty queue...
-            ctx.store(0, 1); // ...then publish, too late for a parked waiter.
-        }
-    })
-}
-
-/// Seeded bug #4: a blocking eventcount whose `advance` increments the
-/// count but forgets the wake — the missed-advance bug. Waiters that
-/// parked on the old count have no spin fallback; only the wake the
-/// advancer never sends could release them.
-fn eventcount_advance_program(fixed: bool) -> Program {
-    Program::new(3, 1, move |ctx| {
-        if ctx.pid() < 2 {
-            // await_at_least(1)
-            loop {
-                let cur = ctx.load(0);
-                if cur >= 1 {
-                    break;
-                }
-                ctx.futex_wait(0, cur);
-            }
-        } else {
-            ctx.fetch_add(0, 1); // advance...
-            if fixed {
-                ctx.futex_wake(0, usize::MAX); // ...must wake every waiter.
-            }
-        }
-    })
 }
 
 #[test]
@@ -161,9 +94,13 @@ fn fixed_flag_handshake_passes_exhaustively() {
     assert!(verdict.stats().complete, "search must be exhaustive");
 }
 
+/// Seeded bug #4: the service eventcount (`service::protocol`), two
+/// awaiters and an advancer whose wake is rewritten away — the
+/// missed-advance bug. Waiters that parked on the old count have no spin
+/// fallback; only the wake the advancer never sends could release them.
 #[test]
 fn lost_wakeup_detector_flags_missed_advance() {
-    let verdict = Explorer::exhaustive().check(&eventcount_advance_program(false), |_| Ok(()));
+    let verdict = Explorer::exhaustive().check(&eventcount_wrap_program(3, false), |_| Ok(()));
     match verdict {
         Verdict::LostWakeup { ref parked, .. } => {
             assert!(!parked.is_empty());
@@ -178,7 +115,7 @@ fn lost_wakeup_detector_flags_missed_advance() {
 
 #[test]
 fn fixed_eventcount_advance_passes_exhaustively() {
-    let verdict = Explorer::exhaustive().check(&eventcount_advance_program(true), |_| Ok(()));
+    let verdict = Explorer::exhaustive().check(&eventcount_wrap_program(3, true), |_| Ok(()));
     verdict.expect_pass("advance with wake-all");
     assert!(verdict.stats().complete, "search must be exhaustive");
 }

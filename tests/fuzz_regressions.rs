@@ -11,52 +11,11 @@
 //! regression, never flake.
 
 use interleave::corpus::{
-    eventcount_staggered_targets_program, spin_then_park_program, waiting_array_drained,
-    waiting_array_shared_slot_program,
+    eventcount_staggered_targets_program, eventcount_wrap_program, flag_handshake_program,
+    spin_then_park_program, waiting_array_drained, waiting_array_shared_slot_program,
 };
-use interleave::{Explorer, Fuzzer, Program, ReplayEnd, Strategy, Verdict};
-use kernels::SyncCtx;
+use interleave::{Explorer, Fuzzer, ReplayEnd, Strategy, Verdict};
 use workloads::differential::{differential_lock, DiffConfig};
-
-/// The wake-before-publish flag handshake from the seeded-bug suite: the
-/// waker fires its futex wake while the queue is still empty, then
-/// publishes; a waiter that read the stale flag parks on a compare that
-/// still succeeds and sleeps forever.
-fn flag_handshake_program(fixed: bool) -> Program {
-    Program::new(2, 1, move |ctx| {
-        if ctx.pid() == 0 {
-            let mut cur = ctx.load(0);
-            while cur == 0 {
-                cur = ctx.futex_wait(0, cur);
-            }
-        } else if fixed {
-            ctx.store(0, 1);
-            ctx.futex_wake(0, usize::MAX);
-        } else {
-            ctx.futex_wake(0, usize::MAX); // bug: wake into an empty queue...
-            ctx.store(0, 1); // ...then publish, too late for a parked waiter.
-        }
-    })
-}
-
-/// The eventcount whose `advance` forgets its wake, also from the seeded
-/// suite: two waiters park on the count, the advancer bumps it and never
-/// wakes anyone.
-fn forgotten_wake_program() -> Program {
-    Program::new(3, 1, |ctx| {
-        if ctx.pid() < 2 {
-            loop {
-                let cur = ctx.load(0);
-                if cur >= 1 {
-                    break;
-                }
-                ctx.futex_wait(0, cur);
-            }
-        } else {
-            ctx.fetch_add(0, 1); // advance, but never wake
-        }
-    })
-}
 
 /// The hand-minimized reproduction of the handshake bug: t0 reads the
 /// stale flag, t1 fires the wake into the empty queue, t0 parks — three
@@ -114,7 +73,7 @@ fn fuzzing_the_fixed_handshake_passes_its_budget() {
 #[test]
 fn pct_finds_the_forgotten_eventcount_wake() {
     let fuzzer = Fuzzer::new(1991, 300, Strategy::Pct { change_points: 3 });
-    let report = fuzzer.run(&forgotten_wake_program(), |_| Ok(()));
+    let report = fuzzer.run(&eventcount_wrap_program(3, false), |_| Ok(()));
     match &report.verdict {
         Verdict::LostWakeup { parked, .. } => {
             // However the schedule fell, every parked thread sleeps on the
@@ -224,7 +183,7 @@ fn fuzz_failures_are_reproducible_from_the_seed() {
 #[test]
 fn bounded_explorer_classifies_the_park_hang_as_lost_wakeup() {
     for explorer in [Explorer::bounded(0), Explorer::bounded(0).with_bypass_bound(1)] {
-        let verdict = explorer.check(&forgotten_wake_program(), |_| Ok(()));
+        let verdict = explorer.check(&eventcount_wrap_program(3, false), |_| Ok(()));
         assert!(
             matches!(verdict, Verdict::LostWakeup { .. }),
             "bounded(0) must classify the park hang as LostWakeup, got {verdict:?}"
