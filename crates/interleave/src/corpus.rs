@@ -470,8 +470,8 @@ pub fn barrier_round_completed(mem: &[Word]) -> Result<(), String> {
 ///
 /// What the checker leaves out: the async front end's waker registration
 /// — a cancelling waiter is a thread that polls its slot once and then
-/// runs `cancel_ticket`; withdrawing a parked registration needs a
-/// `futex_register` / `futex_cancel` pair [`Words`] does not have.
+/// runs `cancel_ticket`; withdrawing a parked registration needs the
+/// `ParkingLot::{register, cancel}` pair, which [`Words`] does not have.
 #[derive(Debug, Clone, Copy)]
 pub struct WaitingArrayWords {
     /// Waiting-array slots, a power of two.

@@ -12,12 +12,11 @@
 //! The lot is a first-class type, [`ParkingLot`]: the `service` crate's
 //! sharded per-key lock table embeds its own lot sized to the expected
 //! waiter population, while the module-level functions serve the blocking
-//! primitives from one process-global instance. Buckets are cache-line
+//! QSM mutex from one process-global instance. Buckets are cache-line
 //! padded (a parked waiter's bucket lock must not false-share with its
 //! neighbours') and the bucket count is a power of two so indexing is a
 //! mask of the full 64-bit [`mix64`] hash — every input bit diffuses into
-//! the bucket index, unlike the previous fixed `hash >> (64 - 7)` scheme
-//! that consulted only the top 7 bits of a single multiply.
+//! the bucket index.
 //!
 //! The lost-wakeup argument is the whole point of the design. The waiter
 //! re-checks the word *after* taking the bucket lock and enqueues while
@@ -77,10 +76,10 @@
 //! blocking thread it stamps the waiter; the thread, once running again,
 //! folds `resume - wake` — the unpark call plus the scheduler's wake-up
 //! latency, the part of a park nobody can overlap with useful work — into
-//! a per-lot moving average, [`ParkingLot::park_cost`]. Callers that can
-//! choose between spinning and parking (the `service` mutex) spin for that
-//! long first: the classic competitive rule, with the cost measured on the
-//! running host instead of configured. Only real thread parks feed it —
+//! a per-lot moving average, [`ParkingLot::park_cost`]. A thread about to
+//! park spins for that long first ([`ParkingLot::spin`]): the classic
+//! competitive rule, with the cost measured on the running host instead of
+//! configured. Only real thread parks feed it —
 //! not waits that never blocked, not waker entries, not cancellations —
 //! and the clock is read only when a thread is actually dequeued, so the
 //! no-waiter paths stay clock-free.
@@ -116,6 +115,12 @@ pub const PARK_COST_CEIL: Duration = Duration::from_micros(64);
 
 /// Weight of one sample in the park-cost average, as a shift: 1/8.
 const PARK_COST_SHIFT: u32 = 3;
+
+/// Probes (a load and a pause hint, ~60 ns on the reference host) between
+/// clock reads of [`ParkingLot::spin`]: the clock costs about one probe, so
+/// reading it every time would halve how often the word is watched, and
+/// the spin overshoots its budget by at most this many probes.
+const PROBES_PER_CLOCK_READ: u32 = 16;
 
 /// Every clock read of the park, wake and cancel paths goes through here,
 /// so the unit tests can assert which of them read the clock (a
@@ -378,6 +383,30 @@ impl ParkingLot {
     /// better choice.
     pub fn park_cost(&self) -> Duration {
         Duration::from_nanos(self.park_cost_ns.load(Ordering::Relaxed))
+    }
+
+    /// The one pre-park wait on real threads — the competitive rule *spin
+    /// for as long as blocking would cost*: runs `probe` (one look at the
+    /// awaited word, plus whatever claims it) with a pause hint between
+    /// looks until it returns true, giving up — `false` — once this lot's
+    /// [`ParkingLot::park_cost`] has passed. Call it on the lot the caller
+    /// parks in next. Inlined into each caller, so the probe is compiled
+    /// into the loop rather than called from it.
+    #[inline(always)]
+    pub fn spin(&self, mut probe: impl FnMut() -> bool) -> bool {
+        let budget = self.park_cost();
+        let start = Instant::now();
+        loop {
+            for _ in 0..PROBES_PER_CLOCK_READ {
+                if probe() {
+                    return true;
+                }
+                std::hint::spin_loop();
+            }
+            if start.elapsed() >= budget {
+                return false;
+            }
+        }
     }
 
     /// Folds one `resume - wake` sample into the average.
@@ -800,19 +829,6 @@ pub fn futex_wake_addr(addr: usize, n: usize) -> usize {
     global_lot().wake_addr(addr, n)
 }
 
-/// Registers an async waker entry on `word` in the process-global lot;
-/// see [`ParkingLot::register`].
-pub fn futex_register(word: &AtomicU64, expected: u64, waker: &Waker) -> Option<WaitEntry> {
-    global_lot().register(word, expected, waker)
-}
-
-/// Withdraws a waker entry registered through [`futex_register`]; see
-/// [`ParkingLot::cancel`] for the grant-ownership contract of the return
-/// value.
-pub fn futex_cancel(entry: WaitEntry) -> bool {
-    global_lot().cancel(entry)
-}
-
 /// How many threads are currently parked on `word` in the process-global
 /// lot — a test observability hook, racy by nature.
 pub fn parked_count(word: &AtomicU64) -> usize {
@@ -823,7 +839,6 @@ pub fn parked_count(word: &AtomicU64) -> usize {
 mod tests {
     use super::*;
     use std::cell::Cell;
-    use std::sync::atomic::AtomicUsize;
     use std::time::Duration;
 
     thread_local! {
@@ -955,67 +970,6 @@ mod tests {
         assert_eq!(futex_wake(&word, usize::MAX), 0);
     }
 
-    #[test]
-    fn park_and_wake_round_trip() {
-        let word = Arc::new(AtomicU64::new(0));
-        let handle = {
-            let word = Arc::clone(&word);
-            thread::spawn(move || {
-                while word.load(Ordering::SeqCst) == 0 {
-                    futex_wait(&word, 0);
-                }
-                word.load(Ordering::SeqCst)
-            })
-        };
-        while parked_count(&word) == 0 {
-            thread::yield_now();
-        }
-        // Change first, wake second — the discipline every user follows.
-        word.store(42, Ordering::SeqCst);
-        assert_eq!(futex_wake(&word, 1), 1);
-        assert_eq!(handle.join().unwrap(), 42);
-    }
-
-    /// `futex_wake(word, n)` with m > n parked threads wakes exactly n; a
-    /// later wake collects the stragglers.
-    #[test]
-    fn wake_n_of_m_wakes_exactly_n() {
-        let word = Arc::new(AtomicU64::new(0));
-        let released = Arc::new(AtomicUsize::new(0));
-        let handles: Vec<_> = (0..5)
-            .map(|_| {
-                let word = Arc::clone(&word);
-                let released = Arc::clone(&released);
-                thread::spawn(move || {
-                    while word.load(Ordering::SeqCst) == 0 {
-                        futex_wait(&word, 0);
-                    }
-                    released.fetch_add(1, Ordering::SeqCst);
-                })
-            })
-            .collect();
-        while parked_count(&word) < 5 {
-            thread::yield_now();
-        }
-        // Wake 2 without changing the word: exactly those 2 re-check,
-        // still see 0, and park again.
-        assert_eq!(futex_wake(&word, 2), 2);
-        while parked_count(&word) < 5 {
-            thread::yield_now();
-        }
-        assert_eq!(released.load(Ordering::SeqCst), 0);
-        word.store(1, Ordering::SeqCst);
-        assert_eq!(futex_wake(&word, 3), 3);
-        // The remaining 2 are still parked until woken.
-        thread::sleep(Duration::from_millis(10));
-        assert_eq!(parked_count(&word), 2);
-        assert_eq!(futex_wake(&word, usize::MAX), 2);
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(released.load(Ordering::SeqCst), 5);
-    }
-
     /// Two words that collide into the same bucket must not wake each
     /// other's waiters: the queue entries carry the full address.
     #[test]
@@ -1128,7 +1082,7 @@ mod tests {
     fn register_on_changed_word_returns_none() {
         let word = AtomicU64::new(7);
         let (_, waker) = flag_waker();
-        assert!(futex_register(&word, 3, &waker).is_none());
+        assert!(global_lot().register(&word, 3, &waker).is_none());
         assert_eq!(parked_count(&word), 0);
     }
 
@@ -1162,11 +1116,12 @@ mod tests {
 
     #[test]
     fn cancel_before_wake_removes_entry_and_balances() {
+        let lot = global_lot();
         let word = AtomicU64::new(0);
         let (flag, waker) = flag_waker();
-        let entry = futex_register(&word, 0, &waker).expect("word unchanged");
+        let entry = lot.register(&word, 0, &waker).expect("word unchanged");
         assert_eq!(parked_count(&word), 1);
-        assert!(futex_cancel(entry), "no wake raced; entry was still queued");
+        assert!(lot.cancel(entry), "no wake raced; entry was still queued");
         assert_eq!(parked_count(&word), 0);
         // Nobody left to wake, and the waker never fired.
         assert_eq!(futex_wake(&word, usize::MAX), 0);
@@ -1175,21 +1130,24 @@ mod tests {
 
     #[test]
     fn cancel_after_wake_reports_consumed_grant() {
+        let lot = global_lot();
         let word = AtomicU64::new(0);
         let (_, waker) = flag_waker();
-        let entry = futex_register(&word, 0, &waker).expect("word unchanged");
+        let entry = lot.register(&word, 0, &waker).expect("word unchanged");
         word.store(1, Ordering::SeqCst);
         assert_eq!(futex_wake(&word, 1), 1);
         // The wake already dequeued the entry: cancel must say so, so the
         // caller knows it owns (and must forward) the grant.
-        assert!(!futex_cancel(entry));
+        assert!(!lot.cancel(entry));
     }
 
     #[test]
     fn update_waker_after_missed_wake_self_wakes() {
         let word = AtomicU64::new(0);
         let (stale, stale_waker) = flag_waker();
-        let entry = futex_register(&word, 0, &stale_waker).expect("word unchanged");
+        let entry = global_lot()
+            .register(&word, 0, &stale_waker)
+            .expect("word unchanged");
         word.store(1, Ordering::SeqCst);
         assert_eq!(futex_wake(&word, 1), 1);
         assert!(stale.0.load(Ordering::SeqCst));

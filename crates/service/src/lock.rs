@@ -377,25 +377,47 @@ mod tests {
         assert_eq!(svc.eventcount(5).read(), 0);
     }
 
+    /// Each round spawns fresh parties, so the key's slot is recycled
+    /// between rounds; within a round they pass the barrier phase after
+    /// phase, bumping the phase's cell before they wait, so a party let
+    /// through before its phase completed reads that cell short. Every
+    /// phase has exactly one leader: a single party never waits and leads
+    /// them all.
     #[test]
     fn barrier_releases_all_parties_with_one_leader() {
-        let svc = Arc::new(LockService::with_shards(4));
-        let parties = 6u32;
-        for _round in 0..4 {
-            let handles: Vec<_> = (0..parties)
-                .map(|_| {
-                    let svc = Arc::clone(&svc);
-                    thread::spawn(move || svc.barrier_wait(1234, parties))
-                })
-                .collect();
-            let leaders = handles
-                .into_iter()
-                .map(|h| h.join().unwrap())
-                .filter(|&leader| leader)
-                .count();
-            assert_eq!(leaders, 1);
+        const PHASES: usize = 8;
+        let svc = LockService::with_shards(4);
+        for parties in [1, 6] {
+            for _round in 0..4 {
+                let arrived: Vec<AtomicUsize> = (0..PHASES).map(|_| AtomicUsize::new(0)).collect();
+                let leaders: Vec<AtomicUsize> = (0..PHASES).map(|_| AtomicUsize::new(0)).collect();
+                thread::scope(|s| {
+                    for _ in 0..parties {
+                        s.spawn(|| {
+                            for (cell, leader) in arrived.iter().zip(&leaders) {
+                                cell.fetch_add(1, Ordering::SeqCst);
+                                if svc.barrier_wait(1234, parties as u32) {
+                                    leader.fetch_add(1, Ordering::SeqCst);
+                                }
+                                assert_eq!(
+                                    cell.load(Ordering::SeqCst),
+                                    parties,
+                                    "crossed the barrier before the phase completed"
+                                );
+                            }
+                        });
+                    }
+                });
+                assert!(leaders.iter().all(|l| l.load(Ordering::SeqCst) == 1));
+            }
         }
         assert_eq!(svc.stats().live, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one party")]
+    fn barrier_of_no_parties_panics() {
+        LockService::with_shards(1).barrier_wait(7, 0);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! - **real threads** — `impl Words for &ParkingLot`: a word is an
 //!   `&AtomicU64` (every access `SeqCst`), waits and wakes go to the lot,
 //!   and a spin probes for the lot's [`ParkingLot::park_cost`]
-//!   (`crate::spin_for`); monomorphized into each caller, with no `dyn`.
+//!   ([`ParkingLot::spin`]); monomorphized into each caller, with no `dyn`.
 //! - **the checker** — `interleave::corpus::Chk`: a word is an address of
 //!   a checked program's memory, every operation one schedule step, and a
 //!   spin one probe. Each seeded bug is that context with one operation
@@ -93,7 +93,8 @@ impl<'a> Words for &'a ParkingLot {
     }
     #[inline(always)]
     fn spin(&mut self, mut probe: impl FnMut(&mut Self) -> bool) -> bool {
-        crate::spin_for(self.park_cost(), || probe(self))
+        let lot = *self;
+        ParkingLot::spin(lot, || probe(self))
     }
 }
 

@@ -13,9 +13,10 @@
 //! ```
 //!
 //! `--blocking` swaps the forks to [`parking::QsmMutexBlocking`] — same
-//! queue discipline, but a contended philosopher parks on the futex
-//! instead of spinning. With five threads on fewer than five cores the
-//! blocking variant is the one that doesn't fight the host scheduler.
+//! queue discipline, but a contended philosopher spins only for what a
+//! park costs and then parks on the futex. With five threads on fewer than
+//! five cores the blocking variant is the one that doesn't fight the host
+//! scheduler.
 
 use parking::QsmMutexBlocking;
 use qsm::{Mutex, RawLock};

@@ -1,6 +1,6 @@
 //! Integration tests for the real-hardware blocking runtime (`parking`):
-//! the word-sized futex, the blocking eventcount, and the blocking QSM
-//! mutex, exercised with real host threads.
+//! the word-sized futex, the service's eventcount protocol on a plain word,
+//! and the blocking QSM mutex, exercised with real host threads.
 //!
 //! These are the hardware counterparts of the interleave-model futex tests
 //! (`crates/interleave` and `tests/analysis_seeded_bugs.rs`): the model
@@ -8,8 +8,9 @@
 //! and these tests check that the `std::thread`-backed implementation
 //! honours the same contract under a real scheduler.
 
-use parking::futex::{futex_wait, futex_wake, parked_count};
-use parking::{EventcountBlocking, QsmMutexBlocking};
+use parking::futex::{futex_wait, futex_wake, parked_count, ParkingLot};
+use parking::QsmMutexBlocking;
+use service::protocol;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -50,10 +51,9 @@ fn futex_wake_n_of_m_wakes_exactly_n() {
 
     eventually(|| parked_count(&word) == M, "all waiters parked");
 
-    // Waking N without changing the word releases nobody for good: the
-    // woken threads re-check, see 0, and park again.
-    let woken = futex_wake(&word, N);
-    assert!(woken <= N, "woke {woken} > requested {N}");
+    // Waking N without changing the word releases nobody for good: exactly
+    // N are woken, re-check, see 0, and park again.
+    assert_eq!(futex_wake(&word, N), N);
     eventually(|| parked_count(&word) == M, "spuriously woken waiters re-parked");
     assert_eq!(released.load(Ordering::SeqCst), 0);
 
@@ -77,19 +77,22 @@ fn futex_wake_n_of_m_wakes_exactly_n() {
 
 #[test]
 fn eventcount_advance_and_await_survive_wraparound() {
-    // Start two ticks below wraparound so the watched sequence crosses
-    // u64::MAX -> 0 while a waiter is parked on the far side.
-    let ec = Arc::new(EventcountBlocking::with_initial(u64::MAX - 1));
-    let waiter = {
-        let ec = Arc::clone(&ec);
-        std::thread::spawn(move || ec.await_at_least(1))
-    };
-    // Three advances: MAX-1 -> MAX -> 0 -> 1. The signed-distance compare
-    // must treat 1 as "at or past" the target despite 1 < u64::MAX - 1.
-    assert_eq!(ec.advance(), u64::MAX);
-    assert_eq!(ec.advance(), 0);
-    assert_eq!(ec.advance(), 1);
-    assert_eq!(waiter.join().unwrap(), 1);
+    // The service's eventcount protocol on a plain word and a lot of its
+    // own, started two ticks below wraparound so the watched sequence
+    // crosses u64::MAX -> 0 while a waiter waits on the far side.
+    let lot = ParkingLot::with_buckets(1);
+    let count = AtomicU64::new(u64::MAX - 1);
+    std::thread::scope(|s| {
+        let waiter = s.spawn(|| protocol::await_at_least(&mut &lot, &count, 1));
+        // Three advances: MAX-1 -> MAX -> 0 -> 1. The signed-distance
+        // compare must treat 1 as "at or past" the target despite
+        // 1 < u64::MAX - 1.
+        assert_eq!(protocol::advance(&mut &lot, &count), u64::MAX);
+        assert_eq!(protocol::advance(&mut &lot, &count), 0);
+        assert_eq!(protocol::advance(&mut &lot, &count), 1);
+        assert_eq!(waiter.join().unwrap(), 1);
+    });
+    assert!(lot.totals().balanced());
 }
 
 #[test]
