@@ -1,22 +1,16 @@
 //! Benches of the real-hardware primitives (`qsm` crate).
 //!
-//! Complements the fig8 binary with single-thread overhead measurements:
-//! uncontended acquire/release per lock, eventcount advance, sequencer
-//! tickets, and a solo barrier episode. Uses the workspace's own
-//! `bench::timing` harness; run with `cargo bench -p bench --bench realhw`.
+//! Complements the fig8 binary (whose uncontended column is each lock
+//! kernel's acquire/release on real threads) with single-thread overhead
+//! measurements of the hand-written QSM: eventcount advance, sequencer
+//! tickets, a solo barrier episode and a mutex-protected increment. Uses
+//! the workspace's own `bench::timing` harness; run with
+//! `cargo bench -p bench --bench realhw`.
 
 use bench::timing::report;
 use std::hint::black_box;
 
 fn main() {
-    for lock in qsm::all_locks(4) {
-        report(&format!("uncontended_lock/{}", lock.name()), || {
-            let token = lock.lock();
-            // An empty critical section isolates lock overhead.
-            unsafe { lock.unlock(black_box(token)) };
-        });
-    }
-
     let ec = qsm::EventCount::new();
     report("eventcount_advance", || {
         black_box(ec.advance());

@@ -1,11 +1,12 @@
-//! fig8 — real-hardware microbenchmark of the `qsm` crate.
+//! fig8 — real-hardware microbenchmark of the lock registry.
 //!
-//! Measures the std-atomics implementations with actual OS threads and
-//! wall-clock time. **Caveat recorded in EXPERIMENTS.md:** this
-//! reproduction's host has a single core, so contended throughput measures
-//! scheduler hand-off, not coherence traffic; the simulator figures
-//! (fig1–fig3) own the scaling claims. Uncontended latency is meaningful
-//! here and mirrors table1's ordering.
+//! Runs every `kernels::locks::all_locks()` kernel — the algorithms fig1–fig7
+//! simulate, in the same order — on OS threads through
+//! `workloads::realhw::RealCtx`, with wall-clock time. **Caveat recorded in
+//! EXPERIMENTS.md:** with fewer host cores than threads, contended
+//! throughput measures scheduler hand-off, not coherence traffic; the
+//! simulator figures (fig1–fig3) own the scaling claims. Uncontended
+//! latency is meaningful on any host.
 //!
 //! ```text
 //! cargo run -p bench --release --bin fig8_realhw [-- --csv]

@@ -302,8 +302,8 @@ pub fn fig7(opts: &Opts) -> String {
     out
 }
 
-/// fig8 — real-hardware microbenchmark of the `qsm` crate (wall-clock;
-/// the one nondeterministic figure).
+/// fig8 — the `kernels` lock registry on real threads (wall-clock; the one
+/// nondeterministic figure).
 pub fn fig8(opts: &Opts) -> String {
     let threads = if opts.quick {
         vec![1, 2]

@@ -1,8 +1,10 @@
 //! # qsm — the Queueing Synchronization Mechanism for real hardware
 //!
-//! This crate is the production counterpart of the reconstruction in
-//! `kernels`: the same algorithms, written against `std::sync::atomic` with
-//! explicit memory orderings, packaged behind safe APIs.
+//! This crate is the paper's mechanism written against `std::sync::atomic`
+//! with explicit memory orderings, packaged behind safe APIs. It is the one
+//! hand-written copy: every other algorithm of the study exists once, as a
+//! `kernels` kernel over `SyncCtx`, which runs on the simulator, the checker
+//! and (through `workloads::realhw::RealCtx`) on real threads.
 //!
 //! ## The mechanism
 //!
@@ -15,14 +17,13 @@
 //! * [`QsmBarrier`] — a reusable barrier whose arrival counter and release
 //!   epoch are both monotone counters (no reset races by construction);
 //! * [`Mutex`] — an RAII mutex generic over any [`RawLock`], defaulting
-//!   to QSM.
+//!   to QSM (`parking::QsmMutexBlocking` is the other implementation).
 //!
 //! ## The baselines
 //!
-//! Every lock the 1991 evaluation compares against is here, behind the same
-//! [`RawLock`] trait: [`TasLock`], [`TasBackoffLock`], [`TtasLock`],
-//! [`TicketLock`], [`AndersonLock`], [`ClhLock`], [`McsLock`]. The figure-8
-//! bench drives them all through one harness.
+//! The locks the 1991 evaluation compares QSM against (TAS, TTAS, ticket,
+//! Anderson, Graunke–Thakkar, CLH, MCS and their backoff variants) live in
+//! `kernels::locks`. fig8 runs that registry on real threads.
 //!
 //! ## Verification
 //!
@@ -30,9 +31,11 @@
 //! algorithms themselves are checked exhaustively, under sequential
 //! consistency, on their `kernels` twins by the `interleave` crate
 //! (`tests/lock_correctness_sweep.rs`); this crate's code is stressed on
-//! real threads by its unit tests and `tests/realhw_stress.rs`, which CI's
-//! nightly ThreadSanitizer job re-runs to check the orderings as written.
-//! Nothing explores the C11 weak-memory behaviours of these orderings.
+//! real threads by its unit tests and `tests/realhw_stress.rs` (the QSM
+//! mutex over a plain cell, the barrier, an eventcount/sequencer queue),
+//! which CI's nightly ThreadSanitizer job re-runs to check the orderings as
+//! written. Nothing explores the C11 weak-memory behaviours of these
+//! orderings.
 //!
 //! ## Quick start
 //!
@@ -57,41 +60,25 @@
 //! assert_eq!(*counter.lock(), 4000);
 //! ```
 
-pub mod anderson;
 pub mod backoff;
 pub mod barrier;
-pub mod clh;
 pub mod event;
-pub mod mcs;
 pub mod mutex;
 pub mod qsm;
 pub mod raw;
-pub mod rwlock;
-pub mod semaphore;
-pub mod tas;
-pub mod ticket;
-pub mod ttas;
 
-pub use anderson::AndersonLock;
 pub use backoff::Backoff;
 pub use barrier::QsmBarrier;
-pub use clh::ClhLock;
 pub use event::{EventCount, Sequencer};
-pub use mcs::McsLock;
 pub use mutex::{Mutex, MutexGuard};
 pub use qsm::Qsm;
-pub use raw::{all_locks, RawLock};
-pub use rwlock::{RwLock, RwLockReadGuard, RwLockWriteGuard};
-pub use semaphore::{Permit, Semaphore};
-pub use tas::{TasBackoffLock, TasLock};
-pub use ticket::TicketLock;
-pub use ttas::TtasLock;
+pub use raw::RawLock;
 
 /// The atomics and spin hints every primitive in the crate goes through:
 /// one place to read which `std` operations the algorithms are built on.
 pub(crate) mod sync {
     pub(crate) use std::hint::spin_loop as spin_hint;
-    pub(crate) use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
+    pub(crate) use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
     pub(crate) use std::thread::yield_now;
 }
 

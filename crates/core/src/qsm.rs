@@ -1,7 +1,7 @@
 //! **QSM** — the Queueing Synchronization Mechanism, real-hardware edition.
 //!
-//! The lock half of the paper's unified mechanism. Differences from
-//! [`crate::McsLock`], mirroring the `kernels` reconstruction:
+//! The lock half of the paper's unified mechanism. Differences from the
+//! MCS lock (`kernels::locks::mcs`), mirroring the `kernels` reconstruction:
 //!
 //! * the hand-off is an *increment* of the successor's **grant word**
 //!   (an eventcount) rather than clearing a boolean — the operation shared
@@ -36,9 +36,11 @@ struct QsmNode {
 ///
 /// # Memory reclamation
 ///
-/// Per-acquisition heap nodes, freed at the end of `unlock` under the same
-/// argument as [`crate::McsLock`]: by that point no other thread can still
-/// hold a reference to the node.
+/// Per-acquisition heap nodes, freed at the end of `unlock`, which is sound
+/// because by then no other thread can hold a reference: a mid-enqueue
+/// successor has finished writing `next` (we waited for it), and the tail
+/// no longer points at us (our CAS either succeeded or the tail had already
+/// moved on).
 #[derive(Debug)]
 pub struct Qsm {
     tail: CachePadded<AtomicPtr<QsmNode>>,
@@ -116,7 +118,9 @@ impl RawLock for Qsm {
         // Await our grant: the recorded value is 0, so any increment ends
         // the wait — and can never be "un-signalled".
         // SAFETY: our own node.
-        // Escalating wait: see TicketLock on FIFO convoying.
+        // FIFO hand-off convoys badly on an oversubscribed host if waiters
+        // never yield (the next holder may be descheduled), so the wait
+        // escalates from pause hints to yields.
         let mut backoff = Backoff::new();
         unsafe {
             while (*node).grant.load(Ordering::Acquire) == 0 {

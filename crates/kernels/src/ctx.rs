@@ -22,8 +22,9 @@ pub enum LockEvent {
 /// Everything a synchronization kernel may do: the instruction set of a
 /// 1991 shared-memory multiprocessor, plus a watchpoint-based local spin.
 ///
-/// Implemented by [`memsim::Proc`] (simulation) and by the `interleave`
-/// crate's checker context (exhaustive correctness testing). Kernels must
+/// Implemented by [`memsim::Proc`] (simulation), by the `interleave`
+/// crate's checker context (exhaustive correctness testing) and by
+/// `workloads::realhw::RealCtx` (real threads). Kernels must
 /// use *only* this interface for shared state; per-processor private state
 /// lives in ordinary Rust locals.
 pub trait SyncCtx {

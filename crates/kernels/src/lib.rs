@@ -2,12 +2,14 @@
 //!
 //! Every algorithm in the reproduction — the paper's **QSM** mechanism and all
 //! the 1991-era baselines — is written once against the [`SyncCtx`] trait and
-//! then runs unmodified on two substrates:
+//! then runs unmodified on three substrates:
 //!
 //! * [`memsim`]'s simulated multiprocessor (performance: fig1–fig7), via the
 //!   blanket [`SyncCtx`] implementation for [`memsim::Proc`];
 //! * the `interleave` crate's exhaustive model checker (correctness), which
-//!   supplies its own `SyncCtx` with a schedule-controlled memory.
+//!   supplies its own `SyncCtx` with a schedule-controlled memory;
+//! * real OS threads over `SeqCst` atomics and the `parking` futex
+//!   (`workloads::realhw::RealCtx`: fig8 and the differential harness).
 //!
 //! ## Inventory
 //!

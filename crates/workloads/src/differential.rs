@@ -5,12 +5,13 @@
 //! interleave checker (schedule-exhaustive or fuzzed, sequentially
 //! consistent), the cycle-level simulator (dedicated and oversubscribed
 //! machines), and real std threads over `SeqCst` atomics with the
-//! `parking` futex. A bug in a kernel shows up on all of them; a bug in a
-//! *substrate* — a miscounted futex wake in the simulator, a checker that
-//! parks a thread it should not — shows up as the backends disagreeing
-//! about the same workload. This module runs the canonical non-atomic
-//! counter workload (the same one [`kernels::locks::counter_trial`] and
-//! the interleave harness use) on all four and compares:
+//! `parking` futex ([`crate::realhw::RealCtx`]). A bug in a kernel shows
+//! up on all of them; a bug in a *substrate* — a miscounted futex wake in
+//! the simulator, a checker that parks a thread it should not — shows up
+//! as the backends disagreeing about the same workload. This module runs
+//! the canonical non-atomic counter workload (the same one
+//! [`kernels::locks::counter_trial`] and the interleave harness use) on
+//! all four and compares:
 //!
 //! * the **final counter** against `nthreads * iters` — the mutual
 //!   exclusion witness every backend shares;
@@ -26,18 +27,13 @@
 //! enough to run over every lock in CI while still being a real
 //! adversary; see the `interleave::fuzz` module docs for the guarantee.
 
+use crate::realhw;
 use interleave::harness::{fuzz_lock, lock_program};
 use interleave::{Fuzzer, ReplayEnd, Strategy, Verdict};
-use kernels::locks::{counter_trial, fixture, lock_by_name, LockKernel};
-use kernels::{Addr, LockEvent, SyncCtx, Word};
+use kernels::locks::{counter_trial, lock_by_name, LockKernel};
+use kernels::{SyncCtx, Word};
 use memsim::{Machine, MachineParams, SchedParams};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-/// Probe bound for real-thread spin loops: generous enough for any healthy
-/// lock hand-off, small enough that a genuinely stuck waiter fails the
-/// test instead of hanging it.
-const SPIN_LIMIT: u64 = 1 << 26;
 
 /// Shape of one differential trial.
 #[derive(Debug, Clone)]
@@ -299,174 +295,26 @@ fn memsim_backend(
     }
 }
 
-/// A [`SyncCtx`] over real std threads: shared memory is a `Vec<AtomicU64>`
-/// accessed at `SeqCst`, spins are bounded probe loops, and the futex
-/// methods are the `parking` crate's real parking lot. One instance per
-/// thread; the park/wake tallies are summed after the join.
-struct RealCtx {
-    pid: usize,
-    nprocs: usize,
-    mem: Arc<Vec<AtomicU64>>,
-    parks: u64,
-    wakes: u64,
-}
-
-impl RealCtx {
-    fn new(pid: usize, nprocs: usize, mem: Arc<Vec<AtomicU64>>) -> Self {
-        RealCtx {
-            pid,
-            nprocs,
-            mem,
-            parks: 0,
-            wakes: 0,
-        }
-    }
-
-    fn probe(probes: &mut u64, addr: Addr) {
-        *probes += 1;
-        assert!(
-            *probes < SPIN_LIMIT,
-            "real-threads backend: spin on word {addr} exceeded {SPIN_LIMIT} probes (hung lock?)"
-        );
-        if (*probes).is_multiple_of(64) {
-            std::thread::yield_now();
-        } else {
-            std::hint::spin_loop();
-        }
-    }
-}
-
-impl SyncCtx for RealCtx {
-    fn pid(&self) -> usize {
-        self.pid
-    }
-    fn nprocs(&self) -> usize {
-        self.nprocs
-    }
-    fn load(&mut self, addr: Addr) -> Word {
-        self.mem[addr].load(Ordering::SeqCst)
-    }
-    fn store(&mut self, addr: Addr, val: Word) {
-        self.mem[addr].store(val, Ordering::SeqCst);
-    }
-    fn swap(&mut self, addr: Addr, val: Word) -> Word {
-        self.mem[addr].swap(val, Ordering::SeqCst)
-    }
-    fn cas(&mut self, addr: Addr, expected: Word, new: Word) -> Result<Word, Word> {
-        self.mem[addr].compare_exchange(expected, new, Ordering::SeqCst, Ordering::SeqCst)
-    }
-    fn fetch_add(&mut self, addr: Addr, delta: Word) -> Word {
-        self.mem[addr].fetch_add(delta, Ordering::SeqCst)
-    }
-    fn spin_while(&mut self, addr: Addr, val: Word) -> Word {
-        let mut probes = 0;
-        loop {
-            let cur = self.mem[addr].load(Ordering::SeqCst);
-            if cur != val {
-                return cur;
-            }
-            Self::probe(&mut probes, addr);
-        }
-    }
-    fn spin_until(&mut self, addr: Addr, val: Word) {
-        let mut probes = 0;
-        while self.mem[addr].load(Ordering::SeqCst) != val {
-            Self::probe(&mut probes, addr);
-        }
-    }
-    fn delay(&mut self, cycles: u64) {
-        for _ in 0..cycles.min(1_000) {
-            std::hint::spin_loop();
-        }
-    }
-    fn lock_event(&mut self, _event: LockEvent) {}
-    fn futex_wait(&mut self, addr: Addr, expected: Word) -> Word {
-        if parking::futex::futex_wait(&self.mem[addr], expected) {
-            self.parks += 1;
-        }
-        self.mem[addr].load(Ordering::SeqCst)
-    }
-    fn futex_wake(&mut self, addr: Addr, n: usize) -> usize {
-        let woken = parking::futex::futex_wake(&self.mem[addr], n);
-        self.wakes += woken as u64;
-        woken
-    }
-}
-
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "thread panicked".to_string()
-    }
-}
-
-/// Backend 4: the kernel on real std threads. Same layout as the
-/// simulator backends ([`fixture`]), same deliberately non-atomic counter
-/// increment in the critical section.
+/// Backend 4: the kernel on real std threads ([`realhw::run`]). Same
+/// layout as the simulator backends ([`kernels::locks::fixture`]), same
+/// deliberately non-atomic counter increment in the critical section, with
+/// a yield inside it to widen the violation window.
 fn real_threads_backend(
     lock: &Arc<dyn LockKernel + Send + Sync>,
     cfg: &DiffConfig,
 ) -> BackendOutcome {
-    let (fix, init) = fixture(&**lock, cfg.nthreads, 8, 1);
-    let counter = fix.scratch.slot(0);
-    let mem: Arc<Vec<AtomicU64>> = Arc::new(init.into_iter().map(AtomicU64::new).collect());
-    let iters = cfg.iters;
-    let nthreads = cfg.nthreads;
-    let joined: Vec<Result<(u64, u64), String>> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..nthreads)
-            .map(|pid| {
-                let lock = Arc::clone(lock);
-                let mem = Arc::clone(&mem);
-                s.spawn(move || {
-                    let mut ctx = RealCtx::new(pid, nthreads, mem);
-                    let mut ps = lock.proc_init(pid, &fix.region);
-                    for _ in 0..iters {
-                        let token = lock.acquire(&mut ctx, &fix.region, &mut ps);
-                        let v = ctx.data_load(counter);
-                        std::thread::yield_now();
-                        ctx.data_store(counter, v + 1);
-                        lock.release(&mut ctx, &fix.region, &mut ps, token);
-                    }
-                    (ctx.parks, ctx.wakes)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().map_err(|e| panic_message(&*e)))
-            .collect()
+    let run = realhw::run(&**lock, cfg.nthreads, cfg.iters as u64, |ctx, counter| {
+        let v = ctx.data_load(counter);
+        std::thread::yield_now();
+        ctx.data_store(counter, v + 1);
     });
-    let mut parks = 0;
-    let mut wakes = 0;
-    let mut failures = Vec::new();
-    for r in joined {
-        match r {
-            Ok((p, w)) => {
-                parks += p;
-                wakes += w;
-            }
-            Err(msg) => failures.push(msg),
-        }
-    }
-    if failures.is_empty() {
-        BackendOutcome {
-            backend: "real-threads",
-            counter: Some(mem[counter].load(Ordering::SeqCst)),
-            futex_parks: Some(parks),
-            futex_woken: Some(wakes),
-            failure: None,
-        }
-    } else {
-        BackendOutcome {
-            backend: "real-threads",
-            counter: None,
-            futex_parks: None,
-            futex_woken: None,
-            failure: Some(failures.join("; ")),
-        }
+    let done = run.failures.is_empty();
+    BackendOutcome {
+        backend: "real-threads",
+        counter: done.then_some(run.counter),
+        futex_parks: done.then_some(run.parks),
+        futex_woken: done.then_some(run.wakes),
+        failure: (!done).then(|| run.failures.join("; ")),
     }
 }
 

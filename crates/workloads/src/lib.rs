@@ -14,8 +14,9 @@
 //!   figure.
 //! * [`oversub`] — the oversubscribed (threads > cores) spin-vs-block
 //!   comparison behind fig9 and table4, run on the scheduled simulator.
-//! * [`realhw`] — the real-hardware (std thread) harness behind fig8,
-//!   exercising the `qsm` crate rather than the simulator.
+//! * [`realhw`] — the real-hardware (std thread) harness behind fig8:
+//!   [`realhw::RealCtx`], the `SyncCtx` that runs the `kernels` algorithms
+//!   on OS threads, and the lock registry timed on it.
 //! * [`differential`] — the cross-backend differential harness: the same
 //!   lock workload on the interleave fuzzer, both simulator machines, and
 //!   real threads, with the outcomes compared.

@@ -1,61 +1,252 @@
-//! Real-hardware harness — fig8's workload.
+//! Real-hardware harness — fig8's workload, and the one real-thread
+//! [`SyncCtx`].
 //!
-//! Exercises the `qsm` crate's std-atomics primitives with actual OS
-//! threads and wall-clock timing. On this reproduction's single-core host
-//! the contended numbers measure scheduler behaviour rather than coherence
-//! traffic (the simulator owns that claim); the harness still validates
-//! that the real implementations are correct and reports uncontended
-//! latencies, which *are* meaningful on one core.
+//! [`RealCtx`] runs a `kernels` algorithm on OS threads: shared memory is a
+//! slice of `AtomicU64` accessed at `SeqCst`, spins are bounded probe
+//! loops, and the futex methods are the `parking` crate's real parking lot.
+//! fig8 drives every [`kernels::locks::all_locks`] kernel through it with
+//! wall-clock timing, and the differential harness uses it as its
+//! real-threads backend. What the contended columns measure depends on the
+//! host: with fewer cores than threads they measure scheduler hand-off, not
+//! coherence traffic (the simulator owns that claim). The harness still
+//! checks mutual exclusion on every run, and the uncontended column is
+//! meaningful on any host.
 
-use qsm::raw::RawLock;
+use kernels::locks::{fixture, LockKernel};
+use kernels::{Addr, SyncCtx, Word};
 use qsm::QsmBarrier;
-use std::sync::Arc;
-use std::time::Instant;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::{Duration, Instant};
+
+/// Words per cache line in the real-thread memory image (64-byte lines).
+const LINE_WORDS: usize = 8;
+
+/// Probe bound for real-thread spin loops: generous enough for any healthy
+/// lock hand-off, small enough that a genuinely stuck waiter fails the
+/// run instead of hanging it.
+const SPIN_LIMIT: u64 = 1 << 26;
+
+/// A [`SyncCtx`] over real std threads. One instance per thread; the
+/// park/wake tallies are summed after the join.
+pub struct RealCtx<'m> {
+    pid: usize,
+    nprocs: usize,
+    mem: &'m [AtomicU64],
+    /// Futex waits that parked.
+    parks: u64,
+    /// Waiters this thread's futex wakes dequeued.
+    wakes: u64,
+}
+
+impl<'m> RealCtx<'m> {
+    /// Thread `pid` of `nprocs` over the shared memory image `mem`.
+    pub fn new(pid: usize, nprocs: usize, mem: &'m [AtomicU64]) -> Self {
+        RealCtx {
+            pid,
+            nprocs,
+            mem,
+            parks: 0,
+            wakes: 0,
+        }
+    }
+
+    fn probe(probes: &mut u64, addr: Addr) {
+        *probes += 1;
+        assert!(
+            *probes < SPIN_LIMIT,
+            "real threads: spin on word {addr} exceeded {SPIN_LIMIT} probes (hung lock?)"
+        );
+        if (*probes).is_multiple_of(64) {
+            std::thread::yield_now();
+        } else {
+            std::hint::spin_loop();
+        }
+    }
+}
+
+impl SyncCtx for RealCtx<'_> {
+    fn pid(&self) -> usize {
+        self.pid
+    }
+    fn nprocs(&self) -> usize {
+        self.nprocs
+    }
+    fn load(&mut self, addr: Addr) -> Word {
+        self.mem[addr].load(Ordering::SeqCst)
+    }
+    fn store(&mut self, addr: Addr, val: Word) {
+        self.mem[addr].store(val, Ordering::SeqCst);
+    }
+    fn swap(&mut self, addr: Addr, val: Word) -> Word {
+        self.mem[addr].swap(val, Ordering::SeqCst)
+    }
+    fn cas(&mut self, addr: Addr, expected: Word, new: Word) -> Result<Word, Word> {
+        self.mem[addr].compare_exchange(expected, new, Ordering::SeqCst, Ordering::SeqCst)
+    }
+    fn fetch_add(&mut self, addr: Addr, delta: Word) -> Word {
+        self.mem[addr].fetch_add(delta, Ordering::SeqCst)
+    }
+    fn spin_while(&mut self, addr: Addr, val: Word) -> Word {
+        let mut probes = 0;
+        loop {
+            let cur = self.mem[addr].load(Ordering::SeqCst);
+            if cur != val {
+                return cur;
+            }
+            Self::probe(&mut probes, addr);
+        }
+    }
+    fn spin_until(&mut self, addr: Addr, val: Word) {
+        let mut probes = 0;
+        while self.mem[addr].load(Ordering::SeqCst) != val {
+            Self::probe(&mut probes, addr);
+        }
+    }
+    /// Kernels delay only to back off while they wait, so a delay gives the
+    /// core up the way a spin's probes do: a backoff loop that never yields
+    /// (ticket + proportional backoff) convoys behind a descheduled
+    /// successor when threads outnumber cores.
+    fn delay(&mut self, cycles: u64) {
+        for _ in 0..cycles.min(1_000) {
+            std::hint::spin_loop();
+        }
+        std::thread::yield_now();
+    }
+    fn futex_wait(&mut self, addr: Addr, expected: Word) -> Word {
+        if parking::futex::futex_wait(&self.mem[addr], expected) {
+            self.parks += 1;
+        }
+        self.mem[addr].load(Ordering::SeqCst)
+    }
+    fn futex_wake(&mut self, addr: Addr, n: usize) -> usize {
+        let woken = parking::futex::futex_wake(&self.mem[addr], n);
+        self.wakes += woken as u64;
+        woken
+    }
+}
+
+/// What one [`run`] observed.
+#[derive(Debug)]
+pub struct RealRun {
+    /// Final value of the counter word handed to every critical section.
+    pub counter: Word,
+    /// Futex parks, summed over the threads that finished.
+    pub parks: u64,
+    /// Waiters dequeued by futex wakes, summed over the threads that finished.
+    pub wakes: u64,
+    /// Wall-clock time from before the first spawn to the last join.
+    pub elapsed: Duration,
+    /// Panic messages of the threads that did not finish.
+    pub failures: Vec<String>,
+}
+
+/// Runs `lock` on `nthreads` real threads released together by a start
+/// gate, each performing `iters` critical sections: acquire,
+/// `cs(ctx, counter)`, release. The lock and one scratch line are laid out
+/// by [`fixture`], so the Anderson kernel gets exactly `nthreads` slots;
+/// `counter` is the first scratch word.
+pub fn run(
+    lock: &dyn LockKernel,
+    nthreads: usize,
+    iters: u64,
+    cs: impl Fn(&mut RealCtx<'_>, Addr) + Sync,
+) -> RealRun {
+    let (fix, init) = fixture(lock, nthreads, LINE_WORDS, 1);
+    let counter = fix.scratch.slot(0);
+    let mem: Vec<AtomicU64> = init.into_iter().map(AtomicU64::new).collect();
+    let gate = QsmBarrier::new(nthreads);
+    let start = Instant::now();
+    let joined: Vec<std::thread::Result<(u64, u64)>> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..nthreads)
+            .map(|pid| {
+                let (mem, gate, cs) = (&mem, &gate, &cs);
+                s.spawn(move || {
+                    let mut ctx = RealCtx::new(pid, nthreads, mem);
+                    let mut ps = lock.proc_init(pid, &fix.region);
+                    gate.wait();
+                    for _ in 0..iters {
+                        let token = lock.acquire(&mut ctx, &fix.region, &mut ps);
+                        cs(&mut ctx, counter);
+                        lock.release(&mut ctx, &fix.region, &mut ps, token);
+                    }
+                    (ctx.parks, ctx.wakes)
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join()).collect()
+    });
+    let elapsed = start.elapsed();
+    let mut out = RealRun {
+        counter: mem[counter].load(Ordering::SeqCst),
+        parks: 0,
+        wakes: 0,
+        elapsed,
+        failures: Vec::new(),
+    };
+    for r in joined {
+        match r {
+            Ok((p, w)) => {
+                out.parks += p;
+                out.wakes += w;
+            }
+            Err(e) => out.failures.push(panic_message(&*e)),
+        }
+    }
+    out
+}
+
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "thread panicked".to_string()
+    }
+}
 
 /// Nanoseconds per uncontended acquire/release pair, measured over `iters`
 /// iterations on the calling thread.
-pub fn uncontended_ns(lock: &dyn RawLock, iters: u64) -> f64 {
-    // Warm up allocator paths (queue locks allocate nodes).
-    for _ in 0..100 {
-        let t = lock.lock();
-        unsafe { lock.unlock(t) };
-    }
+pub fn uncontended_ns(lock: &dyn LockKernel, iters: u64) -> f64 {
+    let (fix, init) = fixture(lock, 1, LINE_WORDS, 0);
+    let mem: Vec<AtomicU64> = init.into_iter().map(AtomicU64::new).collect();
+    let mut ctx = RealCtx::new(0, 1, &mem);
+    let mut ps = lock.proc_init(0, &fix.region);
+    let mut pass = |n: u64| {
+        for _ in 0..n {
+            let t = lock.acquire(&mut ctx, &fix.region, &mut ps);
+            lock.release(&mut ctx, &fix.region, &mut ps, t);
+        }
+    };
+    pass(100); // warm the lines
     let start = Instant::now();
-    for _ in 0..iters {
-        let t = lock.lock();
-        unsafe { lock.unlock(t) };
-    }
+    pass(iters);
     start.elapsed().as_nanos() as f64 / iters as f64
 }
 
 /// Total critical sections per millisecond with `threads` contending
-/// threads each performing `iters` increments of a shared (atomic) cell.
-pub fn contended_throughput(lock: Arc<dyn RawLock>, threads: usize, iters: u64) -> f64 {
-    let counter = Arc::new(std::sync::atomic::AtomicU64::new(0));
-    let start_gate = Arc::new(QsmBarrier::new(threads));
-    let start = Instant::now();
-    let handles: Vec<_> = (0..threads)
-        .map(|_| {
-            let lock = Arc::clone(&lock);
-            let counter = Arc::clone(&counter);
-            let gate = Arc::clone(&start_gate);
-            std::thread::spawn(move || {
-                gate.wait();
-                for _ in 0..iters {
-                    let t = lock.lock();
-                    counter.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    unsafe { lock.unlock(t) };
-                }
-            })
-        })
-        .collect();
-    for h in handles {
-        h.join().unwrap();
-    }
-    let elapsed_ms = start.elapsed().as_secs_f64() * 1e3;
-    let total = counter.load(std::sync::atomic::Ordering::Relaxed);
-    assert_eq!(total, threads as u64 * iters, "lost critical sections");
-    total as f64 / elapsed_ms
+/// threads each performing `iters` increments of a shared counter. The
+/// increment is a data load and a data store, deliberately not atomic, so
+/// a lock that lets two holders overlap loses updates.
+///
+/// # Panics
+///
+/// If a thread panics, or if the counter ends short of `threads * iters`
+/// ("lost critical sections": two holders overlapped).
+pub fn contended_throughput(lock: &dyn LockKernel, threads: usize, iters: u64) -> f64 {
+    let r = run(lock, threads, iters, |ctx, counter| {
+        let v = ctx.data_load(counter);
+        ctx.data_store(counter, v + 1);
+    });
+    assert!(
+        r.failures.is_empty(),
+        "{}: {}",
+        lock.name(),
+        r.failures.join("; ")
+    );
+    let total = threads as u64 * iters;
+    assert_eq!(r.counter, total, "{}: lost critical sections", lock.name());
+    total as f64 / (r.elapsed.as_secs_f64() * 1e3)
 }
 
 /// One fig8 row: lock name, uncontended ns/op, and throughput at each
@@ -70,7 +261,8 @@ pub struct RealHwRow {
     pub throughput: Vec<(usize, f64)>,
 }
 
-/// Runs the full fig8 sweep over the real-hardware lock registry.
+/// Runs the full fig8 sweep over [`kernels::locks::all_locks`], in
+/// registry order.
 ///
 /// On a single-core host the contended runs are scheduler-bound (every
 /// FIFO hand-off needs a context switch), so the iteration count is scaled
@@ -79,28 +271,25 @@ pub fn sweep(thread_counts: &[usize], iters: u64) -> Vec<RealHwRow> {
     let single_core = std::thread::available_parallelism()
         .map(|n| n.get() == 1)
         .unwrap_or(false);
-    let contended_iters = if single_core { (iters / 20).max(500) } else { iters };
-    let max_threads = thread_counts.iter().copied().max().unwrap_or(1);
-    qsm::all_locks(max_threads)
+    let contended_iters = if single_core {
+        (iters / 20).max(500)
+    } else {
+        iters
+    };
+    kernels::locks::all_locks()
         .into_iter()
-        .map(|lock| {
-            let name = lock.name();
-            let uncontended = uncontended_ns(lock.as_ref(), iters);
-            let lock: Arc<dyn RawLock> = Arc::from(lock);
-            let throughput = thread_counts
+        .map(|lock| RealHwRow {
+            name: lock.name(),
+            uncontended_ns: uncontended_ns(&*lock, iters),
+            throughput: thread_counts
                 .iter()
                 .map(|&t| {
                     (
                         t,
-                        contended_throughput(Arc::clone(&lock), t, contended_iters / t as u64),
+                        contended_throughput(&*lock, t, contended_iters / t as u64),
                     )
                 })
-                .collect();
-            RealHwRow {
-                name,
-                uncontended_ns: uncontended,
-                throughput,
-            }
+                .collect(),
         })
         .collect()
 }
@@ -108,25 +297,24 @@ pub fn sweep(thread_counts: &[usize], iters: u64) -> Vec<RealHwRow> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use kernels::locks::{qsm::QsmLock, ticket::TicketLock};
 
     #[test]
     fn uncontended_latency_is_positive() {
-        let lock = qsm::Qsm::new();
-        let ns = uncontended_ns(&lock, 10_000);
+        let ns = uncontended_ns(&QsmLock, 10_000);
         assert!(ns > 0.0 && ns < 100_000.0, "implausible latency {ns}");
     }
 
     #[test]
     fn contended_throughput_counts_everything() {
-        let lock: Arc<dyn RawLock> = Arc::new(qsm::TicketLock::new());
-        let thr = contended_throughput(lock, 2, 2_000);
+        let thr = contended_throughput(&TicketLock, 2, 2_000);
         assert!(thr > 0.0);
     }
 
     #[test]
     fn sweep_covers_registry() {
         let rows = sweep(&[1, 2], 2_000);
-        assert_eq!(rows.len(), 8);
+        assert_eq!(rows.len(), kernels::locks::all_locks().len());
         for row in &rows {
             assert!(row.uncontended_ns > 0.0, "{} zero latency", row.name);
             assert_eq!(row.throughput.len(), 2);

@@ -3,11 +3,11 @@
 //! Re-exports every crate of the workspace so downstream users (and the
 //! `examples/` and `tests/` at the repository root) can depend on one name.
 //!
-//! * [`qsm`] — the Queueing Synchronization Mechanism and all real-hardware
-//!   baselines (start here: `qsm::Mutex`, `qsm::QsmBarrier`,
-//!   `qsm::EventCount`, `qsm::RwLock`, `qsm::Semaphore`).
+//! * [`qsm`] — the Queueing Synchronization Mechanism on std atomics
+//!   (start here: `qsm::Mutex`, `qsm::QsmBarrier`, `qsm::EventCount`).
 //! * [`memsim`] — the simulated 1991 bus/NUMA multiprocessor.
-//! * [`kernels`] — the algorithms over the abstract memory API.
+//! * [`kernels`] — the algorithms over the abstract memory API, QSM and
+//!   every baseline, run on the simulator, the checker and real threads.
 //! * [`interleave`] — the schedule-exploring model checker.
 //! * [`workloads`] — the experiment drivers behind each figure.
 //! * [`simcore`] — deterministic RNG, statistics, and table rendering.
