@@ -271,6 +271,10 @@ pub enum Mutant {
     /// slot but keeps the "unpublished" of its check before the lock
     /// (`waiting-array-stale-cancel-recheck`).
     StaleRecheck,
+    /// The barrier un-arrive's CAS — the one taking the word one lower —
+    /// subtracts one from whatever the word holds by then, without
+    /// re-reading the round (`barrier-blind-unarrive`).
+    BlindUnarrive,
 }
 
 /// The checker's instantiation of [`Words`]: a word is an address of the
@@ -315,17 +319,16 @@ impl Words for Chk<'_> {
         {
             new = HELD;
         }
+        if self.mutant == Some(Mutant::BlindUnarrive) && new == expected.wrapping_sub(1) {
+            return Ok(self.ctx.fetch_add(w, Word::MAX));
+        }
         self.ctx.cas(w, expected, new)
     }
     fn fetch_add(&mut self, w: Addr, delta: Word) -> Word {
         self.ctx.fetch_add(w, delta)
     }
-    fn wait(&mut self, w: Addr, expected: Word) -> bool {
-        self.woken = self.ctx.futex_wait_op(w, expected, None).0;
-        self.woken
-    }
-    fn wait_tagged(&mut self, w: Addr, expected: Word, tag: Word) -> bool {
-        self.woken = self.ctx.futex_wait_op(w, expected, Some(tag)).0;
+    fn wait(&mut self, w: Addr, expected: Word, tag: Option<Word>) -> bool {
+        self.woken = self.ctx.futex_wait_op(w, expected, tag).0;
         self.woken
     }
     fn wake(&mut self, w: Addr, n: usize) -> usize {
@@ -452,8 +455,37 @@ pub fn barrier_program(parties: usize, fixed: bool) -> Program {
     .with_init(vec![(0, 1)])
 }
 
-/// Final-state check of [`barrier_program`]: the round moved on once and
-/// no arrival is left over.
+/// A cancelled party's un-arrive (`protocol::barrier_unarrive`, what
+/// dropping a waiting `BarrierFuture` runs) at a two-party barrier on word
+/// 0: thread 0 arrives, un-arrives while the round may still be open, and
+/// arrives again; thread 1 arrives once. If thread 1 completes the round
+/// first, the un-arrive finds the round moved on and thread 0 has crossed;
+/// either way one round completes with no arrival left over. The seeded
+/// bug ([`Mutant::BlindUnarrive`]) decrements without re-reading the round:
+/// landing after the round completed, it takes an arrival nobody made from
+/// the next one, and the re-arrival finds the count wrapped.
+pub fn barrier_unarrive_program(fixed: bool) -> Program {
+    let mutant = (!fixed).then_some(Mutant::BlindUnarrive);
+    Program::new(2, 1, move |ctx| {
+        let cancels = ctx.pid() == 0;
+        let c = &mut Chk::new(ctx, mutant);
+        let mut arrived = protocol::barrier_arrive(c, 0, 2);
+        if let (true, Some(round)) = (cancels, arrived) {
+            arrived = if protocol::barrier_unarrive(c, 0, round) {
+                protocol::barrier_arrive(c, 0, 2)
+            } else {
+                None
+            };
+        }
+        if let Some(round) = arrived {
+            protocol::barrier_wait(c, 0, round);
+        }
+    })
+}
+
+/// Final-state check of [`barrier_program`] and
+/// [`barrier_unarrive_program`]: the round moved on once and no arrival is
+/// left over.
 pub fn barrier_round_completed(mem: &[Word]) -> Result<(), String> {
     match mem[0] {
         w if w == 1 << 32 => Ok(()),
@@ -773,6 +805,10 @@ pub fn corpus_program(name: &str) -> Option<(Program, fn(&[Word]) -> Result<(), 
         )),
         // Barrier whose round-completing arrival wakes one waiter.
         "barrier-round-wake-one" => Some((barrier_program(3, false), barrier_round_completed)),
+        // Barrier un-arrive that decrements without re-reading the round.
+        "barrier-blind-unarrive" => {
+            Some((barrier_unarrive_program(false), barrier_round_completed))
+        }
         _ => None,
     }
 }
@@ -793,6 +829,7 @@ pub fn corpus_program_names() -> &'static [&'static str] {
         "waiting-array-wake-one-shared-slot",
         "waiting-array-stale-cancel-recheck",
         "barrier-round-wake-one",
+        "barrier-blind-unarrive",
     ]
 }
 

@@ -469,7 +469,7 @@ impl ChkCtx {
     /// slip through. A parked thread is unschedulable until some wake
     /// re-readies it, after which one more granted step re-reads and
     /// returns the word.
-    /// Tagged (`service::protocol::Words::wait_tagged`) when `tag` is given;
+    /// Tagged (`service::protocol::Words::wait` with a tag) when `tag` is given;
     /// the answer is whether the thread parked, and the word it read last.
     pub(crate) fn futex_wait_op(
         &mut self,

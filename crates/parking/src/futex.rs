@@ -765,20 +765,23 @@ impl WaitEntry {
     }
 
     /// Installs the waker from the *current* poll, replacing the one
-    /// captured at registration. Closes the poll-vs-wake race: if a wake
-    /// slipped in between the caller's `woken()` check and the swap, the
-    /// stored waker may already have been taken and invoked — so after
-    /// swapping, a set `woken` flag self-wakes through the fresh waker to
-    /// guarantee the task is re-polled.
+    /// captured at registration. Closes the poll-vs-wake race: a wake sets
+    /// `woken` before it takes the stored waker, so if `woken` is clear
+    /// under the waker's lock the wake will find the fresh one, and if a
+    /// wake slipped in between the caller's `woken()` check and the lock,
+    /// the task is woken here through the fresh waker and the slot left
+    /// empty, to guarantee one re-poll.
     pub fn update_waker(&self, waker: &Waker) {
         let WaitMode::Task(slot) = &self.waiter.how else {
             unreachable!("WaitEntry wraps task-mode waiters only");
         };
-        *slot.lock().unwrap() = Some(waker.clone());
+        let mut slot = slot.lock().unwrap();
         if self.woken() {
-            if let Some(w) = slot.lock().unwrap().take() {
-                w.wake();
-            }
+            *slot = None;
+            drop(slot);
+            waker.wake_by_ref();
+        } else {
+            *slot = Some(waker.clone());
         }
     }
 

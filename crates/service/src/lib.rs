@@ -27,9 +27,10 @@
 //!   ([`parking::futex::ParkingLot::spin`]); the barrier's waiters still
 //!   park at once.
 //! - [`protocol`] — every slow path above and the semaphore's, written once
-//!   over a small word-operations trait. The service runs it on atomics and
-//!   its parking lot; the `interleave` checker runs the same functions on
-//!   its own memory, so the protocols are checked as shipped.
+//!   over a small word-operations trait, each wait one step that a thread
+//!   and a future drive alike. The service runs it on atomics and its
+//!   parking lot; the `interleave` checker runs the same functions on its
+//!   own memory, so the protocols are checked as shipped.
 //! - [`semaphore::WaitingArraySemaphore`] — a counting semaphore per Dice &
 //!   Kogan's *Semaphores Augmented with a Waiting Array*: a permits counter
 //!   plus enqueue/dequeue tickets indexing a small slot array where each
@@ -38,14 +39,12 @@
 //!   tickets that share its slot
 //!   ([`parking::futex::ParkingLot::wake_tagged`], a batch in one sweep).
 //! - [`async_lock::AsyncLockService`] — the async-native front end:
-//!   poll-based futures (`lock`, `lock_many`, eventcount waits, barrier
-//!   waits, and the semaphore's `acquire_async`) over the *same* table
-//!   and slot words, sharing the parking lot's FIFO queues with blocking
-//!   threads via waker-or-thread wait entries. Dropping a future
-//!   mid-wait is cancellation, and the drop repairs the protocol —
-//!   baton-passing mutex grants, abandoned-ticket restoration in the
-//!   semaphore, barrier un-arrival — so the machine-wide
-//!   `parks == wakes == resumes` invariant spans both worlds.
+//!   futures (`lock`, `lock_many`, eventcount and barrier waits, the
+//!   semaphore's `acquire_async`) over the *same* table and slot words,
+//!   sharing the parking lot's FIFO queues with blocking threads. Dropping
+//!   a future mid-wait is cancellation, and the drop runs the protocol's
+//!   repair — baton pass, ticket restore, un-arrive — so
+//!   `parks == wakes == resumes` spans both worlds.
 //!
 //! The load generator that drives this crate lives in
 //! `workloads::service_load`; the figures it feeds (`fig11`, `table6`,

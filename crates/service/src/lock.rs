@@ -28,8 +28,8 @@
 //!   same spin is measured and waiting for the benchmark harness to admit
 //!   it (ROADMAP item 4).
 //!
-//! The async futures share the words and the queues but never spin: a
-//! future that spun would stall every other task on its executor thread.
+//! The async futures run the same steps, with the waker-registering driver
+//! [`protocol::poll_step`], which never spins.
 
 use crate::protocol::{self, seq_ge, FREE, HELD};
 use crate::table::{ShardedTable, SlotKind, SlotRef, TableStats};
@@ -132,7 +132,7 @@ impl LockService {
         let word = slot.word();
         if Self::try_acquire(word) {
             slot.metrics().count_acquire(slot.shard(), true, false);
-            return KeyGuard::acquired(slot, None);
+            return KeyGuard::acquired(slot, Primitive::Mutex, None);
         }
         self.lock_contended(slot)
     }
@@ -156,7 +156,7 @@ impl LockService {
         if how.respun {
             metrics.count_respin_win(slot.shard());
         }
-        KeyGuard::acquired(slot, started)
+        KeyGuard::acquired(slot, Primitive::Mutex, started)
     }
 
     /// Acquires the mutex for `key` iff it is free right now.
@@ -164,7 +164,7 @@ impl LockService {
         let slot = self.table.attach(key, SlotKind::Mutex);
         if Self::try_acquire(slot.word()) {
             slot.metrics().count_acquire(slot.shard(), true, false);
-            Some(KeyGuard::acquired(slot, None))
+            Some(KeyGuard::acquired(slot, Primitive::Mutex, None))
         } else {
             None
         }
@@ -214,20 +214,14 @@ pub struct KeyGuard<'a> {
 }
 
 impl<'a> KeyGuard<'a> {
-    /// Finishes an acquisition: records the sampled wait (if `started`),
-    /// and maybe starts a sampled hold measurement.
-    fn acquired(slot: SlotRef<'a>, started: Option<Instant>) -> Self {
-        let metrics = slot.metrics();
-        metrics.record_wait(Primitive::Mutex, started);
-        let hold = metrics.wait_timer(slot.shard());
-        KeyGuard { slot, hold }
-    }
-
-    /// Wraps a slot whose mutex word the caller has already driven to
-    /// HELD or CONTENDED — the async lock future's acquisition path.
-    pub(crate) fn from_acquired(slot: SlotRef<'a>) -> Self {
+    /// Finishes an acquisition by `how` (the blocking or the async mutex):
+    /// records the sampled wait (if `started`), and maybe starts a sampled
+    /// hold measurement.
+    pub(crate) fn acquired(slot: SlotRef<'a>, how: Primitive, started: Option<Instant>) -> Self {
         debug_assert!(slot.word().load(Ordering::SeqCst) != FREE);
-        let hold = slot.metrics().wait_timer(slot.shard());
+        let metrics = slot.metrics();
+        metrics.record_wait(how, started);
+        let hold = metrics.wait_timer(slot.shard());
         KeyGuard { slot, hold }
     }
 
@@ -245,6 +239,7 @@ impl Drop for KeyGuard<'_> {
 }
 
 /// A handle to one key's eventcount; see [`LockService::eventcount`].
+#[derive(Clone)]
 pub struct EventKey<'a> {
     slot: SlotRef<'a>,
 }
@@ -281,14 +276,6 @@ impl<'a> EventKey<'a> {
         let cur = protocol::await_at_least(&mut self.slot.lot(), self.slot.word(), target);
         self.slot.metrics().record_wait(Primitive::EventCount, started);
         cur
-    }
-}
-
-impl Clone for EventKey<'_> {
-    fn clone(&self) -> Self {
-        EventKey {
-            slot: self.slot.clone(),
-        }
     }
 }
 

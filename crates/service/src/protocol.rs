@@ -14,12 +14,17 @@
 //!   spin one probe. Each seeded bug is that context with one operation
 //!   rewritten; nothing here selects a bug.
 //!
-//! Fast paths, sampled timers and the async futures' waker registration
-//! stay with the callers. So does counting: the mutex returns a
-//! [`Contention`], a semaphore counts through [`WaitingArray::count`].
+//! Every wait is a [`Step`]: one look that finishes it or names the park
+//! it needs. [`block`] drives the steps on a thread through [`Words::wait`],
+//! [`poll_step`] in a future by registering a waker in a `&ParkingLot`, so
+//! both wait by the same code; each future's cancellation repair sits
+//! beside the step it undoes. Fast paths, sampled timers and counting stay
+//! with the callers: the mutex returns a [`Contention`], a semaphore counts
+//! through [`WaitingArray::count`].
 
-use parking::futex::{addr_of, ParkingLot};
+use parking::futex::{addr_of, ParkingLot, WaitEntry};
 use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
+use std::task::{Poll, Waker};
 
 /// Wraparound-safe sequence comparison: `a >= b` on the circle of `u64`
 /// sequence numbers, correct as long as the two are within `2^63` of each
@@ -46,12 +51,10 @@ pub trait Words {
     fn fetch_add(&mut self, w: Self::Word, delta: u64) -> u64;
     /// Parks iff the word still holds `expected`, the compare and the
     /// enqueue one atomic step; `true` if it parked (and was woken). A wake
-    /// says nothing about the word: callers re-check.
-    fn wait(&mut self, w: Self::Word, expected: u64) -> bool;
-    /// [`Words::wait`] carrying `tag`, for one of several waiters sharing
-    /// the word: [`Words::wake_tagged`] of the word and this tag ends the
-    /// park, and no other sharer's.
-    fn wait_tagged(&mut self, w: Self::Word, expected: u64, tag: u64) -> bool;
+    /// says nothing about the word: callers re-check. With a `tag` the
+    /// waiter is one of several sharing the word: [`Words::wake_tagged`] of
+    /// the word and this tag ends the park, and no other sharer's.
+    fn wait(&mut self, w: Self::Word, expected: u64, tag: Option<u64>) -> bool;
     /// Wakes up to `n` waiters of the word, oldest first; returns how many.
     fn wake(&mut self, w: Self::Word, n: usize) -> usize;
     /// For each `(word, tag)`, wakes the waiters parked on the word with
@@ -79,11 +82,11 @@ impl<'a> Words for &'a ParkingLot {
     fn fetch_add(&mut self, w: Self::Word, delta: u64) -> u64 {
         w.fetch_add(delta, SeqCst)
     }
-    fn wait(&mut self, w: Self::Word, expected: u64) -> bool {
-        ParkingLot::wait(self, w, expected)
-    }
-    fn wait_tagged(&mut self, w: Self::Word, expected: u64, tag: u64) -> bool {
-        ParkingLot::wait_tagged(self, w, expected, tag)
+    fn wait(&mut self, w: Self::Word, expected: u64, tag: Option<u64>) -> bool {
+        match tag {
+            None => ParkingLot::wait(self, w, expected),
+            Some(tag) => ParkingLot::wait_tagged(self, w, expected, tag),
+        }
     }
     fn wake(&mut self, w: Self::Word, n: usize) -> usize {
         self.wake_addr(addr_of(w), n)
@@ -95,6 +98,63 @@ impl<'a> Words for &'a ParkingLot {
     fn spin(&mut self, mut probe: impl FnMut(&mut Self) -> bool) -> bool {
         let lot = *self;
         ParkingLot::spin(lot, || probe(self))
+    }
+}
+
+/// One look at a wait: over, or the park that waits out what it read.
+#[derive(Debug)]
+pub enum Step<W, T> {
+    /// The wait is over.
+    Ready(T),
+    /// `Park(word, expected, tag)`: park on `word` iff it still holds
+    /// `expected`, the value the step read ([`Words::wait`], under `tag` if
+    /// given), then look again.
+    Park(W, u64, Option<u64>),
+}
+
+/// The blocking driver: steps until ready, parking where each step says,
+/// telling `step` whether the wait before it parked (the mutex respins
+/// then). The spin before the first park is the caller's.
+pub fn block<C: Words, T>(c: &mut C, mut step: impl FnMut(&mut C, bool) -> Step<C::Word, T>) -> T {
+    let mut woken = false;
+    loop {
+        match step(c, woken) {
+            Step::Ready(v) => return v,
+            Step::Park(word, expected, tag) => woken = c.wait(word, expected, tag),
+        }
+    }
+}
+
+/// The async driver: one poll of a future waiting by `step` in `lot`. An
+/// `entry` no wake has taken keeps it pending (its waker refreshed); else
+/// step, registering a waker entry where a step parks iff the word still
+/// holds what it read, and stepping again if refused. Never spins: that
+/// would stall every task on the executor's thread. A future dropped with
+/// `entry` set withdraws it ([`ParkingLot::cancel`]) and runs its repair.
+pub fn poll_step<'a, T>(
+    lot: &'a ParkingLot,
+    entry: &mut Option<WaitEntry>,
+    waker: &Waker,
+    mut step: impl FnMut(&mut &'a ParkingLot) -> Step<&'a AtomicU64, T>,
+) -> Poll<T> {
+    if let Some(e) = entry.take() {
+        if !e.woken() {
+            e.update_waker(waker);
+            *entry = Some(e);
+            return Poll::Pending;
+        }
+        e.resume();
+    }
+    let mut c = lot;
+    loop {
+        *entry = match step(&mut c) {
+            Step::Ready(v) => return Poll::Ready(v),
+            Step::Park(w, seen, None) => lot.register(w, seen, waker),
+            Step::Park(w, seen, Some(tag)) => lot.register_tagged(w, seen, tag, waker),
+        };
+        if entry.is_some() {
+            return Poll::Pending;
+        }
     }
 }
 
@@ -128,29 +188,53 @@ pub fn lock_contended<C: Words>(c: &mut C, w: C::Word) -> Contention {
     if spin_acquire(c, w, HELD, &mut how.cas_retries) {
         return how;
     }
+    block(c, |c, woken| {
+        if woken {
+            how.parked = true;
+            if spin_acquire(c, w, CONTENDED, &mut how.cas_retries) {
+                how.respun = true;
+                return Step::Ready(false);
+            }
+        }
+        lock_step(c, w, CONTENDED, &mut how.cas_retries)
+    });
+    how
+}
+
+/// One look at a held mutex: take the word as `locked` if it reads FREE
+/// (counting lost CASes in `retries`), announce waiters if it reads HELD,
+/// park once it reads CONTENDED. Ready with `true` iff the first look took
+/// it. A future takes it as HELD until it has parked, like the fast path.
+pub fn lock_step<C: Words>(
+    c: &mut C,
+    w: C::Word,
+    locked: u64,
+    retries: &mut u64,
+) -> Step<C::Word, bool> {
+    let mut first = true;
     loop {
         match c.load(w) {
             FREE => {
-                if c.cas(w, FREE, CONTENDED).is_ok() {
-                    return how;
+                if c.cas(w, FREE, locked).is_ok() {
+                    return Step::Ready(first);
                 }
-                how.cas_retries += 1;
+                *retries += 1;
             }
-            // Announce waiters; whoever holds it will wake us.
             HELD => {
                 let _ = c.cas(w, HELD, CONTENDED);
             }
-            _ => {
-                if !c.wait(w, CONTENDED) {
-                    continue;
-                }
-                how.parked = true;
-                if spin_acquire(c, w, CONTENDED, &mut how.cas_retries) {
-                    how.respun = true;
-                    return how;
-                }
-            }
+            _ => return Step::Park(w, CONTENDED, None),
         }
+        first = false;
+    }
+}
+
+/// The repair of a mutex acquire dropped after it parked, `chosen` if a
+/// release had dequeued it: that release woke this waiter alone, so pass
+/// the wake on, or the queue sleeps over a free lock.
+pub fn lock_cancelled<C: Words>(c: &mut C, w: C::Word, chosen: bool) {
+    if chosen {
+        c.wake(w, 1);
     }
 }
 
@@ -193,17 +277,21 @@ pub fn advance<C: Words>(c: &mut C, w: C::Word) -> u64 {
 /// Waits, past its caller's first read, until the count reaches `target`
 /// (signed distance); returns the count seen. One spin, before the first
 /// park only — a waiter the wake-all resumes with its target still ahead
-/// is several advances away, which is what parking is for — then read,
-/// compare, park iff unchanged.
+/// is several advances away, which is what parking is for — then
+/// [`await_step`] until it is ready.
 pub fn await_at_least<C: Words>(c: &mut C, w: C::Word, target: u64) -> u64 {
     c.spin(|c| seq_ge(c.load(w), target));
-    loop {
-        let cur = c.load(w);
-        if seq_ge(cur, target) {
-            return cur;
-        }
-        c.wait(w, cur);
+    block(c, |c, _| await_step(c, w, target))
+}
+
+/// One look at the eventcount: the count, once it has reached `target`;
+/// else park on what was read.
+pub fn await_step<C: Words>(c: &mut C, w: C::Word, target: u64) -> Step<C::Word, u64> {
+    let cur = c.load(w);
+    if seq_ge(cur, target) {
+        return Step::Ready(cur);
     }
+    Step::Park(w, cur, None)
 }
 
 /// One arrival at the barrier word (round in the high 32 bits, arrivals in
@@ -240,17 +328,34 @@ pub fn barrier_arrive<C: Words>(c: &mut C, w: C::Word, parties: u32) -> Option<u
     }
 }
 
-/// Waits until the barrier's round is no longer `round`. Waiting for the
-/// round to change, not for a sense bit to flip, means a waiter that
-/// sleeps through a whole round still sees a different number.
+/// Waits until the barrier's round is no longer `round`.
 pub fn barrier_wait<C: Words>(c: &mut C, w: C::Word, round: u64) {
-    loop {
-        let now = c.load(w);
-        if now >> 32 != round {
-            return;
-        }
-        c.wait(w, now);
+    block(c, |c, _| barrier_step(c, w, round));
+}
+
+/// One look at the barrier: over once the round is no longer `round`, so a
+/// waiter that sleeps through a whole round still sees a different number;
+/// else park on what was read.
+pub fn barrier_step<C: Words>(c: &mut C, w: C::Word, round: u64) -> Step<C::Word, ()> {
+    let now = c.load(w);
+    if now >> 32 != round {
+        return Step::Ready(());
     }
+    Step::Park(w, now, None)
+}
+
+/// Withdraws an arrival in `round` by a CAS that re-reads the round, unless
+/// the round has completed and consumed it. Whether it withdrew.
+pub fn barrier_unarrive<C: Words>(c: &mut C, w: C::Word, round: u64) -> bool {
+    let mut cur = c.load(w);
+    while cur >> 32 == round {
+        debug_assert!(cur as u32 > 0, "un-arrive with no arrivals");
+        match c.cas(w, cur, cur - 1) {
+            Ok(_) => return true,
+            Err(now) => cur = now,
+        }
+    }
+    false
 }
 
 /// One waiting-array semaphore as an instantiation of [`Words`] lays it
@@ -310,21 +415,27 @@ pub fn granted<C: Words, S: WaitingArray<C>>(c: &mut C, s: &S, ticket: u64) -> b
 }
 
 /// The wait of an acquire holding `ticket`: spin for a park's worth, then
-/// park under the ticket iff the slot still shows what was read. A grant
-/// changes the slot before it wakes, so the park cannot miss it, and the
-/// wake names this ticket, so it ends this park and no sharer's.
+/// [`grant_step`] until it is ready.
 pub fn wait_for_grant<C: Words, S: WaitingArray<C>>(c: &mut C, s: &S, ticket: u64) {
-    if c.spin(|c| granted(c, s, ticket)) {
-        return;
+    if !c.spin(|c| granted(c, s, ticket)) {
+        block(c, |c, _| grant_step(c, s, ticket));
     }
-    let (slot, target) = (s.slot(ticket), ticket.wrapping_add(1));
-    loop {
-        let cur = c.load(slot);
-        if seq_ge(cur, target) {
-            return;
-        }
-        c.wait_tagged(slot, cur, ticket);
+}
+
+/// One look at `ticket`'s slot: over once its grant is published; else park
+/// under the ticket on what was read. A grant changes the slot before it
+/// wakes this ticket, and no sharer's, so the park cannot miss it.
+pub fn grant_step<C: Words, S: WaitingArray<C>>(
+    c: &mut C,
+    s: &S,
+    ticket: u64,
+) -> Step<C::Word, ()> {
+    let slot = s.slot(ticket);
+    let cur = c.load(slot);
+    if seq_ge(cur, ticket.wrapping_add(1)) {
+        return Step::Ready(());
     }
+    Step::Park(slot, cur, Some(ticket))
 }
 
 /// Releases `n` permits; returns how many went to waiters. A grant owed is

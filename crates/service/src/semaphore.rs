@@ -31,8 +31,7 @@
 //! The protocol is [`crate::protocol`]'s, run here on this struct's atomics
 //! and the global lot; `interleave::corpus` checks the same code.
 
-use crate::async_lock::entry_still_parked;
-use crate::protocol::{self, seq_ge, WaitingArray};
+use crate::protocol::{self, WaitingArray};
 use crate::telemetry::{Primitive, ServiceMetrics};
 use parking::futex::{global_lot, ParkingLot, WaitEntry};
 use qsm::CachePadded;
@@ -41,7 +40,7 @@ use std::future::Future;
 use std::pin::Pin;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::task::{Context, Poll};
+use std::task::{ready, Context, Poll};
 use std::time::Instant;
 
 /// The waiting-array semaphore. See the module docs for the protocol.
@@ -148,26 +147,21 @@ impl WaitingArraySemaphore {
         self.release_n(1);
     }
 
-    /// Releases `n` permits. Grants owed to waiters are all published
-    /// first, then each granted ticket — and no other sharer of its slot —
-    /// is woken, in one batched sweep; returns how many grants went to
-    /// waiters (the rest raised the permit count). A grant whose
-    /// ticket was abandoned by a cancelled future is *recycled*: the loop
-    /// runs one extra round so the permit reaches the next real waiter
-    /// (or the permit count) instead of a ghost.
+    /// Releases `n` permits ([`protocol::release_n`]: each grant wakes its
+    /// own ticket, an abandoned ticket's permit goes round again); returns
+    /// how many went to waiters, the rest raising the permit count.
     pub fn release_n(&self, n: usize) -> usize {
         protocol::release_n(&mut self.lot(), &self, n)
     }
 
-    /// Acquires one permit asynchronously. The returned future takes no
-    /// ticket (and decrements nothing) until first polled; dropping it
-    /// mid-wait restores the semaphore through the abandoned-ticket
-    /// protocol (see the module docs), so cancellation never leaks a
-    /// permit or strands a later waiter.
+    /// Acquires one permit asynchronously. The future takes no ticket until
+    /// first polled; dropped mid-wait, it restores its ticket (see the
+    /// module docs), so cancellation never leaks a permit.
     pub fn acquire_async(&self) -> AcquireFuture<'_> {
         AcquireFuture {
-            sem: self,
-            state: AcquireState::Init,
+            sem: Some(self),
+            ticket: None,
+            entry: None,
             started: None,
         }
     }
@@ -220,28 +214,17 @@ impl<'s> WaitingArray<&'s ParkingLot> for &'s WaitingArraySemaphore {
     }
 }
 
-/// Where an [`AcquireFuture`] is in the acquire protocol.
-enum AcquireState {
-    /// Not yet polled: no permit decremented, no ticket taken.
-    Init,
-    /// Holding `ticket`, waiting for its grant; `entry` is the parked
-    /// waker registration (None transiently between registrations).
-    Waiting {
-        ticket: u64,
-        entry: Option<WaitEntry>,
-    },
-    /// Admitted (or cancelled); polling again is a bug.
-    Done,
-}
-
 /// Future returned by [`WaitingArraySemaphore::acquire_async`]; resolves
 /// once a permit is held. Dropping it mid-wait cancels cleanly: the waker
 /// registration is withdrawn and the ticket restored (or its
 /// already-published grant handed to the next waiter).
 #[must_use = "futures do nothing unless polled"]
 pub struct AcquireFuture<'a> {
-    sem: &'a WaitingArraySemaphore,
-    state: AcquireState,
+    /// The semaphore; released on completion.
+    sem: Option<&'a WaitingArraySemaphore>,
+    /// The ticket the first poll took, if it found no permit.
+    ticket: Option<u64>,
+    entry: Option<WaitEntry>,
     /// Sampled wait-timing start, taken when the ticket is.
     started: Option<Instant>,
 }
@@ -251,80 +234,48 @@ impl Future for AcquireFuture<'_> {
 
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
         let this = self.get_mut();
-        loop {
-            match this.state {
-                AcquireState::Init => {
-                    let Some(ticket) = protocol::take_ticket(&mut this.sem.lot(), &this.sem) else {
-                        this.state = AcquireState::Done;
-                        return Poll::Ready(());
-                    };
-                    this.started = this.sem.metrics.wait_timer(ticket as usize);
-                    this.state = AcquireState::Waiting {
-                        ticket,
-                        entry: None,
-                    };
-                }
-                AcquireState::Waiting {
-                    ticket,
-                    ref mut entry,
-                } => {
-                    if entry_still_parked(entry, cx.waker()) {
-                        return Poll::Pending;
-                    }
-                    let slot = this.sem.slot(ticket);
-                    let target = ticket.wrapping_add(1);
-                    loop {
-                        let cur = slot.load(Ordering::SeqCst);
-                        if seq_ge(cur, target) {
-                            this.sem
-                                .metrics
-                                .record_wait(Primitive::Semaphore, this.started.take());
-                            this.state = AcquireState::Done;
-                            return Poll::Ready(());
-                        }
-                        // Same registered-iff-unchanged discipline as the
-                        // blocking path's futex_wait: a grant that lands
-                        // first changes the slot and the registration
-                        // refuses, so the park cannot miss it.
-                        match global_lot().register_tagged(slot, cur, ticket, cx.waker()) {
-                            Some(e) => {
-                                *entry = Some(e);
-                                return Poll::Pending;
-                            }
-                            None => continue,
-                        }
-                    }
-                }
-                AcquireState::Done => panic!("AcquireFuture polled after completion"),
+        let sem = this.sem.expect("AcquireFuture polled after completion");
+        let ticket = match this.ticket {
+            Some(ticket) => ticket,
+            None => {
+                let Some(ticket) = protocol::take_ticket(&mut sem.lot(), &sem) else {
+                    this.sem = None;
+                    return Poll::Ready(());
+                };
+                this.started = sem.metrics.wait_timer(ticket as usize);
+                *this.ticket.insert(ticket)
             }
-        }
+        };
+        ready!(protocol::poll_step(sem.lot(), &mut this.entry, cx.waker(), |c| {
+            protocol::grant_step(c, &sem, ticket)
+        }));
+        sem.metrics.record_wait(Primitive::Semaphore, this.started.take());
+        this.sem = None;
+        Poll::Ready(())
     }
 }
 
 impl Drop for AcquireFuture<'_> {
     fn drop(&mut self) {
-        if let AcquireState::Waiting { ticket, entry } =
-            std::mem::replace(&mut self.state, AcquireState::Done)
-        {
-            self.sem.metrics.count_cancellation(ticket as usize);
-            if let Some(e) = entry {
-                // Withdraw the parked waker. The entry parked under this
-                // ticket, so a wake that had already dequeued it was
-                // addressed to it: this ticket's grant is published, no
-                // other waiter's wake was consumed, and `cancel_ticket`
-                // takes its published branch and hands the permit onward.
-                // That is why the return value needs no branch here —
-                // `cancel_ticket` reads the slot, which says the same thing.
-                let _ = global_lot().cancel(e);
-            }
-            protocol::cancel_ticket(&mut self.sem.lot(), &self.sem, ticket);
+        let (Some(sem), Some(ticket)) = (self.sem, self.ticket) else {
+            return;
+        };
+        sem.metrics.count_cancellation(ticket as usize);
+        if let Some(e) = self.entry.take() {
+            // A wake that had already dequeued the entry was addressed to
+            // its ticket, whose grant is then published: `cancel_ticket`
+            // reads that off the slot and hands the permit onward.
+            let _ = sem.lot().cancel(e);
         }
+        protocol::cancel_ticket(&mut sem.lot(), &sem, ticket);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::async_lock::tests::poll_once;
+    use crate::protocol::seq_ge;
     use std::sync::atomic::AtomicUsize;
     use std::sync::Arc;
     use std::thread;
@@ -512,21 +463,6 @@ mod tests {
     #[should_panic(expected = "at least one slot")]
     fn zero_slot_array_rejected() {
         WaitingArraySemaphore::new(1, 0);
-    }
-
-    struct FlagWaker(std::sync::atomic::AtomicBool);
-
-    impl std::task::Wake for FlagWaker {
-        fn wake(self: Arc<Self>) {
-            self.0.store(true, Ordering::SeqCst);
-        }
-    }
-
-    fn poll_once<F: Future + Unpin>(fut: &mut F) -> (Poll<F::Output>, Arc<FlagWaker>) {
-        let flag = Arc::new(FlagWaker(std::sync::atomic::AtomicBool::new(false)));
-        let waker = std::task::Waker::from(Arc::clone(&flag));
-        let mut cx = Context::from_waker(&waker);
-        (Pin::new(fut).poll(&mut cx), flag)
     }
 
     #[test]

@@ -127,10 +127,16 @@ pub enum Outcome {
     },
 }
 
+/// A spawned task: its future, and the waker every poll of it passes.
+struct Task<'a> {
+    fut: Pin<Box<dyn Future<Output = ()> + 'a>>,
+    waker: Waker,
+}
+
 /// The executor. See the module docs for the discipline.
 pub struct Executor<'a> {
     shared: Arc<Shared>,
-    tasks: Vec<Option<Pin<Box<dyn Future<Output = ()> + 'a>>>>,
+    tasks: Vec<Option<Task<'a>>>,
     ready: VecDeque<usize>,
     /// Wake-cost re-polls: min-heap on (time, seq, task id, wake time).
     /// The trailing wake timestamp rides along for the wake-to-poll
@@ -187,7 +193,14 @@ impl<'a> Executor<'a> {
     /// spawn order. Returns the task's id (its index in stall reports).
     pub fn spawn(&mut self, fut: impl Future<Output = ()> + 'a) -> usize {
         let id = self.tasks.len();
-        self.tasks.push(Some(Box::pin(fut)));
+        let waker = Waker::from(Arc::new(TaskWaker {
+            id,
+            shared: Arc::clone(&self.shared),
+        }));
+        self.tasks.push(Some(Task {
+            fut: Box::pin(fut),
+            waker,
+        }));
         self.ready.push_back(id);
         self.unfinished += 1;
         id
@@ -279,17 +292,13 @@ impl<'a> Executor<'a> {
     }
 
     fn poll_task(&mut self, id: usize) {
-        let Some(fut) = self.tasks[id].as_mut() else {
+        let Some(task) = self.tasks[id].as_mut() else {
             // A stale duplicate wake of a completed task.
             return;
         };
         self.metrics.polls += 1;
-        let waker = Waker::from(Arc::new(TaskWaker {
-            id,
-            shared: Arc::clone(&self.shared),
-        }));
-        let mut cx = Context::from_waker(&waker);
-        if fut.as_mut().poll(&mut cx).is_ready() {
+        let mut cx = Context::from_waker(&task.waker);
+        if task.fut.as_mut().poll(&mut cx).is_ready() {
             self.tasks[id] = None;
             self.unfinished -= 1;
         }

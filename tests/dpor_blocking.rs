@@ -22,7 +22,9 @@
 //!   CAS acquire as HELD, which strands a second parked waiter. Exhaustive
 //!   under source sets, and once more preemption-bounded;
 //! * **barrier** — `barrier_arrive` and its wait loop at three parties; the
-//!   bug completes the round with a wake-one;
+//!   bug completes the round with a wake-one. And a cancelled party's
+//!   `barrier_unarrive` racing the round's completion, where the bug
+//!   decrements without re-reading the round;
 //! * **waiting-array semaphore** — waiters sharing a slot against
 //!   one-at-a-time releases, where waking the slot's oldest waiter instead
 //!   of the granted ticket (the PR 8 bug) strands the granted one, and the
@@ -50,7 +52,8 @@
 //! execution a few dozen coroutine switches on the test's own thread.
 
 use interleave::corpus::{
-    barrier_program, barrier_round_completed, blocking_grant_program, corpus_program,
+    barrier_program, barrier_round_completed, barrier_unarrive_program, blocking_grant_program,
+    corpus_program,
     eventcount_staggered_targets_program, eventcount_wrap_program, spin_then_park_program,
     waiting_array_cancel_program, waiting_array_drained, waiting_array_one_permit_left,
     waiting_array_shared_slot_program, Chk, WaitingArrayWords,
@@ -425,6 +428,30 @@ fn barrier_three_parties_pass_and_a_wake_one_round_loses_a_wakeup() {
     loses_a_wakeup_under_every_mode("barrier 3, round wakes one", || barrier_program(3, false));
 }
 
+/// A party that arrives, un-arrives and arrives again against one that
+/// arrives once: one round completes whichever side the un-arrive lands
+/// on, and an un-arrive that does not re-read the round takes an arrival
+/// from the round after the one it left. Two threads, so source sets have
+/// nothing to prune that sleep sets keep: the fixed search is a tie.
+#[test]
+fn barrier_unarrive_passes_and_a_blind_unarrive_is_caught() {
+    let runs = ends_in_under_every_mode(
+        "barrier un-arrive",
+        VerdictClass::Pass,
+        barrier_round_completed,
+        || barrier_unarrive_program(true),
+    );
+    assert_eq!(runs, [420, 420], "the EXPERIMENTS.md counts moved");
+    let runs = ends_in_under_every_mode(
+        "barrier un-arrive, round not re-read",
+        VerdictClass::Violation,
+        barrier_round_completed,
+        || barrier_unarrive_program(false),
+    );
+    assert_source_reaches_the_bug_no_later("barrier-unarrive-bug", runs);
+    assert_eq!(runs, [41, 41], "the EXPERIMENTS.md counts moved");
+}
+
 /// Tier-1's share: the seeded bugs and the control under both modes, the
 /// shipped protocol under source sets.
 #[test]
@@ -559,6 +586,8 @@ fn measure() {
         ("spin-then-park-3-bug", Box::new(|| spin_then_park_program(3, false))),
         ("barrier-3-fixed", Box::new(|| barrier_program(3, true))),
         ("barrier-3-bug", Box::new(|| barrier_program(3, false))),
+        ("barrier-unarrive-fixed", Box::new(|| barrier_unarrive_program(true))),
+        ("barrier-unarrive-bug", Box::new(|| barrier_unarrive_program(false))),
         (
             "check-then-set",
             Box::new(|| corpus_program("check-then-set").unwrap().0),
