@@ -1,24 +1,17 @@
 //! bench_sim — regenerates every figure **in one process** and records the
 //! wall-clock cost per figure in a machine-readable `BENCH_sim.json`.
 //!
-//! This is the measurement the tentpole perf work is judged by: rendering
-//! all figures in a single process is exactly what a full regeneration
-//! does, minus per-binary process spawns, and it shares one warm worker
-//! pool across every simulation. Per-figure progress goes to stderr;
-//! stdout reports only where the JSON landed.
+//! Rendering all figures in a single process is exactly what a full
+//! regeneration does, minus per-binary process spawns. Per-figure progress
+//! goes to stderr; stdout reports only where the JSON landed.
 //!
-//! Since schema v2 every deterministic figure is rendered **twice** — once
-//! serially (one sweep thread, no fragment replay) and once with both
-//! parallelism axes enabled (cross-cell sweep threads × intra-run fragment
-//! replay) — from two `Opts` values that differ only in their `run`
-//! configuration, and the two outputs are compared byte for byte before
-//! the speedup is reported. A mismatch is a determinism bug and fails the
-//! run.
-//!
-//! Schema v3 adds the resolved `service_metrics` mode to the report
-//! header: the table7 rows prove telemetry never perturbs the virtual
-//! schedule, but a perf report should still say what mode the service
-//! figures ran under.
+//! Every deterministic figure is rendered **twice**, from two `Opts` values
+//! that differ only in their sweep thread count: once on one thread and
+//! once on `SYNCMECH_SWEEP_THREADS` (default: the host's parallelism). The
+//! two outputs are compared byte for byte before both wall-clocks and their
+//! ratio are reported; a mismatch is a determinism bug and fails the run.
+//! The report is schema v4; its header also records the resolved
+//! `service_metrics` mode the service figures ran under.
 //!
 //! ```text
 //! cargo run -p bench --release --bin bench_sim [-- --quick|--full] [--out PATH]
@@ -26,22 +19,16 @@
 
 use bench::figures::FIGURES;
 use bench::Opts;
-use simcore::knob;
 use std::fmt::Write as _;
 use std::time::Instant;
 use workloads::sweeps::RunConfig;
 
 const USAGE: &str = "\
-usage: bench_sim [--quick | --full] [--only IDS] [--out PATH] [--fragments K]
+usage: bench_sim [--quick | --full] [--only IDS] [--out PATH]
                  [--trace-out PATH] [--trace-workload bus|oversub] [--help]
 
-  --fragments K          fragment length in simulated cycles for the
-                         fragment-parallel pass (positive; overrides
-                         SYNCMECH_REPLAY_FRAGMENT; default 100000)
   --trace-out PATH       also export a Chrome trace-event JSON timeline of
-                         one traced workload (validated before writing);
-                         the export runs fragment-parallel and stitches the
-                         per-fragment rings
+                         one traced workload (validated before writing)
   --trace-workload KIND  which workload to trace: `bus` (dedicated bus
                          machine, qsm) or `oversub` (the fig9
                          oversubscription machine, qsm-block-park; default)
@@ -52,9 +39,7 @@ usage: bench_sim [--quick | --full] [--only IDS] [--out PATH] [--fragments K]
   --help      show this help
 
 environment (a malformed value is an error):
-  SYNCMECH_SWEEP_THREADS=N    host threads for the cross-cell sweep fan-out
-  SYNCMECH_REPLAY_FRAGMENT=K  fragment length in simulated cycles
-  SYNCMECH_REPLAY_WORKERS=N   host threads for the fragment replay fan-out
+  SYNCMECH_SWEEP_THREADS=N    host threads for the second, parallel render
   SYNCMECH_SERVICE_METRICS=off|counters|sampled:<N>
                               telemetry mode of the service figures";
 
@@ -62,7 +47,6 @@ struct Args {
     quick: bool,
     only: Option<Vec<String>>,
     out: String,
-    fragments: Option<u64>,
     trace_out: Option<String>,
     trace_workload: String,
 }
@@ -72,7 +56,6 @@ fn parse_args() -> Args {
         quick: false,
         only: None,
         out: "BENCH_sim.json".to_string(),
-        fragments: None,
         trace_out: None,
         trace_workload: "oversub".to_string(),
     };
@@ -95,14 +78,6 @@ fn parse_args() -> Args {
                 Some(path) => args.out = path,
                 None => {
                     eprintln!("error: --out needs a path");
-                    eprintln!("{USAGE}");
-                    std::process::exit(2);
-                }
-            },
-            "--fragments" => match it.next().map(|v| knob::positive::<u64>(&v)) {
-                Some(Ok(k)) => args.fragments = Some(k),
-                _ => {
-                    eprintln!("error: --fragments needs a positive cycle count");
                     eprintln!("{USAGE}");
                     std::process::exit(2);
                 }
@@ -137,13 +112,6 @@ fn parse_args() -> Args {
     args
 }
 
-/// Default fragment length. Snapshot capture clones the full machine
-/// state (P caches + memory + engine queues), so short fragments are
-/// dominated by cloning — 25k cycles costs ~4x on the P = 64 figures,
-/// 100k cycles ~1.3x — while the large figure cells still split into
-/// enough fragments to load a small host's cores.
-const DEFAULT_FRAGMENT: u64 = 100_000;
-
 fn main() {
     let args = parse_args();
     // Resolve (and strictly validate) every knob up front: a bad value
@@ -156,27 +124,16 @@ fn main() {
     let mode = if args.quick { "quick" } else { "full" };
     let host_cores = simcore::host_parallelism();
     let threads = knobs.run.threads;
-    let replay_workers = knobs.run.replay_workers;
-    // Fragment length: CLI flag, then the environment knob, then the
-    // default.
-    let fragment = args
-        .fragments
-        .or(knobs.run.fragment)
-        .unwrap_or(DEFAULT_FRAGMENT);
     let service_metrics = knobs.metrics.label();
 
-    // The two passes: identical but for how they use the host.
-    let serial = Opts {
+    // The two renders: identical but for their sweep thread count.
+    let parallel = Opts {
         quick: args.quick,
-        run: RunConfig::SERIAL,
         ..knobs
     };
-    let parallel = Opts {
-        run: RunConfig {
-            fragment: Some(fragment),
-            ..knobs.run
-        },
-        ..serial
+    let serial = Opts {
+        run: RunConfig::SERIAL,
+        ..parallel
     };
 
     let selected: Vec<_> = FIGURES
@@ -190,7 +147,7 @@ fn main() {
 
     let mut figure_entries = String::new();
     let mut serial_ms = 0.0f64;
-    let mut fragment_ms = 0.0f64;
+    let mut parallel_ms = 0.0f64;
     let total_start = Instant::now();
     for (i, figure) in selected.iter().enumerate() {
         let sep = if i == 0 { "" } else { ",\n" };
@@ -201,27 +158,26 @@ fn main() {
 
             let start = Instant::now();
             let parallel_out = (figure.render)(&parallel);
-            let fragment_wall = start.elapsed().as_secs_f64() * 1e3;
+            let parallel_wall = start.elapsed().as_secs_f64() * 1e3;
 
             if serial_out != parallel_out {
                 eprintln!(
-                    "error: {} diverged between the serial and fragment-parallel \
-                     renders — fragment replay is not byte-identical",
+                    "error: {} diverged between the 1-thread and {threads}-thread renders",
                     figure.id
                 );
                 std::process::exit(1);
             }
             serial_ms += serial_wall;
-            fragment_ms += fragment_wall;
-            let speedup = serial_wall / fragment_wall.max(1e-9);
+            parallel_ms += parallel_wall;
+            let speedup = serial_wall / parallel_wall.max(1e-9);
             eprintln!(
-                "{:<8} serial {:>9.1} ms   fragments {:>9.1} ms   {speedup:>5.2}x",
-                figure.id, serial_wall, fragment_wall
+                "{:<8} 1 thread {:>9.1} ms   {threads} threads {:>9.1} ms   {speedup:>5.2}x",
+                figure.id, serial_wall, parallel_wall
             );
             let _ = write!(
                 figure_entries,
                 "{sep}    {{\"id\":\"{}\",\"binary\":\"{}\",\"deterministic\":true,\
-                 \"serial_wall_ms\":{serial_wall:.1},\"fragment_wall_ms\":{fragment_wall:.1},\
+                 \"serial_wall_ms\":{serial_wall:.1},\"parallel_wall_ms\":{parallel_wall:.1},\
                  \"speedup\":{speedup:.2}}}",
                 figure.id, figure.binary
             );
@@ -244,13 +200,12 @@ fn main() {
     let total_ms = total_start.elapsed().as_secs_f64() * 1e3;
 
     let json = format!(
-        "{{\n  \"schema\": \"syncmech-bench-sim/v3\",\n  \"mode\": \"{mode}\",\n  \
+        "{{\n  \"schema\": \"syncmech-bench-sim/v4\",\n  \"mode\": \"{mode}\",\n  \
          \"host_cores\": {host_cores},\n  \"sweep_threads\": {threads},\n  \
-         \"replay_workers\": {replay_workers},\n  \"fragment_cycles\": {fragment},\n  \
          \"service_metrics\": \"{service_metrics}\",\n  \
          \"figures\": [\n{figure_entries}\n  ],\n  \
          \"deterministic_serial_wall_ms\": {serial_ms:.1},\n  \
-         \"deterministic_fragment_wall_ms\": {fragment_ms:.1},\n  \
+         \"deterministic_parallel_wall_ms\": {parallel_ms:.1},\n  \
          \"total_wall_ms\": {total_ms:.1}\n}}\n"
     );
     if let Err(e) = std::fs::write(&args.out, &json) {
@@ -265,11 +220,7 @@ fn main() {
     );
 
     if let Some(trace_out) = &args.trace_out {
-        // The export runs with fragment replay on: the machine records
-        // once, replays fragments concurrently, and stitches the
-        // per-fragment rings — byte-identical to a sequential traced run
-        // (pinned by the golden-trace tests).
-        let trace_json = bench::trace_export::export_trace(&args.trace_workload, &parallel);
+        let trace_json = bench::trace_export::export_trace(&args.trace_workload, &serial);
         let stats = trace::chrome::validate(&trace_json)
             .unwrap_or_else(|e| panic!("exported trace failed validation: {e}"));
         if let Err(e) = std::fs::write(trace_out, &trace_json) {

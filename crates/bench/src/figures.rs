@@ -285,7 +285,7 @@ pub fn fig7(opts: &Opts) -> String {
     // Panel 3: fast-path ablation, contended and uncontended.
     let mut fp = Series::new("P", "cycles per critical section");
     for &p in &[1usize, nprocs] {
-        let machine = opts.run.machine(MachineKind::Bus.machine(p));
+        let machine = MachineKind::Bus.machine(p);
         let cfg = CsConfig {
             think: 0,
             jitter: false,
@@ -411,7 +411,7 @@ pub fn table2(opts: &Opts) -> String {
     ));
     let locks = all_locks();
     let results = parallel_cells(locks.len(), opts.run.threads, |i| {
-        let machine = opts.run.machine(MachineKind::Bus.machine(nprocs));
+        let machine = MachineKind::Bus.machine(nprocs);
         run(&machine, locks[i].as_ref(), &cfg)
             .unwrap_or_else(|e| panic!("{}: {e}", locks[i].name()))
     });
@@ -462,7 +462,7 @@ pub fn table3(opts: &Opts) -> String {
             write_hold: 60,
             seed: 0x7777,
         };
-        let machine = opts.run.machine(MachineKind::Bus.machine(nprocs));
+        let machine = MachineKind::Bus.machine(nprocs);
         let rw = run_rwlock(&machine, &cfg).expect("rwlock trial");
         let mx = run_mutex(&machine, &cfg).expect("mutex trial");
         (rw, mx)
@@ -523,7 +523,7 @@ pub fn table4(opts: &Opts) -> String {
 /// sweep shape per mode.
 fn waitdist_sweep(opts: &Opts) -> (usize, Vec<workloads::waitdist::WaitDistResult>) {
     let nprocs = if opts.quick { 4 } else { 16 };
-    (nprocs, distribution_sweep(opts.run, nprocs, opts.iters()))
+    (nprocs, distribution_sweep(nprocs, opts.iters()))
 }
 
 /// fig10 — the lock wait-time CDF: for each lock, the wait-time quantile

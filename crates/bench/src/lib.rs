@@ -45,8 +45,7 @@ pub mod trace_export {
     /// 2 threads per core, always-park QSM), whose timeline shows parks,
     /// wake flow arrows and context switches. Both are deterministic: the
     /// tracer is attached explicitly and the simulator's cycle stream is
-    /// independent of it — and of `opts.run`, whose fragment setting only
-    /// decides whether the rings are stitched from replayed fragments.
+    /// independent of it.
     ///
     /// # Panics
     ///
@@ -71,7 +70,7 @@ pub mod trace_export {
             other => panic!("unknown trace workload {other:?} (expected one of {WORKLOADS:?})"),
         };
         let tracer = trace::Tracer::full(nprocs);
-        let machine = opts.run.machine(machine).with_tracer(Arc::clone(&tracer));
+        let machine = machine.with_tracer(Arc::clone(&tracer));
         let lock: Arc<dyn LockKernel + Send + Sync> =
             Arc::from(lock_by_name(lock_name).expect("registry lock"));
         let instrumented = InstrumentedLock::new(lock, 0);
@@ -89,8 +88,8 @@ pub struct Opts {
     pub csv: bool,
     /// Reduced sweep for smoke tests.
     pub quick: bool,
-    /// How the sweeps use the host: fan-out threads and fragment replay.
-    /// Never changes a figure's bytes.
+    /// How the sweeps use the host: fan-out threads. Never changes a
+    /// figure's bytes.
     pub run: RunConfig,
     /// Telemetry mode of the services the service figures build.
     pub metrics: MetricsMode,
@@ -119,28 +118,24 @@ usage: <figure binary> [--csv] [--quick] [--help]
 
 environment (a malformed value is an error; none changes the output):
   SYNCMECH_SWEEP_THREADS=N    host threads for the sweep fan-out
-  SYNCMECH_REPLAY_FRAGMENT=K  record each run and replay K-cycle fragments
-                              concurrently
-  SYNCMECH_REPLAY_WORKERS=N   host threads for the fragment replay fan-out
   SYNCMECH_SERVICE_METRICS=off|counters|sampled:<N>
                               telemetry mode of the service figures";
 
     /// The options the environment knobs select, before any flag: the
-    /// one place `SYNCMECH_SWEEP_THREADS`, `SYNCMECH_REPLAY_FRAGMENT`,
-    /// `SYNCMECH_REPLAY_WORKERS` and `SYNCMECH_SERVICE_METRICS` are read.
+    /// one place `SYNCMECH_SWEEP_THREADS` and `SYNCMECH_SERVICE_METRICS`
+    /// are read.
     ///
     /// # Errors
     ///
     /// The rejection message of the first malformed knob.
     pub fn knobs() -> Result<Opts, String> {
-        let host = simcore::host_parallelism();
         Ok(Opts {
             csv: false,
             quick: false,
             run: RunConfig {
-                threads: knob::SWEEP_THREADS.read(knob::positive)?.unwrap_or(host),
-                fragment: knob::REPLAY_FRAGMENT.read(knob::positive)?,
-                replay_workers: knob::REPLAY_WORKERS.read(knob::positive)?.unwrap_or(host),
+                threads: knob::SWEEP_THREADS
+                    .read(knob::positive)?
+                    .unwrap_or_else(simcore::host_parallelism),
             },
             metrics: knob::SERVICE_METRICS
                 .read(MetricsMode::parse)?
@@ -245,16 +240,6 @@ pub fn final_ratio_block(series: &Series, loser: &str, winner: &str) -> String {
         Some(ratio) => format!("\nat the largest shared P: {loser} / {winner} = {ratio:.1}x\n"),
         None => String::new(),
     }
-}
-
-/// Prints a series in the selected format; see [`series_block`].
-pub fn emit_series(opts: &Opts, title: &str, series: &Series) {
-    print!("{}", series_block(opts, title, series));
-}
-
-/// Prints the headline ratio line; see [`final_ratio_block`].
-pub fn emit_final_ratio(series: &Series, loser: &str, winner: &str) {
-    print!("{}", final_ratio_block(series, loser, winner));
 }
 
 /// Minimal wall-clock measurement for the `benches/` targets.
@@ -373,24 +358,6 @@ mod tests {
     }
 
     #[test]
-    fn emit_series_does_not_panic() {
-        let mut s = Series::new("P", "y");
-        s.push("a", 1, 1.0);
-        s.push("a", 2, 2.0);
-        s.push("b", 1, 1.0);
-        emit_series(&Opts::default(), "test", &s);
-        emit_series(
-            &Opts {
-                csv: true,
-                ..Opts::default()
-            },
-            "test",
-            &s,
-        );
-        emit_final_ratio(&s, "a", "b");
-    }
-
-    #[test]
     fn parse_accepts_known_flags_in_any_order() {
         let opts = Opts::parse(
             ["--quick".to_string(), "--csv".to_string()].into_iter(),
@@ -411,11 +378,7 @@ mod tests {
     #[test]
     fn parse_keeps_environment_base() {
         let base = Opts {
-            run: RunConfig {
-                threads: 3,
-                fragment: Some(2_000),
-                replay_workers: 2,
-            },
+            run: RunConfig { threads: 3 },
             metrics: MetricsMode::Off,
             ..Opts::default()
         };

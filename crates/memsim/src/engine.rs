@@ -64,7 +64,7 @@ use crate::proc::SimAbort;
 use crate::{Addr, SimError, Word};
 use simcore::coro::{Coroutine, Step};
 use std::any::Any;
-use std::cell::{Cell, RefCell};
+use std::cell::Cell;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 use std::rc::Rc;
@@ -126,17 +126,13 @@ pub(crate) struct Reply {
 }
 
 /// What a processor's body and the engine loop exchange across a coroutine
-/// switch. The body fills `request` (and `events`) and suspends; the loop
+/// switch. The body fills `request` and suspends; the loop
 /// fills `reply` and resumes it — or resumes it with no reply, which tells
 /// the body to unwind. One host thread runs both, in turn.
 #[derive(Default)]
 pub(crate) struct Mailbox {
     pub(crate) request: Cell<Option<Request>>,
     pub(crate) reply: Cell<Option<Reply>>,
-    /// Recording runs only: trace events the body raised since its last
-    /// request, which the loop moves into the processor's log ahead of the
-    /// next one so replay re-emits them at the same point in the stream.
-    pub(crate) events: RefCell<Vec<(u64, EventKind)>>,
 }
 
 /// A processor in a waiter list, stored as `pid + 1`; zero is no processor,
@@ -247,18 +243,9 @@ struct SchedState {
     slice_start: Vec<u64>,
 }
 
-/// One entry in a processor's recorded log, in program order: everything
-/// the processor's closure fed the engine (submitted requests) plus the
-/// user-level trace events it emitted between roundtrips
-/// ([`crate::Proc::trace_event`]), which replay must re-emit at the same
-/// point in the stream.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum LogEntry {
-    /// A request submitted with the given issue time.
-    Op(u64, Op),
-    /// A closure-side trace event at the given local clock.
-    Event(u64, EventKind),
-}
+/// One entry in a processor's recorded log, in program order: a request
+/// its closure submitted, with its issue time.
+pub(crate) type LogEntry = (u64, Op);
 
 /// Recording-mode state: per-processor logs of everything submitted, plus
 /// machine snapshots captured at fragment boundaries.
@@ -427,7 +414,6 @@ impl EngineCore {
         snap: &SnapshotState,
         logs: Arc<Vec<Vec<LogEntry>>>,
         stop_at: Option<u64>,
-        tracer: Option<Arc<trace::Tracer>>,
     ) -> Self {
         let mut core = EngineCore {
             params,
@@ -443,7 +429,7 @@ impl EngineCore {
             ready: Vec::new(),
             aborted: false,
             error: None,
-            tracer,
+            tracer: None,
             spin_since: snap.spin_since.clone(),
             recorder: None,
             replay: Some(ReplaySource {
@@ -540,28 +526,12 @@ impl EngineCore {
 
     /// Replay-mode stand-in for delivering a reply: the processor's closure
     /// is not running, so its recorded reaction — the next entry in its log
-    /// — is fed straight back into the engine. Leading `Event` entries are
-    /// re-emitted to the tracer first: in the live run the closure recorded
-    /// them between receiving this reply and its next submission, which is
-    /// exactly this moment (and while a processor runs, nothing else writes
-    /// its ring, so per-ring event order is reproduced byte for byte).
+    /// — is fed straight back into the engine.
     fn feed_replay(&mut self, pid: usize) {
-        loop {
-            let entry = {
-                let rp = self.replay.as_mut().expect("feed_replay outside replay");
-                let idx = rp.cursor[pid];
-                rp.cursor[pid] = idx + 1;
-                rp.logs[pid][idx]
-            };
-            match entry {
-                LogEntry::Event(t, kind) => {
-                    if let Some(tr) = &self.tracer {
-                        tr.record(pid, t, kind);
-                    }
-                }
-                LogEntry::Op(issue, op) => return self.file(Request { pid, issue, op }),
-            }
-        }
+        let rp = self.replay.as_mut().expect("feed_replay outside replay");
+        let (issue, op) = rp.logs[pid][rp.cursor[pid]];
+        rp.cursor[pid] += 1;
+        self.file(Request { pid, issue, op });
     }
 
     /// Final metrics and memory image, consumed after the run.
@@ -1050,10 +1020,7 @@ impl EngineCore {
                     return;
                 }
                 if let Some(rec) = self.recorder.as_mut() {
-                    let log = &mut rec.logs[pid];
-                    let mut raised = mail[pid].events.borrow_mut();
-                    log.extend(raised.drain(..).map(|(t, kind)| LogEntry::Event(t, kind)));
-                    log.push(LogEntry::Op(req.issue, req.op));
+                    rec.logs[pid].push((req.issue, req.op));
                 }
                 self.file(req);
             }

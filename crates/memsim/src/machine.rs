@@ -10,7 +10,7 @@ use crate::engine::{EngineCore, Mailbox};
 use crate::metrics::Metrics;
 use crate::params::MachineParams;
 use crate::proc::Proc;
-use crate::replay::{FragmentReplayer, Recording};
+use crate::replay::Recording;
 use crate::{SimError, Word};
 use simcore::coro::Coroutine;
 use std::panic::resume_unwind;
@@ -35,9 +35,6 @@ pub struct RunReport {
 pub struct Machine {
     params: MachineParams,
     tracer: Option<Arc<trace::Tracer>>,
-    /// `(fragment cycles, replay workers)` when runs go through
-    /// record-then-replay; see [`Machine::with_fragments`].
-    fragments: Option<(u64, usize)>,
 }
 
 impl Machine {
@@ -46,31 +43,7 @@ impl Machine {
         Machine {
             params,
             tracer: None,
-            fragments: None,
         }
-    }
-
-    /// Makes every [`Machine::run`] execute in fragment-replay mode: a
-    /// recording pass with a snapshot every `cycles` simulated cycles,
-    /// then concurrent fragment replay on `workers` host threads (see
-    /// [`crate::replay`]). The result — metrics, memory, and any attached
-    /// tracer's contents — is byte-identical to the plain sequential run.
-    ///
-    /// # Panics
-    ///
-    /// If `cycles` or `workers` is zero.
-    #[must_use]
-    pub fn with_fragments(mut self, cycles: u64, workers: usize) -> Self {
-        assert!(
-            cycles > 0,
-            "a fragment must cover at least one simulated cycle"
-        );
-        assert!(
-            workers > 0,
-            "fragment replay needs at least one host worker"
-        );
-        self.fragments = Some((cycles, workers));
-        self
     }
 
     /// Attaches an event tracer: every run records sync events (spin waits,
@@ -134,9 +107,6 @@ impl Machine {
     where
         F: Fn(&mut Proc) + Send + Sync,
     {
-        if let Some((cycles, workers)) = self.fragments {
-            return self.run_fragmented(nprocs, init_memory, cycles, workers, body);
-        }
         let core = self.run_engine(nprocs, init_memory, None, body)?;
         let (metrics, memory) = core.into_memory();
         Ok(RunReport { metrics, memory })
@@ -146,10 +116,8 @@ impl Machine {
     /// state snapshots every `fragment` simulated cycles, so the run can be
     /// re-executed fragment-by-fragment (see [`crate::replay`]).
     ///
-    /// The recording pass itself runs untraced: the machine's tracer (if
-    /// any) is populated exactly once, by the stitched replay, which —
-    /// because tracing is timing-invisible — records the same events a
-    /// traced live run would have.
+    /// The recording pass is the plain run, traced if the machine has a
+    /// tracer; replays from its snapshots are untraced.
     ///
     /// # Errors
     ///
@@ -177,29 +145,10 @@ impl Machine {
         ))
     }
 
-    /// [`Machine::run_recorded`] followed by concurrent fragment replay on
-    /// `workers` host threads, stitching per-fragment metrics and trace
-    /// events back together in fragment order. Produces a report (and
-    /// tracer contents) byte-identical to the plain sequential run.
-    pub fn run_fragmented<F>(
-        &self,
-        nprocs: usize,
-        init_memory: Vec<Word>,
-        fragment: u64,
-        workers: usize,
-        body: F,
-    ) -> Result<RunReport, SimError>
-    where
-        F: Fn(&mut Proc) + Send + Sync,
-    {
-        let recording = self.run_recorded(nprocs, init_memory, fragment, body)?;
-        Ok(FragmentReplayer::new(&recording, workers).run_traced(self.tracer.as_ref()))
-    }
-
     /// The shared live-execution path: runs the workload's processors to
     /// completion and returns the finished engine core. `fragment` turns
     /// on recording mode (snapshots every `fragment` cycles, per-processor
-    /// op logs, no live tracing).
+    /// op logs).
     fn run_engine<F>(
         &self,
         nprocs: usize,
@@ -210,18 +159,12 @@ impl Machine {
     where
         F: Fn(&mut Proc) + Send + Sync,
     {
-        let recording = fragment.is_some();
-        // A recording pass never traces live — the stitched replay is the
-        // single producer of trace events, so they are neither duplicated
-        // nor subject to ring-drop differences between the two passes.
-        let run_tracer = if recording { None } else { self.tracer.clone() };
-
         // Validates params and processor count before any stack is taken.
         let mut core = EngineCore::new(
             self.params.clone(),
             init_memory,
             nprocs,
-            run_tracer.clone(),
+            self.tracer.clone(),
             fragment,
         );
         let mail: Vec<Rc<Mailbox>> = (0..nprocs).map(|_| Rc::default()).collect();
@@ -235,8 +178,7 @@ impl Machine {
                     now: 0,
                     max_cycles: self.params.max_cycles,
                     mail: Rc::clone(mail),
-                    tracer: run_tracer.clone(),
-                    recording,
+                    tracer: self.tracer.clone(),
                 };
                 let body = &body;
                 Coroutine::new(move || {
@@ -785,22 +727,43 @@ mod tests {
         assert_eq!(err, SimError::TimeLimit { limit: 10_000 });
     }
 
+    /// [`park_then_spin`] bracketed by the semantic events instrumented
+    /// kernels raise through [`Proc::trace_event`].
+    fn traced_park_then_spin(p: &mut Proc) {
+        let id = p.pid() as u64;
+        p.trace_event(trace::EventKind::EpisodeBegin { id });
+        park_then_spin(p);
+        p.trace_event(trace::EventKind::EpisodeEnd { id });
+    }
+
     #[test]
     fn recorded_run_matches_plain_and_resumes_from_every_snapshot() {
-        let machine = bus(4);
-        let plain = machine.run(4, 2, park_then_spin).unwrap();
-        let rec = machine
-            .run_recorded(4, vec![0; 2], 100, park_then_spin)
-            .unwrap();
-        assert_eq!(rec.report().metrics, plain.metrics);
-        assert_eq!(rec.report().memory, plain.memory);
-        assert!(rec.fragments() >= 2, "one fragment only: K too large");
-        // Snapshot/restore round-trip: resuming from any boundary and
-        // running to completion reproduces the uninterrupted run exactly.
-        for i in 0..rec.fragments() {
-            let resumed = rec.resume(i);
-            assert_eq!(resumed.metrics, plain.metrics, "resume from snapshot {i}");
-            assert_eq!(resumed.memory, plain.memory, "resume from snapshot {i}");
+        let tracer = trace::Tracer::full(4);
+        for (machine, body) in [
+            (bus(4), park_then_spin as fn(&mut Proc)),
+            (Machine::new(MachineParams::numa_1991(4)), park_then_spin),
+            (
+                bus(4).with_tracer(Arc::clone(&tracer)),
+                traced_park_then_spin,
+            ),
+        ] {
+            let topology = machine.params().topology;
+            let plain = machine.run(4, 2, body).unwrap();
+            let rec = machine.run_recorded(4, vec![0; 2], 100, body).unwrap();
+            assert_eq!(rec.report().metrics, plain.metrics, "{topology:?}");
+            assert_eq!(rec.report().memory, plain.memory, "{topology:?}");
+            assert!(rec.fragments() >= 2, "one fragment only: K too large");
+            // Snapshot/restore round-trip: resuming from any boundary and
+            // running to completion reproduces the uninterrupted run exactly.
+            for i in 0..rec.fragments() {
+                let resumed = rec.resume(i);
+                assert_eq!(resumed.metrics, plain.metrics, "{topology:?} snapshot {i}");
+                assert_eq!(resumed.memory, plain.memory, "{topology:?} snapshot {i}");
+            }
+        }
+        // The plain run and the recording pass each raised every event once.
+        for class in [trace::EventClass::EpisodeBegin, trace::EventClass::EpisodeEnd] {
+            assert_eq!(tracer.class_total(class), 2 * 4, "{class:?}");
         }
     }
 
@@ -840,17 +803,6 @@ mod tests {
         let rep = crate::replay::FragmentReplayer::new(&rec, 4).run();
         assert_eq!(rep.metrics, plain.metrics);
         assert_eq!(rep.memory, plain.memory);
-    }
-
-    #[test]
-    fn run_fragmented_routes_to_the_same_report() {
-        let machine = bus(4);
-        let plain = machine.run(4, 2, park_then_spin).unwrap();
-        let frag = machine
-            .run_fragmented(4, vec![0; 2], 150, 2, park_then_spin)
-            .unwrap();
-        assert_eq!(frag.metrics, plain.metrics);
-        assert_eq!(frag.memory, plain.memory);
     }
 
     #[test]

@@ -49,10 +49,6 @@ pub struct Proc {
     pub(crate) mail: Rc<Mailbox>,
     /// The machine's event recorder, when one is attached.
     pub(crate) tracer: Option<Arc<trace::Tracer>>,
-    /// Whether the engine is recording this run for fragment replay; when
-    /// set, semantic events reported via [`Proc::trace_event`] also go to
-    /// the mailbox, for the engine to log so that replay can re-emit them.
-    pub(crate) recording: bool,
 }
 
 impl Proc {
@@ -98,9 +94,6 @@ impl Proc {
     pub fn trace_event(&self, kind: trace::EventKind) {
         if let Some(tr) = &self.tracer {
             tr.record(self.pid, self.now, kind);
-        }
-        if self.recording {
-            self.mail.events.borrow_mut().push((self.now, kind));
         }
     }
 

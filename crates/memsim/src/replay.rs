@@ -6,25 +6,21 @@
 //! *fragments* so regeneration can use every host core:
 //!
 //! 1. **Record** ([`crate::Machine::run_recorded`]): run the workload once,
-//!    normally, while the engine logs every processor's submissions (and
-//!    user-level trace events) and clones the complete machine state every
-//!    K simulated cycles ([`Recording`]).
+//!    normally, while the engine logs every processor's submissions and
+//!    clones the complete machine state every K simulated cycles
+//!    ([`Recording`]).
 //! 2. **Replay** ([`FragmentReplayer`]): re-execute the fragments
 //!    *concurrently*, each from its snapshot, feeding the logged operations
 //!    back into the engine instead of running processor bodies. Replay of
 //!    fragment `i` stops exactly where snapshot `i + 1` was captured, so
-//!    per-fragment [`Metrics`] deltas and trace events stitch back together
-//!    — in fragment order — into a result byte-identical to the live run.
+//!    per-fragment [`Metrics`] deltas stitch back together — in fragment
+//!    order — into a result byte-identical to the live run.
 //!
 //! Replayed fragments are single-threaded and independent, so N fragments
 //! scale across N workers with no synchronization beyond a grab counter.
-//! The combination never beats the plain run for a *single* simulation on a
-//! single core (the recording pass already runs the whole workload); the
-//! payoff is on multi-core hosts, where long single runs — previously a
-//! serial bottleneck — decompose into pool-sized work, composing with the
-//! existing cross-cell sweep axis (`workloads::sweeps::parallel_cells`).
-//! [`crate::Machine::with_fragments`] routes a machine's every run through
-//! the pair.
+//! The pair never beat the plain run it re-executes (DESIGN.md,
+//! "Fragment-parallel replay"), so no figure or trace runs through it; what
+//! is left serves the benchmark's `memsim.*` replay probes.
 
 use crate::engine::{EngineCore, LogEntry, Recorder, SnapshotState};
 use crate::machine::RunReport;
@@ -35,14 +31,13 @@ use crate::Word;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
-use trace::Tracer;
 
 /// A completed run's operation logs and fragment-boundary snapshots,
 /// produced by [`crate::Machine::run_recorded`].
 ///
 /// The recording owns everything replay needs: machine parameters, one log
-/// per processor (every submitted request plus user-level trace events, in
-/// program order), and the machine states captured at fragment boundaries.
+/// per processor (every submitted request, in program order), and the
+/// machine states captured at fragment boundaries.
 /// `snapshots[0]` is the pre-run state, so indices `0..fragments()` each
 /// name a replayable span: from snapshot `i` up to where snapshot `i + 1`
 /// was captured (the last span runs to completion).
@@ -99,18 +94,12 @@ impl Recording {
     /// Replays from snapshot `index` until `stop_at` (a boundary in
     /// simulated cycles) or, when `None`, to completion. Returns the
     /// engine's final cumulative metrics and memory.
-    fn replay_span(
-        &self,
-        index: usize,
-        stop_at: Option<u64>,
-        tracer: Option<Arc<Tracer>>,
-    ) -> (Metrics, Vec<Word>) {
+    fn replay_span(&self, index: usize, stop_at: Option<u64>) -> (Metrics, Vec<Word>) {
         let mut core = EngineCore::from_snapshot(
             self.params.clone(),
             &self.snapshots[index],
             Arc::clone(&self.logs),
             stop_at,
-            tracer,
         );
         if let Err(e) = core.replay_drive() {
             // The recording pass completed cleanly, and replay re-executes
@@ -129,7 +118,7 @@ impl Recording {
     ///
     /// If `index` is out of range, or on an engine replay bug.
     pub fn resume(&self, index: usize) -> RunReport {
-        let (metrics, memory) = self.replay_span(index, None, None);
+        let (metrics, memory) = self.replay_span(index, None);
         RunReport { metrics, memory }
     }
 }
@@ -150,8 +139,6 @@ struct FragmentOutcome {
     delta: Metrics,
     /// Memory at the fragment's end (only the last fragment's survives).
     memory: Vec<Word>,
-    /// The fragment's private tracer, absorbed into the target in order.
-    tracer: Option<Arc<Tracer>>,
 }
 
 /// Replays a [`Recording`]'s fragments concurrently on the persistent
@@ -176,31 +163,16 @@ impl<'a> FragmentReplayer<'a> {
     /// Replays every fragment and returns the stitched report, which equals
     /// the recording pass's own [`Recording::report`] byte for byte.
     pub fn run(&self) -> RunReport {
-        self.run_traced(None)
-    }
-
-    /// Like [`FragmentReplayer::run`], additionally recording trace events
-    /// into `target`. Each fragment replays into a private tracer of the
-    /// target's mode and capacity; the privates are absorbed into `target`
-    /// in fragment order, reproducing what a traced sequential run records
-    /// (tracing is timing-invisible, so replay emits the same events).
-    ///
-    /// `target` must be quiescent — no concurrent recorders — and must
-    /// cover the recording's processor count.
-    pub fn run_traced(&self, target: Option<&Arc<Tracer>>) -> RunReport {
         let rec = self.recording;
         let n = rec.fragments();
         let run_one = |i: usize| -> FragmentOutcome {
-            let frag_tracer =
-                target.map(|t| Arc::new(Tracer::new(t.mode(), t.nprocs(), t.capacity())));
             // Fragment i ends exactly where snapshot i + 1 was captured;
             // the last fragment runs out the rest of the recording.
             let stop_at = rec.snapshots.get(i + 1).map(|s| s.boundary);
-            let (end, memory) = rec.replay_span(i, stop_at, frag_tracer.clone());
+            let (end, memory) = rec.replay_span(i, stop_at);
             FragmentOutcome {
                 delta: end.delta_since(&rec.snapshots[i].metrics),
                 memory,
-                tracer: frag_tracer,
             }
         };
 
@@ -260,8 +232,7 @@ impl<'a> FragmentReplayer<'a> {
         }
 
         // Stitch in fragment order: deltas sum onto the pre-run metrics,
-        // trace events append in timeline order, the last fragment's memory
-        // is the final memory.
+        // the last fragment's memory is the final memory.
         let mut metrics = rec.snapshots[0].metrics.clone();
         let mut memory = Vec::new();
         for (i, cell) in outcomes.iter().enumerate() {
@@ -271,9 +242,6 @@ impl<'a> FragmentReplayer<'a> {
                 .take()
                 .unwrap_or_else(|| panic!("fragment {i} never produced an outcome"));
             metrics.absorb(&out.delta);
-            if let (Some(target), Some(frag)) = (target, &out.tracer) {
-                target.absorb(frag);
-            }
             if i == n - 1 {
                 memory = out.memory;
             }

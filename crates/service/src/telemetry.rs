@@ -64,10 +64,6 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 use trace::{EventKind, Histogram};
 
-/// Default sample period for `sampled:<N>` when callers want a
-/// reasonable starting point: 1 in 64 operations.
-pub const DEFAULT_SAMPLE_PERIOD: u64 = 64;
-
 /// Counter stripes per [`ServiceMetrics`] (power of two). Shards map onto
 /// stripes by mask; 64 stripes keep 64 concurrent writers on distinct
 /// cache lines while costing ~8 KiB per service instance.

@@ -36,18 +36,6 @@ pub const SWEEP_THREADS: Knob = knob(
     "a positive integer",
     "the host's parallelism",
 );
-/// Fragment length, in simulated cycles, of fragment-parallel replay.
-pub const REPLAY_FRAGMENT: Knob = knob(
-    "SYNCMECH_REPLAY_FRAGMENT",
-    "a positive integer",
-    "plain runs, no fragment replay",
-);
-/// Host threads for the fragment-replay fan-out.
-pub const REPLAY_WORKERS: Knob = knob(
-    "SYNCMECH_REPLAY_WORKERS",
-    "a positive integer",
-    "the host's parallelism",
-);
 /// Shard count of the lock service's table.
 pub const SERVICE_SHARDS: Knob = knob("SYNCMECH_SERVICE_SHARDS", "a positive integer", "256");
 /// Worker threads of the real-thread service load driver.
@@ -68,11 +56,9 @@ pub const BENCH_JSON: Knob = knob("SYNCMECH_BENCH_JSON", "0 or 1", "0");
 pub const BLESS: Knob = knob("SYNCMECH_BLESS", "0 or 1", "0");
 
 /// Every supported knob (README's table lists exactly these).
-pub const ALL: [Knob; 9] = [
+pub const ALL: [Knob; 7] = [
     TRACE,
     SWEEP_THREADS,
-    REPLAY_FRAGMENT,
-    REPLAY_WORKERS,
     SERVICE_SHARDS,
     SERVICE_THREADS,
     SERVICE_METRICS,

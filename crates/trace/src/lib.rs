@@ -186,50 +186,6 @@ impl Tracer {
         self.rings[0].capacity()
     }
 
-    /// Folds another tracer's contents into this one, in recording order:
-    /// `other`'s per-processor events are appended to this tracer's rings
-    /// and its per-class counts are added. This is the stitching primitive
-    /// of fragment-parallel replay — each fragment records into a private
-    /// tracer of the same mode and capacity, and the fragments are absorbed
-    /// in fragment order, reproducing the sequential ring contents exactly
-    /// (same capacity ⇒ same overwrite decisions once re-pushed here).
-    ///
-    /// Call only after `other` has quiesced; this tracer must not be
-    /// receiving concurrent `record` calls for the same pids.
-    ///
-    /// # Panics
-    ///
-    /// If the tracers disagree on mode or processor count, or (in full
-    /// mode) if `other` itself dropped events — a fragment overflowing a
-    /// full-size ring cannot be stitched losslessly.
-    pub fn absorb(&self, other: &Tracer) {
-        assert_eq!(self.mode, other.mode, "tracer mode mismatch in absorb");
-        assert_eq!(
-            self.nprocs(),
-            other.nprocs(),
-            "tracer processor count mismatch in absorb"
-        );
-        for pid in 0..self.nprocs() {
-            if self.mode == TraceMode::Full {
-                assert_eq!(
-                    other.dropped(pid),
-                    0,
-                    "fragment tracer overflowed its ring for p{pid}; \
-                     stitching would lose events the sequential run kept"
-                );
-                for ev in other.events(pid) {
-                    self.rings[pid].push(ev);
-                }
-            }
-            for class in EventClass::ALL {
-                let n = other.counts[pid].0[class.index()].load(Ordering::Relaxed);
-                if n > 0 {
-                    self.counts[pid].0[class.index()].fetch_add(n, Ordering::Relaxed);
-                }
-            }
-        }
-    }
-
     /// Per-processor count of events in `class`.
     pub fn count(&self, pid: usize, class: EventClass) -> u64 {
         self.counts[pid].0[class.index()].load(Ordering::Relaxed)

@@ -62,7 +62,7 @@ pub fn oversubscription_sweep(
     let results = parallel_cells(cells.len(), run.threads, |i| {
         let (li, ratio) = cells[i];
         let nprocs = ratio * cores;
-        let machine = run.machine(oversub_machine(nprocs, cores));
+        let machine = oversub_machine(nprocs, cores);
         let cfg = CsConfig {
             think: 0,
             jitter: false,
@@ -104,10 +104,10 @@ pub fn blocking_latency_table(
     let locks = wait_policies();
     let rows = parallel_cells(locks.len(), run.threads, |i| {
         let lock = locks[i].as_ref();
-        let dedicated = run.machine(Machine::new(MachineParams::bus_1991(1)));
+        let dedicated = Machine::new(MachineParams::bus_1991(1));
         let uncontended = csbench::uncontended_latency(&dedicated, lock, 500);
         let nprocs = ratio * cores;
-        let machine = run.machine(oversub_machine(nprocs, cores));
+        let machine = oversub_machine(nprocs, cores);
         let cfg = CsConfig {
             think: 0,
             jitter: false,

@@ -8,20 +8,11 @@
 //! series in grid order: the output is bit-for-bit identical whether the
 //! cells ran sequentially, interleaved, or on different machines.
 //!
-//! Sweeps have **two independent parallelism axes** that compose:
-//!
-//! * **across cells** — [`parallel_cells`] on [`RunConfig::threads`] host
-//!   threads, the coarse axis; and
-//! * **within a run** — fragment replay under [`RunConfig::fragment`],
-//!   which records each cell's simulation once and re-executes its
-//!   timeline fragments concurrently on the same worker pool
-//!   (`memsim::replay`), the fine axis that keeps cores busy when a sweep
-//!   tail is a few long cells (high P) or a figure is one big run.
-//!
-//! Both produce bit-identical output at any thread/fragment setting, so
-//! enabling either (or both) never changes a figure. The caller picks the
-//! setting and every sweep takes it as its first argument; nothing here
-//! reads the environment.
+//! The one parallelism axis is across cells: [`parallel_cells`] on
+//! [`RunConfig::threads`] host threads. Any thread count produces
+//! bit-identical output, so it never changes a figure. The caller picks
+//! the setting and every sweep takes it as its first argument; nothing
+//! here reads the environment.
 
 use crate::barrierbench::{self, BarrierConfig};
 use crate::csbench::{self, CsConfig};
@@ -59,45 +50,24 @@ impl MachineKind {
     }
 }
 
-/// How a sweep uses the host: the two parallelism axes of the module docs.
-/// No setting changes a figure's bytes, only how long it takes to render.
+/// How a sweep uses the host (module docs). No setting changes a figure's
+/// bytes, only how long it takes to render.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RunConfig {
     /// Host threads for the cross-cell fan-out ([`parallel_cells`]).
     pub threads: usize,
-    /// Fragment length in simulated cycles: when set, every cell's
-    /// simulation goes through record-then-replay
-    /// ([`Machine::with_fragments`]).
-    pub fragment: Option<u64>,
-    /// Host threads for the fragment-replay fan-out.
-    pub replay_workers: usize,
 }
 
 impl RunConfig {
-    /// One cell at a time, plain runs.
-    pub const SERIAL: RunConfig = RunConfig {
-        threads: 1,
-        fragment: None,
-        replay_workers: 1,
-    };
-
-    /// `machine` with this configuration's fragment setting applied.
-    pub fn machine(&self, machine: Machine) -> Machine {
-        match self.fragment {
-            Some(cycles) => machine.with_fragments(cycles, self.replay_workers),
-            None => machine,
-        }
-    }
+    /// One cell at a time.
+    pub const SERIAL: RunConfig = RunConfig { threads: 1 };
 }
 
-/// The host's parallelism on both axes, plain runs.
+/// The host's parallelism.
 impl Default for RunConfig {
     fn default() -> Self {
-        let host = simcore::host_parallelism();
         RunConfig {
-            threads: host,
-            fragment: None,
-            replay_workers: host,
+            threads: simcore::host_parallelism(),
         }
     }
 }
@@ -177,7 +147,7 @@ fn cs_over_procs(
         .collect();
     let results = parallel_cells(cells.len(), run.threads, |i| {
         let (li, p) = cells[i];
-        let machine = run.machine(kind.machine(p));
+        let machine = kind.machine(p);
         csbench::run(&machine, locks[li].as_ref(), &saturated_cfg(p, iters))
             .unwrap_or_else(|e| panic!("{} P={p}: {e}", locks[li].name()))
     });
@@ -230,7 +200,7 @@ pub fn contention_sweep(
         .collect();
     let results = parallel_cells(cells.len(), run.threads, |i| {
         let (li, hold) = cells[i];
-        let machine = run.machine(kind.machine(nprocs));
+        let machine = kind.machine(nprocs);
         let cfg = CsConfig {
             hold,
             think: 100,
@@ -260,7 +230,7 @@ pub fn barrier_scaling(
         .collect();
     let results = parallel_cells(cells.len(), run.threads, |i| {
         let (bi, p) = cells[i];
-        let machine = run.machine(kind.machine(p));
+        let machine = kind.machine(p);
         let cfg = BarrierConfig {
             nprocs: p,
             episodes,
@@ -282,7 +252,7 @@ pub fn backoff_ablation(run: RunConfig, kind: MachineKind, nprocs: usize, iters:
     let caps = [0u64, 64, 256, 1024, 4096, 16384];
     let factors = [1u64, 10, 30, 60, 120, 300, 1000];
     let results = parallel_cells(caps.len() + factors.len(), run.threads, |i| {
-        let machine = run.machine(kind.machine(nprocs));
+        let machine = kind.machine(nprocs);
         let cfg = saturated_cfg(nprocs, iters);
         if i < caps.len() {
             // TAS backoff: sweep the cap with a fixed base.
@@ -318,7 +288,7 @@ pub fn uncontended_table(run: RunConfig, kind: MachineKind) -> Vec<(String, f64)
     let locks = all_locks();
     let barriers = all_barriers();
     let results = parallel_cells(locks.len() + barriers.len(), run.threads, |i| {
-        let machine = run.machine(kind.machine(1));
+        let machine = kind.machine(1);
         if i < locks.len() {
             (
                 format!("lock/{}", locks[i].name()),

@@ -11,7 +11,6 @@
 //! byte-identical to an untraced run of the same configuration.
 
 use crate::csbench::{self, CsConfig, CsResult};
-use crate::sweeps::RunConfig;
 use kernels::lockdep::InstrumentedLock;
 use kernels::locks::{lock_by_name, LockKernel};
 use memsim::{Machine, MachineParams, SimError};
@@ -64,14 +63,13 @@ impl WaitDistResult {
 ///
 /// On an unknown lock name, or if the full-mode ring dropped events (the
 /// distributions would silently miss samples; size the ring up instead).
-pub fn run_lock(run: RunConfig, name: &str, cfg: &CsConfig) -> Result<WaitDistResult, SimError> {
+pub fn run_lock(name: &str, cfg: &CsConfig) -> Result<WaitDistResult, SimError> {
     let lock: Arc<dyn LockKernel + Send + Sync> =
         Arc::from(lock_by_name(name).unwrap_or_else(|| panic!("unknown lock '{name}'")));
     let instrumented = InstrumentedLock::new(lock, TRACE_LOCK_ID);
     let tracer = Tracer::full(cfg.nprocs);
-    let machine = run
-        .machine(Machine::new(MachineParams::bus_1991(cfg.nprocs)))
-        .with_tracer(Arc::clone(&tracer));
+    let machine =
+        Machine::new(MachineParams::bus_1991(cfg.nprocs)).with_tracer(Arc::clone(&tracer));
     let result = csbench::run(&machine, &instrumented, cfg)?;
     for pid in 0..cfg.nprocs {
         assert_eq!(
@@ -96,11 +94,11 @@ pub fn run_lock(run: RunConfig, name: &str, cfg: &CsConfig) -> Result<WaitDistRe
 ///
 /// On simulator errors: the registry locks are all correct, so an error
 /// here is a harness bug.
-pub fn distribution_sweep(run: RunConfig, nprocs: usize, iters: usize) -> Vec<WaitDistResult> {
+pub fn distribution_sweep(nprocs: usize, iters: usize) -> Vec<WaitDistResult> {
     let cfg = CsConfig::new(nprocs, iters);
     DIST_LOCKS
         .iter()
-        .map(|name| run_lock(run, name, &cfg).unwrap_or_else(|e| panic!("{name}: {e}")))
+        .map(|name| run_lock(name, &cfg).unwrap_or_else(|e| panic!("{name}: {e}")))
         .collect()
 }
 
@@ -118,7 +116,7 @@ mod tests {
     #[test]
     fn traced_trial_collects_every_acquisition() {
         let cfg = CsConfig::new(4, 6);
-        let r = run_lock(RunConfig::default(), "qsm", &cfg).unwrap();
+        let r = run_lock("qsm", &cfg).unwrap();
         // One wait and one hold sample per critical section.
         assert_eq!(r.dist.wait.count(), cfg.total_cs());
         assert_eq!(r.dist.hold.count(), cfg.total_cs());
@@ -133,7 +131,7 @@ mod tests {
     #[test]
     fn tracing_does_not_change_the_benchmark() {
         let cfg = CsConfig::new(4, 6);
-        let traced = run_lock(RunConfig::default(), "ticket", &cfg).unwrap();
+        let traced = run_lock("ticket", &cfg).unwrap();
         let machine = Machine::new(MachineParams::bus_1991(cfg.nprocs));
         let lock = lock_by_name("ticket").unwrap();
         let plain = csbench::run(&machine, &*lock, &cfg).unwrap();
@@ -149,7 +147,7 @@ mod tests {
         let mut cfg = CsConfig::new(8, 6);
         cfg.think = 0;
         cfg.jitter = false;
-        let r = run_lock(RunConfig::default(), "tas", &cfg).unwrap();
+        let r = run_lock("tas", &cfg).unwrap();
         // Under saturation, waiting dominates: the p99 wait must exceed
         // the hold time by a wide margin.
         assert!(

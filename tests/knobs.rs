@@ -29,15 +29,13 @@ fn resolve(k: &Knob, raw: Option<&str>) -> Result<Option<String>, String> {
 fn every_knob_resolves_strictly_and_rejects_in_one_format() {
     // (knob, a valid value, what the code does when it is unset — where
     // that is a value the knob could also be set to).
-    let cases: [(Knob, &str, Option<String>); 9] = [
+    let cases: [(Knob, &str, Option<String>); 7] = [
         (
             knob::TRACE,
             "full",
             Some(TraceMode::default().name().to_string()),
         ),
         (knob::SWEEP_THREADS, "4", None),
-        (knob::REPLAY_FRAGMENT, "25000", None),
-        (knob::REPLAY_WORKERS, "2", None),
         (
             knob::SERVICE_SHARDS,
             "64",
