@@ -7,6 +7,7 @@
 
 use bench::timing::report;
 use kernels::locks::{counter_trial, mcs::McsLock, tas::TasLock};
+use kernels::SyncCtx;
 use memsim::{Machine, MachineParams};
 
 fn main() {

@@ -10,7 +10,7 @@
 
 use crate::{final_ratio_block, series_block, Opts};
 use kernels::locks::{qsm::QsmLock, LockKernel};
-use kernels::{Region, SyncCtx};
+use kernels::{ProcCtx, Region};
 use simcore::table::{fmt_cell, Table};
 use simcore::Series;
 use workloads::csbench::{self, CsConfig};
@@ -254,7 +254,7 @@ impl LockKernel for QsmNoFastPath {
     fn proc_init(&self, pid: usize, region: &Region) -> u64 {
         QsmLock.proc_init(pid, region)
     }
-    fn acquire(&self, ctx: &mut dyn SyncCtx, region: &Region, ps: &mut u64) -> u64 {
+    fn acquire(&self, ctx: &mut dyn ProcCtx, region: &Region, ps: &mut u64) -> u64 {
         let me = ctx.pid() as u64 + 1;
         ctx.store(QsmLock::next(region, me), 0);
         let prev = ctx.swap(QsmLock::tail(region), me);
@@ -265,7 +265,7 @@ impl LockKernel for QsmNoFastPath {
         }
         0
     }
-    fn release(&self, ctx: &mut dyn SyncCtx, region: &Region, ps: &mut u64, token: u64) {
+    fn release(&self, ctx: &mut dyn ProcCtx, region: &Region, ps: &mut u64, token: u64) {
         QsmLock.release(ctx, region, ps, token);
     }
 }

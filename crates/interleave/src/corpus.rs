@@ -24,8 +24,8 @@
 use crate::explorer::{ReplayEnd, Verdict};
 use crate::program::{ChkCtx, Program};
 use kernels::locks::LockKernel;
-use kernels::{Addr, Region, SyncCtx, Word};
-use service::protocol::{self, WaitingArray, Words, CONTENDED, FREE, HELD};
+use kernels::{Addr, ProcCtx, Region, SyncCtx, Waited, Word};
+use service::protocol::{self, WaitingArray, CONTENDED, FREE, HELD};
 use std::sync::Arc;
 
 /// The class of a [`Verdict`] or [`ReplayEnd`], without the run-specific
@@ -225,7 +225,7 @@ impl LockKernel for BlockingGrantLock {
     fn lines_needed(&self, _nprocs: usize) -> usize {
         1 // one line: ticket word + grant word
     }
-    fn acquire(&self, ctx: &mut dyn SyncCtx, region: &Region, _ps: &mut u64) -> u64 {
+    fn acquire(&self, ctx: &mut dyn ProcCtx, region: &Region, _ps: &mut u64) -> u64 {
         let ticket = region.slot(0);
         let grant = region.slot(0) + 1;
         let me = ctx.fetch_add(ticket, 1);
@@ -234,17 +234,17 @@ impl LockKernel for BlockingGrantLock {
             if cur == me {
                 break;
             }
-            ctx.futex_wait(grant, cur);
+            ctx.wait(grant, cur, None);
         }
         me
     }
-    fn release(&self, ctx: &mut dyn SyncCtx, region: &Region, _ps: &mut u64, token: u64) {
+    fn release(&self, ctx: &mut dyn ProcCtx, region: &Region, _ps: &mut u64, token: u64) {
         let grant = region.slot(0) + 1;
         if self.fixed {
             ctx.store(grant, token + 1);
-            ctx.futex_wake(grant, usize::MAX);
+            ctx.wake(grant, usize::MAX);
         } else {
-            ctx.futex_wake(grant, usize::MAX); // bug: wake fires first...
+            ctx.wake(grant, usize::MAX); // bug: wake fires first...
             ctx.store(grant, token + 1); // ...waiters park in the window.
         }
     }
@@ -277,11 +277,11 @@ pub enum Mutant {
     BlindUnarrive,
 }
 
-/// The checker's instantiation of [`Words`]: a word is an address of the
-/// program's memory, every operation one schedule step of the thread's
-/// [`ChkCtx`], and a spin one probe — its further probes, more loads of the
-/// word, each repeat a placement the explorer already tries for the one
-/// kept. `mutant`, when set, rewrites one operation.
+/// The checker's context as the service's protocols run on it: every
+/// operation is [`ChkCtx`]'s — one schedule step, a spin one probe (its
+/// further probes, more loads of the word, each repeat a placement the
+/// explorer already tries for the one kept) — except the one `mutant`, when
+/// set, rewrites.
 pub struct Chk<'c> {
     ctx: &'c mut ChkCtx,
     mutant: Option<Mutant>,
@@ -290,7 +290,7 @@ pub struct Chk<'c> {
 }
 
 impl<'c> Chk<'c> {
-    /// `ctx` as protocol words, rewritten by `mutant`.
+    /// `ctx` rewritten by `mutant`.
     pub fn new(ctx: &'c mut ChkCtx, mutant: Option<Mutant>) -> Self {
         Chk {
             ctx,
@@ -300,8 +300,7 @@ impl<'c> Chk<'c> {
     }
 }
 
-impl Words for Chk<'_> {
-    type Word = Addr;
+impl SyncCtx for Chk<'_> {
     fn load(&mut self, w: Addr) -> Word {
         self.ctx.load(w)
     }
@@ -327,32 +326,23 @@ impl Words for Chk<'_> {
     fn fetch_add(&mut self, w: Addr, delta: Word) -> Word {
         self.ctx.fetch_add(w, delta)
     }
-    fn wait(&mut self, w: Addr, expected: Word, tag: Option<Word>) -> bool {
-        self.woken = self.ctx.futex_wait_op(w, expected, tag).0;
-        self.woken
+    fn wait(&mut self, w: Addr, expected: Word, tag: Option<Word>) -> Waited {
+        let waited = self.ctx.wait(w, expected, tag);
+        self.woken = waited.parked;
+        waited
     }
     fn wake(&mut self, w: Addr, n: usize) -> usize {
         match self.mutant {
             Some(Mutant::NoWake) => 0,
-            Some(Mutant::WakeOne) => self.ctx.futex_wake(w, n.min(1)),
-            _ => self.ctx.futex_wake(w, n),
+            Some(Mutant::WakeOne) => self.ctx.wake(w, n.min(1)),
+            _ => self.ctx.wake(w, n),
         }
     }
-    /// One wake per pair, in order, where the lot sweeps them all at once:
-    /// this explores every interleaving the sweep allows and some it
-    /// does not.
     fn wake_tagged(&mut self, pairs: &[(Addr, Word)]) -> usize {
-        let mut woken = 0;
-        for &(w, tag) in pairs {
-            woken += match self.mutant {
-                Some(Mutant::TaggedWakeOne) => self.ctx.futex_wake(w, 1),
-                _ => self.ctx.futex_wake_op(w, Some(tag), usize::MAX),
-            };
+        match self.mutant {
+            Some(Mutant::TaggedWakeOne) => pairs.iter().map(|&(w, _)| self.ctx.wake(w, 1)).sum(),
+            _ => self.ctx.wake_tagged(pairs),
         }
-        woken
-    }
-    fn spin(&mut self, mut probe: impl FnMut(&mut Self) -> bool) -> bool {
-        probe(self)
     }
 }
 
@@ -503,7 +493,7 @@ pub fn barrier_round_completed(mem: &[Word]) -> Result<(), String> {
 /// What the checker leaves out: the async front end's waker registration
 /// — a cancelling waiter is a thread that polls its slot once and then
 /// runs `cancel_ticket`; withdrawing a parked registration needs the
-/// `ParkingLot::{register, cancel}` pair, which [`Words`] does not have.
+/// `ParkingLot::{register, cancel}` pair, which [`SyncCtx`] does not have.
 #[derive(Debug, Clone, Copy)]
 pub struct WaitingArrayWords {
     /// Waiting-array slots, a power of two.
@@ -568,7 +558,7 @@ impl WaitingArrayWords {
     }
 }
 
-impl<'c> WaitingArray<Chk<'c>> for WaitingArrayWords {
+impl<'c> WaitingArray<Addr, Chk<'c>> for WaitingArrayWords {
     fn permits(&self) -> Addr {
         Self::PERMITS
     }
@@ -715,13 +705,13 @@ pub fn flag_handshake_program(fixed: bool) -> Program {
         if ctx.pid() == 0 {
             let mut cur = ctx.load(0);
             while cur == 0 {
-                cur = ctx.futex_wait(0, cur);
+                cur = ctx.wait(0, cur, None).seen;
             }
         } else if fixed {
             ctx.store(0, 1);
-            ctx.futex_wake(0, usize::MAX);
+            ctx.wake(0, usize::MAX);
         } else {
-            ctx.futex_wake(0, usize::MAX); // bug: wake into an empty queue...
+            ctx.wake(0, usize::MAX); // bug: wake into an empty queue...
             ctx.store(0, 1); // ...then publish, too late for a parked waiter.
         }
     })
@@ -846,13 +836,13 @@ impl LockKernel for CheckThenSetLock {
     fn lines_needed(&self, _nprocs: usize) -> usize {
         1
     }
-    fn acquire(&self, ctx: &mut dyn SyncCtx, region: &Region, _ps: &mut u64) -> u64 {
+    fn acquire(&self, ctx: &mut dyn ProcCtx, region: &Region, _ps: &mut u64) -> u64 {
         let word = region.slot(0);
         ctx.spin_until(word, 0); // observe free...
         ctx.store(word, 1); // ...then claim: not atomic.
         0
     }
-    fn release(&self, ctx: &mut dyn SyncCtx, region: &Region, _ps: &mut u64, _token: u64) {
+    fn release(&self, ctx: &mut dyn ProcCtx, region: &Region, _ps: &mut u64, _token: u64) {
         ctx.store(region.slot(0), 0);
     }
 }

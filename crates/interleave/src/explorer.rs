@@ -62,7 +62,7 @@ use crate::program::{
     OpMeta, OpRecord, Program, RunCfg, RunState, Shared, StarvationReport, TState,
 };
 use crate::race::{DporAnalysis, RaceReport};
-use memsim::{Addr, Word};
+use kernels::{Addr, Word};
 use simcore::coro::Coroutine;
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -1236,7 +1236,7 @@ pub const DPOR_SPLIT_DEPTH: usize = 3;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kernels::SyncCtx;
+    use kernels::{ProcCtx, SyncCtx};
 
     #[test]
     fn finds_lost_update_with_plain_load_store() {
@@ -1551,12 +1551,12 @@ mod tests {
             if ctx.pid() == 0 {
                 let mut cur = ctx.load(0);
                 while cur == 0 {
-                    cur = ctx.futex_wait(0, 0);
+                    cur = ctx.wait(0, 0, None).seen;
                 }
                 assert_eq!(cur, 1);
             } else {
                 ctx.store(0, 1);
-                ctx.futex_wake(0, 1);
+                ctx.wake(0, 1);
             }
         });
         let verdict = Explorer::exhaustive().check(&program, |_| Ok(()));
@@ -1573,7 +1573,7 @@ mod tests {
             if ctx.pid() == 0 {
                 let mut cur = ctx.load(0);
                 while cur == 0 {
-                    cur = ctx.futex_wait(0, 0);
+                    cur = ctx.wait(0, 0, None).seen;
                 }
             } else {
                 ctx.store(0, 1); // no wake
@@ -1608,7 +1608,7 @@ mod tests {
             if ctx.pid() == 0 {
                 ctx.spin_until(0, 1);
             } else {
-                ctx.futex_wait(1, 0);
+                ctx.wait(1, 0, None);
             }
         });
         let verdict = Explorer::exhaustive().check(&program, |_| Ok(()));
@@ -1624,7 +1624,7 @@ mod tests {
     fn futex_wait_on_changed_word_returns_immediately() {
         let program = Program::new(1, 1, |ctx| {
             ctx.store(0, 5);
-            assert_eq!(ctx.futex_wait(0, 0), 5, "compare must defeat the park");
+            assert_eq!(ctx.wait(0, 0, None).seen, 5, "compare must defeat the park");
         });
         Explorer::exhaustive()
             .check(&program, |_| Ok(()))
@@ -1639,10 +1639,10 @@ mod tests {
         // (thread 2) must remain — the replay ends as its lost wakeup.
         let program = Program::new(4, 2, |ctx| {
             if ctx.pid() < 3 {
-                ctx.futex_wait(0, 0);
+                ctx.wait(0, 0, None);
                 ctx.fetch_add(1, 1);
             } else {
-                assert_eq!(ctx.futex_wake(0, 2), 2, "must wake exactly 2 of 3");
+                assert_eq!(ctx.wake(0, 2), 2, "must wake exactly 2 of 3");
             }
         });
         // park 0, park 1, park 2, wake, resume 0, add 0, resume 1, add 1.
@@ -1672,11 +1672,11 @@ mod tests {
         // parked — the replay ends as its lost wakeup.
         let program = Program::new(3, 2, |ctx| {
             if ctx.pid() < 2 {
-                ctx.futex_wait_op(0, 0, Some(10 + ctx.pid() as Word));
+                ctx.wait(0, 0, Some(10 + ctx.pid() as Word));
                 ctx.fetch_add(1, 1);
             } else {
-                assert_eq!(ctx.futex_wake_op(0, Some(12), usize::MAX), 0, "no tag 12");
-                assert_eq!(ctx.futex_wake_op(0, Some(11), usize::MAX), 1, "one has 11");
+                assert_eq!(ctx.wake_tagged(&[(0, 12)]), 0, "no tag 12");
+                assert_eq!(ctx.wake_tagged(&[(0, 11)]), 1, "one has 11");
             }
         });
         // park 0, park 1, wake 12, wake 11, resume 1, add 1.
@@ -1698,7 +1698,7 @@ mod tests {
                 if ctx.pid() == 0 {
                     let mut cur = ctx.load(0);
                     while cur == 0 {
-                        cur = ctx.futex_wait(0, 0);
+                        cur = ctx.wait(0, 0, None).seen;
                     }
                 } else {
                     ctx.store(0, 1); // no wake

@@ -37,7 +37,7 @@
 
 use crate::explorer::{Explorer, Policy, ReplayEnd, RunEnd, Stats, Verdict};
 use crate::program::Program;
-use memsim::Word;
+use kernels::Word;
 use simcore::Rng;
 
 /// Default campaign seed (`interleave fuzz` without `--seed`): the paper's
@@ -530,7 +530,7 @@ fn rle(schedule: &[usize]) -> Vec<(usize, usize)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kernels::SyncCtx;
+    use kernels::{ProcCtx, SyncCtx};
 
     fn lost_update_program() -> Program {
         Program::new(2, 1, |ctx| {
@@ -647,7 +647,7 @@ mod tests {
             if ctx.pid() == 0 {
                 let mut cur = ctx.load(0);
                 while cur == 0 {
-                    cur = ctx.futex_wait(0, 0);
+                    cur = ctx.wait(0, 0, None).seen;
                 }
             } else {
                 ctx.store(0, 1); // no wake

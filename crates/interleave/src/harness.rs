@@ -6,7 +6,7 @@
 //!
 //! * **mutual exclusion** — no schedule lets two threads overlap in the
 //!   critical section. The workload's counter accesses are *data* accesses
-//!   ([`kernels::SyncCtx::data_load`] / `data_store`), so the vector-clock
+//!   ([`kernels::ProcCtx::data_load`] / `data_store`), so the vector-clock
 //!   race detector reports any overlap as [`Verdict::Race`] the moment it
 //!   is possible — even on schedules whose final counter is correct — and
 //!   the final counter total is kept as a second, independent witness;
@@ -27,7 +27,7 @@ use crate::program::Program;
 use kernels::barriers::BarrierKernel;
 use kernels::lockdep::InstrumentedLock;
 use kernels::locks::LockKernel;
-use kernels::{LockOrderGraph, Region, SyncCtx, Word};
+use kernels::{LockOrderGraph, ProcCtx, Region, Word};
 use std::sync::Arc;
 
 /// Builds the mutual-exclusion program for a lock: each thread performs
@@ -355,7 +355,7 @@ mod tests {
             }
             fn acquire(
                 &self,
-                ctx: &mut dyn SyncCtx,
+                ctx: &mut dyn ProcCtx,
                 region: &Region,
                 _ps: &mut u64,
             ) -> u64 {
@@ -365,7 +365,7 @@ mod tests {
             }
             fn release(
                 &self,
-                ctx: &mut dyn SyncCtx,
+                ctx: &mut dyn ProcCtx,
                 region: &Region,
                 _ps: &mut u64,
                 _token: u64,
@@ -395,7 +395,7 @@ mod tests {
             }
             fn arrive(
                 &self,
-                ctx: &mut dyn SyncCtx,
+                ctx: &mut dyn ProcCtx,
                 region: &Region,
                 st: &mut kernels::barriers::BarrierState,
             ) {
@@ -469,11 +469,11 @@ mod tests {
             fn lines_needed(&self, _p: usize) -> usize {
                 1
             }
-            fn acquire(&self, ctx: &mut dyn SyncCtx, region: &Region, _ps: &mut u64) -> u64 {
+            fn acquire(&self, ctx: &mut dyn ProcCtx, region: &Region, _ps: &mut u64) -> u64 {
                 ctx.store(region.slot(0), 1);
                 0
             }
-            fn release(&self, ctx: &mut dyn SyncCtx, region: &Region, _ps: &mut u64, _t: u64) {
+            fn release(&self, ctx: &mut dyn ProcCtx, region: &Region, _ps: &mut u64, _t: u64) {
                 ctx.store(region.slot(0), 0);
             }
         }

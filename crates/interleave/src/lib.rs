@@ -50,7 +50,7 @@
 //! * **Vector-clock race detection** ([`race`], FastTrack-style epochs):
 //!   `SyncCtx` sync operations carry happens-before; the harness's
 //!   critical-section counters and barrier stamps are *data* accesses
-//!   ([`ChkCtx::data_load`](kernels::SyncCtx::data_load) /
+//!   ([`ChkCtx::data_load`](kernels::ProcCtx::data_load) /
 //!   `data_store`) that must be ordered by them. Two concurrent data
 //!   accesses surface as [`Verdict::Race`] with both sites and the
 //!   reproducing schedule — even when the final state happens to be right.
@@ -71,12 +71,13 @@
 //! *real-hardware* primitives (`qsm`, `parking`, `service`) are outside it:
 //! those crates are stressed on real threads and under ThreadSanitizer, and
 //! `service`'s protocols are checked here as shipped: its slow paths are
-//! generic over `service::protocol::Words`, which [`corpus::Chk`] implements
-//! on this crate's memory.
+//! generic over the word-operation trait [`kernels::SyncCtx`], which
+//! [`ChkCtx`] implements on this crate's memory (and [`corpus::Chk`], the
+//! seeded bugs, rewrites one operation of).
 //!
 //! ```
 //! use interleave::{Explorer, Program};
-//! use kernels::SyncCtx;
+//! use kernels::{ProcCtx, SyncCtx};
 //!
 //! // Two threads increment a counter with plain load/store: a lost update
 //! // exists under some interleaving, and the explorer finds it.

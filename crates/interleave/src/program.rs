@@ -10,8 +10,7 @@
 //! held across `suspend` would meet the scheduler's own `borrow_mut`.
 
 use crate::race::{AccessSite, RaceDetector, RaceReport};
-use kernels::{LockEvent, LockOrderGraph, SyncCtx};
-use memsim::{Addr, Word};
+use kernels::{Addr, LockEvent, LockOrderGraph, ProcCtx, SyncCtx, Waited, Word};
 use simcore::coro;
 use std::cell::RefCell;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -53,16 +52,16 @@ pub enum OpKind {
     SyncStore,
     /// An atomic read-modify-write (`swap`, `cas`, `fetch_add`).
     Rmw,
-    /// A race-checked data load ([`SyncCtx::data_load`]).
+    /// A race-checked data load ([`ProcCtx::data_load`]).
     DataLoad,
-    /// A race-checked data store ([`SyncCtx::data_store`]).
+    /// A race-checked data store ([`ProcCtx::data_store`]).
     DataStore,
     /// One probe of a watchpoint spin (`spin_while` / `spin_until`).
     SpinRead,
-    /// The atomic compare-and-block of [`SyncCtx::futex_wait`] (also the
+    /// The atomic compare-and-block of [`SyncCtx::wait`] (also the
     /// resume step a woken waiter takes to re-read the word).
     FutexWait,
-    /// A [`SyncCtx::futex_wake`] draining parked waiters of a word.
+    /// A [`SyncCtx::wake`] or [`SyncCtx::wake_tagged`] draining parked waiters of a word.
     FutexWake,
 }
 
@@ -217,7 +216,7 @@ pub(crate) enum TState {
     Blocked(Addr, Pred),
     /// Parked in a futex wait on the word. Unlike [`TState::Blocked`], the
     /// scheduler never re-readies a parked thread on its own: only a
-    /// [`kernels::SyncCtx::futex_wake`] covering it does. That asymmetry is
+    /// [`kernels::SyncCtx::wake`] covering it does. That asymmetry is
     /// the whole point — a kernel that loses a wakeup leaves the thread
     /// parked forever, and the explorer reports it as such.
     Parked(Addr),
@@ -398,7 +397,8 @@ impl Shared {
 pub(crate) type RunState = Rc<RefCell<Shared>>;
 
 /// The execution context handed to each thread of a [`Program`]. Implements
-/// [`kernels::SyncCtx`], so lock/barrier kernels run on it unmodified.
+/// [`kernels::SyncCtx`] and [`kernels::ProcCtx`], so lock/barrier kernels
+/// and the service's protocols run on it unmodified.
 pub struct ChkCtx {
     pid: usize,
     nthreads: usize,
@@ -445,7 +445,7 @@ impl ChkCtx {
         self.step(OpMeta { addr, kind }, TState::Ready, f)
     }
 
-    fn spin(&mut self, addr: Addr, pred: Pred) -> Word {
+    fn watch(&mut self, addr: Addr, pred: Pred) -> Word {
         let meta = OpMeta {
             addr,
             kind: OpKind::SpinRead,
@@ -462,44 +462,10 @@ impl ChkCtx {
         }
     }
 
-    /// The futex wait. The first granted step is the atomic
-    /// compare-and-block: the word is read and, if it still equals
-    /// `expected`, the thread enqueues on the futex queue and becomes
-    /// [`TState::Parked`] before anyone else steps — no window for a wake to
-    /// slip through. A parked thread is unschedulable until some wake
-    /// re-readies it, after which one more granted step re-reads and
-    /// returns the word.
-    /// Tagged (`service::protocol::Words::wait` with a tag) when `tag` is given;
-    /// the answer is whether the thread parked, and the word it read last.
-    pub(crate) fn futex_wait_op(
-        &mut self,
-        addr: Addr,
-        expected: Word,
-        tag: Option<Word>,
-    ) -> (bool, Word) {
-        let meta = OpMeta {
-            addr,
-            kind: OpKind::FutexWait,
-        };
-        let pid = self.pid;
-        let cur = self.step(meta, TState::Ready, |g| {
-            let cur = g.memory[addr];
-            if cur == expected {
-                g.futexq.push((addr, pid, tag));
-            }
-            cur
-        });
-        if cur != expected {
-            return (false, cur);
-        }
-        let resumed = self.step(meta, TState::Parked(addr), |g| g.memory[addr]);
-        (true, resumed)
-    }
-
     /// The futex wake: one granted step that drains up to `n` of the
     /// oldest futex-queue entries for `addr` — those that parked with
     /// `tag`, when it is given — and re-readies their threads.
-    pub(crate) fn futex_wake_op(&mut self, addr: Addr, tag: Option<Word>, n: usize) -> usize {
+    fn wake_where(&mut self, addr: Addr, tag: Option<Word>, n: usize) -> usize {
         self.op(addr, OpKind::FutexWake, |g| {
             let mut woken = 0;
             let mut i = 0;
@@ -522,12 +488,6 @@ impl ChkCtx {
 }
 
 impl SyncCtx for ChkCtx {
-    fn pid(&self) -> usize {
-        self.pid
-    }
-    fn nprocs(&self) -> usize {
-        self.nthreads
-    }
     fn load(&mut self, addr: Addr) -> Word {
         self.op(addr, OpKind::SyncLoad, |g| g.memory[addr])
     }
@@ -557,16 +517,62 @@ impl SyncCtx for ChkCtx {
             old
         })
     }
+    /// The futex wait. The first granted step is the atomic
+    /// compare-and-block: the word is read and, if it still equals
+    /// `expected`, the thread enqueues on the futex queue (under `tag`) and
+    /// becomes parked before anyone else steps — no window for
+    /// a wake to slip through. A parked thread is unschedulable until some
+    /// wake re-readies it, after which one more granted step re-reads the
+    /// word.
+    fn wait(&mut self, addr: Addr, expected: Word, tag: Option<Word>) -> Waited {
+        let meta = OpMeta {
+            addr,
+            kind: OpKind::FutexWait,
+        };
+        let pid = self.pid;
+        let cur = self.step(meta, TState::Ready, |g| {
+            let cur = g.memory[addr];
+            if cur == expected {
+                g.futexq.push((addr, pid, tag));
+            }
+            cur
+        });
+        if cur != expected {
+            return Waited {
+                parked: false,
+                seen: cur,
+            };
+        }
+        let seen = self.step(meta, TState::Parked(addr), |g| g.memory[addr]);
+        Waited { parked: true, seen }
+    }
+    fn wake(&mut self, addr: Addr, n: usize) -> usize {
+        self.wake_where(addr, None, n)
+    }
+    /// One wake step per pair, in order, where the parking lot sweeps them
+    /// all at once: this explores every interleaving the sweep allows and
+    /// some it does not.
+    fn wake_tagged(&mut self, pairs: &[(Addr, Word)]) -> usize {
+        pairs
+            .iter()
+            .map(|&(addr, tag)| self.wake_where(addr, Some(tag), usize::MAX))
+            .sum()
+    }
+}
+
+impl ProcCtx for ChkCtx {
+    fn pid(&self) -> usize {
+        self.pid
+    }
+    fn nprocs(&self) -> usize {
+        self.nthreads
+    }
     fn spin_while(&mut self, addr: Addr, val: Word) -> Word {
-        self.spin(addr, Pred::WhileEq(val))
+        self.watch(addr, Pred::WhileEq(val))
     }
     fn spin_until(&mut self, addr: Addr, val: Word) {
-        self.spin(addr, Pred::UntilEq(val));
+        self.watch(addr, Pred::UntilEq(val));
     }
-    /// Local time does not exist under the checker; backoff delays are
-    /// no-ops (they do not affect sequential-consistency correctness).
-    fn delay(&mut self, _cycles: u64) {}
-
     fn data_load(&mut self, addr: Addr) -> Word {
         self.op(addr, OpKind::DataLoad, |g| g.memory[addr])
     }
@@ -575,12 +581,6 @@ impl SyncCtx for ChkCtx {
     }
     fn lock_event(&mut self, event: LockEvent) {
         self.events.push(event);
-    }
-    fn futex_wait(&mut self, addr: Addr, expected: Word) -> Word {
-        self.futex_wait_op(addr, expected, None).1
-    }
-    fn futex_wake(&mut self, addr: Addr, n: usize) -> usize {
-        self.futex_wake_op(addr, None, n)
     }
 }
 
@@ -598,7 +598,7 @@ pub struct Program {
 
 impl Program {
     /// Creates a program: `body` runs once per thread (distinguish roles
-    /// with [`ChkCtx::pid`] via the `SyncCtx` trait).
+    /// with [`ChkCtx::pid`] via the `ProcCtx` trait).
     ///
     /// Each invocation is a coroutine on the host thread exploring the
     /// program, which asks three things of `body`:

@@ -30,7 +30,7 @@
 //! nanosecond.
 
 use crate::program::OpMeta;
-use memsim::Addr;
+use kernels::Addr;
 use std::collections::HashMap;
 
 /// Logical time of one thread component.

@@ -7,9 +7,9 @@
 //! arriver *before* the epoch advances.
 
 use super::{BarrierKernel, BarrierState};
-use crate::ctx::SyncCtx;
 use crate::layout::Region;
 use crate::Addr;
+use crate::ProcCtx;
 
 /// Central counter barrier. Lines: arrival counter + epoch word.
 #[derive(Debug, Clone, Copy, Default)]
@@ -36,7 +36,7 @@ impl BarrierKernel for CentralBarrier {
         2
     }
 
-    fn arrive(&self, ctx: &mut dyn SyncCtx, region: &Region, st: &mut BarrierState) {
+    fn arrive(&self, ctx: &mut dyn ProcCtx, region: &Region, st: &mut BarrierState) {
         let p = ctx.nprocs() as u64;
         let next_epoch = st.round + 1;
         let arrived = ctx.fetch_add(Self::count(region), 1);

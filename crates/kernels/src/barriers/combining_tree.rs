@@ -7,9 +7,9 @@
 //! the root publishes the new epoch, which all processors watch.
 
 use super::{BarrierKernel, BarrierState};
-use crate::ctx::SyncCtx;
 use crate::layout::Region;
 use crate::Addr;
+use crate::ProcCtx;
 
 /// Combining-tree barrier with configurable fan-in.
 ///
@@ -95,7 +95,7 @@ impl BarrierKernel for CombiningTreeBarrier {
         1 + TreeShape::new(nprocs, self.fan_in).nodes()
     }
 
-    fn arrive(&self, ctx: &mut dyn SyncCtx, region: &Region, st: &mut BarrierState) {
+    fn arrive(&self, ctx: &mut dyn ProcCtx, region: &Region, st: &mut BarrierState) {
         let nprocs = ctx.nprocs();
         let shape = TreeShape::new(nprocs, self.fan_in);
         let next_epoch = st.round + 1;

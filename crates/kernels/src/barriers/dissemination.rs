@@ -9,9 +9,9 @@
 //! bank is reused, so stale values can never satisfy a wait.
 
 use super::{BarrierKernel, BarrierState};
-use crate::ctx::SyncCtx;
 use crate::layout::Region;
 use crate::Addr;
+use crate::ProcCtx;
 
 /// Dissemination barrier. Lines: `P × rounds × 2` flags, one per line.
 #[derive(Debug, Clone, Copy, Default)]
@@ -51,7 +51,7 @@ impl BarrierKernel for DisseminationBarrier {
         }
     }
 
-    fn arrive(&self, ctx: &mut dyn SyncCtx, region: &Region, st: &mut BarrierState) {
+    fn arrive(&self, ctx: &mut dyn ProcCtx, region: &Region, st: &mut BarrierState) {
         let nprocs = ctx.nprocs();
         let pid = ctx.pid();
         let parity = st.scratch[0] as usize;

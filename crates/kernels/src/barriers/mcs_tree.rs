@@ -7,9 +7,9 @@
 //! number, so reuse is race-free without sense reversal.
 
 use super::{BarrierKernel, BarrierState};
-use crate::ctx::SyncCtx;
 use crate::layout::Region;
 use crate::Addr;
+use crate::ProcCtx;
 
 /// MCS tree barrier. Lines: `P` arrival flags + `P` wakeup flags.
 #[derive(Debug, Clone, Copy, Default)]
@@ -50,7 +50,7 @@ impl BarrierKernel for McsTreeBarrier {
         2 * nprocs
     }
 
-    fn arrive(&self, ctx: &mut dyn SyncCtx, region: &Region, st: &mut BarrierState) {
+    fn arrive(&self, ctx: &mut dyn ProcCtx, region: &Region, st: &mut BarrierState) {
         let nprocs = ctx.nprocs();
         let pid = ctx.pid();
         let ep = st.round + 1;

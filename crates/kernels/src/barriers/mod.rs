@@ -20,9 +20,9 @@ pub mod mcs_tree;
 pub mod qsm_tree;
 pub mod tournament;
 
-use crate::ctx::SyncCtx;
 use crate::layout::Region;
 use crate::{Addr, Word};
+use crate::{ProcCtx, SyncCtx};
 use memsim::{Machine, RunReport, SimError};
 
 /// Per-processor barrier state threaded through successive episodes.
@@ -35,7 +35,7 @@ pub struct BarrierState {
     pub scratch: [u64; 2],
 }
 
-/// A reusable barrier algorithm expressed over [`SyncCtx`].
+/// A reusable barrier algorithm expressed over [`ProcCtx`].
 pub trait BarrierKernel: Sync {
     /// Short identifier used in figures and tables.
     fn name(&self) -> &'static str;
@@ -57,7 +57,7 @@ pub trait BarrierKernel: Sync {
 
     /// Arrives at the barrier and returns once all `nprocs` processors of
     /// the current episode have arrived. Increments `st.round`.
-    fn arrive(&self, ctx: &mut dyn SyncCtx, region: &Region, st: &mut BarrierState);
+    fn arrive(&self, ctx: &mut dyn ProcCtx, region: &Region, st: &mut BarrierState);
 }
 
 /// Every barrier in the study, in the order the figures list them.

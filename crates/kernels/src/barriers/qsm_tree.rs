@@ -8,8 +8,8 @@
 //!   `e·f`. **No reset store, and no reset races** — the subtle reuse
 //!   hazard of reset-based combining trees simply cannot occur;
 //! * the release is an `advance` on a global epoch eventcount, the same
-//!   operation the QSM lock uses for hand-off and [`crate::events`] uses
-//!   for producer/consumer pacing.
+//!   operation the QSM lock uses for hand-off and the service's eventcount
+//!   (`service::protocol::advance`) uses for producer/consumer pacing.
 //!
 //! This is the "one mechanism, three services" claim of the reconstruction:
 //! lock, condition synchronization, and barrier all reduce to *fetch-add on
@@ -17,9 +17,9 @@
 
 use super::combining_tree::TreeShape;
 use super::{BarrierKernel, BarrierState};
-use crate::ctx::SyncCtx;
 use crate::layout::Region;
 use crate::Addr;
+use crate::ProcCtx;
 
 /// QSM barrier with configurable fan-in.
 ///
@@ -57,7 +57,7 @@ impl BarrierKernel for QsmTreeBarrier {
         1 + TreeShape::new(nprocs, self.fan_in).nodes()
     }
 
-    fn arrive(&self, ctx: &mut dyn SyncCtx, region: &Region, st: &mut BarrierState) {
+    fn arrive(&self, ctx: &mut dyn ProcCtx, region: &Region, st: &mut BarrierState) {
         let nprocs = ctx.nprocs();
         let shape = TreeShape::new(nprocs, self.fan_in);
         let ep = st.round + 1;

@@ -12,9 +12,9 @@
 //! machinery at all: a stale value can never equal a future episode.
 
 use super::{BarrierKernel, BarrierState};
-use crate::ctx::SyncCtx;
 use crate::layout::Region;
 use crate::Addr;
+use crate::ProcCtx;
 
 pub use super::dissemination::rounds_for;
 
@@ -43,7 +43,7 @@ impl BarrierKernel for TournamentBarrier {
         (nprocs * rounds_for(nprocs) + nprocs).max(1)
     }
 
-    fn arrive(&self, ctx: &mut dyn SyncCtx, region: &Region, st: &mut BarrierState) {
+    fn arrive(&self, ctx: &mut dyn ProcCtx, region: &Region, st: &mut BarrierState) {
         let nprocs = ctx.nprocs();
         let pid = ctx.pid();
         let rounds = rounds_for(nprocs);

@@ -51,16 +51,6 @@ impl Region {
         self.lines
     }
 
-    /// Words per line.
-    pub fn line_words(&self) -> usize {
-        self.line_words
-    }
-
-    /// First word address of the region.
-    pub fn base(&self) -> Addr {
-        self.base
-    }
-
     /// End (one past the last word) of the region; the next free address.
     pub fn end(&self) -> Addr {
         self.base + self.words()

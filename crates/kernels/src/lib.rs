@@ -1,14 +1,16 @@
 //! # kernels — synchronization algorithms over an abstract memory API
 //!
 //! Every algorithm in the reproduction — the paper's **QSM** mechanism and all
-//! the 1991-era baselines — is written once against the [`SyncCtx`] trait and
-//! then runs unmodified on three substrates:
+//! the 1991-era baselines — is written once against [`ProcCtx`], the
+//! processor half of the `syncctx` crate's word-operation trait
+//! ([`SyncCtx`], re-exported here with [`Addr`], [`Word`] and
+//! [`LockEvent`]), and then runs unmodified on three substrates:
 //!
-//! * [`memsim`]'s simulated multiprocessor (performance: fig1–fig7), via the
-//!   blanket [`SyncCtx`] implementation for [`memsim::Proc`];
+//! * [`memsim`]'s simulated multiprocessor (performance: fig1–fig7), whose
+//!   [`memsim::Proc`] implements the trait in `memsim`;
 //! * the `interleave` crate's exhaustive model checker (correctness), which
-//!   supplies its own `SyncCtx` with a schedule-controlled memory;
-//! * real OS threads over `SeqCst` atomics and the `parking` futex
+//!   supplies its own context with a schedule-controlled memory;
+//! * real OS threads over `SeqCst` atomics and a `parking` lot
 //!   (`workloads::realhw::RealCtx`: fig8 and the differential harness).
 //!
 //! ## Inventory
@@ -22,9 +24,6 @@
 //! combining tree, dissemination, tournament, MCS-style static tree, and the
 //! **QSM barrier** built from the mechanism's grant words.
 //!
-//! Eventcounts ([`events`]): the await/advance service QSM unifies with its
-//! lock queue.
-//!
 //! ## Memory discipline
 //!
 //! Shared variables are laid out by [`layout::Region`] at cache-line
@@ -34,19 +33,13 @@
 //! is equivalent to assuming those pads are respected.
 
 pub mod barriers;
-pub mod ctx;
-pub mod events;
 pub mod layout;
 pub mod lockdep;
 pub mod locks;
 pub mod rwlock;
+#[cfg(test)]
+mod testutil;
 
-pub use ctx::{LockEvent, SyncCtx};
 pub use layout::Region;
 pub use lockdep::LockOrderGraph;
-
-/// A machine word (re-exported from the simulator for convenience).
-pub type Word = memsim::Word;
-
-/// A word address (re-exported from the simulator for convenience).
-pub type Addr = memsim::Addr;
+pub use syncctx::{Addr, LockEvent, ProcCtx, SyncCtx, Waited, Word};

@@ -12,7 +12,7 @@
 //! workloads and tests** — one graph can be threaded through every program
 //! a test suite explores — and reports every cycle at the moment the
 //! closing edge is inserted. [`InstrumentedLock`] wraps any [`LockKernel`]
-//! and reports acquisition lifecycle through [`SyncCtx::lock_event`]; the
+//! and reports acquisition lifecycle through [`ProcCtx::lock_event`]; the
 //! interleave checker turns those events into `record_acquire` calls with
 //! the per-thread held set it tracks.
 //!
@@ -27,10 +27,10 @@
 //! assert_eq!(graph.cycles().len(), 1, "AB/BA inversion must be flagged");
 //! ```
 
-use crate::ctx::{LockEvent, SyncCtx};
 use crate::layout::Region;
 use crate::locks::LockKernel;
 use crate::{Addr, Word};
+use crate::{LockEvent, ProcCtx};
 use std::collections::BTreeMap;
 use std::sync::Mutex;
 
@@ -178,7 +178,7 @@ impl LockOrderGraph {
 }
 
 /// A [`LockKernel`] wrapper that reports its acquisition lifecycle through
-/// [`SyncCtx::lock_event`] under a stable lock id, enabling lock-order and
+/// [`ProcCtx::lock_event`] under a stable lock id, enabling lock-order and
 /// bounded-bypass analyses on any substrate that listens.
 #[derive(Debug, Clone)]
 pub struct InstrumentedLock<L> {
@@ -191,11 +191,6 @@ impl<L: LockKernel> InstrumentedLock<L> {
     /// or any caller-stable numbering).
     pub fn new(inner: L, id: usize) -> Self {
         InstrumentedLock { inner, id }
-    }
-
-    /// The wrapped kernel.
-    pub fn inner(&self) -> &L {
-        &self.inner
     }
 }
 
@@ -212,13 +207,13 @@ impl<L: LockKernel> LockKernel for InstrumentedLock<L> {
     fn proc_init(&self, pid: usize, region: &Region) -> u64 {
         self.inner.proc_init(pid, region)
     }
-    fn acquire(&self, ctx: &mut dyn SyncCtx, region: &Region, ps: &mut u64) -> u64 {
+    fn acquire(&self, ctx: &mut dyn ProcCtx, region: &Region, ps: &mut u64) -> u64 {
         ctx.lock_event(LockEvent::AcquireStart(self.id));
         let token = self.inner.acquire(ctx, region, ps);
         ctx.lock_event(LockEvent::Acquired(self.id));
         token
     }
-    fn release(&self, ctx: &mut dyn SyncCtx, region: &Region, ps: &mut u64, token: u64) {
+    fn release(&self, ctx: &mut dyn ProcCtx, region: &Region, ps: &mut u64, token: u64) {
         self.inner.release(ctx, region, ps, token);
         ctx.lock_event(LockEvent::Released(self.id));
     }
@@ -227,8 +222,8 @@ impl<L: LockKernel> LockKernel for InstrumentedLock<L> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ctx::testutil::SeqCtx;
     use crate::locks::tas::TasLock;
+    use crate::testutil::SeqCtx;
 
     #[test]
     fn straight_order_is_acyclic() {
@@ -300,52 +295,9 @@ mod tests {
 
     #[test]
     fn instrumented_lock_delegates_and_emits() {
-        struct Recorder {
-            seq: SeqCtx,
-            events: Vec<LockEvent>,
-        }
-        impl SyncCtx for Recorder {
-            fn pid(&self) -> usize {
-                self.seq.pid()
-            }
-            fn nprocs(&self) -> usize {
-                self.seq.nprocs()
-            }
-            fn load(&mut self, a: Addr) -> Word {
-                self.seq.load(a)
-            }
-            fn store(&mut self, a: Addr, v: Word) {
-                self.seq.store(a, v)
-            }
-            fn swap(&mut self, a: Addr, v: Word) -> Word {
-                self.seq.swap(a, v)
-            }
-            fn cas(&mut self, a: Addr, e: Word, n: Word) -> Result<Word, Word> {
-                self.seq.cas(a, e, n)
-            }
-            fn fetch_add(&mut self, a: Addr, d: Word) -> Word {
-                self.seq.fetch_add(a, d)
-            }
-            fn spin_while(&mut self, a: Addr, v: Word) -> Word {
-                self.seq.spin_while(a, v)
-            }
-            fn spin_until(&mut self, a: Addr, v: Word) {
-                self.seq.spin_until(a, v)
-            }
-            fn delay(&mut self, c: u64) {
-                self.seq.delay(c)
-            }
-            fn lock_event(&mut self, event: LockEvent) {
-                self.events.push(event);
-            }
-        }
-
         let lock = InstrumentedLock::new(TasLock, 7);
         let region = Region::new(0, 8, lock.lines_needed(1));
-        let mut ctx = Recorder {
-            seq: SeqCtx::new(1, region.words()),
-            events: Vec::new(),
-        };
+        let mut ctx = SeqCtx::new(1, region.words());
         let mut ps = 0;
         let token = lock.acquire(&mut ctx, &region, &mut ps);
         lock.release(&mut ctx, &region, &mut ps, token);

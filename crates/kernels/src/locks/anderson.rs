@@ -7,8 +7,8 @@
 //! and a fetch-and-add on entry.
 
 use super::LockKernel;
-use crate::ctx::SyncCtx;
 use crate::layout::Region;
+use crate::ProcCtx;
 use crate::{Addr, Word};
 
 /// Anderson's array queue lock. Lines: one tail counter + `P` flag slots.
@@ -42,7 +42,7 @@ impl LockKernel for AndersonLock {
         vec![(Self::flag(region, 0), 1)]
     }
 
-    fn acquire(&self, ctx: &mut dyn SyncCtx, region: &Region, _ps: &mut u64) -> u64 {
+    fn acquire(&self, ctx: &mut dyn ProcCtx, region: &Region, _ps: &mut u64) -> u64 {
         let p = ctx.nprocs() as u64;
         let slot = ctx.fetch_add(Self::tail(region), 1) % p;
         ctx.spin_until(Self::flag(region, slot as usize), 1);
@@ -51,7 +51,7 @@ impl LockKernel for AndersonLock {
         slot
     }
 
-    fn release(&self, ctx: &mut dyn SyncCtx, region: &Region, _ps: &mut u64, token: u64) {
+    fn release(&self, ctx: &mut dyn ProcCtx, region: &Region, _ps: &mut u64, token: u64) {
         let p = ctx.nprocs() as u64;
         let next = ((token + 1) % p) as usize;
         ctx.store(Self::flag(region, next), 1);
@@ -61,8 +61,8 @@ impl LockKernel for AndersonLock {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ctx::testutil::SeqCtx;
     use crate::locks::counter_trial;
+    use crate::testutil::SeqCtx;
     use memsim::{Machine, MachineParams};
 
     #[test]

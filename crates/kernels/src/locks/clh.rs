@@ -7,8 +7,8 @@
 //! persistent state is a node index rather than a fixed slot.
 
 use super::LockKernel;
-use crate::ctx::SyncCtx;
 use crate::layout::Region;
+use crate::ProcCtx;
 use crate::{Addr, Word};
 
 /// CLH queue lock. Lines: tail + `P + 1` nodes (one spare so every
@@ -50,7 +50,7 @@ impl LockKernel for ClhLock {
         pid as u64
     }
 
-    fn acquire(&self, ctx: &mut dyn SyncCtx, region: &Region, ps: &mut u64) -> u64 {
+    fn acquire(&self, ctx: &mut dyn ProcCtx, region: &Region, ps: &mut u64) -> u64 {
         let my_node = *ps;
         ctx.store(Self::node(region, my_node as usize), 1);
         let pred = ctx.swap(Self::tail(region), my_node);
@@ -59,7 +59,7 @@ impl LockKernel for ClhLock {
         pred
     }
 
-    fn release(&self, ctx: &mut dyn SyncCtx, region: &Region, ps: &mut u64, token: u64) {
+    fn release(&self, ctx: &mut dyn ProcCtx, region: &Region, ps: &mut u64, token: u64) {
         ctx.store(Self::node(region, *ps as usize), 0);
         *ps = token;
     }
@@ -68,8 +68,8 @@ impl LockKernel for ClhLock {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ctx::testutil::SeqCtx;
     use crate::locks::counter_trial;
+    use crate::testutil::SeqCtx;
     use memsim::{Machine, MachineParams};
 
     #[test]

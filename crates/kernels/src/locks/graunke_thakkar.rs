@@ -7,8 +7,8 @@
 //! uses a `swap` rather than a fetch-and-add.
 
 use super::LockKernel;
-use crate::ctx::SyncCtx;
 use crate::layout::Region;
+use crate::ProcCtx;
 use crate::{Addr, Word};
 
 /// Graunke–Thakkar lock. Lines: tail + one flag per processor + a dummy
@@ -61,7 +61,7 @@ impl LockKernel for GraunkeThakkarLock {
         0
     }
 
-    fn acquire(&self, ctx: &mut dyn SyncCtx, region: &Region, ps: &mut u64) -> u64 {
+    fn acquire(&self, ctx: &mut dyn ProcCtx, region: &Region, ps: &mut u64) -> u64 {
         let me = ctx.pid() as u64;
         let old = ctx.swap(Self::tail(region), Self::pack(me, *ps));
         let (owner, sense) = Self::unpack(old);
@@ -71,7 +71,7 @@ impl LockKernel for GraunkeThakkarLock {
         0
     }
 
-    fn release(&self, ctx: &mut dyn SyncCtx, region: &Region, ps: &mut u64, _token: u64) {
+    fn release(&self, ctx: &mut dyn ProcCtx, region: &Region, ps: &mut u64, _token: u64) {
         *ps ^= 1;
         ctx.store(Self::flag(region, ctx.pid()), *ps);
     }
@@ -80,8 +80,8 @@ impl LockKernel for GraunkeThakkarLock {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ctx::testutil::SeqCtx;
     use crate::locks::counter_trial;
+    use crate::testutil::SeqCtx;
     use memsim::{Machine, MachineParams};
 
     #[test]

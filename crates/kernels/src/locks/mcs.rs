@@ -6,9 +6,9 @@
 //! machines, and O(1) space per processor shared across all locks.
 
 use super::LockKernel;
-use crate::ctx::SyncCtx;
 use crate::layout::Region;
 use crate::Addr;
+use crate::ProcCtx;
 
 /// MCS queue lock. Lines: tail + one node per processor.
 ///
@@ -43,7 +43,7 @@ impl LockKernel for McsLock {
         1 + nprocs
     }
 
-    fn acquire(&self, ctx: &mut dyn SyncCtx, region: &Region, _ps: &mut u64) -> u64 {
+    fn acquire(&self, ctx: &mut dyn ProcCtx, region: &Region, _ps: &mut u64) -> u64 {
         let me = ctx.pid() as u64 + 1;
         ctx.store(Self::next(region, me), 0);
         let pred = ctx.swap(Self::tail(region), me);
@@ -57,7 +57,7 @@ impl LockKernel for McsLock {
         0
     }
 
-    fn release(&self, ctx: &mut dyn SyncCtx, region: &Region, _ps: &mut u64, _token: u64) {
+    fn release(&self, ctx: &mut dyn ProcCtx, region: &Region, _ps: &mut u64, _token: u64) {
         let me = ctx.pid() as u64 + 1;
         let mut succ = ctx.load(Self::next(region, me));
         if succ == 0 {
@@ -75,9 +75,9 @@ impl LockKernel for McsLock {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ctx::testutil::SeqCtx;
     use crate::locks::counter_trial;
     use crate::locks::tas::TasLock;
+    use crate::testutil::SeqCtx;
     use memsim::{Machine, MachineParams};
 
     #[test]

@@ -35,12 +35,12 @@ pub mod ticket;
 pub mod ticket_prop;
 pub mod ttas;
 
-use crate::ctx::SyncCtx;
 use crate::layout::Region;
 use crate::{Addr, Word};
+use crate::{ProcCtx, SyncCtx};
 use memsim::{Machine, RunReport, SimError};
 
-/// A mutual-exclusion algorithm expressed over [`SyncCtx`].
+/// A mutual-exclusion algorithm expressed over [`ProcCtx`].
 ///
 /// Per-processor *persistent* state (a CLH node pointer, a Graunke–Thakkar
 /// sense) lives in a single `u64` owned by the caller and threaded through
@@ -66,10 +66,10 @@ pub trait LockKernel: Sync {
     }
 
     /// Acquires the lock; returns a token handed back to [`LockKernel::release`].
-    fn acquire(&self, ctx: &mut dyn SyncCtx, region: &Region, ps: &mut u64) -> u64;
+    fn acquire(&self, ctx: &mut dyn ProcCtx, region: &Region, ps: &mut u64) -> u64;
 
     /// Releases the lock acquired with `token`.
-    fn release(&self, ctx: &mut dyn SyncCtx, region: &Region, ps: &mut u64, token: u64);
+    fn release(&self, ctx: &mut dyn ProcCtx, region: &Region, ps: &mut u64, token: u64);
 }
 
 /// Shared ownership delegates: `Arc<L>` is itself a kernel, so wrappers
@@ -88,10 +88,10 @@ impl<L: LockKernel + Send + Sync + ?Sized> LockKernel for std::sync::Arc<L> {
     fn proc_init(&self, pid: usize, region: &Region) -> u64 {
         (**self).proc_init(pid, region)
     }
-    fn acquire(&self, ctx: &mut dyn SyncCtx, region: &Region, ps: &mut u64) -> u64 {
+    fn acquire(&self, ctx: &mut dyn ProcCtx, region: &Region, ps: &mut u64) -> u64 {
         (**self).acquire(ctx, region, ps)
     }
-    fn release(&self, ctx: &mut dyn SyncCtx, region: &Region, ps: &mut u64, token: u64) {
+    fn release(&self, ctx: &mut dyn ProcCtx, region: &Region, ps: &mut u64, token: u64) {
         (**self).release(ctx, region, ps, token)
     }
 }
@@ -251,7 +251,7 @@ mod tests {
         // Anderson initializes its first flag slot to 1.
         assert_eq!(mem[fix.region.slot(1)], 1);
         // Scratch is beyond the lock region and zeroed.
-        assert!(fix.scratch.base() >= fix.region.end());
+        assert!(fix.scratch.slot(0) >= fix.region.end());
         assert_eq!(mem[fix.scratch.slot(0)], 0);
         assert_eq!(mem.len(), fix.region.words() + fix.scratch.words());
     }

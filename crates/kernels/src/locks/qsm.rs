@@ -10,8 +10,8 @@
 //!    release a single `cas(Q, me, 0)`; no node fields are written remotely.
 //! 2. **Grant words are eventcounts**: a hand-off is `fetch_add(grant, 1)`.
 //!    Because the value only ever advances, the same word supports the
-//!    `await`/`advance` condition-synchronization service
-//!    ([`crate::events`]) and the combining barrier
+//!    `await`/`advance` condition-synchronization service (the
+//!    eventcount of `service::protocol`) and the combining barrier
 //!    ([`crate::barriers::qsm_tree`]) with no extra state — the "unified
 //!    mechanism" claim of the title.
 //! 3. **Lost-wakeup freedom by arithmetic**: a waiter records its grant
@@ -25,9 +25,9 @@
 //! together at the bottom of every plot.
 
 use super::LockKernel;
-use crate::ctx::SyncCtx;
 use crate::layout::Region;
 use crate::Addr;
+use crate::ProcCtx;
 
 /// The QSM lock. Lines: tail `Q` + one node per processor
 /// (word 0 = `next`, word 1 = `grant` eventcount).
@@ -68,7 +68,7 @@ impl LockKernel for QsmLock {
         0
     }
 
-    fn acquire(&self, ctx: &mut dyn SyncCtx, region: &Region, ps: &mut u64) -> u64 {
+    fn acquire(&self, ctx: &mut dyn ProcCtx, region: &Region, ps: &mut u64) -> u64 {
         let me = ctx.pid() as u64 + 1;
         // Clear our link first — it may hold a stale successor from an
         // earlier round, and release reads it on every path. This is a hit
@@ -91,7 +91,7 @@ impl LockKernel for QsmLock {
         0
     }
 
-    fn release(&self, ctx: &mut dyn SyncCtx, region: &Region, _ps: &mut u64, _token: u64) {
+    fn release(&self, ctx: &mut dyn ProcCtx, region: &Region, _ps: &mut u64, _token: u64) {
         let me = ctx.pid() as u64 + 1;
         let mut succ = ctx.load(Self::next(region, me));
         if succ == 0 {
@@ -110,10 +110,11 @@ impl LockKernel for QsmLock {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ctx::testutil::SeqCtx;
     use crate::locks::counter_trial;
     use crate::locks::mcs::McsLock;
     use crate::locks::tas::TasLock;
+    use crate::testutil::SeqCtx;
+    use crate::SyncCtx;
     use memsim::{Machine, MachineParams};
 
     #[test]

@@ -4,7 +4,7 @@
 //! Queue discipline, layout, and the grant eventcount are identical to
 //! [`QsmLock`]; only the wait differs. A queued waiter probes its grant word
 //! a bounded number of times and then parks on it with
-//! [`SyncCtx::futex_wait`], recording the grant value it expects to change.
+//! [`SyncCtx::wait`](crate::SyncCtx::wait), recording the grant value it expects to change.
 //! Release advances the successor's eventcount *first* and wakes *second* —
 //! with the futex's atomic compare-and-block, that ordering makes a lost
 //! wakeup impossible in either direction: park-then-advance is caught by the
@@ -23,8 +23,8 @@
 //! to the lock holder while a spinning waiter burns whole quanta.
 
 use super::{qsm::QsmLock, LockKernel};
-use crate::ctx::SyncCtx;
 use crate::layout::Region;
+use crate::ProcCtx;
 use crate::Word;
 
 /// Bounds for the adaptive spin budget, in probes.
@@ -91,7 +91,7 @@ impl LockKernel for QsmBlockingLock {
         pack(0, self.spin_probes)
     }
 
-    fn acquire(&self, ctx: &mut dyn SyncCtx, region: &Region, ps: &mut u64) -> u64 {
+    fn acquire(&self, ctx: &mut dyn ProcCtx, region: &Region, ps: &mut u64) -> u64 {
         let me = ctx.pid() as u64 + 1;
         ctx.store(QsmLock::next(region, me), 0);
         if ctx.cas(QsmLock::tail(region), 0, me).is_ok() {
@@ -115,7 +115,7 @@ impl LockKernel for QsmBlockingLock {
                 ctx.delay(self.probe_gap);
             } else {
                 parked = true;
-                ctx.futex_wait(grant, count as Word);
+                ctx.wait(grant, count as Word, None);
             }
         }
         if self.adaptive {
@@ -129,7 +129,7 @@ impl LockKernel for QsmBlockingLock {
         0
     }
 
-    fn release(&self, ctx: &mut dyn SyncCtx, region: &Region, _ps: &mut u64, _token: u64) {
+    fn release(&self, ctx: &mut dyn ProcCtx, region: &Region, _ps: &mut u64, _token: u64) {
         let me = ctx.pid() as u64 + 1;
         let mut succ = ctx.load(QsmLock::next(region, me));
         if succ == 0 {
@@ -142,15 +142,15 @@ impl LockKernel for QsmBlockingLock {
         // Advance first, wake second (see module docs: this order is what
         // rules the lost wakeup out).
         ctx.fetch_add(grant, 1);
-        ctx.futex_wake(grant, 1);
+        ctx.wake(grant, 1);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ctx::testutil::SeqCtx;
     use crate::locks::counter_trial;
+    use crate::testutil::SeqCtx;
     use memsim::{Machine, MachineParams, SchedParams};
 
     #[test]

@@ -7,9 +7,9 @@
 //! curve of fig1/fig2 and the motivation for everything else in the study.
 
 use super::LockKernel;
-use crate::ctx::SyncCtx;
 use crate::layout::Region;
 use crate::Addr;
+use crate::ProcCtx;
 
 /// Test-and-set lock. One word of shared state: 0 = free, 1 = held.
 #[derive(Debug, Clone, Copy, Default)]
@@ -31,7 +31,7 @@ impl LockKernel for TasLock {
         1
     }
 
-    fn acquire(&self, ctx: &mut dyn SyncCtx, region: &Region, _ps: &mut u64) -> u64 {
+    fn acquire(&self, ctx: &mut dyn ProcCtx, region: &Region, _ps: &mut u64) -> u64 {
         let lock = Self::lock_word(region);
         while ctx.test_and_set(lock) {
             // Immediate retry: each probe is a fresh RMW transaction.
@@ -39,7 +39,7 @@ impl LockKernel for TasLock {
         0
     }
 
-    fn release(&self, ctx: &mut dyn SyncCtx, region: &Region, _ps: &mut u64, _token: u64) {
+    fn release(&self, ctx: &mut dyn ProcCtx, region: &Region, _ps: &mut u64, _token: u64) {
         ctx.store(Self::lock_word(region), 0);
     }
 }
@@ -47,8 +47,8 @@ impl LockKernel for TasLock {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ctx::testutil::SeqCtx;
     use crate::locks::counter_trial;
+    use crate::testutil::SeqCtx;
     use memsim::{Machine, MachineParams};
 
     #[test]

@@ -7,9 +7,9 @@
 //! are fields so fig7's ablation can sweep them.
 
 use super::LockKernel;
-use crate::ctx::SyncCtx;
 use crate::layout::Region;
 use crate::Addr;
+use crate::ProcCtx;
 
 /// Test-and-set lock with bounded exponential backoff between probes.
 #[derive(Debug, Clone, Copy)]
@@ -47,7 +47,7 @@ impl LockKernel for TasBackoffLock {
         1
     }
 
-    fn acquire(&self, ctx: &mut dyn SyncCtx, region: &Region, _ps: &mut u64) -> u64 {
+    fn acquire(&self, ctx: &mut dyn ProcCtx, region: &Region, _ps: &mut u64) -> u64 {
         let lock = Self::lock_word(region);
         let mut delay = self.base;
         while ctx.test_and_set(lock) {
@@ -57,7 +57,7 @@ impl LockKernel for TasBackoffLock {
         0
     }
 
-    fn release(&self, ctx: &mut dyn SyncCtx, region: &Region, _ps: &mut u64, _token: u64) {
+    fn release(&self, ctx: &mut dyn ProcCtx, region: &Region, _ps: &mut u64, _token: u64) {
         ctx.store(Self::lock_word(region), 0);
     }
 }

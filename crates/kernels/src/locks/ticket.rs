@@ -8,9 +8,9 @@
 //! fairness table (table2) shows a coefficient of variation of zero.
 
 use super::LockKernel;
-use crate::ctx::SyncCtx;
 use crate::layout::Region;
 use crate::Addr;
+use crate::ProcCtx;
 
 /// Classic ticket lock. Two lines: the dispenser and the display.
 #[derive(Debug, Clone, Copy, Default)]
@@ -37,13 +37,13 @@ impl LockKernel for TicketLock {
         2
     }
 
-    fn acquire(&self, ctx: &mut dyn SyncCtx, region: &Region, _ps: &mut u64) -> u64 {
+    fn acquire(&self, ctx: &mut dyn ProcCtx, region: &Region, _ps: &mut u64) -> u64 {
         let ticket = ctx.fetch_add(Self::next_ticket(region), 1);
         ctx.spin_until(Self::now_serving(region), ticket);
         ticket
     }
 
-    fn release(&self, ctx: &mut dyn SyncCtx, region: &Region, _ps: &mut u64, token: u64) {
+    fn release(&self, ctx: &mut dyn ProcCtx, region: &Region, _ps: &mut u64, token: u64) {
         // Only the holder writes the display, so a plain store suffices.
         ctx.store(Self::now_serving(region), token + 1);
     }
@@ -52,8 +52,8 @@ impl LockKernel for TicketLock {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ctx::testutil::SeqCtx;
     use crate::locks::counter_trial;
+    use crate::testutil::SeqCtx;
     use memsim::{Machine, MachineParams};
 
     #[test]

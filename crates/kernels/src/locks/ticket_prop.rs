@@ -8,9 +8,9 @@
 //! approximate the expected hand-off interval; fig7 sweeps it.
 
 use super::LockKernel;
-use crate::ctx::SyncCtx;
 use crate::layout::Region;
 use crate::Addr;
+use crate::ProcCtx;
 
 /// Ticket lock whose waiters poll with distance-proportional delays.
 #[derive(Debug, Clone, Copy)]
@@ -48,7 +48,7 @@ impl LockKernel for TicketPropLock {
         2
     }
 
-    fn acquire(&self, ctx: &mut dyn SyncCtx, region: &Region, _ps: &mut u64) -> u64 {
+    fn acquire(&self, ctx: &mut dyn ProcCtx, region: &Region, _ps: &mut u64) -> u64 {
         let ticket = ctx.fetch_add(Self::next_ticket(region), 1);
         loop {
             let serving = ctx.load(Self::now_serving(region));
@@ -61,7 +61,7 @@ impl LockKernel for TicketPropLock {
         }
     }
 
-    fn release(&self, ctx: &mut dyn SyncCtx, region: &Region, _ps: &mut u64, token: u64) {
+    fn release(&self, ctx: &mut dyn ProcCtx, region: &Region, _ps: &mut u64, token: u64) {
         ctx.store(Self::now_serving(region), token + 1);
     }
 }

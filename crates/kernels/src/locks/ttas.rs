@@ -7,9 +7,9 @@
 //! fig1 curve grow with P, just far more slowly than plain test-and-set.
 
 use super::LockKernel;
-use crate::ctx::SyncCtx;
 use crate::layout::Region;
 use crate::Addr;
+use crate::ProcCtx;
 
 /// Test-and-test-and-set lock. One word: 0 = free, 1 = held.
 #[derive(Debug, Clone, Copy, Default)]
@@ -31,7 +31,7 @@ impl LockKernel for TtasLock {
         1
     }
 
-    fn acquire(&self, ctx: &mut dyn SyncCtx, region: &Region, _ps: &mut u64) -> u64 {
+    fn acquire(&self, ctx: &mut dyn ProcCtx, region: &Region, _ps: &mut u64) -> u64 {
         let lock = Self::lock_word(region);
         loop {
             // Wait (cached) until the lock reads free...
@@ -43,7 +43,7 @@ impl LockKernel for TtasLock {
         }
     }
 
-    fn release(&self, ctx: &mut dyn SyncCtx, region: &Region, _ps: &mut u64, _token: u64) {
+    fn release(&self, ctx: &mut dyn ProcCtx, region: &Region, _ps: &mut u64, _token: u64) {
         ctx.store(Self::lock_word(region), 0);
     }
 }

@@ -7,10 +7,10 @@
 //! is write-preferring: once a writer sets the pending bit, arriving
 //! readers hold back until the writer has been through.
 
-use crate::ctx::SyncCtx;
 use crate::layout::Region;
 use crate::locks::qsm::QsmLock;
 use crate::locks::LockKernel;
+use crate::ProcCtx;
 use crate::{Addr, Word};
 
 /// Writer-pending bit in the status word (well clear of reader counts).
@@ -50,7 +50,7 @@ impl RwKernel {
     /// plain mutex even at 95% reads; the optimistic bump restores O(P)).
     /// If the bump lands while a writer is pending, the reader undoes it
     /// and sleeps until the status word changes.
-    pub fn read_acquire(&self, ctx: &mut dyn SyncCtx, region: &Region) {
+    pub fn read_acquire(&self, ctx: &mut dyn ProcCtx, region: &Region) {
         let status = Self::status(region);
         loop {
             let prev = ctx.fetch_add(status, 1);
@@ -75,14 +75,14 @@ impl RwKernel {
     }
 
     /// Releases shared access.
-    pub fn read_release(&self, ctx: &mut dyn SyncCtx, region: &Region) {
+    pub fn read_release(&self, ctx: &mut dyn ProcCtx, region: &Region) {
         // Wrapping add of -1: decrement the reader count.
         ctx.fetch_add(Self::status(region), Word::MAX);
     }
 
     /// Acquires exclusive access; returns the writer-queue state to thread
     /// back through [`RwKernel::write_release`].
-    pub fn write_acquire(&self, ctx: &mut dyn SyncCtx, region: &Region, ps: &mut u64) -> u64 {
+    pub fn write_acquire(&self, ctx: &mut dyn ProcCtx, region: &Region, ps: &mut u64) -> u64 {
         let wr = Self::writer_region(region);
         let token = QsmLock.acquire(ctx, &wr, ps);
         // Sole writer now: announce, then drain in-flight readers.
@@ -99,7 +99,7 @@ impl RwKernel {
     }
 
     /// Releases exclusive access.
-    pub fn write_release(&self, ctx: &mut dyn SyncCtx, region: &Region, ps: &mut u64, token: u64) {
+    pub fn write_release(&self, ctx: &mut dyn ProcCtx, region: &Region, ps: &mut u64, token: u64) {
         // Clear the writer bit with an atomic subtract, NOT a blind store:
         // optimistic readers transiently bump the count even while the bit
         // is set, and a store would erase such a bump — the later retreat
@@ -113,6 +113,7 @@ impl RwKernel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SyncCtx;
     use memsim::{Machine, MachineParams};
     use simcore::Rng;
 

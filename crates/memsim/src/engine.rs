@@ -123,6 +123,8 @@ pub(crate) struct Reply {
     pub value: Word,
     /// The processor's new local clock.
     pub now: u64,
+    /// The operation was a `FutexWait` that parked, and this is its wake.
+    pub parked: bool,
 }
 
 /// What a processor's body and the engine loop exchange across a coroutine
@@ -213,7 +215,7 @@ enum ProcState {
         /// When the processor went to sleep, for spin-wait accounting.
         sleep_start: u64,
     },
-    /// Parked in `futex_wait`; released only by an explicit wake.
+    /// Parked in futex `wait`; released only by an explicit wake.
     ParkedFutex {
         addr: Addr,
         /// The value observed at park time (reported on a lost wakeup).
@@ -311,7 +313,7 @@ pub(crate) struct EngineCore {
     states: Vec<ProcState>,
     /// Word address → pids parked on it (details live in `states`).
     watchers: WatchTable,
-    /// Word address → pids parked on it by `futex_wait`, FIFO.
+    /// Word address → pids parked on it by futex `wait`, FIFO.
     futexq: WatchTable,
     /// Oversubscription scheduler, when configured.
     sched: Option<SchedState>,
@@ -856,14 +858,14 @@ impl EngineCore {
                     }
                     // The wakee resumes off-core; its next submission
                     // re-enters through the scheduler's ready queue.
-                    self.reply(wpid, self.memory[addr], t);
+                    self.reply(wpid, self.memory[addr], t, true);
                 }
                 (woken, t)
             }
             Op::Delay(cycles) => (0, req.issue.saturating_add(cycles)),
             Op::Done => unreachable!("handled at submission"),
         };
-        self.reply(pid, value, done);
+        self.reply(pid, value, done, false);
         self.check_time(done)
     }
 
@@ -877,7 +879,8 @@ impl EngineCore {
         }
     }
 
-    fn reply(&mut self, pid: usize, value: Word, now: u64) {
+    /// Answers `pid`'s operation; `parked` iff the answer ends a futex park.
+    fn reply(&mut self, pid: usize, value: Word, now: u64, parked: bool) {
         if self.replay.is_some() {
             // No body to resume: the logged next action stands in for the
             // processor's deterministic reaction to (value, now).
@@ -885,7 +888,7 @@ impl EngineCore {
             return;
         }
         self.states[pid] = ProcState::Running;
-        self.ready.push((pid, Reply { value, now }));
+        self.ready.push((pid, Reply { value, now, parked }));
     }
 
     /// Performs the coherence side of an access; returns its completion time.
@@ -976,7 +979,7 @@ impl EngineCore {
                 if let Some(tr) = &self.tracer {
                     tr.record(pid, t, EventKind::SpinEnd { addr });
                 }
-                self.reply(pid, cur, t);
+                self.reply(pid, cur, t, false);
             } else {
                 self.states[pid] = ProcState::Waiting {
                     addr,

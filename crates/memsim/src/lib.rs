@@ -19,9 +19,10 @@
 //! ## Programming model
 //!
 //! A *processor program* is an ordinary Rust closure receiving a [`Proc`]
-//! handle with `load` / `store` / `swap` / `cas` / `fetch_add` /
-//! `test_and_set` / `spin_while` / `delay` operations on a word-addressed
-//! shared memory. Each simulated processor's closure runs as a stackful
+//! handle, which implements `syncctx`'s [`SyncCtx`](syncctx::SyncCtx) and
+//! [`ProcCtx`](syncctx::ProcCtx): `load` / `store` / `swap` / `cas` /
+//! `fetch_add` / `test_and_set` / `spin_while` / `wait` / `wake` / `delay`
+//! operations on a word-addressed shared memory. Each simulated processor's closure runs as a stackful
 //! coroutine ([`simcore::coro`]) on the host thread that called
 //! [`Machine::run`], and the engine fully serializes execution — at most one
 //! processor advances between memory events, ties broken by
@@ -30,6 +31,7 @@
 //!
 //! ```
 //! use memsim::{Machine, MachineParams};
+//! use syncctx::SyncCtx;
 //!
 //! // Two processors atomically increment a shared counter 100 times each.
 //! let machine = Machine::new(MachineParams::bus_1991(2));
@@ -46,7 +48,7 @@
 //!
 //! ## Why local spinning is a first-class operation
 //!
-//! [`Proc::spin_while`] registers a *watchpoint*: the spinner is charged one
+//! `spin_while` registers a *watchpoint*: the spinner is charged one
 //! initial probe, then sleeps until an invalidation actually touches the
 //! watched word, at which point it pays the re-probe (a real coherence miss).
 //! This is both how 1991 hardware behaved (spinning on a cached copy is free
@@ -55,7 +57,7 @@
 //!
 //! ## Blocking and oversubscription
 //!
-//! [`Proc::futex_wait`] / [`Proc::futex_wake`] are word-sized blocking
+//! `wait` / `wake` are word-sized blocking
 //! primitives with the Linux-futex contract: the wait parks only if the word
 //! still holds the expected value (checked atomically inside the engine), and
 //! a wake costs the waker a modeled remote write per wakee. Setting
@@ -82,11 +84,7 @@ pub use pool::{pool_stats, PoolStats};
 pub use proc::Proc;
 pub use replay::{FragmentReplayer, Recording};
 
-/// A machine word. The simulated memory is an array of these.
-pub type Word = u64;
-
-/// A word address into the simulated shared memory.
-pub type Addr = usize;
+pub use syncctx::{Addr, Word};
 
 /// Errors terminating a simulation early.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -111,7 +109,7 @@ pub enum SimError {
         /// The out-of-bounds word address.
         addr: Addr,
     },
-    /// Every live processor is parked in `futex_wait` and nobody is left to
+    /// Every live processor is parked in `wait` and nobody is left to
     /// wake them — the classic lost-wakeup bug (a waker that changed the word
     /// without issuing a wake, or woke before the sleeper parked without the
     /// atomic re-check the futex protocol exists to provide).

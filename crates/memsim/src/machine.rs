@@ -212,6 +212,7 @@ mod tests {
     use super::*;
     use crate::params::Topology;
     use std::panic::{catch_unwind, AssertUnwindSafe};
+    use syncctx::{ProcCtx, SyncCtx};
 
     fn bus(n: usize) -> Machine {
         Machine::new(MachineParams::bus_1991(n))
@@ -223,10 +224,10 @@ mod tests {
         if p.pid() == 0 {
             p.delay(200);
             p.store(1, 1);
-            p.futex_wake(1, usize::MAX);
+            p.wake(1, usize::MAX);
             p.store(0, 1);
         } else {
-            while p.futex_wait(1, 0) == 0 {}
+            while p.wait(1, 0, None).seen == 0 {}
             p.spin_until(0, 1);
         }
     }
@@ -245,7 +246,7 @@ mod tests {
         assert_eq!(base.memory, traced.memory);
 
         // Every pid 1..4 parked exactly once (pid 0 delays past their
-        // first futex_wait probe), and every park has a wake and a resume.
+        // first futex wait probe), and every park has a wake and a resume.
         assert_eq!(tracer.class_total(C::FutexPark), 3);
         assert_eq!(tracer.class_total(C::FutexPark), traced.metrics.futex_parks());
         assert_eq!(tracer.class_total(C::FutexWake), 3);
@@ -542,7 +543,8 @@ mod tests {
         let report = bus(1)
             .run_with_init(1, vec![3], |p| {
                 // Word is 3, expected 0: no park, current value returned.
-                assert_eq!(p.futex_wait(0, 0), 3);
+                let waited = p.wait(0, 0, None);
+                assert_eq!((waited.parked, waited.seen), (false, 3));
             })
             .unwrap();
         assert_eq!(report.metrics.futex_parks(), 0);
@@ -556,7 +558,9 @@ mod tests {
                 if p.pid() == 0 {
                     let mut cur = p.load(0);
                     while cur == 0 {
-                        cur = p.futex_wait(0, 0);
+                        let waited = p.wait(0, 0, None);
+                        assert!(waited.parked, "the word was unchanged: the wait parks");
+                        cur = waited.seen;
                         if cur == 0 {
                             cur = p.load(0);
                         }
@@ -566,7 +570,7 @@ mod tests {
                 } else {
                     p.delay(500);
                     p.store(0, 1);
-                    p.futex_wake(0, 1);
+                    p.wake(0, 1);
                 }
             })
             .unwrap();
@@ -585,12 +589,12 @@ mod tests {
             .run(4, 6, |p| {
                 if p.pid() == 0 {
                     p.delay(2000); // let all three waiters park first
-                    assert_eq!(p.futex_wake(0, 2), 2);
+                    assert_eq!(p.wake(0, 2), 2);
                     p.delay(2000);
-                    assert_eq!(p.futex_wake(0, 2), 1, "only one waiter left");
+                    assert_eq!(p.wake(0, 2), 1, "only one waiter left");
                 } else {
                     p.delay(p.pid() as u64 * 10); // park order = pid order
-                    p.futex_wait(0, 0);
+                    p.wait(0, 0, None);
                     let rank = p.fetch_add(1, 1);
                     p.store(2 + p.pid(), rank + 1);
                 }
@@ -605,7 +609,7 @@ mod tests {
     fn all_parked_with_no_waker_is_lost_wakeup() {
         let err = bus(2)
             .run(2, 1, |p| {
-                p.futex_wait(0, 0); // nobody will ever wake us
+                p.wait(0, 0, None); // nobody will ever wake us
             })
             .unwrap_err();
         match err {
@@ -623,7 +627,7 @@ mod tests {
                 if p.pid() == 0 {
                     p.spin_until(0, 1);
                 } else {
-                    p.futex_wait(1, 0);
+                    p.wait(1, 0, None);
                 }
             })
             .unwrap_err();
@@ -685,11 +689,11 @@ mod tests {
                     if p.pid() == 0 {
                         p.delay(5_000);
                         p.store(0, 1);
-                        p.futex_wake(0, usize::MAX);
+                        p.wake(0, usize::MAX);
                     } else {
                         let mut cur = p.load(0);
                         while cur == 0 {
-                            cur = p.futex_wait(0, 0);
+                            cur = p.wait(0, 0, None).seen;
                             if cur == 0 {
                                 cur = p.load(0);
                             }

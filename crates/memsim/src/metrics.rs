@@ -21,14 +21,14 @@ pub struct ProcMetrics {
     /// Writes that hit a Shared line and had to invalidate other copies.
     pub upgrades: u64,
     /// Times this processor was woken from a `spin_while` watchpoint or a
-    /// `futex_wait` park.
+    /// futex `wait` park.
     pub wakeups: u64,
-    /// Cycles spent blocked inside `spin_while` or parked in `futex_wait`.
+    /// Cycles spent blocked inside `spin_while` or parked in futex `wait`.
     pub spin_wait_cycles: u64,
-    /// Times this processor parked in `futex_wait` (immediate returns on a
+    /// Times this processor parked in futex `wait` (immediate returns on a
     /// changed word do not count).
     pub futex_parks: u64,
-    /// Parked waiters this processor's `futex_wake` calls dequeued — the
+    /// Parked waiters this processor's futex `wake` calls dequeued — the
     /// waker-side mirror of [`ProcMetrics::futex_parks`]: on a run that
     /// completes, the machine-wide totals must balance.
     pub futex_woken: u64,
@@ -144,12 +144,6 @@ impl Metrics {
         self.per_proc.iter().map(|p| p.wakeups).sum()
     }
 
-    /// Sum of cycles spent blocked in `spin_while` or parked in
-    /// `futex_wait` across processors.
-    pub fn spin_wait_cycles(&self) -> u64 {
-        self.per_proc.iter().map(|p| p.spin_wait_cycles).sum()
-    }
-
     /// Sum of scheduler core placements across processors; 0 on machines
     /// without an oversubscription scheduler.
     pub fn ctx_switches(&self) -> u64 {
@@ -161,7 +155,7 @@ impl Metrics {
         self.per_proc.iter().map(|p| p.futex_parks).sum()
     }
 
-    /// Sum of waiters dequeued by `futex_wake` across processors. Equals
+    /// Sum of waiters dequeued by futex `wake` across processors. Equals
     /// [`Metrics::futex_parks`] on any run that completed (every parked
     /// processor must have been woken for the run to finish).
     pub fn futex_woken(&self) -> u64 {
@@ -264,14 +258,11 @@ mod tests {
         let mut m = Metrics::new(3);
         m.per_proc[0].upgrades = 2;
         m.per_proc[1].upgrades = 3;
-        m.per_proc[0].spin_wait_cycles = 100;
-        m.per_proc[2].spin_wait_cycles = 50;
         m.per_proc[1].ctx_switches = 4;
         m.per_proc[2].ctx_switches = 1;
         m.per_proc[0].futex_parks = 2;
         m.per_proc[1].futex_woken = 2;
         assert_eq!(m.upgrades(), 5);
-        assert_eq!(m.spin_wait_cycles(), 150);
         assert_eq!(m.ctx_switches(), 5);
         assert_eq!(m.futex_parks(), m.futex_woken());
     }

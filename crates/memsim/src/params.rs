@@ -26,10 +26,9 @@ pub enum Topology {
 /// Processor scheduler for oversubscribed runs (more simulated threads than
 /// cores). When [`MachineParams::sched`] is `Some`, the machine multiplexes
 /// its P logical processors onto `cores` execution slots with round-robin
-/// quanta, and the futex operations ([`crate::Proc::futex_wait`] /
-/// [`crate::Proc::futex_wake`]) interact with the scheduler: a parked
-/// processor yields its core immediately, and a wake re-enters it through the
-/// ready queue.
+/// quanta, and the futex operations (`Proc`'s `wait` / `wake`) interact
+/// with the scheduler: a parked processor yields its core immediately, and a
+/// wake re-enters it through the ready queue.
 ///
 /// Spin waits change meaning under the scheduler: instead of sleeping on a
 /// zero-cost watchpoint, a spinning processor *polls* — it re-probes its word

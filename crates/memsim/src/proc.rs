@@ -1,9 +1,10 @@
 //! The processor handle passed to simulated programs.
 //!
-//! [`Proc`] is the entire instruction set a kernel may use: word loads and
-//! stores, the atomic read-modify-writes 1991 hardware offered (swap,
-//! compare-and-swap, fetch-and-add, test-and-set), watchpoint-based local
-//! spinning, and a local `delay`. Every method suspends the calling body
+//! [`Proc`] implements the instruction set a kernel may use, `syncctx`'s
+//! [`SyncCtx`] and [`ProcCtx`]: word loads and stores, the atomic
+//! read-modify-writes 1991 hardware offered (swap, compare-and-swap,
+//! fetch-and-add, test-and-set), futex waits and wakes, watchpoint-based
+//! local spinning, and a local `delay`. Every operation suspends the calling body
 //! until the engine has scheduled the operation, so kernel code reads like
 //! ordinary sequential Rust.
 //!
@@ -14,11 +15,12 @@
 //! into `Proc::roundtrip`, the one function every operation goes through,
 //! so the loop's jump back always lands at the same address.
 
-use crate::engine::{Mailbox, Op, Request, WaitPred};
+use crate::engine::{Mailbox, Op, Reply, Request, WaitPred};
 use crate::{Addr, Word};
 use simcore::coro;
 use std::rc::Rc;
 use std::sync::Arc;
+use syncctx::{LockEvent, ProcCtx, SyncCtx, Waited};
 
 /// Sentinel panic payload that unwinds a processor's body when the engine
 /// aborts a simulation (deadlock, time limit, fault, or a peer's panic).
@@ -60,7 +62,7 @@ impl Proc {
         }));
     }
 
-    fn roundtrip(&mut self, op: Op) -> Word {
+    fn roundtrip(&mut self, op: Op) -> Reply {
         self.request(op);
         coro::suspend();
         let Some(reply) = self.mail.reply.take() else {
@@ -68,22 +70,12 @@ impl Proc {
             std::panic::resume_unwind(Box::new(SimAbort));
         };
         self.now = reply.now;
-        reply.value
+        reply
     }
 
     /// This processor's id in `0..nprocs`.
     pub fn pid(&self) -> usize {
         self.pid
-    }
-
-    /// Number of processors in the machine.
-    pub fn nprocs(&self) -> usize {
-        self.nprocs
-    }
-
-    /// This processor's local clock, in simulated cycles.
-    pub fn now(&self) -> u64 {
-        self.now
     }
 
     /// Records a trace event at the processor's current local clock — the
@@ -97,26 +89,28 @@ impl Proc {
         }
     }
 
-    /// Reads a word.
-    pub fn load(&mut self, addr: Addr) -> Word {
-        self.roundtrip(Op::Load(addr))
+    /// Leaves the body's last word for the engine; the coroutine then ends.
+    pub(crate) fn done(&self) {
+        self.request(Op::Done);
+    }
+}
+
+impl SyncCtx for Proc {
+    fn load(&mut self, addr: Addr) -> Word {
+        self.roundtrip(Op::Load(addr)).value
     }
 
-    /// Writes a word.
-    pub fn store(&mut self, addr: Addr, val: Word) {
+    fn store(&mut self, addr: Addr, val: Word) {
         self.roundtrip(Op::Store(addr, val));
     }
 
-    /// Atomically writes `val` and returns the previous value.
-    pub fn swap(&mut self, addr: Addr, val: Word) -> Word {
-        self.roundtrip(Op::Swap(addr, val))
+    fn swap(&mut self, addr: Addr, val: Word) -> Word {
+        self.roundtrip(Op::Swap(addr, val)).value
     }
 
-    /// Atomic compare-and-swap: installs `new` iff the word equals
-    /// `expected`. Returns `Ok(old)` on success, `Err(observed)` on failure.
-    /// Failed CAS costs the same coherence traffic as a successful one.
-    pub fn cas(&mut self, addr: Addr, expected: Word, new: Word) -> Result<Word, Word> {
-        let old = self.roundtrip(Op::Cas(addr, expected, new));
+    /// A failed CAS costs the same coherence traffic as a successful one.
+    fn cas(&mut self, addr: Addr, expected: Word, new: Word) -> Result<Word, Word> {
+        let old = self.roundtrip(Op::Cas(addr, expected, new)).value;
         if old == expected {
             Ok(old)
         } else {
@@ -124,44 +118,25 @@ impl Proc {
         }
     }
 
-    /// Atomic fetch-and-add (wrapping); returns the previous value.
-    pub fn fetch_add(&mut self, addr: Addr, delta: Word) -> Word {
-        self.roundtrip(Op::FetchAdd(addr, delta))
+    fn fetch_add(&mut self, addr: Addr, delta: Word) -> Word {
+        self.roundtrip(Op::FetchAdd(addr, delta)).value
     }
 
-    /// Atomic test-and-set: sets the word to 1, returns `true` if it was
-    /// already nonzero (i.e. the "lock" was held).
-    pub fn test_and_set(&mut self, addr: Addr) -> bool {
-        self.swap(addr, 1) != 0
+    /// The check and the park are one atomic step inside the engine; a
+    /// parked processor yields its core. The machine has no tags: a tagged
+    /// waiter parks untagged, and `wake_tagged` wakes every waiter of the
+    /// word.
+    fn wait(&mut self, addr: Addr, expected: Word, _tag: Option<Word>) -> Waited {
+        let reply = self.roundtrip(Op::FutexWait(addr, expected));
+        Waited {
+            parked: reply.parked,
+            seen: reply.value,
+        }
     }
 
-    /// Blocks while the word equals `val`; returns the first differing value
-    /// observed. The wait is a cached local spin: it costs one probe to
-    /// arm and one coherence miss per wake, not one access per iteration.
-    pub fn spin_while(&mut self, addr: Addr, val: Word) -> Word {
-        self.roundtrip(Op::Spin(addr, WaitPred::WhileEq(val)))
-    }
-
-    /// Blocks until the word equals `val`; returns it (i.e. `val`).
-    pub fn spin_until(&mut self, addr: Addr, val: Word) -> Word {
-        self.roundtrip(Op::Spin(addr, WaitPred::UntilEq(val)))
-    }
-
-    /// Futex wait: parks iff the word still equals `expected` — the check
-    /// and the park are one atomic step inside the engine, so a waker that
-    /// changes the word *then* wakes can never be missed. Returns the word's
-    /// value as observed either at the failed check or after the wake;
-    /// callers must re-check their condition (wakes may be consumed by an
-    /// earlier waiter, exactly as with an OS futex).
-    pub fn futex_wait(&mut self, addr: Addr, expected: Word) -> Word {
-        self.roundtrip(Op::FutexWait(addr, expected))
-    }
-
-    /// Wakes up to `n` processors parked on `addr` (FIFO park order) and
-    /// returns how many were woken. The waker is charged a modeled remote
-    /// write per wakee.
-    pub fn futex_wake(&mut self, addr: Addr, n: usize) -> usize {
-        self.roundtrip(Op::FutexWake(addr, n as u64)) as usize
+    /// The waker is charged a modeled remote write per wakee.
+    fn wake(&mut self, addr: Addr, n: usize) -> usize {
+        self.roundtrip(Op::FutexWake(addr, n as u64)).value as usize
     }
 
     /// Advances the local clock by `cycles` without touching memory —
@@ -176,15 +151,43 @@ impl Proc {
     /// observable duty of the old roundtrip, the time-limit check, is
     /// preserved by submitting a zero-cycle probe once the local clock
     /// crosses the limit (also what keeps a delay-only livelock detectable).
-    pub fn delay(&mut self, cycles: u64) {
+    fn delay(&mut self, cycles: u64) {
         self.now = self.now.saturating_add(cycles);
         if self.now > self.max_cycles {
             self.roundtrip(Op::Delay(0));
         }
     }
+}
 
-    /// Leaves the body's last word for the engine; the coroutine then ends.
-    pub(crate) fn done(&self) {
-        self.request(Op::Done);
+impl ProcCtx for Proc {
+    fn pid(&self) -> usize {
+        self.pid
+    }
+
+    fn nprocs(&self) -> usize {
+        self.nprocs
+    }
+
+    /// The wait is a cached local spin: it costs one probe to arm and one
+    /// coherence miss per wake, not one access per iteration.
+    fn spin_while(&mut self, addr: Addr, val: Word) -> Word {
+        self.roundtrip(Op::Spin(addr, WaitPred::WhileEq(val))).value
+    }
+
+    fn spin_until(&mut self, addr: Addr, val: Word) {
+        self.roundtrip(Op::Spin(addr, WaitPred::UntilEq(val)));
+    }
+
+    /// Lock events from instrumented kernels flow into the machine's event
+    /// tracer (when one is attached), timestamped with the processor's
+    /// simulated local clock — this is what turns an instrumented lock into
+    /// per-lock wait/hold-time distributions on the simulator.
+    fn lock_event(&mut self, event: LockEvent) {
+        let kind = match event {
+            LockEvent::AcquireStart(lock) => trace::EventKind::LockAcquireStart { lock },
+            LockEvent::Acquired(lock) => trace::EventKind::LockAcquired { lock },
+            LockEvent::Released(lock) => trace::EventKind::LockReleased { lock },
+        };
+        self.trace_event(kind);
     }
 }

@@ -3,6 +3,7 @@
 //! sharing, RMW ownership fast paths, and cost-model orderings.
 
 use memsim::{Machine, MachineParams, Topology};
+use syncctx::{ProcCtx, SyncCtx};
 
 fn bus(n: usize) -> Machine {
     Machine::new(MachineParams::bus_1991(n))

@@ -10,6 +10,7 @@
 
 use memsim::{Machine, MachineParams, Metrics, Proc, SimError};
 use simcore::Rng;
+use syncctx::SyncCtx;
 
 /// The counters the coherence model alone decides.
 #[derive(Debug, PartialEq, Eq)]

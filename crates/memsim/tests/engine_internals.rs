@@ -7,6 +7,7 @@
 use memsim::{Machine, MachineParams, SimError};
 use simcore::coro::{stacks_mapped, switches};
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use syncctx::{ProcCtx, SyncCtx};
 
 /// Memory layout used by the wake-ordering tests.
 const FLAG: usize = 0;

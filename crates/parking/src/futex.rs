@@ -28,7 +28,7 @@
 //! [`futex_wait`] consumes parks in a loop gated on its own wake flag, and
 //! callers loop on their real condition as futex discipline requires.
 //!
-//! A waiter may carry a **tag** ([`ParkingLot::wait_tagged`],
+//! A waiter may carry a **tag** (the lot's `SyncCtx::wait` with a tag,
 //! [`ParkingLot::register_tagged`]) for the case where one word stands for
 //! several logical waiters — the `service` semaphore's tickets `t` and
 //! `t + W` on one waiting-array slot. [`ParkingLot::wake_tagged`] dequeues
@@ -91,6 +91,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::task::Waker;
 use std::thread::{self, Thread};
 use std::time::{Duration, Instant};
+use syncctx::{SyncCtx, Waited};
 use trace::{EventKind, Tracer};
 
 /// Number of buckets in the process-global parking lot. Collisions are
@@ -257,8 +258,8 @@ impl Ledger {
 pub struct ParkedWaiter {
     /// Address of the futex word the waiter is parked on.
     pub addr: usize,
-    /// The tag of a [`ParkingLot::wait_tagged`] / [`ParkingLot::register_tagged`]
-    /// waiter — for the `service` semaphore, its ticket — else `None`.
+    /// The tag of a tagged wait or [`ParkingLot::register_tagged`] waiter —
+    /// for the `service` semaphore, its ticket — else `None`.
     pub tag: Option<u64>,
     /// Time since the waiter enqueued (its park began).
     pub age: Duration,
@@ -486,19 +487,6 @@ impl ParkingLot {
         self.park_thread(word, expected, None)
     }
 
-    /// [`ParkingLot::wait`] for one of several logical waiters that share
-    /// `word` (the `service` semaphore's tickets `t` and `t + W` on one
-    /// waiting-array slot): the waiter parks carrying `tag`, and
-    /// [`ParkingLot::wake_tagged`] of `(word, tag)` dequeues it and none of
-    /// the word's other sharers. The re-check-then-enqueue argument is
-    /// [`ParkingLot::wait`]'s, unchanged — the tag only narrows which
-    /// queued entries a wake may take. A wake by address alone
-    /// ([`ParkingLot::wake_addr`], [`ParkingLot::wake_batch`]) still
-    /// reaches a tagged waiter.
-    pub fn wait_tagged(&self, word: &AtomicU64, expected: u64, tag: u64) -> bool {
-        self.park_thread(word, expected, Some(tag))
-    }
-
     /// Enqueues a waiter on `word` iff it still holds `expected`, the
     /// comparison and the enqueue under the bucket lock, and accounts the
     /// park; `None` when the word had already changed.
@@ -561,7 +549,7 @@ impl ParkingLot {
 
     /// The addressed wake: for each `(address, tag)` pair, dequeues the
     /// waiters that parked on that address **with that tag**
-    /// ([`ParkingLot::wait_tagged`], [`ParkingLot::register_tagged`]) and
+    /// (a tagged wait, [`ParkingLot::register_tagged`]) and
     /// nobody else — not the address's other sharers, not its untagged
     /// waiters — taking each bucket's lock **once** even when several pairs
     /// collide into it; returns the total woken. This is the release path
@@ -682,10 +670,9 @@ impl ParkingLot {
         self.park_waker(word, expected, None, waker)
     }
 
-    /// [`ParkingLot::register`] carrying `tag`, as
-    /// [`ParkingLot::wait_tagged`] is to [`ParkingLot::wait`]: the entry is
-    /// dequeued by [`ParkingLot::wake_tagged`] of `(word, tag)` and by no
-    /// other pair. For the owner that makes [`ParkingLot::cancel`]'s
+    /// [`ParkingLot::register`] carrying `tag`, as a tagged wait does: the
+    /// entry is dequeued by [`ParkingLot::wake_tagged`] of `(word, tag)` and
+    /// by no other pair. For the owner that makes [`ParkingLot::cancel`]'s
     /// `false` precise — the wake it lost to was addressed to this entry.
     pub fn register_tagged(
         &self,
@@ -739,6 +726,62 @@ impl ParkingLot {
         let addr = addr_of(word);
         let queue = self.bucket_for(addr).queue.lock().unwrap();
         queue.iter().filter(|w| w.addr == addr).count()
+    }
+}
+
+/// A lot as the word operations of `syncctx`: a word is an `&AtomicU64`
+/// (every access `SeqCst`), waits and wakes go to the lot, and a spin
+/// probes for the lot's [`ParkingLot::park_cost`] ([`ParkingLot::spin`]).
+/// A wait with a tag is one of several logical waiters sharing the word
+/// (the `service` semaphore's tickets `t` and `t + W` on one waiting-array
+/// slot): [`ParkingLot::wake_tagged`] of `(word, tag)` dequeues it and none
+/// of the word's other sharers, while a wake by address alone still
+/// reaches it. The tag only narrows which queued entries a wake may take;
+/// the re-check-then-enqueue argument of [`ParkingLot::wait`] is unchanged.
+/// The `service` crate's slow paths run on it. Every method is inlined into
+/// its caller: the mutex release runs here on the service's uncontended
+/// path.
+impl<'a> SyncCtx<&'a AtomicU64> for &'a ParkingLot {
+    #[inline]
+    fn load(&mut self, w: &'a AtomicU64) -> u64 {
+        w.load(Ordering::SeqCst)
+    }
+    #[inline]
+    fn store(&mut self, w: &'a AtomicU64, v: u64) {
+        w.store(v, Ordering::SeqCst);
+    }
+    #[inline]
+    fn swap(&mut self, w: &'a AtomicU64, v: u64) -> u64 {
+        w.swap(v, Ordering::SeqCst)
+    }
+    #[inline]
+    fn cas(&mut self, w: &'a AtomicU64, expected: u64, new: u64) -> Result<u64, u64> {
+        w.compare_exchange(expected, new, Ordering::SeqCst, Ordering::SeqCst)
+    }
+    #[inline]
+    fn fetch_add(&mut self, w: &'a AtomicU64, delta: u64) -> u64 {
+        w.fetch_add(delta, Ordering::SeqCst)
+    }
+    #[inline]
+    fn wait(&mut self, w: &'a AtomicU64, expected: u64, tag: Option<u64>) -> Waited {
+        let parked = self.park_thread(w, expected, tag);
+        Waited {
+            parked,
+            seen: w.load(Ordering::SeqCst),
+        }
+    }
+    #[inline]
+    fn wake(&mut self, w: &'a AtomicU64, n: usize) -> usize {
+        self.wake_addr(addr_of(w), n)
+    }
+    #[inline]
+    fn wake_tagged(&mut self, pairs: &[(&'a AtomicU64, u64)]) -> usize {
+        ParkingLot::wake_tagged(self, pairs.iter().map(|&(w, tag)| (addr_of(w), tag)))
+    }
+    #[inline(always)]
+    fn spin(&mut self, mut probe: impl FnMut(&mut Self) -> bool) -> bool {
+        let lot = *self;
+        ParkingLot::spin(lot, || probe(self))
     }
 }
 
@@ -796,8 +839,7 @@ impl WaitEntry {
 
 /// The process-global lot behind the module-level functions, for what they
 /// do not wrap: the tagged waits and the addressed wake
-/// ([`ParkingLot::wait_tagged`], [`ParkingLot::register_tagged`],
-/// [`ParkingLot::wake_tagged`]), its measured [`ParkingLot::park_cost`]
+/// ([`ParkingLot::register_tagged`], [`ParkingLot::wake_tagged`]), its measured [`ParkingLot::park_cost`]
 /// (the spin budget of a waiter about to park in it), its exact ledger
 /// ([`ParkingLot::totals`]) and its [`ParkingLot::parked_waiters`].
 pub fn global_lot() -> &'static ParkingLot {
@@ -1213,7 +1255,7 @@ mod tests {
             let (lot, word) = (Arc::clone(&lot), Arc::clone(&word));
             thread::spawn(move || {
                 while word.load(Ordering::SeqCst) == 0 {
-                    lot.wait_tagged(&word, 0, 2);
+                    SyncCtx::wait(&mut &*lot, &*word, 0, Some(2));
                 }
             })
         };

@@ -1,30 +1,38 @@
 //! The service's slow paths, written once over the word operations they
-//! need: [`Words`] — loads, stores, read-modify-writes, a futex wait that
-//! parks iff the word still shows what was read, wakes, and a spin that
-//! lasts what a park would cost, i.e. what `kernels::SyncCtx` offers.
+//! need: `syncctx`'s [`SyncCtx`] — loads, stores, read-modify-writes, a
+//! futex wait that parks iff the word still shows what was read, wakes,
+//! and a spin that lasts what a park would cost.
 //!
-//! Two instantiations run the same code:
+//! Four substrates run the same code:
 //!
-//! - **real threads** — `impl Words for &ParkingLot`: a word is an
-//!   `&AtomicU64` (every access `SeqCst`), waits and wakes go to the lot,
-//!   and a spin probes for the lot's [`ParkingLot::park_cost`]
+//! - **real threads** — `&ParkingLot` (its impl is in `parking`): a word is
+//!   an `&AtomicU64` (every access `SeqCst`), waits and wakes go to the
+//!   lot, and a spin probes for the lot's [`ParkingLot::park_cost`]
 //!   ([`ParkingLot::spin`]); monomorphized into each caller, with no `dyn`.
-//! - **the checker** — `interleave::corpus::Chk`: a word is an address of
-//!   a checked program's memory, every operation one schedule step, and a
-//!   spin one probe. Each seeded bug is that context with one operation
-//!   rewritten; nothing here selects a bug.
+//!   This is what the service ships.
+//! - **the checker** — `interleave::ChkCtx`, through
+//!   `interleave::corpus::Chk`: a word is an address of a checked program's
+//!   memory, every operation one schedule step, and a spin one probe. Each
+//!   seeded bug is that context with one operation rewritten; nothing here
+//!   selects a bug.
+//! - **the simulator** — `memsim::Proc`: every operation priced in cycles
+//!   on a simulated 1991 machine, a park yielding the processor's core.
+//! - **a kernel's real-thread context** — `workloads::realhw::RealCtx`: an
+//!   address into a slice of `AtomicU64`s, its waits and wakes in a lot the
+//!   run owns.
 //!
 //! Every wait is a [`Step`]: one look that finishes it or names the park
-//! it needs. [`block`] drives the steps on a thread through [`Words::wait`],
-//! [`poll_step`] in a future by registering a waker in a `&ParkingLot`, so
-//! both wait by the same code; each future's cancellation repair sits
-//! beside the step it undoes. Fast paths, sampled timers and counting stay
-//! with the callers: the mutex returns a [`Contention`], a semaphore counts
-//! through [`WaitingArray::count`].
+//! it needs. [`block`] drives the steps on a thread through
+//! [`SyncCtx::wait`], [`poll_step`] in a future by registering a waker in a
+//! `&ParkingLot`, so both wait by the same code; each future's cancellation
+//! repair sits beside the step it undoes. Fast paths, sampled timers and
+//! counting stay with the callers: the mutex returns a [`Contention`], a
+//! semaphore counts through [`WaitingArray::count`].
 
-use parking::futex::{addr_of, ParkingLot, WaitEntry};
-use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
+use parking::futex::{ParkingLot, WaitEntry};
+use std::sync::atomic::AtomicU64;
 use std::task::{Poll, Waker};
+use syncctx::SyncCtx;
 
 /// Wraparound-safe sequence comparison: `a >= b` on the circle of `u64`
 /// sequence numbers, correct as long as the two are within `2^63` of each
@@ -34,80 +42,13 @@ pub fn seq_ge(a: u64, b: u64) -> bool {
     a.wrapping_sub(b) as i64 >= 0
 }
 
-/// What a slow path may do to shared words.
-pub trait Words {
-    /// A handle to one shared word.
-    type Word: Copy;
-    /// Reads the word.
-    fn load(&mut self, w: Self::Word) -> u64;
-    /// Writes the word.
-    fn store(&mut self, w: Self::Word, v: u64);
-    /// Writes `v`, returning the previous value.
-    fn swap(&mut self, w: Self::Word, v: u64) -> u64;
-    /// Compare-and-swap: `Ok(expected)` iff the word held `expected` and
-    /// now holds `new`, else `Err` of what it holds.
-    fn cas(&mut self, w: Self::Word, expected: u64, new: u64) -> Result<u64, u64>;
-    /// Wrapping fetch-and-add, returning the previous value.
-    fn fetch_add(&mut self, w: Self::Word, delta: u64) -> u64;
-    /// Parks iff the word still holds `expected`, the compare and the
-    /// enqueue one atomic step; `true` if it parked (and was woken). A wake
-    /// says nothing about the word: callers re-check. With a `tag` the
-    /// waiter is one of several sharing the word: [`Words::wake_tagged`] of
-    /// the word and this tag ends the park, and no other sharer's.
-    fn wait(&mut self, w: Self::Word, expected: u64, tag: Option<u64>) -> bool;
-    /// Wakes up to `n` waiters of the word, oldest first; returns how many.
-    fn wake(&mut self, w: Self::Word, n: usize) -> usize;
-    /// For each `(word, tag)`, wakes the waiters parked on the word with
-    /// that tag and nobody else; returns how many.
-    fn wake_tagged(&mut self, pairs: &[(Self::Word, u64)]) -> usize;
-    /// Runs `probe` until it returns `true` or a park's worth of time has
-    /// passed; returns its last answer.
-    fn spin(&mut self, probe: impl FnMut(&mut Self) -> bool) -> bool;
-}
-
-impl<'a> Words for &'a ParkingLot {
-    type Word = &'a AtomicU64;
-    fn load(&mut self, w: Self::Word) -> u64 {
-        w.load(SeqCst)
-    }
-    fn store(&mut self, w: Self::Word, v: u64) {
-        w.store(v, SeqCst);
-    }
-    fn swap(&mut self, w: Self::Word, v: u64) -> u64 {
-        w.swap(v, SeqCst)
-    }
-    fn cas(&mut self, w: Self::Word, expected: u64, new: u64) -> Result<u64, u64> {
-        w.compare_exchange(expected, new, SeqCst, SeqCst)
-    }
-    fn fetch_add(&mut self, w: Self::Word, delta: u64) -> u64 {
-        w.fetch_add(delta, SeqCst)
-    }
-    fn wait(&mut self, w: Self::Word, expected: u64, tag: Option<u64>) -> bool {
-        match tag {
-            None => ParkingLot::wait(self, w, expected),
-            Some(tag) => ParkingLot::wait_tagged(self, w, expected, tag),
-        }
-    }
-    fn wake(&mut self, w: Self::Word, n: usize) -> usize {
-        self.wake_addr(addr_of(w), n)
-    }
-    fn wake_tagged(&mut self, pairs: &[(Self::Word, u64)]) -> usize {
-        ParkingLot::wake_tagged(self, pairs.iter().map(|&(w, tag)| (addr_of(w), tag)))
-    }
-    #[inline(always)]
-    fn spin(&mut self, mut probe: impl FnMut(&mut Self) -> bool) -> bool {
-        let lot = *self;
-        ParkingLot::spin(lot, || probe(self))
-    }
-}
-
 /// One look at a wait: over, or the park that waits out what it read.
 #[derive(Debug)]
 pub enum Step<W, T> {
     /// The wait is over.
     Ready(T),
     /// `Park(word, expected, tag)`: park on `word` iff it still holds
-    /// `expected`, the value the step read ([`Words::wait`], under `tag` if
+    /// `expected`, the value the step read ([`SyncCtx::wait`], under `tag` if
     /// given), then look again.
     Park(W, u64, Option<u64>),
 }
@@ -115,12 +56,15 @@ pub enum Step<W, T> {
 /// The blocking driver: steps until ready, parking where each step says,
 /// telling `step` whether the wait before it parked (the mutex respins
 /// then). The spin before the first park is the caller's.
-pub fn block<C: Words, T>(c: &mut C, mut step: impl FnMut(&mut C, bool) -> Step<C::Word, T>) -> T {
+pub fn block<W: Copy, C: SyncCtx<W>, T>(
+    c: &mut C,
+    mut step: impl FnMut(&mut C, bool) -> Step<W, T>,
+) -> T {
     let mut woken = false;
     loop {
         match step(c, woken) {
             Step::Ready(v) => return v,
-            Step::Park(word, expected, tag) => woken = c.wait(word, expected, tag),
+            Step::Park(word, expected, tag) => woken = c.wait(word, expected, tag).parked,
         }
     }
 }
@@ -183,7 +127,7 @@ pub struct Contention {
 /// barger may hold the word by now — acquiring as CONTENDED from here on:
 /// others may be parked behind us, and only a CONTENDED release wakes them.
 #[inline]
-pub fn lock_contended<C: Words>(c: &mut C, w: C::Word) -> Contention {
+pub fn lock_contended<W: Copy, C: SyncCtx<W>>(c: &mut C, w: W) -> Contention {
     let mut how = Contention::default();
     if spin_acquire(c, w, HELD, &mut how.cas_retries) {
         return how;
@@ -205,12 +149,12 @@ pub fn lock_contended<C: Words>(c: &mut C, w: C::Word) -> Contention {
 /// (counting lost CASes in `retries`), announce waiters if it reads HELD,
 /// park once it reads CONTENDED. Ready with `true` iff the first look took
 /// it. A future takes it as HELD until it has parked, like the fast path.
-pub fn lock_step<C: Words>(
+pub fn lock_step<W: Copy, C: SyncCtx<W>>(
     c: &mut C,
-    w: C::Word,
+    w: W,
     locked: u64,
     retries: &mut u64,
-) -> Step<C::Word, bool> {
+) -> Step<W, bool> {
     let mut first = true;
     loop {
         match c.load(w) {
@@ -232,7 +176,7 @@ pub fn lock_step<C: Words>(
 /// The repair of a mutex acquire dropped after it parked, `chosen` if a
 /// release had dequeued it: that release woke this waiter alone, so pass
 /// the wake on, or the queue sleeps over a free lock.
-pub fn lock_cancelled<C: Words>(c: &mut C, w: C::Word, chosen: bool) {
+pub fn lock_cancelled<W: Copy, C: SyncCtx<W>>(c: &mut C, w: W, chosen: bool) {
     if chosen {
         c.wake(w, 1);
     }
@@ -241,7 +185,7 @@ pub fn lock_cancelled<C: Words>(c: &mut C, w: C::Word, chosen: bool) {
 /// Watches the word with plain loads and tries `FREE -> locked` only when
 /// it reads FREE, so spinners share the line instead of bouncing it.
 #[inline(always)]
-fn spin_acquire<C: Words>(c: &mut C, w: C::Word, locked: u64, retries: &mut u64) -> bool {
+fn spin_acquire<W: Copy, C: SyncCtx<W>>(c: &mut C, w: W, locked: u64, retries: &mut u64) -> bool {
     c.spin(|c| {
         if c.load(w) != FREE {
             return false;
@@ -257,7 +201,7 @@ fn spin_acquire<C: Words>(c: &mut C, w: C::Word, locked: u64, retries: &mut u64)
 /// its own release wakes the next — and there is no hand-off: a newcomer
 /// may take the word before the wakee runs.
 #[inline]
-pub fn unlock<C: Words>(c: &mut C, w: C::Word) {
+pub fn unlock<W: Copy, C: SyncCtx<W>>(c: &mut C, w: W) {
     let prev = c.swap(w, FREE);
     debug_assert!(prev == HELD || prev == CONTENDED, "unlock of a free lock");
     if prev == CONTENDED {
@@ -268,7 +212,7 @@ pub fn unlock<C: Words>(c: &mut C, w: C::Word) {
 /// Bumps the eventcount and wakes **every** waiter: the waiters of one
 /// count want different targets, and the queue is ordered by arrival, not
 /// by target. Returns the new count.
-pub fn advance<C: Words>(c: &mut C, w: C::Word) -> u64 {
+pub fn advance<W: Copy, C: SyncCtx<W>>(c: &mut C, w: W) -> u64 {
     let new = c.fetch_add(w, 1).wrapping_add(1);
     c.wake(w, usize::MAX);
     new
@@ -279,14 +223,14 @@ pub fn advance<C: Words>(c: &mut C, w: C::Word) -> u64 {
 /// park only — a waiter the wake-all resumes with its target still ahead
 /// is several advances away, which is what parking is for — then
 /// [`await_step`] until it is ready.
-pub fn await_at_least<C: Words>(c: &mut C, w: C::Word, target: u64) -> u64 {
+pub fn await_at_least<W: Copy, C: SyncCtx<W>>(c: &mut C, w: W, target: u64) -> u64 {
     c.spin(|c| seq_ge(c.load(w), target));
     block(c, |c, _| await_step(c, w, target))
 }
 
 /// One look at the eventcount: the count, once it has reached `target`;
 /// else park on what was read.
-pub fn await_step<C: Words>(c: &mut C, w: C::Word, target: u64) -> Step<C::Word, u64> {
+pub fn await_step<W: Copy, C: SyncCtx<W>>(c: &mut C, w: W, target: u64) -> Step<W, u64> {
     let cur = c.load(w);
     if seq_ge(cur, target) {
         return Step::Ready(cur);
@@ -303,7 +247,7 @@ pub fn await_step<C: Words>(c: &mut C, w: C::Word, target: u64) -> Step<C::Word,
 ///
 /// If `parties` is zero, or `parties` arrivals are already recorded in
 /// this round (callers disagreeing on `parties`).
-pub fn barrier_arrive<C: Words>(c: &mut C, w: C::Word, parties: u32) -> Option<u64> {
+pub fn barrier_arrive<W: Copy, C: SyncCtx<W>>(c: &mut C, w: W, parties: u32) -> Option<u64> {
     assert!(parties > 0, "a barrier needs at least one party");
     loop {
         let cur = c.load(w);
@@ -329,14 +273,14 @@ pub fn barrier_arrive<C: Words>(c: &mut C, w: C::Word, parties: u32) -> Option<u
 }
 
 /// Waits until the barrier's round is no longer `round`.
-pub fn barrier_wait<C: Words>(c: &mut C, w: C::Word, round: u64) {
+pub fn barrier_wait<W: Copy, C: SyncCtx<W>>(c: &mut C, w: W, round: u64) {
     block(c, |c, _| barrier_step(c, w, round));
 }
 
 /// One look at the barrier: over once the round is no longer `round`, so a
 /// waiter that sleeps through a whole round still sees a different number;
 /// else park on what was read.
-pub fn barrier_step<C: Words>(c: &mut C, w: C::Word, round: u64) -> Step<C::Word, ()> {
+pub fn barrier_step<W: Copy, C: SyncCtx<W>>(c: &mut C, w: W, round: u64) -> Step<W, ()> {
     let now = c.load(w);
     if now >> 32 != round {
         return Step::Ready(());
@@ -346,7 +290,7 @@ pub fn barrier_step<C: Words>(c: &mut C, w: C::Word, round: u64) -> Step<C::Word
 
 /// Withdraws an arrival in `round` by a CAS that re-reads the round, unless
 /// the round has completed and consumed it. Whether it withdrew.
-pub fn barrier_unarrive<C: Words>(c: &mut C, w: C::Word, round: u64) -> bool {
+pub fn barrier_unarrive<W: Copy, C: SyncCtx<W>>(c: &mut C, w: W, round: u64) -> bool {
     let mut cur = c.load(w);
     while cur >> 32 == round {
         debug_assert!(cur as u32 > 0, "un-arrive with no arrivals");
@@ -358,19 +302,19 @@ pub fn barrier_unarrive<C: Words>(c: &mut C, w: C::Word, round: u64) -> bool {
     false
 }
 
-/// One waiting-array semaphore as an instantiation of [`Words`] lays it
+/// One waiting-array semaphore as a substrate's words lay it
 /// out: a permit count (negative: grants owed to waiters), enqueue and
 /// dequeue ticket counters, the slot words, and the set of tickets whose
 /// waiters went away before their grant was published.
-pub trait WaitingArray<C: Words> {
+pub trait WaitingArray<W: Copy, C: SyncCtx<W>> {
     /// The permit count, a two's-complement `i64`.
-    fn permits(&self) -> C::Word;
+    fn permits(&self) -> W;
     /// The next acquire ticket.
-    fn enq(&self) -> C::Word;
+    fn enq(&self) -> W;
     /// The next grant ticket.
-    fn deq(&self) -> C::Word;
+    fn deq(&self) -> W;
     /// The slot `ticket` waits on.
-    fn slot(&self, ticket: u64) -> C::Word;
+    fn slot(&self, ticket: u64) -> W;
     /// Removes `ticket` from the abandoned set; whether it was there.
     fn take_abandoned(&self, c: &mut C, ticket: u64) -> bool;
     /// Under the abandoned set's lock: inserts `ticket` iff `unpublished`
@@ -390,7 +334,7 @@ pub fn empty_slot(origin: u64, w: u64, i: u64) -> u64 {
 }
 
 /// A permit iff one is available right now.
-pub fn try_acquire<C: Words, S: WaitingArray<C>>(c: &mut C, s: &S) -> bool {
+pub fn try_acquire<W: Copy, C: SyncCtx<W>, S: WaitingArray<W, C>>(c: &mut C, s: &S) -> bool {
     let mut cur = c.load(s.permits());
     while cur as i64 > 0 {
         match c.cas(s.permits(), cur, cur - 1) {
@@ -403,20 +347,28 @@ pub fn try_acquire<C: Words, S: WaitingArray<C>>(c: &mut C, s: &S) -> bool {
 
 /// The head of an acquire: take a permit (`None`), or the ticket to wait on
 /// when there is none.
-pub fn take_ticket<C: Words, S: WaitingArray<C>>(c: &mut C, s: &S) -> Option<u64> {
+pub fn take_ticket<W: Copy, C: SyncCtx<W>, S: WaitingArray<W, C>>(c: &mut C, s: &S) -> Option<u64> {
     let prev = c.fetch_add(s.permits(), u64::MAX) as i64;
     (prev <= 0).then(|| c.fetch_add(s.enq(), 1))
 }
 
 /// Whether `ticket`'s grant is published: its slot shows `ticket + 1` or
 /// later (a racing releaser of `ticket + W` may already have moved it on).
-pub fn granted<C: Words, S: WaitingArray<C>>(c: &mut C, s: &S, ticket: u64) -> bool {
+pub fn granted<W: Copy, C: SyncCtx<W>, S: WaitingArray<W, C>>(
+    c: &mut C,
+    s: &S,
+    ticket: u64,
+) -> bool {
     seq_ge(c.load(s.slot(ticket)), ticket.wrapping_add(1))
 }
 
 /// The wait of an acquire holding `ticket`: spin for a park's worth, then
 /// [`grant_step`] until it is ready.
-pub fn wait_for_grant<C: Words, S: WaitingArray<C>>(c: &mut C, s: &S, ticket: u64) {
+pub fn wait_for_grant<W: Copy, C: SyncCtx<W>, S: WaitingArray<W, C>>(
+    c: &mut C,
+    s: &S,
+    ticket: u64,
+) {
     if !c.spin(|c| granted(c, s, ticket)) {
         block(c, |c, _| grant_step(c, s, ticket));
     }
@@ -425,11 +377,11 @@ pub fn wait_for_grant<C: Words, S: WaitingArray<C>>(c: &mut C, s: &S, ticket: u6
 /// One look at `ticket`'s slot: over once its grant is published; else park
 /// under the ticket on what was read. A grant changes the slot before it
 /// wakes this ticket, and no sharer's, so the park cannot miss it.
-pub fn grant_step<C: Words, S: WaitingArray<C>>(
+pub fn grant_step<W: Copy, C: SyncCtx<W>, S: WaitingArray<W, C>>(
     c: &mut C,
     s: &S,
     ticket: u64,
-) -> Step<C::Word, ()> {
+) -> Step<W, ()> {
     let slot = s.slot(ticket);
     let cur = c.load(slot);
     if seq_ge(cur, ticket.wrapping_add(1)) {
@@ -442,9 +394,13 @@ pub fn grant_step<C: Words, S: WaitingArray<C>>(
 /// published by sequence-max CAS into the ticket's slot, the abandoned set
 /// is consulted strictly after, and once the batch is published every
 /// granted ticket — no other sharer of its slot — is woken in one
-/// [`Words::wake_tagged`]. An abandoned ticket's permit goes round the loop
+/// [`SyncCtx::wake_tagged`]. An abandoned ticket's permit goes round the loop
 /// again, to the next waiter or the count.
-pub fn release_n<C: Words, S: WaitingArray<C>>(c: &mut C, s: &S, n: usize) -> usize {
+pub fn release_n<W: Copy, C: SyncCtx<W>, S: WaitingArray<W, C>>(
+    c: &mut C,
+    s: &S,
+    n: usize,
+) -> usize {
     let mut granted = Vec::new();
     let mut remaining = n;
     while remaining > 0 {
@@ -481,7 +437,7 @@ pub fn release_n<C: Words, S: WaitingArray<C>>(c: &mut C, s: &S, n: usize) -> us
 /// releaser publishes first and looks the ticket up second, so exactly one
 /// side recycles — and a published one, addressed to this ticket alone, is
 /// handed onward as a release.
-pub fn cancel_ticket<C: Words, S: WaitingArray<C>>(c: &mut C, s: &S, ticket: u64) {
+pub fn cancel_ticket<W: Copy, C: SyncCtx<W>, S: WaitingArray<W, C>>(c: &mut C, s: &S, ticket: u64) {
     if !granted(c, s, ticket) && s.abandon_if(c, ticket, |c| !granted(c, s, ticket)) {
         return;
     }

@@ -14,7 +14,7 @@
 //! dequeue the sharer whose grant is still pending — which re-parks,
 //! having swallowed the wake — and a wake-all costs every release one
 //! spurious wake per sharer. So a waiter parks carrying its ticket as a tag
-//! ([`parking::futex::ParkingLot::wait_tagged`]) and a release publishes
+//! (`SyncCtx::wait` with `Some(ticket)`) and a release publishes
 //! its whole batch, then wakes `(slot, ticket)` per grant in one
 //! [`parking::futex::ParkingLot::wake_tagged`] sweep. Before it parks, a
 //! waiter spins for the `park_cost()` of the process-global lot
@@ -166,8 +166,8 @@ impl WaitingArraySemaphore {
         }
     }
 
-    /// The lot every semaphore's waiters park in: the [`protocol::Words`]
-    /// its protocol runs on.
+    /// The lot every semaphore's waiters park in: the word operations its
+    /// protocol runs on.
     fn lot(&self) -> &ParkingLot {
         global_lot()
     }
@@ -176,7 +176,7 @@ impl WaitingArraySemaphore {
 /// The semaphore's words for [`protocol`], and its abandoned set: a
 /// `HashSet` under a mutex, cold — touched on cancellation and, briefly,
 /// once per grant.
-impl<'s> WaitingArray<&'s ParkingLot> for &'s WaitingArraySemaphore {
+impl<'s> WaitingArray<&'s AtomicU64, &'s ParkingLot> for &'s WaitingArraySemaphore {
     fn permits(&self) -> &'s AtomicU64 {
         &self.permits
     }

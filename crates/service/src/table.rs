@@ -357,8 +357,8 @@ impl SlotRef<'_> {
         &self.table.metrics
     }
 
-    /// The parking lot this slot's waiters park in — the
-    /// [`crate::protocol::Words`] the slow paths run on. A waker entry
+    /// The parking lot this slot's waiters park in — the word operations
+    /// (`syncctx::SyncCtx`) the slow paths run on. A waker entry
     /// registered here ([`ParkingLot::register`]) does not pin the slot:
     /// the owning future keeps its `SlotRef` alive for as long as the entry
     /// exists, the same "every parked waiter holds a reference" rule

@@ -43,13 +43,13 @@ pub enum EventKind {
     SpinBegin { addr: usize },
     /// The spin on `addr` observed its predicate and returned.
     SpinEnd { addr: usize },
-    /// The processor parked in `futex_wait` on `addr` (the word still held
+    /// The processor parked in futex `wait` on `addr` (the word still held
     /// the expected value).
     FutexPark { addr: usize },
-    /// This processor's `futex_wake` dequeued `wakee` from `addr`'s queue.
+    /// This processor's futex `wake` dequeued `wakee` from `addr`'s queue.
     /// `wakee` is [`NO_PID`] when the substrate cannot identify it.
     FutexWake { addr: usize, wakee: usize },
-    /// The processor was woken from its `futex_wait` park on `addr` by
+    /// The processor was woken from its futex `wait` park on `addr` by
     /// `waker` ([`NO_PID`] when unknown).
     FutexResume { addr: usize, waker: usize },
     /// The oversubscription scheduler placed the processor on a core.

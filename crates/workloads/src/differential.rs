@@ -31,7 +31,7 @@ use crate::realhw;
 use interleave::harness::{fuzz_lock, lock_program};
 use interleave::{Fuzzer, ReplayEnd, Strategy, Verdict};
 use kernels::locks::{counter_trial, lock_by_name, LockKernel};
-use kernels::{SyncCtx, Word};
+use kernels::{ProcCtx, Word};
 use memsim::{Machine, MachineParams, SchedParams};
 use std::sync::Arc;
 
@@ -368,11 +368,11 @@ mod tests {
             fn lines_needed(&self, _p: usize) -> usize {
                 1
             }
-            fn acquire(&self, ctx: &mut dyn SyncCtx, region: &Region, _ps: &mut u64) -> u64 {
+            fn acquire(&self, ctx: &mut dyn ProcCtx, region: &Region, _ps: &mut u64) -> u64 {
                 ctx.store(region.slot(0), 1);
                 0
             }
-            fn release(&self, ctx: &mut dyn SyncCtx, region: &Region, _ps: &mut u64, _t: u64) {
+            fn release(&self, ctx: &mut dyn ProcCtx, region: &Region, _ps: &mut u64, _t: u64) {
                 ctx.store(region.slot(0), 0);
             }
         }

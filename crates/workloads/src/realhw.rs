@@ -1,10 +1,10 @@
 //! Real-hardware harness — fig8's workload, and the one real-thread
-//! [`SyncCtx`].
+//! [`ProcCtx`].
 //!
 //! [`RealCtx`] runs a `kernels` algorithm on OS threads: shared memory is a
-//! slice of `AtomicU64` accessed at `SeqCst`, spins are bounded probe
-//! loops, and the futex methods are the `parking` crate's real parking lot.
-//! fig8 drives every [`kernels::locks::all_locks`] kernel through it with
+//! slice of `AtomicU64` accessed at `SeqCst`, watch-spins are bounded probe
+//! loops, and waits and wakes go to a `parking` lot the run owns. fig8
+//! drives every [`kernels::locks::all_locks`] kernel through it with
 //! wall-clock timing, and the differential harness uses it as its
 //! real-threads backend. What the contended columns measure depends on the
 //! host: with fewer cores than threads they measure scheduler hand-off, not
@@ -13,7 +13,8 @@
 //! meaningful on any host.
 
 use kernels::locks::{fixture, LockKernel};
-use kernels::{Addr, SyncCtx, Word};
+use kernels::{Addr, ProcCtx, SyncCtx, Waited, Word};
+use parking::futex::ParkingLot;
 use qsm::QsmBarrier;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
@@ -26,27 +27,24 @@ const LINE_WORDS: usize = 8;
 /// run instead of hanging it.
 const SPIN_LIMIT: u64 = 1 << 26;
 
-/// A [`SyncCtx`] over real std threads. One instance per thread; the
-/// park/wake tallies are summed after the join.
+/// A [`ProcCtx`] over real std threads. One instance per thread, all of a
+/// run's sharing its memory image and its lot.
 pub struct RealCtx<'m> {
     pid: usize,
     nprocs: usize,
     mem: &'m [AtomicU64],
-    /// Futex waits that parked.
-    parks: u64,
-    /// Waiters this thread's futex wakes dequeued.
-    wakes: u64,
+    lot: &'m ParkingLot,
 }
 
 impl<'m> RealCtx<'m> {
-    /// Thread `pid` of `nprocs` over the shared memory image `mem`.
-    pub fn new(pid: usize, nprocs: usize, mem: &'m [AtomicU64]) -> Self {
+    /// Thread `pid` of `nprocs` over the shared memory image `mem`, parking
+    /// in `lot`.
+    pub fn new(pid: usize, nprocs: usize, mem: &'m [AtomicU64], lot: &'m ParkingLot) -> Self {
         RealCtx {
             pid,
             nprocs,
             mem,
-            parks: 0,
-            wakes: 0,
+            lot,
         }
     }
 
@@ -65,12 +63,6 @@ impl<'m> RealCtx<'m> {
 }
 
 impl SyncCtx for RealCtx<'_> {
-    fn pid(&self) -> usize {
-        self.pid
-    }
-    fn nprocs(&self) -> usize {
-        self.nprocs
-    }
     fn load(&mut self, addr: Addr) -> Word {
         self.mem[addr].load(Ordering::SeqCst)
     }
@@ -85,6 +77,31 @@ impl SyncCtx for RealCtx<'_> {
     }
     fn fetch_add(&mut self, addr: Addr, delta: Word) -> Word {
         self.mem[addr].fetch_add(delta, Ordering::SeqCst)
+    }
+    fn wait(&mut self, addr: Addr, expected: Word, tag: Option<Word>) -> Waited {
+        SyncCtx::wait(&mut self.lot, &self.mem[addr], expected, tag)
+    }
+    fn wake(&mut self, addr: Addr, n: usize) -> usize {
+        SyncCtx::wake(&mut self.lot, &self.mem[addr], n)
+    }
+    /// Kernels delay only to back off while they wait, so a delay gives the
+    /// core up the way a spin's probes do: a backoff loop that never yields
+    /// (ticket + proportional backoff) convoys behind a descheduled
+    /// successor when threads outnumber cores.
+    fn delay(&mut self, cycles: u64) {
+        for _ in 0..cycles.min(1_000) {
+            std::hint::spin_loop();
+        }
+        std::thread::yield_now();
+    }
+}
+
+impl ProcCtx for RealCtx<'_> {
+    fn pid(&self) -> usize {
+        self.pid
+    }
+    fn nprocs(&self) -> usize {
+        self.nprocs
     }
     fn spin_while(&mut self, addr: Addr, val: Word) -> Word {
         let mut probes = 0;
@@ -102,27 +119,6 @@ impl SyncCtx for RealCtx<'_> {
             Self::probe(&mut probes, addr);
         }
     }
-    /// Kernels delay only to back off while they wait, so a delay gives the
-    /// core up the way a spin's probes do: a backoff loop that never yields
-    /// (ticket + proportional backoff) convoys behind a descheduled
-    /// successor when threads outnumber cores.
-    fn delay(&mut self, cycles: u64) {
-        for _ in 0..cycles.min(1_000) {
-            std::hint::spin_loop();
-        }
-        std::thread::yield_now();
-    }
-    fn futex_wait(&mut self, addr: Addr, expected: Word) -> Word {
-        if parking::futex::futex_wait(&self.mem[addr], expected) {
-            self.parks += 1;
-        }
-        self.mem[addr].load(Ordering::SeqCst)
-    }
-    fn futex_wake(&mut self, addr: Addr, n: usize) -> usize {
-        let woken = parking::futex::futex_wake(&self.mem[addr], n);
-        self.wakes += woken as u64;
-        woken
-    }
 }
 
 /// What one [`run`] observed.
@@ -130,9 +126,9 @@ impl SyncCtx for RealCtx<'_> {
 pub struct RealRun {
     /// Final value of the counter word handed to every critical section.
     pub counter: Word,
-    /// Futex parks, summed over the threads that finished.
+    /// Parks in the run's lot.
     pub parks: u64,
-    /// Waiters dequeued by futex wakes, summed over the threads that finished.
+    /// Waiters the run's wakes dequeued.
     pub wakes: u64,
     /// Wall-clock time from before the first spawn to the last join.
     pub elapsed: Duration,
@@ -154,14 +150,15 @@ pub fn run(
     let (fix, init) = fixture(lock, nthreads, LINE_WORDS, 1);
     let counter = fix.scratch.slot(0);
     let mem: Vec<AtomicU64> = init.into_iter().map(AtomicU64::new).collect();
+    let lot = ParkingLot::with_buckets(nthreads);
     let gate = QsmBarrier::new(nthreads);
     let start = Instant::now();
-    let joined: Vec<std::thread::Result<(u64, u64)>> = std::thread::scope(|s| {
+    let joined: Vec<std::thread::Result<()>> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..nthreads)
             .map(|pid| {
-                let (mem, gate, cs) = (&mem, &gate, &cs);
+                let (mem, lot, gate, cs) = (&mem, &lot, &gate, &cs);
                 s.spawn(move || {
-                    let mut ctx = RealCtx::new(pid, nthreads, mem);
+                    let mut ctx = RealCtx::new(pid, nthreads, mem, lot);
                     let mut ps = lock.proc_init(pid, &fix.region);
                     gate.wait();
                     for _ in 0..iters {
@@ -169,30 +166,23 @@ pub fn run(
                         cs(&mut ctx, counter);
                         lock.release(&mut ctx, &fix.region, &mut ps, token);
                     }
-                    (ctx.parks, ctx.wakes)
                 })
             })
             .collect();
         handles.into_iter().map(|h| h.join()).collect()
     });
     let elapsed = start.elapsed();
-    let mut out = RealRun {
+    let ledger = lot.totals();
+    RealRun {
         counter: mem[counter].load(Ordering::SeqCst),
-        parks: 0,
-        wakes: 0,
+        parks: ledger.parks,
+        wakes: ledger.wakes,
         elapsed,
-        failures: Vec::new(),
-    };
-    for r in joined {
-        match r {
-            Ok((p, w)) => {
-                out.parks += p;
-                out.wakes += w;
-            }
-            Err(e) => out.failures.push(panic_message(&*e)),
-        }
+        failures: joined
+            .into_iter()
+            .filter_map(|r| r.err().map(|e| panic_message(&*e)))
+            .collect(),
     }
-    out
 }
 
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
@@ -210,7 +200,8 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 pub fn uncontended_ns(lock: &dyn LockKernel, iters: u64) -> f64 {
     let (fix, init) = fixture(lock, 1, LINE_WORDS, 0);
     let mem: Vec<AtomicU64> = init.into_iter().map(AtomicU64::new).collect();
-    let mut ctx = RealCtx::new(0, 1, &mem);
+    let lot = ParkingLot::with_buckets(1);
+    let mut ctx = RealCtx::new(0, 1, &mem, &lot);
     let mut ps = lock.proc_init(0, &fix.region);
     let mut pass = |n: u64| {
         for _ in 0..n {

@@ -33,7 +33,7 @@ use kernels::barriers::{BarrierKernel, BarrierState};
 use kernels::lockdep::InstrumentedLock;
 use kernels::locks::ticket::TicketLock;
 use kernels::locks::{lock_by_name, LockKernel};
-use kernels::{LockOrderGraph, Region, SyncCtx};
+use kernels::{LockOrderGraph, ProcCtx, Region};
 use std::sync::Arc;
 
 /// Seeded bug #2: central sense-reversing barrier whose gate condition is
@@ -49,7 +49,7 @@ impl BarrierKernel for OffByOneBarrier {
     fn lines_needed(&self, _nprocs: usize) -> usize {
         2
     }
-    fn arrive(&self, ctx: &mut dyn SyncCtx, region: &Region, st: &mut BarrierState) {
+    fn arrive(&self, ctx: &mut dyn ProcCtx, region: &Region, st: &mut BarrierState) {
         let p = ctx.nprocs() as u64;
         let next_epoch = st.round + 1;
         let arrived = ctx.fetch_add(region.slot(0), 1);

@@ -8,6 +8,7 @@
 //! registry access.
 
 use memsim::{Machine, MachineParams, Topology};
+use kernels::SyncCtx;
 use simcore::Rng;
 
 /// A single random operation in a generated program.

@@ -12,7 +12,7 @@
 
 use interleave::{ChkCtx, Explorer, Program, ReplayEnd, Verdict};
 use kernels::locks::{counter_trial, lock_by_name};
-use kernels::{LockEvent, SyncCtx};
+use kernels::{LockEvent, ProcCtx, SyncCtx};
 use memsim::{Machine, MachineParams, Proc, SimError};
 use simcore::coro::stacks_mapped;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -72,7 +72,7 @@ fn every_early_end_unwinds_every_body_exactly_once() {
     assert!(matches!(deadlock, Ok(Err(SimError::Deadlock { ref waiting })) if waiting.len() == P));
 
     let lost = run_guarded(&machine, |p| {
-        p.futex_wait(0, 0); // nobody wakes
+        p.wait(0, 0, None); // nobody wakes
     });
     assert!(matches!(lost, Ok(Err(SimError::LostWakeup { ref parked })) if parked.len() == P));
 
@@ -91,7 +91,7 @@ fn every_early_end_unwinds_every_body_exactly_once() {
             p.delay(500);
             p.load(99);
         }
-        p.futex_wait(0, 0);
+        p.wait(0, 0, None);
     });
     assert_eq!(fault.unwrap(), Err(SimError::Fault { pid: 0, addr: 99 }));
 
@@ -103,7 +103,7 @@ fn every_early_end_unwinds_every_body_exactly_once() {
         if p.pid() % 2 == 0 {
             p.spin_until(0, 1);
         } else {
-            p.futex_wait(1, 0);
+            p.wait(1, 0, None);
         }
     });
     let payload = panicked.expect_err("the peer's panic propagates");
@@ -353,7 +353,7 @@ fn every_ending_of_a_checked_run_unwinds_every_body_and_leaks_no_stack() {
         "lost wakeup",
         explorer,
         guarded(N, 1, &DROPS, |ctx| {
-            ctx.futex_wait(0, 0); // nobody wakes
+            ctx.wait(0, 0, None); // nobody wakes
         }),
         vec![],
         |end| matches!(end, ReplayEnd::LostWakeup(parked) if parked.len() == N),

@@ -59,8 +59,8 @@ use interleave::corpus::{
     waiting_array_shared_slot_program, Chk, WaitingArrayWords,
 };
 use interleave::{DporMode, Explorer, Program, Verdict, VerdictClass};
-use kernels::Word;
-use service::protocol::{self, Words};
+use kernels::{SyncCtx, Word};
+use service::protocol;
 use service::WaitingArraySemaphore;
 use std::future::Future;
 use std::pin::Pin;

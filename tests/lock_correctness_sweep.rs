@@ -11,7 +11,7 @@ use interleave::{Explorer, Program};
 use kernels::barriers::all_barriers;
 use kernels::locks::all_locks;
 use kernels::rwlock::RwKernel;
-use kernels::{Region, SyncCtx};
+use kernels::{ProcCtx, Region, SyncCtx};
 use std::sync::Arc;
 
 fn lock_explorer() -> Explorer {

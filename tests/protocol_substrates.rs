@@ -1,0 +1,152 @@
+//! The lock service's slow paths (`service::protocol`) run, as shipped, on
+//! the simulator and on a kernel's real-thread context: `memsim::Proc` and
+//! `workloads::realhw::RealCtx` implement the same word-operation trait as
+//! the service's parking lot, so the protocol functions take them with no
+//! adapter type.
+//!
+//! On memsim each processor runs the barging mutex around a non-atomic
+//! counter, then an eventcount chain that crosses the `u64` wrap, then
+//! three barrier rounds. A run must count exactly, cross the wrap, elect
+//! one leader per round and wake every processor it parked; and, being a
+//! simulation, it must come out the same twice.
+
+use kernels::{Addr, ProcCtx, SyncCtx, Word};
+use memsim::{Machine, MachineParams, Proc, RunReport};
+use parking::futex::ParkingLot;
+use service::protocol::{self, seq_ge, Contention, FREE, HELD};
+use std::sync::atomic::AtomicU64;
+use workloads::oversub::oversub_machine;
+use workloads::realhw::RealCtx;
+
+/// Critical sections per processor.
+const ITERS: u64 = 5;
+/// Barrier rounds.
+const ROUNDS: u64 = 3;
+/// Where the eventcount starts: two advances short of the wrap.
+const EVENT_START: Word = u64::MAX - 1;
+
+const LOCK: Addr = 0;
+const COUNTER: Addr = 1;
+const EVENT: Addr = 2;
+const BARRIER: Addr = 3;
+/// Acquisitions whose slow path parked: the substrate's `wait` told it so.
+const PARKED: Addr = 4;
+/// `LEADERS + r`: how many arrivals completed barrier round `r`.
+const LEADERS: Addr = 5;
+const WORDS: usize = LEADERS + ROUNDS as usize;
+
+/// The mutex's fast path, then its shipped slow path.
+fn lock<C: SyncCtx>(c: &mut C) -> Contention {
+    match c.cas(LOCK, FREE, HELD) {
+        Ok(_) => Contention::default(),
+        Err(_) => protocol::lock_contended(c, LOCK),
+    }
+}
+
+/// One processor's program; `nprocs` of them share the memory.
+fn body(p: &mut Proc, nprocs: usize) {
+    for _ in 0..ITERS {
+        if lock(p).parked {
+            p.fetch_add(PARKED, 1);
+        }
+        let v = p.data_load(COUNTER);
+        p.delay(20);
+        p.data_store(COUNTER, v + 1);
+        protocol::unlock(p, LOCK);
+    }
+    // Processor k waits for k advances, then makes one: a chain whose
+    // middle links await counts on the far side of the wrap.
+    let target = EVENT_START.wrapping_add(p.pid() as Word);
+    let seen = protocol::await_at_least(p, EVENT, target);
+    assert!(
+        seq_ge(seen, target),
+        "p{} woke at {seen}, short of {target}",
+        p.pid()
+    );
+    protocol::advance(p, EVENT);
+    for round in 0..ROUNDS {
+        match protocol::barrier_arrive(p, BARRIER, nprocs as u32) {
+            None => {
+                p.fetch_add(LEADERS + round as usize, 1);
+            }
+            Some(r) => protocol::barrier_wait(p, BARRIER, r),
+        }
+    }
+}
+
+fn run(machine: &Machine, nprocs: usize) -> RunReport {
+    let mut init = vec![0; WORDS];
+    init[EVENT] = EVENT_START;
+    machine
+        .run_with_init(nprocs, init, |p| body(p, nprocs))
+        .expect("the protocols finish on the simulator")
+}
+
+fn check(machine: &Machine, nprocs: usize) {
+    let report = run(machine, nprocs);
+    let mem = &report.memory;
+    assert_eq!(
+        mem[COUNTER],
+        nprocs as Word * ITERS,
+        "lost critical sections"
+    );
+    assert_eq!(mem[LOCK], FREE);
+    assert_eq!(mem[EVENT], EVENT_START.wrapping_add(nprocs as Word));
+    assert_eq!(
+        mem[BARRIER],
+        ROUNDS << 32,
+        "rounds completed, no arrival left over"
+    );
+    for round in 0..ROUNDS as usize {
+        assert_eq!(mem[LEADERS + round], 1, "round {round}: one leader");
+    }
+    let m = &report.metrics;
+    assert!(mem[PARKED] > 0, "some acquisition parked, and was told so");
+    assert!(
+        mem[PARKED] < m.futex_parks(),
+        "the eventcount chain parks too"
+    );
+    assert_eq!(m.futex_parks(), m.futex_woken(), "every park was woken");
+    let again = run(machine, nprocs);
+    assert_eq!(
+        report.metrics, again.metrics,
+        "two runs, two different machines"
+    );
+}
+
+#[test]
+fn shipped_protocols_run_on_the_bus_machine() {
+    check(&Machine::new(MachineParams::bus_1991(4)), 4);
+}
+
+#[test]
+fn shipped_protocols_run_oversubscribed() {
+    check(&oversub_machine(6, 2), 6);
+}
+
+#[test]
+fn shipped_mutex_runs_on_real_threads() {
+    const THREADS: usize = 4;
+    const REAL_ITERS: u64 = 2_000;
+    let mem: Vec<AtomicU64> = (0..WORDS).map(|_| AtomicU64::new(0)).collect();
+    let lot = ParkingLot::with_buckets(THREADS);
+    std::thread::scope(|s| {
+        for pid in 0..THREADS {
+            let (mem, lot) = (&mem, &lot);
+            s.spawn(move || {
+                let mut c = RealCtx::new(pid, THREADS, mem, lot);
+                for _ in 0..REAL_ITERS {
+                    lock(&mut c);
+                    let v = c.data_load(COUNTER);
+                    c.data_store(COUNTER, v + 1);
+                    protocol::unlock(&mut c, LOCK);
+                }
+            });
+        }
+    });
+    let mut c = RealCtx::new(0, 1, &mem, &lot);
+    assert_eq!(c.load(COUNTER), THREADS as Word * REAL_ITERS);
+    assert_eq!(c.load(LOCK), FREE);
+    let ledger = lot.totals();
+    assert!(ledger.balanced(), "parks, wakes and resumes: {ledger:?}");
+}

@@ -5,7 +5,7 @@
 //! to judge their orderings as written.
 
 use kernels::locks::{all_locks, LockKernel};
-use kernels::{Region, SyncCtx};
+use kernels::{ProcCtx, Region};
 use qsm::{EventCount, Mutex, QsmBarrier, RawLock, Sequencer};
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -73,11 +73,11 @@ fn a_store_only_lock_fails_the_harness() {
         fn lines_needed(&self, _nprocs: usize) -> usize {
             1
         }
-        fn acquire(&self, ctx: &mut dyn SyncCtx, region: &Region, _ps: &mut u64) -> u64 {
+        fn acquire(&self, ctx: &mut dyn ProcCtx, region: &Region, _ps: &mut u64) -> u64 {
             ctx.store(region.slot(0), 1);
             0
         }
-        fn release(&self, ctx: &mut dyn SyncCtx, region: &Region, _ps: &mut u64, _t: u64) {
+        fn release(&self, ctx: &mut dyn ProcCtx, region: &Region, _ps: &mut u64, _t: u64) {
             ctx.store(region.slot(0), 0);
         }
     }
