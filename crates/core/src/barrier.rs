@@ -1,8 +1,8 @@
-//! The QSM barrier: reset-free, reusable, built from two monotone counters.
+//! The QSM barrier: reset-free and reusable, its round a monotone counter.
 
-use crate::backoff::Backoff;
-use crate::sync::{AtomicU64, Ordering};
+use crate::sync::{global_lot, AtomicU64, Ordering};
 use crate::CachePadded;
+use service::protocol;
 
 /// Result of one barrier crossing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -17,62 +17,65 @@ impl BarrierWaitResult {
         self.is_leader
     }
 
-    /// The episode number just completed (1-based).
+    /// The episode number just completed (1-based), modulo 2^32: the
+    /// barrier's round is a 32-bit field, so the 2^32-th episode reads 0.
     pub fn epoch(&self) -> u64 {
         self.epoch
     }
 }
 
-/// A reusable spinning barrier in the QSM style: the arrival counter and
-/// the release epoch are both **monotone** grant words, so there are no
-/// reset stores and therefore no reset races — the episode a given arrival
-/// belongs to is simply `arrivals / n`.
+/// A reusable barrier in the QSM style: one word holding the round in its
+/// high 32 bits and the round's arrivals in its low 32. The last arriver
+/// resets the arrivals and advances the round in one CAS, and a waiter
+/// waits for the round to change, so there are no separate reset stores
+/// and therefore no reset races.
 ///
-/// Unlike `std::sync::Barrier` this never blocks in the OS; waiting is
-/// busy-wait with escalating backoff (yields on an oversubscribed host).
+/// Arrival and wait are `service::protocol`'s barrier steps, the ones the
+/// checker runs (`interleave::corpus`), over the process-global lot
+/// ([`parking::futex::global_lot`]); a waiter spins for what a park there
+/// costs before the first of them parks.
 #[derive(Debug)]
 pub struct QsmBarrier {
-    arrivals: CachePadded<AtomicU64>,
-    epoch: CachePadded<AtomicU64>,
-    n: u64,
+    word: CachePadded<AtomicU64>,
+    parties: u32,
 }
 
 impl QsmBarrier {
-    /// Creates a barrier for `n` participants (n ≥ 1).
+    /// Creates a barrier for `n` participants.
+    ///
+    /// # Panics
+    ///
+    /// If `n` is zero or does not fit the word's 32-bit arrival field.
     pub fn new(n: usize) -> Self {
         assert!(n >= 1, "barrier needs at least one participant");
+        let parties = u32::try_from(n).expect("barrier parties must fit in 32 bits");
         QsmBarrier {
-            arrivals: CachePadded::new(AtomicU64::new(0)),
-            epoch: CachePadded::new(AtomicU64::new(0)),
-            n: n as u64,
+            word: CachePadded::new(AtomicU64::new(0)),
+            parties,
         }
     }
 
     /// Number of participants.
     pub fn participants(&self) -> usize {
-        self.n as usize
+        self.parties as usize
     }
 
     /// Arrives and waits for the episode to complete.
     pub fn wait(&self) -> BarrierWaitResult {
-        let arrival = self.arrivals.fetch_add(1, Ordering::AcqRel);
-        let episode = arrival / self.n; // 0-based episode this arrival joins
-        let position = arrival % self.n;
-        if position == self.n - 1 {
-            // Last arriver: open the gate by advancing the epoch.
-            self.epoch.fetch_add(1, Ordering::Release);
+        let (mut lot, word) = (global_lot(), &*self.word);
+        let Some(round) = protocol::barrier_arrive(&mut lot, word, self.parties) else {
+            // The last arriver: nobody can start another round without it,
+            // so the word still shows the round it just opened.
             return BarrierWaitResult {
                 is_leader: true,
-                epoch: episode + 1,
+                epoch: word.load(Ordering::Acquire) >> 32,
             };
-        }
-        let mut backoff = Backoff::new();
-        while self.epoch.load(Ordering::Acquire) < episode + 1 {
-            backoff.snooze();
-        }
+        };
+        lot.spin(|| word.load(Ordering::Acquire) >> 32 != round);
+        protocol::barrier_wait(&mut lot, word, round);
         BarrierWaitResult {
             is_leader: false,
-            epoch: episode + 1,
+            epoch: (round + 1) & u64::from(u32::MAX),
         }
     }
 }
@@ -157,5 +160,20 @@ mod tests {
     #[should_panic(expected = "at least one participant")]
     fn zero_participants_rejected() {
         QsmBarrier::new(0);
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    #[should_panic(expected = "fit in 32 bits")]
+    fn parties_beyond_the_arrival_field_rejected() {
+        QsmBarrier::new(u32::MAX as usize + 1);
+    }
+
+    #[test]
+    fn epoch_wraps_at_two_to_the_32() {
+        let b = QsmBarrier::new(1);
+        b.word.store(u64::from(u32::MAX) << 32, Ordering::Relaxed);
+        assert_eq!(b.wait().epoch(), 0);
+        assert_eq!(b.wait().epoch(), 1);
     }
 }

@@ -1,16 +1,18 @@
 //! Eventcounts and sequencers — the condition-synchronization service.
 
-use crate::backoff::Backoff;
-use crate::sync::{AtomicU64, Ordering};
+use crate::sync::{global_lot, AtomicU64, Ordering};
 use crate::CachePadded;
+use service::protocol;
 
 /// A monotone eventcount (Reed & Kanodia): producers `advance`, consumers
 /// `await_at_least`. The count never decreases, so a waiter can never miss
 /// a wakeup — the arithmetic property at the heart of QSM.
 ///
-/// Waiting is busy-wait with escalating backoff, faithful to the 1991
-/// design point (no OS blocking); pair with a scheduler-friendly workload
-/// or see the simulator kernels for the watchpoint variant.
+/// Both operations are `service::protocol`'s, the steps the checker runs
+/// (`interleave::corpus`), over the process-global lot
+/// ([`parking::futex::global_lot`]): a waiter spins for what a park there
+/// costs, then parks until the count reaches its target, and every
+/// `advance` wakes the word's waiters.
 #[derive(Debug)]
 pub struct EventCount {
     count: CachePadded<AtomicU64>,
@@ -30,22 +32,17 @@ impl EventCount {
     }
 
     /// Increments the count, releasing everything written before the
-    /// advance to subsequent awaiters. Returns the new value.
+    /// advance to subsequent awaiters, and wakes them. Returns the new
+    /// value.
     pub fn advance(&self) -> u64 {
-        self.count.fetch_add(1, Ordering::Release) + 1
+        protocol::advance(&mut global_lot(), &*self.count)
     }
 
-    /// Blocks (busy-waits) until the count is at least `value`; returns the
-    /// first satisfying value observed.
+    /// Blocks until the count is at least `value` — compared by signed
+    /// distance, so a count that wraps past `u64::MAX` still reaches a
+    /// target just beyond it; returns the first satisfying value observed.
     pub fn await_at_least(&self, value: u64) -> u64 {
-        let mut backoff = Backoff::new();
-        loop {
-            let cur = self.count.load(Ordering::Acquire);
-            if cur >= value {
-                return cur;
-            }
-            backoff.snooze();
-        }
+        protocol::await_at_least(&mut global_lot(), &*self.count, value)
     }
 }
 

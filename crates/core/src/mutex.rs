@@ -8,13 +8,12 @@ use std::marker::PhantomData;
 use std::ops::{Deref, DerefMut};
 
 /// A mutual-exclusion wrapper around a value, parameterized by the raw
-/// busy-wait lock that protects it (QSM by default).
+/// lock that protects it (QSM by default).
 ///
 /// Differences from `std::sync::Mutex`: no poisoning (a panic while holding
-/// the guard simply releases on unwind), no OS blocking of its own (QSM is
-/// the paper's busy-wait primitive), and the protecting algorithm is chosen
-/// by a type parameter, so `parking::QsmMutexBlocking` swaps in without
-/// touching call sites.
+/// the guard simply releases on unwind), and the protecting algorithm is
+/// chosen by a type parameter, so a harness can swap in another
+/// [`RawLock`] without touching call sites.
 pub struct Mutex<T: ?Sized, L: RawLock = Qsm> {
     raw: L,
     data: UnsafeCell<T>,
@@ -36,16 +35,6 @@ impl<T, L: RawLock + Default> Mutex<T, L> {
 }
 
 impl<T, L: RawLock> Mutex<T, L> {
-    /// Creates a mutex around an explicitly constructed raw lock (for a
-    /// lock built by a named constructor, e.g.
-    /// `parking::QsmMutexBlocking::spin_then_park()`).
-    pub fn with_raw(raw: L, value: T) -> Self {
-        Mutex {
-            raw,
-            data: UnsafeCell::new(value),
-        }
-    }
-
     /// Consumes the mutex, returning the protected value.
     pub fn into_inner(self) -> T {
         self.data.into_inner()
@@ -53,7 +42,7 @@ impl<T, L: RawLock> Mutex<T, L> {
 }
 
 impl<T: ?Sized, L: RawLock> Mutex<T, L> {
-    /// Acquires the lock, spinning until available.
+    /// Acquires the lock, waiting as the raw lock does until available.
     pub fn lock(&self) -> MutexGuard<'_, T, L> {
         let token = self.raw.lock();
         MutexGuard {

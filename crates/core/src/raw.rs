@@ -1,16 +1,15 @@
 //! The raw lock interface [`crate::Mutex`] is generic over.
 
-/// A busy-wait mutual-exclusion primitive.
+/// A mutual-exclusion primitive.
 ///
 /// `lock` returns an opaque token that must be passed back to `unlock`;
-/// the queue locks ([`crate::Qsm`] here, `parking::QsmMutexBlocking`) store
-/// their node pointer in it. The token keeps the trait object-safe while
+/// a queue lock such as [`crate::Qsm`] stores its node pointer in it. The token keeps the trait object-safe while
 /// letting a lock identify its waiter without thread-local state.
 ///
 /// Prefer [`crate::Mutex`], which wraps any `RawLock` in an RAII guard;
 /// use the trait directly only in harnesses.
 pub trait RawLock: Send + Sync {
-    /// Acquires the lock, spinning as necessary; returns the release token.
+    /// Acquires the lock, waiting as necessary; returns the release token.
     fn lock(&self) -> usize;
 
     /// Releases the lock.

@@ -1,4 +1,4 @@
-//! What a contended `QsmMutexBlocking::lock` costs against one hand-off:
+//! What a contended `Qsm::lock` costs against one hand-off:
 //! nothing but CPU when the holder releases inside the spin budget — the
 //! process-global lot's `park_cost()` — and exactly one park when it does
 //! not.
@@ -10,8 +10,7 @@
 //! into a preemption.
 
 use parking::futex::{global_lot, FutexTotals, PARK_COST_CEIL, PARK_COST_FLOOR};
-use parking::QsmMutexBlocking;
-use qsm::RawLock;
+use qsm::{Qsm, RawLock};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::thread;
 use std::time::{Duration, Instant};
@@ -47,7 +46,7 @@ struct Handoff {
 /// releases once `hold_off` — given the ledger so far and the time since
 /// the waiter entered — says so.
 fn one_handoff(hold_off: impl Fn(FutexTotals, Duration) -> bool) -> Handoff {
-    let lock = QsmMutexBlocking::spin_then_park();
+    let lock = Qsm::new();
     let held = lock.lock();
     let entered = OnceLock::new();
     let before = global_lot().totals();

@@ -1,18 +1,18 @@
 //! A word-sized futex over a bucketed parking lot.
 //!
 //! The primitive is the Linux futex restricted to what the blocking QSM
-//! variants need: [`futex_wait`] blocks iff an `AtomicU64` still holds an
-//! expected value, [`futex_wake`] releases up to `n` waiters of that word
-//! in FIFO order. There is no kernel to lean on here, so the wait queue is
-//! a process-global **parking lot**: an array of buckets, each a
-//! mutex-protected FIFO of parked threads, indexed by a hash of the word's
-//! address. Any `AtomicU64` in the process is a futex — no per-word queue
-//! allocation, no registration.
+//! variants need: [`ParkingLot::wait`] blocks iff an `AtomicU64` still
+//! holds an expected value, [`ParkingLot::wake_addr`] releases up to `n`
+//! waiters of that word in FIFO order. There is no kernel to lean on
+//! here, so the wait queue is a **parking lot**: an array of buckets, each
+//! a mutex-protected FIFO of parked threads, indexed by a hash of the
+//! word's address. Any `AtomicU64` in the process is a futex — no
+//! per-word queue allocation, no registration.
 //!
 //! The lot is a first-class type, [`ParkingLot`]: the `service` crate's
 //! sharded per-key lock table embeds its own lot sized to the expected
-//! waiter population, while the module-level functions serve the blocking
-//! QSM mutex from one process-global instance. Buckets are cache-line
+//! waiter population, while the `qsm` crate's primitives park in one
+//! process-global instance, [`global_lot`]. Buckets are cache-line
 //! padded (a parked waiter's bucket lock must not false-share with its
 //! neighbours') and the bucket count is a power of two so indexing is a
 //! mask of the full 64-bit [`mix64`] hash — every input bit diffuses into
@@ -25,8 +25,9 @@
 //! other observes its effect: a waiter that enqueued first is found in the
 //! queue, a waiter that arrives second sees the changed word and never
 //! parks. `thread::park` itself may return spuriously, which is fine —
-//! [`futex_wait`] consumes parks in a loop gated on its own wake flag, and
-//! callers loop on their real condition as futex discipline requires.
+//! [`ParkingLot::wait`] consumes parks in a loop gated on its own wake
+//! flag, and callers loop on their real condition as futex discipline
+//! requires.
 //!
 //! A waiter may carry a **tag** (the lot's `SyncCtx::wait` with a tag,
 //! [`ParkingLot::register_tagged`]) for the case where one word stands for
@@ -84,7 +85,7 @@
 //! and the clock is read only when a thread is actually dequeued, so the
 //! no-waiter paths stay clock-free.
 
-use qsm::CachePadded;
+use crate::CachePadded;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -102,8 +103,8 @@ use trace::{EventKind, Tracer};
 const GLOBAL_BUCKETS: usize = 64;
 
 /// Lower clamp and seed of [`ParkingLot::park_cost`]: the fixed spin budget
-/// the service mutex had before the cost was measured (`qsm::Backoff`'s
-/// 127 pause hints, ~8 µs on the reference host). A lot that has never
+/// the service mutex had before the cost was measured (127 pause hints of
+/// a doubling backoff, ~8 µs on the reference host). A lot that has never
 /// parked anybody spins exactly as long as the old code did.
 pub const PARK_COST_FLOOR: Duration = Duration::from_micros(8);
 
@@ -152,7 +153,7 @@ pub fn mix64(mut x: u64) -> u64 {
 pub struct FutexTotals {
     /// Threads that actually parked (enqueued and blocked).
     pub parks: u64,
-    /// Waiters dequeued by `futex_wake` calls.
+    /// Waiters dequeued by wake calls.
     pub wakes: u64,
     /// Parked threads that returned from their park.
     pub resumes: u64,
@@ -837,11 +838,10 @@ impl WaitEntry {
     }
 }
 
-/// The process-global lot behind the module-level functions, for what they
-/// do not wrap: the tagged waits and the addressed wake
-/// ([`ParkingLot::register_tagged`], [`ParkingLot::wake_tagged`]), its measured [`ParkingLot::park_cost`]
-/// (the spin budget of a waiter about to park in it), its exact ledger
-/// ([`ParkingLot::totals`]) and its [`ParkingLot::parked_waiters`].
+/// The process-global, untraced lot: where the `qsm` crate's lock,
+/// eventcount and barrier park, and where their waiters take their spin
+/// budget ([`ParkingLot::park_cost`]). Its exact ledger
+/// ([`ParkingLot::totals`]) counts every park in it.
 pub fn global_lot() -> &'static ParkingLot {
     static LOT: OnceLock<ParkingLot> = OnceLock::new();
     LOT.get_or_init(|| ParkingLot::with_buckets(GLOBAL_BUCKETS))
@@ -853,31 +853,6 @@ pub fn global_lot() -> &'static ParkingLot {
 /// identity while the word is still alive and wake by address afterwards.
 pub fn addr_of(word: &AtomicU64) -> usize {
     word as *const AtomicU64 as usize
-}
-
-/// Blocks the calling thread iff `word` still holds `expected`, via the
-/// process-global lot; see [`ParkingLot::wait`].
-pub fn futex_wait(word: &AtomicU64, expected: u64) -> bool {
-    global_lot().wait(word, expected)
-}
-
-/// Wakes up to `n` threads parked on `word` through the process-global
-/// lot, oldest first, returning how many were woken. Callers that may race
-/// the death of the word itself should capture [`addr_of`] early and use
-/// [`futex_wake_addr`].
-pub fn futex_wake(word: &AtomicU64, n: usize) -> usize {
-    global_lot().wake_addr(addr_of(word), n)
-}
-
-/// [`futex_wake`] by pre-captured address; see [`ParkingLot::wake_addr`].
-pub fn futex_wake_addr(addr: usize, n: usize) -> usize {
-    global_lot().wake_addr(addr, n)
-}
-
-/// How many threads are currently parked on `word` in the process-global
-/// lot — a test observability hook, racy by nature.
-pub fn parked_count(word: &AtomicU64) -> usize {
-    global_lot().parked_count(word)
 }
 
 #[cfg(test)]
@@ -1005,14 +980,14 @@ mod tests {
     #[test]
     fn wait_on_changed_word_returns_without_parking() {
         let word = AtomicU64::new(7);
-        assert!(!futex_wait(&word, 3));
-        assert_eq!(parked_count(&word), 0);
+        assert!(!global_lot().wait(&word, 3));
+        assert_eq!(global_lot().parked_count(&word), 0);
     }
 
     #[test]
     fn wake_with_no_waiters_is_zero() {
         let word = AtomicU64::new(0);
-        assert_eq!(futex_wake(&word, usize::MAX), 0);
+        assert_eq!(global_lot().wake_addr(addr_of(&word), usize::MAX), 0);
     }
 
     /// Two words that collide into the same bucket must not wake each
@@ -1128,7 +1103,7 @@ mod tests {
         let word = AtomicU64::new(7);
         let (_, waker) = flag_waker();
         assert!(global_lot().register(&word, 3, &waker).is_none());
-        assert_eq!(parked_count(&word), 0);
+        assert_eq!(global_lot().parked_count(&word), 0);
     }
 
     #[test]
@@ -1165,11 +1140,11 @@ mod tests {
         let word = AtomicU64::new(0);
         let (flag, waker) = flag_waker();
         let entry = lot.register(&word, 0, &waker).expect("word unchanged");
-        assert_eq!(parked_count(&word), 1);
+        assert_eq!(lot.parked_count(&word), 1);
         assert!(lot.cancel(entry), "no wake raced; entry was still queued");
-        assert_eq!(parked_count(&word), 0);
+        assert_eq!(lot.parked_count(&word), 0);
         // Nobody left to wake, and the waker never fired.
-        assert_eq!(futex_wake(&word, usize::MAX), 0);
+        assert_eq!(lot.wake_addr(addr_of(&word), usize::MAX), 0);
         assert!(!flag.0.load(Ordering::SeqCst));
     }
 
@@ -1180,7 +1155,7 @@ mod tests {
         let (_, waker) = flag_waker();
         let entry = lot.register(&word, 0, &waker).expect("word unchanged");
         word.store(1, Ordering::SeqCst);
-        assert_eq!(futex_wake(&word, 1), 1);
+        assert_eq!(lot.wake_addr(addr_of(&word), 1), 1);
         // The wake already dequeued the entry: cancel must say so, so the
         // caller knows it owns (and must forward) the grant.
         assert!(!lot.cancel(entry));
@@ -1194,7 +1169,7 @@ mod tests {
             .register(&word, 0, &stale_waker)
             .expect("word unchanged");
         word.store(1, Ordering::SeqCst);
-        assert_eq!(futex_wake(&word, 1), 1);
+        assert_eq!(global_lot().wake_addr(addr_of(&word), 1), 1);
         assert!(stale.0.load(Ordering::SeqCst));
         // A poll racing that wake installs a fresh waker; the set woken
         // flag must punch through to it or the task never re-polls.

@@ -1,5 +1,6 @@
-//! A sharded lock **service**: QSM-backed blocking primitives keyed by
-//! arbitrary `u64` keys.
+//! A sharded lock **service**: blocking primitives — a barging futex mutex,
+//! an eventcount, a barrier and a semaphore — keyed by arbitrary `u64`
+//! keys.
 //!
 //! Everything else in the repo synchronizes on a handful of static lock
 //! words. A server does not: it guards *millions* of logical resources —

@@ -14,7 +14,7 @@
 //!   wake. Release wakes the *oldest* parked waiter with no hand-off, so a
 //!   fresh arrival can barge ahead of the wakee: the usual futex-mutex
 //!   throughput/fairness trade, not the paper's strict QSM queue (the
-//!   QSM-faithful handoff lock lives in `parking::QsmMutexBlocking`).
+//!   QSM-faithful hand-off lock is `qsm::Qsm`).
 //! - **Eventcount** — the word is a monotone sequence number;
 //!   [`EventKey::advance`] bumps it and wakes every waiter, and
 //!   [`EventKey::await_at_least`] spins once for the same budget and then

@@ -34,7 +34,7 @@
 use crate::protocol::{self, WaitingArray};
 use crate::telemetry::{Primitive, ServiceMetrics};
 use parking::futex::{global_lot, ParkingLot, WaitEntry};
-use qsm::CachePadded;
+use parking::CachePadded;
 use std::collections::HashSet;
 use std::future::Future;
 use std::pin::Pin;

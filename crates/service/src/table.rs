@@ -28,7 +28,7 @@
 
 use crate::telemetry::{MetricsMode, ServiceMetrics};
 use parking::futex::{mix64, ParkingLot};
-use qsm::CachePadded;
+use parking::CachePadded;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};

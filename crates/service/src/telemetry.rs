@@ -57,7 +57,7 @@
 
 use crate::table::TableStats;
 use parking::futex::FutexTotals;
-use qsm::CachePadded;
+use parking::CachePadded;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};

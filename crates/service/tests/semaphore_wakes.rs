@@ -7,7 +7,7 @@
 //! every test in it holds [`ledger`]'s lock from its first park to its last
 //! resume, so the deltas below are equalities.
 
-use parking::futex::{global_lot, FutexTotals, PARK_COST_CEIL, PARK_COST_FLOOR};
+use parking::futex::{addr_of, global_lot, FutexTotals, PARK_COST_CEIL, PARK_COST_FLOOR};
 use service::WaitingArraySemaphore;
 use std::future::Future;
 use std::pin::Pin;
@@ -154,14 +154,14 @@ fn park_and_wake_once() {
     thread::scope(|s| {
         s.spawn(|| {
             while word.load(Ordering::SeqCst) == 0 {
-                parking::futex::futex_wait(&word, 0);
+                global_lot().wait(&word, 0);
             }
         });
-        while parking::futex::parked_count(&word) == 0 {
+        while global_lot().parked_count(&word) == 0 {
             thread::yield_now();
         }
         word.store(1, Ordering::SeqCst);
-        parking::futex::futex_wake(&word, 1);
+        global_lot().wake_addr(addr_of(&word), 1);
     });
 }
 

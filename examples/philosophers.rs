@@ -1,33 +1,24 @@
 //! Dining philosophers on QSM mutexes — the classic deadlock-avoidance
-//! demo, here used to show (a) `qsm::Mutex` guards composing lexically,
-//! (b) the ordered-acquisition discipline that makes the composition safe,
-//! and (c) the spin and blocking lock variants being interchangeable
-//! behind the same `RawLock` interface.
+//! demo, here used to show `qsm::Mutex` guards composing lexically and the
+//! ordered-acquisition discipline that makes the composition safe.
 //!
 //! Each philosopher always picks up the lower-numbered fork first, so the
-//! wait-for graph is acyclic and the run always completes.
+//! wait-for graph is acyclic and the run always completes. A contended
+//! philosopher spins only for what a park costs and then parks, so five
+//! threads on fewer than five cores do not fight the host scheduler.
 //!
 //! ```text
-//! cargo run --release --example philosophers              # spin QSM forks
-//! cargo run --release --example philosophers -- --blocking  # futex-parking forks
+//! cargo run --release --example philosophers
 //! ```
-//!
-//! `--blocking` swaps the forks to [`parking::QsmMutexBlocking`] — same
-//! queue discipline, but a contended philosopher spins only for what a
-//! park costs and then parks on the futex. With five threads on fewer than
-//! five cores the blocking variant is the one that doesn't fight the host
-//! scheduler.
 
-use parking::QsmMutexBlocking;
-use qsm::{Mutex, RawLock};
+use qsm::Mutex;
 use std::sync::Arc;
 
 const PHILOSOPHERS: usize = 5;
 const MEALS: u64 = 200;
 
-fn dine<L: RawLock + Default + 'static>(variant: &str) {
-    let forks: Arc<Vec<Mutex<u64, L>>> =
-        Arc::new((0..PHILOSOPHERS).map(|_| Mutex::new(0)).collect());
+fn main() {
+    let forks: Arc<Vec<Mutex<u64>>> = Arc::new((0..PHILOSOPHERS).map(|_| Mutex::new(0)).collect());
 
     let diners: Vec<_> = (0..PHILOSOPHERS)
         .map(|seat| {
@@ -50,30 +41,11 @@ fn dine<L: RawLock + Default + 'static>(variant: &str) {
 
     for d in diners {
         let seat = d.join().unwrap();
-        println!("philosopher {seat} finished {MEALS} meals ({variant} forks)");
+        println!("philosopher {seat} finished {MEALS} meals");
     }
 
     let total: u64 = forks.iter().map(|f| *f.lock()).sum();
     // Every meal uses exactly two forks.
     assert_eq!(total, 2 * MEALS * PHILOSOPHERS as u64);
     println!("philosophers OK: {total} fork uses, no deadlock, no lost update");
-}
-
-fn main() {
-    let mut blocking = false;
-    for arg in std::env::args().skip(1) {
-        match arg.as_str() {
-            "--blocking" => blocking = true,
-            other => {
-                eprintln!("unrecognized argument {other:?}");
-                eprintln!("usage: philosophers [--blocking]");
-                std::process::exit(2);
-            }
-        }
-    }
-    if blocking {
-        dine::<QsmMutexBlocking>("blocking");
-    } else {
-        dine::<qsm::Qsm>("spin");
-    }
 }

@@ -18,8 +18,9 @@ fn main() {
     // 2. Barrier episodes: everyone finishes round k before round k+1.
     let barrier = Arc::new(QsmBarrier::new(THREADS));
 
-    // 3. Condition synchronization: thread 0 announces completion of each
-    //    phase through an eventcount; a monitor thread awaits it.
+    // 3. Condition synchronization: each phase's leader prints its phase
+    //    and then announces it through an eventcount, so the monitor
+    //    thread that awaits both announcements prints after both lines.
     let phases = Arc::new(EventCount::new());
 
     let monitor = {
@@ -41,8 +42,8 @@ fn main() {
                     *counter.lock() += 1;
                 }
                 if barrier.wait().is_leader() {
-                    phases.advance();
                     println!("phase 1 complete: counter = {}", *counter.lock());
+                    phases.advance();
                 }
                 // Every thread verifies phase 1's total — possible only
                 // because the barrier ordered the phases. A second barrier
@@ -54,8 +55,8 @@ fn main() {
                     *counter.lock() += 1;
                 }
                 if barrier.wait().is_leader() {
-                    phases.advance();
                     println!("phase 2 complete: counter = {}", *counter.lock());
+                    phases.advance();
                 }
                 id
             })

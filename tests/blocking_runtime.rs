@@ -1,6 +1,6 @@
 //! Integration tests for the real-hardware blocking runtime (`parking`):
 //! the word-sized futex, the service's eventcount protocol on a plain word,
-//! and the blocking QSM mutex, exercised with real host threads.
+//! and the QSM mutex that parks in it, exercised with real host threads.
 //!
 //! These are the hardware counterparts of the interleave-model futex tests
 //! (`crates/interleave` and `tests/analysis_seeded_bugs.rs`): the model
@@ -8,8 +8,7 @@
 //! and these tests check that the `std::thread`-backed implementation
 //! honours the same contract under a real scheduler.
 
-use parking::futex::{futex_wait, futex_wake, parked_count, ParkingLot};
-use parking::QsmMutexBlocking;
+use parking::futex::{addr_of, global_lot, ParkingLot};
 use service::protocol;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -33,6 +32,7 @@ fn futex_wake_n_of_m_wakes_exactly_n() {
     const N: usize = 2;
     let word = Arc::new(AtomicU64::new(0));
     let released = Arc::new(AtomicU64::new(0));
+    let (lot, addr) = (global_lot(), addr_of(&word));
 
     let waiters: Vec<_> = (0..M)
         .map(|_| {
@@ -42,37 +42,37 @@ fn futex_wake_n_of_m_wakes_exactly_n() {
                 // Futex discipline: re-check the word after every return;
                 // only a published word change ends the wait.
                 while word.load(Ordering::SeqCst) == 0 {
-                    futex_wait(&word, 0);
+                    global_lot().wait(&word, 0);
                 }
                 released.fetch_add(1, Ordering::SeqCst);
             })
         })
         .collect();
 
-    eventually(|| parked_count(&word) == M, "all waiters parked");
+    eventually(|| lot.parked_count(&word) == M, "all waiters parked");
 
     // Waking N without changing the word releases nobody for good: exactly
     // N are woken, re-check, see 0, and park again.
-    assert_eq!(futex_wake(&word, N), N);
-    eventually(|| parked_count(&word) == M, "spuriously woken waiters re-parked");
+    assert_eq!(lot.wake_addr(addr, N), N);
+    eventually(|| lot.parked_count(&word) == M, "spuriously woken waiters re-parked");
     assert_eq!(released.load(Ordering::SeqCst), 0);
 
     // Publish the change, then wake exactly N: exactly N get out.
     word.store(1, Ordering::SeqCst);
-    assert_eq!(futex_wake(&word, N), N);
+    assert_eq!(lot.wake_addr(addr, N), N);
     eventually(
         || released.load(Ordering::SeqCst) == N as u64,
         "exactly n waiters released",
     );
-    assert_eq!(parked_count(&word), M - N, "the rest must still be parked");
+    assert_eq!(lot.parked_count(&word), M - N, "the rest must still be parked");
 
     // Wake the remainder; everyone finishes.
-    assert_eq!(futex_wake(&word, usize::MAX), M - N);
+    assert_eq!(lot.wake_addr(addr, usize::MAX), M - N);
     for w in waiters {
         w.join().unwrap();
     }
     assert_eq!(released.load(Ordering::SeqCst), M as u64);
-    assert_eq!(parked_count(&word), 0);
+    assert_eq!(lot.parked_count(&word), 0);
 }
 
 #[test]
@@ -120,7 +120,7 @@ fn blocking_mutex_counts_correctly_oversubscribed() {
     // for. A lost wakeup here shows up as a hang (caught by test timeout).
     let threads = 2 * std::thread::available_parallelism().map(|n| n.get()).unwrap_or(2);
     let iters = 300;
-    let mutex = Arc::new(qsm::Mutex::with_raw(QsmMutexBlocking::spin_then_park(), 0u64));
+    let mutex: Arc<qsm::Mutex<u64>> = Arc::new(qsm::Mutex::new(0));
     let handles: Vec<_> = (0..threads)
         .map(|_| {
             let mutex = Arc::clone(&mutex);

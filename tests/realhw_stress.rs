@@ -121,7 +121,6 @@ fn mutex_with_every_raw_lock_via_type_params() {
         assert_eq!(*m.lock(), 1200, "{} lost updates", m.raw_name());
     }
     hammer::<qsm::Qsm>();
-    hammer::<parking::QsmMutexBlocking>();
 }
 
 #[test]
