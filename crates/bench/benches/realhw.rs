@@ -2,7 +2,8 @@
 //!
 //! Complements the fig8 binary (whose uncontended column is each lock
 //! kernel's acquire/release on real threads) with single-thread overhead
-//! measurements of the hand-written QSM: eventcount advance, sequencer
+//! measurements of the `qsm` crate's primitives — `service::protocol`
+//! over the process-global lot: eventcount advance, sequencer
 //! tickets, a solo barrier episode and a mutex-protected increment. Uses
 //! the workspace's own `bench::timing` harness; run with
 //! `cargo bench -p bench --bench realhw`.

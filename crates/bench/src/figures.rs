@@ -11,6 +11,7 @@
 use crate::{final_ratio_block, series_block, Opts};
 use kernels::locks::{qsm::QsmLock, LockKernel};
 use kernels::{ProcCtx, Region};
+use service::protocol::{self, QsmQueue};
 use simcore::table::{fmt_cell, Table};
 use simcore::Series;
 use workloads::csbench::{self, CsConfig};
@@ -249,24 +250,16 @@ impl LockKernel for QsmNoFastPath {
         "qsm-no-fastpath"
     }
     fn lines_needed(&self, nprocs: usize) -> usize {
-        QsmLock.lines_needed(nprocs)
-    }
-    fn proc_init(&self, pid: usize, region: &Region) -> u64 {
-        QsmLock.proc_init(pid, region)
+        QsmLock::spin().lines_needed(nprocs)
     }
     fn acquire(&self, ctx: &mut dyn ProcCtx, region: &Region, ps: &mut u64) -> u64 {
-        let me = ctx.pid() as u64 + 1;
-        ctx.store(QsmLock::next(region, me), 0);
-        let prev = ctx.swap(QsmLock::tail(region), me);
-        if prev != 0 {
-            ctx.store(QsmLock::next(region, prev), me);
-            ctx.spin_while(QsmLock::grant(region, me), *ps);
-            *ps += 1;
-        }
+        let mut queue = QsmLock::spin().queue(ctx.pid(), region, ps);
+        let (me, recorded) = queue.node(ctx);
+        protocol::qsm_enqueue(ctx, &mut queue, me, recorded);
         0
     }
     fn release(&self, ctx: &mut dyn ProcCtx, region: &Region, ps: &mut u64, token: u64) {
-        QsmLock.release(ctx, region, ps, token);
+        QsmLock::spin().release(ctx, region, ps, token);
     }
 }
 
@@ -292,7 +285,7 @@ pub fn fig7(opts: &Opts) -> String {
             hold: 20,
             ..CsConfig::new(p, iters)
         };
-        let stock = csbench::run(&machine, &QsmLock, &cfg).expect("qsm");
+        let stock = csbench::run(&machine, &QsmLock::spin(), &cfg).expect("qsm");
         let ablated = csbench::run(&machine, &QsmNoFastPath, &cfg).expect("qsm-no-fastpath");
         fp.push("qsm", p as u64, stock.passing_time);
         fp.push("qsm-no-fastpath", p as u64, ablated.passing_time);

@@ -16,8 +16,7 @@
 //!   synchronization (`await` / `advance` / `ticket`);
 //! * [`QsmBarrier`] — a reusable barrier whose round only ever advances
 //!   (no reset races by construction);
-//! * [`Mutex`] — an RAII mutex generic over any [`RawLock`], defaulting
-//!   to QSM.
+//! * [`Mutex`] — an RAII mutex over [`Qsm`].
 //!
 //! Every waiter spins for what a park costs and then parks, in
 //! `parking`'s process-global lot ([`parking::futex::global_lot`],
@@ -32,16 +31,17 @@
 //!
 //! ## Verification
 //!
-//! [`EventCount`] and [`QsmBarrier`] are thin wrappers over
-//! `service::protocol`'s steps, the code `interleave::corpus` checks
-//! exhaustively. [`Qsm`]'s queue algorithm is checked, under sequential
-//! consistency, on its `kernels` twin by the `interleave` crate
-//! (`tests/lock_correctness_sweep.rs`); this crate's code is stressed on
-//! real threads by its tests and `tests/realhw_stress.rs` (the QSM mutex
-//! over a plain cell, the barrier, an eventcount/sequencer queue), which
-//! CI's nightly ThreadSanitizer job re-runs to check the orderings as
-//! written. Nothing explores the C11 weak-memory behaviours of these
-//! orderings.
+//! Each primitive is a thin wrapper over `service::protocol`, the code
+//! `interleave::corpus` checks exhaustively: [`EventCount`] and
+//! [`QsmBarrier`] run its eventcount and barrier steps, and [`Qsm`] its
+//! queue lock (`protocol::qsm_lock` / `qsm_unlock`), which the checker runs
+//! over nodes it allocates fresh per acquisition and poisons where `Qsm`
+//! frees them. All of it is `SeqCst`, so the checker's sequentially
+//! consistent verdicts are about the orderings shipped. This crate's code
+//! is also stressed on real threads by its tests and
+//! `tests/realhw_stress.rs` (the QSM mutex over a plain cell, the barrier,
+//! an eventcount/sequencer queue), which CI's nightly ThreadSanitizer job
+//! re-runs.
 //!
 //! ## Quick start
 //!
@@ -70,19 +70,17 @@ pub mod barrier;
 pub mod event;
 pub mod mutex;
 pub mod qsm;
-pub mod raw;
 
 pub use barrier::QsmBarrier;
 pub use event::{EventCount, Sequencer};
 pub use mutex::{Mutex, MutexGuard};
 pub use parking::CachePadded;
 pub use qsm::Qsm;
-pub use raw::RawLock;
 
 /// What every primitive in the crate is built on: `std`'s atomics and
 /// yield, and the lot their waiters park in.
 pub(crate) mod sync {
     pub(crate) use parking::futex::{addr_of, global_lot};
-    pub(crate) use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
+    pub(crate) use std::sync::atomic::{AtomicU64, Ordering};
     pub(crate) use std::thread::yield_now;
 }

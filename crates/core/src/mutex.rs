@@ -1,49 +1,43 @@
-//! An RAII mutex generic over any [`RawLock`].
+//! An RAII mutex over the QSM lock.
 
 use crate::qsm::Qsm;
-use crate::raw::RawLock;
 use std::cell::UnsafeCell;
 use std::fmt;
 use std::marker::PhantomData;
 use std::ops::{Deref, DerefMut};
 
-/// A mutual-exclusion wrapper around a value, parameterized by the raw
-/// lock that protects it (QSM by default).
+/// A mutual-exclusion wrapper around a value, protected by a [`Qsm`].
 ///
-/// Differences from `std::sync::Mutex`: no poisoning (a panic while holding
-/// the guard simply releases on unwind), and the protecting algorithm is
-/// chosen by a type parameter, so a harness can swap in another
-/// [`RawLock`] without touching call sites.
-pub struct Mutex<T: ?Sized, L: RawLock = Qsm> {
-    raw: L,
+/// Unlike `std::sync::Mutex` there is no poisoning: a panic while holding
+/// the guard simply releases on unwind.
+pub struct Mutex<T: ?Sized> {
+    raw: Qsm,
     data: UnsafeCell<T>,
 }
 
-// SAFETY: the raw lock serializes all access to `data`, so sharing the
-// mutex only requires the value to be Send (same bounds as std's Mutex).
-unsafe impl<T: ?Sized + Send, L: RawLock> Send for Mutex<T, L> {}
-unsafe impl<T: ?Sized + Send, L: RawLock> Sync for Mutex<T, L> {}
+// SAFETY: the lock serializes all access to `data`, so sharing the mutex
+// only requires the value to be Send (same bounds as std's Mutex).
+unsafe impl<T: ?Sized + Send> Send for Mutex<T> {}
+unsafe impl<T: ?Sized + Send> Sync for Mutex<T> {}
 
-impl<T, L: RawLock + Default> Mutex<T, L> {
-    /// Creates a mutex with a default-constructed raw lock.
+impl<T> Mutex<T> {
+    /// Creates an unlocked mutex.
     pub fn new(value: T) -> Self {
         Mutex {
-            raw: L::default(),
+            raw: Qsm::new(),
             data: UnsafeCell::new(value),
         }
     }
-}
 
-impl<T, L: RawLock> Mutex<T, L> {
     /// Consumes the mutex, returning the protected value.
     pub fn into_inner(self) -> T {
         self.data.into_inner()
     }
 }
 
-impl<T: ?Sized, L: RawLock> Mutex<T, L> {
-    /// Acquires the lock, waiting as the raw lock does until available.
-    pub fn lock(&self) -> MutexGuard<'_, T, L> {
+impl<T: ?Sized> Mutex<T> {
+    /// Acquires the lock, waiting as [`Qsm::lock`] does until available.
+    pub fn lock(&self) -> MutexGuard<'_, T> {
         let token = self.raw.lock();
         MutexGuard {
             mutex: self,
@@ -57,31 +51,24 @@ impl<T: ?Sized, L: RawLock> Mutex<T, L> {
     pub fn get_mut(&mut self) -> &mut T {
         self.data.get_mut()
     }
-
-    /// Name of the protecting algorithm.
-    pub fn raw_name(&self) -> &'static str {
-        self.raw.name()
-    }
 }
 
-impl<T: Default, L: RawLock + Default> Default for Mutex<T, L> {
+impl<T: Default> Default for Mutex<T> {
     fn default() -> Self {
         Mutex::new(T::default())
     }
 }
 
-impl<T: fmt::Debug, L: RawLock> fmt::Debug for Mutex<T, L> {
+impl<T: fmt::Debug> fmt::Debug for Mutex<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Mutex")
-            .field("raw", &self.raw.name())
-            .finish_non_exhaustive()
+        f.debug_struct("Mutex").finish_non_exhaustive()
     }
 }
 
 /// RAII guard: the lock is held while this lives; access the value through
 /// `Deref`/`DerefMut`.
-pub struct MutexGuard<'a, T: ?Sized, L: RawLock> {
-    mutex: &'a Mutex<T, L>,
+pub struct MutexGuard<'a, T: ?Sized> {
+    mutex: &'a Mutex<T>,
     token: usize,
     /// Guards must stay on the acquiring thread (queue locks encode the
     /// waiter identity in the token).
@@ -90,9 +77,9 @@ pub struct MutexGuard<'a, T: ?Sized, L: RawLock> {
 
 // SAFETY: a guard is a shared/exclusive reference to T at heart; sharing
 // the guard across threads (Sync) is fine when &T is.
-unsafe impl<T: ?Sized + Sync, L: RawLock> Sync for MutexGuard<'_, T, L> {}
+unsafe impl<T: ?Sized + Sync> Sync for MutexGuard<'_, T> {}
 
-impl<T: ?Sized, L: RawLock> Deref for MutexGuard<'_, T, L> {
+impl<T: ?Sized> Deref for MutexGuard<'_, T> {
     type Target = T;
     fn deref(&self) -> &T {
         // SAFETY: the guard proves we hold the lock.
@@ -100,21 +87,21 @@ impl<T: ?Sized, L: RawLock> Deref for MutexGuard<'_, T, L> {
     }
 }
 
-impl<T: ?Sized, L: RawLock> DerefMut for MutexGuard<'_, T, L> {
+impl<T: ?Sized> DerefMut for MutexGuard<'_, T> {
     fn deref_mut(&mut self) -> &mut T {
         // SAFETY: the guard proves we hold the lock exclusively.
         unsafe { &mut *self.mutex.data.get() }
     }
 }
 
-impl<T: ?Sized, L: RawLock> Drop for MutexGuard<'_, T, L> {
+impl<T: ?Sized> Drop for MutexGuard<'_, T> {
     fn drop(&mut self) {
         // SAFETY: constructed only by `Mutex::lock`, token passed once.
         unsafe { self.mutex.raw.unlock(self.token) };
     }
 }
 
-impl<T: ?Sized + fmt::Debug, L: RawLock> fmt::Debug for MutexGuard<'_, T, L> {
+impl<T: ?Sized + fmt::Debug> fmt::Debug for MutexGuard<'_, T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         fmt::Debug::fmt(&**self, f)
     }
@@ -144,12 +131,6 @@ mod tests {
     }
 
     #[test]
-    fn default_raw_is_qsm() {
-        let m: Mutex<()> = Mutex::new(());
-        assert_eq!(m.raw_name(), "qsm");
-    }
-
-    #[test]
     fn panic_while_held_releases_on_unwind() {
         let m = Arc::new(Mutex::<u64>::new(0));
         let m2 = Arc::clone(&m);
@@ -166,8 +147,7 @@ mod tests {
     #[test]
     fn debug_formats() {
         let m: Mutex<i32> = Mutex::new(3);
-        let s = format!("{m:?}");
-        assert!(s.contains("qsm"));
+        assert_eq!(format!("{m:?}"), "Mutex { .. }");
         let g = m.lock();
         assert_eq!(format!("{g:?}"), "3");
     }

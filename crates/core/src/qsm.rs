@@ -1,7 +1,7 @@
 //! **QSM** — the Queueing Synchronization Mechanism, real-hardware edition.
 //!
 //! The lock half of the paper's unified mechanism. Differences from the
-//! MCS lock (`kernels::locks::mcs`), mirroring the `kernels` reconstruction:
+//! MCS lock (`kernels::locks::mcs`):
 //!
 //! * the hand-off is an *increment* of the successor's **grant word**
 //!   (an eventcount) rather than clearing a boolean — the operation shared
@@ -11,85 +11,91 @@
 //!   arithmetic: counts never return to a recorded value;
 //! * acquire attempts a single-CAS fast path before enqueueing.
 //!
-//! A queued waiter probes its grant word for what a park in the
-//! process-global lot costs ([`parking::futex::ParkingLot::spin`]),
-//! yielding its core after each failed look, and then parks on it. The
-//! releaser advances the successor's grant *first* and wakes *second*;
-//! with the lot's atomic compare-and-block that rules out the lost wakeup
-//! in both orders.
+//! The queue is `service::protocol`'s ([`protocol::qsm_lock`],
+//! [`protocol::qsm_try_lock`], [`protocol::qsm_unlock`]), the code the
+//! checker runs (`interleave::corpus`) and the `kernels` QSM kernel
+//! instantiates; this file supplies its words — heap nodes, named by
+//! address — and its waits. A queued waiter probes its grant word for what
+//! a park in the process-global lot costs
+//! ([`parking::futex::ParkingLot::spin`]), yielding its core after each
+//! failed look, and then parks on it.
 //!
 //! In this per-acquisition-node edition each node's grant starts at zero
 //! and receives exactly one increment; the monotone-count behaviour across
 //! acquisitions is carried by the persistent-node variant in `kernels` and
 //! by [`crate::QsmBarrier`]'s reset-free round.
 
-use crate::raw::RawLock;
-use crate::sync::{addr_of, global_lot, yield_now, AtomicPtr, AtomicU64, Ordering};
+use crate::sync::{addr_of, global_lot, yield_now, AtomicU64, Ordering::SeqCst};
 use crate::CachePadded;
+use service::protocol::{self, QsmQueue};
+use std::mem::offset_of;
+use syncctx::{Addr, SyncCtx, Waited, Word};
 
 /// One queue node: explicit link + grant eventcount.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 #[repr(align(128))]
 struct QsmNode {
-    next: AtomicPtr<QsmNode>,
+    next: AtomicU64,
     grant: AtomicU64,
 }
 
 /// The QSM lock.
 ///
-/// Tail states: null = free; otherwise the last enqueued node (which is the
-/// holder when the queue has length one).
+/// Tail states: 0 = free; otherwise the address of the last enqueued node
+/// (which is the holder when the queue has length one).
 ///
 /// # Memory reclamation
 ///
 /// Per-acquisition heap nodes, freed at the end of `unlock`, which is sound
 /// because by then no other thread can hold a reference: a mid-enqueue
-/// successor has finished writing `next` (we waited for it), and the tail
-/// no longer points at us (our CAS either succeeded or the tail had already
-/// moved on).
+/// successor has finished writing `next` (we waited for it), the tail no
+/// longer points at us (our CAS either succeeded or the tail had already
+/// moved on), and our predecessor's hand-off advanced our grant before we
+/// could run (its wake goes by address and never touches the node).
 #[derive(Debug)]
 pub struct Qsm {
-    tail: CachePadded<AtomicPtr<QsmNode>>,
+    tail: CachePadded<AtomicU64>,
 }
 
 impl Qsm {
     /// Creates an unlocked mechanism.
     pub fn new() -> Self {
         Qsm {
-            tail: CachePadded::new(AtomicPtr::new(std::ptr::null_mut())),
+            tail: CachePadded::new(AtomicU64::new(0)),
         }
+    }
+
+    /// Acquires the lock, waiting as necessary; returns the token
+    /// [`Qsm::unlock`] takes — this acquisition's node.
+    pub fn lock(&self) -> usize {
+        protocol::qsm_lock(&mut Lot, &mut &*self) as usize
     }
 
     /// Attempts the uncontended fast path once; on success the caller holds
     /// the lock and receives the token.
     pub fn try_lock(&self) -> Option<usize> {
         let node = new_node();
-        if self.claim_free(node) {
+        if protocol::qsm_try_lock(&mut Lot, &self, node) {
             return Some(node as usize);
         }
         // SAFETY: the node was never published.
-        unsafe { drop(Box::from_raw(node)) };
+        unsafe { drop(Box::from_raw(node as *mut QsmNode)) };
         None
     }
 
-    /// The fast path: makes `node` the tail of a free lock, one CAS.
-    fn claim_free(&self, node: *mut QsmNode) -> bool {
-        // AcqRel, not Acquire: Acquire for the lock edge, Release to publish
-        // the node's initialization to the successor that links into it.
-        let free = std::ptr::null_mut();
-        let claimed = self
-            .tail
-            .compare_exchange(free, node, Ordering::AcqRel, Ordering::Relaxed);
-        claimed.is_ok()
+    /// Releases the lock.
+    ///
+    /// # Safety
+    ///
+    /// The caller must currently hold the lock and `token` must be the value
+    /// returned by the matching [`Qsm::lock`] or [`Qsm::try_lock`] call,
+    /// passed exactly once.
+    pub unsafe fn unlock(&self, token: usize) {
+        protocol::qsm_unlock(&mut Lot, &mut &*self, token as u64);
+        // SAFETY: the caller's token is a live node of `new_node`, and
+        // `qsm_unlock` leaves nobody a way to reach it.
+        unsafe { drop(Box::from_raw(token as *mut QsmNode)) };
     }
-}
-
-/// A fresh queue node: no successor, grant at zero.
-fn new_node() -> *mut QsmNode {
-    Box::into_raw(Box::new(QsmNode {
-        next: AtomicPtr::new(std::ptr::null_mut()),
-        grant: AtomicU64::new(0),
-    }))
 }
 
 impl Default for Qsm {
@@ -98,84 +104,102 @@ impl Default for Qsm {
     }
 }
 
-impl RawLock for Qsm {
-    fn lock(&self) -> usize {
-        let node = new_node();
-        if self.claim_free(node) {
-            return node as usize;
-        }
-        // Slow path: enqueue behind the observed tail.
-        let pred = self.tail.swap(node, Ordering::AcqRel);
-        if pred.is_null() {
-            // The holder released between our CAS and swap.
-            return node as usize;
-        }
-        // SAFETY: `pred` is alive until its owner's unlock, which waits for
-        // this link before freeing.
-        unsafe { (*pred).next.store(node, Ordering::Release) };
-        // Await our grant: the recorded value is 0, so any increment ends
-        // the wait — and can never be "un-signalled".
-        // SAFETY: `node` is ours until we pass it to `unlock`.
-        let grant = unsafe { &(*node).grant };
+/// A fresh queue node: no successor, grant at zero.
+fn new_node() -> u64 {
+    Box::into_raw(Box::<QsmNode>::default()) as u64
+}
+
+/// The process-global lot, every access `SeqCst`, with words named by
+/// address: a [`Qsm`]'s tail and its nodes' two words. Only this file names
+/// words to it, and only live ones (see [`Qsm`]'s memory reclamation); the
+/// wake after an advance, whose node may be gone, goes by address to
+/// [`parking::futex::ParkingLot::wake_addr`], which never dereferences it.
+struct Lot;
+
+/// The word at `w`.
+///
+/// # Safety
+///
+/// `w` must be the address of a live [`Qsm`]'s tail or of a word of a
+/// node that is not yet freed, and stay so for `'a`.
+unsafe fn at<'a>(w: Addr) -> &'a AtomicU64 {
+    // SAFETY: the caller's contract.
+    unsafe { &*(w as *const AtomicU64) }
+}
+
+impl SyncCtx for Lot {
+    fn load(&mut self, w: Addr) -> Word {
+        // SAFETY: `protocol::qsm_*` names only live words here (see `Lot`).
+        unsafe { at(w) }.load(SeqCst)
+    }
+    fn store(&mut self, w: Addr, v: Word) {
+        // SAFETY: `protocol::qsm_*` names only live words here (see `Lot`).
+        unsafe { at(w) }.store(v, SeqCst);
+    }
+    fn swap(&mut self, w: Addr, v: Word) -> Word {
+        // SAFETY: `protocol::qsm_*` names only live words here (see `Lot`).
+        unsafe { at(w) }.swap(v, SeqCst)
+    }
+    fn cas(&mut self, w: Addr, expected: Word, new: Word) -> Result<Word, Word> {
+        // SAFETY: `protocol::qsm_*` names only live words here (see `Lot`).
+        unsafe { at(w) }.compare_exchange(expected, new, SeqCst, SeqCst)
+    }
+    fn fetch_add(&mut self, w: Addr, delta: Word) -> Word {
+        // SAFETY: `protocol::qsm_*` names only live words here (see `Lot`).
+        unsafe { at(w) }.fetch_add(delta, SeqCst)
+    }
+    fn wait(&mut self, w: Addr, expected: Word, tag: Option<Word>) -> Waited {
+        // SAFETY: `protocol::qsm_*` names only live words here (see `Lot`).
+        SyncCtx::wait(&mut global_lot(), unsafe { at(w) }, expected, tag)
+    }
+    fn wake(&mut self, w: Addr, n: usize) -> usize {
+        global_lot().wake_addr(w, n)
+    }
+    fn spin(&mut self, mut probe: impl FnMut(&mut Self) -> bool) -> bool {
+        global_lot().spin(|| probe(self))
+    }
+}
+
+impl QsmQueue<Addr, Lot> for &Qsm {
+    fn tail(&self) -> Addr {
+        addr_of(&self.tail)
+    }
+    fn next(&self, node: u64) -> Addr {
+        node as Addr + offset_of!(QsmNode, next)
+    }
+    fn grant(&self, node: u64) -> Addr {
+        node as Addr + offset_of!(QsmNode, grant)
+    }
+    fn node(&mut self, _: &mut Lot) -> (u64, u64) {
+        (new_node(), 0)
+    }
+    fn await_grant(&mut self, c: &mut Lot, grant: Addr, recorded: u64) {
         // The grant names this one waiter, so spinning on it only keeps the
         // holder and the waiters ahead of it off the cores: each failed
         // look yields. (Lock/unlock at 4 threads per core of a 2-vCPU Xeon:
         // 7.2 µs an acquisition without the yield, 1.6 µs with it.)
-        global_lot().spin(|| {
-            grant.load(Ordering::Acquire) != 0 || {
+        let granted = c.spin(|c| {
+            c.load(grant) != recorded || {
                 yield_now();
                 false
             }
         });
-        while grant.load(Ordering::Acquire) == 0 {
-            global_lot().wait(grant, 0);
+        if !granted {
+            while c.wait(grant, recorded, None).seen == recorded {}
         }
-        node as usize
     }
-
-    unsafe fn unlock(&self, token: usize) {
-        let node = token as *mut QsmNode;
-        // SAFETY: `token` came from `lock`; alive until the final free.
-        unsafe {
-            let mut succ = (*node).next.load(Ordering::Acquire);
-            if succ.is_null() {
-                // Fast path: close a queue of one with a single CAS.
-                if self
-                    .tail
-                    .compare_exchange(
-                        node,
-                        std::ptr::null_mut(),
-                        Ordering::Release,
-                        Ordering::Relaxed,
-                    )
-                    .is_ok()
-                {
-                    drop(Box::from_raw(node));
-                    return;
-                }
-                // A successor has swapped the tail but not yet linked; its
-                // store is next, unless it lost its core in between.
-                loop {
-                    succ = (*node).next.load(Ordering::Acquire);
-                    if !succ.is_null() {
-                        break;
-                    }
-                    yield_now();
-                }
+    fn await_link(&mut self, c: &mut Lot, next: Addr) -> u64 {
+        // A successor has swapped the tail but not yet linked; its store
+        // is next, unless it lost its core in between.
+        loop {
+            match c.load(next) {
+                0 => yield_now(),
+                succ => return succ,
             }
-            // Hand off by advancing the successor's grant eventcount. The
-            // wake goes by an address captured before the advance: after
-            // it the successor may run, unlock and free its node at any
-            // instant, and the lot never dereferences the address.
-            let grant = addr_of(&(*succ).grant);
-            (*succ).grant.fetch_add(1, Ordering::Release);
-            global_lot().wake_addr(grant, 1);
-            drop(Box::from_raw(node));
         }
     }
-
-    fn name(&self) -> &'static str {
-        "qsm"
+    fn wakes(&self) -> bool {
+        true
     }
 }
 
@@ -204,11 +228,11 @@ mod tests {
     }
 
     #[test]
-    fn tail_returns_to_null_when_idle() {
+    fn tail_returns_to_free_when_idle() {
         let l = Qsm::new();
         let t = l.lock();
         unsafe { l.unlock(t) };
-        assert!(l.tail.load(Ordering::Relaxed).is_null());
+        assert_eq!(l.tail.load(SeqCst), 0);
     }
 
     #[test]

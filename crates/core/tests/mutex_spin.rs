@@ -10,7 +10,7 @@
 //! into a preemption.
 
 use parking::futex::{global_lot, FutexTotals, PARK_COST_CEIL, PARK_COST_FLOOR};
-use qsm::{Qsm, RawLock};
+use qsm::Qsm;
 use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::thread;
 use std::time::{Duration, Instant};

@@ -25,7 +25,7 @@ use crate::explorer::{ReplayEnd, Verdict};
 use crate::program::{ChkCtx, Program};
 use kernels::locks::LockKernel;
 use kernels::{Addr, ProcCtx, Region, SyncCtx, Waited, Word};
-use service::protocol::{self, WaitingArray, CONTENDED, FREE, HELD};
+use service::protocol::{self, QsmQueue, WaitingArray, CONTENDED, FREE, HELD};
 use std::sync::Arc;
 
 /// The class of a [`Verdict`] or [`ReplayEnd`], without the run-specific
@@ -197,59 +197,6 @@ impl CorpusEntry {
     }
 }
 
-/// A QSM-style blocking lock with the classic **wake-before-advance**
-/// release: tickets are taken with a fetch-add, waiters park on the grant
-/// word, and release fires its wake *before* publishing the new grant.
-/// A waiter that read the stale grant can park right between the wake and
-/// the advance — asleep forever with the lock free. The `fixed` variant
-/// advances first, which the waiter's compare-and-block makes airtight.
-///
-/// This is the seeded-bug twin of `kernels::locks::qsm_blocking`: same
-/// grant/eventcount handoff shape as the paper's QSM, reduced to the two
-/// words the bug needs so 3- and 4-thread programs stay exhaustively
-/// checkable.
-#[derive(Debug)]
-pub struct BlockingGrantLock {
-    /// Advance-then-wake (correct) or wake-then-advance (seeded bug).
-    pub fixed: bool,
-}
-
-impl LockKernel for BlockingGrantLock {
-    fn name(&self) -> &'static str {
-        if self.fixed {
-            "blocking-grant"
-        } else {
-            "blocking-grant-wake-first"
-        }
-    }
-    fn lines_needed(&self, _nprocs: usize) -> usize {
-        1 // one line: ticket word + grant word
-    }
-    fn acquire(&self, ctx: &mut dyn ProcCtx, region: &Region, _ps: &mut u64) -> u64 {
-        let ticket = region.slot(0);
-        let grant = region.slot(0) + 1;
-        let me = ctx.fetch_add(ticket, 1);
-        loop {
-            let cur = ctx.load(grant);
-            if cur == me {
-                break;
-            }
-            ctx.wait(grant, cur, None);
-        }
-        me
-    }
-    fn release(&self, ctx: &mut dyn ProcCtx, region: &Region, _ps: &mut u64, token: u64) {
-        let grant = region.slot(0) + 1;
-        if self.fixed {
-            ctx.store(grant, token + 1);
-            ctx.wake(grant, usize::MAX);
-        } else {
-            ctx.wake(grant, usize::MAX); // bug: wake fires first...
-            ctx.store(grant, token + 1); // ...waiters park in the window.
-        }
-    }
-}
-
 /// A seeded bug in a shipped protocol: one operation of [`Chk`] rewritten.
 /// The service's code is the same in the fixed and the buggy program —
 /// only the context it runs on lies.
@@ -275,6 +222,10 @@ pub enum Mutant {
     /// subtracts one from whatever the word holds by then, without
     /// re-reading the round (`barrier-blind-unarrive`).
     BlindUnarrive,
+    /// A QSM hand-off's wake fires before the `fetch_add` of the grant it
+    /// follows, and the wake in its place takes no step
+    /// (`qsm-wake-before-advance-*`).
+    WakeBeforeAdvance,
 }
 
 /// The checker's context as the service's protocols run on it: every
@@ -324,6 +275,9 @@ impl SyncCtx for Chk<'_> {
         self.ctx.cas(w, expected, new)
     }
     fn fetch_add(&mut self, w: Addr, delta: Word) -> Word {
+        if self.mutant == Some(Mutant::WakeBeforeAdvance) {
+            self.ctx.wake(w, 1);
+        }
         self.ctx.fetch_add(w, delta)
     }
     fn wait(&mut self, w: Addr, expected: Word, tag: Option<Word>) -> Waited {
@@ -333,7 +287,7 @@ impl SyncCtx for Chk<'_> {
     }
     fn wake(&mut self, w: Addr, n: usize) -> usize {
         match self.mutant {
-            Some(Mutant::NoWake) => 0,
+            Some(Mutant::NoWake | Mutant::WakeBeforeAdvance) => 0,
             Some(Mutant::WakeOne) => self.ctx.wake(w, n.min(1)),
             _ => self.ctx.wake(w, n),
         }
@@ -717,10 +671,105 @@ pub fn flag_handshake_program(fixed: bool) -> Program {
     })
 }
 
-/// The mutual-exclusion workload over [`BlockingGrantLock`], exactly as
-/// [`crate::harness::lock_program`] builds it.
-pub fn blocking_grant_program(nthreads: usize, iters: usize, fixed: bool) -> Program {
-    crate::harness::lock_program(Arc::new(BlockingGrantLock { fixed }), nthreads, iters)
+/// `qsm::Qsm`'s queue in a checked program: the tail (word 0), a
+/// critical-section counter (word 1), and node `n`'s `next` and `grant` at
+/// words `2n` and `2n + 1`. Like `Qsm`, each acquisition takes a fresh node
+/// (thread `t`'s `k`-th is `t * iters + k + 1`), spins — one probe here —
+/// then parks, and at `Qsm`'s free point [`QsmNodes::free`] poisons the
+/// node's words, which nobody may write again ([`qsm_nodes_freed`]).
+#[derive(Debug)]
+pub struct QsmNodes {
+    /// The last node handed out.
+    taken: Word,
+}
+
+impl QsmNodes {
+    const TAIL: Addr = 0;
+    const COUNTER: Addr = 1;
+    /// What a freed node's words hold.
+    pub const FREED: Word = 0xdead_f4ee;
+
+    /// Poisons both of the node's words.
+    pub fn free(&self, c: &mut Chk, node: Word) {
+        c.store(self.next(node), Self::FREED);
+        c.store(self.grant(node), Self::FREED);
+    }
+}
+
+impl<'c> QsmQueue<Addr, Chk<'c>> for QsmNodes {
+    fn tail(&self) -> Addr {
+        Self::TAIL
+    }
+    fn next(&self, node: Word) -> Addr {
+        2 * node as Addr
+    }
+    fn grant(&self, node: Word) -> Addr {
+        2 * node as Addr + 1
+    }
+    fn node(&mut self, _: &mut Chk<'c>) -> (Word, Word) {
+        self.taken += 1;
+        (self.taken, 0)
+    }
+    fn await_grant(&mut self, c: &mut Chk<'c>, grant: Addr, recorded: Word) {
+        let granted = c.spin(|c| c.load(grant) != recorded);
+        if !granted {
+            while c.wait(grant, recorded, None).seen == recorded {}
+        }
+    }
+    fn await_link(&mut self, c: &mut Chk<'c>, next: Addr) -> Word {
+        c.ctx.spin_while(next, 0)
+    }
+    fn wakes(&self) -> bool {
+        true
+    }
+}
+
+/// `nthreads` threads take `qsm::Qsm`'s queue — `protocol::qsm_lock` and
+/// `qsm_unlock` over [`QsmNodes`] — `iters` times each, counting critical
+/// sections and freeing each node after its release. Thread 0 **starts as
+/// the holder** of node 1, the symmetry reduction of
+/// [`spin_then_park_program`]: a fresh node takes no step, so every
+/// execution starts with some thread's fast-path CAS of the free tail. The
+/// seeded bug ([`Mutant::WakeBeforeAdvance`]) wakes the successor before
+/// advancing its grant: a waiter that read the old grant parks in between,
+/// and sleeps with the lock handed to it.
+pub fn qsm_program(nthreads: usize, iters: usize, fixed: bool) -> Program {
+    let mutant = (!fixed).then_some(Mutant::WakeBeforeAdvance);
+    Program::new(nthreads, 2 + 2 * nthreads * iters, move |ctx| {
+        let holder = ctx.pid() == 0;
+        let mut q = QsmNodes {
+            taken: (ctx.pid() * iters + usize::from(holder)) as Word,
+        };
+        for k in 0..iters {
+            let me = if holder && k == 0 {
+                1
+            } else {
+                protocol::qsm_lock(&mut Chk::new(ctx, mutant), &mut q)
+            };
+            let n = ctx.data_load(QsmNodes::COUNTER);
+            ctx.data_store(QsmNodes::COUNTER, n + 1);
+            let c = &mut Chk::new(ctx, mutant);
+            protocol::qsm_unlock(c, &mut q, me);
+            q.free(c, me);
+        }
+    })
+    .with_init(vec![(QsmNodes::TAIL, 1)])
+}
+
+/// Final-state check of [`qsm_program`]: every acquisition ran its critical
+/// section, and every node word still reads [`QsmNodes::FREED`] — nothing
+/// wrote a node after `Qsm` would have freed it.
+pub fn qsm_nodes_freed(mem: &[Word]) -> Result<(), String> {
+    let (nodes, counter) = (mem.len() as Word / 2 - 1, mem[QsmNodes::COUNTER]);
+    if counter != nodes {
+        return Err(format!(
+            "critical sections lost: counter {counter} != {nodes}"
+        ));
+    }
+    match (2..mem.len()).find(|&w| mem[w] != QsmNodes::FREED) {
+        Some(w) => Err(format!("node {} written after its free", w / 2)),
+        None => Ok(()),
+    }
 }
 
 /// Resolves a corpus program name to the program plus its final-state
@@ -767,9 +816,9 @@ pub fn corpus_program(name: &str) -> Option<(Program, fn(&[Word]) -> Result<(), 
         )),
         // Futex wake fired before the flag is published.
         "wake-before-publish" => Some((flag_handshake_program(false), pass)),
-        // Blocking QSM-style lock whose release wakes before advancing.
-        "blocking-grant-wake-first-3" => Some((blocking_grant_program(3, 1, false), pass)),
-        "blocking-grant-wake-first-4" => Some((blocking_grant_program(4, 1, false), pass)),
+        // `qsm::Qsm`'s queue whose hand-off wakes before it advances.
+        "qsm-wake-before-advance-3" => Some((qsm_program(3, 1, false), qsm_nodes_freed)),
+        "qsm-wake-before-advance-4" => Some((qsm_program(4, 1, false), qsm_nodes_freed)),
         // Service mutex whose post-wake spin acquires as HELD.
         "spin-then-park-respin-held-3" => Some((spin_then_park_program(3, false), pass)),
         "spin-then-park-respin-held-4" => Some((spin_then_park_program(4, false), pass)),
@@ -809,8 +858,8 @@ pub fn corpus_program_names() -> &'static [&'static str] {
         "lost-update",
         "check-then-set",
         "wake-before-publish",
-        "blocking-grant-wake-first-3",
-        "blocking-grant-wake-first-4",
+        "qsm-wake-before-advance-3",
+        "qsm-wake-before-advance-4",
         "spin-then-park-respin-held-3",
         "spin-then-park-respin-held-4",
         "eventcount-wrap-missed-wake-3",
@@ -895,19 +944,15 @@ mod tests {
     }
 
     #[test]
-    fn fixed_blocking_grant_lock_is_clean_for_two_threads() {
-        let v = crate::harness::check_lock(
-            Arc::new(BlockingGrantLock { fixed: true }),
-            2,
-            1,
-            crate::explorer::Explorer::exhaustive(),
-        );
-        v.expect_pass("blocking-grant 2x1");
+    fn fixed_qsm_is_clean_for_two_threads_twice_each() {
+        let program = qsm_program(2, 2, true);
+        let v = crate::explorer::Explorer::exhaustive().check(&program, qsm_nodes_freed);
+        v.expect_pass("qsm 2x2");
     }
 
     #[test]
-    fn wake_first_release_loses_a_wakeup() {
-        let (program, check) = corpus_program("blocking-grant-wake-first-3").unwrap();
+    fn wake_before_advance_loses_a_wakeup() {
+        let (program, check) = corpus_program("qsm-wake-before-advance-3").unwrap();
         let v = crate::explorer::Explorer::exhaustive().check(&program, check);
         assert_eq!(VerdictClass::of(&v), VerdictClass::LostWakeup, "{v:?}");
     }

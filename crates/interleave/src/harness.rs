@@ -293,7 +293,7 @@ mod tests {
 
     #[test]
     fn qsm_lock_exhaustive_two_threads() {
-        let v = check_lock(Arc::new(QsmLock), 2, 1, Explorer::exhaustive());
+        let v = check_lock(Arc::new(QsmLock::spin()), 2, 1, Explorer::exhaustive());
         v.expect_pass("qsm 2x1");
         assert!(v.stats().complete, "qsm 2x1 space must be fully explored");
         // Contended paths were actually explored.
@@ -317,7 +317,7 @@ mod tests {
     #[test]
     fn qsm_lock_bounded_three_threads() {
         let explorer = Explorer::bounded(2).with_max_runs(6000);
-        check_lock(Arc::new(QsmLock), 3, 1, explorer).expect_pass("qsm 3x1");
+        check_lock(Arc::new(QsmLock::spin()), 3, 1, explorer).expect_pass("qsm 3x1");
     }
 
     #[test]
@@ -446,7 +446,7 @@ mod tests {
     #[test]
     fn fuzzed_qsm_lock_passes_its_budget() {
         let fuzzer = crate::fuzz::Fuzzer::new(11, 60, crate::fuzz::Strategy::default());
-        fuzz_lock(Arc::new(QsmLock), 2, 1, &fuzzer).expect_pass("fuzzed qsm 2x1");
+        fuzz_lock(Arc::new(QsmLock::spin()), 2, 1, &fuzzer).expect_pass("fuzzed qsm 2x1");
     }
 
     #[test]

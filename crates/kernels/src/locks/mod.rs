@@ -16,11 +16,11 @@
 //! | [`clh`] | CLH implicit-queue lock | predecessor's line only |
 //! | [`mcs`] | MCS explicit-queue lock | own node only |
 //! | [`qsm`] | **QSM — the reconstructed mechanism** | own grant word only |
-//! | [`qsm_blocking`] | QSM + spin-then-park futex wait | parks after a bounded spin |
+//! | [`qsm`] (`qsm-block`, `qsm-block-park`) | QSM + spin-then-park or always-park futex wait | parks after a bounded spin, or at once |
 //!
 //! [`all_locks`] enumerates the paper's spin-lock study and is what the
-//! fig1–fig8 sweeps iterate over; the blocking variant is wired into its own
-//! oversubscription figures (`fig9`, `table4`) instead, because it answers a
+//! fig1–fig8 sweeps iterate over; the blocking waits are wired into their own
+//! oversubscription figures (`fig9`, `table4`) instead, because they answer a
 //! different question (spin vs. block, not spin vs. spin).
 
 pub mod anderson;
@@ -28,7 +28,6 @@ pub mod clh;
 pub mod graunke_thakkar;
 pub mod mcs;
 pub mod qsm;
-pub mod qsm_blocking;
 pub mod tas;
 pub mod tas_backoff;
 pub mod ticket;
@@ -108,18 +107,18 @@ pub fn all_locks() -> Vec<Box<dyn LockKernel + Send + Sync>> {
         Box::new(graunke_thakkar::GraunkeThakkarLock),
         Box::new(clh::ClhLock),
         Box::new(mcs::McsLock),
-        Box::new(qsm::QsmLock),
+        Box::new(qsm::QsmLock::spin()),
     ]
 }
 
-/// The blocking QSM variants, which sit outside [`all_locks`] because the
+/// The blocking QSM waits, which sit outside [`all_locks`] because the
 /// spin-lock figures would mislabel them: they answer the spin-vs-block
 /// question (fig9/table4 and the differential/fuzz harnesses), not the
 /// spin-vs-spin one.
 pub fn blocking_locks() -> Vec<Box<dyn LockKernel + Send + Sync>> {
     vec![
-        Box::new(qsm_blocking::QsmBlockingLock::spin_then_park()),
-        Box::new(qsm_blocking::QsmBlockingLock::always_park()),
+        Box::new(qsm::QsmLock::spin_then_park()),
+        Box::new(qsm::QsmLock::always_park()),
     ]
 }
 

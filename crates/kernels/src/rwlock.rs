@@ -24,7 +24,7 @@ pub struct RwKernel;
 impl RwKernel {
     /// Cache lines needed for `nprocs` processors.
     pub fn lines_needed(&self, nprocs: usize) -> usize {
-        1 + QsmLock.lines_needed(nprocs)
+        1 + QsmLock::spin().lines_needed(nprocs)
     }
 
     /// Address of the packed status word (readers + writer bit).
@@ -39,7 +39,7 @@ impl RwKernel {
 
     /// Initial per-processor state for the embedded writer queue.
     pub fn proc_init(&self, pid: usize, region: &Region) -> u64 {
-        QsmLock.proc_init(pid, &Self::writer_region(region))
+        QsmLock::spin().proc_init(pid, &Self::writer_region(region))
     }
 
     /// Acquires shared access.
@@ -84,7 +84,7 @@ impl RwKernel {
     /// back through [`RwKernel::write_release`].
     pub fn write_acquire(&self, ctx: &mut dyn ProcCtx, region: &Region, ps: &mut u64) -> u64 {
         let wr = Self::writer_region(region);
-        let token = QsmLock.acquire(ctx, &wr, ps);
+        let token = QsmLock::spin().acquire(ctx, &wr, ps);
         // Sole writer now: announce, then drain in-flight readers.
         let status = Self::status(region);
         loop {
@@ -106,7 +106,7 @@ impl RwKernel {
         // would then underflow the counter and wedge the lock with a
         // phantom writer bit.
         ctx.fetch_add(Self::status(region), WRITER_BIT.wrapping_neg());
-        QsmLock.release(ctx, &Self::writer_region(region), ps, token);
+        QsmLock::spin().release(ctx, &Self::writer_region(region), ps, token);
     }
 }
 

@@ -31,7 +31,8 @@
 //!   over a small word-operations trait, each wait one step that a thread
 //!   and a future drive alike. The service runs it on atomics and its
 //!   parking lot; the `interleave` checker runs the same functions on its
-//!   own memory, so the protocols are checked as shipped.
+//!   own memory, so the protocols are checked as shipped; so is the QSM
+//!   queue lock that `qsm::Qsm` and the `kernels` QSM kernel run.
 //! - [`semaphore::WaitingArraySemaphore`] — a counting semaphore per Dice &
 //!   Kogan's *Semaphores Augmented with a Waiting Array*: a permits counter
 //!   plus enqueue/dequeue tickets indexing a small slot array where each

@@ -28,6 +28,8 @@
 //! repair sits beside the step it undoes. Fast paths, sampled timers and
 //! counting stay with the callers: the mutex returns a [`Contention`], a
 //! semaphore counts through [`WaitingArray::count`].
+//! The paper's QSM queue lock is here too, over a [`QsmQueue`] that lays
+//! out its nodes and supplies its waits.
 
 use parking::futex::{ParkingLot, WaitEntry};
 use std::sync::atomic::AtomicU64;
@@ -442,6 +444,96 @@ pub fn cancel_ticket<W: Copy, C: SyncCtx<W>, S: WaitingArray<W, C>>(c: &mut C, s
         return;
     }
     release_n(c, s, 1);
+}
+
+/// One QSM queue lock as a substrate lays it out — a tail word (0: free,
+/// else the last queued node) and, per node, a `next` link (0: none yet)
+/// and a `grant` eventcount — and waits on it: `qsm::Qsm` on heap nodes,
+/// the `kernels` QSM kernel on one node per processor, and
+/// `interleave::corpus` on the checker's memory.
+pub trait QsmQueue<W: Copy, C: SyncCtx<W> + ?Sized> {
+    /// The tail word.
+    fn tail(&self) -> W;
+    /// Node `node`'s link to its successor.
+    fn next(&self, node: u64) -> W;
+    /// Node `node`'s grant eventcount.
+    fn grant(&self, node: u64) -> W;
+    /// This acquisition's node — nonzero, its link clear — and what its
+    /// grant holds until the hand-off.
+    fn node(&mut self, c: &mut C) -> (u64, u64);
+    /// Waits until `grant` no longer holds `recorded`.
+    fn await_grant(&mut self, c: &mut C, grant: W, recorded: u64);
+    /// Waits until the link `next` is set; returns it.
+    fn await_link(&mut self, c: &mut C, next: W) -> u64;
+    /// Whether a hand-off wakes its successor: it must iff a waiter parks.
+    fn wakes(&self) -> bool;
+}
+
+/// The QSM acquire: [`qsm_try_lock`], else [`qsm_enqueue`]. Returns the
+/// node, which the matching [`qsm_unlock`] takes.
+#[inline]
+pub fn qsm_lock<W: Copy, C: SyncCtx<W> + ?Sized, Q: QsmQueue<W, C>>(c: &mut C, q: &mut Q) -> u64 {
+    let (me, recorded) = q.node(c);
+    if qsm_try_lock(c, q, me) {
+        return me;
+    }
+    qsm_enqueue(c, q, me, recorded)
+}
+
+/// The QSM fast path: takes a free lock with one CAS of the tail to node
+/// `me`. On failure `me` was never published.
+#[inline]
+pub fn qsm_try_lock<W: Copy, C: SyncCtx<W> + ?Sized, Q: QsmQueue<W, C>>(
+    c: &mut C,
+    q: &Q,
+    me: u64,
+) -> bool {
+    c.cas(q.tail(), 0, me).is_ok()
+}
+
+/// Queues node `me` as the tail and, behind a predecessor, links into it
+/// and awaits its grant's move past `recorded` — read before the node is
+/// published, and the grant only ever advances, so a hand-off before the
+/// wait starts is still seen. Returns `me`.
+#[inline]
+pub fn qsm_enqueue<W: Copy, C: SyncCtx<W> + ?Sized, Q: QsmQueue<W, C>>(
+    c: &mut C,
+    q: &mut Q,
+    me: u64,
+    recorded: u64,
+) -> u64 {
+    let pred = c.swap(q.tail(), me);
+    if pred != 0 {
+        c.store(q.next(pred), me);
+        q.await_grant(c, q.grant(me), recorded);
+    }
+    me
+}
+
+/// The QSM release of node `me`: close a queue of one with a CAS of the
+/// tail, or await the successor's link; then advance the successor's grant
+/// and wake it. Advance first: a waiter that parks before it is woken, and
+/// one that parks after it is refused by the compare. The wake names the
+/// grant word as captured before the advance, after which the successor may
+/// run, release and free its node.
+#[inline]
+pub fn qsm_unlock<W: Copy, C: SyncCtx<W> + ?Sized, Q: QsmQueue<W, C>>(
+    c: &mut C,
+    q: &mut Q,
+    me: u64,
+) {
+    let mut succ = c.load(q.next(me));
+    if succ == 0 {
+        if c.cas(q.tail(), me, 0).is_ok() {
+            return;
+        }
+        succ = q.await_link(c, q.next(me));
+    }
+    let grant = q.grant(succ);
+    c.fetch_add(grant, 1);
+    if q.wakes() {
+        c.wake(grant, 1);
+    }
 }
 
 #[cfg(test)]

@@ -157,7 +157,7 @@ mod tests {
     fn trial_counts_every_critical_section() {
         let machine = Machine::new(MachineParams::bus_1991(4));
         let cfg = CsConfig::new(4, 10);
-        let r = run(&machine, &QsmLock, &cfg).unwrap();
+        let r = run(&machine, &QsmLock::spin(), &cfg).unwrap();
         assert_eq!(r.counter, 40);
         assert!(r.passing_time > 0.0);
         assert!(r.throughput > 0.0);
@@ -189,7 +189,7 @@ mod tests {
     #[test]
     fn uncontended_latency_is_small_and_positive() {
         let machine = Machine::new(MachineParams::bus_1991(1));
-        let lat = uncontended_latency(&machine, &QsmLock, 200);
+        let lat = uncontended_latency(&machine, &QsmLock::spin(), 200);
         // One transaction each way plus change; certainly < 200 cycles.
         assert!(lat > 0.0 && lat < 200.0, "unexpected latency {lat}");
     }
@@ -205,7 +205,7 @@ mod tests {
             ..CsConfig::new(p, 6)
         };
         let tas = run(&machine, &TasLock, &cfg).unwrap();
-        let qsm = run(&machine, &QsmLock, &cfg).unwrap();
+        let qsm = run(&machine, &QsmLock::spin(), &cfg).unwrap();
         assert!(
             tas.passing_time > 1.5 * qsm.passing_time,
             "tas {:.0} should be well above qsm {:.0}",

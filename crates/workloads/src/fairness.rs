@@ -162,7 +162,7 @@ mod tests {
             total_cs: 80,
             hold: 20,
         };
-        let r = run(&machine, &QsmLock, &cfg).unwrap();
+        let r = run(&machine, &QsmLock::spin(), &cfg).unwrap();
         assert!(r.jain > 0.95, "qsm jain {} too low", r.jain);
         assert!(
             r.max_denial <= 2 * 8,

@@ -9,9 +9,9 @@
 //!   whole quantum polling; past 1x threads/core the lock holder is
 //!   regularly descheduled while spinners occupy every core, and passing
 //!   time degrades superlinearly.
-//! * **spin-then-park** — [`QsmBlockingLock::spin_then_park`]: a bounded
+//! * **spin-then-park** — [`QsmLock::spin_then_park`]: a bounded
 //!   adaptive probe budget, then a futex park that frees the core.
-//! * **always-park** — [`QsmBlockingLock::always_park`]: straight to the
+//! * **always-park** — [`QsmLock::always_park`]: straight to the
 //!   futex, paying a wake on every contended hand-off.
 //!
 //! fig9 plots passing time against the threads-per-core ratio; the
@@ -21,16 +21,16 @@
 
 use crate::csbench::{self, CsConfig};
 use crate::sweeps::{parallel_cells, RunConfig};
-use kernels::locks::{qsm::QsmLock, qsm_blocking::QsmBlockingLock, LockKernel};
+use kernels::locks::{qsm::QsmLock, LockKernel};
 use memsim::{Machine, MachineParams, SchedParams};
 use simcore::Series;
 
 /// The three wait policies fig9 compares, in curve order.
 pub fn wait_policies() -> Vec<Box<dyn LockKernel + Send + Sync>> {
     vec![
-        Box::new(QsmLock),
-        Box::new(QsmBlockingLock::spin_then_park()),
-        Box::new(QsmBlockingLock::always_park()),
+        Box::new(QsmLock::spin()),
+        Box::new(QsmLock::spin_then_park()),
+        Box::new(QsmLock::always_park()),
     ]
 }
 

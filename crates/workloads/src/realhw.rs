@@ -292,7 +292,7 @@ mod tests {
 
     #[test]
     fn uncontended_latency_is_positive() {
-        let ns = uncontended_ns(&QsmLock, 10_000);
+        let ns = uncontended_ns(&QsmLock::spin(), 10_000);
         assert!(ns > 0.0 && ns < 100_000.0, "implausible latency {ns}");
     }
 

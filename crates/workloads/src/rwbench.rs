@@ -92,7 +92,7 @@ pub fn run_rwlock(machine: &Machine, cfg: &RwConfig) -> Result<RwResult, SimErro
 /// Runs the identical mix with every operation exclusive (plain QSM mutex).
 pub fn run_mutex(machine: &Machine, cfg: &RwConfig) -> Result<RwResult, SimError> {
     let line_words = machine.params().line_words;
-    let lock = QsmLock;
+    let lock = QsmLock::spin();
     let (fix, memory) = kernels::locks::fixture(&lock, cfg.nprocs, line_words, 1);
     let counter = fix.scratch.slot(0);
     let streams = op_streams(cfg);

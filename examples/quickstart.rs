@@ -70,5 +70,5 @@ fn main() {
 
     let total = *counter.lock();
     assert_eq!(total, 2 * THREADS as u64 * ROUNDS);
-    println!("quickstart OK: {total} increments, protected by {}", counter.raw_name());
+    println!("quickstart OK: {total} increments, protected by qsm");
 }

@@ -3,15 +3,14 @@
 //! eventcount programs").
 //!
 //! Five program families, each in a fixed and a seeded-bug variant. All
-//! but the first run the service's own slow paths — `service::protocol`,
-//! on the checker's instantiation [`interleave::corpus::Chk`] — and each
-//! seeded bug is that context with one operation rewritten
-//! ([`interleave::corpus::Mutant`]):
+//! run the shipped code — `service::protocol`, on the checker's
+//! instantiation [`interleave::corpus::Chk`] — and each seeded bug is that
+//! context with one operation rewritten ([`interleave::corpus::Mutant`]):
 //!
-//! * **blocking QSM handoff** — the grant/eventcount lock
-//!   ([`interleave::corpus::BlockingGrantLock`], the two-word reduction of
-//!   the paper's queueing mechanism) plus the registry's full
-//!   `qsm-block-park`; the bug is the classic wake-before-advance release;
+//! * **QSM queue lock** — `qsm::Qsm`'s `protocol::qsm_lock` /
+//!   `qsm_unlock` over fresh nodes ([`interleave::corpus::QsmNodes`]),
+//!   each poisoned where `Qsm` frees it; the bug is the classic
+//!   wake-before-advance hand-off;
 //! * **eventcount** — `advance` across `u64::MAX` against
 //!   `await_at_least`'s signed-distance compare, where the bug's advance
 //!   wakes nobody; and **two targets on one count**, where `advance` wakes
@@ -52,11 +51,10 @@
 //! execution a few dozen coroutine switches on the test's own thread.
 
 use interleave::corpus::{
-    barrier_program, barrier_round_completed, barrier_unarrive_program, blocking_grant_program,
-    corpus_program,
-    eventcount_staggered_targets_program, eventcount_wrap_program, spin_then_park_program,
-    waiting_array_cancel_program, waiting_array_drained, waiting_array_one_permit_left,
-    waiting_array_shared_slot_program, Chk, WaitingArrayWords,
+    barrier_program, barrier_round_completed, barrier_unarrive_program, corpus_program,
+    eventcount_staggered_targets_program, eventcount_wrap_program, qsm_nodes_freed, qsm_program,
+    spin_then_park_program, waiting_array_cancel_program, waiting_array_drained,
+    waiting_array_one_permit_left, waiting_array_shared_slot_program, Chk, WaitingArrayWords,
 };
 use interleave::{DporMode, Explorer, Program, Verdict, VerdictClass};
 use kernels::{SyncCtx, Word};
@@ -142,26 +140,30 @@ fn assert_source_reaches_the_bug_no_later(what: &str, [sleep, source]: [usize; 2
     );
 }
 
+/// Three threads through `Qsm`'s queue, thread 0 starting as the holder:
+/// every critical section runs and no node is written after its free.
 #[test]
-fn fixed_blocking_grant_three_threads_passes_and_source_beats_sleep() {
-    let runs = passes_under_every_mode("blocking-grant 3x1", || blocking_grant_program(3, 1, true));
-    assert_source_beats_sleep("blocking-grant-3-fixed", runs);
-    assert_eq!(runs, [29_939, 19_746], "the EXPERIMENTS.md counts moved");
+fn fixed_qsm_three_threads_passes_and_source_beats_sleep() {
+    let runs = ends_in_under_every_mode("qsm 3x1", VerdictClass::Pass, qsm_nodes_freed, || {
+        qsm_program(3, 1, true)
+    });
+    assert_source_beats_sleep("qsm-3-fixed", runs);
+    assert_eq!(runs, [58_356, 5_558], "the EXPERIMENTS.md counts moved");
+}
+
+/// A hand-off that wakes before it advances strands a waiter that parked
+/// in between.
+#[test]
+fn broken_qsm_three_threads_loses_a_wakeup_under_every_mode() {
+    let runs = loses_a_wakeup_under_every_mode("qsm 3x1, wake-before-advance", || {
+        qsm_program(3, 1, false)
+    });
+    assert_source_reaches_the_bug_no_later("qsm-3-bug", runs);
 }
 
 #[test]
-fn broken_blocking_grant_three_threads_loses_a_wakeup_under_every_mode() {
-    let runs = loses_a_wakeup_under_every_mode("blocking-grant 3x1, wake-before-advance", || {
-        blocking_grant_program(3, 1, false)
-    });
-    assert_source_reaches_the_bug_no_later("blocking-grant-3-bug", runs);
-}
-
-#[test]
-fn broken_blocking_grant_four_threads_loses_a_wakeup_under_every_mode() {
-    loses_a_wakeup_under_every_mode("blocking-grant 4x1, wake-before-advance", || {
-        blocking_grant_program(4, 1, false)
-    });
+fn broken_qsm_four_threads_loses_a_wakeup_under_every_mode() {
+    loses_a_wakeup_under_every_mode("qsm 4x1, wake-before-advance", || qsm_program(4, 1, false));
 }
 
 #[test]
@@ -566,10 +568,10 @@ fn waiting_array_model_tracks_the_service_semaphore_step_by_step() {
 fn measure() {
     type Suite = Vec<(&'static str, Box<dyn Fn() -> Program>)>;
     let suite: Suite = vec![
-        ("blocking-grant-3-fixed", Box::new(|| blocking_grant_program(3, 1, true))),
-        ("blocking-grant-4-fixed", Box::new(|| blocking_grant_program(4, 1, true))),
-        ("blocking-grant-3-bug", Box::new(|| blocking_grant_program(3, 1, false))),
-        ("blocking-grant-4-bug", Box::new(|| blocking_grant_program(4, 1, false))),
+        ("qsm-3-fixed", Box::new(|| qsm_program(3, 1, true))),
+        ("qsm-4-fixed", Box::new(|| qsm_program(4, 1, true))),
+        ("qsm-3-bug", Box::new(|| qsm_program(3, 1, false))),
+        ("qsm-4-bug", Box::new(|| qsm_program(4, 1, false))),
         ("eventcount-wrap-3-fixed", Box::new(|| eventcount_wrap_program(3, true))),
         ("eventcount-wrap-4-fixed", Box::new(|| eventcount_wrap_program(4, true))),
         ("eventcount-wrap-3-bug", Box::new(|| eventcount_wrap_program(3, false))),

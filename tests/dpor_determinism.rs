@@ -78,7 +78,7 @@ fn harness_parallel_check_matches_itself_for_a_real_lock() {
     let out: Vec<String> = WORKERS
         .iter()
         .map(|&w| {
-            let v = check_lock_parallel(Arc::new(QsmLock), 3, 1, Explorer::exhaustive(), w);
+            let v = check_lock_parallel(Arc::new(QsmLock::spin()), 3, 1, Explorer::exhaustive(), w);
             format!("{v:?}")
         })
         .collect();
@@ -87,6 +87,6 @@ fn harness_parallel_check_matches_itself_for_a_real_lock() {
     assert_eq!(out[0], out[2]);
     // The serial path is a different algorithm (no fan-out) and may explore
     // a different number of runs; it must still agree on the verdict class.
-    let serial = check_lock(Arc::new(QsmLock), 3, 1, Explorer::exhaustive());
+    let serial = check_lock(Arc::new(QsmLock::spin()), 3, 1, Explorer::exhaustive());
     serial.expect_pass("qsm 3x1 serial");
 }
