@@ -516,7 +516,7 @@ pub fn table4(opts: &Opts) -> String {
 /// sweep shape per mode.
 fn waitdist_sweep(opts: &Opts) -> (usize, Vec<workloads::waitdist::WaitDistResult>) {
     let nprocs = if opts.quick { 4 } else { 16 };
-    (nprocs, distribution_sweep(nprocs, opts.iters()))
+    (nprocs, distribution_sweep(opts.run, nprocs, opts.iters()))
 }
 
 /// fig10 — the lock wait-time CDF: for each lock, the wait-time quantile

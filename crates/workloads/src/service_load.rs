@@ -89,9 +89,39 @@ impl LockPolicy {
 
 /// Zipf(s) sampler over ranks `0..n` via the precomputed CDF — rank 0 is
 /// the hottest key. Shared by the simulated and the real driver.
+///
+/// A draw is exact and O(1) on average: a cutpoint ("guide") table over
+/// the CDF, after Chen & Asau (1974). `guide[j]` is the first rank whose
+/// CDF value is ≥ j / 2^b, for j in `0..=2^b`. A draw takes the 53-bit
+/// integer `k = next_u64() >> 11`, the one `Rng::next_f64` scales to
+/// `u = k / 2^53`; its bucket is `j = k >> (53 − b)`. If
+/// `guide[j] == guide[j + 1]` no CDF value lies in the bucket and that
+/// rank is the answer; otherwise only `cdf[guide[j]..guide[j + 1]]` is
+/// searched.
+///
+/// The draw equals the whole-CDF search `cdf.partition_point(|c| c < u)`
+/// (capped at `n − 1`) for every `u`, so it consumes the same one
+/// `next_u64` and every ring and schedule built on it is unchanged. The
+/// bucket edges j / 2^b are dyadic and exact in `f64`, and
+/// `k >> (53 − b)` is exactly `floor(u · 2^b)`, so `u` lies in
+/// `[j / 2^b, (j + 1) / 2^b)` with no rounding. The number of CDF
+/// values below `u` only grows with `u`, so it lies between its values at
+/// the two edges: `guide[j]` and `guide[j + 1]`.
+///
+/// Cost: 2^b is the power of two at or above 8·n, capped at 2^20 buckets,
+/// one `u32` each, so the table is at most 4 MiB + 4 B (32·n to 64·n bytes
+/// below the cap: 128 KiB at n = 4096) beside the CDF's 8·n. At most n of
+/// the 2^b buckets hold a CDF value, so below the cap at most one draw in
+/// eight searches, and that search covers the few ranks inside one bucket.
 pub struct Zipf {
     cdf: Vec<f64>,
+    guide: Vec<u32>,
+    /// `53 − b`: a 53-bit draw shifted right by this is its bucket.
+    shift: u32,
 }
+
+/// The guide table's cap (see [`Zipf`]): at most 2^20 buckets.
+const GUIDE_MAX_BITS: u32 = 20;
 
 impl Zipf {
     /// A sampler over `n` ranks with exponent `s` (`s = 0` is uniform).
@@ -110,13 +140,47 @@ impl Zipf {
         for v in &mut cdf {
             *v /= acc;
         }
-        Zipf { cdf }
+        assert!(
+            n <= u32::MAX as usize,
+            "a Zipf sampler's ranks must fit a u32"
+        );
+        let bits = (8 * n)
+            .next_power_of_two()
+            .trailing_zeros()
+            .min(GUIDE_MAX_BITS);
+        let buckets = 1usize << bits;
+        let mut guide = Vec::with_capacity(buckets + 1);
+        let mut rank = 0;
+        for j in 0..=buckets {
+            let edge = j as f64 / buckets as f64;
+            while rank < n && cdf[rank] < edge {
+                rank += 1;
+            }
+            guide.push(rank as u32);
+        }
+        Zipf {
+            cdf,
+            guide,
+            shift: 53 - bits,
+        }
     }
 
     /// Samples a rank.
     pub fn sample(&self, rng: &mut Rng) -> u64 {
-        let u = rng.next_f64();
-        self.cdf.partition_point(|&c| c < u).min(self.cdf.len() - 1) as u64
+        self.rank_of_bits(rng.next_u64() >> 11) as u64
+    }
+
+    /// The rank of the 53-bit draw `k`, that is of `u = k / 2^53`.
+    fn rank_of_bits(&self, k: u64) -> usize {
+        let j = (k >> self.shift) as usize;
+        let (lo, hi) = (self.guide[j] as usize, self.guide[j + 1] as usize);
+        let rank = if lo == hi {
+            lo
+        } else {
+            let u = k as f64 * (1.0 / (1u64 << 53) as f64);
+            lo + self.cdf[lo..hi].partition_point(|&c| c < u)
+        };
+        rank.min(self.cdf.len() - 1)
     }
 }
 
@@ -622,6 +686,67 @@ pub fn run_real(svc: &service::LockService, cfg: &RealServiceConfig) -> RealServ
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The whole-CDF search `sample` used before the guide table: the
+    /// oracle every draw must equal.
+    fn searched_rank(zipf: &Zipf, u: f64) -> usize {
+        zipf.cdf.partition_point(|&c| c < u).min(zipf.cdf.len() - 1)
+    }
+
+    const CASES: &[(usize, f64)] = &[
+        (1, 1.1),
+        (2, 0.0),
+        (100, 1.1),
+        (512, 1.1),
+        (4096, 1.1),
+        (65536, 0.99),
+    ];
+
+    #[test]
+    fn guided_draws_equal_the_whole_cdf_search() {
+        for (i, &(n, s)) in CASES.iter().enumerate() {
+            let zipf = Zipf::new(n, s);
+            let (mut a, mut b) = (Rng::new(0xD0 + i as u64), Rng::new(0xD0 + i as u64));
+            for _ in 0..1_000_000 {
+                let want = searched_rank(&zipf, b.next_f64());
+                assert_eq!(zipf.sample(&mut a), want as u64, "Zipf({n}, {s})");
+            }
+        }
+    }
+
+    #[test]
+    fn guided_draws_equal_the_search_at_every_edge() {
+        const TOP: u64 = (1 << 53) - 1;
+        for &(n, s) in CASES {
+            let zipf = Zipf::new(n, s);
+            let mut ks = vec![0, TOP];
+            for j in 0..zipf.guide.len() as u64 {
+                let edge = j << zipf.shift;
+                ks.extend([edge.saturating_sub(1), edge, edge + 1]);
+            }
+            if n <= 4096 {
+                for &c in &zipf.cdf {
+                    let k = (c * (1u64 << 53) as f64) as u64;
+                    ks.extend([k.saturating_sub(1), k, k + 1]);
+                }
+            }
+            for k in ks.into_iter().map(|k| k.min(TOP)) {
+                let u = k as f64 * (1.0 / (1u64 << 53) as f64);
+                assert_eq!(
+                    zipf.rank_of_bits(k),
+                    searched_rank(&zipf, u),
+                    "Zipf({n}, {s}) at k = {k}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn the_guide_table_stays_within_its_cap() {
+        let zipf = Zipf::new(1 << 22, 1.1);
+        assert_eq!(zipf.guide.len(), (1 << GUIDE_MAX_BITS) + 1);
+        assert_eq!(Zipf::new(4096, 1.1).guide.len(), (1 << 15) + 1);
+    }
 
     #[test]
     fn zipf_is_skewed_and_in_range() {
