@@ -11,7 +11,10 @@
 //! two outputs are compared byte for byte before both wall-clocks and their
 //! ratio are reported; a mismatch is a determinism bug and fails the run.
 //! The report is schema v4; its header also records the resolved
-//! `service_metrics` mode the service figures ran under.
+//! `service_metrics` mode the service figures ran under. Before it is
+//! written, the report is parsed back and checked against the figure
+//! registry (`bench::figures::check_report`); a report that fails the
+//! check is not written and the run exits non-zero.
 //!
 //! ```text
 //! cargo run -p bench --release --bin bench_sim [-- --quick|--full] [--out PATH]
@@ -208,6 +211,10 @@ fn main() {
          \"deterministic_parallel_wall_ms\": {parallel_ms:.1},\n  \
          \"total_wall_ms\": {total_ms:.1}\n}}\n"
     );
+    if let Err(e) = bench::figures::check_report(&json, &selected) {
+        eprintln!("error: the report fails its check: {e}");
+        std::process::exit(1);
+    }
     if let Err(e) = std::fs::write(&args.out, &json) {
         eprintln!("error: writing {}: {e}", args.out);
         std::process::exit(1);

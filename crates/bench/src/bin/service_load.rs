@@ -8,11 +8,12 @@
 //! snapshot periodically while the load runs (asserting every harvest is
 //! monotone over the previous one), then writes the final snapshot as
 //! Prometheus text to `PATH` and as JSON to `PATH.json`, validating both
-//! through the exporters' own line-based checkers before reporting OK.
+//! through the exporters' own checkers (the JSON one parses the snapshot
+//! first) before reporting OK.
 //!
-//! With `--trace-out PATH` or `SYNCMECH_TRACE` the service's lot records
-//! into a tracer of the run's own, and the run fails unless that tracer's
-//! park/wake/resume totals equal the lot's ledger; the export is validated
+//! With `--trace-out PATH` the service's lot records into a tracer of the
+//! run's own, and the run fails unless that tracer's park/wake/resume
+//! totals equal the lot's ledger; the export is validated
 //! (`trace::chrome::validate`) before it is written.
 //!
 //! With `--overhead-check` it instead times the identical workload with
@@ -31,7 +32,7 @@ use simcore::knob;
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use trace::{EventClass, TraceMode, Tracer};
+use trace::{EventClass, Tracer};
 use workloads::service_load::{run_real, RealServiceConfig};
 
 const USAGE: &str = "\
@@ -52,19 +53,13 @@ usage: service_load [--quick] [--trace-out PATH] [--metrics-out PATH]
 environment (a malformed value is an error):
   SYNCMECH_SERVICE_THREADS=N  worker threads (default: host parallelism;
                               clamped to 8x that, with a warning)
-  SYNCMECH_SERVICE_SHARDS=N   lock-table shards (default: 256)
   SYNCMECH_SERVICE_METRICS=off|counters|sampled:<N>  telemetry mode
-                              (default: counters)
-  SYNCMECH_TRACE=off|counters|full  record the service lot's
-                              park/wake/resume events and check their
-                              totals (default: off; --trace-out implies full)";
+                              (default: counters)";
 
 /// The environment knobs this binary offers, read once at start-up.
 struct Knobs {
-    shards: usize,
     threads: usize,
     metrics: MetricsMode,
-    trace: TraceMode,
 }
 
 impl Knobs {
@@ -81,22 +76,18 @@ impl Knobs {
             );
         }
         Ok(Knobs {
-            shards: knob::SERVICE_SHARDS
-                .read(knob::positive)?
-                .unwrap_or(service::DEFAULT_SHARDS),
             threads: threads.threads,
             metrics: knob::SERVICE_METRICS
                 .read(MetricsMode::parse)?
                 .unwrap_or_default(),
-            trace: knob::TRACE.read(TraceMode::parse)?.unwrap_or_default(),
         })
     }
 }
 
 /// Times one `run_real` of `cfg` on a fresh service at the given
 /// telemetry mode and returns (elapsed ns, completed requests).
-fn timed_run(cfg: &RealServiceConfig, shards: usize, mode: MetricsMode) -> (u64, u64) {
-    let svc = LockService::with_metrics_mode(shards, mode);
+fn timed_run(cfg: &RealServiceConfig, mode: MetricsMode) -> (u64, u64) {
+    let svc = LockService::with_metrics_mode(service::DEFAULT_SHARDS, mode);
     let r = run_real(&svc, cfg);
     (r.elapsed_ns, r.completed)
 }
@@ -105,12 +96,12 @@ fn timed_run(cfg: &RealServiceConfig, shards: usize, mode: MetricsMode) -> (u64,
 /// (interleaved, off first each round so neither mode owns the warm
 /// caches; best-of damps scheduler noise), then the relative slowdown of
 /// `counters` over `off` against the budget.
-fn overhead_check(cfg: &RealServiceConfig, shards: usize, budget_pct: f64) -> ExitCode {
+fn overhead_check(cfg: &RealServiceConfig, budget_pct: f64) -> ExitCode {
     let mut off_ns = u64::MAX;
     let mut on_ns = u64::MAX;
     for _ in 0..3 {
-        off_ns = off_ns.min(timed_run(cfg, shards, MetricsMode::Off).0);
-        on_ns = on_ns.min(timed_run(cfg, shards, MetricsMode::Counters).0);
+        off_ns = off_ns.min(timed_run(cfg, MetricsMode::Off).0);
+        on_ns = on_ns.min(timed_run(cfg, MetricsMode::Counters).0);
     }
     let pct = (on_ns as f64 / off_ns.max(1) as f64 - 1.0) * 100.0;
     println!(
@@ -181,25 +172,16 @@ fn main() -> ExitCode {
     let cfg = RealServiceConfig::smoke(threads, requests_per_thread);
 
     if check_overhead {
-        return overhead_check(&cfg, knobs.shards, budget_pct);
+        return overhead_check(&cfg, budget_pct);
     }
 
-    // `--trace-out` needs the full rings whatever the knob says.
-    let trace_mode = if trace_out.is_some() {
-        TraceMode::Full
-    } else {
-        knobs.trace
-    };
-    let tracer = (trace_mode != TraceMode::Off).then(|| {
-        Arc::new(Tracer::new(
-            trace_mode,
-            trace::THREAD_SLOTS,
-            Tracer::DEFAULT_CAPACITY,
-        ))
-    });
+    let tracer = trace_out
+        .is_some()
+        .then(|| Tracer::shared(trace::THREAD_SLOTS));
+    let shards = service::DEFAULT_SHARDS;
     let svc = match &tracer {
-        Some(tracer) => LockService::with_tracer(knobs.shards, knobs.metrics, Arc::clone(tracer)),
-        None => LockService::with_metrics_mode(knobs.shards, knobs.metrics),
+        Some(tracer) => LockService::with_tracer(shards, knobs.metrics, Arc::clone(tracer)),
+        None => LockService::with_metrics_mode(shards, knobs.metrics),
     };
 
     // Run the load; when harvesting, a sidecar thread snapshots the live
@@ -291,8 +273,8 @@ fn main() -> ExitCode {
         );
     }
 
-    if let Some(tracer) = &tracer {
-        if let Err(e) = check_trace(tracer, svc.futex_totals(), trace_out.as_deref()) {
+    if let (Some(tracer), Some(out)) = (&tracer, &trace_out) {
+        if let Err(e) = check_trace(tracer, svc.futex_totals(), out) {
             eprintln!("FAIL: {e}");
             return ExitCode::FAILURE;
         }
@@ -314,9 +296,9 @@ fn main() -> ExitCode {
 }
 
 /// Holds the run's tracer to the lot it recorded: its park/wake/resume
-/// totals must be the lot's ledger, and with `out` its export must
-/// validate before it is written there.
-fn check_trace(tracer: &Tracer, lot: FutexTotals, out: Option<&str>) -> Result<(), String> {
+/// totals must be the lot's ledger, and its export must validate before
+/// it is written to `out`.
+fn check_trace(tracer: &Tracer, lot: FutexTotals, out: &str) -> Result<(), String> {
     let traced = FutexTotals {
         parks: tracer.class_total(EventClass::FutexPark),
         wakes: tracer.class_total(EventClass::FutexWake),
@@ -329,19 +311,12 @@ fn check_trace(tracer: &Tracer, lot: FutexTotals, out: Option<&str>) -> Result<(
             tracer.unleased()
         ));
     }
-    let mut spans = String::new();
-    if let Some(path) = out {
-        let json = trace::chrome::export_tracer(tracer, "syncmech service_load smoke");
-        let stats = trace::chrome::validate(&json).map_err(|e| format!("trace export: {e}"))?;
-        std::fs::write(path, json).map_err(|e| format!("writing {path}: {e}"))?;
-        spans = format!(", {} spans -> {path}", stats.spans);
-    }
+    let json = trace::chrome::export_tracer(tracer, "syncmech service_load smoke");
+    let stats = trace::chrome::validate(&json).map_err(|e| format!("trace export: {e}"))?;
+    std::fs::write(out, json).map_err(|e| format!("writing {out}: {e}"))?;
     println!(
-        "  trace OK ({}): parks {} wakes {} resumes {} == lot ledger{spans}",
-        tracer.mode().name(),
-        traced.parks,
-        traced.wakes,
-        traced.resumes
+        "  trace OK: parks {} wakes {} resumes {} == lot ledger, {} spans -> {out}",
+        traced.parks, traced.wakes, traced.resumes, stats.spans
     );
     Ok(())
 }

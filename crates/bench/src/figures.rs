@@ -156,7 +156,7 @@ pub static FIGURES: &[Figure] = &[
 ];
 
 /// Looks a figure up by its short id.
-pub fn by_id(id: &str) -> Option<&'static Figure> {
+pub(crate) fn by_id(id: &str) -> Option<&'static Figure> {
     FIGURES.iter().find(|f| f.id == id)
 }
 
@@ -168,8 +168,57 @@ pub fn run_main(id: &str) {
     print!("{}", (figure.render)(&opts));
 }
 
+/// Checks a `bench_sim` report, after parsing it ([`trace::json::parse`]):
+/// schema v4, then one entry per figure of `figures` in that order, each
+/// naming its figure and carrying the wall-clocks of its kind (serial,
+/// parallel and speedup when deterministic, one otherwise). `bench_sim`
+/// runs it on every report before writing it.
+///
+/// # Errors
+///
+/// The first part of the report that does not match.
+pub fn check_report(text: &str, figures: &[&Figure]) -> Result<(), String> {
+    use trace::json::Value;
+    let doc = trace::json::parse(text)?;
+    let is = |v: &Value, key, want: &str| v.get(key) == Some(&Value::Str(want.to_string()));
+    if !is(&doc, "schema", "syncmech-bench-sim/v4") {
+        return Err("the schema is not syncmech-bench-sim/v4".to_string());
+    }
+    let Some(Value::Arr(entries)) = doc.get("figures") else {
+        return Err("no \"figures\" array".to_string());
+    };
+    if entries.len() != figures.len() {
+        return Err(format!(
+            "{} entries for {} figures",
+            entries.len(),
+            figures.len()
+        ));
+    }
+    for (entry, fig) in entries.iter().zip(figures) {
+        if !is(entry, "id", fig.id)
+            || !is(entry, "binary", fig.binary)
+            || entry.get("deterministic") != Some(&Value::Bool(fig.deterministic))
+        {
+            return Err(format!("entry {:?} is not {}'s", entry.get("id"), fig.id));
+        }
+        let keys: &[&str] = match fig.deterministic {
+            true => &["serial_wall_ms", "parallel_wall_ms", "speedup"],
+            false => &["wall_ms"],
+        };
+        let bad = |key: &&&str| match entry.get(key) {
+            Some(Value::Int(_)) => false,
+            Some(Value::Num(x)) => *x < 0.0,
+            _ => true,
+        };
+        if let Some(key) = keys.iter().find(bad) {
+            return Err(format!("{}: {key:?} is not a non-negative number", fig.id));
+        }
+    }
+    Ok(())
+}
+
 /// fig1 — lock passing time vs processor count on the bus machine.
-pub fn fig1(opts: &Opts) -> String {
+pub(crate) fn fig1(opts: &Opts) -> String {
     let series = lock_scaling(opts.run, MachineKind::Bus, &opts.procs(), opts.iters());
     let mut out = series_block(opts, "Fig 1: lock passing time vs P (bus machine)", &series);
     if !opts.csv {
@@ -180,7 +229,7 @@ pub fn fig1(opts: &Opts) -> String {
 }
 
 /// fig2 — lock passing time vs processor count on the NUMA machine.
-pub fn fig2(opts: &Opts) -> String {
+pub(crate) fn fig2(opts: &Opts) -> String {
     let series = lock_scaling(opts.run, MachineKind::Numa, &opts.procs(), opts.iters());
     let mut out = series_block(opts, "Fig 2: lock passing time vs P (NUMA machine)", &series);
     if !opts.csv {
@@ -190,7 +239,7 @@ pub fn fig2(opts: &Opts) -> String {
 }
 
 /// fig3 — interconnect transactions per critical section vs P (bus).
-pub fn fig3(opts: &Opts) -> String {
+pub(crate) fn fig3(opts: &Opts) -> String {
     let series = lock_traffic(opts.run, MachineKind::Bus, &opts.procs(), opts.iters());
     let mut out = series_block(
         opts,
@@ -204,7 +253,7 @@ pub fn fig3(opts: &Opts) -> String {
 }
 
 /// fig4 — throughput vs critical-section length at fixed P.
-pub fn fig4(opts: &Opts) -> String {
+pub(crate) fn fig4(opts: &Opts) -> String {
     let holds: Vec<u64> = if opts.quick {
         vec![0, 64, 256]
     } else {
@@ -221,7 +270,7 @@ pub fn fig4(opts: &Opts) -> String {
 }
 
 /// fig5 — barrier episode time vs P on the bus machine.
-pub fn fig5(opts: &Opts) -> String {
+pub(crate) fn fig5(opts: &Opts) -> String {
     let series = barrier_scaling(opts.run, MachineKind::Bus, &opts.procs(), opts.episodes());
     let mut out = series_block(opts, "Fig 5: barrier episode time vs P (bus machine)", &series);
     if !opts.csv {
@@ -231,7 +280,7 @@ pub fn fig5(opts: &Opts) -> String {
 }
 
 /// fig6 — barrier episode time vs P on the NUMA machine.
-pub fn fig6(opts: &Opts) -> String {
+pub(crate) fn fig6(opts: &Opts) -> String {
     let series = barrier_scaling(opts.run, MachineKind::Numa, &opts.procs(), opts.episodes());
     let mut out = series_block(opts, "Fig 6: barrier episode time vs P (NUMA machine)", &series);
     if !opts.csv {
@@ -264,7 +313,7 @@ impl LockKernel for QsmNoFastPath {
 }
 
 /// fig7 — backoff-parameter sensitivity plus the QSM fast-path ablation.
-pub fn fig7(opts: &Opts) -> String {
+pub(crate) fn fig7(opts: &Opts) -> String {
     let nprocs = if opts.quick { 4 } else { 16 };
     let iters = if opts.quick { 4 } else { 10 };
 
@@ -297,7 +346,7 @@ pub fn fig7(opts: &Opts) -> String {
 
 /// fig8 — the `kernels` lock registry on real threads (wall-clock; the one
 /// nondeterministic figure).
-pub fn fig8(opts: &Opts) -> String {
+pub(crate) fn fig8(opts: &Opts) -> String {
     let threads = if opts.quick {
         vec![1, 2]
     } else {
@@ -336,7 +385,7 @@ const OVERSUB_CORES: usize = 4;
 /// fig9 — the spin-vs-block axis: lock passing time vs threads-per-core
 /// ratio on the scheduled bus machine, for pure spin (`qsm`),
 /// spin-then-park (`qsm-block`) and always-park (`qsm-block-park`).
-pub fn fig9(opts: &Opts) -> String {
+pub(crate) fn fig9(opts: &Opts) -> String {
     let ratios: Vec<usize> = if opts.quick {
         vec![1, 2, 4]
     } else {
@@ -357,7 +406,7 @@ pub fn fig9(opts: &Opts) -> String {
 }
 
 /// table1 — uncontended latency (cycles) of every primitive.
-pub fn table1(opts: &Opts) -> String {
+pub(crate) fn table1(opts: &Opts) -> String {
     let mut table = Table::new(&["primitive", "bus cycles", "numa cycles"])
         .with_title("Table 1: uncontended latency per operation (P = 1)");
     let bus = uncontended_table(opts.run, MachineKind::Bus);
@@ -380,7 +429,7 @@ pub fn table1(opts: &Opts) -> String {
 }
 
 /// table2 — fairness at P = 32: per-processor service distribution.
-pub fn table2(opts: &Opts) -> String {
+pub(crate) fn table2(opts: &Opts) -> String {
     use kernels::locks::all_locks;
     use workloads::fairness::{run, FairnessConfig};
     use workloads::sweeps::parallel_cells;
@@ -427,7 +476,7 @@ pub fn table2(opts: &Opts) -> String {
 }
 
 /// table3 (extension experiment) — reader/writer mix sweep.
-pub fn table3(opts: &Opts) -> String {
+pub(crate) fn table3(opts: &Opts) -> String {
     use workloads::sweeps::parallel_cells;
 
     let nprocs = if opts.quick { 4 } else { 16 };
@@ -477,7 +526,7 @@ pub fn table3(opts: &Opts) -> String {
 
 /// table4 — blocking-lock latency: what the park path costs when idle
 /// (uncontended) and what it buys when oversubscribed, per wait policy.
-pub fn table4(opts: &Opts) -> String {
+pub(crate) fn table4(opts: &Opts) -> String {
     let ratio = if opts.quick { 2 } else { 4 };
     let rows = blocking_latency_table(opts.run, OVERSUB_CORES, ratio, opts.iters());
     let passing_col = format!("passing @{ratio}x threads/core");
@@ -523,7 +572,7 @@ fn waitdist_sweep(opts: &Opts) -> (usize, Vec<workloads::waitdist::WaitDistResul
 /// (cycles, log2-bucketed) at fixed percentiles of the acquisition
 /// population. Flat curves mean uniform service; a long p99 tail is the
 /// signature of collapse or unfairness under contention.
-pub fn fig10(opts: &Opts) -> String {
+pub(crate) fn fig10(opts: &Opts) -> String {
     let (nprocs, sweep) = waitdist_sweep(opts);
     let mut series = Series::new("percentile", "wait cycles");
     for r in &sweep {
@@ -540,7 +589,7 @@ pub fn fig10(opts: &Opts) -> String {
 
 /// table5 — wait- and hold-time distribution summary per lock word:
 /// p50/p90/p99/max of both, from the same traced trials as fig10.
-pub fn table5(opts: &Opts) -> String {
+pub(crate) fn table5(opts: &Opts) -> String {
     let (nprocs, sweep) = waitdist_sweep(opts);
     let mut table = Table::new(&[
         "lock",
@@ -587,7 +636,7 @@ pub fn table5(opts: &Opts) -> String {
 /// Zipf-skewed load, per per-key lock policy (the queueing model in
 /// `workloads::service_load`; the wall-clock driver is `service_load`'s
 /// smoke binary, not a figure).
-pub fn fig11(opts: &Opts) -> String {
+pub(crate) fn fig11(opts: &Opts) -> String {
     let threads: Vec<usize> = if opts.quick {
         vec![4, 16, 64]
     } else {
@@ -617,7 +666,7 @@ pub fn fig11(opts: &Opts) -> String {
 /// p50/p99/p999/max per policy from the same queueing model as fig11.
 /// The mean barely moves across policies; the tail is where the grant
 /// discipline shows.
-pub fn table6(opts: &Opts) -> String {
+pub(crate) fn table6(opts: &Opts) -> String {
     use workloads::sweeps::parallel_cells;
 
     let threads = if opts.quick { 32 } else { 64 };
@@ -671,14 +720,14 @@ pub fn table6(opts: &Opts) -> String {
 /// fig12 — sync vs async grant latency under the Zipf/bursty mix: the
 /// QSM queueing model ([`service_load::sim_load`]) against the *real*
 /// `service::AsyncLockService` futures run on the deterministic
-/// virtual-clock executor ([`service_load::async_load`]), both serving
+/// virtual-clock executor ([`service_load::async_load_with_metrics`]), both serving
 /// the identical request schedule with the same constant futex-wake
 /// cost. The async rows are real protocol executions — waker
 /// registration, slot parking, cancellation-safe futures — not a model,
 /// which is what makes the comparison interesting: the two columns
 /// agreeing says the model's constant-handoff assumption survives
 /// contact with the actual sharded-table code path.
-pub fn fig12(opts: &Opts) -> String {
+pub(crate) fn fig12(opts: &Opts) -> String {
     use workloads::sweeps::parallel_cells;
 
     let threads: Vec<usize> = if opts.quick {
@@ -747,7 +796,7 @@ pub fn fig12(opts: &Opts) -> String {
 /// free, and enabled telemetry never perturbs the virtual schedule. The
 /// wall-clock <3% throughput cost is checked separately by
 /// `service_load --overhead-check`, which times the real-thread driver.
-pub fn table7(opts: &Opts) -> String {
+pub(crate) fn table7(opts: &Opts) -> String {
     use workloads::sweeps::parallel_cells;
 
     let threads = if opts.quick { 64 } else { 256 };

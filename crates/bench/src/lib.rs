@@ -69,7 +69,7 @@ pub mod trace_export {
             }
             other => panic!("unknown trace workload {other:?} (expected one of {WORKLOADS:?})"),
         };
-        let tracer = trace::Tracer::full(nprocs);
+        let tracer = trace::Tracer::shared(nprocs);
         let machine = machine.with_tracer(Arc::clone(&tracer));
         let lock: Arc<dyn LockKernel + Send + Sync> =
             Arc::from(lock_by_name(lock_name).expect("registry lock"));
@@ -98,7 +98,7 @@ pub struct Opts {
 /// Outcome of parsing that is not an `Opts`: the caller decides how to
 /// exit (binaries print usage; tests assert on the variant).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ArgError {
+pub(crate) enum ArgError {
     /// `--help` / `-h` was given.
     Help,
     /// An argument no figure binary understands.
@@ -109,7 +109,7 @@ pub enum ArgError {
 
 impl Opts {
     /// The usage text shared by every figure binary.
-    pub const USAGE: &'static str = "\
+    pub(crate) const USAGE: &'static str = "\
 usage: <figure binary> [--csv] [--quick] [--help]
 
   --csv     emit CSV instead of the aligned text table
@@ -145,7 +145,10 @@ environment (a malformed value is an error; none changes the output):
 
     /// Parses command-line flags on top of `base` (the environment-derived
     /// defaults). Stops at the first argument it does not recognize.
-    pub fn parse(args: impl Iterator<Item = String>, mut base: Opts) -> Result<Opts, ArgError> {
+    pub(crate) fn parse(
+        args: impl Iterator<Item = String>,
+        mut base: Opts,
+    ) -> Result<Opts, ArgError> {
         for arg in args {
             match arg.as_str() {
                 "--csv" => base.csv = true,
@@ -160,7 +163,7 @@ environment (a malformed value is an error; none changes the output):
     /// Resolves the environment knobs ([`Opts::knobs`]) and the process
     /// arguments; on `--help` prints usage and exits 0, on a malformed knob
     /// or an unknown argument prints the reason to stderr and exits 2.
-    pub fn from_env() -> Self {
+    pub(crate) fn from_env() -> Self {
         let parsed = Self::knobs()
             .map_err(ArgError::Knob)
             .and_then(|base| Self::parse(std::env::args().skip(1), base));
@@ -183,7 +186,7 @@ environment (a malformed value is an error; none changes the output):
     }
 
     /// The processor axis for scaling figures under this mode.
-    pub fn procs(&self) -> Vec<usize> {
+    pub(crate) fn procs(&self) -> Vec<usize> {
         if self.quick {
             vec![1, 2, 4]
         } else {
@@ -192,7 +195,7 @@ environment (a malformed value is an error; none changes the output):
     }
 
     /// Critical sections per processor under this mode.
-    pub fn iters(&self) -> usize {
+    pub(crate) fn iters(&self) -> usize {
         if self.quick {
             4
         } else {
@@ -201,7 +204,7 @@ environment (a malformed value is an error; none changes the output):
     }
 
     /// Barrier episodes under this mode.
-    pub fn episodes(&self) -> u64 {
+    pub(crate) fn episodes(&self) -> u64 {
         if self.quick {
             4
         } else {
@@ -212,7 +215,7 @@ environment (a malformed value is an error; none changes the output):
 
 /// Renders a series in the selected format, followed by the per-curve
 /// power-law scaling exponents (`y ~ P^e`) that EXPERIMENTS.md records.
-pub fn series_block(opts: &Opts, title: &str, series: &Series) -> String {
+pub(crate) fn series_block(opts: &Opts, title: &str, series: &Series) -> String {
     let table = series.to_table(title);
     if opts.csv {
         return table.render_csv();
@@ -235,7 +238,7 @@ pub fn series_block(opts: &Opts, title: &str, series: &Series) -> String {
 
 /// Renders the headline "who wins by what factor" line for a figure
 /// (empty string when the curves don't share a final point).
-pub fn final_ratio_block(series: &Series, loser: &str, winner: &str) -> String {
+pub(crate) fn final_ratio_block(series: &Series, loser: &str, winner: &str) -> String {
     match series.final_ratio(loser, winner) {
         Some(ratio) => format!("\nat the largest shared P: {loser} / {winner} = {ratio:.1}x\n"),
         None => String::new(),
@@ -250,39 +253,19 @@ pub fn final_ratio_block(series: &Series, loser: &str, winner: &str) -> String {
 /// "best observed" estimator, robust to scheduler noise in one direction)
 /// and the median batch (robust in both).
 pub mod timing {
-    use simcore::knob;
     use std::time::{Duration, Instant};
 
     /// One benchmark's results, in nanoseconds per iteration.
     #[derive(Debug, Clone, PartialEq)]
-    pub struct Measurement {
+    pub(crate) struct Measurement {
         /// Fastest batch observed.
-        pub best_ns: f64,
+        pub(crate) best_ns: f64,
         /// Median across batches.
-        pub median_ns: f64,
-        /// Iterations per batch (calibrated to ~1 ms per batch).
-        pub batch: u64,
-        /// Number of batches the time budget allowed.
-        pub samples: usize,
-    }
-
-    impl Measurement {
-        /// One-line machine-readable form, suitable for concatenating
-        /// into a JSON array or streaming as JSON lines.
-        pub fn json(&self, name: &str) -> String {
-            format!(
-                "{{\"name\":\"{}\",\"best_ns\":{:.1},\"median_ns\":{:.1},\"batch\":{},\"samples\":{}}}",
-                name.replace('\\', "\\\\").replace('"', "\\\""),
-                self.best_ns,
-                self.median_ns,
-                self.batch,
-                self.samples
-            )
-        }
+        pub(crate) median_ns: f64,
     }
 
     /// Measures `f` over a ~50 ms budget of ~1 ms batches.
-    pub fn bench_stats(mut f: impl FnMut()) -> Measurement {
+    pub(crate) fn bench_stats(mut f: impl FnMut()) -> Measurement {
         // Warm-up: pull code and data into cache, trigger lazy init.
         for _ in 0..10 {
             f();
@@ -313,31 +296,17 @@ pub mod timing {
         Measurement {
             best_ns: per_iter[0],
             median_ns: per_iter[per_iter.len() / 2],
-            batch,
-            samples: per_iter.len(),
         }
     }
 
     /// Runs and prints one named measurement in a `cargo bench`-like
-    /// format; set `SYNCMECH_BENCH_JSON=1` to emit a JSON line instead.
-    ///
-    /// # Panics
-    ///
-    /// On a malformed `SYNCMECH_BENCH_JSON`.
+    /// format.
     pub fn report(name: &str, f: impl FnMut()) {
-        let json = knob::BENCH_JSON
-            .read(knob::flag)
-            .unwrap_or_else(|msg| panic!("{msg}"))
-            .unwrap_or(false);
         let m = bench_stats(f);
-        if json {
-            println!("{}", m.json(name));
-        } else {
-            println!(
-                "{name:<40} {:>12.1} ns/iter (median {:.1})",
-                m.best_ns, m.median_ns
-            );
-        }
+        println!(
+            "{name:<40} {:>12.1} ns/iter (median {:.1})",
+            m.best_ns, m.median_ns
+        );
     }
 }
 
@@ -394,8 +363,5 @@ mod tests {
         });
         assert!(m.best_ns > 0.0);
         assert!(m.median_ns >= m.best_ns);
-        assert!(m.samples >= 1);
-        let j = m.json("adds");
-        assert!(j.contains("\"name\":\"adds\"") && j.contains("median_ns"));
     }
 }

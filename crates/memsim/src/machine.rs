@@ -236,7 +236,7 @@ mod tests {
     fn tracer_records_without_changing_the_simulation() {
         use trace::EventClass as C;
         let base = bus(4).run(4, 2, park_then_spin).unwrap();
-        let tracer = trace::Tracer::full(4);
+        let tracer = trace::Tracer::shared(4);
         let traced = bus(4)
             .with_tracer(Arc::clone(&tracer))
             .run(4, 2, park_then_spin)
@@ -258,20 +258,6 @@ mod tests {
         for pid in 0..4 {
             let evs = tracer.events(pid);
             assert!(evs.windows(2).all(|w| w[0].t <= w[1].t), "p{pid} unordered");
-        }
-    }
-
-    #[test]
-    fn counters_mode_counts_without_storing() {
-        use trace::{EventClass, TraceMode, Tracer};
-        let tracer = Arc::new(Tracer::new(TraceMode::Counters, 4, 16));
-        bus(4)
-            .with_tracer(Arc::clone(&tracer))
-            .run(4, 2, park_then_spin)
-            .unwrap();
-        assert_eq!(tracer.class_total(EventClass::FutexPark), 3);
-        for pid in 0..4 {
-            assert!(tracer.events(pid).is_empty());
         }
     }
 
@@ -742,7 +728,7 @@ mod tests {
 
     #[test]
     fn recorded_run_matches_plain_and_resumes_from_every_snapshot() {
-        let tracer = trace::Tracer::full(4);
+        let tracer = trace::Tracer::shared(4);
         for (machine, body) in [
             (bus(4), park_then_spin as fn(&mut Proc)),
             (Machine::new(MachineParams::numa_1991(4)), park_then_spin),

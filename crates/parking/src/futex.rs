@@ -1356,11 +1356,11 @@ mod tests {
     /// nothing.
     #[test]
     fn a_traced_lot_records_its_own_ledger_exactly() {
-        use trace::{EventClass, TraceMode};
+        use trace::EventClass;
         const THREADS: usize = 8;
         const ROUNDS: u64 = 200;
-        let tracer = Arc::new(Tracer::new(TraceMode::Full, trace::THREAD_SLOTS, 4096));
-        let idle_tracer = Arc::new(Tracer::new(TraceMode::Full, trace::THREAD_SLOTS, 16));
+        let tracer = Arc::new(Tracer::new(trace::THREAD_SLOTS, 4096));
+        let idle_tracer = Arc::new(Tracer::new(trace::THREAD_SLOTS, 16));
         let lot = ParkingLot::with_tracer(4, Some(Arc::clone(&tracer)));
         let idle = ParkingLot::with_tracer(4, Some(Arc::clone(&idle_tracer)));
         let words: Vec<AtomicU64> = (0..THREADS / 2).map(|_| AtomicU64::new(0)).collect();

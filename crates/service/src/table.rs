@@ -32,7 +32,7 @@ use parking::CachePadded;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
-use trace::{TraceMode, Tracer};
+use trace::Tracer;
 
 /// Shard locking that shrugs off poisoning: every critical section here
 /// leaves the shard consistent at every await-free step (the one panic —
@@ -171,13 +171,8 @@ impl ShardedTable {
     /// callers can share one instance across tables. Unless the mode is
     /// `off`, the lot gets a flight recorder (see the module docs).
     pub fn with_metrics(shards: usize, metrics: Arc<ServiceMetrics>) -> Self {
-        let recorder = (metrics.mode() != MetricsMode::Off).then(|| {
-            Arc::new(Tracer::new(
-                TraceMode::Full,
-                trace::THREAD_SLOTS,
-                FLIGHT_EVENTS,
-            ))
-        });
+        let recorder = (metrics.mode() != MetricsMode::Off)
+            .then(|| Arc::new(Tracer::new(trace::THREAD_SLOTS, FLIGHT_EVENTS)));
         Self::with_tracer(shards, metrics, recorder)
     }
 
@@ -462,7 +457,6 @@ mod tests {
         for mode in [MetricsMode::Counters, MetricsMode::Sampled(8)] {
             let table = table(mode);
             let tracer = table.lot().tracer().expect("a flight recorder");
-            assert_eq!(tracer.mode(), TraceMode::Full);
             assert_eq!(tracer.nprocs() * tracer.capacity(), 4096);
         }
     }

@@ -50,10 +50,10 @@
 //! `table7_metrics_overhead` demand byte-identical behaviour with the
 //! layer disabled.
 //!
-//! Exporters: [`prometheus`] (text exposition) and [`json`] (one field
-//! per line), each with a line-based validator in the style of
-//! `trace::chrome::validate` so CI can reject malformed output without a
-//! JSON parser.
+//! Exporters: [`prometheus`] (text exposition, with a line-based
+//! validator) and [`json`] (one field per line, whose validator parses the
+//! snapshot with `trace::json` before it checks the keys), so CI can reject
+//! malformed output.
 
 use crate::table::TableStats;
 use parking::futex::FutexTotals;
@@ -499,6 +499,22 @@ impl MetricsSnapshot {
         self.wait.iter().map(|h| h.count()).sum()
     }
 
+    /// The nine counters under their exported names, in export order
+    /// (the Prometheus families' and the JSON snapshot's).
+    fn counters(&self) -> [(&'static str, u64); 9] {
+        [
+            ("acquires", self.acquires),
+            ("fast_path", self.fast_path),
+            ("parked", self.parked),
+            ("respin_wins", self.respin_wins),
+            ("cas_retries", self.cas_retries),
+            ("sem_grants", self.sem_grants),
+            ("sem_abandons", self.sem_abandons),
+            ("cancellations", self.cancellations),
+            ("slot_recycles", self.slot_recycles),
+        ]
+    }
+
     /// True when every counter of `self` is `>=` its counterpart in
     /// `earlier` — the monotonicity the reader-vs-writers stress test
     /// asserts. `fast_path` is excluded: it is derived from two counters
@@ -531,17 +547,7 @@ pub fn prometheus(snap: &MetricsSnapshot) -> String {
         "syncmech_service_mode{{mode=\"{}\"}} 1",
         snap.mode.label()
     );
-    for (name, value) in [
-        ("acquires", snap.acquires),
-        ("fast_path", snap.fast_path),
-        ("parked", snap.parked),
-        ("respin_wins", snap.respin_wins),
-        ("cas_retries", snap.cas_retries),
-        ("sem_grants", snap.sem_grants),
-        ("sem_abandons", snap.sem_abandons),
-        ("cancellations", snap.cancellations),
-        ("slot_recycles", snap.slot_recycles),
-    ] {
+    for (name, value) in snap.counters() {
         let _ = writeln!(out, "# TYPE syncmech_service_{name}_total counter");
         let _ = writeln!(out, "syncmech_service_{name}_total {value}");
     }
@@ -630,8 +636,8 @@ pub struct PromStats {
     pub samples: usize,
 }
 
-/// Line-based validator for [`prometheus`] output, in the style of
-/// `trace::chrome::validate`: every line must be a well-formed `# TYPE`
+/// Line-based validator for [`prometheus`] output: every line must be a
+/// well-formed `# TYPE`
 /// declaration or a `name[{labels}] value` sample of a declared family
 /// with an integer value, and every declared family must have at least
 /// one sample.
@@ -724,22 +730,19 @@ fn json_hist(h: &Histogram) -> String {
     )
 }
 
+/// The schema tag of a [`json`] snapshot.
+const JSON_SCHEMA: &str = "syncmech-service-metrics/v1";
+
 /// JSON snapshot: one field per line (the `bench_sim` convention), always
 /// the same field set so downstream tooling can diff snapshots.
 pub fn json(snap: &MetricsSnapshot) -> String {
     let mut fields: Vec<String> = vec![
-        "\"schema\": \"syncmech-service-metrics/v1\"".to_string(),
+        format!("\"schema\": \"{JSON_SCHEMA}\""),
         format!("\"mode\": \"{}\"", snap.mode.label()),
-        format!("\"acquires\": {}", snap.acquires),
-        format!("\"fast_path\": {}", snap.fast_path),
-        format!("\"parked\": {}", snap.parked),
-        format!("\"respin_wins\": {}", snap.respin_wins),
-        format!("\"cas_retries\": {}", snap.cas_retries),
-        format!("\"sem_grants\": {}", snap.sem_grants),
-        format!("\"sem_abandons\": {}", snap.sem_abandons),
-        format!("\"cancellations\": {}", snap.cancellations),
-        format!("\"slot_recycles\": {}", snap.slot_recycles),
     ];
+    for (name, value) in snap.counters() {
+        fields.push(format!("\"{name}\": {value}"));
+    }
     for p in Primitive::ALL {
         fields.push(format!(
             "\"wait_{}\": {}",
@@ -811,67 +814,23 @@ const JSON_REQUIRED: &[&str] = &[
     "hot_keys",
 ];
 
-/// Line-based validator for [`json`] output: `{` / `}` frame, one
-/// `"key": value` field per line with commas on all but the last, every
-/// required key present exactly once, and every value a number, quoted
-/// string, or balanced inline object/array.
+/// Validator for [`json`] output: the text must parse
+/// ([`trace::json::parse`], which also rejects a duplicate key) to an
+/// object carrying the schema tag and every required key. Layout and key
+/// order do not matter.
 pub fn validate_json(text: &str) -> Result<JsonStats, String> {
-    let lines: Vec<&str> = text.lines().collect();
-    if lines.len() < 3 {
-        return Err("snapshot too short".to_string());
+    let doc = trace::json::parse(text)?;
+    let trace::json::Value::Obj(members) = &doc else {
+        return Err("a snapshot must be a JSON object".to_string());
+    };
+    let fields = members.len();
+    if doc.get("schema") != Some(&trace::json::Value::Str(JSON_SCHEMA.to_string())) {
+        return Err(format!("\"schema\" is not {JSON_SCHEMA:?}"));
     }
-    if lines[0] != "{" {
-        return Err(format!("line 1: expected '{{', got {:?}", lines[0]));
+    match JSON_REQUIRED.iter().find(|key| doc.get(key).is_none()) {
+        Some(key) => Err(format!("missing required key {key:?}")),
+        None => Ok(JsonStats { fields }),
     }
-    if *lines.last().unwrap() != "}" {
-        return Err(format!(
-            "line {}: expected '}}', got {:?}",
-            lines.len(),
-            lines.last().unwrap()
-        ));
-    }
-    let body = &lines[1..lines.len() - 1];
-    let mut keys = Vec::new();
-    for (idx, raw) in body.iter().enumerate() {
-        let lineno = idx + 2;
-        let line = raw.trim_start();
-        let last = idx + 1 == body.len();
-        let line = if last {
-            if line.ends_with(',') {
-                return Err(format!("line {lineno}: trailing comma on the last field"));
-            }
-            line
-        } else {
-            line.strip_suffix(',')
-                .ok_or_else(|| format!("line {lineno}: missing comma: {raw:?}"))?
-        };
-        let rest = line
-            .strip_prefix('"')
-            .ok_or_else(|| format!("line {lineno}: field must start with a quoted key"))?;
-        let (key, rest) = rest
-            .split_once("\": ")
-            .ok_or_else(|| format!("line {lineno}: malformed field: {raw:?}"))?;
-        if key.is_empty() {
-            return Err(format!("line {lineno}: empty key"));
-        }
-        if keys.contains(&key.to_string()) {
-            return Err(format!("line {lineno}: duplicate key {key:?}"));
-        }
-        let ok = rest.parse::<f64>().is_ok()
-            || (rest.starts_with('"') && rest.ends_with('"') && rest.len() >= 2)
-            || (rest.starts_with('{') && rest.ends_with('}'))
-            || (rest.starts_with('[') && rest.ends_with(']'));
-        if !ok {
-            return Err(format!("line {lineno}: unparseable value for {key:?}: {rest:?}"));
-        }
-        keys.push(key.to_string());
-    }
-    for required in JSON_REQUIRED {
-        if !keys.iter().any(|k| k == required) {
-            return Err(format!("missing required key {required:?}"));
-        }
-    }
-    Ok(JsonStats { fields: keys.len() })
 }
 
 // ---------------------------------------------------------------------------
@@ -1152,7 +1111,10 @@ mod tests {
 
     #[test]
     fn json_output_validates() {
-        let snap = sample_snapshot();
+        use trace::json::Value;
+        let mut snap = sample_snapshot();
+        // Keys are 64-bit hashes: one past 2^63 must not round.
+        snap.hot_keys.push((16_294_208_416_658_607_535, 1));
         let text = json(&snap);
         let stats = validate_json(&text).expect("snapshot validates");
         assert_eq!(stats.fields, JSON_REQUIRED.len() + 3); // + table + futex + park_cost_ns
@@ -1160,6 +1122,24 @@ mod tests {
         assert!(text.contains("\"respin_wins\": 1"));
         assert!(text.contains("\"park_cost_ns\": 17250"));
         assert!(text.contains("\"hot_keys\": [{\"key\": 7, \"count\": 2}"));
+        // Parsed, the snapshot carries every counter and hot key exactly.
+        let doc = trace::json::parse(&text).expect("snapshot parses");
+        for (key, value) in snap.counters() {
+            assert_eq!(doc.get(key), Some(&Value::Int(value)), "{key}");
+        }
+        let hot = snap.hot_keys.iter().map(|&(k, c)| {
+            Value::Obj(vec![
+                ("key".into(), Value::Int(k)),
+                ("count".into(), Value::Int(c)),
+            ])
+        });
+        assert_eq!(doc.get("hot_keys"), Some(&Value::Arr(hot.collect())));
+        // The same members in reverse order on one line: valid JSON in a
+        // layout `json` never prints.
+        let members = text.lines().rev().filter(|l| l.starts_with("  "));
+        let reordered: Vec<&str> = members.map(|m| m.trim().trim_end_matches(',')).collect();
+        let reordered = format!("{{{}}}", reordered.join(", "));
+        assert_eq!(validate_json(&reordered), Ok(stats));
         // Also a snapshot without the optional sections.
         let bare = ServiceMetrics::new(MetricsMode::Off).snapshot();
         let stats = validate_json(&json(&bare)).expect("bare snapshot validates");

@@ -28,16 +28,12 @@ const fn knob(name: &'static str, accepts: &'static str, unset: &'static str) ->
     }
 }
 
-/// Event tracing on the real-thread parking runtime.
-pub const TRACE: Knob = knob("SYNCMECH_TRACE", "off, counters or full", "off");
 /// Host threads for the figure sweeps' cell fan-out.
 pub const SWEEP_THREADS: Knob = knob(
     "SYNCMECH_SWEEP_THREADS",
     "a positive integer",
     "the host's parallelism",
 );
-/// Shard count of the lock service's table.
-pub const SERVICE_SHARDS: Knob = knob("SYNCMECH_SERVICE_SHARDS", "a positive integer", "256");
 /// Worker threads of the real-thread service load driver.
 pub const SERVICE_THREADS: Knob = knob(
     "SYNCMECH_SERVICE_THREADS",
@@ -50,21 +46,11 @@ pub const SERVICE_METRICS: Knob = knob(
     "off, counters or sampled:<N> with N >= 1",
     "counters",
 );
-/// JSON lines from the `cargo bench` harness.
-pub const BENCH_JSON: Knob = knob("SYNCMECH_BENCH_JSON", "0 or 1", "0");
 /// Golden tests rewrite their expected files.
 pub const BLESS: Knob = knob("SYNCMECH_BLESS", "0 or 1", "0");
 
 /// Every supported knob (README's table lists exactly these).
-pub const ALL: [Knob; 7] = [
-    TRACE,
-    SWEEP_THREADS,
-    SERVICE_SHARDS,
-    SERVICE_THREADS,
-    SERVICE_METRICS,
-    BENCH_JSON,
-    BLESS,
-];
+pub const ALL: [Knob; 4] = [SWEEP_THREADS, SERVICE_THREADS, SERVICE_METRICS, BLESS];
 
 impl Knob {
     /// Reads the variable and parses it with `parse`; `Ok(None)` when unset.

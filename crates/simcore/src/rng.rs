@@ -80,16 +80,6 @@ impl Rng {
         (m >> 64) as u64
     }
 
-    /// Returns a uniformly distributed value in the inclusive range `[lo, hi]`.
-    pub fn next_range(&mut self, lo: u64, hi: u64) -> u64 {
-        assert!(lo <= hi, "next_range: lo must be <= hi");
-        let span = hi - lo;
-        if span == u64::MAX {
-            return self.next_u64();
-        }
-        lo + self.next_below(span + 1)
-    }
-
     /// Returns a uniformly distributed `f64` in `[0, 1)`.
     pub fn next_f64(&mut self) -> f64 {
         // 53 random mantissa bits scaled into [0, 1).
@@ -188,34 +178,6 @@ mod tests {
     #[should_panic(expected = "bound must be nonzero")]
     fn next_below_zero_panics() {
         Rng::new(0).next_below(0);
-    }
-
-    #[test]
-    fn next_range_endpoints_reachable() {
-        let mut r = Rng::new(5);
-        let (mut lo_seen, mut hi_seen) = (false, false);
-        for _ in 0..2000 {
-            match r.next_range(10, 12) {
-                10 => lo_seen = true,
-                12 => hi_seen = true,
-                11 => {}
-                other => panic!("out of range: {other}"),
-            }
-        }
-        assert!(lo_seen && hi_seen);
-    }
-
-    #[test]
-    fn next_range_degenerate() {
-        let mut r = Rng::new(5);
-        assert_eq!(r.next_range(9, 9), 9);
-    }
-
-    #[test]
-    fn next_range_full_span() {
-        let mut r = Rng::new(5);
-        // Must not overflow when the span is the entire u64 domain.
-        let _ = r.next_range(0, u64::MAX);
     }
 
     #[test]

@@ -59,7 +59,7 @@ impl RunningStats {
     }
 
     /// Sample standard deviation.
-    pub fn stddev(&self) -> f64 {
+    pub(crate) fn stddev(&self) -> f64 {
         self.sample_variance().sqrt()
     }
 
@@ -83,7 +83,7 @@ pub struct LinearFit {
     /// Fitted slope.
     pub slope: f64,
     /// Fitted intercept.
-    pub intercept: f64,
+    pub(crate) intercept: f64,
     /// Coefficient of determination in `[0, 1]`.
     pub r2: f64,
 }
@@ -93,7 +93,7 @@ pub struct LinearFit {
 /// Used by the scaling figures to report, e.g., "test-and-set grows linearly
 /// in P (slope s, R² r)". Returns `None` with fewer than two points or when
 /// all x are identical.
-pub fn linear_fit(points: &[(f64, f64)]) -> Option<LinearFit> {
+pub(crate) fn linear_fit(points: &[(f64, f64)]) -> Option<LinearFit> {
     if points.len() < 2 {
         return None;
     }
@@ -125,7 +125,7 @@ pub fn linear_fit(points: &[(f64, f64)]) -> Option<LinearFit> {
 ///
 /// The ICPP-era scaling claims ("O(1) vs O(P)") are exactly statements about
 /// this exponent. Points with nonpositive coordinates are skipped.
-pub fn power_fit(points: &[(f64, f64)]) -> Option<LinearFit> {
+pub(crate) fn power_fit(points: &[(f64, f64)]) -> Option<LinearFit> {
     let logged: Vec<(f64, f64)> = points
         .iter()
         .filter(|p| p.0 > 0.0 && p.1 > 0.0)

@@ -13,8 +13,8 @@ use std::fmt::Write as _;
 /// ```
 /// use simcore::Table;
 /// let mut t = Table::new(&["lock", "P=1", "P=8"]);
-/// t.row(&["mcs", "31", "44"]);
-/// t.row(&["tas", "25", "310"]);
+/// t.row_owned(vec!["mcs".into(), "31".into(), "44".into()]);
+/// t.row_owned(vec!["tas".into(), "25".into(), "310".into()]);
 /// let text = t.render();
 /// assert!(text.contains("mcs"));
 /// assert!(text.lines().count() >= 4);
@@ -44,23 +44,8 @@ impl Table {
 
     /// Appends a row of pre-formatted cells. Short rows are padded with
     /// empty cells; long rows extend the column count.
-    pub fn row(&mut self, cells: &[&str]) {
-        self.rows.push(cells.iter().map(|s| s.to_string()).collect());
-    }
-
-    /// Appends a row of already-owned cells.
     pub fn row_owned(&mut self, cells: Vec<String>) {
         self.rows.push(cells);
-    }
-
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// True when the table has no data rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
     }
 
     fn column_count(&self) -> usize {
@@ -149,8 +134,8 @@ mod tests {
     #[test]
     fn render_aligns_columns() {
         let mut t = Table::new(&["name", "value"]);
-        t.row(&["a", "1"]);
-        t.row(&["longer-name", "22"]);
+        t.row_owned(vec!["a".into(), "1".into()]);
+        t.row_owned(vec!["longer-name".into(), "22".into()]);
         let text = t.render();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 4);
@@ -169,8 +154,8 @@ mod tests {
     #[test]
     fn ragged_rows_are_padded() {
         let mut t = Table::new(&["a", "b", "c"]);
-        t.row(&["1"]);
-        t.row(&["1", "2", "3", "4"]);
+        t.row_owned(vec!["1".into()]);
+        t.row_owned(vec!["1".into(), "2".into(), "3".into(), "4".into()]);
         let text = t.render();
         assert!(text.contains('4'));
     }
@@ -178,7 +163,7 @@ mod tests {
     #[test]
     fn csv_quotes_special_cells() {
         let mut t = Table::new(&["k", "v"]);
-        t.row(&["with,comma", "with\"quote"]);
+        t.row_owned(vec!["with,comma".into(), "with\"quote".into()]);
         let csv = t.render_csv();
         assert!(csv.contains("\"with,comma\""));
         assert!(csv.contains("\"with\"\"quote\""));
@@ -187,16 +172,9 @@ mod tests {
     #[test]
     fn csv_round_count() {
         let mut t = Table::new(&["a"]);
-        t.row(&["1"]);
-        t.row(&["2"]);
+        t.row_owned(vec!["1".into()]);
+        t.row_owned(vec!["2".into()]);
         assert_eq!(t.render_csv().lines().count(), 3);
-    }
-
-    #[test]
-    fn empty_flags() {
-        let t = Table::new(&["a"]);
-        assert!(t.is_empty());
-        assert_eq!(t.len(), 0);
     }
 
     #[test]

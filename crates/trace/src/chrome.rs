@@ -4,27 +4,13 @@
 //! one event object per line, fixed key order, one Perfetto track per
 //! simulated processor (`tid` = pid), `B`/`E` duration events for waits and
 //! holds, `i` instant events for wakes, and `s`/`f` flow arrows from each
-//! waker to its wakee. Keeping one object per line lets
-//! [`validate`] check balance and monotonicity without a JSON parser, and
-//! makes the export byte-stable for golden tests.
+//! waker to its wakee. The fixed layout keeps the export byte-stable for
+//! golden tests; [`validate`] parses the document before it checks balance
+//! and monotonicity, so any layout of the same events passes it.
 
 use crate::event::{EventKind, NO_PID};
+use crate::json::escape;
 use crate::Tracer;
-
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 /// Incremental builder for a Chrome trace-event JSON document.
 ///
@@ -42,7 +28,7 @@ impl ChromeTraceBuilder {
         let mut b = ChromeTraceBuilder { lines: Vec::new() };
         b.lines.push(format!(
             "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":0,\"args\":{{\"name\":\"{}\"}}}}",
-            esc(process_name)
+            escape(process_name)
         ));
         b
     }
@@ -51,7 +37,7 @@ impl ChromeTraceBuilder {
     pub fn thread(&mut self, tid: usize, name: &str) {
         self.lines.push(format!(
             "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":{tid},\"args\":{{\"name\":\"{}\"}}}}",
-            esc(name)
+            escape(name)
         ));
     }
 
@@ -59,7 +45,7 @@ impl ChromeTraceBuilder {
     pub fn begin(&mut self, tid: usize, ts: u64, name: &str) {
         self.lines.push(format!(
             "{{\"name\":\"{}\",\"cat\":\"sync\",\"ph\":\"B\",\"ts\":{ts},\"pid\":0,\"tid\":{tid}}}",
-            esc(name)
+            escape(name)
         ));
     }
 
@@ -67,7 +53,7 @@ impl ChromeTraceBuilder {
     pub fn end(&mut self, tid: usize, ts: u64, name: &str) {
         self.lines.push(format!(
             "{{\"name\":\"{}\",\"cat\":\"sync\",\"ph\":\"E\",\"ts\":{ts},\"pid\":0,\"tid\":{tid}}}",
-            esc(name)
+            escape(name)
         ));
     }
 
@@ -75,7 +61,7 @@ impl ChromeTraceBuilder {
     pub fn instant(&mut self, tid: usize, ts: u64, name: &str) {
         self.lines.push(format!(
             "{{\"name\":\"{}\",\"cat\":\"sync\",\"ph\":\"i\",\"ts\":{ts},\"pid\":0,\"tid\":{tid},\"s\":\"t\"}}",
-            esc(name)
+            escape(name)
         ));
     }
 
@@ -84,8 +70,8 @@ impl ChromeTraceBuilder {
     pub fn flow_start(&mut self, tid: usize, ts: u64, id: &str, name: &str) {
         self.lines.push(format!(
             "{{\"name\":\"{}\",\"cat\":\"wake\",\"ph\":\"s\",\"ts\":{ts},\"pid\":0,\"tid\":{tid},\"id\":\"{}\"}}",
-            esc(name),
-            esc(id)
+            escape(name),
+            escape(id)
         ));
     }
 
@@ -93,8 +79,8 @@ impl ChromeTraceBuilder {
     pub fn flow_end(&mut self, tid: usize, ts: u64, id: &str, name: &str) {
         self.lines.push(format!(
             "{{\"name\":\"{}\",\"cat\":\"wake\",\"ph\":\"f\",\"bp\":\"e\",\"ts\":{ts},\"pid\":0,\"tid\":{tid},\"id\":\"{}\"}}",
-            esc(name),
-            esc(id)
+            escape(name),
+            escape(id)
         ));
     }
 
@@ -203,40 +189,18 @@ pub struct TraceStats {
     pub spans: usize,
 }
 
-fn str_field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\":\"");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    Some(&rest[..rest.find('"')?])
-}
-
-fn num_field(line: &str, key: &str) -> Option<u64> {
-    let pat = format!("\"{key}\":");
-    let start = line.find(&pat)? + pat.len();
-    let digits: String = line[start..].chars().take_while(|c| c.is_ascii_digit()).collect();
-    digits.parse().ok()
-}
-
-/// Line-based structural validation of an exported trace: well-formed
-/// one-object-per-line JSON array, every `B` matched by an `E` on the same
-/// track, timestamps nondecreasing per track, only known phase codes.
+/// Structural validation of an exported trace, one parsed event at a time
+/// ([`crate::json::parse_array`]): a JSON array of event objects, each with
+/// a known phase `ph`; every `B` matched by an `E` on the same track;
+/// timestamps nondecreasing per track. Key order and line layout do not
+/// matter.
 ///
 /// # Errors
 ///
 /// A human-readable description of the first structural violation.
 pub fn validate(json: &str) -> Result<TraceStats, String> {
+    use crate::json::Value;
     use std::collections::BTreeMap;
-    let mut lines = json.lines().filter(|l| !l.trim().is_empty());
-    if lines.next().map(str::trim) != Some("[") {
-        return Err("trace must open with a '[' line".into());
-    }
-    let body: Vec<&str> = lines.collect();
-    let Some((&last, events)) = body.split_last() else {
-        return Err("trace has no closing ']'".into());
-    };
-    if last.trim() != "]" {
-        return Err("trace must close with a ']' line".into());
-    }
     let mut stats = TraceStats {
         events: 0,
         tracks: 0,
@@ -244,46 +208,44 @@ pub fn validate(json: &str) -> Result<TraceStats, String> {
     };
     let mut depth: BTreeMap<u64, usize> = BTreeMap::new();
     let mut last_ts: BTreeMap<u64, u64> = BTreeMap::new();
-    for (i, raw) in events.iter().enumerate() {
-        let lineno = i + 2;
-        let line = raw.trim().trim_end_matches(',');
-        if !(line.starts_with('{') && line.ends_with('}')) {
-            return Err(format!("line {lineno}: not a one-line JSON object: {line}"));
-        }
-        let ph = str_field(line, "ph")
-            .ok_or_else(|| format!("line {lineno}: missing \"ph\" field"))?;
+    let mut i = 0;
+    crate::json::parse_array(json, |ev| {
+        i += 1;
+        let Some(Value::Str(ph)) = ev.get("ph") else {
+            return Err(format!("event {i}: no string \"ph\" field"));
+        };
         if ph == "M" {
-            if str_field(line, "name") == Some("thread_name") {
+            if ev.get("name") == Some(&Value::Str("thread_name".into())) {
                 stats.tracks += 1;
             }
-            continue;
+            return Ok(());
         }
-        let ts = num_field(line, "ts")
-            .ok_or_else(|| format!("line {lineno}: missing \"ts\" field"))?;
-        let tid = num_field(line, "tid")
-            .ok_or_else(|| format!("line {lineno}: missing \"tid\" field"))?;
+        let (Some(&Value::Int(ts)), Some(&Value::Int(tid))) = (ev.get("ts"), ev.get("tid")) else {
+            return Err(format!("event {i}: \"ts\" and \"tid\" must be integers"));
+        };
         let prev = last_ts.entry(tid).or_insert(0);
         if ts < *prev {
             return Err(format!(
-                "line {lineno}: track {tid} goes back in time ({ts} < {prev})"
+                "event {i}: track {tid} goes back in time ({ts} < {prev})"
             ));
         }
         *prev = ts;
         stats.events += 1;
-        match ph {
+        match ph.as_str() {
             "B" => *depth.entry(tid).or_insert(0) += 1,
             "E" => {
                 let d = depth.entry(tid).or_insert(0);
                 if *d == 0 {
-                    return Err(format!("line {lineno}: track {tid} has 'E' without open 'B'"));
+                    return Err(format!("event {i}: track {tid} has 'E' without open 'B'"));
                 }
                 *d -= 1;
                 stats.spans += 1;
             }
             "i" | "s" | "f" => {}
-            other => return Err(format!("line {lineno}: unknown phase {other:?}")),
+            other => return Err(format!("event {i}: unknown phase {other:?}")),
         }
-    }
+        Ok(())
+    })?;
     for (tid, d) in depth {
         if d != 0 {
             return Err(format!("track {tid} ends with {d} unclosed 'B' span(s)"));
@@ -295,7 +257,6 @@ pub fn validate(json: &str) -> Result<TraceStats, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::TraceMode;
 
     #[test]
     fn builder_output_validates() {
@@ -336,8 +297,19 @@ mod tests {
     }
 
     #[test]
+    fn any_layout_of_valid_events_validates() {
+        // Valid JSON in a layout the exporter never prints: keys reordered,
+        // an event spread over lines, two events on one line.
+        let json = r#"[{"ph": "M", "tid": 0, "name": "thread_name"},
+            {"tid": 0, "ts": 10,
+             "ph": "B", "name": "x"}, {"ts": 12, "ph": "E", "tid": 0}]"#;
+        let stats = validate(json).expect("valid trace");
+        assert_eq!((stats.tracks, stats.events, stats.spans), (1, 2, 1));
+    }
+
+    #[test]
     fn exporter_closes_open_spans_and_draws_flows() {
-        let tracer = Tracer::new(TraceMode::Full, 2, 64);
+        let tracer = Tracer::new(2, 64);
         // p1 parks on addr 5; p0 wakes it; p1 never logs an explicit end of
         // its last span — the exporter must still balance.
         tracer.record(1, 10, EventKind::FutexPark { addr: 5 });
@@ -349,7 +321,10 @@ mod tests {
         assert_eq!(stats.tracks, 2);
         assert!(json.contains("\"ph\":\"s\""), "flow start missing");
         assert!(json.contains("\"ph\":\"f\""), "flow end missing");
-        assert!(json.contains("w30:1"), "flow id should pair wake and resume");
+        assert!(
+            json.contains("w30:1"),
+            "flow id should pair wake and resume"
+        );
     }
 
     #[test]

@@ -21,7 +21,6 @@ const BUCKETS: usize = 65;
 pub struct Histogram {
     buckets: [u64; BUCKETS],
     count: u64,
-    sum: u64,
     max: u64,
 }
 
@@ -30,7 +29,6 @@ impl Default for Histogram {
         Histogram {
             buckets: [0; BUCKETS],
             count: 0,
-            sum: 0,
             max: 0,
         }
     }
@@ -54,7 +52,6 @@ impl Histogram {
     pub fn record(&mut self, v: u64) {
         self.buckets[bucket_of(v)] += 1;
         self.count += 1;
-        self.sum = self.sum.saturating_add(v);
         self.max = self.max.max(v);
     }
 
@@ -63,23 +60,9 @@ impl Histogram {
         self.count
     }
 
-    /// True when nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.count == 0
-    }
-
     /// Largest sample recorded (0 when empty).
     pub fn max(&self) -> u64 {
         self.max
-    }
-
-    /// Mean of the exact samples (not bucketized); 0.0 when empty.
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
     }
 
     /// The quantile `q` in `[0, 1]`: the upper bound of the bucket holding
@@ -113,7 +96,6 @@ impl Histogram {
             *a += b;
         }
         self.count += other.count;
-        self.sum = self.sum.saturating_add(other.sum);
         self.max = self.max.max(other.max);
     }
 }
@@ -168,21 +150,10 @@ pub fn lock_distributions(tracer: &Tracer) -> BTreeMap<usize, LockDist> {
     dists
 }
 
-/// All lock wait-time samples in the trace, sorted ascending — the input to
-/// an exact empirical CDF.
-pub fn wait_samples(tracer: &Tracer) -> Vec<u64> {
-    let mut all: Vec<u64> = lock_distributions(tracer)
-        .values()
-        .flat_map(|d| d.wait_samples.iter().copied())
-        .collect();
-    all.sort_unstable();
-    all
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Event, TraceMode};
+    use crate::Event;
 
     #[test]
     fn buckets_are_powers_of_two() {
@@ -212,10 +183,9 @@ mod tests {
     #[test]
     fn empty_histogram_is_zeroes() {
         let h = Histogram::new();
-        assert!(h.is_empty());
+        assert_eq!(h.count(), 0);
         assert_eq!(h.quantile(0.5), 0);
         assert_eq!(h.max(), 0);
-        assert_eq!(h.mean(), 0.0);
     }
 
     #[test]
@@ -231,7 +201,7 @@ mod tests {
 
     #[test]
     fn extracts_wait_and_hold_pairs() {
-        let tracer = Tracer::new(TraceMode::Full, 1, 64);
+        let tracer = Tracer::new(1, 64);
         for ev in [
             Event { t: 10, kind: EventKind::LockAcquireStart { lock: 7 } },
             Event { t: 25, kind: EventKind::LockAcquired { lock: 7 } },
@@ -245,6 +215,5 @@ mod tests {
         assert_eq!(d.hold.count(), 1);
         assert_eq!(d.wait_samples, vec![15]);
         assert_eq!(d.hold.max(), 20);
-        assert_eq!(wait_samples(&tracer), vec![15]);
     }
 }

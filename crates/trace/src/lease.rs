@@ -94,7 +94,7 @@ pub(crate) fn thread_slot(leases: &Arc<Leases>) -> Option<usize> {
 #[cfg(test)]
 mod tests {
     use super::thread_slot;
-    use crate::{EventKind, TraceMode, Tracer};
+    use crate::{EventKind, Tracer};
     use std::sync::Barrier;
 
     /// More live recording threads than rings: no two share a ring, the
@@ -105,7 +105,7 @@ mod tests {
     fn live_threads_never_share_a_slot() {
         const RINGS: usize = 8;
         const THREADS: usize = RINGS + 6;
-        let tracer = Tracer::new(TraceMode::Full, RINGS, 4);
+        let tracer = Tracer::new(RINGS, 4);
         let all_recorded = Barrier::new(THREADS);
         let slots: Vec<Option<usize>> = std::thread::scope(|s| {
             let recorders: Vec<_> = (0..THREADS)

@@ -3,7 +3,7 @@
 //! The repo's figures report end-of-run totals; this crate records *what
 //! happened along the way* — lock acquires and handoffs, spin waits, futex
 //! parks and wakes, scheduler context switches, barrier episodes — into
-//! fixed-capacity per-processor rings ([`ring::EventRing`]) timestamped
+//! fixed-capacity per-processor rings (`ring::EventRing`) timestamped
 //! with the recording substrate's clock (simulated cycles on `memsim`,
 //! monotonic microseconds on real hardware).
 //!
@@ -21,62 +21,30 @@
 //! * [`chrome`] — Chrome trace-event JSON export, one Perfetto track per
 //!   processor, with waker→wakee flow arrows (`bench_sim --trace-out`,
 //!   `interleave trace`);
-//! * per-class event counters, available even in the cheap `counters` mode.
+//! * per-class event counters ([`Tracer::class_total`]).
 //!
 //! Tracing is opt-in and additive: a `memsim` run with no tracer attached
-//! (or mode `off`) executes the identical simulated schedule — recording
-//! never costs a simulated cycle, only host time, so every golden figure is
-//! byte-identical with tracing on or off. A tracer's mode is always passed
-//! in; the binaries that offer a knob for it parse the value with
-//! [`TraceMode::parse`].
+//! executes the identical simulated schedule — recording never costs a
+//! simulated cycle, only host time, so every golden figure is
+//! byte-identical with tracing on or off.
+//!
+//! [`json`] is the workspace's one JSON reader: every check of an emitted
+//! trace, snapshot or report parses the document before it checks it.
 
 pub mod chrome;
 pub mod event;
 pub mod histo;
+pub mod json;
 mod lease;
-pub mod ring;
+mod ring;
 
 pub use event::{Event, EventClass, EventKind, NO_PID};
 pub use histo::Histogram;
 pub use lease::THREAD_SLOTS;
-pub use ring::EventRing;
 
+use ring::EventRing;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-/// How much the tracer records.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum TraceMode {
-    /// Record nothing (the default).
-    #[default]
-    Off,
-    /// Per-class event counters only — no per-event storage.
-    Counters,
-    /// Counters plus the full per-processor event rings.
-    Full,
-}
-
-impl TraceMode {
-    /// Stable display name (the spelling [`TraceMode::parse`] accepts).
-    pub fn name(self) -> &'static str {
-        match self {
-            TraceMode::Off => "off",
-            TraceMode::Counters => "counters",
-            TraceMode::Full => "full",
-        }
-    }
-
-    /// Parses `off`, `counters` or `full`; anything else is an error, so a
-    /// misspelt mode cannot silently disable tracing.
-    pub fn parse(raw: &str) -> Result<TraceMode, String> {
-        match raw {
-            "off" => Ok(TraceMode::Off),
-            "counters" => Ok(TraceMode::Counters),
-            "full" => Ok(TraceMode::Full),
-            _ => Err(String::new()),
-        }
-    }
-}
 
 const N_CLASSES: usize = EventClass::ALL.len();
 
@@ -93,9 +61,8 @@ impl CountSet {
 /// leased thread.
 ///
 /// Cloning the `Arc` shares the recorder; all methods take `&self` (see
-/// [`ring::EventRing`] for the single-writer-per-ring discipline).
+/// `ring::EventRing` for the single-writer-per-ring discipline).
 pub struct Tracer {
-    mode: TraceMode,
     rings: Vec<EventRing>,
     counts: Vec<CountSet>,
     leases: Arc<lease::Leases>,
@@ -106,30 +73,23 @@ impl Tracer {
     pub const DEFAULT_CAPACITY: usize = 1 << 16;
 
     /// Creates a tracer for `nprocs` processors with `capacity` events of
-    /// ring per processor (rings are only allocated in [`TraceMode::Full`]).
+    /// ring per processor.
     ///
     /// # Panics
     ///
     /// If `nprocs` or `capacity` is zero.
-    pub fn new(mode: TraceMode, nprocs: usize, capacity: usize) -> Self {
+    pub fn new(nprocs: usize, capacity: usize) -> Self {
         assert!(nprocs > 0, "Tracer needs at least one processor");
-        let ring_cap = if mode == TraceMode::Full { capacity } else { 1 };
         Tracer {
-            mode,
-            rings: (0..nprocs).map(|_| EventRing::new(ring_cap)).collect(),
+            rings: (0..nprocs).map(|_| EventRing::new(capacity)).collect(),
             counts: (0..nprocs).map(|_| CountSet::new()).collect(),
             leases: lease::Leases::new(nprocs),
         }
     }
 
-    /// A full-mode tracer with the default capacity, ready to share.
-    pub fn full(nprocs: usize) -> Arc<Self> {
-        Arc::new(Tracer::new(TraceMode::Full, nprocs, Self::DEFAULT_CAPACITY))
-    }
-
-    /// The recording mode.
-    pub fn mode(&self) -> TraceMode {
-        self.mode
+    /// A tracer with the default capacity, ready to share.
+    pub fn shared(nprocs: usize) -> Arc<Self> {
+        Arc::new(Tracer::new(nprocs, Self::DEFAULT_CAPACITY))
     }
 
     /// Number of per-processor rings.
@@ -137,14 +97,10 @@ impl Tracer {
         self.rings.len()
     }
 
-    /// Records one event for `pid` at time `t`. No-op in [`TraceMode::Off`];
-    /// counter-only in [`TraceMode::Counters`].
+    /// Records one event for `pid` at time `t`: into its ring, and into
+    /// its class's counter.
     pub fn record(&self, pid: usize, t: u64, kind: EventKind) {
-        match self.mode {
-            TraceMode::Off => return,
-            TraceMode::Counters => {}
-            TraceMode::Full => self.rings[pid].push(Event { t, kind }),
-        }
+        self.rings[pid].push(Event { t, kind });
         self.counts[pid].0[kind.class().index()].fetch_add(1, Ordering::Relaxed);
     }
 
@@ -152,11 +108,8 @@ impl Tracer {
     /// from its first event until it exits; a thread that finds all
     /// [`THREAD_SLOTS`] rings (or, for a smaller tracer, all
     /// [`Tracer::nprocs`]) leased to other live threads is counted in
-    /// [`Tracer::unleased`] instead. No-op in [`TraceMode::Off`].
+    /// [`Tracer::unleased`] instead.
     pub fn record_thread(&self, t: u64, kind: EventKind) {
-        if self.mode == TraceMode::Off {
-            return;
-        }
         match lease::thread_slot(&self.leases) {
             Some(pid) => self.record(pid, t, kind),
             None => _ = self.leases.unleased.fetch_add(1, Ordering::Relaxed),
@@ -169,9 +122,9 @@ impl Tracer {
         self.leases.unleased.load(Ordering::Relaxed)
     }
 
-    /// Retained events for `pid`, oldest first (empty unless full mode).
+    /// Retained events for `pid`, oldest first.
     /// Exact once the traced run has quiesced; a live read may miss the
-    /// oldest event ([`EventRing::snapshot`]).
+    /// oldest event (`EventRing::snapshot`).
     pub fn events(&self, pid: usize) -> Vec<Event> {
         self.rings[pid].snapshot()
     }
@@ -187,7 +140,7 @@ impl Tracer {
     }
 
     /// Per-processor count of events in `class`.
-    pub fn count(&self, pid: usize, class: EventClass) -> u64 {
+    pub(crate) fn count(&self, pid: usize, class: EventClass) -> u64 {
         self.counts[pid].0[class.index()].load(Ordering::Relaxed)
     }
 
@@ -200,7 +153,6 @@ impl Tracer {
 impl std::fmt::Debug for Tracer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Tracer")
-            .field("mode", &self.mode)
             .field("nprocs", &self.nprocs())
             .finish()
     }
@@ -211,18 +163,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn mode_parsing_is_strict() {
-        for mode in [TraceMode::Off, TraceMode::Counters, TraceMode::Full] {
-            assert_eq!(TraceMode::parse(mode.name()), Ok(mode));
-        }
-        for bad in ["", "Full", "on", "1", "trace"] {
-            assert!(TraceMode::parse(bad).is_err(), "{bad:?}");
-        }
-    }
-
-    #[test]
-    fn full_mode_stores_events_and_counts() {
-        let t = Tracer::new(TraceMode::Full, 2, 16);
+    fn record_stores_events_and_counts() {
+        let t = Tracer::new(2, 16);
         t.record(0, 5, EventKind::FutexPark { addr: 9 });
         t.record(1, 7, EventKind::FutexWake { addr: 9, wakee: 0 });
         assert_eq!(t.events(0).len(), 1);
@@ -230,23 +172,5 @@ mod tests {
         assert_eq!(t.count(0, EventClass::FutexPark), 1);
         assert_eq!(t.class_total(EventClass::FutexWake), 1);
         assert_eq!(t.dropped(0), 0);
-    }
-
-    #[test]
-    fn counters_mode_keeps_no_events() {
-        let t = Tracer::new(TraceMode::Counters, 1, 16);
-        for i in 0..100 {
-            t.record(0, i, EventKind::CtxSwitchIn);
-        }
-        assert!(t.events(0).is_empty());
-        assert_eq!(t.count(0, EventClass::CtxSwitchIn), 100);
-    }
-
-    #[test]
-    fn off_mode_records_nothing() {
-        let t = Tracer::new(TraceMode::Off, 1, 16);
-        t.record(0, 1, EventKind::CtxSwitchIn);
-        assert!(t.events(0).is_empty());
-        assert_eq!(t.count(0, EventClass::CtxSwitchIn), 0);
     }
 }

@@ -73,16 +73,6 @@ impl EventRing {
         self.seq.load(Ordering::Acquire) / 2
     }
 
-    /// Events currently retained.
-    pub fn len(&self) -> usize {
-        self.pushed().min(self.capacity())
-    }
-
-    /// True when nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.pushed() == 0
-    }
-
     /// Events lost to overwriting.
     pub fn dropped(&self) -> usize {
         self.pushed().saturating_sub(self.capacity())
@@ -139,13 +129,12 @@ mod tests {
     #[test]
     fn retains_in_order_below_capacity() {
         let ring = EventRing::new(8);
-        assert!(ring.is_empty());
+        assert_eq!(ring.pushed(), 0);
         for t in 0..5 {
             ring.push(ev(t));
         }
         let got: Vec<u64> = ring.snapshot().iter().map(|e| e.t).collect();
         assert_eq!(got, vec![0, 1, 2, 3, 4]);
-        assert_eq!(ring.len(), 5);
         assert_eq!(ring.dropped(), 0);
     }
 
@@ -157,7 +146,6 @@ mod tests {
         }
         let got: Vec<u64> = ring.snapshot().iter().map(|e| e.t).collect();
         assert_eq!(got, vec![6, 7, 8, 9]);
-        assert_eq!(ring.len(), 4);
         assert_eq!(ring.pushed(), 10);
         assert_eq!(ring.dropped(), 6);
     }

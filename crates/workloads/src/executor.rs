@@ -313,7 +313,7 @@ pub struct Handle {
 
 impl Handle {
     /// The current virtual time.
-    pub fn now(&self) -> u64 {
+    pub(crate) fn now(&self) -> u64 {
         self.shared.now.load(Ordering::SeqCst)
     }
 

@@ -107,7 +107,7 @@ pub fn run(
 /// Longest stretch of hand-offs a continuously contending processor went
 /// without service (measured between its consecutive appearances in the
 /// order, and from the start/end for the edges).
-pub fn max_denial(order: &[usize], nprocs: usize) -> u64 {
+pub(crate) fn max_denial(order: &[usize], nprocs: usize) -> u64 {
     let mut last_seen = vec![-1i64; nprocs];
     let mut worst = 0u64;
     for (i, &pid) in order.iter().enumerate() {

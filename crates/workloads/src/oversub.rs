@@ -26,7 +26,7 @@ use memsim::{Machine, MachineParams, SchedParams};
 use simcore::Series;
 
 /// The three wait policies fig9 compares, in curve order.
-pub fn wait_policies() -> Vec<Box<dyn LockKernel + Send + Sync>> {
+pub(crate) fn wait_policies() -> Vec<Box<dyn LockKernel + Send + Sync>> {
     vec![
         Box::new(QsmLock::spin()),
         Box::new(QsmLock::spin_then_park()),

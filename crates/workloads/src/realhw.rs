@@ -125,13 +125,13 @@ impl ProcCtx for RealCtx<'_> {
 #[derive(Debug)]
 pub struct RealRun {
     /// Final value of the counter word handed to every critical section.
-    pub counter: Word,
+    pub(crate) counter: Word,
     /// Parks in the run's lot.
     pub parks: u64,
     /// Waiters the run's wakes dequeued.
     pub wakes: u64,
     /// Wall-clock time from before the first spawn to the last join.
-    pub elapsed: Duration,
+    pub(crate) elapsed: Duration,
     /// Panic messages of the threads that did not finish.
     pub failures: Vec<String>,
 }

@@ -19,7 +19,7 @@
 //!   wall-clock wait/hold nanoseconds into the same `trace` histograms.
 //!   This is the CI smoke driver and the stress harness's engine; it is
 //!   deliberately *not* a figure input.
-//! * [`async_load`] — the **identical request schedule** (same generator
+//! * [`async_load_with_metrics`] — the **identical request schedule** (same generator
 //!   streams) driven through the real
 //!   [`service::AsyncLockService`] futures on the deterministic
 //!   virtual-clock executor ([`crate::executor`]). Unlike `run_real`,
@@ -191,26 +191,26 @@ impl Zipf {
 #[derive(Debug, Clone)]
 pub struct ServiceLoadConfig {
     /// Worker pool size — the service's concurrency limit.
-    pub threads: usize,
+    pub(crate) threads: usize,
     /// Distinct logical keys.
-    pub keys: usize,
+    pub(crate) keys: usize,
     /// Zipf exponent of the key popularity (0 = uniform).
-    pub zipf_s: f64,
+    pub(crate) zipf_s: f64,
     /// Total requests to issue.
-    pub requests: usize,
+    pub(crate) requests: usize,
     /// Mean gap between arrival *bursts*, in cycles (exponential).
     pub mean_gap: u64,
     /// Max burst size: each burst carries `1..=max_burst` back-to-back
     /// arrivals.
-    pub max_burst: usize,
+    pub(crate) max_burst: usize,
     /// Fraction of requests that are reads (short holds).
-    pub read_fraction: f64,
+    pub(crate) read_fraction: f64,
     /// Mean hold for a read request, cycles (exponential).
-    pub read_hold: u64,
+    pub(crate) read_hold: u64,
     /// Mean hold for a write request, cycles (exponential).
-    pub write_hold: u64,
+    pub(crate) write_hold: u64,
     /// RNG seed; every derived stream forks from it.
-    pub seed: u64,
+    pub(crate) seed: u64,
 }
 
 impl ServiceLoadConfig {
@@ -239,9 +239,9 @@ pub struct ServiceLoadResult {
     /// Worker pool size.
     pub threads: usize,
     /// Requests completed (always `requests`).
-    pub completed: u64,
+    pub(crate) completed: u64,
     /// Virtual time of the last completion.
-    pub makespan: u64,
+    pub(crate) makespan: u64,
     /// Arrival-to-grant times, cycles.
     pub wait: Histogram,
     /// Grant-to-release times, cycles.
@@ -441,7 +441,8 @@ pub fn service_sweep(run: RunConfig, threads: &[usize], requests: usize) -> Vec<
     })
 }
 
-/// Outcome of an [`async_load`] run — the async column of fig12.
+/// Outcome of an [`async_load_with_metrics`] run — the async column of
+/// fig12.
 #[derive(Debug, Clone)]
 pub struct AsyncServiceResult {
     /// Worker pool size (semaphore permits).
@@ -451,7 +452,7 @@ pub struct AsyncServiceResult {
     /// Virtual time of the last completion.
     pub makespan: u64,
     /// Arrival-to-grant times, cycles.
-    pub wait: Histogram,
+    pub(crate) wait: Histogram,
     /// Grant-to-release times, cycles.
     pub hold: Histogram,
 }
@@ -468,14 +469,14 @@ impl AsyncServiceResult {
     }
 }
 
-/// An [`async_load_with_metrics`] run: the workload outcome plus the
+/// An [`async_load_with_metrics`] report: the workload outcome plus the
 /// telemetry the service and the executor collected while serving it.
 /// This is what `table7` renders — the counters are pure functions of
 /// the schedule, so they are figure-safe; only the histogram *nanosecond*
 /// values inside [`service::MetricsSnapshot`] are wall-clock.
 #[derive(Debug)]
 pub struct AsyncMetricsReport {
-    /// The workload outcome, identical to what [`async_load`] returns.
+    /// The workload outcome, identical in every mode.
     pub result: AsyncServiceResult,
     /// The service-side telemetry snapshot (lock + semaphore share one
     /// [`service::ServiceMetrics`], so semaphore grants land here too).
@@ -499,13 +500,9 @@ pub struct AsyncMetricsReport {
 /// single-threaded with a virtual clock, every wake targets a single
 /// address whose waiters resume in FIFO order, and batch wakes fire in
 /// publication order — no heap address or ASLR artifact can reorder
-/// anything observable. Telemetry runs in the service's default
-/// `counters` mode; [`async_load_with_metrics`] picks another.
-pub fn async_load(cfg: &ServiceLoadConfig, wake_cost: u64) -> AsyncServiceResult {
-    async_load_with_metrics(cfg, wake_cost, service::MetricsMode::Counters).result
-}
-
-/// [`async_load`] with an explicit metrics mode, returning the service's
+/// anything observable.
+///
+/// Telemetry runs at `mode`, and the report carries the service's
 /// telemetry snapshot and the executor's poll accounting alongside the
 /// workload result. The service and the worker-pool semaphore share one
 /// per-instance [`service::ServiceMetrics`], so the run never touches the
@@ -586,17 +583,17 @@ pub fn async_load_with_metrics(
 #[derive(Debug, Clone)]
 pub struct RealServiceConfig {
     /// Worker threads.
-    pub threads: usize,
+    pub(crate) threads: usize,
     /// Lock/unlock operations per worker.
-    pub requests_per_thread: usize,
+    pub(crate) requests_per_thread: usize,
     /// Distinct logical keys.
     pub keys: usize,
     /// Zipf exponent of key popularity.
     pub zipf_s: f64,
     /// Busy-spin iterations inside the critical section.
-    pub hold_spin: u32,
+    pub(crate) hold_spin: u32,
     /// RNG seed for the key streams.
-    pub seed: u64,
+    pub(crate) seed: u64,
 }
 
 impl RealServiceConfig {
@@ -807,8 +804,8 @@ mod tests {
     #[test]
     fn async_load_is_deterministic_and_completes() {
         let cfg = ServiceLoadConfig::new(8, 500);
-        let a = async_load(&cfg, 40);
-        let b = async_load(&cfg, 40);
+        let a = async_load_with_metrics(&cfg, 40, service::MetricsMode::Counters).result;
+        let b = async_load_with_metrics(&cfg, 40, service::MetricsMode::Counters).result;
         assert_eq!(a.completed, 500);
         assert_eq!(a.wait.count(), 500);
         assert_eq!(a.hold.count(), 500);
@@ -840,7 +837,7 @@ mod tests {
         // orders of magnitude apart.
         let cfg = ServiceLoadConfig::new(16, 2_000);
         let sim = sim_load(LockPolicy::Qsm, &cfg);
-        let real = async_load(&cfg, 40);
+        let real = async_load_with_metrics(&cfg, 40, service::MetricsMode::Counters).result;
         let ratio = real.makespan as f64 / sim.makespan.max(1) as f64;
         assert!(
             (0.5..2.0).contains(&ratio),

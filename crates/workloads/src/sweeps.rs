@@ -40,14 +40,6 @@ impl MachineKind {
             MachineKind::Numa => Machine::new(MachineParams::numa_1991(nprocs)),
         }
     }
-
-    /// Label used in figure titles.
-    pub fn label(self) -> &'static str {
-        match self {
-            MachineKind::Bus => "bus",
-            MachineKind::Numa => "numa",
-        }
-    }
 }
 
 /// How a sweep uses the host (module docs). No setting changes a figure's
@@ -318,8 +310,6 @@ mod tests {
 
     #[test]
     fn machine_kind_builds_both_topologies() {
-        assert_eq!(MachineKind::Bus.label(), "bus");
-        assert_eq!(MachineKind::Numa.label(), "numa");
         let _ = MachineKind::Bus.machine(4);
         let _ = MachineKind::Numa.machine(4);
     }

@@ -68,7 +68,7 @@ pub fn run_lock(name: &str, cfg: &CsConfig) -> Result<WaitDistResult, SimError> 
     let lock: Arc<dyn LockKernel + Send + Sync> =
         Arc::from(lock_by_name(name).unwrap_or_else(|| panic!("unknown lock '{name}'")));
     let instrumented = InstrumentedLock::new(lock, TRACE_LOCK_ID);
-    let tracer = Tracer::full(cfg.nprocs);
+    let tracer = Tracer::shared(cfg.nprocs);
     let machine =
         Machine::new(MachineParams::bus_1991(cfg.nprocs)).with_tracer(Arc::clone(&tracer));
     let result = csbench::run(&machine, &instrumented, cfg)?;

@@ -17,7 +17,7 @@
 //! fig8 is excluded: it measures real host wall-clock and is the one
 //! legitimately nondeterministic figure.
 
-use bench::figures::FIGURES;
+use bench::figures::{check_report, FIGURES};
 use bench::Opts;
 use simcore::knob;
 use std::path::PathBuf;
@@ -189,6 +189,27 @@ fn unified_diff_prints_hunks_with_context() {
     // A trailing-newline-only difference is still reported.
     let d2 = unified_diff("a\nb\n", "a\nb");
     assert!(d2.contains("trailing newline"), "got:\n{d2}");
+}
+
+/// The committed `BENCH_sim.json` passes the check `bench_sim` runs on
+/// every report it writes, and that check reads values, not layout.
+#[test]
+fn committed_bench_sim_report_passes_its_check() {
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("BENCH_sim.json");
+    let text = std::fs::read_to_string(path).expect("BENCH_sim.json");
+    let figures: Vec<_> = FIGURES.iter().collect();
+    check_report(&text, &figures).expect("BENCH_sim.json");
+    check_report(&text.replace(",\"", ",\n  \""), &figures).expect("one member per line");
+    for (from, to) in [
+        ("v4", "v3"),
+        ("\"id\":\"fig2\"", "\"id\":\"fig3\""),
+        ("\"speedup\":", "\"speedup\":-"),
+        ("\"parallel_wall_ms\":", "\"parallel_wall_msX\":"),
+    ] {
+        let bad = text.replacen(from, to, 1);
+        assert!(check_report(&bad, &figures).is_err(), "accepted {to:?}");
+    }
+    assert!(check_report(&text, &figures[1..]).is_err(), "extra entry");
 }
 
 #[test]

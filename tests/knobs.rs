@@ -6,17 +6,13 @@ use service::MetricsMode;
 use simcore::knob::{self, Knob};
 use std::collections::BTreeSet;
 use std::path::Path;
-use trace::TraceMode;
 
 /// Resolves `raw` the way the knob's edge does, rendering the value back
 /// in the knob's own spelling.
 fn resolve(k: &Knob, raw: Option<&str>) -> Result<Option<String>, String> {
-    if *k == knob::TRACE {
-        Ok(k.resolve(raw, TraceMode::parse)?
-            .map(|m| m.name().to_string()))
-    } else if *k == knob::SERVICE_METRICS {
+    if *k == knob::SERVICE_METRICS {
         Ok(k.resolve(raw, MetricsMode::parse)?.map(|m| m.label()))
-    } else if *k == knob::BENCH_JSON || *k == knob::BLESS {
+    } else if *k == knob::BLESS {
         Ok(k.resolve(raw, knob::flag)?
             .map(|on| u8::from(on).to_string()))
     } else {
@@ -29,25 +25,14 @@ fn resolve(k: &Knob, raw: Option<&str>) -> Result<Option<String>, String> {
 fn every_knob_resolves_strictly_and_rejects_in_one_format() {
     // (knob, a valid value, what the code does when it is unset — where
     // that is a value the knob could also be set to).
-    let cases: [(Knob, &str, Option<String>); 7] = [
-        (
-            knob::TRACE,
-            "full",
-            Some(TraceMode::default().name().to_string()),
-        ),
+    let cases: [(Knob, &str, Option<String>); 4] = [
         (knob::SWEEP_THREADS, "4", None),
-        (
-            knob::SERVICE_SHARDS,
-            "64",
-            Some(service::DEFAULT_SHARDS.to_string()),
-        ),
         (knob::SERVICE_THREADS, "8", None),
         (
             knob::SERVICE_METRICS,
             "sampled:64",
             Some(MetricsMode::default().label()),
         ),
-        (knob::BENCH_JSON, "1", Some("0".to_string())),
         (knob::BLESS, "1", Some("0".to_string())),
     ];
     let covered: Vec<Knob> = cases.iter().map(|(k, ..)| *k).collect();
@@ -77,7 +62,7 @@ fn every_knob_resolves_strictly_and_rejects_in_one_format() {
         }
         for bad in ["", "0", "-1", "2.5", "lots"] {
             match resolve(k, Some(bad)) {
-                // Only the two flags accept any of these: `0` is "off".
+                // Only the flag accepts any of these: `0` is "off".
                 Ok(_) => assert!(
                     bad == "0" && k.accepts == "0 or 1",
                     "{}={bad:?} must be rejected",

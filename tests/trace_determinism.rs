@@ -107,7 +107,7 @@ fn tracing_is_timing_invisible() {
     )
     .unwrap();
 
-    let tracer = trace::Tracer::full(nprocs);
+    let tracer = trace::Tracer::shared(nprocs);
     let machine =
         workloads::oversub::oversub_machine(nprocs, cores).with_tracer(Arc::clone(&tracer));
     let traced = csbench::run(&machine, &*lock, &cfg).unwrap();
