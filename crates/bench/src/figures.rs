@@ -794,8 +794,8 @@ pub(crate) fn fig12(opts: &Opts) -> String {
 /// not here). The `off` row proving all-zero counters and all three rows
 /// sharing one makespan **is the claim**: disabled telemetry is exactly
 /// free, and enabled telemetry never perturbs the virtual schedule. The
-/// wall-clock <3% throughput cost is checked separately by
-/// `service_load --overhead-check`, which times the real-thread driver.
+/// wall-clock throughput cost is timed separately by
+/// `service_load --overhead-check`, which runs the real-thread driver.
 pub(crate) fn table7(opts: &Opts) -> String {
     use workloads::sweeps::parallel_cells;
 
@@ -848,7 +848,7 @@ pub(crate) fn table7(opts: &Opts) -> String {
              schedule. The off row counts nothing — disabled telemetry is exactly\n\
              free — and every row lands the same makespan, so enabled telemetry\n\
              never perturbs the virtual schedule. Wall-clock overhead of the\n\
-             counters mode is bounded <3% by `service_load --overhead-check`.)\n",
+             counters mode is timed by `service_load --overhead-check`.)\n",
         );
         out
     }

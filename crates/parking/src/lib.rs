@@ -17,12 +17,15 @@
 //!   hash, waits that carry a tag and a batched wake addressed to
 //!   `(word, tag)` pairs ([`futex::ParkingLot::wake_tagged`]) for words
 //!   several logical waiters share, and machine-wide park/wake/resume
-//!   accounting ([`futex::totals`]). A lot built with a `trace::Tracer`
+//!   accounting ([`futex::totals`], whose last reader is the repo
+//!   benchmark's layer split; every lot keeps an exact ledger of its own).
+//!   A lot built with a `trace::Tracer`
 //!   ([`futex::ParkingLot::with_tracer`]) records its parks, wakes and
 //!   resumes into it. The `service` crate embeds its own lot under its
-//!   sharded per-key lock table; the `qsm` crate's lock, eventcount and
-//!   barrier park in one process-global, untraced instance
-//!   ([`futex::global_lot`]).
+//!   sharded per-key lock table, and a service's semaphores park there
+//!   too; the process-global, untraced instance ([`futex::global_lot`])
+//!   is the `qsm` crate's alone, where its lock, eventcount and barrier
+//!   park.
 //! - [`futex::ParkingLot::spin`] — the one pre-park wait: probe the awaited
 //!   word until it changes or until the lot's measured
 //!   [`futex::ParkingLot::park_cost`] has passed, then let the caller park.

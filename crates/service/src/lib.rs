@@ -40,6 +40,9 @@
 //!   waiter lists, and a release wakes the granted ticket and none of the
 //!   tickets that share its slot
 //!   ([`parking::futex::ParkingLot::wake_tagged`], a batch in one sweep).
+//!   [`lock::LockService::semaphore`] builds one that parks in the table's
+//!   lot and records into the service's metrics, so a service has one lot,
+//!   one ledger, one flight recorder and one park-cost estimate.
 //! - [`async_lock::AsyncLockService`] — the async-native front end:
 //!   futures (`lock`, `lock_many`, eventcount and barrier waits, the
 //!   semaphore's `acquire_async`) over the *same* table and slot words,

@@ -1,5 +1,5 @@
 //! The service front end: per-key mutex, eventcount and barrier over a
-//! [`ShardedTable`].
+//! [`ShardedTable`], and semaphores that park in its lot.
 //!
 //! Each primitive is a protocol over its slot word, written once in
 //! [`crate::protocol`] and run here on the word itself with the table's
@@ -32,6 +32,7 @@
 //! [`protocol::poll_step`], which never spins.
 
 use crate::protocol::{self, seq_ge, FREE, HELD};
+use crate::semaphore::WaitingArraySemaphore;
 use crate::table::{ShardedTable, SlotKind, SlotRef, TableStats};
 use crate::telemetry::{MetricsMode, MetricsSnapshot, Primitive, ServiceMetrics};
 use crate::DEFAULT_SHARDS;
@@ -115,6 +116,22 @@ impl LockService {
     /// show up here).
     pub fn futex_totals(&self) -> FutexTotals {
         self.table.lot().totals()
+    }
+
+    /// A semaphore with `permits` initial permits and a waiting array of
+    /// at least `slots` slots (rounded up to a power of two), parking in
+    /// this service's lot and recording into its metrics. The array
+    /// bounds *slot sharing*, not waiter count: more waiters than slots
+    /// simply share slots, and since a grant wakes the waiter that parked
+    /// with its ticket (see [`crate::semaphore`]), sharing costs the
+    /// sharers nothing — no lost wake and no spurious one.
+    ///
+    /// # Panics
+    ///
+    /// If `slots` is zero, or `permits` exceeds `i64::MAX`.
+    pub fn semaphore(&self, permits: usize, slots: usize) -> WaitingArraySemaphore {
+        let (lot, metrics) = (Arc::clone(&self.table.lot), Arc::clone(self.metrics()));
+        WaitingArraySemaphore::build(permits, slots, 0, lot, metrics)
     }
 
     /// The backing table itself — the async front end attaches its slots

@@ -16,9 +16,10 @@
 //! spurious wake per sharer. So a waiter parks carrying its ticket as a tag
 //! (`SyncCtx::wait` with `Some(ticket)`) and a release publishes
 //! its whole batch, then wakes `(slot, ticket)` per grant in one
-//! [`parking::futex::ParkingLot::wake_tagged`] sweep. Before it parks, a
-//! waiter spins for the `park_cost()` of the process-global lot
-//! ([`parking::futex::global_lot`]), where every semaphore's waiters park.
+//! [`parking::futex::ParkingLot::wake_tagged`] sweep. A semaphore comes
+//! from [`crate::LockService::semaphore`] and parks in the service table's
+//! lot; before it parks, a waiter spins for that lot's `park_cost()`, as
+//! the service's mutex does.
 //!
 //! **Cancellation.** A dropped [`WaitingArraySemaphore::acquire_async`]
 //! future already holds a ticket. If its grant is published, the grant is
@@ -29,11 +30,11 @@
 //! set's lock, so exactly one side recycles.
 //!
 //! The protocol is [`crate::protocol`]'s, run here on this struct's atomics
-//! and the global lot; `interleave::corpus` checks the same code.
+//! and the table's lot; `interleave::corpus` checks the same code.
 
 use crate::protocol::{self, WaitingArray};
-use crate::telemetry::{Primitive, ServiceMetrics};
-use parking::futex::{global_lot, ParkingLot, WaitEntry};
+use crate::telemetry::{MetricsMode, Primitive, ServiceMetrics};
+use parking::futex::{ParkingLot, WaitEntry};
 use parking::CachePadded;
 use std::collections::HashSet;
 use std::future::Future;
@@ -60,44 +61,41 @@ pub struct WaitingArraySemaphore {
     /// the releaser that publishes such a grant recycles the permit. Cold:
     /// touched only on cancellation and (briefly) per grant.
     abandoned: Mutex<HashSet<u64>>,
-    /// Telemetry sink; semaphores have no table, so they default to the
-    /// process-global instance (see [`crate::telemetry::global`]). Events
-    /// stripe by ticket, which spreads concurrent acquirers/releasers
-    /// across counter lines for free.
+    /// The lot its waiters park in: the service table's, so the table's
+    /// ledger, flight recorder, stall watchdog and park-cost estimate
+    /// cover them (a lot of its own if built without a service).
+    lot: Arc<ParkingLot>,
+    /// Telemetry sink, normally the service's. Events stripe by ticket,
+    /// which spreads concurrent acquirers/releasers across counter lines
+    /// for free.
     metrics: Arc<ServiceMetrics>,
 }
 
 impl WaitingArraySemaphore {
-    /// A semaphore with `permits` initial permits and a waiting array of
-    /// at least `slots` slots (rounded up to a power of two). The array
-    /// bounds *slot sharing*, not waiter count: more waiters than slots
-    /// simply share slots, and since a grant wakes the waiter that parked
-    /// with its ticket (see the module docs), sharing costs the sharers
-    /// nothing — no lost wake and no spurious one.
-    ///
-    /// # Panics
-    ///
-    /// If `slots` is zero, or `permits` exceeds `i64::MAX`.
-    pub fn new(permits: usize, slots: usize) -> Self {
-        Self::with_ticket_origin(permits, slots, 0)
-    }
-
-    /// [`WaitingArraySemaphore::new`] recording into an explicit telemetry
-    /// instance instead of the process-global one — e.g. the instance of
-    /// the service the semaphore guards keys for
-    /// ([`crate::LockService::metrics`]).
+    /// [`crate::LockService::semaphore`] recording into `metrics` and
+    /// parking in a lot of its own, shaped like the process-global one.
     pub fn with_metrics(permits: usize, slots: usize, metrics: Arc<ServiceMetrics>) -> Self {
-        Self::build(permits, slots, 0, metrics)
+        let lot = Arc::new(ParkingLot::with_buckets(64));
+        Self::build(permits, slots, 0, lot, metrics)
     }
 
-    /// [`WaitingArraySemaphore::new`] with the ticket counters starting at
+    /// A semaphore on a lot of its own whose ticket counters start at
     /// `origin` instead of 0 — a test hook that lets the wraparound suite
     /// start tickets near `u64::MAX` without issuing 2^64 operations.
     pub fn with_ticket_origin(permits: usize, slots: usize, origin: u64) -> Self {
-        Self::build(permits, slots, origin, crate::telemetry::global())
+        let lot = Arc::new(ParkingLot::with_buckets(64));
+        let metrics = Arc::new(ServiceMetrics::new(MetricsMode::default()));
+        Self::build(permits, slots, origin, lot, metrics)
     }
 
-    fn build(permits: usize, slots: usize, origin: u64, metrics: Arc<ServiceMetrics>) -> Self {
+    /// See [`crate::LockService::semaphore`] for the contract.
+    pub(crate) fn build(
+        permits: usize,
+        slots: usize,
+        origin: u64,
+        lot: Arc<ParkingLot>,
+        metrics: Arc<ServiceMetrics>,
+    ) -> Self {
         assert!(slots > 0, "a waiting array needs at least one slot");
         let permits = i64::try_from(permits).expect("permit count fits in i64");
         let w = slots.next_power_of_two() as u64;
@@ -111,6 +109,7 @@ impl WaitingArraySemaphore {
             slots,
             mask: w - 1,
             abandoned: Mutex::new(HashSet::new()),
+            lot,
             metrics,
         }
     }
@@ -166,10 +165,10 @@ impl WaitingArraySemaphore {
         }
     }
 
-    /// The lot every semaphore's waiters park in: the word operations its
-    /// protocol runs on.
+    /// The lot its waiters park in: the word operations its protocol runs
+    /// on.
     fn lot(&self) -> &ParkingLot {
-        global_lot()
+        &self.lot
     }
 }
 
@@ -276,14 +275,21 @@ mod tests {
     use super::*;
     use crate::async_lock::tests::poll_once;
     use crate::protocol::seq_ge;
+    use parking::futex::{addr_of, FutexTotals, PARK_COST_CEIL, PARK_COST_FLOOR};
     use std::sync::atomic::AtomicUsize;
-    use std::sync::Arc;
+    use std::sync::{Arc, OnceLock};
+    use std::task::{Wake, Waker};
     use std::thread;
     use std::time::Duration;
 
+    /// A semaphore on a service of its own, so its lot's ledger is its own.
+    fn sem(permits: usize, slots: usize) -> WaitingArraySemaphore {
+        crate::LockService::with_shards(1).semaphore(permits, slots)
+    }
+
     #[test]
     fn permits_bound_concurrent_holders() {
-        let sem = Arc::new(WaitingArraySemaphore::new(3, 8));
+        let sem = Arc::new(sem(3, 8));
         let holders = Arc::new(AtomicUsize::new(0));
         let peak = Arc::new(AtomicUsize::new(0));
         let handles: Vec<_> = (0..12)
@@ -312,7 +318,7 @@ mod tests {
 
     #[test]
     fn try_acquire_never_blocks() {
-        let sem = WaitingArraySemaphore::new(1, 2);
+        let sem = sem(1, 2);
         assert!(sem.try_acquire());
         assert!(!sem.try_acquire());
         sem.release();
@@ -323,7 +329,7 @@ mod tests {
     /// others stay parked until their own grant is published.
     #[test]
     fn release_n_grants_exactly_n() {
-        let sem = Arc::new(WaitingArraySemaphore::new(0, 4));
+        let sem = Arc::new(sem(0, 4));
         let through = Arc::new(AtomicUsize::new(0));
         let handles: Vec<_> = (0..5)
             .map(|_| {
@@ -403,7 +409,7 @@ mod tests {
         // counted itself through — the ordering under test.
         unsafe impl Sync for Plain {}
         for settle in [Duration::from_millis(1), Duration::ZERO] {
-            let sem = Arc::new(WaitingArraySemaphore::new(0, 1));
+            let sem = Arc::new(sem(0, 1));
             let through = Arc::new(AtomicUsize::new(0));
             let cell = Arc::new(Plain(std::cell::UnsafeCell::new(0)));
             let handles: Vec<_> = (0..8)
@@ -462,12 +468,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one slot")]
     fn zero_slot_array_rejected() {
-        WaitingArraySemaphore::new(1, 0);
+        sem(1, 0);
     }
 
     #[test]
     fn acquire_async_fast_path_completes_on_first_poll() {
-        let sem = WaitingArraySemaphore::new(2, 2);
+        let sem = sem(2, 2);
         let mut fut = sem.acquire_async();
         assert!(matches!(poll_once(&mut fut).0, Poll::Ready(())));
         assert_eq!(sem.permits(), 1);
@@ -479,7 +485,7 @@ mod tests {
 
     #[test]
     fn unpolled_future_drop_has_no_effect() {
-        let sem = WaitingArraySemaphore::new(1, 2);
+        let sem = sem(1, 2);
         drop(sem.acquire_async());
         assert_eq!(sem.permits(), 1);
         assert!(sem.try_acquire());
@@ -487,7 +493,7 @@ mod tests {
 
     #[test]
     fn cancelled_waiter_restores_its_ticket() {
-        let sem = WaitingArraySemaphore::new(1, 2);
+        let sem = sem(1, 2);
         sem.acquire();
         let mut fut = sem.acquire_async();
         assert!(matches!(poll_once(&mut fut).0, Poll::Pending));
@@ -502,7 +508,7 @@ mod tests {
 
     #[test]
     fn cancelled_waiter_hands_published_grant_onward() {
-        let sem = WaitingArraySemaphore::new(0, 2);
+        let sem = sem(0, 2);
         let mut fut = sem.acquire_async();
         let (polled, flag) = poll_once(&mut fut);
         assert!(matches!(polled, Poll::Pending));
@@ -517,7 +523,7 @@ mod tests {
 
     #[test]
     fn woken_future_admits_on_next_poll() {
-        let sem = WaitingArraySemaphore::new(0, 2);
+        let sem = sem(0, 2);
         let mut fut = sem.acquire_async();
         assert!(matches!(poll_once(&mut fut).0, Poll::Pending));
         sem.release();
@@ -529,7 +535,7 @@ mod tests {
     /// a mid-stream cancellation must not strand the blocking waiters.
     #[test]
     fn cancellation_between_blocking_waiters_strands_nobody() {
-        let sem = Arc::new(WaitingArraySemaphore::new(0, 2));
+        let sem = Arc::new(sem(0, 2));
         let through = Arc::new(AtomicUsize::new(0));
         let t1 = {
             let (sem, through) = (Arc::clone(&sem), Arc::clone(&through));
@@ -561,5 +567,218 @@ mod tests {
         t2.join().unwrap();
         assert_eq!(through.load(Ordering::SeqCst), 2);
         assert_eq!(sem.permits(), 0);
+    }
+
+    /// `n` parks, each ended by one wake and one resume.
+    fn balanced_at(n: u64) -> FutexTotals {
+        FutexTotals {
+            parks: n,
+            wakes: n,
+            resumes: n,
+        }
+    }
+
+    /// Counts how often it is woken.
+    #[derive(Default)]
+    struct CountingWaker(AtomicUsize);
+
+    impl Wake for CountingWaker {
+        fn wake(self: Arc<Self>) {
+            self.0.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+
+    /// A future and the waker it is polled with.
+    struct Polled<'a>(AcquireFuture<'a>, Arc<CountingWaker>);
+
+    impl<'a> Polled<'a> {
+        /// A fresh acquirer, polled once and left pending.
+        fn pending(sem: &'a WaitingArraySemaphore) -> Self {
+            let mut polled = Polled(sem.acquire_async(), Arc::default());
+            assert!(polled.poll().is_pending());
+            polled
+        }
+
+        fn poll(&mut self) -> Poll<()> {
+            let waker = Waker::from(Arc::clone(&self.1));
+            Pin::new(&mut self.0).poll(&mut Context::from_waker(&waker))
+        }
+
+        fn wakes(&self) -> usize {
+            self.1 .0.load(Ordering::SeqCst)
+        }
+    }
+
+    /// Six futures whose tickets all share the one slot: `release()` invokes
+    /// the oldest ticket's waker, `release_n(3)` the next three, and a future
+    /// whose grant is not published never hears of either. (While a grant
+    /// woke every sharer of its slot, each release invoked all the wakers
+    /// still parked.)
+    #[test]
+    fn a_release_invokes_the_granted_tickets_waker_and_no_other() {
+        let sem = sem(0, 1);
+        let mut waiting: Vec<Polled> = (0..6).map(|_| Polled::pending(&sem)).collect();
+        let wakes = |waiting: &[Polled]| waiting.iter().map(Polled::wakes).collect::<Vec<_>>();
+
+        assert_eq!(sem.release_n(1), 1);
+        assert_eq!(wakes(&waiting), [1, 0, 0, 0, 0, 0]);
+        assert_eq!(sem.release_n(3), 3);
+        assert_eq!(wakes(&waiting), [1, 1, 1, 1, 0, 0]);
+
+        // The four granted futures are admitted by their next poll; the two
+        // others are cancelled unwoken and their tickets recycled.
+        let cancelled = waiting.split_off(4);
+        assert!(waiting.iter_mut().all(|w| w.poll().is_ready()));
+        assert_eq!(cancelled.iter().map(Polled::wakes).sum::<usize>(), 0);
+        drop(cancelled);
+        assert_eq!(sem.release_n(2), 0, "both tickets were abandoned");
+        assert_eq!(sem.permits(), 2, "the two permits nobody was left to take");
+        assert_eq!(sem.lot.totals(), balanced_at(6));
+    }
+
+    /// Eight threads parked on two slots — four tickets a slot — released one
+    /// at a time and then by `release_n(3)`: every release ends exactly as
+    /// many parks as it grants, nobody parks twice, everybody gets through.
+    #[test]
+    fn parked_sharers_of_a_slot_are_woken_one_grant_at_a_time() {
+        let sem = sem(0, 2);
+        let through = AtomicUsize::new(0);
+        thread::scope(|s| {
+            for _ in 0..8 {
+                s.spawn(|| {
+                    sem.acquire();
+                    through.fetch_add(1, Ordering::SeqCst);
+                });
+            }
+            // All eight spin their budgets out and park, each under its ticket.
+            while sem.lot.totals().parks < 8 {
+                thread::yield_now();
+            }
+            let mut tags: Vec<_> = sem.lot.parked_waiters().iter().map(|w| w.tag).collect();
+            tags.sort_unstable();
+            assert_eq!(tags, (0..8).map(Some).collect::<Vec<_>>());
+
+            let mut granted = 0;
+            for n in [1, 1, 1, 1, 1, 3] {
+                assert_eq!(sem.release_n(n), n);
+                granted += n;
+                assert_eq!(sem.lot.totals().wakes, granted as u64, "one wake per grant");
+                while through.load(Ordering::SeqCst) < granted {
+                    thread::yield_now();
+                }
+                assert_eq!(sem.lot.parked_waiters().len(), 8 - granted);
+            }
+        });
+        assert_eq!(through.load(Ordering::SeqCst), 8);
+        assert_eq!(sem.permits(), 0);
+        assert_eq!(
+            sem.lot.totals(),
+            balanced_at(8),
+            "a waiter parked more than once"
+        );
+    }
+
+    /// Parks a thread in `lot` and wakes it: one sample for the lot's
+    /// park-cost average.
+    fn park_and_wake_once(lot: &ParkingLot) {
+        let word = AtomicU64::new(0);
+        thread::scope(|s| {
+            s.spawn(|| {
+                while word.load(Ordering::SeqCst) == 0 {
+                    lot.wait(&word, 0);
+                }
+            });
+            while lot.parked_count(&word) == 0 {
+                thread::yield_now();
+            }
+            word.store(1, Ordering::SeqCst);
+            lot.wake_addr(addr_of(&word), 1);
+        });
+    }
+
+    /// The pre-park spin is budgeted by the lot the waiter is about to park
+    /// in: a waiter nobody releases watches its slot for `park_cost()` — the
+    /// clamped 8–64 µs average, here after sixteen real samples, not a
+    /// constant of the semaphore — before it parks, and its grant then costs
+    /// exactly one park; a grant that lands inside the budget is taken
+    /// without any.
+    #[test]
+    fn a_waiter_spins_for_the_lots_park_cost_and_then_parks_once() {
+        let sem = sem(0, 2);
+        for _ in 0..16 {
+            park_and_wake_once(&sem.lot);
+        }
+        assert_eq!(sem.lot.totals(), balanced_at(16));
+        // Nothing parks in the lot between this read and the waiter's own.
+        let budget = sem.lot.park_cost();
+        assert!(
+            (PARK_COST_FLOOR..=PARK_COST_CEIL).contains(&budget),
+            "{budget:?}"
+        );
+
+        let started = OnceLock::new();
+        thread::scope(|s| {
+            s.spawn(|| {
+                started.set(Instant::now()).unwrap();
+                sem.acquire();
+            });
+            while sem.lot.totals().parks == 16 {
+                std::hint::spin_loop();
+            }
+            let spun = started.get().unwrap().elapsed();
+            assert!(
+                spun >= budget,
+                "parked after {spun:?} of a {budget:?} budget"
+            );
+            sem.release();
+        });
+        assert_eq!(
+            sem.lot.totals(),
+            balanced_at(17),
+            "a missed budget costs one park"
+        );
+
+        // A release issued the moment the waiter has its ticket lands inside
+        // any budget unless this thread loses its core in between, so some
+        // attempt among many sees the grant taken with no park at all.
+        let taken_spinning = (0..1_000).any(|_| {
+            let before = sem.lot.totals();
+            thread::scope(|s| {
+                s.spawn(|| sem.acquire());
+                while sem.permits() != -1 {
+                    std::hint::spin_loop();
+                }
+                sem.release();
+            });
+            let attempt = sem.lot.totals().since(&before);
+            assert!(attempt.balanced() && attempt.parks <= 1, "{attempt:?}");
+            attempt.parks == 0
+        });
+        assert!(taken_spinning, "no grant was ever picked up by the spin");
+        assert_eq!(sem.permits(), 0);
+    }
+
+    /// A future dropped after its grant's wake fired but before the re-poll:
+    /// the wake was addressed to its ticket, so the grant is published, the
+    /// drop takes `cancel_ticket`'s published branch and the permit goes to
+    /// the next ticket — the sharer of the slot that the first wake left
+    /// alone.
+    #[test]
+    fn a_future_dropped_after_its_wake_hands_the_grant_to_the_next_ticket() {
+        let sem = sem(0, 1);
+        let first = Polled::pending(&sem);
+        let mut second = Polled::pending(&sem);
+
+        assert_eq!(sem.release_n(1), 1);
+        assert_eq!((first.wakes(), second.wakes()), (1, 0));
+        drop(first);
+        assert_eq!(
+            second.wakes(),
+            1,
+            "the dropped future's permit was not handed on"
+        );
+        assert!(second.poll().is_ready());
+        assert_eq!(sem.permits(), 0);
+        assert_eq!(sem.lot.totals(), balanced_at(2));
     }
 }

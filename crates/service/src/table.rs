@@ -147,7 +147,8 @@ pub struct TableStats {
 pub struct ShardedTable {
     shards: Box<[CachePadded<Mutex<ShardInner>>]>,
     mask: u64,
-    lot: ParkingLot,
+    /// Shared with the semaphores [`crate::LockService::semaphore`] builds.
+    pub(crate) lot: Arc<ParkingLot>,
     metrics: Arc<ServiceMetrics>,
 }
 
@@ -190,7 +191,7 @@ impl ShardedTable {
                 .map(|_| CachePadded::new(Mutex::new(ShardInner::default())))
                 .collect(),
             mask: n as u64 - 1,
-            lot: ParkingLot::with_tracer(n.clamp(64, 4096), tracer),
+            lot: Arc::new(ParkingLot::with_tracer(n.clamp(64, 4096), tracer)),
             metrics,
         }
     }

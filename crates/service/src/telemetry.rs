@@ -60,7 +60,7 @@ use parking::futex::FutexTotals;
 use parking::CachePadded;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 use trace::{EventKind, Histogram};
 
@@ -111,16 +111,6 @@ impl MetricsMode {
             },
         }
     }
-}
-
-/// The process-global metrics instance, in the default `counters` mode.
-/// Semaphores (which have no table to reach a per-service instance
-/// through) default to this; tables built through
-/// [`crate::LockService::with_shards`] get their own instance so tests
-/// and figures stay isolated.
-pub fn global() -> Arc<ServiceMetrics> {
-    static GLOBAL: OnceLock<Arc<ServiceMetrics>> = OnceLock::new();
-    Arc::clone(GLOBAL.get_or_init(|| Arc::new(ServiceMetrics::new(MetricsMode::default()))))
 }
 
 /// Which wait distribution a sample belongs to.
@@ -239,8 +229,8 @@ struct LatencyHists {
 
 /// The live telemetry instance; see the module docs. One per
 /// [`crate::table::ShardedTable`] (reachable from every `SlotRef` at zero
-/// cost), plus the process-global [`global`] instance semaphores default
-/// to.
+/// cost), shared by the semaphores [`crate::LockService::semaphore`]
+/// builds.
 pub struct ServiceMetrics {
     mode: MetricsMode,
     stripes: Box<[CachePadded<CounterBlock>]>,

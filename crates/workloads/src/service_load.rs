@@ -479,7 +479,8 @@ pub struct AsyncMetricsReport {
     /// The workload outcome, identical in every mode.
     pub result: AsyncServiceResult,
     /// The service-side telemetry snapshot (lock + semaphore share one
-    /// [`service::ServiceMetrics`], so semaphore grants land here too).
+    /// lot and one [`service::ServiceMetrics`], so semaphore grants and
+    /// parks land here too).
     pub snapshot: service::MetricsSnapshot,
     /// Task polls the executor dispatched.
     pub polls: u64,
@@ -505,10 +506,9 @@ pub struct AsyncMetricsReport {
 /// Telemetry runs at `mode`, and the report carries the service's
 /// telemetry snapshot and the executor's poll accounting alongside the
 /// workload result. The service and the worker-pool semaphore share one
-/// per-instance [`service::ServiceMetrics`], so the run never touches the
-/// process-global registry and trials at different modes don't bleed into
-/// each other — which is exactly what the `table7` overhead comparison
-/// needs.
+/// parking lot and one per-instance [`service::ServiceMetrics`], so trials
+/// at different modes don't bleed into each other — which is exactly what
+/// the `table7` overhead comparison needs.
 pub fn async_load_with_metrics(
     cfg: &ServiceLoadConfig,
     wake_cost: u64,
@@ -517,11 +517,9 @@ pub fn async_load_with_metrics(
     assert!(cfg.threads > 0, "the service load needs at least one worker");
     let reqs = generate_requests(cfg);
     let svc = service::AsyncLockService::with_metrics_mode(256, mode);
-    let pool = service::WaitingArraySemaphore::with_metrics(
-        cfg.threads,
-        cfg.threads.next_power_of_two().max(2),
-        svc.metrics().clone(),
-    );
+    let pool = svc
+        .sync()
+        .semaphore(cfg.threads, cfg.threads.next_power_of_two().max(2));
     struct Tally {
         wait: Histogram,
         hold: Histogram,

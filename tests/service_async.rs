@@ -3,18 +3,14 @@
 //! timed-out/dropped futures racing blocking threads on the *same* hot
 //! keys — asserting after every storm round that
 //!
-//!   - machine-wide futex accounting balances (`parks == wakes ==
-//!     resumes`): a dropped future either removed its waiter (cancel
-//!     self-accounts the wake) or inherited a published grant and passed
-//!     the baton on, never stranding a count,
+//!   - the service's futex ledger balances (`parks == wakes == resumes`):
+//!     a dropped future either removed its waiter (cancel self-accounts
+//!     the wake) or inherited a published grant and passed the baton on,
+//!     never stranding a count,
 //!   - the table drains to zero live keys: every future's slot pin was
 //!     released, including futures dropped mid-wait,
 //!
 //! and at teardown that slab capacity stayed bounded by peak liveness.
-//!
-//! The futex counters are process-global, so everything here lives in
-//! ONE `#[test]` fn — a second concurrently-running test that parks
-//! would make the `since()` deltas meaningless.
 
 use std::future::Future;
 use std::pin::Pin;
@@ -50,7 +46,6 @@ fn async_churn_and_cancellation_storms_balance() {
     // A fresh key per request, driven to completion with `block_on`:
     // attach → first-poll CAS → detach, a million times over, mixed with
     // a shared band where async and blocking lockers actually park.
-    let before = parking::futex::totals();
     let threads = 8u64;
     let private_keys = 128 * 1024u64;
     let shared_keys = 16u64;
@@ -97,7 +92,7 @@ fn async_churn_and_cancellation_storms_balance() {
     );
     let stats = svc.stats();
     assert_eq!(stats.live, 0, "all keys must detach after churn: {stats:?}");
-    let futex = parking::futex::totals().since(&before);
+    let futex = svc.sync().futex_totals();
     assert!(
         futex.balanced(),
         "churn accounting unbalanced: parks {} wakes {} resumes {}",
@@ -114,8 +109,7 @@ fn async_churn_and_cancellation_storms_balance() {
     // same hot keys, plus the same treatment for semaphore tickets.
     // Every round must end balanced with the table drained.
     for round in 0..100u64 {
-        let before = parking::futex::totals();
-        let sem = Arc::new(service::WaitingArraySemaphore::new(2, 4));
+        let sem = Arc::new(svc.sync().semaphore(2, 4));
         std::thread::scope(|s| {
             // Blocking lockers on the hot keys.
             for id in 0..2u64 {
@@ -214,7 +208,7 @@ fn async_churn_and_cancellation_storms_balance() {
             stats.live, 0,
             "round {round}: slots leaked after the cancellation storm: {stats:?}"
         );
-        let futex = parking::futex::totals().since(&before);
+        let futex = svc.sync().futex_totals();
         assert!(
             futex.balanced(),
             "round {round}: unbalanced after the storm: parks {} wakes {} resumes {}",

@@ -5,8 +5,7 @@
 //! on a slow-but-live workload.
 //!
 //! Everything here builds its *own* `LockService` with an explicit
-//! metrics mode, so the process-global registry and other tests'
-//! environment never leak in.
+//! metrics mode, so other tests' counters and parks never leak in.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -163,74 +162,83 @@ fn exporters_validate_after_a_real_run() {
 
 /// A waiter deliberately parked past the threshold must trip the
 /// watchdog exactly once, and the report must carry the stall roster and
-/// the flight-recorder tail with the victim's park in it.
+/// the flight-recorder tail ending in the victim's park. One victim waits
+/// for a held mutex and parks untagged; the other waits for a semaphore
+/// permit and parks in the same lot under its ticket, 0.
 #[test]
 fn watchdog_fires_once_on_a_genuine_stall() {
-    let svc = Arc::new(service::LockService::with_metrics_mode(
-        8,
-        service::MetricsMode::Counters,
-    ));
-    let key = parking::futex::mix64(0xDEAD);
-    let guard = svc.lock(key);
-    let released = Arc::new(AtomicBool::new(false));
+    for (victim, tag) in [("mutex", " tag=- "), ("semaphore", " tag=0 ")] {
+        let svc = service::LockService::with_metrics_mode(8, service::MetricsMode::Counters);
+        let key = parking::futex::mix64(0xDEAD);
+        let guard = svc.lock(key);
+        let sem = svc.semaphore(0, 2);
+        let released = AtomicBool::new(false);
+        let threshold = Duration::from_millis(10);
+        let dog = service::StallWatchdog::new(threshold);
 
-    std::thread::scope(|s| {
-        {
-            let svc = Arc::clone(&svc);
-            let released = Arc::clone(&released);
-            s.spawn(move || {
-                // Parks behind the held guard until the main thread
-                // releases it; this is the deliberate stall.
-                let _g = svc.lock(key);
+        // The watchdog is read while the victim is stalled and judged once
+        // it is released, so a failed check cannot leave it parked.
+        let (fired, report, early) = std::thread::scope(|s| {
+            s.spawn(|| {
+                // Parks until the main thread drops the guard or releases
+                // a permit; this is the deliberate stall.
+                if victim == "mutex" {
+                    drop(svc.lock(key));
+                } else {
+                    sem.acquire();
+                }
                 released.store(true, Ordering::Relaxed);
             });
-        }
 
-        // Wait until the victim is really parked in the service's lot
-        // (not merely spawned), then let it age past the threshold.
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while svc.futex_totals().parks == 0 {
-            assert!(Instant::now() < deadline, "victim never parked");
-            std::thread::yield_now();
-        }
-        let threshold = Duration::from_millis(10);
-        std::thread::sleep(threshold * 4);
+            // Wait until the victim is really parked in the service's lot
+            // (not merely spawned), then let it age past the threshold.
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while svc.futex_totals().parks == 0 && Instant::now() < deadline {
+                std::thread::yield_now();
+            }
+            std::thread::sleep(threshold * 4);
+            let fired = [dog.fired(), dog.check(&svc), dog.fired(), dog.check(&svc)];
+            let report = dog.report(&svc, threshold * 4);
+            let early = released.load(Ordering::Relaxed);
+            drop(guard);
+            sem.release();
+            (fired, report, early)
+        });
 
-        let dog = service::StallWatchdog::new(threshold);
-        assert!(!dog.fired());
-        assert!(dog.check(&svc), "aged parked waiter must trip the watchdog");
-        assert!(dog.fired());
-        assert!(!dog.check(&svc), "the dump must fire exactly once");
-
-        let report = dog.report(&svc, threshold * 4);
+        assert!(svc.futex_totals().parks > 0, "{victim} victim never parked");
+        assert!(!early, "{victim} victim resumed early");
+        assert_eq!(
+            fired,
+            [false, true, true, false],
+            "the {victim} stall must trip the watchdog, and exactly once"
+        );
         assert!(report.contains("stall"), "no stall line:\n{report}");
         assert!(report.contains("parked: addr="), "no roster:\n{report}");
         assert!(
-            report.contains(" tag=- "),
-            "a mutex waiter parks untagged:\n{report}"
+            report.contains(tag),
+            "the {victim} waiter's roster line lacks{tag}:\n{report}"
         );
         assert!(report.contains("futex"), "no lot ledger:\n{report}");
-        // The tail is the lot's newest events, and the newest park is the
-        // victim's, on the word the roster names.
+        // The tail is the lot's newest events, and the newest is the
+        // victim's park, on the word the roster names.
         let addr = report
             .lines()
             .find_map(|l| l.trim().strip_prefix("parked: addr="))
             .and_then(|rest| rest.split(' ').next())
             .expect("roster line carries the address");
         let park = format!("futex-park addr={addr}");
+        let newest = report.lines().rfind(|l| l.contains("recent["));
         assert!(
-            report
-                .lines()
-                .any(|l| l.contains("recent[") && l.ends_with(&park)),
-            "the tail lacks the victim's park ({park}):\n{report}"
+            newest.is_some_and(|l| l.ends_with(&park)),
+            "the tail does not end with the victim's park ({park}):\n{report}"
         );
 
-        assert!(!released.load(Ordering::Relaxed), "victim resumed early");
-        drop(guard);
-    });
-
-    assert!(released.load(Ordering::Relaxed), "victim never resumed");
-    assert_eq!(svc.stats().live, 0);
+        assert!(
+            released.load(Ordering::Relaxed),
+            "{victim} victim never resumed"
+        );
+        assert_eq!(svc.stats().live, 0);
+    }
 }
 
 /// A workload that parks constantly but keeps making progress must never

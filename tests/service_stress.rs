@@ -18,12 +18,8 @@
 //! advancer against awaiters with staggered targets. `await_at_least`
 //! spins for what a park costs before it blocks, so both the spin and the
 //! park path run here; whichever took a given wait, the count returned
-//! reaches its target, the table drains and the ledger balances.
-//!
-//! The semaphore phase still parks through the process-global lot, so
-//! it keeps the delta-based balance check and shares this ONE `#[test]`
-//! fn — a second concurrently-running test that parks would make its
-//! `since()` delta meaningless.
+//! reaches its target, the table drains and the ledger balances. So does
+//! a semaphore of the churned service, which parks in the same lot.
 
 mod common;
 
@@ -169,14 +165,12 @@ fn million_key_churn_drains_and_balances() {
 
     eventcount_ring_and_broadcast_drain_and_balance(threads);
 
-    // The waiting-array semaphore shares the accounting: overflowing a
+    // The waiting-array semaphore parks in the same lot: overflowing a
     // small array with more waiters than slots must still balance.
-    let before_sem = parking::futex::totals();
-    let sem = Arc::new(service::WaitingArraySemaphore::new(2, 4));
+    let sem = svc.semaphore(2, 4);
     std::thread::scope(|s| {
         for _ in 0..threads {
-            let sem = Arc::clone(&sem);
-            s.spawn(move || {
+            s.spawn(|| {
                 for _ in 0..2_000 {
                     sem.acquire();
                     std::hint::black_box(&sem);
@@ -186,12 +180,9 @@ fn million_key_churn_drains_and_balances() {
         }
     });
     assert_eq!(sem.permits(), 2);
-    let futex = parking::futex::totals().since(&before_sem);
+    let futex = svc.futex_totals();
     assert!(
         futex.balanced(),
-        "semaphore futex accounting unbalanced: parks {} wakes {} resumes {}",
-        futex.parks,
-        futex.wakes,
-        futex.resumes
+        "semaphore futex accounting unbalanced: {futex:?}"
     );
 }
