@@ -159,6 +159,7 @@ fn broken_qsm_three_threads_loses_a_wakeup_under_every_mode() {
         qsm_program(3, 1, false)
     });
     assert_source_reaches_the_bug_no_later("qsm-3-bug", runs);
+    assert_eq!(runs, [7, 3], "the EXPERIMENTS.md counts moved");
 }
 
 #[test]
@@ -172,6 +173,7 @@ fn fixed_eventcount_wrap_three_threads_passes_and_source_beats_sleep() {
         eventcount_wrap_program(3, true)
     });
     assert_source_beats_sleep("eventcount-wrap-3-fixed", runs);
+    assert_eq!(runs, [266, 191], "the EXPERIMENTS.md counts moved");
 }
 
 /// The flagship scaling result rides on the same two searches: under one
@@ -250,11 +252,20 @@ fn corpus_programs_never_cost_source_more_runs_than_sleep() {
         v.stats().runs
     });
     assert_source_beats_sleep("check-then-set", check_then_set);
+    assert_eq!(check_then_set, [5, 3], "the EXPERIMENTS.md counts moved");
     let wake_before_publish = MODES.map(|mode| {
         let program = corpus_program("wake-before-publish").unwrap().0;
         explore(&program, mode, pass).stats().runs
     });
     assert_source_reaches_the_bug_no_later("wake-before-publish", wake_before_publish);
+}
+
+/// Every one of three threads ran its critical section, none overlapping.
+fn three_critical_sections(mem: &[Word]) -> Result<(), String> {
+    match mem[mem.len() - 1] {
+        3 => Ok(()),
+        c => Err(format!("critical sections lost: counter {c} != 3")),
+    }
 }
 
 /// Re-pinned (51 334 before): the shipped code loads before each CAS.
@@ -263,13 +274,7 @@ fn fixed_spin_then_park_three_threads_passes_under_source_sets() {
     let v = Explorer::exhaustive()
         .with_dpor(DporMode::Source)
         .with_max_runs(200_000)
-        .check(&spin_then_park_program(3, true), |mem| {
-            // Every thread ran its critical section, none overlapping.
-            match mem[mem.len() - 1] {
-                3 => Ok(()),
-                c => Err(format!("critical sections lost: counter {c} != 3")),
-            }
-        });
+        .check(&spin_then_park_program(3, true), three_critical_sections);
     v.expect_pass("spin-then-park 3 threads");
     assert!(v.stats().complete, "search must be exhaustive");
     assert_eq!(v.stats().runs, 90_310);
@@ -294,24 +299,36 @@ fn fixed_spin_then_park_three_threads_passes_up_to_three_preemptions() {
 
 #[test]
 fn respin_as_held_strands_a_parked_waiter_under_every_mode_for_3_and_4_threads() {
-    for nthreads in [3, 4] {
+    let runs = [3, 4].map(|nthreads| {
         loses_a_wakeup_under_every_mode(
             &format!("spin-then-park {nthreads}t, HELD release wakes nobody"),
             || spin_then_park_program(nthreads, false),
-        );
-    }
+        )
+    });
+    assert_eq!(runs[0], [362, 260], "the EXPERIMENTS.md counts moved");
 }
 
-/// One pinned search: what it is, the program, its final-state check, the
-/// verdict it must end in and the `[sleep, source]` run counts it takes
-/// (EXPERIMENTS.md quotes them).
-type Search = (
-    &'static str,
-    fn() -> Program,
-    Check,
-    VerdictClass,
-    [usize; 2],
-);
+/// The same search under sleep sets: about half as many runs again.
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "1 s in release, ten times that in debug: CI's interleave-dpor job runs it"
+)]
+fn fixed_spin_then_park_three_threads_passes_under_sleep_sets() {
+    let runs = ends_in(
+        "spin-then-park 3t",
+        VerdictClass::Pass,
+        three_critical_sections,
+        DporMode::Sleep,
+        || spin_then_park_program(3, true),
+    );
+    assert_eq!(runs, 130_954, "the EXPERIMENTS.md count moved");
+}
+
+/// One pinned search: what it is, the program, its final-state check and
+/// the verdict it must end in. The tests below pin the `[sleep, source]`
+/// run counts of each array in its order (EXPERIMENTS.md quotes them).
+type Search = (&'static str, fn() -> Program, Check, VerdictClass);
 
 /// Two waiters holding tickets 0 and 1, released one at a time. On one
 /// slot, waking the slot's oldest waiter per grant ("wake-one": by address,
@@ -328,21 +345,18 @@ const SEM_SEEDED_BUGS_AND_CONTROL: [Search; 3] = [
         || waiting_array_shared_slot_program(2, 1, true, false),
         waiting_array_drained,
         VerdictClass::LostWakeup,
-        [2_946, 1_372],
     ),
     (
         "waiting array 2 waiters / 2 slots, wake-one",
         || waiting_array_shared_slot_program(2, 2, true, false),
         waiting_array_drained,
         VerdictClass::Pass,
-        [474, 87],
     ),
     (
         "waiting array cancel vs release_n(2), stale re-check",
         || waiting_array_cancel_program(false),
         waiting_array_one_permit_left,
         VerdictClass::Violation,
-        [7, 4],
     ),
 ];
 
@@ -356,14 +370,12 @@ const SEM_FIXED: [Search; 2] = [
         || waiting_array_shared_slot_program(2, 1, true, true),
         waiting_array_drained,
         VerdictClass::Pass,
-        [18_884, 8_694],
     ),
     (
         "waiting array cancel vs release_n(2)",
         || waiting_array_cancel_program(true),
         waiting_array_one_permit_left,
         VerdictClass::Pass,
-        [20_899, 6_045],
     ),
 ];
 
@@ -376,42 +388,38 @@ const SEM_LARGER: [Search; 4] = [
         || waiting_array_shared_slot_program(2, 1, false, true),
         waiting_array_drained,
         VerdictClass::Pass,
-        [152_117, 69_596],
     ),
     (
         "waiting array 2 acquirers / 1 slot, wake-one",
         || waiting_array_shared_slot_program(2, 1, false, false),
         waiting_array_drained,
         VerdictClass::LostWakeup,
-        [5_906, 2_737],
     ),
     (
         "waiting array 3 waiters / 2 slots",
         || waiting_array_shared_slot_program(3, 2, true, true),
         waiting_array_drained,
         VerdictClass::Pass,
-        [362_700, 84_800],
     ),
     (
         "waiting array 3 waiters / 2 slots, wake-one",
         || waiting_array_shared_slot_program(3, 2, true, false),
         waiting_array_drained,
         VerdictClass::LostWakeup,
-        [55_575, 13_222],
     ),
 ];
 
-/// Runs a search under both modes and holds it to its pinned counts, which
-/// carry the claim for source sets: strictly fewer runs than sleep sets on
-/// a finished search, never more to a bug.
-fn search_ends_as_pinned((what, build, check, want, runs): Search) {
+/// Runs a search under both modes and returns its `[sleep, source]` run
+/// counts, after holding source sets to their claim: strictly fewer runs
+/// than sleep sets on a finished search, never more to a bug.
+fn runs_of((what, build, check, want): Search) -> [usize; 2] {
     let got = ends_in_under_every_mode(what, want, check, build);
-    assert_eq!(got, runs, "{what}: the EXPERIMENTS.md counts moved");
     if want == VerdictClass::Pass {
         assert_source_beats_sleep(what, got);
     } else {
         assert_source_reaches_the_bug_no_later(what, got);
     }
+    got
 }
 
 /// Three parties at the barrier, thread 0 already arrived: the round
@@ -427,7 +435,9 @@ fn barrier_three_parties_pass_and_a_wake_one_round_loses_a_wakeup() {
     );
     assert_source_beats_sleep("barrier-3-fixed", runs);
     assert_eq!(runs, [8_844, 6_308], "the EXPERIMENTS.md counts moved");
-    loses_a_wakeup_under_every_mode("barrier 3, round wakes one", || barrier_program(3, false));
+    let runs =
+        loses_a_wakeup_under_every_mode("barrier 3, round wakes one", || barrier_program(3, false));
+    assert_eq!(runs, [1, 1], "the EXPERIMENTS.md counts moved");
 }
 
 /// A party that arrives, un-arrives and arrives again against one that
@@ -458,13 +468,11 @@ fn barrier_unarrive_passes_and_a_blind_unarrive_is_caught() {
 /// shipped protocol under source sets.
 #[test]
 fn waiting_array_protocols_pass_and_their_seeded_bugs_are_found() {
-    SEM_SEEDED_BUGS_AND_CONTROL
-        .into_iter()
-        .for_each(search_ends_as_pinned);
-    for (what, build, check, want, [_, source]) in SEM_FIXED {
-        let runs = ends_in(what, want, check, DporMode::Source, build);
-        assert_eq!(runs, source, "{what}: the EXPERIMENTS.md count moved");
-    }
+    let runs = SEM_SEEDED_BUGS_AND_CONTROL.map(runs_of);
+    assert_eq!(runs, [[2_946, 1_372], [474, 87], [7, 4]]);
+    let source = SEM_FIXED
+        .map(|(what, build, check, want)| ends_in(what, want, check, DporMode::Source, build));
+    assert_eq!(source, [8_694, 6_045]);
 }
 
 /// The shipped protocol under sleep sets too (two to three times the runs),
@@ -475,10 +483,13 @@ fn waiting_array_protocols_pass_and_their_seeded_bugs_are_found() {
     ignore = "10 s in release, minutes in debug: CI's interleave-dpor job runs it"
 )]
 fn waiting_array_larger_searches_pass_under_every_mode() {
-    SEM_FIXED
-        .into_iter()
-        .chain(SEM_LARGER)
-        .for_each(search_ends_as_pinned);
+    assert_eq!(SEM_FIXED.map(runs_of), [[18_884, 8_694], [20_899, 6_045]]);
+    let [acquirers, acquirers_bug, three_on_two, three_on_two_bug] =
+        SEM_LARGER.map(runs_of);
+    assert_eq!(acquirers, [152_117, 69_596]);
+    assert_eq!(acquirers_bug, [5_906, 2_737]);
+    assert_eq!(three_on_two, [362_700, 84_800]);
+    assert_eq!(three_on_two_bug, [55_575, 13_222]);
 }
 
 /// One step of the drift script below; each compares what it returns.
