@@ -634,8 +634,8 @@ pub(crate) fn table5(opts: &Opts) -> String {
 
 /// fig11 — lock-service throughput vs worker-pool size under the bursty
 /// Zipf-skewed load, per per-key lock policy (the queueing model in
-/// `workloads::service_load`; the wall-clock driver is `service_load`'s
-/// smoke binary, not a figure).
+/// `workloads::service_load`; the real service on real threads is timed
+/// by the repo benchmark, not a figure).
 pub(crate) fn fig11(opts: &Opts) -> String {
     let threads: Vec<usize> = if opts.quick {
         vec![4, 16, 64]
@@ -794,8 +794,9 @@ pub(crate) fn fig12(opts: &Opts) -> String {
 /// not here). The `off` row proving all-zero counters and all three rows
 /// sharing one makespan **is the claim**: disabled telemetry is exactly
 /// free, and enabled telemetry never perturbs the virtual schedule. The
-/// wall-clock throughput cost is timed separately by
-/// `service_load --overhead-check`, which runs the real-thread driver.
+/// wall-clock throughput cost is timed separately, on real threads, by
+/// the ignored test `counters_telemetry_costs_at_most_its_budget_over_off`
+/// in `tests/service_metrics.rs`.
 pub(crate) fn table7(opts: &Opts) -> String {
     use workloads::sweeps::parallel_cells;
 
@@ -848,7 +849,7 @@ pub(crate) fn table7(opts: &Opts) -> String {
              schedule. The off row counts nothing — disabled telemetry is exactly\n\
              free — and every row lands the same makespan, so enabled telemetry\n\
              never perturbs the virtual schedule. Wall-clock overhead of the\n\
-             counters mode is timed by `service_load --overhead-check`.)\n",
+             counters mode is timed by an ignored test in tests/service_metrics.rs.)\n",
         );
         out
     }

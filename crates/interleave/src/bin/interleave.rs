@@ -70,7 +70,6 @@ options:
                     fan-out's verdict and stats are the same for every N.
                     Starvation checks (--bypass-bound) always explore
                     serially.
-  --no-reduction    disable partial-order reduction entirely
 
 fuzz options:
   --seed N          campaign seed (positive; default 1991)
@@ -102,7 +101,6 @@ struct Args {
     bypass_bound: Option<usize>,
     dpor: Option<DporMode>,
     workers: Option<usize>,
-    no_reduction: bool,
     schedule: Option<Vec<usize>>,
     seed: Option<u64>,
     strategy: Option<Strategy>,
@@ -129,7 +127,6 @@ fn parse_args() -> Args {
         bypass_bound: None,
         dpor: None,
         workers: None,
-        no_reduction: false,
         schedule: None,
         seed: None,
         strategy: None,
@@ -196,7 +193,6 @@ fn parse_args() -> Args {
                 }
             }
             "--workers" => args.workers = Some(positive(&mut it, "--workers")),
-            "--no-reduction" => args.no_reduction = true,
             "--schedule" => {
                 let spec: String = num(&mut it, "--schedule");
                 let parsed: Result<Vec<usize>, _> =
@@ -242,9 +238,6 @@ fn explorer_from(args: &Args) -> Explorer {
     }
     if let Some(mode) = args.dpor {
         e = e.with_dpor(mode);
-    }
-    if args.no_reduction {
-        e = e.without_reduction();
     }
     if let Some(k) = args.bypass_bound {
         e = e.with_bypass_bound(k);

@@ -38,7 +38,8 @@
 //! violations, deadlocks and lost wakeups — the enabled sets driving the
 //! reduction are park/unpark-aware, so [`Verdict::LostWakeup`] hangs are
 //! maximal executions the reduction must (and does) keep.
-//! [`Explorer::without_reduction`] turns all reduction off for comparison;
+//! [`DporMode::None`] ([`Explorer::with_dpor`]) turns all reduction off
+//! for comparison;
 //! bounded-bypass starvation checking forces it off automatically, because
 //! bypass counts are *not* invariant under reordering independent steps.
 //!
@@ -320,7 +321,7 @@ pub(crate) struct Frame {
     op: Option<OpMeta>,
     /// Bitmask over thread ids already tried at this point.
     tried: u64,
-    /// Threads worth exploring here. Sleep/no-reduction modes seed this
+    /// Threads worth exploring here. The sleep and none modes seed this
     /// with every eligible thread; source mode seeds it with `chosen`
     /// alone and grows it only where race analysis plants backtrack points.
     backtrack: u64,
@@ -561,13 +562,6 @@ impl Explorer {
     /// Selects the partial-order-reduction mode.
     pub fn with_dpor(mut self, mode: DporMode) -> Self {
         self.dpor = mode;
-        self
-    }
-
-    /// Disables partial-order reduction entirely — sleep sets and source
-    /// sets — for measuring their effect.
-    pub fn without_reduction(mut self) -> Self {
-        self.dpor = DporMode::None;
         self
     }
 
@@ -1186,7 +1180,7 @@ impl Explorer {
 
             // Source mode seeds the backtrack set with just the
             // chosen thread; race analysis grows it on demand. Sleep
-            // and no-reduction modes explore every eligible sibling.
+            // and none modes explore every eligible sibling.
             let eligible_bits = eligible.iter().fold(0u64, |m, &t| m | (1u64 << t));
             trace.push(Frame {
                 eligible,
@@ -1354,7 +1348,7 @@ mod tests {
                 ctx.fetch_add(0, 1);
             }
         });
-        let mut explorer = Explorer::exhaustive().without_reduction();
+        let mut explorer = Explorer::exhaustive().with_dpor(DporMode::None);
         explorer.max_runs = 10;
         let verdict = explorer.check(&program, |_| Ok(()));
         let stats = verdict.stats();
@@ -1370,7 +1364,7 @@ mod tests {
             ctx.fetch_add(0, 1);
         });
         let stats = Explorer::exhaustive()
-            .without_reduction()
+            .with_dpor(DporMode::None)
             .check(&program, |_| Ok(()))
             .stats();
         let after = Stats::live();
@@ -1463,7 +1457,7 @@ mod tests {
         };
         let with = Explorer::exhaustive().check(&racy(), |_| Ok(()));
         let without = Explorer::exhaustive()
-            .without_reduction()
+            .with_dpor(DporMode::None)
             .check(&racy(), |_| Ok(()));
         assert!(with.is_violation(), "reduced search still finds the race");
         assert!(without.is_violation());
@@ -1494,7 +1488,7 @@ mod tests {
             }
         });
         with.expect_pass("independent writers");
-        let without = Explorer::exhaustive().without_reduction().check(&indep(), |mem| {
+        let without = Explorer::exhaustive().with_dpor(DporMode::None).check(&indep(), |mem| {
             if mem.iter().all(|&v| v == 2) {
                 Ok(())
             } else {
@@ -1757,10 +1751,10 @@ mod tests {
     }
 
     #[test]
-    fn without_reduction_disables_source_set_machinery_too() {
+    fn dpor_none_disables_source_set_machinery_too() {
         let v = Explorer::exhaustive()
             .with_dpor(DporMode::Source)
-            .without_reduction()
+            .with_dpor(DporMode::None)
             .check(&contended(), |_| Ok(()));
         v.expect_pass("contended, unreduced");
         let s = v.stats();

@@ -35,7 +35,7 @@
 //! `(seed, strategy, program)` — re-running with the same seed yields a
 //! byte-identical schedule and verdict.
 
-use crate::explorer::{Explorer, Policy, ReplayEnd, RunEnd, Stats, Verdict};
+use crate::explorer::{DporMode, Explorer, Policy, ReplayEnd, RunEnd, Stats, Verdict};
 use crate::program::Program;
 use kernels::Word;
 use simcore::Rng;
@@ -300,7 +300,7 @@ impl Fuzzer {
     pub fn explorer(&self) -> Explorer {
         let mut e = Explorer::exhaustive()
             .with_max_steps(self.max_steps)
-            .without_reduction();
+            .with_dpor(DporMode::None);
         e.bypass_bound = self.bypass_bound;
         e
     }

@@ -62,10 +62,10 @@
 //!
 //! Nothing in this crate reads the environment. [`LockService::new`] and
 //! [`LockService::with_shards`] mean [`DEFAULT_SHARDS`] and
-//! [`MetricsMode::Counters`]; a binary that offers knobs for the shard
-//! count or the telemetry mode (`service_load` does) parses them at its
-//! edge — [`MetricsMode::parse`] is the telemetry grammar — and passes
-//! [`LockService::with_metrics_mode`] the values.
+//! [`MetricsMode::Counters`]; a binary that offers a knob for the
+//! telemetry mode (the figure binaries and `bench_sim` do) parses it at
+//! its edge — [`MetricsMode::parse`] is the telemetry grammar — and passes
+//! [`LockService::with_metrics_mode`] the value.
 
 pub mod async_lock;
 pub mod lock;
@@ -87,69 +87,3 @@ pub use telemetry::{MetricsMode, MetricsSnapshot, ServiceMetrics, StallWatchdog}
 /// hashing random keys rarely contend a shard mutex, small enough to be
 /// cheap.
 pub const DEFAULT_SHARDS: usize = 256;
-
-/// Hard ceiling on worker-thread oversubscription in the real-thread
-/// load driver, as a multiple of the host's available parallelism.
-/// Closed-loop workers spend most of their time blocked, so some
-/// oversubscription is legitimate; a value orders of magnitude past the
-/// core count is a typo (`1000` for `100`) that would spawn a thread army
-/// the driver cannot schedule — an OOM lever, not a worker count. Such
-/// requests are clamped, and the caller warns.
-pub const MAX_THREAD_OVERSUB: usize = 8;
-
-/// The resolved worker-thread policy: the count to use, plus the
-/// originally requested value when it had to be clamped (so callers can
-/// warn).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ServiceThreads {
-    /// Worker threads the driver should spawn.
-    pub threads: usize,
-    /// `Some(requested)` iff the request exceeded the oversubscription
-    /// ceiling and was clamped down to `threads`.
-    pub clamped_from: Option<usize>,
-}
-
-impl ServiceThreads {
-    /// Resolves a worker-thread request against a host of `host` cores:
-    /// `None` means the host's parallelism; a request beyond
-    /// [`MAX_THREAD_OVERSUB`]× that is clamped to the ceiling.
-    pub fn resolve(requested: Option<usize>, host: usize) -> ServiceThreads {
-        let host = host.max(1);
-        let cap = host.saturating_mul(MAX_THREAD_OVERSUB);
-        let n = requested.unwrap_or(host);
-        ServiceThreads {
-            threads: n.min(cap),
-            clamped_from: (n > cap).then_some(n),
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn threads_default_to_the_host_and_pass_moderate_oversubscription() {
-        assert_eq!(ServiceThreads::resolve(None, 4).threads, 4);
-        // Closed-loop workers block most of the time; up to the ceiling
-        // the request passes through untouched.
-        for (requested, host) in [(4, 8), (32, 4)] {
-            let resolved = ServiceThreads::resolve(Some(requested), host);
-            assert_eq!(resolved.threads, requested);
-            assert_eq!(resolved.clamped_from, None);
-        }
-    }
-
-    /// Regression: a request far beyond the worker count used to pass
-    /// untouched. It now clamps to the oversubscription ceiling and
-    /// reports the original so callers warn.
-    #[test]
-    fn threads_clamp_absurd_oversubscription() {
-        let resolved = ServiceThreads::resolve(Some(100_000), 4);
-        assert_eq!(resolved.threads, 4 * MAX_THREAD_OVERSUB);
-        assert_eq!(resolved.clamped_from, Some(100_000));
-        // A degenerate host probe of 0 behaves as a one-core host rather
-        // than clamping everything to zero.
-        assert_eq!(ServiceThreads::resolve(Some(4), 0).threads, 4);
-    }
-}

@@ -81,8 +81,8 @@ impl LockService {
     /// [`LockService::with_metrics_mode`] whose table's lot records its
     /// parks, wakes and resumes into `tracer` — in place of the flight
     /// recorder, which the stall watchdog then reads from `tracer` — and
-    /// into no other lot's. `service_load --trace-out` builds its service
-    /// this way.
+    /// into no other lot's. `tests/service_metrics.rs` holds such a
+    /// tracer's totals to the lot's ledger after a contended run.
     pub fn with_tracer(shards: usize, mode: MetricsMode, tracer: Arc<Tracer>) -> Self {
         let metrics = Arc::new(ServiceMetrics::new(mode));
         LockService {

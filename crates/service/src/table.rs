@@ -16,8 +16,8 @@
 //! ([`ParkingLot::wake_addr`] never dereferences), so even a waker racing
 //! the death of the last reference is sound — the worst a recycled address
 //! can cause is a spurious wake of the slot's next tenant, which futex
-//! discipline already tolerates. Each reuse bumps the slot's epoch; the
-//! epoch feeds [`TableStats`], where the stress suite checks that a
+//! discipline already tolerates. Each shard counts its reuses into
+//! [`TableStats::reuses`], where the stress suite checks that a
 //! million-key churn recycles a bounded slab population instead of growing
 //! one slot per key.
 //!
@@ -44,7 +44,7 @@ fn lock_shard(shard: &Mutex<ShardInner>) -> MutexGuard<'_, ShardInner> {
 }
 
 /// Slots per slab allocation: one shard allocates this many words at a
-/// time, at stable addresses (`Box<[Slot; SLAB_SLOTS]>` never moves).
+/// time, at stable addresses (`Box<[AtomicU64; SLAB_SLOTS]>` never moves).
 pub const SLAB_SLOTS: usize = 64;
 
 /// Events the flight recorder keeps per thread.
@@ -63,24 +63,6 @@ pub enum SlotKind {
     Barrier,
 }
 
-/// One lock word plus its reuse epoch. `#[repr(align(16))]` keeps slots
-/// from straddling lines; full cache-line padding per slot would defeat
-/// the point of slab-packing millions of mostly-idle words.
-#[repr(align(16))]
-struct Slot {
-    word: AtomicU64,
-    epoch: AtomicU64,
-}
-
-impl Slot {
-    fn new() -> Self {
-        Slot {
-            word: AtomicU64::new(0),
-            epoch: AtomicU64::new(0),
-        }
-    }
-}
-
 /// Map entry for an attached key. Reference counting happens entirely
 /// under the shard mutex, so plain integers suffice.
 struct Entry {
@@ -93,9 +75,11 @@ struct Entry {
 struct ShardInner {
     map: HashMap<u64, Entry>,
     // The Box is load-bearing: waiters park on raw slot addresses, so
-    // slabs must not move when the Vec reallocates.
+    // slabs must not move when the Vec reallocates. Slots are packed, not
+    // padded: padding every mostly-idle word to a line would defeat the
+    // point of slab-packing millions of them.
     #[allow(clippy::vec_box)]
-    slabs: Vec<Box<[Slot; SLAB_SLOTS]>>,
+    slabs: Vec<Box<[AtomicU64; SLAB_SLOTS]>>,
     free: Vec<u32>,
     live: usize,
     peak_live: usize,
@@ -107,12 +91,11 @@ impl ShardInner {
     fn allocate(&mut self) -> u32 {
         if let Some(idx) = self.free.pop() {
             self.reuses += 1;
-            self.slot(idx).epoch.fetch_add(1, Ordering::SeqCst);
             return idx;
         }
         let base = (self.slabs.len() * SLAB_SLOTS) as u32;
         self.slabs
-            .push(Box::new(std::array::from_fn(|_| Slot::new())));
+            .push(Box::new(std::array::from_fn(|_| AtomicU64::new(0))));
         // Newest slot first; the rest join the free list.
         for i in (1..SLAB_SLOTS as u32).rev() {
             self.free.push(base + i);
@@ -120,7 +103,7 @@ impl ShardInner {
         base
     }
 
-    fn slot(&self, idx: u32) -> &Slot {
+    fn slot(&self, idx: u32) -> &AtomicU64 {
         &self.slabs[idx as usize / SLAB_SLOTS][idx as usize % SLAB_SLOTS]
     }
 }
@@ -262,7 +245,7 @@ impl ShardedTable {
         // The slab box never moves and the slot stays allocated while this
         // reference is live, so the address is stable for the ref's
         // lifetime.
-        let word: *const AtomicU64 = &inner.slot(slot_idx).word;
+        let word: *const AtomicU64 = inner.slot(slot_idx);
         drop(inner);
         SlotRef {
             table: self,
@@ -287,7 +270,7 @@ impl ShardedTable {
             inner.live -= 1;
             // Reset for the next tenant. No waiter can be parked here (a
             // parked waiter holds a reference), so a plain store suffices.
-            inner.slot(idx).word.store(0, Ordering::SeqCst);
+            inner.slot(idx).store(0, Ordering::SeqCst);
             inner.free.push(idx);
             self.metrics.count_slot_recycle(shard);
         }

@@ -168,8 +168,9 @@ struct CounterBlock {
     acquires: AtomicU64,
     /// Non-fast acquisitions. The *fast-path* count the snapshot reports
     /// is derived as `acquires - slow`, so the uncontended path — the one
-    /// whose cost the <3% overhead budget is really about — pays exactly
-    /// one relaxed increment, not two.
+    /// whose cost `counters` mode's overhead budget is really about (see
+    /// `tests/service_metrics.rs`) — pays exactly one relaxed increment,
+    /// not two.
     slow: AtomicU64,
     parked: AtomicU64,
     cas_retries: AtomicU64,
@@ -857,7 +858,7 @@ impl StallWatchdog {
     /// Polls the service for a stalled waiter. Returns `true` (and dumps
     /// the report to stderr) the first time a waiter's park age exceeds
     /// the threshold; every later call returns `false`. Call this at
-    /// watchdog cadence (the `service_load` harvest loop does), not per
+    /// watchdog cadence (a monitor thread every few milliseconds), not per
     /// operation — the age scan walks the lot's buckets.
     pub fn check(&self, svc: &crate::LockService) -> bool {
         if self.fired() {

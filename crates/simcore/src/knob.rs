@@ -34,12 +34,6 @@ pub const SWEEP_THREADS: Knob = knob(
     "a positive integer",
     "the host's parallelism",
 );
-/// Worker threads of the real-thread service load driver.
-pub const SERVICE_THREADS: Knob = knob(
-    "SYNCMECH_SERVICE_THREADS",
-    "a positive integer",
-    "the host's parallelism",
-);
 /// Lock-service telemetry mode.
 pub const SERVICE_METRICS: Knob = knob(
     "SYNCMECH_SERVICE_METRICS",
@@ -50,7 +44,7 @@ pub const SERVICE_METRICS: Knob = knob(
 pub const BLESS: Knob = knob("SYNCMECH_BLESS", "0 or 1", "0");
 
 /// Every supported knob (README's table lists exactly these).
-pub const ALL: [Knob; 4] = [SWEEP_THREADS, SERVICE_THREADS, SERVICE_METRICS, BLESS];
+pub const ALL: [Knob; 3] = [SWEEP_THREADS, SERVICE_METRICS, BLESS];
 
 impl Knob {
     /// Reads the variable and parses it with `parse`; `Ok(None)` when unset.

@@ -89,15 +89,6 @@ impl Histogram {
         }
         self.max
     }
-
-    /// Folds another histogram into this one.
-    pub fn merge(&mut self, other: &Histogram) {
-        for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.max = self.max.max(other.max);
-    }
 }
 
 /// Wait- and hold-time distributions for one lock id.
@@ -186,17 +177,6 @@ mod tests {
         assert_eq!(h.count(), 0);
         assert_eq!(h.quantile(0.5), 0);
         assert_eq!(h.max(), 0);
-    }
-
-    #[test]
-    fn merge_accumulates() {
-        let mut a = Histogram::new();
-        a.record(1);
-        let mut b = Histogram::new();
-        b.record(1000);
-        a.merge(&b);
-        assert_eq!(a.count(), 2);
-        assert_eq!(a.max(), 1000);
     }
 
     #[test]

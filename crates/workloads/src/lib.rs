@@ -24,9 +24,8 @@
 //!   table5 and fig10, built on the `trace` crate's event recorder.
 //! * [`service_load`] — the sharded lock-service load generator behind
 //!   fig11 and table6: a deterministic discrete-event queueing model of
-//!   per-key lock policies (the figure input) plus a real-thread driver
-//!   over `service::LockService` (the CI smoke/stress engine), and the
-//!   async driver behind fig12 running the same request schedule through
+//!   per-key lock policies (the figure input), and the async driver
+//!   behind fig12 running the same request schedule through
 //!   `service::AsyncLockService` futures.
 //! * [`executor`] — the deterministic single-threaded virtual-clock
 //!   executor the async driver (and the `lock_many` ordering tests) run

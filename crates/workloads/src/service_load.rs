@@ -1,4 +1,5 @@
-//! Service load generator — the data behind fig11 and table6.
+//! Service load generator — the data behind fig11, table6, fig12 and
+//! table7.
 //!
 //! Two drivers share one workload shape (bursty open-loop arrivals, Zipf
 //! key skew, a reader/writer hold-time mix, a bounded worker pool):
@@ -14,23 +15,19 @@
 //!   cost grows with the waiter count; a TAS lock additionally grants in
 //!   effectively random order (the retry scramble), which is what blows
 //!   up the tail percentiles rather than the mean.
-//! * [`run_real`] — the same arrival/key/hold recipe driven through the
-//!   actual [`service::LockService`] on `std::thread` workers, recording
-//!   wall-clock wait/hold nanoseconds into the same `trace` histograms.
-//!   This is the CI smoke driver and the stress harness's engine; it is
-//!   deliberately *not* a figure input.
 //! * [`async_load_with_metrics`] — the **identical request schedule** (same generator
 //!   streams) driven through the real
 //!   [`service::AsyncLockService`] futures on the deterministic
-//!   virtual-clock executor ([`crate::executor`]). Unlike `run_real`,
-//!   this *is* a figure input (fig12): one task per request, a
+//!   virtual-clock executor ([`crate::executor`]): one task per request, a
 //!   [`service::WaitingArraySemaphore`] as the worker pool, and every
 //!   futex wake priced at the executor's wake cost — so the async path
 //!   is compared against [`sim_load`]'s QSM policy on equal footing.
 //!
-//! Wait in all drivers is arrival-to-grant (it includes waiting for a
+//! Wait in both drivers is arrival-to-grant (it includes waiting for a
 //! worker and waiting for the key), hold is grant-to-release — the same
-//! decomposition the `waitdist` module uses for fig10.
+//! decomposition the `waitdist` module uses for fig10. [`Zipf`] also
+//! draws the keys of the repo benchmark's rings, which time the real
+//! service on real threads, and of the service's real-thread tests.
 
 use crate::executor::{Executor, Outcome};
 use crate::sweeps::{parallel_cells, RunConfig};
@@ -185,9 +182,7 @@ impl Zipf {
 }
 
 /// Configuration shared by both drivers. Cycle-valued fields are virtual
-/// cycles in [`sim_load`]; [`run_real`] reinterprets holds as spin
-/// iterations and ignores the arrival process (its workers are
-/// closed-loop).
+/// cycles.
 #[derive(Debug, Clone)]
 pub struct ServiceLoadConfig {
     /// Worker pool size — the service's concurrency limit.
@@ -577,107 +572,6 @@ pub fn async_load_with_metrics(
     }
 }
 
-/// Configuration for the real-thread driver.
-#[derive(Debug, Clone)]
-pub struct RealServiceConfig {
-    /// Worker threads.
-    pub(crate) threads: usize,
-    /// Lock/unlock operations per worker.
-    pub(crate) requests_per_thread: usize,
-    /// Distinct logical keys.
-    pub keys: usize,
-    /// Zipf exponent of key popularity.
-    pub zipf_s: f64,
-    /// Busy-spin iterations inside the critical section.
-    pub(crate) hold_spin: u32,
-    /// RNG seed for the key streams.
-    pub(crate) seed: u64,
-}
-
-impl RealServiceConfig {
-    /// The CI smoke shape: skewed keys, short holds.
-    pub fn smoke(threads: usize, requests_per_thread: usize) -> Self {
-        RealServiceConfig {
-            threads,
-            requests_per_thread,
-            keys: 4096,
-            zipf_s: 1.1,
-            hold_spin: 64,
-            seed: 0xC0FFEE,
-        }
-    }
-}
-
-/// Outcome of a real-thread run.
-#[derive(Debug, Clone)]
-pub struct RealServiceResult {
-    /// Lock/unlock round trips completed.
-    pub completed: u64,
-    /// Wall-clock for the whole run, nanoseconds.
-    pub elapsed_ns: u64,
-    /// Arrival-to-grant, nanoseconds.
-    pub wait_ns: Histogram,
-    /// Grant-to-release, nanoseconds.
-    pub hold_ns: Histogram,
-    /// Table occupancy after teardown (`live` must be 0).
-    pub stats: service::TableStats,
-    /// The service lot's futex ledger, delta across the run.
-    pub futex: parking::futex::FutexTotals,
-}
-
-/// Drives the *real* [`service::LockService`] with closed-loop workers
-/// over Zipf-skewed keys: the CI smoke driver and the stress harness's
-/// engine. Wall-clock, hence never a figure input.
-pub fn run_real(svc: &service::LockService, cfg: &RealServiceConfig) -> RealServiceResult {
-    assert!(cfg.threads > 0, "the service load needs at least one worker");
-    let zipf = Zipf::new(cfg.keys, cfg.zipf_s);
-    let before = svc.futex_totals();
-    let start = std::time::Instant::now();
-    let mut per_thread: Vec<(Histogram, Histogram)> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..cfg.threads)
-            .map(|t| {
-                let zipf = &zipf;
-                s.spawn(move || {
-                    let mut rng = Rng::new(cfg.seed).fork(0x1000 + t as u64);
-                    let mut wait = Histogram::new();
-                    let mut hold = Histogram::new();
-                    for _ in 0..cfg.requests_per_thread {
-                        // Spread ranks across the key space so shard load
-                        // reflects the hash, not rank adjacency.
-                        let key = parking::futex::mix64(zipf.sample(&mut rng));
-                        let t0 = std::time::Instant::now();
-                        let guard = svc.lock(key);
-                        let granted = std::time::Instant::now();
-                        wait.record((granted - t0).as_nanos() as u64);
-                        for _ in 0..cfg.hold_spin {
-                            std::hint::spin_loop();
-                        }
-                        drop(guard);
-                        hold.record(granted.elapsed().as_nanos() as u64);
-                    }
-                    (wait, hold)
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    });
-    let elapsed_ns = start.elapsed().as_nanos() as u64;
-    let mut wait_ns = Histogram::new();
-    let mut hold_ns = Histogram::new();
-    for (w, h) in per_thread.drain(..) {
-        wait_ns.merge(&w);
-        hold_ns.merge(&h);
-    }
-    RealServiceResult {
-        completed: (cfg.threads * cfg.requests_per_thread) as u64,
-        elapsed_ns,
-        wait_ns,
-        hold_ns,
-        stats: svc.stats(),
-        futex: svc.futex_totals().since(&before),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -843,22 +737,5 @@ mod tests {
             real.makespan,
             sim.makespan
         );
-    }
-
-    #[test]
-    fn real_driver_balances_and_drains() {
-        let svc = service::LockService::with_shards(64);
-        let cfg = RealServiceConfig {
-            threads: 4,
-            requests_per_thread: 200,
-            keys: 64,
-            zipf_s: 1.2,
-            hold_spin: 16,
-            seed: 42,
-        };
-        let r = run_real(&svc, &cfg);
-        assert_eq!(r.completed, 800);
-        assert_eq!(r.wait_ns.count(), 800);
-        assert_eq!(r.stats.live, 0, "keys left attached after drain");
     }
 }

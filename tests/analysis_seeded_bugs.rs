@@ -28,7 +28,7 @@
 // with its wake rewritten away.
 use interleave::corpus::{eventcount_wrap_program, flag_handshake_program, CheckThenSetLock};
 use interleave::harness::{check_barrier, check_lock, check_lock_bypass};
-use interleave::{Explorer, Program, Verdict};
+use interleave::{DporMode, Explorer, Program, Verdict};
 use kernels::barriers::{BarrierKernel, BarrierState};
 use kernels::lockdep::InstrumentedLock;
 use kernels::locks::ticket::TicketLock;
@@ -280,7 +280,7 @@ fn sleep_sets_halve_the_lock_suite_run_counts() {
             lock_by_name(name).unwrap().into(),
             2,
             1,
-            Explorer::exhaustive().without_reduction(),
+            Explorer::exhaustive().with_dpor(DporMode::None),
         );
         reduced.expect_pass(&format!("{name} reduced"));
         full.expect_pass(&format!("{name} unreduced"));

@@ -10,7 +10,7 @@
 //! and a torn-down run prints nothing, and the widest program is one host
 //! thread.
 
-use interleave::{ChkCtx, Explorer, Program, ReplayEnd, Verdict};
+use interleave::{ChkCtx, DporMode, Explorer, Program, ReplayEnd, Verdict};
 use kernels::locks::{counter_trial, lock_by_name};
 use kernels::{LockEvent, ProcCtx, SyncCtx};
 use memsim::{Machine, MachineParams, Proc, SimError};
@@ -421,7 +421,7 @@ fn every_ending_of_a_checked_run_unwinds_every_body_and_leaks_no_stack() {
     });
     leaks_nothing("step limit", N, &DROPS, || {
         let v = explorer
-            .without_reduction()
+            .with_dpor(DporMode::None)
             .with_max_steps(12)
             .with_max_runs(500)
             .check(&spinner, |_| Ok(()));
@@ -435,7 +435,7 @@ fn every_ending_of_a_checked_run_unwinds_every_body_and_leaks_no_stack() {
     });
     leaks_nothing("sleep-blocked", N, &DROPS, || {
         let v = explorer
-            .with_dpor(interleave::DporMode::Sleep)
+            .with_dpor(DporMode::Sleep)
             .check(&independent, |_| Ok(()));
         assert!(v.stats().sleep_pruned > 0, "{:?}", v.stats());
         v.stats().runs * N
@@ -544,7 +544,7 @@ fn a_torn_down_run_prints_nothing() {
         ctx.load(0);
     });
     let v = Explorer::exhaustive()
-        .without_reduction()
+        .with_dpor(DporMode::None)
         .with_max_steps(12)
         .with_max_runs(2_000)
         .check(&spinner, |_| Ok(()));

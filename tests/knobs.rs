@@ -25,9 +25,8 @@ fn resolve(k: &Knob, raw: Option<&str>) -> Result<Option<String>, String> {
 fn every_knob_resolves_strictly_and_rejects_in_one_format() {
     // (knob, a valid value, what the code does when it is unset — where
     // that is a value the knob could also be set to).
-    let cases: [(Knob, &str, Option<String>); 4] = [
+    let cases: [(Knob, &str, Option<String>); 3] = [
         (knob::SWEEP_THREADS, "4", None),
-        (knob::SERVICE_THREADS, "8", None),
         (
             knob::SERVICE_METRICS,
             "sampled:64",

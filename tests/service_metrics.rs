@@ -1,15 +1,45 @@
 //! Integration tests for the service telemetry subsystem: snapshot
 //! readers racing live writers, exact accounting at quiescence, the
-//! exporters round-tripping through their own validators, and the stall
-//! watchdog firing exactly once on a genuine stall while staying silent
-//! on a slow-but-live workload.
+//! exporters round-tripping through their own validators, a traced lot
+//! recording exactly its ledger, the stall watchdog firing exactly once on
+//! a genuine stall while staying silent on a slow-but-live workload, and
+//! (ignored, wall-clock) what `counters` mode costs against `off`.
 //!
 //! Everything here builds its *own* `LockService` with an explicit
 //! metrics mode, so other tests' counters and parks never leak in.
 
+use parking::futex::{mix64, FutexTotals};
+use service::{LockService, MetricsMode};
+use simcore::Rng;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+use trace::{EventClass, Tracer};
+use workloads::service_load::Zipf;
+
+/// `threads` closed-loop workers on `svc`, each locking `ops` keys drawn
+/// from Zipf 1.1 over 4 096 keys (ranks hashed apart, so shard load
+/// follows the hash) and spinning 64 iterations inside each hold. Returns
+/// the wall-clock of the whole run.
+fn zipf_load(svc: &LockService, threads: u64, ops: usize) -> Duration {
+    let zipf = Zipf::new(4096, 1.1);
+    let start = Instant::now();
+    std::thread::scope(|s| {
+        for t in 0..threads {
+            let zipf = &zipf;
+            s.spawn(move || {
+                let mut rng = Rng::new(0xC0FFEE).fork(0x1000 + t);
+                for _ in 0..ops {
+                    let _g = svc.lock(mix64(zipf.sample(&mut rng)));
+                    for _ in 0..64 {
+                        std::hint::spin_loop();
+                    }
+                }
+            });
+        }
+    });
+    start.elapsed()
+}
 
 /// 8 writer threads hammer a small hot key band while 2 readers snapshot
 /// continuously: every snapshot must be monotone over the previous one,
@@ -160,6 +190,54 @@ fn exporters_validate_after_a_real_run() {
     assert!(json.contains("\"acquires\": 8000"));
 }
 
+/// A service built on a tracer of its own records exactly what its lot's
+/// ledger counts: after a contended real-thread load, the tracer's
+/// park/wake/resume totals are `futex_totals()`, that ledger balances, the
+/// table drains, and the tracer's Chrome export validates.
+#[test]
+fn a_traced_service_records_its_ledger_and_exports_a_valid_trace() {
+    // Eight rings cover every thread that records here at once (the four
+    // workers, then this thread and one waiter), so no event goes
+    // unleased.
+    let tracer = Arc::new(Tracer::new(8, 4096));
+    let svc = LockService::with_tracer(64, MetricsMode::Sampled(64), Arc::clone(&tracer));
+    zipf_load(&svc, 4, 2_000);
+
+    // One guaranteed park: on a small host the load may serialize into
+    // fast-path wins, but a waiter behind a held guard parks.
+    let key = mix64(0xBEEF);
+    let guard = svc.lock(key);
+    let parks_before = svc.futex_totals().parks;
+    std::thread::scope(|s| {
+        s.spawn(|| drop(svc.lock(key)));
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while svc.futex_totals().parks == parks_before && Instant::now() < deadline {
+            std::thread::yield_now();
+        }
+        drop(guard);
+    });
+    assert!(
+        svc.futex_totals().parks > parks_before,
+        "contended waiter never parked"
+    );
+
+    let lot = svc.futex_totals();
+    let traced = FutexTotals {
+        parks: tracer.class_total(EventClass::FutexPark),
+        wakes: tracer.class_total(EventClass::FutexWake),
+        resumes: tracer.class_total(EventClass::FutexResume),
+    };
+    assert_eq!(tracer.unleased(), 0, "a thread found every ring leased");
+    assert_eq!(traced, lot, "the tracer's totals are not the lot's ledger");
+    assert!(lot.balanced(), "lot ledger unbalanced: {lot:?}");
+    assert_eq!(svc.stats().live, 0, "keys left attached after drain");
+
+    let json = trace::chrome::export_tracer(&tracer, "traced service");
+    let stats = trace::chrome::validate(&json)
+        .unwrap_or_else(|e| panic!("trace export invalid: {e}\n{json}"));
+    assert!(stats.spans > 0, "no park span exported");
+}
+
 /// A waiter deliberately parked past the threshold must trip the
 /// watchdog exactly once, and the report must carry the stall roster and
 /// the flight-recorder tail ending in the victim's park. One victim waits
@@ -271,4 +349,32 @@ fn watchdog_stays_silent_on_a_slow_but_live_workload() {
     assert!(!dog.fired());
     let snap = svc.metrics_snapshot();
     assert_eq!(snap.acquires, 12_000);
+}
+
+/// `counters` telemetry against `off` on the same real-thread Zipf load:
+/// best of three runs per mode, interleaved with `off` first each round so
+/// neither owns the warm caches. The budget is what a shared CI runner can
+/// hold: it catches an always-on histogram or a shared counter line, not a
+/// few percent. Wall-clock, hence ignored by default; CI runs it with
+/// `--ignored`.
+#[test]
+#[ignore = "wall-clock timing; run with --ignored"]
+fn counters_telemetry_costs_at_most_its_budget_over_off() {
+    const BUDGET_PCT: f64 = 20.0;
+    let (mut off, mut counters) = (Duration::MAX, Duration::MAX);
+    for _ in 0..3 {
+        for (mode, best) in [
+            (MetricsMode::Off, &mut off),
+            (MetricsMode::Counters, &mut counters),
+        ] {
+            let svc = LockService::with_metrics_mode(service::DEFAULT_SHARDS, mode);
+            *best = (*best).min(zipf_load(&svc, 4, 20_000));
+        }
+    }
+    let pct = (counters.as_secs_f64() / off.as_secs_f64() - 1.0) * 100.0;
+    println!("off {off:.1?}, counters {counters:.1?}: {pct:+.2}% (budget {BUDGET_PCT}%)");
+    assert!(
+        pct <= BUDGET_PCT,
+        "counters telemetry costs {pct:.2}% over off, past the {BUDGET_PCT}% budget"
+    );
 }

@@ -1,8 +1,8 @@
 //! Pins of `workloads::service_load::Zipf`'s draws: every key ring, request
 //! schedule and arrival stream built from a Zipf sampler (the benchmark's
-//! rings, fig11/table6/fig12/table7, `run_real`) is a function of exactly
-//! these ranks, so any change to how `sample` finds a rank must leave each
-//! checksum below unedited.
+//! rings, fig11/table6/fig12/table7, the service's real-thread tests) is a
+//! function of exactly these ranks, so any change to how `sample` finds a
+//! rank must leave each checksum below unedited.
 //!
 //! Each case folds 2^16 draws from one fixed seed into an FNV-1a hash.
 //! The cases span the shapes the repo uses: a single rank, the two-key
