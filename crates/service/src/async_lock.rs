@@ -208,13 +208,9 @@ impl<'a> Future for LockFuture<'a> {
         slot.metrics().count_cas_retries(slot.shard(), retries);
         if !this.contended && polled != Poll::Ready(true) {
             // First contact with a held word: maybe start a sampled wait
-            // measurement, feeding the hot-key sketch at the sampling rate
-            // like the blocking slow path.
+            // measurement, like the blocking slow path.
             this.contended = true;
             this.started = slot.metrics().wait_timer(slot.shard());
-            if this.started.is_some() {
-                slot.metrics().note_hot_key(slot.key());
-            }
         }
         if polled.is_pending() {
             this.parked = true;

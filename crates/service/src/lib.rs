@@ -54,9 +54,10 @@
 //! The load generator that drives this crate lives in
 //! `workloads::service_load`; the figures it feeds (`fig11`, `table6`,
 //! `fig12`, `table7`) are registered in `bench::figures`. Live telemetry —
-//! per-shard counters, sampled latency histograms, a hot-key sketch, and
-//! the stall watchdog — lives in [`telemetry`]; the flight recorder the
-//! watchdog prints is the table lot's own `trace::Tracer` ([`table`]).
+//! per-shard counters, sampled latency histograms, the stall watchdog and
+//! the one JSON snapshot export — lives in [`telemetry`]; the flight
+//! recorder the watchdog prints is the table lot's own `trace::Tracer`
+//! ([`table`]).
 //!
 //! ## Configuration
 //!

@@ -160,13 +160,8 @@ impl LockService {
     /// slower with this inlined).
     #[inline(never)]
     fn lock_contended<'a>(&'a self, slot: SlotRef<'a>) -> KeyGuard<'a> {
-        // Maybe start a sampled wait measurement, and feed the hot-key
-        // sketch at the sampling rate.
         let metrics = slot.metrics();
         let started = metrics.wait_timer(slot.shard());
-        if started.is_some() {
-            metrics.note_hot_key(slot.key());
-        }
         let how = protocol::lock_contended(&mut slot.lot(), slot.word());
         metrics.count_cas_retries(slot.shard(), how.cas_retries);
         metrics.count_acquire(slot.shard(), false, how.parked);

@@ -1,12 +1,12 @@
 //! Live telemetry for the lock service: always-available counters,
-//! sampled latency histograms, a hot-key estimator, and a stall watchdog
-//! that prints the table's flight recorder.
+//! sampled latency histograms, and a stall watchdog that prints the
+//! table's flight recorder.
 //!
 //! The service (PRs 8–9) was a black box at runtime: `TableStats` and the
 //! futex totals are only inspectable post-mortem from tests. This module
-//! makes the live process answer the operator questions — *which keys are
-//! hot, how long do waiters wait, is anything stuck?* — at a cost low
-//! enough to leave on in production:
+//! makes the live process answer the operator questions — *how often do
+//! acquisitions contend, how long do waiters wait, is anything stuck?* —
+//! at a cost low enough to leave on in production:
 //!
 //! - **Counters** ([`ServiceMetrics`]) — cache-line-padded stripes of
 //!   relaxed atomics (acquires, fast-path vs parked acquisitions, post-wake
@@ -23,10 +23,6 @@
 //!   nanoseconds into the log2-bucketed [`trace::Histogram`], one
 //!   histogram per primitive ([`Primitive`]). Sampling bounds the cost:
 //!   the un-sampled path pays one relaxed `fetch_add` on its stripe.
-//! - **Hot keys** — a small space-saving summary fed by sampled
-//!   *contended* acquisitions: under a Zipf workload the head keys
-//!   surface after a handful of samples, and the sketch is O(capacity)
-//!   memory regardless of key population.
 //! - **Flight recorder** — not this module's: unless the mode is `off`,
 //!   the table's parking lot records its parks, wake dequeues and resumes
 //!   (microsecond timestamps, word addresses) into a small
@@ -50,9 +46,8 @@
 //! `table7_metrics_overhead` demand byte-identical behaviour with the
 //! layer disabled.
 //!
-//! Exporters: [`prometheus`] (text exposition, with a line-based
-//! validator) and [`json`] (one field per line, whose validator parses the
-//! snapshot with `trace::json` before it checks the keys), so CI can reject
+//! Export: [`json`], one field per line, whose validator parses the
+//! snapshot with `trace::json` before it checks the keys, so CI can reject
 //! malformed output.
 
 use crate::table::TableStats;
@@ -69,9 +64,6 @@ use trace::{EventKind, Histogram};
 /// cache lines while costing ~8 KiB per service instance.
 const STRIPES: usize = 64;
 
-/// Hot-key sketch capacity (space-saving summary size).
-const HOT_KEYS: usize = 16;
-
 /// What the telemetry layer records; see the module docs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum MetricsMode {
@@ -81,8 +73,7 @@ pub enum MetricsMode {
     /// timestamps.
     #[default]
     Counters,
-    /// Counters plus 1-in-`N` sampled wait/hold histograms and the
-    /// hot-key sketch.
+    /// Counters plus 1-in-`N` sampled wait/hold histograms.
     Sampled(u64),
 }
 
@@ -186,41 +177,6 @@ struct CounterBlock {
     respin_wins: AtomicU64,
 }
 
-/// Space-saving top-K sketch: at most `HOT_KEYS` tracked keys; an
-/// untracked key evicts the current minimum and inherits its count + 1
-/// (the classic overcount bound: a reported count exceeds the true count
-/// by at most the evicted minimum).
-#[derive(Default)]
-struct SpaceSaving {
-    entries: Vec<(u64, u64)>,
-}
-
-impl SpaceSaving {
-    fn touch(&mut self, key: u64) {
-        if let Some(entry) = self.entries.iter_mut().find(|(k, _)| *k == key) {
-            entry.1 += 1;
-            return;
-        }
-        if self.entries.len() < HOT_KEYS {
-            self.entries.push((key, 1));
-            return;
-        }
-        let min = self
-            .entries
-            .iter_mut()
-            .min_by_key(|(_, c)| *c)
-            .expect("sketch is non-empty at capacity");
-        *min = (key, min.1 + 1);
-    }
-
-    /// Tracked keys, hottest first (ties broken by key for determinism).
-    fn top(&self) -> Vec<(u64, u64)> {
-        let mut out = self.entries.clone();
-        out.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        out
-    }
-}
-
 /// Sampled latency histograms, all in nanoseconds.
 #[derive(Default)]
 struct LatencyHists {
@@ -237,7 +193,6 @@ pub struct ServiceMetrics {
     stripes: Box<[CachePadded<CounterBlock>]>,
     mask: usize,
     hists: Mutex<LatencyHists>,
-    hot: Mutex<SpaceSaving>,
 }
 
 impl ServiceMetrics {
@@ -248,7 +203,6 @@ impl ServiceMetrics {
             stripes: (0..STRIPES).map(|_| CachePadded::new(CounterBlock::default())).collect(),
             mask: STRIPES - 1,
             hists: Mutex::new(LatencyHists::default()),
-            hot: Mutex::new(SpaceSaving::default()),
         }
     }
 
@@ -372,18 +326,9 @@ impl ServiceMetrics {
         }
     }
 
-    /// Feeds the hot-key sketch; callers gate this on a sampled contended
-    /// acquisition (i.e. [`ServiceMetrics::wait_timer`] returned `Some`),
-    /// so the sketch mutex is taken at the sampling rate, not per
-    /// operation.
-    #[inline]
-    pub(crate) fn note_hot_key(&self, key: u64) {
-        self.hot.lock().unwrap().touch(key);
-    }
-
     /// Aggregates every stripe lock-free into a [`MetricsSnapshot`]. The
-    /// histograms and the hot-key sketch are cloned under their (cold)
-    /// mutexes; the counters are relaxed loads.
+    /// histograms are cloned under their (cold) mutex; the counters are
+    /// relaxed loads.
     pub fn snapshot(&self) -> MetricsSnapshot {
         let mut snap = MetricsSnapshot {
             mode: self.mode,
@@ -398,7 +343,6 @@ impl ServiceMetrics {
             slot_recycles: 0,
             wait: Default::default(),
             hold_mutex: Histogram::new(),
-            hot_keys: Vec::new(),
             table: None,
             futex: None,
             park_cost_ns: None,
@@ -420,12 +364,9 @@ impl ServiceMetrics {
             snap.slot_recycles += stripe.slot_recycles.load(Ordering::Relaxed);
         }
         snap.fast_path = snap.acquires.saturating_sub(slow);
-        {
-            let hists = self.hists.lock().unwrap();
-            snap.wait = hists.wait.clone();
-            snap.hold_mutex = hists.hold.clone();
-        }
-        snap.hot_keys = self.hot.lock().unwrap().top();
+        let hists = self.hists.lock().unwrap();
+        snap.wait = hists.wait.clone();
+        snap.hold_mutex = hists.hold.clone();
         snap
     }
 }
@@ -466,8 +407,6 @@ pub struct MetricsSnapshot {
     pub wait: [Histogram; 5],
     /// Sampled mutex hold histogram (ns).
     pub hold_mutex: Histogram,
-    /// Hot-key sketch contents, hottest first.
-    pub hot_keys: Vec<(u64, u64)>,
     /// Table occupancy, when snapshotted through a service handle.
     pub table: Option<TableStats>,
     /// The service's lot-local futex ledger, when snapshotted through a
@@ -490,8 +429,8 @@ impl MetricsSnapshot {
         self.wait.iter().map(|h| h.count()).sum()
     }
 
-    /// The nine counters under their exported names, in export order
-    /// (the Prometheus families' and the JSON snapshot's).
+    /// The nine counters under their exported names, in the JSON
+    /// snapshot's order.
     fn counters(&self) -> [(&'static str, u64); 9] {
         [
             ("acquires", self.acquires),
@@ -524,192 +463,8 @@ impl MetricsSnapshot {
 }
 
 // ---------------------------------------------------------------------------
-// Exporters
+// Export
 // ---------------------------------------------------------------------------
-
-/// Prometheus-style text exposition of a snapshot. Families are always
-/// emitted (zero-valued when empty) so scrapes have a stable shape; the
-/// hot-key gauge is the one variable-length family.
-pub fn prometheus(snap: &MetricsSnapshot) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "# TYPE syncmech_service_mode gauge");
-    let _ = writeln!(
-        out,
-        "syncmech_service_mode{{mode=\"{}\"}} 1",
-        snap.mode.label()
-    );
-    for (name, value) in snap.counters() {
-        let _ = writeln!(out, "# TYPE syncmech_service_{name}_total counter");
-        let _ = writeln!(out, "syncmech_service_{name}_total {value}");
-    }
-    let _ = writeln!(out, "# TYPE syncmech_service_wait_samples_total counter");
-    for p in Primitive::ALL {
-        let _ = writeln!(
-            out,
-            "syncmech_service_wait_samples_total{{primitive=\"{}\"}} {}",
-            p.label(),
-            snap.wait_of(p).count()
-        );
-    }
-    let _ = writeln!(out, "# TYPE syncmech_service_wait_ns gauge");
-    for p in Primitive::ALL {
-        let h = snap.wait_of(p);
-        for (q, v) in [
-            ("0.5", h.quantile(0.5)),
-            ("0.99", h.quantile(0.99)),
-            ("max", h.max()),
-        ] {
-            let _ = writeln!(
-                out,
-                "syncmech_service_wait_ns{{primitive=\"{}\",quantile=\"{q}\"}} {v}",
-                p.label()
-            );
-        }
-    }
-    let _ = writeln!(out, "# TYPE syncmech_service_hold_samples_total counter");
-    let _ = writeln!(
-        out,
-        "syncmech_service_hold_samples_total {}",
-        snap.hold_mutex.count()
-    );
-    let _ = writeln!(out, "# TYPE syncmech_service_hold_ns gauge");
-    for (q, v) in [
-        ("0.5", snap.hold_mutex.quantile(0.5)),
-        ("0.99", snap.hold_mutex.quantile(0.99)),
-        ("max", snap.hold_mutex.max()),
-    ] {
-        let _ = writeln!(out, "syncmech_service_hold_ns{{quantile=\"{q}\"}} {v}");
-    }
-    if !snap.hot_keys.is_empty() {
-        let _ = writeln!(out, "# TYPE syncmech_service_hot_key gauge");
-        for (rank, (key, count)) in snap.hot_keys.iter().enumerate() {
-            let _ = writeln!(
-                out,
-                "syncmech_service_hot_key{{rank=\"{}\",key=\"{key}\"}} {count}",
-                rank + 1
-            );
-        }
-    }
-    if let Some(table) = &snap.table {
-        let _ = writeln!(out, "# TYPE syncmech_service_table gauge");
-        for (field, value) in [
-            ("live", table.live as u64),
-            ("peak_live", table.peak_live as u64),
-            ("capacity", table.capacity as u64),
-            ("reuses", table.reuses),
-        ] {
-            let _ = writeln!(out, "syncmech_service_table{{stat=\"{field}\"}} {value}");
-        }
-    }
-    if let Some(futex) = &snap.futex {
-        let _ = writeln!(out, "# TYPE syncmech_service_futex_total counter");
-        for (field, value) in [
-            ("parks", futex.parks),
-            ("wakes", futex.wakes),
-            ("resumes", futex.resumes),
-        ] {
-            let _ = writeln!(out, "syncmech_service_futex_total{{event=\"{field}\"}} {value}");
-        }
-    }
-    if let Some(ns) = snap.park_cost_ns {
-        let _ = writeln!(out, "# TYPE syncmech_service_park_cost_ns gauge");
-        let _ = writeln!(out, "syncmech_service_park_cost_ns {ns}");
-    }
-    out
-}
-
-/// Statistics from a successful [`validate_prometheus`] run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PromStats {
-    /// Declared metric families (`# TYPE` lines).
-    pub families: usize,
-    /// Sample lines.
-    pub samples: usize,
-}
-
-/// Line-based validator for [`prometheus`] output: every line must be a
-/// well-formed `# TYPE`
-/// declaration or a `name[{labels}] value` sample of a declared family
-/// with an integer value, and every declared family must have at least
-/// one sample.
-pub fn validate_prometheus(text: &str) -> Result<PromStats, String> {
-    if text.is_empty() {
-        return Err("empty exposition".to_string());
-    }
-    if !text.ends_with('\n') {
-        return Err("exposition must end with a newline".to_string());
-    }
-    let mut declared: Vec<(String, usize)> = Vec::new();
-    let mut samples = 0usize;
-    for (idx, line) in text.lines().enumerate() {
-        let lineno = idx + 1;
-        if line.is_empty() {
-            return Err(format!("line {lineno}: empty line"));
-        }
-        if let Some(rest) = line.strip_prefix('#') {
-            let mut parts = rest.split_whitespace();
-            if parts.next() != Some("TYPE") {
-                return Err(format!(
-                    "line {lineno}: only '# TYPE' comments are allowed: {line:?}"
-                ));
-            }
-            let Some(name) = parts.next() else {
-                return Err(format!("line {lineno}: '# TYPE' without a family name"));
-            };
-            match parts.next() {
-                Some("counter") | Some("gauge") => {}
-                other => {
-                    return Err(format!(
-                        "line {lineno}: family {name} has kind {other:?}, want counter or gauge"
-                    ));
-                }
-            }
-            if declared.iter().any(|(n, _)| n == name) {
-                return Err(format!("line {lineno}: family {name} declared twice"));
-            }
-            declared.push((name.to_string(), 0));
-            continue;
-        }
-        let (series, value) = line
-            .rsplit_once(' ')
-            .ok_or_else(|| format!("line {lineno}: sample without a value: {line:?}"))?;
-        value
-            .parse::<u64>()
-            .map_err(|_| format!("line {lineno}: value {value:?} is not an integer"))?;
-        let name = match series.split_once('{') {
-            Some((name, labels)) => {
-                let Some(labels) = labels.strip_suffix('}') else {
-                    return Err(format!("line {lineno}: unterminated label set: {line:?}"));
-                };
-                for pair in labels.split(',') {
-                    let Some((k, v)) = pair.split_once('=') else {
-                        return Err(format!("line {lineno}: malformed label {pair:?}"));
-                    };
-                    if k.is_empty() || !v.starts_with('"') || !v.ends_with('"') || v.len() < 2 {
-                        return Err(format!("line {lineno}: malformed label {pair:?}"));
-                    }
-                }
-                name
-            }
-            None => series,
-        };
-        let family = declared
-            .iter_mut()
-            .find(|(n, _)| n == name)
-            .ok_or_else(|| format!("line {lineno}: sample for undeclared family {name:?}"))?;
-        family.1 += 1;
-        samples += 1;
-    }
-    for (name, count) in &declared {
-        if *count == 0 {
-            return Err(format!("family {name} declared but has no samples"));
-        }
-    }
-    Ok(PromStats {
-        families: declared.len(),
-        samples,
-    })
-}
 
 fn json_hist(h: &Histogram) -> String {
     format!(
@@ -722,7 +477,7 @@ fn json_hist(h: &Histogram) -> String {
 }
 
 /// The schema tag of a [`json`] snapshot.
-const JSON_SCHEMA: &str = "syncmech-service-metrics/v1";
+const JSON_SCHEMA: &str = "syncmech-service-metrics/v2";
 
 /// JSON snapshot: one field per line (the `bench_sim` convention), always
 /// the same field set so downstream tooling can diff snapshots.
@@ -742,12 +497,6 @@ pub fn json(snap: &MetricsSnapshot) -> String {
         ));
     }
     fields.push(format!("\"hold_mutex\": {}", json_hist(&snap.hold_mutex)));
-    let hot: Vec<String> = snap
-        .hot_keys
-        .iter()
-        .map(|(k, c)| format!("{{\"key\": {k}, \"count\": {c}}}"))
-        .collect();
-    fields.push(format!("\"hot_keys\": [{}]", hot.join(", ")));
     if let Some(t) = &snap.table {
         fields.push(format!(
             "\"table\": {{\"live\": {}, \"peak_live\": {}, \"capacity\": {}, \"reuses\": {}}}",
@@ -802,7 +551,6 @@ const JSON_REQUIRED: &[&str] = &[
     "wait_semaphore",
     "wait_async",
     "hold_mutex",
-    "hot_keys",
 ];
 
 /// Validator for [`json`] output: the text must parse
@@ -1022,36 +770,16 @@ mod tests {
         assert_eq!(m.snapshot().wait_of(Primitive::Barrier).count(), 0);
     }
 
-    #[test]
-    fn space_saving_tracks_the_head_of_a_skew() {
-        let m = ServiceMetrics::new(MetricsMode::Sampled(1));
-        // Key 1 is 10x hotter than the tail; the sketch must surface it
-        // first even after the tail churns through the capacity.
-        for round in 0..50u64 {
-            for _ in 0..10 {
-                m.note_hot_key(1);
-            }
-            m.note_hot_key(1000 + round);
-        }
-        let top = m.snapshot().hot_keys;
-        assert!(!top.is_empty());
-        assert_eq!(top[0].0, 1, "hottest key lost: {top:?}");
-        assert!(top[0].1 >= 500);
-        assert!(top.len() <= HOT_KEYS);
-    }
-
     fn sample_snapshot() -> MetricsSnapshot {
         let m = ServiceMetrics::new(MetricsMode::Sampled(1));
         m.count_acquire(0, true, false);
         m.count_acquire(1, false, true);
         m.count_respin_win(1);
-        m.count_cas_retries(0, 1);
+        // Counters are 64-bit: one past 2^63 must not round on export.
+        m.count_cas_retries(0, 16_294_208_416_658_607_535);
         m.count_sem_grants(0, 2);
         m.count_slot_recycle(0);
         m.record_wait(Primitive::Mutex, Some(Instant::now()));
-        m.note_hot_key(7);
-        m.note_hot_key(7);
-        m.note_hot_key(9);
         let mut snap = m.snapshot();
         snap.table = Some(TableStats {
             shards: 4,
@@ -1070,61 +798,23 @@ mod tests {
     }
 
     #[test]
-    fn prometheus_output_validates() {
-        let snap = sample_snapshot();
-        let text = prometheus(&snap);
-        let stats = validate_prometheus(&text).expect("exposition validates");
-        assert!(stats.families >= 12, "{stats:?}");
-        assert!(stats.samples >= 30, "{stats:?}");
-        assert!(text.contains("syncmech_service_acquires_total 2"));
-        assert!(text.contains("hot_key{rank=\"1\",key=\"7\"} 2"));
-        assert!(text.contains("futex_total{event=\"parks\"} 5"));
-        assert!(text.contains("syncmech_service_respin_wins_total 1"));
-        assert!(text.contains("syncmech_service_park_cost_ns 17250"));
-    }
-
-    #[test]
-    fn prometheus_validator_rejects_malformed_lines() {
-        for (text, why) in [
-            ("", "empty"),
-            ("syncmech_x 1\n", "undeclared family"),
-            ("# TYPE a counter\na 1", "missing trailing newline"),
-            ("# TYPE a counter\na one\n", "non-integer value"),
-            ("# TYPE a counter\n", "family without samples"),
-            ("# TYPE a counter\n# TYPE a counter\na 1\n", "redeclared"),
-            ("# TYPE a histogram\na 1\n", "unknown kind"),
-            ("# HELP a text\n", "non-TYPE comment"),
-            ("# TYPE a counter\na{k=v} 1\n", "unquoted label"),
-        ] {
-            assert!(validate_prometheus(text).is_err(), "accepted {why}: {text:?}");
-        }
-    }
-
-    #[test]
     fn json_output_validates() {
         use trace::json::Value;
-        let mut snap = sample_snapshot();
-        // Keys are 64-bit hashes: one past 2^63 must not round.
-        snap.hot_keys.push((16_294_208_416_658_607_535, 1));
+        let snap = sample_snapshot();
         let text = json(&snap);
         let stats = validate_json(&text).expect("snapshot validates");
         assert_eq!(stats.fields, JSON_REQUIRED.len() + 3); // + table + futex + park_cost_ns
         assert!(text.contains("\"acquires\": 2"));
         assert!(text.contains("\"respin_wins\": 1"));
         assert!(text.contains("\"park_cost_ns\": 17250"));
-        assert!(text.contains("\"hot_keys\": [{\"key\": 7, \"count\": 2}"));
-        // Parsed, the snapshot carries every counter and hot key exactly.
+        // Parsed, the snapshot carries every counter exactly, the one past
+        // 2^63 included.
         let doc = trace::json::parse(&text).expect("snapshot parses");
         for (key, value) in snap.counters() {
             assert_eq!(doc.get(key), Some(&Value::Int(value)), "{key}");
         }
-        let hot = snap.hot_keys.iter().map(|&(k, c)| {
-            Value::Obj(vec![
-                ("key".into(), Value::Int(k)),
-                ("count".into(), Value::Int(c)),
-            ])
-        });
-        assert_eq!(doc.get("hot_keys"), Some(&Value::Arr(hot.collect())));
+        let big = Value::Int(16_294_208_416_658_607_535);
+        assert_eq!(doc.get("cas_retries"), Some(&big));
         // The same members in reverse order on one line: valid JSON in a
         // layout `json` never prints.
         let members = text.lines().rev().filter(|l| l.starts_with("  "));
@@ -1147,6 +837,10 @@ mod tests {
             (
                 good.replace("\"mode\": \"sampled:1\",", "\"mode\": \"sampled:1\""),
                 "missing comma",
+            ),
+            (
+                good.replace(JSON_SCHEMA, "syncmech-service-metrics/v1"),
+                "v1 schema tag",
             ),
         ] {
             assert!(validate_json(&mutate).is_err(), "accepted {why}");
