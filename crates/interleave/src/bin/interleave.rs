@@ -25,14 +25,13 @@
 //! and every five seconds from then on: runs so far, what was pruned, the
 //! deepest schedule, runs per second. Stdout is the same either way.
 
-use interleave::fuzz::{self, Fuzzer, Strategy};
-use interleave::harness::{barrier_program, check_barrier, check_lock, check_lock_bypass};
-use interleave::harness::{check_barrier_parallel, check_lock_parallel};
-use interleave::harness::{fuzz_barrier, fuzz_lock, lock_program};
-use interleave::{DporMode, Explorer, OpKind, Program, Replay, ReplayEnd};
+use interleave::fuzz::{self, Fuzzer, Shrunk, Strategy};
+use interleave::harness::{barrier_program, check_barrier, check_barrier_parallel};
+use interleave::harness::{check_lock, check_lock_parallel, checked_lock_program};
+use interleave::harness::{fuzz_barrier, fuzz_lock};
+use interleave::{DporMode, Explorer, Failure, OpKind, Program, Replay, ReplayEnd};
 use interleave::{Stats, Verdict};
-use kernels::barriers::{all_barriers, barrier_by_name};
-use kernels::lockdep::InstrumentedLock;
+use kernels::barriers::{all_barriers, barrier_by_name, BarrierKernel};
 use kernels::locks::{all_locks, lock_by_name, LockKernel};
 use simcore::knob;
 use std::process::ExitCode;
@@ -66,10 +65,11 @@ options:
   --dpor MODE       partial-order reduction: none | sleep | source
                     (default: source when exhaustive, sleep when bounded)
   --workers N       explore check's schedules through the parallel fan-out
-                    on N worker threads (default: the serial search); the
-                    fan-out's verdict and stats are the same for every N.
-                    Starvation checks (--bypass-bound) always explore
-                    serially.
+                    on N worker threads (default: the serial search). Any
+                    --workers, 1 included, runs the fan-out: its verdict
+                    and stats are the same for every N, but its run counts
+                    differ from the serial search's. Starvation checks
+                    (--bypass-bound) always explore serially.
 
 fuzz options:
   --seed N          campaign seed (positive; default 1991)
@@ -80,10 +80,42 @@ fuzz options:
     std::process::exit(2);
 }
 
-/// What the positional `lock:NAME` / `barrier:NAME` argument named.
-enum Target {
-    Lock(String),
-    Barrier(String),
+/// What the positional `lock:NAME` / `barrier:NAME` argument named: its
+/// spelling, as the printed `replay` lines repeat it, and the kernel.
+struct Target {
+    spec: String,
+    kernel: Kernel,
+}
+
+/// The registry kernel a target names.
+enum Kernel {
+    Lock(Arc<dyn LockKernel + Send + Sync>),
+    Barrier(Arc<dyn BarrierKernel + Send + Sync>),
+}
+
+/// Looks a `lock:NAME` / `barrier:NAME` argument up in the registries: the
+/// one place a target name is resolved.
+fn resolve(spec: &str) -> Target {
+    let (kind, name) = match spec.split_once(':') {
+        Some((kind @ ("lock" | "barrier"), name)) => (kind, name),
+        _ => {
+            eprintln!("unrecognized argument {spec:?}");
+            usage();
+        }
+    };
+    let kernel = if kind == "lock" {
+        lock_by_name(name).map(|lock| Kernel::Lock(lock.into()))
+    } else {
+        barrier_by_name(name).map(|barrier| Kernel::Barrier(barrier.into()))
+    };
+    let kernel = kernel.unwrap_or_else(|| {
+        eprintln!("unknown {kind} {name:?}; see `interleave list`");
+        std::process::exit(2);
+    });
+    Target {
+        spec: spec.to_string(),
+        kernel,
+    }
 }
 
 struct Args {
@@ -206,14 +238,7 @@ fn parse_args() -> Args {
                 }
             }
             other => {
-                let target = if let Some(name) = other.strip_prefix("lock:") {
-                    Target::Lock(name.to_string())
-                } else if let Some(name) = other.strip_prefix("barrier:") {
-                    Target::Barrier(name.to_string())
-                } else {
-                    eprintln!("unrecognized argument {other:?}");
-                    usage();
-                };
+                let target = resolve(other);
                 if args.target.is_some() {
                     eprintln!("only one target allowed");
                     usage();
@@ -253,8 +278,13 @@ fn counts(s: Stats) -> String {
     )
 }
 
-fn render_stats(s: Stats) {
-    let how = if s.complete {
+/// The stats line: the counts, then why the search stopped — at its first
+/// violation, or (passing) with its space covered or its budget spent.
+fn render_stats(verdict: &Verdict) {
+    let s = verdict.stats();
+    let how = if verdict.is_violation() {
+        "stopped at the first violation"
+    } else if s.complete {
         "search complete"
     } else {
         "run budget exhausted"
@@ -284,31 +314,19 @@ fn with_progress<T>(command: impl FnOnce() -> T) -> T {
     exit
 }
 
+/// The target every command but `list` works on.
+fn target(args: &Args) -> &Target {
+    args.target.as_ref().unwrap_or_else(|| usage())
+}
+
 /// Builds the program a target names, mirroring exactly what `check` runs
 /// so recorded schedules replay against the same operation sequence.
 fn build_program(args: &Args) -> Program {
-    match args.target.as_ref().unwrap_or_else(|| usage()) {
-        Target::Lock(name) => {
-            let mut lock: Arc<dyn LockKernel + Send + Sync> = lock_by_name(name)
-                .unwrap_or_else(|| {
-                    eprintln!("unknown lock {name:?}; see `interleave list`");
-                    std::process::exit(2);
-                })
-                .into();
-            // Mirror `check --bypass-bound`: the waiter accounting only
-            // sees locks wrapped in the event-emitting instrumentation.
-            if args.bypass_bound.is_some() {
-                lock = Arc::new(InstrumentedLock::new(lock, 0));
-            }
-            lock_program(lock, args.threads, args.iters)
+    match &target(args).kernel {
+        Kernel::Lock(lock) => {
+            checked_lock_program(lock.clone(), args.threads, args.iters, args.bypass_bound)
         }
-        Target::Barrier(name) => {
-            let barrier = barrier_by_name(name).unwrap_or_else(|| {
-                eprintln!("unknown barrier {name:?}; see `interleave list`");
-                std::process::exit(2);
-            });
-            barrier_program(barrier.into(), args.threads, args.episodes)
-        }
+        Kernel::Barrier(barrier) => barrier_program(barrier.clone(), args.threads, args.episodes),
     }
 }
 
@@ -318,94 +336,77 @@ fn run_check(args: &Args) -> ExitCode {
     // parallel algorithm, whose stats are byte-identical for every
     // worker count (but differ from the plain serial DFS, which only
     // runs when no count was requested at all).
-    let workers = args.workers;
-    let (verdict, target_spec) = match args.target.as_ref().unwrap_or_else(|| usage()) {
-        Target::Lock(name) => {
-            let lock: Arc<_> = lock_by_name(name)
-                .unwrap_or_else(|| {
-                    eprintln!("unknown lock {name:?}; see `interleave list`");
-                    std::process::exit(2);
-                })
-                .into();
-            let v = match (args.bypass_bound, workers) {
-                // Bypass accounting forces reduction off and stays
-                // serial: overtaking counts are not trace-invariant.
-                (Some(bound), _) => {
-                    check_lock_bypass(lock, args.threads, args.iters, bound, explorer)
-                }
-                (None, None) => check_lock(lock, args.threads, args.iters, explorer),
-                (None, Some(w)) => {
-                    check_lock_parallel(lock, args.threads, args.iters, explorer, w)
-                }
-            };
-            (v, format!("lock:{name}"))
+    let (threads, iters, episodes) = (args.threads, args.iters, args.episodes);
+    let verdict = match (&target(args).kernel, args.workers) {
+        // Bypass accounting forces reduction off and stays serial:
+        // overtaking counts are not trace-invariant.
+        (Kernel::Lock(lock), Some(w)) if args.bypass_bound.is_none() => {
+            check_lock_parallel(lock.clone(), threads, iters, explorer, w)
         }
-        Target::Barrier(name) => {
-            let barrier: Arc<_> = barrier_by_name(name)
-                .unwrap_or_else(|| {
-                    eprintln!("unknown barrier {name:?}; see `interleave list`");
-                    std::process::exit(2);
-                })
-                .into();
-            let v = match workers {
-                None => check_barrier(barrier, args.threads, args.episodes, explorer),
-                Some(w) => {
-                    check_barrier_parallel(barrier, args.threads, args.episodes, explorer, w)
-                }
-            };
-            (v, format!("barrier:{name}"))
+        (Kernel::Lock(lock), _) => check_lock(lock.clone(), threads, iters, explorer),
+        (Kernel::Barrier(barrier), Some(w)) => {
+            check_barrier_parallel(barrier.clone(), threads, episodes, explorer, w)
+        }
+        (Kernel::Barrier(barrier), None) => {
+            check_barrier(barrier.clone(), threads, episodes, explorer)
         }
     };
-    render_stats(verdict.stats());
+    render_stats(&verdict);
     match &verdict {
         Verdict::Passed(_) => {
             println!("PASS: no violation within the explored bounds");
             ExitCode::SUCCESS
         }
-        Verdict::Deadlock { blocked, .. } => {
-            println!("FAIL: deadlock; blocked (thread, word): {blocked:?}");
-            print_repro(args, &target_spec, &verdict);
-            ExitCode::FAILURE
-        }
-        Verdict::LostWakeup { parked, .. } => {
-            println!("FAIL: lost wakeup; parked (thread, word): {parked:?}");
-            print_repro(args, &target_spec, &verdict);
-            ExitCode::FAILURE
-        }
-        Verdict::Violation { message, .. } => {
-            println!("FAIL: {message}");
-            print_repro(args, &target_spec, &verdict);
-            ExitCode::FAILURE
-        }
-        Verdict::Race { report, .. } => {
-            println!("FAIL: {report}");
-            print_repro(args, &target_spec, &verdict);
-            ExitCode::FAILURE
-        }
-        Verdict::Starvation { report, .. } => {
-            println!("FAIL: {report}");
-            print_repro(args, &target_spec, &verdict);
+        Verdict::Failed {
+            schedule, failure, ..
+        } => {
+            println!("FAIL: {failure}");
+            print_repro(args, iters, schedule, None);
             ExitCode::FAILURE
         }
     }
 }
 
-fn print_repro(args: &Args, target_spec: &str, verdict: &Verdict) {
-    let schedule = verdict.schedule().unwrap_or(&[]);
-    let sched: Vec<String> = schedule.iter().map(|p| p.to_string()).collect();
-    println!("schedule: {}", sched.join(","));
-    let mut extent = match args.target {
-        Some(Target::Barrier(_)) => format!("--episodes {}", args.episodes),
-        _ => format!("--iters {}", args.iters),
+/// Prints the failing `schedule:`, the shrunk one when there is one, and
+/// the `interleave replay` invocation that re-executes the shorter of the
+/// two; `iters` is the lock workload's critical sections per thread.
+fn print_repro(args: &Args, iters: usize, schedule: &[usize], shrunk: Option<&Shrunk>) {
+    let render = |schedule: &[usize]| {
+        let ids: Vec<String> = schedule.iter().map(|p| p.to_string()).collect();
+        ids.join(",")
+    };
+    println!("schedule: {}", render(schedule));
+    let mut replayed = schedule;
+    if let Some(shrunk) = shrunk {
+        println!(
+            "shrunk schedule ({} replays): {}",
+            shrunk.replays,
+            render(&shrunk.schedule)
+        );
+        replayed = &shrunk.schedule;
+    }
+    let target = target(args);
+    let mut extent = match target.kernel {
+        Kernel::Barrier(_) => format!("--episodes {}", args.episodes),
+        Kernel::Lock(_) => format!("--iters {iters}"),
     };
     if let Some(k) = args.bypass_bound {
         extent.push_str(&format!(" --bypass-bound {k}"));
     }
     println!(
-        "replay with: interleave replay {target_spec} --threads {} {extent} --schedule {}",
+        "replay with: interleave replay {} --threads {} {extent} --schedule {}",
+        target.spec,
         args.threads,
-        sched.join(",")
+        render(replayed)
     );
+}
+
+/// A replay or trace exits 1 when the re-execution failed or diverged.
+fn exit_of(end: &ReplayEnd) -> ExitCode {
+    match end {
+        ReplayEnd::Complete(_) | ReplayEnd::StepLimit => ExitCode::SUCCESS,
+        ReplayEnd::Diverged { .. } | ReplayEnd::Failed(_) => ExitCode::FAILURE,
+    }
 }
 
 fn run_replay(args: &Args) -> ExitCode {
@@ -416,10 +417,7 @@ fn run_replay(args: &Args) -> ExitCode {
     let program = build_program(args);
     let replay = explorer_from(args).replay(&program, schedule);
     print!("{}", replay.render());
-    match replay.end {
-        interleave::ReplayEnd::Complete(_) | interleave::ReplayEnd::StepLimit => ExitCode::SUCCESS,
-        _ => ExitCode::FAILURE,
-    }
+    exit_of(&replay.end)
 }
 
 /// Converts an executed schedule to Chrome trace-event JSON: one track per
@@ -467,7 +465,11 @@ fn replay_to_chrome(replay: &Replay, process_name: &str, threads: usize) -> Stri
                         wake_targets.entry(wakes[w]).or_default().push(pid);
                     }
                 }
-                None if matches!(replay.end, ReplayEnd::LostWakeup(_) | ReplayEnd::Deadlock(_)) => {
+                None if matches!(
+                    replay.end,
+                    ReplayEnd::Failed(Failure::LostWakeup(_) | Failure::Deadlock(_))
+                ) =>
+                {
                     // Parked at the end of the run and never woken.
                     parks[a] = true;
                 }
@@ -539,11 +541,8 @@ fn run_trace(args: &Args) -> ExitCode {
     let program = build_program(args);
     let schedule = args.schedule.clone().unwrap_or_default();
     let replay = explorer_from(args).replay(&program, &schedule);
-    let target_name = match args.target.as_ref().unwrap_or_else(|| usage()) {
-        Target::Lock(name) => format!("interleave lock:{name}"),
-        Target::Barrier(name) => format!("interleave barrier:{name}"),
-    };
-    let json = replay_to_chrome(&replay, &target_name, args.threads);
+    let process_name = format!("interleave {}", target(args).spec);
+    let json = replay_to_chrome(&replay, &process_name, args.threads);
     let stats = match trace::chrome::validate(&json) {
         Ok(stats) => stats,
         Err(e) => {
@@ -568,10 +567,7 @@ fn run_trace(args: &Args) -> ExitCode {
         }
         None => print!("{json}"),
     }
-    match replay.end {
-        ReplayEnd::Complete(_) | ReplayEnd::StepLimit => ExitCode::SUCCESS,
-        _ => ExitCode::FAILURE,
-    }
+    exit_of(&replay.end)
 }
 
 fn run_fuzz(args: &Args) -> ExitCode {
@@ -589,88 +585,30 @@ fn run_fuzz(args: &Args) -> ExitCode {
         fuzzer = fuzzer.with_max_steps(s);
     }
 
-    let (report, target_spec, extent) = match args.target.as_ref().unwrap_or_else(|| usage()) {
-        Target::Lock(name) => {
-            let lock: Arc<_> = lock_by_name(name)
-                .unwrap_or_else(|| {
-                    eprintln!("unknown lock {name:?}; see `interleave list`");
-                    std::process::exit(2);
-                })
-                .into();
-            (
-                fuzz_lock(lock, args.threads, args.cs, &fuzzer),
-                format!("lock:{name}"),
-                format!("--iters {}", args.cs),
-            )
-        }
-        Target::Barrier(name) => {
-            let barrier: Arc<_> = barrier_by_name(name)
-                .unwrap_or_else(|| {
-                    eprintln!("unknown barrier {name:?}; see `interleave list`");
-                    std::process::exit(2);
-                })
-                .into();
-            (
-                fuzz_barrier(barrier, args.threads, args.episodes, &fuzzer),
-                format!("barrier:{name}"),
-                format!("--episodes {}", args.episodes),
-            )
+    let report = match &target(args).kernel {
+        Kernel::Lock(lock) => fuzz_lock(lock.clone(), args.threads, args.cs, &fuzzer),
+        Kernel::Barrier(barrier) => {
+            fuzz_barrier(barrier.clone(), args.threads, args.episodes, &fuzzer)
         }
     };
 
     println!(
-        "fuzz {target_spec}: seed {seed}, strategy {strategy}, budget {iters} schedules"
+        "fuzz {}: seed {seed}, strategy {strategy}, budget {iters} schedules",
+        target(args).spec
     );
-    render_stats(report.verdict.stats());
-    let failure = match &report.verdict {
-        Verdict::Passed(s) => {
-            println!("PASS: no violation in {} sampled schedules", s.runs);
-            return ExitCode::SUCCESS;
-        }
-        Verdict::Deadlock { blocked, .. } => {
-            format!("deadlock; blocked (thread, word): {blocked:?}")
-        }
-        Verdict::LostWakeup { parked, .. } => {
-            format!("lost wakeup; parked (thread, word): {parked:?}")
-        }
-        Verdict::Violation { message, .. } => message.clone(),
-        Verdict::Race { report, .. } => format!("{report}"),
-        Verdict::Starvation { report, .. } => format!("{report}"),
+    render_stats(&report.verdict);
+    let Verdict::Failed {
+        schedule, failure, ..
+    } = &report.verdict
+    else {
+        let runs = report.verdict.stats().runs;
+        println!("PASS: no violation in {runs} sampled schedules");
+        return ExitCode::SUCCESS;
     };
     let iter = report.failing_iter.unwrap_or(0);
     println!("FAIL at iteration {iter}: {failure}");
     println!("repro: --seed {seed} --strategy {strategy}");
-    let mut extent = extent;
-    if let Some(k) = args.bypass_bound {
-        extent.push_str(&format!(" --bypass-bound {k}"));
-    }
-    let render = |schedule: &[usize]| {
-        schedule
-            .iter()
-            .map(|p| p.to_string())
-            .collect::<Vec<_>>()
-            .join(",")
-    };
-    let schedule = report.verdict.schedule().unwrap_or(&[]);
-    println!("schedule: {}", render(schedule));
-    if let Some(shrunk) = &report.shrunk {
-        println!(
-            "shrunk schedule ({} replays): {}",
-            shrunk.replays,
-            render(&shrunk.schedule)
-        );
-        println!(
-            "replay with: interleave replay {target_spec} --threads {} {extent} --schedule {}",
-            args.threads,
-            render(&shrunk.schedule)
-        );
-    } else {
-        println!(
-            "replay with: interleave replay {target_spec} --threads {} {extent} --schedule {}",
-            args.threads,
-            render(schedule)
-        );
-    }
+    print_repro(args, args.cs, schedule, report.shrunk.as_ref());
     ExitCode::FAILURE
 }
 

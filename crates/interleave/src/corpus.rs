@@ -6,9 +6,11 @@
 //! regressions: a **named registry** of the seeded-bug programs the fuzzer
 //! runs against ([`corpus_program`]), a tiny **text format** for one
 //! shrunk counterexample ([`CorpusEntry`]), and the **verdict classes**
-//! ([`VerdictClass`]) that entries are checked against — first by replay
-//! (the schedule must still reproduce the class) and then by an
-//! exhaustive re-check (the bug must still be reachable by search alone).
+//! ([`VerdictClass`], one per [`Failure`] kind plus `pass`) that entries
+//! are checked against — first by replay (the schedule must still end in
+//! the class, [`crate::ReplayEnd::failure`] judging the run with the
+//! program's final-state check) and then by an exhaustive re-check (the
+//! bug must still be reachable by search alone).
 //! The files live in `tests/shrunk_corpus/` at the workspace root; the
 //! loader test there runs the whole directory.
 //!
@@ -21,15 +23,15 @@
 //! verdict: lost-wakeup
 //! ```
 
-use crate::explorer::{ReplayEnd, Verdict};
+use crate::explorer::{Failure, Verdict};
 use crate::program::{ChkCtx, Program};
 use kernels::locks::LockKernel;
 use kernels::{Addr, ProcCtx, Region, SyncCtx, Waited, Word};
 use service::protocol::{self, QsmQueue, WaitingArray, CONTENDED, FREE, HELD};
 use std::sync::Arc;
 
-/// The class of a [`Verdict`] or [`ReplayEnd`], without the run-specific
-/// payload (schedule, stats, sites): what a corpus entry pins.
+/// The class of a [`Failure`] ([`Failure::class`]), or `Pass` for none:
+/// what a corpus entry pins, without the run-specific payload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum VerdictClass {
     /// No violation observed.
@@ -49,49 +51,7 @@ pub enum VerdictClass {
 impl VerdictClass {
     /// Classifies a search verdict.
     pub fn of(v: &Verdict) -> VerdictClass {
-        match v {
-            Verdict::Passed(_) => VerdictClass::Pass,
-            Verdict::Violation { .. } => VerdictClass::Violation,
-            Verdict::Race { .. } => VerdictClass::Race,
-            Verdict::Deadlock { .. } => VerdictClass::Deadlock,
-            Verdict::LostWakeup { .. } => VerdictClass::LostWakeup,
-            Verdict::Starvation { .. } => VerdictClass::Starvation,
-        }
-    }
-
-    /// Classifies a replay ending. `Complete`, `StepLimit` and `Diverged`
-    /// all map to [`VerdictClass::Pass`] — no violation was reproduced —
-    /// so a stale corpus schedule fails its class assertion rather than
-    /// silently passing.
-    pub fn of_replay(end: &ReplayEnd) -> VerdictClass {
-        match end {
-            ReplayEnd::Complete(_) | ReplayEnd::StepLimit | ReplayEnd::Diverged { .. } => {
-                VerdictClass::Pass
-            }
-            ReplayEnd::Panic(_) => VerdictClass::Violation,
-            ReplayEnd::Race(_) => VerdictClass::Race,
-            ReplayEnd::Deadlock(_) => VerdictClass::Deadlock,
-            ReplayEnd::LostWakeup(_) => VerdictClass::LostWakeup,
-            ReplayEnd::Starvation(_) => VerdictClass::Starvation,
-        }
-    }
-
-    /// Classifies a replay ending *with* the program's final-state check:
-    /// a completed run whose memory fails the check is a
-    /// [`VerdictClass::Violation`], exactly as [`crate::Explorer::check`]
-    /// would report it. Replay alone cannot see final-state violations —
-    /// it has no check to run — so corpus validation goes through here.
-    pub fn of_checked_replay(
-        end: &ReplayEnd,
-        check: fn(&[Word]) -> Result<(), String>,
-    ) -> VerdictClass {
-        match end {
-            ReplayEnd::Complete(mem) => match check(mem) {
-                Ok(()) => VerdictClass::Pass,
-                Err(_) => VerdictClass::Violation,
-            },
-            other => VerdictClass::of_replay(other),
-        }
+        v.failure().map_or(VerdictClass::Pass, Failure::class)
     }
 
     /// The stable on-disk name.

@@ -4,6 +4,10 @@
 //! replaying a decision prefix and branching at the deepest unexplored
 //! point, subject to an optional preemption bound (Musuvathi & Qadeer).
 //!
+//! A run that fails ends in one [`Failure`] — deadlock, lost wakeup,
+//! violation, race or starvation — which [`Verdict::Failed`] carries with
+//! the schedule that reproduces it.
+//!
 //! Two analysis layers ride on every execution:
 //!
 //! * a vector-clock **race detector** (see [`crate::race`]) that fails a
@@ -36,7 +40,7 @@
 //!
 //! Both preserve every Mazurkiewicz trace, hence all safety
 //! violations, deadlocks and lost wakeups — the enabled sets driving the
-//! reduction are park/unpark-aware, so [`Verdict::LostWakeup`] hangs are
+//! reduction are park/unpark-aware, so [`Failure::LostWakeup`] hangs are
 //! maximal executions the reduction must (and does) keep.
 //! [`DporMode::None`] ([`Explorer::with_dpor`]) turns all reduction off
 //! for comparison;
@@ -59,6 +63,7 @@
 //! number of workers, and verdict/stats merge in task order — the result
 //! is byte-identical for 1, 2 or N workers.
 
+use crate::corpus::VerdictClass;
 use crate::program::{
     OpMeta, OpRecord, Program, RunCfg, RunState, Shared, StarvationReport, TState,
 };
@@ -123,8 +128,10 @@ pub struct Stats {
     /// them there could only reorder independent steps. Zero under
     /// [`DporMode::Sleep`], which branches on every eligible sibling.
     pub dpor_pruned: usize,
-    /// True when the bounded schedule space was fully explored rather than
-    /// stopped at `max_runs`.
+    /// On a [`Verdict::Passed`], true when the bounded schedule space was
+    /// fully explored rather than stopped at `max_runs`. A
+    /// [`Verdict::Failed`] search stopped at its first violation, and the
+    /// flag then says nothing about coverage.
     pub complete: bool,
     /// Deepest schedule reached, in steps.
     pub max_depth: usize,
@@ -176,63 +183,74 @@ impl Stats {
     }
 }
 
+/// How a run failed: the one place the checker spells a failure kind.
+/// [`Verdict::Failed`] carries one with the schedule that reproduces it, a
+/// replay that ends in one says so with [`ReplayEnd::Failed`], and its
+/// [`Display`](std::fmt::Display) is the text every front end prints.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Failure {
+    /// Every unfinished thread is blocked and at least one of them spins:
+    /// which threads, on which word (spinners and futex-parked threads
+    /// alike).
+    Deadlock(Vec<(usize, Addr)>),
+    /// Every unfinished thread is parked in a futex wait with no thread
+    /// left to wake it: which threads, on which word. The **lost wakeup**,
+    /// the bug class the futex's atomic compare-and-block exists to
+    /// prevent; told apart from a deadlock because the fix differs — a
+    /// deadlock is a cyclic wait, a lost wakeup a wake issued before the
+    /// sleeper committed to sleeping (or never issued at all).
+    LostWakeup(Vec<(usize, Addr)>),
+    /// An in-program assertion or the final-state invariant failed, with
+    /// its message.
+    Violation(String),
+    /// Two data accesses were happens-before concurrent — a data race,
+    /// whatever the final state.
+    Race(RaceReport),
+    /// A waiter was bypassed more often than the bound allows while other
+    /// threads kept acquiring the lock (starvation / unbounded bypass).
+    Starvation(StarvationReport),
+}
+
+impl Failure {
+    /// The failure's class, as a corpus entry pins it.
+    pub fn class(&self) -> VerdictClass {
+        match self {
+            Failure::Deadlock(_) => VerdictClass::Deadlock,
+            Failure::LostWakeup(_) => VerdictClass::LostWakeup,
+            Failure::Violation(_) => VerdictClass::Violation,
+            Failure::Race(_) => VerdictClass::Race,
+            Failure::Starvation(_) => VerdictClass::Starvation,
+        }
+    }
+}
+
+impl std::fmt::Display for Failure {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Failure::Deadlock(blocked) => {
+                write!(f, "deadlock; blocked (thread, word): {blocked:?}")
+            }
+            Failure::LostWakeup(parked) => {
+                write!(f, "lost wakeup; parked (thread, word): {parked:?}")
+            }
+            Failure::Violation(message) => f.write_str(message),
+            Failure::Race(report) => write!(f, "{report}"),
+            Failure::Starvation(report) => write!(f, "{report}"),
+        }
+    }
+}
+
 /// Result of checking a program.
 #[derive(Debug, Clone)]
 pub enum Verdict {
-    /// No schedule within the bounds produced a violation.
+    /// No schedule within the bounds produced a failure.
     Passed(Stats),
-    /// A schedule was found under which every unfinished thread is blocked.
-    Deadlock {
-        /// The thread choices, step by step, that reproduce the deadlock.
-        schedule: Vec<usize>,
-        /// Which threads were blocked, on which address (spinners and
-        /// futex-parked threads alike).
-        blocked: Vec<(usize, Addr)>,
-        /// Statistics up to discovery.
-        stats: Stats,
-    },
-    /// A schedule was found under which every unfinished thread is parked
-    /// in a futex wait with no thread left to wake it — the **lost
-    /// wakeup**, the bug class the futex's atomic compare-and-block
-    /// exists to prevent. Distinguished from [`Verdict::Deadlock`]
-    /// because the fix differs: a deadlock is a cyclic wait, a lost
-    /// wakeup is a wake issued before the sleeper committed to sleeping
-    /// (or never issued at all).
-    LostWakeup {
-        /// The thread choices, step by step, that reproduce the hang.
-        schedule: Vec<usize>,
-        /// Which threads were parked, on which address.
-        parked: Vec<(usize, Addr)>,
-        /// Statistics up to discovery.
-        stats: Stats,
-    },
-    /// An in-program assertion or the final-state invariant failed.
-    Violation {
+    /// A schedule was found under which the program fails.
+    Failed {
         /// The thread choices, step by step, that reproduce the failure.
         schedule: Vec<usize>,
-        /// The assertion / invariant message.
-        message: String,
-        /// Statistics up to discovery.
-        stats: Stats,
-    },
-    /// Two data accesses were happens-before concurrent under some
-    /// schedule — a data race, regardless of the final state.
-    Race {
-        /// The thread choices, step by step, that reproduce the race.
-        schedule: Vec<usize>,
-        /// Both access sites and the word involved.
-        report: RaceReport,
-        /// Statistics up to discovery.
-        stats: Stats,
-    },
-    /// A waiter was bypassed more than the configured bound allows while
-    /// other threads kept acquiring the lock (starvation / unbounded
-    /// bypass).
-    Starvation {
-        /// The thread choices, step by step, that reproduce the bypasses.
-        schedule: Vec<usize>,
-        /// Victim, lock and bypass count.
-        report: StarvationReport,
+        /// What went wrong.
+        failure: Failure,
         /// Statistics up to discovery.
         stats: Stats,
     },
@@ -247,12 +265,7 @@ impl Verdict {
     /// The statistics regardless of outcome.
     pub fn stats(&self) -> Stats {
         match self {
-            Verdict::Passed(s) => *s,
-            Verdict::Deadlock { stats, .. }
-            | Verdict::LostWakeup { stats, .. }
-            | Verdict::Violation { stats, .. }
-            | Verdict::Race { stats, .. }
-            | Verdict::Starvation { stats, .. } => *stats,
+            Verdict::Passed(stats) | Verdict::Failed { stats, .. } => *stats,
         }
     }
 
@@ -260,47 +273,34 @@ impl Verdict {
     pub fn schedule(&self) -> Option<&[usize]> {
         match self {
             Verdict::Passed(_) => None,
-            Verdict::Deadlock { schedule, .. }
-            | Verdict::LostWakeup { schedule, .. }
-            | Verdict::Violation { schedule, .. }
-            | Verdict::Race { schedule, .. }
-            | Verdict::Starvation { schedule, .. } => Some(schedule),
+            Verdict::Failed { schedule, .. } => Some(schedule),
+        }
+    }
+
+    /// The failure, when the verdict is one.
+    pub fn failure(&self) -> Option<&Failure> {
+        match self {
+            Verdict::Passed(_) => None,
+            Verdict::Failed { failure, .. } => Some(failure),
         }
     }
 
     /// Replaces the carried statistics (parallel merge rewrites a task's
     /// local stats with the deterministic task-order aggregate).
-    fn with_stats(mut self, stats: Stats) -> Verdict {
+    fn with_stats(mut self, new: Stats) -> Verdict {
         match &mut self {
-            Verdict::Passed(s) => *s = stats,
-            Verdict::Deadlock { stats: s, .. }
-            | Verdict::LostWakeup { stats: s, .. }
-            | Verdict::Violation { stats: s, .. }
-            | Verdict::Race { stats: s, .. }
-            | Verdict::Starvation { stats: s, .. } => *s = stats,
+            Verdict::Passed(stats) | Verdict::Failed { stats, .. } => *stats = new,
         }
         self
     }
 
     /// Panics with a readable report if the verdict is a violation.
     pub fn expect_pass(&self, what: &str) {
-        match self {
-            Verdict::Passed(_) => {}
-            Verdict::Deadlock {
-                schedule, blocked, ..
-            } => panic!("{what}: deadlock under schedule {schedule:?}; blocked: {blocked:?}"),
-            Verdict::LostWakeup {
-                schedule, parked, ..
-            } => panic!("{what}: lost wakeup under schedule {schedule:?}; parked: {parked:?}"),
-            Verdict::Violation {
-                schedule, message, ..
-            } => panic!("{what}: violation under schedule {schedule:?}: {message}"),
-            Verdict::Race {
-                schedule, report, ..
-            } => panic!("{what}: {report} under schedule {schedule:?}"),
-            Verdict::Starvation {
-                schedule, report, ..
-            } => panic!("{what}: {report} under schedule {schedule:?}"),
+        if let Verdict::Failed {
+            schedule, failure, ..
+        } = self
+        {
+            panic!("{what}: {failure} under schedule {schedule:?}");
         }
     }
 }
@@ -362,24 +362,21 @@ impl Frame {
     }
 }
 
-/// How one execution ended.
+/// How one execution ended: as a replay reports it, or cut off by
+/// sleep-set reduction, which only exploration applies.
 #[derive(Debug)]
 pub(crate) enum RunEnd {
-    Complete(Vec<Word>),
-    Pruned,
     /// Every enabled thread was asleep: all continuations are reorderings
     /// of independent steps covered by sibling branches.
     SleepBlocked,
-    Deadlock(Vec<(usize, Addr)>),
-    /// Every unfinished thread was futex-parked with nobody left to wake it.
-    LostWakeup(Vec<(usize, Addr)>),
-    Panic(String),
-    Race(RaceReport),
-    Starvation(StarvationReport),
-    /// A prefix choice was not eligible at its step. Unreachable during
-    /// exploration (prefixes extend explored traces); reachable from
-    /// [`Explorer::replay`], whose schedule is caller-supplied.
-    Diverged { step: usize, choice: usize },
+    /// Any other ending.
+    Ended(ReplayEnd),
+}
+
+impl From<Failure> for RunEnd {
+    fn from(failure: Failure) -> RunEnd {
+        RunEnd::Ended(ReplayEnd::Failed(failure))
+    }
 }
 
 /// Outcome of one execution: the trace of decisions plus the ending.
@@ -417,33 +414,59 @@ pub(crate) enum Policy<'a> {
     External(ExternalChooser<'a>),
 }
 
-/// How a replayed schedule ended; see [`Explorer::replay`].
+/// How a run ended; what [`Explorer::replay`] reports.
 #[derive(Debug, Clone)]
 pub enum ReplayEnd {
     /// All threads finished; final memory attached.
     Complete(Vec<Word>),
     /// The step limit was hit before the program finished.
     StepLimit,
-    /// Every unfinished thread was blocked.
-    Deadlock(Vec<(usize, Addr)>),
-    /// Every unfinished thread was futex-parked with nobody left to wake
-    /// it: a lost wakeup.
-    LostWakeup(Vec<(usize, Addr)>),
-    /// An in-program assertion failed.
-    Panic(String),
-    /// The race detector fired.
-    Race(RaceReport),
-    /// The bypass bound was exceeded.
-    Starvation(StarvationReport),
     /// The schedule named a thread that was not runnable at that step —
     /// it is not a schedule this program can produce (wrong thread count,
-    /// edited by hand, or recorded from a different program).
+    /// edited by hand, or recorded from a different program). Exploration
+    /// never gets here: its prefixes extend traces it ran.
     Diverged {
         /// The step at which the schedule stopped making sense.
         step: usize,
         /// The thread it asked for.
         choice: usize,
     },
+    /// The run failed on its own: a hang, an in-program assertion (a
+    /// panic), a race or an exceeded bypass bound.
+    Failed(Failure),
+}
+
+impl ReplayEnd {
+    /// The failure this ending shows: its own, or — for a completed run —
+    /// the final-state check's on the memory. The one place a run's ending
+    /// and the check combine: search, sampling, shrinking and corpus
+    /// validation all judge runs here. A truncated or diverged run shows
+    /// none.
+    pub fn failure<F>(&self, final_check: &F) -> Option<Failure>
+    where
+        F: Fn(&[Word]) -> Result<(), String>,
+    {
+        match self {
+            ReplayEnd::Complete(memory) => final_check(memory).err().map(Failure::Violation),
+            ReplayEnd::Failed(failure) => Some(failure.clone()),
+            ReplayEnd::StepLimit | ReplayEnd::Diverged { .. } => None,
+        }
+    }
+}
+
+impl std::fmt::Display for ReplayEnd {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ReplayEnd::Complete(mem) => write!(f, "completed; final memory = {mem:?}"),
+            ReplayEnd::StepLimit => f.write_str("stopped at step limit"),
+            ReplayEnd::Diverged { step, choice } => write!(
+                f,
+                "schedule diverged at step {step}: thread {choice} is not \
+                 runnable there (not a schedule of this program)"
+            ),
+            ReplayEnd::Failed(failure) => write!(f, "{failure}"),
+        }
+    }
 }
 
 /// A deterministic re-execution of a recorded schedule, with the full
@@ -459,43 +482,11 @@ pub struct Replay {
 }
 
 impl Replay {
-    /// Human-readable narration of the replay, one line per operation.
+    /// Human-readable narration of the replay, one line per operation,
+    /// then how it ended.
     pub fn render(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        for op in &self.ops {
-            let _ = writeln!(out, "{op}");
-        }
-        match &self.end {
-            ReplayEnd::Complete(mem) => {
-                let _ = writeln!(out, "completed; final memory = {mem:?}");
-            }
-            ReplayEnd::StepLimit => {
-                let _ = writeln!(out, "stopped at step limit");
-            }
-            ReplayEnd::Deadlock(blocked) => {
-                let _ = writeln!(out, "deadlock; blocked: {blocked:?}");
-            }
-            ReplayEnd::LostWakeup(parked) => {
-                let _ = writeln!(out, "lost wakeup; parked: {parked:?}");
-            }
-            ReplayEnd::Panic(msg) => {
-                let _ = writeln!(out, "panic: {msg}");
-            }
-            ReplayEnd::Race(r) => {
-                let _ = writeln!(out, "{r}");
-            }
-            ReplayEnd::Starvation(s) => {
-                let _ = writeln!(out, "{s}");
-            }
-            ReplayEnd::Diverged { step, choice } => {
-                let _ = writeln!(
-                    out,
-                    "schedule diverged at step {step}: thread {choice} is not \
-                     runnable there (not a schedule of this program)"
-                );
-            }
-        }
+        let mut out: String = self.ops.iter().map(|op| format!("{op}\n")).collect();
+        out.push_str(&format!("{}\n", self.end));
         out
     }
 }
@@ -646,59 +637,27 @@ impl Explorer {
                     stack.push(f);
                 }
             }
-            let schedule: Vec<usize> = stack.iter().map(|f| f.chosen).collect();
-
-            match outcome.end {
-                RunEnd::Complete(memory) => {
-                    if let Err(message) = final_check(&memory) {
-                        return Verdict::Violation {
-                            schedule,
-                            message,
-                            stats,
-                        };
-                    }
+            let failure = match outcome.end {
+                RunEnd::SleepBlocked => {
+                    stats.sleep_pruned += 1;
+                    None
                 }
-                RunEnd::Pruned => stats.pruned += 1,
-                RunEnd::SleepBlocked => stats.sleep_pruned += 1,
-                RunEnd::Deadlock(blocked) => {
-                    return Verdict::Deadlock {
-                        schedule,
-                        blocked,
-                        stats,
-                    }
-                }
-                RunEnd::LostWakeup(parked) => {
-                    return Verdict::LostWakeup {
-                        schedule,
-                        parked,
-                        stats,
-                    }
-                }
-                RunEnd::Panic(message) => {
-                    return Verdict::Violation {
-                        schedule,
-                        message,
-                        stats,
-                    }
-                }
-                RunEnd::Race(report) => {
-                    return Verdict::Race {
-                        schedule,
-                        report,
-                        stats,
-                    }
+                RunEnd::Ended(ReplayEnd::StepLimit) => {
+                    stats.pruned += 1;
+                    None
                 }
                 // Stack prefixes replay decisions the explorer itself took.
-                RunEnd::Diverged { step, choice } => unreachable!(
+                RunEnd::Ended(ReplayEnd::Diverged { step, choice }) => unreachable!(
                     "exploration prefix chose ineligible thread {choice} at step {step}"
                 ),
-                RunEnd::Starvation(report) => {
-                    return Verdict::Starvation {
-                        schedule,
-                        report,
-                        stats,
-                    }
-                }
+                RunEnd::Ended(end) => end.failure(final_check),
+            };
+            if let Some(failure) = failure {
+                return Verdict::Failed {
+                    schedule: stack.iter().map(|f| f.chosen).collect(),
+                    failure,
+                    stats,
+                };
             }
 
             // Source-set analysis: replay the run through the dependence
@@ -929,9 +888,9 @@ impl Explorer {
             }
             match outcome.end {
                 RunEnd::SleepBlocked => stats.sleep_pruned += 1,
-                RunEnd::Diverged { step, choice } => unreachable!(
-                    "fan-out prefix chose ineligible thread {choice} at step {step}"
-                ),
+                RunEnd::Ended(ReplayEnd::Diverged { step, choice }) => {
+                    unreachable!("fan-out prefix chose ineligible thread {choice} at step {step}")
+                }
                 // Pruned here just means the run reached the split depth —
                 // a task boundary, not a step-limit event, so it is not
                 // counted in `stats.pruned`.
@@ -969,19 +928,12 @@ impl Explorer {
         let mut one_shot = *self;
         one_shot.dpor = DporMode::None;
         let outcome = one_shot.execute(program, &prefix, true);
-        let end = match outcome.end {
-            RunEnd::Complete(memory) => ReplayEnd::Complete(memory),
-            RunEnd::Pruned => ReplayEnd::StepLimit,
-            RunEnd::SleepBlocked => unreachable!("replay runs without reduction"),
-            RunEnd::Deadlock(blocked) => ReplayEnd::Deadlock(blocked),
-            RunEnd::LostWakeup(parked) => ReplayEnd::LostWakeup(parked),
-            RunEnd::Panic(msg) => ReplayEnd::Panic(msg),
-            RunEnd::Race(r) => ReplayEnd::Race(r),
-            RunEnd::Starvation(s) => ReplayEnd::Starvation(s),
-            RunEnd::Diverged { step, choice } => ReplayEnd::Diverged { step, choice },
+        let schedule = outcome.schedule();
+        let RunEnd::Ended(end) = outcome.end else {
+            unreachable!("replay runs without reduction")
         };
         Replay {
-            schedule: outcome.trace.iter().map(|f| f.chosen).collect(),
+            schedule,
             ops: outcome.ops,
             end,
         }
@@ -1046,13 +998,13 @@ impl Explorer {
             // at the bottom of the loop.
             let mut g = rs.borrow_mut();
             if let Some(report) = g.race_report.take() {
-                break RunEnd::Race(report);
+                break Failure::Race(report).into();
             }
             if let Some(msg) = g.panic_msg.take() {
-                break RunEnd::Panic(msg);
+                break Failure::Violation(msg).into();
             }
             if let Some(report) = g.starvation.take() {
-                break RunEnd::Starvation(report);
+                break Failure::Starvation(report).into();
             }
             // Unblock spinners whose predicate now holds. Futex-parked
             // threads are NOT touched here: only an explicit wake
@@ -1085,17 +1037,17 @@ impl Explorer {
                 // mix → deadlock, listing every stuck thread (the
                 // spinners are what a waker would have to get past).
                 break if blocked.is_empty() && parked.is_empty() {
-                    RunEnd::Complete(g.memory.clone())
+                    RunEnd::Ended(ReplayEnd::Complete(g.memory.clone()))
                 } else if blocked.is_empty() {
-                    RunEnd::LostWakeup(parked)
+                    Failure::LostWakeup(parked).into()
                 } else {
                     let mut all = blocked;
                     all.extend(parked);
-                    RunEnd::Deadlock(all)
+                    Failure::Deadlock(all).into()
                 };
             }
             if trace.len() >= self.max_steps {
-                break RunEnd::Pruned;
+                break RunEnd::Ended(ReplayEnd::StepLimit);
             }
 
             let enabled_mask = enabled.iter().fold(0u64, |m, &t| m | (1u64 << t));
@@ -1126,7 +1078,7 @@ impl Explorer {
                             // Not a thread that can step here (finished,
                             // blocked, or no such thread). Only caller-
                             // supplied replay schedules can get here.
-                            break RunEnd::Diverged { step, choice };
+                            break RunEnd::Ended(ReplayEnd::Diverged { step, choice });
                         }
                         choice
                     } else {
@@ -1145,7 +1097,7 @@ impl Explorer {
                     if !eligible.contains(&choice) {
                         // A chooser bug surfaces the same way a bad replay
                         // schedule would.
-                        break RunEnd::Diverged { step, choice };
+                        break RunEnd::Ended(ReplayEnd::Diverged { step, choice });
                     }
                     (choice, 0)
                 }
@@ -1274,10 +1226,8 @@ mod tests {
             ctx.store(1 - me, 1); // then set the other's
         });
         let verdict = Explorer::exhaustive().check(&program, |_| Ok(()));
-        match verdict {
-            Verdict::Deadlock { blocked, .. } => {
-                assert_eq!(blocked.len(), 2);
-            }
+        match verdict.failure() {
+            Some(Failure::Deadlock(blocked)) => assert_eq!(blocked.len(), 2),
             other => panic!("expected deadlock, got {other:?}"),
         }
     }
@@ -1306,8 +1256,8 @@ mod tests {
             // No release: the second thread's swap returns 1 and asserts.
         });
         let verdict = Explorer::exhaustive().check(&program, |_| Ok(()));
-        match verdict {
-            Verdict::Violation { message, .. } => {
+        match verdict.failure() {
+            Some(Failure::Violation(message)) => {
                 assert!(message.contains("free"), "got: {message}")
             }
             other => panic!("expected violation, got {other:?}"),
@@ -1405,8 +1355,8 @@ mod tests {
                 Err("wrong value".into())
             }
         });
-        match verdict {
-            Verdict::Race { report, .. } => {
+        match verdict.failure() {
+            Some(Failure::Race(report)) => {
                 assert_eq!(report.addr, 0);
                 assert!(report.prior.write && report.current.write);
             }
@@ -1516,7 +1466,7 @@ mod tests {
         let schedule = verdict.schedule().expect("racy program fails").to_vec();
         let replay = explorer.replay(&program, &schedule);
         match replay.end {
-            ReplayEnd::Race(ref r) => assert_eq!(r.addr, 0),
+            ReplayEnd::Failed(Failure::Race(ref r)) => assert_eq!(r.addr, 0),
             ref other => panic!("replay must reproduce the race, got {other:?}"),
         }
         assert!(!replay.ops.is_empty(), "replay carries the op log");
@@ -1574,23 +1524,12 @@ mod tests {
             }
         });
         let verdict = Explorer::exhaustive().check(&program, |_| Ok(()));
-        match verdict {
-            Verdict::LostWakeup {
-                ref parked,
-                ref schedule,
-                ..
-            } => {
-                assert_eq!(parked, &vec![(0usize, 0usize)]);
-                // The verdict's schedule must replay to the same hang.
-                let replay = Explorer::exhaustive().replay(&program, schedule);
-                match replay.end {
-                    ReplayEnd::LostWakeup(ref p) => assert_eq!(p, &vec![(0usize, 0usize)]),
-                    ref other => panic!("replay must reproduce the hang, got {other:?}"),
-                }
-                assert!(replay.render().contains("lost wakeup"));
-            }
-            other => panic!("expected lost wakeup, got {other:?}"),
-        }
+        let hang = Failure::LostWakeup(vec![(0, 0)]);
+        assert_eq!(verdict.failure(), Some(&hang), "{verdict:?}");
+        // The verdict's schedule must replay to the same hang.
+        let replay = Explorer::exhaustive().replay(&program, verdict.schedule().unwrap());
+        assert_eq!(replay.end.failure(&|_| Ok(())), Some(hang));
+        assert!(replay.render().contains("lost wakeup"));
     }
 
     #[test]
@@ -1606,12 +1545,11 @@ mod tests {
             }
         });
         let verdict = Explorer::exhaustive().check(&program, |_| Ok(()));
-        match verdict {
-            Verdict::Deadlock { blocked, .. } => {
-                assert_eq!(blocked, vec![(0, 0), (1, 1)]);
-            }
-            other => panic!("expected deadlock, got {other:?}"),
-        }
+        assert_eq!(
+            verdict.failure(),
+            Some(&Failure::Deadlock(vec![(0, 0), (1, 1)])),
+            "{verdict:?}"
+        );
     }
 
     #[test]
@@ -1642,12 +1580,11 @@ mod tests {
         // park 0, park 1, park 2, wake, resume 0, add 0, resume 1, add 1.
         let schedule = [0, 1, 2, 3, 0, 0, 1, 1];
         let replay = Explorer::exhaustive().replay(&program, &schedule);
-        match replay.end {
-            ReplayEnd::LostWakeup(ref parked) => {
-                assert_eq!(parked, &vec![(2usize, 0usize)]);
-            }
-            ref other => panic!("expected thread 2 left parked, got {other:?}"),
-        }
+        assert_eq!(
+            replay.end.failure(&|_| Ok(())),
+            Some(Failure::LostWakeup(vec![(2, 0)])),
+            "thread 2 must be left parked"
+        );
         // Both woken threads completed their increments.
         let adds = replay
             .ops
@@ -1675,10 +1612,11 @@ mod tests {
         });
         // park 0, park 1, wake 12, wake 11, resume 1, add 1.
         let replay = Explorer::exhaustive().replay(&program, &[0, 1, 2, 2, 1, 1]);
-        match replay.end {
-            ReplayEnd::LostWakeup(ref parked) => assert_eq!(parked, &vec![(0usize, 0usize)]),
-            ref other => panic!("expected thread 0 left parked, got {other:?}"),
-        }
+        assert_eq!(
+            replay.end.failure(&|_| Ok(())),
+            Some(Failure::LostWakeup(vec![(0, 0)])),
+            "thread 0 must be left parked"
+        );
     }
 
     #[test]
@@ -1699,21 +1637,18 @@ mod tests {
                 }
             })
         };
+        let hang = Failure::LostWakeup(vec![(0, 0)]);
         let verdict = Explorer::bounded(0).check(&missing_wake(), |_| Ok(()));
-        match verdict {
-            Verdict::LostWakeup { ref parked, .. } => {
-                assert_eq!(parked, &vec![(0usize, 0usize)]);
-            }
-            other => panic!("bound 0 must see the park hang as lost wakeup, got {other:?}"),
-        }
+        assert_eq!(verdict.failure(), Some(&hang), "bound 0 sees the park hang");
         // Bypass-bound interaction: with_bypass_bound forces reduction off;
         // the classification must not change.
         let verdict = Explorer::bounded(0)
             .with_bypass_bound(1)
             .check(&missing_wake(), |_| Ok(()));
-        assert!(
-            matches!(verdict, Verdict::LostWakeup { .. }),
-            "bypass-bound run misclassified the park hang: {verdict:?}"
+        assert_eq!(
+            verdict.failure(),
+            Some(&hang),
+            "bypass-bound run misclassified the park hang"
         );
     }
 

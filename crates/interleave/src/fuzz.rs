@@ -8,9 +8,9 @@
 //! [`Program`] under pseudo-random schedules drawn from a seeded,
 //! fully deterministic generator, through the *same* scheduler loop the
 //! explorer uses — park/unpark semantics, the race detector, lockdep and
-//! bypass accounting all behave identically, so every [`Verdict`] class
-//! (lost wakeups included) surfaces under sampling exactly as it would
-//! under search.
+//! bypass accounting all behave identically, so every
+//! [`Failure`](crate::Failure) kind (lost wakeups included) surfaces under
+//! sampling exactly as it would under search.
 //!
 //! Two strategies:
 //!
@@ -29,11 +29,11 @@
 //!
 //! Every failure comes back as a [`Verdict`] carrying the full schedule,
 //! and (by default) a greedily **shrunk** schedule: context switches are
-//! dropped and merged while [`Explorer::replay`] keeps reproducing the
-//! same verdict class, so a 300-step fuzz failure debugs like a 6-step
-//! exhaustive one. The whole pipeline is a pure function of
-//! `(seed, strategy, program)` — re-running with the same seed yields a
-//! byte-identical schedule and verdict.
+//! dropped and merged while [`Explorer::replay`] keeps ending in the same
+//! [`Failure`](crate::Failure) class ([`ReplayEnd::failure`]), so a
+//! 300-step fuzz failure debugs like a 6-step exhaustive one. The whole
+//! pipeline is a pure function of `(seed, strategy, program)` — re-running
+//! with the same seed yields a byte-identical schedule and verdict.
 
 use crate::explorer::{DporMode, Explorer, Policy, ReplayEnd, RunEnd, Stats, Verdict};
 use crate::program::Program;
@@ -334,53 +334,24 @@ impl Fuzzer {
             stats.max_depth = stats.max_depth.max(outcome.trace.len());
             stats.publish(&mut published);
             observed_max = observed_max.max(outcome.trace.len());
-            let schedule = outcome.schedule();
-
-            let verdict = match outcome.end {
-                RunEnd::Complete(memory) => match final_check(&memory) {
-                    Ok(()) => None,
-                    Err(message) => Some(Verdict::Violation {
-                        schedule,
-                        message,
-                        stats,
-                    }),
-                },
-                RunEnd::Pruned => {
+            let failure = match &outcome.end {
+                RunEnd::Ended(ReplayEnd::StepLimit) => {
                     stats.pruned += 1;
                     None
                 }
                 RunEnd::SleepBlocked => unreachable!("fuzz runs without reduction"),
-                RunEnd::Diverged { step, choice } => {
+                RunEnd::Ended(ReplayEnd::Diverged { step, choice }) => {
                     unreachable!("chooser picked ineligible thread {choice} at step {step}")
                 }
-                RunEnd::Deadlock(blocked) => Some(Verdict::Deadlock {
-                    schedule,
-                    blocked,
-                    stats,
-                }),
-                RunEnd::LostWakeup(parked) => Some(Verdict::LostWakeup {
-                    schedule,
-                    parked,
-                    stats,
-                }),
-                RunEnd::Panic(message) => Some(Verdict::Violation {
-                    schedule,
-                    message,
-                    stats,
-                }),
-                RunEnd::Race(report) => Some(Verdict::Race {
-                    schedule,
-                    report,
-                    stats,
-                }),
-                RunEnd::Starvation(report) => Some(Verdict::Starvation {
-                    schedule,
-                    report,
-                    stats,
-                }),
+                RunEnd::Ended(end) => end.failure(&final_check),
             };
 
-            if let Some(verdict) = verdict {
+            if let Some(failure) = failure {
+                let verdict = Verdict::Failed {
+                    schedule: outcome.schedule(),
+                    failure,
+                    stats,
+                };
                 let shrunk = if self.shrink {
                     shrink_schedule(program, &explorer, &verdict, &final_check)
                 } else {
@@ -398,27 +369,6 @@ impl Fuzzer {
             failing_iter: None,
             shrunk: None,
         }
-    }
-}
-
-/// True when a replay ending reproduces the verdict's failure class.
-///
-/// `Violation` needs two forms because [`Explorer::replay`] does not run
-/// the final-state invariant: an in-program panic replays as
-/// [`ReplayEnd::Panic`], an invariant failure as a completed run whose
-/// memory still fails `final_check`.
-fn replay_matches<F>(verdict: &Verdict, end: &ReplayEnd, final_check: &F) -> bool
-where
-    F: Fn(&[Word]) -> Result<(), String>,
-{
-    match (verdict, end) {
-        (Verdict::Deadlock { .. }, ReplayEnd::Deadlock(_)) => true,
-        (Verdict::LostWakeup { .. }, ReplayEnd::LostWakeup(_)) => true,
-        (Verdict::Race { .. }, ReplayEnd::Race(_)) => true,
-        (Verdict::Starvation { .. }, ReplayEnd::Starvation(_)) => true,
-        (Verdict::Violation { .. }, ReplayEnd::Panic(_)) => true,
-        (Verdict::Violation { .. }, ReplayEnd::Complete(mem)) => final_check(mem).is_err(),
-        _ => false,
     }
 }
 
@@ -447,12 +397,13 @@ pub fn shrink_schedule<F>(
 where
     F: Fn(&[Word]) -> Result<(), String>,
 {
-    let schedule = verdict.schedule()?;
-    let mut cur: Vec<usize> = schedule.to_vec();
+    let class = verdict.failure()?.class();
+    let mut cur: Vec<usize> = verdict.schedule()?.to_vec();
     let mut replays = 0usize;
     let attempt = |cand: &[usize], replays: &mut usize| -> bool {
         *replays += 1;
-        replay_matches(verdict, &explorer.replay(program, cand).end, final_check)
+        let end = explorer.replay(program, cand).end;
+        end.failure(final_check).is_some_and(|f| f.class() == class)
     };
 
     loop {
@@ -530,6 +481,7 @@ fn rle(schedule: &[usize]) -> Vec<(usize, usize)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Failure, VerdictClass};
     use kernels::{ProcCtx, SyncCtx};
 
     fn lost_update_program() -> Program {
@@ -609,10 +561,10 @@ mod tests {
         let report = fuzzer.run(&program, lost_update_check);
         let schedule = report.verdict.schedule().expect("must fail").to_vec();
         let replay = fuzzer.explorer().replay(&program, &schedule);
-        assert!(
-            replay_matches(&report.verdict, &replay.end, &lost_update_check),
-            "raw fuzz schedule must replay to the same verdict class, got {:?}",
-            replay.end
+        assert_eq!(
+            replay.end.failure(&lost_update_check),
+            report.verdict.failure().cloned(),
+            "raw fuzz schedule must replay to the same failure"
         );
     }
 
@@ -631,10 +583,10 @@ mod tests {
             shrunk.schedule
         );
         let replay = fuzzer.explorer().replay(&program, &shrunk.schedule);
-        assert!(
-            replay_matches(&report.verdict, &replay.end, &lost_update_check),
-            "shrunk schedule must reproduce the verdict, got {:?}",
-            replay.end
+        assert_eq!(
+            replay.end.failure(&lost_update_check).map(|f| f.class()),
+            Some(VerdictClass::Violation),
+            "shrunk schedule must reproduce the lost update"
         );
         assert!(shrunk.replays > 0);
     }
@@ -654,12 +606,12 @@ mod tests {
             }
         });
         let report = Fuzzer::new(2, 100, Strategy::default()).run(&program, |_| Ok(()));
-        match report.verdict {
-            Verdict::LostWakeup { ref parked, .. } => {
-                assert_eq!(parked, &vec![(0usize, 0usize)]);
-            }
-            ref other => panic!("expected lost wakeup, got {other:?}"),
-        }
+        assert_eq!(
+            report.verdict.failure(),
+            Some(&Failure::LostWakeup(vec![(0, 0)])),
+            "{:?}",
+            report.verdict
+        );
     }
 
     #[test]

@@ -7,9 +7,10 @@
 //! * **mutual exclusion** — no schedule lets two threads overlap in the
 //!   critical section. The workload's counter accesses are *data* accesses
 //!   ([`kernels::ProcCtx::data_load`] / `data_store`), so the vector-clock
-//!   race detector reports any overlap as [`Verdict::Race`] the moment it
-//!   is possible — even on schedules whose final counter is correct — and
-//!   the final counter total is kept as a second, independent witness;
+//!   race detector reports any overlap as [`crate::Failure::Race`] the
+//!   moment it is possible — even on schedules whose final counter is
+//!   correct — and the final counter total is kept as a second,
+//!   independent witness;
 //! * **barrier safety** — no schedule releases a thread from episode *k*
 //!   before every peer has arrived at episode *k*; the arrival stamps are
 //!   data accesses, so an unsafe barrier is also a race;
@@ -63,17 +64,32 @@ pub fn lock_program(
     .with_init(init)
 }
 
-/// Checks a lock's mutual exclusion and progress under the explorer.
-pub fn check_lock(
+/// [`lock_program`] as [`check_lock`] and [`fuzz_lock`] run it: over the
+/// lock wrapped in [`InstrumentedLock`] when `bypass_bound` is set, since
+/// only its lock events feed the bypass accounting.
+pub fn checked_lock_program(
     lock: Arc<dyn LockKernel + Send + Sync>,
     nthreads: usize,
     iters: usize,
-    explorer: Explorer,
-) -> Verdict {
+    bypass_bound: Option<usize>,
+) -> Program {
+    let lock: Arc<dyn LockKernel + Send + Sync> = match bypass_bound {
+        Some(_) => Arc::new(InstrumentedLock::new(lock, 0)),
+        None => lock,
+    };
+    lock_program(lock, nthreads, iters)
+}
+
+/// The final-state invariant of a [`lock_program`] of `nthreads × iters`
+/// critical sections: none was lost.
+fn sections_counted(
+    program: &Program,
+    nthreads: usize,
+    iters: usize,
+) -> impl Fn(&[Word]) -> Result<(), String> + Sync {
     let expected = (nthreads * iters) as u64;
-    let program = lock_program(lock, nthreads, iters);
     let counter = program.initial_memory().len() - 1;
-    explorer.check(&program, move |mem| {
+    move |mem: &[Word]| {
         if mem[counter] == expected {
             Ok(())
         } else {
@@ -82,7 +98,22 @@ pub fn check_lock(
                 mem[counter]
             ))
         }
-    })
+    }
+}
+
+/// Checks a lock's mutual exclusion and progress under the explorer, and —
+/// when the explorer carries a bypass bound
+/// ([`Explorer::with_bypass_bound`]) — its bounded bypass. FIFO locks
+/// (ticket, Anderson, Graunke–Thakkar, CLH, MCS, QSM) satisfy bounded
+/// bypass; retry locks (test-and-set variants) do not.
+pub fn check_lock(
+    lock: Arc<dyn LockKernel + Send + Sync>,
+    nthreads: usize,
+    iters: usize,
+    explorer: Explorer,
+) -> Verdict {
+    let program = checked_lock_program(lock, nthreads, iters, explorer.bypass_bound);
+    explorer.check(&program, sections_counted(&program, nthreads, iters))
 }
 
 /// Like [`check_lock`], but exploring with `workers` host threads via
@@ -95,53 +126,9 @@ pub fn check_lock_parallel(
     explorer: Explorer,
     workers: usize,
 ) -> Verdict {
-    let expected = (nthreads * iters) as u64;
-    let program = lock_program(lock, nthreads, iters);
-    let counter = program.initial_memory().len() - 1;
-    explorer.check_parallel(
-        &program,
-        move |mem: &[Word]| {
-            if mem[counter] == expected {
-                Ok(())
-            } else {
-                Err(format!(
-                    "critical sections lost: counter {} != {expected}",
-                    mem[counter]
-                ))
-            }
-        },
-        workers,
-    )
-}
-
-/// Like [`check_lock`], but with the lock instrumented and the explorer
-/// failing any schedule that bypasses a waiter more than `bound` times.
-/// FIFO locks (ticket, Anderson, Graunke–Thakkar, CLH, MCS, QSM) satisfy
-/// bounded bypass; retry locks (test-and-set variants) do not.
-pub fn check_lock_bypass(
-    lock: Arc<dyn LockKernel + Send + Sync>,
-    nthreads: usize,
-    iters: usize,
-    bound: usize,
-    explorer: Explorer,
-) -> Verdict {
-    let instrumented: Arc<dyn LockKernel + Send + Sync> =
-        Arc::new(InstrumentedLock::new(lock, 0));
-    let expected = (nthreads * iters) as u64;
-    let program = lock_program(instrumented, nthreads, iters);
-    let counter = program.initial_memory().len() - 1;
-    explorer
-        .with_bypass_bound(bound)
-        .check(&program, move |mem| {
-            if mem[counter] == expected {
-                Ok(())
-            } else {
-                Err(format!(
-                    "critical sections lost: counter {} != {expected}",
-                    mem[counter]
-                ))
-            }
-        })
+    let program = checked_lock_program(lock, nthreads, iters, explorer.bypass_bound);
+    let check = sections_counted(&program, nthreads, iters);
+    explorer.check_parallel(&program, check, workers)
 }
 
 /// Like [`check_lock`], but the lock's acquisitions also feed `graph`
@@ -157,52 +144,22 @@ pub fn check_lock_with_lockdep(
     graph: &Arc<LockOrderGraph>,
 ) -> Verdict {
     let id = graph.register(lock.name());
-    let instrumented: Arc<dyn LockKernel + Send + Sync> =
-        Arc::new(InstrumentedLock::new(lock, id));
-    let expected = (nthreads * iters) as u64;
-    let program =
-        lock_program(instrumented, nthreads, iters).with_lockdep(Arc::clone(graph));
-    let counter = program.initial_memory().len() - 1;
-    explorer.check(&program, move |mem| {
-        if mem[counter] == expected {
-            Ok(())
-        } else {
-            Err(format!(
-                "critical sections lost: counter {} != {expected}",
-                mem[counter]
-            ))
-        }
-    })
+    let instrumented = Arc::new(InstrumentedLock::new(lock, id));
+    let program = lock_program(instrumented, nthreads, iters).with_lockdep(Arc::clone(graph));
+    explorer.check(&program, sections_counted(&program, nthreads, iters))
 }
 
 /// Fuzzes a lock's mutual exclusion under random schedules: the same
 /// program and final-state invariant as [`check_lock`], sampled by the
-/// fuzzer instead of searched. When the fuzzer carries a bypass bound the
-/// lock is instrumented, mirroring [`check_lock_bypass`].
+/// fuzzer instead of searched.
 pub fn fuzz_lock(
     lock: Arc<dyn LockKernel + Send + Sync>,
     nthreads: usize,
     iters: usize,
     fuzzer: &Fuzzer,
 ) -> FuzzReport {
-    let lock = if fuzzer.bypass_bound.is_some() {
-        Arc::new(InstrumentedLock::new(lock, 0)) as Arc<dyn LockKernel + Send + Sync>
-    } else {
-        lock
-    };
-    let expected = (nthreads * iters) as u64;
-    let program = lock_program(lock, nthreads, iters);
-    let counter = program.initial_memory().len() - 1;
-    fuzzer.run(&program, move |mem| {
-        if mem[counter] == expected {
-            Ok(())
-        } else {
-            Err(format!(
-                "critical sections lost: counter {} != {expected}",
-                mem[counter]
-            ))
-        }
-    })
+    let program = checked_lock_program(lock, nthreads, iters, fuzzer.bypass_bound);
+    fuzzer.run(&program, sections_counted(&program, nthreads, iters))
 }
 
 /// Fuzzes a barrier's safety under random schedules: the same program as
@@ -277,6 +234,7 @@ pub fn check_barrier_parallel(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Failure;
     use kernels::barriers::central::CentralBarrier;
     use kernels::barriers::qsm_tree::QsmTreeBarrier;
     use kernels::locks::{mcs::McsLock, qsm::QsmLock, tas::TasLock, ticket::TicketLock};
@@ -376,7 +334,7 @@ mod tests {
         let v = check_lock(Arc::new(BrokenLock), 2, 1, Explorer::exhaustive());
         assert!(v.is_violation(), "broken lock must be caught");
         assert!(
-            matches!(v, Verdict::Race { .. }),
+            matches!(v.failure(), Some(Failure::Race(_))),
             "the race detector should catch it first, got {v:?}"
         );
     }
@@ -429,9 +387,9 @@ mod tests {
     #[test]
     fn tas_starves_a_waiter() {
         let explorer = Explorer::bounded(2).with_max_steps(60).with_max_runs(8000);
-        let v = check_lock_bypass(Arc::new(TasLock), 2, 2, 1, explorer);
+        let v = check_lock(Arc::new(TasLock), 2, 2, explorer.with_bypass_bound(1));
         assert!(
-            matches!(v, Verdict::Starvation { .. }),
+            matches!(v.failure(), Some(Failure::Starvation(_))),
             "tas must admit unbounded bypass, got {v:?}"
         );
     }
@@ -439,7 +397,7 @@ mod tests {
     #[test]
     fn ticket_lock_has_bounded_bypass() {
         let explorer = Explorer::bounded(2).with_max_runs(8000);
-        check_lock_bypass(Arc::new(TicketLock), 2, 2, 1, explorer)
+        check_lock(Arc::new(TicketLock), 2, 2, explorer.with_bypass_bound(1))
             .expect_pass("ticket bounded bypass");
     }
 
@@ -480,7 +438,7 @@ mod tests {
         let fuzzer = crate::fuzz::Fuzzer::new(17, 200, crate::fuzz::Strategy::default());
         let report = fuzz_lock(Arc::new(BrokenLock), 2, 1, &fuzzer);
         assert!(
-            matches!(report.verdict, Verdict::Race { .. }),
+            matches!(report.verdict.failure(), Some(Failure::Race(_))),
             "fuzzing must catch the broken lock as a race, got {:?}",
             report.verdict
         );
@@ -488,7 +446,7 @@ mod tests {
         let program = lock_program(Arc::new(BrokenLock), 2, 1);
         let replay = fuzzer.explorer().replay(&program, &shrunk.schedule);
         assert!(
-            matches!(replay.end, crate::explorer::ReplayEnd::Race(_)),
+            matches!(replay.end.failure(&|_| Ok(())), Some(Failure::Race(_))),
             "shrunk schedule must still race, got {:?}",
             replay.end
         );

@@ -23,7 +23,8 @@
 //! * If no thread is schedulable and someone is blocked, the explorer
 //!   reports a **deadlock with the exact schedule** that produced it.
 //! * Assertions inside the program (or a final-state invariant) failing
-//!   likewise surface with their schedule.
+//!   likewise surface with their schedule. Every failure kind is one
+//!   variant of [`Failure`], carried by [`Verdict::Failed`].
 //!
 //! Exhaustive exploration explodes combinatorially, so the explorer supports
 //! **preemption bounding** (Musuvathi & Qadeer): only schedules with at most
@@ -52,7 +53,7 @@
 //!   critical-section counters and barrier stamps are *data* accesses
 //!   ([`ChkCtx::data_load`](kernels::ProcCtx::data_load) /
 //!   `data_store`) that must be ordered by them. Two concurrent data
-//!   accesses surface as [`Verdict::Race`] with both sites and the
+//!   accesses surface as [`Failure::Race`] with both sites and the
 //!   reproducing schedule — even when the final state happens to be right.
 //! * **Lock-order tracking** ([`kernels::LockOrderGraph`] fed through
 //!   [`Program::with_lockdep`]): acquisition edges accumulate across runs,
@@ -60,7 +61,7 @@
 //!   explored schedule need exhibit.
 //! * **Bounded-bypass checking** ([`Explorer::with_bypass_bound`]): a
 //!   waiter bypassed more than `k` times while demonstrably waiting is
-//!   reported as [`Verdict::Starvation`]. FIFO queue locks pass any bound;
+//!   reported as [`Failure::Starvation`]. FIFO queue locks pass any bound;
 //!   test-and-set retry locks fail every bound.
 //! * **Deterministic replay** ([`Explorer::replay`], also the
 //!   `interleave` binary): re-executes a recorded schedule with a
@@ -99,7 +100,9 @@ pub mod program;
 pub mod race;
 
 pub use corpus::{CorpusEntry, VerdictClass};
-pub use explorer::{DporMode, Explorer, Replay, ReplayEnd, Stats, Verdict, DPOR_SPLIT_DEPTH};
+pub use explorer::{
+    DporMode, Explorer, Failure, Replay, ReplayEnd, Stats, Verdict, DPOR_SPLIT_DEPTH,
+};
 pub use fuzz::{FuzzReport, Fuzzer, Shrunk, Strategy};
 pub use program::{ChkCtx, OpKind, OpRecord, Program, StarvationReport};
 pub use race::{AccessSite, Epoch, RaceReport, VectorClock};

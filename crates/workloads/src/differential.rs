@@ -29,7 +29,7 @@
 
 use crate::realhw;
 use interleave::harness::{fuzz_lock, lock_program};
-use interleave::{Fuzzer, ReplayEnd, Strategy, Verdict};
+use interleave::{Fuzzer, ReplayEnd, Strategy};
 use kernels::locks::{counter_trial, lock_by_name, LockKernel};
 use kernels::{ProcCtx, Word};
 use memsim::{Machine, MachineParams, SchedParams};
@@ -202,21 +202,6 @@ fn oversub_machine(cfg: &DiffConfig) -> Machine {
     Machine::new(params)
 }
 
-fn verdict_summary(v: &Verdict) -> String {
-    match v {
-        Verdict::Passed(_) => "passed".to_string(),
-        Verdict::Deadlock { blocked, .. } => {
-            format!("deadlock ({} threads blocked)", blocked.len())
-        }
-        Verdict::LostWakeup { parked, .. } => {
-            format!("lost wakeup ({} threads parked)", parked.len())
-        }
-        Verdict::Violation { message, .. } => format!("violation: {message}"),
-        Verdict::Race { report, .. } => format!("data race: {report:?}"),
-        Verdict::Starvation { report, .. } => format!("starvation: {report:?}"),
-    }
-}
-
 /// Backend 1: the interleave checker driven by the schedule fuzzer. On a
 /// pass, the counter is witnessed by replaying the default schedule (the
 /// checker's memory is not otherwise exposed through the fuzz report).
@@ -233,20 +218,20 @@ fn checker_fuzz_backend(
         futex_woken: None,
         failure: None,
     };
-    match &report.verdict {
-        Verdict::Passed(_) => {
+    match report.verdict.failure() {
+        None => {
             let program = lock_program(Arc::clone(lock), cfg.nthreads, cfg.iters);
             let counter = program.initial_memory().len() - 1;
             match fuzzer.explorer().replay(&program, &[]).end {
                 ReplayEnd::Complete(mem) => outcome.counter = Some(mem[counter]),
                 other => {
                     outcome.failure =
-                        Some(format!("counter-witness replay did not complete: {other:?}"))
+                        Some(format!("counter-witness replay did not complete: {other}"))
                 }
             }
         }
-        v => {
-            let mut failure = verdict_summary(v);
+        Some(failure) => {
+            let mut failure = failure.to_string();
             if let Some(shrunk) = &report.shrunk {
                 use std::fmt::Write as _;
                 let _ = write!(

@@ -6,10 +6,10 @@
 //!
 //! * **race detector** — a check-then-set lock whose acquire is a separate
 //!   observe and claim (the classic missing-atomicity bug) must surface as
-//!   [`Verdict::Race`] on the critical-section data accesses;
+//!   [`Failure::Race`] on the critical-section data accesses;
 //! * **deadlock detector** — a sense-reversing barrier whose release
 //!   condition is off by one (waits for an arrival count the counter never
-//!   reaches) must surface as [`Verdict::Deadlock`];
+//!   reaches) must surface as [`Failure::Deadlock`];
 //! * **lockdep** — an AB/BA two-lock program must produce a lock-order
 //!   cycle even when only serial schedules are explored (no schedule
 //!   deadlocks, the *graph* does), and an actual deadlock once preemptions
@@ -20,15 +20,15 @@
 //!   suite while reaching the same (complete, passing) verdict;
 //! * **lost-wakeup detector** — a flag handshake that wakes *before*
 //!   publishing, and the service eventcount's advance with its wake
-//!   rewritten away, must both surface as [`Verdict::LostWakeup`]; the
+//!   rewritten away, must both surface as [`Failure::LostWakeup`]; the
 //!   corrected versions of the same programs must pass exhaustively.
 
 // Seeded bugs #1, #3 and #4 are the corpus's: `CheckThenSetLock`, the flag
 // handshake that wakes before it publishes, and the eventcount's advance
 // with its wake rewritten away.
 use interleave::corpus::{eventcount_wrap_program, flag_handshake_program, CheckThenSetLock};
-use interleave::harness::{check_barrier, check_lock, check_lock_bypass};
-use interleave::{DporMode, Explorer, Program, Verdict};
+use interleave::harness::{check_barrier, check_lock};
+use interleave::{DporMode, Explorer, Failure, Program};
 use kernels::barriers::{BarrierKernel, BarrierState};
 use kernels::lockdep::InstrumentedLock;
 use kernels::locks::ticket::TicketLock;
@@ -68,23 +68,17 @@ impl BarrierKernel for OffByOneBarrier {
 #[test]
 fn lost_wakeup_detector_flags_wake_before_publish() {
     let verdict = Explorer::exhaustive().check(&flag_handshake_program(false), |_| Ok(()));
-    match verdict {
-        Verdict::LostWakeup {
-            ref parked,
-            ref schedule,
-            ..
-        } => {
-            assert_eq!(parked.as_slice(), &[(0, 0)], "the waiter sleeps on word 0");
-            // The recorded schedule must replay to the same end state.
-            let replay = Explorer::exhaustive().replay(&flag_handshake_program(false), schedule);
-            assert!(
-                matches!(replay.end, interleave::ReplayEnd::LostWakeup(ref p) if p == parked),
-                "replay must reproduce the lost wakeup, got {:?}",
-                replay.end
-            );
-        }
-        ref other => panic!("wake-before-publish must lose a wakeup, got {other:?}"),
-    }
+    // The waiter sleeps on word 0.
+    let hang = Failure::LostWakeup(vec![(0, 0)]);
+    assert_eq!(verdict.failure(), Some(&hang), "{verdict:?}");
+    // The recorded schedule must replay to the same end state.
+    let schedule = verdict.schedule().unwrap();
+    let replay = Explorer::exhaustive().replay(&flag_handshake_program(false), schedule);
+    assert_eq!(
+        replay.end.failure(&|_| Ok(())),
+        Some(hang),
+        "replay must reproduce the lost wakeup"
+    );
 }
 
 #[test]
@@ -101,15 +95,15 @@ fn fixed_flag_handshake_passes_exhaustively() {
 #[test]
 fn lost_wakeup_detector_flags_missed_advance() {
     let verdict = Explorer::exhaustive().check(&eventcount_wrap_program(3, false), |_| Ok(()));
-    match verdict {
-        Verdict::LostWakeup { ref parked, .. } => {
+    match verdict.failure() {
+        Some(Failure::LostWakeup(parked)) => {
             assert!(!parked.is_empty());
             for &(pid, addr) in parked {
                 assert!(pid < 2, "only awaiters can be stranded, got thread {pid}");
                 assert_eq!(addr, 0, "awaiters sleep on the count word");
             }
         }
-        ref other => panic!("wakeless advance must strand its waiters, got {other:?}"),
+        other => panic!("wakeless advance must strand its waiters, got {other:?}"),
     }
 }
 
@@ -123,17 +117,16 @@ fn fixed_eventcount_advance_passes_exhaustively() {
 #[test]
 fn race_detector_flags_check_then_set_lock() {
     let v = check_lock(Arc::new(CheckThenSetLock), 2, 1, Explorer::exhaustive());
-    match v {
-        Verdict::Race {
-            ref report,
-            ref schedule,
-            ..
-        } => {
-            assert!(!schedule.is_empty(), "race must carry its schedule");
+    match v.failure() {
+        Some(Failure::Race(report)) => {
+            assert!(
+                !v.schedule().unwrap().is_empty(),
+                "race must carry its schedule"
+            );
             // The racing accesses are the two threads' counter increments.
             assert_ne!(report.prior.pid, report.current.pid);
         }
-        ref other => panic!("check-then-set must be a data race, got {other:?}"),
+        other => panic!("check-then-set must be a data race, got {other:?}"),
     }
 }
 
@@ -144,10 +137,10 @@ fn race_schedule_replays_deterministically() {
     let schedule = v.schedule().expect("violation carries schedule").to_vec();
     let program = interleave::harness::lock_program(Arc::new(CheckThenSetLock), 2, 1);
     let replay = explorer.replay(&program, &schedule);
-    assert!(
-        matches!(replay.end, interleave::ReplayEnd::Race(_)),
-        "replaying the recorded schedule must reproduce the race, got {:?}",
-        replay.end
+    assert_eq!(
+        replay.end.failure(&|_| Ok(())).as_ref(),
+        v.failure(),
+        "replaying the recorded schedule must reproduce the race"
     );
     assert!(!replay.ops.is_empty());
 }
@@ -155,11 +148,11 @@ fn race_schedule_replays_deterministically() {
 #[test]
 fn deadlock_detector_flags_off_by_one_barrier() {
     let v = check_barrier(Arc::new(OffByOneBarrier), 2, 1, Explorer::exhaustive());
-    match v {
-        Verdict::Deadlock { ref blocked, .. } => {
+    match v.failure() {
+        Some(Failure::Deadlock(blocked)) => {
             assert_eq!(blocked.len(), 2, "both threads wedge at the gate");
         }
-        ref other => panic!("off-by-one barrier must deadlock, got {other:?}"),
+        other => panic!("off-by-one barrier must deadlock, got {other:?}"),
     }
 }
 
@@ -209,9 +202,9 @@ fn deadlock_detector_finds_the_ab_ba_deadlock_with_preemption() {
     let graph = Arc::new(LockOrderGraph::new());
     let program = ab_ba_program(&graph);
     let v = Explorer::bounded(1).check(&program, |_| Ok(()));
-    match v {
-        Verdict::Deadlock { ref blocked, .. } => assert_eq!(blocked.len(), 2),
-        ref other => panic!("AB/BA must deadlock once preempted, got {other:?}"),
+    match v.failure() {
+        Some(Failure::Deadlock(blocked)) => assert_eq!(blocked.len(), 2),
+        other => panic!("AB/BA must deadlock once preempted, got {other:?}"),
     }
 }
 
@@ -223,9 +216,9 @@ fn test_and_set_family_starves_a_waiter() {
         // Three iterations: the bypass count only arms once the waiter is
         // past its doorway, so the overtaker needs three wins to exceed a
         // bound of one from the victim's perspective.
-        let v = check_lock_bypass(lock, 2, 3, 1, explorer);
+        let v = check_lock(lock, 2, 3, explorer.with_bypass_bound(1));
         assert!(
-            matches!(v, Verdict::Starvation { .. }),
+            matches!(v.failure(), Some(Failure::Starvation(_))),
             "{name} must admit unbounded bypass, got {v:?}"
         );
     }
@@ -244,7 +237,7 @@ fn fifo_locks_satisfy_bounded_bypass() {
     ] {
         let lock: Arc<dyn LockKernel + Send + Sync> = lock_by_name(name).unwrap().into();
         let explorer = Explorer::bounded(2).with_max_steps(80).with_max_runs(20_000);
-        let v = check_lock_bypass(lock, 2, 2, 1, explorer);
+        let v = check_lock(lock, 2, 2, explorer.with_bypass_bound(1));
         v.expect_pass(&format!("{name} bounded bypass"));
     }
 }

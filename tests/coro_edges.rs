@@ -10,7 +10,7 @@
 //! and a torn-down run prints nothing, and the widest program is one host
 //! thread.
 
-use interleave::{ChkCtx, DporMode, Explorer, Program, ReplayEnd, Verdict};
+use interleave::{ChkCtx, DporMode, Explorer, Failure, Program, ReplayEnd, Verdict};
 use kernels::locks::{counter_trial, lock_by_name};
 use kernels::{LockEvent, ProcCtx, SyncCtx};
 use memsim::{Machine, MachineParams, Proc, SimError};
@@ -347,7 +347,7 @@ fn every_ending_of_a_checked_run_unwinds_every_body_and_leaks_no_stack() {
         explorer,
         guarded(N, 1, &DROPS, |ctx| ctx.spin_until(0, 1)), // nobody stores 1
         vec![],
-        |end| matches!(end, ReplayEnd::Deadlock(blocked) if blocked.len() == N),
+        |end| matches!(end, ReplayEnd::Failed(Failure::Deadlock(blocked)) if blocked.len() == N),
     );
     replays(
         "lost wakeup",
@@ -356,7 +356,7 @@ fn every_ending_of_a_checked_run_unwinds_every_body_and_leaks_no_stack() {
             ctx.wait(0, 0, None); // nobody wakes
         }),
         vec![],
-        |end| matches!(end, ReplayEnd::LostWakeup(parked) if parked.len() == N),
+        |end| matches!(end, ReplayEnd::Failed(Failure::LostWakeup(parked)) if parked.len() == N),
     );
     replays(
         "race",
@@ -366,7 +366,7 @@ fn every_ending_of_a_checked_run_unwinds_every_body_and_leaks_no_stack() {
             ctx.spin_until(1, 1);
         }),
         vec![],
-        |end| matches!(end, ReplayEnd::Race(_)),
+        |end| matches!(end, ReplayEnd::Failed(Failure::Race(_))),
     );
     replays(
         "body panic",
@@ -379,7 +379,7 @@ fn every_ending_of_a_checked_run_unwinds_every_body_and_leaks_no_stack() {
             ctx.spin_until(0, 0);
         }),
         vec![],
-        |end| matches!(end, ReplayEnd::Panic(msg) if msg == "second in"),
+        |end| matches!(end, ReplayEnd::Failed(Failure::Violation(msg)) if msg == "second in"),
     );
     replays(
         "diverged replay",
@@ -404,7 +404,12 @@ fn every_ending_of_a_checked_run_unwinds_every_body_and_leaks_no_stack() {
         }
     });
     let bypassed = explorer.with_bypass_bound(0).check(&tas, |_| Ok(()));
-    let Verdict::Starvation { schedule, .. } = bypassed else {
+    let Verdict::Failed {
+        schedule,
+        failure: Failure::Starvation(_),
+        ..
+    } = bypassed
+    else {
         panic!("a retry lock bypasses its waiters: {bypassed:?}");
     };
     replays(
@@ -412,7 +417,7 @@ fn every_ending_of_a_checked_run_unwinds_every_body_and_leaks_no_stack() {
         explorer.with_bypass_bound(0),
         tas,
         schedule,
-        |end| matches!(end, ReplayEnd::Starvation(_)),
+        |end| matches!(end, ReplayEnd::Failed(Failure::Starvation(_))),
     );
 
     // The two endings only a search has, a thousand and more to a search.
@@ -458,7 +463,7 @@ fn a_checked_body_that_catches_the_abort_is_aborted_again() {
     });
     let replay = Explorer::exhaustive().replay(&program, &[]);
     assert!(
-        matches!(replay.end, ReplayEnd::Deadlock(ref blocked) if blocked.len() == P),
+        matches!(replay.end, ReplayEnd::Failed(Failure::Deadlock(ref blocked)) if blocked.len() == P),
         "{:?}",
         replay.end
     );
@@ -506,8 +511,10 @@ fn a_checked_body_panic_is_a_verdict_and_a_torn_down_run_prints_nothing() {
         }
     });
     let verdict = Explorer::exhaustive().check(&program, |_| Ok(()));
-    let Verdict::Violation {
-        message, schedule, ..
+    let Verdict::Failed {
+        schedule,
+        failure: Failure::Violation(message),
+        ..
     } = verdict
     else {
         panic!("the body's panic is the finding: {verdict:?}");

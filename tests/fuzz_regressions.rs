@@ -14,7 +14,7 @@ use interleave::corpus::{
     eventcount_staggered_targets_program, eventcount_wrap_program, flag_handshake_program,
     spin_then_park_program, waiting_array_drained, waiting_array_shared_slot_program,
 };
-use interleave::{Explorer, Fuzzer, ReplayEnd, Strategy, Verdict};
+use interleave::{Explorer, Failure, Fuzzer, Strategy, VerdictClass};
 use workloads::differential::{differential_lock, DiffConfig};
 
 /// The hand-minimized reproduction of the handshake bug: t0 reads the
@@ -26,11 +26,13 @@ const HANDSHAKE_MINIMAL_LEN: usize = 3;
 fn pct_finds_wake_before_publish_within_budget() {
     let fuzzer = Fuzzer::new(1991, 200, Strategy::Pct { change_points: 3 });
     let report = fuzzer.run(&flag_handshake_program(false), |_| Ok(()));
-    let parked = match &report.verdict {
-        Verdict::LostWakeup { parked, .. } => parked.clone(),
-        other => panic!("PCT must lose the wakeup within 200 schedules, got {other:?}"),
-    };
-    assert_eq!(parked, vec![(0, 0)], "the waiter sleeps on word 0");
+    // The waiter sleeps on word 0.
+    let hang = Failure::LostWakeup(vec![(0, 0)]);
+    assert_eq!(
+        report.verdict.failure(),
+        Some(&hang),
+        "PCT must lose the wakeup within 200 schedules"
+    );
     assert!(report.failing_iter.is_some());
 
     // The shrinker must reach (at most) the hand-minimized schedule, and
@@ -44,10 +46,10 @@ fn pct_finds_wake_before_publish_within_budget() {
     let replay = fuzzer
         .explorer()
         .replay(&flag_handshake_program(false), &shrunk.schedule);
-    assert!(
-        matches!(replay.end, ReplayEnd::LostWakeup(ref p) if *p == parked),
-        "shrunk schedule must reproduce the lost wakeup, got {:?}",
-        replay.end
+    assert_eq!(
+        replay.end.failure(&|_| Ok(())),
+        Some(hang),
+        "shrunk schedule must reproduce the lost wakeup"
     );
 }
 
@@ -55,8 +57,9 @@ fn pct_finds_wake_before_publish_within_budget() {
 fn uniform_also_finds_wake_before_publish() {
     let fuzzer = Fuzzer::new(7, 500, Strategy::Uniform);
     let report = fuzzer.run(&flag_handshake_program(false), |_| Ok(()));
-    assert!(
-        matches!(report.verdict, Verdict::LostWakeup { .. }),
+    assert_eq!(
+        VerdictClass::of(&report.verdict),
+        VerdictClass::LostWakeup,
         "uniform random walk must also find the bug, got {:?}",
         report.verdict
     );
@@ -74,8 +77,8 @@ fn fuzzing_the_fixed_handshake_passes_its_budget() {
 fn pct_finds_the_forgotten_eventcount_wake() {
     let fuzzer = Fuzzer::new(1991, 300, Strategy::Pct { change_points: 3 });
     let report = fuzzer.run(&eventcount_wrap_program(3, false), |_| Ok(()));
-    match &report.verdict {
-        Verdict::LostWakeup { parked, .. } => {
+    match report.verdict.failure() {
+        Some(Failure::LostWakeup(parked)) => {
             // However the schedule fell, every parked thread sleeps on the
             // count word.
             assert!(!parked.is_empty());
@@ -96,8 +99,8 @@ fn pct_checks_the_service_mutex_slow_path_at_four_threads() {
         .run(&spin_then_park_program(4, true), |_| Ok(()))
         .expect_pass("spin-then-park, 4 threads, under PCT");
     let report = fuzzer.run(&spin_then_park_program(4, false), |_| Ok(()));
-    match &report.verdict {
-        Verdict::LostWakeup { parked, .. } => assert!(!parked.is_empty()),
+    match report.verdict.failure() {
+        Some(Failure::LostWakeup(parked)) => assert!(!parked.is_empty()),
         other => panic!("respin-as-HELD must strand a waiter, got {other:?}"),
     }
 }
@@ -113,8 +116,8 @@ fn pct_checks_the_eventcounts_staggered_targets_at_four_threads() {
         .run(&eventcount_staggered_targets_program(4, true), |_| Ok(()))
         .expect_pass("eventcount, targets 1 to 3, under PCT");
     let report = fuzzer.run(&eventcount_staggered_targets_program(4, false), |_| Ok(()));
-    match &report.verdict {
-        Verdict::LostWakeup { parked, .. } => assert!(!parked.is_empty()),
+    match report.verdict.failure() {
+        Some(Failure::LostWakeup(parked)) => assert!(!parked.is_empty()),
         other => panic!("a wake-one advance must strand an awaiter, got {other:?}"),
     }
 }
@@ -134,15 +137,19 @@ fn pct_checks_the_waiting_array_semaphore_at_four_threads() {
             .run(&program(true), waiting_array_drained)
             .expect_pass("waiting array, 4 threads, under PCT");
         let report = fuzzer.run(&program(false), waiting_array_drained);
-        assert!(
-            matches!(report.verdict, Verdict::LostWakeup { .. }),
+        assert_eq!(
+            VerdictClass::of(&report.verdict),
+            VerdictClass::LostWakeup,
             "{slots} slot(s): wake-one must strand a waiter, got {:?}",
             report.verdict
         );
         let shrunk = report.shrunk.expect("shrinking is on by default");
         let replay = fuzzer.explorer().replay(&program(false), &shrunk.schedule);
         assert!(
-            matches!(replay.end, ReplayEnd::LostWakeup(_)),
+            matches!(
+                replay.end.failure(&waiting_array_drained),
+                Some(Failure::LostWakeup(_))
+            ),
             "{slots} slot(s): shrunk schedule {:?} must still strand a waiter, got {:?}",
             shrunk.schedule,
             replay.end
@@ -184,9 +191,10 @@ fn fuzz_failures_are_reproducible_from_the_seed() {
 fn bounded_explorer_classifies_the_park_hang_as_lost_wakeup() {
     for explorer in [Explorer::bounded(0), Explorer::bounded(0).with_bypass_bound(1)] {
         let verdict = explorer.check(&eventcount_wrap_program(3, false), |_| Ok(()));
-        assert!(
-            matches!(verdict, Verdict::LostWakeup { .. }),
-            "bounded(0) must classify the park hang as LostWakeup, got {verdict:?}"
+        assert_eq!(
+            VerdictClass::of(&verdict),
+            VerdictClass::LostWakeup,
+            "bounded(0) must classify the park hang as a lost wakeup, got {verdict:?}"
         );
     }
 }
