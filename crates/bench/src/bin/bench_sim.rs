@@ -141,7 +141,11 @@ fn main() {
 
     let selected: Vec<_> = FIGURES
         .iter()
-        .filter(|f| args.only.as_ref().is_none_or(|ids| ids.iter().any(|i| i == f.id)))
+        .filter(|f| {
+            args.only
+                .as_ref()
+                .is_none_or(|ids| ids.iter().any(|i| i == f.id))
+        })
         .collect();
     if selected.is_empty() {
         eprintln!("error: --only matched no figure ids");

@@ -18,11 +18,11 @@ use workloads::csbench::{self, CsConfig};
 use workloads::oversub::{blocking_latency_table, oversubscription_sweep};
 use workloads::rwbench::{run_mutex, run_rwlock, RwConfig};
 use workloads::service_load::{self, LockPolicy, ServiceLoadConfig};
-use workloads::waitdist::{distribution_sweep, CDF_PERCENTILES};
 use workloads::sweeps::{
     backoff_ablation, barrier_scaling, contention_sweep, lock_scaling, lock_traffic,
     uncontended_table, MachineKind,
 };
+use workloads::waitdist::{distribution_sweep, CDF_PERCENTILES};
 
 /// One entry of the evaluation: a figure or table binary.
 pub struct Figure {
@@ -231,7 +231,11 @@ pub(crate) fn fig1(opts: &Opts) -> String {
 /// fig2 — lock passing time vs processor count on the NUMA machine.
 pub(crate) fn fig2(opts: &Opts) -> String {
     let series = lock_scaling(opts.run, MachineKind::Numa, &opts.procs(), opts.iters());
-    let mut out = series_block(opts, "Fig 2: lock passing time vs P (NUMA machine)", &series);
+    let mut out = series_block(
+        opts,
+        "Fig 2: lock passing time vs P (NUMA machine)",
+        &series,
+    );
     if !opts.csv {
         out.push_str(&final_ratio_block(&series, "tas", "qsm"));
     }
@@ -272,7 +276,11 @@ pub(crate) fn fig4(opts: &Opts) -> String {
 /// fig5 — barrier episode time vs P on the bus machine.
 pub(crate) fn fig5(opts: &Opts) -> String {
     let series = barrier_scaling(opts.run, MachineKind::Bus, &opts.procs(), opts.episodes());
-    let mut out = series_block(opts, "Fig 5: barrier episode time vs P (bus machine)", &series);
+    let mut out = series_block(
+        opts,
+        "Fig 5: barrier episode time vs P (bus machine)",
+        &series,
+    );
     if !opts.csv {
         out.push_str(&final_ratio_block(&series, "central", "qsm-tree"));
     }
@@ -282,7 +290,11 @@ pub(crate) fn fig5(opts: &Opts) -> String {
 /// fig6 — barrier episode time vs P on the NUMA machine.
 pub(crate) fn fig6(opts: &Opts) -> String {
     let series = barrier_scaling(opts.run, MachineKind::Numa, &opts.procs(), opts.episodes());
-    let mut out = series_block(opts, "Fig 6: barrier episode time vs P (NUMA machine)", &series);
+    let mut out = series_block(
+        opts,
+        "Fig 6: barrier episode time vs P (NUMA machine)",
+        &series,
+    );
     if !opts.csv {
         out.push_str(&final_ratio_block(&series, "central", "qsm-tree"));
     }
@@ -361,7 +373,9 @@ pub(crate) fn fig8(opts: &Opts) -> String {
     let header_refs: Vec<&str> = header.iter().map(String::as_str).collect();
     let mut table = Table::new(&header_refs).with_title(format!(
         "Fig 8: real hardware ({} host cores), {iters} iterations",
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
     ));
     for row in rows {
         let mut cells = vec![row.name.to_string(), format!("{:.0}", row.uncontended_ns)];
@@ -592,14 +606,7 @@ pub(crate) fn fig10(opts: &Opts) -> String {
 pub(crate) fn table5(opts: &Opts) -> String {
     let (nprocs, sweep) = waitdist_sweep(opts);
     let mut table = Table::new(&[
-        "lock",
-        "wait p50",
-        "wait p90",
-        "wait p99",
-        "wait max",
-        "hold p50",
-        "hold p90",
-        "hold p99",
+        "lock", "wait p50", "wait p90", "wait p99", "wait max", "hold p50", "hold p90", "hold p99",
         "hold max",
     ])
     .with_title(format!(
@@ -878,7 +885,11 @@ mod tests {
         // functions of Opts.
         for id in ["table1", "fig4"] {
             let f = by_id(id).unwrap();
-            assert_eq!((f.render)(&opts), (f.render)(&opts), "{id} not deterministic");
+            assert_eq!(
+                (f.render)(&opts),
+                (f.render)(&opts),
+                "{id} not deterministic"
+            );
         }
     }
 }

@@ -130,8 +130,11 @@ mod tests {
         let n = 4;
         let episodes = 10u64;
         let b = Arc::new(QsmBarrier::new(n));
-        let stamps: Arc<Vec<std::sync::atomic::AtomicU64>> =
-            Arc::new((0..n).map(|_| std::sync::atomic::AtomicU64::new(0)).collect());
+        let stamps: Arc<Vec<std::sync::atomic::AtomicU64>> = Arc::new(
+            (0..n)
+                .map(|_| std::sync::atomic::AtomicU64::new(0))
+                .collect(),
+        );
         let threads: Vec<_> = (0..n)
             .map(|i| {
                 let b = Arc::clone(&b);

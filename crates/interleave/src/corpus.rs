@@ -112,9 +112,9 @@ impl CorpusEntry {
             if line.is_empty() || line.starts_with('#') {
                 continue;
             }
-            let (key, value) = line
-                .split_once(':')
-                .ok_or_else(|| format!("line {}: expected `key: value`, got {line:?}", lineno + 1))?;
+            let (key, value) = line.split_once(':').ok_or_else(|| {
+                format!("line {}: expected `key: value`, got {line:?}", lineno + 1)
+            })?;
             let value = value.trim();
             match key.trim() {
                 "program" => program = Some(value.to_string()),
@@ -125,9 +125,10 @@ impl CorpusEntry {
                 "schedule" => {
                     let parsed: Result<Vec<usize>, _> =
                         value.split(',').map(|s| s.trim().parse()).collect();
-                    schedule = Some(parsed.map_err(|_| {
-                        format!("line {}: bad schedule {value:?}", lineno + 1)
-                    })?);
+                    schedule = Some(
+                        parsed
+                            .map_err(|_| format!("line {}: bad schedule {value:?}", lineno + 1))?,
+                    );
                 }
                 "verdict" => verdict = Some(VerdictClass::parse(value)?),
                 other => return Err(format!("line {}: unknown key {other:?}", lineno + 1)),

@@ -1089,7 +1089,11 @@ impl Explorer {
                             _ => eligible[0],
                         }
                     };
-                    let done = if step < prefix.len() { prefix[step].1 } else { 0 };
+                    let done = if step < prefix.len() {
+                        prefix[step].1
+                    } else {
+                        0
+                    };
                     (chosen, done)
                 }
                 Policy::External(choose) => {
@@ -1438,13 +1442,15 @@ mod tests {
             }
         });
         with.expect_pass("independent writers");
-        let without = Explorer::exhaustive().with_dpor(DporMode::None).check(&indep(), |mem| {
-            if mem.iter().all(|&v| v == 2) {
-                Ok(())
-            } else {
-                Err("missing writes".into())
-            }
-        });
+        let without = Explorer::exhaustive()
+            .with_dpor(DporMode::None)
+            .check(&indep(), |mem| {
+                if mem.iter().all(|&v| v == 2) {
+                    Ok(())
+                } else {
+                    Err("missing writes".into())
+                }
+            });
         without.expect_pass("independent writers");
         assert!(with.stats().complete && without.stats().complete);
         assert!(
@@ -1681,7 +1687,10 @@ mod tests {
             source.stats().runs,
             sleep.stats().runs
         );
-        assert!(source.stats().dpor_pruned > 0, "source mode reports its cuts");
+        assert!(
+            source.stats().dpor_pruned > 0,
+            "source mode reports its cuts"
+        );
         assert_eq!(sleep.stats().dpor_pruned, 0, "sleep mode never dpor-prunes");
     }
 
@@ -1755,9 +1764,10 @@ mod tests {
     #[test]
     fn parallel_respects_bypass_normalization() {
         // Bypass accounting forces reduction off in parallel mode too.
-        let v = Explorer::exhaustive()
-            .with_bypass_bound(1)
-            .check_parallel(&contended(), |_| Ok(()), 4);
+        let v =
+            Explorer::exhaustive()
+                .with_bypass_bound(1)
+                .check_parallel(&contended(), |_| Ok(()), 4);
         v.expect_pass("contended under a bypass bound");
         assert_eq!(v.stats().dpor_pruned, 0);
         assert_eq!(v.stats().sleep_pruned, 0);

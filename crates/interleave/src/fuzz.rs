@@ -322,7 +322,11 @@ impl Fuzzer {
         let mut published = Stats::default();
 
         for iter in 0..self.iters {
-            let horizon = if observed_max == 0 { 16 } else { observed_max.max(4) };
+            let horizon = if observed_max == 0 {
+                16
+            } else {
+                observed_max.max(4)
+            };
             let rng = master.fork(iter as u64);
             let mut chooser = Chooser::new(self.strategy, rng, program.nthreads(), horizon);
             let outcome = explorer.execute_with(
@@ -618,12 +622,7 @@ mod tests {
     fn pct_demotions_are_bounded_by_change_points() {
         // A PCT chooser over 3 threads must stay deterministic and legal
         // across any eligible-set shape the scheduler can hand it.
-        let mut c = Chooser::new(
-            Strategy::Pct { change_points: 2 },
-            Rng::new(9),
-            3,
-            50,
-        );
+        let mut c = Chooser::new(Strategy::Pct { change_points: 2 }, Rng::new(9), 3, 50);
         for step in 0..50 {
             let eligible: Vec<usize> = match step % 3 {
                 0 => vec![0, 1, 2],
@@ -646,10 +645,19 @@ mod tests {
             Strategy::parse("pct:5").unwrap(),
             Strategy::Pct { change_points: 5 }
         );
-        assert_eq!(Strategy::parse(" PCT:2 ").unwrap(), Strategy::Pct { change_points: 2 });
-        assert!(Strategy::parse("pct:0").unwrap_err().contains("change point"));
-        assert!(Strategy::parse("pct:x").unwrap_err().contains("not a positive integer"));
-        assert!(Strategy::parse("dfs").unwrap_err().contains("unknown strategy"));
+        assert_eq!(
+            Strategy::parse(" PCT:2 ").unwrap(),
+            Strategy::Pct { change_points: 2 }
+        );
+        assert!(Strategy::parse("pct:0")
+            .unwrap_err()
+            .contains("change point"));
+        assert!(Strategy::parse("pct:x")
+            .unwrap_err()
+            .contains("not a positive integer"));
+        assert!(Strategy::parse("dfs")
+            .unwrap_err()
+            .contains("unknown strategy"));
         for s in [Strategy::Uniform, Strategy::Pct { change_points: 4 }] {
             assert_eq!(Strategy::parse(&s.to_string()).unwrap(), s);
         }

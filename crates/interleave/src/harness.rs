@@ -311,23 +311,12 @@ mod tests {
             fn lines_needed(&self, _p: usize) -> usize {
                 1
             }
-            fn acquire(
-                &self,
-                ctx: &mut dyn ProcCtx,
-                region: &Region,
-                _ps: &mut u64,
-            ) -> u64 {
+            fn acquire(&self, ctx: &mut dyn ProcCtx, region: &Region, _ps: &mut u64) -> u64 {
                 // No atomicity, no waiting: anyone can "acquire".
                 ctx.store(region.slot(0), 1);
                 0
             }
-            fn release(
-                &self,
-                ctx: &mut dyn ProcCtx,
-                region: &Region,
-                _ps: &mut u64,
-                _token: u64,
-            ) {
+            fn release(&self, ctx: &mut dyn ProcCtx, region: &Region, _ps: &mut u64, _token: u64) {
                 ctx.store(region.slot(0), 0);
             }
         }
@@ -455,13 +444,7 @@ mod tests {
     #[test]
     fn lockdep_graph_collects_single_lock_edges() {
         let graph = Arc::new(LockOrderGraph::new());
-        let v = check_lock_with_lockdep(
-            Arc::new(TicketLock),
-            2,
-            1,
-            Explorer::exhaustive(),
-            &graph,
-        );
+        let v = check_lock_with_lockdep(Arc::new(TicketLock), 2, 1, Explorer::exhaustive(), &graph);
         v.expect_pass("ticket with lockdep");
         // One lock can never produce an ordering edge, let alone a cycle.
         assert!(graph.edges().is_empty());

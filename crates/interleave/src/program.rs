@@ -143,7 +143,11 @@ impl std::fmt::Display for OpRecord {
         write!(
             f,
             "step {:>4}  t{} {:<10} [{:>3}] = {}",
-            self.step, self.pid, self.kind.to_string(), self.addr, self.value
+            self.step,
+            self.pid,
+            self.kind.to_string(),
+            self.addr,
+            self.value
         )
     }
 }

@@ -198,13 +198,11 @@ impl RaceDetector {
     ) -> Option<RaceReport> {
         let var = &mut self.vars[addr];
         let race = match var.write {
-            Some((w, wsite)) if w.tid != tid && !self.threads[tid].covers(w) => {
-                Some(RaceReport {
-                    addr,
-                    prior: wsite,
-                    current: site,
-                })
-            }
+            Some((w, wsite)) if w.tid != tid && !self.threads[tid].covers(w) => Some(RaceReport {
+                addr,
+                prior: wsite,
+                current: site,
+            }),
             _ => None,
         };
         let e = Epoch {
@@ -229,13 +227,11 @@ impl RaceDetector {
         let me = self.epoch(tid);
         let var = &mut self.vars[addr];
         let mut race = match var.write {
-            Some((w, wsite)) if w.tid != tid && !self.threads[tid].covers(w) => {
-                Some(RaceReport {
-                    addr,
-                    prior: wsite,
-                    current: site,
-                })
-            }
+            Some((w, wsite)) if w.tid != tid && !self.threads[tid].covers(w) => Some(RaceReport {
+                addr,
+                prior: wsite,
+                current: site,
+            }),
             _ => None,
         };
         if race.is_none() {
@@ -495,7 +491,9 @@ mod tests {
         assert!(d.data_read(1, 0, site(1, 0, false)).is_none());
         d.sync_write(0, 1);
         d.sync_read(2, 1);
-        let race = d.data_write(2, 0, site(2, 1, true)).expect("race with reader 1");
+        let race = d
+            .data_write(2, 0, site(2, 1, true))
+            .expect("race with reader 1");
         assert_eq!(race.prior.pid, 1);
     }
 

@@ -128,8 +128,8 @@ impl BarrierKernel for CombiningTreeBarrier {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::barriers::{episode_trial, timing_trial};
     use crate::barriers::central::CentralBarrier;
+    use crate::barriers::{episode_trial, timing_trial};
     use memsim::{Machine, MachineParams};
 
     #[test]

@@ -75,8 +75,8 @@ impl BarrierKernel for McsTreeBarrier {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::barriers::{episode_trial, timing_trial};
     use crate::barriers::central::CentralBarrier;
+    use crate::barriers::{episode_trial, timing_trial};
     use memsim::{Machine, MachineParams};
 
     #[test]
@@ -97,8 +97,7 @@ mod tests {
     fn safety_across_sizes() {
         for p in [2usize, 3, 5, 9, 16] {
             let machine = Machine::new(MachineParams::bus_1991(p));
-            episode_trial(&machine, &McsTreeBarrier, p, 4)
-                .unwrap_or_else(|e| panic!("P={p}: {e}"));
+            episode_trial(&machine, &McsTreeBarrier, p, 4).unwrap_or_else(|e| panic!("P={p}: {e}"));
         }
     }
 

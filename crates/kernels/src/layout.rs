@@ -20,7 +20,10 @@ impl Region {
     /// Creates a region of `lines` cache lines starting at word `base`
     /// (which should itself be line-aligned; the constructor checks).
     pub fn new(base: Addr, line_words: usize, lines: usize) -> Self {
-        assert!(line_words.is_power_of_two(), "line_words must be a power of two");
+        assert!(
+            line_words.is_power_of_two(),
+            "line_words must be a power of two"
+        );
         assert_eq!(base % line_words, 0, "region base must be line-aligned");
         Region {
             base,

@@ -170,8 +170,7 @@ impl LockOrderGraph {
     pub fn assert_acyclic(&self, what: &str) {
         let cycles = self.cycles();
         if !cycles.is_empty() {
-            let rendered: Vec<String> =
-                cycles.iter().map(|c| self.render_cycle(c)).collect();
+            let rendered: Vec<String> = cycles.iter().map(|c| self.render_cycle(c)).collect();
             panic!("{what}: lock-order cycles (potential deadlocks): {rendered:?}");
         }
     }
@@ -251,7 +250,10 @@ mod tests {
         let cycles = g.cycles();
         assert_eq!(cycles.len(), 1);
         let rendered = g.render_cycle(&cycles[0]);
-        assert!(rendered == "A -> B -> A" || rendered == "B -> A -> B", "{rendered}");
+        assert!(
+            rendered == "A -> B -> A" || rendered == "B -> A -> B",
+            "{rendered}"
+        );
     }
 
     #[test]

@@ -122,8 +122,7 @@ mod tests {
         let (_, mcs) = counter_trial(&machine, &McsLock, 12, 6, 60).unwrap();
         let (_, tas) = counter_trial(&machine, &TasLock, 12, 6, 60).unwrap();
         assert!(
-            mcs.metrics.interconnect_transactions * 2
-                < tas.metrics.interconnect_transactions,
+            mcs.metrics.interconnect_transactions * 2 < tas.metrics.interconnect_transactions,
             "mcs {} vs tas {}",
             mcs.metrics.interconnect_transactions,
             tas.metrics.interconnect_transactions

@@ -80,8 +80,7 @@ mod tests {
     fn backoff_cuts_probe_traffic_versus_plain_tas() {
         let machine = Machine::new(MachineParams::bus_1991(8));
         let (_, plain) = counter_trial(&machine, &TasLock, 8, 8, 60).unwrap();
-        let (_, backed) =
-            counter_trial(&machine, &TasBackoffLock::default(), 8, 8, 60).unwrap();
+        let (_, backed) = counter_trial(&machine, &TasBackoffLock::default(), 8, 8, 60).unwrap();
         assert!(
             backed.metrics.rmws() * 2 < plain.metrics.rmws(),
             "backoff rmws {} should be well under plain rmws {}",

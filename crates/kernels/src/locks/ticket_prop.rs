@@ -91,8 +91,7 @@ mod tests {
     fn fewer_release_storm_misses_than_plain_ticket() {
         let machine = Machine::new(MachineParams::bus_1991(12));
         let (_, plain) = counter_trial(&machine, &TicketLock, 12, 6, 80).unwrap();
-        let (_, prop) =
-            counter_trial(&machine, &TicketPropLock::default(), 12, 6, 80).unwrap();
+        let (_, prop) = counter_trial(&machine, &TicketPropLock::default(), 12, 6, 80).unwrap();
         assert!(
             prop.metrics.misses() < plain.metrics.misses(),
             "proportional polling ({}) should miss less than storming ({})",

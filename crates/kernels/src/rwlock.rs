@@ -209,7 +209,9 @@ mod tests {
                 }
             })
             .unwrap();
-        let expected: u64 = (0..5u64).map(|pid| (0..10).filter(|i| (i + pid) % 2 == 0).count() as u64).sum();
+        let expected: u64 = (0..5u64)
+            .map(|pid| (0..10).filter(|i| (i + pid) % 2 == 0).count() as u64)
+            .sum();
         assert_eq!(report.memory[counter], expected);
     }
 

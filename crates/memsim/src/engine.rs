@@ -557,8 +557,7 @@ impl EngineCore {
                 self.maybe_snapshot();
             }
             if let Some(rp) = &self.replay {
-                if let (Some(stop), Some(&Reverse((issue, _)))) =
-                    (rp.stop_at, self.pending.peek())
+                if let (Some(stop), Some(&Reverse((issue, _)))) = (rp.stop_at, self.pending.peek())
                 {
                     if issue >= stop {
                         return;
@@ -656,7 +655,10 @@ impl EngineCore {
         if start > req.issue {
             // Re-queue at the adjusted issue so execution order stays
             // globally sorted; at the next pop the processor is on-core.
-            self.states[pid] = ProcState::Pending(Request { issue: start, ..req });
+            self.states[pid] = ProcState::Pending(Request {
+                issue: start,
+                ..req
+            });
             self.pending.push(Reverse((start, pid)));
             return None;
         }
@@ -665,7 +667,9 @@ impl EngineCore {
 
     /// Hands free cores to ready-queued processors, FIFO.
     fn dispatch_ready(&mut self) {
-        let Some(sched) = self.sched.as_mut() else { return };
+        let Some(sched) = self.sched.as_mut() else {
+            return;
+        };
         while !sched.ready.is_empty() && !sched.free_cores.is_empty() {
             let pid = sched.ready.pop_front().expect("checked non-empty");
             let Reverse(free_at) = sched.free_cores.pop().expect("checked non-empty");
@@ -681,7 +685,10 @@ impl EngineCore {
             if let Some(tr) = &self.tracer {
                 tr.record(pid, start, EventKind::CtxSwitchIn);
             }
-            self.states[pid] = ProcState::Pending(Request { issue: start, ..req });
+            self.states[pid] = ProcState::Pending(Request {
+                issue: start,
+                ..req
+            });
             self.pending.push(Reverse((start, pid)));
         }
     }

@@ -56,7 +56,13 @@ impl Interconnect {
     ///
     /// `extra` models protocol work serialized with the transaction
     /// (invalidation fan-out, atomic RMW execution at the memory).
-    pub fn transaction(&mut self, issue: u64, src_node: usize, home_node: usize, extra: u64) -> u64 {
+    pub fn transaction(
+        &mut self,
+        issue: u64,
+        src_node: usize,
+        home_node: usize,
+        extra: u64,
+    ) -> u64 {
         match self {
             Interconnect::Bus { free_at, occupancy } => {
                 let start = issue.max(*free_at);

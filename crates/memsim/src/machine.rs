@@ -248,10 +248,16 @@ mod tests {
         // Every pid 1..4 parked exactly once (pid 0 delays past their
         // first futex wait probe), and every park has a wake and a resume.
         assert_eq!(tracer.class_total(C::FutexPark), 3);
-        assert_eq!(tracer.class_total(C::FutexPark), traced.metrics.futex_parks());
+        assert_eq!(
+            tracer.class_total(C::FutexPark),
+            traced.metrics.futex_parks()
+        );
         assert_eq!(tracer.class_total(C::FutexWake), 3);
         assert_eq!(tracer.class_total(C::FutexResume), 3);
-        assert_eq!(tracer.class_total(C::SpinBegin), tracer.class_total(C::SpinEnd));
+        assert_eq!(
+            tracer.class_total(C::SpinBegin),
+            tracer.class_total(C::SpinEnd)
+        );
 
         // Per-processor streams are time-ordered (the Chrome exporter and
         // the validator both rely on this).
@@ -499,10 +505,7 @@ mod tests {
     #[test]
     fn numa_machine_runs_and_counts_transactions() {
         let machine = Machine::new(MachineParams::numa_1991(4));
-        assert!(matches!(
-            machine.params().topology,
-            Topology::Numa { .. }
-        ));
+        assert!(matches!(machine.params().topology, Topology::Numa { .. }));
         let report = machine
             .run(4, 1, |p| {
                 for _ in 0..10 {
@@ -752,7 +755,10 @@ mod tests {
             }
         }
         // The plain run and the recording pass each raised every event once.
-        for class in [trace::EventClass::EpisodeBegin, trace::EventClass::EpisodeEnd] {
+        for class in [
+            trace::EventClass::EpisodeBegin,
+            trace::EventClass::EpisodeEnd,
+        ] {
             assert_eq!(tracer.class_total(class), 2 * 4, "{class:?}");
         }
     }

@@ -177,7 +177,10 @@ impl MachineParams {
 
     /// Validates internal consistency; called by the machine constructor.
     pub fn validate(&self) {
-        assert!(self.line_words.is_power_of_two(), "line_words must be a power of two");
+        assert!(
+            self.line_words.is_power_of_two(),
+            "line_words must be a power of two"
+        );
         assert!(self.cache_lines > 0, "cache must have at least one line");
         if let Topology::Numa { nodes } = self.topology {
             assert!(nodes > 0, "NUMA machine needs at least one node");
@@ -185,7 +188,10 @@ impl MachineParams {
         if let Some(sched) = &self.sched {
             assert!(sched.cores > 0, "scheduler needs at least one core");
             assert!(sched.quantum > 0, "scheduler quantum must be nonzero");
-            assert!(sched.spin_poll_cycles > 0, "spin poll interval must be nonzero");
+            assert!(
+                sched.spin_poll_cycles > 0,
+                "spin poll interval must be nonzero"
+            );
         }
     }
 
@@ -239,9 +245,9 @@ mod tests {
     #[test]
     fn numa_interleaves_lines_and_procs() {
         let p = MachineParams::numa_1991(16); // 4 nodes
-        // Hash interleaving: homes are stable, in range, and balanced —
-        // and crucially, strided line sequences do not collapse onto one
-        // module (the resonance the hash exists to kill).
+                                              // Hash interleaving: homes are stable, in range, and balanced —
+                                              // and crucially, strided line sequences do not collapse onto one
+                                              // module (the resonance the hash exists to kill).
         let mut per_node = vec![0usize; 4];
         for line in 0..400 {
             let home = p.home_node(line);
@@ -281,7 +287,10 @@ mod tests {
     #[should_panic(expected = "at least one core")]
     fn zero_core_scheduler_rejected() {
         let mut p = MachineParams::bus_1991(2);
-        p.sched = Some(SchedParams { cores: 0, ..SchedParams::oversub_1991(1) });
+        p.sched = Some(SchedParams {
+            cores: 0,
+            ..SchedParams::oversub_1991(1)
+        });
         p.validate();
     }
 }

@@ -135,7 +135,10 @@ impl Pool {
             self.spawned.fetch_add(1, Ordering::Relaxed);
             workers.push(shared);
         }
-        Lease { pool: self, workers }
+        Lease {
+            pool: self,
+            workers,
+        }
     }
 
     pub(crate) fn stats(&self) -> PoolStats {
@@ -169,9 +172,7 @@ impl Lease<'_> {
     /// its final statement). Dropping the lease early would let another
     /// replay dispatch to a worker that is still executing this job.
     pub(crate) unsafe fn dispatch<'env>(&self, idx: usize, job: Box<dyn FnOnce() + Send + 'env>) {
-        let job: Job = unsafe {
-            std::mem::transmute::<Box<dyn FnOnce() + Send + 'env>, Job>(job)
-        };
+        let job: Job = unsafe { std::mem::transmute::<Box<dyn FnOnce() + Send + 'env>, Job>(job) };
         let worker = &self.workers[idx];
         let mut slot = worker.job.lock().expect("worker job mutex poisoned");
         debug_assert!(slot.is_none(), "dispatch to a busy worker");
@@ -211,7 +212,13 @@ mod tests {
             latch.wait();
         }
         assert!(ran.load(Ordering::SeqCst));
-        assert_eq!(pool.stats(), PoolStats { spawned: 1, reused: 0 });
+        assert_eq!(
+            pool.stats(),
+            PoolStats {
+                spawned: 1,
+                reused: 0
+            }
+        );
 
         // Second lease of the same size spawns nothing new.
         {
@@ -222,7 +229,13 @@ mod tests {
             }
             latch.wait();
         }
-        assert_eq!(pool.stats(), PoolStats { spawned: 1, reused: 1 });
+        assert_eq!(
+            pool.stats(),
+            PoolStats {
+                spawned: 1,
+                reused: 1
+            }
+        );
     }
 
     #[test]
@@ -275,6 +288,12 @@ mod tests {
         unsafe { lease.dispatch(0, Box::new(|| latch.count_down())) };
         latch.wait();
         drop(lease);
-        assert_eq!(pool.stats(), PoolStats { spawned: 1, reused: 1 });
+        assert_eq!(
+            pool.stats(),
+            PoolStats {
+                spawned: 1,
+                reused: 1
+            }
+        );
     }
 }

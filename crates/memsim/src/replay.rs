@@ -156,7 +156,10 @@ impl<'a> FragmentReplayer<'a> {
     ///
     /// If `workers` is zero.
     pub fn new(recording: &'a Recording, workers: usize) -> Self {
-        assert!(workers >= 1, "fragment replay needs at least one host worker");
+        assert!(
+            workers >= 1,
+            "fragment replay needs at least one host worker"
+        );
         FragmentReplayer { recording, workers }
     }
 

@@ -47,7 +47,9 @@ fn wake_order_under_simultaneous_writers_is_deterministic() {
                 }
             })
             .expect("wake-order run");
-        let ranks: Vec<u64> = (2..nprocs).map(|pid| report.memory[RANK_BASE + pid]).collect();
+        let ranks: Vec<u64> = (2..nprocs)
+            .map(|pid| report.memory[RANK_BASE + pid])
+            .collect();
         (ranks, report.metrics.total_cycles)
     };
 

@@ -199,7 +199,10 @@ impl<'a> Future for LockFuture<'a> {
 
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<KeyGuard<'a>> {
         let this = self.get_mut();
-        let slot = this.slot.as_ref().expect("LockFuture polled after completion");
+        let slot = this
+            .slot
+            .as_ref()
+            .expect("LockFuture polled after completion");
         let (word, locked) = (slot.word(), if this.parked { CONTENDED } else { HELD });
         let mut retries = 0;
         let polled = protocol::poll_step(slot.lot(), &mut this.entry, cx.waker(), |c| {
@@ -217,8 +220,13 @@ impl<'a> Future for LockFuture<'a> {
             return Poll::Pending;
         }
         let slot = this.slot.take().expect("slot present until completion");
-        slot.metrics().count_acquire(slot.shard(), !this.contended, this.parked);
-        Poll::Ready(KeyGuard::acquired(slot, Primitive::AsyncMutex, this.started.take()))
+        slot.metrics()
+            .count_acquire(slot.shard(), !this.contended, this.parked);
+        Poll::Ready(KeyGuard::acquired(
+            slot,
+            Primitive::AsyncMutex,
+            this.started.take(),
+        ))
     }
 }
 
@@ -342,7 +350,8 @@ impl Future for EventWaitFuture<'_, '_> {
             this.started = slot.metrics().wait_timer(slot.shard());
         }
         let cur = ready!(polled);
-        slot.metrics().record_wait(Primitive::EventCount, this.started.take());
+        slot.metrics()
+            .record_wait(Primitive::EventCount, this.started.take());
         Poll::Ready(cur)
     }
 }
@@ -373,7 +382,10 @@ impl Future for BarrierFuture<'_> {
 
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<bool> {
         let this = self.get_mut();
-        let slot = this.slot.as_ref().expect("BarrierFuture polled after completion");
+        let slot = this
+            .slot
+            .as_ref()
+            .expect("BarrierFuture polled after completion");
         let round = match this.round {
             Some(round) => round,
             None => {
@@ -386,10 +398,14 @@ impl Future for BarrierFuture<'_> {
                 *this.round.insert(round)
             }
         };
-        ready!(protocol::poll_step(slot.lot(), &mut this.entry, cx.waker(), |c| {
-            protocol::barrier_step(c, slot.word(), round)
-        }));
-        slot.metrics().record_wait(Primitive::Barrier, this.started.take());
+        ready!(protocol::poll_step(
+            slot.lot(),
+            &mut this.entry,
+            cx.waker(),
+            |c| { protocol::barrier_step(c, slot.word(), round) }
+        ));
+        slot.metrics()
+            .record_wait(Primitive::Barrier, this.started.take());
         this.slot = None;
         Poll::Ready(false)
     }
@@ -513,7 +529,10 @@ pub(crate) mod tests {
         drop(holder); // wakes exactly one waiter: A (FIFO)
         drop(fut_a); // cancel-after-wake: must re-wake the slot
         let (polled, _) = poll_once(&mut fut_b);
-        assert!(matches!(polled, Poll::Ready(_)), "B did not inherit A's grant");
+        assert!(
+            matches!(polled, Poll::Ready(_)),
+            "B did not inherit A's grant"
+        );
         drop(polled);
         assert_eq!(svc.stats().live, 0);
     }

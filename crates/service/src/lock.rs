@@ -286,7 +286,9 @@ impl<'a> EventKey<'a> {
         }
         let started = self.slot.metrics().wait_timer(self.slot.shard());
         let cur = protocol::await_at_least(&mut self.slot.lot(), self.slot.word(), target);
-        self.slot.metrics().record_wait(Primitive::EventCount, started);
+        self.slot
+            .metrics()
+            .record_wait(Primitive::EventCount, started);
         cur
     }
 }

@@ -245,10 +245,14 @@ impl Future for AcquireFuture<'_> {
                 *this.ticket.insert(ticket)
             }
         };
-        ready!(protocol::poll_step(sem.lot(), &mut this.entry, cx.waker(), |c| {
-            protocol::grant_step(c, &sem, ticket)
-        }));
-        sem.metrics.record_wait(Primitive::Semaphore, this.started.take());
+        ready!(protocol::poll_step(
+            sem.lot(),
+            &mut this.entry,
+            cx.waker(),
+            |c| { protocol::grant_step(c, &sem, ticket) }
+        ));
+        sem.metrics
+            .record_wait(Primitive::Semaphore, this.started.take());
         this.sem = None;
         Poll::Ready(())
     }
@@ -499,8 +503,8 @@ mod tests {
         assert!(matches!(poll_once(&mut fut).0, Poll::Pending));
         assert_eq!(sem.permits(), -1);
         drop(fut); // abandoned before any grant is published
-        // The release stream recycles the abandoned ticket: the permit
-        // lands back on the counter instead of waking a ghost.
+                   // The release stream recycles the abandoned ticket: the permit
+                   // lands back on the counter instead of waking a ghost.
         assert_eq!(sem.release_n(1), 0);
         assert_eq!(sem.permits(), 1);
         assert!(sem.try_acquire());
@@ -560,8 +564,8 @@ mod tests {
             thread::yield_now();
         }
         drop(fut); // the middle ticket is abandoned
-        // Two permits must admit both blocking waiters, recycling the
-        // abandoned middle ticket along the way.
+                   // Two permits must admit both blocking waiters, recycling the
+                   // abandoned middle ticket along the way.
         sem.release_n(2);
         t1.join().unwrap();
         t2.join().unwrap();

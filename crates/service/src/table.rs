@@ -381,10 +381,7 @@ mod tests {
         let table = ShardedTable::new(4);
         let a = table.attach(1, SlotKind::Mutex);
         let b = table.attach(2, SlotKind::Mutex);
-        assert_ne!(
-            a.word() as *const AtomicU64,
-            b.word() as *const AtomicU64
-        );
+        assert_ne!(a.word() as *const AtomicU64, b.word() as *const AtomicU64);
         a.word().store(7, Ordering::SeqCst);
         assert_eq!(b.word().load(Ordering::SeqCst), 0);
     }
@@ -477,9 +474,7 @@ mod tests {
     #[test]
     fn overlapping_keys_grow_capacity() {
         let table = ShardedTable::new(1);
-        let held: Vec<SlotRef> = (0..200)
-            .map(|k| table.attach(k, SlotKind::Mutex))
-            .collect();
+        let held: Vec<SlotRef> = (0..200).map(|k| table.attach(k, SlotKind::Mutex)).collect();
         let stats = table.stats();
         assert_eq!(stats.live, 200);
         assert!(stats.peak_live >= 200);

@@ -200,7 +200,9 @@ impl ServiceMetrics {
     pub fn new(mode: MetricsMode) -> Self {
         ServiceMetrics {
             mode,
-            stripes: (0..STRIPES).map(|_| CachePadded::new(CounterBlock::default())).collect(),
+            stripes: (0..STRIPES)
+                .map(|_| CachePadded::new(CounterBlock::default()))
+                .collect(),
             mask: STRIPES - 1,
             hists: Mutex::new(LatencyHists::default()),
         }
@@ -246,7 +248,9 @@ impl ServiceMetrics {
         if self.off() {
             return;
         }
-        self.block(stripe).respin_wins.fetch_add(1, Ordering::Relaxed);
+        self.block(stripe)
+            .respin_wins
+            .fetch_add(1, Ordering::Relaxed);
     }
 
     /// Counts failed CASes of a contended acquire loop.
@@ -255,7 +259,9 @@ impl ServiceMetrics {
         if self.off() || n == 0 {
             return;
         }
-        self.block(stripe).cas_retries.fetch_add(n, Ordering::Relaxed);
+        self.block(stripe)
+            .cas_retries
+            .fetch_add(n, Ordering::Relaxed);
     }
 
     /// Counts semaphore grants that reached waiters.
@@ -264,7 +270,9 @@ impl ServiceMetrics {
         if self.off() || n == 0 {
             return;
         }
-        self.block(stripe).sem_grants.fetch_add(n, Ordering::Relaxed);
+        self.block(stripe)
+            .sem_grants
+            .fetch_add(n, Ordering::Relaxed);
     }
 
     /// Counts one abandoned semaphore ticket (cancelled before its grant
@@ -274,7 +282,9 @@ impl ServiceMetrics {
         if self.off() {
             return;
         }
-        self.block(stripe).sem_abandons.fetch_add(1, Ordering::Relaxed);
+        self.block(stripe)
+            .sem_abandons
+            .fetch_add(1, Ordering::Relaxed);
     }
 
     /// Counts one cancelled future (any primitive) that was parked when
@@ -284,7 +294,9 @@ impl ServiceMetrics {
         if self.off() {
             return;
         }
-        self.block(stripe).cancellations.fetch_add(1, Ordering::Relaxed);
+        self.block(stripe)
+            .cancellations
+            .fetch_add(1, Ordering::Relaxed);
     }
 
     /// Counts one slot recycled to the free list.
@@ -293,7 +305,9 @@ impl ServiceMetrics {
         if self.off() {
             return;
         }
-        self.block(stripe).slot_recycles.fetch_add(1, Ordering::Relaxed);
+        self.block(stripe)
+            .slot_recycles
+            .fetch_add(1, Ordering::Relaxed);
     }
 
     /// Starts a sampled timing measurement: `Some(now)` on the 1-in-`N`
@@ -832,8 +846,14 @@ mod tests {
         let good = json(&sample_snapshot());
         for (mutate, why) in [
             (good.replace("{\n", "[\n"), "bad opening"),
-            (good.replace("\"acquires\": 2", "\"acquires\": x"), "bad value"),
-            (good.replace("\"acquires\"", "\"acqs\""), "missing required key"),
+            (
+                good.replace("\"acquires\": 2", "\"acquires\": x"),
+                "bad value",
+            ),
+            (
+                good.replace("\"acquires\"", "\"acqs\""),
+                "missing required key",
+            ),
             (
                 good.replace("\"mode\": \"sampled:1\",", "\"mode\": \"sampled:1\""),
                 "missing comma",
@@ -846,10 +866,7 @@ mod tests {
             assert!(validate_json(&mutate).is_err(), "accepted {why}");
         }
         // Duplicate keys are rejected even when all required keys exist.
-        let dup = good.replace(
-            "\"fast_path\": 1",
-            "\"acquires\": 2",
-        );
+        let dup = good.replace("\"fast_path\": 1", "\"acquires\": 2");
         assert!(validate_json(&dup).is_err(), "accepted duplicate key");
     }
 

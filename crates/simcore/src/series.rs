@@ -38,7 +38,10 @@ impl Series {
         if !self.curves.contains_key(curve) {
             self.order.push(curve.to_string());
         }
-        self.curves.entry(curve.to_string()).or_default().insert(x, y);
+        self.curves
+            .entry(curve.to_string())
+            .or_default()
+            .insert(x, y);
     }
 
     /// All x values present in any curve, ascending.
@@ -101,10 +104,7 @@ impl Series {
     pub fn final_ratio(&self, numerator: &str, denominator: &str) -> Option<f64> {
         let xs_num = self.curves.get(numerator)?;
         let xs_den = self.curves.get(denominator)?;
-        let shared = xs_num
-            .keys()
-            .rev()
-            .find(|x| xs_den.contains_key(x))?;
+        let shared = xs_num.keys().rev().find(|x| xs_den.contains_key(x))?;
         let d = xs_den[shared];
         if d == 0.0 {
             None

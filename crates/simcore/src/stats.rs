@@ -117,8 +117,16 @@ pub(crate) fn linear_fit(points: &[(f64, f64)]) -> Option<LinearFit> {
             e * e
         })
         .sum();
-    let r2 = if ss_tot == 0.0 { 1.0 } else { 1.0 - ss_res / ss_tot };
-    Some(LinearFit { slope, intercept, r2 })
+    let r2 = if ss_tot == 0.0 {
+        1.0
+    } else {
+        1.0 - ss_res / ss_tot
+    };
+    Some(LinearFit {
+        slope,
+        intercept,
+        r2,
+    })
 }
 
 /// Log–log power-law fit `y ≈ c·x^e`, returned as `(exponent, r2)`.
@@ -162,8 +170,7 @@ mod tests {
             s.push(x);
         }
         let mean = xs.iter().sum::<f64>() / xs.len() as f64;
-        let var =
-            xs.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / (xs.len() - 1) as f64;
+        let var = xs.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / (xs.len() - 1) as f64;
         assert!((s.mean() - mean).abs() < 1e-12);
         assert!((s.sample_variance() - var).abs() < 1e-10);
     }

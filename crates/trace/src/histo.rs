@@ -183,9 +183,18 @@ mod tests {
     fn extracts_wait_and_hold_pairs() {
         let tracer = Tracer::new(1, 64);
         for ev in [
-            Event { t: 10, kind: EventKind::LockAcquireStart { lock: 7 } },
-            Event { t: 25, kind: EventKind::LockAcquired { lock: 7 } },
-            Event { t: 45, kind: EventKind::LockReleased { lock: 7 } },
+            Event {
+                t: 10,
+                kind: EventKind::LockAcquireStart { lock: 7 },
+            },
+            Event {
+                t: 25,
+                kind: EventKind::LockAcquired { lock: 7 },
+            },
+            Event {
+                t: 45,
+                kind: EventKind::LockReleased { lock: 7 },
+            },
         ] {
             tracer.record(0, ev.t, ev.kind);
         }

@@ -133,11 +133,12 @@ impl DiffReport {
     /// One-line-per-backend summary table for logs and CI artifacts.
     pub fn render(&self) -> String {
         use std::fmt::Write as _;
-        let mut s = format!("differential {}: expected counter {}\n", self.lock, self.expected);
+        let mut s = format!(
+            "differential {}: expected counter {}\n",
+            self.lock, self.expected
+        );
         for o in &self.outcomes {
-            let counter = o
-                .counter
-                .map_or_else(|| "-".to_string(), |c| c.to_string());
+            let counter = o.counter.map_or_else(|| "-".to_string(), |c| c.to_string());
             let parks = o
                 .futex_parks
                 .map_or_else(|| "-".to_string(), |p| p.to_string());
@@ -159,9 +160,8 @@ impl DiffReport {
 /// through [`kernels::locks::lock_by_name`] (spin-lock study and blocking
 /// variants alike).
 pub fn differential_lock(name: &str, cfg: &DiffConfig) -> Result<DiffReport, String> {
-    let lock: Arc<dyn LockKernel + Send + Sync> = Arc::from(
-        lock_by_name(name).ok_or_else(|| format!("unknown lock '{name}'"))?,
-    );
+    let lock: Arc<dyn LockKernel + Send + Sync> =
+        Arc::from(lock_by_name(name).ok_or_else(|| format!("unknown lock '{name}'"))?);
     Ok(differential_lock_kernel(lock, cfg))
 }
 
@@ -368,14 +368,22 @@ mod tests {
             ..DiffConfig::default()
         };
         let report = differential_lock_kernel(Arc::new(BrokenLock), &cfg);
-        assert!(!report.all_agree(), "broken lock slipped through:\n{}", report.render());
+        assert!(
+            !report.all_agree(),
+            "broken lock slipped through:\n{}",
+            report.render()
+        );
         let checker = report
             .outcomes
             .iter()
             .find(|o| o.backend == "checker-fuzz")
             .unwrap();
         assert!(
-            checker.failure.as_deref().unwrap_or("").contains("data race"),
+            checker
+                .failure
+                .as_deref()
+                .unwrap_or("")
+                .contains("data race"),
             "checker backend should flag the race, got {:?}",
             checker.failure
         );
@@ -391,7 +399,12 @@ mod tests {
     fn report_render_lists_every_backend() {
         let report = differential_lock("ticket", &DiffConfig::default()).unwrap();
         let rendered = report.render();
-        for backend in ["checker-fuzz", "memsim-bus", "memsim-oversub", "real-threads"] {
+        for backend in [
+            "checker-fuzz",
+            "memsim-bus",
+            "memsim-oversub",
+            "real-threads",
+        ] {
             assert!(rendered.contains(backend), "missing {backend}:\n{rendered}");
         }
     }

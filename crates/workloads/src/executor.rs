@@ -235,11 +235,7 @@ impl<'a> Executor<'a> {
                 let timers = self.shared.timers.lock().unwrap();
                 timers.peek().map(|Reverse(e)| (e.at, e.seq))
             };
-            let Some((t, _)) = [next_resume, next_timer]
-                .into_iter()
-                .flatten()
-                .min()
-            else {
+            let Some((t, _)) = [next_resume, next_timer].into_iter().flatten().min() else {
                 return if self.unfinished == 0 {
                     Outcome::Completed
                 } else {
@@ -387,7 +383,10 @@ impl<F: Future + Unpin> Future for Timeout<F> {
 
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
         let this = self.get_mut();
-        let inner = this.inner.as_mut().expect("Timeout polled after completion");
+        let inner = this
+            .inner
+            .as_mut()
+            .expect("Timeout polled after completion");
         if let Poll::Ready(v) = Pin::new(inner).poll(cx) {
             this.inner = None;
             return Poll::Ready(Some(v));

@@ -195,6 +195,9 @@ mod tests {
     fn sweep_is_deterministic() {
         let a = oversubscription_sweep(RunConfig::default(), 2, &[1, 2], 3);
         let b = oversubscription_sweep(RunConfig::default(), 2, &[1, 2], 3);
-        assert_eq!(a.to_table("fig9").render_csv(), b.to_table("fig9").render_csv());
+        assert_eq!(
+            a.to_table("fig9").render_csv(),
+            b.to_table("fig9").render_csv()
+        );
     }
 }

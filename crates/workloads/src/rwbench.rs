@@ -48,7 +48,9 @@ fn op_streams(cfg: &RwConfig) -> Vec<Vec<bool>> {
     (0..cfg.nprocs)
         .map(|pid| {
             let mut rng = Rng::new(cfg.seed ^ (pid as u64).wrapping_mul(0x9E37_79B9));
-            (0..cfg.iters).map(|_| rng.chance(cfg.read_fraction)).collect()
+            (0..cfg.iters)
+                .map(|_| rng.chance(cfg.read_fraction))
+                .collect()
         })
         .collect()
 }

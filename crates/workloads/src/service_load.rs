@@ -31,8 +31,8 @@
 
 use crate::executor::{Executor, Outcome};
 use crate::sweeps::{parallel_cells, RunConfig};
-use std::cell::RefCell;
 use simcore::Rng;
+use std::cell::RefCell;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 use trace::histo::Histogram;
@@ -311,7 +311,10 @@ struct KeyState {
 /// Deterministic: the event queue breaks time ties by insertion sequence,
 /// and all randomness comes from streams forked off the config seed.
 pub fn sim_load(policy: LockPolicy, cfg: &ServiceLoadConfig) -> ServiceLoadResult {
-    assert!(cfg.threads > 0, "the service load needs at least one worker");
+    assert!(
+        cfg.threads > 0,
+        "the service load needs at least one worker"
+    );
     let reqs = generate_requests(cfg);
     let mut grant_rng = Rng::new(cfg.seed).fork(4);
 
@@ -329,7 +332,12 @@ pub fn sim_load(policy: LockPolicy, cfg: &ServiceLoadConfig) -> ServiceLoadResul
         seq += 1;
     };
     for (i, r) in reqs.iter().enumerate() {
-        schedule(&mut heap, &mut payload, r.arrival, EventKind::Arrival(i as u32));
+        schedule(
+            &mut heap,
+            &mut payload,
+            r.arrival,
+            EventKind::Arrival(i as u32),
+        );
     }
 
     let mut keys: HashMap<u64, KeyState> = HashMap::new();
@@ -371,7 +379,16 @@ pub fn sim_load(policy: LockPolicy, cfg: &ServiceLoadConfig) -> ServiceLoadResul
                     ks.waiters.push_back(r);
                 } else {
                     ks.held = true;
-                    grant(r, now, 0, &reqs, &mut wait, &mut heap, &mut payload, &mut seq);
+                    grant(
+                        r,
+                        now,
+                        0,
+                        &reqs,
+                        &mut wait,
+                        &mut heap,
+                        &mut payload,
+                        &mut seq,
+                    );
                 }
             }
             EventKind::Completion(r) => {
@@ -391,7 +408,14 @@ pub fn sim_load(policy: LockPolicy, cfg: &ServiceLoadConfig) -> ServiceLoadResul
                         .expect("picked waiter in range");
                     let cost = policy.grant_cost(n);
                     grant(
-                        next, now, cost, &reqs, &mut wait, &mut heap, &mut payload, &mut seq,
+                        next,
+                        now,
+                        cost,
+                        &reqs,
+                        &mut wait,
+                        &mut heap,
+                        &mut payload,
+                        &mut seq,
                     );
                 }
                 // Free the worker: admit the oldest queued arrival.
@@ -402,7 +426,16 @@ pub fn sim_load(policy: LockPolicy, cfg: &ServiceLoadConfig) -> ServiceLoadResul
                         ks.waiters.push_back(q);
                     } else {
                         ks.held = true;
-                        grant(q, now, 0, &reqs, &mut wait, &mut heap, &mut payload, &mut seq);
+                        grant(
+                            q,
+                            now,
+                            0,
+                            &reqs,
+                            &mut wait,
+                            &mut heap,
+                            &mut payload,
+                            &mut seq,
+                        );
                     }
                 } else {
                     free_workers += 1;
@@ -509,7 +542,10 @@ pub fn async_load_with_metrics(
     wake_cost: u64,
     mode: service::MetricsMode,
 ) -> AsyncMetricsReport {
-    assert!(cfg.threads > 0, "the service load needs at least one worker");
+    assert!(
+        cfg.threads > 0,
+        "the service load needs at least one worker"
+    );
     let reqs = generate_requests(cfg);
     let svc = service::AsyncLockService::with_metrics_mode(256, mode);
     let pool = svc

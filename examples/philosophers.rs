@@ -27,7 +27,11 @@ fn main() {
                 let left = seat;
                 let right = (seat + 1) % PHILOSOPHERS;
                 // Global order: lower index first — no circular wait.
-                let (first, second) = if left < right { (left, right) } else { (right, left) };
+                let (first, second) = if left < right {
+                    (left, right)
+                } else {
+                    (right, left)
+                };
                 for _ in 0..MEALS {
                     let mut f1 = forks[first].lock();
                     let mut f2 = forks[second].lock();

@@ -14,10 +14,7 @@ use workloads::csbench::{run, CsConfig};
 fn main() {
     let mut args = std::env::args().skip(1);
     let name = args.next().unwrap_or_else(|| "qsm".to_string());
-    let nprocs: usize = args
-        .next()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(16);
+    let nprocs: usize = args.next().and_then(|s| s.parse().ok()).unwrap_or(16);
 
     let Some(lock) = lock_by_name(&name) else {
         eprintln!(
@@ -48,15 +45,13 @@ fn main() {
         println!("  elapsed cycles           {}", r.total_cycles);
         println!("  lock passing time        {:.1} cycles/CS", r.passing_time);
         println!("  interconnect txns / CS   {:.2}", r.transactions_per_cs);
-        println!("  cache hit rate           {:.1}%", r.metrics.hit_rate() * 100.0);
+        println!(
+            "  cache hit rate           {:.1}%",
+            r.metrics.hit_rate() * 100.0
+        );
         println!("  invalidations            {}", r.metrics.invalidations);
         println!("  watchpoint wakeups       {}", r.metrics.wakeups());
-        let spin: u64 = r
-            .metrics
-            .per_proc
-            .iter()
-            .map(|p| p.spin_wait_cycles)
-            .sum();
+        let spin: u64 = r.metrics.per_proc.iter().map(|p| p.spin_wait_cycles).sum();
         println!("  total spin-wait cycles   {spin}");
         println!();
     }

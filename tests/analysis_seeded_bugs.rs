@@ -212,7 +212,9 @@ fn deadlock_detector_finds_the_ab_ba_deadlock_with_preemption() {
 fn test_and_set_family_starves_a_waiter() {
     for name in ["tas", "tas-backoff", "ttas"] {
         let lock: Arc<dyn LockKernel + Send + Sync> = lock_by_name(name).unwrap().into();
-        let explorer = Explorer::bounded(2).with_max_steps(80).with_max_runs(20_000);
+        let explorer = Explorer::bounded(2)
+            .with_max_steps(80)
+            .with_max_runs(20_000);
         // Three iterations: the bypass count only arms once the waiter is
         // past its doorway, so the overtaker needs three wins to exceed a
         // bound of one from the victim's perspective.
@@ -236,7 +238,9 @@ fn fifo_locks_satisfy_bounded_bypass() {
         "qsm",
     ] {
         let lock: Arc<dyn LockKernel + Send + Sync> = lock_by_name(name).unwrap().into();
-        let explorer = Explorer::bounded(2).with_max_steps(80).with_max_runs(20_000);
+        let explorer = Explorer::bounded(2)
+            .with_max_steps(80)
+            .with_max_runs(20_000);
         let v = check_lock(lock, 2, 2, explorer.with_bypass_bound(1));
         v.expect_pass(&format!("{name} bounded bypass"));
     }

@@ -54,7 +54,10 @@ fn futex_wake_n_of_m_wakes_exactly_n() {
     // Waking N without changing the word releases nobody for good: exactly
     // N are woken, re-check, see 0, and park again.
     assert_eq!(lot.wake_addr(addr, N), N);
-    eventually(|| lot.parked_count(&word) == M, "spuriously woken waiters re-parked");
+    eventually(
+        || lot.parked_count(&word) == M,
+        "spuriously woken waiters re-parked",
+    );
     assert_eq!(released.load(Ordering::SeqCst), 0);
 
     // Publish the change, then wake exactly N: exactly N get out.
@@ -64,7 +67,11 @@ fn futex_wake_n_of_m_wakes_exactly_n() {
         || released.load(Ordering::SeqCst) == N as u64,
         "exactly n waiters released",
     );
-    assert_eq!(lot.parked_count(&word), M - N, "the rest must still be parked");
+    assert_eq!(
+        lot.parked_count(&word),
+        M - N,
+        "the rest must still be parked"
+    );
 
     // Wake the remainder; everyone finishes.
     assert_eq!(lot.wake_addr(addr, usize::MAX), M - N);
@@ -104,8 +111,7 @@ fn simulated_blocking_run_balances_parks_and_wakes() {
     let lock = kernels::locks::lock_by_name("qsm-block-park").unwrap();
     let (nprocs, cores) = (8, 4);
     let machine = workloads::oversub::oversub_machine(nprocs, cores);
-    let (count, report) =
-        kernels::locks::counter_trial(&machine, &*lock, nprocs, 4, 10).unwrap();
+    let (count, report) = kernels::locks::counter_trial(&machine, &*lock, nprocs, 4, 10).unwrap();
     assert_eq!(count, (nprocs * 4) as u64);
     assert!(
         report.metrics.futex_parks() > 0,
@@ -118,7 +124,9 @@ fn simulated_blocking_run_balances_parks_and_wakes() {
 fn blocking_mutex_counts_correctly_oversubscribed() {
     // More threads than host cores: the configuration the park path is
     // for. A lost wakeup here shows up as a hang (caught by test timeout).
-    let threads = 2 * std::thread::available_parallelism().map(|n| n.get()).unwrap_or(2);
+    let threads = 2 * std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(2);
     let iters = 300;
     let mutex: Arc<qsm::Mutex<u64>> = Arc::new(qsm::Mutex::new(0));
     let handles: Vec<_> = (0..threads)

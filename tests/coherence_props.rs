@@ -7,8 +7,8 @@
 //! an external property-testing framework — the workspace builds with no
 //! registry access.
 
-use memsim::{Machine, MachineParams, Topology};
 use kernels::SyncCtx;
+use memsim::{Machine, MachineParams, Topology};
 use simcore::Rng;
 
 /// A single random operation in a generated program.
@@ -201,8 +201,7 @@ fn timing_and_traffic_bounds() {
                 "case {case}: proc {pid} finished before its own delays"
             );
         }
-        let classified: u64 =
-            m.misses() + m.per_proc.iter().map(|p| p.upgrades).sum::<u64>();
+        let classified: u64 = m.misses() + m.per_proc.iter().map(|p| p.upgrades).sum::<u64>();
         assert_eq!(
             m.interconnect_transactions, classified,
             "case {case}: unclassified interconnect traffic"

@@ -484,8 +484,7 @@ fn waiting_array_protocols_pass_and_their_seeded_bugs_are_found() {
 )]
 fn waiting_array_larger_searches_pass_under_every_mode() {
     assert_eq!(SEM_FIXED.map(runs_of), [[18_884, 8_694], [20_899, 6_045]]);
-    let [acquirers, acquirers_bug, three_on_two, three_on_two_bug] =
-        SEM_LARGER.map(runs_of);
+    let [acquirers, acquirers_bug, three_on_two, three_on_two_bug] = SEM_LARGER.map(runs_of);
     assert_eq!(acquirers, [152_117, 69_596]);
     assert_eq!(acquirers_bug, [5_906, 2_737]);
     assert_eq!(three_on_two, [362_700, 84_800]);
@@ -583,10 +582,22 @@ fn measure() {
         ("qsm-4-fixed", Box::new(|| qsm_program(4, 1, true))),
         ("qsm-3-bug", Box::new(|| qsm_program(3, 1, false))),
         ("qsm-4-bug", Box::new(|| qsm_program(4, 1, false))),
-        ("eventcount-wrap-3-fixed", Box::new(|| eventcount_wrap_program(3, true))),
-        ("eventcount-wrap-4-fixed", Box::new(|| eventcount_wrap_program(4, true))),
-        ("eventcount-wrap-3-bug", Box::new(|| eventcount_wrap_program(3, false))),
-        ("eventcount-wrap-4-bug", Box::new(|| eventcount_wrap_program(4, false))),
+        (
+            "eventcount-wrap-3-fixed",
+            Box::new(|| eventcount_wrap_program(3, true)),
+        ),
+        (
+            "eventcount-wrap-4-fixed",
+            Box::new(|| eventcount_wrap_program(4, true)),
+        ),
+        (
+            "eventcount-wrap-3-bug",
+            Box::new(|| eventcount_wrap_program(3, false)),
+        ),
+        (
+            "eventcount-wrap-4-bug",
+            Box::new(|| eventcount_wrap_program(4, false)),
+        ),
         (
             "eventcount-two-targets-fixed",
             Box::new(|| eventcount_staggered_targets_program(3, true)),
@@ -595,12 +606,24 @@ fn measure() {
             "eventcount-two-targets-bug",
             Box::new(|| eventcount_staggered_targets_program(3, false)),
         ),
-        ("spin-then-park-3-fixed", Box::new(|| spin_then_park_program(3, true))),
-        ("spin-then-park-3-bug", Box::new(|| spin_then_park_program(3, false))),
+        (
+            "spin-then-park-3-fixed",
+            Box::new(|| spin_then_park_program(3, true)),
+        ),
+        (
+            "spin-then-park-3-bug",
+            Box::new(|| spin_then_park_program(3, false)),
+        ),
         ("barrier-3-fixed", Box::new(|| barrier_program(3, true))),
         ("barrier-3-bug", Box::new(|| barrier_program(3, false))),
-        ("barrier-unarrive-fixed", Box::new(|| barrier_unarrive_program(true))),
-        ("barrier-unarrive-bug", Box::new(|| barrier_unarrive_program(false))),
+        (
+            "barrier-unarrive-fixed",
+            Box::new(|| barrier_unarrive_program(true)),
+        ),
+        (
+            "barrier-unarrive-bug",
+            Box::new(|| barrier_unarrive_program(false)),
+        ),
         (
             "check-then-set",
             Box::new(|| corpus_program("check-then-set").unwrap().0),

@@ -49,7 +49,11 @@ fn violating_verdict_is_byte_identical_across_worker_counts() {
     for mode in [DporMode::Sleep, DporMode::Source] {
         let explorer = Explorer::exhaustive().with_dpor(mode);
         let out = renders(&explorer, &lost_update(3), 3);
-        assert!(out[0].contains("Violation"), "{mode}: expected a violation, got {}", out[0]);
+        assert!(
+            out[0].contains("Violation"),
+            "{mode}: expected a violation, got {}",
+            out[0]
+        );
         assert_eq!(out[0], out[1], "{mode}: workers 1 vs 2 diverged");
         assert_eq!(out[0], out[2], "{mode}: workers 1 vs 8 diverged");
     }

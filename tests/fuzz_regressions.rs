@@ -189,7 +189,10 @@ fn fuzz_failures_are_reproducible_from_the_seed() {
 /// strictest bound must reach — and correctly classify — the hang.
 #[test]
 fn bounded_explorer_classifies_the_park_hang_as_lost_wakeup() {
-    for explorer in [Explorer::bounded(0), Explorer::bounded(0).with_bypass_bound(1)] {
+    for explorer in [
+        Explorer::bounded(0),
+        Explorer::bounded(0).with_bypass_bound(1),
+    ] {
         let verdict = explorer.check(&eventcount_wrap_program(3, false), |_| Ok(()));
         assert_eq!(
             VerdictClass::of(&verdict),

@@ -154,8 +154,12 @@ fn quick_mode_figures_match_golden_files() {
                 .unwrap_or_else(|e| panic!("writing {}: {e}", path.display()));
             continue;
         }
-        let golden = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("reading {}: {e} (run with SYNCMECH_BLESS=1 to create)", path.display()));
+        let golden = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+            panic!(
+                "reading {}: {e} (run with SYNCMECH_BLESS=1 to create)",
+                path.display()
+            )
+        });
         if rendered != golden {
             failures.push(format!(
                 "{}: golden (-) vs actual (+):\n{}",
@@ -175,7 +179,9 @@ fn quick_mode_figures_match_golden_files() {
 #[test]
 fn unified_diff_prints_hunks_with_context() {
     let old: String = (1..=30).map(|i| format!("line {i}\n")).collect();
-    let new = old.replace("line 10\n", "line ten\n").replace("line 25\n", "");
+    let new = old
+        .replace("line 10\n", "line ten\n")
+        .replace("line 25\n", "");
     let d = unified_diff(&old, &new);
     // First hunk: one changed line at 10 with three lines of context.
     assert!(d.contains("@@ -7,7 +7,7 @@"), "got:\n{d}");

@@ -121,7 +121,6 @@ fn every_barrier_is_safe_three_threads_one_episode() {
     for barrier in all_barriers() {
         let name = barrier.name();
         let barrier: Arc<dyn kernels::barriers::BarrierKernel + Send + Sync> = Arc::from(barrier);
-        check_barrier(barrier, 3, 1, Explorer::bounded(2).with_max_runs(6000))
-            .expect_pass(name);
+        check_barrier(barrier, 3, 1, Explorer::bounded(2).with_max_runs(6000)).expect_pass(name);
     }
 }

@@ -144,8 +144,7 @@ fn async_churn_and_cancellation_storms_balance() {
                         let mut granted = None;
                         for _ in 0..polls {
                             let (waker, _flag) = flag_waker();
-                            let poll =
-                                Pin::new(&mut fut).poll(&mut Context::from_waker(&waker));
+                            let poll = Pin::new(&mut fut).poll(&mut Context::from_waker(&waker));
                             if let Poll::Ready(g) = poll {
                                 granted = Some(g);
                                 break;

@@ -140,7 +140,10 @@ fn million_key_churn_drains_and_balances() {
         futex.wakes,
         futex.resumes
     );
-    assert_eq!(futex.parks, futex.resumes, "every park resumed exactly once");
+    assert_eq!(
+        futex.parks, futex.resumes,
+        "every park resumed exactly once"
+    );
 
     // Telemetry (default `counters` mode) must account for every one of
     // the million-plus acquisitions, and fast/parked must partition

@@ -35,8 +35,8 @@ fn load_entries() -> Vec<(PathBuf, CorpusEntry)> {
         .filter(|p| p.extension().and_then(|e| e.to_str()) == Some("corpus"))
         .map(|path| {
             let text = std::fs::read_to_string(&path).expect("readable corpus file");
-            let entry = CorpusEntry::parse(&text)
-                .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+            let entry =
+                CorpusEntry::parse(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
             (path, entry)
         })
         .collect();

@@ -84,7 +84,10 @@ fn fig3_shape_traffic_ordering() {
     let tas32 = traffic("tas", 32);
     let qsm8 = traffic("qsm", 8);
     let qsm32 = traffic("qsm", 32);
-    assert!(tas32 > 2.5 * tas8, "tas traffic grows: {tas8:.1} -> {tas32:.1}");
+    assert!(
+        tas32 > 2.5 * tas8,
+        "tas traffic grows: {tas8:.1} -> {tas32:.1}"
+    );
     assert!(
         qsm32 < qsm8 * 1.3,
         "qsm traffic ~constant: {qsm8:.1} -> {qsm32:.1}"
@@ -106,7 +109,9 @@ fn fig4_shape_crossover() {
             jitter: true,
             ..CsConfig::new(16, 10)
         };
-        csbench::run(&machine, lock.as_ref(), &cfg).unwrap().throughput
+        csbench::run(&machine, lock.as_ref(), &cfg)
+            .unwrap()
+            .throughput
     };
     // Heavy contention: queue lock clearly ahead of plain tas.
     assert!(throughput("qsm", 256) > 1.2 * throughput("tas", 256));
@@ -143,7 +148,10 @@ fn fig56_shape_barrier_scaling() {
     };
     let c8 = episode(MachineKind::Bus, "central", 8);
     let c48 = episode(MachineKind::Bus, "central", 48);
-    assert!(c48 > 4.0 * c8, "central must serialize: {c8:.0} @8 vs {c48:.0} @48");
+    assert!(
+        c48 > 4.0 * c8,
+        "central must serialize: {c8:.0} @8 vs {c48:.0} @48"
+    );
 
     // Every log-depth barrier beats the central counter's hot spot on the
     // NUMA machine at scale, and grows sublinearly in P.
@@ -210,7 +218,10 @@ fn fig7_shape_fast_path() {
     assert!(lat_solo < 60.0, "uncontended qsm {lat_solo:.1} too slow");
     let qsm16 = passing_time(MachineKind::Bus, qsm.as_ref(), 16);
     let mcs16 = passing_time(MachineKind::Bus, lock_by_name("mcs").unwrap().as_ref(), 16);
-    assert!(qsm16 < 1.25 * mcs16, "contended qsm {qsm16:.0} vs mcs {mcs16:.0}");
+    assert!(
+        qsm16 < 1.25 * mcs16,
+        "contended qsm {qsm16:.0} vs mcs {mcs16:.0}"
+    );
 }
 
 /// Everything above is deterministic: a full trial repeated bit-for-bit.

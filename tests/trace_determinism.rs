@@ -75,7 +75,10 @@ fn exported_traces_validate_with_one_track_per_processor() {
     // The fig9 oversubscription workload: 8 simulated processors.
     let json = export_trace("oversub", &quick());
     let stats = trace::chrome::validate(&json).expect("oversub trace validates");
-    assert_eq!(stats.tracks, 8, "one Perfetto track per simulated processor");
+    assert_eq!(
+        stats.tracks, 8,
+        "one Perfetto track per simulated processor"
+    );
     assert!(stats.spans > 0, "lock wait/hold spans must be present");
     // The always-park lock on an oversubscribed machine must show wake
     // flow arrows (phase s/f lines).
