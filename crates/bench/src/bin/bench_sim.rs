@@ -7,12 +7,10 @@
 //!
 //! Every deterministic figure is rendered **twice**, from two `Opts` values
 //! that differ only in their sweep thread count: once on one thread and
-//! once on `SYNCMECH_SWEEP_THREADS` (default: the host's parallelism). The
-//! two outputs are compared byte for byte before both wall-clocks and their
-//! ratio are reported; a mismatch is a determinism bug and fails the run.
-//! The report is schema v4; its header also records the resolved
-//! `service_metrics` mode the service figures ran under. Before it is
-//! written, the report is parsed back and checked against the figure
+//! once on the host's parallelism. The two outputs are compared byte for
+//! byte before both wall-clocks and their ratio are reported; a mismatch is
+//! a determinism bug and fails the run. The report is schema v5. Before it
+//! is written, the report is parsed back and checked against the figure
 //! registry (`bench::figures::check_report`); a report that fails the
 //! check is not written and the run exits non-zero.
 //!
@@ -24,7 +22,6 @@ use bench::figures::FIGURES;
 use bench::Opts;
 use std::fmt::Write as _;
 use std::time::Instant;
-use workloads::sweeps::RunConfig;
 
 const USAGE: &str = "\
 usage: bench_sim [--quick | --full] [--only IDS] [--out PATH]
@@ -39,12 +36,7 @@ usage: bench_sim [--quick | --full] [--only IDS] [--out PATH]
   --full      full sweeps (default; the publication figures)
   --only IDS  comma-separated figure ids to run (default: all)
   --out PATH  where to write the JSON report (default BENCH_sim.json)
-  --help      show this help
-
-environment (a malformed value is an error):
-  SYNCMECH_SWEEP_THREADS=N    host threads for the second, parallel render
-  SYNCMECH_SERVICE_METRICS=off|counters|sampled:<N>
-                              telemetry mode of the service figures";
+  --help      show this help";
 
 struct Args {
     quick: bool,
@@ -117,25 +109,18 @@ fn parse_args() -> Args {
 
 fn main() {
     let args = parse_args();
-    // Resolve (and strictly validate) every knob up front: a bad value
-    // must abort before an hour of rendering, not when the first figure
-    // that uses it starts.
-    let knobs = Opts::knobs().unwrap_or_else(|msg| {
-        eprintln!("error: {msg}");
-        std::process::exit(2);
-    });
     let mode = if args.quick { "quick" } else { "full" };
     let host_cores = simcore::host_parallelism();
-    let threads = knobs.run.threads;
-    let service_metrics = knobs.metrics.label();
+    let threads = host_cores;
 
     // The two renders: identical but for their sweep thread count.
     let parallel = Opts {
+        csv: false,
         quick: args.quick,
-        ..knobs
+        threads,
     };
     let serial = Opts {
-        run: RunConfig::SERIAL,
+        threads: 1,
         ..parallel
     };
 
@@ -207,9 +192,8 @@ fn main() {
     let total_ms = total_start.elapsed().as_secs_f64() * 1e3;
 
     let json = format!(
-        "{{\n  \"schema\": \"syncmech-bench-sim/v4\",\n  \"mode\": \"{mode}\",\n  \
+        "{{\n  \"schema\": \"syncmech-bench-sim/v5\",\n  \"mode\": \"{mode}\",\n  \
          \"host_cores\": {host_cores},\n  \"sweep_threads\": {threads},\n  \
-         \"service_metrics\": \"{service_metrics}\",\n  \
          \"figures\": [\n{figure_entries}\n  ],\n  \
          \"deterministic_serial_wall_ms\": {serial_ms:.1},\n  \
          \"deterministic_parallel_wall_ms\": {parallel_ms:.1},\n  \

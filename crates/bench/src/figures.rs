@@ -15,6 +15,7 @@ use service::protocol::{self, QsmQueue};
 use simcore::table::{fmt_cell, Table};
 use simcore::Series;
 use workloads::csbench::{self, CsConfig};
+use workloads::executor::WAKE_COST;
 use workloads::oversub::{blocking_latency_table, oversubscription_sweep};
 use workloads::rwbench::{run_mutex, run_rwlock, RwConfig};
 use workloads::service_load::{self, LockPolicy, ServiceLoadConfig};
@@ -169,7 +170,7 @@ pub fn run_main(id: &str) {
 }
 
 /// Checks a `bench_sim` report, after parsing it ([`trace::json::parse`]):
-/// schema v4, then one entry per figure of `figures` in that order, each
+/// schema v5, then one entry per figure of `figures` in that order, each
 /// naming its figure and carrying the wall-clocks of its kind (serial,
 /// parallel and speedup when deterministic, one otherwise). `bench_sim`
 /// runs it on every report before writing it.
@@ -181,8 +182,8 @@ pub fn check_report(text: &str, figures: &[&Figure]) -> Result<(), String> {
     use trace::json::Value;
     let doc = trace::json::parse(text)?;
     let is = |v: &Value, key, want: &str| v.get(key) == Some(&Value::Str(want.to_string()));
-    if !is(&doc, "schema", "syncmech-bench-sim/v4") {
-        return Err("the schema is not syncmech-bench-sim/v4".to_string());
+    if !is(&doc, "schema", "syncmech-bench-sim/v5") {
+        return Err("the schema is not syncmech-bench-sim/v5".to_string());
     }
     let Some(Value::Arr(entries)) = doc.get("figures") else {
         return Err("no \"figures\" array".to_string());
@@ -219,7 +220,7 @@ pub fn check_report(text: &str, figures: &[&Figure]) -> Result<(), String> {
 
 /// fig1 — lock passing time vs processor count on the bus machine.
 pub(crate) fn fig1(opts: &Opts) -> String {
-    let series = lock_scaling(opts.run, MachineKind::Bus, &opts.procs(), opts.iters());
+    let series = lock_scaling(opts.threads, MachineKind::Bus, &opts.procs(), opts.iters());
     let mut out = series_block(opts, "Fig 1: lock passing time vs P (bus machine)", &series);
     if !opts.csv {
         out.push_str(&final_ratio_block(&series, "tas", "qsm"));
@@ -230,7 +231,7 @@ pub(crate) fn fig1(opts: &Opts) -> String {
 
 /// fig2 — lock passing time vs processor count on the NUMA machine.
 pub(crate) fn fig2(opts: &Opts) -> String {
-    let series = lock_scaling(opts.run, MachineKind::Numa, &opts.procs(), opts.iters());
+    let series = lock_scaling(opts.threads, MachineKind::Numa, &opts.procs(), opts.iters());
     let mut out = series_block(
         opts,
         "Fig 2: lock passing time vs P (NUMA machine)",
@@ -244,7 +245,7 @@ pub(crate) fn fig2(opts: &Opts) -> String {
 
 /// fig3 — interconnect transactions per critical section vs P (bus).
 pub(crate) fn fig3(opts: &Opts) -> String {
-    let series = lock_traffic(opts.run, MachineKind::Bus, &opts.procs(), opts.iters());
+    let series = lock_traffic(opts.threads, MachineKind::Bus, &opts.procs(), opts.iters());
     let mut out = series_block(
         opts,
         "Fig 3: interconnect transactions per critical section vs P (bus)",
@@ -265,7 +266,7 @@ pub(crate) fn fig4(opts: &Opts) -> String {
     };
     let nprocs = if opts.quick { 4 } else { 16 };
     let iters = if opts.quick { 4 } else { 10 };
-    let series = contention_sweep(opts.run, MachineKind::Bus, nprocs, &holds, iters);
+    let series = contention_sweep(opts.threads, MachineKind::Bus, nprocs, &holds, iters);
     series_block(
         opts,
         &format!("Fig 4: throughput vs critical-section hold time (bus, P = {nprocs})"),
@@ -275,7 +276,12 @@ pub(crate) fn fig4(opts: &Opts) -> String {
 
 /// fig5 — barrier episode time vs P on the bus machine.
 pub(crate) fn fig5(opts: &Opts) -> String {
-    let series = barrier_scaling(opts.run, MachineKind::Bus, &opts.procs(), opts.episodes());
+    let series = barrier_scaling(
+        opts.threads,
+        MachineKind::Bus,
+        &opts.procs(),
+        opts.episodes(),
+    );
     let mut out = series_block(
         opts,
         "Fig 5: barrier episode time vs P (bus machine)",
@@ -289,7 +295,12 @@ pub(crate) fn fig5(opts: &Opts) -> String {
 
 /// fig6 — barrier episode time vs P on the NUMA machine.
 pub(crate) fn fig6(opts: &Opts) -> String {
-    let series = barrier_scaling(opts.run, MachineKind::Numa, &opts.procs(), opts.episodes());
+    let series = barrier_scaling(
+        opts.threads,
+        MachineKind::Numa,
+        &opts.procs(),
+        opts.episodes(),
+    );
     let mut out = series_block(
         opts,
         "Fig 6: barrier episode time vs P (NUMA machine)",
@@ -329,7 +340,7 @@ pub(crate) fn fig7(opts: &Opts) -> String {
     let nprocs = if opts.quick { 4 } else { 16 };
     let iters = if opts.quick { 4 } else { 10 };
 
-    let series = backoff_ablation(opts.run, MachineKind::Bus, nprocs, iters);
+    let series = backoff_ablation(opts.threads, MachineKind::Bus, nprocs, iters);
     let mut out = series_block(
         opts,
         &format!("Fig 7a/7b: backoff parameter sensitivity (bus, P = {nprocs})"),
@@ -405,7 +416,7 @@ pub(crate) fn fig9(opts: &Opts) -> String {
     } else {
         vec![1, 2, 4, 8]
     };
-    let series = oversubscription_sweep(opts.run, OVERSUB_CORES, &ratios, opts.iters());
+    let series = oversubscription_sweep(opts.threads, OVERSUB_CORES, &ratios, opts.iters());
     let mut out = series_block(
         opts,
         &format!(
@@ -423,8 +434,8 @@ pub(crate) fn fig9(opts: &Opts) -> String {
 pub(crate) fn table1(opts: &Opts) -> String {
     let mut table = Table::new(&["primitive", "bus cycles", "numa cycles"])
         .with_title("Table 1: uncontended latency per operation (P = 1)");
-    let bus = uncontended_table(opts.run, MachineKind::Bus);
-    let numa = uncontended_table(opts.run, MachineKind::Numa);
+    let bus = uncontended_table(opts.threads, MachineKind::Bus);
+    let numa = uncontended_table(opts.threads, MachineKind::Numa);
     for ((name, b), (name2, n)) in bus.into_iter().zip(numa) {
         assert_eq!(name, name2);
         table.row_owned(vec![name, fmt_cell(b), fmt_cell(n)]);
@@ -466,7 +477,7 @@ pub(crate) fn table2(opts: &Opts) -> String {
         cfg.total_cs
     ));
     let locks = all_locks();
-    let results = parallel_cells(locks.len(), opts.run.threads, |i| {
+    let results = parallel_cells(locks.len(), opts.threads, |i| {
         let machine = MachineKind::Bus.machine(nprocs);
         run(&machine, locks[i].as_ref(), &cfg)
             .unwrap_or_else(|e| panic!("{}: {e}", locks[i].name()))
@@ -509,7 +520,7 @@ pub(crate) fn table3(opts: &Opts) -> String {
     .with_title(format!(
         "Table 3 (extension): reader/writer mix, bus machine, P = {nprocs}"
     ));
-    let results = parallel_cells(fractions.len(), opts.run.threads, |i| {
+    let results = parallel_cells(fractions.len(), opts.threads, |i| {
         let cfg = RwConfig {
             nprocs,
             iters,
@@ -542,7 +553,7 @@ pub(crate) fn table3(opts: &Opts) -> String {
 /// (uncontended) and what it buys when oversubscribed, per wait policy.
 pub(crate) fn table4(opts: &Opts) -> String {
     let ratio = if opts.quick { 2 } else { 4 };
-    let rows = blocking_latency_table(opts.run, OVERSUB_CORES, ratio, opts.iters());
+    let rows = blocking_latency_table(opts.threads, OVERSUB_CORES, ratio, opts.iters());
     let passing_col = format!("passing @{ratio}x threads/core");
     let mut table = Table::new(&[
         "lock",
@@ -579,7 +590,10 @@ pub(crate) fn table4(opts: &Opts) -> String {
 /// sweep shape per mode.
 fn waitdist_sweep(opts: &Opts) -> (usize, Vec<workloads::waitdist::WaitDistResult>) {
     let nprocs = if opts.quick { 4 } else { 16 };
-    (nprocs, distribution_sweep(opts.run, nprocs, opts.iters()))
+    (
+        nprocs,
+        distribution_sweep(opts.threads, nprocs, opts.iters()),
+    )
 }
 
 /// fig10 — the lock wait-time CDF: for each lock, the wait-time quantile
@@ -650,7 +664,7 @@ pub(crate) fn fig11(opts: &Opts) -> String {
         vec![4, 16, 64, 256]
     };
     let requests = if opts.quick { 2_000 } else { 12_000 };
-    let results = service_load::service_sweep(opts.run, &threads, requests);
+    let results = service_load::service_sweep(opts.threads, &threads, requests);
     let mut series = Series::new("workers", "requests per kcycle");
     for r in &results {
         series.push(r.policy.name(), r.threads as u64, r.throughput());
@@ -689,7 +703,7 @@ pub(crate) fn table6(opts: &Opts) -> String {
     .with_title(format!(
         "Table 6: service wait-latency tail (workers = {threads}, {requests} requests, Zipf 1.1, cycles)"
     ));
-    let results = parallel_cells(LockPolicy::ALL.len(), opts.run.threads, |i| {
+    let results = parallel_cells(LockPolicy::ALL.len(), opts.threads, |i| {
         // Moderate load, unlike fig11's saturating one: near saturation
         // every wait is backlog and all policies pin the top histogram
         // buckets; at ~50% hot-key utilization the p50 stays small and
@@ -743,13 +757,14 @@ pub(crate) fn fig12(opts: &Opts) -> String {
         vec![4, 16, 64, 256]
     };
     let requests = if opts.quick { 2_000 } else { 12_000 };
-    // The executor's wake cost = the model's QSM handoff cost, so the
-    // only degrees of freedom left are the protocols themselves.
-    let wake_cost = 40;
-    let cells = parallel_cells(threads.len(), opts.run.threads, |i| {
+    // The executor's wake cost is the model's QSM handoff cost, so the
+    // only degrees of freedom left are the protocols themselves. The
+    // telemetry mode changes no byte of the async column (table7).
+    let cells = parallel_cells(threads.len(), opts.threads, |i| {
         let cfg = ServiceLoadConfig::new(threads[i], requests);
         let sim = service_load::sim_load(LockPolicy::Qsm, &cfg);
-        let real = service_load::async_load_with_metrics(&cfg, wake_cost, opts.metrics).result;
+        let mode = service::MetricsMode::default();
+        let real = service_load::async_load_with_metrics(&cfg, WAKE_COST, mode).result;
         (sim, real)
     });
     let mut table = Table::new(&[
@@ -762,7 +777,7 @@ pub(crate) fn fig12(opts: &Opts) -> String {
         "async p999",
     ])
     .with_title(format!(
-        "Fig 12: sync model vs async futures, grant latency ({requests} requests, Zipf 1.1, bursty open loop, wake cost {wake_cost})"
+        "Fig 12: sync model vs async futures, grant latency ({requests} requests, Zipf 1.1, bursty open loop, wake cost {WAKE_COST})"
     ));
     for (t, (sim, real)) in threads.iter().zip(&cells) {
         table.row_owned(vec![
@@ -809,15 +824,14 @@ pub(crate) fn table7(opts: &Opts) -> String {
 
     let threads = if opts.quick { 64 } else { 256 };
     let requests = if opts.quick { 2_000 } else { 12_000 };
-    let wake_cost = 40;
     let modes = [
         service::MetricsMode::Off,
         service::MetricsMode::Counters,
         service::MetricsMode::Sampled(64),
     ];
-    let reports = parallel_cells(modes.len(), opts.run.threads, |i| {
+    let reports = parallel_cells(modes.len(), opts.threads, |i| {
         let cfg = ServiceLoadConfig::new(threads, requests);
-        service_load::async_load_with_metrics(&cfg, wake_cost, modes[i])
+        service_load::async_load_with_metrics(&cfg, WAKE_COST, modes[i])
     });
     let mut table = Table::new(&[
         "mode",
@@ -831,7 +845,7 @@ pub(crate) fn table7(opts: &Opts) -> String {
         "wait samples",
     ])
     .with_title(format!(
-        "Table 7: telemetry overhead on the async service (workers = {threads}, {requests} requests, Zipf 1.1, wake cost {wake_cost})"
+        "Table 7: telemetry overhead on the async service (workers = {threads}, {requests} requests, Zipf 1.1, wake cost {WAKE_COST})"
     ));
     for (mode, rep) in modes.iter().zip(&reports) {
         table.row_owned(vec![

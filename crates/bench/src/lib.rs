@@ -13,17 +13,12 @@
 //!
 //! Unrecognized arguments are an error: the binary prints usage and exits
 //! nonzero rather than silently measuring something other than what the
-//! misspelled flag asked for.
-//!
-//! The environment knobs are read here too, once, by [`Opts::knobs`]: the
-//! resolved values ride in [`Opts`] down to the sweeps, the machines and
-//! the services, none of which consults the environment itself.
+//! misspelled flag asked for. No binary reads the environment: a figure
+//! is a function of its flags alone.
 
-use service::MetricsMode;
 use simcore::stats::LinearFit;
-use simcore::{knob, Series};
+use simcore::Series;
 use std::fmt::Write as _;
-use workloads::sweeps::RunConfig;
 
 pub mod figures;
 
@@ -82,17 +77,26 @@ pub mod trace_export {
 }
 
 /// Runtime options shared by all figure binaries.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy)]
 pub struct Opts {
     /// Emit CSV instead of an aligned table.
     pub csv: bool,
     /// Reduced sweep for smoke tests.
     pub quick: bool,
-    /// How the sweeps use the host: fan-out threads. Never changes a
+    /// Host threads for the sweeps' cell fan-out. Never changes a
     /// figure's bytes.
-    pub run: RunConfig,
-    /// Telemetry mode of the services the service figures build.
-    pub metrics: MetricsMode,
+    pub threads: usize,
+}
+
+/// Full mode, aligned text, the sweeps on the host's parallelism.
+impl Default for Opts {
+    fn default() -> Self {
+        Opts {
+            csv: false,
+            quick: false,
+            threads: simcore::host_parallelism(),
+        }
+    }
 }
 
 /// Outcome of parsing that is not an `Opts`: the caller decides how to
@@ -103,8 +107,6 @@ pub(crate) enum ArgError {
     Help,
     /// An argument no figure binary understands.
     Unknown(String),
-    /// A malformed environment knob (the message names it).
-    Knob(String),
 }
 
 impl Opts {
@@ -114,65 +116,28 @@ usage: <figure binary> [--csv] [--quick] [--help]
 
   --csv     emit CSV instead of the aligned text table
   --quick   reduced sweep; used by smoke tests
-  --help    show this help
+  --help    show this help";
 
-environment (a malformed value is an error; none changes the output):
-  SYNCMECH_SWEEP_THREADS=N    host threads for the sweep fan-out
-  SYNCMECH_SERVICE_METRICS=off|counters|sampled:<N>
-                              telemetry mode of the service figures";
-
-    /// The options the environment knobs select, before any flag: the
-    /// one place `SYNCMECH_SWEEP_THREADS` and `SYNCMECH_SERVICE_METRICS`
-    /// are read.
-    ///
-    /// # Errors
-    ///
-    /// The rejection message of the first malformed knob.
-    pub fn knobs() -> Result<Opts, String> {
-        Ok(Opts {
-            csv: false,
-            quick: false,
-            run: RunConfig {
-                threads: knob::SWEEP_THREADS
-                    .read(knob::positive)?
-                    .unwrap_or_else(simcore::host_parallelism),
-            },
-            metrics: knob::SERVICE_METRICS
-                .read(MetricsMode::parse)?
-                .unwrap_or_default(),
-        })
-    }
-
-    /// Parses command-line flags on top of `base` (the environment-derived
-    /// defaults). Stops at the first argument it does not recognize.
-    pub(crate) fn parse(
-        args: impl Iterator<Item = String>,
-        mut base: Opts,
-    ) -> Result<Opts, ArgError> {
+    /// Parses command-line flags over [`Opts::default`]. Stops at the
+    /// first argument it does not recognize.
+    pub(crate) fn parse(args: impl Iterator<Item = String>) -> Result<Opts, ArgError> {
+        let mut opts = Opts::default();
         for arg in args {
             match arg.as_str() {
-                "--csv" => base.csv = true,
-                "--quick" => base.quick = true,
+                "--csv" => opts.csv = true,
+                "--quick" => opts.quick = true,
                 "--help" | "-h" => return Err(ArgError::Help),
                 other => return Err(ArgError::Unknown(other.to_string())),
             }
         }
-        Ok(base)
+        Ok(opts)
     }
 
-    /// Resolves the environment knobs ([`Opts::knobs`]) and the process
-    /// arguments; on `--help` prints usage and exits 0, on a malformed knob
-    /// or an unknown argument prints the reason to stderr and exits 2.
+    /// Parses the process arguments; on `--help` prints usage and exits 0,
+    /// on an unknown argument prints the reason to stderr and exits 2.
     pub(crate) fn from_env() -> Self {
-        let parsed = Self::knobs()
-            .map_err(ArgError::Knob)
-            .and_then(|base| Self::parse(std::env::args().skip(1), base));
-        match parsed {
+        match Self::parse(std::env::args().skip(1)) {
             Ok(opts) => opts,
-            Err(ArgError::Knob(msg)) => {
-                eprintln!("error: {msg}");
-                std::process::exit(2);
-            }
             Err(ArgError::Help) => {
                 println!("{}", Self::USAGE);
                 std::process::exit(0);
@@ -328,32 +293,17 @@ mod tests {
 
     #[test]
     fn parse_accepts_known_flags_in_any_order() {
-        let opts = Opts::parse(
-            ["--quick".to_string(), "--csv".to_string()].into_iter(),
-            Opts::default(),
-        )
-        .unwrap();
+        let opts = Opts::parse(["--quick".to_string(), "--csv".to_string()].into_iter()).unwrap();
         assert!(opts.csv && opts.quick);
+        assert_eq!(opts.threads, simcore::host_parallelism());
     }
 
     #[test]
     fn parse_rejects_unknown_flags() {
-        let err = Opts::parse(["--cvs".to_string()].into_iter(), Opts::default()).unwrap_err();
+        let err = Opts::parse(["--cvs".to_string()].into_iter()).unwrap_err();
         assert_eq!(err, ArgError::Unknown("--cvs".to_string()));
-        let err = Opts::parse(["--help".to_string()].into_iter(), Opts::default()).unwrap_err();
+        let err = Opts::parse(["--help".to_string()].into_iter()).unwrap_err();
         assert_eq!(err, ArgError::Help);
-    }
-
-    #[test]
-    fn parse_keeps_environment_base() {
-        let base = Opts {
-            run: RunConfig { threads: 3 },
-            metrics: MetricsMode::Off,
-            ..Opts::default()
-        };
-        let opts = Opts::parse(["--quick".to_string()].into_iter(), base).unwrap();
-        assert!(opts.quick && !opts.csv);
-        assert_eq!((opts.run, opts.metrics), (base.run, base.metrics));
     }
 
     #[test]

@@ -33,7 +33,6 @@ use interleave::{DporMode, Explorer, Failure, OpKind, Program, Replay, ReplayEnd
 use interleave::{Stats, Verdict};
 use kernels::barriers::{all_barriers, barrier_by_name, BarrierKernel};
 use kernels::locks::{all_locks, lock_by_name, LockKernel};
-use simcore::knob;
 use std::process::ExitCode;
 use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::Arc;
@@ -176,17 +175,20 @@ fn parse_args() -> Args {
             std::process::exit(2);
         })
     }
-    /// A flag whose value must be a positive integer, by the same parser
-    /// as the environment knobs.
+    /// A flag whose value must be a positive integer (surrounding
+    /// whitespace tolerated).
     fn positive<T: std::str::FromStr + Default + PartialEq>(
         it: &mut impl Iterator<Item = String>,
         flag: &str,
     ) -> T {
         let v: String = num(it, flag);
-        knob::positive(&v).unwrap_or_else(|why| {
-            eprintln!("{flag} {v:?}: {why}");
-            std::process::exit(2);
-        })
+        let why = match v.trim().parse::<T>() {
+            Ok(n) if n != T::default() => return n,
+            Ok(_) => "zero is not positive",
+            Err(_) => "not a positive integer",
+        };
+        eprintln!("{flag} {v:?}: {why}");
+        std::process::exit(2);
     }
     while let Some(arg) = it.next() {
         match arg.as_str() {

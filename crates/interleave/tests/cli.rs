@@ -124,3 +124,20 @@ fn a_failing_fuzz_campaign_prints_its_shrunk_schedule_and_a_replay_of_it() {
     assert_eq!(code, 1, "the replay fails too");
     assert_eq!(last, failure, "the replay ends in the same failure");
 }
+
+#[test]
+fn a_count_flag_rejects_zero_and_garbage_before_running() {
+    for (value, why) in [
+        ("0", "zero is not positive"),
+        ("lots", "not a positive integer"),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_interleave"))
+            .args(["check", "lock:qsm", "--iters", value])
+            .output()
+            .expect("the interleave binary starts");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{err}");
+        assert!(out.stdout.is_empty(), "ran despite --iters {value:?}");
+        assert!(err.contains(&format!("--iters {value:?}: {why}")), "{err}");
+    }
+}

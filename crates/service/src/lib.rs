@@ -63,10 +63,8 @@
 //!
 //! Nothing in this crate reads the environment. [`LockService::new`] and
 //! [`LockService::with_shards`] mean [`DEFAULT_SHARDS`] and
-//! [`MetricsMode::Counters`]; a binary that offers a knob for the
-//! telemetry mode (the figure binaries and `bench_sim` do) parses it at
-//! its edge — [`MetricsMode::parse`] is the telemetry grammar — and passes
-//! [`LockService::with_metrics_mode`] the value.
+//! [`MetricsMode::Counters`]; a caller that wants another telemetry mode
+//! (table7 runs all three) passes it to [`LockService::with_metrics_mode`].
 
 pub mod async_lock;
 pub mod lock;

@@ -38,8 +38,8 @@
 //!   workloads whose waiters turn over reset the age every park, so the
 //!   threshold is a bound on *individual* wait time, not throughput.
 //!
-//! The mode is `off`, `counters` (the default) or `sampled:<N>`
-//! ([`MetricsMode::parse`]), always passed in by the caller. `off`
+//! The mode is [`MetricsMode`]: `off`, `counters` (the default) or
+//! `sampled:<N>`, always passed in by the caller. `off`
 //! compiles every instrumentation call down to one predictable branch on
 //! an immutable field — no atomics, no timestamps — and builds the table
 //! no flight recorder, which is what lets
@@ -78,28 +78,13 @@ pub enum MetricsMode {
 }
 
 impl MetricsMode {
-    /// The knob spelling of this mode (`off`, `counters`, `sampled:N`).
+    /// How table7 and the JSON snapshot print this mode (`off`,
+    /// `counters`, `sampled:N`).
     pub fn label(&self) -> String {
         match self {
             MetricsMode::Off => "off".to_string(),
             MetricsMode::Counters => "counters".to_string(),
             MetricsMode::Sampled(n) => format!("sampled:{n}"),
-        }
-    }
-
-    /// Parses a mode spelling, the inverse of [`MetricsMode::label`]:
-    /// `off`, `counters`, or `sampled:<N>` with `N >= 1` (`sampled:1`
-    /// records every operation). Anything else is an error.
-    pub fn parse(raw: &str) -> Result<MetricsMode, String> {
-        match raw.trim() {
-            "off" => Ok(MetricsMode::Off),
-            "counters" => Ok(MetricsMode::Counters),
-            other => match other.strip_prefix("sampled:").map(str::parse::<u64>) {
-                Some(Ok(0)) => Err("the sample period must be at least 1".to_string()),
-                Some(Ok(n)) => Ok(MetricsMode::Sampled(n)),
-                Some(Err(_)) => Err("the sample period is not a number".to_string()),
-                None => Err(String::new()),
-            },
         }
     }
 }
@@ -712,25 +697,6 @@ impl StallWatchdog {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn mode_labels_round_trip_and_garbage_is_rejected() {
-        for mode in [
-            MetricsMode::Off,
-            MetricsMode::Counters,
-            MetricsMode::Sampled(1),
-            MetricsMode::Sampled(64),
-        ] {
-            assert_eq!(MetricsMode::parse(&mode.label()), Ok(mode));
-        }
-        assert_eq!(MetricsMode::parse(" counters "), Ok(MetricsMode::Counters));
-        assert!(MetricsMode::parse("sampled:0")
-            .unwrap_err()
-            .contains("at least 1"));
-        for raw in ["on", "1", "sampled", "sampled:", "sampled:x", ""] {
-            assert!(MetricsMode::parse(raw).is_err(), "{raw:?}");
-        }
-    }
 
     #[test]
     fn off_mode_records_nothing() {

@@ -13,8 +13,8 @@
 //!   evaluation section would.
 //! * [`series`] — labeled (x, y…) data series: the in-memory representation of a
 //!   "figure" before it is rendered.
-//! * [`knob`] — the `SYNCMECH_*` environment knobs: the one table of names and
-//!   the one strict reader, called only at the binaries' edge.
+//! * [`knob`] — the strict reader of `SYNCMECH_BLESS`, the one environment
+//!   variable, which only the golden tests read.
 //! * [`coro`] — stackful coroutines on x86_64 Linux: how `memsim` runs a
 //!   simulated processor's body and `interleave` a checked thread's, many to
 //!   one host thread. The workspace's only stack-switching `unsafe`.
@@ -31,8 +31,8 @@ pub use series::Series;
 pub use stats::{LinearFit, RunningStats};
 pub use table::Table;
 
-/// The host's available parallelism (1 when it cannot be probed) — what
-/// an unset thread-count knob means.
+/// The host's available parallelism (1 when it cannot be probed): the
+/// figures' default sweep fan-out.
 pub fn host_parallelism() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())

@@ -36,8 +36,8 @@ use std::sync::{Arc, Mutex};
 use std::task::{Context, Poll, Waker};
 
 /// Default cycles between a waker firing inside a poll and the woken task
-/// being re-polled: the executor's price for a futex wake, matching the
-/// QSM constant grant cost in `service_load::LockPolicy::grant_cost`.
+/// being re-polled: the executor's price for a futex wake, and the QSM
+/// constant grant cost of `service_load::sim_load`'s model.
 pub const WAKE_COST: u64 = 40;
 
 /// State shared between the executor, its wakers, and its timers.

@@ -29,8 +29,8 @@
 //! draws the keys of the repo benchmark's rings, which time the real
 //! service on real threads, and of the service's real-thread tests.
 
-use crate::executor::{Executor, Outcome};
-use crate::sweeps::{parallel_cells, RunConfig};
+use crate::executor::{Executor, Outcome, WAKE_COST};
+use crate::sweeps::parallel_cells;
 use simcore::Rng;
 use std::cell::RefCell;
 use std::cmp::Reverse;
@@ -68,7 +68,7 @@ impl LockPolicy {
     /// waiters are queued on the key at release time.
     fn grant_cost(self, waiters: usize) -> u64 {
         match self {
-            LockPolicy::Qsm => 40,
+            LockPolicy::Qsm => WAKE_COST,
             LockPolicy::Ticket => 30 + 12 * waiters as u64,
             LockPolicy::Tas => 30 + 25 * waiters as u64,
         }
@@ -456,16 +456,17 @@ pub fn sim_load(policy: LockPolicy, cfg: &ServiceLoadConfig) -> ServiceLoadResul
 }
 
 /// The fig11/table6 sweep: every policy at every worker-pool size, fanned
-/// out across host threads like the other figure sweeps. Results come
-/// back in `(policy, threads)` grid order regardless of the fan-out.
-pub fn service_sweep(run: RunConfig, threads: &[usize], requests: usize) -> Vec<ServiceLoadResult> {
+/// out across `threads` host threads like the other figure sweeps.
+/// Results come back in `(policy, workers)` grid order regardless of the
+/// fan-out.
+pub fn service_sweep(threads: usize, workers: &[usize], requests: usize) -> Vec<ServiceLoadResult> {
     let cells: Vec<(LockPolicy, usize)> = LockPolicy::ALL
         .iter()
-        .flat_map(|&p| threads.iter().map(move |&t| (p, t)))
+        .flat_map(|&p| workers.iter().map(move |&w| (p, w)))
         .collect();
-    parallel_cells(cells.len(), run.threads, |i| {
-        let (policy, t) = cells[i];
-        sim_load(policy, &ServiceLoadConfig::new(t, requests))
+    parallel_cells(cells.len(), threads, |i| {
+        let (policy, w) = cells[i];
+        sim_load(policy, &ServiceLoadConfig::new(w, requests))
     })
 }
 
@@ -522,8 +523,9 @@ pub struct AsyncMetricsReport {
 /// [`service::WaitingArraySemaphore`], locks its key through a real
 /// [`service::LockFuture`], holds for the scripted time, then releases
 /// both. `wake_cost` is what the executor charges between a futex wake
-/// firing and the woken task's re-poll — pass the QSM handoff cost (40)
-/// to compare against [`sim_load`]'s QSM policy on equal footing.
+/// firing and the woken task's re-poll — pass [`WAKE_COST`], the QSM
+/// handoff cost, to compare against [`sim_load`]'s QSM policy on equal
+/// footing.
 ///
 /// Deterministic despite running real parking-lot code: the executor is
 /// single-threaded with a virtual clock, every wake targets a single
@@ -732,8 +734,8 @@ mod tests {
     #[test]
     fn async_load_is_deterministic_and_completes() {
         let cfg = ServiceLoadConfig::new(8, 500);
-        let a = async_load_with_metrics(&cfg, 40, service::MetricsMode::Counters).result;
-        let b = async_load_with_metrics(&cfg, 40, service::MetricsMode::Counters).result;
+        let a = async_load_with_metrics(&cfg, WAKE_COST, service::MetricsMode::Counters).result;
+        let b = async_load_with_metrics(&cfg, WAKE_COST, service::MetricsMode::Counters).result;
         assert_eq!(a.completed, 500);
         assert_eq!(a.wait.count(), 500);
         assert_eq!(a.hold.count(), 500);
@@ -745,16 +747,20 @@ mod tests {
     #[test]
     fn async_metrics_report_counts_the_schedule() {
         let cfg = ServiceLoadConfig::new(8, 400);
-        let off = async_load_with_metrics(&cfg, 40, service::MetricsMode::Off);
-        let on = async_load_with_metrics(&cfg, 40, service::MetricsMode::Counters);
-        // Telemetry must not perturb the virtual schedule in any mode.
-        assert_eq!(off.result.makespan, on.result.makespan);
+        let off = async_load_with_metrics(&cfg, WAKE_COST, service::MetricsMode::Off);
+        let on = async_load_with_metrics(&cfg, WAKE_COST, service::MetricsMode::Counters);
+        let sampled = async_load_with_metrics(&cfg, WAKE_COST, service::MetricsMode::Sampled(64));
+        // Telemetry must not perturb the virtual schedule in any mode:
+        // fig12's async column is the same whichever mode it runs at.
+        for other in [&off, &sampled] {
+            assert_eq!(other.result.makespan, on.result.makespan);
+            assert_eq!(other.result.wait, on.result.wait);
+            assert_eq!(other.result.hold, on.result.hold);
+        }
         assert_eq!(off.snapshot.acquires, 0, "off mode still counted");
         assert_eq!(on.snapshot.acquires, 400, "one key acquire per request");
         assert!(on.snapshot.fast_path + on.snapshot.parked <= on.snapshot.acquires);
         assert!(on.polls > 0, "executor poll accounting missing");
-        let sampled = async_load_with_metrics(&cfg, 40, service::MetricsMode::Sampled(64));
-        assert_eq!(sampled.result.makespan, on.result.makespan);
         assert!(sampled.snapshot.wait_samples() > 0, "sampling never fired");
     }
 
@@ -765,7 +771,7 @@ mod tests {
         // orders of magnitude apart.
         let cfg = ServiceLoadConfig::new(16, 2_000);
         let sim = sim_load(LockPolicy::Qsm, &cfg);
-        let real = async_load_with_metrics(&cfg, 40, service::MetricsMode::Counters).result;
+        let real = async_load_with_metrics(&cfg, WAKE_COST, service::MetricsMode::Counters).result;
         let ratio = real.makespan as f64 / sim.makespan.max(1) as f64;
         assert!(
             (0.5..2.0).contains(&ratio),

@@ -8,11 +8,10 @@
 //! series in grid order: the output is bit-for-bit identical whether the
 //! cells ran sequentially, interleaved, or on different machines.
 //!
-//! The one parallelism axis is across cells: [`parallel_cells`] on
-//! [`RunConfig::threads`] host threads. Any thread count produces
-//! bit-identical output, so it never changes a figure. The caller picks
-//! the setting and every sweep takes it as its first argument; nothing
-//! here reads the environment.
+//! The one parallelism axis is across cells: [`parallel_cells`] on the
+//! `threads` host threads every sweep takes as its first argument. Any
+//! thread count produces bit-identical output, so it never changes a
+//! figure, only how long it takes to render.
 
 use crate::barrierbench::{self, BarrierConfig};
 use crate::csbench::{self, CsConfig};
@@ -38,28 +37,6 @@ impl MachineKind {
         match self {
             MachineKind::Bus => Machine::new(MachineParams::bus_1991(nprocs)),
             MachineKind::Numa => Machine::new(MachineParams::numa_1991(nprocs)),
-        }
-    }
-}
-
-/// How a sweep uses the host (module docs). No setting changes a figure's
-/// bytes, only how long it takes to render.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RunConfig {
-    /// Host threads for the cross-cell fan-out ([`parallel_cells`]).
-    pub threads: usize,
-}
-
-impl RunConfig {
-    /// One cell at a time.
-    pub const SERIAL: RunConfig = RunConfig { threads: 1 };
-}
-
-/// The host's parallelism.
-impl Default for RunConfig {
-    fn default() -> Self {
-        RunConfig {
-            threads: simcore::host_parallelism(),
         }
     }
 }
@@ -126,7 +103,7 @@ fn saturated_cfg(nprocs: usize, iters: usize) -> CsConfig {
 /// workload, differing only in which [`csbench::CsResult`] metric a figure
 /// plots.
 fn cs_over_procs(
-    run: RunConfig,
+    threads: usize,
     kind: MachineKind,
     procs: &[usize],
     iters: usize,
@@ -137,7 +114,7 @@ fn cs_over_procs(
     let cells: Vec<(usize, usize)> = (0..locks.len())
         .flat_map(|li| procs.iter().map(move |&p| (li, p)))
         .collect();
-    let results = parallel_cells(cells.len(), run.threads, |i| {
+    let results = parallel_cells(cells.len(), threads, |i| {
         let (li, p) = cells[i];
         let machine = kind.machine(p);
         csbench::run(&machine, locks[li].as_ref(), &saturated_cfg(p, iters))
@@ -154,9 +131,9 @@ fn cs_over_procs(
 ///
 /// `iters` critical sections per processor, saturated workload (no think
 /// time): the configuration under which the 1991 curves were produced.
-pub fn lock_scaling(run: RunConfig, kind: MachineKind, procs: &[usize], iters: usize) -> Series {
+pub fn lock_scaling(threads: usize, kind: MachineKind, procs: &[usize], iters: usize) -> Series {
     cs_over_procs(
-        run,
+        threads,
         kind,
         procs,
         iters,
@@ -166,9 +143,9 @@ pub fn lock_scaling(run: RunConfig, kind: MachineKind, procs: &[usize], iters: u
 }
 
 /// fig3 — interconnect transactions per critical section vs P (bus).
-pub fn lock_traffic(run: RunConfig, kind: MachineKind, procs: &[usize], iters: usize) -> Series {
+pub fn lock_traffic(threads: usize, kind: MachineKind, procs: &[usize], iters: usize) -> Series {
     cs_over_procs(
-        run,
+        threads,
         kind,
         procs,
         iters,
@@ -180,7 +157,7 @@ pub fn lock_traffic(run: RunConfig, kind: MachineKind, procs: &[usize], iters: u
 /// fig4 — throughput (critical sections per kilocycle) vs critical-section
 /// hold time at fixed P: the contention crossover figure.
 pub fn contention_sweep(
-    run: RunConfig,
+    threads: usize,
     kind: MachineKind,
     nprocs: usize,
     holds: &[u64],
@@ -190,7 +167,7 @@ pub fn contention_sweep(
     let cells: Vec<(usize, u64)> = (0..locks.len())
         .flat_map(|li| holds.iter().map(move |&h| (li, h)))
         .collect();
-    let results = parallel_cells(cells.len(), run.threads, |i| {
+    let results = parallel_cells(cells.len(), threads, |i| {
         let (li, hold) = cells[i];
         let machine = kind.machine(nprocs);
         let cfg = CsConfig {
@@ -211,7 +188,7 @@ pub fn contention_sweep(
 
 /// fig5/fig6 — barrier episode time vs P, every barrier.
 pub fn barrier_scaling(
-    run: RunConfig,
+    threads: usize,
     kind: MachineKind,
     procs: &[usize],
     episodes: u64,
@@ -220,7 +197,7 @@ pub fn barrier_scaling(
     let cells: Vec<(usize, usize)> = (0..barriers.len())
         .flat_map(|bi| procs.iter().map(move |&p| (bi, p)))
         .collect();
-    let results = parallel_cells(cells.len(), run.threads, |i| {
+    let results = parallel_cells(cells.len(), threads, |i| {
         let (bi, p) = cells[i];
         let machine = kind.machine(p);
         let cfg = BarrierConfig {
@@ -240,10 +217,10 @@ pub fn barrier_scaling(
 
 /// fig7 — backoff ablation: lock passing time at fixed P as the backoff
 /// parameters sweep, for the two parameterized algorithms.
-pub fn backoff_ablation(run: RunConfig, kind: MachineKind, nprocs: usize, iters: usize) -> Series {
+pub fn backoff_ablation(threads: usize, kind: MachineKind, nprocs: usize, iters: usize) -> Series {
     let caps = [0u64, 64, 256, 1024, 4096, 16384];
     let factors = [1u64, 10, 30, 60, 120, 300, 1000];
-    let results = parallel_cells(caps.len() + factors.len(), run.threads, |i| {
+    let results = parallel_cells(caps.len() + factors.len(), threads, |i| {
         let machine = kind.machine(nprocs);
         let cfg = saturated_cfg(nprocs, iters);
         if i < caps.len() {
@@ -276,10 +253,10 @@ pub fn backoff_ablation(run: RunConfig, kind: MachineKind, nprocs: usize, iters:
 }
 
 /// table1 — uncontended latency of every lock and every barrier (P = 1).
-pub fn uncontended_table(run: RunConfig, kind: MachineKind) -> Vec<(String, f64)> {
+pub fn uncontended_table(threads: usize, kind: MachineKind) -> Vec<(String, f64)> {
     let locks = all_locks();
     let barriers = all_barriers();
-    let results = parallel_cells(locks.len() + barriers.len(), run.threads, |i| {
+    let results = parallel_cells(locks.len() + barriers.len(), threads, |i| {
         let machine = kind.machine(1);
         if i < locks.len() {
             (
@@ -316,20 +293,20 @@ mod tests {
 
     #[test]
     fn small_lock_scaling_has_all_curves() {
-        let s = lock_scaling(RunConfig::default(), MachineKind::Bus, &[1, 4], 4);
+        let s = lock_scaling(simcore::host_parallelism(), MachineKind::Bus, &[1, 4], 4);
         assert_eq!(s.curve_names().len(), 10);
         assert_eq!(s.xs(), vec![1, 4]);
     }
 
     #[test]
     fn small_barrier_scaling_has_all_curves() {
-        let s = barrier_scaling(RunConfig::default(), MachineKind::Bus, &[2, 4], 4);
+        let s = barrier_scaling(simcore::host_parallelism(), MachineKind::Bus, &[2, 4], 4);
         assert_eq!(s.curve_names().len(), 6);
     }
 
     #[test]
     fn uncontended_table_covers_registry() {
-        let rows = uncontended_table(RunConfig::default(), MachineKind::Bus);
+        let rows = uncontended_table(simcore::host_parallelism(), MachineKind::Bus);
         assert_eq!(rows.len(), 16);
         // Locks always cost something; a P=1 episode of the log-round
         // barriers (dissemination, tournament) is legitimately free.
@@ -344,7 +321,7 @@ mod tests {
 
     #[test]
     fn backoff_ablation_produces_two_curves() {
-        let s = backoff_ablation(RunConfig::default(), MachineKind::Bus, 4, 4);
+        let s = backoff_ablation(simcore::host_parallelism(), MachineKind::Bus, 4, 4);
         assert_eq!(s.curve_names().len(), 2);
     }
 

@@ -11,7 +11,7 @@
 //! byte-identical to an untraced run of the same configuration.
 
 use crate::csbench::{self, CsConfig, CsResult};
-use crate::sweeps::{parallel_cells, RunConfig};
+use crate::sweeps::parallel_cells;
 use kernels::lockdep::InstrumentedLock;
 use kernels::locks::{lock_by_name, LockKernel};
 use memsim::{Machine, MachineParams, SimError};
@@ -90,16 +90,16 @@ pub fn run_lock(name: &str, cfg: &CsConfig) -> Result<WaitDistResult, SimError> 
 }
 
 /// [`run_lock`] over [`DIST_LOCKS`] — the table5/fig10 sweep, one cell
-/// per lock on [`RunConfig::threads`] host threads. Each cell owns its
+/// per lock on `threads` host threads. Each cell owns its
 /// machine and tracer, so the output does not depend on the thread count.
 ///
 /// # Panics
 ///
 /// On simulator errors: the registry locks are all correct, so an error
 /// here is a harness bug.
-pub fn distribution_sweep(run: RunConfig, nprocs: usize, iters: usize) -> Vec<WaitDistResult> {
+pub fn distribution_sweep(threads: usize, nprocs: usize, iters: usize) -> Vec<WaitDistResult> {
     let cfg = CsConfig::new(nprocs, iters);
-    parallel_cells(DIST_LOCKS.len(), run.threads, |i| {
+    parallel_cells(DIST_LOCKS.len(), threads, |i| {
         let name = DIST_LOCKS[i];
         run_lock(name, &cfg).unwrap_or_else(|e| panic!("{name}: {e}"))
     })

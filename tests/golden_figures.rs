@@ -1,5 +1,6 @@
 //! Golden-output regression test: every deterministic figure, rendered in
-//! quick mode, must match its committed golden file **byte for byte**.
+//! quick mode on 1 and on 3 sweep threads, must match its committed golden
+//! file **byte for byte** both times.
 //!
 //! This is the cheap always-on version of the guarantee the perf work was
 //! done under ("not a single simulated cycle may change"): the full-mode
@@ -19,7 +20,6 @@
 
 use bench::figures::{check_report, FIGURES};
 use bench::Opts;
-use simcore::knob;
 use std::path::PathBuf;
 
 fn golden_path(binary: &str) -> PathBuf {
@@ -137,35 +137,38 @@ fn unified_diff(old: &str, new: &str) -> String {
 
 #[test]
 fn quick_mode_figures_match_golden_files() {
-    let opts = Opts {
-        quick: true,
-        ..Opts::default()
-    };
-    let bless = knob::BLESS
-        .read(knob::flag)
-        .unwrap_or_else(|msg| panic!("{msg}"))
-        .unwrap_or(false);
+    let bless = simcore::knob::bless();
     let mut failures = Vec::new();
-    for figure in FIGURES.iter().filter(|f| f.deterministic) {
-        let rendered = (figure.render)(&opts);
-        let path = golden_path(figure.binary);
-        if bless {
-            std::fs::write(&path, &rendered)
-                .unwrap_or_else(|e| panic!("writing {}: {e}", path.display()));
-            continue;
-        }
-        let golden = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-            panic!(
-                "reading {}: {e} (run with SYNCMECH_BLESS=1 to create)",
-                path.display()
-            )
-        });
-        if rendered != golden {
-            failures.push(format!(
-                "{}: golden (-) vs actual (+):\n{}",
-                figure.id,
-                unified_diff(&golden, &rendered)
-            ));
+    // The serial render, then a fan-out wider than a 2-core host's, so the
+    // thread-count check runs on any host. A bless rewrites the goldens
+    // from the first and diffs the second against them.
+    for threads in [1, 3] {
+        let opts = Opts {
+            csv: false,
+            quick: true,
+            threads,
+        };
+        for figure in FIGURES.iter().filter(|f| f.deterministic) {
+            let rendered = (figure.render)(&opts);
+            let path = golden_path(figure.binary);
+            if bless && threads == 1 {
+                std::fs::write(&path, &rendered)
+                    .unwrap_or_else(|e| panic!("writing {}: {e}", path.display()));
+                continue;
+            }
+            let golden = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+                panic!(
+                    "reading {}: {e} (run with SYNCMECH_BLESS=1 to create)",
+                    path.display()
+                )
+            });
+            if rendered != golden {
+                failures.push(format!(
+                    "{} on {threads} threads: golden (-) vs actual (+):\n{}",
+                    figure.id,
+                    unified_diff(&golden, &rendered)
+                ));
+            }
         }
     }
     assert!(
@@ -207,7 +210,7 @@ fn committed_bench_sim_report_passes_its_check() {
     check_report(&text, &figures).expect("BENCH_sim.json");
     check_report(&text.replace(",\"", ",\n  \""), &figures).expect("one member per line");
     for (from, to) in [
-        ("v4", "v3"),
+        ("v5", "v4"),
         ("\"id\":\"fig2\"", "\"id\":\"fig3\""),
         ("\"speedup\":", "\"speedup\":-"),
         ("\"parallel_wall_ms\":", "\"parallel_wall_msX\":"),

@@ -14,7 +14,6 @@
 
 use bench::trace_export::{export_trace, WORKLOADS};
 use bench::Opts;
-use simcore::knob;
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -42,10 +41,7 @@ fn exported_traces_are_byte_identical_across_runs() {
 
 #[test]
 fn exported_traces_match_golden_files() {
-    let bless = knob::BLESS
-        .read(knob::flag)
-        .unwrap_or_else(|msg| panic!("{msg}"))
-        .unwrap_or(false);
+    let bless = simcore::knob::bless();
     for workload in WORKLOADS {
         let rendered = export_trace(workload, &quick());
         let path = golden_path(workload);
