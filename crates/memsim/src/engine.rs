@@ -368,11 +368,7 @@ impl EngineCore {
             p,
         });
         let mut core = EngineCore {
-            coherence: Coherence::new(
-                nprocs,
-                init_memory.len().div_ceil(params.line_words),
-                params.cache_lines,
-            ),
+            coherence: Coherence::new(init_memory.len().div_ceil(params.line_words)),
             net,
             metrics: Metrics::new(nprocs),
             states: (0..nprocs).map(|_| ProcState::Running).collect(),
@@ -912,14 +908,14 @@ impl EngineCore {
             || (state.is_some() && kind == AccessKind::Read)
         {
             m.hits += 1;
-            self.coherence.touch(pid, line);
             issue + self.params.hit_cycles + rmw_extra
         } else {
-            let (invalidated, wrote_back) = if kind == AccessKind::Read {
+            let invalidated = if kind == AccessKind::Read {
                 m.misses += 1;
                 // A dirty remote copy is downgraded (its data is written back
                 // as part of this same transaction).
-                (0, self.coherence.share(pid, line))
+                self.coherence.share(pid, line);
+                0
             } else {
                 if state.is_some() {
                     m.upgrades += 1;
@@ -930,7 +926,6 @@ impl EngineCore {
             };
             self.metrics.interconnect_transactions += 1;
             self.metrics.invalidations += invalidated;
-            self.metrics.writebacks += u64::from(wrote_back);
             self.net.transaction(
                 issue,
                 self.params.node_of_proc(pid),

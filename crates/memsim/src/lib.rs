@@ -3,12 +3,14 @@
 //! The evaluation of *"A New Synchronization Mechanism"* (ICPP 1991) was run on
 //! hardware of its day: a bus-based cache-coherent multiprocessor (Sequent
 //! Symmetry class) and a distributed-memory NUMA machine (BBN Butterfly class).
-//! Neither exists here — the host has one core — so this crate provides the
-//! substitute substrate: a deterministic discrete-event simulator that models
-//! exactly the quantities those papers measured:
+//! Neither is at hand, and a modern multicore neither serializes its
+//! interconnect like a 1991 bus nor counts its coherence traffic, so this
+//! crate provides the substitute substrate: a deterministic discrete-event
+//! simulator that models exactly the quantities those papers measured:
 //!
 //! * **per-processor caches** with a write-invalidate MSI protocol
-//!   ([`coherence`]),
+//!   ([`coherence`]) — unbounded: a line leaves a cache only when another
+//!   processor's write invalidates it,
 //! * a **shared bus** with FIFO arbitration, or a **NUMA interconnect** with
 //!   per-node memory modules and hop latency ([`interconnect`]),
 //! * **atomic read-modify-write** operations that obey the same ownership

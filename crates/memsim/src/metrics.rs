@@ -94,8 +94,6 @@ pub struct Metrics {
     pub interconnect_transactions: u64,
     /// Total invalidation messages sent to remote sharers.
     pub invalidations: u64,
-    /// Write-backs caused by capacity evictions of Modified lines.
-    pub writebacks: u64,
     /// Simulated time at which the last processor finished.
     pub total_cycles: u64,
 }
@@ -186,7 +184,6 @@ impl Metrics {
             interconnect_transactions: self.interconnect_transactions
                 - before.interconnect_transactions,
             invalidations: self.invalidations - before.invalidations,
-            writebacks: self.writebacks - before.writebacks,
             total_cycles: self.total_cycles,
         }
     }
@@ -209,7 +206,6 @@ impl Metrics {
         }
         self.interconnect_transactions += delta.interconnect_transactions;
         self.invalidations += delta.invalidations;
-        self.writebacks += delta.writebacks;
         self.total_cycles = self.total_cycles.max(delta.total_cycles);
     }
 

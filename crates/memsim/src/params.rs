@@ -1,8 +1,10 @@
 //! Machine configuration.
 //!
-//! The parameters mirror the knobs 1991-era simulation studies report: cache
-//! geometry, the relative cost of a cache hit versus an interconnect
-//! transaction, and the interconnect topology. Absolute values follow the
+//! The parameters mirror the knobs 1991-era simulation studies report: the
+//! cache line size, the relative cost of a cache hit versus an interconnect
+//! transaction, and the interconnect topology. Cache *capacity* is not a
+//! parameter: caches are unbounded ([`crate::coherence`]), since no
+//! synchronization working set nears the size of a cache of the period. Absolute values follow the
 //! conventional ratios of the period (hit = 1 cycle, bus transaction ≈ 20,
 //! remote NUMA reference ≈ 2–4× a local one); the reproduction targets curve
 //! *shapes*, which are insensitive to modest changes in these constants —
@@ -72,11 +74,10 @@ pub struct MachineParams {
     /// Interconnect topology.
     pub topology: Topology,
     /// Words per cache line (power of two). Synchronization variables that the
-    /// kernels intend to keep apart are padded to this granularity.
+    /// kernels intend to keep apart are padded to this granularity. A cache
+    /// holds every line it fetches until another processor's write
+    /// invalidates it: there is no capacity to set.
     pub line_words: usize,
-    /// Lines per private cache. Tiny synchronization working sets never
-    /// approach this, but capacity evictions are modeled (LRU) for fidelity.
-    pub cache_lines: usize,
     /// Cost of an access that hits in the private cache.
     pub hit_cycles: u64,
     /// Occupancy of one bus transaction (miss fill, upgrade, remote RMW) on
@@ -110,7 +111,6 @@ impl MachineParams {
         MachineParams {
             topology: Topology::Bus,
             line_words: 8,
-            cache_lines: 1024,
             hit_cycles: 1,
             bus_cycles: 20,
             mem_cycles: 0,
@@ -130,7 +130,6 @@ impl MachineParams {
                 nodes: (nprocs.div_ceil(4)).max(2),
             },
             line_words: 8,
-            cache_lines: 1024,
             hit_cycles: 1,
             bus_cycles: 0,
             mem_cycles: 12,
@@ -181,7 +180,6 @@ impl MachineParams {
             self.line_words.is_power_of_two(),
             "line_words must be a power of two"
         );
-        assert!(self.cache_lines > 0, "cache must have at least one line");
         if let Topology::Numa { nodes } = self.topology {
             assert!(nodes > 0, "NUMA machine needs at least one node");
         }

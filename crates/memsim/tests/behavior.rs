@@ -1,5 +1,5 @@
 //! Behavioural tests of the simulated machine's coherence and timing
-//! paths that the unit tests don't reach: capacity evictions, false
+//! paths that the unit tests don't reach: unbounded caches, false
 //! sharing, RMW ownership fast paths, and cost-model orderings.
 
 use memsim::{Machine, MachineParams, Topology};
@@ -41,27 +41,24 @@ fn false_sharing_costs_invalidations() {
 }
 
 #[test]
-fn capacity_evictions_write_back_dirty_lines() {
-    // A cache of 4 lines walked over 16 lines of dirty data must evict and
-    // write back.
-    let mut params = MachineParams::bus_1991(1);
-    params.cache_lines = 4;
-    let lines = 16;
+fn a_cache_keeps_every_line_it_fetches() {
+    // Caches are unbounded: 1 100 lines stored, more than the 1 024 a 1991
+    // cache held, are all still there to load.
+    let params = MachineParams::bus_1991(1);
+    let lines = 1100;
     let report = Machine::new(params.clone())
         .run(1, params.line_words * lines, move |p| {
-            for pass in 0..2 {
-                for l in 0..lines {
-                    p.store(l * params.line_words, pass as u64 + 1);
-                }
+            for l in 0..lines {
+                p.store(l * params.line_words, 1);
+            }
+            for l in 0..lines {
+                assert_eq!(p.load(l * params.line_words), 1);
             }
         })
         .unwrap();
-    assert!(
-        report.metrics.writebacks > 0,
-        "dirty evictions must be counted"
-    );
-    // Second pass misses again (working set exceeds capacity).
-    assert!(report.metrics.per_proc[0].misses as usize > lines);
+    let m = &report.metrics.per_proc[0];
+    // Every store misses; every load hits.
+    assert_eq!((m.misses, m.hits), (lines as u64, lines as u64));
 }
 
 #[test]

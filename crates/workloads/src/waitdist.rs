@@ -62,13 +62,13 @@ impl WaitDistResult {
 ///
 /// # Panics
 ///
-/// On an unknown lock name, or if the full-mode ring dropped events (the
-/// distributions would silently miss samples; size the ring up instead).
+/// On an unknown lock name, or if a ring dropped events (the distributions
+/// would silently miss samples: the lock outran the rings' per-trial bound).
 pub fn run_lock(name: &str, cfg: &CsConfig) -> Result<WaitDistResult, SimError> {
     let lock: Arc<dyn LockKernel + Send + Sync> =
         Arc::from(lock_by_name(name).unwrap_or_else(|| panic!("unknown lock '{name}'")));
     let instrumented = InstrumentedLock::new(lock, TRACE_LOCK_ID);
-    let tracer = Tracer::shared(cfg.nprocs);
+    let tracer = Arc::new(Tracer::new(cfg.nprocs, ring_events(cfg)));
     let machine =
         Machine::new(MachineParams::bus_1991(cfg.nprocs)).with_tracer(Arc::clone(&tracer));
     let result = csbench::run(&machine, &instrumented, cfg)?;
@@ -87,6 +87,17 @@ pub fn run_lock(name: &str, cfg: &CsConfig) -> Result<WaitDistResult, SimError> 
         dist,
         result,
     })
+}
+
+/// Events one processor can record in a trial of `cfg`: three lock events
+/// per critical section, and a `SpinBegin`/`SpinEnd` pair per spin that
+/// parks. A spin parks at most once per own acquisition, once per own
+/// release (a queue lock waiting for its successor's link), and once per
+/// acquisition another processor wins first (a test-and-test-and-set
+/// retry). The trial's whole trace then fits, and a ring sized to it costs
+/// a cell kilobytes where the tracer's default costs 2 MiB a processor.
+fn ring_events(cfg: &CsConfig) -> usize {
+    3 * cfg.iters + 2 * (2 * cfg.iters + cfg.total_cs() as usize)
 }
 
 /// [`run_lock`] over [`DIST_LOCKS`] — the table5/fig10 sweep, one cell
