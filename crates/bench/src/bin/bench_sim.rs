@@ -2,20 +2,20 @@
 //! wall-clock cost per figure in a machine-readable `BENCH_sim.json`.
 //!
 //! Rendering all figures in a single process is exactly what a full
-//! regeneration does, minus per-binary process spawns. Per-figure progress
+//! regeneration does, minus one `figure` process per id. Per-figure progress
 //! goes to stderr; stdout reports only where the JSON landed.
 //!
 //! Every deterministic figure is rendered **twice**, from two `Opts` values
 //! that differ only in their sweep thread count: once on one thread and
 //! once on the host's parallelism. The two outputs are compared byte for
 //! byte before both wall-clocks and their ratio are reported; a mismatch is
-//! a determinism bug and fails the run. The report is schema v5. Before it
+//! a determinism bug and fails the run. The report is schema v6. Before it
 //! is written, the report is parsed back and checked against the figure
 //! registry (`bench::figures::check_report`); a report that fails the
 //! check is not written and the run exits non-zero.
 //!
 //! ```text
-//! cargo run -p bench --release --bin bench_sim [-- --quick|--full] [--out PATH]
+//! cargo run -p bench --release --bin bench_sim [-- --quick] [--out PATH]
 //! ```
 
 use bench::figures::FIGURES;
@@ -24,7 +24,7 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 const USAGE: &str = "\
-usage: bench_sim [--quick | --full] [--only IDS] [--out PATH]
+usage: bench_sim [--quick] [--only IDS] [--out PATH]
                  [--trace-out PATH] [--trace-workload bus|oversub] [--help]
 
   --trace-out PATH       also export a Chrome trace-event JSON timeline of
@@ -32,8 +32,8 @@ usage: bench_sim [--quick | --full] [--only IDS] [--out PATH]
   --trace-workload KIND  which workload to trace: `bus` (dedicated bus
                          machine, qsm) or `oversub` (the fig9
                          oversubscription machine, qsm-block-park; default)
-  --quick     reduced sweeps (the CI perf-smoke configuration)
-  --full      full sweeps (default; the publication figures)
+  --quick     reduced sweeps (the CI perf-smoke configuration; without
+              it, the full sweeps of the publication figures)
   --only IDS  comma-separated figure ids to run (default: all)
   --out PATH  where to write the JSON report (default BENCH_sim.json)
   --help      show this help";
@@ -58,7 +58,6 @@ fn parse_args() -> Args {
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--quick" => args.quick = true,
-            "--full" => args.quick = false,
             "--only" => match it.next() {
                 Some(ids) => {
                     args.only = Some(ids.split(',').map(str::to_string).collect());
@@ -115,7 +114,6 @@ fn main() {
 
     // The two renders: identical but for their sweep thread count.
     let parallel = Opts {
-        csv: false,
         quick: args.quick,
         threads,
     };
@@ -168,10 +166,10 @@ fn main() {
             );
             let _ = write!(
                 figure_entries,
-                "{sep}    {{\"id\":\"{}\",\"binary\":\"{}\",\"deterministic\":true,\
+                "{sep}    {{\"id\":\"{}\",\"deterministic\":true,\
                  \"serial_wall_ms\":{serial_wall:.1},\"parallel_wall_ms\":{parallel_wall:.1},\
                  \"speedup\":{speedup:.2}}}",
-                figure.id, figure.binary
+                figure.id
             );
         } else {
             // Real-hardware figures are not a pure function of Opts; they
@@ -183,16 +181,16 @@ fn main() {
             eprintln!("{:<8} {:>9.1} ms (nondeterministic)", figure.id, wall_ms);
             let _ = write!(
                 figure_entries,
-                "{sep}    {{\"id\":\"{}\",\"binary\":\"{}\",\"deterministic\":false,\
+                "{sep}    {{\"id\":\"{}\",\"deterministic\":false,\
                  \"wall_ms\":{wall_ms:.1}}}",
-                figure.id, figure.binary
+                figure.id
             );
         }
     }
     let total_ms = total_start.elapsed().as_secs_f64() * 1e3;
 
     let json = format!(
-        "{{\n  \"schema\": \"syncmech-bench-sim/v5\",\n  \"mode\": \"{mode}\",\n  \
+        "{{\n  \"schema\": \"syncmech-bench-sim/v6\",\n  \"mode\": \"{mode}\",\n  \
          \"host_cores\": {host_cores},\n  \"sweep_threads\": {threads},\n  \
          \"figures\": [\n{figure_entries}\n  ],\n  \
          \"deterministic_serial_wall_ms\": {serial_ms:.1},\n  \

@@ -1,12 +1,12 @@
 //! The figure registry: every table and figure of the reconstructed
 //! evaluation as a string-returning render function.
 //!
-//! The `src/bin/` binaries are one-line wrappers over [`run_main`]; the
+//! The `figure` binary prints one entry, looked up by its id; the
 //! `bench_sim` binary walks [`FIGURES`] in one process to measure full
 //! regeneration wall-clock; the golden-output regression test renders
 //! every deterministic figure in quick mode and diffs the bytes against
-//! committed files. Keeping rendering as `fn(&Opts) -> String` is what
-//! lets all three share one definition of "the figure".
+//! committed files named by id. Keeping rendering as `fn(&Opts) -> String`
+//! is what lets all three share one definition of "the figure".
 
 use crate::{final_ratio_block, series_block, Opts};
 use kernels::locks::{qsm::QsmLock, LockKernel};
@@ -25,12 +25,12 @@ use workloads::sweeps::{
 };
 use workloads::waitdist::{distribution_sweep, CDF_PERCENTILES};
 
-/// One entry of the evaluation: a figure or table binary.
+/// One entry of the evaluation: a figure or a table.
 pub struct Figure {
-    /// Short id (`fig1` … `fig8`, `table1` … `table3`).
+    /// Its one name (`fig1` … `fig12`, `table1` … `table7`): the argument
+    /// of the `figure` binary and the stem of its `results/` and
+    /// `tests/golden/` files.
     pub id: &'static str,
-    /// Binary name — also the stem of the committed `results/` file.
-    pub binary: &'static str,
     /// True when the output is a pure function of `Opts` (everything but
     /// the real-hardware fig8): these are the byte-identity goldens.
     pub deterministic: bool,
@@ -42,135 +42,108 @@ pub struct Figure {
 pub static FIGURES: &[Figure] = &[
     Figure {
         id: "fig1",
-        binary: "fig1_lock_scaling_bus",
         deterministic: true,
         render: fig1,
     },
     Figure {
         id: "fig2",
-        binary: "fig2_lock_scaling_numa",
         deterministic: true,
         render: fig2,
     },
     Figure {
         id: "fig3",
-        binary: "fig3_traffic",
         deterministic: true,
         render: fig3,
     },
     Figure {
         id: "fig4",
-        binary: "fig4_contention_sweep",
         deterministic: true,
         render: fig4,
     },
     Figure {
         id: "fig5",
-        binary: "fig5_barrier_bus",
         deterministic: true,
         render: fig5,
     },
     Figure {
         id: "fig6",
-        binary: "fig6_barrier_numa",
         deterministic: true,
         render: fig6,
     },
     Figure {
         id: "fig7",
-        binary: "fig7_backoff_ablation",
         deterministic: true,
         render: fig7,
     },
     Figure {
         id: "fig8",
-        binary: "fig8_realhw",
         deterministic: false,
         render: fig8,
     },
     Figure {
         id: "fig9",
-        binary: "fig9_oversubscription",
         deterministic: true,
         render: fig9,
     },
     Figure {
         id: "table1",
-        binary: "table1_latency",
         deterministic: true,
         render: table1,
     },
     Figure {
         id: "table2",
-        binary: "table2_fairness",
         deterministic: true,
         render: table2,
     },
     Figure {
         id: "table3",
-        binary: "table3_rwlock",
         deterministic: true,
         render: table3,
     },
     Figure {
         id: "table4",
-        binary: "table4_blocking_latency",
         deterministic: true,
         render: table4,
     },
     Figure {
         id: "fig10",
-        binary: "fig10_wait_cdf",
         deterministic: true,
         render: fig10,
     },
     Figure {
         id: "table5",
-        binary: "table5_wait_distribution",
         deterministic: true,
         render: table5,
     },
     Figure {
         id: "fig11",
-        binary: "fig11_service_throughput",
         deterministic: true,
         render: fig11,
     },
     Figure {
         id: "table6",
-        binary: "table6_service_tail",
         deterministic: true,
         render: table6,
     },
     Figure {
         id: "fig12",
-        binary: "fig12_async_service",
         deterministic: true,
         render: fig12,
     },
     Figure {
         id: "table7",
-        binary: "table7_metrics_overhead",
         deterministic: true,
         render: table7,
     },
 ];
 
-/// Looks a figure up by its short id.
-pub(crate) fn by_id(id: &str) -> Option<&'static Figure> {
+/// Looks a figure up by its id.
+pub fn by_id(id: &str) -> Option<&'static Figure> {
     FIGURES.iter().find(|f| f.id == id)
 }
 
-/// The shared `main` of the thin figure binaries: parse options, render,
-/// print.
-pub fn run_main(id: &str) {
-    let figure = by_id(id).unwrap_or_else(|| panic!("unknown figure id {id}"));
-    let opts = Opts::from_env();
-    print!("{}", (figure.render)(&opts));
-}
-
 /// Checks a `bench_sim` report, after parsing it ([`trace::json::parse`]):
-/// schema v5, then one entry per figure of `figures` in that order, each
+/// schema v6, then one entry per figure of `figures` in that order, each
 /// naming its figure and carrying the wall-clocks of its kind (serial,
 /// parallel and speedup when deterministic, one otherwise). `bench_sim`
 /// runs it on every report before writing it.
@@ -182,8 +155,8 @@ pub fn check_report(text: &str, figures: &[&Figure]) -> Result<(), String> {
     use trace::json::Value;
     let doc = trace::json::parse(text)?;
     let is = |v: &Value, key, want: &str| v.get(key) == Some(&Value::Str(want.to_string()));
-    if !is(&doc, "schema", "syncmech-bench-sim/v5") {
-        return Err("the schema is not syncmech-bench-sim/v5".to_string());
+    if !is(&doc, "schema", "syncmech-bench-sim/v6") {
+        return Err("the schema is not syncmech-bench-sim/v6".to_string());
     }
     let Some(Value::Arr(entries)) = doc.get("figures") else {
         return Err("no \"figures\" array".to_string());
@@ -197,7 +170,6 @@ pub fn check_report(text: &str, figures: &[&Figure]) -> Result<(), String> {
     }
     for (entry, fig) in entries.iter().zip(figures) {
         if !is(entry, "id", fig.id)
-            || !is(entry, "binary", fig.binary)
             || entry.get("deterministic") != Some(&Value::Bool(fig.deterministic))
         {
             return Err(format!("entry {:?} is not {}'s", entry.get("id"), fig.id));
@@ -221,25 +193,17 @@ pub fn check_report(text: &str, figures: &[&Figure]) -> Result<(), String> {
 /// fig1 — lock passing time vs processor count on the bus machine.
 pub(crate) fn fig1(opts: &Opts) -> String {
     let series = lock_scaling(opts.threads, MachineKind::Bus, &opts.procs(), opts.iters());
-    let mut out = series_block(opts, "Fig 1: lock passing time vs P (bus machine)", &series);
-    if !opts.csv {
-        out.push_str(&final_ratio_block(&series, "tas", "qsm"));
-        out.push_str(&final_ratio_block(&series, "ttas", "qsm"));
-    }
+    let mut out = series_block("Fig 1: lock passing time vs P (bus machine)", &series);
+    out.push_str(&final_ratio_block(&series, "tas", "qsm"));
+    out.push_str(&final_ratio_block(&series, "ttas", "qsm"));
     out
 }
 
 /// fig2 — lock passing time vs processor count on the NUMA machine.
 pub(crate) fn fig2(opts: &Opts) -> String {
     let series = lock_scaling(opts.threads, MachineKind::Numa, &opts.procs(), opts.iters());
-    let mut out = series_block(
-        opts,
-        "Fig 2: lock passing time vs P (NUMA machine)",
-        &series,
-    );
-    if !opts.csv {
-        out.push_str(&final_ratio_block(&series, "tas", "qsm"));
-    }
+    let mut out = series_block("Fig 2: lock passing time vs P (NUMA machine)", &series);
+    out.push_str(&final_ratio_block(&series, "tas", "qsm"));
     out
 }
 
@@ -247,13 +211,10 @@ pub(crate) fn fig2(opts: &Opts) -> String {
 pub(crate) fn fig3(opts: &Opts) -> String {
     let series = lock_traffic(opts.threads, MachineKind::Bus, &opts.procs(), opts.iters());
     let mut out = series_block(
-        opts,
         "Fig 3: interconnect transactions per critical section vs P (bus)",
         &series,
     );
-    if !opts.csv {
-        out.push_str(&final_ratio_block(&series, "tas", "qsm"));
-    }
+    out.push_str(&final_ratio_block(&series, "tas", "qsm"));
     out
 }
 
@@ -268,7 +229,6 @@ pub(crate) fn fig4(opts: &Opts) -> String {
     let iters = if opts.quick { 4 } else { 10 };
     let series = contention_sweep(opts.threads, MachineKind::Bus, nprocs, &holds, iters);
     series_block(
-        opts,
         &format!("Fig 4: throughput vs critical-section hold time (bus, P = {nprocs})"),
         &series,
     )
@@ -282,14 +242,8 @@ pub(crate) fn fig5(opts: &Opts) -> String {
         &opts.procs(),
         opts.episodes(),
     );
-    let mut out = series_block(
-        opts,
-        "Fig 5: barrier episode time vs P (bus machine)",
-        &series,
-    );
-    if !opts.csv {
-        out.push_str(&final_ratio_block(&series, "central", "qsm-tree"));
-    }
+    let mut out = series_block("Fig 5: barrier episode time vs P (bus machine)", &series);
+    out.push_str(&final_ratio_block(&series, "central", "qsm-tree"));
     out
 }
 
@@ -301,14 +255,8 @@ pub(crate) fn fig6(opts: &Opts) -> String {
         &opts.procs(),
         opts.episodes(),
     );
-    let mut out = series_block(
-        opts,
-        "Fig 6: barrier episode time vs P (NUMA machine)",
-        &series,
-    );
-    if !opts.csv {
-        out.push_str(&final_ratio_block(&series, "central", "qsm-tree"));
-    }
+    let mut out = series_block("Fig 6: barrier episode time vs P (NUMA machine)", &series);
+    out.push_str(&final_ratio_block(&series, "central", "qsm-tree"));
     out
 }
 
@@ -342,7 +290,6 @@ pub(crate) fn fig7(opts: &Opts) -> String {
 
     let series = backoff_ablation(opts.threads, MachineKind::Bus, nprocs, iters);
     let mut out = series_block(
-        opts,
         &format!("Fig 7a/7b: backoff parameter sensitivity (bus, P = {nprocs})"),
         &series,
     );
@@ -363,7 +310,7 @@ pub(crate) fn fig7(opts: &Opts) -> String {
         fp.push("qsm-no-fastpath", p as u64, ablated.passing_time);
     }
     out.push('\n');
-    out.push_str(&series_block(opts, "Fig 7c: QSM fast-path ablation", &fp));
+    out.push_str(&series_block("Fig 7c: QSM fast-path ablation", &fp));
     out
 }
 
@@ -395,11 +342,7 @@ pub(crate) fn fig8(opts: &Opts) -> String {
         }
         table.row_owned(cells);
     }
-    if opts.csv {
-        table.render_csv()
-    } else {
-        table.render()
-    }
+    table.render()
 }
 
 /// The core count fig9 and table4 oversubscribe. Four is the smallest
@@ -418,15 +361,12 @@ pub(crate) fn fig9(opts: &Opts) -> String {
     };
     let series = oversubscription_sweep(opts.threads, OVERSUB_CORES, &ratios, opts.iters());
     let mut out = series_block(
-        opts,
         &format!(
             "Fig 9: lock passing time vs threads per core (bus machine, {OVERSUB_CORES} cores, oversubscribed)"
         ),
         &series,
     );
-    if !opts.csv {
-        out.push_str(&final_ratio_block(&series, "qsm", "qsm-block"));
-    }
+    out.push_str(&final_ratio_block(&series, "qsm", "qsm-block"));
     out
 }
 
@@ -440,17 +380,13 @@ pub(crate) fn table1(opts: &Opts) -> String {
         assert_eq!(name, name2);
         table.row_owned(vec![name, fmt_cell(b), fmt_cell(n)]);
     }
-    if opts.csv {
-        table.render_csv()
-    } else {
-        let mut out = table.render();
-        out.push('\n');
-        out.push_str(
-            "(lock rows: one acquire+release; barrier rows: one episode net of work.\n\
-             Log-round barriers cost 0 at P = 1 — they have no work to do.)\n",
-        );
-        out
-    }
+    let mut out = table.render();
+    out.push('\n');
+    out.push_str(
+        "(lock rows: one acquire+release; barrier rows: one episode net of work.\n\
+         Log-round barriers cost 0 at P = 1 — they have no work to do.)\n",
+    );
+    out
 }
 
 /// table2 — fairness at P = 32: per-processor service distribution.
@@ -493,11 +429,7 @@ pub(crate) fn table2(opts: &Opts) -> String {
             format!("{}/{}", fmt_cell(min as f64), fmt_cell(max as f64)),
         ]);
     }
-    if opts.csv {
-        table.render_csv()
-    } else {
-        table.render()
-    }
+    table.render()
 }
 
 /// table3 (extension experiment) — reader/writer mix sweep.
@@ -542,11 +474,7 @@ pub(crate) fn table3(opts: &Opts) -> String {
             format!("{:.2}x", rw.throughput / mx.throughput),
         ]);
     }
-    if opts.csv {
-        table.render_csv()
-    } else {
-        table.render()
-    }
+    table.render()
 }
 
 /// table4 — blocking-lock latency: what the park path costs when idle
@@ -572,18 +500,14 @@ pub(crate) fn table4(opts: &Opts) -> String {
             format!("{:.2}", row.parks_per_cs),
         ]);
     }
-    if opts.csv {
-        table.render_csv()
-    } else {
-        let mut out = table.render();
-        out.push('\n');
-        out.push_str(
-            "(uncontended: acquire+release on a dedicated machine — the cost of having\n\
-             a park path without using it. parks per CS: futex parks per critical\n\
-             section in the oversubscribed trial; pure spin is always 0.)\n",
-        );
-        out
-    }
+    let mut out = table.render();
+    out.push('\n');
+    out.push_str(
+        "(uncontended: acquire+release on a dedicated machine — the cost of having\n\
+         a park path without using it. parks per CS: futex parks per critical\n\
+         section in the oversubscribed trial; pure spin is always 0.)\n",
+    );
+    out
 }
 
 /// The wait/hold distribution trials behind fig10 and table5 share one
@@ -609,7 +533,6 @@ pub(crate) fn fig10(opts: &Opts) -> String {
         }
     }
     series_block(
-        opts,
         &format!("Fig 10: lock wait-time CDF (bus machine, P = {nprocs})"),
         &series,
     )
@@ -639,18 +562,14 @@ pub(crate) fn table5(opts: &Opts) -> String {
             r.dist.hold.max().to_string(),
         ]);
     }
-    if opts.csv {
-        table.render_csv()
-    } else {
-        let mut out = table.render();
-        out.push('\n');
-        out.push_str(
-            "(from the event trace of an instrumented csbench run: wait is\n\
-             acquire-start to acquired, hold is acquired to released. Quantiles\n\
-             are log2-bucket upper bounds, clamped to the observed maximum.)\n",
-        );
-        out
-    }
+    let mut out = table.render();
+    out.push('\n');
+    out.push_str(
+        "(from the event trace of an instrumented csbench run: wait is\n\
+         acquire-start to acquired, hold is acquired to released. Quantiles\n\
+         are log2-bucket upper bounds, clamped to the observed maximum.)\n",
+    );
+    out
 }
 
 /// fig11 — lock-service throughput vs worker-pool size under the bursty
@@ -666,20 +585,17 @@ pub(crate) fn fig11(opts: &Opts) -> String {
     let requests = if opts.quick { 2_000 } else { 12_000 };
     let results = service_load::service_sweep(opts.threads, &threads, requests);
     let mut series = Series::new("workers", "requests per kcycle");
-    for r in &results {
-        series.push(r.policy.name(), r.threads as u64, r.throughput());
+    for (policy, r) in &results {
+        series.push(policy.name(), r.threads as u64, r.throughput());
     }
     let mut out = series_block(
-        opts,
         &format!(
             "Fig 11: service throughput vs worker pool ({requests} requests, Zipf 1.1, bursty open loop)"
         ),
         &series,
     );
-    if !opts.csv {
-        out.push_str(&final_ratio_block(&series, "qsm", "tas"));
-        out.push_str(&final_ratio_block(&series, "qsm", "ticket"));
-    }
+    out.push_str(&final_ratio_block(&series, "qsm", "tas"));
+    out.push_str(&final_ratio_block(&series, "qsm", "ticket"));
     out
 }
 
@@ -712,9 +628,9 @@ pub(crate) fn table6(opts: &Opts) -> String {
         cfg.mean_gap = 256;
         service_load::sim_load(LockPolicy::ALL[i], &cfg)
     });
-    for r in &results {
+    for (policy, r) in LockPolicy::ALL.iter().zip(&results) {
         table.row_owned(vec![
-            r.policy.name().to_string(),
+            policy.name().to_string(),
             format!("{:.2}", r.throughput()),
             r.wait_q(0.5).to_string(),
             r.wait_q(0.99).to_string(),
@@ -722,20 +638,16 @@ pub(crate) fn table6(opts: &Opts) -> String {
             r.wait.max().to_string(),
         ]);
     }
-    if opts.csv {
-        table.render_csv()
-    } else {
-        let mut out = table.render();
-        out.push('\n');
-        out.push_str(
-            "(arrival-to-grant wait under fig11's key/hold mix at a moderated\n\
-             arrival rate and fixed worker pool. FIFO grant with constant handoff\n\
-             (qsm) holds the p999 tail; broadcast handoff (ticket) pays per-waiter\n\
-             on every release; random grant (tas) starves unlucky requests and\n\
-             collapses — the classic tail blowup.)\n",
-        );
-        out
-    }
+    let mut out = table.render();
+    out.push('\n');
+    out.push_str(
+        "(arrival-to-grant wait under fig11's key/hold mix at a moderated\n\
+         arrival rate and fixed worker pool. FIFO grant with constant handoff\n\
+         (qsm) holds the p999 tail; broadcast handoff (ticket) pays per-waiter\n\
+         on every release; random grant (tas) starves unlucky requests and\n\
+         collapses — the classic tail blowup.)\n",
+    );
+    out
 }
 
 /// fig12 — sync vs async grant latency under the Zipf/bursty mix: the
@@ -790,20 +702,16 @@ pub(crate) fn fig12(opts: &Opts) -> String {
             real.wait_q(0.999).to_string(),
         ]);
     }
-    if opts.csv {
-        table.render_csv()
-    } else {
-        let mut out = table.render();
-        out.push('\n');
-        out.push_str(
-            "(sync = the fig11 QSM discrete-event model; async = the same request\n\
-             schedule through real AsyncLockService futures — waker slots, parked\n\
-             tasks, a waiting-array semaphore as the worker pool — on the\n\
-             deterministic virtual-clock executor. Waits are arrival-to-grant in\n\
-             cycles; both charge the same constant cost per futex wake.)\n",
-        );
-        out
-    }
+    let mut out = table.render();
+    out.push('\n');
+    out.push_str(
+        "(sync = the fig11 QSM discrete-event model; async = the same request\n\
+         schedule through real AsyncLockService futures — waker slots, parked\n\
+         tasks, a waiting-array semaphore as the worker pool — on the\n\
+         deterministic virtual-clock executor. Waits are arrival-to-grant in\n\
+         cycles; both charge the same constant cost per futex wake.)\n",
+    );
+    out
 }
 
 /// table7 — telemetry overhead on the fig11-shaped async workload: the
@@ -860,20 +768,16 @@ pub(crate) fn table7(opts: &Opts) -> String {
             rep.snapshot.wait_samples().to_string(),
         ]);
     }
-    if opts.csv {
-        table.render_csv()
-    } else {
-        let mut out = table.render();
-        out.push('\n');
-        out.push_str(
-            "(one fig11-shaped async run per metrics mode, identical request\n\
-             schedule. The off row counts nothing — disabled telemetry is exactly\n\
-             free — and every row lands the same makespan, so enabled telemetry\n\
-             never perturbs the virtual schedule. Wall-clock overhead of the\n\
-             counters mode is timed by an ignored test in tests/service_metrics.rs.)\n",
-        );
-        out
-    }
+    let mut out = table.render();
+    out.push('\n');
+    out.push_str(
+        "(one fig11-shaped async run per metrics mode, identical request\n\
+         schedule. The off row counts nothing — disabled telemetry is exactly\n\
+         free — and every row lands the same makespan, so enabled telemetry\n\
+         never perturbs the virtual schedule. Wall-clock overhead of the\n\
+         counters mode is timed by an ignored test in tests/service_metrics.rs.)\n",
+    );
+    out
 }
 
 #[cfg(test)]

@@ -1,20 +1,15 @@
-//! Shared plumbing for the figure/table binaries.
+//! The evaluation's figures and tables, and their regeneration.
 //!
-//! Every binary in `src/bin/` regenerates one table or figure of the
-//! reconstructed evaluation (see DESIGN.md's per-experiment index). The
-//! figures themselves live in [`figures`] as string-returning render
-//! functions over a common registry — the binaries are one-line wrappers,
-//! and the `bench_sim` binary runs the whole registry in one process to
-//! measure regeneration wall-clock. All binaries honour:
-//!
-//! * `--csv` — emit CSV instead of the aligned text table;
-//! * `--quick` — run a reduced sweep (fewer processors and iterations) so
-//!   integration tests can smoke-run every figure quickly.
-//!
-//! Unrecognized arguments are an error: the binary prints usage and exits
-//! nonzero rather than silently measuring something other than what the
-//! misspelled flag asked for. No binary reads the environment: a figure
-//! is a function of its flags alone.
+//! Every table and figure of the reconstructed evaluation is one render
+//! function in [`figures::FIGURES`], named by its id (`fig1`, `table1`,
+//! …; see DESIGN.md's per-experiment index). The `figure` binary prints
+//! one of them, `figure <id> [--quick]`, where `--quick` runs a reduced
+//! sweep (fewer processors and iterations) so tests can smoke-run every
+//! figure quickly; the `bench_sim` binary runs the whole registry in one
+//! process to measure regeneration wall-clock. An unknown id or argument
+//! is an error: the binary prints usage and exits nonzero rather than
+//! silently measuring something other than what was asked for. No binary
+//! reads the environment: a figure is a function of its arguments alone.
 
 use simcore::stats::LinearFit;
 use simcore::Series;
@@ -76,11 +71,9 @@ pub mod trace_export {
     }
 }
 
-/// Runtime options shared by all figure binaries.
+/// The options every figure renders under.
 #[derive(Debug, Clone, Copy)]
 pub struct Opts {
-    /// Emit CSV instead of an aligned table.
-    pub csv: bool,
     /// Reduced sweep for smoke tests.
     pub quick: bool,
     /// Host threads for the sweeps' cell fan-out. Never changes a
@@ -88,68 +81,17 @@ pub struct Opts {
     pub threads: usize,
 }
 
-/// Full mode, aligned text, the sweeps on the host's parallelism.
+/// Full mode, the sweeps on the host's parallelism.
 impl Default for Opts {
     fn default() -> Self {
         Opts {
-            csv: false,
             quick: false,
             threads: simcore::host_parallelism(),
         }
     }
 }
 
-/// Outcome of parsing that is not an `Opts`: the caller decides how to
-/// exit (binaries print usage; tests assert on the variant).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) enum ArgError {
-    /// `--help` / `-h` was given.
-    Help,
-    /// An argument no figure binary understands.
-    Unknown(String),
-}
-
 impl Opts {
-    /// The usage text shared by every figure binary.
-    pub(crate) const USAGE: &'static str = "\
-usage: <figure binary> [--csv] [--quick] [--help]
-
-  --csv     emit CSV instead of the aligned text table
-  --quick   reduced sweep; used by smoke tests
-  --help    show this help";
-
-    /// Parses command-line flags over [`Opts::default`]. Stops at the
-    /// first argument it does not recognize.
-    pub(crate) fn parse(args: impl Iterator<Item = String>) -> Result<Opts, ArgError> {
-        let mut opts = Opts::default();
-        for arg in args {
-            match arg.as_str() {
-                "--csv" => opts.csv = true,
-                "--quick" => opts.quick = true,
-                "--help" | "-h" => return Err(ArgError::Help),
-                other => return Err(ArgError::Unknown(other.to_string())),
-            }
-        }
-        Ok(opts)
-    }
-
-    /// Parses the process arguments; on `--help` prints usage and exits 0,
-    /// on an unknown argument prints the reason to stderr and exits 2.
-    pub(crate) fn from_env() -> Self {
-        match Self::parse(std::env::args().skip(1)) {
-            Ok(opts) => opts,
-            Err(ArgError::Help) => {
-                println!("{}", Self::USAGE);
-                std::process::exit(0);
-            }
-            Err(ArgError::Unknown(flag)) => {
-                eprintln!("error: unrecognized argument `{flag}`");
-                eprintln!("{}", Self::USAGE);
-                std::process::exit(2);
-            }
-        }
-    }
-
     /// The processor axis for scaling figures under this mode.
     pub(crate) fn procs(&self) -> Vec<usize> {
         if self.quick {
@@ -178,14 +120,10 @@ usage: <figure binary> [--csv] [--quick] [--help]
     }
 }
 
-/// Renders a series in the selected format, followed by the per-curve
-/// power-law scaling exponents (`y ~ P^e`) that EXPERIMENTS.md records.
-pub(crate) fn series_block(opts: &Opts, title: &str, series: &Series) -> String {
-    let table = series.to_table(title);
-    if opts.csv {
-        return table.render_csv();
-    }
-    let mut out = table.render();
+/// Renders a series as a table, followed by the per-curve power-law
+/// scaling exponents (`y ~ P^e`) that EXPERIMENTS.md records.
+pub(crate) fn series_block(title: &str, series: &Series) -> String {
+    let mut out = series.to_table(title).render();
     out.push('\n');
     out.push_str("scaling exponents (log-log fit y ~ x^e):\n");
     for name in series.curve_names() {
@@ -289,21 +227,6 @@ mod tests {
         assert!(quick.procs().len() < full.procs().len());
         assert!(quick.iters() <= full.iters());
         assert!(quick.episodes() < full.episodes());
-    }
-
-    #[test]
-    fn parse_accepts_known_flags_in_any_order() {
-        let opts = Opts::parse(["--quick".to_string(), "--csv".to_string()].into_iter()).unwrap();
-        assert!(opts.csv && opts.quick);
-        assert_eq!(opts.threads, simcore::host_parallelism());
-    }
-
-    #[test]
-    fn parse_rejects_unknown_flags() {
-        let err = Opts::parse(["--cvs".to_string()].into_iter()).unwrap_err();
-        assert_eq!(err, ArgError::Unknown("--cvs".to_string()));
-        let err = Opts::parse(["--help".to_string()].into_iter()).unwrap_err();
-        assert_eq!(err, ArgError::Help);
     }
 
     #[test]

@@ -74,12 +74,6 @@ impl Recording {
         self.snapshots.len()
     }
 
-    /// The configured fragment length in simulated cycles. Snapshots land
-    /// on the first engine step at or past each multiple of this.
-    pub fn fragment_cycles(&self) -> u64 {
-        self.fragment
-    }
-
     /// Number of simulated processors.
     pub fn nprocs(&self) -> usize {
         self.nprocs

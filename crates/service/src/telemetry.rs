@@ -43,7 +43,7 @@
 //! compiles every instrumentation call down to one predictable branch on
 //! an immutable field — no atomics, no timestamps — and builds the table
 //! no flight recorder, which is what lets
-//! `table7_metrics_overhead` demand byte-identical behaviour with the
+//! `table7` demand byte-identical behaviour with the
 //! layer disabled.
 //!
 //! Export: [`json`], one field per line, whose validator parses the

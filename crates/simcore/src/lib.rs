@@ -8,9 +8,8 @@
 //!   depending on an external crate whose stream might change between versions.
 //! * [`stats`] — running statistics (Welford) and least-squares regression used
 //!   to summarize simulator output.
-//! * [`table`] — plain-text table and CSV rendering for the figure/table binaries,
-//!   so every `figN`/`tableN` binary prints rows in the same format the paper's
-//!   evaluation section would.
+//! * [`table`] — plain-text table rendering, so every figure and table prints
+//!   rows in the same format the paper's evaluation section would.
 //! * [`series`] — labeled (x, y…) data series: the in-memory representation of a
 //!   "figure" before it is rendered.
 //! * [`knob`] — the strict reader of `SYNCMECH_BLESS`, the one environment

@@ -1,9 +1,9 @@
 //! Labeled data series — the in-memory form of a figure.
 //!
 //! A [`Series`] is a set of named curves sharing an x-axis (for the scaling
-//! figures: x = processor count, one curve per lock algorithm). The figure
-//! binaries build a `Series`, then render it as a table/CSV and compute
-//! scaling fits for EXPERIMENTS.md.
+//! figures: x = processor count, one curve per lock algorithm). The figures
+//! build a `Series`, then render it as a table and compute scaling fits
+//! for EXPERIMENTS.md.
 
 use crate::stats::{power_fit, LinearFit};
 use crate::table::{fmt_cell, Table};
@@ -161,8 +161,9 @@ mod tests {
     fn table_has_row_per_x() {
         let s = sample();
         let t = s.to_table("fig1");
-        assert_eq!(t.render_csv().lines().count(), 1 + 4);
         let text = t.render();
+        // Title, header and rule, then one row per x.
+        assert_eq!(text.lines().count(), 3 + 4);
         assert!(text.contains("fig1"));
         assert!(text.contains("cycles"));
     }

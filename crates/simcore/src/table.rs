@@ -1,8 +1,7 @@
-//! Plain-text table and CSV rendering.
+//! Plain-text table rendering.
 //!
-//! Every `tableN`/`figN` binary prints its result twice: once as an aligned
-//! text table for reading in a terminal (the way the paper's tables read), and
-//! once as CSV (behind `--csv`) for plotting. Both come from [`Table`].
+//! Every table and figure of the evaluation prints as an aligned text
+//! table, the way the paper's tables read. It comes from [`Table`].
 
 use std::fmt::Write as _;
 
@@ -92,27 +91,6 @@ impl Table {
         }
         out
     }
-
-    /// Renders the CSV form (RFC-4180-ish quoting), ending with a newline.
-    pub fn render_csv(&self) -> String {
-        let mut out = String::new();
-        let esc = |s: &str| {
-            if s.contains([',', '"', '\n']) {
-                format!("\"{}\"", s.replace('"', "\"\""))
-            } else {
-                s.to_string()
-            }
-        };
-        let mut write_row = |cells: &[String]| {
-            let line: Vec<String> = cells.iter().map(|c| esc(c)).collect();
-            let _ = writeln!(out, "{}", line.join(","));
-        };
-        write_row(&self.header);
-        for row in &self.rows {
-            write_row(row);
-        }
-        out
-    }
 }
 
 /// Formats a float with a sensible number of digits for table cells:
@@ -158,23 +136,6 @@ mod tests {
         t.row_owned(vec!["1".into(), "2".into(), "3".into(), "4".into()]);
         let text = t.render();
         assert!(text.contains('4'));
-    }
-
-    #[test]
-    fn csv_quotes_special_cells() {
-        let mut t = Table::new(&["k", "v"]);
-        t.row_owned(vec!["with,comma".into(), "with\"quote".into()]);
-        let csv = t.render_csv();
-        assert!(csv.contains("\"with,comma\""));
-        assert!(csv.contains("\"with\"\"quote\""));
-    }
-
-    #[test]
-    fn csv_round_count() {
-        let mut t = Table::new(&["a"]);
-        t.row_owned(vec!["1".into()]);
-        t.row_owned(vec!["2".into()]);
-        assert_eq!(t.render_csv().lines().count(), 3);
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! Three consumers sit on top:
 //!
 //! * [`histo`] — log-scaled wait/hold-time histograms per lock word
-//!   (feeds `table5_wait_distribution` and `fig10_wait_cdf`);
+//!   (feeds `table5` and `fig10`);
 //! * [`chrome`] — Chrome trace-event JSON export, one Perfetto track per
 //!   processor, with waker→wakee flow arrows (`bench_sim --trace-out`,
 //!   `interleave trace`);

@@ -27,12 +27,13 @@
 //! enough to run over every lock in CI while still being a real
 //! adversary; see the `interleave::fuzz` module docs for the guarantee.
 
+use crate::oversub::oversub_machine;
 use crate::realhw;
 use interleave::harness::{fuzz_lock, lock_program};
 use interleave::{Fuzzer, ReplayEnd, Strategy};
 use kernels::locks::{counter_trial, lock_by_name, LockKernel};
 use kernels::{ProcCtx, Word};
-use memsim::{Machine, MachineParams, SchedParams};
+use memsim::{Machine, MachineParams};
 use std::sync::Arc;
 
 /// Shape of one differential trial.
@@ -175,7 +176,12 @@ pub fn differential_lock_kernel(
     let outcomes = vec![
         checker_fuzz_backend(&lock, cfg),
         memsim_backend("memsim-bus", dedicated_machine(cfg), &lock, cfg),
-        memsim_backend("memsim-oversub", oversub_machine(cfg), &lock, cfg),
+        memsim_backend(
+            "memsim-oversub",
+            oversub_machine(cfg.nthreads, cfg.cores),
+            &lock,
+            cfg,
+        ),
         real_threads_backend(&lock, cfg),
     ];
     DiffReport {
@@ -189,15 +195,6 @@ pub fn differential_lock_kernel(
 /// blocking variants' occasional parks fit comfortably.
 fn dedicated_machine(cfg: &DiffConfig) -> Machine {
     let mut params = MachineParams::bus_1991(cfg.nthreads);
-    params.max_cycles = 50_000_000;
-    Machine::new(params)
-}
-
-/// The oversubscribed machine: same bus, `cfg.cores` cores under the
-/// 1991-flavored scheduler (mirrors `oversub::oversub_machine`).
-fn oversub_machine(cfg: &DiffConfig) -> Machine {
-    let mut params = MachineParams::bus_1991(cfg.nthreads);
-    params.sched = Some(SchedParams::oversub_1991(cfg.cores));
     params.max_cycles = 50_000_000;
     Machine::new(params)
 }

@@ -1,7 +1,7 @@
 //! # workloads — experiment drivers for the syncmech evaluation
 //!
 //! Each module drives one experiment family from DESIGN.md's per-experiment
-//! index, shared between the `bench` figure binaries, the integration
+//! index, shared between the `bench` figures, the integration
 //! tests, and the examples:
 //!
 //! * [`csbench`] — the critical-section microbenchmark behind table1,

@@ -195,9 +195,6 @@ mod tests {
     fn sweep_is_deterministic() {
         let a = oversubscription_sweep(simcore::host_parallelism(), 2, &[1, 2], 3);
         let b = oversubscription_sweep(simcore::host_parallelism(), 2, &[1, 2], 3);
-        assert_eq!(
-            a.to_table("fig9").render_csv(),
-            b.to_table("fig9").render_csv()
-        );
+        assert_eq!(a.to_table("fig9").render(), b.to_table("fig9").render());
     }
 }

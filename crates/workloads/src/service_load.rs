@@ -226,17 +226,16 @@ impl ServiceLoadConfig {
     }
 }
 
-/// One simulated trial's outcome.
+/// One trial's outcome, from either driver: a [`sim_load`] run or the
+/// `result` of an [`async_load_with_metrics`] report.
 #[derive(Debug, Clone)]
 pub struct ServiceLoadResult {
-    /// The policy simulated.
-    pub policy: LockPolicy,
     /// Worker pool size.
     pub threads: usize,
     /// Requests completed (always `requests`).
-    pub(crate) completed: u64,
+    pub completed: u64,
     /// Virtual time of the last completion.
-    pub(crate) makespan: u64,
+    pub makespan: u64,
     /// Arrival-to-grant times, cycles.
     pub wait: Histogram,
     /// Grant-to-release times, cycles.
@@ -446,7 +445,6 @@ pub fn sim_load(policy: LockPolicy, cfg: &ServiceLoadConfig) -> ServiceLoadResul
 
     debug_assert!(keys.is_empty(), "all keys retired at drain");
     ServiceLoadResult {
-        policy,
         threads: cfg.threads,
         completed,
         makespan,
@@ -458,44 +456,25 @@ pub fn sim_load(policy: LockPolicy, cfg: &ServiceLoadConfig) -> ServiceLoadResul
 /// The fig11/table6 sweep: every policy at every worker-pool size, fanned
 /// out across `threads` host threads like the other figure sweeps.
 /// Results come back in `(policy, workers)` grid order regardless of the
-/// fan-out.
-pub fn service_sweep(threads: usize, workers: &[usize], requests: usize) -> Vec<ServiceLoadResult> {
+/// fan-out, each beside its policy.
+pub fn service_sweep(
+    threads: usize,
+    workers: &[usize],
+    requests: usize,
+) -> Vec<(LockPolicy, ServiceLoadResult)> {
     let cells: Vec<(LockPolicy, usize)> = LockPolicy::ALL
         .iter()
         .flat_map(|&p| workers.iter().map(move |&w| (p, w)))
         .collect();
-    parallel_cells(cells.len(), threads, |i| {
+    let results = parallel_cells(cells.len(), threads, |i| {
         let (policy, w) = cells[i];
         sim_load(policy, &ServiceLoadConfig::new(w, requests))
-    })
-}
-
-/// Outcome of an [`async_load_with_metrics`] run — the async column of
-/// fig12.
-#[derive(Debug, Clone)]
-pub struct AsyncServiceResult {
-    /// Worker pool size (semaphore permits).
-    pub threads: usize,
-    /// Requests completed (always `requests`).
-    pub completed: u64,
-    /// Virtual time of the last completion.
-    pub makespan: u64,
-    /// Arrival-to-grant times, cycles.
-    pub(crate) wait: Histogram,
-    /// Grant-to-release times, cycles.
-    pub hold: Histogram,
-}
-
-impl AsyncServiceResult {
-    /// Completed requests per thousand virtual cycles.
-    pub fn throughput(&self) -> f64 {
-        self.completed as f64 * 1000.0 / self.makespan.max(1) as f64
-    }
-
-    /// Wait-time quantile `q` in `[0, 1]`, cycles.
-    pub fn wait_q(&self, q: f64) -> u64 {
-        self.wait.quantile(q)
-    }
+    });
+    cells
+        .iter()
+        .map(|&(policy, _)| policy)
+        .zip(results)
+        .collect()
 }
 
 /// An [`async_load_with_metrics`] report: the workload outcome plus the
@@ -506,7 +485,7 @@ impl AsyncServiceResult {
 #[derive(Debug)]
 pub struct AsyncMetricsReport {
     /// The workload outcome, identical in every mode.
-    pub result: AsyncServiceResult,
+    pub result: ServiceLoadResult,
     /// The service-side telemetry snapshot (lock + semaphore share one
     /// lot and one [`service::ServiceMetrics`], so semaphore grants and
     /// parks land here too).
@@ -597,7 +576,7 @@ pub fn async_load_with_metrics(
     let snapshot = svc.metrics_snapshot();
     let t = tally.into_inner();
     AsyncMetricsReport {
-        result: AsyncServiceResult {
+        result: ServiceLoadResult {
             threads: cfg.threads,
             completed: t.completed,
             makespan: t.makespan,

@@ -3,7 +3,7 @@
 //! The checked text is all of README.md and EXPERIMENTS.md above its
 //! `## Log (dated, not checked)` heading. Each `##` section that quotes a
 //! number names its sources on a line of its own,
-//! `Sources: results/fig6_barrier_numa.txt, tests/dpor_blocking.rs`, and
+//! `Sources: results/fig6.txt, tests/dpor_blocking.rs`, and
 //! every number in its prose must be a token of one of them:
 //!
 //! - a `results/*.txt` file: any token;
@@ -425,7 +425,7 @@ fn an_excerpt_must_be_lines_of_its_file_in_order() {
         sources: BTreeMap::new(),
         problems: Vec::new(),
     };
-    let file = "results/fig1_lock_scaling_bus.txt";
+    let file = "results/fig1.txt";
     let row8 = "8   580.6   147.8        223.1   254.0   198.4        153.1     131.1            152.5  156.4  162.1";
     let row64 = "64  4518.6  152.9        1617.2  1409.1  649.3        153.4     131.5            153.2  157.9  164.0";
     c.excerpt("doc", 1, file, &[row8, row64]);

@@ -22,10 +22,10 @@ use bench::figures::{check_report, FIGURES};
 use bench::Opts;
 use std::path::PathBuf;
 
-fn golden_path(binary: &str) -> PathBuf {
+fn golden_path(id: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("tests/golden")
-        .join(format!("{binary}.txt"))
+        .join(format!("{id}.txt"))
 }
 
 /// A minimal unified diff (3 context lines, `@@ -a,b +c,d @@` hunk
@@ -144,13 +144,12 @@ fn quick_mode_figures_match_golden_files() {
     // from the first and diffs the second against them.
     for threads in [1, 3] {
         let opts = Opts {
-            csv: false,
             quick: true,
             threads,
         };
         for figure in FIGURES.iter().filter(|f| f.deterministic) {
             let rendered = (figure.render)(&opts);
-            let path = golden_path(figure.binary);
+            let path = golden_path(figure.id);
             if bless && threads == 1 {
                 std::fs::write(&path, &rendered)
                     .unwrap_or_else(|e| panic!("writing {}: {e}", path.display()));
@@ -210,7 +209,7 @@ fn committed_bench_sim_report_passes_its_check() {
     check_report(&text, &figures).expect("BENCH_sim.json");
     check_report(&text.replace(",\"", ",\n  \""), &figures).expect("one member per line");
     for (from, to) in [
-        ("v5", "v4"),
+        ("v6", "v5"),
         ("\"id\":\"fig2\"", "\"id\":\"fig3\""),
         ("\"speedup\":", "\"speedup\":-"),
         ("\"parallel_wall_ms\":", "\"parallel_wall_msX\":"),
@@ -221,20 +220,44 @@ fn committed_bench_sim_report_passes_its_check() {
     assert!(check_report(&text, &figures[1..]).is_err(), "extra entry");
 }
 
+/// The ids a directory holds one `<id>.txt` file for, sorted; any other
+/// entry fails the test.
+fn stems(dir: &str) -> Vec<String> {
+    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join(dir);
+    let mut stems: Vec<String> = std::fs::read_dir(&dir)
+        .unwrap_or_else(|e| panic!("reading {}: {e}", dir.display()))
+        .map(|entry| {
+            let name = entry.expect("dir entry").file_name();
+            let name = name.to_string_lossy();
+            match name.strip_suffix(".txt") {
+                Some(stem) => stem.to_string(),
+                None => panic!("unexpected file in {}: {name}", dir.display()),
+            }
+        })
+        .collect();
+    stems.sort();
+    stems
+}
+
 #[test]
 fn golden_directory_has_no_orphans() {
-    // Every committed golden corresponds to a registered deterministic
-    // figure — catches a renamed binary leaving a stale golden behind.
-    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden");
-    for entry in std::fs::read_dir(&dir).expect("golden dir") {
-        let name = entry.expect("dir entry").file_name();
-        let name = name.to_string_lossy();
-        let Some(stem) = name.strip_suffix(".txt") else {
-            panic!("unexpected file in tests/golden: {name}");
-        };
-        assert!(
-            FIGURES.iter().any(|f| f.deterministic && f.binary == stem),
-            "tests/golden/{name} does not match any deterministic figure"
-        );
-    }
+    // `results/` holds one file per registered figure, fig8 included, and
+    // `tests/golden/` one per deterministic figure: no orphan left behind
+    // by a renamed figure, and no gap that a loop over the files would
+    // silently skip.
+    let ids = |keep: fn(&bench::figures::Figure) -> bool| {
+        let mut ids: Vec<String> = FIGURES
+            .iter()
+            .filter(|f| keep(f))
+            .map(|f| f.id.to_string())
+            .collect();
+        ids.sort();
+        ids
+    };
+    assert_eq!(stems("results"), ids(|_| true), "results/ vs FIGURES");
+    assert_eq!(
+        stems("tests/golden"),
+        ids(|f| f.deterministic),
+        "tests/golden/ vs the deterministic FIGURES"
+    );
 }
