@@ -8,25 +8,19 @@
 //! because it serializes all accesses and the protocol guarantees a single
 //! writer.
 //!
-//! **The state is stored once.** There is one directory row per line of the
-//! run's memory image — a presence bit per processor plus an owner — and a
-//! processor's state for a line is *read off that row*: `owner == Some(pid)`
-//! is `Modified`, a set presence bit is `Shared`, neither is absent. No
-//! per-processor copy exists that could disagree with it. On the bus
-//! machine the row plays the role of the snoop results; on the NUMA machine
-//! it is a full-map directory. Presence sets are `u128` bitmasks, which is
-//! what bounds the simulator at 128 processors.
+//! **The state is stored once**, in one row per line of the run's memory
+//! image: an owner word, then a presence bit per processor in ⌈P / 64⌉
+//! words. A processor's state for a line is *read off that row* — the owner
+//! is `Modified`, a set presence bit `Shared`, neither absent — so no copy
+//! exists that could disagree with it. On the bus machine the row plays the
+//! role of the snoop results; on the NUMA machine it is a full-map directory.
 //!
-//! The caches are **unbounded**: a processor keeps every line it has
-//! fetched until another processor's write invalidates it, so there is no
-//! replacement and no write-back. The working sets the simulator runs —
-//! lock words, queue nodes, barrier flags — are a few dozen lines, far
-//! below any cache of 1991 (DESIGN.md, "The coherence table").
-//!
-//! The table is sized once, from the image the run starts with
-//! (`lines = words.div_ceil(line_words)`), and never grows: the engine
-//! rejects an address outside the image before it gets here. Memory is
-//! `lines × 32 B`, whatever the processor count.
+//! The table is sized once, from the run's image and processor count, and
+//! never grows: the engine faults an address outside the image first. The
+//! caches are **unbounded**: a line leaves a cache only when another
+//! processor's write invalidates it (DESIGN.md, "The coherence table").
+
+use std::mem::take;
 
 /// Coherence state of a line in one processor's private cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -37,37 +31,36 @@ pub(crate) enum LineState {
     Modified,
 }
 
-/// What the machine knows about one line.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-struct DirEntry {
-    /// Presence bitmask: bit `p` set ⇔ processor `p` caches the line.
-    sharers: u128,
-    /// Exclusive owner, if some cache holds the line Modified; then
-    /// `sharers` is exactly the owner's bit.
-    owner: Option<usize>,
-}
-
 /// All private caches and the directory over a fixed range of lines.
 #[derive(Debug, Clone)]
 pub(crate) struct Coherence {
-    /// One entry per line of the memory image.
-    dir: Vec<DirEntry>,
+    /// Words per row: the owner word, then the presence words.
+    width: usize,
+    /// One row per line of the memory image. The owner word is `pid + 1`
+    /// while `pid` holds the line Modified, else 0; presence bit `p` is set
+    /// ⇔ processor `p` caches the line.
+    rows: Vec<u64>,
+}
+
+/// Where `pid`'s presence bit sits in a row: the word, and the bit in it.
+fn presence(pid: usize) -> (usize, u64) {
+    (1 + pid / 64, 1 << (pid % 64))
 }
 
 impl Coherence {
-    /// Empty caches over a memory image of `lines` lines.
-    pub(crate) fn new(lines: usize) -> Self {
-        Coherence {
-            dir: vec![DirEntry::default(); lines],
-        }
+    /// Empty caches over `lines` lines, for `nprocs` processors.
+    pub(crate) fn new(lines: usize, nprocs: usize) -> Self {
+        let width = 1 + nprocs.div_ceil(64);
+        let rows = vec![0; lines * width];
+        Coherence { width, rows }
     }
 
     /// State of `line` in `pid`'s cache, if present.
     pub(crate) fn state(&self, pid: usize, line: usize) -> Option<LineState> {
-        let e = &self.dir[line];
-        if e.owner == Some(pid) {
+        let (row, (word, bit)) = (line * self.width, presence(pid));
+        if self.rows[row] == pid as u64 + 1 {
             Some(LineState::Modified)
-        } else if e.sharers & (1 << pid) != 0 {
+        } else if self.rows[row + word] & bit != 0 {
             Some(LineState::Shared)
         } else {
             None
@@ -81,33 +74,33 @@ impl Coherence {
             self.state(pid, line).is_none(),
             "a read miss fills an absent line"
         );
-        let e = &mut self.dir[line];
-        e.owner = None;
-        e.sharers |= 1 << pid;
+        let (row, (word, bit)) = (line * self.width, presence(pid));
+        self.rows[row] = 0;
+        self.rows[row + word] |= bit;
     }
 
     /// `pid` takes `line` Modified, invalidating every other copy. Returns
-    /// how many copies that was.
+    /// how many copies that was. Out of line, so that a hit in the engine's
+    /// `access` does not pay for this loop's registers.
+    #[inline(never)]
     pub(crate) fn own(&mut self, pid: usize, line: usize) -> u64 {
-        let bit = 1 << pid;
-        let victims = self.dir[line].sharers & !bit;
-        self.dir[line] = DirEntry {
-            sharers: bit,
-            owner: Some(pid),
-        };
-        u64::from(victims.count_ones())
+        let (word, bit) = presence(pid);
+        let row = &mut self.rows[line * self.width..][..self.width];
+        let mine = u32::from(row[word] & bit != 0);
+        let copies: u32 = row[1..].iter_mut().map(|w| take(w).count_ones()).sum();
+        row[0] = pid as u64 + 1;
+        row[word] = bit;
+        u64::from(copies - mine)
     }
 
-    /// Debug builds, after every access: an owner is the sole sharer.
-    pub(crate) fn check_invariants(&self) {
-        for (line, e) in self.dir.iter().enumerate() {
-            if let Some(owner) = e.owner {
-                assert_eq!(
-                    e.sharers,
-                    1 << owner,
-                    "line {line}: owner p{owner} is not the sole sharer"
-                );
-            }
+    /// Debug builds, after every access to `line`: its owner is its sole
+    /// sharer. An access changes no other row, so the table stays checked.
+    pub(crate) fn check_line(&self, line: usize) {
+        let row = &self.rows[line * self.width..][..self.width];
+        if let Some(o) = (row[0] as usize).checked_sub(1) {
+            let (word, bit) = presence(o);
+            let sole = row[word] == bit && row[1..].iter().filter(|&&w| w != 0).count() == 1;
+            assert!(sole, "line {line}: owner p{o} is not the sole sharer");
         }
     }
 }
@@ -117,60 +110,67 @@ mod tests {
     use super::*;
     use LineState::{Modified, Shared};
 
-    /// Caches over 16 lines.
-    fn table() -> Coherence {
-        Coherence::new(16)
-    }
-
-    /// A line's presence mask and owner.
-    fn row(c: &Coherence, line: usize) -> (u128, Option<usize>) {
-        (c.dir[line].sharers, c.dir[line].owner)
+    /// A line's sharers and owner.
+    fn row(c: &Coherence, line: usize) -> (Vec<usize>, Option<usize>) {
+        let row = &c.rows[line * c.width..][..c.width];
+        let present = |&p: &usize| row[presence(p).0] & presence(p).1 != 0;
+        let sharers = (0..64 * (c.width - 1)).filter(present).collect();
+        (sharers, (row[0] as usize).checked_sub(1))
     }
 
     #[test]
     fn readers_accumulate_without_an_owner() {
-        let mut c = table();
+        let mut c = Coherence::new(16, 4);
         assert_eq!(c.state(0, 1), None);
         c.share(0, 1);
         c.share(1, 1);
-        assert_eq!(row(&c, 1), (0b11, None));
+        assert_eq!(row(&c, 1), (vec![0, 1], None));
         assert_eq!((c.state(0, 1), c.state(1, 1)), (Some(Shared), Some(Shared)));
-        c.check_invariants();
+        c.check_line(1);
     }
 
     #[test]
     fn a_writer_invalidates_every_other_copy() {
-        let mut c = table();
+        let mut c = Coherence::new(16, 4);
         for pid in 0..3 {
             c.share(pid, 1);
         }
         assert_eq!(c.own(1, 1), 2);
-        assert_eq!(row(&c, 1), (0b010, Some(1)));
+        assert_eq!(row(&c, 1), (vec![1], Some(1)));
         assert_eq!(c.state(1, 1), Some(Modified));
         assert_eq!((c.state(0, 1), c.state(2, 1)), (None, None));
         // Already the owner, or the sole sharer: nobody to invalidate.
         assert_eq!(c.own(1, 1), 0);
         c.share(2, 5);
         assert_eq!(c.own(2, 5), 0);
-        c.check_invariants();
+        c.check_line(1);
+        c.check_line(5);
+        // Three presence words: the writer's bit in the middle one is no victim.
+        let mut c = Coherence::new(16, 131);
+        for pid in [0, 63, 64, 130] {
+            c.share(pid, 1);
+        }
+        assert_eq!(c.own(64, 1), 3);
+        assert_eq!(row(&c, 1), (vec![64], Some(64)));
+        c.check_line(1);
     }
 
     #[test]
     fn a_reader_downgrades_the_owner() {
-        let mut c = table();
+        let mut c = Coherence::new(16, 4);
         c.own(0, 1);
         c.share(1, 1);
-        assert_eq!(row(&c, 1), (0b11, None));
+        assert_eq!(row(&c, 1), (vec![0, 1], None));
         assert_eq!(c.state(0, 1), Some(Shared));
-        c.check_invariants();
+        c.check_line(1);
     }
 
     #[test]
     fn an_upgrade_in_place_does_not_evict() {
-        let mut c = table();
+        let mut c = Coherence::new(16, 4);
         c.share(0, 1);
         assert_eq!(c.own(0, 1), 0);
         assert_eq!(c.state(0, 1), Some(Modified));
-        c.check_invariants();
+        c.check_line(1);
     }
 }

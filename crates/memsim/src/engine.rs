@@ -358,7 +358,7 @@ impl EngineCore {
         fragment: Option<u64>,
     ) -> Self {
         params.validate();
-        assert!((1..=128).contains(&nprocs), "1..=128 processors supported");
+        assert!(nprocs >= 1, "a run needs at least one processor");
         let net = Interconnect::new(&params);
         let sched = params.sched.map(|p| SchedState {
             on_core: vec![false; nprocs],
@@ -368,7 +368,7 @@ impl EngineCore {
             p,
         });
         let mut core = EngineCore {
-            coherence: Coherence::new(init_memory.len().div_ceil(params.line_words)),
+            coherence: Coherence::new(init_memory.len().div_ceil(params.line_words), nprocs),
             net,
             metrics: Metrics::new(nprocs),
             states: (0..nprocs).map(|_| ProcState::Running).collect(),
@@ -934,7 +934,7 @@ impl EngineCore {
             )
         };
         if cfg!(debug_assertions) {
-            self.coherence.check_invariants();
+            self.coherence.check_line(line);
         }
         done
     }

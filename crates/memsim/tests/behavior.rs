@@ -232,9 +232,3 @@ fn metrics_survive_large_processor_counts() {
     assert_eq!(report.memory[0], 128);
     assert_eq!(report.metrics.per_proc.len(), 128);
 }
-
-#[test]
-#[should_panic(expected = "1..=128 processors")]
-fn more_than_128_processors_rejected() {
-    let _ = Machine::new(MachineParams::bus_1991(129)).run(129, 1, |_| {});
-}

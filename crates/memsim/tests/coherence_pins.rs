@@ -1,7 +1,9 @@
 //! Exact pins on the coherence table at the edges of its line-indexed
 //! sizing — images of one word, one line and one line plus a word, an empty
-//! image, addresses past it, one and 128 processors — and on snapshots of a
-//! run that shares and invalidates lines at every step.
+//! image, addresses past it, presence rows of one to sixteen words (P = 1
+//! to 1024) and zero processors — and on snapshots of a run that shares and
+//! invalidates lines at every step, with presence rows of one and three
+//! words.
 
 use memsim::{Machine, MachineParams, Metrics, Proc, SimError};
 use simcore::Rng;
@@ -114,53 +116,61 @@ fn out_of_range_address_is_a_fault_not_a_panic() {
 }
 
 #[test]
-fn one_and_one_hundred_twenty_eight_processors() {
-    let m = touch_ends(MachineParams::bus_1991(1), 1, 4);
-    assert_eq!(m.per_proc.len(), 1);
-    // The widest sharer mask: every processor reads word 0, then the last
-    // one writes it and invalidates the other 127 copies in one go.
-    let nprocs = 128;
-    let report = Machine::new(MachineParams::numa_1991(nprocs))
-        .run(nprocs, 8, move |p| {
-            p.load(0);
-            if p.pid() == nprocs - 1 {
-                p.delay(100_000);
-                p.store(0, 7);
-            }
-        })
-        .expect("128-processor run");
-    assert_eq!(report.memory[0], 7);
-    assert_eq!(report.metrics.misses(), 128);
-    assert_eq!(report.metrics.upgrades(), 1);
-    assert_eq!(report.metrics.invalidations, 127);
+fn one_to_a_thousand_and_twenty_four_processors() {
+    // Presence rows of one, two, three and sixteen words: every processor
+    // reads word 0, then the last one writes it and invalidates the other
+    // P - 1 copies in one go.
+    for nprocs in [1, 63, 64, 65, 128, 129, 1024] {
+        let report = Machine::new(MachineParams::numa_1991(nprocs))
+            .run(nprocs, 8, move |p| {
+                p.load(0);
+                if p.pid() == nprocs - 1 {
+                    p.delay(100_000);
+                    p.store(0, 7);
+                }
+            })
+            .expect("wide run");
+        let m = &report.metrics;
+        assert_eq!(report.memory[0], 7, "P = {nprocs}");
+        let counts = (m.misses(), m.upgrades(), m.invalidations);
+        assert_eq!(
+            counts,
+            (nprocs as u64, 1, nprocs as u64 - 1),
+            "P = {nprocs}"
+        );
+    }
 }
 
 #[test]
-#[should_panic(expected = "1..=128 processors")]
-fn one_hundred_twenty_nine_processors_rejected() {
-    let _ = Machine::new(MachineParams::bus_1991(4)).run(129, 8, |_| {});
+#[should_panic(expected = "at least one processor")]
+fn zero_processors_rejected() {
+    let _ = Machine::new(MachineParams::bus_1991(4)).run(0, 8, |_| {});
 }
 
 #[test]
 fn mid_run_snapshot_replays_to_the_same_metrics() {
     // Every snapshot of a sharing-heavy run carries the whole coherence
     // table; restoring any of them must finish on the live run's counters.
-    let params = MachineParams::bus_1991(4);
-    let lines = 16;
-    let body = mixed_walk(0x5EED, 300, lines, params.line_words);
-    let machine = Machine::new(params.clone());
-    let init = vec![0; lines * params.line_words];
-    let live = machine
-        .run_with_init(4, init.clone(), &body)
-        .expect("live run");
-    let recording = machine
-        .run_recorded(4, init, 500, &body)
-        .expect("recorded run");
-    assert!(recording.fragments() > 3, "snapshots must land mid-run");
-    assert_eq!(recording.report().metrics, live.metrics);
-    for index in 0..recording.fragments() {
-        let resumed = recording.resume(index);
-        assert_eq!(resumed.metrics, live.metrics, "snapshot {index}");
-        assert_eq!(resumed.memory, live.memory, "snapshot {index}");
+    // The wider run is longer, so its fragments are too (~40 of them).
+    for (nprocs, fragment) in [(4, 500), (130, 20_000)] {
+        let params = MachineParams::bus_1991(nprocs);
+        let lines = 16;
+        let body = mixed_walk(0x5EED, 300, lines, params.line_words);
+        let machine = Machine::new(params.clone());
+        let init = vec![0; lines * params.line_words];
+        let live = machine
+            .run_with_init(nprocs, init.clone(), &body)
+            .expect("live run");
+        let recording = machine
+            .run_recorded(nprocs, init, fragment, &body)
+            .expect("recorded run");
+        assert!(recording.fragments() > 3, "snapshots must land mid-run");
+        assert_eq!(recording.report().metrics, live.metrics);
+        for index in 0..recording.fragments() {
+            let resumed = recording.resume(index);
+            let at = format!("P = {nprocs}, snapshot {index}");
+            assert_eq!(resumed.metrics, live.metrics, "{at}");
+            assert_eq!(resumed.memory, live.memory, "{at}");
+        }
     }
 }

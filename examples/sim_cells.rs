@@ -16,8 +16,9 @@
 //! when bodies end or futex-wake, fewer when spinners re-probe without being
 //! resumed. The last row is the one-processor run the benchmark's
 //! `memsim.solo_ns_per_event` times. Then the time of an empty run at P = 1,
-//! 16 and 64 (and at P = 64 on fig5/fig6's 6656-word dissemination image):
-//! engine and coroutine set-up, the fixed cost of every cell.
+//! 16, 64 and 1024 (and at P = 64 on fig5/fig6's 6656-word dissemination
+//! image, at P = 1024 on twice that): engine and coroutine set-up, the fixed
+//! cost of every cell.
 
 use kernels::barriers::{barrier_by_name, timing_trial};
 use kernels::locks::{counter_trial, lock_by_name};
@@ -127,13 +128,20 @@ fn main() {
     }
 
     println!();
-    for (nprocs, words) in [(1, 8), (16, 8), (64, 8), (64, 6656)] {
+    for (nprocs, words) in [
+        (1, 8),
+        (16, 8),
+        (64, 8),
+        (64, 6656),
+        (1024, 8),
+        (1024, 13_312),
+    ] {
         let machine = Machine::new(MachineParams::bus_1991(nprocs));
         let (median, best) = time(rounds * RUNS, || {
             machine.run(nprocs, words, |_| {}).expect("empty run");
         });
         println!(
-            "empty run, P = {nprocs:>2}, {words:>4} words: {:>7.2} us, best {:>7.2}",
+            "empty run, P = {nprocs:>4}, {words:>5} words: {:>7.2} us, best {:>7.2}",
             median / 1000.0,
             best / 1000.0
         );

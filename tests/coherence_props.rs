@@ -38,9 +38,13 @@ fn gen_op(rng: &mut Rng) -> GenOp {
     }
 }
 
-/// 1..=6 processors, each with up to 30 operations.
+/// 1..=6 processors, or one case in eight 63..=70 (presence rows of one
+/// and of two words), each with up to 30 operations.
 fn gen_program(rng: &mut Rng) -> Vec<Vec<GenOp>> {
-    let nprocs = 1 + rng.next_below(6) as usize;
+    let nprocs = match rng.next_below(8) {
+        0 => 63 + rng.next_below(8) as usize,
+        _ => 1 + rng.next_below(6) as usize,
+    };
     (0..nprocs)
         .map(|_| {
             let len = rng.next_below(30) as usize;

@@ -3,7 +3,7 @@
 //! reports them. These are the tests that fail if the simulator or an
 //! algorithm regresses in a way that would silently change the figures.
 
-use kernels::locks::{lock_by_name, LockKernel};
+use kernels::locks::{counter_trial, lock_by_name, LockKernel};
 use memsim::{Machine, MachineParams};
 use workloads::barrierbench::{self, BarrierConfig};
 use workloads::csbench::{self, CsConfig};
@@ -234,4 +234,30 @@ fn whole_trials_are_deterministic() {
     let c = passing_time(MachineKind::Numa, qsm.as_ref(), 16);
     let d = passing_time(MachineKind::Numa, qsm.as_ref(), 16);
     assert_eq!(c, d);
+}
+
+/// A decade of P further: from P = 64 to 1024, a local-spinning queue
+/// lock's interconnect traffic per critical section stays flat while
+/// ticket's, every waiter re-reading one word, grows with P.
+#[test]
+fn queue_locks_stay_flat_to_a_thousand_processors() {
+    let per_cs = |kind: MachineKind, name: &str, p: usize| {
+        let lock = lock_by_name(name).unwrap();
+        let (_, report) = counter_trial(&kind.machine(p), lock.as_ref(), p, 2, 20).unwrap();
+        report.metrics.interconnect_transactions as f64 / (2 * p) as f64
+    };
+    for kind in [MachineKind::Bus, MachineKind::Numa] {
+        for name in ["qsm", "mcs"] {
+            let (at64, at1024) = (per_cs(kind, name, 64), per_cs(kind, name, 1024));
+            assert!(
+                at1024 < 1.05 * at64,
+                "{kind:?} {name} must stay flat: {at64:.2} @64 vs {at1024:.2} @1024"
+            );
+        }
+        let (at64, at1024) = (per_cs(kind, "ticket", 64), per_cs(kind, "ticket", 1024));
+        assert!(
+            at1024 > 10.0 * at64,
+            "{kind:?} ticket must grow with P: {at64:.2} @64 vs {at1024:.2} @1024"
+        );
+    }
 }
