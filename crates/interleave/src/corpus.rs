@@ -26,6 +26,7 @@
 use crate::explorer::{Failure, Verdict};
 use crate::program::{ChkCtx, Program};
 use kernels::locks::LockKernel;
+use kernels::slots::SlotArray;
 use kernels::{Addr, ProcCtx, Region, SyncCtx, Waited, Word};
 use service::protocol::{self, QsmQueue, WaitingArray, CONTENDED, FREE, HELD};
 use std::sync::Arc;
@@ -731,6 +732,43 @@ pub fn qsm_nodes_freed(mem: &[Word]) -> Result<(), String> {
         Some(w) => Err(format!("node {} written after its free", w / 2)),
         None => Ok(()),
     }
+}
+
+/// Words per line of [`slot_lifecycle_program`]'s array.
+const SLOT_LINE: usize = 4;
+
+/// The one-slot array of [`slot_lifecycle_program`].
+fn one_slot() -> SlotArray {
+    SlotArray::new(Region::new(0, SLOT_LINE, SlotArray::lines(1)))
+}
+
+/// The service table's slot lifecycle — `protocol::slot_attach` and
+/// `protocol::slot_detach` over a [`SlotArray`] — with two keys that map to
+/// its one slot. Thread 0 starts attached to key 0, its word left at 7 by
+/// its tenancy, and detaches; thread 1 attaches key 1. An attach that finds
+/// key 0 bound parks on the slot's tenant word until the detach frees the
+/// slot, so a free that wakes nobody is a lost wakeup, and the final
+/// [`slot_rebound`] check catches a slot bound twice or a word not reset.
+/// Starting attached is the symmetry reduction of
+/// [`spin_then_park_program`], and keeps the search small enough to run
+/// with no reduction at all.
+pub fn slot_lifecycle_program() -> Program {
+    Program::new(2, SlotArray::lines(1) * SLOT_LINE, |ctx| {
+        let key = ctx.pid() as Word;
+        let c = &mut Chk::new(ctx, None);
+        if key == 0 {
+            protocol::slot_detach(c, &one_slot(), key);
+        } else {
+            protocol::slot_attach(c, &one_slot(), key);
+        }
+    })
+    .with_init(one_slot().image(&[(0, 1, 7)]))
+}
+
+/// Final-state check of [`slot_lifecycle_program`]: key 1 holds the slot
+/// with one reference, its word reset.
+pub fn slot_rebound(mem: &[Word]) -> Result<(), String> {
+    one_slot().holds(mem, &[(1, 1, 0)])
 }
 
 /// Resolves a corpus program name to the program plus its final-state

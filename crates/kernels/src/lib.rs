@@ -24,6 +24,9 @@
 //! combining tree, dissemination, tournament, MCS-style static tree, and the
 //! **QSM barrier** built from the mechanism's grant words.
 //!
+//! The lock service's table ([`slots`]): its slot lifecycle, attach and
+//! detach, on a direct-mapped array of simulated words.
+//!
 //! ## Memory discipline
 //!
 //! Shared variables are laid out by [`layout::Region`] at cache-line
@@ -37,6 +40,7 @@ pub mod layout;
 pub mod lockdep;
 pub mod locks;
 pub mod rwlock;
+pub mod slots;
 #[cfg(test)]
 mod testutil;
 

@@ -29,7 +29,8 @@
 //! counting stay with the callers: the mutex returns a [`Contention`], a
 //! semaphore counts through [`WaitingArray::count`].
 //! The paper's QSM queue lock is here too, over a [`QsmQueue`] that lays
-//! out its nodes and supplies its waits.
+//! out its nodes and supplies its waits; and the lifecycle of a keyed
+//! table's slots, [`slot_attach`] and [`slot_detach`] over a [`SlotMap`].
 
 use parking::futex::{ParkingLot, WaitEntry};
 use std::sync::atomic::AtomicU64;
@@ -534,6 +535,89 @@ pub fn qsm_unlock<W: Copy, C: SyncCtx<W> + ?Sized, Q: QsmQueue<W, C>>(
     if q.wakes() {
         c.wake(grant, 1);
     }
+}
+
+/// The shard of a key → slot map that holds a key, as a substrate lays it
+/// out: each live key bound to a slot, each slot a reference count and the
+/// word its key's primitive synchronizes on, and a critical section around
+/// all of it. `service::ShardedTable` on a `HashMap`, slabs and a free list
+/// behind a `std::sync::Mutex`; the `kernels` slot array on simulated words
+/// behind a mutex word of [`lock_contended`] and [`unlock`], which memsim
+/// and the checker run.
+pub trait SlotMap<W: Copy, C: SyncCtx<W>> {
+    /// What the critical section holds.
+    type Shard;
+    /// Runs `f` in the shard's critical section.
+    fn with_shard<R>(&self, c: &mut C, f: impl FnOnce(&mut C, &mut Self::Shard) -> R) -> R;
+    /// The slot `key` is bound to, if it is live.
+    fn lookup(&self, c: &mut C, s: &mut Self::Shard, key: u64) -> Option<u32>;
+    /// Binds `key` to `slot`.
+    fn insert(&self, c: &mut C, s: &mut Self::Shard, key: u64, slot: u32);
+    /// Unbinds `key`.
+    fn remove(&self, c: &mut C, s: &mut Self::Shard, key: u64);
+    /// A free slot for `key`; or, when there is none, the word to park on
+    /// until one frees, with the value it was read at.
+    fn allocate(&self, c: &mut C, s: &mut Self::Shard, key: u64) -> Result<u32, (W, u64)>;
+    /// Returns `slot` to the free slots.
+    fn free(&self, c: &mut C, s: &mut Self::Shard, slot: u32);
+    /// The references a live `slot` holds.
+    fn refs(&self, c: &mut C, s: &mut Self::Shard, slot: u32) -> u64;
+    /// Sets the references `slot` holds.
+    fn set_refs(&self, c: &mut C, s: &mut Self::Shard, slot: u32, refs: u64);
+    /// The word of `slot`.
+    fn word(&self, s: &Self::Shard, slot: u32) -> W;
+}
+
+/// Attaches to `key`'s slot and counts the reference: one more on the slot
+/// `key` is bound to, else the first on a free one bound to it now, its
+/// word at 0 — parking until one frees if the map has none. Returns the
+/// slot's word, named in the critical section: a slot is freed only at its
+/// last reference's [`slot_detach`], so the reference keeps the name valid.
+#[inline]
+pub fn slot_attach<W: Copy, C: SyncCtx<W>, M: SlotMap<W, C>>(c: &mut C, m: &M, key: u64) -> W {
+    block(c, |c, _| {
+        m.with_shard(c, |c, s| {
+            let (slot, refs) = match m.lookup(c, s, key) {
+                Some(slot) => (slot, m.refs(c, s, slot) + 1),
+                None => match m.allocate(c, s, key) {
+                    Ok(slot) => {
+                        m.insert(c, s, key, slot);
+                        (slot, 1)
+                    }
+                    Err((w, seen)) => return Step::Park(w, seen, None),
+                },
+            };
+            m.set_refs(c, s, slot, refs);
+            Step::Ready(m.word(s, slot))
+        })
+    })
+}
+
+/// Drops one reference to `key`'s slot. The last resets the word, then
+/// unbinds and frees the slot, its count left as it was; whether it did.
+/// No waiter can be parked on the word then, since every parked waiter
+/// holds a reference, so a store suffices; a wake that names the word
+/// later is at worst a spurious one for its next tenant.
+///
+/// # Panics
+///
+/// If `key` is not live.
+#[inline]
+pub fn slot_detach<W: Copy, C: SyncCtx<W>, M: SlotMap<W, C>>(c: &mut C, m: &M, key: u64) -> bool {
+    m.with_shard(c, |c, s| {
+        let slot = m
+            .lookup(c, s, key)
+            .expect("detach of a key with no live slot");
+        let refs = m.refs(c, s, slot);
+        if refs > 1 {
+            m.set_refs(c, s, slot, refs - 1);
+            return false;
+        }
+        c.store(m.word(s, slot), 0);
+        m.remove(c, s, key);
+        m.free(c, s, slot);
+        true
+    })
 }
 
 #[cfg(test)]

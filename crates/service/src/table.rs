@@ -4,15 +4,20 @@
 //! A slot is one `AtomicU64` the primitives treat as their futex word. Keys
 //! map to shards by masking the low bits of [`mix64`]`(key)`; each shard is
 //! a mutex-protected slab allocator — `key → slot` map, slot slabs at
-//! stable addresses, and a free list — so the table's footprint tracks the
-//! number of *currently attached* keys, not the key space. Attach/detach
-//! are the only operations that take the shard mutex; the hot path (CAS on
-//! the slot word, park, wake) never does.
+//! stable addresses, a reference count per slot and a free list — so the
+//! table's footprint tracks the number of *currently attached* keys, not
+//! the key space. Attach/detach are the only operations that take the shard
+//! mutex; the hot path (CAS on the slot word, park, wake) never does.
 //!
-//! The lifecycle rule that makes recycling sound: **every parked waiter
-//! holds a [`SlotRef`]**. A slot is freed only when its reference count
-//! drops to zero, so no thread can be parked on (or about to park on) a
-//! word that is being recycled. Wakes travel by pre-captured address
+//! The lifecycle is written once, in `service::protocol`:
+//! [`protocol::slot_attach`] and [`protocol::slot_detach`] run on a shard
+//! as a [`protocol::SlotMap`], the steps the checker and memsim run on the
+//! `kernels` slot array. `attach`, a [`SlotRef`]'s clone (the steps'
+//! existing-entry arm) and its drop are those two steps. They keep the rule
+//! that makes recycling sound: **every parked waiter holds a [`SlotRef`]**,
+//! and only the last reference resets the word and frees the slot, so no
+//! thread can be parked on (or about to park on) a word that is being
+//! recycled. Wakes travel by pre-captured address
 //! ([`ParkingLot::wake_addr`] never dereferences), so even a waker racing
 //! the death of the last reference is sound — the worst a recycled address
 //! can cause is a spurious wake of the slot's next tenant, which futex
@@ -26,22 +31,14 @@
 //! [`trace::Tracer`] of its own — one ring of 64 events for each of up to
 //! 64 live threads — whose newest events the stall watchdog prints.
 
+use crate::protocol::{self, SlotMap};
 use crate::telemetry::{MetricsMode, ServiceMetrics};
 use parking::futex::{mix64, ParkingLot};
 use parking::CachePadded;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::atomic::AtomicU64;
+use std::sync::{Arc, Mutex};
 use trace::Tracer;
-
-/// Shard locking that shrugs off poisoning: every critical section here
-/// leaves the shard consistent at every await-free step (the one panic —
-/// kind mismatch — happens before any mutation), and a poisoned-mutex
-/// panic inside `SlotRef::drop` during unwind would otherwise escalate to
-/// an abort.
-fn lock_shard(shard: &Mutex<ShardInner>) -> MutexGuard<'_, ShardInner> {
-    shard.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 /// Slots per slab allocation: one shard allocates this many words at a
 /// time, at stable addresses (`Box<[AtomicU64; SLAB_SLOTS]>` never moves).
@@ -63,54 +60,111 @@ pub enum SlotKind {
     Barrier,
 }
 
-/// Map entry for an attached key. Reference counting happens entirely
-/// under the shard mutex, so plain integers suffice.
-struct Entry {
-    slot: u32,
-    refs: u32,
-    kind: SlotKind,
-}
-
+/// One shard's state, all of it under the shard mutex, so plain integers
+/// suffice.
 #[derive(Default)]
 struct ShardInner {
-    map: HashMap<u64, Entry>,
+    /// Each live key's slot, and the kind it is live as.
+    map: HashMap<u64, (u32, SlotKind)>,
     // The Box is load-bearing: waiters park on raw slot addresses, so
     // slabs must not move when the Vec reallocates. Slots are packed, not
     // padded: padding every mostly-idle word to a line would defeat the
     // point of slab-packing millions of them.
     #[allow(clippy::vec_box)]
     slabs: Vec<Box<[AtomicU64; SLAB_SLOTS]>>,
+    /// Each slot's reference count.
+    refs: Vec<u32>,
     free: Vec<u32>,
-    live: usize,
     peak_live: usize,
     reuses: u64,
 }
 
 impl ShardInner {
-    /// Pops a free slot or grows a slab; returns the slot index.
-    fn allocate(&mut self) -> u32 {
-        if let Some(idx) = self.free.pop() {
-            self.reuses += 1;
-            return idx;
-        }
+    /// Adds a slab; returns its first slot, and free-lists the rest.
+    #[cold]
+    fn grow(&mut self) -> u32 {
         let base = (self.slabs.len() * SLAB_SLOTS) as u32;
         self.slabs
             .push(Box::new(std::array::from_fn(|_| AtomicU64::new(0))));
+        self.refs.resize(self.refs.len() + SLAB_SLOTS, 0);
         // Newest slot first; the rest join the free list.
-        for i in (1..SLAB_SLOTS as u32).rev() {
-            self.free.push(base + i);
-        }
+        self.free.extend((base + 1..base + SLAB_SLOTS as u32).rev());
         base
     }
+}
 
-    fn slot(&self, idx: u32) -> &AtomicU64 {
-        &self.slabs[idx as usize / SLAB_SLOTS][idx as usize % SLAB_SLOTS]
+/// The shard a key maps to, as the lifecycle steps run on it, with the
+/// kind the key must be live as, or is bound to.
+#[derive(Clone, Copy)]
+struct KeyShard<'t> {
+    table: &'t ShardedTable,
+    index: u32,
+    kind: SlotKind,
+}
+
+impl<'t> SlotMap<&'t AtomicU64, &'t ParkingLot> for KeyShard<'t> {
+    type Shard = ShardInner;
+    /// Shrugs off poisoning: a panic in the critical section — the kind
+    /// mismatch, before any mutation — leaves the shard consistent, and a
+    /// poisoned-mutex panic inside `SlotRef::drop` during unwind would
+    /// otherwise escalate to an abort.
+    #[inline]
+    fn with_shard<R>(
+        &self,
+        c: &mut &'t ParkingLot,
+        f: impl FnOnce(&mut &'t ParkingLot, &mut ShardInner) -> R,
+    ) -> R {
+        let shard = &self.table.shards[self.index as usize];
+        f(c, &mut shard.lock().unwrap_or_else(|e| e.into_inner()))
+    }
+    #[inline]
+    fn lookup(&self, _: &mut &'t ParkingLot, s: &mut ShardInner, key: u64) -> Option<u32> {
+        let &(slot, kind) = s.map.get(&key)?;
+        assert!(
+            kind == self.kind,
+            "key {key:#x} is live as a {kind:?} slot; cannot attach it as a {:?}",
+            self.kind
+        );
+        Some(slot)
+    }
+    fn insert(&self, _: &mut &'t ParkingLot, s: &mut ShardInner, key: u64, slot: u32) {
+        s.map.insert(key, (slot, self.kind));
+        s.peak_live = s.peak_live.max(s.map.len());
+    }
+    fn remove(&self, _: &mut &'t ParkingLot, s: &mut ShardInner, key: u64) {
+        s.map.remove(&key);
+    }
+    #[inline]
+    fn allocate(
+        &self,
+        _: &mut &'t ParkingLot,
+        s: &mut ShardInner,
+        _: u64,
+    ) -> Result<u32, (&'t AtomicU64, u64)> {
+        let reused = s.free.pop().inspect(|_| s.reuses += 1);
+        Ok(reused.unwrap_or_else(|| s.grow()))
+    }
+    fn free(&self, _: &mut &'t ParkingLot, s: &mut ShardInner, slot: u32) {
+        s.free.push(slot);
+    }
+    fn refs(&self, _: &mut &'t ParkingLot, s: &mut ShardInner, slot: u32) -> u64 {
+        s.refs[slot as usize].into()
+    }
+    fn set_refs(&self, _: &mut &'t ParkingLot, s: &mut ShardInner, slot: u32, refs: u64) {
+        s.refs[slot as usize] = refs as u32;
+    }
+    fn word(&self, s: &ShardInner, slot: u32) -> &'t AtomicU64 {
+        let word: *const AtomicU64 =
+            &s.slabs[slot as usize / SLAB_SLOTS][slot as usize % SLAB_SLOTS];
+        // SAFETY: a slab is boxed, so it never moves, and it is freed only
+        // with the table, which `'t` borrows.
+        unsafe { &*word }
     }
 }
 
 /// Aggregate occupancy counters for a [`ShardedTable`]; see
 /// [`ShardedTable::stats`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TableStats {
     /// Shard count (power of two).
     pub shards: usize,
@@ -194,15 +248,11 @@ impl ShardedTable {
         &self.lot
     }
 
-    fn shard_index(&self, key: u64) -> usize {
-        (mix64(key) & self.mask) as usize
-    }
-
     /// The shard index `key` maps to. Exposed so multi-key acquirers can
     /// impose the table's canonical lock order (shard index, then key) and
     /// stay deadlock-free; see `AsyncLockService::lock_many`.
     pub fn shard_of(&self, key: u64) -> usize {
-        self.shard_index(key)
+        (mix64(key) & self.mask) as usize
     }
 
     /// Attaches to `key`'s slot, creating it if the key has no live slot,
@@ -215,65 +265,13 @@ impl ShardedTable {
     /// If the key is live with a different [`SlotKind`] — one key, one
     /// primitive.
     pub fn attach(&self, key: u64, kind: SlotKind) -> SlotRef<'_> {
-        let shard_idx = self.shard_index(key);
-        let mut inner = lock_shard(&self.shards[shard_idx]);
-        let slot_idx = match inner.map.get_mut(&key) {
-            Some(entry) => {
-                assert!(
-                    entry.kind == kind,
-                    "key {key:#x} is live as a {:?} slot; cannot attach it as a {kind:?}",
-                    entry.kind
-                );
-                entry.refs += 1;
-                entry.slot
-            }
-            None => {
-                let idx = inner.allocate();
-                inner.map.insert(
-                    key,
-                    Entry {
-                        slot: idx,
-                        refs: 1,
-                        kind,
-                    },
-                );
-                inner.live += 1;
-                inner.peak_live = inner.peak_live.max(inner.live);
-                idx
-            }
-        };
-        // The slab box never moves and the slot stays allocated while this
-        // reference is live, so the address is stable for the ref's
-        // lifetime.
-        let word: *const AtomicU64 = inner.slot(slot_idx);
-        drop(inner);
-        SlotRef {
+        let shard = KeyShard {
             table: self,
-            shard: shard_idx,
-            key,
-            word,
-        }
-    }
-
-    /// Drops one reference to `key`'s slot; the last drop resets the word
-    /// and returns the slot to the shard's free list.
-    fn detach(&self, shard: usize, key: u64) {
-        let mut inner = lock_shard(&self.shards[shard]);
-        let entry = inner
-            .map
-            .get_mut(&key)
-            .expect("detach of a key with no live slot");
-        entry.refs -= 1;
-        if entry.refs == 0 {
-            let idx = entry.slot;
-            inner.map.remove(&key);
-            inner.live -= 1;
-            // Reset for the next tenant. No waiter can be parked here (a
-            // parked waiter holds a reference), so a plain store suffices.
-            inner.slot(idx).store(0, Ordering::SeqCst);
-            inner.free.push(idx);
-            self.metrics.count_slot_recycle(shard);
-        }
+            index: self.shard_of(key) as u32,
+            kind,
+        };
+        let word = protocol::slot_attach(&mut &*self.lot, &shard, key);
+        SlotRef { shard, key, word }
     }
 
     /// Aggregates occupancy counters across shards. Exact only at
@@ -281,14 +279,11 @@ impl ShardedTable {
     pub fn stats(&self) -> TableStats {
         let mut stats = TableStats {
             shards: self.shards.len(),
-            live: 0,
-            peak_live: 0,
-            capacity: 0,
-            reuses: 0,
+            ..TableStats::default()
         };
         for shard in self.shards.iter() {
-            let inner = lock_shard(shard);
-            stats.live += inner.live;
+            let inner = shard.lock().unwrap_or_else(|e| e.into_inner());
+            stats.live += inner.map.len();
             stats.peak_live += inner.peak_live;
             stats.capacity += inner.slabs.len() * SLAB_SLOTS;
             stats.reuses += inner.reuses;
@@ -301,24 +296,15 @@ impl ShardedTable {
 /// table's embedded lot to wait in. Dropping the last reference recycles
 /// the slot.
 pub struct SlotRef<'a> {
-    table: &'a ShardedTable,
-    shard: usize,
+    shard: KeyShard<'a>,
     key: u64,
-    word: *const AtomicU64,
+    word: &'a AtomicU64,
 }
-
-// The raw pointer targets a slab slot the table keeps allocated while this
-// reference is live; it is shared (&AtomicU64 semantics), never mutated
-// through &self except via atomics.
-unsafe impl Send for SlotRef<'_> {}
-unsafe impl Sync for SlotRef<'_> {}
 
 impl SlotRef<'_> {
     /// The slot's lock word.
     pub fn word(&self) -> &AtomicU64 {
-        // SAFETY: the slot outlives this reference (see type docs) and the
-        // slab box holding it never moves.
-        unsafe { &*self.word }
+        self.word
     }
 
     /// The key this slot serves.
@@ -328,12 +314,12 @@ impl SlotRef<'_> {
 
     /// The shard index this slot lives in — also its telemetry stripe.
     pub fn shard(&self) -> usize {
-        self.shard
+        self.shard.index as usize
     }
 
     /// The telemetry instance of the owning table.
     pub fn metrics(&self) -> &ServiceMetrics {
-        &self.table.metrics
+        &self.shard.table.metrics
     }
 
     /// The parking lot this slot's waiters park in — the word operations
@@ -343,38 +329,29 @@ impl SlotRef<'_> {
     /// exists, the same "every parked waiter holds a reference" rule
     /// threads follow.
     pub fn lot(&self) -> &ParkingLot {
-        &self.table.lot
+        &self.shard.table.lot
     }
 }
 
 impl Clone for SlotRef<'_> {
     fn clone(&self) -> Self {
-        // Re-attach under the shard lock; the kind is already validated.
-        let mut inner = lock_shard(&self.table.shards[self.shard]);
-        inner
-            .map
-            .get_mut(&self.key)
-            .expect("cloning a ref to a freed slot")
-            .refs += 1;
-        drop(inner);
-        SlotRef {
-            table: self.table,
-            shard: self.shard,
-            key: self.key,
-            word: self.word,
-        }
+        let word = protocol::slot_attach(&mut &*self.shard.table.lot, &self.shard, self.key);
+        SlotRef { word, ..*self }
     }
 }
 
 impl Drop for SlotRef<'_> {
     fn drop(&mut self) {
-        self.table.detach(self.shard, self.key);
+        if protocol::slot_detach(&mut &*self.shard.table.lot, &self.shard, self.key) {
+            self.metrics().count_slot_recycle(self.shard());
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::Ordering;
 
     #[test]
     fn distinct_keys_get_distinct_words() {

@@ -2,10 +2,11 @@
 //! before optimal DPOR (ROADMAP item: "3-4-thread blocking QSM and
 //! eventcount programs").
 //!
-//! Five program families, each in a fixed and a seeded-bug variant. All
-//! run the shipped code — `service::protocol`, on the checker's
-//! instantiation [`interleave::corpus::Chk`] — and each seeded bug is that
-//! context with one operation rewritten ([`interleave::corpus::Mutant`]):
+//! Six program families, the first five each in a fixed and a seeded-bug
+//! variant. All run the shipped code — `service::protocol`, on the
+//! checker's instantiation [`interleave::corpus::Chk`] — and each seeded
+//! bug is that context with one operation rewritten
+//! ([`interleave::corpus::Mutant`]):
 //!
 //! * **QSM queue lock** — `qsm::Qsm`'s `protocol::qsm_lock` /
 //!   `qsm_unlock` over fresh nodes ([`interleave::corpus::QsmNodes`]),
@@ -31,7 +32,10 @@
 //!   re-check grants a ghost. One script run through the service's
 //!   semaphore and the checker's instantiation pins what can still drift:
 //!   the adapter. The searches that take seconds in a debug build are
-//!   ignored there: CI's release run of this suite executes them.
+//!   ignored there: CI's release run of this suite executes them;
+//! * **the table's slot lifecycle** — `protocol::slot_attach` and
+//!   `slot_detach` over `kernels::slots::SlotArray`, two keys on one slot:
+//!   a fixed program only, exhaustive with no reduction as well.
 //!
 //! Counts that moved when the hand-written mirrors went (PR 26) say which
 //! steps of the shipped code the mirror skipped.
@@ -53,8 +57,9 @@
 use interleave::corpus::{
     barrier_program, barrier_round_completed, barrier_unarrive_program, corpus_program,
     eventcount_staggered_targets_program, eventcount_wrap_program, qsm_nodes_freed, qsm_program,
-    spin_then_park_program, waiting_array_cancel_program, waiting_array_drained,
-    waiting_array_one_permit_left, waiting_array_shared_slot_program, Chk, WaitingArrayWords,
+    slot_lifecycle_program, slot_rebound, spin_then_park_program, waiting_array_cancel_program,
+    waiting_array_drained, waiting_array_one_permit_left, waiting_array_shared_slot_program, Chk,
+    WaitingArrayWords,
 };
 use interleave::{DporMode, Explorer, Program, Verdict, VerdictClass};
 use kernels::{SyncCtx, Word};
@@ -138,6 +143,24 @@ fn assert_source_reaches_the_bug_no_later(what: &str, [sleep, source]: [usize; 2
         source <= sleep,
         "{what}: source took more runs to the bug ({source} vs {sleep})"
     );
+}
+
+/// The table's slot lifecycle, two keys on one slot: a detach that frees
+/// the slot against an attach that waits for it. Exhaustive with source
+/// sets, and with no reduction at all.
+#[test]
+fn slot_lifecycle_passes_with_source_sets_and_with_no_reduction() {
+    let runs = [DporMode::Source, DporMode::None].map(|mode| {
+        let what = "slot lifecycle, 2 keys on 1 slot";
+        ends_in(
+            what,
+            VerdictClass::Pass,
+            slot_rebound,
+            mode,
+            slot_lifecycle_program,
+        )
+    });
+    assert_eq!(runs, [912, 24_484], "the run counts moved");
 }
 
 /// Three threads through `Qsm`'s queue, thread 0 starting as the holder:

@@ -9,8 +9,13 @@
 //! three barrier rounds. A run must count exactly, cross the wrap, elect
 //! one leader per round and wake every processor it parked; and, being a
 //! simulation, it must come out the same twice.
+//!
+//! The table's slot lifecycle runs there too: `protocol::slot_attach` and
+//! `slot_detach` over `kernels::slots::SlotArray`, around the key's mutex.
+//! Two keys share one slot, so every attach of the other key recycles it.
 
-use kernels::{Addr, ProcCtx, SyncCtx, Word};
+use kernels::slots::SlotArray;
+use kernels::{Addr, ProcCtx, Region, SyncCtx, Word};
 use memsim::{Machine, MachineParams, Proc, RunReport};
 use parking::futex::ParkingLot;
 use service::protocol::{self, seq_ge, Contention, FREE, HELD};
@@ -35,18 +40,18 @@ const PARKED: Addr = 4;
 const LEADERS: Addr = 5;
 const WORDS: usize = LEADERS + ROUNDS as usize;
 
-/// The mutex's fast path, then its shipped slow path.
-fn lock<C: SyncCtx>(c: &mut C) -> Contention {
-    match c.cas(LOCK, FREE, HELD) {
+/// The mutex's fast path on `w`, then its shipped slow path.
+fn lock<C: SyncCtx>(c: &mut C, w: Addr) -> Contention {
+    match c.cas(w, FREE, HELD) {
         Ok(_) => Contention::default(),
-        Err(_) => protocol::lock_contended(c, LOCK),
+        Err(_) => protocol::lock_contended(c, w),
     }
 }
 
 /// One processor's program; `nprocs` of them share the memory.
 fn body(p: &mut Proc, nprocs: usize) {
     for _ in 0..ITERS {
-        if lock(p).parked {
+        if lock(p, LOCK).parked {
             p.fetch_add(PARKED, 1);
         }
         let v = p.data_load(COUNTER);
@@ -124,6 +129,77 @@ fn shipped_protocols_run_oversubscribed() {
     check(&oversub_machine(6, 2), 6);
 }
 
+/// Keys of the slot-lifecycle run, one slot for both.
+const KEYS: u64 = 2;
+/// Words per line on the simulated machines.
+const LINE: usize = 8;
+
+/// The one-slot array at address 0, then each key's counter on a line of
+/// its own.
+fn slot_array() -> SlotArray {
+    SlotArray::new(Region::new(0, LINE, SlotArray::lines(1)))
+}
+
+fn key_counter(key: u64) -> Addr {
+    (SlotArray::lines(1) + key as usize) * LINE
+}
+
+/// Processor `p` takes key `p % KEYS` `ITERS` times: attach, lock, count,
+/// unlock, detach. Each key counts exactly, no slot is left live, and every
+/// park, for a free slot or for the key's mutex, is woken.
+fn check_slot_lifecycle(machine: &Machine, nprocs: usize) {
+    let slots = slot_array();
+    let report = machine
+        .run_with_init(nprocs, vec![0; key_counter(KEYS)], |p| {
+            let key = p.pid() as u64 % KEYS;
+            for _ in 0..ITERS {
+                let w = protocol::slot_attach(p, &slots, key);
+                lock(p, w);
+                let v = p.data_load(key_counter(key));
+                p.delay(20);
+                p.data_store(key_counter(key), v + 1);
+                protocol::unlock(p, w);
+                protocol::slot_detach(p, &slots, key);
+            }
+        })
+        .expect("the slot lifecycle finishes on the simulator");
+    for key in 0..KEYS {
+        let takers = (0..nprocs as u64).filter(|p| p % KEYS == key).count() as Word;
+        assert_eq!(
+            report.memory[key_counter(key)],
+            takers * ITERS,
+            "key {key}: lost critical sections"
+        );
+    }
+    assert_eq!(slots.holds(&report.memory, &[]), Ok(()), "live slots");
+    let m = &report.metrics;
+    assert!(m.futex_parks() > 0, "attaches of the other key park");
+    assert_eq!(m.futex_parks(), m.futex_woken(), "every park was woken");
+}
+
+#[test]
+fn shipped_slot_lifecycle_runs_on_the_bus_machine() {
+    check_slot_lifecycle(&Machine::new(MachineParams::bus_1991(4)), 4);
+    // One uncontended attach + lock + unlock + detach, priced.
+    let slots = slot_array();
+    let solo = Machine::new(MachineParams::bus_1991(1))
+        .run_with_init(1, vec![0; key_counter(0)], |p| {
+            let w = protocol::slot_attach(p, &slots, 0);
+            lock(p, w);
+            protocol::unlock(p, w);
+            protocol::slot_detach(p, &slots, 0);
+        })
+        .expect("one processor finishes");
+    assert_eq!(solo.metrics.total_cycles, 87);
+    assert_eq!(solo.metrics.interconnect_transactions, 3);
+    assert_eq!(solo.metrics.rmws(), 6, "two critical sections and the lock");
+}
+
+#[test]
+fn shipped_slot_lifecycle_runs_oversubscribed() {
+    check_slot_lifecycle(&oversub_machine(4, 2), 4);
+}
+
 #[test]
 fn shipped_mutex_runs_on_real_threads() {
     const THREADS: usize = 4;
@@ -136,7 +212,7 @@ fn shipped_mutex_runs_on_real_threads() {
             s.spawn(move || {
                 let mut c = RealCtx::new(pid, THREADS, mem, lot);
                 for _ in 0..REAL_ITERS {
-                    lock(&mut c);
+                    lock(&mut c, LOCK);
                     let v = c.data_load(COUNTER);
                     c.data_store(COUNTER, v + 1);
                     protocol::unlock(&mut c, LOCK);
