@@ -26,8 +26,7 @@
 //! deepest schedule, runs per second. Stdout is the same either way.
 
 use interleave::fuzz::{self, Fuzzer, Shrunk, Strategy};
-use interleave::harness::{barrier_program, check_barrier, check_barrier_parallel};
-use interleave::harness::{check_lock, check_lock_parallel, checked_lock_program};
+use interleave::harness::{barrier_program, check_barrier, check_lock, checked_lock_program};
 use interleave::harness::{fuzz_barrier, fuzz_lock};
 use interleave::{DporMode, Explorer, Failure, OpKind, Program, Replay, ReplayEnd};
 use interleave::{Stats, Verdict};
@@ -53,7 +52,7 @@ schedule pasted from fuzz — as a Chrome trace-event JSON timeline
 otherwise it goes to stdout.
 
 options:
-  --threads N       thread count (default 2)
+  --threads N       thread count, 1 to 64 (default 2)
   --iters N         check/replay: critical sections per thread (default 1)
                     fuzz: schedules to sample (default 1000)
   --episodes N      barrier episodes per thread (default 1)
@@ -63,12 +62,6 @@ options:
   --bypass-bound K  fail schedules that bypass a waiter more than K times
   --dpor MODE       partial-order reduction: none | sleep | source
                     (default: source when exhaustive, sleep when bounded)
-  --workers N       explore check's schedules through the parallel fan-out
-                    on N worker threads (default: the serial search). Any
-                    --workers, 1 included, runs the fan-out: its verdict
-                    and stats are the same for every N, but its run counts
-                    differ from the serial search's. Starvation checks
-                    (--bypass-bound) always explore serially.
 
 fuzz options:
   --seed N          campaign seed (positive; default 1991)
@@ -131,7 +124,6 @@ struct Args {
     max_runs: Option<usize>,
     bypass_bound: Option<usize>,
     dpor: Option<DporMode>,
-    workers: Option<usize>,
     schedule: Option<Vec<usize>>,
     seed: Option<u64>,
     strategy: Option<Strategy>,
@@ -157,7 +149,6 @@ fn parse_args() -> Args {
         max_runs: None,
         bypass_bound: None,
         dpor: None,
-        workers: None,
         schedule: None,
         seed: None,
         strategy: None,
@@ -192,12 +183,22 @@ fn parse_args() -> Args {
     }
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--threads" => args.threads = num(&mut it, "--threads"),
+            "--threads" => {
+                args.threads = positive(&mut it, "--threads");
+                if args.threads > Program::MAX_THREADS {
+                    eprintln!(
+                        "--threads {}: at most {} threads",
+                        args.threads,
+                        Program::MAX_THREADS
+                    );
+                    std::process::exit(2);
+                }
+            }
             "--iters" => {
                 args.iters = positive(&mut it, "--iters");
                 args.iters_flag = Some(args.iters);
             }
-            "--episodes" => args.episodes = num(&mut it, "--episodes"),
+            "--episodes" => args.episodes = positive(&mut it, "--episodes"),
             "--seed" => args.seed = Some(positive(&mut it, "--seed")),
             "--strategy" => {
                 let spec: String = num(&mut it, "--strategy");
@@ -210,7 +211,7 @@ fn parse_args() -> Args {
                 }
             }
             "--shrink" => args.shrink = true,
-            "--cs" => args.cs = num(&mut it, "--cs"),
+            "--cs" => args.cs = positive(&mut it, "--cs"),
             "--out" => args.out = Some(num(&mut it, "--out")),
             "--preemptions" => args.preemptions = Some(num(&mut it, "--preemptions")),
             "--max-steps" => args.max_steps = Some(num(&mut it, "--max-steps")),
@@ -226,7 +227,6 @@ fn parse_args() -> Args {
                     }
                 }
             }
-            "--workers" => args.workers = Some(positive(&mut it, "--workers")),
             "--schedule" => {
                 let spec: String = num(&mut it, "--schedule");
                 let parsed: Result<Vec<usize>, _> =
@@ -334,23 +334,11 @@ fn build_program(args: &Args) -> Program {
 
 fn run_check(args: &Args) -> ExitCode {
     let explorer = explorer_from(args);
-    // An explicit worker count — even 1 — selects the fan-out-based
-    // parallel algorithm, whose stats are byte-identical for every
-    // worker count (but differ from the plain serial DFS, which only
-    // runs when no count was requested at all).
-    let (threads, iters, episodes) = (args.threads, args.iters, args.episodes);
-    let verdict = match (&target(args).kernel, args.workers) {
-        // Bypass accounting forces reduction off and stays serial:
-        // overtaking counts are not trace-invariant.
-        (Kernel::Lock(lock), Some(w)) if args.bypass_bound.is_none() => {
-            check_lock_parallel(lock.clone(), threads, iters, explorer, w)
-        }
-        (Kernel::Lock(lock), _) => check_lock(lock.clone(), threads, iters, explorer),
-        (Kernel::Barrier(barrier), Some(w)) => {
-            check_barrier_parallel(barrier.clone(), threads, episodes, explorer, w)
-        }
-        (Kernel::Barrier(barrier), None) => {
-            check_barrier(barrier.clone(), threads, episodes, explorer)
+    let (threads, iters) = (args.threads, args.iters);
+    let verdict = match &target(args).kernel {
+        Kernel::Lock(lock) => check_lock(lock.clone(), threads, iters, explorer),
+        Kernel::Barrier(barrier) => {
+            check_barrier(barrier.clone(), threads, args.episodes, explorer)
         }
     };
     render_stats(&verdict);

@@ -47,21 +47,12 @@
 //! bounded-bypass starvation checking forces it off automatically, because
 //! bypass counts are *not* invariant under reordering independent steps.
 //!
-//! **Execution model.** A search runs on the host thread that called it:
-//! each explored schedule executes the program's threads as coroutines on
-//! that thread ([`simcore::coro`], the transport `memsim` runs simulated
-//! processors on), resumed one at a time by the scheduler loop in
-//! `Explorer::execute_with`. [`Explorer::check_parallel`] is the only place
-//! host threads appear — one per worker, each owning the coroutines of the
-//! schedules it explores. What that asks of a program's body is on
-//! [`Program::new`].
-//!
-//! [`Explorer::check_parallel`] fans the search out over a worker pool
-//! deterministically: the top [`DPOR_SPLIT_DEPTH`] levels are expanded
-//! into an explicit task list under sleep-set semantics (so cross-task
-//! backtrack insertions are satisfied by construction), tasks run on any
-//! number of workers, and verdict/stats merge in task order — the result
-//! is byte-identical for 1, 2 or N workers.
+//! **Execution model.** A search runs on the host thread that called it
+//! and on nothing else: each explored schedule executes the program's
+//! threads as coroutines on that thread ([`simcore::coro`], the transport
+//! `memsim` runs simulated processors on), resumed one at a time by the
+//! scheduler loop in `Explorer::execute_with`. What that asks of a
+//! program's body is on [`Program::new`].
 
 use crate::corpus::VerdictClass;
 use crate::program::{
@@ -72,7 +63,6 @@ use kernels::{Addr, Word};
 use simcore::coro::Coroutine;
 use std::cell::RefCell;
 use std::rc::Rc;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// Which dynamic partial-order reduction the explorer runs with; see the
@@ -169,17 +159,6 @@ impl Stats {
         live.dpor_pruned += self.dpor_pruned - published.dpor_pruned;
         live.max_depth = live.max_depth.max(self.max_depth);
         *published = *self;
-    }
-
-    /// Order-insensitive merge for parallel exploration: counters add,
-    /// depth maxes, completeness ands.
-    fn absorb(&mut self, other: Stats) {
-        self.runs += other.runs;
-        self.pruned += other.pruned;
-        self.sleep_pruned += other.sleep_pruned;
-        self.dpor_pruned += other.dpor_pruned;
-        self.complete &= other.complete;
-        self.max_depth = self.max_depth.max(other.max_depth);
     }
 }
 
@@ -283,15 +262,6 @@ impl Verdict {
             Verdict::Passed(_) => None,
             Verdict::Failed { failure, .. } => Some(failure),
         }
-    }
-
-    /// Replaces the carried statistics (parallel merge rewrites a task's
-    /// local stats with the deterministic task-order aggregate).
-    fn with_stats(mut self, new: Stats) -> Verdict {
-        match &mut self {
-            Verdict::Passed(stats) | Verdict::Failed { stats, .. } => *stats = new,
-        }
-        self
     }
 
     /// Panics with a readable report if the verdict is a violation.
@@ -578,47 +548,29 @@ impl Explorer {
         me
     }
 
-    /// Explores the program's schedules; `final_check` validates the final
-    /// memory of every completed execution.
+    /// Explores the program's schedules depth-first, from the empty
+    /// decision prefix until no frame has a backtrack choice left;
+    /// `final_check` validates the final memory of every completed
+    /// execution.
     pub fn check<F>(&self, program: &Program, final_check: F) -> Verdict
     where
         F: Fn(&[Word]) -> Result<(), String>,
     {
-        self.normalized().explore(
-            program,
-            &final_check,
-            Vec::new(),
-            Stats {
-                complete: true,
-                ..Stats::default()
-            },
-        )
-    }
-
-    /// The exploration loop, rooted at a fixed decision prefix `stack`
-    /// (empty for [`Explorer::check`]; a fan-out task prefix for
-    /// [`Explorer::check_parallel`]). Frames at or below the root prefix
-    /// are never branched on — their siblings belong to other tasks.
-    fn explore<F>(
-        &self,
-        program: &Program,
-        final_check: &F,
-        mut stack: Vec<Frame>,
-        mut stats: Stats,
-    ) -> Verdict
-    where
-        F: Fn(&[Word]) -> Result<(), String>,
-    {
-        let base_len = stack.len();
+        let me = self.normalized();
+        let mut stack: Vec<Frame> = Vec::new();
+        let mut stats = Stats {
+            complete: true,
+            ..Stats::default()
+        };
         let mut published = Stats::default();
         loop {
-            if stats.runs >= self.max_runs {
+            if stats.runs >= me.max_runs {
                 stats.complete = false;
                 return Verdict::Passed(stats);
             }
             let prefix: Vec<(usize, u64)> =
                 stack.iter().map(|f| (f.chosen, f.done_mask())).collect();
-            let outcome = self.execute(program, &prefix, false);
+            let outcome = me.execute(program, &prefix, false);
             stats.runs += 1;
             stats.max_depth = stats.max_depth.max(outcome.trace.len());
             stats.publish(&mut published);
@@ -650,7 +602,7 @@ impl Explorer {
                 RunEnd::Ended(ReplayEnd::Diverged { step, choice }) => unreachable!(
                     "exploration prefix chose ineligible thread {choice} at step {step}"
                 ),
-                RunEnd::Ended(end) => end.failure(final_check),
+                RunEnd::Ended(end) => end.failure(&final_check),
             };
             if let Some(failure) = failure {
                 return Verdict::Failed {
@@ -666,7 +618,7 @@ impl Explorer {
             // Races wholly inside the replayed prefix were analysed when
             // those steps were first adopted (the replay is deterministic,
             // so the clocks agree run over run).
-            if self.dpor == DporMode::Source {
+            if me.dpor == DporMode::Source {
                 // The last replayed frame is the backtrack target whose
                 // `chosen` this run rewrote: it has not been analysed
                 // under its new operation yet, so insertion starts one
@@ -674,7 +626,7 @@ impl Explorer {
                 // insertion is harmless — the covered-check makes it a
                 // no-op.) Everything earlier replays verbatim and was
                 // analysed when first adopted.
-                let insert_from = analyzed_len.saturating_sub(1).max(base_len);
+                let insert_from = analyzed_len.saturating_sub(1);
                 let mut an = DporAnalysis::new(program.nthreads);
                 for j in 0..stack.len() {
                     let races = an.push_step(stack[j].chosen, stack[j].op);
@@ -682,25 +634,19 @@ impl Explorer {
                         continue;
                     }
                     for i in races {
-                        if i >= base_len {
-                            Self::insert_backtrack(&mut stack, &an, i, j);
-                        }
-                        // Races into the root prefix are covered by the
-                        // fan-out's full sibling expansion there.
+                        Self::insert_backtrack(&mut stack, &an, i, j);
                     }
                 }
             }
 
             // Backtrack: advance the deepest frame with an untried,
             // bound-respecting backtrack choice (every eligible sibling in
-            // sleep/none modes); drop exhausted frames, but never branch
-            // at or below the task root.
+            // sleep/none modes); drop exhausted frames.
             loop {
-                if stack.len() <= base_len {
+                let bound = me.preemption_bound;
+                let Some(top) = stack.last_mut() else {
                     return Verdict::Passed(stats);
-                }
-                let bound = self.preemption_bound;
-                let top = stack.last_mut().expect("stack nonempty");
+                };
                 let next = top.eligible.iter().copied().find(|&c| {
                     top.tried & (1 << c) == 0
                         && top.backtrack & (1 << c) != 0
@@ -779,139 +725,6 @@ impl Explorer {
             None => {
                 if initials & frame.enabled == 0 {
                     frame.backtrack |= eligible;
-                }
-            }
-        }
-    }
-
-    /// Like [`Explorer::check`], but explores with `workers` host threads.
-    ///
-    /// The result is **independent of the worker count**: a deterministic
-    /// serial fan-out first enumerates every decision prefix of depth
-    /// [`DPOR_SPLIT_DEPTH`] under sleep-set semantics (full sibling
-    /// expansion, so no backtrack point ever needs to cross a task
-    /// boundary), workers then explore those subtree tasks in any order,
-    /// and the merge walks tasks in fan-out order — summing [`Stats`] and
-    /// reporting the violation from the earliest task that found one.
-    /// Workers racing past a known earlier violation only *skip* work;
-    /// they can never change which verdict wins. `max_runs` applies per
-    /// task.
-    pub fn check_parallel<F>(&self, program: &Program, final_check: F, workers: usize) -> Verdict
-    where
-        F: Fn(&[Word]) -> Result<(), String> + Sync,
-    {
-        let me = self.normalized();
-        let workers = workers.max(1);
-        let (tasks, gen_stats) = me.fan_out(program, DPOR_SPLIT_DEPTH.min(me.max_steps));
-        let slots: Vec<Mutex<Option<Verdict>>> = tasks.iter().map(|_| Mutex::new(None)).collect();
-        let next = AtomicUsize::new(0);
-        // Lowest task index known to hold a violation; tasks after it are
-        // skippable (their verdicts would lose the task-order merge).
-        let first_bad = AtomicUsize::new(usize::MAX);
-        std::thread::scope(|scope| {
-            for _ in 0..workers.min(tasks.len().max(1)) {
-                scope.spawn(|| loop {
-                    let idx = next.fetch_add(1, Ordering::Relaxed);
-                    if idx >= tasks.len() {
-                        break;
-                    }
-                    if idx > first_bad.load(Ordering::Acquire) {
-                        continue;
-                    }
-                    let v = me.explore(
-                        program,
-                        &final_check,
-                        tasks[idx].clone(),
-                        Stats {
-                            complete: true,
-                            ..Stats::default()
-                        },
-                    );
-                    if !matches!(v, Verdict::Passed(_)) {
-                        first_bad.fetch_min(idx, Ordering::AcqRel);
-                    }
-                    *slots[idx].lock().unwrap() = Some(v);
-                });
-            }
-        });
-        let mut stats = gen_stats;
-        for slot in slots {
-            let v = slot
-                .into_inner()
-                .unwrap()
-                .expect("tasks at or before the first violation always complete");
-            let violation = !matches!(v, Verdict::Passed(_));
-            stats.absorb(v.stats());
-            if violation {
-                return v.with_stats(stats);
-            }
-        }
-        Verdict::Passed(stats)
-    }
-
-    /// Enumerates every decision prefix of length ≤ `depth` as a task for
-    /// [`Explorer::check_parallel`], via a sleep-set DFS truncated at
-    /// `depth`. Sleep mode expands *every* eligible sibling at each of
-    /// these shallow frames, so any backtrack point a task's race analysis
-    /// would plant below `depth` already exists as another task — cross-
-    /// task insertions can be skipped outright. Runs that end before the
-    /// split depth (complete or stuck) become tasks too: phase two replays
-    /// and classifies them under the full reduction mode.
-    fn fan_out(&self, program: &Program, depth: usize) -> (Vec<Vec<Frame>>, Stats) {
-        let mut generator = *self;
-        if generator.dpor != DporMode::None {
-            generator.dpor = DporMode::Sleep;
-        }
-        generator.max_steps = depth;
-        let mut tasks: Vec<Vec<Frame>> = Vec::new();
-        let mut stats = Stats {
-            complete: true,
-            ..Stats::default()
-        };
-        let mut stack: Vec<Frame> = Vec::new();
-        let mut published = Stats::default();
-        loop {
-            let prefix: Vec<(usize, u64)> =
-                stack.iter().map(|f| (f.chosen, f.done_mask())).collect();
-            let outcome = generator.execute(program, &prefix, false);
-            stats.runs += 1;
-            stats.publish(&mut published);
-            // Same prefix-op refresh as in `explore`: the task frames'
-            // recorded ops feed phase two's race analysis.
-            let replayed = stack.len();
-            for (idx, f) in outcome.trace.into_iter().enumerate() {
-                if idx < replayed {
-                    stack[idx].op = f.op;
-                } else {
-                    stack.push(f);
-                }
-            }
-            match outcome.end {
-                RunEnd::SleepBlocked => stats.sleep_pruned += 1,
-                RunEnd::Ended(ReplayEnd::Diverged { step, choice }) => {
-                    unreachable!("fan-out prefix chose ineligible thread {choice} at step {step}")
-                }
-                // Pruned here just means the run reached the split depth —
-                // a task boundary, not a step-limit event, so it is not
-                // counted in `stats.pruned`.
-                _ => tasks.push(stack.clone()),
-            }
-            loop {
-                let Some(top) = stack.last_mut() else {
-                    return (tasks, stats);
-                };
-                let next = top.eligible.iter().copied().find(|&c| {
-                    top.tried & (1 << c) == 0 && top.budget_ok(self.preemption_bound, c)
-                });
-                match next {
-                    Some(c) => {
-                        top.tried |= 1 << c;
-                        top.chosen = c;
-                        break;
-                    }
-                    None => {
-                        stack.pop();
-                    }
                 }
             }
         }
@@ -1175,13 +988,6 @@ impl Explorer {
         RunOutcome { trace, end, ops }
     }
 }
-
-/// Depth of the serial fan-out that seeds [`Explorer::check_parallel`]:
-/// every decision prefix of this length becomes one independently
-/// explorable task. Three levels splits typical 2–4-thread programs into
-/// tens of tasks — enough to feed 8 workers — while the generation pass
-/// itself stays a negligible fraction of the search.
-pub const DPOR_SPLIT_DEPTH: usize = 3;
 
 #[cfg(test)]
 mod tests {
@@ -1725,52 +1531,6 @@ mod tests {
             let v = Explorer::exhaustive().with_dpor(mode).check(&racy(), check);
             assert!(v.is_violation(), "{mode} must find the lost update");
         }
-    }
-
-    #[test]
-    fn parallel_verdict_is_worker_count_independent() {
-        // A passing program: verdict + stats must match exactly.
-        let render = |workers| {
-            format!(
-                "{:?}",
-                Explorer::exhaustive().check_parallel(&contended(), |_| Ok(()), workers)
-            )
-        };
-        let serial = render(1);
-        assert_eq!(serial, render(2), "1 vs 2 workers");
-        assert_eq!(serial, render(8), "1 vs 8 workers");
-    }
-
-    #[test]
-    fn parallel_violation_and_schedule_are_worker_count_independent() {
-        let racy = || {
-            Program::new(3, 1, |ctx| {
-                let v = ctx.data_load(0);
-                ctx.data_store(0, v + 1);
-            })
-        };
-        let render = |workers| {
-            format!(
-                "{:?}",
-                Explorer::exhaustive().check_parallel(&racy(), |_| Ok(()), workers)
-            )
-        };
-        let serial = render(1);
-        assert!(serial.contains("Race"), "the increments race: {serial}");
-        assert_eq!(serial, render(2), "1 vs 2 workers");
-        assert_eq!(serial, render(8), "1 vs 8 workers");
-    }
-
-    #[test]
-    fn parallel_respects_bypass_normalization() {
-        // Bypass accounting forces reduction off in parallel mode too.
-        let v =
-            Explorer::exhaustive()
-                .with_bypass_bound(1)
-                .check_parallel(&contended(), |_| Ok(()), 4);
-        v.expect_pass("contended under a bypass bound");
-        assert_eq!(v.stats().dpor_pruned, 0);
-        assert_eq!(v.stats().sleep_pruned, 0);
     }
 
     #[test]

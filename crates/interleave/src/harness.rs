@@ -86,7 +86,7 @@ fn sections_counted(
     program: &Program,
     nthreads: usize,
     iters: usize,
-) -> impl Fn(&[Word]) -> Result<(), String> + Sync {
+) -> impl Fn(&[Word]) -> Result<(), String> {
     let expected = (nthreads * iters) as u64;
     let counter = program.initial_memory().len() - 1;
     move |mem: &[Word]| {
@@ -114,21 +114,6 @@ pub fn check_lock(
 ) -> Verdict {
     let program = checked_lock_program(lock, nthreads, iters, explorer.bypass_bound);
     explorer.check(&program, sections_counted(&program, nthreads, iters))
-}
-
-/// Like [`check_lock`], but exploring with `workers` host threads via
-/// [`Explorer::check_parallel`]. The verdict, schedule and stats are
-/// independent of `workers`.
-pub fn check_lock_parallel(
-    lock: Arc<dyn LockKernel + Send + Sync>,
-    nthreads: usize,
-    iters: usize,
-    explorer: Explorer,
-    workers: usize,
-) -> Verdict {
-    let program = checked_lock_program(lock, nthreads, iters, explorer.bypass_bound);
-    let check = sections_counted(&program, nthreads, iters);
-    explorer.check_parallel(&program, check, workers)
 }
 
 /// Like [`check_lock`], but the lock's acquisitions also feed `graph`
@@ -215,20 +200,6 @@ pub fn check_barrier(
 ) -> Verdict {
     let program = barrier_program(barrier, nthreads, episodes);
     explorer.check(&program, |_| Ok(()))
-}
-
-/// Like [`check_barrier`], but exploring with `workers` host threads via
-/// [`Explorer::check_parallel`]. The verdict, schedule and stats are
-/// independent of `workers`.
-pub fn check_barrier_parallel(
-    barrier: Arc<dyn BarrierKernel + Send + Sync>,
-    nthreads: usize,
-    episodes: u64,
-    explorer: Explorer,
-    workers: usize,
-) -> Verdict {
-    let program = barrier_program(barrier, nthreads, episodes);
-    explorer.check_parallel(&program, |_: &[Word]| Ok(()), workers)
 }
 
 #[cfg(test)]

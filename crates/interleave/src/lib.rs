@@ -10,9 +10,8 @@
 //! * Every shared-memory operation is a *schedule point*; between points a
 //!   thread runs uninstrumented local code.
 //! * A program's threads are not host threads. Each is a stackful coroutine
-//!   ([`simcore::coro`]) on the host thread running the search — one host
-//!   thread per search, or per worker of [`Explorer::check_parallel`] — and
-//!   a schedule point is a switch to the scheduler loop and back. In
+//!   ([`simcore::coro`]) on the one host thread running the search, and a
+//!   schedule point is a switch to the scheduler loop and back. In
 //!   exchange a body must not block the host thread on another body's
 //!   progress, hold a `RefCell` borrow across an operation, or use more
 //!   than 256 KiB of stack ([`Program::new`] has the details). `coro` is
@@ -37,9 +36,7 @@
 //! search — branching only where a run's vector clocks prove a
 //! reversible race — for order-of-magnitude run
 //! reductions at identical coverage ([`Stats::sleep_pruned`] and
-//! [`Stats::dpor_pruned`] count the cuts). The search itself can fan out
-//! across host threads ([`Explorer::check_parallel`]) with a verdict
-//! independent of the worker count.
+//! [`Stats::dpor_pruned`] count the cuts).
 //! Where even bounded search stops scaling, the [`fuzz`] module *samples*
 //! instead: seeded uniform-random and PCT schedules ([`Fuzzer`]) through
 //! the same scheduler loop, with greedy schedule shrinking
@@ -100,9 +97,7 @@ pub mod program;
 pub mod race;
 
 pub use corpus::{CorpusEntry, VerdictClass};
-pub use explorer::{
-    DporMode, Explorer, Failure, Replay, ReplayEnd, Stats, Verdict, DPOR_SPLIT_DEPTH,
-};
+pub use explorer::{DporMode, Explorer, Failure, Replay, ReplayEnd, Stats, Verdict};
 pub use fuzz::{FuzzReport, Fuzzer, Shrunk, Strategy};
 pub use program::{ChkCtx, OpKind, OpRecord, Program, StarvationReport};
 pub use race::{AccessSite, Epoch, RaceReport, VectorClock};

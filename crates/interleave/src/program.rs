@@ -601,6 +601,10 @@ pub struct Program {
 }
 
 impl Program {
+    /// The most threads a program may have: the explorer keeps per-thread
+    /// sets as bits of one `u64`.
+    pub const MAX_THREADS: usize = 64;
+
     /// Creates a program: `body` runs once per thread (distinguish roles
     /// with [`ChkCtx::pid`] via the `ProcCtx` trait).
     ///
@@ -622,7 +626,11 @@ impl Program {
     where
         F: Fn(&mut ChkCtx) + Send + Sync + 'static,
     {
-        assert!((1..=64).contains(&nthreads), "1..=64 threads supported");
+        assert!(
+            (1..=Self::MAX_THREADS).contains(&nthreads),
+            "1..={} threads supported",
+            Self::MAX_THREADS
+        );
         Program {
             nthreads,
             memory_words,

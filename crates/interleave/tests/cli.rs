@@ -141,3 +141,18 @@ fn a_count_flag_rejects_zero_and_garbage_before_running() {
         assert!(err.contains(&format!("--iters {value:?}: {why}")), "{err}");
     }
 }
+
+#[test]
+fn out_of_range_counts_and_unknown_flags_exit_two_before_running() {
+    for args in [
+        &["check", "lock:qsm", "--threads", "0"][..],
+        &["check", "lock:qsm", "--threads", "65"],
+        &["check", "barrier:central", "--episodes", "0"],
+        &["fuzz", "lock:qsm", "--cs", "0"],
+        &["check", "lock:qsm", "--workers", "2"],
+    ] {
+        let (code, out) = interleave(args);
+        assert_eq!(code, 2, "{args:?}:\n{out}");
+        assert!(out.is_empty(), "{args:?} ran:\n{out}");
+    }
+}

@@ -59,8 +59,8 @@
 //! ledger ([`ParkingLot::totals`]) — process-global totals are a union
 //! over every lot and test in the process, so only the per-lot view
 //! supports equality assertions — and timestamps every park so the
-//! service telemetry's stall watchdog can ask for the longest-parked
-//! waiter ([`ParkingLot::oldest_parked_age`]).
+//! service telemetry's stall watchdog can ask how long each parked
+//! waiter has waited ([`ParkingLot::parked_waiters`]).
 //!
 //! A lot built with a [`trace::Tracer`] ([`ParkingLot::with_tracer`])
 //! also **records** what its ledger counts: a `FutexPark`, `FutexWake` or
@@ -434,27 +434,11 @@ impl ParkingLot {
         self.ledger.read()
     }
 
-    /// Age of the longest-parked waiter currently in the lot, or `None`
-    /// when nothing is parked. The stall watchdog's primary signal: a
-    /// waiter whose age keeps growing past the threshold is stuck, because
-    /// every legitimate park is bounded by its waker's progress. Scans
-    /// every bucket under its lock; cost is proportional to parked
-    /// waiters, so call it at watchdog cadence, not per operation.
-    pub fn oldest_parked_age(&self) -> Option<Duration> {
-        let now = Instant::now();
-        let mut oldest: Option<Duration> = None;
-        for bucket in self.buckets.iter() {
-            let queue = bucket.queue.lock().unwrap();
-            for waiter in queue.iter() {
-                let age = now.duration_since(waiter.since);
-                oldest = Some(oldest.map_or(age, |o| o.max(age)));
-            }
-        }
-        oldest
-    }
-
-    /// Snapshot of every currently parked waiter (address, age, kind) for
-    /// watchdog dumps. Racy by nature; see [`ParkedWaiter`].
+    /// Snapshot of every currently parked waiter (address, age, kind): the
+    /// stall watchdog's signal and its dumps. Racy by nature; see
+    /// [`ParkedWaiter`]. Scans every bucket under its lock; cost is
+    /// proportional to parked waiters, so call it at watchdog cadence, not
+    /// per operation.
     pub fn parked_waiters(&self) -> Vec<ParkedWaiter> {
         let now = Instant::now();
         let mut out = Vec::new();
@@ -1429,12 +1413,12 @@ mod tests {
             .all(|&class| idle_tracer.class_total(class) == 0));
     }
 
-    /// `oldest_parked_age` reports the longest-parked waiter while one is
-    /// parked, and `None` once the lot drains.
+    /// `parked_waiters` reports a parked waiter's age while it is parked,
+    /// and nothing once the lot drains.
     #[test]
     fn oldest_parked_age_tracks_park_lifetime() {
         let lot = Arc::new(ParkingLot::with_buckets(1));
-        assert!(lot.oldest_parked_age().is_none());
+        assert!(lot.parked_waiters().is_empty());
         let word = Arc::new(AtomicU64::new(0));
         let handle = {
             let (lot, word) = (Arc::clone(&lot), Arc::clone(&word));
@@ -1448,7 +1432,12 @@ mod tests {
             thread::yield_now();
         }
         thread::sleep(Duration::from_millis(5));
-        let age = lot.oldest_parked_age().expect("one waiter is parked");
+        let age = lot
+            .parked_waiters()
+            .iter()
+            .map(|w| w.age)
+            .max()
+            .expect("one waiter is parked");
         assert!(age >= Duration::from_millis(5), "{age:?}");
         // A sharer of the word that parked with a tag names it in the scan.
         let (_, waker) = flag_waker();
@@ -1462,7 +1451,7 @@ mod tests {
         word.store(1, Ordering::SeqCst);
         lot.wake_addr(addr_of(&word), 1);
         handle.join().unwrap();
-        assert!(lot.oldest_parked_age().is_none());
+        assert!(lot.parked_waiters().is_empty());
         assert!(lot.totals().balanced());
     }
 }

@@ -30,7 +30,7 @@
 //!   only on paths that already park or take a bucket lock, so the hot
 //!   path never touches a ring.
 //! - **Stall watchdog** ([`StallWatchdog`]) — flags a waiter parked
-//!   beyond a threshold (via [`parking::futex::ParkingLot::oldest_parked_age`])
+//!   beyond a threshold (via [`parking::futex::ParkingLot::parked_waiters`])
 //!   and dumps the table state and the lot's newest recorded events to
 //!   stderr **once** instead of hanging silently. A false positive
 //!   requires a single waiter to stay continuously parked past the
@@ -611,7 +611,14 @@ impl StallWatchdog {
         if self.fired() {
             return false;
         }
-        let Some(age) = svc.table().lot().oldest_parked_age() else {
+        let Some(age) = svc
+            .table()
+            .lot()
+            .parked_waiters()
+            .iter()
+            .map(|w| w.age)
+            .max()
+        else {
             return false;
         };
         if age < self.threshold || self.fired.swap(true, Ordering::SeqCst) {

@@ -4,7 +4,7 @@
 //! Budgets are preemption-bounded (bound 2, the setting that exposes
 //! virtually all synchronization bugs) so the full sweep stays fast enough
 //! for CI; the per-algorithm exhaustive checks live in the `interleave`
-//! crate's own tests.
+//! crate's own tests, except the paper's lock over three threads.
 
 use interleave::harness::{check_barrier, check_lock};
 use interleave::{Explorer, Program};
@@ -45,6 +45,18 @@ fn queue_locks_hold_with_three_threads() {
         let lock: Arc<dyn kernels::locks::LockKernel + Send + Sync> = Arc::from(lock);
         check_lock(lock, 3, 1, lock_explorer()).expect_pass(name);
     }
+}
+
+/// The paper's lock over three threads with no bound at all: every
+/// schedule up to source-set equivalence passes, in the run count the CLI
+/// prints for `check lock:qsm --threads 3`.
+#[test]
+fn qsm_holds_exhaustively_with_three_threads() {
+    let lock = kernels::locks::lock_by_name("qsm").unwrap();
+    let verdict = check_lock(Arc::from(lock), 3, 1, Explorer::exhaustive());
+    verdict.expect_pass("qsm 3x1");
+    assert!(verdict.stats().complete);
+    assert_eq!(verdict.stats().runs, 1709);
 }
 
 /// The reader-writer kernel (table3's extension): writers exclude writers
