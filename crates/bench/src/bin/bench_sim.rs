@@ -5,14 +5,13 @@
 //! regeneration does, minus one `figure` process per id. Per-figure progress
 //! goes to stderr; stdout reports only where the JSON landed.
 //!
-//! Every deterministic figure is rendered **twice**, from two `Opts` values
-//! that differ only in their sweep thread count: once on one thread and
-//! once on the host's parallelism. The two outputs are compared byte for
-//! byte before both wall-clocks and their ratio are reported; a mismatch is
-//! a determinism bug and fails the run. The report is schema v6. Before it
-//! is written, the report is parsed back and checked against the figure
-//! registry (`bench::figures::check_report`); a report that fails the
-//! check is not written and the run exits non-zero.
+//! Every figure is rendered once, on this thread, and timed; the report
+//! (schema v7) gives one `wall_ms` per figure, the deterministic figures'
+//! total and the host's core count. A figure that renders differently
+//! twice in one process is caught by `tests/golden_figures.rs`, not here.
+//! Before it is written, the report is parsed back and checked against
+//! the figure registry (`bench::figures::check_report`); a report that
+//! fails the check is not written and the run exits non-zero.
 //!
 //! ```text
 //! cargo run -p bench --release --bin bench_sim [-- --quick] [--out PATH]
@@ -109,18 +108,8 @@ fn parse_args() -> Args {
 fn main() {
     let args = parse_args();
     let mode = if args.quick { "quick" } else { "full" };
-    let host_cores = simcore::host_parallelism();
-    let threads = host_cores;
-
-    // The two renders: identical but for their sweep thread count.
-    let parallel = Opts {
-        quick: args.quick,
-        threads,
-    };
-    let serial = Opts {
-        threads: 1,
-        ..parallel
-    };
+    let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let opts = Opts { quick: args.quick };
 
     let selected: Vec<_> = FIGURES
         .iter()
@@ -136,65 +125,35 @@ fn main() {
     }
 
     let mut figure_entries = String::new();
-    let mut serial_ms = 0.0f64;
-    let mut parallel_ms = 0.0f64;
+    let mut deterministic_ms = 0.0f64;
     let total_start = Instant::now();
     for (i, figure) in selected.iter().enumerate() {
-        let sep = if i == 0 { "" } else { ",\n" };
-        if figure.deterministic {
-            let start = Instant::now();
-            let serial_out = (figure.render)(&serial);
-            let serial_wall = start.elapsed().as_secs_f64() * 1e3;
-
-            let start = Instant::now();
-            let parallel_out = (figure.render)(&parallel);
-            let parallel_wall = start.elapsed().as_secs_f64() * 1e3;
-
-            if serial_out != parallel_out {
-                eprintln!(
-                    "error: {} diverged between the 1-thread and {threads}-thread renders",
-                    figure.id
-                );
-                std::process::exit(1);
-            }
-            serial_ms += serial_wall;
-            parallel_ms += parallel_wall;
-            let speedup = serial_wall / parallel_wall.max(1e-9);
-            eprintln!(
-                "{:<8} 1 thread {:>9.1} ms   {threads} threads {:>9.1} ms   {speedup:>5.2}x",
-                figure.id, serial_wall, parallel_wall
-            );
-            let _ = write!(
-                figure_entries,
-                "{sep}    {{\"id\":\"{}\",\"deterministic\":true,\
-                 \"serial_wall_ms\":{serial_wall:.1},\"parallel_wall_ms\":{parallel_wall:.1},\
-                 \"speedup\":{speedup:.2}}}",
-                figure.id
-            );
+        let start = Instant::now();
+        let rendered = (figure.render)(&opts);
+        let wall_ms = start.elapsed().as_secs_f64() * 1e3;
+        std::hint::black_box(rendered.len());
+        let kind = if figure.deterministic {
+            deterministic_ms += wall_ms;
+            ""
         } else {
-            // Real-hardware figures are not a pure function of Opts; they
-            // get one plain render and a single wall-clock number.
-            let start = Instant::now();
-            let rendered = (figure.render)(&serial);
-            let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-            std::hint::black_box(rendered.len());
-            eprintln!("{:<8} {:>9.1} ms (nondeterministic)", figure.id, wall_ms);
-            let _ = write!(
-                figure_entries,
-                "{sep}    {{\"id\":\"{}\",\"deterministic\":false,\
-                 \"wall_ms\":{wall_ms:.1}}}",
-                figure.id
-            );
-        }
+            " (nondeterministic)"
+        };
+        eprintln!("{:<8} {wall_ms:>9.1} ms{kind}", figure.id);
+        let _ = write!(
+            figure_entries,
+            "{}    {{\"id\":\"{}\",\"deterministic\":{},\"wall_ms\":{wall_ms:.1}}}",
+            if i == 0 { "" } else { ",\n" },
+            figure.id,
+            figure.deterministic
+        );
     }
     let total_ms = total_start.elapsed().as_secs_f64() * 1e3;
 
     let json = format!(
-        "{{\n  \"schema\": \"syncmech-bench-sim/v6\",\n  \"mode\": \"{mode}\",\n  \
-         \"host_cores\": {host_cores},\n  \"sweep_threads\": {threads},\n  \
+        "{{\n  \"schema\": \"syncmech-bench-sim/v7\",\n  \"mode\": \"{mode}\",\n  \
+         \"host_cores\": {host_cores},\n  \
          \"figures\": [\n{figure_entries}\n  ],\n  \
-         \"deterministic_serial_wall_ms\": {serial_ms:.1},\n  \
-         \"deterministic_parallel_wall_ms\": {parallel_ms:.1},\n  \
+         \"deterministic_wall_ms\": {deterministic_ms:.1},\n  \
          \"total_wall_ms\": {total_ms:.1}\n}}\n"
     );
     if let Err(e) = bench::figures::check_report(&json, &selected) {
@@ -213,7 +172,7 @@ fn main() {
     );
 
     if let Some(trace_out) = &args.trace_out {
-        let trace_json = bench::trace_export::export_trace(&args.trace_workload, &serial);
+        let trace_json = bench::trace_export::export_trace(&args.trace_workload, &opts);
         let stats = trace::chrome::validate(&trace_json)
             .unwrap_or_else(|e| panic!("exported trace failed validation: {e}"));
         if let Err(e) = std::fs::write(trace_out, &trace_json) {

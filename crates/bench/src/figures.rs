@@ -143,10 +143,9 @@ pub fn by_id(id: &str) -> Option<&'static Figure> {
 }
 
 /// Checks a `bench_sim` report, after parsing it ([`trace::json::parse`]):
-/// schema v6, then one entry per figure of `figures` in that order, each
-/// naming its figure and carrying the wall-clocks of its kind (serial,
-/// parallel and speedup when deterministic, one otherwise). `bench_sim`
-/// runs it on every report before writing it.
+/// schema v7, then one entry per figure of `figures` in that order, each
+/// naming its figure and its kind and carrying its non-negative `wall_ms`.
+/// `bench_sim` runs it on every report before writing it.
 ///
 /// # Errors
 ///
@@ -155,8 +154,8 @@ pub fn check_report(text: &str, figures: &[&Figure]) -> Result<(), String> {
     use trace::json::Value;
     let doc = trace::json::parse(text)?;
     let is = |v: &Value, key, want: &str| v.get(key) == Some(&Value::Str(want.to_string()));
-    if !is(&doc, "schema", "syncmech-bench-sim/v6") {
-        return Err("the schema is not syncmech-bench-sim/v6".to_string());
+    if !is(&doc, "schema", "syncmech-bench-sim/v7") {
+        return Err("the schema is not syncmech-bench-sim/v7".to_string());
     }
     let Some(Value::Arr(entries)) = doc.get("figures") else {
         return Err("no \"figures\" array".to_string());
@@ -174,17 +173,13 @@ pub fn check_report(text: &str, figures: &[&Figure]) -> Result<(), String> {
         {
             return Err(format!("entry {:?} is not {}'s", entry.get("id"), fig.id));
         }
-        let keys: &[&str] = match fig.deterministic {
-            true => &["serial_wall_ms", "parallel_wall_ms", "speedup"],
-            false => &["wall_ms"],
+        let timed = match entry.get("wall_ms") {
+            Some(Value::Int(_)) => true,
+            Some(Value::Num(x)) => *x >= 0.0,
+            _ => false,
         };
-        let bad = |key: &&&str| match entry.get(key) {
-            Some(Value::Int(_)) => false,
-            Some(Value::Num(x)) => *x < 0.0,
-            _ => true,
-        };
-        if let Some(key) = keys.iter().find(bad) {
-            return Err(format!("{}: {key:?} is not a non-negative number", fig.id));
+        if !timed {
+            return Err(format!("{}: no non-negative \"wall_ms\"", fig.id));
         }
     }
     Ok(())
@@ -192,7 +187,7 @@ pub fn check_report(text: &str, figures: &[&Figure]) -> Result<(), String> {
 
 /// fig1 — lock passing time vs processor count on the bus machine.
 pub(crate) fn fig1(opts: &Opts) -> String {
-    let series = lock_scaling(opts.threads, MachineKind::Bus, &opts.procs(), opts.iters());
+    let series = lock_scaling(MachineKind::Bus, &opts.procs(), opts.iters());
     let mut out = series_block("Fig 1: lock passing time vs P (bus machine)", &series);
     out.push_str(&final_ratio_block(&series, "tas", "qsm"));
     out.push_str(&final_ratio_block(&series, "ttas", "qsm"));
@@ -201,7 +196,7 @@ pub(crate) fn fig1(opts: &Opts) -> String {
 
 /// fig2 — lock passing time vs processor count on the NUMA machine.
 pub(crate) fn fig2(opts: &Opts) -> String {
-    let series = lock_scaling(opts.threads, MachineKind::Numa, &opts.procs(), opts.iters());
+    let series = lock_scaling(MachineKind::Numa, &opts.procs(), opts.iters());
     let mut out = series_block("Fig 2: lock passing time vs P (NUMA machine)", &series);
     out.push_str(&final_ratio_block(&series, "tas", "qsm"));
     out
@@ -209,7 +204,7 @@ pub(crate) fn fig2(opts: &Opts) -> String {
 
 /// fig3 — interconnect transactions per critical section vs P (bus).
 pub(crate) fn fig3(opts: &Opts) -> String {
-    let series = lock_traffic(opts.threads, MachineKind::Bus, &opts.procs(), opts.iters());
+    let series = lock_traffic(MachineKind::Bus, &opts.procs(), opts.iters());
     let mut out = series_block(
         "Fig 3: interconnect transactions per critical section vs P (bus)",
         &series,
@@ -227,7 +222,7 @@ pub(crate) fn fig4(opts: &Opts) -> String {
     };
     let nprocs = if opts.quick { 4 } else { 16 };
     let iters = if opts.quick { 4 } else { 10 };
-    let series = contention_sweep(opts.threads, MachineKind::Bus, nprocs, &holds, iters);
+    let series = contention_sweep(MachineKind::Bus, nprocs, &holds, iters);
     series_block(
         &format!("Fig 4: throughput vs critical-section hold time (bus, P = {nprocs})"),
         &series,
@@ -236,12 +231,7 @@ pub(crate) fn fig4(opts: &Opts) -> String {
 
 /// fig5 — barrier episode time vs P on the bus machine.
 pub(crate) fn fig5(opts: &Opts) -> String {
-    let series = barrier_scaling(
-        opts.threads,
-        MachineKind::Bus,
-        &opts.procs(),
-        opts.episodes(),
-    );
+    let series = barrier_scaling(MachineKind::Bus, &opts.procs(), opts.episodes());
     let mut out = series_block("Fig 5: barrier episode time vs P (bus machine)", &series);
     out.push_str(&final_ratio_block(&series, "central", "qsm-tree"));
     out
@@ -249,12 +239,7 @@ pub(crate) fn fig5(opts: &Opts) -> String {
 
 /// fig6 — barrier episode time vs P on the NUMA machine.
 pub(crate) fn fig6(opts: &Opts) -> String {
-    let series = barrier_scaling(
-        opts.threads,
-        MachineKind::Numa,
-        &opts.procs(),
-        opts.episodes(),
-    );
+    let series = barrier_scaling(MachineKind::Numa, &opts.procs(), opts.episodes());
     let mut out = series_block("Fig 6: barrier episode time vs P (NUMA machine)", &series);
     out.push_str(&final_ratio_block(&series, "central", "qsm-tree"));
     out
@@ -288,7 +273,7 @@ pub(crate) fn fig7(opts: &Opts) -> String {
     let nprocs = if opts.quick { 4 } else { 16 };
     let iters = if opts.quick { 4 } else { 10 };
 
-    let series = backoff_ablation(opts.threads, MachineKind::Bus, nprocs, iters);
+    let series = backoff_ablation(MachineKind::Bus, nprocs, iters);
     let mut out = series_block(
         &format!("Fig 7a/7b: backoff parameter sensitivity (bus, P = {nprocs})"),
         &series,
@@ -359,7 +344,7 @@ pub(crate) fn fig9(opts: &Opts) -> String {
     } else {
         vec![1, 2, 4, 8]
     };
-    let series = oversubscription_sweep(opts.threads, OVERSUB_CORES, &ratios, opts.iters());
+    let series = oversubscription_sweep(OVERSUB_CORES, &ratios, opts.iters());
     let mut out = series_block(
         &format!(
             "Fig 9: lock passing time vs threads per core (bus machine, {OVERSUB_CORES} cores, oversubscribed)"
@@ -371,11 +356,11 @@ pub(crate) fn fig9(opts: &Opts) -> String {
 }
 
 /// table1 — uncontended latency (cycles) of every primitive.
-pub(crate) fn table1(opts: &Opts) -> String {
+pub(crate) fn table1(_opts: &Opts) -> String {
     let mut table = Table::new(&["primitive", "bus cycles", "numa cycles"])
         .with_title("Table 1: uncontended latency per operation (P = 1)");
-    let bus = uncontended_table(opts.threads, MachineKind::Bus);
-    let numa = uncontended_table(opts.threads, MachineKind::Numa);
+    let bus = uncontended_table(MachineKind::Bus);
+    let numa = uncontended_table(MachineKind::Numa);
     for ((name, b), (name2, n)) in bus.into_iter().zip(numa) {
         assert_eq!(name, name2);
         table.row_owned(vec![name, fmt_cell(b), fmt_cell(n)]);
@@ -393,7 +378,6 @@ pub(crate) fn table1(opts: &Opts) -> String {
 pub(crate) fn table2(opts: &Opts) -> String {
     use kernels::locks::all_locks;
     use workloads::fairness::{run, FairnessConfig};
-    use workloads::sweeps::parallel_cells;
 
     let nprocs = if opts.quick { 4 } else { 32 };
     let cfg = FairnessConfig {
@@ -412,13 +396,10 @@ pub(crate) fn table2(opts: &Opts) -> String {
         "Table 2: fairness under continuous contention (bus, P = {nprocs}, {} CS)",
         cfg.total_cs
     ));
-    let locks = all_locks();
-    let results = parallel_cells(locks.len(), opts.threads, |i| {
-        let machine = MachineKind::Bus.machine(nprocs);
-        run(&machine, locks[i].as_ref(), &cfg)
-            .unwrap_or_else(|e| panic!("{}: {e}", locks[i].name()))
-    });
-    for (lock, r) in locks.iter().zip(&results) {
+    let machine = MachineKind::Bus.machine(nprocs);
+    for lock in all_locks() {
+        let r =
+            run(&machine, lock.as_ref(), &cfg).unwrap_or_else(|e| panic!("{}: {e}", lock.name()));
         let min = r.counts.iter().min().copied().unwrap_or(0);
         let max = r.counts.iter().max().copied().unwrap_or(0);
         table.row_owned(vec![
@@ -434,8 +415,6 @@ pub(crate) fn table2(opts: &Opts) -> String {
 
 /// table3 (extension experiment) — reader/writer mix sweep.
 pub(crate) fn table3(opts: &Opts) -> String {
-    use workloads::sweeps::parallel_cells;
-
     let nprocs = if opts.quick { 4 } else { 16 };
     let iters = if opts.quick { 8 } else { 16 };
     let fractions: &[f64] = if opts.quick {
@@ -452,21 +431,18 @@ pub(crate) fn table3(opts: &Opts) -> String {
     .with_title(format!(
         "Table 3 (extension): reader/writer mix, bus machine, P = {nprocs}"
     ));
-    let results = parallel_cells(fractions.len(), opts.threads, |i| {
+    let machine = MachineKind::Bus.machine(nprocs);
+    for &f in fractions {
         let cfg = RwConfig {
             nprocs,
             iters,
-            read_fraction: fractions[i],
+            read_fraction: f,
             read_hold: 400,
             write_hold: 60,
             seed: 0x7777,
         };
-        let machine = MachineKind::Bus.machine(nprocs);
         let rw = run_rwlock(&machine, &cfg).expect("rwlock trial");
         let mx = run_mutex(&machine, &cfg).expect("mutex trial");
-        (rw, mx)
-    });
-    for (&f, (rw, mx)) in fractions.iter().zip(&results) {
         table.row_owned(vec![
             format!("{:.0}%", f * 100.0),
             format!("{:.2}", rw.throughput),
@@ -481,7 +457,7 @@ pub(crate) fn table3(opts: &Opts) -> String {
 /// (uncontended) and what it buys when oversubscribed, per wait policy.
 pub(crate) fn table4(opts: &Opts) -> String {
     let ratio = if opts.quick { 2 } else { 4 };
-    let rows = blocking_latency_table(opts.threads, OVERSUB_CORES, ratio, opts.iters());
+    let rows = blocking_latency_table(OVERSUB_CORES, ratio, opts.iters());
     let passing_col = format!("passing @{ratio}x threads/core");
     let mut table = Table::new(&[
         "lock",
@@ -514,10 +490,7 @@ pub(crate) fn table4(opts: &Opts) -> String {
 /// sweep shape per mode.
 fn waitdist_sweep(opts: &Opts) -> (usize, Vec<workloads::waitdist::WaitDistResult>) {
     let nprocs = if opts.quick { 4 } else { 16 };
-    (
-        nprocs,
-        distribution_sweep(opts.threads, nprocs, opts.iters()),
-    )
+    (nprocs, distribution_sweep(nprocs, opts.iters()))
 }
 
 /// fig10 — the lock wait-time CDF: for each lock, the wait-time quantile
@@ -583,7 +556,7 @@ pub(crate) fn fig11(opts: &Opts) -> String {
         vec![4, 16, 64, 256]
     };
     let requests = if opts.quick { 2_000 } else { 12_000 };
-    let results = service_load::service_sweep(opts.threads, &threads, requests);
+    let results = service_load::service_sweep(&threads, requests);
     let mut series = Series::new("workers", "requests per kcycle");
     for (policy, r) in &results {
         series.push(policy.name(), r.threads as u64, r.throughput());
@@ -604,8 +577,6 @@ pub(crate) fn fig11(opts: &Opts) -> String {
 /// The mean barely moves across policies; the tail is where the grant
 /// discipline shows.
 pub(crate) fn table6(opts: &Opts) -> String {
-    use workloads::sweeps::parallel_cells;
-
     let threads = if opts.quick { 32 } else { 64 };
     let requests = if opts.quick { 4_000 } else { 16_000 };
     let mut table = Table::new(&[
@@ -619,16 +590,14 @@ pub(crate) fn table6(opts: &Opts) -> String {
     .with_title(format!(
         "Table 6: service wait-latency tail (workers = {threads}, {requests} requests, Zipf 1.1, cycles)"
     ));
-    let results = parallel_cells(LockPolicy::ALL.len(), opts.threads, |i| {
-        // Moderate load, unlike fig11's saturating one: near saturation
-        // every wait is backlog and all policies pin the top histogram
-        // buckets; at ~50% hot-key utilization the p50 stays small and
-        // the tail isolates the grant discipline itself.
-        let mut cfg = ServiceLoadConfig::new(threads, requests);
-        cfg.mean_gap = 256;
-        service_load::sim_load(LockPolicy::ALL[i], &cfg)
-    });
-    for (policy, r) in LockPolicy::ALL.iter().zip(&results) {
+    // Moderate load, unlike fig11's saturating one: near saturation
+    // every wait is backlog and all policies pin the top histogram
+    // buckets; at ~50% hot-key utilization the p50 stays small and
+    // the tail isolates the grant discipline itself.
+    let mut cfg = ServiceLoadConfig::new(threads, requests);
+    cfg.mean_gap = 256;
+    for &policy in LockPolicy::ALL {
+        let r = service_load::sim_load(policy, &cfg);
         table.row_owned(vec![
             policy.name().to_string(),
             format!("{:.2}", r.throughput()),
@@ -661,8 +630,6 @@ pub(crate) fn table6(opts: &Opts) -> String {
 /// agreeing says the model's constant-handoff assumption survives
 /// contact with the actual sharded-table code path.
 pub(crate) fn fig12(opts: &Opts) -> String {
-    use workloads::sweeps::parallel_cells;
-
     let threads: Vec<usize> = if opts.quick {
         vec![4, 16, 64]
     } else {
@@ -672,13 +639,6 @@ pub(crate) fn fig12(opts: &Opts) -> String {
     // The executor's wake cost is the model's QSM handoff cost, so the
     // only degrees of freedom left are the protocols themselves. The
     // telemetry mode changes no byte of the async column (table7).
-    let cells = parallel_cells(threads.len(), opts.threads, |i| {
-        let cfg = ServiceLoadConfig::new(threads[i], requests);
-        let sim = service_load::sim_load(LockPolicy::Qsm, &cfg);
-        let mode = service::MetricsMode::default();
-        let real = service_load::async_load_with_metrics(&cfg, WAKE_COST, mode).result;
-        (sim, real)
-    });
     let mut table = Table::new(&[
         "workers",
         "sync req/kcyc",
@@ -691,7 +651,11 @@ pub(crate) fn fig12(opts: &Opts) -> String {
     .with_title(format!(
         "Fig 12: sync model vs async futures, grant latency ({requests} requests, Zipf 1.1, bursty open loop, wake cost {WAKE_COST})"
     ));
-    for (t, (sim, real)) in threads.iter().zip(&cells) {
+    for &t in &threads {
+        let cfg = ServiceLoadConfig::new(t, requests);
+        let sim = service_load::sim_load(LockPolicy::Qsm, &cfg);
+        let mode = service::MetricsMode::default();
+        let real = service_load::async_load_with_metrics(&cfg, WAKE_COST, mode).result;
         table.row_owned(vec![
             t.to_string(),
             format!("{:.2}", sim.throughput()),
@@ -728,8 +692,6 @@ pub(crate) fn fig12(opts: &Opts) -> String {
 /// the ignored test `counters_telemetry_costs_at_most_its_budget_over_off`
 /// in `tests/service_metrics.rs`.
 pub(crate) fn table7(opts: &Opts) -> String {
-    use workloads::sweeps::parallel_cells;
-
     let threads = if opts.quick { 64 } else { 256 };
     let requests = if opts.quick { 2_000 } else { 12_000 };
     let modes = [
@@ -737,10 +699,6 @@ pub(crate) fn table7(opts: &Opts) -> String {
         service::MetricsMode::Counters,
         service::MetricsMode::Sampled(64),
     ];
-    let reports = parallel_cells(modes.len(), opts.threads, |i| {
-        let cfg = ServiceLoadConfig::new(threads, requests);
-        service_load::async_load_with_metrics(&cfg, WAKE_COST, modes[i])
-    });
     let mut table = Table::new(&[
         "mode",
         "completed",
@@ -755,7 +713,9 @@ pub(crate) fn table7(opts: &Opts) -> String {
     .with_title(format!(
         "Table 7: telemetry overhead on the async service (workers = {threads}, {requests} requests, Zipf 1.1, wake cost {WAKE_COST})"
     ));
-    for (mode, rep) in modes.iter().zip(&reports) {
+    let cfg = ServiceLoadConfig::new(threads, requests);
+    for mode in modes {
+        let rep = service_load::async_load_with_metrics(&cfg, WAKE_COST, mode);
         table.row_owned(vec![
             mode.label(),
             rep.result.completed.to_string(),
@@ -794,10 +754,7 @@ mod tests {
 
     #[test]
     fn deterministic_figures_render_identically_twice() {
-        let opts = Opts {
-            quick: true,
-            ..Opts::default()
-        };
+        let opts = Opts { quick: true };
         // table1 exercises the P=1 inline engine path end to end; fig4
         // exercises jittered critical sections. Both must be pure
         // functions of Opts.

@@ -71,24 +71,11 @@ pub mod trace_export {
     }
 }
 
-/// The options every figure renders under.
-#[derive(Debug, Clone, Copy)]
+/// The options every figure renders under; the default is full mode.
+#[derive(Debug, Clone, Copy, Default)]
 pub struct Opts {
     /// Reduced sweep for smoke tests.
     pub quick: bool,
-    /// Host threads for the sweeps' cell fan-out. Never changes a
-    /// figure's bytes.
-    pub threads: usize,
-}
-
-/// Full mode, the sweeps on the host's parallelism.
-impl Default for Opts {
-    fn default() -> Self {
-        Opts {
-            quick: false,
-            threads: simcore::host_parallelism(),
-        }
-    }
 }
 
 impl Opts {
@@ -219,10 +206,7 @@ mod tests {
 
     #[test]
     fn quick_mode_shrinks_sweeps() {
-        let quick = Opts {
-            quick: true,
-            ..Opts::default()
-        };
+        let quick = Opts { quick: true };
         let full = Opts::default();
         assert!(quick.procs().len() < full.procs().len());
         assert!(quick.iters() <= full.iters());

@@ -24,6 +24,8 @@
 //! A `check` or `fuzz` still running after five seconds says so on stderr,
 //! and every five seconds from then on: runs so far, what was pruned, the
 //! deepest schedule, runs per second. Stdout is the same either way.
+//! A reader that closes stdout early (`| head -1`) stops the printing,
+//! not the command: it still exits with its verdict's status.
 
 use interleave::fuzz::{self, Fuzzer, Shrunk, Strategy};
 use interleave::harness::{barrier_program, check_barrier, check_lock, checked_lock_program};
@@ -32,6 +34,8 @@ use interleave::{DporMode, Explorer, Failure, OpKind, Program, Replay, ReplayEnd
 use interleave::{Stats, Verdict};
 use kernels::barriers::{all_barriers, barrier_by_name, BarrierKernel};
 use kernels::locks::{all_locks, lock_by_name, LockKernel};
+use std::fmt;
+use std::io::{self, Write as _};
 use std::process::ExitCode;
 use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::Arc;
@@ -272,6 +276,35 @@ fn explorer_from(args: &Args) -> Explorer {
     e
 }
 
+/// The one writer of the CLI's stdout. Output that can no longer be
+/// written — a reader gone early (`interleave check ... | head -1`), a
+/// full disk — does not change the verdict: printing stops, and the
+/// command still exits with its verdict's status. Any error but a closed
+/// pipe is said once on stderr.
+struct Out {
+    stdout: io::Stdout,
+    closed: bool,
+}
+
+impl Out {
+    /// What `write!` and `writeln!` call: prints `args` and flushes.
+    fn write_fmt(&mut self, args: fmt::Arguments) {
+        if self.closed {
+            return;
+        }
+        if let Err(e) = self
+            .stdout
+            .write_fmt(args)
+            .and_then(|()| self.stdout.flush())
+        {
+            self.closed = true;
+            if e.kind() != io::ErrorKind::BrokenPipe {
+                eprintln!("error: writing stdout: {e}");
+            }
+        }
+    }
+}
+
 /// The counts of a finished search's stats line and of a progress line.
 fn counts(s: Stats) -> String {
     format!(
@@ -282,7 +315,7 @@ fn counts(s: Stats) -> String {
 
 /// The stats line: the counts, then why the search stopped — at its first
 /// violation, or (passing) with its space covered or its budget spent.
-fn render_stats(verdict: &Verdict) {
+fn render_stats(out: &mut Out, verdict: &Verdict) {
     let s = verdict.stats();
     let how = if verdict.is_violation() {
         "stopped at the first violation"
@@ -291,7 +324,7 @@ fn render_stats(verdict: &Verdict) {
     } else {
         "run budget exhausted"
     };
-    println!("{}, {how}", counts(s));
+    writeln!(out, "{}, {how}", counts(s));
 }
 
 /// Runs `command` with a ticker thread beside it that reports on stderr,
@@ -332,7 +365,7 @@ fn build_program(args: &Args) -> Program {
     }
 }
 
-fn run_check(args: &Args) -> ExitCode {
+fn run_check(args: &Args, out: &mut Out) -> ExitCode {
     let explorer = explorer_from(args);
     let (threads, iters) = (args.threads, args.iters);
     let verdict = match &target(args).kernel {
@@ -341,17 +374,17 @@ fn run_check(args: &Args) -> ExitCode {
             check_barrier(barrier.clone(), threads, args.episodes, explorer)
         }
     };
-    render_stats(&verdict);
+    render_stats(out, &verdict);
     match &verdict {
         Verdict::Passed(_) => {
-            println!("PASS: no violation within the explored bounds");
+            writeln!(out, "PASS: no violation within the explored bounds");
             ExitCode::SUCCESS
         }
         Verdict::Failed {
             schedule, failure, ..
         } => {
-            println!("FAIL: {failure}");
-            print_repro(args, iters, schedule, None);
+            writeln!(out, "FAIL: {failure}");
+            print_repro(out, args, iters, schedule, None);
             ExitCode::FAILURE
         }
     }
@@ -360,15 +393,22 @@ fn run_check(args: &Args) -> ExitCode {
 /// Prints the failing `schedule:`, the shrunk one when there is one, and
 /// the `interleave replay` invocation that re-executes the shorter of the
 /// two; `iters` is the lock workload's critical sections per thread.
-fn print_repro(args: &Args, iters: usize, schedule: &[usize], shrunk: Option<&Shrunk>) {
+fn print_repro(
+    out: &mut Out,
+    args: &Args,
+    iters: usize,
+    schedule: &[usize],
+    shrunk: Option<&Shrunk>,
+) {
     let render = |schedule: &[usize]| {
         let ids: Vec<String> = schedule.iter().map(|p| p.to_string()).collect();
         ids.join(",")
     };
-    println!("schedule: {}", render(schedule));
+    writeln!(out, "schedule: {}", render(schedule));
     let mut replayed = schedule;
     if let Some(shrunk) = shrunk {
-        println!(
+        writeln!(
+            out,
             "shrunk schedule ({} replays): {}",
             shrunk.replays,
             render(&shrunk.schedule)
@@ -383,7 +423,8 @@ fn print_repro(args: &Args, iters: usize, schedule: &[usize], shrunk: Option<&Sh
     if let Some(k) = args.bypass_bound {
         extent.push_str(&format!(" --bypass-bound {k}"));
     }
-    println!(
+    writeln!(
+        out,
         "replay with: interleave replay {} --threads {} {extent} --schedule {}",
         target.spec,
         args.threads,
@@ -399,14 +440,14 @@ fn exit_of(end: &ReplayEnd) -> ExitCode {
     }
 }
 
-fn run_replay(args: &Args) -> ExitCode {
+fn run_replay(args: &Args, out: &mut Out) -> ExitCode {
     let schedule = args.schedule.as_deref().unwrap_or_else(|| {
         eprintln!("replay needs --schedule");
         usage();
     });
     let program = build_program(args);
     let replay = explorer_from(args).replay(&program, schedule);
-    print!("{}", replay.render());
+    write!(out, "{}", replay.render());
     exit_of(&replay.end)
 }
 
@@ -527,7 +568,7 @@ fn replay_to_chrome(replay: &Replay, process_name: &str, threads: usize) -> Stri
     b.finish()
 }
 
-fn run_trace(args: &Args) -> ExitCode {
+fn run_trace(args: &Args, out: &mut Out) -> ExitCode {
     let program = build_program(args);
     let schedule = args.schedule.clone().unwrap_or_default();
     let replay = explorer_from(args).replay(&program, &schedule);
@@ -555,12 +596,12 @@ fn run_trace(args: &Args) -> ExitCode {
                 replay.end
             );
         }
-        None => print!("{json}"),
+        None => write!(out, "{json}"),
     }
     exit_of(&replay.end)
 }
 
-fn run_fuzz(args: &Args) -> ExitCode {
+fn run_fuzz(args: &Args, out: &mut Out) -> ExitCode {
     let seed = args.seed.unwrap_or(fuzz::DEFAULT_FUZZ_SEED);
     let iters = args.iters_flag.unwrap_or(fuzz::DEFAULT_FUZZ_ITERS);
     let strategy = args.strategy.unwrap_or_default();
@@ -582,46 +623,51 @@ fn run_fuzz(args: &Args) -> ExitCode {
         }
     };
 
-    println!(
+    writeln!(
+        out,
         "fuzz {}: seed {seed}, strategy {strategy}, budget {iters} schedules",
         target(args).spec
     );
-    render_stats(&report.verdict);
+    render_stats(out, &report.verdict);
     let Verdict::Failed {
         schedule, failure, ..
     } = &report.verdict
     else {
         let runs = report.verdict.stats().runs;
-        println!("PASS: no violation in {runs} sampled schedules");
+        writeln!(out, "PASS: no violation in {runs} sampled schedules");
         return ExitCode::SUCCESS;
     };
     let iter = report.failing_iter.unwrap_or(0);
-    println!("FAIL at iteration {iter}: {failure}");
-    println!("repro: --seed {seed} --strategy {strategy}");
-    print_repro(args, args.cs, schedule, report.shrunk.as_ref());
+    writeln!(out, "FAIL at iteration {iter}: {failure}");
+    writeln!(out, "repro: --seed {seed} --strategy {strategy}");
+    print_repro(out, args, args.cs, schedule, report.shrunk.as_ref());
     ExitCode::FAILURE
 }
 
-fn run_list() -> ExitCode {
-    println!("locks:");
+fn run_list(out: &mut Out) -> ExitCode {
+    writeln!(out, "locks:");
     for lock in all_locks() {
-        println!("  lock:{}", lock.name());
+        writeln!(out, "  lock:{}", lock.name());
     }
-    println!("barriers:");
+    writeln!(out, "barriers:");
     for barrier in all_barriers() {
-        println!("  barrier:{}", barrier.name());
+        writeln!(out, "  barrier:{}", barrier.name());
     }
     ExitCode::SUCCESS
 }
 
 fn main() -> ExitCode {
     let args = parse_args();
+    let out = &mut Out {
+        stdout: io::stdout(),
+        closed: false,
+    };
     match args.cmd.as_str() {
-        "list" => run_list(),
-        "check" => with_progress(|| run_check(&args)),
-        "replay" => run_replay(&args),
-        "trace" => run_trace(&args),
-        "fuzz" => with_progress(|| run_fuzz(&args)),
+        "list" => run_list(out),
+        "check" => with_progress(|| run_check(&args, out)),
+        "replay" => run_replay(&args, out),
+        "trace" => run_trace(&args, out),
+        "fuzz" => with_progress(|| run_fuzz(&args, out)),
         _ => usage(),
     }
 }

@@ -156,3 +156,38 @@ fn out_of_range_counts_and_unknown_flags_exit_two_before_running() {
         assert!(out.is_empty(), "{args:?} ran:\n{out}");
     }
 }
+
+/// A reader that goes away early ends the printing, not the check: with
+/// its stdout pipe closed after the first line, or before any, `check`
+/// still exits with its verdict's status (0, this search passes) and does
+/// not panic. A closed pipe is no error worth a word on stderr either.
+#[test]
+fn a_closed_stdout_ends_printing_not_the_verdict() {
+    use std::io::{BufRead, BufReader};
+    use std::process::Stdio;
+    for lines in [1, 0] {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_interleave"))
+            .args(["check", "lock:qsm-block-park", "--threads", "3"])
+            .args(["--dpor", "source"])
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("the interleave binary starts");
+        let mut stdout = BufReader::new(child.stdout.take().expect("piped stdout"));
+        let mut first = String::new();
+        for _ in 0..lines {
+            stdout.read_line(&mut first).expect("stdout reads");
+        }
+        drop(stdout);
+        let done = child.wait_with_output().expect("the binary exits");
+        let stderr = String::from_utf8_lossy(&done.stderr);
+        assert!(lines == 0 || first.starts_with("runs 12720 "), "{first}");
+        assert_eq!(
+            done.status.code(),
+            Some(0),
+            "after {lines} line(s):\n{stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "{stderr}");
+        assert!(!stderr.contains("error"), "{stderr}");
+    }
+}

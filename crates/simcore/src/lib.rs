@@ -29,11 +29,3 @@ pub use rng::Rng;
 pub use series::Series;
 pub use stats::{LinearFit, RunningStats};
 pub use table::Table;
-
-/// The host's available parallelism (1 when it cannot be probed): the
-/// figures' default sweep fan-out.
-pub fn host_parallelism() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-}

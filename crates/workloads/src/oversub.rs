@@ -19,8 +19,8 @@
 //! table4 complements it with uncontended latency (where parking buys
 //! nothing and must cost little) and parks per critical section.
 
-use crate::csbench::{self, CsConfig};
-use crate::sweeps::parallel_cells;
+use crate::csbench;
+use crate::sweeps::saturated_cfg;
 use kernels::locks::{qsm::QsmLock, LockKernel};
 use memsim::{Machine, MachineParams, SchedParams};
 use simcore::Series;
@@ -49,32 +49,16 @@ pub fn oversub_machine(nprocs: usize, cores: usize) -> Machine {
 /// fig9 — lock passing time vs threads-per-core ratio at a fixed core
 /// count, for the three wait policies. `ratios` are multipliers over
 /// `cores` (ratio 1 = a dedicated machine's load on a scheduled machine).
-pub fn oversubscription_sweep(
-    threads: usize,
-    cores: usize,
-    ratios: &[usize],
-    iters: usize,
-) -> Series {
-    let locks = wait_policies();
-    let cells: Vec<(usize, usize)> = (0..locks.len())
-        .flat_map(|li| ratios.iter().map(move |&r| (li, r)))
-        .collect();
-    let results = parallel_cells(cells.len(), threads, |i| {
-        let (li, ratio) = cells[i];
-        let nprocs = ratio * cores;
-        let machine = oversub_machine(nprocs, cores);
-        let cfg = CsConfig {
-            think: 0,
-            jitter: false,
-            hold: 20,
-            ..CsConfig::new(nprocs, iters)
-        };
-        csbench::run(&machine, locks[li].as_ref(), &cfg)
-            .unwrap_or_else(|e| panic!("{} ratio={ratio}: {e}", locks[li].name()))
-    });
+pub fn oversubscription_sweep(cores: usize, ratios: &[usize], iters: usize) -> Series {
     let mut series = Series::new("threads per core", "cycles per critical section");
-    for (&(li, ratio), r) in cells.iter().zip(&results) {
-        series.push(locks[li].name(), ratio as u64, r.passing_time);
+    for lock in wait_policies() {
+        for &ratio in ratios {
+            let nprocs = ratio * cores;
+            let machine = oversub_machine(nprocs, cores);
+            let r = csbench::run(&machine, lock.as_ref(), &saturated_cfg(nprocs, iters))
+                .unwrap_or_else(|e| panic!("{} ratio={ratio}: {e}", lock.name()));
+            series.push(lock.name(), ratio as u64, r.passing_time);
+        }
     }
     series
 }
@@ -95,35 +79,23 @@ pub struct BlockingLatencyRow {
 
 /// table4 — blocking-lock latency: uncontended cost next to oversubscribed
 /// passing time and park rate, one row per wait policy.
-pub fn blocking_latency_table(
-    threads: usize,
-    cores: usize,
-    ratio: usize,
-    iters: usize,
-) -> Vec<BlockingLatencyRow> {
-    let locks = wait_policies();
-    let rows = parallel_cells(locks.len(), threads, |i| {
-        let lock = locks[i].as_ref();
-        let dedicated = Machine::new(MachineParams::bus_1991(1));
-        let uncontended = csbench::uncontended_latency(&dedicated, lock, 500);
-        let nprocs = ratio * cores;
-        let machine = oversub_machine(nprocs, cores);
-        let cfg = CsConfig {
-            think: 0,
-            jitter: false,
-            hold: 20,
-            ..CsConfig::new(nprocs, iters)
-        };
-        let r = csbench::run(&machine, lock, &cfg)
-            .unwrap_or_else(|e| panic!("{} table4: {e}", lock.name()));
-        BlockingLatencyRow {
-            name: lock.name().to_string(),
-            uncontended,
-            oversub_passing: r.passing_time,
-            parks_per_cs: r.metrics.futex_parks() as f64 / cfg.total_cs() as f64,
-        }
-    });
-    rows
+pub fn blocking_latency_table(cores: usize, ratio: usize, iters: usize) -> Vec<BlockingLatencyRow> {
+    let dedicated = Machine::new(MachineParams::bus_1991(1));
+    let nprocs = ratio * cores;
+    wait_policies()
+        .iter()
+        .map(|lock| {
+            let machine = oversub_machine(nprocs, cores);
+            let r = csbench::run(&machine, lock.as_ref(), &saturated_cfg(nprocs, iters))
+                .unwrap_or_else(|e| panic!("{} table4: {e}", lock.name()));
+            BlockingLatencyRow {
+                name: lock.name().to_string(),
+                uncontended: csbench::uncontended_latency(&dedicated, lock.as_ref(), 500),
+                oversub_passing: r.passing_time,
+                parks_per_cs: r.metrics.futex_parks() as f64 / (nprocs * iters) as f64,
+            }
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -138,7 +110,7 @@ mod tests {
 
     #[test]
     fn sweep_produces_all_curves_and_ratios() {
-        let s = oversubscription_sweep(simcore::host_parallelism(), 2, &[1, 2], 3);
+        let s = oversubscription_sweep(2, &[1, 2], 3);
         assert_eq!(s.curve_names().len(), 3);
         assert_eq!(s.xs(), vec![1, 2]);
     }
@@ -150,7 +122,7 @@ mod tests {
         // cores is the smallest machine where a descheduled lock holder
         // reliably strands a full spinner cohort; at two cores the convoy
         // is too short to measure.
-        let s = oversubscription_sweep(simcore::host_parallelism(), 4, &[1, 4], 5);
+        let s = oversubscription_sweep(4, &[1, 4], 5);
         let at = |curve: &str, x: u64| {
             s.get(curve, x)
                 .unwrap_or_else(|| panic!("missing point {curve}@{x}"))
@@ -175,7 +147,7 @@ mod tests {
 
     #[test]
     fn latency_table_rows_are_coherent() {
-        let rows = blocking_latency_table(simcore::host_parallelism(), 2, 2, 4);
+        let rows = blocking_latency_table(2, 2, 4);
         assert_eq!(rows.len(), 3);
         for row in &rows {
             assert!(row.uncontended > 0.0, "{} free uncontended", row.name);
@@ -193,8 +165,8 @@ mod tests {
 
     #[test]
     fn sweep_is_deterministic() {
-        let a = oversubscription_sweep(simcore::host_parallelism(), 2, &[1, 2], 3);
-        let b = oversubscription_sweep(simcore::host_parallelism(), 2, &[1, 2], 3);
+        let a = oversubscription_sweep(2, &[1, 2], 3);
+        let b = oversubscription_sweep(2, &[1, 2], 3);
         assert_eq!(a.to_table("fig9").render(), b.to_table("fig9").render());
     }
 }

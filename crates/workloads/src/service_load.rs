@@ -30,7 +30,6 @@
 //! service on real threads, and of the service's real-thread tests.
 
 use crate::executor::{Executor, Outcome, WAKE_COST};
-use crate::sweeps::parallel_cells;
 use simcore::Rng;
 use std::cell::RefCell;
 use std::cmp::Reverse;
@@ -453,27 +452,19 @@ pub fn sim_load(policy: LockPolicy, cfg: &ServiceLoadConfig) -> ServiceLoadResul
     }
 }
 
-/// The fig11/table6 sweep: every policy at every worker-pool size, fanned
-/// out across `threads` host threads like the other figure sweeps.
-/// Results come back in `(policy, workers)` grid order regardless of the
-/// fan-out, each beside its policy.
-pub fn service_sweep(
-    threads: usize,
-    workers: &[usize],
-    requests: usize,
-) -> Vec<(LockPolicy, ServiceLoadResult)> {
-    let cells: Vec<(LockPolicy, usize)> = LockPolicy::ALL
+/// The fig11 sweep: every policy at every worker-pool size, in
+/// `(policy, workers)` grid order, each result beside its policy.
+pub fn service_sweep(workers: &[usize], requests: usize) -> Vec<(LockPolicy, ServiceLoadResult)> {
+    LockPolicy::ALL
         .iter()
-        .flat_map(|&p| workers.iter().map(move |&w| (p, w)))
-        .collect();
-    let results = parallel_cells(cells.len(), threads, |i| {
-        let (policy, w) = cells[i];
-        sim_load(policy, &ServiceLoadConfig::new(w, requests))
-    });
-    cells
-        .iter()
-        .map(|&(policy, _)| policy)
-        .zip(results)
+        .flat_map(|&policy| {
+            workers.iter().map(move |&w| {
+                (
+                    policy,
+                    sim_load(policy, &ServiceLoadConfig::new(w, requests)),
+                )
+            })
+        })
         .collect()
 }
 

@@ -11,7 +11,6 @@
 //! byte-identical to an untraced run of the same configuration.
 
 use crate::csbench::{self, CsConfig, CsResult};
-use crate::sweeps::parallel_cells;
 use kernels::lockdep::InstrumentedLock;
 use kernels::locks::{lock_by_name, LockKernel};
 use memsim::{Machine, MachineParams, SimError};
@@ -101,19 +100,18 @@ fn ring_events(cfg: &CsConfig) -> usize {
 }
 
 /// [`run_lock`] over [`DIST_LOCKS`] — the table5/fig10 sweep, one cell
-/// per lock on `threads` host threads. Each cell owns its
-/// machine and tracer, so the output does not depend on the thread count.
+/// per lock, each with its own machine and tracer.
 ///
 /// # Panics
 ///
 /// On simulator errors: the registry locks are all correct, so an error
 /// here is a harness bug.
-pub fn distribution_sweep(threads: usize, nprocs: usize, iters: usize) -> Vec<WaitDistResult> {
+pub fn distribution_sweep(nprocs: usize, iters: usize) -> Vec<WaitDistResult> {
     let cfg = CsConfig::new(nprocs, iters);
-    parallel_cells(DIST_LOCKS.len(), threads, |i| {
-        let name = DIST_LOCKS[i];
-        run_lock(name, &cfg).unwrap_or_else(|e| panic!("{name}: {e}"))
-    })
+    DIST_LOCKS
+        .iter()
+        .map(|name| run_lock(name, &cfg).unwrap_or_else(|e| panic!("{name}: {e}")))
+        .collect()
 }
 
 #[cfg(test)]

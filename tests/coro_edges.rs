@@ -181,8 +181,8 @@ fn the_widest_machine_completes() {
     assert_eq!(report.memory[0], 128);
 }
 
-/// The `parallel_cells` shape: host threads running simulations side by
-/// side share no engine state, no stack cache and no worker pool.
+/// Host threads running simulations side by side share no engine state,
+/// no stack cache and no worker pool.
 #[test]
 fn concurrent_host_threads_match_a_serial_run() {
     let machine = Machine::new(MachineParams::bus_1991(8));

@@ -1,13 +1,13 @@
 //! Golden-output regression test: every deterministic figure, rendered in
-//! quick mode on 1 and on 3 sweep threads, must match its committed golden
-//! file **byte for byte** both times.
+//! quick mode twice in one process, must match its committed golden file
+//! **byte for byte** both times.
 //!
 //! This is the cheap always-on version of the guarantee the perf work was
 //! done under ("not a single simulated cycle may change"): the full-mode
 //! outputs are committed under `results/` and take seconds to regenerate,
-//! while the quick sweeps exercise the same engine, kernels, and sweep
-//! fan-out in well under a second. Any engine change that alters simulated
-//! timing — however subtly — shows up here as a diff.
+//! while the quick sweeps exercise the same engine, kernels and sweeps at a
+//! fraction of the cost. Any engine change that alters simulated timing —
+//! however subtly — shows up here as a diff.
 //!
 //! To re-bless after an *intentional* output change:
 //!
@@ -139,18 +139,16 @@ fn unified_diff(old: &str, new: &str) -> String {
 fn quick_mode_figures_match_golden_files() {
     let bless = simcore::knob::bless();
     let mut failures = Vec::new();
-    // The serial render, then a fan-out wider than a 2-core host's, so the
-    // thread-count check runs on any host. A bless rewrites the goldens
-    // from the first and diffs the second against them.
-    for threads in [1, 3] {
-        let opts = Opts {
-            quick: true,
-            threads,
-        };
+    // Every figure, then every figure again: the second pass catches state
+    // that one render leaves behind for the next (a cached coroutine
+    // stack, a pooled worker). A bless rewrites the goldens from the first
+    // pass and diffs the second against them.
+    let opts = Opts { quick: true };
+    for pass in ["first", "second"] {
         for figure in FIGURES.iter().filter(|f| f.deterministic) {
             let rendered = (figure.render)(&opts);
             let path = golden_path(figure.id);
-            if bless && threads == 1 {
+            if bless && pass == "first" {
                 std::fs::write(&path, &rendered)
                     .unwrap_or_else(|e| panic!("writing {}: {e}", path.display()));
                 continue;
@@ -163,7 +161,7 @@ fn quick_mode_figures_match_golden_files() {
             });
             if rendered != golden {
                 failures.push(format!(
-                    "{} on {threads} threads: golden (-) vs actual (+):\n{}",
+                    "{} ({pass} render): golden (-) vs actual (+):\n{}",
                     figure.id,
                     unified_diff(&golden, &rendered)
                 ));
@@ -209,10 +207,10 @@ fn committed_bench_sim_report_passes_its_check() {
     check_report(&text, &figures).expect("BENCH_sim.json");
     check_report(&text.replace(",\"", ",\n  \""), &figures).expect("one member per line");
     for (from, to) in [
-        ("v6", "v5"),
+        ("v7", "v6"),
         ("\"id\":\"fig2\"", "\"id\":\"fig3\""),
-        ("\"speedup\":", "\"speedup\":-"),
-        ("\"parallel_wall_ms\":", "\"parallel_wall_msX\":"),
+        ("\"wall_ms\":", "\"wall_ms\":-"),
+        ("\"wall_ms\":", "\"wall_msX\":"),
     ] {
         let bad = text.replacen(from, to, 1);
         assert!(check_report(&bad, &figures).is_err(), "accepted {to:?}");

@@ -18,10 +18,7 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 fn quick() -> Opts {
-    Opts {
-        quick: true,
-        ..Opts::default()
-    }
+    Opts { quick: true }
 }
 
 fn golden_path(name: &str) -> PathBuf {
