@@ -20,8 +20,7 @@ pub mod figures;
 /// The traced reference workloads behind `bench_sim --trace-out` and the
 /// trace-determinism golden test.
 pub mod trace_export {
-    use kernels::lockdep::InstrumentedLock;
-    use kernels::locks::{lock_by_name, LockKernel};
+    use kernels::locks::{lock_by_name, InstrumentedLock, LockKernel};
     use std::sync::Arc;
     use workloads::csbench::{self, CsConfig};
 

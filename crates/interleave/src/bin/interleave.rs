@@ -11,7 +11,7 @@
 //! interleave check barrier:central --threads 2 --episodes 1
 //! interleave replay lock:mcs --schedule 0,0,1,1,0,0 --threads 2 --iters 1
 //! interleave trace lock:qsm-block-park --threads 2 --iters 1 --out sched.json
-//! interleave fuzz lock:qsm-block --threads 3 --seed 1991 --iters 500 --strategy pct --shrink
+//! interleave fuzz lock:qsm-block --threads 3 --seed 1991 --iters 500 --strategy pct
 //! ```
 //!
 //! `check` exits 1 when a violation is found (printing the reproducing
@@ -19,7 +19,7 @@
 //! the re-execution ends in a violation, so both compose with shell `&&`.
 //! `fuzz` samples random schedules instead of searching: same exit
 //! convention, and every failure prints the seed, strategy and a
-//! ready-to-paste `replay` line (shrunk when `--shrink` is given).
+//! ready-to-paste `replay` line of its shrunk schedule.
 //!
 //! A `check` or `fuzz` still running after five seconds says so on stderr,
 //! and every five seconds from then on: runs so far, what was pruned, the
@@ -70,7 +70,6 @@ options:
 fuzz options:
   --seed N          campaign seed (positive; default 1991)
   --strategy S      uniform | pct | pct:<d> (default pct:3)
-  --shrink          minimize the failing schedule before reporting
   --cs N            critical sections per thread in the fuzzed workload (default 1)"
     );
     std::process::exit(2);
@@ -131,7 +130,6 @@ struct Args {
     schedule: Option<Vec<usize>>,
     seed: Option<u64>,
     strategy: Option<Strategy>,
-    shrink: bool,
     /// Critical sections per thread in the fuzzed lock workload.
     cs: usize,
     /// Output path for `trace` (stdout when absent).
@@ -156,7 +154,6 @@ fn parse_args() -> Args {
         schedule: None,
         seed: None,
         strategy: None,
-        shrink: false,
         cs: 1,
         out: None,
     };
@@ -214,7 +211,6 @@ fn parse_args() -> Args {
                     }
                 }
             }
-            "--shrink" => args.shrink = true,
             "--cs" => args.cs = positive(&mut it, "--cs"),
             "--out" => args.out = Some(num(&mut it, "--out")),
             "--preemptions" => args.preemptions = Some(num(&mut it, "--preemptions")),
@@ -606,9 +602,6 @@ fn run_fuzz(args: &Args, out: &mut Out) -> ExitCode {
     let iters = args.iters_flag.unwrap_or(fuzz::DEFAULT_FUZZ_ITERS);
     let strategy = args.strategy.unwrap_or_default();
     let mut fuzzer = Fuzzer::new(seed, iters, strategy);
-    if !args.shrink {
-        fuzzer = fuzzer.without_shrink();
-    }
     if let Some(k) = args.bypass_bound {
         fuzzer = fuzzer.with_bypass_bound(k);
     }

@@ -764,7 +764,7 @@ impl Explorer {
     /// single scheduler loop every mode shares: DFS exploration and replay
     /// run it with [`Policy::Dfs`], the random fuzzer ([`crate::fuzz`])
     /// with [`Policy::External`] — so park/unpark semantics, the race
-    /// detector, lockdep, and bypass accounting behave identically under
+    /// detector and bypass accounting behave identically under
     /// exhaustive search and random sampling.
     ///
     /// The program's threads are coroutines on the calling thread
@@ -779,7 +779,6 @@ impl Explorer {
     ) -> RunOutcome {
         let cfg = RunCfg {
             bypass_bound: self.bypass_bound,
-            lockdep: program.lockdep.clone(),
             record_ops,
         };
         let rs: RunState = Rc::new(RefCell::new(Shared::new(

@@ -7,8 +7,8 @@
 //! deep bugs) or sampling. This module samples: a [`Fuzzer`] executes a
 //! [`Program`] under pseudo-random schedules drawn from a seeded,
 //! fully deterministic generator, through the *same* scheduler loop the
-//! explorer uses — park/unpark semantics, the race detector, lockdep and
-//! bypass accounting all behave identically, so every
+//! explorer uses — park/unpark semantics, the race detector and bypass
+//! accounting all behave identically, so every
 //! [`Failure`](crate::Failure) kind (lost wakeups included) surfaces under
 //! sampling exactly as it would under search.
 //!
@@ -199,8 +199,7 @@ pub struct FuzzReport {
     pub verdict: Verdict,
     /// Zero-based iteration at which the failure was found.
     pub failing_iter: Option<usize>,
-    /// The shrunk schedule, when shrinking was enabled and the campaign
-    /// failed.
+    /// The shrunk failing schedule; `None` when the campaign passed.
     pub shrunk: Option<Shrunk>,
 }
 
@@ -211,31 +210,24 @@ impl FuzzReport {
     }
 
     /// Renders a failed campaign as a checked-in corpus file (see
-    /// [`crate::corpus`]): the shrunk schedule when shrinking ran, else
-    /// the raw failing one, with a provenance comment. `None` when the
-    /// campaign passed. `program` must be a [`crate::corpus::corpus_program`]
+    /// [`crate::corpus`]): the shrunk schedule, with a provenance comment.
+    /// `None` when the campaign passed. `program` must be a [`crate::corpus::corpus_program`]
     /// registry name for the loader test to replay the entry.
     pub fn corpus_entry(&self, program: &str) -> Option<String> {
         let raw = self.verdict.schedule()?;
-        let (schedule, provenance) = match &self.shrunk {
-            Some(s) => (
-                s.schedule.clone(),
-                format!(
-                    "shrunk {} -> {} steps in {} replays",
-                    raw.len(),
-                    s.schedule.len(),
-                    s.replays
-                ),
-            ),
-            None => (raw.to_vec(), "unshrunk".to_string()),
-        };
+        let shrunk = self.shrunk.as_ref()?;
         let entry = crate::corpus::CorpusEntry {
             program: program.to_string(),
-            schedule,
+            schedule: shrunk.schedule.clone(),
             verdict: crate::corpus::VerdictClass::of(&self.verdict),
         };
         let iter = self.failing_iter.unwrap_or(0);
-        Some(entry.render(&format!("found at fuzz iteration {iter}; {provenance}")))
+        Some(entry.render(&format!(
+            "found at fuzz iteration {iter}; shrunk {} -> {} steps in {} replays",
+            raw.len(),
+            shrunk.schedule.len(),
+            shrunk.replays
+        )))
     }
 }
 
@@ -258,13 +250,12 @@ pub struct Fuzzer {
     /// Bounded-bypass starvation checking, as in
     /// [`Explorer::with_bypass_bound`].
     pub bypass_bound: Option<usize>,
-    /// Shrink failing schedules before reporting (on by default).
-    pub shrink: bool,
 }
 
 impl Fuzzer {
-    /// A fuzzer with the given campaign parameters, a 400-step run limit,
-    /// shrinking on, and no bypass bound.
+    /// A fuzzer with the given campaign parameters, a 400-step run limit
+    /// and no bypass bound. A failing campaign's schedule is always shrunk
+    /// ([`shrink_schedule`]) before it is reported.
     pub fn new(seed: u64, iters: usize, strategy: Strategy) -> Fuzzer {
         Fuzzer {
             seed,
@@ -272,7 +263,6 @@ impl Fuzzer {
             strategy,
             max_steps: 400,
             bypass_bound: None,
-            shrink: true,
         }
     }
 
@@ -286,12 +276,6 @@ impl Fuzzer {
     /// than `k` times.
     pub fn with_bypass_bound(mut self, k: usize) -> Self {
         self.bypass_bound = Some(k);
-        self
-    }
-
-    /// Disables schedule shrinking (report the raw failing schedule).
-    pub fn without_shrink(mut self) -> Self {
-        self.shrink = false;
         self
     }
 
@@ -356,11 +340,7 @@ impl Fuzzer {
                     failure,
                     stats,
                 };
-                let shrunk = if self.shrink {
-                    shrink_schedule(program, &explorer, &verdict, &final_check)
-                } else {
-                    None
-                };
+                let shrunk = shrink_schedule(program, &explorer, &verdict, &final_check);
                 return FuzzReport {
                     verdict,
                     failing_iter: Some(iter),
@@ -580,7 +560,9 @@ mod tests {
         let program = lost_update_program();
         let fuzzer = Fuzzer::new(5, 300, Strategy::Uniform);
         let report = fuzzer.run(&program, lost_update_check);
-        let shrunk = report.shrunk.expect("shrinking is on by default");
+        let shrunk = report
+            .shrunk
+            .expect("a failed campaign carries its shrunk schedule");
         assert!(
             shrunk.schedule.len() <= 3,
             "shrunk schedule still long: {:?}",

@@ -17,18 +17,14 @@
 //! * **bounded bypass** — with an instrumented lock and
 //!   [`Explorer::with_bypass_bound`], no schedule lets the lock bypass a
 //!   waiter more than the bound allows (FIFO locks pass, retry locks
-//!   starve);
-//! * **lock ordering** — instrumented locks feed a cross-run
-//!   [`LockOrderGraph`]; a cycle is a potential deadlock even when no
-//!   explored schedule exhibits it.
+//!   starve).
 
 use crate::explorer::{Explorer, Verdict};
 use crate::fuzz::{FuzzReport, Fuzzer};
 use crate::program::Program;
 use kernels::barriers::BarrierKernel;
-use kernels::lockdep::InstrumentedLock;
-use kernels::locks::LockKernel;
-use kernels::{LockOrderGraph, ProcCtx, Region, Word};
+use kernels::locks::{InstrumentedLock, LockKernel};
+use kernels::{ProcCtx, Region, Word};
 use std::sync::Arc;
 
 /// Builds the mutual-exclusion program for a lock: each thread performs
@@ -113,24 +109,6 @@ pub fn check_lock(
     explorer: Explorer,
 ) -> Verdict {
     let program = checked_lock_program(lock, nthreads, iters, explorer.bypass_bound);
-    explorer.check(&program, sections_counted(&program, nthreads, iters))
-}
-
-/// Like [`check_lock`], but the lock's acquisitions also feed `graph`
-/// under a freshly registered id. Share one graph across many checks (and
-/// many locks) and call [`LockOrderGraph::assert_acyclic`] at the end to
-/// detect lock-order inversions that no single explored schedule — indeed
-/// no single test — exhibits.
-pub fn check_lock_with_lockdep(
-    lock: Arc<dyn LockKernel + Send + Sync>,
-    nthreads: usize,
-    iters: usize,
-    explorer: Explorer,
-    graph: &Arc<LockOrderGraph>,
-) -> Verdict {
-    let id = graph.register(lock.name());
-    let instrumented = Arc::new(InstrumentedLock::new(lock, id));
-    let program = lock_program(instrumented, nthreads, iters).with_lockdep(Arc::clone(graph));
     explorer.check(&program, sections_counted(&program, nthreads, iters))
 }
 
@@ -402,7 +380,9 @@ mod tests {
             "fuzzing must catch the broken lock as a race, got {:?}",
             report.verdict
         );
-        let shrunk = report.shrunk.expect("shrinking is on by default");
+        let shrunk = report
+            .shrunk
+            .expect("a failed campaign carries its shrunk schedule");
         let program = lock_program(Arc::new(BrokenLock), 2, 1);
         let replay = fuzzer.explorer().replay(&program, &shrunk.schedule);
         assert!(
@@ -410,15 +390,5 @@ mod tests {
             "shrunk schedule must still race, got {:?}",
             replay.end
         );
-    }
-
-    #[test]
-    fn lockdep_graph_collects_single_lock_edges() {
-        let graph = Arc::new(LockOrderGraph::new());
-        let v = check_lock_with_lockdep(Arc::new(TicketLock), 2, 1, Explorer::exhaustive(), &graph);
-        v.expect_pass("ticket with lockdep");
-        // One lock can never produce an ordering edge, let alone a cycle.
-        assert!(graph.edges().is_empty());
-        graph.assert_acyclic("single instrumented lock");
     }
 }

@@ -20,7 +20,9 @@
 //!   schedulable until a write makes its predicate true, and when scheduled
 //!   it re-checks (wake-up then re-check, as on real hardware).
 //! * If no thread is schedulable and someone is blocked, the explorer
-//!   reports a **deadlock with the exact schedule** that produced it.
+//!   reports a **deadlock with the exact schedule** that produced it. A
+//!   lock-order inversion (AB/BA nesting) is found this way too: the search
+//!   runs the interleaving in which each thread holds its first lock.
 //! * Assertions inside the program (or a final-state invariant) failing
 //!   likewise surface with their schedule. Every failure kind is one
 //!   variant of [`Failure`], carried by [`Verdict::Failed`].
@@ -52,10 +54,6 @@
 //!   `data_store`) that must be ordered by them. Two concurrent data
 //!   accesses surface as [`Failure::Race`] with both sites and the
 //!   reproducing schedule — even when the final state happens to be right.
-//! * **Lock-order tracking** ([`kernels::LockOrderGraph`] fed through
-//!   [`Program::with_lockdep`]): acquisition edges accumulate across runs,
-//!   workloads and tests; a cycle is a potential deadlock no single
-//!   explored schedule need exhibit.
 //! * **Bounded-bypass checking** ([`Explorer::with_bypass_bound`]): a
 //!   waiter bypassed more than `k` times while demonstrably waiting is
 //!   reported as [`Failure::Starvation`]. FIFO queue locks pass any bound;

@@ -10,7 +10,7 @@
 //! held across `suspend` would meet the scheduler's own `borrow_mut`.
 
 use crate::race::{AccessSite, RaceDetector, RaceReport};
-use kernels::{Addr, LockEvent, LockOrderGraph, ProcCtx, SyncCtx, Waited, Word};
+use kernels::{Addr, LockEvent, ProcCtx, SyncCtx, Waited, Word};
 use simcore::coro;
 use std::cell::RefCell;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -203,8 +203,6 @@ struct Waiting {
 pub(crate) struct RunCfg {
     /// Fail a run when a waiter is bypassed more than this many times.
     pub bypass_bound: Option<usize>,
-    /// Cross-run lock-order graph to feed from this run's acquisitions.
-    pub lockdep: Option<Arc<LockOrderGraph>>,
     /// Record every executed op (schedule replay).
     pub record_ops: bool,
 }
@@ -250,8 +248,6 @@ pub(crate) struct Shared {
     pub race_report: Option<RaceReport>,
     /// First bypass-bound violation this run.
     pub starvation: Option<StarvationReport>,
-    /// Lock ids currently held, per thread (from instrumented kernels).
-    held: Vec<Vec<usize>>,
     /// Bypass accounting for threads inside an acquire, per thread.
     waiting: Vec<Option<Waiting>>,
     /// Executed-op log (empty unless `cfg.record_ops`).
@@ -274,7 +270,6 @@ impl Shared {
             race: RaceDetector::new(nthreads, words),
             race_report: None,
             starvation: None,
-            held: vec![Vec::new(); nthreads],
             waiting: vec![None; nthreads],
             oplog: Vec::new(),
             steps_taken: 0,
@@ -317,16 +312,8 @@ impl Shared {
                             }
                         }
                     }
-                    if let Some(graph) = &self.cfg.lockdep {
-                        graph.record_acquire(pid, &self.held[pid], lock);
-                    }
-                    self.held[pid].push(lock);
                 }
-                LockEvent::Released(lock) => {
-                    if let Some(i) = self.held[pid].iter().rposition(|&x| x == lock) {
-                        self.held[pid].remove(i);
-                    }
-                }
+                LockEvent::Released(_) => {}
             }
         }
     }
@@ -595,9 +582,6 @@ pub struct Program {
     pub(crate) memory_words: usize,
     pub(crate) init: Vec<(Addr, Word)>,
     pub(crate) body: Arc<dyn Fn(&mut ChkCtx) + Send + Sync>,
-    /// Lock-order graph accumulating acquisitions across every run of this
-    /// program (and, if shared, across programs).
-    pub(crate) lockdep: Option<Arc<LockOrderGraph>>,
 }
 
 impl Program {
@@ -636,22 +620,12 @@ impl Program {
             memory_words,
             init: Vec::new(),
             body: Arc::new(body),
-            lockdep: None,
         }
     }
 
     /// Sets nonzero initial memory words.
     pub fn with_init(mut self, init: Vec<(Addr, Word)>) -> Self {
         self.init = init;
-        self
-    }
-
-    /// Feeds every run's lock acquisitions (reported by instrumented
-    /// kernels through [`kernels::LockEvent`]) into `graph`. The same graph
-    /// may be shared across several programs to find lock-order inversions
-    /// no single test exhibits.
-    pub fn with_lockdep(mut self, graph: Arc<LockOrderGraph>) -> Self {
-        self.lockdep = Some(graph);
         self
     }
 
@@ -780,19 +754,5 @@ mod tests {
         assert_eq!(s.victim, 0);
         assert_eq!(s.lock, 7);
         assert_eq!(s.bypasses, 2);
-    }
-
-    #[test]
-    fn held_set_tracks_nested_acquisitions() {
-        let mut g = Shared::new(vec![0; 1], 1, RunCfg::default());
-        let mut evs = vec![
-            LockEvent::Acquired(1),
-            LockEvent::Acquired(2),
-            LockEvent::Released(2),
-            LockEvent::Released(1),
-        ];
-        g.apply_lock_events(0, &mut evs);
-        assert!(g.held[0].is_empty());
-        assert!(evs.is_empty(), "events are drained");
     }
 }

@@ -104,7 +104,6 @@ fn a_failing_fuzz_campaign_prints_its_shrunk_schedule_and_a_replay_of_it() {
         "1",
         "--cs",
         "3",
-        "--shrink",
     ]);
     assert_eq!(code, 1, "{out}");
     let failure = line(&out, "FAIL at iteration 0: ");

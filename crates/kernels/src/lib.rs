@@ -18,7 +18,9 @@
 //! Locks ([`locks`]): test-and-set, test-and-set with exponential backoff,
 //! test-and-test-and-set, ticket, ticket with proportional backoff, Anderson's
 //! array lock, Graunke–Thakkar, CLH, MCS, and **QSM** — the reconstructed
-//! "new synchronization mechanism".
+//! "new synchronization mechanism". [`locks::InstrumentedLock`] wraps any of
+//! them to report its acquisitions as [`LockEvent`]s (bypass accounting in
+//! the checker, wait-time tracing in `workloads`).
 //!
 //! Barriers ([`barriers`]): central sense-reversing counter, software
 //! combining tree, dissemination, tournament, MCS-style static tree, and the
@@ -37,7 +39,6 @@
 
 pub mod barriers;
 pub mod layout;
-pub mod lockdep;
 pub mod locks;
 pub mod rwlock;
 pub mod slots;
@@ -45,5 +46,4 @@ pub mod slots;
 mod testutil;
 
 pub use layout::Region;
-pub use lockdep::LockOrderGraph;
 pub use syncctx::{Addr, LockEvent, ProcCtx, SyncCtx, Waited, Word};

@@ -36,7 +36,7 @@ pub mod ttas;
 
 use crate::layout::Region;
 use crate::{Addr, Word};
-use crate::{ProcCtx, SyncCtx};
+use crate::{LockEvent, ProcCtx, SyncCtx};
 use memsim::{Machine, RunReport, SimError};
 
 /// A mutual-exclusion algorithm expressed over [`ProcCtx`].
@@ -72,7 +72,7 @@ pub trait LockKernel: Sync {
 }
 
 /// Shared ownership delegates: `Arc<L>` is itself a kernel, so wrappers
-/// like [`crate::lockdep::InstrumentedLock`] compose with the registry's
+/// like [`InstrumentedLock`] compose with the registry's
 /// `Arc<dyn LockKernel>` handles.
 impl<L: LockKernel + Send + Sync + ?Sized> LockKernel for std::sync::Arc<L> {
     fn name(&self) -> &'static str {
@@ -92,6 +92,47 @@ impl<L: LockKernel + Send + Sync + ?Sized> LockKernel for std::sync::Arc<L> {
     }
     fn release(&self, ctx: &mut dyn ProcCtx, region: &Region, ps: &mut u64, token: u64) {
         (**self).release(ctx, region, ps, token)
+    }
+}
+
+/// A [`LockKernel`] wrapper that reports its acquisition lifecycle through
+/// [`ProcCtx::lock_event`] under a stable lock id, enabling bounded-bypass
+/// accounting and event tracing on any substrate that listens.
+#[derive(Debug, Clone)]
+pub struct InstrumentedLock<L> {
+    inner: L,
+    id: usize,
+}
+
+impl<L: LockKernel> InstrumentedLock<L> {
+    /// Wraps `inner` under lock id `id` (any caller-stable numbering).
+    pub fn new(inner: L, id: usize) -> Self {
+        InstrumentedLock { inner, id }
+    }
+}
+
+impl<L: LockKernel> LockKernel for InstrumentedLock<L> {
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+    fn lines_needed(&self, nprocs: usize) -> usize {
+        self.inner.lines_needed(nprocs)
+    }
+    fn init(&self, nprocs: usize, region: &Region) -> Vec<(Addr, Word)> {
+        self.inner.init(nprocs, region)
+    }
+    fn proc_init(&self, pid: usize, region: &Region) -> u64 {
+        self.inner.proc_init(pid, region)
+    }
+    fn acquire(&self, ctx: &mut dyn ProcCtx, region: &Region, ps: &mut u64) -> u64 {
+        ctx.lock_event(LockEvent::AcquireStart(self.id));
+        let token = self.inner.acquire(ctx, region, ps);
+        ctx.lock_event(LockEvent::Acquired(self.id));
+        token
+    }
+    fn release(&self, ctx: &mut dyn ProcCtx, region: &Region, ps: &mut u64, token: u64) {
+        self.inner.release(ctx, region, ps, token);
+        ctx.lock_event(LockEvent::Released(self.id));
     }
 }
 
@@ -196,6 +237,7 @@ pub fn counter_trial(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testutil::SeqCtx;
     use memsim::MachineParams;
 
     #[test]
@@ -287,5 +329,24 @@ mod tests {
                 .unwrap_or_else(|e| panic!("{} failed: {e}", lock.name()));
             assert_eq!(count, 50, "{} broke on repeated solo use", lock.name());
         }
+    }
+
+    #[test]
+    fn instrumented_lock_delegates_and_emits() {
+        let lock = InstrumentedLock::new(tas::TasLock, 7);
+        let region = Region::new(0, 8, lock.lines_needed(1));
+        let mut ctx = SeqCtx::new(1, region.words());
+        let mut ps = 0;
+        let token = lock.acquire(&mut ctx, &region, &mut ps);
+        lock.release(&mut ctx, &region, &mut ps, token);
+        assert_eq!(
+            ctx.events,
+            vec![
+                LockEvent::AcquireStart(7),
+                LockEvent::Acquired(7),
+                LockEvent::Released(7)
+            ]
+        );
+        assert_eq!(lock.name(), "tas");
     }
 }

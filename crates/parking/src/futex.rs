@@ -1416,7 +1416,7 @@ mod tests {
     /// `parked_waiters` reports a parked waiter's age while it is parked,
     /// and nothing once the lot drains.
     #[test]
-    fn oldest_parked_age_tracks_park_lifetime() {
+    fn parked_waiters_reports_age_and_tag_until_the_lot_drains() {
         let lot = Arc::new(ParkingLot::with_buckets(1));
         assert!(lot.parked_waiters().is_empty());
         let word = Arc::new(AtomicU64::new(0));

@@ -11,10 +11,10 @@
 //! This crate takes the middle path:
 //!
 //! - [`table::ShardedTable`] — a power-of-two array of cache-line-padded
-//!   shards, each a slab allocator of lock-word slots with a free list and
-//!   epoch-counted reuse. A key's slot exists only while somebody holds a
-//!   reference to it (a guard, a parked waiter, an eventcount handle);
-//!   detaching the last reference recycles the slot. Keys hash to shards
+//!   shards, each a slab allocator of lock-word slots with a free list. A
+//!   key's slot exists only while somebody holds a reference to it (a
+//!   guard, a parked waiter, an eventcount handle); detaching the last
+//!   reference recycles the slot. Keys hash to shards
 //!   with the full-avalanche [`parking::futex::mix64`], and each table
 //!   embeds its own [`parking::futex::ParkingLot`] sized to the waiter
 //!   population, not the key population.

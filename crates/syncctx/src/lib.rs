@@ -17,12 +17,11 @@ pub type Word = u64;
 pub type Addr = usize;
 
 /// A lock-usage event, reported through [`ProcCtx::lock_event`] by
-/// instrumented kernels (`kernels::lockdep::InstrumentedLock`).
+/// instrumented kernels (`kernels::locks::InstrumentedLock`).
 ///
 /// The `usize` is a caller-chosen lock identity (stable across threads and
-/// runs), letting substrates build cross-lock analyses: the interleave
-/// checker uses these events for lock-order (lockdep) recording and
-/// bounded-bypass starvation accounting, the simulator traces them.
+/// runs): the interleave checker uses these events for bounded-bypass
+/// starvation accounting, the simulator traces them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LockEvent {
     /// The thread is about to start acquiring the lock (may block/spin).
@@ -132,9 +131,8 @@ pub trait ProcCtx: SyncCtx {
     }
 
     /// Reports a lock-usage event from an instrumented kernel. Analysis
-    /// substrates (the interleave checker) consume these for lock-order
-    /// and starvation accounting; performance substrates may trace or
-    /// ignore them.
+    /// substrates (the interleave checker) consume these for starvation
+    /// accounting; performance substrates may trace or ignore them.
     fn lock_event(&mut self, event: LockEvent) {
         let _ = event;
     }

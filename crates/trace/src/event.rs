@@ -27,7 +27,7 @@ impl Default for Event {
 }
 
 /// What a recorded event describes. Lock ids come from
-/// `kernels::lockdep::InstrumentedLock`; addresses are simulated word
+/// `kernels::locks::InstrumentedLock`; addresses are simulated word
 /// addresses (or real `usize` futex-word addresses on hardware).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EventKind {

@@ -11,8 +11,7 @@
 //! byte-identical to an untraced run of the same configuration.
 
 use crate::csbench::{self, CsConfig, CsResult};
-use kernels::lockdep::InstrumentedLock;
-use kernels::locks::{lock_by_name, LockKernel};
+use kernels::locks::{lock_by_name, InstrumentedLock, LockKernel};
 use memsim::{Machine, MachineParams, SimError};
 use std::sync::Arc;
 use trace::histo::{lock_distributions, LockDist};

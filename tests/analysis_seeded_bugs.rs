@@ -9,11 +9,10 @@
 //!   [`Failure::Race`] on the critical-section data accesses;
 //! * **deadlock detector** — a sense-reversing barrier whose release
 //!   condition is off by one (waits for an arrival count the counter never
-//!   reaches) must surface as [`Failure::Deadlock`];
-//! * **lockdep** — an AB/BA two-lock program must produce a lock-order
-//!   cycle even when only serial schedules are explored (no schedule
-//!   deadlocks, the *graph* does), and an actual deadlock once preemptions
-//!   are allowed;
+//!   reaches) must surface as [`Failure::Deadlock`], and so must an AB/BA
+//!   two-lock program, under every reduction (source sets, sleep sets,
+//!   none) and under a preemption bound of one: the search runs the
+//!   inverted schedule itself, so no lock-order prediction is needed;
 //! * **bounded-bypass** — the test-and-set family must starve a waiter;
 //!   every FIFO lock in the registry must pass the same bound;
 //! * **sleep-set reduction** — must cut run counts at least 2× on the lock
@@ -30,10 +29,9 @@ use interleave::corpus::{eventcount_wrap_program, flag_handshake_program, CheckT
 use interleave::harness::{check_barrier, check_lock};
 use interleave::{DporMode, Explorer, Failure, Program};
 use kernels::barriers::{BarrierKernel, BarrierState};
-use kernels::lockdep::InstrumentedLock;
 use kernels::locks::ticket::TicketLock;
-use kernels::locks::{lock_by_name, LockKernel};
-use kernels::{LockOrderGraph, ProcCtx, Region};
+use kernels::locks::{lock_by_name, InstrumentedLock, LockKernel};
+use kernels::{ProcCtx, Region};
 use std::sync::Arc;
 
 /// Seeded bug #2: central sense-reversing barrier whose gate condition is
@@ -157,55 +155,42 @@ fn deadlock_detector_flags_off_by_one_barrier() {
 }
 
 /// Builds the AB/BA program: two ticket locks, thread 0 nests A→B,
-/// thread 1 nests B→A. Lock events feed `graph` under ids A=0, B=1.
-fn ab_ba_program(graph: &Arc<LockOrderGraph>) -> Program {
+/// thread 1 nests B→A.
+fn ab_ba_program() -> Program {
     let region_a = Region::new(0, 2, TicketLock.lines_needed(2));
     let region_b = Region::new(region_a.end(), 2, TicketLock.lines_needed(2));
-    let a_id = graph.register("A");
-    let b_id = graph.register("B");
-    let lock_a = InstrumentedLock::new(TicketLock, a_id);
-    let lock_b = InstrumentedLock::new(TicketLock, b_id);
     Program::new(2, region_b.end(), move |ctx| {
         let mut ps = 0u64;
-        let (first, second, r1, r2) = if ctx.pid() == 0 {
-            (&lock_a, &lock_b, &region_a, &region_b)
+        let (r1, r2) = if ctx.pid() == 0 {
+            (&region_a, &region_b)
         } else {
-            (&lock_b, &lock_a, &region_b, &region_a)
+            (&region_b, &region_a)
         };
-        let t1 = first.acquire(ctx, r1, &mut ps);
-        let t2 = second.acquire(ctx, r2, &mut ps);
-        second.release(ctx, r2, &mut ps, t2);
-        first.release(ctx, r1, &mut ps, t1);
+        let t1 = TicketLock.acquire(ctx, r1, &mut ps);
+        let t2 = TicketLock.acquire(ctx, r2, &mut ps);
+        TicketLock.release(ctx, r2, &mut ps, t2);
+        TicketLock.release(ctx, r1, &mut ps, t1);
     })
-    .with_lockdep(Arc::clone(graph))
-}
-
-#[test]
-fn lockdep_finds_ab_ba_inversion_without_any_deadlocking_schedule() {
-    let graph = Arc::new(LockOrderGraph::new());
-    let program = ab_ba_program(&graph);
-    // Zero preemptions: each thread runs its nested pair to completion, so
-    // no explored schedule can deadlock...
-    let v = Explorer::bounded(0).check(&program, |_| Ok(()));
-    v.expect_pass("serial AB/BA schedules complete fine");
-    // ...yet the acquisition graph still carries A→B and B→A.
-    let cycles = graph.cycles();
-    assert_eq!(cycles.len(), 1, "exactly one inversion cycle");
-    assert!(
-        std::panic::catch_unwind(|| graph.assert_acyclic("ab-ba")).is_err(),
-        "assert_acyclic must fail on the inversion"
-    );
 }
 
 #[test]
 fn deadlock_detector_finds_the_ab_ba_deadlock_with_preemption() {
-    let graph = Arc::new(LockOrderGraph::new());
-    let program = ab_ba_program(&graph);
-    let v = Explorer::bounded(1).check(&program, |_| Ok(()));
-    match v.failure() {
-        Some(Failure::Deadlock(blocked)) => assert_eq!(blocked.len(), 2),
-        other => panic!("AB/BA must deadlock once preempted, got {other:?}"),
-    }
+    // Each search stops at its first deadlock; a search is one host
+    // thread, so the runs it takes to get there are fixed.
+    let program = ab_ba_program();
+    let runs = |explorer: Explorer| {
+        let v = explorer.check(&program, |_| Ok(()));
+        match v.failure() {
+            Some(Failure::Deadlock(blocked)) => assert_eq!(blocked.len(), 2),
+            other => panic!("AB/BA must deadlock, got {other:?}"),
+        }
+        v.stats().runs
+    };
+    let exhaustive = Explorer::exhaustive(); // source sets
+    assert_eq!(runs(exhaustive), 5);
+    assert_eq!(runs(exhaustive.with_dpor(DporMode::Sleep)), 6);
+    assert_eq!(runs(exhaustive.with_dpor(DporMode::None)), 26);
+    assert_eq!(runs(Explorer::bounded(1)), 5);
 }
 
 #[test]
@@ -247,19 +232,16 @@ fn fifo_locks_satisfy_bounded_bypass() {
 }
 
 #[test]
-fn every_shipped_lock_is_race_free_under_lockdep_instrumentation() {
-    // One shared graph across the whole registry: cross-lock ordering
-    // stays acyclic because the counter workload never nests locks.
-    let graph = Arc::new(LockOrderGraph::new());
+fn every_shipped_lock_is_race_free_while_instrumented() {
+    // The counter workload over each registry lock wrapped in
+    // `InstrumentedLock`: its lock events must not change the verdict.
     for lock in kernels::locks::all_locks() {
         let name = lock.name();
         let lock: Arc<dyn LockKernel + Send + Sync> = lock.into();
         let explorer = Explorer::bounded(2).with_max_steps(60).with_max_runs(6_000);
-        let v = interleave::harness::check_lock_with_lockdep(lock, 2, 1, explorer, &graph);
+        let v = check_lock(Arc::new(InstrumentedLock::new(lock, 0)), 2, 1, explorer);
         v.expect_pass(&format!("{name} under instrumentation"));
     }
-    graph.assert_acyclic("shipped lock registry");
-    assert_eq!(graph.len(), kernels::locks::all_locks().len());
 }
 
 #[test]

@@ -37,7 +37,9 @@ fn pct_finds_wake_before_publish_within_budget() {
 
     // The shrinker must reach (at most) the hand-minimized schedule, and
     // the shrunk schedule must replay to the same verdict class.
-    let shrunk = report.shrunk.expect("shrinking is on by default");
+    let shrunk = report
+        .shrunk
+        .expect("a failed campaign carries its shrunk schedule");
     assert!(
         shrunk.schedule.len() <= HANDSHAKE_MINIMAL_LEN,
         "shrunk schedule {:?} is longer than the hand-minimal {HANDSHAKE_MINIMAL_LEN} steps",
@@ -143,7 +145,9 @@ fn pct_checks_the_waiting_array_semaphore_at_four_threads() {
             "{slots} slot(s): wake-one must strand a waiter, got {:?}",
             report.verdict
         );
-        let shrunk = report.shrunk.expect("shrinking is on by default");
+        let shrunk = report
+            .shrunk
+            .expect("a failed campaign carries its shrunk schedule");
         let replay = fuzzer.explorer().replay(&program(false), &shrunk.schedule);
         assert!(
             matches!(
