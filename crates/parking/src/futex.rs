@@ -3,88 +3,66 @@
 //! The primitive is the Linux futex restricted to what the blocking QSM
 //! variants need: [`ParkingLot::wait`] blocks iff an `AtomicU64` still
 //! holds an expected value, [`ParkingLot::wake_addr`] releases up to `n`
-//! waiters of that word in FIFO order. There is no kernel to lean on
-//! here, so the wait queue is a **parking lot**: an array of buckets, each
-//! a mutex-protected FIFO of parked threads, indexed by a hash of the
-//! word's address. Any `AtomicU64` in the process is a futex — no
-//! per-word queue allocation, no registration.
+//! waiters of that word in FIFO order. With no kernel to lean on, the wait
+//! queue is a **parking lot**: cache-line-padded buckets, each a
+//! mutex-protected FIFO, indexed by a mask of the word address's [`mix64`]
+//! hash. Any `AtomicU64` in the process is a futex — no per-word queue
+//! allocation, no registration. The `service` crate's lock table embeds a
+//! lot of its own; the `qsm` crate's primitives park in [`global_lot`].
 //!
-//! The lot is a first-class type, [`ParkingLot`]: the `service` crate's
-//! sharded per-key lock table embeds its own lot sized to the expected
-//! waiter population, while the `qsm` crate's primitives park in one
-//! process-global instance, [`global_lot`]. Buckets are cache-line
-//! padded (a parked waiter's bucket lock must not false-share with its
-//! neighbours') and the bucket count is a power of two so indexing is a
-//! mask of the full 64-bit [`mix64`] hash — every input bit diffuses into
-//! the bucket index.
+//! Every operation is one of [`crate::lot`]'s steps, and [`ParkingLot`] is
+//! their instance: a bucket is a `Mutex<VecDeque<_>>` ([`Lot::with_bucket`]),
+//! and an entry's park token ([`Token`]) is its `woken` flag, slept on in
+//! `thread::park` by a blocking thread ([`ParkingLot::wait`]) or through
+//! its `Waker` by a task ([`ParkingLot::register`] → [`WaitEntry`]). Both
+//! kinds share one FIFO per word. The steps keep four promises:
 //!
-//! The lost-wakeup argument is the whole point of the design. The waiter
-//! re-checks the word *after* taking the bucket lock and enqueues while
-//! still holding it; the waker changes the word first and then takes the
-//! same bucket lock to wake. Whichever side wins the bucket lock, the
-//! other observes its effect: a waiter that enqueued first is found in the
-//! queue, a waiter that arrives second sees the changed word and never
-//! parks. `thread::park` itself may return spuriously, which is fine —
-//! [`ParkingLot::wait`] consumes parks in a loop gated on its own wake
-//! flag, and callers loop on their real condition as futex discipline
-//! requires.
-//!
-//! A waiter may carry a **tag** (the lot's `SyncCtx::wait` with a tag,
-//! [`ParkingLot::register_tagged`]) for the case where one word stands for
-//! several logical waiters — the `service` semaphore's tickets `t` and
-//! `t + W` on one waiting-array slot. [`ParkingLot::wake_tagged`] dequeues
-//! the entries whose address *and* tag match, under the same bucket lock,
-//! so the argument above is untouched and a wake meant for one sharer can
-//! neither be swallowed by another nor wake it for nothing.
-//!
-//! Waiters come in two kinds sharing the same bucket queues: blocking
-//! *threads* ([`ParkingLot::wait`]) and async *wakers*
-//! ([`ParkingLot::register`] → [`WaitEntry`]), so one futex word can hold
-//! parked threads and parked futures simultaneously and a wake releases
-//! them in one FIFO order. A registered waker entry supports
-//! *cancellation* ([`ParkingLot::cancel`]) for futures dropped mid-wait;
-//! the return value tells the caller whether a wake had already been
-//! consumed by the dying future and must be handed onward.
-//!
-//! Every lot additionally feeds the **machine-wide futex accounting**
-//! ([`totals`]): how many waiters actually parked, how many wake
-//! dequeues were issued, and how many parked waiters resumed. At any
-//! quiescent point `parks == wakes == resumes` — each park is ended by
-//! exactly one dequeue, and each dequeue resumes exactly one parked
-//! waiter — which the stress suites assert at teardown. Cancellation
-//! preserves the invariant by construction: withdrawing a still-queued
-//! entry self-accounts its wake and resume, and a cancel that lost the
-//! race to a real wake accounts only the resume (the wake was already
-//! counted by the waker). Each lot additionally keeps its own *exact*
-//! ledger ([`ParkingLot::totals`]) — process-global totals are a union
-//! over every lot and test in the process, so only the per-lot view
-//! supports equality assertions — and timestamps every park so the
-//! service telemetry's stall watchdog can ask how long each parked
-//! waiter has waited ([`ParkingLot::parked_waiters`]).
+//! - **No lost wakeup.** [`lot::enqueue`] re-checks the word inside
+//!   [`Lot::with_bucket`] and pushes before it leaves; a waker changes the
+//!   word first, then [`lot::wake`] and [`lot::wake_each`] dequeue
+//!   ([`Lot::remove_matching`]) inside the same bucket and give the tokens
+//!   outside it. Whichever side enters the bucket first, the other sees
+//!   its effect: an entry queued first is dequeued, a waiter arriving
+//!   second sees the changed word and never parks. A tag
+//!   ([`ParkingLot::register_tagged`], a tagged `SyncCtx::wait`) only
+//!   narrows which entries a wake may take, so a wake of one sharer of a
+//!   word ([`ParkingLot::wake_tagged`]; the `service` semaphore's tickets
+//!   `t` and `t + W` on one slot) is neither swallowed by another sharer
+//!   nor wakes it for nothing.
+//! - **Spurious returns are harmless.** `thread::park` may return early;
+//!   [`lot::park`] calls [`Token::park_token`] until the token is given,
+//!   so a stray `unpark` leaves the thread queued. The `woken` flag's
+//!   `Release` store and `Acquire` load are the only orderings on the park
+//!   path that are not `SeqCst`. A given token says some wake covered the
+//!   waiter, not that the word changed: callers loop on their condition.
+//! - **Cancel tells the truth.** [`lot::cancel`] is [`Lot::remove_entry`]
+//!   inside the bucket, so [`ParkingLot::cancel`] returns `true` only for
+//!   an entry no wake dequeued; `false` means a wake gave the dying
+//!   future its token, and the caller owns that grant and must hand it on.
+//! - **The ledger balances.** Each push counts a park, each token given a
+//!   wake, and each entry's end — a thread's return from [`lot::park`],
+//!   [`WaitEntry::resume`] or [`ParkingLot::cancel`] — a resume; a cancel
+//!   that removed its entry also counts the wake it stands in for. So
+//!   `parks == wakes == resumes` at any quiescent point, in each lot's
+//!   exact ledger ([`ParkingLot::totals`]) and in the union of every lot
+//!   ([`totals`]).
 //!
 //! A lot built with a [`trace::Tracer`] ([`ParkingLot::with_tracer`])
-//! also **records** what its ledger counts: a `FutexPark`, `FutexWake` or
-//! `FutexResume` event per park, wake dequeue and resume, stamped in
-//! microseconds since the lot was built, each into the ring the recording
-//! thread leases ([`trace::Tracer::record_thread`]) — so a thread's park
-//! and its resume are one span on one track. The tracer is the lot's own:
-//! its class totals equal [`ParkingLot::totals`] whenever no recording
-//! thread went without a ring. The process-global lot has none. Real
-//! hardware cannot name the thread a wake reaches, so wake and resume
-//! events carry [`trace::NO_PID`] for their counterpart.
+//! **records** what its ledger counts, one event per park, wake and
+//! resume, stamped in microseconds since the lot was built, into the ring
+//! the recording thread leases — so a thread's park and its resume are one
+//! span on one track. Real hardware cannot name the thread a wake reaches,
+//! so wake and resume events carry [`trace::NO_PID`] for it. Every park is
+//! timestamped, for the stall watchdog's [`ParkingLot::parked_waiters`].
 //!
-//! A lot also **measures what a park costs**. When a wake dequeues a
-//! blocking thread it stamps the waiter; the thread, once running again,
-//! folds `resume - wake` — the unpark call plus the scheduler's wake-up
-//! latency, the part of a park nobody can overlap with useful work — into
-//! a per-lot moving average, [`ParkingLot::park_cost`]. A thread about to
-//! park spins for that long first ([`ParkingLot::spin`]): the classic
-//! competitive rule, with the cost measured on the running host instead of
-//! configured. Only real thread parks feed it —
-//! not waits that never blocked, not waker entries, not cancellations —
-//! and the clock is read only when a thread is actually dequeued, so the
-//! no-waiter paths stay clock-free.
+//! A lot also **measures what a park costs**: a wake that gives a blocking
+//! thread its token stamps it, and the thread, running again, folds
+//! `resume - wake` into [`ParkingLot::park_cost`], the budget a thread
+//! spins for before it parks ([`ParkingLot::spin`]). Only real thread
+//! parks feed it, and the clock is read only when a thread is actually
+//! dequeued, so the no-waiter paths stay clock-free.
 
+use crate::lot::{self, Lot, Token};
 use crate::CachePadded;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -190,14 +168,10 @@ pub fn totals() -> FutexTotals {
     }
 }
 
-/// A lot's park/wake/resume ledger, and its tracer if it has one. Each
-/// [`Waiter`] captures an `Arc` to its lot's ledger at enqueue time, so the
-/// wake and resume sides — which only hold the waiter, not the lot — can
-/// still account against the lot that parked them. The machine-wide
-/// statics above remain the union of every lot; these give each lot an
-/// *exact* local ledger, which is what lets tests assert
-/// `parks == wakes == resumes` without `>=` slack from unrelated lots in
-/// the same process.
+/// A lot's exact park/wake/resume ledger, and its tracer if it has one.
+/// Each entry holds its lot's, so a wake or resume with only the entry in
+/// hand still accounts against the lot that parked it.
+#[derive(Default)]
 struct Ledger {
     parks: AtomicU64,
     wakes: AtomicU64,
@@ -270,9 +244,7 @@ pub struct ParkedWaiter {
 
 /// How a dequeued waiter is resumed: a blocking thread is `unpark`ed, an
 /// async task's registered [`Waker`] is invoked so its executor re-polls
-/// the future. Both kinds share the same bucket queues — a single futex
-/// word can hold parked threads and parked wakers simultaneously, and FIFO
-/// order is preserved across the mix.
+/// the future.
 enum WaitMode {
     Thread(Thread),
     /// The waker lives behind a mutex so the future can swap in a fresh
@@ -281,50 +253,89 @@ enum WaitMode {
     Task(Mutex<Option<Waker>>),
 }
 
-/// One parked waiter: the word it parked on, the tag an addressed wake must
-/// also match (`None`: reachable by address alone), how to wake it, the flag
-/// that distinguishes a real wake from a spurious `park` return (or, for
-/// tasks, from a poll that raced the wake), when it parked (feeds the
-/// stall watchdog's oldest-parked-age scan), when a wake dequeued it (as
-/// nanoseconds after `since`, threads only — the park-cost sample's start),
-/// and the ledger of the lot that parked it (so wake/resume
-/// accounting stays lot-local even when only the waiter is in hand).
-struct Waiter {
-    addr: usize,
-    tag: Option<u64>,
-    how: WaitMode,
-    woken: AtomicBool,
-    since: Instant,
-    /// Written by the waker before its `Release` store of `woken`, read by
-    /// the wakee after its `Acquire` load of it; `Relaxed` rides on that.
-    wake_ns: AtomicU64,
-    ledger: Arc<Ledger>,
-}
+/// The entry type is `pub` for the trait impls that name it, in a private
+/// module so that nothing outside the crate can.
+mod entry {
+    use super::*;
 
-impl Waiter {
-    fn new(addr: usize, tag: Option<u64>, how: WaitMode, ledger: &Arc<Ledger>) -> Arc<Self> {
-        Arc::new(Waiter {
-            addr,
-            tag,
-            how,
-            woken: AtomicBool::new(false),
-            since: clock(),
-            wake_ns: AtomicU64::new(0),
-            ledger: Arc::clone(ledger),
-        })
+    /// One parked waiter: its word's address and its tag, how to wake it,
+    /// its park token, when it parked, when a wake dequeued it (nanoseconds
+    /// after `since`, threads only: the park-cost sample's start), and its
+    /// lot's ledger.
+    pub struct Waiter {
+        pub(super) addr: usize,
+        pub(super) tag: Option<u64>,
+        pub(super) how: WaitMode,
+        pub(super) woken: AtomicBool,
+        pub(super) since: Instant,
+        /// Written by the waker before its `Release` store of `woken`, read
+        /// by the wakee after its `Acquire` load of it; `Relaxed` rides on
+        /// that.
+        pub(super) wake_ns: AtomicU64,
+        pub(super) ledger: Arc<Ledger>,
     }
 }
+use entry::Waiter;
 
-struct Bucket {
-    queue: Mutex<VecDeque<Arc<Waiter>>>,
-}
+/// The token of a lot's entry needs no context. A thread sleeps in
+/// `thread::park`; a task (`Some` of its poll's waker) leaves the waker for
+/// the wake and returns at once, as does a task that passes none, which
+/// only looks.
+impl<C> Token<C> for Arc<Waiter> {
+    type Parker<'p> = Option<&'p Waker>;
 
-impl Bucket {
-    fn new() -> Self {
-        Bucket {
-            queue: Mutex::new(VecDeque::new()),
+    #[inline]
+    fn park_token(&self, _: &mut C, waker: Option<&Waker>) -> bool {
+        let given = || self.woken.load(Ordering::Acquire);
+        match (&self.how, waker) {
+            (WaitMode::Thread(_), _) => {
+                let given = given();
+                if !given {
+                    thread::park();
+                }
+                given
+            }
+            // Under the slot's lock: a wake sets `woken` before it takes
+            // the slot, so it finds this waker, or this look finds `woken`.
+            (WaitMode::Task(slot), Some(waker)) => {
+                let mut slot = slot.lock().unwrap();
+                let given = given();
+                *slot = (!given).then(|| waker.clone());
+                given
+            }
+            (WaitMode::Task(_), None) => given(),
         }
     }
+
+    #[inline]
+    fn unpark_token(&self, _: &mut C) {
+        // A thread's wake is stamped for its park-cost sample; the clock is
+        // read for that or for the tracer only.
+        let now = matches!(self.how, WaitMode::Thread(_)).then(clock);
+        if let Some(at) = now {
+            let ns = at.saturating_duration_since(self.since).as_nanos() as u64;
+            self.wake_ns.store(ns, Ordering::Relaxed);
+        }
+        self.ledger.wake(self.addr, || now.unwrap_or_else(clock));
+        self.woken.store(true, Ordering::Release);
+        match &self.how {
+            WaitMode::Thread(thread) => thread.unpark(),
+            WaitMode::Task(slot) => {
+                // `take`, so a second wake of the entry re-polls nobody,
+                // and wake once the slot is unlocked: the waker's code
+                // may poll the future, which locks the slot again.
+                let waker = slot.lock().unwrap().take();
+                if let Some(waker) = waker {
+                    waker.wake();
+                }
+            }
+        }
+    }
+}
+
+#[derive(Default)]
+struct Bucket {
+    queue: Mutex<VecDeque<Arc<Waiter>>>,
 }
 
 /// A bucketed FIFO wait table: the user-space analogue of the kernel's
@@ -339,6 +350,59 @@ pub struct ParkingLot {
     /// Moving average behind [`ParkingLot::park_cost`], in nanoseconds. A
     /// statistic: racing updates may drop a sample, never corrupt one.
     park_cost_ns: AtomicU64,
+}
+
+/// The lot's buckets as the steps' [`Lot`], in any context: a `Mutex`
+/// around a `VecDeque` of entries.
+impl<C> Lot<C> for ParkingLot {
+    type Bucket = VecDeque<Arc<Waiter>>;
+    type Entry = Arc<Waiter>;
+
+    #[inline]
+    fn bucket(&self, addr: usize) -> usize {
+        (mix64(addr as u64) & self.mask) as usize
+    }
+
+    #[inline]
+    fn with_bucket<R>(
+        &self,
+        c: &mut C,
+        i: usize,
+        f: impl FnOnce(&mut C, &mut Self::Bucket) -> R,
+    ) -> R {
+        f(c, &mut self.buckets[i].queue.lock().unwrap())
+    }
+
+    #[inline]
+    fn push(&self, _: &mut C, b: &mut Self::Bucket, e: &Arc<Waiter>) {
+        b.push_back(Arc::clone(e));
+    }
+
+    #[inline]
+    fn remove_matching(
+        &self,
+        _: &mut C,
+        b: &mut Self::Bucket,
+        (addr, tag): (usize, Option<u64>),
+        n: usize,
+        out: &mut Vec<Arc<Waiter>>,
+    ) {
+        let (mut taken, mut i) = (0, 0);
+        while i < b.len() && taken < n {
+            if b[i].addr == addr && (tag.is_none() || b[i].tag == tag) {
+                out.push(b.remove(i).expect("index in bounds"));
+                taken += 1;
+            } else {
+                i += 1;
+            }
+        }
+    }
+
+    #[inline]
+    fn remove_entry(&self, _: &mut C, b: &mut Self::Bucket, e: &Arc<Waiter>) -> bool {
+        let queued = b.iter().position(|w| Arc::ptr_eq(w, e));
+        queued.and_then(|i| b.remove(i)).is_some()
+    }
 }
 
 impl ParkingLot {
@@ -359,13 +423,11 @@ impl ParkingLot {
         assert!(buckets > 0, "a parking lot needs at least one bucket");
         let n = buckets.next_power_of_two();
         ParkingLot {
-            buckets: (0..n).map(|_| CachePadded::new(Bucket::new())).collect(),
+            buckets: (0..n).map(|_| CachePadded::default()).collect(),
             mask: n as u64 - 1,
             ledger: Arc::new(Ledger {
-                parks: AtomicU64::new(0),
-                wakes: AtomicU64::new(0),
-                resumes: AtomicU64::new(0),
                 tracer: tracer.map(|tracer| (tracer, Instant::now())),
+                ..Ledger::default()
             }),
             park_cost_ns: AtomicU64::new(PARK_COST_FLOOR.as_nanos() as u64),
         }
@@ -443,21 +505,14 @@ impl ParkingLot {
         let now = Instant::now();
         let mut out = Vec::new();
         for bucket in self.buckets.iter() {
-            let queue = bucket.queue.lock().unwrap();
-            for waiter in queue.iter() {
-                out.push(ParkedWaiter {
-                    addr: waiter.addr,
-                    tag: waiter.tag,
-                    age: now.duration_since(waiter.since),
-                    is_task: matches!(waiter.how, WaitMode::Task(_)),
-                });
-            }
+            out.extend(bucket.queue.lock().unwrap().iter().map(|w| ParkedWaiter {
+                addr: w.addr,
+                tag: w.tag,
+                age: now.duration_since(w.since),
+                is_task: matches!(w.how, WaitMode::Task(_)),
+            }));
         }
         out
-    }
-
-    fn bucket_for(&self, addr: usize) -> &Bucket {
-        &self.buckets[(mix64(addr as u64) & self.mask) as usize]
     }
 
     /// Blocks the calling thread iff `word` still holds `expected`, with
@@ -472,9 +527,8 @@ impl ParkingLot {
         self.park_thread(word, expected, None)
     }
 
-    /// Enqueues a waiter on `word` iff it still holds `expected`, the
-    /// comparison and the enqueue under the bucket lock, and accounts the
-    /// park; `None` when the word had already changed.
+    /// [`lot::enqueue`] of a waiter made by `how`, its park accounted.
+    #[inline]
     fn enqueue(
         &self,
         word: &AtomicU64,
@@ -483,32 +537,28 @@ impl ParkingLot {
         how: impl FnOnce() -> WaitMode,
     ) -> Option<Arc<Waiter>> {
         let addr = addr_of(word);
-        let waiter = {
-            let mut queue = self.bucket_for(addr).queue.lock().unwrap();
-            // The decisive re-check: under the bucket lock, a waker that
-            // changed the word has either not yet locked this bucket (we
-            // see the new value here) or already drained it (we see the
-            // new value here too — the change precedes the wake).
-            if word.load(Ordering::SeqCst) != expected {
-                return None;
-            }
-            let waiter = Waiter::new(addr, tag, how(), &self.ledger);
-            queue.push_back(Arc::clone(&waiter));
-            waiter
-        };
+        let waiter = lot::enqueue(&mut &*self, self, word, addr, expected, || {
+            Arc::new(Waiter {
+                addr,
+                tag,
+                how: how(),
+                woken: AtomicBool::new(false),
+                since: clock(),
+                wake_ns: AtomicU64::new(0),
+                ledger: Arc::clone(&self.ledger),
+            })
+        })?;
         self.ledger.park(addr, || waiter.since);
         Some(waiter)
     }
 
+    #[inline]
     fn park_thread(&self, word: &AtomicU64, expected: u64, tag: Option<u64>) -> bool {
-        let Some(waiter) =
-            self.enqueue(word, expected, tag, || WaitMode::Thread(thread::current()))
-        else {
+        let how = || WaitMode::Thread(thread::current());
+        let Some(waiter) = self.enqueue(word, expected, tag, how) else {
             return false;
         };
-        while !waiter.woken.load(Ordering::Acquire) {
-            thread::park();
-        }
+        lot::park(&mut (), &waiter, None);
         let wake = Duration::from_nanos(waiter.wake_ns.load(Ordering::Relaxed));
         let resumed = clock();
         self.fold_park_cost(resumed.saturating_duration_since(waiter.since + wake));
@@ -521,15 +571,9 @@ impl ParkingLot {
     /// it remains sound after the word's storage has been freed; the worst
     /// a recycled address can cause is a spurious wake of a new word's
     /// waiter, which futex discipline already tolerates.
+    #[inline]
     pub fn wake_addr(&self, addr: usize, n: usize) -> usize {
-        let bucket = self.bucket_for(addr);
-        let mut woken = Vec::new();
-        {
-            let mut queue = bucket.queue.lock().unwrap();
-            Self::dequeue_for(&mut queue, addr, None, n, &mut woken);
-        }
-        self.unpark_all(&woken);
-        woken.len()
+        lot::wake(&mut (), self, addr, n)
     }
 
     /// The addressed wake: for each `(address, tag)` pair, dequeues the
@@ -539,16 +583,11 @@ impl ParkingLot {
     /// waiters — taking each bucket's lock **once** even when several pairs
     /// collide into it; returns the total woken. This is the release path
     /// of the `service` semaphore, which publishes a batch of grants and
-    /// then wakes `(slot, ticket)` per grant in one sweep.
-    ///
-    /// A wake-one by address is wrong for a word several logical waiters
-    /// share: it can dequeue a sharer whose own condition is still unmet,
-    /// which parks again and has swallowed the wake, while the waiter it
-    /// was meant for sleeps forever. Matching the tag under the bucket lock
-    /// means the un-granted sharer is never dequeued in the first place, so
-    /// a grant costs one wake however many waiters share the word.
+    /// then wakes `(slot, ticket)` per grant in one sweep: a grant costs one
+    /// wake however many waiters share the slot.
     pub fn wake_tagged(&self, pairs: impl IntoIterator<Item = (usize, u64)>) -> usize {
-        self.sweep(pairs.into_iter().map(|(addr, tag)| (addr, Some(tag))))
+        let targets = pairs.into_iter().map(|(addr, tag)| (addr, Some(tag)));
+        lot::wake_each(&mut (), self, targets)
     }
 
     /// Wakes **every** waiter parked on each distinct address, tagged or
@@ -556,87 +595,7 @@ impl ParkingLot {
     /// [`ParkingLot::wake_tagged`] with no tag to match. Its one caller is
     /// the repo benchmark's `futex.wake_batch_ns_per_addr` probe.
     pub fn wake_batch(&self, addrs: &[usize]) -> usize {
-        self.sweep(addrs.iter().map(|&addr| (addr, None)))
-    }
-
-    /// Dequeues every waiter matching each distinct target — an address,
-    /// and a tag when one is given — and unparks them once no bucket lock
-    /// is held.
-    fn sweep(&self, targets: impl Iterator<Item = (usize, Option<u64>)>) -> usize {
-        // Group targets by bucket index without allocating a map: sort a
-        // small vector by bucket, then drain runs. Sorting makes duplicate
-        // targets adjacent, so dedup leaves one drain per distinct target.
-        let mut order: Vec<(u64, usize, Option<u64>)> = targets
-            .map(|(addr, tag)| (mix64(addr as u64) & self.mask, addr, tag))
-            .collect();
-        order.sort_unstable();
-        order.dedup();
-        let mut woken = Vec::new();
-        let mut i = 0;
-        while i < order.len() {
-            let bucket_idx = order[i].0;
-            let bucket = &self.buckets[bucket_idx as usize];
-            let mut queue = bucket.queue.lock().unwrap();
-            while i < order.len() && order[i].0 == bucket_idx {
-                let (_, addr, tag) = order[i];
-                Self::dequeue_for(&mut queue, addr, tag, usize::MAX, &mut woken);
-                i += 1;
-            }
-        }
-        self.unpark_all(&woken);
-        woken.len()
-    }
-
-    /// Dequeues up to `n` waiters of `addr` (oldest first) into `woken`,
-    /// under the caller-held bucket lock: any of them when `tag` is `None`,
-    /// else only those that parked with that tag.
-    fn dequeue_for(
-        queue: &mut VecDeque<Arc<Waiter>>,
-        addr: usize,
-        tag: Option<u64>,
-        n: usize,
-        woken: &mut Vec<Arc<Waiter>>,
-    ) {
-        let mut taken = 0;
-        let mut i = 0;
-        while i < queue.len() && taken < n {
-            if queue[i].addr == addr && (tag.is_none() || queue[i].tag == tag) {
-                woken.push(queue.remove(i).expect("index in bounds"));
-                taken += 1;
-            } else {
-                i += 1;
-            }
-        }
-    }
-
-    /// Unparks dequeued waiters outside the bucket lock: an
-    /// instantly-rescheduled wakee that immediately parks again must not
-    /// find the lock still held.
-    fn unpark_all(&self, woken: &[Arc<Waiter>]) {
-        // One clock read covers the batch, and only if it holds a thread or
-        // the lot has a tracer to stamp its wakes.
-        let mut now = None;
-        for waiter in woken {
-            if let WaitMode::Thread(_) = waiter.how {
-                let at = *now.get_or_insert_with(clock);
-                let ns = at.saturating_duration_since(waiter.since).as_nanos() as u64;
-                waiter.wake_ns.store(ns, Ordering::Relaxed);
-            }
-            let ledger = &waiter.ledger;
-            ledger.wake(waiter.addr, || *now.get_or_insert_with(clock));
-            waiter.woken.store(true, Ordering::Release);
-            match &waiter.how {
-                WaitMode::Thread(thread) => thread.unpark(),
-                WaitMode::Task(waker) => {
-                    // `take` so a late second wake of the same entry (a
-                    // recycled address, say) is a no-op rather than a
-                    // double re-poll request.
-                    if let Some(w) = waker.lock().unwrap().take() {
-                        w.wake();
-                    }
-                }
-            }
-        }
+        lot::wake_each(&mut (), self, addrs.iter().map(|&addr| (addr, None)))
     }
 
     /// The async analogue of [`ParkingLot::wait`]: enqueues a *waker*
@@ -652,7 +611,9 @@ impl ParkingLot {
     /// (the future was dropped) — that is what keeps the machine-wide
     /// `parks == wakes == resumes` invariant intact across cancellation.
     pub fn register(&self, word: &AtomicU64, expected: u64, waker: &Waker) -> Option<WaitEntry> {
-        self.park_waker(word, expected, None, waker)
+        let how = || WaitMode::Task(Mutex::new(Some(waker.clone())));
+        let waiter = self.enqueue(word, expected, None, how)?;
+        Some(WaitEntry { waiter })
     }
 
     /// [`ParkingLot::register`] carrying `tag`, as a tagged wait does: the
@@ -666,18 +627,8 @@ impl ParkingLot {
         tag: u64,
         waker: &Waker,
     ) -> Option<WaitEntry> {
-        self.park_waker(word, expected, Some(tag), waker)
-    }
-
-    fn park_waker(
-        &self,
-        word: &AtomicU64,
-        expected: u64,
-        tag: Option<u64>,
-        waker: &Waker,
-    ) -> Option<WaitEntry> {
         let how = || WaitMode::Task(Mutex::new(Some(waker.clone())));
-        let waiter = self.enqueue(word, expected, tag, how)?;
+        let waiter = self.enqueue(word, expected, Some(tag), how)?;
         Some(WaitEntry { waiter })
     }
 
@@ -690,14 +641,8 @@ impl ParkingLot {
     /// hand it to the next waiter (re-wake the word, release the permit, …)
     /// or it is lost; only the resume is accounted here.
     pub fn cancel(&self, entry: WaitEntry) -> bool {
-        let addr = entry.waiter.addr;
-        let removed = {
-            let mut queue = self.bucket_for(addr).queue.lock().unwrap();
-            let before = queue.len();
-            queue.retain(|w| !Arc::ptr_eq(w, &entry.waiter));
-            queue.len() < before
-        };
-        let (ledger, mut now) = (&entry.waiter.ledger, None);
+        let (addr, ledger, mut now) = (entry.waiter.addr, &entry.waiter.ledger, None);
+        let removed = lot::cancel(&mut (), self, addr, &entry.waiter);
         if removed {
             ledger.wake(addr, || *now.get_or_insert_with(clock));
         }
@@ -709,23 +654,17 @@ impl ParkingLot {
     /// observability hook, racy by nature.
     pub fn parked_count(&self, word: &AtomicU64) -> usize {
         let addr = addr_of(word);
-        let queue = self.bucket_for(addr).queue.lock().unwrap();
+        let i = Lot::<()>::bucket(self, addr);
+        let queue = self.buckets[i].queue.lock().unwrap();
         queue.iter().filter(|w| w.addr == addr).count()
     }
 }
 
-/// A lot as the word operations of `syncctx`: a word is an `&AtomicU64`
-/// (every access `SeqCst`), waits and wakes go to the lot, and a spin
-/// probes for the lot's [`ParkingLot::park_cost`] ([`ParkingLot::spin`]).
-/// A wait with a tag is one of several logical waiters sharing the word
-/// (the `service` semaphore's tickets `t` and `t + W` on one waiting-array
-/// slot): [`ParkingLot::wake_tagged`] of `(word, tag)` dequeues it and none
-/// of the word's other sharers, while a wake by address alone still
-/// reaches it. The tag only narrows which queued entries a wake may take;
-/// the re-check-then-enqueue argument of [`ParkingLot::wait`] is unchanged.
-/// The `service` crate's slow paths run on it. Every method is inlined into
-/// its caller: the mutex release runs here on the service's uncontended
-/// path.
+/// A lot as the word operations of `syncctx`, on which the `service`
+/// crate's slow paths run: a word is an `&AtomicU64` (every access
+/// `SeqCst`), waits and wakes are the lot's, and a spin is
+/// [`ParkingLot::spin`]. Every method is inlined into its caller: the
+/// mutex release runs here on the service's uncontended path.
 impl<'a> SyncCtx<&'a AtomicU64> for &'a ParkingLot {
     #[inline]
     fn load(&mut self, w: &'a AtomicU64) -> u64 {
@@ -788,28 +727,20 @@ impl WaitEntry {
     /// Whether a wake has dequeued this entry. Once true the entry will
     /// never be woken again and must be consumed with
     /// [`WaitEntry::resume`].
+    #[inline]
     pub fn woken(&self) -> bool {
-        self.waiter.woken.load(Ordering::Acquire)
+        self.waiter.park_token(&mut (), None)
     }
 
     /// Installs the waker from the *current* poll, replacing the one
-    /// captured at registration. Closes the poll-vs-wake race: a wake sets
-    /// `woken` before it takes the stored waker, so if `woken` is clear
-    /// under the waker's lock the wake will find the fresh one, and if a
-    /// wake slipped in between the caller's `woken()` check and the lock,
-    /// the task is woken here through the fresh waker and the slot left
-    /// empty, to guarantee one re-poll.
+    /// captured at registration: the task's [`Token::park_token`]. If a
+    /// wake slipped in between the caller's `woken()` check and this call,
+    /// the task is woken here through the fresh waker instead, to guarantee
+    /// one re-poll.
+    #[inline]
     pub fn update_waker(&self, waker: &Waker) {
-        let WaitMode::Task(slot) = &self.waiter.how else {
-            unreachable!("WaitEntry wraps task-mode waiters only");
-        };
-        let mut slot = slot.lock().unwrap();
-        if self.woken() {
-            *slot = None;
-            drop(slot);
+        if self.waiter.park_token(&mut (), Some(waker)) {
             waker.wake_by_ref();
-        } else {
-            *slot = Some(waker.clone());
         }
     }
 
@@ -859,13 +790,21 @@ mod tests {
         CLOCK_READS.with(Cell::get) - before
     }
 
-    /// Parks one thread on a fresh word of `lot`, wakes it, joins it;
-    /// returns the clock reads the wake made and the samples the parked
-    /// thread folded into the average.
-    fn park_and_wake_one(lot: &Arc<ParkingLot>) -> (u32, u32) {
-        let word = Arc::new(AtomicU64::new(0));
+    fn ledger(parks: u64, wakes: u64, resumes: u64) -> FutexTotals {
+        FutexTotals {
+            parks,
+            wakes,
+            resumes,
+        }
+    }
+
+    /// Spawns a thread that waits in `lot` until `word` leaves 0, and
+    /// returns once it has parked. The thread returns the park-cost samples
+    /// it folded.
+    fn park_a_thread(lot: &Arc<ParkingLot>, word: &Arc<AtomicU64>) -> thread::JoinHandle<u32> {
+        let parked = lot.parked_count(word);
         let handle = {
-            let (lot, word) = (Arc::clone(lot), Arc::clone(&word));
+            let (lot, word) = (Arc::clone(lot), Arc::clone(word));
             thread::spawn(move || {
                 while word.load(Ordering::SeqCst) == 0 {
                     lot.wait(&word, 0);
@@ -873,9 +812,18 @@ mod tests {
                 SAMPLES_FOLDED.with(Cell::get)
             })
         };
-        while lot.parked_count(&word) == 0 {
+        while lot.parked_count(word) == parked {
             thread::yield_now();
         }
+        handle
+    }
+
+    /// Parks one thread on a fresh word of `lot`, wakes it, joins it;
+    /// returns the clock reads the wake made and the samples the parked
+    /// thread folded into the average.
+    fn park_and_wake_one(lot: &Arc<ParkingLot>) -> (u32, u32) {
+        let word = Arc::new(AtomicU64::new(0));
+        let handle = park_a_thread(lot, &word);
         word.store(1, Ordering::SeqCst);
         let reads = clock_reads_of(|| assert_eq!(lot.wake_addr(addr_of(&word), 1), 1));
         (reads, handle.join().unwrap())
@@ -982,18 +930,7 @@ mod tests {
         let lot = Arc::new(ParkingLot::with_buckets(1));
         let a = Arc::new(AtomicU64::new(0));
         let b = AtomicU64::new(0);
-        let handle = {
-            let a = Arc::clone(&a);
-            let lot = Arc::clone(&lot);
-            thread::spawn(move || {
-                while a.load(Ordering::SeqCst) == 0 {
-                    lot.wait(&a, 0);
-                }
-            })
-        };
-        while lot.parked_count(&a) == 0 {
-            thread::yield_now();
-        }
+        let handle = park_a_thread(&lot, &a);
         // Waking the colliding word must not disturb ours.
         assert_eq!(lot.wake_addr(addr_of(&b), usize::MAX), 0);
         assert_eq!(lot.parked_count(&a), 1);
@@ -1107,14 +1044,7 @@ mod tests {
         assert!(flag.0.load(Ordering::SeqCst), "waker not invoked");
         entry.resume();
         let delta = lot.totals().since(&before);
-        assert_eq!(
-            delta,
-            FutexTotals {
-                parks: 1,
-                wakes: 1,
-                resumes: 1
-            }
-        );
+        assert_eq!(delta, ledger(1, 1, 1));
         assert!(delta.balanced());
     }
 
@@ -1169,17 +1099,7 @@ mod tests {
     fn threads_and_wakers_share_one_fifo() {
         let lot = Arc::new(ParkingLot::with_buckets(1));
         let word = Arc::new(AtomicU64::new(0));
-        let handle = {
-            let (lot, word) = (Arc::clone(&lot), Arc::clone(&word));
-            thread::spawn(move || {
-                while word.load(Ordering::SeqCst) == 0 {
-                    lot.wait(&word, 0);
-                }
-            })
-        };
-        while lot.parked_count(&word) == 0 {
-            thread::yield_now();
-        }
+        let handle = park_a_thread(&lot, &word);
         let (flag, waker) = flag_waker();
         let entry = lot.register(&word, 0, &waker).expect("word unchanged");
         assert_eq!(lot.parked_count(&word), 2);
@@ -1250,20 +1170,7 @@ mod tests {
         let words: Vec<Arc<AtomicU64>> = (0..2).map(|_| Arc::new(AtomicU64::new(0))).collect();
         let mut handles = Vec::new();
         for w in &words {
-            for _ in 0..2 {
-                let w = Arc::clone(w);
-                let lot = Arc::clone(&lot);
-                handles.push(thread::spawn(move || {
-                    while w.load(Ordering::SeqCst) == 0 {
-                        lot.wait(&w, 0);
-                    }
-                }));
-            }
-        }
-        for w in &words {
-            while lot.parked_count(w) < 2 {
-                thread::yield_now();
-            }
+            handles.extend([park_a_thread(&lot, w), park_a_thread(&lot, w)]);
         }
         let before = lot.totals();
         for w in &words {
@@ -1284,14 +1191,7 @@ mod tests {
         let delta = lot.totals().since(&before);
         assert_eq!(delta.wakes, 4, "{delta:?}");
         assert_eq!(delta.resumes, 4, "{delta:?}");
-        assert_eq!(
-            lot.totals(),
-            FutexTotals {
-                parks: 4,
-                wakes: 4,
-                resumes: 4
-            }
-        );
+        assert_eq!(lot.totals(), ledger(4, 4, 4));
         assert!(lot.totals().balanced());
     }
 
@@ -1303,29 +1203,11 @@ mod tests {
         let idle = ParkingLot::with_buckets(2);
         let word = Arc::new(AtomicU64::new(0));
         let global_before = totals();
-        let handle = {
-            let (busy, word) = (Arc::clone(&busy), Arc::clone(&word));
-            thread::spawn(move || {
-                while word.load(Ordering::SeqCst) == 0 {
-                    busy.wait(&word, 0);
-                }
-            })
-        };
-        while busy.parked_count(&word) == 0 {
-            thread::yield_now();
-        }
+        let handle = park_a_thread(&busy, &word);
         word.store(1, Ordering::SeqCst);
         assert_eq!(busy.wake_addr(addr_of(&word), 1), 1);
         handle.join().unwrap();
-        let delta = busy.totals();
-        assert_eq!(
-            delta,
-            FutexTotals {
-                parks: 1,
-                wakes: 1,
-                resumes: 1
-            }
-        );
+        assert_eq!(busy.totals(), ledger(1, 1, 1));
         assert_eq!(idle.totals(), FutexTotals::default());
         // The machine-wide statics absorbed this lot's traffic too (other
         // tests may add more concurrently, so lower-bound the global side).
@@ -1420,17 +1302,7 @@ mod tests {
         let lot = Arc::new(ParkingLot::with_buckets(1));
         assert!(lot.parked_waiters().is_empty());
         let word = Arc::new(AtomicU64::new(0));
-        let handle = {
-            let (lot, word) = (Arc::clone(&lot), Arc::clone(&word));
-            thread::spawn(move || {
-                while word.load(Ordering::SeqCst) == 0 {
-                    lot.wait(&word, 0);
-                }
-            })
-        };
-        while lot.parked_count(&word) == 0 {
-            thread::yield_now();
-        }
+        let handle = park_a_thread(&lot, &word);
         thread::sleep(Duration::from_millis(5));
         let age = lot
             .parked_waiters()
@@ -1453,5 +1325,56 @@ mod tests {
         handle.join().unwrap();
         assert!(lot.parked_waiters().is_empty());
         assert!(lot.totals().balanced());
+    }
+
+    /// A task's waker is called with its entry's waker slot unlocked: a
+    /// `wake` that polls the future inline refreshes the waker there.
+    #[test]
+    fn a_task_is_woken_with_its_waker_slot_unlocked() {
+        #[derive(Default)]
+        struct SlotProbe(Mutex<Option<Arc<Waiter>>>);
+        impl std::task::Wake for SlotProbe {
+            fn wake(self: Arc<Self>) {
+                let waiter = self.0.lock().unwrap().take().expect("woken once");
+                let WaitMode::Task(slot) = &waiter.how else {
+                    unreachable!("a registered entry is a task's")
+                };
+                assert!(slot.try_lock().is_ok(), "woken under the slot's lock");
+            }
+        }
+        let (lot, word) = (ParkingLot::with_buckets(1), AtomicU64::new(0));
+        let probe = Arc::new(SlotProbe::default());
+        let entry = lot.register(&word, 0, &Waker::from(Arc::clone(&probe)));
+        let entry = entry.expect("word unchanged");
+        *probe.0.lock().unwrap() = Some(Arc::clone(&entry.waiter));
+        assert_eq!(lot.wake_addr(addr_of(&word), 1), 1);
+        assert!(
+            probe.0.lock().unwrap().is_none(),
+            "the waker was not called"
+        );
+        entry.resume();
+        assert_eq!(lot.totals(), ledger(1, 1, 1));
+    }
+
+    /// A stray `unpark` is not a wake: the parked thread stays queued, and
+    /// the ledger counts its park only, until a wake gives its token.
+    #[test]
+    fn a_stray_unpark_is_not_a_wake() {
+        let lot = Arc::new(ParkingLot::with_buckets(1));
+        let word = Arc::new(AtomicU64::new(0));
+        let handle = park_a_thread(&lot, &word);
+        while lot.totals().parks == 0 {
+            thread::yield_now();
+        }
+        for _ in 0..3 {
+            handle.thread().unpark();
+            thread::sleep(Duration::from_millis(2));
+        }
+        assert_eq!(lot.parked_count(&word), 1);
+        assert_eq!(lot.totals(), ledger(1, 0, 0));
+        word.store(1, Ordering::SeqCst);
+        assert_eq!(lot.wake_addr(addr_of(&word), 1), 1);
+        handle.join().unwrap();
+        assert_eq!(lot.totals(), ledger(1, 1, 1));
     }
 }

@@ -7,25 +7,19 @@
 //! collapses (the `fig9` oversubscription sweep). This crate supplies the
 //! alternative wait path:
 //!
-//! - [`futex`] — [`futex::ParkingLot::wait`]`(word, expected)` /
-//!   [`futex::ParkingLot::wake_addr`]`(addr, n)` over a bucketed parking
-//!   lot of per-thread parkers, the user-space analogue of the Linux futex:
-//!   the compare and the block happen under one bucket lock, so a waker
-//!   that changes the word *before* waking can never lose a wakeup. The lot
-//!   is a first-class type ([`futex::ParkingLot`]): cache-line-padded
-//!   power-of-two buckets indexed by the full-avalanche [`futex::mix64`]
-//!   hash, waits that carry a tag and a batched wake addressed to
-//!   `(word, tag)` pairs ([`futex::ParkingLot::wake_tagged`]) for words
-//!   several logical waiters share, and machine-wide park/wake/resume
-//!   accounting ([`futex::totals`], whose last reader is the repo
-//!   benchmark's layer split; every lot keeps an exact ledger of its own).
-//!   A lot built with a `trace::Tracer`
-//!   ([`futex::ParkingLot::with_tracer`]) records its parks, wakes and
-//!   resumes into it. The `service` crate embeds its own lot under its
-//!   sharded per-key lock table, and a service's semaphores park there
-//!   too; the process-global, untraced instance ([`futex::global_lot`])
-//!   is the `qsm` crate's alone, where its lock, eventcount and barrier
-//!   park.
+//! - [`lot`] — the lot's operations, written once as steps (enqueue-if-equal,
+//!   park, wake `n`, wake by tag, cancel) over a bucket trait and a park
+//!   token, so any substrate with buckets and tokens runs the same code.
+//! - [`futex`] — their real-thread instance, [`futex::ParkingLot`]:
+//!   [`futex::ParkingLot::wait`]`(word, expected)` /
+//!   [`futex::ParkingLot::wake_addr`]`(addr, n)`, the user-space analogue
+//!   of the Linux futex, whose compare and enqueue happen under one bucket
+//!   lock, so a waker that changes the word *before* waking never loses a
+//!   wakeup; tagged waits and a wake addressed to `(word, tag)` pairs for
+//!   words several logical waiters share; an exact park/wake/resume ledger
+//!   per lot and their machine-wide union ([`futex::totals`]). The
+//!   `service` crate embeds a lot of its own; the process-global, untraced
+//!   one ([`futex::global_lot`]) is the `qsm` crate's.
 //! - [`futex::ParkingLot::spin`] — the one pre-park wait: probe the awaited
 //!   word until it changes or until the lot's measured
 //!   [`futex::ParkingLot::park_cost`] has passed, then let the caller park.
@@ -48,6 +42,7 @@
 //! what the same ideas look like on `std::thread`.
 
 pub mod futex;
+pub mod lot;
 
 /// A value padded and aligned to its own cache line (two lines' worth of
 /// alignment to defeat adjacent-line prefetchers), so per-waiter spin
