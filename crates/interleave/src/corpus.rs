@@ -270,8 +270,8 @@ impl SyncCtx for Chk<'_> {
 /// succeeds, so every execution begins with some thread holding HELD
 /// before any other has taken a step. Naming that thread 0 divides the
 /// search by `nthreads` and drops its acquire steps. The contenders start
-/// in `lock_contended`: `lock`'s one fast-path CAS would repeat the first
-/// probe of its spin.
+/// in `lock_contended`: `protocol::lock`'s one fast-path CAS would repeat
+/// the first probe of its spin.
 ///
 /// The seeded bug ([`Mutant::RespinHeld`]) is the tempting one: let the
 /// post-wake spin acquire as HELD, like the first spin does. The woken

@@ -1,21 +1,23 @@
 //! The lock service's slot lifecycle on simulated words: `service`'s
 //! [`protocol::slot_attach`] and [`protocol::slot_detach`] over a small
 //! direct-mapped array, which memsim and the checker run as shipped, the
-//! way the [`crate::locks::qsm`] kernel runs the service's QSM queue.
+//! way the [`crate::locks::qsm`] kernel runs the service's QSM queue. The
+//! service's keyed mutex request, [`protocol::keyed_lock`] and
+//! [`protocol::keyed_unlock`], runs on it unchanged.
 //!
 //! The array is one shard. Its critical section is the service mutex's
-//! protocol ([`protocol::lock_contended`] and [`protocol::unlock`]) on a
-//! word of its own. Each slot is two words: a tenant word, the bound key
-//! plus one in the high half and the reference count in the low half (0
-//! while the slot is free), and the word the key's primitive uses. A key
-//! lives only in slot `key % slots`, so an attach that finds another key
-//! there parks on that slot's tenant word, and freeing the slot wakes every
-//! attacher parked there. A critical section reads the tenant word once and
-//! keeps it, as a register would.
+//! protocol ([`protocol::lock`] and [`protocol::unlock`]) on a word of its
+//! own. Each slot is two words: a tenant word, the bound key plus one in
+//! the high half and the reference count in the low half (0 while the
+//! slot is free), and the word the key's primitive uses. A key lives only
+//! in slot `key % slots`, so an attach that finds another key there parks
+//! on that slot's tenant word, and freeing the slot wakes every attacher
+//! parked there. A critical section reads the tenant word once and keeps
+//! it, as a register would.
 
 use crate::layout::Region;
 use crate::{Addr, SyncCtx, Word};
-use service::protocol::{self, SlotMap, FREE, HELD};
+use service::protocol::{self, SlotMap, FREE};
 
 /// A direct-mapped slot array in a [`Region`]: line 0 the critical
 /// section's mutex word, line `1 + i` slot `i`'s tenant word and word. Keys
@@ -102,9 +104,7 @@ impl<C: SyncCtx> SlotMap<Addr, C> for SlotArray {
     type Shard = Option<Word>;
     fn with_shard<R>(&self, c: &mut C, f: impl FnOnce(&mut C, &mut Option<Word>) -> R) -> R {
         let lock = self.region.slot(0);
-        if c.cas(lock, FREE, HELD).is_err() {
-            protocol::lock_contended(c, lock);
-        }
+        protocol::lock(c, lock, || ());
         let r = f(c, &mut None);
         protocol::unlock(c, lock);
         r
@@ -156,6 +156,13 @@ mod tests {
         assert!(!protocol::slot_detach(&mut c, &slots, 5));
         assert_eq!(c.mem[w], 9, "a reference keeps the word");
         assert!(protocol::slot_detach(&mut c, &slots, 5));
+        assert_eq!(slots.holds(&c.mem, &[]), Ok(()));
+        // The keyed request: a free key's word taken HELD by the fast path,
+        // then released and its slot recycled.
+        let (w, contended) = protocol::keyed_lock(&mut c, &slots, 5, || panic!("contended"));
+        assert!(contended.is_none());
+        assert_eq!(c.mem[w], protocol::HELD);
+        assert!(protocol::keyed_unlock(&mut c, &slots, 5, w));
         assert_eq!(slots.holds(&c.mem, &[]), Ok(()));
     }
 }

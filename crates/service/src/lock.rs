@@ -6,7 +6,12 @@
 //! lot — the same code `interleave::corpus` checks exhaustively:
 //!
 //! - **Mutex** — the three-state futex lock (0 free, 1 held, 2 held with
-//!   waiters). The uncontended path is one CAS. A contender follows the
+//!   waiters). A request is [`protocol::keyed_lock`] on the key's shard
+//!   (attach, then [`protocol::lock`]) and, at the guard's drop,
+//!   [`protocol::keyed_unlock`] (unlock, then detach); telemetry is
+//!   counted here from what they return, and only an acquisition that
+//!   misses the fast path is timed. The uncontended path is one CAS
+//!   ([`protocol::try_lock`]). A contender follows the
 //!   competitive rule *spin for as long as blocking would cost*: it spins
 //!   for [`parking::futex::ParkingLot::park_cost`] — the wake-to-running
 //!   latency the table's lot **measures** on every real park, not a
@@ -31,13 +36,14 @@
 //! The async futures run the same steps, with the waker-registering driver
 //! [`protocol::poll_step`], which never spins.
 
-use crate::protocol::{self, seq_ge, FREE, HELD};
+use crate::protocol::{self, seq_ge, FREE};
 use crate::semaphore::WaitingArraySemaphore;
 use crate::table::{ShardedTable, SlotKind, SlotRef, TableStats};
 use crate::telemetry::{MetricsMode, MetricsSnapshot, Primitive, ServiceMetrics};
 use crate::DEFAULT_SHARDS;
 use parking::futex::FutexTotals;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::mem::ManuallyDrop;
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
 use trace::Tracer;
@@ -145,24 +151,16 @@ impl LockService {
     /// concurrent fast-path acquirer can barge ahead of a woken waiter
     /// (see the module docs).
     pub fn lock(&self, key: u64) -> KeyGuard<'_> {
-        let slot = self.table.attach(key, SlotKind::Mutex);
-        let word = slot.word();
-        if Self::try_acquire(word) {
+        let shard = self.table.key_shard(key, SlotKind::Mutex);
+        let (word, contended) = protocol::keyed_lock(&mut shard.lot(), &shard, key, || {
+            self.metrics().wait_timer(shard.index())
+        });
+        let slot = shard.slot(key, word);
+        let Some((started, how)) = contended else {
             slot.metrics().count_acquire(slot.shard(), true, false);
             return KeyGuard::acquired(slot, Primitive::Mutex, None);
-        }
-        self.lock_contended(slot)
-    }
-
-    /// [`LockService::lock`] after the first CAS failed. Kept out of line:
-    /// its clock reads and loops would otherwise cost the one-CAS fast path
-    /// a larger frame (`mutex_disjoint`'s acquiring call measured ~5 %
-    /// slower with this inlined).
-    #[inline(never)]
-    fn lock_contended<'a>(&'a self, slot: SlotRef<'a>) -> KeyGuard<'a> {
+        };
         let metrics = slot.metrics();
-        let started = metrics.wait_timer(slot.shard());
-        let how = protocol::lock_contended(&mut slot.lot(), slot.word());
         metrics.count_cas_retries(slot.shard(), how.cas_retries);
         metrics.count_acquire(slot.shard(), false, how.parked);
         if how.respun {
@@ -174,17 +172,11 @@ impl LockService {
     /// Acquires the mutex for `key` iff it is free right now.
     pub fn try_lock(&self, key: u64) -> Option<KeyGuard<'_>> {
         let slot = self.table.attach(key, SlotKind::Mutex);
-        if Self::try_acquire(slot.word()) {
-            slot.metrics().count_acquire(slot.shard(), true, false);
-            Some(KeyGuard::acquired(slot, Primitive::Mutex, None))
-        } else {
-            None
+        if !protocol::try_lock(&mut slot.lot(), slot.word()) {
+            return None;
         }
-    }
-
-    fn try_acquire(word: &AtomicU64) -> bool {
-        word.compare_exchange(FREE, HELD, Ordering::SeqCst, Ordering::SeqCst)
-            .is_ok()
+        slot.metrics().count_acquire(slot.shard(), true, false);
+        Some(KeyGuard::acquired(slot, Primitive::Mutex, None))
     }
 
     /// A handle to `key`'s eventcount. The count starts at 0 when the
@@ -218,9 +210,9 @@ impl LockService {
 }
 
 /// Holds the per-key mutex; released (and the slot reference dropped) on
-/// drop.
+/// drop, by [`protocol::keyed_unlock`].
 pub struct KeyGuard<'a> {
-    slot: SlotRef<'a>,
+    slot: ManuallyDrop<SlotRef<'a>>,
     /// Sampled hold-timing start, recorded on release.
     hold: Option<Instant>,
 }
@@ -234,7 +226,10 @@ impl<'a> KeyGuard<'a> {
         let metrics = slot.metrics();
         metrics.record_wait(how, started);
         let hold = metrics.wait_timer(slot.shard());
-        KeyGuard { slot, hold }
+        KeyGuard {
+            slot: ManuallyDrop::new(slot),
+            hold,
+        }
     }
 
     /// The key this guard locks.
@@ -246,7 +241,7 @@ impl<'a> KeyGuard<'a> {
 impl Drop for KeyGuard<'_> {
     fn drop(&mut self) {
         self.slot.metrics().record_hold(self.hold.take());
-        protocol::unlock(&mut self.slot.lot(), self.slot.word());
+        SlotRef::keyed_unlock(&self.slot);
     }
 }
 
@@ -312,6 +307,42 @@ mod tests {
         assert!(svc.try_lock(7).is_some());
         // All guards dropped: the table is empty again.
         assert_eq!(svc.stats().live, 0);
+    }
+
+    /// The mutex request's telemetry, exactly: an acquisition won by the
+    /// first CAS is counted fast and never timed as a wait, every hold is
+    /// timed, and the last detach of a key recycles its slot. One
+    /// acquisition that misses the fast path is timed once. The holder
+    /// waits for the victim's park with no time bound, so a slow host only
+    /// makes it slower.
+    #[test]
+    fn the_mutex_request_counts_fast_paths_waits_holds_and_recycles() {
+        const N: u64 = 64;
+        let svc = LockService::with_metrics_mode(8, MetricsMode::Sampled(1));
+        for key in 0..N {
+            drop(svc.lock(key));
+        }
+        let snap = svc.metrics_snapshot();
+        let mutex_waits = |s: &MetricsSnapshot| s.wait_of(Primitive::Mutex).count();
+        assert_eq!(snap.fast_path, N);
+        assert_eq!(mutex_waits(&snap), 0, "a fast-path acquisition was timed");
+        assert_eq!(snap.hold_mutex.count(), N);
+        assert_eq!(snap.slot_recycles, N);
+
+        let parks_before = svc.futex_totals().parks;
+        let guard = svc.lock(N);
+        thread::scope(|s| {
+            s.spawn(|| drop(svc.lock(N)));
+            while svc.futex_totals().parks == parks_before {
+                thread::yield_now();
+            }
+            drop(guard);
+        });
+        let snap = svc.metrics_snapshot();
+        assert_eq!(mutex_waits(&snap), 1, "the contended acquisition's wait");
+        assert_eq!(snap.acquires, N + 2);
+        assert_eq!(snap.fast_path, N + 1);
+        assert_eq!(snap.slot_recycles, N + 1, "the holder's detach recycled");
     }
 
     #[test]

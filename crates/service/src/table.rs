@@ -13,11 +13,13 @@
 //! [`protocol::slot_attach`] and [`protocol::slot_detach`] run on a shard
 //! as a [`protocol::SlotMap`], the steps the checker and memsim run on the
 //! `kernels` slot array. `attach`, a [`SlotRef`]'s clone (the steps'
-//! existing-entry arm) and its drop are those two steps. They keep the rule
-//! that makes recycling sound: **every parked waiter holds a [`SlotRef`]**,
-//! and only the last reference resets the word and frees the slot, so no
-//! thread can be parked on (or about to park on) a word that is being
-//! recycled. Wakes travel by pre-captured address
+//! existing-entry arm) and its drop are those two steps. A mutex guard's
+//! reference is counted inside [`protocol::keyed_lock`] and dropped inside
+//! [`protocol::keyed_unlock`] instead, and its own drop never runs. The
+//! steps keep the rule that makes recycling sound: **every parked waiter
+//! holds a reference**, and only the last reference resets the word and
+//! frees the slot, so no thread can be parked on (or about to park on) a
+//! word that is being recycled. Wakes travel by pre-captured address
 //! ([`ParkingLot::wake_addr`] never dereferences), so even a waker racing
 //! the death of the last reference is sound — the worst a recycled address
 //! can cause is a spurious wake of the slot's next tenant, which futex
@@ -36,6 +38,7 @@ use crate::telemetry::{MetricsMode, ServiceMetrics};
 use parking::futex::{mix64, ParkingLot};
 use parking::CachePadded;
 use std::collections::HashMap;
+use std::mem::ManuallyDrop;
 use std::sync::atomic::AtomicU64;
 use std::sync::{Arc, Mutex};
 use trace::Tracer;
@@ -63,7 +66,7 @@ pub enum SlotKind {
 /// One shard's state, all of it under the shard mutex, so plain integers
 /// suffice.
 #[derive(Default)]
-struct ShardInner {
+pub(crate) struct ShardInner {
     /// Each live key's slot, and the kind it is live as.
     map: HashMap<u64, (u32, SlotKind)>,
     // The Box is load-bearing: waiters park on raw slot addresses, so
@@ -96,10 +99,32 @@ impl ShardInner {
 /// The shard a key maps to, as the lifecycle steps run on it, with the
 /// kind the key must be live as, or is bound to.
 #[derive(Clone, Copy)]
-struct KeyShard<'t> {
+pub(crate) struct KeyShard<'t> {
     table: &'t ShardedTable,
     index: u32,
     kind: SlotKind,
+}
+
+impl<'t> KeyShard<'t> {
+    /// The table's lot: the word operations the steps run on.
+    pub(crate) fn lot(&self) -> &'t ParkingLot {
+        &self.table.lot
+    }
+
+    /// The shard index, also its telemetry stripe.
+    pub(crate) fn index(&self) -> usize {
+        self.index as usize
+    }
+
+    /// The reference a [`protocol::slot_attach`] of `key` on this shard
+    /// counted, naming the word it returned.
+    pub(crate) fn slot(self, key: u64, word: &'t AtomicU64) -> SlotRef<'t> {
+        SlotRef {
+            shard: self,
+            key,
+            word,
+        }
+    }
 }
 
 impl<'t> SlotMap<&'t AtomicU64, &'t ParkingLot> for KeyShard<'t> {
@@ -265,13 +290,17 @@ impl ShardedTable {
     /// If the key is live with a different [`SlotKind`] — one key, one
     /// primitive.
     pub fn attach(&self, key: u64, kind: SlotKind) -> SlotRef<'_> {
-        let shard = KeyShard {
+        let shard = self.key_shard(key, kind);
+        shard.slot(key, protocol::slot_attach(&mut shard.lot(), &shard, key))
+    }
+
+    /// The shard `key` maps to, for a slot of `kind`.
+    pub(crate) fn key_shard(&self, key: u64, kind: SlotKind) -> KeyShard<'_> {
+        KeyShard {
             table: self,
             index: self.shard_of(key) as u32,
             kind,
-        };
-        let word = protocol::slot_attach(&mut &*self.lot, &shard, key);
-        SlotRef { shard, key, word }
+        }
     }
 
     /// Aggregates occupancy counters across shards. Exact only at
@@ -314,7 +343,7 @@ impl SlotRef<'_> {
 
     /// The shard index this slot lives in — also its telemetry stripe.
     pub fn shard(&self) -> usize {
-        self.shard.index as usize
+        self.shard.index()
     }
 
     /// The telemetry instance of the owning table.
@@ -329,20 +358,33 @@ impl SlotRef<'_> {
     /// exists, the same "every parked waiter holds a reference" rule
     /// threads follow.
     pub fn lot(&self) -> &ParkingLot {
-        &self.shard.table.lot
+        self.shard.lot()
+    }
+
+    /// Releases the mutex word a guard's reference holds and drops the
+    /// reference, in one [`protocol::keyed_unlock`]. The guard keeps it in
+    /// a `ManuallyDrop`, so the reference's own drop, a second detach,
+    /// never runs. Inlined into the guard's drop, its one caller: the
+    /// uncontended round trip measured slower with the two apart.
+    #[inline]
+    pub(crate) fn keyed_unlock(slot: &ManuallyDrop<Self>) {
+        let SlotRef { shard, key, word } = **slot;
+        if protocol::keyed_unlock(&mut shard.lot(), &shard, key, word) {
+            slot.metrics().count_slot_recycle(shard.index());
+        }
     }
 }
 
 impl Clone for SlotRef<'_> {
     fn clone(&self) -> Self {
-        let word = protocol::slot_attach(&mut &*self.shard.table.lot, &self.shard, self.key);
+        let word = protocol::slot_attach(&mut self.shard.lot(), &self.shard, self.key);
         SlotRef { word, ..*self }
     }
 }
 
 impl Drop for SlotRef<'_> {
     fn drop(&mut self) {
-        if protocol::slot_detach(&mut &*self.shard.table.lot, &self.shard, self.key) {
+        if protocol::slot_detach(&mut self.shard.lot(), &self.shard, self.key) {
             self.metrics().count_slot_recycle(self.shard());
         }
     }

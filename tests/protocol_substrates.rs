@@ -10,15 +10,16 @@
 //! one leader per round and wake every processor it parked; and, being a
 //! simulation, it must come out the same twice.
 //!
-//! The table's slot lifecycle runs there too: `protocol::slot_attach` and
-//! `slot_detach` over `kernels::slots::SlotArray`, around the key's mutex.
-//! Two keys share one slot, so every attach of the other key recycles it.
+//! The service's keyed mutex request runs there too: `protocol::keyed_lock`
+//! and `keyed_unlock`, the table's slot lifecycle around the key's mutex,
+//! over `kernels::slots::SlotArray`. Two keys share one slot, so every
+//! attach of the other key recycles it.
 
 use kernels::slots::SlotArray;
 use kernels::{Addr, ProcCtx, Region, SyncCtx, Word};
 use memsim::{Machine, MachineParams, Proc, RunReport};
 use parking::futex::ParkingLot;
-use service::protocol::{self, seq_ge, Contention, FREE, HELD};
+use service::protocol::{self, seq_ge, FREE};
 use std::sync::atomic::AtomicU64;
 use workloads::oversub::oversub_machine;
 use workloads::realhw::RealCtx;
@@ -40,18 +41,10 @@ const PARKED: Addr = 4;
 const LEADERS: Addr = 5;
 const WORDS: usize = LEADERS + ROUNDS as usize;
 
-/// The mutex's fast path on `w`, then its shipped slow path.
-fn lock<C: SyncCtx>(c: &mut C, w: Addr) -> Contention {
-    match c.cas(w, FREE, HELD) {
-        Ok(_) => Contention::default(),
-        Err(_) => protocol::lock_contended(c, w),
-    }
-}
-
 /// One processor's program; `nprocs` of them share the memory.
 fn body(p: &mut Proc, nprocs: usize) {
     for _ in 0..ITERS {
-        if lock(p, LOCK).parked {
+        if protocol::lock(p, LOCK, || ()).is_some_and(|(_, how)| how.parked) {
             p.fetch_add(PARKED, 1);
         }
         let v = p.data_load(COUNTER);
@@ -153,13 +146,11 @@ fn check_slot_lifecycle(machine: &Machine, nprocs: usize) {
         .run_with_init(nprocs, vec![0; key_counter(KEYS)], |p| {
             let key = p.pid() as u64 % KEYS;
             for _ in 0..ITERS {
-                let w = protocol::slot_attach(p, &slots, key);
-                lock(p, w);
+                let (w, _) = protocol::keyed_lock(p, &slots, key, || ());
                 let v = p.data_load(key_counter(key));
                 p.delay(20);
                 p.data_store(key_counter(key), v + 1);
-                protocol::unlock(p, w);
-                protocol::slot_detach(p, &slots, key);
+                protocol::keyed_unlock(p, &slots, key, w);
             }
         })
         .expect("the slot lifecycle finishes on the simulator");
@@ -184,10 +175,8 @@ fn shipped_slot_lifecycle_runs_on_the_bus_machine() {
     let slots = slot_array();
     let solo = Machine::new(MachineParams::bus_1991(1))
         .run_with_init(1, vec![0; key_counter(0)], |p| {
-            let w = protocol::slot_attach(p, &slots, 0);
-            lock(p, w);
-            protocol::unlock(p, w);
-            protocol::slot_detach(p, &slots, 0);
+            let (w, _) = protocol::keyed_lock(p, &slots, 0, || ());
+            protocol::keyed_unlock(p, &slots, 0, w);
         })
         .expect("one processor finishes");
     assert_eq!(solo.metrics.total_cycles, 87);
@@ -212,7 +201,7 @@ fn shipped_mutex_runs_on_real_threads() {
             s.spawn(move || {
                 let mut c = RealCtx::new(pid, THREADS, mem, lot);
                 for _ in 0..REAL_ITERS {
-                    lock(&mut c, LOCK);
+                    protocol::lock(&mut c, LOCK, || ());
                     let v = c.data_load(COUNTER);
                     c.data_store(COUNTER, v + 1);
                     protocol::unlock(&mut c, LOCK);
