@@ -234,15 +234,22 @@ mod tests {
         assert!(v.stats().complete);
     }
 
+    /// At fan-in 4 the three threads share one node; at fan-in 2 the tree
+    /// has two levels, so the last arriver at a leaf ascends. Run counts
+    /// pinned.
     #[test]
     fn qsm_barrier_bounded_three_threads() {
-        check_barrier(
-            Arc::new(QsmTreeBarrier::default()),
-            3,
-            2,
-            Explorer::bounded(2),
-        )
-        .expect_pass("qsm-tree 3x2");
+        for (fan_in, episodes, explorer, runs) in [
+            (4, 2, Explorer::bounded(2), 890),
+            (2, 1, Explorer::exhaustive(), 265),
+            (2, 2, Explorer::bounded(2), 770),
+        ] {
+            let what = format!("qsm-tree fan-in {fan_in} 3x{episodes}");
+            let v = check_barrier(Arc::new(QsmTreeBarrier { fan_in }), 3, episodes, explorer);
+            v.expect_pass(&what);
+            assert!(v.stats().complete, "{what}: search incomplete");
+            assert_eq!(v.stats().runs, runs, "{what}: run count moved");
+        }
     }
 
     /// A deliberately broken lock proves the harness can actually fail:

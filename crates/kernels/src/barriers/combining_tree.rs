@@ -4,12 +4,15 @@
 //! most `fan_in` processors ever contend on one word and the critical path
 //! is the tree depth: O(log P) instead of the central barrier's O(P). The
 //! last processor to finish a node ascends to its parent; whoever completes
-//! the root publishes the new epoch, which all processors watch.
+//! the root publishes the new epoch, which all processors watch. The
+//! climb resets each node it completes, as the 1991 baseline did; the
+//! tree's shape is [`TreeShape`], shared with the QSM barrier.
 
 use super::{BarrierKernel, BarrierState};
 use crate::layout::Region;
 use crate::Addr;
 use crate::ProcCtx;
+use service::protocol::TreeShape;
 
 /// Combining-tree barrier with configurable fan-in.
 ///
@@ -24,53 +27,6 @@ pub struct CombiningTreeBarrier {
 impl Default for CombiningTreeBarrier {
     fn default() -> Self {
         CombiningTreeBarrier { fan_in: 4 }
-    }
-}
-
-/// Shape of the combining tree for a given processor count.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TreeShape {
-    /// Node count per level; `levels[0]` are the leaves.
-    pub levels: Vec<usize>,
-}
-
-impl TreeShape {
-    /// Computes the level sizes for `nprocs` inputs with `fan_in`.
-    pub fn new(nprocs: usize, fan_in: usize) -> Self {
-        assert!(fan_in >= 2, "fan-in must be at least 2");
-        assert!(nprocs >= 1);
-        let mut levels = Vec::new();
-        let mut width = nprocs;
-        loop {
-            width = width.div_ceil(fan_in);
-            levels.push(width);
-            if width == 1 {
-                break;
-            }
-        }
-        TreeShape { levels }
-    }
-
-    /// Total number of nodes.
-    pub fn nodes(&self) -> usize {
-        self.levels.iter().sum()
-    }
-
-    /// Flat index of node `j` at `level` (levels stored consecutively).
-    pub fn index(&self, level: usize, j: usize) -> usize {
-        self.levels[..level].iter().sum::<usize>() + j
-    }
-
-    /// Number of children feeding node `j` at `level`, given `nprocs`.
-    pub fn fan_of(&self, nprocs: usize, fan_in: usize, level: usize, j: usize) -> usize {
-        let inputs = if level == 0 {
-            nprocs
-        } else {
-            self.levels[level - 1]
-        };
-        let lo = j * fan_in;
-        let hi = ((j + 1) * fan_in).min(inputs);
-        hi - lo
     }
 }
 
@@ -133,29 +89,6 @@ mod tests {
     use memsim::{Machine, MachineParams};
 
     #[test]
-    fn shape_arithmetic() {
-        let s = TreeShape::new(16, 4);
-        assert_eq!(s.levels, vec![4, 1]);
-        assert_eq!(s.nodes(), 5);
-        assert_eq!(s.index(0, 3), 3);
-        assert_eq!(s.index(1, 0), 4);
-        assert_eq!(s.fan_of(16, 4, 0, 0), 4);
-        assert_eq!(s.fan_of(16, 4, 1, 0), 4);
-    }
-
-    #[test]
-    fn shape_handles_ragged_sizes() {
-        let s = TreeShape::new(9, 4);
-        assert_eq!(s.levels, vec![3, 1]);
-        // Leaf 2 combines a single processor (pid 8).
-        assert_eq!(s.fan_of(9, 4, 0, 2), 1);
-        assert_eq!(s.fan_of(9, 4, 1, 0), 3);
-        let tiny = TreeShape::new(1, 4);
-        assert_eq!(tiny.levels, vec![1]);
-        assert_eq!(tiny.fan_of(1, 4, 0, 0), 1);
-    }
-
-    #[test]
     fn safety_under_contention() {
         let machine = Machine::new(MachineParams::bus_1991(9));
         episode_trial(&machine, &CombiningTreeBarrier::default(), 9, 4).unwrap();
@@ -182,11 +115,5 @@ mod tests {
             tree.metrics.total_cycles,
             central.metrics.total_cycles
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "fan-in must be at least 2")]
-    fn degenerate_fan_in_rejected() {
-        TreeShape::new(4, 1);
     }
 }

@@ -7,7 +7,7 @@
 //! | [`dissemination`] | dissemination | log P store rounds | none needed | O(log P), no RMW |
 //! | [`tournament`] | tournament | log P match rounds | tree wakeup | O(log P), no RMW |
 //! | [`mcs_tree`] | MCS static tree | 4-ary flag tree | binary tree | O(log P), no RMW |
-//! | [`qsm_tree`] | **QSM combining barrier** | monotone grant counters | epoch eventcount | O(log P) |
+//! | [`qsm_tree`] | **QSM combining barrier**: [`QsmTree`](service::protocol::QsmTree) under [`qsm_tree_arrive`](service::protocol::qsm_tree_arrive) | monotone grant counters | epoch eventcount | O(log P) |
 //!
 //! All are *reusable*: the same barrier object synchronizes an unbounded
 //! sequence of episodes, which is exactly what the correctness harness

@@ -11,15 +11,15 @@
 //!   operation the QSM lock uses for hand-off and the service's eventcount
 //!   (`service::protocol::advance`) uses for producer/consumer pacing.
 //!
-//! This is the "one mechanism, three services" claim of the reconstruction:
-//! lock, condition synchronization, and barrier all reduce to *fetch-add on
-//! a grant word + local await*.
+//! The climb is [`protocol::qsm_tree_arrive`] over this kernel's [`QsmTree`],
+//! whose wait spins on the epoch. So lock, condition synchronization, and
+//! barrier all reduce to *fetch-add on a grant word + local await*: the
+//! "one mechanism, three services" claim of the reconstruction.
 
-use super::combining_tree::TreeShape;
 use super::{BarrierKernel, BarrierState};
 use crate::layout::Region;
-use crate::Addr;
-use crate::ProcCtx;
+use crate::{Addr, ProcCtx};
+use service::protocol::{self, QsmTree, TreeShape};
 
 /// QSM barrier with configurable fan-in.
 ///
@@ -36,15 +36,29 @@ impl Default for QsmTreeBarrier {
     }
 }
 
-impl QsmTreeBarrier {
-    /// Address of the epoch eventcount.
-    pub fn epoch(region: &Region) -> Addr {
-        region.slot(0)
-    }
+/// The tree as `parties` processors see it: the epoch in the region's
+/// first line, then node `n` in line `1 + n`.
+struct Tree<'a> {
+    fan_in: usize,
+    parties: usize,
+    region: &'a Region,
+}
 
-    /// Address of the grant word for flat node index `n`.
-    pub fn node(region: &Region, n: usize) -> Addr {
-        region.slot(1 + n)
+impl<C: ProcCtx + ?Sized> QsmTree<Addr, C> for Tree<'_> {
+    fn parties(&self) -> usize {
+        self.parties
+    }
+    fn fan_in(&self) -> usize {
+        self.fan_in
+    }
+    fn node(&self, n: usize) -> Addr {
+        self.region.slot(1 + n)
+    }
+    fn release(&self) -> Addr {
+        self.region.slot(0)
+    }
+    fn await_release(&mut self, c: &mut C, release: Addr, episode: u64) {
+        c.spin_until(release, episode);
     }
 }
 
@@ -58,31 +72,14 @@ impl BarrierKernel for QsmTreeBarrier {
     }
 
     fn arrive(&self, ctx: &mut dyn ProcCtx, region: &Region, st: &mut BarrierState) {
-        let nprocs = ctx.nprocs();
-        let shape = TreeShape::new(nprocs, self.fan_in);
-        let ep = st.round + 1;
-        let mut level = 0;
-        let mut j = ctx.pid() / self.fan_in;
-        let completed_root = loop {
-            let fan = shape.fan_of(nprocs, self.fan_in, level, j) as u64;
-            let node = Self::node(region, shape.index(level, j));
-            // Monotone grant: complete when the count reaches ep·fan.
-            let arrived = ctx.fetch_add(node, 1);
-            if arrived != ep * fan - 1 {
-                break false;
-            }
-            if level + 1 == shape.levels.len() {
-                break true;
-            }
-            level += 1;
-            j /= self.fan_in;
+        let mut tree = Tree {
+            fan_in: self.fan_in,
+            parties: ctx.nprocs(),
+            region,
         };
-        if completed_root {
-            ctx.fetch_add(Self::epoch(region), 1);
-        } else {
-            ctx.spin_until(Self::epoch(region), ep);
-        }
-        st.round = ep;
+        st.round += 1;
+        let me = ctx.pid();
+        protocol::qsm_tree_arrive(ctx, &mut tree, me, st.round);
     }
 }
 
@@ -123,11 +120,11 @@ mod tests {
         for level in 0..shape.levels.len() {
             for j in 0..shape.levels[level] {
                 let fan = shape.fan_of(p, barrier.fan_in, level, j) as u64;
-                let count = report.memory[QsmTreeBarrier::node(&fix.region, shape.index(level, j))];
+                let count = report.memory[fix.region.slot(1 + shape.index(level, j))];
                 assert_eq!(count, episodes * fan, "node ({level},{j})");
             }
         }
-        assert_eq!(report.memory[QsmTreeBarrier::epoch(&fix.region)], episodes);
+        assert_eq!(report.memory[fix.region.slot(0)], episodes);
     }
 
     #[test]

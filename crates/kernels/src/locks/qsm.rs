@@ -12,8 +12,9 @@
 //!    Because the value only ever advances, the same word supports the
 //!    `await`/`advance` condition-synchronization service (the
 //!    eventcount of `service::protocol`) and the combining barrier
-//!    ([`crate::barriers::qsm_tree`]) with no extra state — the "unified
-//!    mechanism" claim of the title.
+//!    ([`crate::barriers::qsm_tree`], whose climb is
+//!    [`protocol::qsm_tree_arrive`] over a [`protocol::QsmTree`]) with no
+//!    extra state — the "unified mechanism" claim of the title.
 //! 3. **Lost-wakeup freedom by arithmetic**: a waiter records its grant
 //!    value *before* publishing itself; any later increment — even one that
 //!    lands before the waiter starts spinning — leaves the word permanently

@@ -32,10 +32,12 @@
 //! returns a [`Contention`], a semaphore counts through
 //! [`WaitingArray::count`].
 //! The paper's QSM queue lock is here too, over a [`QsmQueue`] that lays
-//! out its nodes and supplies its waits; and the lifecycle of a keyed
-//! table's slots, [`slot_attach`] and [`slot_detach`] over a [`SlotMap`],
-//! with the keyed mutex request on it: [`keyed_lock`] attaches, then
-//! locks; [`keyed_unlock`] unlocks, then detaches.
+//! out its nodes and supplies its waits; its tree barrier, whose climb
+//! [`qsm_tree_arrive`] runs over a [`QsmTree`] that lays out the node
+//! counts and the release and supplies the wait for it; and the lifecycle
+//! of a keyed table's slots, [`slot_attach`] and [`slot_detach`] over a
+//! [`SlotMap`], with the keyed mutex request on it: [`keyed_lock`]
+//! attaches, then locks; [`keyed_unlock`] unlocks, then detaches.
 
 use parking::futex::{ParkingLot, WaitEntry};
 use std::sync::atomic::AtomicU64;
@@ -578,6 +580,97 @@ pub fn qsm_unlock<W: Copy, C: SyncCtx<W> + ?Sized, Q: QsmQueue<W, C>>(
     }
 }
 
+/// Shape of a combining tree over `nprocs` inputs with bounded fan-in.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct TreeShape {
+    /// Node count per level; `levels[0]` are the leaves.
+    pub levels: Vec<usize>,
+}
+
+impl TreeShape {
+    /// Computes the level sizes for `nprocs` inputs with `fan_in`.
+    pub fn new(nprocs: usize, fan_in: usize) -> Self {
+        assert!(fan_in >= 2, "fan-in must be at least 2");
+        assert!(nprocs >= 1);
+        let mut levels = Vec::new();
+        let mut width = nprocs;
+        loop {
+            width = width.div_ceil(fan_in);
+            levels.push(width);
+            if width == 1 {
+                break;
+            }
+        }
+        TreeShape { levels }
+    }
+
+    /// Total number of nodes.
+    pub fn nodes(&self) -> usize {
+        self.levels.iter().sum()
+    }
+
+    /// Flat index of node `j` at `level` (levels stored consecutively).
+    pub fn index(&self, level: usize, j: usize) -> usize {
+        self.levels[..level].iter().sum::<usize>() + j
+    }
+
+    /// Number of children feeding node `j` at `level`, given `nprocs`.
+    pub fn fan_of(&self, nprocs: usize, fan_in: usize, level: usize, j: usize) -> usize {
+        let inputs = if level == 0 {
+            nprocs
+        } else {
+            self.levels[level - 1]
+        };
+        let lo = j * fan_in;
+        let hi = ((j + 1) * fan_in).min(inputs);
+        hi - lo
+    }
+}
+
+/// One QSM combining-tree barrier as a substrate lays it out — a
+/// [`TreeShape`] of nodes, each a monotone arrival count, and a release
+/// eventcount — and waits on it: the `kernels` QSM tree barrier on one
+/// line per word, which memsim and the checker run.
+pub trait QsmTree<W: Copy, C: SyncCtx<W> + ?Sized> {
+    /// The parties that arrive each episode.
+    fn parties(&self) -> usize;
+    /// The most children a node combines (≥ 2).
+    fn fan_in(&self) -> usize;
+    /// Node `n`'s arrival count, `n` a [`TreeShape::index`].
+    fn node(&self, n: usize) -> W;
+    /// The release eventcount: the episodes completed.
+    fn release(&self) -> W;
+    /// Waits until `release` reaches `episode`.
+    fn await_release(&mut self, c: &mut C, release: W, episode: u64);
+}
+
+/// Party `me`'s arrival in `episode` (the first is 1). It counts itself at
+/// its leaf; a node's count only ever advances, so the node completes in
+/// `episode` when its `fan` children have arrived that often, and its last
+/// arriver carries it to the parent, with no reset to race the next
+/// episode. The root's last arriver advances the release; every other
+/// party awaits it. Whether this party released.
+pub fn qsm_tree_arrive<W: Copy, C: SyncCtx<W> + ?Sized, T: QsmTree<W, C>>(
+    c: &mut C,
+    t: &mut T,
+    me: usize,
+    episode: u64,
+) -> bool {
+    let (parties, fan_in) = (t.parties(), t.fan_in());
+    let shape = TreeShape::new(parties, fan_in);
+    let mut j = me / fan_in;
+    for level in 0..shape.levels.len() {
+        let fan = shape.fan_of(parties, fan_in, level, j) as u64;
+        if c.fetch_add(t.node(shape.index(level, j)), 1) != episode * fan - 1 {
+            t.await_release(c, t.release(), episode);
+            return false;
+        }
+        j /= fan_in;
+    }
+    c.fetch_add(t.release(), 1);
+    true
+}
+
 /// The shard of a key → slot map that holds a key, as a substrate lays it
 /// out: each live key bound to a slot, each slot a reference count and the
 /// word its key's primitive synchronizes on, and a critical section around
@@ -701,5 +794,34 @@ mod tests {
         assert!(!seq_ge(5, 6));
         assert!(seq_ge(2, u64::MAX - 2)); // wrapped past zero
         assert!(!seq_ge(u64::MAX - 2, 2));
+    }
+
+    #[test]
+    fn shape_arithmetic() {
+        let s = TreeShape::new(16, 4);
+        assert_eq!(s.levels, vec![4, 1]);
+        assert_eq!(s.nodes(), 5);
+        assert_eq!(s.index(0, 3), 3);
+        assert_eq!(s.index(1, 0), 4);
+        assert_eq!(s.fan_of(16, 4, 0, 0), 4);
+        assert_eq!(s.fan_of(16, 4, 1, 0), 4);
+    }
+
+    #[test]
+    fn shape_handles_ragged_sizes() {
+        let s = TreeShape::new(9, 4);
+        assert_eq!(s.levels, vec![3, 1]);
+        // Leaf 2 combines a single processor (pid 8).
+        assert_eq!(s.fan_of(9, 4, 0, 2), 1);
+        assert_eq!(s.fan_of(9, 4, 1, 0), 3);
+        let tiny = TreeShape::new(1, 4);
+        assert_eq!(tiny.levels, vec![1]);
+        assert_eq!(tiny.fan_of(1, 4, 0, 0), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "fan-in must be at least 2")]
+    fn degenerate_fan_in_rejected() {
+        TreeShape::new(4, 1);
     }
 }
