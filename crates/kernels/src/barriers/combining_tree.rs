@@ -52,26 +52,18 @@ impl BarrierKernel for CombiningTreeBarrier {
     }
 
     fn arrive(&self, ctx: &mut dyn ProcCtx, region: &Region, st: &mut BarrierState) {
-        let nprocs = ctx.nprocs();
-        let shape = TreeShape::new(nprocs, self.fan_in);
         let next_epoch = st.round + 1;
-        let mut level = 0;
-        let mut j = ctx.pid() / self.fan_in;
-        let completed_root = loop {
-            let fan = shape.fan_of(nprocs, self.fan_in, level, j) as u64;
-            let node = Self::node(region, shape.index(level, j));
-            let arrived = ctx.fetch_add(node, 1);
-            if arrived != fan - 1 {
-                break false; // someone else carries this node upward
+        let path = TreeShape::root_path(ctx.nprocs(), self.fan_in, ctx.pid());
+        let mut completed_root = true;
+        for (n, fan) in path {
+            let node = Self::node(region, n);
+            if ctx.fetch_add(node, 1) != fan as u64 - 1 {
+                completed_root = false; // someone else carries this node upward
+                break;
             }
             // Node complete: reset it for the next episode and ascend.
             ctx.store(node, 0);
-            if level + 1 == shape.levels.len() {
-                break true;
-            }
-            level += 1;
-            j /= self.fan_in;
-        };
+        }
         if completed_root {
             ctx.store(Self::epoch(region), next_epoch);
         } else {

@@ -116,14 +116,16 @@ mod tests {
             .unwrap();
         // Every node's final count is exactly episodes × fan; the epoch is
         // exactly the number of episodes. Nothing was ever reset.
-        let shape = TreeShape::new(p, barrier.fan_in);
-        for level in 0..shape.levels.len() {
-            for j in 0..shape.levels[level] {
-                let fan = shape.fan_of(p, barrier.fan_in, level, j) as u64;
-                let count = report.memory[fix.region.slot(1 + shape.index(level, j))];
-                assert_eq!(count, episodes * fan, "node ({level},{j})");
+        let nodes = TreeShape::new(p, barrier.fan_in).nodes();
+        let mut checked = vec![false; nodes];
+        for pid in 0..p {
+            for (n, fan) in TreeShape::root_path(p, barrier.fan_in, pid) {
+                let count = report.memory[fix.region.slot(1 + n)];
+                assert_eq!(count, episodes * fan as u64, "node {n}");
+                checked[n] = true;
             }
         }
+        assert!(checked.iter().all(|&c| c), "every node is on a path");
         assert_eq!(report.memory[fix.region.slot(0)], episodes);
     }
 

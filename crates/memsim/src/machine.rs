@@ -198,7 +198,7 @@ impl Machine {
         // `futex_parks` counts park-side entries, `futex_woken` counts the
         // waker-side dequeues, and an imbalance means a waiter finished the
         // run while still in the futex queue (engine bookkeeping bug).
-        debug_assert_eq!(
+        assert_eq!(
             core.metrics.futex_parks(),
             core.metrics.futex_woken(),
             "futex park/wake balance violated on a completed run"

@@ -581,6 +581,8 @@ pub fn qsm_unlock<W: Copy, C: SyncCtx<W> + ?Sized, Q: QsmQueue<W, C>>(
 }
 
 /// Shape of a combining tree over `nprocs` inputs with bounded fan-in.
+/// Nodes are numbered level by level from the leaves, so the root is the
+/// last.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TreeShape {
     /// Node count per level; `levels[0]` are the leaves.
@@ -609,21 +611,32 @@ impl TreeShape {
         self.levels.iter().sum()
     }
 
-    /// Flat index of node `j` at `level` (levels stored consecutively).
-    pub fn index(&self, level: usize, j: usize) -> usize {
-        self.levels[..level].iter().sum::<usize>() + j
-    }
-
-    /// Number of children feeding node `j` at `level`, given `nprocs`.
-    pub fn fan_of(&self, nprocs: usize, fan_in: usize, level: usize, j: usize) -> usize {
-        let inputs = if level == 0 {
-            nprocs
-        } else {
-            self.levels[level - 1]
-        };
-        let lo = j * fan_in;
-        let hi = ((j + 1) * fan_in).min(inputs);
-        hi - lo
+    /// The nodes from input `input`'s leaf up to the root, each as
+    /// `(node index, fan)`: its number, and how many children feed it.
+    /// Walked arithmetically, with no shape built.
+    pub fn root_path(
+        nprocs: usize,
+        fan_in: usize,
+        input: usize,
+    ) -> impl Iterator<Item = (usize, usize)> {
+        assert!(fan_in >= 2, "fan-in must be at least 2");
+        assert!(input < nprocs, "input {input} of {nprocs}");
+        // The next level's inputs (0 once the root is yielded), the path's
+        // child among them, and the index of that level's first node.
+        let (mut inputs, mut child, mut base) = (nprocs, input, 0);
+        std::iter::from_fn(move || {
+            if inputs == 0 {
+                return None;
+            }
+            let width = inputs.div_ceil(fan_in);
+            let j = child / fan_in;
+            let first = j * fan_in;
+            let fan = (first + fan_in).min(inputs) - first;
+            let node = base + j;
+            (base, child) = (base + width, j);
+            inputs = if width == 1 { 0 } else { width };
+            Some((node, fan))
+        })
     }
 }
 
@@ -636,7 +649,7 @@ pub trait QsmTree<W: Copy, C: SyncCtx<W> + ?Sized> {
     fn parties(&self) -> usize;
     /// The most children a node combines (≥ 2).
     fn fan_in(&self) -> usize;
-    /// Node `n`'s arrival count, `n` a [`TreeShape::index`].
+    /// Node `n`'s arrival count, `n` a node index of [`TreeShape::root_path`].
     fn node(&self, n: usize) -> W;
     /// The release eventcount: the episodes completed.
     fn release(&self) -> W;
@@ -656,16 +669,11 @@ pub fn qsm_tree_arrive<W: Copy, C: SyncCtx<W> + ?Sized, T: QsmTree<W, C>>(
     me: usize,
     episode: u64,
 ) -> bool {
-    let (parties, fan_in) = (t.parties(), t.fan_in());
-    let shape = TreeShape::new(parties, fan_in);
-    let mut j = me / fan_in;
-    for level in 0..shape.levels.len() {
-        let fan = shape.fan_of(parties, fan_in, level, j) as u64;
-        if c.fetch_add(t.node(shape.index(level, j)), 1) != episode * fan - 1 {
+    for (node, fan) in TreeShape::root_path(t.parties(), t.fan_in(), me) {
+        if c.fetch_add(t.node(node), 1) != episode * fan as u64 - 1 {
             t.await_release(c, t.release(), episode);
             return false;
         }
-        j /= fan_in;
     }
     c.fetch_add(t.release(), 1);
     true
@@ -801,22 +809,42 @@ mod tests {
         let s = TreeShape::new(16, 4);
         assert_eq!(s.levels, vec![4, 1]);
         assert_eq!(s.nodes(), 5);
-        assert_eq!(s.index(0, 3), 3);
-        assert_eq!(s.index(1, 0), 4);
-        assert_eq!(s.fan_of(16, 4, 0, 0), 4);
-        assert_eq!(s.fan_of(16, 4, 1, 0), 4);
+        let path: Vec<_> = TreeShape::root_path(16, 4, 13).collect();
+        assert_eq!(path, [(3, 4), (4, 4)]);
+        assert_eq!(TreeShape::root_path(16, 4, 0).next(), Some((0, 4)));
     }
 
     #[test]
     fn shape_handles_ragged_sizes() {
         let s = TreeShape::new(9, 4);
         assert_eq!(s.levels, vec![3, 1]);
-        // Leaf 2 combines a single processor (pid 8).
-        assert_eq!(s.fan_of(9, 4, 0, 2), 1);
-        assert_eq!(s.fan_of(9, 4, 1, 0), 3);
+        // Leaf 2 combines a single processor (pid 8); the root three leaves.
+        let path: Vec<_> = TreeShape::root_path(9, 4, 8).collect();
+        assert_eq!(path, [(2, 1), (3, 3)]);
         let tiny = TreeShape::new(1, 4);
         assert_eq!(tiny.levels, vec![1]);
-        assert_eq!(tiny.fan_of(1, 4, 0, 0), 1);
+        assert_eq!(TreeShape::root_path(1, 4, 0).collect::<Vec<_>>(), [(0, 1)]);
+        // Every input's path ends at the root, the last node. Every node
+        // is on a path, with one fan; the leaves' fans count each input
+        // once, and all fans count each input and each non-root node once.
+        for (nprocs, fan_in) in [(9, 4), (17, 2), (64, 4), (65, 3)] {
+            let nodes = TreeShape::new(nprocs, fan_in).nodes();
+            let mut fan = vec![None; nodes];
+            for input in 0..nprocs {
+                let path: Vec<_> = TreeShape::root_path(nprocs, fan_in, input).collect();
+                assert_eq!(path.last().map(|&(n, _)| n), Some(nodes - 1));
+                for (n, f) in path {
+                    assert!(*fan[n].get_or_insert(f) == f, "node {n} has one fan");
+                }
+            }
+            let leaves = TreeShape::new(nprocs, fan_in).levels[0];
+            let fans: Vec<usize> = fan
+                .iter()
+                .map(|f| f.expect("every node is on a path"))
+                .collect();
+            assert_eq!(fans[..leaves].iter().sum::<usize>(), nprocs);
+            assert_eq!(fans.iter().sum::<usize>(), nprocs + nodes - 1);
+        }
     }
 
     #[test]

@@ -26,12 +26,21 @@
 //! [`Handle::timeout`] wraps a future with a virtual deadline and **drops
 //! it** on expiry — in this codebase cancellation *is* drop, so a timeout
 //! is nothing more than a race against a [`Sleep`].
+//!
+//! Both kinds of scheduled event — wake-cost re-polls and sleep expiries —
+//! sit in one heap ordered by `(time, seq)`, on a clock that only the
+//! polling thread touches, so [`Handle`] and [`Sleep`] are not `Send`.
+//! The one thing that crosses threads is the queue of woken task ids
+//! behind each [`Waker`]: a `Waker` must be `Send + Sync`, and a thread
+//! blocked in the service may wake a task through the lot they share.
 
+use std::cell::{Cell, RefCell};
 use std::cmp::Reverse;
+use std::collections::binary_heap::PeekMut;
 use std::collections::{BinaryHeap, VecDeque};
 use std::future::Future;
 use std::pin::Pin;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::rc::Rc;
 use std::sync::{Arc, Mutex};
 use std::task::{Context, Poll, Waker};
 
@@ -40,47 +49,70 @@ use std::task::{Context, Poll, Waker};
 /// constant grant cost of `service_load::sim_load`'s model.
 pub const WAKE_COST: u64 = 40;
 
-/// State shared between the executor, its wakers, and its timers.
-struct Shared {
-    /// The virtual clock, in cycles.
-    now: AtomicU64,
+/// Task ids whose wakers fired since the executor last drained them.
+type Woken = Arc<Mutex<Vec<usize>>>;
+
+const POISONED: &str = "no code panics holding the waker queue";
+
+/// The virtual clock and everything scheduled on it, shared between the
+/// executor, its handles and its sleeps.
+#[derive(Default)]
+struct Clock {
+    /// The virtual time, in cycles.
+    now: Cell<u64>,
     /// Global tie-break sequence for scheduled events of both kinds.
-    seq: AtomicU64,
-    /// Task ids whose wakers fired since the last drain.
-    woken: Mutex<Vec<usize>>,
-    /// Pending sleeps: min-heap on (deadline, seq).
-    timers: Mutex<BinaryHeap<Reverse<TimerEntry>>>,
+    seq: Cell<u64>,
+    /// Scheduled events: min-heap on (time, seq).
+    events: RefCell<BinaryHeap<Reverse<Event>>>,
 }
 
-impl Shared {
-    fn next_seq(&self) -> u64 {
-        self.seq.fetch_add(1, Ordering::SeqCst)
+impl Clock {
+    fn schedule(&self, at: u64, kind: EventKind) {
+        let seq = self.seq.get();
+        self.seq.set(seq + 1);
+        let event = Event { at, seq, kind };
+        self.events.borrow_mut().push(Reverse(event));
+    }
+
+    /// Removes the earliest event if it is due by `t`.
+    fn pop_due(&self, t: u64) -> Option<Event> {
+        let mut events = self.events.borrow_mut();
+        let next = events.peek_mut()?;
+        (next.0.at <= t).then(|| PeekMut::pop(next).0)
     }
 }
 
-/// A scheduled sleep expiry. Ordered by (deadline, seq) only; the waker
-/// rides along.
-struct TimerEntry {
+/// A scheduled event. Ordered by (time, seq) only; `seq` is unique, so
+/// the order is total.
+struct Event {
     at: u64,
     seq: u64,
-    waker: Waker,
+    kind: EventKind,
 }
 
-impl PartialEq for TimerEntry {
+enum EventKind {
+    /// A wake-cost re-poll of `task`, whose waker fired at `woke_at` (for
+    /// the wake-to-poll histogram).
+    Resume { task: usize, woke_at: u64 },
+    /// A sleep's expiry: wakes the sleeping task.
+    Expire(Waker),
+}
+
+impl PartialEq for Event {
     fn eq(&self, other: &Self) -> bool {
         (self.at, self.seq) == (other.at, other.seq)
     }
 }
 
-impl Eq for TimerEntry {}
+impl Eq for Event {}
 
-impl PartialOrd for TimerEntry {
+impl PartialOrd for Event {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
     }
 }
 
-impl Ord for TimerEntry {
+impl Ord for Event {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         (self.at, self.seq).cmp(&(other.at, other.seq))
     }
@@ -92,12 +124,12 @@ impl Ord for TimerEntry {
 /// never do.
 struct TaskWaker {
     id: usize,
-    shared: Arc<Shared>,
+    woken: Woken,
 }
 
 impl std::task::Wake for TaskWaker {
     fn wake(self: Arc<Self>) {
-        self.shared.woken.lock().unwrap().push(self.id);
+        self.woken.lock().expect(POISONED).push(self.id);
     }
 }
 
@@ -135,15 +167,11 @@ struct Task<'a> {
 
 /// The executor. See the module docs for the discipline.
 pub struct Executor<'a> {
-    shared: Arc<Shared>,
+    clock: Rc<Clock>,
+    woken: Woken,
     tasks: Vec<Option<Task<'a>>>,
     ready: VecDeque<usize>,
-    /// Wake-cost re-polls: min-heap on (time, seq, task id, wake time).
-    /// The trailing wake timestamp rides along for the wake-to-poll
-    /// histogram; (time, seq) stays the unique ordering key.
-    resumes: BinaryHeap<Reverse<(u64, u64, usize, u64)>>,
     wake_cost: u64,
-    unfinished: usize,
     metrics: ExecutorMetrics,
 }
 
@@ -157,17 +185,11 @@ impl<'a> Executor<'a> {
     /// An executor whose waker-wakes cost `wake_cost` virtual cycles.
     pub fn new(wake_cost: u64) -> Self {
         Executor {
-            shared: Arc::new(Shared {
-                now: AtomicU64::new(0),
-                seq: AtomicU64::new(0),
-                woken: Mutex::new(Vec::new()),
-                timers: Mutex::new(BinaryHeap::new()),
-            }),
+            clock: Rc::default(),
+            woken: Woken::default(),
             tasks: Vec::new(),
             ready: VecDeque::new(),
-            resumes: BinaryHeap::new(),
             wake_cost,
-            unfinished: 0,
             metrics: ExecutorMetrics::default(),
         }
     }
@@ -180,13 +202,13 @@ impl<'a> Executor<'a> {
     /// A clock/timer handle, cloneable into tasks.
     pub fn handle(&self) -> Handle {
         Handle {
-            shared: Arc::clone(&self.shared),
+            clock: Rc::clone(&self.clock),
         }
     }
 
     /// The current virtual time.
     pub fn now(&self) -> u64 {
-        self.shared.now.load(Ordering::SeqCst)
+        self.clock.now.get()
     }
 
     /// Spawns a task; it is polled first at the current virtual time, in
@@ -195,14 +217,13 @@ impl<'a> Executor<'a> {
         let id = self.tasks.len();
         let waker = Waker::from(Arc::new(TaskWaker {
             id,
-            shared: Arc::clone(&self.shared),
+            woken: Arc::clone(&self.woken),
         }));
         self.tasks.push(Some(Task {
             fut: Box::pin(fut),
             waker,
         }));
         self.ready.push_back(id);
-        self.unfinished += 1;
         id
     }
 
@@ -215,72 +236,41 @@ impl<'a> Executor<'a> {
             // Price the wakes fired during the last poll: each woken task
             // is re-polled wake_cost cycles from now.
             let now = self.now();
-            for id in self.shared.woken.lock().unwrap().drain(..) {
-                self.resumes.push(Reverse((
-                    now + self.wake_cost,
-                    self.shared.next_seq(),
-                    id,
-                    now,
-                )));
+            for task in self.woken.lock().expect(POISONED).drain(..) {
+                let resume = EventKind::Resume { task, woke_at: now };
+                self.clock.schedule(now + self.wake_cost, resume);
             }
             if let Some(id) = self.ready.pop_front() {
                 self.poll_task(id);
                 continue;
             }
             // Idle: jump the clock to the next scheduled event and
-            // dispatch everything due, merging the two heaps in global
-            // (time, seq) order.
-            let next_resume = self.resumes.peek().map(|Reverse((t, s, ..))| (*t, *s));
-            let next_timer = {
-                let timers = self.shared.timers.lock().unwrap();
-                timers.peek().map(|Reverse(e)| (e.at, e.seq))
-            };
-            let Some((t, _)) = [next_resume, next_timer].into_iter().flatten().min() else {
-                return if self.unfinished == 0 {
+            // dispatch everything due, in (time, seq) order.
+            let next = self.clock.events.borrow().peek().map(|e| e.0.at);
+            let Some(t) = next else {
+                let unfinished: Vec<usize> = (0..self.tasks.len())
+                    .filter(|&i| self.tasks[i].is_some())
+                    .collect();
+                return if unfinished.is_empty() {
                     Outcome::Completed
                 } else {
-                    Outcome::Stalled {
-                        unfinished: (0..self.tasks.len())
-                            .filter(|&i| self.tasks[i].is_some())
-                            .collect(),
-                    }
+                    Outcome::Stalled { unfinished }
                 };
             };
             debug_assert!(t >= now, "scheduled events never predate the clock");
-            self.shared.now.store(t, Ordering::SeqCst);
-            loop {
-                let due_resume = self
-                    .resumes
-                    .peek()
-                    .filter(|Reverse((at, ..))| *at <= t)
-                    .map(|Reverse((at, s, ..))| (*at, *s));
-                let due_timer = {
-                    let timers = self.shared.timers.lock().unwrap();
-                    timers
-                        .peek()
-                        .filter(|Reverse(e)| e.at <= t)
-                        .map(|Reverse(e)| (e.at, e.seq))
-                };
-                let take_resume = match (due_resume, due_timer) {
-                    (None, None) => break,
-                    (Some(_), None) => true,
-                    (None, Some(_)) => false,
-                    (Some(r), Some(tm)) => r < tm,
-                };
-                if take_resume {
-                    let Reverse((at, _, id, woke_at)) = self.resumes.pop().expect("peeked");
-                    self.metrics.wake_to_poll.record(at.saturating_sub(woke_at));
-                    self.ready.push_back(id);
-                } else {
-                    let entry = {
-                        let mut timers = self.shared.timers.lock().unwrap();
-                        timers.pop().expect("peeked").0
-                    };
-                    entry.waker.wake();
-                    // A timer expiry is time passing, not a futex wake:
-                    // the woken task is ready *now*, cost-free.
-                    for id in self.shared.woken.lock().unwrap().drain(..) {
-                        self.ready.push_back(id);
+            self.clock.now.set(t);
+            while let Some(event) = self.clock.pop_due(t) {
+                match event.kind {
+                    EventKind::Resume { task, woke_at } => {
+                        self.metrics.wake_to_poll.record(event.at - woke_at);
+                        self.ready.push_back(task);
+                    }
+                    EventKind::Expire(waker) => {
+                        waker.wake();
+                        // A timer expiry is time passing, not a futex
+                        // wake: the woken task is ready *now*, cost-free.
+                        self.ready
+                            .extend(self.woken.lock().expect(POISONED).drain(..));
                     }
                 }
             }
@@ -296,7 +286,6 @@ impl<'a> Executor<'a> {
         let mut cx = Context::from_waker(&task.waker);
         if task.fut.as_mut().poll(&mut cx).is_ready() {
             self.tasks[id] = None;
-            self.unfinished -= 1;
         }
     }
 }
@@ -304,13 +293,13 @@ impl<'a> Executor<'a> {
 /// Clock and timer access for tasks; clone freely.
 #[derive(Clone)]
 pub struct Handle {
-    shared: Arc<Shared>,
+    clock: Rc<Clock>,
 }
 
 impl Handle {
     /// The current virtual time.
     pub(crate) fn now(&self) -> u64 {
-        self.shared.now.load(Ordering::SeqCst)
+        self.clock.now.get()
     }
 
     /// Resolves `cycles` of virtual time from now.
@@ -322,7 +311,7 @@ impl Handle {
     /// already has).
     pub fn sleep_until(&self, at: u64) -> Sleep {
         Sleep {
-            shared: Arc::clone(&self.shared),
+            clock: Rc::clone(&self.clock),
             at,
             registered: false,
         }
@@ -342,7 +331,7 @@ impl Handle {
 /// Future of [`Handle::sleep`]/[`Handle::sleep_until`].
 #[must_use = "futures do nothing unless polled"]
 pub struct Sleep {
-    shared: Arc<Shared>,
+    clock: Rc<Clock>,
     at: u64,
     registered: bool,
 }
@@ -352,18 +341,14 @@ impl Future for Sleep {
 
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
         let this = self.get_mut();
-        if this.shared.now.load(Ordering::SeqCst) >= this.at {
+        if this.clock.now.get() >= this.at {
             return Poll::Ready(());
         }
         if !this.registered {
             // One registration suffices: the sleep belongs to one task,
             // so later polls carry a waker for the same task.
-            let seq = this.shared.next_seq();
-            this.shared.timers.lock().unwrap().push(Reverse(TimerEntry {
-                at: this.at,
-                seq,
-                waker: cx.waker().clone(),
-            }));
+            this.clock
+                .schedule(this.at, EventKind::Expire(cx.waker().clone()));
             this.registered = true;
         }
         Poll::Pending
@@ -435,6 +420,45 @@ mod tests {
         assert_eq!(ex.run(), Outcome::Completed);
         assert_eq!(ex.now(), 30);
         assert_eq!(*log.borrow(), vec![(10, 1), (20, 2), (30, 0)]);
+    }
+
+    #[test]
+    fn a_repoll_and_an_expiry_due_together_dispatch_in_seq_order() {
+        // A task that wakes itself at t = 0 is re-polled at t = 10, the
+        // deadline of a sleep made at t = 0 too. The event scheduled
+        // first, by the task spawned first, is dispatched first.
+        for first in ["re-poll", "expiry"] {
+            let log = &RefCell::new(Vec::new());
+            let mut ex = Executor::new(10);
+            let h = ex.handle();
+            let waker = async move {
+                let mut woken = false;
+                std::future::poll_fn(|cx| {
+                    if std::mem::replace(&mut woken, true) {
+                        return Poll::Ready(());
+                    }
+                    cx.waker().wake_by_ref();
+                    Poll::Pending
+                })
+                .await;
+                log.borrow_mut().push("re-poll");
+            };
+            let sleeper = async move {
+                h.sleep_until(10).await;
+                log.borrow_mut().push("expiry");
+            };
+            if first == "re-poll" {
+                ex.spawn(waker);
+                ex.spawn(sleeper);
+            } else {
+                ex.spawn(sleeper);
+                ex.spawn(waker);
+            }
+            assert_eq!(ex.run(), Outcome::Completed);
+            assert_eq!(ex.now(), 10);
+            drop(ex);
+            assert_eq!(log.take()[0], first);
+        }
     }
 
     #[test]

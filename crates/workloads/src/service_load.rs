@@ -563,7 +563,7 @@ pub fn async_load_with_metrics(
     let polls = ex.metrics().polls;
     let wake_to_poll = ex.metrics().wake_to_poll.clone();
     drop(ex);
-    debug_assert_eq!(svc.stats().live, 0, "all keys retired at drain");
+    assert_eq!(svc.stats().live, 0, "all keys retired at drain");
     let snapshot = svc.metrics_snapshot();
     let t = tally.into_inner();
     AsyncMetricsReport {
