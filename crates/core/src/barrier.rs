@@ -1,8 +1,10 @@
 //! The QSM barrier: reset-free and reusable, its round a monotone counter.
 
-use crate::sync::{global_lot, AtomicU64, Ordering};
 use crate::CachePadded;
-use service::protocol;
+use parking::futex::global_lot;
+use service::protocol::{self, Step};
+use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
+use syncctx::SyncCtx;
 
 /// Result of one barrier crossing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -33,7 +35,8 @@ impl BarrierWaitResult {
 /// Arrival and wait are `service::protocol`'s barrier steps, the ones the
 /// checker runs (`interleave::corpus`), over the process-global lot
 /// ([`parking::futex::global_lot`]); a waiter spins for what a park there
-/// costs before the first of them parks.
+/// costs, looking by the same [`protocol::barrier_step`], before the first
+/// of them parks.
 #[derive(Debug)]
 pub struct QsmBarrier {
     word: CachePadded<AtomicU64>,
@@ -68,10 +71,12 @@ impl QsmBarrier {
             // so the word still shows the round it just opened.
             return BarrierWaitResult {
                 is_leader: true,
-                epoch: word.load(Ordering::Acquire) >> 32,
+                epoch: word.load(SeqCst) >> 32,
             };
         };
-        lot.spin(|| word.load(Ordering::Acquire) >> 32 != round);
+        SyncCtx::spin(&mut lot, |c| {
+            matches!(protocol::barrier_step(c, word, round), Step::Ready(()))
+        });
         protocol::barrier_wait(&mut lot, word, round);
         BarrierWaitResult {
             is_leader: false,
@@ -175,7 +180,7 @@ mod tests {
     #[test]
     fn epoch_wraps_at_two_to_the_32() {
         let b = QsmBarrier::new(1);
-        b.word.store(u64::from(u32::MAX) << 32, Ordering::Relaxed);
+        b.word.store(u64::from(u32::MAX) << 32, SeqCst);
         assert_eq!(b.wait().epoch(), 0);
         assert_eq!(b.wait().epoch(), 1);
     }

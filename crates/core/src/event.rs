@@ -1,8 +1,9 @@
 //! Eventcounts and sequencers — the condition-synchronization service.
 
-use crate::sync::{global_lot, AtomicU64, Ordering};
 use crate::CachePadded;
+use parking::futex::global_lot;
 use service::protocol;
+use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
 
 /// A monotone eventcount (Reed & Kanodia): producers `advance`, consumers
 /// `await_at_least`. The count never decreases, so a waiter can never miss
@@ -28,7 +29,7 @@ impl EventCount {
 
     /// Current value.
     pub fn read(&self) -> u64 {
-        self.count.load(Ordering::Acquire)
+        self.count.load(SeqCst)
     }
 
     /// Increments the count, releasing everything written before the
@@ -70,12 +71,12 @@ impl Sequencer {
 
     /// Takes the next turn number (starting from 0).
     pub fn ticket(&self) -> u64 {
-        self.next.fetch_add(1, Ordering::Relaxed)
+        self.next.fetch_add(1, SeqCst)
     }
 
     /// Turn numbers handed out so far.
     pub fn issued(&self) -> u64 {
-        self.next.load(Ordering::Relaxed)
+        self.next.load(SeqCst)
     }
 }
 

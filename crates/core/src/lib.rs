@@ -33,11 +33,14 @@
 //!
 //! Each primitive is a thin wrapper over `service::protocol`, the code
 //! `interleave::corpus` checks exhaustively: [`EventCount`] and
-//! [`QsmBarrier`] run its eventcount and barrier steps, and [`Qsm`] its
-//! queue lock (`protocol::qsm_lock` / `qsm_unlock`), which the checker runs
-//! over nodes it allocates fresh per acquisition and poisons where `Qsm`
-//! frees them. All of it is `SeqCst`, so the checker's sequentially
-//! consistent verdicts are about the orderings shipped. This crate's code
+//! [`QsmBarrier`] run its eventcount and barrier steps (the barrier's
+//! pre-park spin looks by `protocol::barrier_step` too), and [`Qsm`] its
+//! queue lock (`protocol::qsm_lock` / `qsm_unlock`) and grant wait
+//! (`protocol::qsm_await_grant`), which the checker runs over nodes it
+//! allocates fresh per acquisition and poisons where `Qsm` frees them.
+//! Every atomic access outside the tests is `SeqCst` (CI greps for any
+//! other ordering), so the checker's sequentially consistent verdicts are
+//! about the orderings shipped. This crate's code
 //! is also stressed on real threads by its tests and
 //! `tests/realhw_stress.rs` (the QSM mutex over a plain cell, the barrier,
 //! an eventcount/sequencer queue), which CI's nightly ThreadSanitizer job
@@ -76,11 +79,3 @@ pub use event::{EventCount, Sequencer};
 pub use mutex::{Mutex, MutexGuard};
 pub use parking::CachePadded;
 pub use qsm::Qsm;
-
-/// What every primitive in the crate is built on: `std`'s atomics and
-/// yield, and the lot their waiters park in.
-pub(crate) mod sync {
-    pub(crate) use parking::futex::{addr_of, global_lot};
-    pub(crate) use std::sync::atomic::{AtomicU64, Ordering};
-    pub(crate) use std::thread::yield_now;
-}

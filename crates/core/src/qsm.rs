@@ -15,20 +15,23 @@
 //! [`protocol::qsm_try_lock`], [`protocol::qsm_unlock`]), the code the
 //! checker runs (`interleave::corpus`) and the `kernels` QSM kernel
 //! instantiates; this file supplies its words — heap nodes, named by
-//! address — and its waits. A queued waiter probes its grant word for what
-//! a park in the process-global lot costs
-//! ([`parking::futex::ParkingLot::spin`]), yielding its core after each
-//! failed look, and then parks on it.
+//! address, every access `SeqCst` — and the lot they wait in. A queued
+//! waiter waits by [`protocol::qsm_await_grant`], the checker's grant wait
+//! too: it probes its grant word for what a park in the process-global lot
+//! costs ([`parking::futex::ParkingLot::spin`]), yielding its core after
+//! each failed look, and then parks on it.
 //!
 //! In this per-acquisition-node edition each node's grant starts at zero
 //! and receives exactly one increment; the monotone-count behaviour across
 //! acquisitions is carried by the persistent-node variant in `kernels` and
 //! by [`crate::QsmBarrier`]'s reset-free round.
 
-use crate::sync::{addr_of, global_lot, yield_now, AtomicU64, Ordering::SeqCst};
 use crate::CachePadded;
+use parking::futex::{addr_of, global_lot};
 use service::protocol::{self, QsmQueue};
 use std::mem::offset_of;
+use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
+use std::thread::yield_now;
 use syncctx::{Addr, SyncCtx, Waited, Word};
 
 /// One queue node: explicit link + grant eventcount.
@@ -156,7 +159,17 @@ impl SyncCtx for Lot {
         global_lot().wake_addr(w, n)
     }
     fn spin(&mut self, mut probe: impl FnMut(&mut Self) -> bool) -> bool {
-        global_lot().spin(|| probe(self))
+        // Only the grant wait spins, and a grant names one waiter, so
+        // spinning on it only keeps the holder and the waiters ahead of it
+        // off the cores: each failed look yields. (Lock/unlock at 4 threads
+        // per core of a 2-vCPU Xeon: 7.2 µs an acquisition without the
+        // yield, 1.6 µs with it.)
+        global_lot().spin(|| {
+            probe(self) || {
+                yield_now();
+                false
+            }
+        })
     }
 }
 
@@ -174,19 +187,7 @@ impl QsmQueue<Addr, Lot> for &Qsm {
         (new_node(), 0)
     }
     fn await_grant(&mut self, c: &mut Lot, grant: Addr, recorded: u64) {
-        // The grant names this one waiter, so spinning on it only keeps the
-        // holder and the waiters ahead of it off the cores: each failed
-        // look yields. (Lock/unlock at 4 threads per core of a 2-vCPU Xeon:
-        // 7.2 µs an acquisition without the yield, 1.6 µs with it.)
-        let granted = c.spin(|c| {
-            c.load(grant) != recorded || {
-                yield_now();
-                false
-            }
-        });
-        if !granted {
-            while c.wait(grant, recorded, None).seen == recorded {}
-        }
+        protocol::qsm_await_grant(c, grant, recorded);
     }
     fn await_link(&mut self, c: &mut Lot, next: Addr) -> u64 {
         // A successor has swapped the tail but not yet linked; its store

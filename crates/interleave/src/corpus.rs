@@ -636,9 +636,10 @@ pub fn flag_handshake_program(fixed: bool) -> Program {
 /// `qsm::Qsm`'s queue in a checked program: the tail (word 0), a
 /// critical-section counter (word 1), and node `n`'s `next` and `grant` at
 /// words `2n` and `2n + 1`. Like `Qsm`, each acquisition takes a fresh node
-/// (thread `t`'s `k`-th is `t * iters + k + 1`), spins — one probe here —
-/// then parks, and at `Qsm`'s free point [`QsmNodes::free`] poisons the
-/// node's words, which nobody may write again ([`qsm_nodes_freed`]).
+/// (thread `t`'s `k`-th is `t * iters + k + 1`), waits by the grant wait
+/// `Qsm` ships, `protocol::qsm_await_grant` (its spin one probe here), and
+/// at `Qsm`'s free point [`QsmNodes::free`] poisons the node's words,
+/// which nobody may write again ([`qsm_nodes_freed`]).
 #[derive(Debug)]
 pub struct QsmNodes {
     /// The last node handed out.
@@ -673,10 +674,7 @@ impl<'c> QsmQueue<Addr, Chk<'c>> for QsmNodes {
         (self.taken, 0)
     }
     fn await_grant(&mut self, c: &mut Chk<'c>, grant: Addr, recorded: Word) {
-        let granted = c.spin(|c| c.load(grant) != recorded);
-        if !granted {
-            while c.wait(grant, recorded, None).seen == recorded {}
-        }
+        protocol::qsm_await_grant(c, grant, recorded);
     }
     fn await_link(&mut self, c: &mut Chk<'c>, next: Addr) -> Word {
         c.ctx.spin_while(next, 0)

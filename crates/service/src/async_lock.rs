@@ -33,8 +33,8 @@
 //! global order, so the wait-for graph cannot cycle.
 
 use crate::protocol::{self, CONTENDED, HELD};
-use crate::table::{SlotKind, SlotRef, TableStats};
-use crate::telemetry::{MetricsMode, MetricsSnapshot, Primitive, ServiceMetrics};
+use crate::table::{SlotKind, SlotRef};
+use crate::telemetry::{MetricsMode, Primitive, ServiceMetrics};
 use crate::{EventKey, KeyGuard, LockService};
 use parking::futex::WaitEntry;
 use std::future::Future;
@@ -59,7 +59,7 @@ impl Default for AsyncLockService {
 impl AsyncLockService {
     /// A service with [`crate::DEFAULT_SHARDS`] shards.
     pub fn new() -> Self {
-        Self::from_sync(LockService::new())
+        Self::with_shards(crate::DEFAULT_SHARDS)
     }
 
     /// A service with an explicit shard count (rounded up to a power of
@@ -69,39 +69,29 @@ impl AsyncLockService {
     ///
     /// If `shards` is zero.
     pub fn with_shards(shards: usize) -> Self {
-        Self::from_sync(LockService::with_shards(shards))
+        AsyncLockService {
+            sync: LockService::with_shards(shards),
+        }
     }
 
     /// [`AsyncLockService::with_shards`] with an explicit telemetry mode;
     /// see [`LockService::with_metrics_mode`].
     pub fn with_metrics_mode(shards: usize, mode: MetricsMode) -> Self {
-        Self::from_sync(LockService::with_metrics_mode(shards, mode))
+        AsyncLockService {
+            sync: LockService::with_metrics_mode(shards, mode),
+        }
     }
 
-    /// Wraps an existing blocking service; sync and async callers then
-    /// share every key.
-    pub fn from_sync(sync: LockService) -> Self {
-        AsyncLockService { sync }
-    }
-
-    /// The blocking half, for threads living alongside the tasks.
+    /// The blocking half, sharing every key: table stats, telemetry
+    /// snapshots, `try_lock`, eventcount handles (their async wait is
+    /// [`EventKey::wait_for`]), and threads living alongside the tasks.
     pub fn sync(&self) -> &LockService {
         &self.sync
-    }
-
-    /// The backing table's occupancy counters.
-    pub fn stats(&self) -> TableStats {
-        self.sync.stats()
     }
 
     /// The telemetry instance this service records into.
     pub fn metrics(&self) -> &Arc<ServiceMetrics> {
         self.sync.metrics()
-    }
-
-    /// See [`LockService::metrics_snapshot`].
-    pub fn metrics_snapshot(&self) -> MetricsSnapshot {
-        self.sync.metrics_snapshot()
     }
 
     /// Acquires the mutex for `key` asynchronously. The future attaches
@@ -115,11 +105,6 @@ impl AsyncLockService {
             contended: false,
             started: None,
         }
-    }
-
-    /// Acquires the mutex for `key` iff it is free right now.
-    pub fn try_lock(&self, key: u64) -> Option<KeyGuard<'_>> {
-        self.sync.try_lock(key)
     }
 
     /// Acquires every key in `keys` without deadlock risk: the keys are
@@ -149,12 +134,6 @@ impl AsyncLockService {
             acquired: Vec::new(),
             current: None,
         }
-    }
-
-    /// A handle to `key`'s eventcount; [`EventKey::wait_for`] is the
-    /// async counterpart of `await_at_least`.
-    pub fn eventcount(&self, key: u64) -> EventKey<'_> {
-        self.sync.eventcount(key)
     }
 
     /// Waits at the barrier for `key` asynchronously until `parties`
@@ -476,10 +455,10 @@ pub(crate) mod tests {
         {
             let g = block_on(svc.lock(7));
             assert_eq!(g.key(), 7);
-            assert!(svc.try_lock(7).is_none());
+            assert!(svc.sync().try_lock(7).is_none());
         }
-        assert!(svc.try_lock(7).is_some());
-        assert_eq!(svc.stats().live, 0);
+        assert!(svc.sync().try_lock(7).is_some());
+        assert_eq!(svc.sync().stats().live, 0);
     }
 
     #[test]
@@ -512,7 +491,7 @@ pub(crate) mod tests {
             h.join().unwrap();
         }
         assert_eq!(counter.load(Ordering::SeqCst), threads * iters);
-        assert_eq!(svc.stats().live, 0);
+        assert_eq!(svc.sync().stats().live, 0);
     }
 
     /// The baton-pass on cancel: a release chooses waiter A (wake-one);
@@ -534,7 +513,7 @@ pub(crate) mod tests {
             "B did not inherit A's grant"
         );
         drop(polled);
-        assert_eq!(svc.stats().live, 0);
+        assert_eq!(svc.sync().stats().live, 0);
     }
 
     /// Cancelling a never-woken waiter just removes it; the next release
@@ -552,7 +531,7 @@ pub(crate) mod tests {
         let (polled, _) = poll_once(&mut fut_b);
         assert!(matches!(polled, Poll::Ready(_)));
         drop(polled);
-        assert_eq!(svc.stats().live, 0);
+        assert_eq!(svc.sync().stats().live, 0);
     }
 
     #[test]
@@ -562,7 +541,7 @@ pub(crate) mod tests {
         assert_eq!(guard.len(), 3);
         let mut keys: Vec<u64> = guard.guards().iter().map(|g| g.key()).collect();
         for k in [10, 20, 30] {
-            assert!(svc.try_lock(k).is_none(), "key {k} not held");
+            assert!(svc.sync().try_lock(k).is_none(), "key {k} not held");
             assert!(keys.contains(&k));
         }
         // Canonical order is (shard, key): stable across runs for a fixed
@@ -570,8 +549,8 @@ pub(crate) mod tests {
         keys.sort_unstable();
         assert_eq!(keys, vec![10, 20, 30]);
         drop(guard);
-        assert_eq!(svc.stats().live, 0);
-        assert!(svc.try_lock(20).is_some());
+        assert_eq!(svc.sync().stats().live, 0);
+        assert!(svc.sync().try_lock(20).is_some());
     }
 
     #[test]
@@ -592,15 +571,18 @@ pub(crate) mod tests {
         drop(fut);
         drop(blocker);
         for k in [10, 20, 30] {
-            assert!(svc.try_lock(k).is_some(), "key {k} still held after cancel");
+            assert!(
+                svc.sync().try_lock(k).is_some(),
+                "key {k} still held after cancel"
+            );
         }
-        assert_eq!(svc.stats().live, 0);
+        assert_eq!(svc.sync().stats().live, 0);
     }
 
     #[test]
     fn event_wait_for_resolves_on_advance() {
         let svc = AsyncLockService::with_shards(4);
-        let ec = svc.eventcount(99);
+        let ec = svc.sync().eventcount(99);
         let mut fut = ec.wait_for(2);
         assert!(matches!(poll_once(&mut fut).0, Poll::Pending));
         ec.advance();
@@ -609,7 +591,7 @@ pub(crate) mod tests {
         assert!(matches!(poll_once(&mut fut).0, Poll::Ready(2)));
         drop(fut);
         drop(ec);
-        assert_eq!(svc.stats().live, 0);
+        assert_eq!(svc.sync().stats().live, 0);
     }
 
     #[test]
@@ -634,7 +616,7 @@ pub(crate) mod tests {
             .filter(|&l| l)
             .count();
         assert_eq!(leaders, 1);
-        assert_eq!(svc.stats().live, 0);
+        assert_eq!(svc.sync().stats().live, 0);
     }
 
     /// A cancelled barrier arrival un-arrives: the round completes with a
@@ -655,6 +637,6 @@ pub(crate) mod tests {
         assert!(matches!(poll_once(&mut a).0, Poll::Ready(false)));
         drop(a);
         drop(b);
-        assert_eq!(svc.stats().live, 0);
+        assert_eq!(svc.sync().stats().live, 0);
     }
 }

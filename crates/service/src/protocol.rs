@@ -32,7 +32,8 @@
 //! returns a [`Contention`], a semaphore counts through
 //! [`WaitingArray::count`].
 //! The paper's QSM queue lock is here too, over a [`QsmQueue`] that lays
-//! out its nodes and supplies its waits; its tree barrier, whose climb
+//! out its nodes and supplies its waits (a waiter that spins, then parks,
+//! waits by [`qsm_await_grant`]); its tree barrier, whose climb
 //! [`qsm_tree_arrive`] runs over a [`QsmTree`] that lays out the node
 //! counts and the release and supplies the wait for it; and the lifecycle
 //! of a keyed table's slots, [`slot_attach`] and [`slot_detach`] over a
@@ -505,7 +506,8 @@ pub trait QsmQueue<W: Copy, C: SyncCtx<W> + ?Sized> {
     /// This acquisition's node — nonzero, its link clear — and what its
     /// grant holds until the hand-off.
     fn node(&mut self, c: &mut C) -> (u64, u64);
-    /// Waits until `grant` no longer holds `recorded`.
+    /// Waits until `grant` no longer holds `recorded`: [`qsm_await_grant`]
+    /// on a substrate that spins, then parks.
     fn await_grant(&mut self, c: &mut C, grant: W, recorded: u64);
     /// Waits until the link `next` is set; returns it.
     fn await_link(&mut self, c: &mut C, next: W) -> u64;
@@ -552,6 +554,18 @@ pub fn qsm_enqueue<W: Copy, C: SyncCtx<W> + ?Sized, Q: QsmQueue<W, C>>(
         q.await_grant(c, q.grant(me), recorded);
     }
     me
+}
+
+/// The QSM grant wait, for a [`QsmQueue::await_grant`] that spins and then
+/// parks: probe `grant` for what a park costs ([`SyncCtx::spin`]), then
+/// park until it no longer holds `recorded`. A wake says nothing about the
+/// word, so each one looks again.
+#[inline]
+pub fn qsm_await_grant<W: Copy, C: SyncCtx<W>>(c: &mut C, grant: W, recorded: u64) {
+    let granted = c.spin(|c| c.load(grant) != recorded);
+    if !granted {
+        while c.wait(grant, recorded, None).seen == recorded {}
+    }
 }
 
 /// The QSM release of node `me`: close a queue of one with a CAS of the

@@ -141,8 +141,9 @@ pub struct ExecutorMetrics {
     /// Task polls dispatched.
     pub polls: u64,
     /// Virtual cycles between a waker firing inside a poll and the woken
-    /// task's re-poll: the wake cost plus any ready-queue delay. Timer
-    /// expiries are time passing, not wakes, and are not recorded.
+    /// task's re-poll. Polls take no virtual time, so a task waits in the
+    /// ready queue at no cost and every sample is exactly the wake cost.
+    /// Timer expiries are time passing, not wakes, and are not recorded.
     pub wake_to_poll: trace::Histogram,
 }
 
@@ -462,6 +463,36 @@ mod tests {
     }
 
     #[test]
+    fn every_wake_to_poll_sample_is_the_wake_cost() {
+        // One poll wakes three parked tasks: their re-polls fall due
+        // together and run one after another at the same virtual time. The
+        // cost is a power of two, the only value its log2 bucket holds up to
+        // the histogram's maximum, so equal histograms mean equal samples.
+        const COST: u64 = 8;
+        let parked = &RefCell::new(Vec::new());
+        let mut ex = Executor::new(COST);
+        for _ in 0..3 {
+            ex.spawn(async move {
+                let mut first = true;
+                std::future::poll_fn(|cx| {
+                    if std::mem::take(&mut first) {
+                        parked.borrow_mut().push(cx.waker().clone());
+                        return Poll::Pending;
+                    }
+                    Poll::Ready(())
+                })
+                .await;
+            });
+        }
+        ex.spawn(async move { parked.take().into_iter().for_each(Waker::wake) });
+        assert_eq!(ex.run(), Outcome::Completed);
+        assert_eq!(ex.now(), COST);
+        let mut want = trace::Histogram::new();
+        (0..3).for_each(|_| want.record(COST));
+        assert_eq!(ex.metrics().wake_to_poll, want);
+    }
+
+    #[test]
     fn waker_wakes_are_priced_at_wake_cost() {
         let svc = service::AsyncLockService::with_shards(1);
         let granted_at = RefCell::new(0u64);
@@ -485,7 +516,7 @@ mod tests {
         // Task 0 releases at t=100; the wake costs 7 cycles.
         assert_eq!(*granted_at.borrow(), 107);
         drop(ex);
-        assert_eq!(svc.stats().live, 0);
+        assert_eq!(svc.sync().stats().live, 0);
     }
 
     #[test]
@@ -513,7 +544,7 @@ mod tests {
         assert_eq!(ex.run(), Outcome::Completed);
         assert_eq!(*outcome.borrow(), Some(false));
         drop(ex);
-        assert_eq!(svc.stats().live, 0);
+        assert_eq!(svc.sync().stats().live, 0);
     }
 
     #[test]
@@ -532,7 +563,7 @@ mod tests {
         assert_eq!(ex.run(), Outcome::Completed);
         assert_eq!(*outcome.borrow(), Some(true));
         drop(ex);
-        assert_eq!(svc.stats().live, 0);
+        assert_eq!(svc.sync().stats().live, 0);
     }
 
     #[test]
@@ -568,7 +599,7 @@ mod tests {
         // Dropping the executor drops the deadlocked futures, releasing
         // everything through their cancellation paths.
         drop(ex);
-        assert_eq!(svc.stats().live, 0);
+        assert_eq!(svc.sync().stats().live, 0);
     }
 
     #[test]

@@ -483,8 +483,6 @@ pub struct AsyncMetricsReport {
     pub snapshot: service::MetricsSnapshot,
     /// Task polls the executor dispatched.
     pub polls: u64,
-    /// Virtual cycles from futex wake to the woken task's re-poll.
-    pub wake_to_poll: Histogram,
 }
 
 /// Drives the async lock service with the *same* request schedule as
@@ -561,10 +559,9 @@ pub fn async_load_with_metrics(
     let outcome = ex.run();
     assert_eq!(outcome, Outcome::Completed, "async load never deadlocks");
     let polls = ex.metrics().polls;
-    let wake_to_poll = ex.metrics().wake_to_poll.clone();
     drop(ex);
-    assert_eq!(svc.stats().live, 0, "all keys retired at drain");
-    let snapshot = svc.metrics_snapshot();
+    assert_eq!(svc.sync().stats().live, 0, "all keys retired at drain");
+    let snapshot = svc.sync().metrics_snapshot();
     let t = tally.into_inner();
     AsyncMetricsReport {
         result: ServiceLoadResult {
@@ -576,7 +573,6 @@ pub fn async_load_with_metrics(
         },
         snapshot,
         polls,
-        wake_to_poll,
     }
 }
 

@@ -90,7 +90,7 @@ fn async_churn_and_cancellation_storms_balance() {
         threads * private_keys >= 1_000_000,
         "stress must churn at least a million distinct keys"
     );
-    let stats = svc.stats();
+    let stats = svc.sync().stats();
     assert_eq!(stats.live, 0, "all keys must detach after churn: {stats:?}");
     let futex = svc.sync().futex_totals();
     assert!(
@@ -202,7 +202,7 @@ fn async_churn_and_cancellation_storms_balance() {
             2,
             "round {round}: a cancelled semaphore ticket was not restored"
         );
-        let stats = svc.stats();
+        let stats = svc.sync().stats();
         assert_eq!(
             stats.live, 0,
             "round {round}: slots leaked after the cancellation storm: {stats:?}"
@@ -219,7 +219,7 @@ fn async_churn_and_cancellation_storms_balance() {
 
     // Capacity stayed bounded by peak concurrent liveness (rounded up to
     // whole slabs per shard), not by the million keys churned.
-    let stats = svc.stats();
+    let stats = svc.sync().stats();
     assert!(
         stats.capacity <= stats.peak_live + 64 * stats.shards,
         "slab capacity {} not bounded by peak liveness {} ({} shards)",

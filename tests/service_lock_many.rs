@@ -41,7 +41,11 @@ fn run_combo(orders: [&[u64]; 3]) -> Outcome {
     }
     let outcome = ex.run();
     drop(ex);
-    assert_eq!(svc.stats().live, 0, "table must drain after {orders:?}");
+    assert_eq!(
+        svc.sync().stats().live,
+        0,
+        "table must drain after {orders:?}"
+    );
     outcome
 }
 
@@ -128,5 +132,9 @@ fn reversed_sequential_orders_deadlock_and_cancel_cleanly() {
     // Dropping the executor drops both deadlocked tasks: their held
     // guards release and their parked futures cancel, so nothing leaks.
     drop(ex);
-    assert_eq!(svc.stats().live, 0, "cancellation must drain the table");
+    assert_eq!(
+        svc.sync().stats().live,
+        0,
+        "cancellation must drain the table"
+    );
 }
